@@ -18,21 +18,21 @@ all agree on what "the reference pipeline" means.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..streaming.element import Element
+from ..streaming.execution import ParallelExecutor
 from ..streaming.graph import JobBuilder, JobGraph
 from ..streaming.runtime import Executor
-from ..streaming.windows import TumblingWindows
-from ..util.errors import (
-    BrokerDown,
-    ChaosError,
-    CheckpointError,
-    CoordinatorDown,
-    DataFaultError,
-    OperatorCrash,
+from ..streaming.supervisor import (
+    SupervisionReport,
+    Supervisor,
+    check_failure_budget,
 )
+from ..streaming.windows import TumblingWindows
+from ..util.errors import BrokerDown, DataFaultError, OperatorCrash
 from ..util.rng import make_rng
 from .injector import FaultInjector
 from .plan import FaultPlan
@@ -66,17 +66,16 @@ def run_with_recovery(job: JobGraph, injector: FaultInjector | None = None,
                       *, batch_mode: bool = True, chaining: bool = True,
                       parallelism: int | dict[str, int] | None = None,
                       source_batch: int = 64, checkpoint_every: int = 1,
-                      max_failures: int = 1000, tracer: Any = None,
-                      metrics: Any = None, profiler: Any = None,
+                      tracer: Any = None, metrics: Any = None,
+                      profiler: Any = None,
                       restart_budget: Any = None) -> RecoveryReport:
     """Run ``job`` to completion, checkpointing and restoring on faults.
 
     Catches :class:`OperatorCrash` (injected or organic operator death)
     and :class:`BrokerDown` (log-backed source hitting an unavailable
     partition; the retry advances the fault window) and restores the
-    latest checkpoint.  ``max_failures`` bounds pathological plans —
-    the deterministic schedule cannot re-fire a passed fault, so any
-    finite plan terminates well below it.
+    latest checkpoint.  The shared ``MAX_FAILURES`` bound (see
+    :mod:`repro.streaming.supervisor`) stops pathological plans.
 
     ``parallelism`` (``None`` = the classic single-instance executor)
     supervises a :class:`~repro.streaming.execution.ParallelExecutor`
@@ -105,7 +104,6 @@ def run_with_recovery(job: JobGraph, injector: FaultInjector | None = None,
                                  tracer=tracer, metrics=metrics,
                                  profiler=profiler)
     else:
-        from ..streaming.execution import ParallelExecutor
         executor = ParallelExecutor(job, parallelism,
                                     batch_mode=batch_mode,
                                     chaining=chaining, injector=injector,
@@ -114,12 +112,6 @@ def run_with_recovery(job: JobGraph, injector: FaultInjector | None = None,
     report = RecoveryReport(sink_values={})
     supervised = (tracer.start_span(f"supervised:{job.name}")
                   if tracer is not None else None)
-
-    def _check_budget() -> None:
-        if report.failures > max_failures:
-            raise ChaosError(
-                f"gave up after {report.failures} failures; the fault "
-                "plan appears to re-fire indefinitely")
 
     def _fault(kind: str) -> None:
         if supervised is not None:
@@ -148,7 +140,7 @@ def run_with_recovery(job: JobGraph, injector: FaultInjector | None = None,
             except BrokerDown as exc:
                 report.broker_faults += 1
                 _fault("broker")
-                _check_budget()
+                check_failure_budget(report.failures)
                 _account(exc)
                 continue
             report.restores += 1
@@ -167,7 +159,7 @@ def run_with_recovery(job: JobGraph, injector: FaultInjector | None = None,
             except OperatorCrash as exc:
                 report.crashes += 1
                 _fault("crash")
-                _check_budget()
+                check_failure_budget(report.failures)
                 _account(exc)
                 _restore(last)
                 continue
@@ -181,14 +173,14 @@ def run_with_recovery(job: JobGraph, injector: FaultInjector | None = None,
                 # it terminal.
                 report.data_failures += 1
                 _fault("data")
-                _check_budget()
+                check_failure_budget(report.failures)
                 _account(exc)
                 _restore(last)
                 continue
             except BrokerDown as exc:
                 report.broker_faults += 1
                 _fault("broker")
-                _check_budget()
+                check_failure_budget(report.failures)
                 _account(exc)
                 # The source fetch hit a fault window; restoring resets
                 # in-flight state, then the retry re-reads the log.
@@ -220,40 +212,12 @@ def run_with_recovery(job: JobGraph, injector: FaultInjector | None = None,
 
 
 @dataclass
-class CoordinatedReport:
+class CoordinatedReport(SupervisionReport):
     """What happened during a coordinator-supervised run."""
 
-    sink_values: dict[str, list[Any]]
-    crashes: int = 0
-    coordinator_crashes: int = 0
-    broker_faults: int = 0
-    #: escalated data faults the supervisor restarted from
-    data_failures: int = 0
-    dead_detected: int = 0
-    checkpoints: int = 0
-    aborted: int = 0
-    regional_restores: int = 0
-    full_restores: int = 0
     #: checkpoints the store quarantined for failing integrity checks
     integrity_failures: int = 0
-    #: elements actually replayed across all recoveries
-    replayed_total: int = 0
-    #: of which, by regional restores only
-    replayed_regional: int = 0
-    #: what whole-job restarts would have replayed at the same recovery
-    #: points (the counterfactual the MTTR gate compares against)
-    replayed_full_equiv: int = 0
     trace: list = field(default_factory=list)
-
-    @property
-    def failures(self) -> int:
-        return (self.crashes + self.coordinator_crashes
-                + self.broker_faults + self.data_failures
-                + self.dead_detected)
-
-    @property
-    def restores(self) -> int:
-        return self.regional_restores + self.full_restores
 
 
 def run_coordinated(job: JobGraph, injector: FaultInjector | None = None,
@@ -264,26 +228,19 @@ def run_coordinated(job: JobGraph, injector: FaultInjector | None = None,
                     unaligned_after: int | None = None,
                     heartbeat_timeout_s: float = 5.0,
                     replayable: frozenset | set = frozenset(),
-                    store: Any = None, max_failures: int = 1000,
+                    store: Any = None,
                     tracer: Any = None, metrics: Any = None,
                     profiler: Any = None, on_coordinator: Any = None,
                     restart_budget: Any = None) -> CoordinatedReport:
     """Supervise a parallel job under coordinated checkpoints.
 
     Unlike :func:`run_with_recovery` — which only checkpoints when the
-    job is quiescent — this supervisor attaches a
-    :class:`~repro.streaming.coordinator.CheckpointCoordinator` that
+    job is quiescent — this runs the job under a
+    :class:`~repro.streaming.supervisor.Supervisor`, whose
+    :class:`~repro.streaming.coordinator.CheckpointCoordinator`
     snapshots *while data is in flight* via barrier alignment, commits
-    sink output through 2PC, and recovers regionally:
-
-    - :class:`OperatorCrash` (mid-batch, per-item, or mid-snapshot via
-      ``barrier_crash``) restores only the failed subtask's failover
-      region when the plan decomposes; otherwise the whole job.
-    - :class:`CoordinatorDown` abandons the in-progress checkpoint and
-      rebuilds the coordinator from the store — subtask state is intact,
-      so no executor restore happens at all.
-    - A fail-silent subtask (``subtask_stall``) is caught by the
-      heartbeat detector and treated as a crash of that subtask.
+    sink output through 2PC, and recovers regionally — the failure
+    classes and what each restores are the supervisor's ladder.
 
     ``on_coordinator`` (if given) is called with the coordinator after
     construction — the place to register commit listeners such as
@@ -291,217 +248,38 @@ def run_coordinated(job: JobGraph, injector: FaultInjector | None = None,
     survive coordinator rebuilds.
 
     ``restart_budget`` bounds recovery exactly as in
-    :func:`run_with_recovery` (backoff runs on this supervisor's
+    :func:`run_with_recovery` (backoff runs on the supervisor's
     simulated clock; "progress" means a newly finalized checkpoint).
-
-    When the plan carries data faults, or the job dead-letters into the
-    transactional DLQ, recovery always restores the *whole* job: a
-    regional restore cannot rewind data-fault counters outside the
-    region, and the DLQ's committed projection spans every dead-letter
-    feeder — partial rewinds would break the exactly-once accounting
-    between sink, DLQ and fault windows.
     """
-    from ..streaming.coordinator import (
-        CheckpointCoordinator,
-        CheckpointStore,
-        failover_region_of,
-    )
-    from ..streaming.execution import ParallelExecutor
-    from ..util.clock import SimClock
-
     executor = ParallelExecutor(job, parallelism, batch_mode=batch_mode,
                                 chaining=chaining, injector=injector,
                                 tracer=tracer, metrics=metrics,
                                 profiler=profiler,
                                 transactional_sinks=True,
                                 unaligned_after=unaligned_after)
-    store = store if store is not None else CheckpointStore()
-    clock = SimClock()
-    if restart_budget is not None:
-        restart_budget.bind_clock(clock)
-    from ..streaming.errors import DLQ_SINK
-    force_full = (DLQ_SINK in executor.sinks
-                  or (injector is not None
-                      and getattr(injector, "has_data_faults", False)))
-
-    def _build_coordinator() -> CheckpointCoordinator:
-        return CheckpointCoordinator(
-            executor, store=store, clock=clock,
-            interval_cycles=interval_cycles,
-            heartbeat_timeout_s=heartbeat_timeout_s,
-            injector=injector, metrics=metrics)
-
-    coordinator = _build_coordinator()
-    if on_coordinator is not None:
-        on_coordinator(coordinator)
-    report = CoordinatedReport(sink_values={})
-    prior = {"finalized": 0, "aborted": 0}
     supervised = (tracer.start_span(f"coordinated:{job.name}")
                   if tracer is not None else None)
-    initial = executor.checkpoint()
-    total_nodes = (len(executor.graph.nodes)
-                   + len(executor.graph.source_parallelism)
-                   + len(job.sinks))
-
-    def _check_budget() -> None:
-        if report.failures > max_failures:
-            raise ChaosError(
-                f"gave up after {report.failures} failures; the fault "
-                "plan appears to re-fire indefinitely")
-
-    def _fault(kind: str) -> None:
-        if supervised is not None:
-            supervised.add_event("fault", kind=kind)
-        if metrics is not None:
-            metrics.counter("chaos.faults", kind=kind).inc()
-
-    progress_mark = {"finalized": 0}
-
-    def _account(exc: Exception) -> None:
-        """Consume one restart attempt against the budget; progress
-        means a checkpoint finalized since the previous failure."""
-        if restart_budget is None:
-            return
-        finalized = prior["finalized"] + coordinator.finalized
-        made = finalized > progress_mark["finalized"]
-        progress_mark["finalized"] = finalized
-        restart_budget.on_failure(exc, made_progress=made)
-
-    def _full_equiv(checkpoint: Any) -> int:
-        """What a whole-job restart to ``checkpoint`` would replay."""
-        total = 0
-        for source, splits in executor.source_positions_snapshot().items():
-            recorded = checkpoint.source_positions.get(source, {})
-            for split, pos in splits.items():
-                total += max(0, pos - recorded.get(split, 0))
-        return total
-
-    def _rebuild_coordinator() -> None:
-        # Counters accumulate across incarnations: the replacement
-        # coordinator starts at zero, but the checkpoints the dead one
-        # finalized (and the pending one it abandoned) still happened.
-        nonlocal coordinator
-        coordinator.abandon_pending()
-        prior["finalized"] += coordinator.finalized
-        prior["aborted"] += coordinator.aborted
-        listeners = list(coordinator.listeners)
-        coordinator = _build_coordinator()
-        coordinator.listeners.extend(listeners)
-
-    def _recover(op_name: str | None) -> None:
-        checkpoint = store.latest()
-        target = checkpoint if checkpoint is not None else initial
-        full_equiv = _full_equiv(target)
-        region = None
-        if checkpoint is not None and op_name is not None \
-                and not force_full:
-            try:
-                candidate = failover_region_of(executor.graph, op_name,
-                                               replayable)
-            except CheckpointError:
-                candidate = None
-            # Regional restore needs the region to contain its own
-            # sources (its input replays from them) and to be a strict
-            # subset — a region spanning the whole plan is just a full
-            # restore with extra bookkeeping.
-            if (candidate is not None and len(candidate) < total_nodes
-                    and candidate
-                    & set(executor.graph.source_parallelism)):
-                region = candidate
-        while True:
-            # A log-backed source restore re-reads the log, so the
-            # restore itself can land in an unavailability window; the
-            # counters only move forward, so retrying walks out.
-            try:
-                if region is not None:
-                    stats = executor.restore_region(target, region)
-                    replayed = stats["replayed_elements"]
-                    report.regional_restores += 1
-                    report.replayed_regional += replayed
-                else:
-                    executor.restore(target)
-                    replayed = full_equiv
-                    report.full_restores += 1
-                    coordinator.monitor.reset_all()
-            except BrokerDown as exc:
-                report.broker_faults += 1
-                _fault("broker")
-                _check_budget()
-                _account(exc)
-                continue
-            break
-        report.replayed_total += replayed
-        report.replayed_full_equiv += full_equiv
-        if metrics is not None:
-            metrics.summary("recovery.replayed_elements").observe(replayed)
-            metrics.summary("recovery.replay_saved").observe(
-                full_equiv - replayed)
-
-    def _supervise() -> None:
-        while True:
-            try:
-                executor.run(source_batch=source_batch,
-                             max_cycles=step_cycles)
-                if executor.done:
-                    coordinator.final_checkpoint(executor)
-                    return
-            except OperatorCrash as crash:
-                report.crashes += 1
-                _fault("crash")
-                _check_budget()
-                _account(crash)
-                _recover(getattr(crash, "op_name", None))
-                continue
-            except DataFaultError as exc:
-                # Escalated poisoned record (see run_with_recovery):
-                # restore rewinds data-fault counters, so a persistent
-                # fault re-fires until the budget escalates.
-                report.data_failures += 1
-                _fault("data")
-                _check_budget()
-                _account(exc)
-                _recover(None)
-                continue
-            except CoordinatorDown as exc:
-                report.coordinator_crashes += 1
-                _fault("coordinator")
-                _check_budget()
-                _account(exc)
-                _rebuild_coordinator()
-                continue
-            except BrokerDown as exc:
-                report.broker_faults += 1
-                _fault("broker")
-                _check_budget()
-                _account(exc)
-                _recover(None)
-                continue
-            dead = coordinator.dead_subtasks()
-            if dead:
-                report.dead_detected += 1
-                _fault("dead")
-                _check_budget()
-                _account(OperatorCrash(f"fail-silent subtask {dead[0]!r}",
-                                       op_name=dead[0]))
-                _recover(dead[0])
-
+    report = CoordinatedReport(sink_values={})
+    supervisor = Supervisor(
+        executor, report, store=store, source_batch=source_batch,
+        step_cycles=step_cycles, interval_cycles=interval_cycles,
+        heartbeat_timeout_s=heartbeat_timeout_s, injector=injector,
+        metrics=metrics, span=supervised, replayable=replayable,
+        restart_budget=restart_budget)
+    if on_coordinator is not None:
+        on_coordinator(supervisor.coordinator)
+    with (tracer.activate(supervised) if supervised is not None
+          else nullcontext()):
+        while not supervisor.advance():
+            pass
     if supervised is not None:
-        with tracer.activate(supervised):
-            _supervise()
-        supervised.set_attr("crashes", report.crashes)
-        supervised.set_attr("coordinator_crashes",
-                            report.coordinator_crashes)
-        supervised.set_attr("regional_restores", report.regional_restores)
-        supervised.set_attr("full_restores", report.full_restores)
-        supervised.set_attr("replayed_total", report.replayed_total)
+        for attr in ("crashes", "coordinator_crashes", "regional_restores",
+                     "full_restores", "replayed_total"):
+            supervised.set_attr(attr, getattr(report, attr))
         supervised.end()
-    else:
-        _supervise()
-    report.checkpoints = prior["finalized"] + coordinator.finalized
-    report.aborted = prior["aborted"] + coordinator.aborted
-    report.integrity_failures = getattr(store, "integrity_failures", 0)
-    report.sink_values = {name: list(sink.values)
-                          for name, sink in executor.sinks.items()}
+    supervisor.finish()
+    report.integrity_failures = getattr(supervisor.store,
+                                        "integrity_failures", 0)
     if injector is not None:
         report.trace = list(injector.trace)
     return report
@@ -611,7 +389,6 @@ def fault_free_sinks(build: Callable[[], JobGraph], *,
         executor: Any = Executor(build(), batch_mode=batch_mode,
                                  chaining=chaining)
     else:
-        from ..streaming.execution import ParallelExecutor
         executor = ParallelExecutor(build(), parallelism,
                                     batch_mode=batch_mode,
                                     chaining=chaining)

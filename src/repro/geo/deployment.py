@@ -3,12 +3,13 @@
 One :class:`GeoDeployment` owns a parallel streaming job placed across
 regions, the cross-region log mirror feeding a standby cluster, and a
 :class:`~repro.geo.controller.RegionController` watching region health
-on the simnet topology.  It layers two geo-level recovery moves on top
-of the engine's existing checkpoint machinery:
+on the simnet topology.  Failure detection and recovery are the shared
+:class:`~repro.streaming.supervisor.Supervisor` ladder; this module adds
+two geo-level *actions* on top of it:
 
 **Session handoff** (:meth:`GeoDeployment.handoff`) — a user crossed a
 zone boundary, so their operators should follow: stop-with-savepoint
-(the autoscaler's rescale primitive), recompile the *same* job under a
+(the supervisor's rescale primitive), recompile the *same* job under a
 placement with the moved nodes re-pinned, restore.  Keyed state
 migrates through the ordinary key-group snapshot path; committed sink
 output is carried in the checkpoint, so the move is exactly-once.
@@ -32,19 +33,19 @@ from typing import Any, Callable
 
 from ..eventlog.broker import LogCluster
 from ..eventlog.mirror import ReplicatedTopic
-from ..streaming.coordinator import CheckpointCoordinator, CheckpointStore
+from ..streaming.coordinator import CheckpointStore
 from ..streaming.execution import ParallelCheckpoint, ParallelExecutor
 from ..streaming.placement import RegionPlacement
+from ..streaming.supervisor import SupervisionReport, Supervisor
 from ..util.clock import SimClock
 from ..util.errors import (
     BrokerDown,
     ChaosError,
     CheckpointError,
-    CoordinatorDown,
     LogError,
     NetworkError,
-    OperatorCrash,
 )
+from ..util.metrics import MetricsRegistry
 from .controller import RegionController
 
 __all__ = ["GeoDeployment", "GeoReport", "FailoverReport", "HandoffReport"]
@@ -82,30 +83,16 @@ class FailoverReport:
 
 
 @dataclass
-class GeoReport:
+class GeoReport(SupervisionReport):
     """Outcome of a supervised geo run."""
 
-    sink_values: dict[str, list[Any]]
     steps: int = 0
-    crashes: int = 0
-    coordinator_crashes: int = 0
-    broker_faults: int = 0
-    dead_detected: int = 0
-    full_restores: int = 0
-    replayed_total: int = 0
-    checkpoints: int = 0
-    aborted: int = 0
     mirror_pumped: int = 0
     handoffs: list[HandoffReport] = field(default_factory=list)
     failover: FailoverReport | None = None
 
-    @property
-    def failures(self) -> int:
-        return (self.crashes + self.coordinator_crashes
-                + self.broker_faults + self.dead_detected)
 
-
-class GeoDeployment:
+class GeoDeployment(Supervisor):
     """Supervise a region-placed job with mirror, handoff, failover.
 
     ``build_job`` is called with a :class:`LogCluster` and must return
@@ -129,8 +116,6 @@ class GeoDeployment:
                  heartbeat_timeout_s: float = 60.0,
                  region_timeout_s: float = 5.0,
                  step_wall_s: float = 1.0,
-                 savepoint_max_cycles: int = 256,
-                 max_failures: int = 1000,
                  injector: Any = None,
                  topology: Any = None,
                  simulator: Any = None,
@@ -148,36 +133,30 @@ class GeoDeployment:
                               default_region=primary_region))
         self.parallelism = parallelism
         self.chaining = chaining
-        self.source_batch = source_batch
-        self.step_cycles = step_cycles
-        self.interval_cycles = interval_cycles
-        self.heartbeat_timeout_s = heartbeat_timeout_s
         self.step_wall_s = step_wall_s
-        self.savepoint_max_cycles = savepoint_max_cycles
-        self.max_failures = max_failures
         self.injector = injector
         self.topology = topology
         self.simulator = simulator
 
-        self.clock = (simulator.clock if simulator is not None
-                      else SimClock())
-        self.store = CheckpointStore(keep=4)
+        clock = simulator.clock if simulator is not None else SimClock()
         self.mirror = ReplicatedTopic(primary_cluster, standby_cluster,
                                       topic,
                                       producer_id=mirror_producer_id)
         self.controller = RegionController(
-            self.clock, timeout_s=region_timeout_s, observer=observer)
+            clock, timeout_s=region_timeout_s, observer=observer)
         self.controller.register(primary_region)
         self.controller.register(standby_region)
 
         self.job = build_job(primary_cluster)
         self.active_region = primary_region
-        self.executor = self._build_executor(self.job, self.placement)
-        self.coordinator = self._build_coordinator()
-        self._initial = self.executor.checkpoint()
-        self._prior = {"finalized": 0, "aborted": 0}
-        self.report = GeoReport(sink_values={})
         self.failed_over = False
+        super().__init__(
+            self._build_executor(self.job, self.placement),
+            GeoReport(sink_values={}), store=CheckpointStore(keep=4),
+            clock=clock, source_batch=source_batch,
+            step_cycles=step_cycles, interval_cycles=interval_cycles,
+            heartbeat_timeout_s=heartbeat_timeout_s, injector=injector,
+            metrics=MetricsRegistry())
 
     # -- construction -------------------------------------------------------
 
@@ -189,92 +168,6 @@ class GeoDeployment:
                                 transactional_sinks=True,
                                 placement=placement)
 
-    def _build_coordinator(self) -> CheckpointCoordinator:
-        return CheckpointCoordinator(
-            self.executor, store=self.store, clock=self.clock,
-            interval_cycles=self.interval_cycles,
-            heartbeat_timeout_s=self.heartbeat_timeout_s,
-            injector=self.injector)
-
-    # -- recovery plumbing (the run_coordinated pattern) ---------------------
-
-    def _check_budget(self) -> None:
-        if self.report.failures > self.max_failures:
-            raise ChaosError(
-                f"gave up after {self.report.failures} failures; the "
-                "fault plan appears to re-fire indefinitely")
-
-    def _full_equiv(self, checkpoint: ParallelCheckpoint) -> int:
-        total = 0
-        for source, splits in \
-                self.executor.source_positions_snapshot().items():
-            recorded = checkpoint.source_positions.get(source, {})
-            for split, pos in splits.items():
-                total += max(0, pos - recorded.get(split, 0))
-        return total
-
-    def _recover(self) -> None:
-        checkpoint = self.store.latest()
-        target = checkpoint if checkpoint is not None else self._initial
-        replayed = self._full_equiv(target)
-        while True:
-            try:
-                self.executor.restore(target)
-            except BrokerDown:
-                self.report.broker_faults += 1
-                self._check_budget()
-                continue
-            break
-        self.coordinator.monitor.reset_all()
-        self.report.full_restores += 1
-        self.report.replayed_total += replayed
-
-    def _rebuild_coordinator(self) -> None:
-        self.coordinator.abandon_pending()
-        self._prior["finalized"] += self.coordinator.finalized
-        self._prior["aborted"] += self.coordinator.aborted
-        listeners = list(self.coordinator.listeners)
-        self.coordinator = self._build_coordinator()
-        self.coordinator.listeners.extend(listeners)
-
-    def _adopt(self, replacement: ParallelExecutor,
-               placement: RegionPlacement) -> None:
-        """Swap in a rebuilt executor; listeners and the store carry
-        over so checkpoint ids stay monotonic across incarnations."""
-        self._prior["finalized"] += self.coordinator.finalized
-        self._prior["aborted"] += self.coordinator.aborted
-        listeners = list(self.coordinator.listeners)
-        self.executor = replacement
-        self.placement = placement
-        self.coordinator = self._build_coordinator()
-        self.coordinator.listeners.extend(listeners)
-
-    # -- savepoints ----------------------------------------------------------
-
-    def _drive_savepoint(self) -> ParallelCheckpoint:
-        """Stop-with-savepoint, verbatim semantics of the autoscaler's
-        rescale primitive: drain in-flight work, cut a checkpoint,
-        drain until it finalizes."""
-        budget = self.savepoint_max_cycles
-        while self.coordinator.in_progress is not None and budget > 0:
-            self.executor.drain_for_coordinator()
-            self.coordinator.on_cycle_end(self.executor)
-            budget -= 1
-        if self.coordinator.in_progress is not None:
-            raise CheckpointError(
-                "savepoint blocked: a prior checkpoint never finalized")
-        cid = self.coordinator.trigger(self.executor)
-        while self.coordinator.in_progress is not None and budget > 0:
-            self.executor.drain_for_coordinator()
-            self.coordinator.on_cycle_end(self.executor)
-            budget -= 1
-        savepoint = self.store.latest()
-        if savepoint is None or savepoint.checkpoint_id != cid:
-            raise CheckpointError(
-                f"stop-with-savepoint {cid} did not finalize within "
-                f"{self.savepoint_max_cycles} drain cycles")
-        return savepoint
-
     # -- session handoff -----------------------------------------------------
 
     def handoff(self, nodes: Any, to_region: str) -> HandoffReport:
@@ -282,22 +175,10 @@ class GeoDeployment:
         ``to_region`` with exactly-once semantics.  Retries from the
         last finalized checkpoint if chaos kills the move mid-flight."""
         names = tuple(nodes)
-        attempts = 0
-        while True:
+        attempts = 1
+        while (report := self.attempt(
+                lambda: self._do_handoff(names, to_region, attempts))) is None:
             attempts += 1
-            try:
-                report = self._do_handoff(names, to_region, attempts)
-            except OperatorCrash:
-                self.report.crashes += 1
-                self._check_budget()
-                self._recover()
-                continue
-            except CoordinatorDown:
-                self.report.coordinator_crashes += 1
-                self._check_budget()
-                self._rebuild_coordinator()
-                continue
-            break
         self.report.handoffs.append(report)
         return report
 
@@ -307,20 +188,12 @@ class GeoDeployment:
         placement = self.placement
         for name in names:
             placement = placement.moved(name, to_region)
-        replacement = self._build_executor(self.job, placement)
-        while True:
-            try:
-                stats = replacement.restore(savepoint)
-            except BrokerDown:
-                self.report.broker_faults += 1
-                self._check_budget()
-                continue
-            break
-        self._adopt(replacement, placement)
+        replayed = self._adopt(self._build_executor(self.job, placement),
+                               savepoint)
+        self.placement = placement
         return HandoffReport(savepoint_id=savepoint.checkpoint_id,
                              nodes=names, to_region=to_region,
-                             replayed=stats["replayed_elements"],
-                             attempts=attempts)
+                             replayed=replayed, attempts=attempts)
 
     # -- region failover -----------------------------------------------------
 
@@ -356,43 +229,38 @@ class GeoDeployment:
         except (BrokerDown, LogError, NetworkError):
             lag = None  # primary broker unreachable — lag unknowable
         self.mirror.fence()
+        while (report := self.attempt(
+                lambda: self._do_failover(lost, outage_start, lag))) is None:
+            pass
+        self.report.failover = report
+        return report
 
+    def _do_failover(self, lost: str, outage_start: float,
+                     lag: dict[int, int] | None) -> FailoverReport:
         target = self._covered_checkpoint()
         job = self.build_job(self.standby_cluster)
         placement = self.placement.moved_all(
             self.standby_region,
             list(job.sources) + list(job.operators) + list(job.sinks))
-        replacement = self._build_executor(job, placement)
         full_equiv = sum(
             self.standby_cluster.end_offset(self.topic, p)
             for p in range(
                 self.standby_cluster.partition_count(self.topic)))
-        if target is not None:
-            while True:
-                try:
-                    stats = replacement.restore(target)
-                except BrokerDown:
-                    self.report.broker_faults += 1
-                    self._check_budget()
-                    continue
-                break
-            replayed = stats["replayed_elements"]
-        else:
+        replayed = self._adopt(self._build_executor(job, placement), target)
+        if target is None:
             replayed = full_equiv  # cold start: replay everything
-        self._adopt(replacement, placement)
         self.job = job
+        self.placement = placement
         self.active_region = self.standby_region
         self.failed_over = True
         self.report.replayed_total += replayed
-        report = FailoverReport(
+        return FailoverReport(
             lost_region=lost, to_region=self.standby_region,
             checkpoint_id=(target.checkpoint_id
                            if target is not None else None),
             replayed=replayed, full_restart_equiv=full_equiv,
             mttr_s=max(0.0, self.clock.now - outage_start),
             mirror_lag=lag)
-        self.report.failover = report
-        return report
 
     # -- the supervision loop ------------------------------------------------
 
@@ -401,9 +269,8 @@ class GeoDeployment:
             return  # fenced; the replica is now the source of truth
         try:
             self.report.mirror_pumped += self.mirror.pump()
-        except (BrokerDown, LogError, NetworkError):
-            self.report.broker_faults += 1
-            self._check_budget()
+        except (BrokerDown, LogError, NetworkError) as exc:
+            self._failed("broker", exc)
 
     def _observe_regions(self) -> None:
         if self.topology is not None:
@@ -427,35 +294,8 @@ class GeoDeployment:
         if (not self.failed_over
                 and self.active_region in self.controller.lost()):
             self.failover()
-        try:
-            self.executor.run(source_batch=self.source_batch,
-                              max_cycles=self.step_cycles)
-            if self.executor.done:
-                self.coordinator.final_checkpoint(self.executor)
-                return False
-        except OperatorCrash:
-            self.report.crashes += 1
-            self._check_budget()
-            self._recover()
-            self._pump_mirror()
-            return True
-        except CoordinatorDown:
-            self.report.coordinator_crashes += 1
-            self._check_budget()
-            self._rebuild_coordinator()
-            self._pump_mirror()
-            return True
-        except BrokerDown:
-            self.report.broker_faults += 1
-            self._check_budget()
-            self._recover()
-            self._pump_mirror()
-            return True
-        dead = self.coordinator.dead_subtasks()
-        if dead:
-            self.report.dead_detected += 1
-            self._check_budget()
-            self._recover()
+        if self.advance():
+            return False
         self._pump_mirror()
         return True
 
@@ -474,11 +314,4 @@ class GeoDeployment:
         else:
             raise ChaosError(
                 f"job did not finish within {max_steps} steps")
-        self.report.checkpoints = (self._prior["finalized"]
-                                   + self.coordinator.finalized)
-        self.report.aborted = (self._prior["aborted"]
-                               + self.coordinator.aborted)
-        self.report.sink_values = {
-            name: list(sink.values)
-            for name, sink in self.executor.sinks.items()}
-        return self.report
+        return self.finish()

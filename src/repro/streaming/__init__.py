@@ -67,6 +67,7 @@ from .shuffle import (
     subtask_for_key_group,
 )
 from .state import KeyedState
+from .supervisor import Supervisor
 from .txn_sink import TransactionalLogSink, TransactionalSink
 from .window_operator import (
     LateRecord,
@@ -94,6 +95,7 @@ __all__ = [
     "RescaleEvent",
     "AutoscaleReport",
     "ScalingSupervisor",
+    "Supervisor",
     "run_autoscaled",
     "PatternMatch",
     "PatternOperator",

@@ -27,9 +27,11 @@ Three layers, separable and separately tested:
    :func:`~repro.streaming.execution.compile_execution_graph` at the new
    widths, and a restore of the finalized checkpoint into it.  Chaos can
    kill the supervisor at any phase (``rescale_crash`` via
-   :meth:`~repro.chaos.injector.FaultInjector.before_rescale`); recovery
-   restores the *old* executor from the last finalized checkpoint and
-   retries the rescale, so a crash mid-rescale never loses or duplicates
+   :meth:`~repro.chaos.injector.FaultInjector.before_rescale`); the
+   rescale is an *action* on the shared
+   :class:`~repro.streaming.supervisor.Supervisor` ladder, which
+   restores the *old* executor from the last finalized checkpoint, and
+   the rescale retries — a crash mid-rescale never loses or duplicates
    committed output.
 
 When even the maximum parallelism cannot keep up, the supervisor falls
@@ -54,20 +56,13 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..util.clock import SimClock
-from ..util.errors import (
-    BrokerDown,
-    ChaosError,
-    CheckpointError,
-    ConfigError,
-    CoordinatorDown,
-    OperatorCrash,
-)
+from ..util.errors import ConfigError
 from ..util.metrics import MetricsRegistry
-from .coordinator import CheckpointCoordinator, CheckpointStore
-from .execution import ParallelCheckpoint, ParallelExecutor
+from .coordinator import CheckpointStore
+from .execution import ParallelExecutor
 from .graph import JobGraph
 from .shuffle import DEFAULT_KEY_GROUPS
+from .supervisor import SupervisionReport, Supervisor
 
 __all__ = [
     "OperatorSignals",
@@ -448,20 +443,13 @@ class RescaleEvent:
 
 
 @dataclass
-class AutoscaleReport:
+class AutoscaleReport(SupervisionReport):
     """What happened during an autoscaled run."""
 
-    sink_values: dict[str, list[Any]]
     rescales: list[RescaleEvent] = field(default_factory=list)
     rescale_attempts: int = 0
+    #: rescale attempts a failure interrupted (each one was retried)
     rescale_crashes: int = 0
-    crashes: int = 0
-    coordinator_crashes: int = 0
-    broker_faults: int = 0
-    checkpoints: int = 0
-    aborted: int = 0
-    full_restores: int = 0
-    replayed_total: int = 0
     shed_total: int = 0
     dropped_overflow: int = 0
     #: (eval_index, {node: width}) after every completed rescale
@@ -471,11 +459,6 @@ class AutoscaleReport:
     latencies: list[float] = field(default_factory=list)
     slo_s: float | None = None
     trace: list = field(default_factory=list)
-
-    @property
-    def failures(self) -> int:
-        return (self.crashes + self.coordinator_crashes
-                + self.broker_faults)
 
     @property
     def slo_compliance(self) -> float:
@@ -496,22 +479,23 @@ class AutoscaleReport:
         return max(widths) if widths else 0
 
 
-class ScalingSupervisor:
+class ScalingSupervisor(Supervisor):
     """Drives an autoscaled job: run, observe, decide, rescale, shed.
+
+    Failure detection and recovery are the shared
+    :class:`~repro.streaming.supervisor.Supervisor` ladder; this class
+    adds the load model, shed control and the rescale *action*.
 
     The rescale state machine (each phase is a chaos crash site):
 
     - **decide**   — the policy produced changed targets
-    - **savepoint**— stop-with-savepoint: wait out any in-progress
-      checkpoint, trigger a fresh barrier cut, drive drain cycles until
-      the coordinator finalizes it
+    - **savepoint**— the supervisor's stop-with-savepoint
     - **recompile**— build a fresh :class:`ParallelExecutor` (a new
       physical plan) at the new widths from the same logical job
-    - **restore**  — restore the finalized savepoint into the new plan
-      and hand the coordinator over (listeners survive, checkpoint ids
-      stay monotonic through the shared store)
+    - **restore**  — the supervisor adopts the new plan: restores the
+      finalized savepoint into it and hands the coordinator over
 
-    A crash at any phase recovers the *old* executor from the last
+    A failure at any phase recovers the *old* executor from the last
     finalized checkpoint and re-attempts the rescale at the next
     evaluation — pending targets are sticky, so "rescale completes
     under chaos" is a liveness property the elasticity gate asserts.
@@ -532,9 +516,7 @@ class ScalingSupervisor:
                  metrics: MetricsRegistry | None = None,
                  slo_s: float | None = None,
                  shed_policy: ShedPolicy | None = None,
-                 store: CheckpointStore | None = None,
-                 max_failures: int = 1000,
-                 savepoint_max_cycles: int = 256) -> None:
+                 store: CheckpointStore | None = None) -> None:
         self.job = job
         self.policy = policy
         self.injector = injector
@@ -542,32 +524,25 @@ class ScalingSupervisor:
         self.chaining = chaining
         self.columnar = columnar
         self.num_key_groups = num_key_groups
-        self.source_batch = source_batch
-        self.step_cycles = step_cycles
-        self.interval_cycles = interval_cycles
-        self.heartbeat_timeout_s = heartbeat_timeout_s
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.shed_policy = shed_policy
-        self.max_failures = max_failures
-        self.savepoint_max_cycles = savepoint_max_cycles
-        self.store = store if store is not None else CheckpointStore()
-        self.clock = SimClock()
         self.operators = list(job.operators)
         self.current: dict[str, int] = self._normalize(parallelism)
-        self.executor = self._build_executor(self.current)
-        self.coordinator = self._build_coordinator()
+        super().__init__(
+            self._build_executor(self.current),
+            AutoscaleReport(sink_values={}, slo_s=slo_s), store=store,
+            source_batch=source_batch, step_cycles=step_cycles,
+            interval_cycles=interval_cycles,
+            heartbeat_timeout_s=heartbeat_timeout_s, injector=injector,
+            metrics=self.metrics)
         self.autoscaler = Autoscaler(policy,
                                      rated_capacity=float(source_batch))
-        self.report = AutoscaleReport(sink_values={}, slo_s=slo_s)
-        self._prior = {"finalized": 0, "aborted": 0}
         self._pending_targets: dict[str, int] | None = None
         self._rescale_attempts_current = 0
         self._committed_seen: dict[str, int] = {}
-        self._shedding_active: set[str] = set()
         #: per-source sorted arrival timestamps (built lazily; the
         #: deterministic arrival model behind backlog and shed control)
         self._arrivals: dict[str, np.ndarray] = {}
-        self._initial = self.executor.checkpoint()
 
     # -- plan construction ---------------------------------------------------
 
@@ -619,13 +594,6 @@ class ScalingSupervisor:
             batch_mode=self.batch_mode, chaining=self.chaining,
             columnar=self.columnar, injector=self.injector,
             metrics=self.metrics, transactional_sinks=True)
-
-    def _build_coordinator(self) -> CheckpointCoordinator:
-        return CheckpointCoordinator(
-            self.executor, store=self.store, clock=self.clock,
-            interval_cycles=self.interval_cycles,
-            heartbeat_timeout_s=self.heartbeat_timeout_s,
-            injector=self.injector, metrics=self.metrics)
 
     # -- deterministic load model --------------------------------------------
 
@@ -686,6 +654,9 @@ class ScalingSupervisor:
         policy = self.shed_policy
         if policy is None:
             return
+        # the executor's plans are the activation state: they rewind
+        # with every restore and carry over into an adopted executor
+        active = self.executor.shed_state_snapshot()["plans"]
         for name in self.job.sources:
             backlog = self.metrics.gauge("source.backlog",
                                          source=name).value
@@ -694,60 +665,12 @@ class ScalingSupervisor:
             p_src = self.current.get(name, 1)
             capacity = max(1.0, p_src * float(self.source_batch))
             projected_wait = backlog / capacity
-            if name not in self._shedding_active \
+            if name not in active \
                     and projected_wait > policy.trigger_wait_s:
                 self.executor.set_shedding(name, policy.keep, policy.mod)
-                self._shedding_active.add(name)
-            elif name in self._shedding_active \
+            elif name in active \
                     and projected_wait < policy.release_wait_s:
                 self.executor.clear_shedding(name)
-                self._shedding_active.discard(name)
-
-    # -- recovery ------------------------------------------------------------
-
-    def _check_budget(self) -> None:
-        if self.report.failures > self.max_failures:
-            raise ChaosError(
-                f"gave up after {self.report.failures} failures; the "
-                "fault plan appears to re-fire indefinitely")
-
-    def _full_equiv(self, checkpoint: ParallelCheckpoint) -> int:
-        total = 0
-        for source, splits in \
-                self.executor.source_positions_snapshot().items():
-            recorded = checkpoint.source_positions.get(source, {})
-            for split, pos in splits.items():
-                total += max(0, pos - recorded.get(split, 0))
-        return total
-
-    def _recover(self) -> None:
-        """Full restore of the current executor from the last finalized
-        checkpoint (or the initial snapshot)."""
-        checkpoint = self.store.latest()
-        target = checkpoint if checkpoint is not None else self._initial
-        replayed = self._full_equiv(target)
-        while True:
-            try:
-                self.executor.restore(target)
-            except BrokerDown:
-                self.report.broker_faults += 1
-                self._check_budget()
-                continue
-            break
-        self.coordinator.monitor.reset_all()
-        self.report.full_restores += 1
-        self.report.replayed_total += replayed
-        # shedding activation state follows the restored plans
-        self._shedding_active = {
-            name for name in self.executor.shed_state_snapshot()["plans"]}
-
-    def _rebuild_coordinator(self) -> None:
-        self.coordinator.abandon_pending()
-        self._prior["finalized"] += self.coordinator.finalized
-        self._prior["aborted"] += self.coordinator.aborted
-        listeners = list(self.coordinator.listeners)
-        self.coordinator = self._build_coordinator()
-        self.coordinator.listeners.extend(listeners)
 
     # -- the rescale state machine -------------------------------------------
 
@@ -755,38 +678,8 @@ class ScalingSupervisor:
         if self.injector is not None:
             self.injector.before_rescale(phase)
 
-    def _drive_savepoint(self) -> ParallelCheckpoint:
-        """Stop-with-savepoint: finish any checkpoint already being
-        assembled, then cut a fresh one and drain until it finalizes.
-        The job does not stop — drain cycles move in-flight data and
-        barriers without pulling new source input, exactly like
-        ``final_checkpoint`` but mid-job."""
-        budget = self.savepoint_max_cycles
-        while self.coordinator.in_progress is not None and budget > 0:
-            self.executor.drain_for_coordinator()
-            self.coordinator.on_cycle_end(self.executor)
-            budget -= 1
-        if self.coordinator.in_progress is not None:
-            raise CheckpointError(
-                "savepoint blocked: a prior checkpoint never finalized")
-        cid = self.coordinator.trigger(self.executor)
-        while self.coordinator.in_progress is not None and budget > 0:
-            self.executor.drain_for_coordinator()
-            self.coordinator.on_cycle_end(self.executor)
-            budget -= 1
-        savepoint = self.store.latest()
-        if savepoint is None or savepoint.checkpoint_id != cid:
-            raise CheckpointError(
-                f"stop-with-savepoint {cid} did not finalize within "
-                f"{self.savepoint_max_cycles} drain cycles")
-        return savepoint
-
-    def _rescale(self, targets: dict[str, int]) -> RescaleEvent | None:
-        old = dict(self.current)
-        new = self._clamp_widths({**old, **targets})
-        if new == old:
-            return None
-
+    def _rescale(self, old: dict[str, int],
+                 new: dict[str, int]) -> RescaleEvent:
         self._phase("decide")
         self._phase("savepoint")
         savepoint = self._drive_savepoint()
@@ -795,38 +688,19 @@ class ScalingSupervisor:
         replacement = self._build_executor(new)
 
         self._phase("restore")
-        while True:
-            try:
-                stats = replacement.restore(savepoint)
-            except BrokerDown:
-                self.report.broker_faults += 1
-                self._check_budget()
-                continue
-            break
-
-        # adopt: the old executor (and its coordinator incarnation) are
-        # gone; listeners and the store carry over, ids stay monotonic
-        self._prior["finalized"] += self.coordinator.finalized
-        self._prior["aborted"] += self.coordinator.aborted
-        listeners = list(self.coordinator.listeners)
-        self.executor = replacement
+        replayed = self._adopt(replacement, savepoint)
         self.current = new
-        self.coordinator = self._build_coordinator()
-        self.coordinator.listeners.extend(listeners)
         self._retire_subtask_gauges(old, new)
-        self.report.replayed_total += stats["replayed_elements"]
+        self.report.replayed_total += replayed
         # committed visibility was rewound to the savepoint's projected
         # output; re-sync the latency cursor so nothing double-counts
         for name, sink in self.executor.sinks.items():
             self._committed_seen[name] = min(
                 self._committed_seen.get(name, 0), len(sink.values))
-        self._shedding_active = {
-            name for name in replacement.shed_state_snapshot()["plans"]}
         return RescaleEvent(
             eval_index=self.autoscaler._eval_index,
             savepoint_id=savepoint.checkpoint_id,
-            old=old, new=new,
-            replayed=stats["replayed_elements"],
+            old=old, new=new, replayed=replayed,
             attempts=self._rescale_attempts_current)
 
     def _retire_subtask_gauges(self, old: dict[str, int],
@@ -845,40 +719,27 @@ class ScalingSupervisor:
                     self.metrics.retire(family, op=f"{name}[{idx}]")
 
     def _try_rescale(self, targets: dict[str, int]) -> None:
+        old = dict(self.current)
+        new = self._clamp_widths({**old, **targets})
         self.report.rescale_attempts += 1
         self._rescale_attempts_current += 1
-        try:
-            event = self._rescale(targets)
-        except OperatorCrash:
-            # supervisor or subtask died mid-rescale: the old executor
-            # recovers from the last finalized checkpoint and the
-            # targets stay pending for the next evaluation
-            self.report.rescale_crashes += 1
-            self.report.crashes += 1
-            self._check_budget()
-            self._pending_targets = dict(targets)
-            self._recover()
-        except CoordinatorDown:
-            self.report.rescale_crashes += 1
-            self.report.coordinator_crashes += 1
-            self._check_budget()
-            self._pending_targets = dict(targets)
-            self._rebuild_coordinator()
-        except BrokerDown:
-            self.report.broker_faults += 1
-            self._check_budget()
-            self._pending_targets = dict(targets)
-            self._recover()
-        else:
-            self._pending_targets = None
-            self._rescale_attempts_current = 0
-            if event is not None:
-                self.report.rescales.append(event)
-                self.report.parallelism_trace.append(
-                    (event.eval_index, dict(self.current)))
-                self.metrics.counter("autoscaler.rescales").inc()
-                self.metrics.gauge("autoscaler.width").set(
-                    max(self.current.values()))
+        if new != old:
+            event = self.attempt(lambda: self._rescale(old, new))
+            if event is None:
+                # supervisor, subtask or coordinator died mid-rescale:
+                # the ladder recovered the old executor, and the targets
+                # stay pending for the next evaluation
+                self.report.rescale_crashes += 1
+                self._pending_targets = dict(targets)
+                return
+            self.report.rescales.append(event)
+            self.report.parallelism_trace.append(
+                (event.eval_index, dict(self.current)))
+            self.metrics.counter("autoscaler.rescales").inc()
+            self.metrics.gauge("autoscaler.width").set(
+                max(self.current.values()))
+        self._pending_targets = None
+        self._rescale_attempts_current = 0
 
     # -- the control loop ----------------------------------------------------
 
@@ -895,49 +756,21 @@ class ScalingSupervisor:
 
     def run(self) -> AutoscaleReport:
         """Run the job to completion under the control loop."""
-        report = self.report
         self._shed_control_initial()
         while True:
-            try:
-                self.executor.run(source_batch=self.source_batch,
-                                  max_cycles=self.step_cycles)
-                if self.executor.done:
-                    self.coordinator.final_checkpoint(self.executor)
-                    self._observe_latencies()
-                    break
-            except OperatorCrash:
-                report.crashes += 1
-                self._check_budget()
-                self._recover()
-                continue
-            except CoordinatorDown:
-                report.coordinator_crashes += 1
-                self._check_budget()
-                self._rebuild_coordinator()
-                continue
-            except BrokerDown:
-                report.broker_faults += 1
-                self._check_budget()
-                self._recover()
-                continue
-            dead = self.coordinator.dead_subtasks()
-            if dead:
-                report.crashes += 1
-                self._check_budget()
-                self._recover()
-                continue
+            done = self.advance()
+            if done is None:
+                continue  # recovered: re-run before observing anything
             self._observe_latencies()
+            if done:
+                break
             targets = self._evaluate()
             self._shed_control()
             if targets:
                 self._try_rescale(targets)
-        report.checkpoints = (self._prior["finalized"]
-                              + self.coordinator.finalized)
-        report.aborted = self._prior["aborted"] + self.coordinator.aborted
+        report = self.finish()
         report.shed_total = self.executor.shed_elements
         report.dropped_overflow = self.executor.dropped_overflow
-        report.sink_values = {name: list(sink.values)
-                              for name, sink in self.executor.sinks.items()}
         if self.injector is not None:
             report.trace = list(self.injector.trace)
         return report
@@ -952,7 +785,6 @@ class ScalingSupervisor:
             return
         for name in self.job.sources:
             self.executor.set_shedding(name, policy.keep, policy.mod)
-            self._shedding_active.add(name)
         # checkpoint zero must carry the plans so any restore — initial
         # included — re-activates them
         self._initial = self.executor.checkpoint()

@@ -69,6 +69,13 @@ class TumblingWindows(WindowAssigner):
 
     def assign(self, timestamp: float) -> list[Window]:
         start = ((timestamp - self.offset) // self.size) * self.size + self.offset
+        if timestamp >= start + self.size:
+            # ``start + size`` rounded onto the timestamp (a boundary
+            # timestamp whose exact quotient sits just below the next
+            # index), so the half-open window would exclude its own
+            # element: step into the next window, which starts exactly
+            # there.  A no-op whenever the window already contains it.
+            start += self.size
         # Consecutive timestamps overwhelmingly land in the same bucket;
         # reuse the last Window instead of re-constructing it (callers
         # never mutate the returned list).
@@ -83,12 +90,17 @@ class TumblingWindows(WindowAssigner):
         """Vectorized window starts for a float64 timestamp array.
 
         IEEE-754 float64 arithmetic is identical element-wise to the
-        scalar expression in :meth:`assign`, so grouped (columnar)
-        window assignment lands every element in the same bucket as
-        per-item assignment.
+        scalar expression in :meth:`assign` — the one-step boundary
+        correction included — so grouped (columnar) window assignment
+        lands every element in the same bucket as per-item assignment.
         """
-        return ((timestamps - self.offset) // self.size) * self.size \
+        starts = ((timestamps - self.offset) // self.size) * self.size \
             + self.offset
+        ends = starts + self.size
+        over = timestamps >= ends
+        if over.any():
+            starts[over] = ends[over]
+        return starts
 
 
 class SlidingWindows(WindowAssigner):

@@ -25,17 +25,28 @@ from repro.chaos import (
     SITE_CHECKPOINT,
     SITE_DATA,
     SITE_OPERATOR,
+    SITE_RESCALE,
     FaultInjector,
     FaultPlan,
     FaultSpec,
+    canonical_sinks,
     fault_free_sinks,
     reference_events,
     reference_job,
     run_coordinated,
     run_with_recovery,
 )
-from repro.streaming import DEAD_LETTER, DLQ_SINK, Element, JobBuilder, RestartBudget
-from repro.util.errors import RestartsExhausted
+from repro.streaming import (
+    DEAD_LETTER,
+    DLQ_SINK,
+    Element,
+    JobBuilder,
+    RestartBudget,
+    SchedulePolicy,
+    run_autoscaled,
+)
+from repro.streaming import supervisor as supervisor_module
+from repro.util.errors import ChaosError, RestartsExhausted
 
 pytestmark = pytest.mark.datafault
 
@@ -47,8 +58,8 @@ MODES = ((False, False), (True, False), (True, True))
 GUARDED = ("double", "drop_tiny")
 
 
-def guarded_job(seed, n=200):
-    job = reference_job(reference_events(seed=seed, n=n))
+def guarded_job(seed, n=200, splits=None):
+    job = reference_job(reference_events(seed=seed, n=n), splits=splits)
     for op in GUARDED:
         job.error_policies[op] = DEAD_LETTER
     return job
@@ -268,3 +279,52 @@ class TestRestartBudget:
         golden = rrepr(run_with_recovery(
             guarded_job(0), FaultInjector(data)).sink_values)
         assert rrepr(report.sink_values) == golden
+
+    @pytest.mark.parametrize("entry", ["coordinated", "autoscaled"])
+    def test_unbudgeted_poison_ends_in_a_diagnostic(self, entry,
+                                                    monkeypatch):
+        # no RestartBudget: the shared MAX_FAILURES bound is the
+        # backstop, and the poison never escapes as a raw DataFaultError
+        monkeypatch.setattr(supervisor_module, "MAX_FAILURES", 6)
+        job, plan = self._poison(6)
+        with pytest.raises(ChaosError, match="gave up after 7 failures"):
+            if entry == "coordinated":
+                run_coordinated(job, FaultInjector(plan), parallelism=2)
+            else:
+                run_autoscaled(job, SchedulePolicy({}),
+                               FaultInjector(plan), parallelism=2)
+
+
+class TestDlqInvariantAutoscaled:
+    """The rescale action shares the coordinated ladder, so the DLQ
+    invariant holds across a live rescale that chaos interrupts."""
+
+    def test_rescale_and_crashes_do_not_move_sink_or_dlq(self):
+        data = (FaultSpec("udf_exception", SITE_DATA, at=40, count=2,
+                          target="double"),)
+        infra = (FaultSpec("rescale_crash", SITE_RESCALE, at=0,
+                           target="restore"),
+                 FaultSpec("operator_crash", SITE_OPERATOR, at=90,
+                           target="window_sum"))
+
+        def autoscaled(specs):
+            report = run_autoscaled(
+                guarded_job(2, splits=4),
+                SchedulePolicy({1: {"window_sum": 2}}),
+                FaultInjector(FaultPlan(specs=specs, seed=1,
+                                        name="autoscale-dlq")),
+                parallelism=1, source_batch=32)
+            assert len(report.rescales) == 1
+            return report
+
+        golden = rrepr(canonical_sinks(run_coordinated(
+            guarded_job(2, splits=4),
+            FaultInjector(FaultPlan(specs=data, seed=1, name="dlq")),
+            parallelism=1, source_batch=32).sink_values))
+        assert len(golden[DLQ_SINK]) == 2
+        clean, chaosed = autoscaled(data), autoscaled(data + infra)
+        assert chaosed.rescale_crashes == 1 and chaosed.crashes == 2
+        assert chaosed.data_failures == 0  # dead-lettered, not escalated
+        assert rrepr(canonical_sinks(clean.sink_values)) == golden
+        assert rrepr(canonical_sinks(chaosed.sink_values)) == golden
+

@@ -21,8 +21,11 @@ covered in tier 1 by ``tests/unit/test_geo_placement.py`` and
 
 import pytest
 
+from functools import partial
+
 from repro.chaos import (
     SITE_COORDINATOR,
+    SITE_DATA,
     SITE_OPERATOR,
     FaultInjector,
     FaultPlan,
@@ -38,9 +41,16 @@ from repro.simnet import (
     Simulator,
     region_topology,
 )
-from repro.streaming import JobBuilder, parallel_log_source
+from repro.streaming import (
+    DEAD_LETTER,
+    FAIL,
+    JobBuilder,
+    parallel_log_source,
+)
+from repro.streaming import supervisor as supervisor_module
 from repro.streaming.placement import placement_from_topology
 from repro.streaming.windows import TumblingWindows
+from repro.util.errors import ChaosError
 from repro.util.rng import make_rng
 
 pytestmark = pytest.mark.geo
@@ -61,11 +71,18 @@ def _fill(cluster: LogCluster) -> None:
                       key=f"k-{i % KEYS}", timestamp=float(i))
 
 
-def _build_job(cluster: LogCluster):
+def _build_job(cluster: LogCluster, udf_policy=None):
     builder = JobBuilder("geo-chaos")
     factory, splits = parallel_log_source(cluster, TOPIC)
-    (builder.source(TOPIC, splits=splits, split_factory=factory)
-            .key_by(lambda v: v["k"], name="by_key")
+    stream = builder.source(TOPIC, splits=splits, split_factory=factory)
+    head = TOPIC
+    if udf_policy is not None:
+        # an identity UDF for data faults to target, pinned with the
+        # source; the golden output is the plain job's
+        head = "scale"
+        stream = stream.map(lambda v: v, name=head).on_error(udf_policy)
+        builder.pin_region(head, "edge-a")
+    (stream.key_by(lambda v: v["k"], name="by_key")
             .window(TumblingWindows(20.0), "sum",
                     value_fn=lambda v: v["v"], name="window_sum")
             .sink("out"))
@@ -73,7 +90,7 @@ def _build_job(cluster: LogCluster):
         builder.pin_region(node, region)
     # the edge a zone handoff may stretch across regions — declared up
     # front, per the job-graph contract (cross-region is never inferred)
-    builder.declare_cross_region(TOPIC, "by_key")
+    builder.declare_cross_region(head, "by_key")
     return builder.build()
 
 
@@ -86,7 +103,8 @@ def _golden(parallelism: int):
 
 def _deployment(parallelism: int, *, injector=None,
                 region_event: RegionFailureEvent | None = None,
-                region_timeout_s: float = 2.0) -> GeoDeployment:
+                region_timeout_s: float = 2.0,
+                build_job=_build_job) -> GeoDeployment:
     primary = LogCluster(num_brokers=1)
     standby = LogCluster(num_brokers=1)
     _fill(primary)
@@ -97,7 +115,7 @@ def _deployment(parallelism: int, *, injector=None,
     placement = placement_from_topology(topo, dict(PINS),
                                         default_region="core")
     return GeoDeployment(
-        _build_job,
+        build_job,
         primary_cluster=primary, standby_cluster=standby, topic=TOPIC,
         primary_region="edge-a", standby_region="core",
         placement=placement, parallelism=parallelism,
@@ -260,3 +278,48 @@ class TestHandoffThenFailover:
         # failover consolidates everything in the surviving region
         regions = set(deployment.executor.graph.node_regions.values())
         assert regions == {"core"}
+
+
+class TestDataFaultsUnderGeo:
+    """The shared ladder handles data faults under geo supervision."""
+
+    POISON = FaultSpec("udf_exception", SITE_DATA, at=30, count=2,
+                       target="scale")
+
+    @staticmethod
+    def _cross_zone(dep, step):
+        if step == 1:
+            dep.handoff(MOVABLE, "edge-b")
+
+    def test_dead_lettered_poison_is_exactly_once_across_handoff(self):
+        build = partial(_build_job, udf_policy=DEAD_LETTER)
+
+        def once(*infra):
+            plan = FaultPlan(specs=(self.POISON,) + infra, name="geo-dlq")
+            deployment = _deployment(2, injector=FaultInjector(plan),
+                                     build_job=build)
+            return deployment.run(on_step=self._cross_zone)
+
+        clean = once()
+        chaosed = once(
+            FaultSpec("operator_crash", SITE_OPERATOR, at=40,
+                      target="window_sum"),
+            FaultSpec("coordinator_crash", SITE_COORDINATOR, at=1))
+        assert chaosed.crashes + chaosed.coordinator_crashes == 2
+        assert len(clean.handoffs) == len(chaosed.handoffs) == 1
+        assert clean.sink_values["__dlq__"], "poison never fired"
+        assert {name: sorted(map(repr, values))
+                for name, values in chaosed.sink_values.items()} \
+            == {name: sorted(map(repr, values))
+                for name, values in clean.sink_values.items()}
+
+    def test_unguarded_poison_ends_in_a_diagnostic(self, monkeypatch):
+        monkeypatch.setattr(supervisor_module, "MAX_FAILURES", 4)
+        deployment = _deployment(
+            2, injector=FaultInjector(FaultPlan(specs=(self.POISON,),
+                                                name="geo-poison")),
+            build_job=partial(_build_job, udf_policy=FAIL))
+        with pytest.raises(ChaosError, match="gave up"):
+            deployment.run(on_step=self._cross_zone)
+        assert deployment.report.data_failures == 5
+

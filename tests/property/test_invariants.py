@@ -4,7 +4,7 @@ invariants."""
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analytics import CountMinSketch, HyperLogLog, RunningStats
@@ -82,12 +82,17 @@ class TestWindowProperties:
     @given(st.lists(st.floats(min_value=0.0, max_value=1e4,
                               allow_nan=False), min_size=1, max_size=80),
            st.floats(min_value=0.5, max_value=100.0))
+    # start + size rounds onto ts: Window(9899.99.., 9999.99..) before
+    # the one-step correction
+    @example(timestamps=[9999.999999999998], size=99.99999999999999)
     def test_tumbling_assignment_contains_timestamp(self, timestamps, size):
         assigner = TumblingWindows(size)
-        for ts in timestamps:
+        starts = assigner.assign_starts(np.asarray(timestamps))
+        for ts, start in zip(timestamps, starts):
             windows = assigner.assign(ts)
             assert len(windows) == 1
             assert windows[0].contains(ts)
+            assert windows[0].start == start  # columnar stays bit-identical
 
     @given(st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
            st.floats(min_value=1.0, max_value=50.0),

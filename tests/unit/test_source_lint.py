@@ -1,0 +1,74 @@
+"""Structure + determinism lint over ``src/repro`` (tier-1, no imports).
+
+(a) One supervisor: the failure ladder and the recovery primitives live
+    in ``streaming/supervisor.py`` only (``run_with_recovery``, the
+    quiescent-checkpoint loop in ``chaos/harness.py``, keeps its own
+    ``except OperatorCrash`` until the executor merge removes it).
+(b) Determinism: library code reads no wall clock and no unseeded
+    randomness — ``random``/``uuid``/``datetime`` imports and
+    ``time.time(`` are confined to ``util/``; ``time.perf_counter`` is
+    allow-listed for ``streaming/execution.py``'s lane-busy model.
+"""
+
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+SUPERVISOR = "streaming/supervisor.py"
+HARNESS = "chaos/harness.py"
+
+LADDER = re.compile(r"except\s+\(?[\w\s,.]*\b(OperatorCrash|CoordinatorDown)\b")
+PRIMITIVES = re.compile(
+    r"def\s+(_check_budget|_recover|_rebuild_coordinator|_full_equiv"
+    r"|_drive_savepoint|_build_coordinator)\b")
+NONDETERMINISTIC = re.compile(
+    r"^\s*(import|from)\s+(random|uuid|datetime)\b|\btime\.time\(",
+    re.MULTILINE)
+WALL_CLOCK = re.compile(r"^\s*(import\s+time\b|from\s+time\s+import)",
+                        re.MULTILINE)
+
+
+def _sources():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), path.read_text()
+
+
+def _offenders(pattern, allowed):
+    """``file:line: match`` for every hit outside the ``allowed`` files."""
+    hits = []
+    for rel, text in _sources():
+        if rel in allowed:
+            continue
+        for match in pattern.finditer(text):
+            line = text.count("\n", 0, match.start()) + 1
+            hits.append(f"{rel}:{line}: {match.group(0).strip()}")
+    return hits
+
+
+def test_failure_ladder_lives_in_the_supervisor_only():
+    assert _offenders(LADDER, {SUPERVISOR, HARNESS}) == []
+    # ... and in the harness only inside run_with_recovery
+    harness = (SRC / HARNESS).read_text()
+    start = harness.index("def run_with_recovery(")
+    end = harness.index("\n# -- coordinated checkpoints")
+    outside = harness[:start] + harness[end:]
+    assert LADDER.search(outside) is None
+
+
+def test_recovery_primitives_are_defined_once():
+    assert _offenders(PRIMITIVES, {SUPERVISOR}) == []
+    supervisor = (SRC / SUPERVISOR).read_text()
+    names = [m.group(1) for m in PRIMITIVES.finditer(supervisor)]
+    assert len(names) == len(set(names))
+
+
+def test_no_wall_clock_or_unseeded_randomness_outside_util():
+    library = {rel for rel, _ in _sources() if not rel.startswith("util/")}
+    util = {rel for rel, _ in _sources()} - library
+    assert _offenders(NONDETERMINISTIC, util) == []
+    # the only `time` import is execution.py's lane-busy model, and it
+    # may use perf_counter only
+    assert _offenders(WALL_CLOCK, util | {"streaming/execution.py"}) == []
+    execution = (SRC / "streaming/execution.py").read_text()
+    uses = set(re.findall(r"\btime\.(\w+)", execution))
+    assert uses <= {"perf_counter"}, uses
