@@ -1,10 +1,11 @@
 # Single entry points for the repo's gates.  `make verify` is the full
-# pre-merge check: tier-1 tests, the perf gate, and the chaos gate.
+# pre-merge check: tier-1 tests, the perf gate, the chaos gates, and
+# the end-to-end benchmark's oracle check.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test chaos chaos-parallel perf robustness datafault obs elasticity store geo verify
+.PHONY: test chaos chaos-parallel perf robustness datafault obs elasticity store geo e2e-smoke verify
 
 test:  ## tier-1: fast unit/integration/property tests
 	$(PYTHON) -m pytest -x -q
@@ -41,5 +42,9 @@ store:  ## serving-store chaos suite + exactly-once/latency gate
 geo:  ## geo chaos suite + edge-vs-cloud latency / failover gate
 	$(PYTHON) tools/check_geo.py
 
-verify: test perf obs chaos chaos-parallel robustness datafault elasticity store geo
+e2e-smoke:  ## whole path (log -> engine -> store -> overlay) vs the brute-force oracle
+	$(PYTHON) benchmarks/e2e/run.py --smoke
+	$(PYTHON) -m pytest benchmarks/e2e/tests -q
+
+verify: test perf obs chaos chaos-parallel robustness datafault elasticity store geo e2e-smoke
 	@echo "verify: all gates passed"

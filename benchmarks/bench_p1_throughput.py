@@ -19,6 +19,15 @@ so the speedup is pure interpreter-overhead removal.  Results are
 written to ``BENCH_streaming.json`` so ``tools/check_perf.py`` can gate
 future PRs against throughput regressions.
 
+The three modes pass ``emit_every=32``; every in-tree application and
+the end-to-end benchmark use ``with_watermarks()``'s default of one
+watermark per element.  The ``default_watermarks`` row runs the chained
+job in the end-to-end benchmark's shape (time-ordered input, 1 000
+keys, ~10 rows per key and window, ``source_batch=1024``) under the
+default cadence and, for reference, under ``emit_every=32``;
+``check_perf`` floors the first at half the second, so the cadence the
+benches tune cannot drift away from the one the applications run.
+
 Also micro-benches two satellite fixes: the cached sample array in
 ``util.metrics.Summary`` and the vectorized sketch ``add_many`` kernels.
 
@@ -51,6 +60,11 @@ N_EVENTS = 100_000
 N_KEYS = 64
 SOURCE_BATCH = 8192
 WINDOW_S = 5.0
+#: the ``default_watermarks`` row: the shape benchmarks/e2e jobs run —
+#: ~1 000 live keys, ~10 rows per key and window, 1 024-row pulls
+DEFAULT_ROW_KEYS = 1000
+DEFAULT_ROW_WINDOW_S = 100.0
+DEFAULT_ROW_SOURCE_BATCH = 1024
 
 MODES = {
     "per_item": dict(batch_mode=False, chaining=False),
@@ -66,14 +80,25 @@ def _elements(n: int) -> list[Element]:
             for i, v in enumerate(values)]
 
 
-def _build_job(elements: list[Element]):
+def _build_job(elements: list[Element], e2e_shape: bool = False,
+               emit_every: int | None = 32):
+    """``e2e_shape`` keys and windows the pipeline like the end-to-end
+    benchmark's jobs (the ``default_watermarks`` row); ``emit_every=None``
+    leaves ``with_watermarks()`` at its default cadence."""
+    cadence = {} if emit_every is None else {"emit_every": emit_every}
+    if e2e_shape:
+        window_s = DEFAULT_ROW_WINDOW_S
+        key_fn = lambda v: np.floor(v * 100.0) % DEFAULT_ROW_KEYS  # noqa: E731
+    else:
+        window_s = WINDOW_S
+        key_fn = lambda v: np.floor(v) % N_KEYS  # noqa: E731
     builder = JobBuilder("p1-throughput")
     (builder.source("events", elements)
             .map(lambda v: v * 1.5 + 1.0, vectorized=True)
             .filter(lambda v: v > 4.0, vectorized=True)
-            .key_by(lambda v: np.floor(v) % N_KEYS, vectorized=True)
-            .with_watermarks(0.5, emit_every=32)
-            .window(TumblingWindows(WINDOW_S), "sum")
+            .key_by(key_fn, vectorized=True)
+            .with_watermarks(0.5, **cadence)
+            .window(TumblingWindows(window_s), "sum")
             .sink("out"))
     return builder.build()
 
@@ -83,34 +108,56 @@ def _canonical_sink(sink) -> list[tuple]:
             for r in sink.values]
 
 
+def _best_eps(elements: list[Element], flags: dict, repeats: int,
+              source_batch: int = SOURCE_BATCH,
+              **job_shape) -> tuple[float, list[tuple]]:
+    """Best-of-N elements/s of one job under one execution mode, and
+    its canonical sink (asserted equal across the repeats).
+
+    Best-of-N: the committed baseline gates an absolute eps floor, so
+    the estimator must be robust to scheduler jitter on shared machines
+    — min elapsed is the standard noise-floor statistic."""
+    best = float("inf")
+    sink: list[tuple] | None = None
+    for _ in range(repeats):
+        # fresh operators (state) per run
+        executor = Executor(_build_job(elements, **job_shape), **flags)
+        start = time.perf_counter()
+        sinks = executor.run(source_batch=source_batch)
+        best = min(best, time.perf_counter() - start)
+        out = _canonical_sink(sinks["out"])
+        assert sink is None or out == sink, "runs diverged between repeats"
+        sink = out
+    return len(elements) / best, sink
+
+
 def bench_pipeline(n_events: int, registry: MetricsRegistry,
                   repeats: int = 3) -> dict:
     elements = _elements(n_events)
     outputs: dict[str, list[tuple]] = {}
     for mode, flags in MODES.items():
-        # Best-of-N: the committed baseline gates an absolute eps floor,
-        # so the estimator must be robust to scheduler jitter on shared
-        # machines — min elapsed is the standard noise-floor statistic.
-        best = float("inf")
-        for _ in range(repeats):
-            job = _build_job(elements)  # fresh operators (state) per run
-            executor = Executor(job, **flags)
-            start = time.perf_counter()
-            sinks = executor.run(source_batch=SOURCE_BATCH)
-            elapsed = time.perf_counter() - start
-            best = min(best, elapsed)
-            out = _canonical_sink(sinks["out"])
-            assert outputs.setdefault(mode, out) == out, (
-                f"{mode} runs diverged between repeats")
-        registry.gauge("bench.eps", mode=mode).set(n_events / best)
+        eps, outputs[mode] = _best_eps(elements, flags, repeats)
+        registry.gauge("bench.eps", mode=mode).set(eps)
     base = outputs["per_item"]
     for mode in ("batched", "chained"):
         assert outputs[mode] == base, (
             f"{mode} execution diverged from per-item results")
+    # The end-to-end shape, chained, under the default cadence and under
+    # emit_every=32; each sink checked against one per-item run.
+    for label, emit_every in (("default_watermarks", None),
+                              ("e2e_shape_emit_32", 32)):
+        shape = dict(source_batch=DEFAULT_ROW_SOURCE_BATCH, e2e_shape=True,
+                     emit_every=emit_every)
+        eps, sink = _best_eps(elements, MODES["chained"], repeats, **shape)
+        assert sink == _best_eps(elements, MODES["per_item"], 1,
+                                 **shape)[1], (
+            f"{label}: chained execution diverged from per-item")
+        registry.gauge("bench.eps", mode=label).set(eps)
     # Results flow through the registry: the report table and the
     # committed baseline both read the snapshot, not local floats.
     snap = registry.snapshot()
-    eps = {mode: snap[f"bench.eps{{mode={mode}}}"] for mode in MODES}
+    eps = {mode: snap[f"bench.eps{{mode={mode}}}"]
+           for mode in (*MODES, "default_watermarks", "e2e_shape_emit_32")}
     return {
         "per_item_eps": eps["per_item"],
         "batched_eps": eps["batched"],
@@ -118,6 +165,10 @@ def bench_pipeline(n_events: int, registry: MetricsRegistry,
         "speedup_batched": eps["batched"] / eps["per_item"],
         "speedup_chained": eps["chained"] / eps["per_item"],
         "window_results": len(base),
+        "default_watermarks_eps": eps["default_watermarks"],
+        "e2e_shape_emit_32_eps": eps["e2e_shape_emit_32"],
+        "default_watermarks_ratio":
+            eps["default_watermarks"] / eps["e2e_shape_emit_32"],
     }
 
 
@@ -257,6 +308,15 @@ def report(results: dict) -> None:
          ["batched", t["batched_eps"], t["speedup_batched"]],
          ["chained", t["chained_eps"], t["speedup_chained"]]],
         note="identical sink contents across all modes (asserted)")
+    print_table(
+        "P1  default watermark cadence (chained, end-to-end shape: "
+        f"{DEFAULT_ROW_KEYS} keys, source_batch={DEFAULT_ROW_SOURCE_BATCH})",
+        ["cadence", "elements/s", "vs emit_every=32"],
+        [["emit_every=32", t["e2e_shape_emit_32_eps"], 1.0],
+         ["with_watermarks() default", t["default_watermarks_eps"],
+          t["default_watermarks_ratio"]]],
+        note="sinks identical to per-item (asserted); check_perf floors "
+             "the ratio at 0.5")
     o = results["obs_overhead"]
     print_table(
         "P1  observability overhead (chained mode)",

@@ -52,14 +52,17 @@ class Record:
     key: str | None = None
     timestamp: float = 0.0
     headers: Mapping[str, str] = field(default_factory=dict)
+    #: serialized-size estimate, priced once at construction: a record
+    #: is immutable, and every send reads this twice (producer
+    #: accounting, partition append) before retention reads it again
+    size_bytes: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def size_bytes(self) -> int:
+    def __post_init__(self) -> None:
         size = estimate_size(self.value) + 8  # value + timestamp
         if self.key is not None:
             size += len(self.key.encode("utf-8"))
         size += sum(len(k) + len(v) for k, v in self.headers.items())
-        return size
+        object.__setattr__(self, "size_bytes", size)
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,22 @@ execution:
   which holds the **original key objects** — never numpy conversions —
   so ``repr``-based shuffle hashing and state snapshots are unchanged.
 
-Slicing is zero-copy (numpy views); all mutation-style operations
-(``with_values`` etc.) return new batches sharing unchanged columns.
+Slicing is zero-copy (numpy views over the parent's columns *and* its
+key dictionary); all mutation-style operations (``with_values`` etc.)
+return new batches sharing unchanged columns.  Only ``compress`` — the
+filter / shuffle cut, whose result travels on — compacts a dictionary
+the surviving rows no longer need.
+
+*Punctuation.*  A batch may carry the watermarks that sit between its
+rows: ``wm_offsets[i]`` says "watermark ``wm_values[i]`` sits after that
+many rows" (int64, non-decreasing, 0…n, repeats allowed).  The batch
+*is* the interleaved per-item sequence — rows ``[0, off0)``, watermark
+0, rows ``[off0, off1)``, watermark 1, … — so ``len`` counts rows,
+``weight`` counts rows plus watermarks, ``slice`` cuts at interleaved
+positions, ``to_items`` yields the exact Element/Watermark order and
+``explode`` returns the unpunctuated fragment list.  A batch with
+watermarks and no rows is legal (a slice or a shuffle bucket can be
+just that); an item of weight 0 is never emitted.
 """
 
 from __future__ import annotations
@@ -45,34 +59,51 @@ __all__ = [
     "items_weight",
     "take_prefix",
     "decode_items",
+    "explode_items",
     "elements_of",
 ]
 
 
 class RecordBatch:
-    """A columnar run of elements (no watermarks/barriers inside)."""
+    """A columnar run of elements, optionally punctuated by the
+    watermarks that sit between them (never barriers)."""
 
     __slots__ = ("timestamps", "values", "py_values", "key_codes",
-                 "key_dict")
+                 "key_dict", "wm_offsets", "wm_values")
 
     def __init__(self, timestamps: np.ndarray, values: Any,
                  py_values: bool = False,
                  key_codes: np.ndarray | None = None,
-                 key_dict: list | None = None) -> None:
+                 key_dict: list | None = None,
+                 wm_offsets: np.ndarray | None = None,
+                 wm_values: np.ndarray | None = None) -> None:
         self.timestamps = timestamps
         self.values = values  # ndarray (numeric/vectorized) or list (opaque)
         self.py_values = py_values
         self.key_codes = key_codes
         self.key_dict = key_dict
+        #: sparse punctuation; both None when the batch carries no
+        #: watermark (never empty arrays, so ``is None`` is the test)
+        self.wm_offsets = wm_offsets
+        self.wm_values = wm_values
 
     def __len__(self) -> int:
+        """Row count (watermarks are not rows; see :attr:`weight`)."""
         return len(self.timestamps)
+
+    @property
+    def weight(self) -> int:
+        """Length of the interleaved item sequence: rows + watermarks."""
+        offsets = self.wm_offsets
+        n = len(self.timestamps)
+        return n if offsets is None else n + len(offsets)
 
     def __repr__(self) -> str:  # debug aid only
         kind = ("f64" if isinstance(self.values, np.ndarray)
                 else "opaque")
         keyed = "keyed" if self.key_codes is not None else "unkeyed"
-        return f"RecordBatch(n={len(self)}, {kind}, {keyed})"
+        wms = self.weight - len(self)
+        return f"RecordBatch(n={len(self)}, {kind}, {keyed}, wms={wms})"
 
     # -- construction --------------------------------------------------------
 
@@ -115,6 +146,14 @@ class RecordBatch:
         return cls(ts, values, py_values=numeric, key_codes=codes,
                    key_dict=kd)
 
+    @classmethod
+    def punctuation(cls, values: np.ndarray) -> "RecordBatch":
+        """A run of watermarks with no rows between them."""
+        return cls(np.empty(0, dtype=np.float64),
+                   np.empty(0, dtype=np.float64), py_values=True,
+                   wm_offsets=np.zeros(len(values), dtype=np.int64),
+                   wm_values=values)
+
     # -- decoding ------------------------------------------------------------
 
     def keys_list(self) -> list:
@@ -150,7 +189,42 @@ class RecordBatch:
                 for v, t, c in zip(vals, ts, self.key_codes.tolist())]
 
     def extend_elements(self, out: list) -> None:
+        """Append the rows only — what a sink receives."""
         out.extend(self.to_elements())
+
+    def to_items(self) -> list[StreamItem]:
+        """The interleaved Element/Watermark sequence this batch is."""
+        elements = self.to_elements()
+        if self.wm_offsets is None:
+            return elements
+        out: list[StreamItem] = []
+        start = 0
+        for off, wm in zip(self.wm_offsets.tolist(),
+                           self.wm_values.tolist()):
+            if off > start:
+                out.extend(elements[start:off])
+                start = off
+            out.append(Watermark(wm))
+        out.extend(elements[start:])
+        return out
+
+    def explode(self) -> list:
+        """The same sequence as unpunctuated row fragments (zero-copy
+        views) with loose Watermarks between them — what a consumer that
+        is not punctuation-aware receives."""
+        if self.wm_offsets is None:
+            return [self]
+        out: list = []
+        start = 0
+        for off, wm in zip(self.wm_offsets.tolist(),
+                           self.wm_values.tolist()):
+            if off > start:
+                out.append(self._rows(start, off))
+                start = off
+            out.append(Watermark(wm))
+        if start < len(self):
+            out.append(self._rows(start, len(self)))
+        return out
 
     # -- transforms (share unchanged columns) --------------------------------
 
@@ -158,9 +232,11 @@ class RecordBatch:
         """Compact the key dictionary when a row subset can no longer
         reference most of it.
 
-        Without this, every ``slice``/``compress`` inherits the full
-        dictionary, so a long-running keyed job drags every key it has
-        ever seen through every shuffle and spill.  When the surviving
+        Without this, every ``compress`` inherits the full dictionary,
+        so a long-running keyed job drags every key it has ever seen
+        through every filter and shuffle.  (``slice`` stays a view: its
+        cuts are transient, and whatever is *retained* — spills,
+        checkpoints — is decoded to Elements first.)  When the surviving
         rows number fewer than half the table (so live codes are
         necessarily below half too), rebuild the table from the codes
         actually present.  The new dictionary holds the *same key
@@ -175,22 +251,35 @@ class RecordBatch:
         return inverse.astype(np.int64, copy=False), \
             [kd[c] for c in live.tolist()]
 
-    def slice(self, i: int, j: int) -> "RecordBatch":
-        """Zero-copy sub-range (numpy views; opaque lists are sliced).
-        Narrow slices of wide-key batches compact the dictionary."""
-        values = self.values
-        vals = values[i:j]
+    def _rows(self, i: int, j: int) -> "RecordBatch":
+        """Rows ``[i, j)`` as an unpunctuated view (shared dictionary)."""
         codes = self.key_codes
-        kd = self.key_dict
-        if codes is not None:
-            codes, kd = self._narrowed_keys(codes[i:j])
-        return RecordBatch(self.timestamps[i:j], vals,
+        return RecordBatch(self.timestamps[i:j], self.values[i:j],
                            py_values=self.py_values,
-                           key_codes=codes, key_dict=kd)
+                           key_codes=None if codes is None else codes[i:j],
+                           key_dict=self.key_dict)
+
+    def slice(self, i: int, j: int) -> "RecordBatch":
+        """Items ``[i, j)`` of the interleaved sequence, zero-copy: numpy
+        views (opaque lists are sliced) sharing the parent's key
+        dictionary.  Without punctuation positions are row indices."""
+        offsets = self.wm_offsets
+        if offsets is None:
+            return self._rows(i, j)
+        # Watermark w sits at interleaved position offsets[w] + w.
+        positions = offsets + np.arange(len(offsets))
+        wi, wj = np.searchsorted(positions, (i, j)).tolist()
+        ri = i - wi
+        part = self._rows(ri, j - wj)
+        if wj > wi:
+            part.wm_offsets = offsets[wi:wj] - ri
+            part.wm_values = self.wm_values[wi:wj]
+        return part
 
     def compress(self, mask: np.ndarray) -> "RecordBatch":
         """Keep rows where ``mask`` is True; a heavy filter also
-        compacts the key dictionary (see :meth:`_narrowed_keys`)."""
+        compacts the key dictionary (see :meth:`_narrowed_keys`).  Every
+        watermark survives, re-seated after the kept rows before it."""
         values = self.values
         if isinstance(values, np.ndarray):
             vals: Any = values[mask]
@@ -200,44 +289,67 @@ class RecordBatch:
         kd = self.key_dict
         if codes is not None:
             codes, kd = self._narrowed_keys(codes[mask])
+        offsets = self.wm_offsets
+        if offsets is not None:
+            kept_before = np.zeros(len(mask) + 1, dtype=np.int64)
+            np.cumsum(mask, out=kept_before[1:])
+            offsets = kept_before[offsets]
         return RecordBatch(self.timestamps[mask], vals,
                            py_values=self.py_values,
-                           key_codes=codes, key_dict=kd)
+                           key_codes=codes, key_dict=kd,
+                           wm_offsets=offsets, wm_values=self.wm_values)
 
     def with_values(self, values: Any,
                     py_values: bool = False) -> "RecordBatch":
         return RecordBatch(self.timestamps, values, py_values=py_values,
-                           key_codes=self.key_codes, key_dict=self.key_dict)
+                           key_codes=self.key_codes, key_dict=self.key_dict,
+                           wm_offsets=self.wm_offsets,
+                           wm_values=self.wm_values)
 
     def with_timestamps(self, timestamps: np.ndarray) -> "RecordBatch":
         return RecordBatch(timestamps, self.values,
                            py_values=self.py_values,
-                           key_codes=self.key_codes, key_dict=self.key_dict)
+                           key_codes=self.key_codes, key_dict=self.key_dict,
+                           wm_offsets=self.wm_offsets,
+                           wm_values=self.wm_values)
 
     def with_keys(self, key_codes: np.ndarray,
                   key_dict: list) -> "RecordBatch":
         return RecordBatch(self.timestamps, self.values,
                            py_values=self.py_values, key_codes=key_codes,
-                           key_dict=key_dict)
+                           key_dict=key_dict, wm_offsets=self.wm_offsets,
+                           wm_values=self.wm_values)
+
+    def with_punctuation(self, offsets: np.ndarray | None,
+                         values: np.ndarray | None) -> "RecordBatch":
+        """The same rows under different watermarks (``None`` or empty
+        arrays: none at all)."""
+        if offsets is not None and not len(offsets):
+            offsets = values = None
+        return RecordBatch(self.timestamps, self.values,
+                           py_values=self.py_values,
+                           key_codes=self.key_codes, key_dict=self.key_dict,
+                           wm_offsets=offsets, wm_values=values)
 
 
 # -- mixed-item helpers (channels carry RecordBatch | StreamItem) -------------
 
 def item_weight(item: Any) -> int:
-    """Element weight of one channel item: markers and loose elements
-    weigh 1, a batch weighs its row count — so per-item accounting
-    (backpressure, drops, chaos schedules) is representation-blind."""
-    return len(item) if type(item) is RecordBatch else 1
+    """Item weight of one channel item: markers and loose elements
+    weigh 1, a batch weighs its rows plus the watermarks it carries — so
+    per-item accounting (backpressure, drops, chaos schedules) is
+    representation-blind."""
+    return item.weight if type(item) is RecordBatch else 1
 
 
 def items_weight(items: Iterable[Any]) -> int:
-    return sum(len(item) if type(item) is RecordBatch else 1
+    return sum(item.weight if type(item) is RecordBatch else 1
                for item in items)
 
 
 def take_prefix(items: Iterable[Any], k: int) -> list:
-    """First ``k`` element-weights of ``items``, splitting a batch at
-    the cut so the prefix holds exactly ``k`` records/markers."""
+    """First ``k`` item-weights of ``items``, splitting a batch at the
+    cut so the prefix holds exactly ``k`` records/markers."""
     out: list = []
     need = k
     for item in items:
@@ -254,11 +366,24 @@ def take_prefix(items: Iterable[Any], k: int) -> list:
 
 
 def decode_items(items: Iterable[Any]) -> list[StreamItem]:
-    """Expand batches back to Elements (markers pass through)."""
+    """Expand batches back to Elements — and the watermarks they carry,
+    in stream order (loose markers pass through)."""
     out: list[StreamItem] = []
     for item in items:
         if type(item) is RecordBatch:
-            item.extend_elements(out)
+            out.extend(item.to_items())
+        else:
+            out.append(item)
+    return out
+
+
+def explode_items(items: Iterable[Any]) -> list:
+    """Replace every punctuated batch by its fragments (see
+    :meth:`RecordBatch.explode`); everything else passes through."""
+    out: list = []
+    for item in items:
+        if type(item) is RecordBatch and item.wm_offsets is not None:
+            out.extend(item.explode())
         else:
             out.append(item)
     return out
@@ -330,7 +455,7 @@ class ColumnarStream:
                 _flush_run()
                 self._starts.append(pos)
                 self._segments.append((pos, item))
-                pos += len(item)
+                pos += item.weight
             elif isinstance(item, Element):
                 run.append(item)
             else:  # watermark / barrier: one position
@@ -357,8 +482,8 @@ class ColumnarStream:
                 break
             if type(item) is RecordBatch:
                 lo = max(0, pos - seg_start)
-                hi = min(len(item), end - seg_start)
-                out.append(item if lo == 0 and hi == len(item)
+                hi = min(item.weight, end - seg_start)
+                out.append(item if lo == 0 and hi == item.weight
                            else item.slice(lo, hi))
             else:
                 out.append(item)

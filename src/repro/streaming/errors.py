@@ -60,7 +60,7 @@ from ..util.errors import (
     RestartsExhausted,
 )
 from ..util.rng import make_rng
-from .batch import RecordBatch
+from .batch import RecordBatch, decode_items, explode_items
 from .element import Element, StreamItem, Watermark
 
 __all__ = [
@@ -307,7 +307,9 @@ def _poison_segments(items: Iterable[StreamItem],
     Returns ``("run", [items...])`` segments safe for the batch kernel
     interleaved with ``("poison", element, fault)`` single records, in
     stream order — the validity-mask split that keeps clean slices on
-    the vectorized path.  Batches are sliced zero-copy at the cuts.
+    the vectorized path.  Batches are sliced zero-copy at the cuts;
+    punctuated ones are exploded first, so offsets count rows only
+    (watermarks weigh nothing here).
     """
     segments: list[tuple[str, Any]] = []
     run: list[StreamItem] = []
@@ -319,7 +321,7 @@ def _poison_segments(items: Iterable[StreamItem],
             segments.append(("run", run))
             run = []
 
-    for item in items:
+    for item in explode_items(items):
         if type(item) is RecordBatch:
             n = len(item)
             hits = sorted(k for k in faults if offset <= k < offset + n)
@@ -390,14 +392,9 @@ def guard_batch(op: Any, items: list[StreamItem], policy: ErrorPolicy,
     except Exception:
         _rollback(op, state)
         out = []
-        for item in items:
-            if type(item) is RecordBatch:
-                for element in item.to_elements():
-                    out.extend(guard_item(op, element, policy,
-                                          dead_letters, None, handler))
-            else:
-                out.extend(guard_item(op, item, policy, dead_letters,
-                                      None, handler))
+        for item in decode_items(items):
+            out.extend(guard_item(op, item, policy, dead_letters,
+                                  None, handler))
         return out
 
 

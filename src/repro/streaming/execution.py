@@ -71,6 +71,7 @@ from .batch import (
     RecordBatch,
     decode_items,
     elements_of,
+    explode_items,
     item_weight,
     items_weight,
     take_prefix,
@@ -1277,7 +1278,7 @@ class ParallelExecutor:
                             dest = (cursor + np.arange(n)) % p_down
                             for j in range(p_down):
                                 part = item.compress(dest == j)
-                                if len(part):
+                                if part.weight:
                                     buckets[j].append(part)
                         cursor += n
                     else:
@@ -1296,8 +1297,10 @@ class ParallelExecutor:
                          buckets: list[list[StreamItem]]) -> None:
         """Hash-shuffle one columnar batch: one subtask lookup per
         *distinct* key in the batch's dictionary, then a vectorized
-        gather/partition over the codes column.  Unkeyed rows fall back
-        to per-element routing so the StreamError raises at exactly the
+        gather/partition over the codes column.  Every bucket receives
+        every watermark the batch carries, re-seated among its own rows
+        — progress markers fan out.  Unkeyed rows fall back to
+        per-element routing so the StreamError raises at exactly the
         position the per-item path would raise it."""
         codes = rb.key_codes
         kd = rb.key_dict
@@ -1305,9 +1308,13 @@ class ParallelExecutor:
         if codes is not None and cached is not None and cached[0] is kd:
             sub = cached[1]  # cache hit implies the dict is None-free
         elif codes is None or any(k is None for k in kd):
-            for e in rb.to_elements():
-                kg = key_group_for(e.key, g)
-                buckets[subtask_for_key_group(kg, g, p)].append(e)
+            for item in rb.to_items():
+                if type(item) is Watermark:
+                    for bucket in buckets:
+                        bucket.append(item)
+                else:
+                    kg = key_group_for(item.key, g)
+                    buckets[subtask_for_key_group(kg, g, p)].append(item)
             return
         else:
             sub = np.asarray(subtasks_for_keys(kd, g, p), dtype=np.int64)
@@ -1316,13 +1323,14 @@ class ParallelExecutor:
             buckets[0].append(rb)
             return
         dest = sub[codes]
-        lo = int(dest.min())
-        if lo == int(dest.max()):
-            buckets[lo].append(rb)  # whole batch owned by one subtask
-            return
+        if rb.wm_offsets is None:
+            lo = int(dest.min())
+            if lo == int(dest.max()):
+                buckets[lo].append(rb)  # whole batch owned by one subtask
+                return
         for j in range(p):
             part = rb.compress(dest == j)
-            if len(part):
+            if part.weight:
                 buckets[j].append(part)
 
     def _deliver_transactional(self, sink: Any, sink_name: str,
@@ -1375,8 +1383,17 @@ class ParallelExecutor:
         aligned watermark is delivered only when that minimum advances."""
         wms = self._channel_wm[key]
         out: list[StreamItem] = []
+        if len(wms) > 1:
+            # The minimum over several channels moves with every one of
+            # them: watermarks must be loose to be replaced one by one.
+            pending = explode_items(pending)
         for item in pending:
-            if isinstance(item, Watermark):
+            if type(item) is RecordBatch:
+                if item.wm_offsets is not None:
+                    item = self._align_punctuation(key, sender, item)
+                if item.weight:
+                    out.append(item)
+            elif isinstance(item, Watermark):
                 if item.timestamp > wms[sender]:
                     wms[sender] = item.timestamp
                     aligned = min(wms.values())
@@ -1386,6 +1403,25 @@ class ParallelExecutor:
             else:
                 out.append(item)
         return out
+
+    def _align_punctuation(self, key: tuple[str, int, str | None],
+                           sender: tuple[str, int],
+                           rb: RecordBatch) -> RecordBatch:
+        """:meth:`_align` for the watermarks riding inside a batch on a
+        subtask's *only* input channel, where the aligned watermark is
+        the channel's own: keep the strictly advancing ones."""
+        values = rb.wm_values
+        wms = self._channel_wm[key]
+        seen = max(wms[sender], self._aligned_wm[key])
+        advancing = values > np.maximum.accumulate(
+            np.concatenate(([seen], values[:-1])))
+        wms[sender] = max(wms[sender], float(values.max()))
+        kept = values[advancing]
+        if len(kept):
+            self._aligned_wm[key] = float(kept[-1])
+        if len(kept) == len(values):
+            return rb
+        return rb.with_punctuation(rb.wm_offsets[advancing], kept)
 
     # -- drain cycles --------------------------------------------------------
 

@@ -54,15 +54,31 @@ def _segmented(op: "Operator", items: Iterable[StreamItem]) -> list[StreamItem]:
     Columnar batches: an operator with a columnar kernel
     (``has_columnar_kernel``) consumes a :class:`RecordBatch` whole via
     ``_run_columnar``; otherwise the batch is decoded into the current
-    element run and takes the per-item fallback — the rule documented in
-    docs/ARCHITECTURE.md ("Columnar batch representation").
+    element run and takes the per-item fallback.  A *punctuated* batch
+    reaches the kernel whole only when the operator also declares
+    ``punctuation_aware``; otherwise it is exploded here and the
+    operator sees unpunctuated fragments and loose watermarks.  A batch of
+    watermarks with no rows never reaches a kernel: an operator that
+    forwards watermarks untouched forwards it whole, any other gets it
+    exploded — the rules documented in docs/ARCHITECTURE.md ("Columnar
+    batch representation").
     """
     out: list[StreamItem] = []
     run: list[Element] = []
     columnar = op.has_columnar_kernel
+    whole = columnar and op.punctuation_aware
+    forwards = type(op).on_watermark is Operator.on_watermark
     for item in items:
         if type(item) is RecordBatch:
-            if columnar:
+            if item.wm_offsets is not None and not (whole and len(item)):
+                if run:
+                    op._run(run, out)
+                    run = []
+                if forwards and not len(item):
+                    out.append(item)
+                else:
+                    out.extend(_segmented(op, item.explode()))
+            elif columnar:
                 if run:
                     op._run(run, out)
                     run = []
@@ -110,6 +126,15 @@ class Operator:
     #: (see CONTRIBUTING.md).
     has_columnar_kernel = False
 
+    #: Whether ``_run_columnar`` accepts a *punctuated* batch (one that
+    #: carries watermarks between its rows) and hands every one of them
+    #: on, in place, in its output — true of any kernel that derives its
+    #: output with ``RecordBatch.with_*`` / ``compress`` and whose
+    #: ``on_watermark`` is the default forward.  Operators that leave it
+    #: False receive the exploded fragments and loose Watermarks
+    #: instead, so they are correct without knowing punctuation exists.
+    punctuation_aware = False
+
     def __init__(self, name: str) -> None:
         self.name = name
         self.processed = 0
@@ -136,8 +161,8 @@ class Operator:
         handle = self.handle
         for item in items:
             if type(item) is RecordBatch:
-                for element in item.to_elements():
-                    out.extend(handle(element))
+                for decoded in item.to_items():
+                    out.extend(handle(decoded))
             else:
                 out.extend(handle(item))
         return out
@@ -241,6 +266,7 @@ class MapOperator(Operator):
 
     chainable = True
     has_columnar_kernel = True
+    punctuation_aware = True
 
     def __init__(self, name: str, fn: Callable[[Any], Any],
                  vectorized: bool = False) -> None:
@@ -293,6 +319,7 @@ class FilterOperator(Operator):
 
     chainable = True
     has_columnar_kernel = True
+    punctuation_aware = True
 
     def __init__(self, name: str, predicate: Callable[[Any], bool],
                  vectorized: bool = False) -> None:
@@ -314,7 +341,7 @@ class FilterOperator(Operator):
         kept = int(mask.sum())
         if kept == n:
             out.append(batch)
-        elif kept:
+        elif kept or batch.wm_offsets is not None:
             out.append(batch.compress(mask))
         self.processed += n
         self.emitted += kept
@@ -379,6 +406,7 @@ class KeyByOperator(Operator):
 
     chainable = True
     has_columnar_kernel = True
+    punctuation_aware = True
 
     def __init__(self, name: str, key_fn: Callable[[Any], Any],
                  vectorized: bool = False) -> None:
@@ -605,6 +633,7 @@ class TimestampAssigner(Operator):
 
     chainable = True
     has_columnar_kernel = True
+    punctuation_aware = True
 
     def __init__(self, name: str, ts_fn: Callable[[Any], float]) -> None:
         super().__init__(name)
@@ -650,6 +679,7 @@ class WatermarkGenerator(Operator):
 
     chainable = True
     has_columnar_kernel = True
+    punctuation_aware = True
 
     def __init__(self, name: str, max_lateness: float,
                  emit_every: int = 1) -> None:
@@ -714,7 +744,8 @@ class WatermarkGenerator(Operator):
         last emitted watermark" test reduces to comparing each candidate
         against its predecessor and the incoming ``_last_wm`` — one
         vector compare instead of a per-element loop.  The batch is
-        re-emitted as zero-copy slices around the emitted watermarks.
+        re-emitted whole, punctuated by the emitted watermarks (any it
+        arrived with are swallowed, like loose upstream watermarks).
         """
         n = len(batch)
         since = self._since_emit
@@ -724,28 +755,21 @@ class WatermarkGenerator(Operator):
             run_max = np.maximum(run_max, self._max_ts)
         first = emit_every - 1 - since
         cand = np.arange(first, n, emit_every, dtype=np.int64)
+        emit_pos = emit_wms = cand[:0]
         if cand.size:
             cand_wm = run_max[cand] - self.max_lateness
             prev = np.empty_like(cand_wm)
             prev[0] = float("-inf")
             prev[1:] = cand_wm[:-1]
             emit = cand_wm > np.maximum(prev, self._last_wm)
-            emit_pos = cand[emit].tolist()
-            emit_wms = cand_wm[emit].tolist()
-        else:
-            emit_pos = []
-            emit_wms = []
-        start = 0
-        for pos, wm in zip(emit_pos, emit_wms):
-            out.append(batch if start == 0 and pos + 1 == n
-                       else batch.slice(start, pos + 1))
-            out.append(Watermark(wm))
-            start = pos + 1
-        if start < n:
-            out.append(batch if start == 0 else batch.slice(start, n))
+            emit_pos = cand[emit] + 1
+            emit_wms = cand_wm[emit]
+        if len(emit_wms) or batch.wm_offsets is not None:
+            batch = batch.with_punctuation(emit_pos, emit_wms)
+        out.append(batch)
         self._max_ts = float(run_max[-1])
-        if emit_wms:
-            self._last_wm = emit_wms[-1]
+        if len(emit_wms):
+            self._last_wm = float(emit_wms[-1])
         self._since_emit = (since + n) % emit_every
         self.processed += n
         self.emitted += n

@@ -12,6 +12,7 @@ Session windows merge on insert, the standard merging-window algorithm.
 from __future__ import annotations
 
 import math
+from copy import deepcopy
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -53,16 +54,21 @@ class LateRecord:
 
 
 class _Agg:
-    """An incremental aggregator: (init, add, merge, result)."""
+    """An incremental aggregator: (init, add, merge, result), plus
+    ``copy`` — an independent duplicate of one accumulator, what a
+    snapshot stores.  Aggregators that know their accumulator's shape
+    pass a structural copy; the default is ``deepcopy``."""
 
     def __init__(self, init: Callable[[], Any],
                  add: Callable[[Any, Any], Any],
                  merge: Callable[[Any, Any], Any],
-                 result: Callable[[Any], Any]) -> None:
+                 result: Callable[[Any], Any],
+                 copy: Callable[[Any], Any] = deepcopy) -> None:
         self.init = init
         self.add = add
         self.merge = merge
         self.result = result
+        self.copy = copy
 
 
 def _exact_add(partials: list, x: float) -> list:
@@ -189,15 +195,16 @@ def _mean_merge(a, b):
 
 aggregators: dict[str, _Agg] = {
     "count": _Agg(lambda: 0, lambda a, _v: a + 1, lambda a, b: a + b,
-                  lambda a: a),
+                  lambda a: a, copy=lambda a: a),
     "sum": _Agg(list, _sum_add, _sum_merge,
-                lambda a: math.fsum(a)),
+                lambda a: math.fsum(a), copy=list),
     "min": _Agg(lambda: float("inf"), min, min,
                 lambda a: a),
     "max": _Agg(lambda: float("-inf"), max, max,
                 lambda a: a),
     "mean": _Agg(_mean_init, _mean_add, _mean_merge,
-                 lambda a: math.fsum(a[0]) / a[1] if a[1] else float("nan")),
+                 lambda a: math.fsum(a[0]) / a[1] if a[1] else float("nan"),
+                 copy=lambda a: [list(a[0]), a[1]]),
     "list": _Agg(list, lambda a, v: a + [v], lambda a, b: a + b,
                  lambda a: a),
 }
@@ -308,6 +315,9 @@ class WindowAggregateOperator(Operator):
         clean = self._kd_clean  # last key dictionary known None-free
         for item in items:
             if type(item) is RecordBatch:
+                saw_batch = True
+                if not len(item):
+                    continue  # pure punctuation: no key to vet
                 if item.key_codes is None:
                     return False
                 kd = item.key_dict
@@ -315,7 +325,6 @@ class WindowAggregateOperator(Operator):
                     if any(k is None for k in kd):
                         return False
                     clean = kd
-                saw_batch = True
             elif not isinstance(item, Watermark):
                 return False
         self._kd_clean = clean
@@ -332,56 +341,92 @@ class WindowAggregateOperator(Operator):
         results.  Late drops still use the running watermark at each
         segment, so the drop set is unchanged too.
         """
-        out: list[StreamItem] = []
         wm = self._current_wm
         batches: list[RecordBatch] = []
-        batch_wms: list[float] = []
-        watermarks: list[Watermark] = []
+        # Arrival watermark per row, run-length encoded: rows_under[i]
+        # consecutive rows arrived under running watermark wm_under[i].
+        wm_under: list[float] = []
+        rows_under: list[int] = []
+        wm_seq: list[float] = []  # every watermark, in stream order
         n_processed = 0
         for item in items:
-            if type(item) is RecordBatch:
-                n_processed += len(item)
-                batches.append(item)
-                batch_wms.append(wm)
-            else:
+            if type(item) is not RecordBatch:
+                wm_seq.append(item.timestamp)
                 if item.timestamp > wm:
                     wm = item.timestamp
-                watermarks.append(item)
-        dropped = self._bulk_accumulate(batches, batch_wms) \
-            if batches else 0
-        emitted = 0
-        # Replay watermarks in order, inlining ``on_watermark``'s
-        # no-ripe-window fast path (its exact state transition) so the
-        # common below-deadline watermark costs one compare, not a call.
-        cur = self._current_wm
-        min_dl = self._min_deadline
-        for watermark in watermarks:
-            if watermark.timestamp > cur:
-                cur = watermark.timestamp
-            if min_dl > cur:
-                out.append(watermark)
                 continue
-            self._current_wm = cur
-            wm_out = self.on_watermark(watermark)
-            emitted += len(wm_out) - 1  # all Elements plus the watermark
-            out.extend(wm_out)
-            cur = self._current_wm
-            min_dl = self._min_deadline
-        self._current_wm = cur
+            n = len(item)
+            wm_under.append(wm)
+            offsets = item.wm_offsets
+            if offsets is None:
+                rows_under.append(n)
+            else:
+                values = item.wm_values
+                wm_seq.extend(values.tolist())
+                running = np.maximum.accumulate(values)
+                if wm > running[0]:
+                    running = np.maximum(running, wm)
+                wm_under.extend(running.tolist())
+                rows_under.extend(
+                    np.diff(offsets, prepend=0, append=n).tolist())
+                wm = wm_under[-1]
+            if n:
+                n_processed += n
+                batches.append(item)
+        dropped = 0
+        if batches:
+            row_wms = None
+            if wm != float("-inf"):  # running wm nondecreasing: max is last
+                row_wms = np.repeat(np.asarray(wm_under, dtype=np.float64),
+                                    rows_under)
+            dropped = self._bulk_accumulate(batches, row_wms)
+        out = self._replay_watermarks(np.asarray(wm_seq, dtype=np.float64))
         self.dropped_late += dropped
         self.processed += n_processed
+        return out
+
+    def _replay_watermarks(self, wms: np.ndarray) -> list[StreamItem]:
+        """Apply the call's watermarks in order.  A watermark below
+        ``_min_deadline`` can fire nothing and is forwarded as it came
+        (``on_watermark``'s fast path, its exact state transition), so
+        the loop jumps from one watermark that reaches the deadline to
+        the next; the runs in between leave as one punctuation-only
+        batch each instead of an object per watermark."""
+        out: list[StreamItem] = []
+        if not len(wms):
+            return out
+        running = np.maximum.accumulate(wms)
+        if self._current_wm > running[0]:
+            running = np.maximum(running, self._current_wm)
+        emitted = 0
+        start = 0
+        end = len(wms)
+        while start < end:
+            ripe = start + int(np.searchsorted(running[start:],
+                                               self._min_deadline))
+            if ripe > start:
+                out.append(Watermark(float(wms[start]))
+                           if ripe == start + 1
+                           else RecordBatch.punctuation(wms[start:ripe]))
+                self._current_wm = float(running[ripe - 1])
+            if ripe == end:
+                break
+            wm_out = self.on_watermark(Watermark(float(wms[ripe])))
+            emitted += len(wm_out) - 1  # all Elements plus the watermark
+            out.extend(wm_out)
+            start = ripe + 1
         self.emitted += emitted
         return out
 
     def _bulk_accumulate(self, batches: list[RecordBatch],
-                         batch_wms: list[float]) -> int:
+                         row_wms: np.ndarray | None) -> int:
         """One grouped reduction over (key, window) for the whole run:
         remap per-batch key codes to a global dictionary, concatenate
         columns once, drop late rows with a single vectorized mask
-        (``batch_wms`` carries the running watermark each batch arrived
-        under), assign tumbling starts vectorized, then update each
-        group's accumulator in arrival order.  Returns the late-drop
-        count."""
+        (``row_wms`` carries the running watermark each row arrived
+        under; None when no watermark has been seen yet), assign
+        tumbling starts vectorized, then update each group's
+        accumulator in arrival order.  Returns the late-drop count."""
         agg = self.agg
         # Global key-code remap: consecutive batches usually share one
         # key dictionary (zero-copy slices of a macro batch), so gather
@@ -449,14 +494,12 @@ class WindowAggregateOperator(Operator):
                 values_src.extend(value_fn(v) for v in b.values_list())
 
         # Late drop: one mask over the concatenation, each row judged
-        # against the watermark its batch arrived under — the same
+        # against the watermark it arrived under — the same
         # ``ts + lateness <= wm`` test the per-item path applies.
         dropped = 0
         lateness = self.allowed_lateness
-        if batch_wms[-1] != float("-inf"):  # wms nondecreasing: max is last
-            wm_arr = np.repeat(np.asarray(batch_wms, dtype=np.float64),
-                               [len(b) for b in batches])
-            late = ts + lateness <= wm_arr
+        if row_wms is not None:
+            late = ts + lateness <= row_wms
             dropped = int(late.sum())
             if dropped:
                 keep = ~late
@@ -696,19 +739,28 @@ class WindowAggregateOperator(Operator):
 
     # -- checkpointing -------------------------------------------------------------
 
+    def _copy_windows(self, windows: dict[Any, dict[Window, list[Any]]]
+                      ) -> dict[Any, dict[Window, list[Any]]]:
+        """An independent duplicate of a ``{key: {window: [acc, count]}}``
+        map — what ``deepcopy`` returns, without walking what cannot
+        change: keys are hashable, ``Window`` is frozen, counts are
+        ints; only the accumulator needs the aggregator's ``copy``."""
+        copy_acc = self.agg.copy
+        return {key: {window: [copy_acc(slot[0]), slot[1]]
+                      for window, slot in per_key.items()}
+                for key, per_key in windows.items()}
+
     def snapshot(self) -> Any:
-        import copy
         return {
-            "windows": copy.deepcopy(self._windows),
+            "windows": self._copy_windows(self._windows),
             "wm": self._current_wm,
             "dropped": self.dropped_late,
             "fired": self.fired,
         }
 
     def restore(self, snapshot: Any) -> None:
-        import copy
         snapshot = snapshot or {}
-        self._windows = copy.deepcopy(snapshot.get("windows", {}))
+        self._windows = self._copy_windows(snapshot.get("windows", {}))
         self._win_index = None
         self._current_wm = snapshot.get("wm", float("-inf"))
         self.dropped_late = snapshot.get("dropped", 0)
@@ -724,9 +776,8 @@ class WindowAggregateOperator(Operator):
     # -- key-grouped checkpoints (parallel plans) ----------------------------
 
     def snapshot_key_groups(self, num_key_groups: int) -> dict[int, Any]:
-        import copy
         from .shuffle import group_by_key_group
-        return group_by_key_group(copy.deepcopy(self._windows),
+        return group_by_key_group(self._copy_windows(self._windows),
                                   num_key_groups)
 
     def scalar_snapshot(self) -> Any:
@@ -735,9 +786,8 @@ class WindowAggregateOperator(Operator):
 
     def restore_parallel(self, groups: dict[int, Any], scalars: list[Any],
                          primary: bool = True) -> None:
-        import copy
         from .shuffle import merge_key_groups
-        self._windows = copy.deepcopy(merge_key_groups(groups.values()))
+        self._windows = self._copy_windows(merge_key_groups(groups.values()))
         self._win_index = None
         if len(scalars) == 1:
             self._current_wm = scalars[0]["wm"]

@@ -1,13 +1,15 @@
-"""RecordBatch dictionary compaction: narrow slices drop dead keys.
+"""RecordBatch dictionary compaction: narrow filters drop dead keys.
 
-Regression for the columnar hot path (satellite #2): ``slice`` and
-``compress`` used to carry the *full* key table into every derived
-batch, so a heavily filtered stream hauled thousands of dead dictionary
-entries through every downstream operator (and every ``np.isin`` /
-remap over them).  Now a derived batch whose live codes cover less than
-half the table gets a compacted dictionary — while preserving the
-**identity** of the surviving key objects, which the engine's
-identity-keyed caches (hash memo, window remap cache) rely on.
+Regression for the columnar hot path: ``compress`` used to carry the
+*full* key table into every derived batch, so a heavily filtered stream
+hauled thousands of dead dictionary entries through every downstream
+operator (and every ``np.isin`` / remap over them).  Now a compressed
+batch whose live codes cover less than half the table gets a compacted
+dictionary — while preserving the **identity** of the surviving key
+objects, which the engine's identity-keyed caches (hash memo, window
+remap cache) rely on.  ``slice`` is a pure view: its cuts are transient
+(prefixes, fragments, source pulls), and a fresh dictionary per cut
+would make those same caches miss on every one.
 """
 
 import numpy as np
@@ -37,10 +39,11 @@ class TestCompaction:
         assert len(narrow.key_dict) <= len(wanted)
         assert len(narrow.key_dict) < len(batch.key_dict) // 2
 
-    def test_narrow_slice_shrinks_the_dictionary(self):
+    def test_narrow_slice_shares_the_dictionary(self):
         elements, batch = _batch(n=400, keys=100)
         narrow = batch.slice(0, 5)
-        assert len(narrow.key_dict) <= 5
+        assert narrow.key_dict is batch.key_dict
+        assert narrow.to_elements() == elements[:5]
 
     def test_wide_derivations_keep_the_table(self):
         # >= half the table live: compaction would churn for no win

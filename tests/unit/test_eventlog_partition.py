@@ -30,6 +30,19 @@ class TestRecordSize:
         assert keyed == bare + 2
         assert headered == bare + 2
 
+    def test_record_size_is_computed_once(self, monkeypatch):
+        from repro.eventlog import record as record_module
+        calls = []
+        real = record_module.estimate_size
+        monkeypatch.setattr(
+            record_module, "estimate_size",
+            lambda value: calls.append(value) or real(value))
+        r = Record(value={"a": 1.0}, key="k", headers={"h": "x"})
+        assert r.size_bytes == r.size_bytes == real({"a": 1.0}) + 8 + 1 + 2
+        assert sum(1 for value in calls if value is r.value) == 1
+        # the cache is not a field: equality ignores it
+        assert r == Record(value={"a": 1.0}, key="k", headers={"h": "x"})
+
 
 class TestPartitionAppendRead:
     def test_append_returns_sequential_offsets(self):

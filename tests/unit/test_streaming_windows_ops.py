@@ -1,5 +1,7 @@
 """Unit tests: window aggregation operator and interval join."""
 
+import copy
+
 import pytest
 
 from repro.streaming import (
@@ -10,6 +12,7 @@ from repro.streaming import (
     Watermark,
     WindowAggregateOperator,
 )
+from repro.streaming.window_operator import _Agg
 from repro.util.errors import StreamError
 
 
@@ -115,6 +118,35 @@ class TestWindowAggregate:
         op.restore(snap)
         fired = _results(op.handle(Watermark(10.0)))
         assert fired[0].value == 1.0
+
+    @pytest.mark.parametrize("aggregate", [
+        "count", "sum", "min", "max", "mean", "list",
+        # an aggregator with no copy of its own: deepcopy fallback
+        _Agg(lambda: {"n": []}, lambda a, v: a["n"].append(v) or a,
+             lambda a, b: {"n": a["n"] + b["n"]}, lambda a: len(a["n"])),
+    ])
+    def test_snapshots_equal_deepcopy_and_share_nothing_mutable(
+            self, aggregate):
+        op = WindowAggregateOperator("w", TumblingWindows(10.0), aggregate)
+        for i in range(70):  # past the sum accumulator's compaction point
+            op.handle(_el(float(i), float(i % 25), key=("k", i % 3)))
+        reference = copy.deepcopy(op._windows)
+        snap = op.snapshot()
+        groups = op.snapshot_key_groups(8)
+        assert snap["windows"] == reference
+        assert {k: v for blob in groups.values()
+                for k, v in blob.items()} == reference
+        for i in range(70):  # mutate every live accumulator in place
+            op.handle(_el(1.0, float(i % 25), key=("k", i % 3)))
+        assert snap["windows"] == reference
+        op.restore(snap)
+        op.handle(_el(1.0, 1.0, key=("k", 0)))
+        assert snap["windows"] == reference
+        twin = WindowAggregateOperator("w", TumblingWindows(10.0), aggregate)
+        twin.restore_parallel(groups, [op.scalar_snapshot()])
+        twin.handle(_el(1.0, 1.0, key=("k", 0)))
+        assert {k: v for blob in groups.values()
+                for k, v in blob.items()} == reference
 
 
 class TestIntervalJoin:

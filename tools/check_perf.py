@@ -15,6 +15,14 @@ The gate is absolute, not baseline-relative — a modelled ratio is
 machine-speed-robust, so any plan that stops overlapping subtask work
 fails regardless of where it runs.
 
+The default watermark cadence is gated too, as a within-run ratio: the
+chained job in the end-to-end benchmark's shape under
+``with_watermarks()``'s default must reach at least
+``FLOOR_DEFAULT_WATERMARKS`` (0.5) of the same job under
+``emit_every=32`` — in the smoke run and in the committed baseline.  The
+other rows all pass ``emit_every=32``; without this one a cliff on the
+cadence every application uses stays invisible here.
+
 The committed baseline itself is also gated when it was produced on the
 reference 100k-event workload: ``chained_eps`` must stay >= 1M and the
 modelled ``lane_overlap_p4`` > 3.2 — the columnar hot-path floors a PR
@@ -50,6 +58,8 @@ GATED = ["batched_eps", "chained_eps"]
 FLOOR_EVENTS = 100_000
 FLOOR_CHAINED_EPS = 1_000_000
 FLOOR_LANE_OVERLAP_P4 = 3.2
+#: default-cadence eps over emit_every=32 eps, same job, same run
+FLOOR_DEFAULT_WATERMARKS = 0.5
 
 
 def run_bench_smoke(events: int) -> dict | None:
@@ -107,6 +117,18 @@ def check_columnar_equivalence(events: int = 5_000) -> bool:
     return same_sinks and same_state
 
 
+def check_default_watermarks(results: dict, label: str) -> bool:
+    """The default-cadence row against its ``emit_every=32`` twin."""
+    t = results["throughput"]
+    ratio = t["default_watermarks_ratio"]
+    good = ratio >= FLOOR_DEFAULT_WATERMARKS
+    print(f"  default_watermarks ({label}): "
+          f"{t['default_watermarks_eps']:12.0f}/s = {ratio:5.2f}x "
+          f"emit_every=32  (floor {FLOOR_DEFAULT_WATERMARKS}x)  "
+          f"{'ok' if good else 'DEFAULT-PATH CLIFF'}")
+    return good
+
+
 def check_committed_floors() -> bool:
     """Absolute floors on the *committed* baseline: when the numbers in
     ``BENCH_streaming.json`` were measured on the reference workload,
@@ -126,6 +148,7 @@ def check_committed_floors() -> bool:
     else:
         print(f"  (baseline not measured at {FLOOR_EVENTS} events; "
               "skipping chained_eps floor)")
+    ok = check_default_watermarks(baseline, "committed") and ok
     pconf = baseline.get("parallel_config", {})
     if pconf.get("n_events") == FLOOR_EVENTS and "parallel" in baseline:
         overlap = baseline["parallel"]["lane_overlap_p4"]
@@ -180,7 +203,7 @@ def check_regression(current: dict, tolerance: float) -> bool:
             ok = False
         print(f"  {key:>15}: baseline {base:10.2f}x   now {now:10.2f}x   "
               f"({ratio:6.1%})  {status}")
-    return ok
+    return check_default_watermarks(current, "now") and ok
 
 
 def main() -> int:
