@@ -594,13 +594,25 @@ class ChaosLogCluster:
             topic, partition, record, producer_id, sequence, epoch=epoch)
         return self._after_append(directives, topic, partition, offset)
 
-    def read(self, topic: str, partition: int, offset: int,
-             max_records: int = 512):
+    def _fetch_offset(self, topic: str, partition: int, offset: int) -> int:
+        """Run the fetch-side faults; returns where to read from (a
+        duplicate-delivery rewind moves it back)."""
         rewind = self._injector.before_fetch(topic, partition)
         if rewind:
             offset = max(self._cluster.base_offset(topic, partition),
                          offset - rewind)
+        return offset
+
+    def read(self, topic: str, partition: int, offset: int,
+             max_records: int = 512):
+        offset = self._fetch_offset(topic, partition, offset)
         return self._cluster.read(topic, partition, offset, max_records)
+
+    def read_columns(self, topic: str, partition: int, offset: int,
+                     max_records: int = 512):
+        offset = self._fetch_offset(topic, partition, offset)
+        return self._cluster.read_columns(topic, partition, offset,
+                                          max_records)
 
     def settle(self) -> None:
         """Finish any in-flight broker outages (recover failed brokers)."""

@@ -72,7 +72,8 @@ class PartitionState:
 
 
 class LogCluster:
-    """The control plane: topics, placement, leadership, produce/fetch."""
+    """The control plane: topics, placement, leadership, produce and
+    fetch (``read`` rows, ``read_columns`` columns)."""
 
     def __init__(self, num_brokers: int = 3) -> None:
         if num_brokers < 1:
@@ -182,14 +183,18 @@ class LogCluster:
     def append(self, topic: str, partition: int, record: Record) -> int:
         """Leader append + synchronous ISR replication; returns offset."""
         state = self.partition_state(topic, partition)
-        leader_log = self.leader_partition(topic, partition)
-        offset = leader_log.append(record)
+        brokers = self.brokers
+        leader = state.leader
+        if leader == -1 or not brokers[leader].up:
+            raise BrokerDown(f"{topic}[{partition}] has no live leader")
+        key = (topic, partition)
+        offset = brokers[leader].replicas[key].append(record)
         for b in state.isr:
-            if b == state.leader:
+            if b == leader:
                 continue
-            follower = self.brokers[b]
+            follower = brokers[b]
             if follower.up:
-                follower.replicas[(topic, partition)].append(record)
+                follower.replicas[key].append(record)
         return offset
 
     def append_idempotent(self, topic: str, partition: int, record: Record,
@@ -230,6 +235,12 @@ class LogCluster:
              max_records: int = 512):
         """Fetch from the leader replica."""
         return self.leader_partition(topic, partition).read(offset, max_records)
+
+    def read_columns(self, topic: str, partition: int, offset: int,
+                     max_records: int = 512):
+        """:meth:`read` as ``(offsets, timestamps, values, keys)``."""
+        return self.leader_partition(topic, partition).read_columns(
+            offset, max_records)
 
     def end_offset(self, topic: str, partition: int) -> int:
         return self.leader_partition(topic, partition).end_offset

@@ -8,6 +8,7 @@ the mechanism behind the horizontal-scaling ablation (exp A2).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Iterator
 
 from ..util.clock import SimClock
@@ -21,7 +22,8 @@ __all__ = ["Consumer", "ConsumerGroup"]
 
 
 class Consumer:
-    """Reads one or more partitions of one topic.
+    """Reads one or more partitions of one topic, a record at a time
+    (``poll``) or as per-partition columns (``poll_columns``).
 
     With ``dedup=True`` the consumer keeps a delivered high-watermark per
     partition and silently drops any fetched record at an offset it has
@@ -117,73 +119,115 @@ class Consumer:
     def total_lag(self) -> int:
         return sum(self.lag(p) for p in self.partitions)
 
-    def _poll_once(self, max_records: int) -> tuple[list[ConsumedRecord], bool]:
-        """One fetch pass; returns (records delivered, fetched anything)."""
-        out: list[ConsumedRecord] = []
-        fetched_any = False
-        remaining = max_records
-        for p in self.partitions:
-            if remaining <= 0:
-                break
-            position = self._positions[p]
-            base = self.cluster.base_offset(self.topic, p)
-            if position < base:
-                # Retention ran past us; jump forward (data loss surfaced
-                # via the returned gap, mirroring auto.offset.reset).
-                position = base
-            rows = self.cluster.read(self.topic, p, position, remaining)
-            if rows:
-                fetched_any = True
-            delivered = self._delivered.get(p, position)
-            tracer = self.tracer
-            for offset, record in rows:
-                if self.dedup and offset < delivered:
-                    self.duplicates_dropped += 1
+    def _fetch(self, max_records: int, read: Any) -> list[tuple]:
+        """The fetch loop behind :meth:`poll` and :meth:`poll_columns`,
+        and the only place positions move.
+
+        ``read(topic, partition, offset, n)`` returns parallel columns,
+        offsets first and ascending.  Per assigned partition: jump past
+        a retention-truncated head, fetch, cut the already-delivered
+        prefix (``dedup``) and advance — forward only, so a fetch that
+        re-delivered older offsets cannot rewind us.  Returns one
+        ``(partition, *columns)`` chunk per partition that delivered
+        anything.
+
+        When dedup filters a whole pass (everything was re-delivered)
+        the pass is repeated — bounded — so callers that treat an empty
+        poll as end-of-partition don't stop early with live data still
+        ahead.
+        """
+        topic = self.topic
+        for _ in range(65 if self.dedup else 1):
+            chunks: list[tuple] = []
+            fetched_any = False
+            remaining = max_records
+            for p in self.partitions:
+                if remaining <= 0:
+                    break
+                position = self._positions[p]
+                base = self.cluster.base_offset(topic, p)
+                if position < base:
+                    # Retention ran past us; jump forward (data loss
+                    # surfaced via the returned gap, mirroring
+                    # auto.offset.reset).
+                    position = base
+                columns = read(topic, p, position, remaining)
+                offsets = columns[0]
+                n = len(offsets)
+                if not n:
+                    self._positions[p] = position
                     continue
-                out.append(ConsumedRecord(self.topic, p, offset, record))
+                fetched_any = True
+                delivered = self._delivered.get(p, position)
+                if self.dedup and offsets[0] < delivered:
+                    skip = bisect_left(offsets, delivered)
+                    self.duplicates_dropped += skip
+                    columns = [column[skip:] for column in columns]
+                else:
+                    skip = 0
+                if skip < n:
+                    chunks.append((p, *columns))
+                    self.consumed += n - skip
+                self._positions[p] = max(position, offsets[-1] + 1)
+                self._delivered[p] = max(delivered, offsets[-1] + 1)
+                remaining -= n
+            if chunks or not fetched_any:
+                break
+        return chunks
+
+    def _read_records(self, topic: str, partition: int, offset: int,
+                      max_records: int) -> tuple:
+        """``cluster.read`` in :meth:`_fetch`'s shape: (offsets, records)."""
+        rows = self.cluster.read(topic, partition, offset, max_records)
+        return tuple(zip(*rows)) if rows else ((), ())
+
+    def poll(self, max_records: int = 512) -> list[ConsumedRecord]:
+        """Round-robin fetch across assigned partitions."""
+        tracer = self.tracer
+        topic = self.topic
+        span = None
+        if tracer is not None:
+            span = tracer.start_span("consume:poll", attrs={"topic": topic})
+        out: list[ConsumedRecord] = []
+        for p, offsets, records in self._fetch(max_records,
+                                               self._read_records):
+            for offset, record in zip(offsets, records):
+                out.append(ConsumedRecord(topic, p, offset, record))
                 if tracer is not None:
                     # Parent on the producer's span when the record
                     # carries a traceparent header; otherwise fall back
                     # to the active span (an untraced producer).
-                    span = tracer.start_span(
+                    tracer.start_span(
                         "consume",
                         parent=tracer.parse_traceparent(
                             record.headers.get("traceparent")),
-                        attrs={"topic": self.topic, "partition": p,
-                               "offset": offset})
-                    span.end()
-            if rows:
-                # Positions only move forward: a fetch that re-delivered
-                # older offsets (duplicate delivery) must not rewind us.
-                self._positions[p] = max(position, rows[-1][0] + 1)
-                self._delivered[p] = max(delivered, rows[-1][0] + 1)
-            else:
-                self._positions[p] = position
-            remaining -= len(rows)
-        self.consumed += len(out)
-        return out, fetched_any
-
-    def poll(self, max_records: int = 512) -> list[ConsumedRecord]:
-        """Round-robin fetch across assigned partitions.
-
-        When dedup filters an entire fetched batch (everything was
-        re-delivered), the poll transparently re-fetches — bounded — so
-        callers that treat an empty poll as end-of-partition don't stop
-        early with live data still ahead.
-        """
-        span = None
-        if self.tracer is not None:
-            span = self.tracer.start_span(
-                "consume:poll", attrs={"topic": self.topic})
-        out, fetched_any = self._poll_once(max_records)
-        guard = 0
-        while self.dedup and not out and fetched_any and guard < 64:
-            guard += 1
-            out, fetched_any = self._poll_once(max_records)
+                        attrs={"topic": topic, "partition": p,
+                               "offset": offset}).end()
         if span is not None:
             span.set_attr("records", len(out))
             span.end()
         return out
+
+    def poll_columns(self, max_records: int = 512) -> list[tuple]:
+        """:meth:`poll` without a :class:`ConsumedRecord` per row: one
+        ``(partition, offsets, timestamps, values, keys)`` chunk of
+        parallel lists per partition that delivered anything, in the
+        order ``poll`` would return the same records.  Same positions,
+        same dedup, same counters."""
+        if self.tracer is None:
+            return self._fetch(max_records, self.cluster.read_columns)
+        # A traced consumer owes one "consume" span per record, and
+        # those read the record's headers: go through poll().
+        chunks: list[tuple] = []
+        for rec in self.poll(max_records):
+            if not chunks or chunks[-1][0] != rec.partition:
+                chunks.append((rec.partition, [], [], [], []))
+            _, offsets, timestamps, values, keys = chunks[-1]
+            offsets.append(rec.offset)
+            timestamps.append(rec.timestamp)
+            values.append(rec.value)
+            keys.append(rec.key)
+        return chunks
 
     def poll_with_retry(self, max_records: int = 512,
                         policy: RetryPolicy | None = None,

@@ -15,7 +15,8 @@ __all__ = ["Partition"]
 
 
 class Partition:
-    """Append-only record sequence with absolute offsets."""
+    """Append-only record sequence with absolute offsets, read as rows
+    (``read``) or as columns (``read_columns``)."""
 
     def __init__(self, topic: str, index: int) -> None:
         self.topic = topic
@@ -23,6 +24,7 @@ class Partition:
         self._records: list[Record | None] = []  # None = compacted away
         self._base_offset = 0
         self._size_bytes = 0
+        self._holes = 0  # retained None slots; 0 = every read is a slice
 
     # -- write path --------------------------------------------------------
 
@@ -50,7 +52,36 @@ class Partition:
 
     def __len__(self) -> int:
         """Number of retained (non-compacted) records."""
-        return sum(1 for r in self._records if r is not None)
+        return len(self._records) - self._holes
+
+    def _fetch(self, offset: int,
+               max_records: int) -> tuple[list[int] | range, list[Record]]:
+        """Offsets and records of up to ``max_records`` retained records
+        from absolute ``offset`` on — the one range check and hole walk
+        behind :meth:`read` and :meth:`read_columns`.  A partition
+        without compaction holes answers with a list slice."""
+        end = self.end_offset
+        if offset == end:
+            return (), []
+        if offset < self._base_offset or offset > end:
+            raise OffsetOutOfRange(
+                f"{self.topic}[{self.index}]: offset {offset} outside "
+                f"[{self._base_offset}, {end}]"
+            )
+        i = offset - self._base_offset
+        if not self._holes:
+            records = self._records[i:i + max_records]
+            return range(offset, offset + len(records)), records
+        offsets: list[int] = []
+        records = []
+        slots = self._records
+        while i < len(slots) and len(records) < max_records:
+            record = slots[i]
+            if record is not None:
+                offsets.append(self._base_offset + i)
+                records.append(record)
+            i += 1
+        return offsets, records
 
     def read(self, offset: int, max_records: int = 512) -> list[tuple[int, Record]]:
         """Read up to ``max_records`` starting at absolute ``offset``.
@@ -59,21 +90,15 @@ class Partition:
         Reading before ``base_offset`` or past the end raises
         :class:`OffsetOutOfRange` — consumers must seek explicitly.
         """
-        if offset == self.end_offset:
-            return []
-        if offset < self._base_offset or offset > self.end_offset:
-            raise OffsetOutOfRange(
-                f"{self.topic}[{self.index}]: offset {offset} outside "
-                f"[{self._base_offset}, {self.end_offset}]"
-            )
-        out: list[tuple[int, Record]] = []
-        i = offset - self._base_offset
-        while i < len(self._records) and len(out) < max_records:
-            record = self._records[i]
-            if record is not None:
-                out.append((self._base_offset + i, record))
-            i += 1
-        return out
+        return list(zip(*self._fetch(offset, max_records)))
+
+    def read_columns(self, offset: int, max_records: int = 512,
+                     ) -> tuple[list[int], list[float], list, list]:
+        """:meth:`read` as columns — ``(offsets, timestamps, values,
+        keys)`` of the same records, without a tuple per row."""
+        offsets, records = self._fetch(offset, max_records)
+        return (list(offsets), [r.timestamp for r in records],
+                [r.value for r in records], [r.key for r in records])
 
     def get(self, offset: int) -> Record:
         """Fetch a single record by absolute offset."""
@@ -95,7 +120,9 @@ class Partition:
         self._records = self._records[cut:]
         self._base_offset += cut
         self._size_bytes -= sum(r.size_bytes for r in dropped if r is not None)
-        return sum(1 for r in dropped if r is not None)
+        live = sum(1 for r in dropped if r is not None)
+        self._holes -= cut - live
+        return live
 
     def enforce_retention(self, max_bytes: int | None = None,
                           min_timestamp: float | None = None) -> int:
@@ -122,6 +149,7 @@ class Partition:
         twin._records = list(self._records)
         twin._base_offset = self._base_offset
         twin._size_bytes = self._size_bytes
+        twin._holes = self._holes
         return twin
 
     def compact(self) -> int:
@@ -142,4 +170,5 @@ class Partition:
                 self._size_bytes -= record.size_bytes
                 self._records[i] = None
                 removed += 1
+        self._holes += removed
         return removed

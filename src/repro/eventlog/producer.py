@@ -68,6 +68,8 @@ class Producer:
         self.epoch = 0
         self._sequences: dict[tuple[str, int], int] = {}
         self._round_robin: dict[str, int] = {}
+        #: the last idempotent attempt, for :meth:`resend_last`
+        self._last_record: tuple[str, int, Record, int, int] | None = None
         self._txn: list[tuple[str, Any, str | None, float | None,
                               dict[str, str], int | None]] | None = None
         self.sent = 0
@@ -105,7 +107,7 @@ class Producer:
             timestamp = self.clock.now if self.clock is not None else 0.0
         if partition is None:
             partition = self._choose_partition(topic, key)
-        all_headers = dict(headers or {})
+        all_headers = dict(headers) if headers else {}
         span = None
         if self.tracer is not None:
             span = self.tracer.start_span(
@@ -149,7 +151,7 @@ class Producer:
         failure); the cluster deduplicates by (producer, epoch, seq)."""
         if not self.idempotent:
             raise ValueError("resend_last requires an idempotent producer")
-        last = getattr(self, "_last_record", None)
+        last = self._last_record
         if last is None:
             raise ValueError("nothing sent yet")
         topic, partition, record, sequence, epoch = last

@@ -58,10 +58,18 @@ class Record:
     size_bytes: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        size = estimate_size(self.value) + 8  # value + timestamp
-        if self.key is not None:
-            size += len(self.key.encode("utf-8"))
-        size += sum(len(k) + len(v) for k, v in self.headers.items())
+        # value + timestamp.  The common record (a float, an ASCII key,
+        # no headers) is priced without the generic calls; the sizes are
+        # the same bytes either way, retention arithmetic reads them.
+        value = self.value
+        size = 16 if type(value) is float else estimate_size(value) + 8
+        key = self.key
+        if key is not None:
+            size += (len(key) if key.isascii()
+                     else len(key.encode("utf-8")))
+        headers = self.headers
+        if headers:
+            size += sum(len(k) + len(v) for k, v in headers.items())
         object.__setattr__(self, "size_bytes", size)
 
 

@@ -108,43 +108,88 @@ class RecordBatch:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_elements(cls, elements: Sequence[Element],
-                      key_index: dict | None = None,
-                      key_dict: list | None = None) -> "RecordBatch":
-        """Encode a run of Elements.
+    def from_columns(cls, timestamps: Any, values: list, keys: list,
+                     key_index: dict | None = None,
+                     key_dict: list | None = None) -> "RecordBatch":
+        """Encode parallel per-row columns — the layout rules of this
+        module applied without an Element per row.
 
         ``key_index``/``key_dict`` (both mutated) let several batches of
         one source share a key dictionary, so merged batches can gather
-        codes directly.  Without a shared dictionary an all-``None`` key
-        column is elided entirely.
+        codes directly; keys enter it in order of first appearance.
+        Without a shared dictionary an all-``None`` key column is elided
+        entirely.
         """
-        n = len(elements)
-        ts = np.fromiter((e.timestamp for e in elements),
-                         dtype=np.float64, count=n)
-        vals = [e.value for e in elements]
-        numeric = set(map(type, vals)) == {float}
-        values: Any = np.asarray(vals, dtype=np.float64) if numeric else vals
-        shared = key_index is not None
-        if not shared and all(e.key is None for e in elements):
-            codes = None
-            kd = None
-        else:
-            if not shared:
-                key_index = {}
-                key_dict = []
-            kd = key_dict
-            codes_list = []
-            for e in elements:
-                k = e.key
+        ts = np.asarray(timestamps, dtype=np.float64)
+        numeric = set(map(type, values)) == {float}
+        vals: Any = np.asarray(values, dtype=np.float64) if numeric else values
+        distinct = list(dict.fromkeys(keys))  # first appearance, C speed
+        if key_index is None:
+            if distinct in ([], [None]):
+                return cls(ts, vals, py_values=numeric)
+            key_index, key_dict = {}, []
+        for k in distinct:
+            if k not in key_index:
+                key_index[k] = len(key_dict)
+                key_dict.append(k)
+        codes = np.fromiter(map(key_index.__getitem__, keys),
+                            dtype=np.int64, count=len(keys))
+        return cls(ts, vals, py_values=numeric, key_codes=codes,
+                   key_dict=key_dict)
+
+    @classmethod
+    def from_elements(cls, elements: Sequence[Element],
+                      key_index: dict | None = None,
+                      key_dict: list | None = None) -> "RecordBatch":
+        """Encode a run of Elements (see :meth:`from_columns`)."""
+        return cls.from_columns([e.timestamp for e in elements],
+                                [e.value for e in elements],
+                                [e.key for e in elements],
+                                key_index, key_dict)
+
+    @classmethod
+    def splice(cls, batches: Sequence["RecordBatch"], key_index: dict,
+               key_dict: list) -> "RecordBatch":
+        """Concatenate unpunctuated batches under a shared key
+        dictionary — field for field what :meth:`from_elements` gives
+        over their decoded rows, without decoding them.
+
+        Each batch's codes go through a remap array (O(keys) Python,
+        O(rows) numpy).  Keys enter ``key_dict`` in order of first
+        *row* appearance, whatever order the batch's own dictionary has
+        them in.
+        """
+        code_parts = []
+        for rb in batches:
+            codes = rb.key_codes
+            if codes is None:
+                local, codes = [None], np.zeros(len(rb), dtype=np.int64)
+            else:
+                local = rb.key_dict
+            live, first = np.unique(codes, return_index=True)
+            remap = np.zeros(len(local), dtype=np.int64)
+            for c in live[np.argsort(first)].tolist():
+                k = local[c]
                 code = key_index.get(k)
                 if code is None and k not in key_index:
-                    code = len(kd)
+                    code = len(key_dict)
                     key_index[k] = code
-                    kd.append(k)
-                codes_list.append(code)
-            codes = np.asarray(codes_list, dtype=np.int64)
-        return cls(ts, values, py_values=numeric, key_codes=codes,
-                   key_dict=kd)
+                    key_dict.append(k)
+                remap[c] = code
+            code_parts.append(remap[codes])
+        numeric = all(isinstance(rb.values, np.ndarray) and rb.py_values
+                      for rb in batches)
+        if numeric:
+            values: Any = np.concatenate([rb.values for rb in batches])
+        else:
+            values = [v for rb in batches for v in rb.values_list()]
+            numeric = set(map(type, values)) == {float}
+            if numeric:
+                values = np.asarray(values, dtype=np.float64)
+        return cls(np.concatenate([rb.timestamps for rb in batches],
+                                  dtype=np.float64),
+                   values, py_values=numeric,
+                   key_codes=np.concatenate(code_parts), key_dict=key_dict)
 
     @classmethod
     def punctuation(cls, values: np.ndarray) -> "RecordBatch":

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable
 
+import numpy as np
+
 from ..eventlog.broker import LogCluster
 from ..eventlog.consumer import Consumer, ConsumerGroup
 from ..eventlog.producer import Producer
@@ -18,6 +20,53 @@ from .batch import RecordBatch
 from .element import Element
 
 __all__ = ["log_source", "parallel_log_source", "log_sink"]
+
+
+def _fetch_batch(consumer: Consumer, max_records: int, *, drain: bool,
+                 time_ordered: bool) -> RecordBatch | None:
+    """The one fetch path of both sources: poll column chunks — once,
+    or with ``drain`` until the assignment is exhausted — and encode
+    them as one :class:`RecordBatch`, without a per-row object.
+
+    The batch is what ``RecordBatch.from_elements`` gives over the rows
+    as Elements, ordered (``time_ordered``) by (timestamp, partition,
+    offset); ``None`` when nothing was fetched.  NaN timestamps order
+    last.
+    """
+    parts: list[int] = []
+    counts: list[int] = []
+    offsets: list[int] = []
+    timestamps: Any = []
+    values: list = []
+    keys: list = []
+    while True:
+        chunks = consumer.poll_columns(max_records)
+        for p, offs, ts, vals, ks in chunks:
+            parts.append(p)
+            counts.append(len(offs))
+            offsets += offs
+            timestamps += ts
+            values += vals
+            keys += ks
+        if not chunks or not drain:
+            break
+    if not timestamps:
+        return None
+    if time_ordered:
+        timestamps = np.asarray(timestamps, dtype=np.float64)
+        off_col = np.asarray(offsets, dtype=np.int64)
+        # One partition read forward with nondecreasing timestamps (the
+        # append convention) is already in order.
+        if len(set(parts)) > 1 or not (
+                bool(np.all(timestamps[1:] >= timestamps[:-1]))
+                and bool(np.all(off_col[1:] >= off_col[:-1]))):
+            order = np.lexsort((off_col, np.repeat(parts, counts),
+                                timestamps))
+            picks = order.tolist()
+            timestamps = timestamps[order]
+            values = [values[i] for i in picks]
+            keys = [keys[i] for i in picks]
+    return RecordBatch.from_columns(timestamps, values, keys)
 
 
 def log_source(cluster: LogCluster, topic: str,
@@ -53,27 +102,21 @@ def log_source(cluster: LogCluster, topic: str,
                 if tracer is not None else None)
         records = 0
         try:
-            if not time_ordered:
-                for batch in consumer.iter_batches(max_records=1024):
-                    records += len(batch)
-                    run = [Element(value=row.value, timestamp=row.timestamp,
-                                   key=row.key) for row in batch]
-                    if columnar and run:
-                        yield RecordBatch.from_elements(run)
-                    else:
-                        yield from run
-            else:
-                rows = []
-                for batch in consumer.iter_batches(max_records=4096):
-                    rows.extend(batch)
-                rows.sort(key=lambda r: (r.timestamp, r.partition, r.offset))
-                records = len(rows)
-                run = [Element(value=row.value, timestamp=row.timestamp,
-                               key=row.key) for row in rows]
-                if columnar and run:
-                    yield RecordBatch.from_elements(run)
+            # Unordered: one batch per fetch; time-ordered: the whole
+            # replay in one.
+            while True:
+                batch = _fetch_batch(
+                    consumer, 4096 if time_ordered else 1024,
+                    drain=time_ordered, time_ordered=time_ordered)
+                if batch is None:
+                    break
+                records += len(batch)
+                if columnar:
+                    yield batch
                 else:
-                    yield from run
+                    yield from batch.to_elements()
+                if time_ordered:
+                    break  # the drain polled to the end already
         finally:
             if span is not None:
                 span.set_attr("records", records)
@@ -132,24 +175,16 @@ def parallel_log_source(cluster: LogCluster, topic: str,
         # Rewind so the factory is re-runnable (restores re-read splits).
         for p in member.partitions:
             member.seek(p, cluster.base_offset(topic, p))
-        rows = []
-        while True:
-            batch = member.poll(max_records=4096)
-            if not batch:
-                break
-            rows.extend(batch)
-        if time_ordered:
-            rows.sort(key=lambda r: (r.timestamp, r.partition, r.offset))
+        batch = _fetch_batch(member, 4096, drain=True,
+                             time_ordered=time_ordered)
         if span is not None:
-            span.set_attr("records", len(rows))
+            span.set_attr("records", 0 if batch is None else len(batch))
             span.end()
-        run = [Element(value=row.value, timestamp=row.timestamp,
-                       key=row.key) for row in rows]
-        if columnar and run:
-            # One batch per split; the parallel executor normalizes to
-            # its canonical per-element split buffer either way.
-            return [RecordBatch.from_elements(run)]
-        return run
+        if batch is None:
+            return []
+        # One batch per split: a columnar parallel executor keeps it as
+        # the split buffer.
+        return [batch] if columnar else batch.to_elements()
 
     return split_factory, num_splits
 

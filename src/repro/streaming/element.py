@@ -28,6 +28,13 @@ class Element:
     timestamp: float
     key: Any = None
 
+    def __reduce__(self) -> tuple:
+        # A slotted frozen dataclass otherwise pickles through
+        # dataclasses._dataclass_getstate, which calls fields() per
+        # object; every staged row is pickled several times (checkpoint
+        # digest, payload, verify).
+        return Element, (self.value, self.timestamp, self.key)
+
     def with_value(self, value: Any) -> "Element":
         return Element(value=value, timestamp=self.timestamp, key=self.key)
 

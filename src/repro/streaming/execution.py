@@ -56,7 +56,7 @@ import heapq
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -355,6 +355,33 @@ class ParallelCheckpoint:
     data_counts: dict[str, int] = field(default_factory=dict)
 
 
+class _BatchSplit(Sequence):
+    """A split buffer that is still the columnar batch it arrived as.
+
+    Length, timestamps and columnar pulls read the batch; anything that
+    needs the split item by item (the heap merge over an unsorted or
+    opaque-valued split) decodes it lazily, once.
+    """
+
+    __slots__ = ("batch", "_elements")
+
+    def __init__(self, batch: RecordBatch) -> None:
+        self.batch = batch
+        self._elements: list[Element] | None = None
+
+    @property
+    def decoded(self) -> bool:
+        return self._elements is not None
+
+    def __len__(self) -> int:
+        return len(self.batch)
+
+    def __getitem__(self, i: Any) -> Any:
+        if self._elements is None:
+            self._elements = self.batch.to_elements()
+        return self._elements[i]
+
+
 class ParallelExecutor:
     """Runs a physical plan: N subtasks per operator, keyed shuffles,
     per-subtask checkpoints, deterministic single-threaded execution.
@@ -441,7 +468,7 @@ class ParallelExecutor:
             self.sinks = {s: SinkBuffer(s) for s in job.sinks}
         self._wire_error_policies()
         # -- sources: split buffers + positions ---------------------------
-        self._split_buffers: dict[str, dict[int, list[Element]]] = {}
+        self._split_buffers: dict[str, dict[int, Sequence[Element]]] = {}
         self._split_positions: dict[str, dict[int, int]] = {}
         #: columnar split encodings (one shared key dictionary per
         #: source) and per-split "timestamps nondecreasing" flags; a
@@ -723,18 +750,25 @@ class ParallelExecutor:
 
     # -- sources -------------------------------------------------------------
 
-    def _materialize_source(self, name: str) -> dict[int, list[Element]]:
+    def _materialize_source(self, name: str) -> dict[int, Sequence[Element]]:
         if name in self._split_buffers:
             return self._split_buffers[name]
         spec = self.job.sources[name]
         n_splits = self.graph.source_splits[name]
-        buffers: dict[int, list[Element]] = {s: [] for s in range(n_splits)}
+        buffers: dict[int, Any] = {s: [] for s in range(n_splits)}
         if spec.split_factory is not None:
             for s in range(n_splits):
-                # decode_items: columnar connectors may hand back
-                # RecordBatches; the canonical split buffer stays
-                # per-element so positions mean the same in every mode.
-                buffers[s] = decode_items(spec.split_factory(s, n_splits))
+                items = spec.split_factory(s, n_splits)
+                if not isinstance(items, list):
+                    items = list(items)
+                if self.columnar and items and all(
+                        type(it) is RecordBatch and it.wm_offsets is None
+                        for it in items):
+                    # A columnar connector's batches stay columns;
+                    # _columnarize_source wraps them in a _BatchSplit.
+                    buffers[s] = [rb for rb in items if len(rb)]
+                else:
+                    buffers[s] = decode_items(items)
         else:
             for i, item in enumerate(decode_items(spec.iterate())):
                 if isinstance(item, Watermark):
@@ -758,24 +792,30 @@ class ParallelExecutor:
             self._columnarize_source(name, buffers)
         return buffers
 
-    def _columnarize_source(self, name: str,
-                            buffers: dict[int, list[Element]]) -> None:
+    def _columnarize_source(self, name: str, buffers: dict[int, Any]) -> None:
         """Encode each split as a RecordBatch sharing one key dictionary
         across the whole source, so a subtask merging several splits can
-        gather codes into one batch without re-encoding keys."""
+        gather codes into one batch without re-encoding keys.  A split
+        that arrived as batches is spliced under that dictionary, never
+        decoded, and its buffer becomes a :class:`_BatchSplit` over the
+        result."""
         key_index: dict = {}
         key_dict: list = []
         batches: dict[int, RecordBatch | None] = {}
         sorted_flags: dict[int, bool] = {}
         for s, buf in sorted(buffers.items()):
-            if buf and all(type(it) is Element for it in buf):
+            if buf and type(buf[0]) is RecordBatch:
+                rb = RecordBatch.splice(buf, key_index, key_dict)
+                buffers[s] = _BatchSplit(rb)
+            elif buf and all(type(it) is Element for it in buf):
                 rb = RecordBatch.from_elements(buf, key_index, key_dict)
-                batches[s] = rb
-                ts = rb.timestamps
-                sorted_flags[s] = bool(np.all(ts[1:] >= ts[:-1]))
             else:
                 batches[s] = None
                 sorted_flags[s] = False
+                continue
+            batches[s] = rb
+            ts = rb.timestamps
+            sorted_flags[s] = bool(np.all(ts[1:] >= ts[:-1]))
         self._split_batches[name] = batches
         self._split_sorted[name] = sorted_flags
 
@@ -930,7 +970,7 @@ class ParallelExecutor:
                 self._shed_by_source[name] = snap
 
     @staticmethod
-    def _take_merged(buffers: dict[int, list[Element]],
+    def _take_merged(buffers: dict[int, Sequence[Element]],
                      positions: dict[int, int], finished: set[int],
                      splits: range, batch: int) -> list[StreamItem]:
         """Pull up to ``batch`` items from one subtask's splits, merged
@@ -1850,8 +1890,13 @@ class ParallelExecutor:
         its deterministic arrival model (how many elements have
         "arrived" by sim-time t)."""
         buffers = self._materialize_source(name)
-        return [item.timestamp
-                for _, buf in sorted(buffers.items()) for item in buf]
+        out: list[float] = []
+        for _, buf in sorted(buffers.items()):
+            if type(buf) is _BatchSplit:
+                out.extend(buf.batch.timestamps.tolist())
+            else:
+                out.extend(item.timestamp for item in buf)
+        return out
 
     def source_pulled(self, name: str) -> int:
         """Total items pulled so far across one source's splits."""

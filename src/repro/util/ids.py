@@ -16,12 +16,23 @@ primitives without importing each other.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import lru_cache
 
 __all__ = ["IdFactory", "monotonic_ids", "stable_hash", "split_ranges"]
 
 
+#: distinct keys whose hash stays memoised (a few MB of short strings)
+_HASH_CACHE_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=_HASH_CACHE_SIZE)
 def stable_hash(key: str) -> int:
-    """FNV-1a 64-bit — stable across processes, unlike built-in hash()."""
+    """FNV-1a 64-bit — stable across processes, unlike built-in hash().
+
+    Memoised: the loop below runs per key *byte*, and both callers (a
+    producer partitioning every send, a shuffle routing every row) see
+    the same keys over and over.
+    """
     h = 1469598103934665603
     for byte in key.encode("utf-8"):
         h ^= byte

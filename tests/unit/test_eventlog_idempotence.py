@@ -89,6 +89,15 @@ class TestIdempotentProducer:
         with pytest.raises(ValueError):
             producer.resend_last()
 
+    def test_resend_before_any_send_rejected(self):
+        producer = Producer(_cluster(), idempotent=True)
+        with pytest.raises(ValueError, match="nothing sent yet"):
+            producer.resend_last()
+        producer.send("t", 1)
+        producer.bump_epoch()        # a new incarnation has no last send
+        with pytest.raises(ValueError, match="nothing sent yet"):
+            producer.resend_last()
+
     def test_plain_producer_still_duplicates(self):
         """Contrast: without idempotence a retry double-appends."""
         cluster = _cluster(partitions=1)

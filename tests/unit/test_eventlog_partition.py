@@ -43,6 +43,18 @@ class TestRecordSize:
         # the cache is not a field: equality ignores it
         assert r == Record(value={"a": 1.0}, key="k", headers={"h": "x"})
 
+    @pytest.mark.parametrize("value", (1.5, float("nan"), 7, True, None,
+                                       "v", {"a": 1.0}, [1.0]))
+    @pytest.mark.parametrize("key", (None, "", "patient:hr", "kä", "键"))
+    @pytest.mark.parametrize("headers", ({}, {"h": "x", "seq": "12"}))
+    def test_fast_paths_price_the_same_bytes(self, value, key, headers):
+        generic = estimate_size(value) + 8
+        if key is not None:
+            generic += len(key.encode("utf-8"))
+        generic += sum(len(k) + len(v) for k, v in headers.items())
+        record = Record(value=value, key=key, headers=headers)
+        assert record.size_bytes == generic
+
 
 class TestPartitionAppendRead:
     def test_append_returns_sequential_offsets(self):
@@ -169,3 +181,51 @@ class TestCompaction:
         p.append(_record(1))
         assert twin.end_offset == 1
         assert p.end_offset == 2
+
+
+class TestColumnRead:
+    def _partition(self, n=6, compact=False, truncate=0):
+        p = Partition("t", 0)
+        for i in range(n):
+            p.append(_record(i, key=f"k{i % 2}" if compact else None,
+                             ts=i * 0.5))
+        if compact:
+            p.compact()
+        if truncate:
+            p.truncate_before(truncate)
+        return p
+
+    @pytest.mark.parametrize("compact", (False, True))
+    @pytest.mark.parametrize("truncate", (0, 2))
+    def test_read_columns_is_read_transposed(self, compact, truncate):
+        p = self._partition(compact=compact, truncate=truncate)
+        for offset in range(p.base_offset, p.end_offset + 1):
+            for max_records in (1, 2, 100):
+                rows = p.read(offset, max_records)
+                offsets, timestamps, values, keys = p.read_columns(
+                    offset, max_records)
+                assert offsets == [o for o, _ in rows]
+                assert timestamps == [r.timestamp for _, r in rows]
+                assert values == [r.value for _, r in rows]
+                assert keys == [r.key for _, r in rows]
+
+    def test_same_range_errors_as_read(self):
+        p = self._partition(truncate=2)
+        assert p.read_columns(p.end_offset) == ([], [], [], [])
+        for offset in (0, 1, p.end_offset + 1):
+            with pytest.raises(OffsetOutOfRange):
+                p.read_columns(offset)
+            with pytest.raises(OffsetOutOfRange):
+                p.read(offset)
+
+    def test_hole_count_follows_compaction_and_truncation(self):
+        p = self._partition(n=6, compact=True)    # survivors: offsets 4, 5
+        assert len(p) == 2 and p._holes == 4
+        assert [o for o, _ in p.read(0)] == [4, 5]
+        assert p.clone()._holes == 4
+        p.truncate_before(3)
+        assert len(p) == 2 and p._holes == 1
+        p.truncate_before(4)                      # no hole left: slice path
+        assert p._holes == 0
+        assert p.read_columns(4)[0] == [4, 5]
+        assert p.read(5, max_records=1)[0][0] == 5

@@ -28,6 +28,14 @@ class TestStableHash:
         # every checkpoint's key groups) fails loudly.
         assert stable_hash("a") == 4953267810257967366
 
+    def test_memo_is_bounded_and_hashes_identically(self):
+        # producer partitioning and key groups share this memo; the
+        # loop it skips stays the reference
+        cached = stable_hash.__wrapped__
+        for key in ("", "a", "patient-17:hr", "kä", "键" * 40):
+            assert stable_hash(key) == stable_hash(key) == cached(key)
+        assert stable_hash.cache_info().maxsize == 1 << 16
+
 
 class TestSplitRanges:
     def test_partitions_exactly(self):

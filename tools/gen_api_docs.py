@@ -30,7 +30,7 @@ def _first_paragraph(obj) -> str:
 def _kind(obj) -> str:
     if inspect.isclass(obj):
         return "class"
-    if inspect.isfunction(obj):
+    if inspect.isfunction(inspect.unwrap(obj)):  # through lru_cache
         return "func"
     return "const"
 
