@@ -114,54 +114,54 @@ class Compositor:
         annotations = scene.all_world_annotations()
         camera_center = pose.camera_center
 
-        rows = []  # (annotation, anchor_world, pixel, depth)
+        # One row per surviving annotation, built once and carried
+        # through cull -> shed -> layout: (annotation, px, py, depth,
+        # occluded).
+        rows = []
         culled_offscreen = 0
+        culled_occluded = 0
         if annotations:
-            anchors = np.stack([anchor for _a, anchor in annotations])
+            anchors = np.array([anchor for _a, anchor in annotations])
             cam_points = pose.transform(anchors)
             pixels = self.intrinsics.project(cam_points)
             in_view = self.intrinsics.in_view(pixels)
-            for (annotation, anchor), pixel, depth, ok in zip(
-                    annotations, pixels, cam_points[:, 2], in_view):
+            check_occlusion = (self.occlusion_policy != "ignore"
+                               and bool(self.occlusion.occluders))
+            hide = self.occlusion_policy == "hide"
+            for (annotation, anchor), (px, py), depth, ok in zip(
+                    annotations, pixels.tolist(),
+                    cam_points[:, 2].tolist(), in_view.tolist()):
                 if not ok:
                     culled_offscreen += 1
                     continue
-                rows.append((annotation, anchor, pixel, float(depth)))
-
-        culled_occluded = 0
-        visible_rows = []
-        for annotation, anchor, pixel, depth in rows:
-            occluded = False
-            if self.occlusion_policy != "ignore" and self.occlusion.occluders:
-                occluded = not self.occlusion.check(camera_center,
-                                                    anchor).visible
-            if occluded and self.occlusion_policy == "hide":
-                culled_occluded += 1
-                continue
-            visible_rows.append((annotation, anchor, pixel, depth, occluded))
+                occluded = check_occlusion and not self.occlusion.check(
+                    camera_center, anchor).visible
+                if occluded and hide:
+                    culled_occluded += 1
+                    continue
+                rows.append((annotation, px, py, depth, occluded))
 
         # Frame budget: shed lowest priority first.
+        xray = self.occlusion_policy == "xray"
         shed = 0
         if self.budget is not None:
-            visible_rows.sort(key=lambda r: (-r[0].priority,
-                                             r[0].annotation_id))
+            rows.sort(key=lambda r: (-r[0].priority, r[0].annotation_id))
             cost = 0.0
             kept = []
-            for row in visible_rows:
+            for row in rows:
                 item_cost = self.budget.cost_per_label_ms
-                if row[4] and self.occlusion_policy == "xray":
+                if row[4] and xray:
                     item_cost += self.budget.xray_surcharge_ms
                 if cost + item_cost > self.budget.budget_ms:
                     shed += 1
                     continue
                 cost += item_cost
                 kept.append(row)
-            visible_rows = kept
+            rows = kept
 
         layout_input = [
-            (a.annotation_id, float(px[0]), float(px[1]),
-             a.width_px, a.height_px, a.priority)
-            for a, _anchor, px, _depth, _occ in visible_rows
+            (a.annotation_id, px, py, a.width_px, a.height_px, a.priority)
+            for a, px, py, _depth, _occluded in rows
         ]
         if self.declutter:
             placed = declutter_layout(layout_input, screen)
@@ -169,18 +169,15 @@ class Compositor:
             placed = naive_layout(layout_input)
         placed_by_id = {p.annotation_id: p for p in placed}
 
-        items = []
-        for annotation, _anchor, _pixel, depth, occluded in visible_rows:
-            label = placed_by_id[annotation.annotation_id]
-            items.append(OverlayItem(
-                annotation_id=annotation.annotation_id,
-                kind=annotation.kind,
-                label=label,
-                depth_m=depth,
-                occluded=occluded,
-                xray=occluded and self.occlusion_policy == "xray",
-                payload=annotation.payload,
-            ))
+        items = [OverlayItem(
+            annotation_id=annotation.annotation_id,
+            kind=annotation.kind,
+            label=placed_by_id[annotation.annotation_id],
+            depth_m=depth,
+            occluded=occluded,
+            xray=occluded and xray,
+            payload=annotation.payload,
+        ) for annotation, _px, _py, depth, occluded in rows]
         frame = OverlayFrame(
             items=items,
             culled_offscreen=culled_offscreen,

@@ -98,6 +98,10 @@ def declutter_layout(items: list[tuple[str, float, float, float, float, float]],
     not overlap an already-placed label.  Exhausting the candidates
     drops the label (when allowed) or accepts the overlapping anchor
     position.
+
+    Candidates are tested as float edges ``(x1, y1, x2, y2)`` computed
+    the way :class:`Rect` computes them; a ``Rect`` exists only for the
+    position a label ends up with.
     """
     ordered = sorted(items, key=lambda row: (-row[5], row[0]))
     if max_labels is not None:
@@ -107,28 +111,33 @@ def declutter_layout(items: list[tuple[str, float, float, float, float, float]],
         ordered = ordered[:max_labels]
     else:
         overflow = []
+    sx1, sy1, sx2, sy2 = screen.x, screen.y, screen.x2, screen.y2
     placed: list[PlacedLabel] = []
-    occupied: list[Rect] = []
+    occupied: list[tuple[float, float, float, float]] = []
     for aid, ax, ay, w, h, priority in ordered:
-        chosen: Rect | None = None
+        half_w, half_h = w / 2.0, h / 2.0
         for ox, oy in _CANDIDATE_OFFSETS:
-            rect = _label_rect(ax + ox * w, ay + oy * h, w, h)
-            inside = (rect.x >= screen.x and rect.y >= screen.y
-                      and rect.x2 <= screen.x2 and rect.y2 <= screen.y2)
-            if not inside:
+            x1 = ax + ox * w - half_w
+            y1 = ay + oy * h - half_h
+            x2 = x1 + w
+            y2 = y1 + h
+            if not (x1 >= sx1 and y1 >= sy1 and x2 <= sx2 and y2 <= sy2):
                 continue
-            if any(rect.intersects(other) for other in occupied):
-                continue
-            chosen = rect
-            break
-        if chosen is None:
+            for bx1, by1, bx2, by2 in occupied:
+                if not (bx1 >= x2 or bx2 <= x1 or by1 >= y2 or by2 <= y1):
+                    break
+            else:
+                break  # on screen and clear of every placed label
+        else:
+            # every candidate was off-screen or collided
+            x1, y1 = ax - half_w, ay - half_h
+            x2, y2 = x1 + w, y1 + h
             if allow_drop:
-                placed.append(PlacedLabel(aid, _label_rect(ax, ay, w, h),
+                placed.append(PlacedLabel(aid, Rect(x1, y1, w, h),
                                           ax, ay, priority, dropped=True))
                 continue
-            chosen = _label_rect(ax, ay, w, h)
-        occupied.append(chosen)
-        placed.append(PlacedLabel(aid, chosen, ax, ay, priority))
+        occupied.append((x1, y1, x2, y2))
+        placed.append(PlacedLabel(aid, Rect(x1, y1, w, h), ax, ay, priority))
     for aid, ax, ay, w, h, priority in overflow:
         placed.append(PlacedLabel(aid, _label_rect(ax, ay, w, h),
                                   ax, ay, priority, dropped=True))
@@ -138,19 +147,29 @@ def declutter_layout(items: list[tuple[str, float, float, float, float, float]],
 def clutter_metrics(labels: list[PlacedLabel], screen: Rect) -> LayoutMetrics:
     """Measure a laid-out frame."""
     active = [label for label in labels if not label.dropped]
+    edges = [(r.x, r.y, r.x + r.width, r.y + r.height)
+             for r in (label.rect for label in active)]
     overlap_area = 0.0
     overlapping_ids: set[str] = set()
-    for i, a in enumerate(active):
-        for b in active[i + 1:]:
-            inter = a.rect.intersection(b.rect)
-            if inter is not None:
-                overlap_area += inter.area
-                overlapping_ids.add(a.annotation_id)
-                overlapping_ids.add(b.annotation_id)
+    for i, (ax1, ay1, ax2, ay2) in enumerate(edges):
+        for j in range(i + 1, len(edges)):
+            bx1, by1, bx2, by2 = edges[j]
+            # Rect.intersection on edges, same max/min tie rules
+            x1 = bx1 if bx1 > ax1 else ax1
+            x2 = bx2 if bx2 < ax2 else ax2
+            if x2 <= x1:
+                continue
+            y1 = by1 if by1 > ay1 else ay1
+            y2 = by2 if by2 < ay2 else ay2
+            if y2 <= y1:
+                continue
+            overlap_area += (x2 - x1) * (y2 - y1)
+            overlapping_ids.add(active[i].annotation_id)
+            overlapping_ids.add(active[j].annotation_id)
+    sx1, sy1, sx2, sy2 = screen.x, screen.y, screen.x2, screen.y2
     offscreen = sum(
-        1 for label in active
-        if not (label.rect.x >= screen.x and label.rect.y >= screen.y
-                and label.rect.x2 <= screen.x2 and label.rect.y2 <= screen.y2))
+        1 for x1, y1, x2, y2 in edges
+        if not (x1 >= sx1 and y1 >= sy1 and x2 <= sx2 and y2 <= sy2))
     leaders = [label.leader_length for label in active]
     return LayoutMetrics(
         total=len(labels),

@@ -62,8 +62,10 @@ class SceneNode:
                else np.zeros(3))
         r = r_p @ self.rotation
         t = r_p @ self.translation + t_p
-        for annotation in self.annotations:
-            yield annotation, r @ annotation.anchor + t
+        if self.annotations:
+            # one (N,3) transform per node, not a matmul per annotation
+            anchors = np.array([a.anchor for a in self.annotations])
+            yield from zip(self.annotations, anchors @ r.T + t)
         for child in self.children:
             yield from child.world_annotations(r, t)
 

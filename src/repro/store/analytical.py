@@ -150,14 +150,21 @@ class AnalyticalStore:
 
     # -- query layer ---------------------------------------------------------
 
+    def _select(self, keys: Iterable[Any] | None, start: float | None,
+                end: float | None) -> tuple[dict[str, Any], np.ndarray]:
+        """The consolidated columns and the indices of the rows in a
+        key set and/or half-open time range.  Callers gather only the
+        columns they read: ``raw`` is a Python list, and gathering it
+        costs more than the numpy reductions of a dashboard query."""
+        cols = self.columns()
+        return cols, np.flatnonzero(self._mask(cols, keys, start, end))
+
     def filter(self, keys: Iterable[Any] | None = None,
                start: float | None = None,
                end: float | None = None) -> dict[str, Any]:
         """Row subset by key set and/or half-open time range, as
         columns (plus the raw value list, same order)."""
-        cols = self.columns()
-        mask = self._mask(cols, keys, start, end)
-        idx = np.flatnonzero(mask)
+        cols, idx = self._select(keys, start, end)
         raw = cols["raw"]
         return {"ts": cols["ts"][idx], "metric": cols["metric"][idx],
                 "codes": cols["codes"][idx],
@@ -203,14 +210,16 @@ class AnalyticalStore:
         if agg not in _AGGS:
             raise StoreError(f"unknown aggregate {agg!r} "
                              f"(expected one of {_AGGS})")
-        sel = self.filter(keys=keys, start=start, end=end)
+        cols, idx = self._select(keys, start, end)
+        metric = cols["metric"][idx]
         if by is not None:
+            raw = cols["raw"]
             groups: dict[Any, list[float]] = {}
-            for value, m in zip(sel["raw"], sel["metric"].tolist()):
-                groups.setdefault(by(value), []).append(m)
+            for i, m in zip(idx.tolist(), metric.tolist()):
+                groups.setdefault(by(raw[i]), []).append(m)
             return {g: self._scalar(agg, vals)
                     for g, vals in groups.items()}
-        touched, values = self._reduce(agg, sel["codes"], sel["metric"],
+        touched, values = self._reduce(agg, cols["codes"][idx], metric,
                                        len(self._key_dict))
         kd = self._key_dict
         return {kd[c]: float(v)
@@ -238,16 +247,16 @@ class AnalyticalStore:
         if agg not in _AGGS:
             raise StoreError(f"unknown aggregate {agg!r} "
                              f"(expected one of {_AGGS})")
-        sel = self.filter(keys=keys, start=start, end=end)
-        if not len(sel["ts"]):
+        cols, idx = self._select(keys, start, end)
+        if not len(idx):
             return {}
-        widx = np.floor_divide(sel["ts"], window_s).astype(np.int64)
+        widx = np.floor_divide(cols["ts"][idx], window_s).astype(np.int64)
         base = int(widx.min())
         widx -= base
         n_windows = int(widx.max()) + 1
-        composite = sel["codes"] * n_windows + widx
+        composite = cols["codes"][idx] * n_windows + widx
         touched, values = self._reduce(
-            agg, composite, sel["metric"],
+            agg, composite, cols["metric"][idx],
             len(self._key_dict) * n_windows)
         kd = self._key_dict
         out: dict[tuple[Any, float], float] = {}

@@ -8,11 +8,20 @@ is the write-optimized half of the tiered store:
   range assignment the streaming engine shuffles by, see
   :mod:`repro.streaming.shuffle`), so a key's serving shard is as
   deterministic as its processing subtask.
-- Each shard is a small LSM tree: an append-only **memtable** (dict of
-  per-key version lists) absorbing writes at O(1), flushed into
-  immutable **sorted runs** whose rows order by
+- Each shard is a small LSM tree: a **memtable** (dict of per-key
+  version lists, each kept sorted by ``(timestamp, seq)``) absorbing
+  writes, flushed into immutable **sorted runs** whose rows order by
   ``(key, -timestamp, -seq)`` — reverse-timestamp row keys, so "latest
-  N versions of a key" is a prefix scan from one bisect.
+  N versions of a key" is the tail of one memtable list plus a prefix
+  scan per run from that run's exact key index.
+- One **ordering key** decides "newer" everywhere — memtable, flush,
+  compaction, ``latest``, ``contents`` and TTL liveness: the event
+  time, then the apply sequence.  It is computed once, when an epoch
+  is staged, and a NaN event time orders as ``-inf`` (older than every
+  finite timestamp; ties, also with a real ``-inf``, fall to the apply
+  sequence) — so what a shard answers never depends on how its rows
+  are spread over memtable and runs, and a key's live versions are
+  always a prefix of its newest-first order.
 - **Size-tiered compaction** merges runs of similar size when a tier
   collects ``tier_fanout`` of them, bounding run count (and therefore
   lookup fan-out) logarithmically in total rows.
@@ -22,16 +31,17 @@ is the write-optimized half of the tiered store:
 
 Mutations enter **only** through :meth:`HotShard.apply_epoch`, the
 install half of the store's epoch-apply protocol (see
-:mod:`repro.store.sink`): all failure-prone work (key encoding, list
-building) happens while staging; the install is a short sequence of
-container mutations ending with ``last_applied_epoch = epoch``, so a
+:mod:`repro.store.sink`): all failure-prone work (key encoding,
+ordering, merging) happens while staging; the install is a short
+sequence of container mutations ending with
+``last_applied_epoch = epoch``, so a
 crash at any injected fault site leaves the shard either fully at the
 old epoch or fully at the new one — never in between.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from heapq import merge
 from typing import Any, Iterable
 
 from ..streaming.shuffle import (
@@ -43,6 +53,10 @@ from ..util.clock import SimClock
 from ..util.errors import StoreError
 
 __all__ = ["HotShard", "HotStore", "SortedRun", "key_repr"]
+
+#: what a NaN event time orders as (NaN itself compares false with
+#: everything, which would leave every sort structure-dependent)
+_NAN_ORDER = float("-inf")
 
 
 def key_repr(key: Any) -> str:
@@ -57,41 +71,45 @@ def key_repr(key: Any) -> str:
 class SortedRun:
     """One immutable sorted run.
 
-    Rows are ``(key_repr, -timestamp, -seq, timestamp, value)`` tuples
-    sorted by their first three fields; values are never compared.  A
-    probe tuple ``(key_repr,)`` bisects to the first (newest) row of
-    the key — prefix scans from there are the whole read API.
+    Rows are ``(key_repr, -order_ts, -seq, timestamp, value)`` tuples
+    sorted by their first three fields (``seq`` is unique within a
+    shard, so a comparison never reaches the value).  ``first_row``
+    maps every key the run holds to its first (newest) row: a run that
+    cannot hold a key costs a lookup one dict miss, and prefix scans
+    from that row are the whole read API.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "first_row")
 
     def __init__(self, rows: list[tuple]) -> None:
         self.rows = rows
+        # Filled back to front, so each key keeps its lowest index.
+        self.first_row: dict[str, int] = dict(zip(
+            [row[0] for row in reversed(rows)],
+            range(len(rows) - 1, -1, -1)))
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def scan_key(self, kr: str, limit: int,
-                 min_ts: float | None) -> list[tuple[float, int, Any]]:
-        """Up to ``limit`` newest live versions of one key:
-        ``(timestamp, seq, value)`` tuples, newest first."""
-        rows = self.rows
-        i = bisect_left(rows, (kr,))
-        out: list[tuple[float, int, Any]] = []
-        while i < len(rows) and len(out) < limit:
-            row = rows[i]
-            if row[0] != kr:
+                 min_ts: float | None) -> list[tuple]:
+        """Up to ``limit`` newest live rows of one key, newest first.
+        Rows run newest to oldest, so the first expired one ends the
+        scan."""
+        i = self.first_row.get(kr)
+        if i is None:
+            return []
+        out = []
+        for row in self.rows[i:i + limit]:
+            if row[0] != kr or (min_ts is not None and -row[1] < min_ts):
                 break
-            ts = row[3]
-            if min_ts is None or ts >= min_ts:
-                out.append((ts, -row[2], row[4]))
-            i += 1
+            out.append(row)
         return out
 
     def live_rows(self, min_ts: float | None) -> Iterable[tuple]:
         if min_ts is None:
             return iter(self.rows)
-        return (row for row in self.rows if row[3] >= min_ts)
+        return (row for row in self.rows if -row[1] >= min_ts)
 
 
 class HotShard:
@@ -111,8 +129,9 @@ class HotShard:
         self.tier_fanout = tier_fanout
         #: epoch of the last applied commit; the double-apply guard
         self.last_applied_epoch = 0
-        #: key_repr -> [(ts, seq, value), ...] in apply order
-        self._mem: dict[str, list[tuple[float, int, Any]]] = {}
+        #: key_repr -> [(order_ts, seq, ts, value), ...], ascending: the
+        #: newest version of a key is the last element of its list
+        self._mem: dict[str, list[tuple[float, int, float, Any]]] = {}
         self._mem_rows = 0
         self._runs: list[SortedRun] = []
         self._seq = 0
@@ -137,31 +156,63 @@ class HotShard:
         already applied — restore/rescale re-drives hit this guard).
         Nothing observable changes; a crash after staging costs only
         the scratch work.
+
+        Only the epoch's own versions are touched.  Per key they are
+        ordered, then either they all sort after the resident tail
+        (event time mostly follows apply order) and the token holds
+        them as a tail to append, or the token holds a merged
+        replacement for the key's list.  Every list in the token is
+        new, so a discarded token leaves no trace in the memtable.
         """
         if epoch <= self.last_applied_epoch:
             return None
-        base = self._seq
-        merged: dict[str, list[tuple[float, int, Any]]] = {}
-        for offset, (kr, ts, value) in enumerate(rows):
-            bucket = merged.get(kr)
+        seq = base = self._seq
+        fresh: dict[str, list[tuple[float, int, float, Any]]] = {}
+        for kr, ts, value in rows:
+            version = (ts if ts == ts else _NAN_ORDER, seq, ts, value)
+            seq += 1
+            bucket = fresh.get(kr)
             if bucket is None:
-                bucket = merged[kr] = list(self._mem.get(kr, ()))
-            bucket.append((ts, base + offset, value))
-        return (epoch, merged, len(rows), base + len(rows))
+                fresh[kr] = [version]
+            else:
+                bucket.append(version)
+        mem = self._mem
+        tails: dict[str, list] = {}
+        replaced: dict[str, list] = {}
+        for kr, versions in fresh.items():
+            if len(versions) > 1:
+                versions.sort()
+            resident = mem.get(kr)
+            if resident is None:
+                replaced[kr] = versions
+            elif versions[0] > resident[-1]:
+                tails[kr] = versions
+            else:
+                replaced[kr] = list(merge(resident, versions))
+        return (epoch, self.flushes, base, tails, replaced, seq)
 
     def install_epoch(self, staged: tuple | None) -> int:
-        """Install a staged epoch atomically: one dict update plus
-        counter flips.  Idempotent via the epoch guard."""
+        """Install a staged epoch atomically: list extends, one dict
+        update and counter flips, none of which can fail once the token
+        is known to describe this memtable.  Idempotent via the epoch
+        guard."""
         if staged is None:
             return 0
-        epoch, merged, n_rows, next_seq = staged
+        epoch, flushes, base, tails, replaced, next_seq = staged
         if epoch <= self.last_applied_epoch:
             return 0
-        self._mem.update(merged)
-        self._mem_rows += n_rows
+        if flushes != self.flushes or base != self._seq:
+            raise StoreError(
+                f"staged epoch {epoch} is stale: shard {self.shard_id} "
+                "flushed or installed another epoch since it was staged")
+        mem = self._mem
+        for kr, tail in tails.items():
+            mem[kr].extend(tail)
+        mem.update(replaced)
+        self._mem_rows += next_seq - base
         self._seq = next_seq
         self.last_applied_epoch = epoch
-        return n_rows
+        return next_seq - base
 
     def apply_epoch(self, epoch: int,
                     rows: list[tuple[str, float, Any]]) -> int:
@@ -177,14 +228,15 @@ class HotShard:
         self.compact()
 
     def flush(self) -> None:
-        """Freeze the memtable into one sorted run (atomic swap)."""
+        """Freeze the memtable into one sorted run (atomic swap).  Each
+        key's list is already in order: reversed, under sorted keys,
+        they are the run."""
         if not self._mem_rows:
             return
-        rows = [(kr, -ts, -seq, ts, value)
-                for kr, versions in self._mem.items()
-                for ts, seq, value in versions]
-        rows.sort(key=lambda r: (r[0], r[1], r[2]))
-        run = SortedRun(rows)
+        mem = self._mem
+        run = SortedRun([(kr, -order, -seq, ts, value)
+                         for kr in sorted(mem)
+                         for order, seq, ts, value in reversed(mem[kr])])
         self._runs = self._runs + [run]
         self._mem = {}
         self._mem_rows = 0
@@ -213,7 +265,7 @@ class HotShard:
             min_ts = self._min_ts()
             merged_rows = [row for run in victims
                            for row in run.live_rows(min_ts)]
-            merged_rows.sort(key=lambda r: (r[0], r[1], r[2]))
+            merged_rows.sort()
             merged = SortedRun(merged_rows)
             dead = set(map(id, victims))
             self._runs = [r for r in self._runs
@@ -238,46 +290,45 @@ class HotShard:
 
     def latest(self, key: Any, n: int = 1) -> list[tuple[float, Any]]:
         """Newest ``n`` live versions: ``[(timestamp, value), ...]``,
-        newest first.  Memtable first (it holds the newest writes),
-        then a bisected prefix scan per run; candidates merge by
-        ``(timestamp, seq)`` so same-timestamp writes resolve to the
-        latest applied."""
+        newest first.  The key's newest ``n`` are among the last ``n``
+        of its memtable list and the first ``n`` of its rows in each
+        run; those at most ``n * (runs + 1)`` candidates, in run-row
+        shape, merge by ``(order_ts, seq)`` so same-timestamp writes
+        resolve to the latest applied."""
         if n < 1:
             raise StoreError("latest() needs n >= 1")
         kr = key_repr(key)
         min_ts = self._min_ts()
-        candidates: list[tuple[float, int, Any]] = []
+        candidates: list[tuple] = []
         versions = self._mem.get(kr)
         if versions:
-            # All memtable versions compete: event time is not apply
-            # order, so the newest-by-timestamp version can sit
-            # anywhere in the list.
-            candidates.extend(
-                versions if min_ts is None else
-                (v for v in versions if v[0] >= min_ts))
+            for order, seq, ts, value in reversed(versions[-n:]):
+                if min_ts is not None and order < min_ts:
+                    break
+                candidates.append((kr, -order, -seq, ts, value))
         for run in self._runs:
             candidates.extend(run.scan_key(kr, n, min_ts))
-        candidates.sort(key=lambda c: (-c[0], -c[1]))
-        return [(ts, value) for ts, _seq, value in candidates[:n]]
+        if len(candidates) > 1:
+            candidates.sort()
+        return [(row[3], row[4]) for row in candidates[:n]]
 
     def contents(self) -> dict[str, list[tuple[float, Any]]]:
         """Canonical dump: key_repr -> all live versions newest-first.
         The chaos suite compares this across crashed and fault-free
         runs, so it must be independent of memtable/run structure."""
         min_ts = self._min_ts()
-        acc: dict[str, list[tuple[float, int, Any]]] = {}
+        acc: dict[str, list[tuple]] = {}
         for kr, versions in self._mem.items():
-            for ts, seq, value in versions:
-                if min_ts is None or ts >= min_ts:
-                    acc.setdefault(kr, []).append((ts, seq, value))
+            live = [(kr, -order, -seq, ts, value)
+                    for order, seq, ts, value in versions
+                    if min_ts is None or order >= min_ts]
+            if live:
+                acc[kr] = live
         for run in self._runs:
             for row in run.live_rows(min_ts):
-                acc.setdefault(row[0], []).append((row[3], -row[2], row[4]))
-        out: dict[str, list[tuple[float, Any]]] = {}
-        for kr in sorted(acc):
-            versions = sorted(acc[kr], key=lambda c: (-c[0], -c[1]))
-            out[kr] = [(ts, value) for ts, _seq, value in versions]
-        return out
+                acc.setdefault(row[0], []).append(row)
+        return {kr: [(row[3], row[4]) for row in sorted(acc[kr])]
+                for kr in sorted(acc)}
 
     @property
     def rows(self) -> int:

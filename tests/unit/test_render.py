@@ -15,8 +15,14 @@ from repro.render import (
     declutter_layout,
     naive_layout,
 )
+from repro.render.layout import (
+    _CANDIDATE_OFFSETS,
+    LayoutMetrics,
+    PlacedLabel,
+)
 from repro.util.errors import RenderError
 from repro.util.geometry import Rect
+from repro.util.rng import make_rng
 from repro.vision import CameraIntrinsics, look_at
 
 INTR = CameraIntrinsics(fx=400, fy=400, cx=160, cy=120, width=320,
@@ -142,6 +148,107 @@ class TestLayout:
         metrics = clutter_metrics([], SCREEN)
         assert metrics.useful_ratio == 1.0
         assert metrics.total == 0
+
+
+def _reference_rect(x, y, w, h):
+    return Rect(x - w / 2.0, y - h / 2.0, w, h)
+
+
+def _reference_inside(rect, screen):
+    return (rect.x >= screen.x and rect.y >= screen.y
+            and rect.x2 <= screen.x2 and rect.y2 <= screen.y2)
+
+
+def _reference_declutter(items, screen, max_labels=None, allow_drop=True):
+    """The layout written with one ``Rect`` per candidate and
+    ``Rect.intersects``: what ``declutter_layout`` must equal."""
+    ordered = sorted(items, key=lambda row: (-row[5], row[0]))
+    overflow = [] if max_labels is None else ordered[max_labels:]
+    ordered = ordered if max_labels is None else ordered[:max_labels]
+    placed, occupied = [], []
+    for aid, ax, ay, w, h, priority in ordered:
+        chosen = None
+        for ox, oy in _CANDIDATE_OFFSETS:
+            rect = _reference_rect(ax + ox * w, ay + oy * h, w, h)
+            if (_reference_inside(rect, screen)
+                    and not any(rect.intersects(o) for o in occupied)):
+                chosen = rect
+                break
+        if chosen is None:
+            if allow_drop:
+                placed.append(PlacedLabel(aid, _reference_rect(ax, ay, w, h),
+                                          ax, ay, priority, dropped=True))
+                continue
+            chosen = _reference_rect(ax, ay, w, h)
+        occupied.append(chosen)
+        placed.append(PlacedLabel(aid, chosen, ax, ay, priority))
+    for aid, ax, ay, w, h, priority in overflow:
+        placed.append(PlacedLabel(aid, _reference_rect(ax, ay, w, h),
+                                  ax, ay, priority, dropped=True))
+    return placed
+
+
+def _reference_metrics(labels, screen):
+    """``clutter_metrics`` written with ``Rect.intersection``."""
+    active = [label for label in labels if not label.dropped]
+    overlap_area = 0.0
+    overlapping_ids = set()
+    for i, a in enumerate(active):
+        for b in active[i + 1:]:
+            inter = a.rect.intersection(b.rect)
+            if inter is not None:
+                overlap_area += inter.area
+                overlapping_ids.update((a.annotation_id, b.annotation_id))
+    leaders = [label.leader_length for label in active]
+    return LayoutMetrics(
+        total=len(labels), placed=len(active),
+        dropped=len(labels) - len(active),
+        overlapping=len(overlapping_ids),
+        overlap_ratio=overlap_area / screen.area if screen.area > 0 else 0.0,
+        mean_leader_px=(sum(leaders) / len(leaders)) if leaders else 0.0,
+        offscreen=sum(1 for label in active
+                      if not _reference_inside(label.rect, screen)))
+
+
+def _label_sets():
+    """Seeded label sets: random crowds whose anchors spill past the
+    screen, a grid whose labels touch edge to edge, and a pile on one
+    anchor that no candidate offset can spread out."""
+    for seed in range(12):
+        rng = make_rng(seed)
+        yield [(f"r{i}", float(rng.uniform(-80, 400)),
+                float(rng.uniform(-60, 300)),
+                float(rng.choice([40.0, 60.0, 90.5])),
+                float(rng.choice([16.0, 20.0, 33.3])),
+                float(rng.integers(4)))
+               for i in range(int(rng.integers(1, 30)))]
+    yield [(f"g{i}", 30.0 + 60.0 * (i % 5), 10.0 + 20.0 * (i // 5),
+            60.0, 20.0, 1.0) for i in range(25)]
+    yield [(f"p{i}", 160.0, 120.0, 60.0, 20.0, float(i % 3))
+           for i in range(20)]
+
+
+class TestLayoutMatchesRectReference:
+    @pytest.mark.parametrize("allow_drop", [True, False])
+    @pytest.mark.parametrize("max_labels", [None, 0, 7])
+    def test_declutter_and_metrics_equal_the_reference(self, allow_drop,
+                                                       max_labels):
+        for items in _label_sets():
+            got = declutter_layout(items, SCREEN, max_labels=max_labels,
+                                   allow_drop=allow_drop)
+            assert got == _reference_declutter(items, SCREEN, max_labels,
+                                               allow_drop)
+            assert clutter_metrics(got, SCREEN) \
+                == _reference_metrics(got, SCREEN)
+
+    def test_metrics_of_overlapping_and_offscreen_labels(self):
+        for items in _label_sets():
+            naive = naive_layout(items)
+            assert clutter_metrics(naive, SCREEN) \
+                == _reference_metrics(naive, SCREEN)
+        touching = naive_layout([("a", 30.0, 10.0, 60.0, 20.0, 1.0),
+                                 ("b", 90.0, 10.0, 60.0, 20.0, 1.0)])
+        assert clutter_metrics(touching, SCREEN).overlapping == 0
 
 
 class TestCompositor:

@@ -6,25 +6,43 @@ expired rows) is pinned against a brute-force model: a plain dict of
 disagrees with the model the store lost or reordered a version.
 """
 
-import numpy as np
+import math
+
 import pytest
 
 from repro.store import HotShard, HotStore, key_repr
 from repro.streaming.shuffle import key_group_for, subtask_for_key_group
 from repro.util.clock import SimClock
+from repro.util.errors import StoreError
 from repro.util.rng import make_rng
 
 
-def _model(applied):
-    """Brute force: key -> versions newest-first (ties: later apply wins)."""
+def _order(ts):
+    """NaN is older than every finite timestamp (it orders as -inf)."""
+    return ts if ts == ts else -math.inf
+
+
+def _model(applied, min_ts=None):
+    """Brute force: key -> live versions newest-first (ties: later apply
+    wins), every version of every key sorted from scratch."""
     by_key = {}
     for seq, (kr, ts, value) in enumerate(applied):
-        by_key.setdefault(kr, []).append((ts, seq, value))
+        if min_ts is None or _order(ts) >= min_ts:
+            by_key.setdefault(kr, []).append((_order(ts), seq, ts, value))
     return {
-        kr: [(ts, v) for ts, _s, v in
+        kr: [(ts, v) for _o, _s, ts, v in
              sorted(rows, key=lambda r: (-r[0], -r[1]))]
         for kr, rows in by_key.items()
     }
+
+
+def _canon(versions):
+    """NaN != NaN, so compare timestamps by repr."""
+    return [(repr(ts), value) for ts, value in versions]
+
+
+def _canon_contents(contents):
+    return {kr: _canon(versions) for kr, versions in contents.items()}
 
 
 def _random_rows(rng, n, keys):
@@ -33,21 +51,105 @@ def _random_rows(rng, n, keys):
             for _ in range(n)]
 
 
+_SPECIAL_TS = (math.inf, -math.inf, math.nan)
+
+
+def _adversarial_rows(rng, n, keys):
+    """Event times out of order, equal (a 30-value grid), +-inf and NaN."""
+    rows = []
+    for _ in range(n):
+        if rng.random() < 0.2:
+            ts = _SPECIAL_TS[int(rng.integers(3))]
+        else:
+            ts = float(rng.integers(30)) * 4.0
+        rows.append((key_repr(f"k-{rng.integers(keys)}"), ts,
+                     int(rng.integers(10**6))))
+    return rows
+
+
 class TestHotShard:
     def test_latest_matches_model_across_structures(self):
-        rng = make_rng(7)
-        shard = HotShard(0, memtable_limit=16, tier_fanout=3)
-        applied = []
-        for epoch in range(1, 13):
-            rows = _random_rows(rng, 25, keys=9)
-            shard.apply_epoch(epoch, rows)
-            shard.maintain()
-            applied.extend(rows)
-        model = _model(applied)
-        assert shard.contents() == model
-        for kr in model:
-            for n in (1, 3, 50):
-                assert shard.latest(eval(kr), n) == model[kr][:n]
+        """Seeded property test: whatever the split between memtable and
+        runs, and with TTL on or off, ``latest`` and ``contents`` are
+        the brute-force model's."""
+        for seed in range(24):
+            rng = make_rng(seed)
+            epochs = [_adversarial_rows(rng, int(rng.integers(1, 12)),
+                                        keys=5) for _ in range(12)]
+            ttl_s = 70.0 if seed % 2 else None
+            applied = [row for rows in epochs for row in rows]
+            # the clock ends at 120, so TTL keeps order_ts >= 50
+            model = _model(applied, None if ttl_s is None else 50.0)
+            expected = {kr: _canon(v) for kr, v in model.items()}
+            for limit in (1, 3, 4096):
+                clock = SimClock()
+                shard = HotShard(0, clock=clock, ttl_s=ttl_s,
+                                 memtable_limit=limit, tier_fanout=3)
+                for epoch, rows in enumerate(epochs, 1):
+                    shard.apply_epoch(epoch, rows)
+                    shard.maintain()
+                    clock.advance(10.0)
+                where = f"seed {seed} memtable_limit {limit}"
+                assert _canon_contents(shard.contents()) == expected, where
+                for i in range(5):
+                    versions = expected.get(key_repr(f"k-{i}"), [])
+                    for n in (1, 3, len(applied)):
+                        assert _canon(shard.latest(f"k-{i}", n)) \
+                            == versions[:n], where
+
+    def test_discarded_stage_leaves_no_trace(self):
+        """stage -> discard -> re-stage -> install: no list of a token
+        that is never installed is shared with the live memtable or
+        with another token."""
+        a, b, c = key_repr("a"), key_repr("b"), key_repr("c")
+        first = [(a, 5.0, "a5"), (b, 5.0, "b5")]
+        # a: in order after the resident tail; b: older than it; c: new
+        second = [(a, 9.0, "a9"), (b, 1.0, "b1"), (c, 2.0, "c2"),
+                  (a, 7.0, "a7")]
+        shard = HotShard(0)
+        shard.apply_epoch(1, first)
+        before = shard.contents()
+
+        def wreck(node):
+            if isinstance(node, dict):
+                for child in node.values():
+                    wreck(child)
+            elif isinstance(node, list):
+                node.clear()
+            elif isinstance(node, tuple):
+                for child in node:
+                    wreck(child)
+
+        discarded = shard.stage_epoch(2, second)
+        assert shard.contents() == before
+        staged = shard.stage_epoch(2, second)
+        wreck(discarded)
+        assert shard.contents() == before
+        assert shard.install_epoch(staged) == 4
+        assert shard.contents() == _model(first + second)
+        assert shard.latest("a", 2) == [(9.0, "a9"), (7.0, "a7")]
+        assert shard.latest("b", 1) == [(5.0, "b5")]
+        shard.apply_epoch(3, [(a, 8.0, "a8")])
+        assert shard.contents() == _model(
+            first + second + [(a, 8.0, "a8")])
+
+    def test_stale_stage_is_refused_whole(self):
+        """A token describes the memtable it was staged against; after a
+        flush or another install it is rejected before any mutation."""
+        rows = [(key_repr("a"), 1.0, "x")]
+        shard = HotShard(0)
+        shard.apply_epoch(1, rows)
+        staged = shard.stage_epoch(3, [(key_repr("a"), 2.0, "y")])
+        shard.flush()
+        with pytest.raises(StoreError):
+            shard.install_epoch(staged)
+        staged = shard.stage_epoch(3, [(key_repr("a"), 2.0, "y")])
+        shard.apply_epoch(2, [(key_repr("a"), 3.0, "z")])
+        with pytest.raises(StoreError):
+            shard.install_epoch(staged)
+        assert shard.contents() == _model(
+            rows + [(key_repr("a"), 3.0, "z")])
+        assert shard.last_applied_epoch == 2
 
     def test_epoch_guard_makes_reapply_a_noop(self):
         shard = HotShard(0)
