@@ -15,15 +15,25 @@ shape a deployment has — **Zipf keys, lookups landing on keys whose
 memtable list holds hundreds of versions** — because a lookup whose
 cost grows with a key's version count is invisible on the first.
 
+The write side gets one row as well, **epoch apply**: what
+``StoreSink.on_checkpoint_committed`` costs per row for one 20 000-row
+Zipf epoch and for 1 000 epochs of 20 rows, each handed over once as
+the batch the transactional sink sealed and once as a plain Element
+list (which the store encodes at its boundary).  The columnar hand-off
+exists to make the first cheaper than the second.
+
 Reported: per-phase build throughput, hot-tier structure (runs,
 compactions), lookup p50/p99/max, concurrent analytical ingest rate,
-and the hot-key lookup p50/p99 with the version count behind them.
+the hot-key lookup p50/p99 with the version count behind them, and the
+epoch-apply cost per row for both hand-offs at both epoch sizes.
 The committed gate (``tools/check_store.py``) holds the uniform-key p99
 under ``P99_FLOOR_US`` — ~10x the measured value on the reference
 container, so a structural regression (e.g. lookups degrading to
 full-run scans) trips it and box noise does not — and the hot-key p50
 under ``HOT_KEY_RATIO_CEILING`` times the uniform-key p50 of the same
-run.
+run, and the batch hand-off of an epoch at or under the list hand-off
+of the same epoch, at both sizes (a ratio within one run, no absolute
+floor).
 
 Results merge into ``BENCH_streaming.json`` under the ``"store"`` key.
 """
@@ -37,8 +47,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from repro.store import HotStore, TieredStore, key_repr
+from repro.store import HotStore, StoreSink, TieredStore, key_repr
+from repro.streaming.batch import RecordBatch
 from repro.streaming.element import Element
+from repro.streaming.txn_sink import TransactionalSink
 
 import benchlib
 from tableprint import print_table
@@ -66,6 +78,11 @@ HOT_LOOKUPS = 10_000
 #: run.  A tail read sits under 1x; sorting every memtable version of
 #: the key per lookup sat near 10x.
 HOT_KEY_RATIO_CEILING = 3.0
+
+APPLY_KEYS = 20_000
+#: (label, epochs, rows per epoch): one chunk-sized epoch, many tick-sized
+APPLY_SHAPES = (("big", 1, 20_000), ("small", 1_000, 20))
+APPLY_REPEATS = 3
 
 
 def _build_hot(store: TieredStore, rng) -> dict:
@@ -103,12 +120,13 @@ def _measure(store: TieredStore, rng) -> dict:
     t = 0
     for _ in range(INGEST_BATCHES):
         epoch += 1
-        elements = [Element(value=float(rng.uniform(0, 1)),
-                            timestamp=float(i),
-                            key=f"k-{int(rng.integers(N_KEYS)):07d}")
-                    for i in range(INGEST_ROWS)]
+        # an epoch arrives as the batch the transactional sink sealed
+        batch = RecordBatch.from_elements(
+            [Element(value=float(rng.uniform(0, 1)), timestamp=float(i),
+                     key=f"k-{int(rng.integers(N_KEYS)):07d}")
+             for i in range(INGEST_ROWS)])
         started = time.perf_counter()
-        store.analytical.append_epoch(epoch, elements)
+        store.analytical.append_epoch(epoch, batch)
         # keep the consolidation cost honest: dashboards read back
         store.analytical.count(start=0.0)
         ingest_s += time.perf_counter() - started
@@ -177,6 +195,61 @@ def _measure_hot_keys(rng) -> dict:
     }
 
 
+def _apply_epochs(epochs: list[list[Element]], as_batch: bool) -> float:
+    """Seconds spent inside ``StoreSink.on_checkpoint_committed`` over
+    ``epochs``, committed one by one into a fresh store.  ``as_batch``:
+    the listener is handed the transactional sink that sealed each
+    epoch; otherwise the growing Element list."""
+    feeder = ("bench", 0)
+    txn = TransactionalSink("out", (feeder,))
+    committed: list[Element] = []
+    sink = StoreSink(TieredStore())
+    spent = 0
+    for cid, elements in enumerate(epochs, start=1):
+        if as_batch:
+            txn.deliver(RecordBatch.from_elements(elements), feeder)
+            txn.on_barrier(feeder, cid)
+            txn.commit(cid)
+        else:
+            committed.extend(elements)
+        t0 = time.perf_counter_ns()
+        applied = sink.on_checkpoint_committed(
+            cid, txn if as_batch else committed)
+        spent += time.perf_counter_ns() - t0
+        assert applied == len(elements)
+    return spent / 1e9
+
+
+def _measure_epoch_apply(rng) -> dict:
+    """Per-row cost of the epoch apply for both hand-offs, best of
+    ``APPLY_REPEATS`` each, alternating so drift hits both alike."""
+    out = {}
+    for label, n_epochs, n_rows in APPLY_SHAPES:
+        ts = 0.0
+        epochs = []
+        for _ in range(n_epochs):
+            ranks = np.minimum(rng.zipf(HOT_ZIPF_A, size=n_rows),
+                               APPLY_KEYS).tolist()
+            values = rng.uniform(0, 1, size=n_rows).tolist()
+            rows = []
+            for rank, value in zip(ranks, values):
+                ts += 1.0
+                rows.append(Element(value, ts, f"s-{rank:05d}"))
+            epochs.append(rows)
+        best = {True: float("inf"), False: float("inf")}
+        for _ in range(APPLY_REPEATS):
+            for as_batch in (True, False):
+                best[as_batch] = min(best[as_batch],
+                                     _apply_epochs(epochs, as_batch))
+        total = n_epochs * n_rows
+        batch_us = best[True] / total * 1e6
+        list_us = best[False] / total * 1e6
+        out[f"apply_{label}_batch_us_per_row"] = round(batch_us, 3)
+        out[f"apply_{label}_list_us_per_row"] = round(list_us, 3)
+        out[f"apply_{label}_batch_over_list"] = round(batch_us / list_us, 3)
+    return out
+
+
 def run_experiment() -> dict:
     rng = np.random.default_rng(SEED)
     store = TieredStore(num_shards=NUM_SHARDS,
@@ -188,6 +261,7 @@ def run_experiment() -> dict:
     hot_keys = _measure_hot_keys(rng)
     hot_keys["hot_key_p50_ratio"] = round(
         hot_keys["hot_key_lookup_p50_us"] / measure["lookup_p50_us"], 2)
+    epoch_apply = _measure_epoch_apply(rng)
     hot_stats = store.hot.stats()
     results = {
         "config": {"keys": N_KEYS, "num_shards": NUM_SHARDS,
@@ -197,8 +271,11 @@ def run_experiment() -> dict:
                    "p99_floor_us": P99_FLOOR_US,
                    "hot_keys": HOT_KEYS, "hot_zipf_a": HOT_ZIPF_A,
                    "hot_memtable_limit": HOT_MEMTABLE_LIMIT,
-                   "hot_key_ratio_ceiling": HOT_KEY_RATIO_CEILING},
-        "store": {**build, **measure, **hot_keys,
+                   "hot_key_ratio_ceiling": HOT_KEY_RATIO_CEILING,
+                   "apply_keys": APPLY_KEYS,
+                   "apply_shapes": [list(shape) for shape in APPLY_SHAPES],
+                   "apply_repeats": APPLY_REPEATS},
+        "store": {**build, **measure, **hot_keys, **epoch_apply,
                   "hot_rows": store.hot.rows,
                   "runs": int(sum(s["runs"]
                                   for s in hot_stats["shards"])),
@@ -226,12 +303,19 @@ def report(results: dict) -> None:
           "behind the median lookup)", f"{s['hot_key_lookup_p50_us']} us"],
          ["hot-key lookup p99", f"{s['hot_key_lookup_p99_us']} us"],
          ["hot-key p50 / uniform-key p50", f"{s['hot_key_p50_ratio']}x"],
+         *([f"epoch apply, {epochs:,} x {rows:,} rows: sealed batch / "
+            "Element list",
+            f"{s[f'apply_{label}_batch_us_per_row']} / "
+            f"{s[f'apply_{label}_list_us_per_row']} us/row = "
+            f"{s[f'apply_{label}_batch_over_list']}x"]
+           for label, epochs, rows in APPLY_SHAPES),
          ["columnar ingest rows/s", f"{s['ingest_rows_per_s']:,}"],
          ["analytical rows", f"{s['analytical_rows']:,}"]],
         note=f"gate: tools/check_store.py holds p99 < "
              f"{P99_FLOOR_US:.0f} us with lookups interleaved into "
-             f"live ingest, and hot-key p50 <= {HOT_KEY_RATIO_CEILING}x "
-             "the uniform-key p50")
+             f"live ingest, hot-key p50 <= {HOT_KEY_RATIO_CEILING}x "
+             "the uniform-key p50, and the sealed-batch epoch apply <= "
+             "the Element-list one at both sizes")
 
 
 def main() -> None:

@@ -7,8 +7,10 @@ cannot drift apart:
 
 - each bench owns exactly one *section* key (plus ``{section}_config``);
   merging never clobbers a sibling bench's section;
-- whichever bench ran last stamps ``platform`` and ``git_sha`` — both
-  record the same interpreter/numpy/CPU and commit;
+- a merge stamps ``{section}_stamp`` (``git_sha`` + ``platform``) for
+  its own section only, so re-running one bench never relabels the
+  numbers of another; the top-level ``git_sha`` / ``platform`` describe
+  the sections :func:`write_full` wrote;
 - ``bench_parser`` standardizes the ``--out`` / ``--events`` flags.
 
 ``bench_p1_throughput.py`` predates the merge discipline and owns the
@@ -54,14 +56,15 @@ def merge_section(out: Path, section: str, results: dict) -> dict:
 
     ``results`` must carry the bench's own data under ``results[section]``
     and its knobs under ``results["config"]``.  Only this bench's keys
-    are replaced; the P1 sections (and every sibling's) survive.
+    (data, config, provenance stamp) are replaced; the P1 sections (and
+    every sibling's) survive, labels included.
     """
     merged = load_baseline(out)
     merged[section] = results[section]
     merged.setdefault("config", {})
     merged[f"{section}_config"] = results.get("config", {})
-    merged["platform"] = platform_stamp()
-    merged["git_sha"] = git_sha()
+    merged[f"{section}_stamp"] = {"git_sha": git_sha(),
+                                  "platform": platform_stamp()}
     out.write_text(json.dumps(merged, indent=2) + "\n")
     print(f"\nresults merged into {out}")
     return merged

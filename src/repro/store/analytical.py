@@ -14,9 +14,13 @@ Values may be opaque objects (app payloads are usually dicts); a
 objects stay available for callable-keyed regrouping (``by=``).
 
 Appends go **only** through :meth:`append_epoch`, guarded by
-``last_applied_epoch`` exactly like the hot shards: staging builds the
-arrays, the install appends one segment and flips the epoch — so a
-crash-and-replay of the commit stream never double-appends a row.
+``last_applied_epoch`` exactly like the hot shards: staging takes the
+epoch's batch column by column (timestamps as they are, the metric
+column, key codes through one remap array) and resolves new keys
+against a *staged extension* of the key table; the install extends the
+table, appends one segment and flips the epoch — so a discarded stage
+leaves no trace and a crash-and-replay of the commit stream never
+double-appends a row.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
+from ..streaming.batch import RecordBatch, as_batch
 from ..streaming.element import Element
 from ..util.errors import StoreError
 
@@ -57,42 +62,61 @@ class AnalyticalStore:
 
     # -- epoch append (the only mutation path) -------------------------------
 
-    def _code_for(self, key: Any) -> int:
-        code = self._key_index.get(key)
-        if code is None:
-            code = len(self._key_dict)
-            self._key_index[key] = code
-            self._key_dict.append(key)
-        return code
-
-    def stage_epoch(self, epoch: int, elements: Iterable[Element]
-                    ) -> dict[str, Any] | None:
-        """Encode one epoch's elements into columns, off to the side.
-        Returns ``None`` when the epoch is already applied."""
+    def stage_epoch(self, epoch: int,
+                    rows: RecordBatch | Iterable[Element],
+                    raw: list | None = None) -> dict[str, Any] | None:
+        """Take one epoch's rows (a batch, or Elements encoded here) as
+        columns, off to the side: nothing of the store changes, whether
+        the token is installed, dropped, or ``metric_fn`` raises half
+        way.  ``raw`` is the batch's decoded value list when the caller
+        already has it.  Returns ``None`` when the epoch is already
+        applied."""
         if epoch <= self.last_applied_epoch:
             return None
-        ts: list[float] = []
-        metric: list[float] = []
-        codes: list[int] = []
-        raw: list[Any] = []
-        fn = self.metric_fn
-        for e in elements:
-            ts.append(e.timestamp)
-            metric.append(fn(e.value))
-            codes.append(self._code_for(e.key))
-            raw.append(e.value)
-        return {"epoch": epoch,
-                "ts": np.asarray(ts, dtype=np.float64),
-                "metric": np.asarray(metric, dtype=np.float64),
-                "codes": np.asarray(codes, dtype=np.int64),
-                "raw": raw}
+        batch = as_batch(rows)
+        if raw is None:
+            raw = batch.values_list()
+        values = batch.values
+        if self.metric_fn is _default_metric \
+                and isinstance(values, np.ndarray) \
+                and values.dtype == np.float64:
+            metric = values
+        else:
+            metric = np.asarray(list(map(self.metric_fn, raw)),
+                                dtype=np.float64)
+        # Codes of the batch's own dictionary -> store-wide codes; keys
+        # the table lacks get the codes an install will give them.
+        codes, keys = batch.key_column()
+        base = len(self._key_dict)
+        remap = list(map(self._key_index.get, keys))
+        new_keys: dict[Any, int] = {}
+        if None in remap:
+            for i, code in enumerate(remap):
+                if code is None:
+                    remap[i] = new_keys.setdefault(keys[i],
+                                                   base + len(new_keys))
+        remap = np.asarray(remap, dtype=np.int64)
+        return {"epoch": epoch, "ts": batch.timestamps, "metric": metric,
+                "codes": remap[codes], "raw": raw,
+                "key_base": base, "new_keys": list(new_keys)}
 
     def install_epoch(self, staged: dict[str, Any] | None) -> int:
+        """Install a staged epoch: key-table extension, one segment,
+        the epoch flip.  A token staged against another key table (an
+        epoch that brought new keys was installed since) is refused
+        before anything changes."""
         if staged is None:
             return 0
         epoch = staged["epoch"]
         if epoch <= self.last_applied_epoch:
             return 0
+        if staged["key_base"] != len(self._key_dict):
+            raise StoreError(
+                f"staged epoch {epoch} is stale: the analytical key "
+                "table grew since it was staged")
+        for key in staged["new_keys"]:
+            self._key_index[key] = len(self._key_dict)
+            self._key_dict.append(key)
         self._segments.append(staged)
         self._consolidated = None
         self.rows += len(staged["ts"])
@@ -100,8 +124,9 @@ class AnalyticalStore:
         self.appends += 1
         return len(staged["ts"])
 
-    def append_epoch(self, epoch: int, elements: Iterable[Element]) -> int:
-        return self.install_epoch(self.stage_epoch(epoch, elements))
+    def append_epoch(self, epoch: int,
+                     rows: RecordBatch | Iterable[Element]) -> int:
+        return self.install_epoch(self.stage_epoch(epoch, rows))
 
     # -- consolidated columns ------------------------------------------------
 

@@ -4,8 +4,9 @@ The serving store never sees in-flight data.  A :class:`StoreSink`
 registers as a checkpoint-coordinator commit listener (the same seam
 :class:`~repro.streaming.txn_sink.TransactionalLogSink` uses): on every
 finalized checkpoint it receives the sink's *committed* output, takes
-the delta past what it already applied, **stages** it (shard routing,
-key encoding, column building — all the failure-prone work) and then
+the delta past what it already applied — as the batch the sink sealed,
+not as decoded Elements — **stages** it (shard routing, key encoding,
+column building — all the failure-prone work) and then
 **applies** it: every affected hot shard and the analytical store
 install the epoch atomically and record ``last_applied_epoch``.
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from ..streaming.batch import RecordBatch
 from ..streaming.element import Element
 from ..util.errors import StoreError
 from .tiered import TieredStore
@@ -70,7 +72,7 @@ class StoreSink:
         return self
 
     def _on_commit(self, checkpoint_id: int, sink_name: str,
-                   committed: list[Element]) -> None:
+                   committed: Any) -> None:
         if self.sink_name is not None and sink_name != self.sink_name:
             return
         self.on_checkpoint_committed(checkpoint_id, committed)
@@ -78,9 +80,11 @@ class StoreSink:
     # -- the epoch-apply protocol --------------------------------------------
 
     def on_checkpoint_committed(self, checkpoint_id: int,
-                                committed: list[Element]) -> int:
-        """Stage and apply the newly committed delta.  Returns rows
-        applied (0 when replaying an already-applied commit)."""
+                                committed: Any) -> int:
+        """Stage and apply the newly committed delta of ``committed`` —
+        the transactional sink (the delta comes as a batch) or a plain
+        Element list.  Returns rows applied (0 when replaying an
+        already-applied commit)."""
         if len(committed) < self._applied_rows:
             # Committed output is a prefix-growing projection; shrinking
             # below what we applied means the caller handed us a
@@ -89,17 +93,19 @@ class StoreSink:
                 f"committed output ({len(committed)} rows) rewound below "
                 f"applied rows ({self._applied_rows}) — StoreSink must "
                 "follow a single transactional sink")
-        delta = committed[self._applied_rows:]
+        delta = (committed[self._applied_rows:]
+                 if isinstance(committed, list)
+                 else committed.rows_from(self._applied_rows))
         staged = self.stage(checkpoint_id, delta)
         return self.apply(checkpoint_id, staged)
 
-    def stage(self, epoch: int, elements: list[Element]) -> dict[str, Any]:
+    def stage(self, epoch: int,
+              rows: RecordBatch | list[Element]) -> dict[str, Any]:
         """Phase 1: build per-shard rows and analytical columns off to
         the side.  Crash here and nothing happened."""
         if self.injector is not None:
             self.injector.before_store_phase("stage")
-        return self.store.stage_epoch(epoch, elements) | {
-            "rows": len(elements)}
+        return self.store.stage_epoch(epoch, rows) | {"rows": len(rows)}
 
     def apply(self, epoch: int, staged: dict[str, Any]) -> int:
         """Phase 2: install the staged epoch (atomic per shard, guarded

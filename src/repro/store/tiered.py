@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from ..streaming.batch import RecordBatch, as_batch
 from ..streaming.element import Element
 from ..streaming.shuffle import DEFAULT_KEY_GROUPS
 from ..util.clock import SimClock
@@ -45,21 +46,43 @@ class TieredStore:
     # -- epoch protocol (driven by StoreSink) --------------------------------
 
     def stage_epoch(self, epoch: int,
-                    elements: list[Element]) -> dict[str, Any]:
-        """Route one committed epoch: per-shard hot rows + one
-        analytical segment, staged but not installed."""
-        per_shard: dict[int, list[tuple[str, float, Any]]] = {}
+                    rows: RecordBatch | list[Element]) -> dict[str, Any]:
+        """Route one committed epoch — the batch the sink sealed, or
+        Elements, encoded here once: per-shard hot rows + one analytical
+        segment, staged but not installed."""
+        batch = as_batch(rows)
+        # decoded once: the hot rows and the analytical raw column hold
+        # the same value objects
+        values = batch.values_list()
         hot = self.hot
-        for e in elements:
-            shard = hot.shard_for(e.key)
-            per_shard.setdefault(shard.shard_id, []).append(
-                (key_repr(e.key), e.timestamp, e.value))
         return {
             "epoch": epoch,
-            "shards": {sid: hot.shards[sid].stage_epoch(epoch, rows)
-                       for sid, rows in per_shard.items()},
-            "analytical": self.analytical.stage_epoch(epoch, elements),
+            "shards": {sid: hot.shards[sid].stage_epoch(epoch, shard_rows)
+                       for sid, shard_rows
+                       in self._route(batch, values).items()},
+            "analytical": self.analytical.stage_epoch(epoch, batch,
+                                                      raw=values),
         }
+
+    def _route(self, batch: RecordBatch, values: list
+               ) -> dict[int, list[tuple[str, float, Any]]]:
+        """Hot rows ``(key_repr, timestamp, value)`` per shard, each in
+        commit order.  Shard and row key are resolved once per distinct
+        key of the batch, not once per row."""
+        if not len(batch):
+            return {}
+        codes, keys = batch.key_column()
+        codes_l = codes.tolist()
+        shard_for = self.hot.shard_for
+        per_shard: dict[int, list] = {}
+        dest = [per_shard.setdefault(shard_for(k).shard_id, [])
+                for k in keys]
+        row_keys = [key_repr(k) for k in keys]
+        rows = zip([row_keys[c] for c in codes_l],
+                   batch.timestamps.tolist(), values)
+        for c, row in zip(codes_l, rows):
+            dest[c].append(row)
+        return {sid: rows for sid, rows in per_shard.items() if rows}
 
     def install_epoch(self, staged: dict[str, Any]) -> int:
         """Install a staged epoch into every affected shard and the
@@ -70,8 +93,9 @@ class TieredStore:
         self.analytical.install_epoch(staged["analytical"])
         return installed
 
-    def apply_epoch(self, epoch: int, elements: list[Element]) -> int:
-        return self.install_epoch(self.stage_epoch(epoch, elements))
+    def apply_epoch(self, epoch: int,
+                    rows: RecordBatch | list[Element]) -> int:
+        return self.install_epoch(self.stage_epoch(epoch, rows))
 
     # -- maintenance ---------------------------------------------------------
 

@@ -637,15 +637,14 @@ class ScalingSupervisor(Supervisor):
         zero — results cannot be early, only late)."""
         now = self.clock.now
         for name, sink in self.executor.sinks.items():
-            committed = sink.values
+            committed = len(sink)
             seen = self._committed_seen.get(name, 0)
-            if len(committed) < seen:  # restore truncated visibility
-                self._committed_seen[name] = len(committed)
-                continue
-            for element in sink.committed[seen:]:
-                self.report.latencies.append(
-                    max(0.0, now - element.timestamp))
-            self._committed_seen[name] = len(committed)
+            if committed > seen:
+                self.report.latencies.extend(
+                    max(0.0, now - ts)
+                    for ts in sink.rows_from(seen).timestamps.tolist())
+            # (a restore may also have truncated visibility below seen)
+            self._committed_seen[name] = committed
 
     def _shed_control(self) -> None:
         """The latency-SLO shed tier: activate deterministic shedding
@@ -696,7 +695,7 @@ class ScalingSupervisor(Supervisor):
         # output; re-sync the latency cursor so nothing double-counts
         for name, sink in self.executor.sinks.items():
             self._committed_seen[name] = min(
-                self._committed_seen.get(name, 0), len(sink.values))
+                self._committed_seen.get(name, 0), len(sink))
         return RescaleEvent(
             eval_index=self.autoscaler._eval_index,
             savepoint_id=savepoint.checkpoint_id,

@@ -440,8 +440,11 @@ class CheckpointCoordinator:
         self.metrics = metrics
         self.monitor = HeartbeatMonitor(self.clock,
                                         timeout_s=heartbeat_timeout_s)
-        #: commit listeners: f(checkpoint_id, sink_name, committed_elements)
-        self.listeners: list[Callable[[int, str, list], Any]] = []
+        #: commit listeners: f(checkpoint_id, sink_name, sink) — the
+        #: committed sink itself: ``len(sink)`` rows, ``rows_from(n)``
+        #: the rows past ``n`` as one undecoded batch, ``elements`` the
+        #: decoded list
+        self.listeners: list[Callable[[int, str, Any], Any]] = []
         self._pending: _Pending | None = None
         self._cycles_since_trigger = 0
         self.finalized = 0
@@ -662,7 +665,7 @@ class CheckpointCoordinator:
         for name, sink in executor.sinks.items():
             sink.commit(cid)
             for listener in self.listeners:
-                listener(cid, name, sink.committed)
+                listener(cid, name, sink)
         duration = self.clock.now - pending.started_at
         if self.metrics is not None:
             self.metrics.counter("coordinator.finalized").inc()

@@ -332,7 +332,9 @@ class ParallelCheckpoint:
     source_positions: dict[str, dict[int, int]]  # source -> split -> pos
     keyed_state: dict[str, dict[int, Any]]  # op -> key group -> blob
     scalar_state: dict[str, list[Any]]  # op -> per-subtask snapshot
-    sink_elements: dict[str, list[Element]]
+    #: sink -> its rows: a 2PC sink's sealed batches (one per epoch, no
+    #: row copied), a plain buffer's Elements; either restores into both
+    sink_elements: dict[str, list]
     #: transient routing state (channel watermarks, aligned watermarks,
     #: round-robin cursors); applied on restore only when the plan shape
     #: matches (same parallelism everywhere), dropped on a rescale.
@@ -1276,7 +1278,8 @@ class ParallelExecutor:
                 delivered = elements_of(items)
                 sink.elements.extend(delivered)
                 if delivered:
-                    self._note_sink_delivery(edge.down, delivered)
+                    self._note_sink_delivery(
+                        edge.down, max(e.timestamp for e in delivered))
                     if self.metrics is not None:
                         self.metrics.counter(
                             "sink.delivered",
@@ -1380,35 +1383,47 @@ class ParallelExecutor:
         the open transaction, barriers advance the sink's alignment and
         — once all feeders delivered — pre-commit (phase 1, acked to
         the coordinator)."""
-        batch: list[Element] = []
+        run: list[Element] = []
         delivered = 0
+        frontier = float("-inf")
         for item in items:
-            if isinstance(item, CheckpointBarrier):
-                if batch:
-                    sink.deliver(batch, feeder)
-                    self._note_sink_delivery(sink_name, batch)
-                    delivered += len(batch)
-                    batch = []
+            if type(item) is RecordBatch:
+                # Rows stay columns: the sink seals them at pre-commit.
+                if not len(item):
+                    continue
+                if run:
+                    sink.deliver(run, feeder)
+                    run = []
+                if item.wm_offsets is not None:
+                    item = item.with_punctuation(None, None)
+                sink.deliver(item, feeder)
+                delivered += len(item)
+                # fmax: like the per-item max, a NaN never wins
+                frontier = max(frontier,
+                               float(np.fmax.reduce(item.timestamps)))
+            elif isinstance(item, Element):
+                run.append(item)
+                delivered += 1
+                frontier = max(frontier, item.timestamp)
+            elif isinstance(item, CheckpointBarrier):
+                if run:
+                    sink.deliver(run, feeder)
+                    run = []
                 cid = sink.on_barrier(feeder, item.checkpoint_id)
                 if cid is not None and self._coordinator is not None:
                     self._coordinator.on_sink_ack(cid, sink_name)
-            elif type(item) is RecordBatch:
-                item.extend_elements(batch)
-            elif isinstance(item, Element):
-                batch.append(item)
-        if batch:
-            sink.deliver(batch, feeder)
-            self._note_sink_delivery(sink_name, batch)
-            delivered += len(batch)
-        if self.metrics is not None and delivered:
-            self.metrics.counter("sink.delivered",
-                                 sink=sink_name).inc(delivered)
+        if run:
+            sink.deliver(run, feeder)
+        if delivered:
+            self._note_sink_delivery(sink_name, frontier)
+            if self.metrics is not None:
+                self.metrics.counter("sink.delivered",
+                                     sink=sink_name).inc(delivered)
 
-    def _note_sink_delivery(self, sink_name: str,
-                            elements: list[Element]) -> None:
+    def _note_sink_delivery(self, sink_name: str, ts: float) -> None:
         """Advance a sink's event-time frontier (feeds the live
-        ``sink.watermark_lag_s`` gauge)."""
-        ts = max(e.timestamp for e in elements)
+        ``sink.watermark_lag_s`` gauge) to the newest delivered
+        timestamp."""
         last = self._sink_frontier.get(sink_name)
         if last is None or ts > last:
             self._sink_frontier[sink_name] = ts
@@ -1943,8 +1958,10 @@ class ParallelExecutor:
             source_positions=source_positions,
             keyed_state=keyed_state,
             scalar_state=scalar_state,
-            sink_elements={s: list(buf.elements)
-                           for s, buf in self.sinks.items()},
+            sink_elements={
+                s: list(buf.batches if self.transactional_sinks
+                        else buf.elements)
+                for s, buf in self.sinks.items()},
             routing_state={
                 "channel_wm": {k: dict(v)
                                for k, v in self._channel_wm.items()},
@@ -2026,11 +2043,7 @@ class ParallelExecutor:
                         clone.restore_rescaled(
                             list(checkpoint.scalar_state[m]))
         for name, buf in self.sinks.items():
-            elements = list(checkpoint.sink_elements.get(name, ()))
-            if hasattr(buf, "restore_elements"):
-                buf.restore_elements(elements)  # 2PC: truncate open txns
-            else:
-                buf.elements[:] = elements
+            self._restore_sink(buf, checkpoint.sink_elements.get(name, ()))
         for chans in self._channels.values():
             for sender in chans:
                 chans[sender].clear()
@@ -2083,6 +2096,14 @@ class ParallelExecutor:
                                      checkpoint_id=checkpoint.checkpoint_id)
         return {"replayed_elements": replayed,
                 "restored_nodes": len(self.graph.topo)}
+
+    def _restore_sink(self, buf: Any, rows: Sequence[Any]) -> None:
+        """A snapshot's sink rows — sealed batches from a 2PC sink,
+        Elements from a plain buffer — into either kind of sink."""
+        if self.transactional_sinks:
+            buf.restore_elements(rows)  # 2PC: truncate open txns
+        else:
+            buf.elements[:] = elements_of(rows)
 
     def restore_region(self, checkpoint: ParallelCheckpoint,
                        region: set[str]) -> dict[str, int]:
@@ -2142,11 +2163,7 @@ class ParallelExecutor:
         for name, buf in self.sinks.items():
             if name not in region:
                 continue
-            elements = list(checkpoint.sink_elements.get(name, ()))
-            if hasattr(buf, "restore_elements"):
-                buf.restore_elements(elements)
-            else:
-                buf.elements[:] = elements
+            self._restore_sink(buf, checkpoint.sink_elements.get(name, ()))
         routing = checkpoint.routing_state
         channel_wm = routing.get("channel_wm", {}) if routing else {}
         aligned_wm = routing.get("aligned_wm", {}) if routing else {}

@@ -7,8 +7,10 @@ turning every sink into a 2PC participant:
 - elements delivered between barriers accumulate in an **open
   transaction** (invisible);
 - when barrier *n* has arrived from **every** feeder subtask the open
-  transaction **pre-commits** — it is sealed against checkpoint *n* and
-  the sink acks the coordinator (phase 1);
+  transaction **pre-commits** — it is sealed against checkpoint *n* as
+  one :class:`~repro.streaming.batch.RecordBatch` in canonical form
+  (:meth:`~repro.streaming.batch.RecordBatch.sealed`) and the sink acks
+  the coordinator (phase 1);
 - when the coordinator finalizes checkpoint *n* the sealed transaction
   **commits** and its elements become visible (phase 2);
 - on recovery, uncommitted transactions are truncated and the visible
@@ -31,6 +33,7 @@ from typing import Any, Hashable
 from ..eventlog.broker import LogCluster
 from ..eventlog.producer import Producer
 from ..util.errors import CheckpointError
+from .batch import RecordBatch, batches_of, items_weight
 from .element import Element
 
 __all__ = ["TransactionalSink", "TransactionalLogSink"]
@@ -44,6 +47,12 @@ class TransactionalSink:
     Deliveries from feeders that already passed the barrier while others
     lag are staged into the *next* transaction, preserving arrival order
     within each epoch.
+
+    Rows stay columns from delivery to the store: the open transaction
+    is a list of delivered batches and loose Elements, a pre-committed
+    one is a single sealed batch, and the committed output is one sealed
+    batch per non-empty epoch (``batches``).  ``committed`` /
+    ``elements`` / ``values`` decode them on demand.
     """
 
     def __init__(self, name: str, feeders: tuple[Hashable, ...]) -> None:
@@ -51,13 +60,18 @@ class TransactionalSink:
             raise CheckpointError(f"sink {name!r} has no feeders")
         self.name = name
         self.feeders = tuple(feeders)
-        self.committed: list[Element] = []
-        self._staged: list[Element] = []
-        self._staged_next: list[Element] = []
+        #: committed (visible) output, one sealed batch per epoch
+        self.batches: list[RecordBatch] = []
+        self._rows = 0
+        #: decoded prefix of ``batches`` (how many, and their rows)
+        self._decoded = 0
+        self._elements: list[Element] = []
+        self._staged: list[Any] = []
+        self._staged_next: list[Any] = []
         self._barriered: set[Hashable] = set()
         self._barrier_id: int | None = None
-        #: pre-committed transactions awaiting coordinator finalize
-        self.pending: dict[int, list[Element]] = {}
+        #: pre-committed (sealed) transactions awaiting finalize
+        self.pending: dict[int, RecordBatch] = {}
         self.last_committed_id = -1
         self.pre_commits = 0
         self.commits = 0
@@ -66,32 +80,59 @@ class TransactionalSink:
     # -- SinkBuffer-compatible surface --------------------------------------
 
     @property
-    def elements(self) -> list[Element]:
-        """The committed (visible) output."""
-        return self.committed
+    def committed(self) -> list[Element]:
+        """The committed (visible) output, decoded past what an earlier
+        call already decoded."""
+        if self._decoded < len(self.batches):
+            for rb in self.batches[self._decoded:]:
+                self._elements.extend(rb.to_elements())
+            self._decoded = len(self.batches)
+        return self._elements
+
+    elements = committed
 
     @property
     def values(self) -> list[Any]:
-        return [e.value for e in self.committed]
+        return [v for rb in self.batches for v in rb.values_list()]
 
     def __len__(self) -> int:
-        return len(self.committed)
+        return self._rows
+
+    def rows_from(self, start: int) -> RecordBatch:
+        """Committed rows ``[start:]`` as one batch, undecoded — the
+        delta a commit listener has not applied yet."""
+        tail: list[RecordBatch] = []
+        need = self._rows - start
+        for rb in reversed(self.batches):
+            if need <= 0:
+                break
+            n = len(rb)
+            tail.append(rb if n <= need else rb.slice(n - need, n))
+            need -= n
+        if len(tail) == 1:
+            return tail[0]
+        return RecordBatch.sealed(tail[::-1])
 
     @property
     def uncommitted(self) -> int:
         """Elements staged or pre-committed but not yet visible."""
-        return (len(self._staged) + len(self._staged_next)
-                + sum(len(v) for v in self.pending.values()))
+        return (items_weight(self._staged) + items_weight(self._staged_next)
+                + sum(len(rb) for rb in self.pending.values()))
 
     # -- data plane ----------------------------------------------------------
 
-    def deliver(self, items: list[Element], feeder: Hashable) -> None:
-        """Stage delivered elements into the open transaction (or the
-        next one, if this feeder already passed the pending barrier)."""
-        if self._barrier_id is not None and feeder in self._barriered:
-            self._staged_next.extend(items)
+    def deliver(self, rows: RecordBatch | list[Element],
+                feeder: Hashable) -> None:
+        """Stage delivered rows — an unpunctuated batch or a run of
+        Elements — into the open transaction (or the next one, if this
+        feeder already passed the pending barrier)."""
+        txn = (self._staged_next
+               if self._barrier_id is not None and feeder in self._barriered
+               else self._staged)
+        if type(rows) is RecordBatch:
+            txn.append(rows)
         else:
-            self._staged.extend(items)
+            txn.extend(rows)
 
     def on_barrier(self, feeder: Hashable, checkpoint_id: int) -> int | None:
         """Barrier from one feeder.  Returns the checkpoint id when this
@@ -117,8 +158,11 @@ class TransactionalSink:
         if len(self._barriered) < len(self.feeders):
             return None
         # Phase 1: seal the open transaction against this checkpoint.
+        # Sealing gives the batch a dictionary of its own (a delivered
+        # slice shares its source's, which later batches append to) and
+        # the one form every execution mode arrives at.
         cid = self._barrier_id
-        self.pending[cid] = self._staged
+        self.pending[cid] = RecordBatch.sealed(self._staged)
         self._staged = self._staged_next
         self._staged_next = []
         self._barrier_id = None
@@ -128,15 +172,17 @@ class TransactionalSink:
 
     # -- 2PC phase 2 / abort -------------------------------------------------
 
-    def projected_committed(self, checkpoint_id: int) -> list[Element]:
-        """What ``committed`` will be once ``checkpoint_id`` commits —
+    def projected_committed(self, checkpoint_id: int) -> list[RecordBatch]:
+        """What ``batches`` will be once ``checkpoint_id`` commits —
         recorded in the checkpoint before phase 2 runs, so recovery is
-        correct whether or not the commit itself happened."""
-        if checkpoint_id not in self.pending:
+        correct whether or not the commit itself happened.  O(epochs):
+        no row is copied."""
+        txn = self.pending.get(checkpoint_id)
+        if txn is None:
             raise CheckpointError(
                 f"sink {self.name!r} has no pre-committed transaction "
                 f"for checkpoint {checkpoint_id}")
-        return self.committed + self.pending[checkpoint_id]
+        return self.batches + [txn] if len(txn) else list(self.batches)
 
     def commit(self, checkpoint_id: int) -> int:
         """Phase 2: make the sealed transaction visible."""
@@ -145,7 +191,9 @@ class TransactionalSink:
             raise CheckpointError(
                 f"sink {self.name!r}: commit for unknown checkpoint "
                 f"{checkpoint_id}")
-        self.committed.extend(txn)
+        if len(txn):
+            self.batches.append(txn)
+            self._rows += len(txn)
         self.last_committed_id = max(self.last_committed_id, checkpoint_id)
         self.commits += 1
         return len(txn)
@@ -157,14 +205,18 @@ class TransactionalSink:
         elements simply commit with the next successful checkpoint."""
         txn = self.pending.pop(checkpoint_id, None)
         if txn is not None:
-            self._staged = txn + self._staged
+            self._staged.insert(0, txn)
             self.aborts += 1
 
-    def restore_elements(self, elements: list[Element]) -> None:
+    def restore_elements(self, rows: list) -> None:
         """Recovery: visible output becomes exactly the checkpoint's
-        record; every in-flight transaction is truncated (replay will
-        regenerate it)."""
-        self.committed[:] = list(elements)
+        record — sealed batches as they are, Elements (a snapshot of a
+        plain sink buffer) encoded; every in-flight transaction is
+        truncated (replay will regenerate it)."""
+        self.batches = batches_of(rows)
+        self._rows = sum(len(rb) for rb in self.batches)
+        self._decoded = 0
+        self._elements = []
         self._staged = []
         self._staged_next = []
         self._barriered = set()
@@ -211,11 +263,15 @@ class TransactionalLogSink:
         return epoch
 
     def on_checkpoint_committed(self, checkpoint_id: int,
-                                committed: list[Element]) -> int:
-        """Append the delta of newly committed elements; returns how
-        many records were appended (0 when replaying an already-applied
-        commit)."""
-        delta = committed[self.committed_appends:]
+                                committed: Any) -> int:
+        """Append the delta of newly committed elements — ``committed``
+        is the sink (only the delta is decoded) or a plain Element list;
+        returns how many records were appended (0 when replaying an
+        already-applied commit)."""
+        delta = (committed[self.committed_appends:]
+                 if isinstance(committed, list)
+                 else committed.rows_from(
+                     self.committed_appends).to_elements())
         if not delta:
             return 0
         self.producer.begin_transaction()

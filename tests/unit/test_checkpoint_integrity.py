@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.streaming.batch import RecordBatch
 from repro.streaming.coordinator import (
     ABORTED,
     FINALIZED,
@@ -18,11 +19,13 @@ from repro.streaming.coordinator import (
     CheckpointManifest,
     CheckpointStore,
 )
+from repro.streaming.element import Element
 from repro.streaming.execution import ParallelCheckpoint
+from repro.streaming.txn_sink import TransactionalSink
 from repro.util.errors import CheckpointError, CheckpointIntegrityError
 
 
-def ckpt(cid, marker="state"):
+def ckpt(cid, marker="state", rows=()):
     return ParallelCheckpoint(
         checkpoint_id=cid,
         num_key_groups=8,
@@ -31,7 +34,7 @@ def ckpt(cid, marker="state"):
         source_positions={"events": {0: cid * 10}},
         keyed_state={"double": {0: {"marker": marker}}},
         scalar_state={"double": [None, None]},
-        sink_elements={"out": []},
+        sink_elements={"out": list(rows)},
     )
 
 
@@ -203,3 +206,97 @@ def test_recovery_debris_never_a_restore_target():
     # A rebuilt coordinator must not reuse ids the dead one claimed,
     # even ids that only ever reached pending/aborted.
     assert store.next_checkpoint_id() == 4
+
+
+# -- sink rows as columns ------------------------------------------------------
+#
+# A checkpoint's sink payload is the sealed batches of the 2PC sink.
+# The digest must cover every byte of them, be recomputed from those
+# bytes at verify(), and stay valid whatever the source does later.
+
+
+def _source(n=400):
+    """A source-wide dictionary and one batch encoded under it."""
+    index, table = {}, []
+    batch = RecordBatch.from_elements(
+        [Element(float(i), float(i), f"k{i}") for i in range(n)],
+        index, table)
+    return batch, index, table
+
+
+def _grow(index, table):
+    RecordBatch.from_elements([Element(0.0, 0.0, "later")], index, table)
+
+
+def _sealed_epochs(source):
+    """Two epochs of a 2PC sink fed slices of the shared source batch."""
+    feeder = ("src", 0)
+    sink = TransactionalSink("out", (feeder,))
+    projections = []
+    for cid, (lo, hi) in enumerate(((10, 14), (200, 203)), start=1):
+        sink.deliver(source.slice(lo, hi), feeder)
+        sink.on_barrier(feeder, cid)
+        projections.append(sink.projected_committed(cid))
+        sink.commit(cid)
+    return projections
+
+
+def test_sealed_rows_verify_after_source_dictionary_grows():
+    source, index, table = _source()
+    store = CheckpointStore(keep=2)
+    for cid, rows in enumerate(_sealed_epochs(source), start=1):
+        finalize(store, cid, rows=rows)
+    _grow(index, table)
+    assert store.verify(1) and store.verify(2)
+    assert store.latest().checkpoint_id == 2
+    assert store.integrity_failures == 0
+
+
+def test_unsealed_slice_would_not_survive_dictionary_growth():
+    # Why the sink seals: a delivered slice shares the source-wide
+    # dictionary, and the digest of a checkpoint holding it changes the
+    # moment the source appends a key.
+    source, index, table = _source()
+    store = CheckpointStore(keep=2)
+    finalize(store, 1, rows=[source.slice(10, 14)])
+    assert store.verify(1)
+    _grow(index, table)
+    assert not store.verify(1)
+
+
+@pytest.mark.parametrize("column", ["timestamps", "values", "key_codes"])
+def test_flipped_column_value_detected(column):
+    source, _, _ = _source()
+    first, second = _sealed_epochs(source)
+    store = CheckpointStore(keep=2)
+    finalize(store, 1, rows=first)
+    finalize(store, 2, rows=second)
+    assert store.verify(2)
+    # One value of one retained column rots in place; nothing else
+    # about the snapshot object changes.
+    getattr(store.snapshot(2).sink_elements["out"][-1], column)[0] += 1
+    assert not store.verify(2)
+    assert store.verify(1)
+    restored = store.latest()
+    assert restored.checkpoint_id == 1
+    assert store.quarantined == {2} and store.integrity_failures == 1
+    assert store.latest().checkpoint_id == 1  # counted once
+    assert store.integrity_failures == 1
+    with pytest.raises(CheckpointIntegrityError):
+        store.require(2)
+    assert store.integrity_failures == 1
+
+
+def test_corrupt_payload_detected_with_columns():
+    source, _, _ = _source()
+    first, second = _sealed_epochs(source)
+    store = CheckpointStore(keep=2)
+    finalize(store, 1, rows=first)
+    finalize(store, 2, rows=second)
+    store.corrupt(2, mode="payload")
+    assert store.latest().checkpoint_id == 1
+    assert store.quarantined == {2} and store.integrity_failures == 1
+    # the fallback restores the first epoch's rows, nothing of the second
+    rows = store.latest().sink_elements["out"]
+    assert [e.key for rb in rows for e in rb.to_elements()] \
+        == ["k10", "k11", "k12", "k13"]

@@ -136,6 +136,70 @@ class TestEpochProtocol:
         store.install_epoch(staged)
         assert store.rows == 8 and store.last_applied_epoch == 1
 
+    def test_discarded_stage_leaves_no_keys_behind(self):
+        # Staging resolves new keys against an extension of the key
+        # table that only an install appends: a token that is dropped,
+        # or a metric_fn that raises half way, changes nothing.
+        store = AnalyticalStore(metric_fn=lambda v: v["m"])
+        store.append_epoch(1, _elements(make_rng(3), 6, keys=2))
+        stats = store.stats()
+        key_dict = list(store.columns()["key_dict"])
+        fresh = [Element({"m": 1.0}, 1.0, "brand-new"),
+                 Element({"m": 2.0}, 2.0, "k-0"),
+                 Element({"m": 3.0}, 3.0, "another")]
+        staged = store.stage_epoch(2, fresh)
+        assert staged["new_keys"] == ["brand-new", "another"]
+        del staged  # discarded
+        with pytest.raises(KeyError):
+            store.stage_epoch(2, fresh[:2] + [Element({}, 4.0, "third")])
+        assert store.stats() == stats
+        assert store.columns()["key_dict"] == key_dict
+        assert store.count(keys=["brand-new"]) == 0
+        # ... and the same rows staged again install cleanly
+        assert store.append_epoch(2, fresh) == 3
+        assert store.columns()["key_dict"] == key_dict + ["brand-new",
+                                                          "another"]
+        assert store.group_by("sum", keys=["brand-new", "another"]) \
+            == {"brand-new": 1.0, "another": 3.0}
+
+    def test_token_staged_against_another_key_table_is_refused(self):
+        store = AnalyticalStore(metric_fn=lambda v: v["m"])
+        a = store.stage_epoch(2, [Element({"m": 1.0}, 1.0, "a-key")])
+        b = store.stage_epoch(1, [Element({"m": 2.0}, 2.0, "b-key")])
+        assert store.install_epoch(b) == 1
+        # A's codes were given out before B's key took the first slot
+        with pytest.raises(StoreError):
+            store.install_epoch(a)
+        assert store.stats()["rows"] == 1 and store.stats()["keys"] == 1
+        assert store.last_applied_epoch == 1
+        assert store.append_epoch(
+            2, [Element({"m": 1.0}, 1.0, "a-key")]) == 1
+        assert store.group_by("sum") == {"b-key": 2.0, "a-key": 1.0}
+
+    def test_older_epoch_staged_first_is_dropped_by_the_epoch_guard(self):
+        store = AnalyticalStore(metric_fn=lambda v: v["m"])
+        a = store.stage_epoch(1, [Element({"m": 1.0}, 1.0, "a-key")])
+        b = store.stage_epoch(2, [Element({"m": 2.0}, 2.0, "b-key")])
+        assert store.install_epoch(b) == 1
+        assert store.install_epoch(a) == 0
+        assert store.columns()["key_dict"] == ["b-key"]
+        assert store.stats()["rows"] == 1
+
+    def test_a_batch_is_taken_column_by_column(self):
+        from repro.streaming.batch import RecordBatch
+        els = [Element(float(i), float(i), f"k{i % 3}") for i in range(9)]
+        batch = RecordBatch.from_elements(els)
+        by_batch, by_rows = AnalyticalStore(), AnalyticalStore()
+        by_batch.append_epoch(1, batch)
+        by_rows.append_epoch(1, els)
+        got, want = by_batch.columns(), by_rows.columns()
+        for name in ("ts", "metric", "codes"):
+            assert got[name].tobytes() == want[name].tobytes(), name
+        assert got["raw"] == want["raw"]
+        assert got["key_dict"] == want["key_dict"]
+        # the timestamp column is the batch's own array, not a copy
+        assert by_batch._segments[0]["ts"] is batch.timestamps
+
     def test_default_metric_is_nan_for_objects(self):
         store = AnalyticalStore()
         store.append_epoch(1, [
