@@ -46,5 +46,16 @@ e2e-smoke:  ## whole path (log -> engine -> store -> overlay) vs the brute-force
 	$(PYTHON) benchmarks/e2e/run.py --smoke
 	$(PYTHON) -m pytest benchmarks/e2e/tests -q
 
-verify: test perf obs chaos chaos-parallel robustness datafault elasticity store geo e2e-smoke
-	@echo "verify: all gates passed"
+GATES := test perf obs chaos chaos-parallel robustness datafault elasticity store geo e2e-smoke
+
+verify:  ## every gate in turn, stopping at the first failure; prints each gate's wall time
+	@times=""; status="all gates passed"; \
+	for gate in $(GATES); do \
+		start=$$(date +%s); \
+		$(MAKE) --no-print-directory $$gate || status="$$gate FAILED"; \
+		times="$$times$$(printf '  %-15s %5ds' $$gate $$(( $$(date +%s) - start )))\n"; \
+		[ "$$status" = "all gates passed" ] || break; \
+	done; \
+	printf "\nverify: wall time per gate\n$$times"; \
+	echo "verify: $$status"; \
+	[ "$$status" = "all gates passed" ]

@@ -4,18 +4,41 @@ The "velocity" leg of the 3Vs needs horizontal scaling: more partitions
 let more consumers drain a topic in parallel.  We measure drain work per
 member as the group grows, replication write amplification, and failover
 data safety — the substrate guarantees every experiment above relies on.
+
+Run as a script it times the log's per-row path on its own — one
+``Producer.send`` against the same loop calling a no-op, and a
+``Consumer.poll`` / ``poll_columns`` drain of what was sent — and merges
+the row into ``BENCH_streaming.json`` under ``"log"``.
+``tools/check_perf.py`` gates the two same-run ratios (``send`` over the
+no-op, ``poll`` over ``send``); the microseconds themselves are this
+box's and are not gated.
 """
 
+import gc
+import statistics
+import sys
 import time
+from pathlib import Path
 
-from repro.eventlog import ConsumerGroup, LogCluster, Producer, TopicConfig
+sys.path.insert(0, str(Path(__file__).parent))
+
+from repro.eventlog import (
+    Consumer,
+    ConsumerGroup,
+    LogCluster,
+    Producer,
+    TopicConfig,
+)
 from repro.util.rng import make_rng
 
+import benchlib
 from tableprint import print_table
 
 RECORDS = 20_000
 PARTITIONS = 8
 GROUP_SIZES = [1, 2, 4, 8]
+LOG_PATH_ROWS = 200_000
+LOG_PATH_REPEATS = 3
 
 
 def _loaded_cluster(replication=2):
@@ -66,6 +89,88 @@ def run_failover():
     return end_before, end_after
 
 
+def _timed(loop, rows):
+    """µs per row of one ``loop()``.  Survivors are frozen first, as the
+    end-to-end benchmark does before each unit: a full collection
+    walking earlier repeats' logs is not the path's cost."""
+    gc.collect()
+    gc.freeze()
+    try:
+        started = time.perf_counter()
+        loop()
+        return (time.perf_counter() - started) / rows * 1e6
+    finally:
+        gc.unfreeze()
+
+
+def run_log_path(rows=LOG_PATH_ROWS, repeats=LOG_PATH_REPEATS):
+    """The per-row log path on its own: keyed float rows through a plain
+    (untraced, non-idempotent) producer, then drained by ``poll`` and by
+    ``poll_columns``.  Medians over ``repeats`` fresh clusters."""
+
+    def noop(topic, value, key=None, timestamp=None):
+        pass
+
+    def caller(call):
+        def loop():
+            for i in range(rows):
+                call("rows", i * 0.25, key=f"bed-{i % 997}:hr",
+                     timestamp=i * 0.01)
+        return loop
+
+    def drain(fetch):
+        def loop():
+            while fetch(4096):
+                pass
+        return loop
+
+    samples = {"noop": [], "send": [], "poll": [], "poll_columns": []}
+    for _ in range(repeats):
+        cluster = LogCluster(num_brokers=1)
+        cluster.create_topic(TopicConfig("rows", partitions=PARTITIONS))
+        producer = Producer(cluster)
+        samples["noop"].append(_timed(caller(noop), rows))
+        samples["send"].append(_timed(caller(producer.send), rows))
+        assert producer.sent == rows
+        for name in ("poll", "poll_columns"):
+            consumer = Consumer(cluster, "rows")
+            samples[name].append(
+                _timed(drain(getattr(consumer, name)), rows))
+            assert consumer.consumed == rows
+    log = {f"{name}_us_per_row": statistics.median(values)
+           for name, values in samples.items()}
+    log["send_over_noop"] = log["send_us_per_row"] / log["noop_us_per_row"]
+    log["poll_over_send"] = log["poll_us_per_row"] / log["send_us_per_row"]
+    return {"config": {"rows": rows, "repeats": repeats,
+                       "partitions": PARTITIONS},
+            "log": log}
+
+
+def report_log_path(results):
+    log = results["log"]
+    print_table(
+        f"A2c  the log's per-row path ({results['config']['rows']} keyed "
+        "float rows, plain producer)",
+        ["call", "us/row", "ratio"],
+        [["no-op, same loop and arguments", log["noop_us_per_row"], ""],
+         ["Producer.send", log["send_us_per_row"],
+          f"{log['send_over_noop']:.1f}x no-op"],
+         ["Consumer.poll", log["poll_us_per_row"],
+          f"{log['poll_over_send']:.2f}x send"],
+         ["Consumer.poll_columns", log["poll_columns_us_per_row"], ""]],
+        note="gates (tools/check_perf.py): send <= 10x no-op, "
+             "poll <= 0.75x send")
+
+
+def bench_a2_log_path(benchmark):
+    """pytest-benchmark entry: fewer rows, same shape."""
+    results = benchmark.pedantic(lambda: run_log_path(20_000, repeats=1),
+                                 rounds=1, iterations=1)
+    report_log_path(results)
+    assert results["log"]["poll_columns_us_per_row"] \
+        < results["log"]["poll_us_per_row"]
+
+
 def bench_a2_group_scaling(benchmark):
     rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     print_table(
@@ -107,3 +212,15 @@ def bench_a2_produce_throughput(benchmark):
             producer.send("t", {"i": i}, key=f"k{i % 97}")
 
     benchmark(produce_batch)
+
+
+def main() -> None:
+    args = benchlib.bench_parser(
+        __doc__, events_default=LOG_PATH_ROWS).parse_args()
+    results = run_log_path(args.events)
+    report_log_path(results)
+    benchlib.merge_section(args.out, "log", results)
+
+
+if __name__ == "__main__":
+    main()

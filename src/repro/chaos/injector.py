@@ -22,7 +22,7 @@ outages with leader failover, and duplicate delivery on fetch.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Mapping
 
 from ..eventlog.broker import LogCluster
 from ..eventlog.record import Record
@@ -552,6 +552,11 @@ class ChaosLogCluster:
     Producers and consumers take it anywhere a cluster is expected
     (attribute access delegates), so the production retry/idempotence
     machinery is exercised unmodified.
+
+    Every ``append*`` / ``read*`` method of :class:`LogCluster` must be
+    defined here: ``__getattr__`` forwards whatever is not, and a
+    forwarded data-plane call is one no fault plan can reach
+    (``tests/unit/test_source_lint.py`` checks the names).
     """
 
     def __init__(self, cluster: LogCluster, injector: FaultInjector) -> None:
@@ -578,6 +583,15 @@ class ChaosLogCluster:
                 f"injected: ack lost for {topic}[{partition}]@{offset} "
                 "(append applied)")
         return offset
+
+    def append_row(self, topic: str, partition: int, value: Any,
+                   key: str | None, timestamp: float,
+                   headers: Mapping[str, str] | None, size: int) -> int:
+        directives = self._injector.before_append(self._cluster, topic,
+                                                  partition)
+        offset = self._cluster.append_row(topic, partition, value, key,
+                                          timestamp, headers, size)
+        return self._after_append(directives, topic, partition, offset)
 
     def append(self, topic: str, partition: int, record: Record) -> int:
         directives = self._injector.before_append(self._cluster, topic,
@@ -609,10 +623,10 @@ class ChaosLogCluster:
         return self._cluster.read(topic, partition, offset, max_records)
 
     def read_columns(self, topic: str, partition: int, offset: int,
-                     max_records: int = 512):
+                     max_records: int = 512, headers: bool = False):
         offset = self._fetch_offset(topic, partition, offset)
         return self._cluster.read_columns(topic, partition, offset,
-                                          max_records)
+                                          max_records, headers)
 
     def settle(self) -> None:
         """Finish any in-flight broker outages (recover failed brokers)."""

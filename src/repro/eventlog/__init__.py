@@ -5,7 +5,7 @@ from .consumer import Consumer, ConsumerGroup
 from .mirror import ReplicatedTopic
 from .partition import Partition
 from .producer import Producer, stable_hash
-from .record import ConsumedRecord, Record, estimate_size
+from .record import ConsumedRecord, Record, estimate_size, record_size
 
 __all__ = [
     "Broker",
@@ -21,4 +21,5 @@ __all__ = [
     "Record",
     "ConsumedRecord",
     "estimate_size",
+    "record_size",
 ]

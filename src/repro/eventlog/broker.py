@@ -12,6 +12,7 @@ and producers see :class:`BrokerDown`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Mapping
 
 from ..util.errors import (
     BrokerDown,
@@ -180,22 +181,35 @@ class LogCluster:
             raise BrokerDown(f"{topic}[{partition}] has no live leader")
         return self.brokers[state.leader].replicas[(topic, partition)]
 
-    def append(self, topic: str, partition: int, record: Record) -> int:
-        """Leader append + synchronous ISR replication; returns offset."""
-        state = self.partition_state(topic, partition)
+    def append_row(self, topic: str, partition: int, value: Any,
+                   key: str | None, timestamp: float,
+                   headers: Mapping[str, str] | None, size: int) -> int:
+        """Leader append + synchronous ISR replication of one row's
+        fields; returns its offset.  The one append primitive — every
+        other append shape ends here.  ``size`` is
+        ``record_size(value, key, headers)``."""
+        tp = (topic, partition)
+        state = self._states.get(tp) or self.partition_state(topic, partition)
         brokers = self.brokers
         leader = state.leader
         if leader == -1 or not brokers[leader].up:
             raise BrokerDown(f"{topic}[{partition}] has no live leader")
-        key = (topic, partition)
-        offset = brokers[leader].replicas[key].append(record)
+        offset = brokers[leader].replicas[tp].append_row(
+            value, key, timestamp, headers, size)
         for b in state.isr:
             if b == leader:
                 continue
             follower = brokers[b]
             if follower.up:
-                follower.replicas[key].append(record)
+                follower.replicas[tp].append_row(
+                    value, key, timestamp, headers, size)
         return offset
+
+    def append(self, topic: str, partition: int, record: Record) -> int:
+        """:meth:`append_row` of the record's fields."""
+        return self.append_row(topic, partition, record.value, record.key,
+                               record.timestamp, record.headers,
+                               record.size_bytes)
 
     def append_idempotent(self, topic: str, partition: int, record: Record,
                           producer_id: int, sequence: int,
@@ -237,10 +251,11 @@ class LogCluster:
         return self.leader_partition(topic, partition).read(offset, max_records)
 
     def read_columns(self, topic: str, partition: int, offset: int,
-                     max_records: int = 512):
-        """:meth:`read` as ``(offsets, timestamps, values, keys)``."""
+                     max_records: int = 512, headers: bool = False):
+        """:meth:`read` as ``(offsets, timestamps, values, keys)``, plus
+        a headers column with ``headers=True``."""
         return self.leader_partition(topic, partition).read_columns(
-            offset, max_records)
+            offset, max_records, headers)
 
     def end_offset(self, topic: str, partition: int) -> int:
         return self.leader_partition(topic, partition).end_offset

@@ -9,6 +9,8 @@ the mechanism behind the horizontal-scaling ablation (exp A2).
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import partial
+from itertools import repeat
 from typing import Any, Iterator
 
 from ..util.clock import SimClock
@@ -97,14 +99,15 @@ class Consumer:
             lo, hi = base, end
             while lo < hi:
                 mid = (lo + hi) // 2
-                rows = self.cluster.read(self.topic, p, mid, max_records=1)
-                if not rows:
+                offsets, timestamps, *_ = self.cluster.read_columns(
+                    self.topic, p, mid, max_records=1)
+                if not offsets:
                     # Only compacted holes from mid to the end; the
                     # answer (if any) lies below mid.
                     hi = mid
                     continue
-                offset, record = rows[0]
-                if record.timestamp < timestamp:
+                offset = offsets[0]
+                if timestamps[0] < timestamp:
                     lo = offset + 1
                 else:
                     hi = mid  # holes in [mid, offset) are skipped anyway
@@ -175,12 +178,6 @@ class Consumer:
                 break
         return chunks
 
-    def _read_records(self, topic: str, partition: int, offset: int,
-                      max_records: int) -> tuple:
-        """``cluster.read`` in :meth:`_fetch`'s shape: (offsets, records)."""
-        rows = self.cluster.read(topic, partition, offset, max_records)
-        return tuple(zip(*rows)) if rows else ((), ())
-
     def poll(self, max_records: int = 512) -> list[ConsumedRecord]:
         """Round-robin fetch across assigned partitions."""
         tracer = self.tracer
@@ -189,18 +186,19 @@ class Consumer:
         if tracer is not None:
             span = tracer.start_span("consume:poll", attrs={"topic": topic})
         out: list[ConsumedRecord] = []
-        for p, offsets, records in self._fetch(max_records,
-                                               self._read_records):
-            for offset, record in zip(offsets, records):
-                out.append(ConsumedRecord(topic, p, offset, record))
-                if tracer is not None:
+        for p, offsets, timestamps, values, keys, headers in self._fetch(
+                max_records, partial(self.cluster.read_columns, headers=True)):
+            out.extend(map(ConsumedRecord, repeat(topic), repeat(p), offsets,
+                           values, keys, timestamps, headers))
+            if tracer is not None:
+                for offset, row_headers in zip(offsets, headers):
                     # Parent on the producer's span when the record
                     # carries a traceparent header; otherwise fall back
                     # to the active span (an untraced producer).
                     tracer.start_span(
                         "consume",
                         parent=tracer.parse_traceparent(
-                            record.headers.get("traceparent")),
+                            row_headers.get("traceparent")),
                         attrs={"topic": topic, "partition": p,
                                "offset": offset}).end()
         if span is not None:

@@ -14,7 +14,7 @@ from ..util.errors import BrokerDown
 from ..util.ids import stable_hash
 from ..util.retry import Retrier, RetryPolicy
 from .broker import LogCluster
-from .record import Record
+from .record import Record, record_size
 
 # Re-exported: stable_hash historically lived here and callers import it
 # from this module; the implementation moved to util.ids so the
@@ -107,6 +107,17 @@ class Producer:
             timestamp = self.clock.now if self.clock is not None else 0.0
         if partition is None:
             partition = self._choose_partition(topic, key)
+        if self.tracer is None and not self.idempotent:
+            # Nothing to stamp: the row's fields go to the partition's
+            # columns as they are, without a Record in between.
+            if headers:
+                headers = dict(headers)
+            size = record_size(value, key, headers)
+            offset = self.cluster.append_row(topic, partition, value, key,
+                                             timestamp, headers, size)
+            self.sent += 1
+            self.bytes_sent += size
+            return partition, offset
         all_headers = dict(headers) if headers else {}
         span = None
         if self.tracer is not None:

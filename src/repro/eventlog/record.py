@@ -5,6 +5,11 @@ partitioning and compaction), arbitrary value, event timestamp, and
 headers.  ``size_bytes`` gives the serialized-size estimate used by the
 network and retention models — values are plain Python objects, so we
 price them structurally instead of actually serializing.
+
+A partition stores a row's fields in columns, not a ``Record``: records
+are built where a caller asks for one (``read``, ``get``,
+``ConsumedRecord.record``) and are copies — nothing done to one reaches
+the log.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-__all__ = ["Record", "estimate_size"]
+__all__ = ["Record", "ConsumedRecord", "estimate_size", "record_size"]
 
 
 def estimate_size(value: Any) -> int:
@@ -44,56 +49,55 @@ def estimate_size(value: Any) -> int:
     return 16
 
 
-@dataclass(frozen=True)
+def record_size(value: Any, key: str | None = None,
+                headers: Mapping[str, str] | None = None) -> int:
+    """Serialized-size estimate of one log row: value + timestamp, key,
+    headers.  The common row (a float, an ASCII key, no headers) is
+    priced without the generic calls; the sizes are the same bytes
+    either way, retention arithmetic reads them."""
+    size = 16 if type(value) is float else estimate_size(value) + 8
+    if key is not None:
+        size += len(key) if key.isascii() else len(key.encode("utf-8"))
+    if headers:
+        size += sum(len(k) + len(v) for k, v in headers.items())
+    return size
+
+
+@dataclass(slots=True)
 class Record:
-    """One immutable log record."""
+    """One log record, as a value: equality and repr are over ``value``,
+    ``key``, ``timestamp`` and ``headers``."""
 
     value: Any
     key: str | None = None
     timestamp: float = 0.0
     headers: Mapping[str, str] = field(default_factory=dict)
-    #: serialized-size estimate, priced once at construction: a record
-    #: is immutable, and every send reads this twice (producer
-    #: accounting, partition append) before retention reads it again
-    size_bytes: int = field(init=False, compare=False, repr=False)
+    _size: int | None = field(default=None, init=False, compare=False,
+                              repr=False)
 
-    def __post_init__(self) -> None:
-        # value + timestamp.  The common record (a float, an ASCII key,
-        # no headers) is priced without the generic calls; the sizes are
-        # the same bytes either way, retention arithmetic reads them.
-        value = self.value
-        size = 16 if type(value) is float else estimate_size(value) + 8
-        key = self.key
-        if key is not None:
-            size += (len(key) if key.isascii()
-                     else len(key.encode("utf-8")))
-        headers = self.headers
-        if headers:
-            size += sum(len(k) + len(v) for k, v in headers.items())
-        object.__setattr__(self, "size_bytes", size)
+    @property
+    def size_bytes(self) -> int:
+        """:func:`record_size` of the fields, priced on first read."""
+        size = self._size
+        if size is None:
+            size = self._size = record_size(self.value, self.key,
+                                            self.headers)
+        return size
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ConsumedRecord:
-    """A record as seen by a consumer: includes its coordinates."""
+    """A log row as seen by a consumer: its coordinates and its fields,
+    flat.  ``record`` builds the :class:`Record` on demand."""
 
     topic: str
     partition: int
     offset: int
-    record: Record
+    value: Any
+    key: str | None
+    timestamp: float
+    headers: Mapping[str, str]
 
     @property
-    def value(self) -> Any:
-        return self.record.value
-
-    @property
-    def key(self) -> str | None:
-        return self.record.key
-
-    @property
-    def timestamp(self) -> float:
-        return self.record.timestamp
-
-    @property
-    def headers(self) -> Mapping[str, str]:
-        return self.record.headers
+    def record(self) -> Record:
+        return Record(self.value, self.key, self.timestamp, self.headers)

@@ -67,6 +67,73 @@ class TestRetryOnUnavailable:
                                      policy=RetryPolicy(max_attempts=3))
 
 
+class TestPlainSendUnderFaults:
+    """A non-idempotent, untraced ``send`` appends through
+    ``append_row``, not ``append``: the proxy has to inject there too.
+    Every expected value below was printed by the commit before the log
+    stored columns."""
+
+    def _run(self):
+        base = LogCluster(num_brokers=3)
+        base.create_topic(TopicConfig("t", partitions=2, replication=2))
+        injector = FaultInjector(FaultPlan(specs=(
+            FaultSpec("torn_append", SITE_APPEND, at=3),
+            FaultSpec("partition_unavailable", SITE_APPEND, at=2, count=2,
+                      target="t[1]"),
+            FaultSpec("broker_down", SITE_APPEND, at=8, count=3, param=0),
+        )))
+        producer = Producer(ChaosLogCluster(base, injector))
+        failed = []
+        for i in range(14):
+            try:
+                producer.send(
+                    "t", float(i), key=f"k{i % 5}" if i % 3 else None,
+                    timestamp=i * 0.5,
+                    headers={"h": str(i)} if i % 4 == 0 else None)
+            except BrokerDown as exc:
+                failed.append((i, str(exc)))
+        return base, injector, producer, failed
+
+    def test_same_sends_fail(self):
+        _, _, producer, failed = self._run()
+        assert failed == [
+            (3, "injected: ack lost for t[1]@1 (append applied)"),
+            (8, "injected: t[1] unavailable for appends"),
+            (9, "injected: t[1] unavailable for appends")]
+        assert (producer.sent, producer.bytes_sent) == (11, 199)
+
+    def test_same_log_on_every_replica(self):
+        base, _, _, _ = self._run()
+        log = {p: [(o, r.value, r.key, r.timestamp, r.headers)
+                   for o, r in base.read("t", p, 0, 100)] for p in range(2)}
+        assert log == {
+            0: [(0, 0.0, None, 0.0, {"h": "0"}), (1, 2.0, "k2", 1.0, {}),
+                (2, 4.0, "k4", 2.0, {"h": "4"}), (3, 5.0, "k0", 2.5, {}),
+                (4, 6.0, None, 3.0, {}), (5, 7.0, "k2", 3.5, {}),
+                (6, 10.0, "k0", 5.0, {}), (7, 12.0, None, 6.0, {"h": "12"})],
+            # offset 1 is the torn append: applied, never acknowledged
+            1: [(0, 1.0, "k1", 0.5, {}), (1, 3.0, None, 1.5, {}),
+                (2, 11.0, "k1", 5.5, {}), (3, 13.0, "k3", 6.5, {})]}
+        for p in range(2):
+            leader = base.leader_partition("t", p)
+            for b in base.partition_state("t", p).replica_brokers:
+                replica = base.brokers[b].replicas[("t", p)]
+                assert replica.read(0, 100) == leader.read(0, 100)
+
+    def test_same_counters_and_fault_trace(self):
+        _, injector, _, _ = self._run()
+        assert [injector.count(SITE_APPEND, ident)
+                for ident in (None, "t", "t[0]", "t[1]")] == [14, 14, 8, 6]
+        assert injector.trace_tuples() == [
+            ("torn_append", "eventlog.append", "*", 3, "torn t[1]"),
+            ("broker_down", "eventlog.append", "broker:0", 8, "fail"),
+            ("partition_unavailable", "eventlog.append", "t[1]", 2,
+             "append t[1]"),
+            ("partition_unavailable", "eventlog.append", "t[1]", 3,
+             "append t[1]"),
+            ("broker_down", "eventlog.append", "broker:0", 11, "recover")]
+
+
 class TestTornAppend:
     def test_idempotent_retry_is_exactly_once(self):
         # The ack is lost but the append applied: resend deduplicates.

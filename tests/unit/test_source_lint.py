@@ -8,8 +8,13 @@
     randomness — ``random``/``uuid``/``datetime`` imports and
     ``time.time(`` are confined to ``util/``; ``time.perf_counter`` is
     allow-listed for ``streaming/execution.py``'s lane-busy model.
+(c) No append or fetch escapes the injector: ``ChaosLogCluster``
+    forwards unknown attributes to the cluster it wraps, so every
+    public ``append*`` / ``read*`` method of ``LogCluster`` has to be
+    defined on the proxy itself.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -72,3 +77,22 @@ def test_no_wall_clock_or_unseeded_randomness_outside_util():
     execution = (SRC / "streaming/execution.py").read_text()
     uses = set(re.findall(r"\btime\.(\w+)", execution))
     assert uses <= {"perf_counter"}, uses
+
+
+def _public_methods(rel, class_name):
+    tree = ast.parse((SRC / rel).read_text())
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == class_name]
+    return {node.name for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")}
+
+
+def test_chaos_proxy_defines_every_data_plane_method():
+    data_plane = {name for name in _public_methods("eventlog/broker.py",
+                                                   "LogCluster")
+                  if name.startswith(("append", "read"))}
+    assert {"append", "append_row", "append_idempotent", "read",
+            "read_columns"} <= data_plane
+    proxied = _public_methods("chaos/injector.py", "ChaosLogCluster")
+    assert data_plane - proxied == set()

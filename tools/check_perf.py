@@ -23,6 +23,15 @@ chained job in the end-to-end benchmark's shape under
 other rows all pass ``emit_every=32``; without this one a cliff on the
 cadence every application uses stays invisible here.
 
+The event log's per-row path is gated the same way, on two same-run
+ratios from ``benchmarks/bench_a2_log_scaling.py`` (200 000 keyed float
+rows): ``Producer.send`` may cost at most ``CEIL_SEND_OVER_NOOP`` (10)
+times the same loop calling a no-op with the same arguments, and
+``Consumer.poll`` at most ``CEIL_POLL_OVER_SEND`` (0.75) of ``send`` per
+row — a producer that builds a record object per row reads ~14x, a
+consumer that builds a frozen record per polled row ~2.8x.  No absolute
+microseconds are gated.
+
 The committed baseline itself is also gated when it was produced on the
 reference 100k-event workload: ``chained_eps`` must stay >= 1M and the
 modelled ``lane_overlap_p4`` > 3.2 — the columnar hot-path floors a PR
@@ -60,6 +69,10 @@ FLOOR_CHAINED_EPS = 1_000_000
 FLOOR_LANE_OVERLAP_P4 = 3.2
 #: default-cadence eps over emit_every=32 eps, same job, same run
 FLOOR_DEFAULT_WATERMARKS = 0.5
+#: the log's per-row path, same-run ratios: send over a no-op called in
+#: the same loop with the same arguments, poll over send
+CEIL_SEND_OVER_NOOP = 10.0
+CEIL_POLL_OVER_SEND = 0.75
 
 
 def run_bench_smoke(events: int) -> dict | None:
@@ -129,6 +142,20 @@ def check_default_watermarks(results: dict, label: str) -> bool:
     return good
 
 
+def check_log_path(results: dict, label: str) -> bool:
+    """The two ratios of the log's per-row path against their ceilings."""
+    log = results["log"]
+    ok = True
+    for key, ceiling, over in (
+            ("send_over_noop", CEIL_SEND_OVER_NOOP, "no-op"),
+            ("poll_over_send", CEIL_POLL_OVER_SEND, "send")):
+        good = log[key] <= ceiling
+        ok = ok and good
+        print(f"  {key} ({label}): {log[key]:6.2f}x {over}  "
+              f"(ceiling {ceiling}x)  {'ok' if good else 'PER-ROW CLIFF'}")
+    return ok
+
+
 def check_committed_floors() -> bool:
     """Absolute floors on the *committed* baseline: when the numbers in
     ``BENCH_streaming.json`` were measured on the reference workload,
@@ -149,6 +176,11 @@ def check_committed_floors() -> bool:
         print(f"  (baseline not measured at {FLOOR_EVENTS} events; "
               "skipping chained_eps floor)")
     ok = check_default_watermarks(baseline, "committed") and ok
+    if "log" in baseline:
+        ok = check_log_path(baseline, "committed") and ok
+    else:
+        print("  (no log section in the baseline; run "
+              "benchmarks/bench_a2_log_scaling.py)")
     pconf = baseline.get("parallel_config", {})
     if pconf.get("n_events") == FLOOR_EVENTS and "parallel" in baseline:
         overlap = baseline["parallel"]["lane_overlap_p4"]
@@ -247,6 +279,12 @@ def main() -> int:
     if not check_parallel_speedup(parallel, args.min_parallel_speedup,
                                   args.min_lane_overlap):
         return gate.fail("parallel scaling below floor")
+    print("\n== log per-row path ==", flush=True)
+    log_path = run_bench("bench_a2_log_scaling.py")
+    if log_path is None:
+        return gate.fail("log path benchmark crashed")
+    if not check_log_path(log_path, "now"):
+        return gate.fail("log per-row path above ceiling")
     return gate.ok()
 
 
