@@ -11,8 +11,8 @@ import numpy as np
 
 from repro.streaming import (
     Element,
-    Executor,
     JobBuilder,
+    ParallelExecutor,
     TumblingWindows,
 )
 from repro.util.rng import make_rng
@@ -51,9 +51,9 @@ def run_experiment():
                 .key_by(lambda v: 0)
                 .window(TumblingWindows(TRUE_WINDOW), "count")
                 .sink("out"))
-        executor = Executor(builder.build())
+        executor = ParallelExecutor(builder.build())
         sinks = executor.run()
-        window_op = executor.job.operators["window_0"]
+        (window_op,) = executor.subtask_operators("window_0")
         got_counts = {r.window.start: r.value
                       for r in sinks["out"].values}
         errors = [abs(got_counts.get(start, 0) - count)

@@ -19,6 +19,14 @@ so the speedup is pure interpreter-overhead removal.  Results are
 written to ``BENCH_streaming.json`` so ``tools/check_perf.py`` can gate
 future PRs against throughput regressions.
 
+The ``chaining`` row asks what operator fusion is worth where it can
+matter: the opaque reference job (dict values, scalar lambdas, so every
+hop is per-element Python) at ``source_batch=256``, chained against
+``chaining=False`` in five alternating pairs of the same run.  On the
+vectorized job above and at 2 048-row pulls the two are not resolvably
+different; here the channel hop between fused operators is a visible
+share of the work.  ``check_perf`` floors the median ratio at 0.95.
+
 The three modes pass ``emit_every=32``; every in-tree application and
 the end-to-end benchmark use ``with_watermarks()``'s default of one
 watermark per element.  The ``default_watermarks`` row runs the chained
@@ -39,6 +47,8 @@ backing the "<5% enabled, ~0% disabled" budget that
 ``tools/check_obs.py`` gates.
 """
 
+import gc
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -48,12 +58,17 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 from repro.analytics.sketches import CountMinSketch, HyperLogLog
+from repro.chaos import reference_events, reference_job
 from repro.obs import Tracer
-from repro.streaming import Element, Executor, JobBuilder, TumblingWindows
+from repro.streaming import (
+    Element,
+    JobBuilder,
+    ParallelExecutor,
+    TumblingWindows,
+)
 from repro.util.metrics import MetricsRegistry, Summary
 
 import benchlib
-from platform_stamp import git_sha, platform_stamp
 from tableprint import print_table
 
 N_EVENTS = 100_000
@@ -65,6 +80,13 @@ WINDOW_S = 5.0
 DEFAULT_ROW_KEYS = 1000
 DEFAULT_ROW_WINDOW_S = 100.0
 DEFAULT_ROW_SOURCE_BATCH = 1024
+#: the ``chaining`` row: the opaque reference job at small pulls
+CHAINING_ROW_EVENTS = 40_000
+CHAINING_ROW_KEYS = 16
+CHAINING_ROW_SOURCE_BATCH = 256
+CHAINING_ROW_PAIRS = 5
+#: the sections of BENCH_streaming.json this bench owns
+SECTIONS = ("throughput", "obs_overhead", "summary_metrics", "sketch")
 
 MODES = {
     "per_item": dict(batch_mode=False, chaining=False),
@@ -121,7 +143,8 @@ def _best_eps(elements: list[Element], flags: dict, repeats: int,
     sink: list[tuple] | None = None
     for _ in range(repeats):
         # fresh operators (state) per run
-        executor = Executor(_build_job(elements, **job_shape), **flags)
+        executor = ParallelExecutor(_build_job(elements, **job_shape),
+                                    **flags)
         start = time.perf_counter()
         sinks = executor.run(source_batch=source_batch)
         best = min(best, time.perf_counter() - start)
@@ -153,6 +176,7 @@ def bench_pipeline(n_events: int, registry: MetricsRegistry,
                                  **shape)[1], (
             f"{label}: chained execution diverged from per-item")
         registry.gauge("bench.eps", mode=label).set(eps)
+    chaining = bench_chaining()
     # Results flow through the registry: the report table and the
     # committed baseline both read the snapshot, not local floats.
     snap = registry.snapshot()
@@ -169,6 +193,41 @@ def bench_pipeline(n_events: int, registry: MetricsRegistry,
         "e2e_shape_emit_32_eps": eps["e2e_shape_emit_32"],
         "default_watermarks_ratio":
             eps["default_watermarks"] / eps["e2e_shape_emit_32"],
+        **chaining,
+    }
+
+
+def bench_chaining() -> dict:
+    """The opaque reference job chained vs ``chaining=False``: median
+    eps of each and the median of the within-pair ratios (the box's
+    spread is wider than a single pair)."""
+    events = reference_events(seed=1, n=CHAINING_ROW_EVENTS,
+                              keys=CHAINING_ROW_KEYS)
+
+    def one_run(chaining: bool) -> tuple[float, list]:
+        executor = ParallelExecutor(reference_job(events),
+                                    chaining=chaining)
+        # the previous run's garbage would be collected inside this
+        # run's timed region (see tools/check_obs.py)
+        gc.collect()
+        start = time.perf_counter()
+        sinks = executor.run(source_batch=CHAINING_ROW_SOURCE_BATCH)
+        return (len(events) / (time.perf_counter() - start),
+                sinks["out"].elements)
+
+    one_run(True)  # warmup, discarded
+    chained, unchained = [], []
+    for pair in range(CHAINING_ROW_PAIRS):
+        first = pair % 2 == 0  # alternate which plan runs first
+        (eps_a, out_a), (eps_b, out_b) = one_run(first), one_run(not first)
+        assert out_a == out_b, "chaining changed the sink contents"
+        chained.append(eps_a if first else eps_b)
+        unchained.append(eps_b if first else eps_a)
+    return {
+        "opaque_chained_eps": statistics.median(chained),
+        "opaque_unchained_eps": statistics.median(unchained),
+        "opaque_chaining_ratio": statistics.median(
+            on / off for on, off in zip(chained, unchained)),
     }
 
 
@@ -183,8 +242,8 @@ def bench_obs_overhead(n_events: int, registry: MetricsRegistry,
     elements = _elements(n_events)
 
     def one_run(tracer, metrics) -> float:
-        executor = Executor(_build_job(elements), tracer=tracer,
-                            metrics=metrics)
+        executor = ParallelExecutor(_build_job(elements), tracer=tracer,
+                                    metrics=metrics)
         start = time.perf_counter()
         executor.run(source_batch=SOURCE_BATCH)
         return n_events / (time.perf_counter() - start)
@@ -282,19 +341,17 @@ def bench_sketches(n_keys: int = 30_000) -> dict:
 
 
 def run_experiment(n_events: int = N_EVENTS) -> dict:
-    # `config` and `throughput` are read by tools/check_perf.py against
-    # the committed baseline — extend results with new keys only.
+    # `config` (merged as `throughput_config`) and `throughput` are read
+    # by tools/check_perf.py against the committed baseline — extend
+    # results with new keys only.
     registry = MetricsRegistry()
     return {
         "config": {"n_events": n_events, "n_keys": N_KEYS,
                    "source_batch": SOURCE_BATCH, "window_s": WINDOW_S},
-        "platform": platform_stamp(),
-        "git_sha": git_sha(),
         "throughput": bench_pipeline(n_events, registry),
         "obs_overhead": bench_obs_overhead(n_events, registry),
         "summary_metrics": bench_summary_metrics(),
         "sketch": bench_sketches(),
-        "metrics": registry.snapshot(),
     }
 
 
@@ -317,6 +374,15 @@ def report(results: dict) -> None:
           t["default_watermarks_ratio"]]],
         note="sinks identical to per-item (asserted); check_perf floors "
              "the ratio at 0.5")
+    print_table(
+        "P1  what chaining is worth (opaque reference job, "
+        f"source_batch={CHAINING_ROW_SOURCE_BATCH}, median of "
+        f"{CHAINING_ROW_PAIRS} alternating pairs)",
+        ["plan", "elements/s", "vs chaining=False"],
+        [["chaining=False", t["opaque_unchained_eps"], 1.0],
+         ["chained", t["opaque_chained_eps"], t["opaque_chaining_ratio"]]],
+        note="sinks identical (asserted); check_perf floors the ratio "
+             "at 0.95")
     o = results["obs_overhead"]
     print_table(
         "P1  observability overhead (chained mode)",
@@ -353,8 +419,8 @@ def main() -> None:
         parser.error("--events must be >= 1")
     results = run_experiment(args.events)
     report(results)
-    # P1 owns the whole baseline file the other benches merge into.
-    benchlib.write_full(args.out, results)
+    for section in SECTIONS:
+        benchlib.merge_section(args.out, section, results)
 
 
 if __name__ == "__main__":

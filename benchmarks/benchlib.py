@@ -9,13 +9,11 @@ cannot drift apart:
   merging never clobbers a sibling bench's section;
 - a merge stamps ``{section}_stamp`` (``git_sha`` + ``platform``) for
   its own section only, so re-running one bench never relabels the
-  numbers of another; the top-level ``git_sha`` / ``platform`` describe
-  the sections :func:`write_full` wrote;
+  numbers of another;
 - ``bench_parser`` standardizes the ``--out`` / ``--events`` flags.
 
-``bench_p1_throughput.py`` predates the merge discipline and owns the
-whole file (it writes the baseline the others merge into); it uses
-:func:`write_full`.
+``bench_p1_throughput.py`` reports several sections (``throughput``,
+``obs_overhead``, …) and merges each the same way.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from pathlib import Path
 from platform_stamp import git_sha, platform_stamp
 
 __all__ = ["DEFAULT_OUT", "bench_parser", "load_baseline",
-           "merge_section", "write_full"]
+           "merge_section"]
 
 DEFAULT_OUT = Path(__file__).parent / "BENCH_streaming.json"
 
@@ -56,21 +54,14 @@ def merge_section(out: Path, section: str, results: dict) -> dict:
 
     ``results`` must carry the bench's own data under ``results[section]``
     and its knobs under ``results["config"]``.  Only this bench's keys
-    (data, config, provenance stamp) are replaced; the P1 sections (and
-    every sibling's) survive, labels included.
+    (data, config, provenance stamp) are replaced; every sibling's
+    survive, labels included.
     """
     merged = load_baseline(out)
     merged[section] = results[section]
-    merged.setdefault("config", {})
     merged[f"{section}_config"] = results.get("config", {})
     merged[f"{section}_stamp"] = {"git_sha": git_sha(),
                                   "platform": platform_stamp()}
     out.write_text(json.dumps(merged, indent=2) + "\n")
     print(f"\nresults merged into {out}")
     return merged
-
-
-def write_full(out: Path, results: dict) -> None:
-    """Write the whole baseline file (bench_p1 only)."""
-    out.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"\nwrote {out}")

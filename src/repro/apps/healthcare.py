@@ -176,8 +176,8 @@ class HealthcareApp:
         """
         from ..streaming.cep import PatternOperator, PatternStep
         from ..streaming.connectors import log_source
+        from ..streaming.execution import ParallelExecutor
         from ..streaming.graph import JobBuilder
-        from ..streaming.runtime import Executor
 
         pattern = PatternOperator("deterioration", [
             PatternStep("tachycardia",
@@ -193,7 +193,7 @@ class HealthcareApp:
                 .key_by(lambda v: v["patient"])
                 .apply(pattern)
                 .sink("matches"))
-        sinks = Executor(builder.build()).run()
+        sinks = ParallelExecutor(builder.build()).run()
         return list(sinks["matches"].values)
 
     # -- tiered serving store ----------------------------------------------

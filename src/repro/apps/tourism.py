@@ -192,8 +192,8 @@ class TourismApp:
         uses to separate "walked past" from "spent an hour there".
         """
         from ..streaming.connectors import log_source
+        from ..streaming.execution import ParallelExecutor
         from ..streaming.graph import JobBuilder
-        from ..streaming.runtime import Executor
         from ..streaming.windows import SessionWindows
 
         builder = JobBuilder("dwell")
@@ -202,7 +202,7 @@ class TourismApp:
                 .key_by(lambda v: (v["user"], v["poi"]))
                 .window(SessionWindows(gap=gap_s), "count")
                 .sink("sessions"))
-        sinks = Executor(builder.build()).run()
+        sinks = ParallelExecutor(builder.build()).run()
         return list(sinks["sessions"].values)
 
     def trending_private(self, now: float, k: int, epsilon: float,

@@ -9,33 +9,32 @@ invariant the whole chaos suite enforces is:
     for any seeded fault schedule, the sinks after recovery are
     **bit-identical** to the fault-free run.
 
-``run_with_recovery`` is that supervisor loop; ``reference_job`` builds
-the canonical pipeline (watermarks -> map -> filter -> key_by -> window
-sum) used by the equivalence suites, and ``reference_events`` its
-seeded input — shared here so tests, the robustness gate and benchmarks
-all agree on what "the reference pipeline" means.
+``run_with_recovery`` is that supervisor loop (``run_coordinated``, the
+production runner, lives in :mod:`repro.streaming.supervisor` and is
+re-exported here); ``reference_job`` builds the canonical pipeline
+(watermarks -> map -> filter -> key_by -> window sum) used by the
+equivalence suites, and ``reference_events`` its seeded input — shared
+here so tests, the robustness gate and benchmarks all agree on what
+"the reference pipeline" means.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..streaming.element import Element
 from ..streaming.execution import ParallelExecutor
 from ..streaming.graph import JobBuilder, JobGraph
-from ..streaming.runtime import Executor
 from ..streaming.supervisor import (
-    SupervisionReport,
-    Supervisor,
+    CoordinatedReport,
     check_failure_budget,
+    run_coordinated,
 )
 from ..streaming.windows import TumblingWindows
 from ..util.errors import BrokerDown, DataFaultError, OperatorCrash
 from ..util.rng import make_rng
 from .injector import FaultInjector
-from .plan import FaultPlan
 
 __all__ = ["RecoveryReport", "run_with_recovery", "reference_events",
            "reference_job", "reference_operator_names", "fault_free_sinks",
@@ -64,7 +63,7 @@ class RecoveryReport:
 
 def run_with_recovery(job: JobGraph, injector: FaultInjector | None = None,
                       *, batch_mode: bool = True, chaining: bool = True,
-                      parallelism: int | dict[str, int] | None = None,
+                      parallelism: int | dict[str, int] = 1,
                       source_batch: int = 64, checkpoint_every: int = 1,
                       tracer: Any = None, metrics: Any = None,
                       profiler: Any = None,
@@ -77,11 +76,10 @@ def run_with_recovery(job: JobGraph, injector: FaultInjector | None = None,
     latest checkpoint.  The shared ``MAX_FAILURES`` bound (see
     :mod:`repro.streaming.supervisor`) stops pathological plans.
 
-    ``parallelism`` (``None`` = the classic single-instance executor)
-    supervises a :class:`~repro.streaming.execution.ParallelExecutor`
-    instead: same loop, same recovery invariant, but crash sites are
-    per subtask (target ``"window_sum[1]"`` to kill one clone,
-    ``"window_sum"`` to match any of them).
+    Crash sites are per subtask of the
+    :class:`~repro.streaming.execution.ParallelExecutor` it supervises
+    (target ``"window_sum[1]"`` to kill one clone, ``"window_sum"`` to
+    match any of them).
 
     ``tracer``/``metrics``/``profiler`` (duck-typed, see
     :mod:`repro.obs`) thread straight through to the executor; the
@@ -98,17 +96,10 @@ def run_with_recovery(job: JobGraph, injector: FaultInjector | None = None,
     checkpoint) — the supervisor then terminates instead of masking a
     permanently poisoned job.
     """
-    if parallelism is None:
-        executor: Any = Executor(job, batch_mode=batch_mode,
-                                 chaining=chaining, injector=injector,
-                                 tracer=tracer, metrics=metrics,
-                                 profiler=profiler)
-    else:
-        executor = ParallelExecutor(job, parallelism,
-                                    batch_mode=batch_mode,
-                                    chaining=chaining, injector=injector,
-                                    tracer=tracer, metrics=metrics,
-                                    profiler=profiler)
+    executor = ParallelExecutor(job, parallelism, batch_mode=batch_mode,
+                                chaining=chaining, injector=injector,
+                                tracer=tracer, metrics=metrics,
+                                profiler=profiler)
     report = RecoveryReport(sink_values={})
     supervised = (tracer.start_span(f"supervised:{job.name}")
                   if tracer is not None else None)
@@ -203,83 +194,6 @@ def run_with_recovery(job: JobGraph, injector: FaultInjector | None = None,
         _supervise()
     report.sink_values = {name: list(buf.values)
                           for name, buf in executor.sinks.items()}
-    if injector is not None:
-        report.trace = list(injector.trace)
-    return report
-
-
-# -- coordinated checkpoints -------------------------------------------------
-
-
-@dataclass
-class CoordinatedReport(SupervisionReport):
-    """What happened during a coordinator-supervised run."""
-
-    #: checkpoints the store quarantined for failing integrity checks
-    integrity_failures: int = 0
-    trace: list = field(default_factory=list)
-
-
-def run_coordinated(job: JobGraph, injector: FaultInjector | None = None,
-                    *, parallelism: int | dict[str, int] = 2,
-                    batch_mode: bool = True, chaining: bool = True,
-                    source_batch: int = 64, step_cycles: int = 1,
-                    interval_cycles: int = 4,
-                    unaligned_after: int | None = None,
-                    heartbeat_timeout_s: float = 5.0,
-                    replayable: frozenset | set = frozenset(),
-                    store: Any = None,
-                    tracer: Any = None, metrics: Any = None,
-                    profiler: Any = None, on_coordinator: Any = None,
-                    restart_budget: Any = None) -> CoordinatedReport:
-    """Supervise a parallel job under coordinated checkpoints.
-
-    Unlike :func:`run_with_recovery` — which only checkpoints when the
-    job is quiescent — this runs the job under a
-    :class:`~repro.streaming.supervisor.Supervisor`, whose
-    :class:`~repro.streaming.coordinator.CheckpointCoordinator`
-    snapshots *while data is in flight* via barrier alignment, commits
-    sink output through 2PC, and recovers regionally — the failure
-    classes and what each restores are the supervisor's ladder.
-
-    ``on_coordinator`` (if given) is called with the coordinator after
-    construction — the place to register commit listeners such as
-    :class:`~repro.streaming.txn_sink.TransactionalLogSink`.  Listeners
-    survive coordinator rebuilds.
-
-    ``restart_budget`` bounds recovery exactly as in
-    :func:`run_with_recovery` (backoff runs on the supervisor's
-    simulated clock; "progress" means a newly finalized checkpoint).
-    """
-    executor = ParallelExecutor(job, parallelism, batch_mode=batch_mode,
-                                chaining=chaining, injector=injector,
-                                tracer=tracer, metrics=metrics,
-                                profiler=profiler,
-                                transactional_sinks=True,
-                                unaligned_after=unaligned_after)
-    supervised = (tracer.start_span(f"coordinated:{job.name}")
-                  if tracer is not None else None)
-    report = CoordinatedReport(sink_values={})
-    supervisor = Supervisor(
-        executor, report, store=store, source_batch=source_batch,
-        step_cycles=step_cycles, interval_cycles=interval_cycles,
-        heartbeat_timeout_s=heartbeat_timeout_s, injector=injector,
-        metrics=metrics, span=supervised, replayable=replayable,
-        restart_budget=restart_budget)
-    if on_coordinator is not None:
-        on_coordinator(supervisor.coordinator)
-    with (tracer.activate(supervised) if supervised is not None
-          else nullcontext()):
-        while not supervisor.advance():
-            pass
-    if supervised is not None:
-        for attr in ("crashes", "coordinator_crashes", "regional_restores",
-                     "full_restores", "replayed_total"):
-            supervised.set_attr(attr, getattr(report, attr))
-        supervised.end()
-    supervisor.finish()
-    report.integrity_failures = getattr(supervisor.store,
-                                        "integrity_failures", 0)
     if injector is not None:
         report.trace = list(injector.trace)
     return report
@@ -382,15 +296,10 @@ def two_region_job(events_a: Any, events_b: Any,
 def fault_free_sinks(build: Callable[[], JobGraph], *,
                      batch_mode: bool = True,
                      chaining: bool = True,
-                     parallelism: int | dict[str, int] | None = None,
+                     parallelism: int | dict[str, int] = 1,
                      source_batch: int = 64) -> dict[str, list[Any]]:
     """The golden run: same job, no injector, straight execution."""
-    if parallelism is None:
-        executor: Any = Executor(build(), batch_mode=batch_mode,
-                                 chaining=chaining)
-    else:
-        executor = ParallelExecutor(build(), parallelism,
-                                    batch_mode=batch_mode,
-                                    chaining=chaining)
+    executor = ParallelExecutor(build(), parallelism,
+                                batch_mode=batch_mode, chaining=chaining)
     sinks = executor.run(source_batch=source_batch)
     return {name: list(buf.values) for name, buf in sinks.items()}

@@ -34,8 +34,8 @@ from ..render.occlusion import OcclusionWorld
 from ..simnet.network import LINK_PRESETS, LinkSpec
 from ..simnet.topology import NodeSpec, Topology
 from ..streaming.connectors import log_source
+from ..streaming.execution import ParallelExecutor
 from ..streaming.graph import JobBuilder
-from ..streaming.runtime import Executor
 from ..streaming.window_operator import WindowResult
 from ..streaming.windows import TumblingWindows
 from ..util.clock import SimClock
@@ -192,7 +192,7 @@ class ARBigDataPipeline:
                 .window(TumblingWindows(window_s), aggregate,
                         value_fn=value_fn)
                 .sink("out"))
-        sinks = Executor(builder.build()).run()
+        sinks = ParallelExecutor(builder.build()).run()
         return [element for element in sinks["out"].values]
 
     def resilient_windowed_aggregate(self, topic: str,
@@ -237,7 +237,7 @@ class ARBigDataPipeline:
         """Escape hatch: run an arbitrary dataflow over the log."""
         builder = JobBuilder(name)
         build(builder)
-        sinks = Executor(builder.build()).run()
+        sinks = ParallelExecutor(builder.build()).run()
         return {name: buf.values for name, buf in sinks.items()}
 
     # -- semantics ------------------------------------------------------------------

@@ -45,7 +45,7 @@ from ..render import Annotation, Compositor, OverlayFrame, SceneGraph
 from ..simnet.network import LINK_PRESETS
 from ..simnet.topology import NodeSpec, Topology
 from ..streaming.connectors import log_source
-from ..streaming.runtime import Executor
+from ..streaming.execution import ParallelExecutor
 from ..util.clock import SimClock
 from ..util.metrics import MetricsRegistry
 from ..util.rng import RngRegistry
@@ -132,9 +132,9 @@ def traced_reference_run(*, seed: int = 0, n_events: int = 200,
         with tracer.span("stream", mode=mode):
             job = reference_job(log_source(cluster, "events",
                                            tracer=tracer))
-            executor = Executor(job, batch_mode=batch_mode,
-                                chaining=chaining, tracer=tracer,
-                                metrics=registry, profiler=profiler)
+            executor = ParallelExecutor(
+                job, batch_mode=batch_mode, chaining=chaining,
+                tracer=tracer, metrics=registry, profiler=profiler)
             sink_buffers = executor.run(source_batch=64)
             clock.advance(n_events * _STREAM_COST_S)
         sinks = {name: list(buf.values)

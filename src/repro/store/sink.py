@@ -58,7 +58,7 @@ class StoreSink:
 
     def attach(self, coordinator: Any) -> "StoreSink":
         """Register on a coordinator: commit listener + retain-watermark
-        consumer.  Pass as ``on_coordinator=`` to the chaos harness —
+        consumer.  Pass as ``on_coordinator=`` to ``run_coordinated`` —
         listeners survive coordinator rebuilds, and re-attaching after
         one only refreshes the checkpoint-store handle."""
         store = getattr(coordinator, "store", None)

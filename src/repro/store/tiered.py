@@ -7,9 +7,9 @@ facade carries the query surface of both: ``latest``/``point`` for
 overlay binding, ``group_by``/``tumbling``/``filter`` for dashboards.
 
 :func:`serve_topic` is the standard wiring: build a coordinated job
-over an event-log topic, run it under the chaos harness's supervisor,
-and return the store fed exactly-once through a
-:class:`~repro.store.sink.StoreSink`.
+over an event-log topic, run it under the streaming supervisor
+(:func:`~repro.streaming.supervisor.run_coordinated`), and return the
+store fed exactly-once through a :class:`~repro.store.sink.StoreSink`.
 """
 
 from __future__ import annotations
@@ -157,11 +157,9 @@ def serve_topic(cluster: Any, topic: str, *,
     run is chaos-ready: pass an ``injector`` and the store still comes
     out bit-identical to the fault-free run.
     """
-    from ..chaos.harness import run_coordinated
-    from ..chaos.injector import FaultInjector
-    from ..chaos.plan import FaultPlan
     from ..streaming.connectors import log_source
     from ..streaming.graph import JobBuilder
+    from ..streaming.supervisor import run_coordinated
     from .sink import StoreSink
 
     if store is None:
@@ -173,8 +171,6 @@ def serve_topic(cluster: Any, topic: str, *,
     if key_fn is not None:
         stream = stream.key_by(key_fn)
     stream.sink("store")
-    if injector is None:
-        injector = FaultInjector(FaultPlan(specs=()))
     sink = StoreSink(store, sink_name="store", injector=injector)
     report = run_coordinated(builder.build(), injector,
                              parallelism=parallelism,

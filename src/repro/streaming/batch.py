@@ -55,8 +55,7 @@ later can change a sealed batch or the bytes it pickles to.
 
 from __future__ import annotations
 
-import bisect
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -64,7 +63,6 @@ from .element import Element, StreamItem, Watermark
 
 __all__ = [
     "RecordBatch",
-    "ColumnarStream",
     "as_batch",
     "batches_of",
     "item_weight",
@@ -556,92 +554,3 @@ def batches_of(rows: Iterable[Any]) -> list[RecordBatch]:
         out.append(RecordBatch.from_elements(run))
     return out
 
-
-class ColumnarStream:
-    """A materialized source buffer, pre-encoded for columnar pulls.
-
-    Positions are *element positions* — identical to indices into the
-    flat per-item buffer — so checkpointed source offsets mean the same
-    thing in every execution mode.  Watermarks (and any item without a
-    columnar encoding) occupy one position each, exactly like the flat
-    buffer.  ``slice`` returns zero-copy batch views interleaved with
-    the markers of the range.
-    """
-
-    __slots__ = ("_segments", "_starts", "total")
-
-    def __init__(self, items: Sequence[Any],
-                 key_index: dict | None = None,
-                 key_dict: list | None = None,
-                 encode: Callable[..., RecordBatch] | None = None) -> None:
-        encode = encode if encode is not None else RecordBatch.from_elements
-        self._segments: list[tuple[int, Any]] = []
-        self._starts: list[int] = []
-        # Fast path: a pure-Element buffer (the common source shape)
-        # encodes as one segment without the per-item walk.  Watermarks,
-        # barriers and RecordBatches all lack one of the attributes the
-        # encoder reads, so mixed buffers fall through cleanly.
-        if items and type(items[0]) is Element:
-            try:
-                batch = (encode(items, key_index, key_dict)
-                         if key_index is not None else encode(items))
-            except AttributeError:
-                batch = None
-            if batch is not None:
-                self._segments.append((0, batch))
-                self._starts.append(0)
-                self.total = len(batch)
-                return
-        pos = 0
-        run: list[Element] = []
-
-        def _flush_run() -> None:
-            nonlocal pos
-            if not run:
-                return
-            batch = encode(run, key_index, key_dict) \
-                if key_index is not None else encode(run)
-            self._starts.append(pos)
-            self._segments.append((pos, batch))
-            pos += len(run)
-            run.clear()
-
-        for item in items:
-            if type(item) is RecordBatch:
-                _flush_run()
-                self._starts.append(pos)
-                self._segments.append((pos, item))
-                pos += item.weight
-            elif isinstance(item, Element):
-                run.append(item)
-            else:  # watermark / barrier: one position
-                _flush_run()
-                self._starts.append(pos)
-                self._segments.append((pos, item))
-                pos += 1
-        _flush_run()
-        self.total = pos
-
-    def __len__(self) -> int:
-        return self.total
-
-    def slice(self, pos: int, limit: int) -> list:
-        """Items covering element positions [pos, min(limit, total))."""
-        end = min(limit, self.total)
-        if pos >= end:
-            return []
-        out: list = []
-        i = bisect.bisect_right(self._starts, pos) - 1
-        while i < len(self._segments):
-            seg_start, item = self._segments[i]
-            if seg_start >= end:
-                break
-            if type(item) is RecordBatch:
-                lo = max(0, pos - seg_start)
-                hi = min(item.weight, end - seg_start)
-                out.append(item if lo == 0 and hi == item.weight
-                           else item.slice(lo, hi))
-            else:
-                out.append(item)
-            i += 1
-        return out

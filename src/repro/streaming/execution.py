@@ -20,12 +20,23 @@ partitions) range-assigned to source subtasks — eventlog-backed sources
 map partitions to splits through consumer groups
 (:func:`~repro.streaming.connectors.parallel_log_source`).
 
-Execution stays single-threaded and deterministic, like
-:class:`~repro.streaming.runtime.Executor`: subtasks are *modelled*
-concurrency.  Each subtask index is a worker lane; per-cycle lane busy
-time is measured and the **modelled makespan** (sum over cycles of the
-slowest lane) is what the parallel benchmarks report as speedup, while
-semantics remain bit-reproducible.
+Execution is single-threaded and deterministic: subtasks are
+*modelled* concurrency.  Each subtask index is a worker lane; per-cycle
+lane busy time is measured and the **modelled makespan** (sum over
+cycles of the slowest lane) is what the parallel benchmarks report as
+speedup, while semantics remain bit-reproducible.
+
+Two execution modes share one semantics.  **Batched** (the default)
+moves whole channel batches through :meth:`Operator.process_batch`, with
+linear runs of chainable operators fused into one
+:class:`~repro.streaming.chain.ChainedOperator` node at compile time.
+**Per-item** (``batch_mode=False``) is element-at-a-time dispatch, kept
+as the semantic reference: batched execution is bit-identical to it
+(same sink contents, same operator state and checkpoints, same
+``processed``/``emitted`` counters).  ``backpressure_events`` and
+``dropped_overflow`` are accounted per *item* in both modes; chaining
+removes the channels between fused operators, so a chained run observes
+backpressure only at chain boundaries.
 
 Multi-input subtasks align watermarks per input channel (the minimum
 across channels is forwarded — Flink's watermark valve), so a keyed
@@ -39,13 +50,17 @@ merges conservatively (watermarks regress to the minimum).  At
 unchanged parallelism a restore is exact — the chaos suite's
 recovered-sinks-equal-fault-free invariant holds bit-for-bit.
 
-Parallelism 1 compiles to the same plan shape as the single-instance
-executor (same chains, all-forward edges) and produces identical sinks.
+Parallelism 1 — the default, and what every single-instance job runs
+at — compiles to all-forward edges.  A source subtask with **one live
+split** has nothing to route or merge: the split is read in arrival
+order, whatever its timestamps and values look like (a FIFO of one
+split *is* the heap merge's order), so an unsorted or opaque-valued
+in-memory source still moves as columnar slices.
 
 Equivalence contract (property-tested): for key-aligned sources (same
 key, same split — the default partitioner) and allowed lateness
 covering the watermark skew between subtasks (no late drops), sinks at
-any parallelism are identical to the single-instance plan *modulo
+any parallelism are identical to the parallelism-1 plan *modulo
 cross-key interleaving*; per-key subsequences are bit-identical.
 """
 
@@ -82,7 +97,6 @@ from .errors import DLQ_SINK, FAIL, ErrorPolicy, guard_batch, guard_item
 from .graph import JobGraph
 from .join import IntervalJoinOperator
 from .operators import Operator
-from .runtime import SinkBuffer, build_chains
 from .txn_sink import TransactionalSink
 from .shuffle import (
     DEFAULT_KEY_GROUPS,
@@ -93,6 +107,7 @@ from .shuffle import (
 )
 
 __all__ = [
+    "SinkBuffer",
     "PhysicalNode",
     "PhysicalEdge",
     "ExecutionGraph",
@@ -105,6 +120,21 @@ FORWARD = "forward"
 HASH = "hash"
 REBALANCE = "rebalance"
 MERGE = "merge"  # into a sink
+
+
+@dataclass
+class SinkBuffer:
+    """Collects elements delivered to a named sink."""
+
+    name: str
+    elements: list[Element] = field(default_factory=list)
+
+    @property
+    def values(self) -> list[Any]:
+        return [e.value for e in self.elements]
+
+    def __len__(self) -> int:
+        return len(self.elements)
 
 
 @dataclass(frozen=True)
@@ -187,6 +217,43 @@ def _parallelism_of(parallelism: int | dict[str, int], node: str) -> int:
     return int(parallelism.get(node, parallelism.get("default", 1)))
 
 
+def _fusible_runs(job: JobGraph, p_of: Any,
+                  reg: Any) -> dict[str, list[str]]:
+    """Find maximal fusible runs: consecutive chainable operators linked
+    by an untagged edge where the upstream has exactly one downstream,
+    the downstream exactly one upstream, and both run at the same
+    parallelism in the same region (a width or region change is always
+    a channel).  Returns head -> member names."""
+    out_degree: dict[str, int] = {}
+    in_degree: dict[str, int] = {}
+    for up, down, _side in job.edges:
+        out_degree[up] = out_degree.get(up, 0) + 1
+        in_degree[down] = in_degree.get(down, 0) + 1
+    links: dict[str, str] = {}
+    for up, down, side in job.edges:
+        if side is not None:
+            continue
+        if up not in job.operators or down not in job.operators:
+            continue
+        if not (job.operators[up].chainable and job.operators[down].chainable):
+            continue
+        if out_degree[up] != 1 or in_degree[down] != 1:
+            continue
+        if p_of(up) != p_of(down) or reg(up) != reg(down):
+            continue
+        links[up] = down
+    linked_to = set(links.values())
+    chains: dict[str, list[str]] = {}
+    for head in links:
+        if head in linked_to:
+            continue
+        run = [head]
+        while run[-1] in links:
+            run.append(links[run[-1]])
+        chains[head] = run
+    return chains
+
+
 def compile_execution_graph(job: JobGraph,
                             parallelism: int | dict[str, int] = 1,
                             *, num_key_groups: int = DEFAULT_KEY_GROUPS,
@@ -197,9 +264,8 @@ def compile_execution_graph(job: JobGraph,
     ``parallelism`` is either one width for every node or a per-node
     dict (``{"default": 2, "window_sum": 4}``); sources take their
     width from the same mapping.  Chains only fuse operators of equal
-    parallelism (the extra gate threaded into
-    :func:`~repro.streaming.runtime.build_chains`), so a parallelism
-    change is always a channel — exactly like a shuffle.
+    parallelism, so a parallelism change is always a channel — exactly
+    like a shuffle.
 
     ``placement`` (a :class:`~repro.streaming.placement.RegionPlacement`)
     adds region affinity: placement pins override the job's own region
@@ -234,10 +300,7 @@ def compile_execution_graph(job: JobGraph,
                 f"keyed operator {name!r} parallelism {p_of(name)} exceeds "
                 f"num_key_groups {num_key_groups}")
 
-    chains = build_chains(
-        job, compatible=lambda u, d: (p_of(u) == p_of(d)
-                                      and reg(u) == reg(d))
-    ) if chaining else {}
+    chains = _fusible_runs(job, p_of, reg) if chaining else {}
     rename: dict[str, str] = {}
     nodes: dict[str, PhysicalNode] = {}
     in_chain: set[str] = set()
@@ -388,10 +451,9 @@ class ParallelExecutor:
     """Runs a physical plan: N subtasks per operator, keyed shuffles,
     per-subtask checkpoints, deterministic single-threaded execution.
 
-    API mirrors :class:`~repro.streaming.runtime.Executor` (``run``,
-    ``checkpoint``, ``restore``, ``sinks``, ``done``), so the chaos
-    harness supervises either executor unchanged.  ``restore`` accepts
-    checkpoints taken at a *different* parallelism (rescaling).
+    The only executor: a single-instance job is this class at its
+    default parallelism of 1.  ``restore`` accepts checkpoints taken at
+    a *different* parallelism (rescaling).
     """
 
     def __init__(self, job: JobGraph,
@@ -698,12 +760,13 @@ class ParallelExecutor:
 
     def source_positions_snapshot(self) -> dict[str, dict[int, int]]:
         """Current per-split read positions (the coordinator records
-        these at barrier injection: they are the checkpoint's cut)."""
-        positions: dict[str, dict[int, int]] = {}
-        for name in self.job.sources:
-            self._materialize_source(name)
-            positions[name] = dict(self._split_positions[name])
-        return positions
+        these at barrier injection: they are the checkpoint's cut).  A
+        source not read yet stands at position 0 on every split and is
+        not read for the asking, so a checkpoint taken before the first
+        pull is a valid restart-from-scratch restore point."""
+        return {name: dict(self._split_positions.get(name)
+                           or dict.fromkeys(range(n), 0))
+                for name, n in self.graph.source_splits.items()}
 
     def inject_barriers(self, checkpoint_id: int) -> None:
         """Emit barrier N from every source subtask — including subtasks
@@ -753,45 +816,63 @@ class ParallelExecutor:
     # -- sources -------------------------------------------------------------
 
     def _materialize_source(self, name: str) -> dict[int, Sequence[Element]]:
+        """Read a source into per-split buffers on first touch, so
+        checkpoint/restore can rewind by position (log-backed sources
+        rewind by offset underneath).  Reading is what may hit a broker
+        fault, so ``checkpoint`` never gets here: the first touch
+        belongs to ``run`` or ``restore``, inside the supervisor's
+        failure ladder."""
         if name in self._split_buffers:
             return self._split_buffers[name]
         spec = self.job.sources[name]
         n_splits = self.graph.source_splits[name]
-        buffers: dict[int, Any] = {s: [] for s in range(n_splits)}
         if spec.split_factory is not None:
-            for s in range(n_splits):
-                items = spec.split_factory(s, n_splits)
-                if not isinstance(items, list):
-                    items = list(items)
-                if self.columnar and items and all(
-                        type(it) is RecordBatch and it.wm_offsets is None
-                        for it in items):
-                    # A columnar connector's batches stay columns;
-                    # _columnarize_source wraps them in a _BatchSplit.
-                    buffers[s] = [rb for rb in items if len(rb)]
-                else:
-                    buffers[s] = decode_items(items)
+            per_split: Iterable = (spec.split_factory(s, n_splits)
+                                   for s in range(n_splits))
+        elif n_splits == 1:
+            # One split has nothing to route: the source's own order is
+            # the split's order.
+            per_split = [spec.iterate()]
         else:
-            for i, item in enumerate(decode_items(spec.iterate())):
-                if isinstance(item, Watermark):
-                    # A watermark in a source stream asserts event-time
-                    # progress for the whole source: broadcast.
-                    for s in range(n_splits):
-                        buffers[s].append(item)
-                elif spec.partitioner is not None:
-                    buffers[spec.partitioner(item, n_splits)].append(item)
-                elif item.key is not None:
-                    # Key-aligned split: same key, same split — the
-                    # precondition for per-key order preservation.
-                    buffers[key_group_for(item.key, n_splits)].append(item)
-                else:
-                    buffers[i % n_splits].append(item)
+            per_split = self._route_to_splits(spec, n_splits)
+        buffers: dict[int, Any] = {}
+        for s, items in enumerate(per_split):
+            if not isinstance(items, list):
+                items = list(items)
+            if self.columnar and items and all(
+                    type(it) is RecordBatch and it.wm_offsets is None
+                    for it in items):
+                # A columnar connector's batches stay columns;
+                # _columnarize_source wraps them in a _BatchSplit.
+                buffers[s] = [rb for rb in items if len(rb)]
+            else:
+                buffers[s] = decode_items(items)
         self._split_buffers[name] = buffers
         positions = self._split_positions.setdefault(name, {})
         for s in range(n_splits):
             positions.setdefault(s, 0)
         if self.columnar:
             self._columnarize_source(name, buffers)
+        return buffers
+
+    @staticmethod
+    def _route_to_splits(spec: Any, n_splits: int) -> list[list]:
+        """Spread a source without a split factory over its splits."""
+        buffers: list[list] = [[] for _ in range(n_splits)]
+        for i, item in enumerate(decode_items(spec.iterate())):
+            if isinstance(item, Watermark):
+                # A watermark in a source stream asserts event-time
+                # progress for the whole source: broadcast.
+                for buf in buffers:
+                    buf.append(item)
+            elif spec.partitioner is not None:
+                buffers[spec.partitioner(item, n_splits)].append(item)
+            elif item.key is not None:
+                # Key-aligned split: same key, same split — the
+                # precondition for per-key order preservation.
+                buffers[key_group_for(item.key, n_splits)].append(item)
+            else:
+                buffers[i % n_splits].append(item)
         return buffers
 
     def _columnarize_source(self, name: str, buffers: dict[int, Any]) -> None:
@@ -1010,9 +1091,12 @@ class ParallelExecutor:
         ``lexsort((split_id, timestamp))`` — provably the heap merge's
         order when per-split timestamps are nondecreasing (the heap pops
         by (ts, split) and per-split FIFO order is preserved by the
-        stable sort).  Each pull is then a zero-copy slice.  Returns
-        None (heap fallback) when any live split holds markers, opaque
-        values, or out-of-order timestamps."""
+        stable sort).  Each pull is then a zero-copy slice.  A subtask
+        with a single live split needs no merge at all: that split is
+        pulled in its own order, sorted and numeric or not.  Returns
+        None (heap fallback) when a live split holds markers, or when
+        several are live and one has opaque values or out-of-order
+        timestamps."""
         key = (name, idx)
         plan = self._merge_cache.get(key)
         if plan is not None:
@@ -1023,15 +1107,13 @@ class ParallelExecutor:
         sorted_flags = self._split_sorted[name]
         positions = self._split_positions[name]
         buffers = self._split_buffers[name]
-        live: list[int] = []
-        for s in splits:
-            if positions[s] >= len(buffers[s]):
-                continue
-            rb = batches.get(s)
-            if rb is None or not sorted_flags[s] \
-                    or not isinstance(rb.values, np.ndarray):
-                return None
-            live.append(s)
+        live = [s for s in splits if positions[s] < len(buffers[s])]
+        if any(batches.get(s) is None for s in live):
+            return None
+        if len(live) > 1 and not all(
+                sorted_flags[s] and isinstance(batches[s].values, np.ndarray)
+                for s in live):
+            return None
         if len(live) == 1:
             s = live[0]
             rb = batches[s]
@@ -1115,9 +1197,9 @@ class ParallelExecutor:
 
     def _offer(self, key: tuple[str, int, str | None],
                sender: tuple[str, int], items: list[StreamItem]) -> None:
-        """Batch offer with per-item backpressure/drop accounting —
-        the same arithmetic as the single-instance executor's
-        ``_offer_batch``, per physical channel."""
+        """Batch offer with per-item backpressure/drop accounting, per
+        physical channel: the O(1) arithmetic of what one append at a
+        time would count."""
         injector = self.injector
         if injector is not None and getattr(injector, "has_channel_faults",
                                             False):
@@ -1873,6 +1955,9 @@ class ParallelExecutor:
         return self._flushed
 
     # -- modelled speedup ------------------------------------------------------
+    # Wall-clock, so read off the executor only: the lane model never
+    # reaches a span or a metrics registry (a traced run dumps the same
+    # bytes twice).
 
     @property
     def serial_busy_s(self) -> float:
@@ -1945,10 +2030,8 @@ class ParallelExecutor:
                 scalar_state[m] = [c.scalar_snapshot() for c in clones]
             else:
                 scalar_state[m] = [c.snapshot() for c in clones]
-        source_positions: dict[str, dict[int, int]] = {}
+        source_positions = self.source_positions_snapshot()
         for name in self.job.sources:
-            self._materialize_source(name)
-            source_positions[name] = dict(self._split_positions[name])
             parallelism[name] = self.graph.source_parallelism[name]
         snapshot = ParallelCheckpoint(
             checkpoint_id=self._checkpoint_seq,
@@ -2283,8 +2366,6 @@ class ParallelExecutor:
         self._job_span.set_attr("backpressure_events",
                                 self.backpressure_events)
         self._job_span.set_attr("dropped_overflow", self.dropped_overflow)
-        self._job_span.set_attr("modeled_makespan_s",
-                                self.modeled_makespan_s)
         self._job_span.end()
 
     def _publish_metrics(self) -> None:
@@ -2300,8 +2381,6 @@ class ParallelExecutor:
                 "backpressure": m.gauge("executor.backpressure_events"),
                 "dropped": m.gauge("executor.dropped_overflow"),
                 "shed": m.gauge("executor.shed_elements"),
-                "makespan": m.gauge("executor.modeled_makespan_s"),
-                "busy": m.gauge("executor.serial_busy_s"),
                 "ops": [
                     (m.gauge("op.processed", op=name),
                      m.gauge("op.emitted", op=name),
@@ -2318,8 +2397,6 @@ class ParallelExecutor:
         cache["backpressure"].set(self.backpressure_events)
         cache["dropped"].set(self.dropped_overflow)
         cache["shed"].set(self.shed_elements)
-        cache["makespan"].set(self.modeled_makespan_s)
-        cache["busy"].set(self.serial_busy_s)
         for g_processed, g_emitted, clones in cache["ops"]:
             processed = emitted = 0
             for clone, g_sub in clones:

@@ -21,7 +21,8 @@ a new loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..util.clock import SimClock
@@ -40,9 +41,11 @@ from .coordinator import (
 )
 from .errors import DLQ_SINK
 from .execution import ParallelCheckpoint, ParallelExecutor
+from .graph import JobGraph
 
 __all__ = ["MAX_FAILURES", "SAVEPOINT_MAX_CYCLES", "SupervisionReport",
-           "Supervisor", "check_failure_budget"]
+           "Supervisor", "check_failure_budget", "CoordinatedReport",
+           "run_coordinated"]
 
 #: Bounds pathological fault plans: a deterministic schedule cannot
 #: re-fire a passed fault, so any finite plan terminates well below it.
@@ -378,3 +381,78 @@ class Supervisor:
         report.sink_values = {name: list(sink.values)
                               for name, sink in self.executor.sinks.items()}
         return report
+
+
+@dataclass
+class CoordinatedReport(SupervisionReport):
+    """What happened during a coordinator-supervised run."""
+
+    #: checkpoints the store quarantined for failing integrity checks
+    integrity_failures: int = 0
+    trace: list = field(default_factory=list)
+
+
+def run_coordinated(job: JobGraph, injector: Any = None,
+                    *, parallelism: int | dict[str, int] = 2,
+                    batch_mode: bool = True, chaining: bool = True,
+                    source_batch: int = 64, step_cycles: int = 1,
+                    interval_cycles: int = 4,
+                    unaligned_after: int | None = None,
+                    heartbeat_timeout_s: float = 5.0,
+                    replayable: frozenset | set = frozenset(),
+                    store: Any = None,
+                    tracer: Any = None, metrics: Any = None,
+                    profiler: Any = None, on_coordinator: Any = None,
+                    restart_budget: Any = None) -> CoordinatedReport:
+    """Run ``job`` for real: the one production wiring of executor,
+    2PC sinks, coordinator and store.
+
+    The job runs under a :class:`Supervisor`, whose
+    :class:`~repro.streaming.coordinator.CheckpointCoordinator`
+    snapshots *while data is in flight* via barrier alignment, commits
+    sink output through 2PC, and recovers regionally — the failure
+    classes and what each restores are the supervisor's ladder.
+    ``injector`` (duck-typed, see :mod:`repro.chaos`; ``None`` in
+    production) threads faults through every layer.
+
+    ``on_coordinator`` (if given) is called with the coordinator after
+    construction — the place to register commit listeners such as
+    :class:`~repro.streaming.txn_sink.TransactionalLogSink`.  Listeners
+    survive coordinator rebuilds.
+
+    ``restart_budget`` bounds recovery (backoff runs on the
+    supervisor's simulated clock; "progress" means a newly finalized
+    checkpoint).
+    """
+    executor = ParallelExecutor(job, parallelism, batch_mode=batch_mode,
+                                chaining=chaining, injector=injector,
+                                tracer=tracer, metrics=metrics,
+                                profiler=profiler,
+                                transactional_sinks=True,
+                                unaligned_after=unaligned_after)
+    supervised = (tracer.start_span(f"coordinated:{job.name}")
+                  if tracer is not None else None)
+    report = CoordinatedReport(sink_values={})
+    supervisor = Supervisor(
+        executor, report, store=store, source_batch=source_batch,
+        step_cycles=step_cycles, interval_cycles=interval_cycles,
+        heartbeat_timeout_s=heartbeat_timeout_s, injector=injector,
+        metrics=metrics, span=supervised, replayable=replayable,
+        restart_budget=restart_budget)
+    if on_coordinator is not None:
+        on_coordinator(supervisor.coordinator)
+    with (tracer.activate(supervised) if supervised is not None
+          else nullcontext()):
+        while not supervisor.advance():
+            pass
+    if supervised is not None:
+        for attr in ("crashes", "coordinator_crashes", "regional_restores",
+                     "full_restores", "replayed_total"):
+            supervised.set_attr(attr, getattr(report, attr))
+        supervised.end()
+    supervisor.finish()
+    report.integrity_failures = getattr(supervisor.store,
+                                        "integrity_failures", 0)
+    if injector is not None:
+        report.trace = list(injector.trace)
+    return report

@@ -18,7 +18,7 @@ turning every sink into a 2PC participant:
   element is ever exposed twice or lost, for any crash point.
 
 :class:`TransactionalSink` is the in-memory collected sink
-(:class:`~repro.streaming.runtime.SinkBuffer`-compatible surface).
+(:class:`~repro.streaming.execution.SinkBuffer`-compatible surface).
 :class:`TransactionalLogSink` mirrors committed output into an event-log
 topic through a fenced idempotent producer; its resume point is derived
 from the topic's end offsets, so a crash *between* checkpoint

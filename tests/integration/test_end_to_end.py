@@ -11,7 +11,7 @@ from repro.eventlog import ConsumerGroup
 from repro.render.occlusion import BoxOccluder, OcclusionWorld
 from repro.streaming.connectors import log_source
 from repro.streaming.graph import JobBuilder
-from repro.streaming.runtime import Executor
+from repro.streaming.execution import ParallelExecutor
 from repro.streaming.windows import TumblingWindows
 from repro.util.rng import make_rng
 from repro.vision import (
@@ -142,7 +142,7 @@ class TestLogStreamWindowJoin:
         (gaze.join(purchase, lower=0.0, upper=1.0,
                    project=lambda g, p: (g["item"], p["item"]))
              .sink("out"))
-        sinks = Executor(builder.build()).run()
+        sinks = ParallelExecutor(builder.build()).run()
         # Every purchase at t+0.5 matches gazes in [t-0.5, t+0.5] for the
         # same user: the gaze at t always; t+1 gaze has different parity
         # user except when (i+1)%4 == i%4 (never). So exactly 10 matches.

@@ -17,7 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.streaming import Element, Executor, JobBuilder, TumblingWindows
+from repro.streaming import (
+    Element,
+    JobBuilder,
+    ParallelExecutor,
+    TumblingWindows,
+)
 from repro.util.errors import BackpressureOverflow
 
 MODES = {
@@ -72,15 +77,22 @@ def _chainable_builder(elements):
 
 
 def _run(make_builder, elements, mode, capacity, drop, source_batch):
-    executor = Executor(make_builder(elements).build(),
-                        channel_capacity=capacity,
-                        drop_on_overflow=drop, **MODES[mode])
+    executor = ParallelExecutor(make_builder(elements).build(),
+                                channel_capacity=capacity,
+                                drop_on_overflow=drop, **MODES[mode])
     raised = False
     try:
         executor.run(source_batch=source_batch)
     except BackpressureOverflow:
         raised = True
     return executor, raised
+
+
+def _channel_contents(executor):
+    """(receiver, sender) -> queued items, over every physical channel."""
+    return {(key, sender): list(queue)
+            for key, senders in executor._channels.items()
+            for sender, queue in senders.items()}
 
 
 def _outcome(executor, raised):
@@ -160,9 +172,11 @@ class TestChainedBounds:
         """On a graph where nothing fuses the chained plan is the
         batched plan — counters match across all three modes."""
         elements = _to_elements(rows)
-        guard = Executor(_chain_free_builder(elements).build(),
-                         chaining=True)
-        assert guard.chained_nodes() == {}  # the graph really is chain-free
+        guard = ParallelExecutor(_chain_free_builder(elements).build(),
+                                 chaining=True)
+        # the graph really is chain-free
+        assert all(len(node.members) == 1
+                   for node in guard.graph.nodes.values())
         outcomes = {mode: _outcome(*_run(_chain_free_builder, elements, mode,
                                          capacity, False, 8))
                     for mode in MODES}
@@ -189,10 +203,8 @@ class TestOverflowRaise:
             states[mode] = executor
         per_item, batched = states["per_item"], states["batched"]
         assert batched.backpressure_events == per_item.backpressure_events
-        per_item_channels = {key: list(ch)
-                             for key, ch in per_item._channels.items()}
-        batched_channels = {key: list(ch)
-                            for key, ch in batched._channels.items()}
+        per_item_channels = _channel_contents(per_item)
+        batched_channels = _channel_contents(batched)
         assert batched_channels == per_item_channels
         # the channel stalled exactly at the 10x limit, not at 0 or n
         assert sum(len(ch) for ch in per_item_channels.values()) \
@@ -200,7 +212,7 @@ class TestOverflowRaise:
 
     def test_raise_message_names_the_node(self):
         elements = _to_elements([(0, float(i)) for i in range(25)])
-        executor = Executor(_window_builder(elements).build(),
-                            channel_capacity=2)
+        executor = ParallelExecutor(_window_builder(elements).build(),
+                                    channel_capacity=2)
         with pytest.raises(BackpressureOverflow, match="10x capacity"):
             executor.run(source_batch=25)

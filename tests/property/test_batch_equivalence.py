@@ -12,7 +12,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.streaming import Element, Executor, JobBuilder, TumblingWindows
+from repro.streaming import (
+    Element,
+    JobBuilder,
+    ParallelExecutor,
+    TumblingWindows,
+)
 
 MODES = {
     "per_item": dict(batch_mode=False, chaining=False),
@@ -35,7 +40,7 @@ def _to_elements(rows):
 def _run_modes(make_builder, source_batch=256):
     out = {}
     for mode, flags in MODES.items():
-        executor = Executor(make_builder().build(), **flags)
+        executor = ParallelExecutor(make_builder().build(), **flags)
         executor.run(source_batch=source_batch)
         out[mode] = executor
     return out
@@ -51,8 +56,9 @@ def _assert_identical(executors):
             assert other.sinks[name].elements == sink.elements, (mode, name)
         ckpt = other.checkpoint()
         assert ckpt.source_positions == base_ckpt.source_positions, mode
-        assert ckpt.operator_state == base_ckpt.operator_state, mode
-        assert ckpt.emitted_to_sinks == base_ckpt.emitted_to_sinks, mode
+        assert ckpt.scalar_state == base_ckpt.scalar_state, mode
+        assert ckpt.keyed_state == base_ckpt.keyed_state, mode
+        assert ckpt.sink_elements == base_ckpt.sink_elements, mode
 
 
 class TestWindowedEquivalence:
@@ -134,12 +140,13 @@ class TestStatefulChains:
                        .sink("out"))
             return builder
 
-        reference = Executor(make_builder(False).build(),
-                             batch_mode=False).run()["out"]
+        reference = ParallelExecutor(make_builder(False).build(),
+                                     batch_mode=False).run()["out"]
         expected = [(float(e.value), e.timestamp, float(e.key))
                     for e in reference.elements]
         for flags in MODES.values():
-            got = Executor(make_builder(True).build(), **flags).run()["out"]
+            got = ParallelExecutor(make_builder(True).build(),
+                                   **flags).run()["out"]
             assert [(float(e.value), e.timestamp, float(e.key))
                     for e in got.elements] == expected
 
@@ -188,20 +195,18 @@ class TestCheckpointPortability:
                     .sink("out"))
             return builder
 
-        expected = Executor(make_builder().build()).run()["out"].elements
+        expected = ParallelExecutor(make_builder().build(),
+                                    batch_mode=False).run()["out"].elements
 
-        donor = Executor(make_builder().build(), batch_mode=True,
-                         chaining=True)
+        donor = ParallelExecutor(make_builder().build(), batch_mode=True,
+                                 chaining=True)
         donor.run(source_batch=batch, max_cycles=cycles)
         checkpoint = donor.checkpoint()
 
         # Restore into a *fresh per-item* executor over the same logical
-        # job; replay must land on the same sink contents.
-        survivor = Executor(make_builder().build(), batch_mode=False)
-        # Align the survivor's sink length with the snapshot's truncation
-        # point by replaying the donor's sink prefix.
-        survivor.sinks["out"].elements.extend(
-            donor.sinks["out"].elements[:checkpoint.emitted_to_sinks["out"]])
+        # job (the snapshot carries the sink prefix); replay must land
+        # on the same sink contents.
+        survivor = ParallelExecutor(make_builder().build(), batch_mode=False)
         survivor.restore(checkpoint)
         assert survivor.run()["out"].elements == expected
 
@@ -220,8 +225,9 @@ class TestCheckpointPortability:
                     .sink("out"))
             return builder
 
-        expected = Executor(make_builder().build()).run()["out"].elements
-        executor = Executor(make_builder().build())
+        expected = ParallelExecutor(make_builder().build(),
+                                    batch_mode=False).run()["out"].elements
+        executor = ParallelExecutor(make_builder().build())
         executor.run(source_batch=8, max_cycles=cycles)
         checkpoint = executor.checkpoint()
         executor.run()           # run ahead, then "crash"

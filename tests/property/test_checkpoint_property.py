@@ -12,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import SITE_OPERATOR, FaultInjector, FaultPlan, FaultSpec
-from repro.streaming import Element, Executor, JobBuilder, TumblingWindows
+from repro.streaming import (
+    Element,
+    JobBuilder,
+    ParallelExecutor,
+    TumblingWindows,
+)
 from repro.util.errors import OperatorCrash
 
 stream_strategy = st.lists(
@@ -50,10 +55,10 @@ class TestCheckpointInvisibility:
     def test_restore_replay_equals_straight_run(self, rows, cycles,
                                                 batch):
         elements = _to_elements(rows)
-        straight = Executor(_build(elements)).run()
+        straight = ParallelExecutor(_build(elements)).run()
         expected = _results(straight["out"].values)
 
-        executor = Executor(_build(elements))
+        executor = ParallelExecutor(_build(elements))
         executor.run(source_batch=batch, max_cycles=cycles)
         try:
             checkpoint = executor.checkpoint()
@@ -68,8 +73,9 @@ class TestCheckpointInvisibility:
     @settings(max_examples=30, deadline=None)
     def test_double_restore_still_exact(self, rows):
         elements = _to_elements(rows)
-        expected = _results(Executor(_build(elements)).run()["out"].values)
-        executor = Executor(_build(elements))
+        expected = _results(
+            ParallelExecutor(_build(elements)).run()["out"].values)
+        executor = ParallelExecutor(_build(elements))
         executor.run(source_batch=7, max_cycles=2)
         checkpoint = executor.checkpoint()
         for _ in range(2):  # crash twice from the same snapshot
@@ -111,11 +117,11 @@ class TestMidBatchCrashRestore:
     def test_crash_with_in_flight_batches_restores_exactly(
             self, crash_at, target):
         elements = self._events()
-        expected = _results(Executor(self._build(elements))
+        expected = _results(ParallelExecutor(self._build(elements))
                             .run()["out"].values)
-        executor = Executor(self._build(elements),
-                            injector=FaultInjector(
-                                self._crash_plan(crash_at, target)))
+        executor = ParallelExecutor(
+            self._build(elements),
+            injector=FaultInjector(self._crash_plan(crash_at, target)))
         checkpoint = executor.checkpoint()  # checkpoint zero
         while True:
             try:
@@ -139,10 +145,11 @@ class TestMidBatchCrashRestore:
                     for r in values]
 
         elements = self._events()
-        straight = emitted(Executor(self._build(elements))
+        straight = emitted(ParallelExecutor(self._build(elements))
                            .run(source_batch=16)["out"].values)
-        crashed = Executor(self._build(elements),
-                           injector=FaultInjector(self._crash_plan(55)))
+        crashed = ParallelExecutor(
+            self._build(elements),
+            injector=FaultInjector(self._crash_plan(55)))
         crashed.checkpoint()
         checkpoint = None
         try:
@@ -154,14 +161,15 @@ class TestMidBatchCrashRestore:
         except OperatorCrash:
             pass
         assert checkpoint is not None
-        already_emitted = checkpoint.emitted_to_sinks["out"]
-        fresh = Executor(self._build(elements),
-                         batch_mode=restore_batch_mode,
-                         chaining=restore_chaining)
+        delivered = emitted(e.value for e in checkpoint.sink_elements["out"])
+        assert 0 < len(delivered) < len(straight)
+        fresh = ParallelExecutor(self._build(elements),
+                                 batch_mode=restore_batch_mode,
+                                 chaining=restore_chaining)
         fresh.restore(checkpoint)
-        suffix = emitted(fresh.run(source_batch=16)["out"].values)
-        # The fresh executor's sinks start empty, so it emits exactly
-        # what the crashed run had not yet delivered — sink emission
-        # order is deterministic and mode-independent (the batched-
-        # equivalence guarantee), so the suffix matches positionally.
-        assert suffix == straight[already_emitted:]
+        # The snapshot carries what the crashed run had delivered, so the
+        # fresh executor adds exactly the suffix — sink emission order is
+        # deterministic and mode-independent (the batched-equivalence
+        # guarantee), so the whole sink matches positionally.
+        assert emitted(fresh.sinks["out"].values) == delivered
+        assert emitted(fresh.run(source_batch=16)["out"].values) == straight

@@ -462,12 +462,31 @@ class TestSplitBuffers:
     @pytest.mark.parametrize("shape,split", (("unsorted", 0), ("opaque", 1)))
     def test_heap_fallback_decodes_lazily(self, shape, split):
         rows = [(i % 8, float(i)) for i in range(40)]
-        executor = ParallelExecutor(_job(_splits(rows, shape), True), 4)
+        # two splits a subtask: merging them needs the heap where one is
+        # out of order or opaque
+        executor = ParallelExecutor(_job(_splits(rows, shape), True), 2)
         kept = executor._materialize_source("s")
         assert not any(buf.decoded for buf in kept.values())
         executor.run(source_batch=5)
-        # only the subtask whose split needs item access pays for it
-        assert [s for s, buf in kept.items() if buf.decoded] == [split]
+        # only the subtask whose merge needs item access pays for it
+        (owner,) = (r for r in executor._source_assignment["s"]
+                    if split in r)
+        assert [s for s, buf in kept.items() if buf.decoded] == list(owner)
+
+    @pytest.mark.parametrize("shape", ("unsorted", "opaque"))
+    def test_single_live_split_is_never_decoded(self, shape):
+        # one split a subtask has nothing to merge: its own order is the
+        # pull order, sorted and numeric or not
+        rows = [(i % 8, float(i)) for i in range(40)]
+        buffers = _splits(rows, shape)
+        executor = ParallelExecutor(_job(buffers, True), N_SPLITS)
+        executor.run(source_batch=5)
+        kept = executor._split_buffers["s"]
+        assert not any(buf.decoded for buf in kept.values())
+        want = ParallelExecutor(_job(buffers, False), N_SPLITS,
+                                batch_mode=False).run(source_batch=5)
+        assert ([repr(v) for v in executor.sinks["out"].values]
+                == [repr(v) for v in want["out"].values])
 
     def test_splice_matches_from_elements_of_the_decoded_rows(self):
         runs = [

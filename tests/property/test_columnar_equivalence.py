@@ -36,7 +36,6 @@ from repro.streaming import (
     CheckpointCoordinator,
     CheckpointStore,
     Element,
-    Executor,
     JobBuilder,
     ParallelExecutor,
     TumblingWindows,
@@ -83,7 +82,7 @@ mixed_rows = st.lists(
 def _run_all_modes(make_job, source_batch):
     out = {}
     for mode, flags in MODES.items():
-        executor = Executor(make_job(), **flags)
+        executor = ParallelExecutor(make_job(), **flags)
         executor.run(source_batch=source_batch)
         out[mode] = executor
     return out
@@ -100,8 +99,9 @@ def _assert_identical(executors):
             assert other.sinks[name].elements == sink.elements, (mode, name)
         ckpt = other.checkpoint()
         assert ckpt.source_positions == base_ckpt.source_positions, mode
-        assert ckpt.operator_state == base_ckpt.operator_state, mode
-        assert ckpt.emitted_to_sinks == base_ckpt.emitted_to_sinks, mode
+        assert ckpt.scalar_state == base_ckpt.scalar_state, mode
+        assert ckpt.keyed_state == base_ckpt.keyed_state, mode
+        assert ckpt.sink_elements == base_ckpt.sink_elements, mode
 
 
 class TestColumnarKernels:
@@ -197,7 +197,8 @@ class TestParallelColumnar:
     @given(numeric_rows)
     @settings(max_examples=10, deadline=None)
     def test_rescale_restore_columnar(self, rows):
-        expected = Executor(self._make_job(rows)).run()["out"].elements
+        expected = ParallelExecutor(self._make_job(rows),
+                                    batch_mode=False).run()["out"].elements
         for old_p, new_p in ((1, 2), (1, 4), (2, 4), (4, 1)):
             donor = ParallelExecutor(self._make_job(rows), old_p,
                                      columnar=True)

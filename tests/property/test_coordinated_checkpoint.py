@@ -8,8 +8,12 @@ small pinned scenario, not a seeded sweep (those live in
 ``test_coordinated_chaos.py``).
 """
 
+import pytest
+
 from repro.chaos import (
+    SITE_FETCH,
     SITE_OPERATOR,
+    ChaosLogCluster,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -19,6 +23,7 @@ from repro.chaos import (
     reference_job,
     run_coordinated,
 )
+from repro.eventlog import LogCluster, Producer, TopicConfig
 from repro.streaming import (
     CheckpointCoordinator,
     CheckpointStore,
@@ -26,7 +31,7 @@ from repro.streaming import (
     JobBuilder,
     ParallelExecutor,
 )
-from repro.streaming.runtime import Executor
+from repro.streaming.connectors import log_source, parallel_log_source
 from repro.streaming.windows import TumblingWindows
 
 
@@ -170,13 +175,78 @@ class TestBarrierDuringFault:
         assert canonical_sinks(report.sink_values) == canonical_sinks(golden)
 
 
+class TestCheckpointZeroReadsNothing:
+    """Checkpoint zero is taken before the supervisor's first attempt,
+    so it must not fetch: the first read of a log-backed source happens
+    inside ``run()``, where a broker fault is a counted failure and not
+    an exception out of the runner."""
+
+    @staticmethod
+    def _topic():
+        cluster = LogCluster(num_brokers=1)
+        cluster.create_topic(TopicConfig("events", partitions=2))
+        producer = Producer(cluster)
+        for element in reference_events(seed=2, n=120):
+            producer.send("events", element.value,
+                          key=str(element.value["k"]),
+                          timestamp=element.timestamp)
+        return cluster
+
+    @staticmethod
+    def _job(cluster, split_aware):
+        if not split_aware:
+            return reference_job(log_source(cluster, "events"))
+        factory, n = parallel_log_source(cluster, "events")
+        builder = JobBuilder("first-read")
+        (builder.source("events", splits=n, split_factory=factory)
+                .with_watermarks(5.0, name="wm")
+                .key_by(lambda v: v["k"], name="by_key")
+                .window(TumblingWindows(10.0), "sum",
+                        value_fn=lambda v: v["v"], name="win")
+                .sink("out"))
+        return builder.build()
+
+    @pytest.mark.parametrize("split_aware", (False, True),
+                             ids=("log_source", "parallel_log_source"))
+    @pytest.mark.parametrize("at", (0, 2))
+    def test_broker_fault_on_first_read_is_recovered(self, at, split_aware):
+        cluster = self._topic()
+        golden = fault_free_sinks(lambda: self._job(cluster, split_aware))
+        injector = FaultInjector(FaultPlan(specs=(
+            FaultSpec("partition_unavailable", SITE_FETCH, at=at, count=2),
+        ), name="first-read"))
+        chaos_cluster = ChaosLogCluster(cluster, injector)
+        report = run_coordinated(self._job(chaos_cluster, split_aware),
+                                 injector, parallelism=1)
+        assert report.broker_faults == 2
+        assert canonical_sinks(report.sink_values) == canonical_sinks(golden)
+
+    def test_checkpoint_before_first_pull_restarts_from_scratch(self):
+        reads = []
+
+        def source():
+            reads.append(1)
+            return _events(20)
+
+        builder = JobBuilder("lazy")
+        builder.source("events", source, splits=2).sink("out")
+        executor = ParallelExecutor(builder.build(), 2)
+        zero = executor.checkpoint()
+        assert reads == []
+        assert zero.source_positions == {"events": {0: 0, 1: 0}}
+        want = [repr(e) for e in executor.run()["out"].elements]
+        executor.restore(zero)
+        assert [repr(e) for e in executor.run()["out"].elements] == want
+
+
 class TestRescaleFromCoordinatedCheckpoint:
     def test_restore_finalized_checkpoint_at_other_parallelism(self):
         def canon(values):
             return sorted(values, key=repr)
 
         events = _events(120, keys=6)
-        expected = canon(Executor(_keyed_job(events)).run()["out"].values)
+        expected = canon(ParallelExecutor(
+            _keyed_job(events), batch_mode=False).run()["out"].values)
         for old_p, new_p in ((2, 4), (2, 1), (4, 2)):
             donor = ParallelExecutor(_keyed_job(events), old_p,
                                      transactional_sinks=True)

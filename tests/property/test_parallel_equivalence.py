@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.streaming import (
     Element,
-    Executor,
     JobBuilder,
     ParallelExecutor,
     TumblingWindows,
@@ -53,7 +52,8 @@ def _canon(sink_values):
 
 
 def _assert_parallel_matches(make_job, source_batch=16):
-    expected = _canon(Executor(make_job()).run()["out"].values)
+    expected = _canon(ParallelExecutor(
+        make_job(), batch_mode=False).run()["out"].values)
     for mode, flags in MODES.items():
         for p in PARALLELISMS:
             executor = ParallelExecutor(make_job(), p, **flags)
@@ -126,7 +126,8 @@ class TestRescaling:
     @given(keyed_rows)
     @settings(max_examples=10, deadline=None)
     def test_rescale_matches_uninterrupted(self, rows):
-        expected = _canon(Executor(self._make_job(rows)).run()["out"].values)
+        expected = _canon(ParallelExecutor(
+            self._make_job(rows), batch_mode=False).run()["out"].values)
         for old_p, new_p in ((2, 4), (4, 2), (1, 4), (4, 1)):
             donor = ParallelExecutor(self._make_job(rows), old_p)
             donor.run(source_batch=8, max_cycles=2)
@@ -179,7 +180,8 @@ class TestUnkeyedRoundRobin:
             return sorted((r.key, r.window.start, round(float(r.value), 6),
                            r.count) for r in values)
 
-        expected = rounded(Executor(make_job()).run()["out"].values)
+        expected = rounded(ParallelExecutor(
+            make_job(), batch_mode=False).run()["out"].values)
         for p in PARALLELISMS:
             executor = ParallelExecutor(make_job(), p)
             executor.run(source_batch=16)

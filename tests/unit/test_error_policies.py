@@ -19,7 +19,6 @@ from repro.streaming import (
     DeadLetter,
     Element,
     ErrorPolicy,
-    Executor,
     JobBuilder,
     ParallelExecutor,
     RestartBudget,
@@ -107,22 +106,22 @@ def test_fail_is_default(batch_mode, chaining):
             .map(boom_on({3}), name="double")
             .sink("out"))
     with pytest.raises(ValueError):
-        Executor(builder.build(), batch_mode=batch_mode,
-                 chaining=chaining).run()
+        ParallelExecutor(builder.build(), batch_mode=batch_mode,
+                         chaining=chaining).run()
 
 
 @pytest.mark.parametrize("batch_mode,chaining", MODES)
 def test_skip_drops_only_poisoned(batch_mode, chaining):
-    sinks = Executor(build(SKIP), batch_mode=batch_mode,
-                     chaining=chaining).run()
+    sinks = ParallelExecutor(build(SKIP), batch_mode=batch_mode,
+                             chaining=chaining).run()
     assert [v["i"] for v in sinks["out"].values] \
         == [i for i in range(20) if i not in (3, 7)]
 
 
 @pytest.mark.parametrize("batch_mode,chaining", MODES)
 def test_dead_letter_routes_to_dlq(batch_mode, chaining):
-    sinks = Executor(build(DEAD_LETTER), batch_mode=batch_mode,
-                     chaining=chaining).run()
+    sinks = ParallelExecutor(build(DEAD_LETTER), batch_mode=batch_mode,
+                             chaining=chaining).run()
     assert [v["i"] for v in sinks["out"].values] \
         == [i for i in range(20) if i not in (3, 7)]
     letters = sinks[DLQ_SINK].values
@@ -149,8 +148,8 @@ def test_retry_escalates_after_attempts(batch_mode, chaining):
             .map(flaky, name="m")
             .on_error(RETRY(2, escalate="dead_letter"))
             .sink("out"))
-    sinks = Executor(builder.build(), batch_mode=batch_mode,
-                     chaining=chaining).run()
+    sinks = ParallelExecutor(builder.build(), batch_mode=batch_mode,
+                             chaining=chaining).run()
     # Per-item: first try + 2 retries.  Batch mode adds one more call:
     # the failed vectorized pass, rolled back before per-item replay.
     assert calls[5] == (4 if batch_mode else 3)
@@ -167,7 +166,8 @@ def test_parallel_executor_enforces_policies(parallelism):
 
 
 def test_modes_agree_on_dlq_contents():
-    runs = [Executor(build(DEAD_LETTER), batch_mode=bm, chaining=ch).run()
+    runs = [ParallelExecutor(build(DEAD_LETTER), batch_mode=bm,
+                             chaining=ch).run()
             for bm, ch in MODES]
     baseline = [(dl.value["i"], dl.operator, dl.error_type)
                 for dl in runs[0][DLQ_SINK].values]
@@ -177,8 +177,8 @@ def test_modes_agree_on_dlq_contents():
 
 
 def test_no_dlq_sink_without_dead_letter_policy():
-    assert DLQ_SINK not in Executor(build(SKIP)).run()
-    assert DLQ_SINK in Executor(build(DEAD_LETTER)).run()
+    assert DLQ_SINK not in ParallelExecutor(build(SKIP)).run()
+    assert DLQ_SINK in ParallelExecutor(build(DEAD_LETTER)).run()
 
 
 # -- the guards directly -----------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 
 from repro.streaming import (
     Element,
-    Executor,
     JobBuilder,
     ParallelExecutor,
     TumblingWindows,
@@ -32,21 +31,6 @@ def _windowed_job(n=40, splits=None):
 
 
 class TestCompile:
-    def test_p1_fuses_same_chains_as_executor(self):
-        job = _windowed_job()
-        graph = compile_execution_graph(job, 1)
-        executor = Executor(_windowed_job())
-        # The p=1 physical plan has the same fusion structure as the
-        # single-instance runtime: stateless ops fuse, the keyed window
-        # stays a chain break.
-        chain_members = {tuple(n.members) for n in graph.nodes.values()
-                         if len(n.members) > 1}
-        runtime_chains = {tuple(c.member_names)
-                          for c in executor._exec_ops.values()
-                          if hasattr(c, "member_names")}
-        assert chain_members == runtime_chains
-        assert all(n.parallelism == 1 for n in graph.nodes.values())
-
     def test_edge_modes(self):
         graph = compile_execution_graph(_windowed_job(), 2)
         modes = {(e.up, e.down): e.mode for e in graph.edges}
@@ -142,7 +126,8 @@ class TestGraphValidation:
 
 class TestParallelExecutor:
     def test_p1_matches_single_instance(self):
-        expected = Executor(_windowed_job()).run()["out"]
+        expected = ParallelExecutor(_windowed_job(),
+                                    batch_mode=False).run()["out"]
         executor = ParallelExecutor(_windowed_job(), 1)
         executor.run()
         got = executor.sinks["out"]

@@ -16,7 +16,12 @@ from repro.eventlog import (
 from repro.offload import Pipeline, TaskStage
 from repro.privacy import GridCloak
 from repro.render import Compositor, SceneGraph
-from repro.streaming import Element, Executor, JobBuilder, TumblingWindows
+from repro.streaming import (
+    Element,
+    JobBuilder,
+    ParallelExecutor,
+    TumblingWindows,
+)
 from repro.util.errors import LogError
 from repro.util.geometry import Rect
 from repro.util.rng import RngRegistry, make_rng
@@ -98,7 +103,7 @@ class TestStreamingEdges:
                     for i in range(1000)]
         builder = JobBuilder("j")
         builder.source("s", elements).map(lambda v: v).sink("out")
-        executor = Executor(builder.build())
+        executor = ParallelExecutor(builder.build())
         executor.run(source_batch=10, max_cycles=3)
         assert len(executor.sinks["out"]) == 30
         executor.run()  # completes the rest
@@ -111,7 +116,7 @@ class TestStreamingEdges:
                 .key_by(lambda v: "k")
                 .window(TumblingWindows(10.0), "count")
                 .sink("out"))
-        executor = Executor(builder.build())
+        executor = ParallelExecutor(builder.build())
         executor.run()
         count_after_first = len(executor.sinks["out"])
         executor.run()  # second run: flush must not double-fire
@@ -128,7 +133,7 @@ class TestStreamingEdges:
                     .key_by(lambda v: "all")
                     .window(TumblingWindows(100.0), aggregate)
                     .sink("out"))
-            sinks = Executor(builder.build()).run()
+            sinks = ParallelExecutor(builder.build()).run()
             assert sinks["out"].values[0].value == expected
 
 

@@ -3,15 +3,21 @@
 (a) One supervisor: the failure ladder and the recovery primitives live
     in ``streaming/supervisor.py`` only (``run_with_recovery``, the
     quiescent-checkpoint loop in ``chaos/harness.py``, keeps its own
-    ``except OperatorCrash`` until the executor merge removes it).
+    ``except OperatorCrash`` until it moves onto ``Supervisor``).
 (b) Determinism: library code reads no wall clock and no unseeded
     randomness — ``random``/``uuid``/``datetime`` imports and
     ``time.time(`` are confined to ``util/``; ``time.perf_counter`` is
-    allow-listed for ``streaming/execution.py``'s lane-busy model.
+    allow-listed for ``streaming/execution.py``'s lane-busy model, and
+    the model never reaches a span or a metrics registry (a traced run
+    dumps the same bytes twice).
 (c) No append or fetch escapes the injector: ``ChaosLogCluster``
     forwards unknown attributes to the cluster it wraps, so every
     public ``append*`` / ``read*`` method of ``LogCluster`` has to be
     defined on the proxy itself.
+(d) One executor: ``streaming/runtime.py`` is gone and exactly one
+    class drains cycles and restores checkpoints.
+(e) Layering: the engine and the store run without the chaos package —
+    an injector is handed in, never imported.
 """
 
 import ast
@@ -55,7 +61,7 @@ def test_failure_ladder_lives_in_the_supervisor_only():
     # ... and in the harness only inside run_with_recovery
     harness = (SRC / HARNESS).read_text()
     start = harness.index("def run_with_recovery(")
-    end = harness.index("\n# -- coordinated checkpoints")
+    end = harness.index("\n# -- the reference pipeline")
     outside = harness[:start] + harness[end:]
     assert LADDER.search(outside) is None
 
@@ -77,6 +83,38 @@ def test_no_wall_clock_or_unseeded_randomness_outside_util():
     execution = (SRC / "streaming/execution.py").read_text()
     uses = set(re.findall(r"\btime\.(\w+)", execution))
     assert uses <= {"perf_counter"}, uses
+    # ... and what it measures stays on the executor: no span attribute
+    # and no gauge carries a wall-clock reading
+    published = re.findall(
+        r"(?:set_attr|gauge|counter)\(\s*\"[\w.]*(?:makespan|busy)", execution)
+    assert published == []
+
+
+def test_there_is_one_executor():
+    assert not (SRC / "streaming/runtime.py").exists()
+    executors = []
+    for rel, text in _sources():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                methods = {item.name for item in node.body
+                           if isinstance(item, ast.FunctionDef)}
+                if {"_drain_cycle", "restore"} <= methods:
+                    executors.append(f"{rel}:{node.name}")
+    assert executors == ["streaming/execution.py:ParallelExecutor"]
+    init = ast.parse((SRC / "streaming/__init__.py").read_text())
+    (exported,) = [ast.literal_eval(node.value) for node in init.body
+                   if isinstance(node, ast.Assign)
+                   and node.targets[0].id == "__all__"]
+    assert not {"Executor", "Checkpoint", "ColumnarStream"} & set(exported)
+
+
+def test_engine_and_store_do_not_import_chaos():
+    imports_chaos = re.compile(
+        r"^\s*(from|import)\s+(repro\.chaos|\.\.chaos|\.\.\.chaos)\b",
+        re.MULTILINE)
+    others = {rel for rel, _ in _sources()
+              if not rel.startswith(("store/", "streaming/"))}
+    assert _offenders(imports_chaos, others) == []
 
 
 def _public_methods(rel, class_name):

@@ -11,10 +11,10 @@ import pytest
 from repro.streaming import (
     ChainedOperator,
     Element,
-    Executor,
     FilterOperator,
     JobBuilder,
     MapOperator,
+    ParallelExecutor,
     TumblingWindows,
     Watermark,
     WatermarkGenerator,
@@ -39,11 +39,17 @@ def run_all_modes(make_builder, **executor_kwargs):
     """Build the same job per mode (fresh operator state) and run it."""
     out = {}
     for mode, flags in MODES.items():
-        executor = Executor(make_builder().build(), **flags,
-                            **executor_kwargs)
+        executor = ParallelExecutor(make_builder().build(), **flags,
+                                    **executor_kwargs)
         sinks = executor.run()
         out[mode] = (executor, sinks)
     return out
+
+
+def _chains(executor):
+    """Member operator names of every fused node of the plan."""
+    return [node.members for node in executor.graph.nodes.values()
+            if len(node.members) > 1]
 
 
 class TestChainPlan:
@@ -57,22 +63,19 @@ class TestChainPlan:
         return builder
 
     def test_linear_run_fuses_into_one_node(self):
-        executor = Executor(self._linear().build())
-        chains = executor.chained_nodes()
-        assert len(chains) == 1
-        (members,) = chains.values()
-        assert members == ["map_0", "filter_0", "map_1"]
+        executor = ParallelExecutor(self._linear().build())
+        assert _chains(executor) == [["map_0", "filter_0", "map_1"]]
         # One channel into the chain instead of three hops.
         assert len(executor._channels) == 1
 
     def test_chaining_disabled_keeps_channels(self):
-        executor = Executor(self._linear().build(), chaining=False)
-        assert executor.chained_nodes() == {}
+        executor = ParallelExecutor(self._linear().build(), chaining=False)
+        assert _chains(executor) == []
         assert len(executor._channels) == 3
 
     def test_per_item_mode_never_chains(self):
-        executor = Executor(self._linear().build(), batch_mode=False)
-        assert executor.chained_nodes() == {}
+        executor = ParallelExecutor(self._linear().build(), batch_mode=False)
+        assert _chains(executor) == []
 
     def test_keyed_state_breaks_chain(self):
         builder = JobBuilder("j")
@@ -82,22 +85,21 @@ class TestChainPlan:
                 .reduce(lambda a, b: {"k": a["k"], "v": a["v"] + b["v"]})
                 .map(lambda v: v["v"])
                 .sink("out"))
-        executor = Executor(builder.build())
-        chains = executor.chained_nodes()
+        executor = ParallelExecutor(builder.build())
         # map+key_by fuse; reduce stays alone; the tail map has no
         # chainable neighbour.
-        assert list(chains.values()) == [["map_0", "key_by_0"]]
-        assert "reduce_0" in executor._exec_ops
-        assert "map_1" in executor._exec_ops
+        assert _chains(executor) == [["map_0", "key_by_0"]]
+        assert "reduce_0" in executor.graph.nodes
+        assert "map_1" in executor.graph.nodes
 
     def test_fanout_breaks_chain(self):
         builder = JobBuilder("j")
         handle = builder.source("s", _els(10)).map(lambda v: v["v"], name="m")
         handle.map(lambda v: v + 1, name="a").sink("out_a")
         handle.map(lambda v: v - 1, name="b").sink("out_b")
-        executor = Executor(builder.build())
+        executor = ParallelExecutor(builder.build())
         # m has two downstreams -> no fusion anywhere.
-        assert executor.chained_nodes() == {}
+        assert _chains(executor) == []
         sinks = executor.run()
         assert len(sinks["out_a"]) == 10
         assert len(sinks["out_b"]) == 10
@@ -107,12 +109,12 @@ class TestChainPlan:
         left = builder.source("l", _els(5)).key_by(lambda v: v["k"])
         right = builder.source("r", _els(5)).key_by(lambda v: v["k"])
         left.join(right, -1.0, 1.0).sink("out")
-        executor = Executor(builder.build())
+        executor = ParallelExecutor(builder.build())
         # The side-tagged join edges are unfusible, and each key_by has
         # no chainable neighbour left — nothing fuses at all.
-        assert executor.chained_nodes() == {}
-        assert ("join_0", "left") in executor._channels
-        assert ("join_0", "right") in executor._channels
+        assert _chains(executor) == []
+        assert ("join_0", 0, "left") in executor._channels
+        assert ("join_0", 0, "right") in executor._channels
 
 
 class TestChainedOperator:
@@ -215,8 +217,8 @@ class TestModeEquivalence:
             return builder
         counts = {}
         for mode in ("per_item", "batched"):
-            executor = Executor(make_builder().build(), channel_capacity=10,
-                                **MODES[mode])
+            executor = ParallelExecutor(make_builder().build(),
+                                        channel_capacity=10, **MODES[mode])
             executor.run(source_batch=100)
             counts[mode] = executor.backpressure_events
             assert len(executor.sinks["out"]) == 100
@@ -244,10 +246,11 @@ class TestModeEquivalence:
                         .sink("out"))
             return builder
 
-        scalar = Executor(make_builder(False).build(),
-                          batch_mode=False).run()["out"]
+        scalar = ParallelExecutor(make_builder(False).build(),
+                                  batch_mode=False).run()["out"]
         for mode in MODES.values():
-            got = Executor(make_builder(True).build(), **mode).run()["out"]
+            got = ParallelExecutor(make_builder(True).build(),
+                                   **mode).run()["out"]
             assert [float(v) for v in got.values] == \
                    [float(v) for v in scalar.values]
             assert [float(e.key) for e in got.elements] == \

@@ -4,8 +4,8 @@ import pytest
 
 from repro.streaming import (
     Element,
-    Executor,
     JobBuilder,
+    ParallelExecutor,
     PatternMatch,
     PatternOperator,
     PatternStep,
@@ -126,6 +126,6 @@ class TestPatternOperator:
         (builder2.source("vitals", elements)
                  .apply(_vitals_pattern())
                  .sink("matches"))
-        sinks = Executor(builder2.build()).run()
+        sinks = ParallelExecutor(builder2.build()).run()
         assert len(sinks["matches"]) == 1
         assert sinks["matches"].values[0].key == "pt-1"

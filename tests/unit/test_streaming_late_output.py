@@ -2,9 +2,9 @@
 
 from repro.streaming import (
     Element,
-    Executor,
     JobBuilder,
     LateRecord,
+    ParallelExecutor,
     TumblingWindows,
     Watermark,
     WindowAggregateOperator,
@@ -54,7 +54,7 @@ class TestLateSideOutput:
                         name="results").sink("out")
         windowed.filter(lambda v: isinstance(v, LateRecord),
                         name="late").sink("late_out")
-        sinks = Executor(builder.build()).run()
+        sinks = ParallelExecutor(builder.build()).run()
         late = sinks["late_out"].values
         assert len(late) == 1
         assert late[0].timestamp == 3.0
@@ -73,7 +73,7 @@ class TestLateSideOutput:
                            .window(TumblingWindows(10.0), "count",
                                    emit_late=True))
         windowed.sink("mixed")
-        sinks = Executor(builder.build()).run()
+        sinks = ParallelExecutor(builder.build()).run()
         released = {}
         for value in sinks["mixed"].values:
             if isinstance(value, WindowResult):

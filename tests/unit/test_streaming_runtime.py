@@ -5,8 +5,8 @@ import pytest
 from repro.eventlog import LogCluster, Producer, TopicConfig
 from repro.streaming import (
     Element,
-    Executor,
     JobBuilder,
+    ParallelExecutor,
     TumblingWindows,
     log_sink,
     log_source,
@@ -68,7 +68,7 @@ class TestExecutor:
                 .map(lambda v: v["v"])
                 .filter(lambda v: v >= 5.0)
                 .sink("out"))
-        sinks = Executor(builder.build()).run()
+        sinks = ParallelExecutor(builder.build()).run()
         assert sinks["out"].values == [5.0, 6.0, 7.0, 8.0, 9.0]
 
     def test_windowed_wordcount_like(self):
@@ -78,7 +78,7 @@ class TestExecutor:
                 .key_by(lambda v: v["k"])
                 .window(TumblingWindows(10.0), "count")
                 .sink("out"))
-        sinks = Executor(builder.build()).run()
+        sinks = ParallelExecutor(builder.build()).run()
         results = {(r.key, r.window.start): r.value
                    for r in sinks["out"].values}
         assert results[(0, 0.0)] == 5
@@ -93,7 +93,7 @@ class TestExecutor:
                 .key_by(lambda v: 0)
                 .window(TumblingWindows(10.0), "count")
                 .sink("out"))
-        sinks = Executor(builder.build()).run()
+        sinks = ParallelExecutor(builder.build()).run()
         assert sum(r.value for r in sinks["out"].values) == 15
 
     def test_two_source_join(self):
@@ -107,7 +107,7 @@ class TestExecutor:
         (left.join(right, lower=0.0, upper=1.0,
                    project=lambda l, r: (l["i"], r["i"]))
              .sink("out"))
-        sinks = Executor(builder.build()).run()
+        sinks = ParallelExecutor(builder.build()).run()
         # left i matches right i (+0.5) and right i-1 (-0.5 -> outside).
         assert sorted(sinks["out"].values) == [(i, i) for i in range(5)]
 
@@ -115,16 +115,16 @@ class TestExecutor:
         builder = JobBuilder("j")
         builder.source("s", lambda: iter(_els(3))).sink("out")
         job = builder.build()
-        assert len(Executor(job).run()["out"]) == 3
-        assert len(Executor(job).run()["out"]) == 3  # re-runnable
+        assert len(ParallelExecutor(job).run()["out"]) == 3
+        assert len(ParallelExecutor(job).run()["out"]) == 3  # re-runnable
 
     def test_drop_on_overflow_counts(self):
         builder = JobBuilder("j")
         (builder.source("s", _els(100))
                 .map(lambda v: v)
                 .sink("out"))
-        executor = Executor(builder.build(), channel_capacity=10,
-                            drop_on_overflow=True)
+        executor = ParallelExecutor(builder.build(), channel_capacity=10,
+                                    drop_on_overflow=True)
         executor.run(source_batch=100)
         assert executor.dropped_overflow > 0
         assert len(executor.sinks["out"]) < 100
@@ -134,7 +134,7 @@ class TestExecutor:
         (builder.source("s", _els(100))
                 .map(lambda v: v)
                 .sink("out"))
-        executor = Executor(builder.build(), channel_capacity=10)
+        executor = ParallelExecutor(builder.build(), channel_capacity=10)
         executor.run(source_batch=100)
         assert executor.backpressure_events > 0
         assert len(executor.sinks["out"]) == 100  # nothing lost
@@ -151,7 +151,7 @@ class TestCheckpoint:
 
     def test_checkpoint_restore_replays_exactly(self):
         job = self._job()
-        executor = Executor(job)
+        executor = ParallelExecutor(job)
         full = [v["v"] for v in executor.run()["out"].values]
         # Fresh executor: run half, checkpoint, run rest, restore, re-run.
         job2_builder = JobBuilder("j2")
@@ -159,7 +159,7 @@ class TestCheckpoint:
                      .key_by(lambda v: v["k"])
                      .reduce(lambda a, b: {"k": a["k"], "v": a["v"] + b["v"]})
                      .sink("out"))
-        executor2 = Executor(job2_builder.build())
+        executor2 = ParallelExecutor(job2_builder.build())
         executor2.run(source_batch=5, max_cycles=2)
         checkpoint = executor2.checkpoint()
         executor2.run()
@@ -173,10 +173,11 @@ class TestCheckpoint:
                 .map(lambda v: v)
                 .map(lambda v: v)
                 .sink("out"))
-        executor = Executor(builder.build())
+        executor = ParallelExecutor(builder.build())
         # Manually stuff a channel to simulate in-flight data (the two
         # maps fuse under chaining, so grab whatever channel exists).
-        channel = next(iter(executor._channels.values()))
+        senders = next(iter(executor._channels.values()))
+        channel = next(iter(senders.values()))
         channel.append(Element(value=1, timestamp=0.0))
         with pytest.raises(CheckpointError):
             executor.checkpoint()
@@ -192,7 +193,7 @@ class TestLogConnectors:
                           timestamp=float(i))
         builder = JobBuilder("j")
         builder.source("in", log_source(cluster, "in")).sink("out")
-        sinks = Executor(builder.build()).run()
+        sinks = ParallelExecutor(builder.build()).run()
         assert len(sinks["out"]) == 10
         assert {e.key for e in sinks["out"].elements} == {"k0", "k1", "k2"}
 

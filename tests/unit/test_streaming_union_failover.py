@@ -3,7 +3,7 @@ when tiers fail."""
 
 from repro.offload import GreedyLatency, OffloadPlanner, vision_pipeline
 from repro.simnet import LINK_PRESETS, NodeSpec, Topology
-from repro.streaming import Element, Executor, JobBuilder
+from repro.streaming import Element, JobBuilder, ParallelExecutor
 from repro.util.rng import make_rng
 from repro.vision.tracker import StageProfile
 
@@ -18,7 +18,7 @@ class TestSourceUnion:
         builder._add_edge("b", "merge", None)
         builder.source("b", b)
         op.sink("out")
-        sinks = Executor(builder.build()).run()
+        sinks = ParallelExecutor(builder.build()).run()
         assert len(sinks["out"]) == 7
         tags = {v[0] for v in sinks["out"].values}
         assert tags == {"a", "b"}
@@ -35,7 +35,7 @@ class TestSourceUnion:
             else:
                 builder._add_edge(name, "merge", None)
         first.sink("out")
-        sinks = Executor(builder.build()).run()
+        sinks = ParallelExecutor(builder.build()).run()
         assert sorted(sinks["out"].values) == sorted(
             v.value for vs in streams.values() for v in vs)
 

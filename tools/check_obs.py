@@ -45,7 +45,7 @@ from repro.chaos.harness import (  # noqa: E402
     reference_operator_names,
 )
 from repro.obs import Tracer, build_tree, traced_reference_run  # noqa: E402
-from repro.streaming.runtime import Executor  # noqa: E402
+from repro.streaming import ParallelExecutor  # noqa: E402
 from repro.util.metrics import MetricsRegistry  # noqa: E402
 
 MODES = {
@@ -131,8 +131,8 @@ def check_completeness(n_events: int) -> bool:
 
 def _one_run(events, tracer, registry) -> float:
     """Elements/sec of one reference-job run under the given hooks."""
-    executor = Executor(reference_job(list(events)), tracer=tracer,
-                        metrics=registry)
+    executor = ParallelExecutor(reference_job(list(events)), tracer=tracer,
+                                metrics=registry)
     # The previous run's garbage (its elements, its sinks) would be
     # collected inside this run's timed region — a pause worth more
     # than the budgets gated, landing on whichever config runs second.

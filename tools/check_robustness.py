@@ -33,6 +33,7 @@ Usage:  python tools/check_robustness.py [--seed N] [--skip-tests]
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from gatelib import Gate, ensure_paths, run_suite
@@ -221,20 +222,19 @@ def check_dlq_exactly_once(seed: int) -> bool:
     schedule must be bit-identical."""
     print("\n== DLQ exactly-once under data faults x crashes ==")
     ok = True
-    for parallelism in (None, 1, 2, 4):
+    runners = {
+        "supervised": run_with_recovery,
+        **{f"coordinated p={p}": functools.partial(
+            run_coordinated, parallelism=p, interval_cycles=2)
+           for p in (1, 2, 4)},
+    }
+    for label, runner in runners.items():
         for batch_mode, chaining in MODES:
             def once(specs):
                 injector = FaultInjector(FaultPlan(
                     specs=specs, seed=seed, name="datafault-gate"))
-                if parallelism is None:
-                    report = run_with_recovery(
-                        _guarded_reference(seed), injector,
-                        batch_mode=batch_mode, chaining=chaining)
-                else:
-                    report = run_coordinated(
-                        _guarded_reference(seed), injector,
-                        parallelism=parallelism, batch_mode=batch_mode,
-                        chaining=chaining, interval_cycles=2)
+                report = runner(_guarded_reference(seed), injector,
+                                batch_mode=batch_mode, chaining=chaining)
                 return {name: _rrepr(values) for name, values
                         in report.sink_values.items()}, report
             golden, _ = once(_data_specs())
@@ -244,8 +244,6 @@ def check_dlq_exactly_once(seed: int) -> bool:
             ok = ok and identical and report.crashes >= 1
             mode = ("chained" if chaining else
                     "batched" if batch_mode else "per-item")
-            label = ("supervised" if parallelism is None
-                     else f"coordinated p={parallelism}")
             dlq = len(golden.get("__dlq__", ()))
             print(f"  {label:>15} {mode:>8}: dlq={dlq} "
                   f"crashes={report.crashes} "
