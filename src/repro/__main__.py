@@ -166,7 +166,7 @@ def _demo_datafault() -> int:
         FaultInjector,
         FaultPlan,
         FaultSpec,
-        run_with_recovery,
+        run_coordinated,
     )
     from repro.datagen.health import generate_patients, vitals_stream
     from repro.streaming import DEAD_LETTER, DLQ_SINK, Element, JobBuilder
@@ -210,7 +210,7 @@ def _demo_datafault() -> int:
                            at=len(events) // 2, target="ward_load")
 
     def run(specs, name):
-        return run_with_recovery(
+        return run_coordinated(
             build_job(),
             FaultInjector(FaultPlan(specs=specs, seed=17, name=name)))
 

@@ -3,22 +3,21 @@
 The chaos substrate the robustness suites are built on: seeded
 :class:`FaultPlan` schedules, a :class:`FaultInjector` with counted
 hooks threaded through the eventlog / streaming / offload layers, a
-:class:`ChaosLogCluster` proxy for log-level faults, and a supervisor
-harness (:func:`run_with_recovery`) that enforces the headline
-invariant — sinks after recovery are bit-identical to the fault-free
-run, for any seeded schedule.
+:class:`ChaosLogCluster` proxy for log-level faults, and the reference
+fixtures the suites run under the one runner (:func:`run_coordinated`,
+re-exported from :mod:`repro.streaming.supervisor`) to enforce the
+headline invariant — sinks after recovery are bit-identical to the
+fault-free run, for any seeded schedule.
 """
 
 from .harness import (
     CoordinatedReport,
-    RecoveryReport,
     canonical_sinks,
     fault_free_sinks,
     reference_events,
     reference_job,
     reference_operator_names,
     run_coordinated,
-    run_with_recovery,
     two_region_job,
 )
 from .injector import ChaosLogCluster, FaultInjector
@@ -51,8 +50,6 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "ChaosLogCluster",
-    "RecoveryReport",
-    "run_with_recovery",
     "CoordinatedReport",
     "run_coordinated",
     "reference_events",

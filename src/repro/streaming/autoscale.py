@@ -458,7 +458,6 @@ class AutoscaleReport(SupervisionReport):
     #: per committed result: sim-time commit latency vs event time
     latencies: list[float] = field(default_factory=list)
     slo_s: float | None = None
-    trace: list = field(default_factory=list)
 
     @property
     def slo_compliance(self) -> float:
@@ -508,7 +507,6 @@ class ScalingSupervisor(Supervisor):
                  parallelism: int | dict[str, int] = 1,
                  injector: Any = None,
                  batch_mode: bool = True, chaining: bool = True,
-                 columnar: bool | None = None,
                  num_key_groups: int = DEFAULT_KEY_GROUPS,
                  source_batch: int = 32, step_cycles: int = 2,
                  interval_cycles: int = 4,
@@ -522,7 +520,6 @@ class ScalingSupervisor(Supervisor):
         self.injector = injector
         self.batch_mode = batch_mode
         self.chaining = chaining
-        self.columnar = columnar
         self.num_key_groups = num_key_groups
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.shed_policy = shed_policy
@@ -592,8 +589,8 @@ class ScalingSupervisor(Supervisor):
         return ParallelExecutor(
             self.job, dict(widths), num_key_groups=self.num_key_groups,
             batch_mode=self.batch_mode, chaining=self.chaining,
-            columnar=self.columnar, injector=self.injector,
-            metrics=self.metrics, transactional_sinks=True)
+            injector=self.injector, metrics=self.metrics,
+            transactional_sinks=True)
 
     # -- deterministic load model --------------------------------------------
 
@@ -770,8 +767,6 @@ class ScalingSupervisor(Supervisor):
         report = self.finish()
         report.shed_total = self.executor.shed_elements
         report.dropped_overflow = self.executor.dropped_overflow
-        if self.injector is not None:
-            report.trace = list(self.injector.trace)
         return report
 
     def _shed_control_initial(self) -> None:

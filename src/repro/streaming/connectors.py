@@ -1,8 +1,9 @@
 """Connectors between the event log and the streaming engine.
 
 ``log_source`` adapts an event-log topic into a stream source: each
-retained record becomes an :class:`Element` whose timestamp is the
-record's event timestamp and whose key is the record key.  ``log_sink``
+retained record becomes a row (decoded: an :class:`Element`) whose
+timestamp is the record's event timestamp and whose key is the record
+key.  ``log_sink``
 returns a callable that writes sink elements back to a topic — the glue
 for multi-stage pipelines (raw -> analytics -> AR content topics).
 """
@@ -72,8 +73,8 @@ def _fetch_batch(consumer: Consumer, max_records: int, *, drain: bool,
 def log_source(cluster: LogCluster, topic: str,
                partitions: list[int] | None = None,
                time_ordered: bool = True, tracer: Any = None,
-               columnar: bool = False,
-               ) -> Callable[[], Iterable[Element]]:
+               columnar: bool = True,
+               ) -> Callable[[], Iterable[Element | RecordBatch]]:
     """A re-runnable source reading everything retained in ``topic``.
 
     With ``time_ordered`` (the default) the bounded replay merges
@@ -87,14 +88,15 @@ def log_source(cluster: LogCluster, topic: str,
     (duplicate delivery under fault injection, a retried fetch) still
     feeds each record into the stream exactly once.
 
-    With ``columnar`` the source materializes
-    :class:`~repro.streaming.batch.RecordBatch` runs instead of loose
-    Elements (one per fetch batch unordered, one for the whole replay
-    when time-ordered) — the executor splices them into its source
-    buffer without re-encoding.  Decoded, the stream is identical.
+    With ``columnar`` (the default) the source materializes
+    :class:`~repro.streaming.batch.RecordBatch` runs (one per fetch
+    batch unordered, one for the whole replay when time-ordered) — the
+    executor splices them into its source buffer without re-encoding,
+    and a per-item executor decodes them.  ``columnar=False`` yields
+    the same stream as loose Elements.
     """
 
-    def iterate() -> Iterable[Element]:
+    def iterate() -> Iterable[Element | RecordBatch]:
         consumer = Consumer(cluster, topic, partitions, start="earliest",
                             dedup=True, tracer=tracer)
         span = (tracer.start_span(f"log_source:{topic}",
@@ -129,8 +131,9 @@ def parallel_log_source(cluster: LogCluster, topic: str,
                         *, splits: int | None = None,
                         group_id: str | None = None,
                         time_ordered: bool = True, tracer: Any = None,
-                        columnar: bool = False,
-                        ) -> tuple[Callable[[int, int], Iterable[Element]],
+                        columnar: bool = True,
+                        ) -> tuple[Callable[[int, int],
+                                            Iterable[Element | RecordBatch]],
                                    int]:
     """A split-aware source over ``topic``, fanned out via a consumer
     group: returns ``(split_factory, num_splits)`` for
@@ -152,6 +155,8 @@ def parallel_log_source(cluster: LogCluster, topic: str,
     With ``time_ordered`` each split's replay is merged by event
     timestamp *within the split* (cross-split order is the parallel
     plan's business — watermark alignment absorbs the skew).
+    ``columnar`` is as for :func:`log_source`: one batch per split, or
+    the split's Elements.
     """
     num_splits = (splits if splits is not None
                   else cluster.partition_count(topic))
@@ -167,7 +172,8 @@ def parallel_log_source(cluster: LogCluster, topic: str,
             groups[n] = group
         return group.member(f"split-{split:05d}")
 
-    def split_factory(split: int, n: int) -> Iterable[Element]:
+    def split_factory(split: int,
+                      n: int) -> Iterable[Element | RecordBatch]:
         member = _member(split, n)
         span = (tracer.start_span(f"log_source:{topic}[{split}]",
                                   attrs={"topic": topic, "split": split})

@@ -404,8 +404,8 @@ def guard_batch(op: Any, items: list[StreamItem], policy: ErrorPolicy,
 class RestartBudget:
     """Bounded, backed-off restarts with flapping detection.
 
-    Supervisors (``run_with_recovery`` / ``run_coordinated``) consult
-    the budget on every failure: each restart consumes one attempt and
+    The :class:`~repro.streaming.supervisor.Supervisor` consults the
+    budget on every failure: each restart consumes one attempt and
     sleeps a seeded, capped exponential backoff on the simulated clock.
     A restart that follows *no forward progress* (no new checkpoint
     since the previous failure) counts toward the flapping streak;

@@ -27,8 +27,10 @@ cycles of the slowest lane) is what the parallel benchmarks report as
 speedup, while semantics remain bit-reproducible.
 
 Two execution modes share one semantics.  **Batched** (the default)
-moves whole channel batches through :meth:`Operator.process_batch`, with
-linear runs of chainable operators fused into one
+moves whole channel batches through :meth:`Operator.process_batch` as
+columns (:class:`~repro.streaming.batch.RecordBatch`; Element lists
+only where a source cannot be encoded), with linear runs of chainable
+operators fused into one
 :class:`~repro.streaming.chain.ChainedOperator` node at compile time.
 **Per-item** (``batch_mode=False``) is element-at-a-time dispatch, kept
 as the semantic reference: batched execution is bit-identical to it
@@ -452,8 +454,9 @@ class ParallelExecutor:
     per-subtask checkpoints, deterministic single-threaded execution.
 
     The only executor: a single-instance job is this class at its
-    default parallelism of 1.  ``restore`` accepts checkpoints taken at
-    a *different* parallelism (rescaling).
+    default parallelism of 1.  ``restore`` is the only rewind: the whole
+    plan — where it accepts checkpoints taken at a *different*
+    parallelism (rescaling) — or one failover region of it.
     """
 
     def __init__(self, job: JobGraph,
@@ -461,7 +464,6 @@ class ParallelExecutor:
                  *, num_key_groups: int = DEFAULT_KEY_GROUPS,
                  channel_capacity: int = 10_000,
                  drop_on_overflow: bool = False, batch_mode: bool = True,
-                 columnar: bool | None = None,
                  chaining: bool = True, injector: Any = None,
                  tracer: Any = None, metrics: Any = None,
                  profiler: Any = None,
@@ -476,12 +478,10 @@ class ParallelExecutor:
         self.num_key_groups = num_key_groups
         self.channel_capacity = channel_capacity
         self.drop_on_overflow = drop_on_overflow
+        #: batched execution is columnar: sources encode splits as
+        #: RecordBatches and shuffles/merges stay vectorized,
+        #: bit-identical to the per-item reference (``batch_mode=False``)
         self.batch_mode = batch_mode
-        #: columnar hot path: sources encode splits as RecordBatches and
-        #: shuffles/merges stay vectorized; defaults on in batch mode and
-        #: is bit-identical to the per-element representation.
-        self.columnar = batch_mode and (columnar if columnar is not None
-                                        else True)
         self.injector = injector
         self.tracer = tracer
         self.metrics = metrics
@@ -839,7 +839,7 @@ class ParallelExecutor:
         for s, items in enumerate(per_split):
             if not isinstance(items, list):
                 items = list(items)
-            if self.columnar and items and all(
+            if self.batch_mode and items and all(
                     type(it) is RecordBatch and it.wm_offsets is None
                     for it in items):
                 # A columnar connector's batches stay columns;
@@ -851,7 +851,7 @@ class ParallelExecutor:
         positions = self._split_positions.setdefault(name, {})
         for s in range(n_splits):
             positions.setdefault(s, 0)
-        if self.columnar:
+        if self.batch_mode:
             self._columnarize_source(name, buffers)
         return buffers
 
@@ -904,7 +904,7 @@ class ParallelExecutor:
 
     def _pull_sources(self, batch: int) -> int:
         pulled = 0
-        columnar = self.columnar
+        batched = self.batch_mode
         for name in sorted(self.job.sources):
             buffers = self._materialize_source(name)
             positions = self._split_positions[name]
@@ -914,7 +914,7 @@ class ParallelExecutor:
                 started = time.perf_counter()
                 taken = (self._take_merged_columnar(name, idx, splits,
                                                     batch)
-                         if columnar else None)
+                         if batched else None)
                 if taken is None:
                     taken = self._take_merged(buffers, positions, finished,
                                               splits, batch)
@@ -1029,17 +1029,16 @@ class ParallelExecutor:
                 "shed": dict(self._shed_by_source)}
 
     def apply_shed_state(self, state: dict[str, Any],
-                         sources: Iterable[str] | None = None) -> None:
-        """Restore shed plans and rewind shed counters to a checkpoint's
-        cut.  Counter rewinds adjust ``dropped_overflow`` by the same
-        delta, so overflow-drop accounting is untouched.  ``sources``
-        limits the rewind (regional recovery)."""
+                         sources: Iterable[str]) -> None:
+        """Restore shed plans and rewind shed counters of ``sources``
+        (all of them, or a recovering region's) to a checkpoint's cut.
+        Counter rewinds adjust ``dropped_overflow`` by the same delta,
+        so overflow-drop accounting is untouched."""
         if not state:
             return  # pre-shed-tier checkpoint: nothing to rewind
         plans = {k: tuple(v) for k, v in state.get("plans", {}).items()}
         counts = state.get("shed", {})
-        names = self.job.sources if sources is None else sources
-        for name in names:
+        for name in sources:
             if name in plans:
                 self._shed[name] = plans[name]  # type: ignore[assignment]
             else:
@@ -1207,9 +1206,9 @@ class ParallelExecutor:
             if not items:
                 return
         channel = self._channels[key][sender]
-        columnar = self.columnar
-        occupancy = items_weight(channel) if columnar else len(channel)
-        n = items_weight(items) if columnar else len(items)
+        batched = self.batch_mode
+        occupancy = items_weight(channel) if batched else len(channel)
+        n = items_weight(items) if batched else len(items)
         capacity = self.channel_capacity
         node = key[0]
         if occupancy + n <= capacity:
@@ -1218,7 +1217,7 @@ class ParallelExecutor:
         if self.drop_on_overflow:
             room = max(0, capacity - occupancy)
             if room:
-                channel.extend(take_prefix(items, room) if columnar
+                channel.extend(take_prefix(items, room) if batched
                                else items[:room])
             self.dropped_overflow += n - room
             if self.metrics is not None:
@@ -1228,7 +1227,7 @@ class ParallelExecutor:
         if occupancy + n > capacity * 10:
             i0 = capacity * 10 - occupancy
             channel.extend(decode_items(take_prefix(items, i0))
-                           if columnar else items[:i0])
+                           if batched else items[:i0])
             events = (i0 + 1) - max(0, min(i0 + 1, capacity - occupancy))
             self.backpressure_events += events
             if self.metrics is not None:
@@ -1315,15 +1314,10 @@ class ParallelExecutor:
             if delivered:
                 self._channels[key][sender].extend(delivered)
 
-    def _reset_transport(self, region: set[str] | None = None) -> None:
-        """Forget per-channel transport state (restore path): held and
-        buffered packets are in-flight data the rewind regenerates."""
-        if region is None:
-            self._held = []
-            self._send_seq = {}
-            self._recv_seq = {}
-            self._ooo = {}
-            return
+    def _reset_transport(self, region: set[str]) -> None:
+        """Forget the transport state of channels into ``region``
+        (restore path): held and buffered packets are in-flight data
+        the rewind regenerates."""
         self._held = [h for h in self._held if h[1][0] not in region]
         for state in (self._send_seq, self._recv_seq, self._ooo):
             for ck in [ck for ck in state if ck[0][0] in region]:
@@ -1570,8 +1564,7 @@ class ParallelExecutor:
         guard = self._guard.get(name)
         if self.batch_mode:
             if join:
-                if self.columnar:
-                    items = decode_items(items)
+                items = decode_items(items)
                 if guard is None:
                     process = (lambda batch, _s=side:
                                op.process_side_batch(_s, batch))
@@ -1643,8 +1636,8 @@ class ParallelExecutor:
                         if not pending:
                             continue
                         chans[sender] = deque()
-                        drained += (items_weight(pending) if self.columnar
-                                    else len(pending))
+                        drained += (items_weight(pending)
+                                    if self.batch_mode else len(pending))
                         items = self._align((name, idx, side), sender,
                                             pending)
                         if items:
@@ -2064,50 +2057,77 @@ class ParallelExecutor:
                                      checkpoint_id=snapshot.checkpoint_id)
         return snapshot
 
-    def restore(self, checkpoint: ParallelCheckpoint) -> dict[str, int]:
-        """Rewind to a snapshot — possibly taken at another parallelism.
+    def restore(self, checkpoint: ParallelCheckpoint,
+                region: set[str] | None = None) -> dict[str, int]:
+        """Rewind to a snapshot: the whole plan, or only ``region``.
 
-        At unchanged parallelism the restore is exact (routing state
-        included).  On a rescale, key groups and splits are reassigned
-        to the new subtask ranges and scalar state merges conservatively
-        (see ``restore_parallel`` / ``restore_rescaled`` on operators).
+        ``region=None`` rewinds everything and accepts a snapshot taken
+        at another parallelism (*rescaling*): key groups and splits are
+        reassigned to the new subtask ranges and scalar state merges
+        conservatively (see ``restore_parallel`` / ``restore_rescaled``
+        on operators).  At unchanged parallelism the restore is exact,
+        routing state included.
+
+        A ``region`` (an execution-node/source/sink set from
+        :func:`~repro.streaming.coordinator.failover_region_of`) is
+        partial recovery: every subtask, channel and position outside
+        it is left untouched, and so are the data-fault counters and
+        pending dead letters, which span regions.  It is a restart, not
+        a rescale — the region must run at the snapshot's parallelism.
+
         Returns recovery stats: ``replayed_elements`` is how much source
-        input the rewind will re-read (the recovery cost regional
-        restarts minimize).
+        input the rewind will re-read, which for a region counts only
+        its own sources — what makes partial recovery cheaper.
         """
         if checkpoint.num_key_groups != self.num_key_groups:
             raise CheckpointError(
                 f"snapshot has {checkpoint.num_key_groups} key groups, "
                 f"this plan {self.num_key_groups}; key-group counts are "
                 "fixed for a job's lifetime")
-        replayed = 0
-        for name, positions in checkpoint.source_positions.items():
+        whole = region is None
+        if region is None:
+            region = {*self.graph.nodes, *self.job.sources, *self.sinks}
+        for name in checkpoint.source_positions:
             if name not in self.job.sources:
                 raise CheckpointError(
                     f"snapshot references unknown source {name!r}")
-            if checkpoint.num_splits[name] \
+            if name in region and checkpoint.num_splits[name] \
                     != self.graph.source_splits[name]:
                 raise CheckpointError(
                     f"source {name!r}: snapshot has "
                     f"{checkpoint.num_splits[name]} splits, this plan "
                     f"{self.graph.source_splits[name]}; pin "
                     "SourceSpec.splits to rescale")
+        operators = [m for m in self.job.operators
+                     if self.graph.rename[m] in region]
+        for m in operators:
+            if m not in checkpoint.scalar_state:
+                raise CheckpointError(
+                    f"snapshot missing operator {m!r}")
+            if not whole and checkpoint.parallelism.get(m) \
+                    != len(self._clones[m]):
+                raise CheckpointError(
+                    f"regional restore needs matching parallelism for "
+                    f"{m!r}; restore the whole plan to rescale")
+        replayed = 0
+        for name in self.job.sources:
+            if name not in region:
+                continue
             buffers = self._materialize_source(name)
             finished = self._finished_splits[name]
             finished.clear()
-            for s, pos in positions.items():
+            for s, pos in checkpoint.source_positions.get(name,
+                                                          {}).items():
                 replayed += max(0, self._split_positions[name][s] - pos)
                 self._split_positions[name][s] = pos
                 if pos >= len(buffers[s]):
                     finished.add(s)
-        self._merge_cache.clear()  # rewound positions: re-plan pulls
-        for m in self.job.operators:
-            if m not in checkpoint.scalar_state:
-                raise CheckpointError(
-                    f"snapshot missing operator {m!r}")
+        # rewound positions: re-plan the pulls of the region's sources
+        self._merge_cache = {k: plan for k, plan in self._merge_cache.items()
+                             if k[0] not in region}
+        for m in operators:
             clones = self._clones[m]
-            old_p = checkpoint.parallelism[m]
-            exact = old_p == len(clones)
+            exact = checkpoint.parallelism[m] == len(clones)
             if m in checkpoint.keyed_state:
                 groups = checkpoint.keyed_state[m]
                 for i, clone in enumerate(clones):
@@ -2126,175 +2146,88 @@ class ParallelExecutor:
                         clone.restore_rescaled(
                             list(checkpoint.scalar_state[m]))
         for name, buf in self.sinks.items():
-            self._restore_sink(buf, checkpoint.sink_elements.get(name, ()))
-        for chans in self._channels.values():
-            for sender in chans:
-                chans[sender].clear()
-        self._reset_transport()
-        routing = checkpoint.routing_state
-        same_shape = (routing
-                      and routing["channel_wm"].keys()
-                      == self._channel_wm.keys()
-                      and all(routing["channel_wm"][k].keys()
-                              == self._channel_wm[k].keys()
-                              for k in self._channel_wm))
-        if same_shape:
-            for k in self._channel_wm:
-                self._channel_wm[k] = dict(routing["channel_wm"][k])
-            self._aligned_wm = dict(routing["aligned_wm"])
-            self._rr = dict(routing["rr"])
-        else:
-            for k, wms in self._channel_wm.items():
-                for sender in wms:
-                    wms[sender] = float("-inf")
-                self._aligned_wm[k] = float("-inf")
-            self._rr = {}
-        if checkpoint.in_flight:
-            if not same_shape:
+            if name not in region:
+                continue
+            # sealed batches from a 2PC sink or Elements from a plain
+            # buffer: either kind of row restores into either sink
+            rows = checkpoint.sink_elements.get(name, ())
+            if self.transactional_sinks:
+                buf.restore_elements(rows)  # 2PC: truncate open txns
+            else:
+                buf.elements[:] = elements_of(rows)
+        # Routing state is exact only for the plan shape it was cut
+        # from; a rescaled plan starts its watermarks and cursors over.
+        routing = checkpoint.routing_state or {}
+        channel_wm = routing.get("channel_wm", {})
+        if whole and not (
+                channel_wm.keys() == self._channel_wm.keys()
+                and all(channel_wm[k].keys() == self._channel_wm[k].keys()
+                        for k in self._channel_wm)):
+            if checkpoint.in_flight:
                 raise CheckpointError(
                     "an unaligned checkpoint (spilled in-flight state) "
                     "cannot be restored into a different plan shape; "
                     "restore at the original parallelism first")
-            for (down, idx, side, up, up_idx), items \
-                    in checkpoint.in_flight.items():
-                self._channels[(down, idx, side)][(up, up_idx)].extend(
-                    items)
-        for aligner in self._aligners.values():
-            aligner.reset()
-        self.apply_shed_state(checkpoint.shed_state)
-        if self._data_chaos:
-            # Data-fault windows name records, not wall-clock events:
-            # rewinding the counters makes replay re-poison exactly the
-            # records the lost epoch poisoned, so committed output stays
-            # identical to a crash-free run under the same data faults.
-            self.injector.restore_data_counts(checkpoint.data_counts)
-        self._dead_letters.clear()
-        self._flushed = False
-        if self._coordinator is not None:
-            self._coordinator.on_executor_restored()
-        if self.metrics is not None:
-            self.metrics.counter("executor.restores").inc()
-        if self._job_span is not None:
-            self._job_span.add_event("restore",
-                                     checkpoint_id=checkpoint.checkpoint_id)
-        return {"replayed_elements": replayed,
-                "restored_nodes": len(self.graph.topo)}
-
-    def _restore_sink(self, buf: Any, rows: Sequence[Any]) -> None:
-        """A snapshot's sink rows — sealed batches from a 2PC sink,
-        Elements from a plain buffer — into either kind of sink."""
-        if self.transactional_sinks:
-            buf.restore_elements(rows)  # 2PC: truncate open txns
-        else:
-            buf.elements[:] = elements_of(rows)
-
-    def restore_region(self, checkpoint: ParallelCheckpoint,
-                       region: set[str]) -> dict[str, int]:
-        """Partial recovery: rewind only the nodes in ``region`` (an
-        execution-node/source/sink set from
-        :func:`~repro.streaming.coordinator.failover_region_of`),
-        leaving every other subtask's state, channels and progress
-        untouched.  Only valid at the checkpoint's own parallelism —
-        regional recovery is a restart, not a rescale.  Returns recovery
-        stats; ``replayed_elements`` counts only the region's sources,
-        which is what makes partial recovery cheaper than global.
-        """
-        if checkpoint.num_key_groups != self.num_key_groups:
-            raise CheckpointError("key-group count mismatch")
-        for m in self.job.operators:
-            if self.graph.rename[m] in region \
-                    and checkpoint.parallelism.get(m) \
-                    != len(self._clones[m]):
-                raise CheckpointError(
-                    f"regional restore needs matching parallelism for "
-                    f"{m!r}; use restore() to rescale")
-        replayed = 0
-        for name in self.job.sources:
-            if name not in region:
-                continue
-            positions = checkpoint.source_positions.get(name, {})
-            buffers = self._materialize_source(name)
-            finished = self._finished_splits[name]
-            finished.clear()
-            for s, pos in positions.items():
-                replayed += max(0, self._split_positions[name][s] - pos)
-                self._split_positions[name][s] = pos
-                if pos >= len(buffers[s]):
-                    finished.add(s)
-            for key in [k for k in self._merge_cache if k[0] == name]:
-                del self._merge_cache[key]
-        restored_nodes = 0
-        for m in self.job.operators:
-            exec_name = self.graph.rename[m]
-            if exec_name not in region:
-                continue
-            restored_nodes += 1
-            clones = self._clones[m]
-            if m in checkpoint.keyed_state:
-                groups = checkpoint.keyed_state[m]
-                for i, clone in enumerate(clones):
-                    mine = {kg: groups[kg]
-                            for kg in key_group_range(self.num_key_groups,
-                                                      len(clones), i)
-                            if kg in groups}
-                    clone.restore_parallel(
-                        mine, [checkpoint.scalar_state[m][i]],
-                        primary=(i == 0))
-            else:
-                for i, clone in enumerate(clones):
-                    clone.restore(checkpoint.scalar_state[m][i])
-        for name, buf in self.sinks.items():
-            if name not in region:
-                continue
-            self._restore_sink(buf, checkpoint.sink_elements.get(name, ()))
-        routing = checkpoint.routing_state
-        channel_wm = routing.get("channel_wm", {}) if routing else {}
-        aligned_wm = routing.get("aligned_wm", {}) if routing else {}
+            routing = channel_wm = {}
+        aligned_wm = routing.get("aligned_wm", {})
         for key, chans in self._channels.items():
-            down, idx, side = key
-            if down not in region:
+            if key[0] not in region:
                 continue
+            saved = channel_wm.get(key, {})
             for sender in chans:
                 chans[sender].clear()
-                saved = channel_wm.get(key, {})
                 self._channel_wm[key][sender] = saved.get(
                     sender, float("-inf"))
             self._aligned_wm[key] = aligned_wm.get(key, float("-inf"))
         self._reset_transport(region)
-        if checkpoint.in_flight:
-            for (down, idx, side, up, up_idx), items \
-                    in checkpoint.in_flight.items():
-                if down in region:
-                    self._channels[(down, idx, side)][(up, up_idx)].extend(
-                        items)
-        rr = routing.get("rr", {}) if routing else {}
-        for edge_idx, edge in enumerate(self.graph.edges):
-            if edge.mode == REBALANCE and edge.up in region:
-                for key in list(self._rr):
-                    if key[0] == edge_idx:
-                        self._rr[key] = rr.get(key, 0)
+        for (down, idx, side, up, up_idx), items \
+                in checkpoint.in_flight.items():
+            if down in region:
+                self._channels[(down, idx, side)][(up, up_idx)].extend(
+                    items)
+        rebalanced = {i for i, edge in enumerate(self.graph.edges)
+                      if edge.mode == REBALANCE and edge.up in region}
+        self._rr = {
+            **{k: v for k, v in self._rr.items()
+               if k[0] not in rebalanced},
+            **{k: v for k, v in routing.get("rr", {}).items()
+               if k[0] in rebalanced}}
         for (name, idx), aligner in self._aligners.items():
             if name in region:
                 aligner.reset()
         self.apply_shed_state(
             checkpoint.shed_state,
-            sources=[n for n in self.job.sources if n in region])
+            [n for n in self.job.sources if n in region])
+        if whole:
+            if self._data_chaos:
+                # Data-fault windows name records, not wall-clock
+                # events: rewinding the counters makes replay re-poison
+                # exactly the records the lost epoch poisoned, so
+                # committed output stays identical to a crash-free run
+                # under the same data faults.
+                self.injector.restore_data_counts(checkpoint.data_counts)
+            self._dead_letters.clear()
         self._flushed = False
+        nodes = [n for n in self.graph.topo if n in region]
         if self._coordinator is not None:
             self._coordinator.on_executor_restored()
-            for name in region:
-                if name in self.graph.nodes:
-                    for idx in range(self.graph.nodes[name].parallelism):
-                        self._coordinator.monitor.reset(f"{name}[{idx}]")
+            for name in nodes:
+                for idx in range(self.graph.nodes[name].parallelism):
+                    self._coordinator.monitor.reset(f"{name}[{idx}]")
         if self.metrics is not None:
-            self.metrics.counter("executor.regional_restores").inc()
+            self.metrics.counter("executor.restores" if whole else
+                                 "executor.regional_restores").inc()
         if self._job_span is not None:
-            self._job_span.add_event(
-                "restore.regional",
-                checkpoint_id=checkpoint.checkpoint_id,
-                region=",".join(sorted(region)))
+            if whole:
+                self._job_span.add_event(
+                    "restore", checkpoint_id=checkpoint.checkpoint_id)
+            else:
+                self._job_span.add_event(
+                    "restore.regional",
+                    checkpoint_id=checkpoint.checkpoint_id,
+                    region=",".join(sorted(region)))
         return {"replayed_elements": replayed,
-                "restored_nodes": restored_nodes}
+                "restored_nodes": len(nodes)}
 
     # -- observability ---------------------------------------------------------
 

@@ -44,8 +44,7 @@ from .execution import ParallelCheckpoint, ParallelExecutor
 from .graph import JobGraph
 
 __all__ = ["MAX_FAILURES", "SAVEPOINT_MAX_CYCLES", "SupervisionReport",
-           "Supervisor", "check_failure_budget", "CoordinatedReport",
-           "run_coordinated"]
+           "Supervisor", "CoordinatedReport", "run_coordinated"]
 
 #: Bounds pathological fault plans: a deterministic schedule cannot
 #: re-fire a passed fault, so any finite plan terminates well below it.
@@ -53,14 +52,6 @@ MAX_FAILURES = 1000
 #: Drain cycles a stop-with-savepoint may take before it is declared
 #: stuck (a blocked channel or a stalled subtask).
 SAVEPOINT_MAX_CYCLES = 256
-
-
-def check_failure_budget(failures: int) -> None:
-    """The shared give-up rule of every supervisor loop."""
-    if failures > MAX_FAILURES:
-        raise ChaosError(
-            f"gave up after {failures} failures; the fault plan appears "
-            "to re-fire indefinitely")
 
 
 @dataclass
@@ -86,6 +77,10 @@ class SupervisionReport:
     #: what whole-job restarts would have replayed at the same recovery
     #: points (the counterfactual the MTTR gate compares against)
     replayed_full_equiv: int = 0
+    #: checkpoints the store quarantined for failing integrity checks
+    integrity_failures: int = 0
+    #: the injector's fired-fault trace (empty without an injector)
+    trace: list = field(default_factory=list)
 
     @property
     def failures(self) -> int:
@@ -226,7 +221,12 @@ class Supervisor:
             self.span.add_event("fault", kind=kind)
         if self.metrics is not None:
             self.metrics.counter("chaos.faults", kind=kind).inc()
-        check_failure_budget(self.report.failures)
+        # the one give-up rule of every entry point; the module global
+        # is read here, per failure, so rebinding it takes effect
+        if self.report.failures > MAX_FAILURES:
+            raise ChaosError(
+                f"gave up after {self.report.failures} failures; the "
+                "fault plan appears to re-fire indefinitely")
         if self.restart_budget is not None:
             finalized = self.report.checkpoints + self.coordinator.finalized
             made = finalized > self._progress_mark
@@ -292,16 +292,12 @@ class Supervisor:
                     and candidate
                     & set(executor.graph.source_parallelism)):
                 region = candidate
+        replayed = self._restore(
+            lambda: executor.restore(target, region))["replayed_elements"]
         if region is not None:
-            stats = self._restore(
-                lambda: executor.restore_region(target, region))
-            replayed = stats["replayed_elements"]
             report.regional_restores += 1
             report.replayed_regional += replayed
         else:
-            self._restore(lambda: executor.restore(target))
-            self.coordinator.monitor.reset_all()
-            replayed = full_equiv
             report.full_restores += 1
         report.replayed_total += replayed
         report.replayed_full_equiv += full_equiv
@@ -373,11 +369,15 @@ class Supervisor:
     # -- completion ----------------------------------------------------------
 
     def finish(self) -> Any:
-        """Fold the live coordinator's counts and the committed sink
-        output into the report (call once, at end of run)."""
+        """Fold the live coordinator's counts, the store's quarantine
+        count, the fault trace and the committed sink output into the
+        report (call once, at end of run)."""
         report = self.report
         report.checkpoints += self.coordinator.finalized
         report.aborted += self.coordinator.aborted
+        report.integrity_failures = self.store.integrity_failures
+        if self.injector is not None:
+            report.trace = list(self.injector.trace)
         report.sink_values = {name: list(sink.values)
                               for name, sink in self.executor.sinks.items()}
         return report
@@ -387,13 +387,9 @@ class Supervisor:
 class CoordinatedReport(SupervisionReport):
     """What happened during a coordinator-supervised run."""
 
-    #: checkpoints the store quarantined for failing integrity checks
-    integrity_failures: int = 0
-    trace: list = field(default_factory=list)
-
 
 def run_coordinated(job: JobGraph, injector: Any = None,
-                    *, parallelism: int | dict[str, int] = 2,
+                    *, parallelism: int | dict[str, int] = 1,
                     batch_mode: bool = True, chaining: bool = True,
                     source_batch: int = 64, step_cycles: int = 1,
                     interval_cycles: int = 4,
@@ -450,9 +446,4 @@ def run_coordinated(job: JobGraph, injector: Any = None,
                      "full_restores", "replayed_total"):
             supervised.set_attr(attr, getattr(report, attr))
         supervised.end()
-    supervisor.finish()
-    report.integrity_failures = getattr(supervisor.store,
-                                        "integrity_failures", 0)
-    if injector is not None:
-        report.trace = list(injector.trace)
-    return report
+    return supervisor.finish()

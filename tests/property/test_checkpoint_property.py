@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from repro.chaos import SITE_OPERATOR, FaultInjector, FaultPlan, FaultSpec
 from repro.streaming import (
+    DEAD_LETTER,
+    DLQ_SINK,
     Element,
     JobBuilder,
     ParallelExecutor,
@@ -83,6 +85,40 @@ class TestCheckpointInvisibility:
             executor.restore(checkpoint)
         final = executor.run()
         assert _results(final["out"].values) == expected
+
+    def test_plain_sink_and_dlq_rewind_to_the_snapshot(self):
+        # plain SinkBuffers, no 2PC: what checkpoint() recorded is what
+        # restore() puts back, in the sink and in the dead-letter queue
+        def brittle(v):
+            if v["v"] % 7 == 3:
+                raise ValueError("poison")
+            return v
+
+        def executor():
+            builder = JobBuilder("plain-dlq")
+            (builder.source("s", _to_elements(
+                        [(i % 4, float(i)) for i in range(80)]))
+                    .map(brittle, name="brittle").on_error(DEAD_LETTER)
+                    .sink("out"))
+            return ParallelExecutor(builder.build())
+
+        def contents(run):
+            return {name: list(buf.elements)
+                    for name, buf in run.sinks.items()}
+
+        straight = executor()
+        straight.run()
+        run = executor()
+        run.run(source_batch=16, max_cycles=2)
+        checkpoint = run.checkpoint()
+        snapshot = contents(run)
+        assert snapshot["out"] and snapshot[DLQ_SINK]
+        run.run(source_batch=16, max_cycles=2)  # more input, more letters
+        assert len(run.sinks[DLQ_SINK]) > len(snapshot[DLQ_SINK])
+        run.restore(checkpoint)
+        assert contents(run) == snapshot
+        run.run()
+        assert contents(run) == contents(straight)
 
 
 class TestMidBatchCrashRestore:

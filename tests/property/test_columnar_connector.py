@@ -155,10 +155,10 @@ class TestLogSources:
         cluster = _build(spec)
         ordered = spec["time_ordered"]
         want = _reference(cluster, time_ordered=ordered)
-        loose = list(log_source(cluster, TOPIC, time_ordered=ordered)())
+        loose = list(log_source(cluster, TOPIC, time_ordered=ordered,
+                                columnar=False)())
         assert loose == want
-        batches = list(log_source(cluster, TOPIC, time_ordered=ordered,
-                                  columnar=True)())
+        batches = list(log_source(cluster, TOPIC, time_ordered=ordered)())
         assert all(type(b) is RecordBatch for b in batches)
         assert decode_items(batches) == want
         if want:  # small topic: one fetch, so one batch either way
@@ -172,10 +172,11 @@ class TestLogSources:
         ordered = spec["time_ordered"]
         splits = min(splits, spec["partitions"])
         loose, n = parallel_log_source(cluster, TOPIC, splits=splits,
-                                       time_ordered=ordered)
+                                       time_ordered=ordered,
+                                       columnar=False)
         columnar, _ = parallel_log_source(cluster, TOPIC, splits=splits,
                                           time_ordered=ordered,
-                                          columnar=True, group_id="col")
+                                          group_id="col")
         assert n == splits
         for s, owned in enumerate(split_ranges(spec["partitions"], n)):
             want = _reference(cluster, list(owned), time_ordered=ordered)
@@ -216,7 +217,7 @@ class TestLogSources:
                          (0, math.nan, 2.0), (1, 1.0, 3.0),
                          (0, 0.5, 4.0)):
             producer.send(TOPIC, v, timestamp=ts, partition=p)
-        (batch,) = log_source(cluster, TOPIC, columnar=True)()
+        (batch,) = log_source(cluster, TOPIC)()
         assert batch.values.tolist() == [4.0, 3.0, 1.0, 2.0, 0.0]
         assert np.isnan(batch.timestamps[3:]).all()
 
@@ -227,7 +228,7 @@ class TestLogSources:
         for i in range(20):
             producer.send(TOPIC, float(i), key=f"k{i % 3}",
                           timestamp=float(i))
-        factory, n = parallel_log_source(cluster, TOPIC, columnar=True)
+        factory, n = parallel_log_source(cluster, TOPIC)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a per-row object on the columnar path")
@@ -513,7 +514,7 @@ class TestSplitBuffers:
         for i in range(400):
             producer.send(TOPIC, float(i), key=f"k{i % 10}",
                           timestamp=i * 0.1)
-        factory, n = parallel_log_source(cluster, TOPIC, columnar=True)
+        factory, n = parallel_log_source(cluster, TOPIC)
         builder = JobBuilder("never-decodes")
         (builder.source("events", splits=n, split_factory=factory)
                 .with_watermarks(2.0)

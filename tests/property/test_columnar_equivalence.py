@@ -2,10 +2,10 @@
 
 The columnar ``RecordBatch`` representation (see "Columnar batch
 representation" in docs/ARCHITECTURE.md) promises to be an *encoding*,
-not a semantic: for any job and any input stream, running with
-``columnar=True`` produces bit-identical sink contents and checkpoint
-state to ``columnar=False`` — and both match element-at-a-time
-dispatch.  These tests drive randomized streams through vectorized
+not a semantic: for any job and any input stream, batched execution
+(columns, chained or not) produces bit-identical sink contents and
+checkpoint state to element-at-a-time dispatch (``batch_mode=False``,
+the reference).  These tests drive randomized streams through vectorized
 kernels, through the mixed/opaque-value fallback, through parallel
 plans with hash shuffles and the columnar source merge, and through
 rescale restores, comparing exactly every time.
@@ -53,10 +53,8 @@ import numpy as np
 
 MODES = {
     "per_item": dict(batch_mode=False, chaining=False),
-    "batched_plain": dict(batch_mode=True, chaining=False, columnar=False),
-    "batched_columnar": dict(batch_mode=True, chaining=False, columnar=True),
-    "chained_plain": dict(batch_mode=True, chaining=True, columnar=False),
-    "chained_columnar": dict(batch_mode=True, chaining=True, columnar=True),
+    "batched": dict(batch_mode=True, chaining=False),
+    "chained": dict(batch_mode=True, chaining=True),
 }
 PARALLELISMS = (1, 2, 4)
 N_SPLITS = 4
@@ -166,7 +164,7 @@ class TestParallelColumnar:
     def _make_job(self, rows):
         # Keyed elements with per-split-monotone timestamps: the
         # columnar source merge takes its lexsort fast path while the
-        # plain run heap-merges — outputs must still match exactly.
+        # per-item run heap-merges — outputs must still match exactly.
         elements = [Element(value=float(v), timestamp=i * 0.7, key=k)
                     for i, (k, v) in enumerate(rows)]
         builder = JobBuilder("columnar-parallel")
@@ -182,17 +180,17 @@ class TestParallelColumnar:
     def test_parallel_columnar_matches_plain(self, rows, source_batch):
         for p in PARALLELISMS:
             runs = {}
-            for columnar in (False, True):
-                executor = ParallelExecutor(self._make_job(rows), p,
-                                            columnar=columnar)
+            for mode, flags in MODES.items():
+                executor = ParallelExecutor(self._make_job(rows), p, **flags)
                 executor.run(source_batch=source_batch)
-                runs[columnar] = executor
-            plain, col = runs[False], runs[True]
-            assert (col.sinks["out"].elements
-                    == plain.sinks["out"].elements), p
-            # Keyed state is snapshotted per key group; the whole
-            # checkpoint (a dataclass) must compare equal field-wise.
-            assert col.checkpoint() == plain.checkpoint(), p
+                runs[mode] = executor
+            ckpts = {mode: run.checkpoint() for mode, run in runs.items()}
+            for mode, col in runs.items():
+                assert (col.sinks["out"].elements
+                        == runs["per_item"].sinks["out"].elements), (p, mode)
+                # Keyed state is snapshotted per key group; the whole
+                # checkpoint (a dataclass) must compare equal field-wise.
+                _assert_checkpoints_match(ckpts[mode], ckpts, mode, p)
 
     @given(numeric_rows)
     @settings(max_examples=10, deadline=None)
@@ -200,12 +198,10 @@ class TestParallelColumnar:
         expected = ParallelExecutor(self._make_job(rows),
                                     batch_mode=False).run()["out"].elements
         for old_p, new_p in ((1, 2), (1, 4), (2, 4), (4, 1)):
-            donor = ParallelExecutor(self._make_job(rows), old_p,
-                                     columnar=True)
+            donor = ParallelExecutor(self._make_job(rows), old_p)
             donor.run(source_batch=8, max_cycles=2)
             snapshot = donor.checkpoint()
-            survivor = ParallelExecutor(self._make_job(rows), new_p,
-                                        columnar=True)
+            survivor = ParallelExecutor(self._make_job(rows), new_p)
             survivor.restore(snapshot)
             survivor.run(source_batch=8)
             got = sorted(repr(e) for e in survivor.sinks["out"].elements)
@@ -231,11 +227,11 @@ class TestParallelColumnar:
 
         for p in PARALLELISMS:
             runs = {}
-            for columnar in (False, True):
+            for batch_mode in (False, True):
                 executor = ParallelExecutor(make_job(), p,
-                                            columnar=columnar)
+                                            batch_mode=batch_mode)
                 executor.run(source_batch=16)
-                runs[columnar] = executor
+                runs[batch_mode] = executor
             assert (runs[True].sinks["out"].elements
                     == runs[False].sinks["out"].elements), p
             assert runs[True].checkpoint() == runs[False].checkpoint(), p
@@ -284,14 +280,11 @@ def _punctuated_job(elements, emit_every, splits=None):
 def _assert_checkpoints_match(ckpt, base, mode, context):
     """Whole-dataclass equality against the per-item run for modes with
     the per-item plan shape; fused chains name their channels after the
-    chain, so there only the routing table is compared to the plain
-    chained run instead."""
+    chain, so there everything but the routing table is compared."""
     if MODES[mode]["chaining"]:
         assert dataclasses.replace(ckpt, routing_state={}) \
             == dataclasses.replace(base["per_item"], routing_state={}), \
             (context, mode)
-        assert ckpt.routing_state \
-            == base["chained_plain"].routing_state, (context, mode)
     else:
         assert ckpt == base["per_item"], (context, mode)
 

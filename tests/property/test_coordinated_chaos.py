@@ -1,13 +1,17 @@
-"""Coordinated-checkpoint chaos: exactly-once under in-flight snapshots.
+"""The headline chaos property: recovery reproduces the fault-free run.
 
-The invariant, stronger than :mod:`test_parallel_chaos`'s: with
+There is one runner, so this is the one recovery suite: with
 checkpoints taken *while data is in flight* (barrier alignment, 2PC
 sinks) and recovery that may be *regional* (only the failed subtask's
-failover region restarts), any seeded schedule of subtask crashes,
-mid-snapshot crashes, coordinator crashes, fail-silent stalls and
+failover region restarts), any seeded schedule of subtask crashes —
+aimed at a logical operator (any of its subtasks may fire it) or one
+pinned clone like ``window_sum[1]`` — mid-snapshot crashes, coordinator
+crashes, fetch faults on a log-backed source, fail-silent stalls and
 network faults (delay / duplicate / reorder / partition on channels)
 must yield transactional-sink output equal to the fault-free run — no
-element lost, none exposed twice.
+element lost, none exposed twice — in per-item, batched and chained
+execution, at every parallelism.  And the same seed must reproduce the
+same fault trace, or none of it is debuggable.
 
 Crash-only schedules replay deterministically, so raw sink order is
 compared.  Network faults and stalls legitimately shift *when* windows
@@ -15,17 +19,19 @@ fire (permuting cross-subtask interleave at a merge sink), so those
 sweeps compare :func:`~repro.chaos.harness.canonical_sinks` — exact on
 values and multiplicities, forgiving of interleave.
 
-A couple of fixed-schedule smokes stay unmarked for tier 1; the sweeps
-are ``chaos``-marked and run via ``make chaos-parallel``.
+A few fixed-schedule smokes stay unmarked for tier 1; the sweeps are
+``chaos``-marked and run via ``make chaos`` / ``make chaos-parallel``.
 """
 
 import pytest
 
 from repro.chaos import (
+    SITE_APPEND,
     SITE_CHANNEL,
     SITE_COORDINATOR,
     SITE_OPERATOR,
     SITE_STALL,
+    ChaosLogCluster,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -38,21 +44,24 @@ from repro.chaos import (
     two_region_job,
 )
 from repro.eventlog.broker import LogCluster, TopicConfig
+from repro.eventlog.producer import Producer
 from repro.streaming import JobBuilder, SchedulePolicy, ScalingSupervisor, ShedPolicy
+from repro.streaming.connectors import log_source
 from repro.streaming.txn_sink import TransactionalLogSink
+from repro.util.clock import SimClock
 
 MODES = ((False, False), (True, False), (True, True))
 SOURCE_BATCH = 16
 
 
 def _run(build, plan, *, parallelism=2, exact=True, batch_mode=True,
-         chaining=True, **kwargs):
+         chaining=True, source_batch=SOURCE_BATCH, **kwargs):
     golden = fault_free_sinks(build, parallelism=parallelism,
-                              source_batch=SOURCE_BATCH,
+                              source_batch=source_batch,
                               batch_mode=batch_mode, chaining=chaining)
     injector = FaultInjector(plan) if plan is not None else None
     report = run_coordinated(build(), injector, parallelism=parallelism,
-                             source_batch=SOURCE_BATCH,
+                             source_batch=source_batch,
                              batch_mode=batch_mode, chaining=chaining,
                              **kwargs)
     if plan is not None:
@@ -72,8 +81,61 @@ def _run(build, plan, *, parallelism=2, exact=True, batch_mode=True,
     return report
 
 
+def _crashes(name, *sites):
+    return FaultPlan(specs=tuple(
+        FaultSpec("operator_crash", SITE_OPERATOR, at=at, target=target)
+        for target, at in sites), name=name)
+
+
+def _random_crashes(seed, horizon, crashes, **kwargs):
+    """A seeded schedule of ``crashes`` operator crashes and nothing
+    else, unless ``kwargs`` turns another fault class on."""
+    quiet = dict(torn_appends=0, unavailable_windows=0,
+                 duplicate_deliveries=0, task_timeouts=0)
+    return FaultPlan.random(
+        seed, horizon=horizon, operators=reference_operator_names(),
+        crashes=crashes, **{**quiet, **kwargs})
+
+
+def _run_all_modes(build, plan, **kwargs):
+    """Crash-only: raw sink order, a barrier every cycle, every mode."""
+    for batch_mode, chaining in MODES:
+        _run(build, plan, batch_mode=batch_mode, chaining=chaining,
+             interval_cycles=1, **kwargs)
+
+
+#: name -> (events seed, parallelism, crash sites)
+FIXED_CRASHES = {
+    "mid_batch_p1": (3, 1, (("double", 57), ("window_sum", 211))),
+    # a logical target: any of the operator's subtasks may fire it
+    "logical_target_p4": (5, 4, (("double", 41), ("window_sum", 160))),
+    # "window_sum[1]" names one physical clone; only it can trip
+    "pinned_subtask_p4": (5, 4, (("window_sum[1]", 23),)),
+}
+
+
 class TestCoordinatedSmoke:
     """Unmarked: the coordinated machinery stays inside tier 1."""
+
+    @pytest.mark.parametrize("name", sorted(FIXED_CRASHES))
+    def test_fixed_crashes(self, name):
+        seed, parallelism, sites = FIXED_CRASHES[name]
+        events = reference_events(seed=seed)
+        _run_all_modes(lambda: reference_job(events), _crashes(name, *sites),
+                       parallelism=parallelism, source_batch=32)
+
+    def test_same_seed_same_trace(self):
+        events = reference_events(seed=3)
+        plan = _random_crashes(21, 300, 2)
+
+        def trace_once():
+            injector = FaultInjector(plan)
+            run_coordinated(reference_job(events), injector)
+            return injector.trace_tuples()
+
+        first = trace_once()
+        assert first  # the schedule actually fired
+        assert trace_once() == first
 
     def test_no_faults_all_modes(self):
         events = reference_events(seed=3, n=200)
@@ -118,14 +180,42 @@ class TestCoordinatedCrashSweeps:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_crash_schedules(self, seed):
         events = reference_events(seed=seed % 3, n=240)
-        plan = FaultPlan.random(
-            seed + 700, horizon=70,
-            operators=reference_operator_names(), crashes=2,
-            torn_appends=0, unavailable_windows=0,
-            duplicate_deliveries=0, task_timeouts=0,
-            barrier_crashes=1, coordinator_crashes=1,
-            name=f"coordinated-{seed}")
+        plan = _random_crashes(seed + 700, 70, 2, barrier_crashes=1,
+                               coordinator_crashes=1,
+                               name=f"coordinated-{seed}")
         _run(lambda: reference_job(events), plan, interval_cycles=2)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_crash_only_schedules_at_p1(self, seed):
+        events = reference_events(seed=seed % 5)
+        plan = _random_crashes(seed, 360, 3, name=f"crashes-{seed}")
+        _run_all_modes(lambda: reference_job(events), plan, parallelism=1,
+                       source_batch=32)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_varied_source_batches(self, seed):
+        events = reference_events(seed=1, n=250)
+        plan = _random_crashes(seed + 100, 240, 2)
+        for source_batch in (5, 17, 64):
+            _run_all_modes(lambda: reference_job(events), plan,
+                           parallelism=1, source_batch=source_batch)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_crash_only_schedules_at_p4(self, seed):
+        events = reference_events(seed=seed % 4)
+        # Each subtask sees ~1/parallelism of the stream, so fault
+        # offsets must sit well inside a single subtask's progress.
+        plan = _random_crashes(seed + 300, 80, 3, name=f"parallel-{seed}")
+        _run(lambda: reference_job(events), plan, parallelism=4,
+             source_batch=32, interval_cycles=1)
+
+    @pytest.mark.parametrize("target",
+                             ["double[0]", "window_sum[3]", "watermarks[2]"])
+    def test_every_pinned_subtask_recovers(self, target):
+        events = reference_events(seed=2)
+        _run(lambda: reference_job(events),
+             _crashes(f"pin-{target}", (target, 19)), parallelism=4,
+             source_batch=32, interval_cycles=1)
 
     @pytest.mark.parametrize("parallelism", [1, 2, 4])
     def test_all_parallelisms_and_modes(self, parallelism):
@@ -142,6 +232,54 @@ class TestCoordinatedCrashSweeps:
                  parallelism=parallelism, batch_mode=batch_mode,
                  chaining=chaining, interval_cycles=2)
 
+    @pytest.mark.parametrize("parallelism", [2, 3, 4])
+    def test_crash_only_at_all_parallelisms_and_modes(self, parallelism):
+        events = reference_events(seed=7)
+        plan = _crashes(f"crash-modes-p{parallelism}",
+                        ("window_sum", 77), ("watermarks", 150))
+        _run_all_modes(lambda: reference_job(events), plan,
+                       parallelism=parallelism, source_batch=32)
+
+
+@pytest.mark.chaos
+class TestLogBackedRecovery:
+    """The stream reads a chaos-wrapped log: fetch faults + crashes."""
+
+    def _seeded_topic(self, injector=None, partitions=2):
+        cluster = LogCluster(num_brokers=3)
+        cluster.create_topic(TopicConfig("events", partitions=partitions,
+                                         replication=2))
+        producer = Producer(cluster, clock=SimClock(), idempotent=True)
+        for element in reference_events(seed=2, n=200):
+            producer.send("events", element.value,
+                          key=str(element.value["k"]),
+                          timestamp=element.timestamp)
+        if injector is None:
+            return cluster
+        return ChaosLogCluster(cluster, injector)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fetch_faults_and_crashes_recover(self, seed):
+        golden_cluster = self._seeded_topic()
+        plan = _random_crashes(seed, 200, 2, unavailable_windows=1,
+                               duplicate_deliveries=2, name=f"log-{seed}")
+        # Keep the faults on the fetch path: appends already happened.
+        plan = FaultPlan(
+            specs=tuple(s for s in plan.specs if s.site != SITE_APPEND),
+            seed=plan.seed, name=plan.name)
+        for batch_mode, chaining in MODES:
+            golden = fault_free_sinks(
+                lambda: reference_job(log_source(golden_cluster, "events")),
+                batch_mode=batch_mode, chaining=chaining)
+            chaos_cluster = self._seeded_topic(FaultInjector(plan))
+            report = run_coordinated(
+                reference_job(log_source(chaos_cluster, "events")),
+                chaos_cluster.injector, batch_mode=batch_mode,
+                chaining=chaining, interval_cycles=1)
+            assert report.sink_values == golden, (
+                f"log-backed recovery diverged (batch_mode={batch_mode}, "
+                f"chaining={chaining}, seed={seed})")
+
 
 @pytest.mark.chaos
 class TestNetworkFaultSweeps:
@@ -150,25 +288,17 @@ class TestNetworkFaultSweeps:
         # delay / duplicate / reorder / partition on physical channels:
         # the reliable-transport layer masks them, exactly-once holds
         events = reference_events(seed=seed % 3, n=240)
-        plan = FaultPlan.random(
-            seed + 900, horizon=60,
-            operators=reference_operator_names(), crashes=0,
-            torn_appends=0, unavailable_windows=0,
-            duplicate_deliveries=0, task_timeouts=0,
-            channel_faults=4, name=f"net-{seed}")
+        plan = _random_crashes(seed + 900, 60, 0, channel_faults=4,
+                               name=f"net-{seed}")
         _run(lambda: reference_job(events), plan, exact=False,
              interval_cycles=2)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_crashes_and_network_together(self, seed):
         events = reference_events(seed=seed % 2, n=240)
-        plan = FaultPlan.random(
-            seed + 1100, horizon=60,
-            operators=reference_operator_names(), crashes=1,
-            torn_appends=0, unavailable_windows=0,
-            duplicate_deliveries=0, task_timeouts=0,
-            channel_faults=3, coordinator_crashes=1,
-            name=f"net-crash-{seed}")
+        plan = _random_crashes(seed + 1100, 60, 1, channel_faults=3,
+                               coordinator_crashes=1,
+                               name=f"net-crash-{seed}")
         _run(lambda: reference_job(events), plan, exact=False,
              interval_cycles=2)
 
@@ -207,12 +337,8 @@ class TestFailureDetector:
         events = reference_events(seed=seed, n=240)
         # the stall counter ticks once per macro cycle per subtask, so
         # the horizon must sit inside the run's ~15-cycle span
-        plan = FaultPlan.random(
-            seed + 1300, horizon=12,
-            operators=reference_operator_names(), crashes=0,
-            torn_appends=0, unavailable_windows=0,
-            duplicate_deliveries=0, task_timeouts=0,
-            stalls=1, name=f"stall-{seed}")
+        plan = _random_crashes(seed + 1300, 12, 0, stalls=1,
+                               name=f"stall-{seed}")
         _run(lambda: reference_job(events), plan, exact=False,
              interval_cycles=2, heartbeat_timeout_s=4.0)
 
@@ -315,12 +441,8 @@ class TestShedExactlyOnceUnderChaos:
     @pytest.mark.parametrize("seed", range(4))
     def test_crash_schedules_shed_identically(self, seed):
         golden, golden_shed = self._golden(seed=seed % 3)
-        plan = FaultPlan.random(
-            seed + 2100, horizon=60,
-            operators=reference_operator_names(), crashes=2,
-            torn_appends=0, unavailable_windows=0,
-            duplicate_deliveries=0, task_timeouts=0,
-            coordinator_crashes=1, name=f"shed-{seed}")
+        plan = _random_crashes(seed + 2100, 60, 2, coordinator_crashes=1,
+                               name=f"shed-{seed}")
         report = _shed_run(plan, seed=seed % 3)
         assert canonical_sinks(report.sink_values) == golden
         assert report.shed_total == golden_shed

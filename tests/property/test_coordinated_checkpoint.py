@@ -3,7 +3,10 @@
 The barrier protocol must hold in the degenerate corners: splits with no
 data, channels that carry only watermarks, faults landing while an
 alignment is mid-flight, and checkpoints that outlive the plan shape
-they were taken at (rescale restore).  These are tier-1: each case is a
+they were taken at (rescale restore) — and the one rewind,
+``restore(checkpoint, region)``, must leave the same executor whether
+it is asked for the whole plan or for every region in turn.  These are
+tier-1: each case is a
 small pinned scenario, not a seeded sweep (those live in
 ``test_coordinated_chaos.py``).
 """
@@ -22,6 +25,7 @@ from repro.chaos import (
     reference_events,
     reference_job,
     run_coordinated,
+    two_region_job,
 )
 from repro.eventlog import LogCluster, Producer, TopicConfig
 from repro.streaming import (
@@ -32,7 +36,9 @@ from repro.streaming import (
     ParallelExecutor,
 )
 from repro.streaming.connectors import log_source, parallel_log_source
+from repro.streaming.coordinator import failover_region_of
 from repro.streaming.windows import TumblingWindows
+from repro.util.errors import CheckpointError
 
 
 def _keyed_job(elements, name="edge", window_s=10.0):
@@ -49,11 +55,6 @@ def _keyed_job(elements, name="edge", window_s=10.0):
 def _events(n=60, keys=4):
     return [Element(value={"k": i % keys, "v": float(i)}, timestamp=i * 0.5)
             for i in range(n)]
-
-
-def _coordinated_sinks(job, **kwargs):
-    report = run_coordinated(job, None, **kwargs)
-    return report.sink_values
 
 
 class TestEmptySplits:
@@ -265,3 +266,70 @@ class TestRescaleFromCoordinatedCheckpoint:
             assert got == expected, (
                 f"rescale {old_p}->{new_p} from coordinator checkpoint "
                 f"{snapshot.checkpoint_id} diverged")
+
+
+class TestOneRewind:
+    """``restore(ckpt, region)`` over every region == ``restore(ckpt)``."""
+
+    @staticmethod
+    def _ahead_of_a_checkpoint(parallelism):
+        executor = ParallelExecutor(
+            two_region_job(reference_events(seed=1, n=160),
+                           reference_events(seed=2, n=160)),
+            parallelism, transactional_sinks=True)
+        store = CheckpointStore()
+        coordinator = CheckpointCoordinator(executor, store=store,
+                                            interval_cycles=2)
+        while store.latest() is None:
+            executor.run(source_batch=16, max_cycles=1)
+        snapshot = store.latest()
+        executor.run(source_batch=16, max_cycles=1)  # past the cut
+        return executor, coordinator, snapshot
+
+    @staticmethod
+    def _state(executor):
+        # quiescent after a rewind: the aligned snapshot reads source
+        # positions, keyed/scalar state, sink rows and routing state
+        cut = executor.checkpoint()
+        return (cut.source_positions, cut.keyed_state, cut.scalar_state,
+                cut.sink_elements, cut.routing_state, cut.shed_state)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_region_by_region_equals_whole(self, parallelism):
+        whole, whole_coord, snapshot = self._ahead_of_a_checkpoint(
+            parallelism)
+        ahead = whole.source_positions_snapshot()
+        whole.restore(snapshot)
+        assert whole.source_positions_snapshot() != ahead
+        regional, regional_coord, same = self._ahead_of_a_checkpoint(
+            parallelism)
+        assert same.source_positions == snapshot.source_positions
+        regions = {frozenset(failover_region_of(regional.graph, op,
+                                                frozenset()))
+                   for op in ("window_a", "window_b")}
+        assert len(regions) == 2 and not frozenset.intersection(*regions)
+        replayed = sum(regional.restore(same, set(region))
+                       ["replayed_elements"] for region in sorted(
+                           regions, key=sorted))
+        assert replayed == sum(
+            pos - snapshot.source_positions[name][split]
+            for name, splits in ahead.items()
+            for split, pos in splits.items()) > 0
+        assert self._state(regional) == self._state(whole)
+        for executor, coordinator in ((whole, whole_coord),
+                                      (regional, regional_coord)):
+            while not executor.done:
+                executor.run(source_batch=16, max_cycles=1)
+            coordinator.final_checkpoint(executor)
+        assert {n: s.values for n, s in regional.sinks.items()} \
+            == {n: s.values for n, s in whole.sinks.items()}
+
+    def test_a_region_refuses_to_rescale(self):
+        donor, _, snapshot = self._ahead_of_a_checkpoint(2)
+        wider = ParallelExecutor(donor.job, {"default": 2, "window_a": 4},
+                                 transactional_sinks=True)
+        region = set(failover_region_of(wider.graph, "window_a",
+                                        frozenset()))
+        with pytest.raises(CheckpointError, match="matching parallelism"):
+            wider.restore(snapshot, region)
+        wider.restore(snapshot)  # the whole plan may

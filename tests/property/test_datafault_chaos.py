@@ -34,7 +34,6 @@ from repro.chaos import (
     reference_events,
     reference_job,
     run_coordinated,
-    run_with_recovery,
 )
 from repro.streaming import (
     DEAD_LETTER,
@@ -90,15 +89,15 @@ def random_data_plan(seed, *, crashes=0, coordinator_crashes=0,
                            name=name)
 
 
-class TestDlqInvariantSupervised:
-    """Single-threaded supervisor: data faults x crashes, all modes."""
+class TestDlqInvariantAllModes:
+    """Width 1: data faults x crashes in every execution mode."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_crashes_do_not_move_sink_or_dlq(self, seed):
         data, layered = random_data_plan(seed + 4300, crashes=2)
         for batch_mode, chaining in MODES:
             def once(plan):
-                report = run_with_recovery(
+                report = run_coordinated(
                     guarded_job(seed % 3), FaultInjector(plan),
                     batch_mode=batch_mode, chaining=chaining)
                 return rrepr(report.sink_values), report
@@ -111,7 +110,7 @@ class TestDlqInvariantSupervised:
 
     def test_modes_agree_on_committed_dlq(self):
         data, _ = random_data_plan(4400)
-        runs = [rrepr(run_with_recovery(
+        runs = [rrepr(run_coordinated(
                     guarded_job(1), FaultInjector(data),
                     batch_mode=bm, chaining=ch).sink_values)
                 for bm, ch in MODES]
@@ -184,7 +183,7 @@ class TestDlqAccounting:
             FaultSpec("operator_crash", SITE_OPERATOR, at=140,
                       target="ident"),
         ), seed=seed, name=f"accounting-{seed}")
-        report = run_with_recovery(build(), FaultInjector(plan))
+        report = run_coordinated(build(), FaultInjector(plan))
         sink = report.sink_values["out"]
         dlq = report.sink_values[DLQ_SINK]
         assert len(dlq) == 6
@@ -201,7 +200,7 @@ class TestDlqAccounting:
             FaultSpec("corrupt_timestamp", SITE_DATA, at=120, count=2,
                       param="backwards", target="double"),
         ), seed=9, name="late-ts")
-        report = run_with_recovery(guarded_job(1), FaultInjector(plan))
+        report = run_coordinated(guarded_job(1), FaultInjector(plan))
         golden = fault_free_sinks(lambda: guarded_job(1))
         assert DLQ_SINK not in report.sink_values \
             or len(report.sink_values[DLQ_SINK]) == 0
@@ -239,44 +238,32 @@ class TestRestartBudget:
         # no error policy: the persistent fault refires on every replay
         return reference_job(reference_events(seed=seed, n=200)), plan
 
-    def test_flapping_detected(self):
-        job, plan = self._poison(5)
+    @pytest.mark.parametrize("parallelism,seed", [(1, 5), (2, 6)])
+    @pytest.mark.parametrize("reason,limits", [
+        ("flapping", dict(max_restarts=50, flap_threshold=3)),
+        ("budget", dict(max_restarts=3, flap_threshold=0)),
+    ])
+    def test_poisoned_job_goes_terminal(self, reason, limits, parallelism,
+                                        seed):
+        job, plan = self._poison(seed)
         with pytest.raises(RestartsExhausted) as info:
-            run_with_recovery(job, FaultInjector(plan),
-                              restart_budget=RestartBudget(
-                                  max_restarts=50, flap_threshold=3,
-                                  seed=5))
-        assert info.value.reason == "flapping"
-
-    def test_hard_budget_exhausted(self):
-        job, plan = self._poison(5)
-        with pytest.raises(RestartsExhausted) as info:
-            run_with_recovery(job, FaultInjector(plan),
-                              restart_budget=RestartBudget(
-                                  max_restarts=3, flap_threshold=0,
-                                  seed=5))
-        assert info.value.reason == "budget"
-        assert info.value.restarts == 3
-
-    def test_coordinated_flapping_detected(self):
-        job, plan = self._poison(6)
-        with pytest.raises(RestartsExhausted) as info:
-            run_coordinated(job, FaultInjector(plan), parallelism=2,
-                            interval_cycles=2,
-                            restart_budget=RestartBudget(
-                                max_restarts=50, flap_threshold=3,
-                                seed=6))
-        assert info.value.reason == "flapping"
+            run_coordinated(job, FaultInjector(plan),
+                            parallelism=parallelism, interval_cycles=2,
+                            restart_budget=RestartBudget(seed=seed,
+                                                         **limits))
+        assert info.value.reason == reason
+        if reason == "budget":
+            assert info.value.restarts == 3
 
     def test_budget_does_not_fire_on_transient_faults(self):
         # a guarded job dead-letters the poison: the budget sees only
         # the layered crash, recovers once, and the run completes
         data, layered = random_data_plan(4700, crashes=1)
-        report = run_with_recovery(
+        report = run_coordinated(
             guarded_job(0), FaultInjector(layered),
             restart_budget=RestartBudget(max_restarts=10,
                                          flap_threshold=3, seed=7))
-        golden = rrepr(run_with_recovery(
+        golden = rrepr(run_coordinated(
             guarded_job(0), FaultInjector(data)).sink_values)
         assert rrepr(report.sink_values) == golden
 

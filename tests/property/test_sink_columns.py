@@ -4,8 +4,8 @@ A transactional sink keeps its rows as batches from delivery to the
 store: the open transaction is whatever the feeders delivered, each
 epoch is sealed into one ``RecordBatch`` in canonical form, and that
 batch is what the checkpoint records and what ``StoreSink`` stages.
-None of it may show: for per-item, batched, chained and columnar
-execution at p = 1, 2, 4 the sink's elements, the sealed batches in
+None of it may show: for per-item, batched and chained execution at
+p = 1, 2, 4 the sink's elements, the sealed batches in
 every finalized checkpoint, the store a ``StoreSink`` feeds and a
 restore into a fresh executor must be identical to the per-item run —
 for float, numpy-scalar and opaque values, with and without keys.
@@ -32,10 +32,8 @@ from repro.streaming.txn_sink import TransactionalSink
 
 MODES = {
     "per_item": dict(batch_mode=False, chaining=False),
-    "batched_plain": dict(batch_mode=True, chaining=False, columnar=False),
-    "batched_columnar": dict(batch_mode=True, chaining=False, columnar=True),
-    "chained_plain": dict(batch_mode=True, chaining=True, columnar=False),
-    "chained_columnar": dict(batch_mode=True, chaining=True, columnar=True),
+    "batched": dict(batch_mode=True, chaining=False),
+    "chained": dict(batch_mode=True, chaining=True),
 }
 PARALLELISMS = (1, 2, 4)
 N_SPLITS = 4

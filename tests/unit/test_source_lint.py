@@ -1,9 +1,11 @@
-"""Structure + determinism lint over ``src/repro`` (tier-1, no imports).
+"""Structure + determinism lint over ``src/repro`` (tier-1; reads source
+text, imports only to inspect one signature).
 
-(a) One supervisor: the failure ladder and the recovery primitives live
-    in ``streaming/supervisor.py`` only (``run_with_recovery``, the
-    quiescent-checkpoint loop in ``chaos/harness.py``, keeps its own
-    ``except OperatorCrash`` until it moves onto ``Supervisor``).
+(a) One runner, one rewind: the failure ladder and the recovery
+    primitives live in ``streaming/supervisor.py`` only, the names of
+    the deleted second runner and second rewind appear nowhere, the
+    executor has no ``columnar`` switch, and one function rewinds source
+    positions.
 (b) Determinism: library code reads no wall clock and no unseeded
     randomness — ``random``/``uuid``/``datetime`` imports and
     ``time.time(`` are confined to ``util/``; ``time.perf_counter`` is
@@ -21,12 +23,13 @@
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
 SUPERVISOR = "streaming/supervisor.py"
-HARNESS = "chaos/harness.py"
 
 LADDER = re.compile(r"except\s+\(?[\w\s,.]*\b(OperatorCrash|CoordinatorDown)\b")
 PRIMITIVES = re.compile(
@@ -57,13 +60,26 @@ def _offenders(pattern, allowed):
 
 
 def test_failure_ladder_lives_in_the_supervisor_only():
-    assert _offenders(LADDER, {SUPERVISOR, HARNESS}) == []
-    # ... and in the harness only inside run_with_recovery
-    harness = (SRC / HARNESS).read_text()
-    start = harness.index("def run_with_recovery(")
-    end = harness.index("\n# -- the reference pipeline")
-    outside = harness[:start] + harness[end:]
-    assert LADDER.search(outside) is None
+    assert _offenders(LADDER, {SUPERVISOR}) == []
+
+
+def test_the_second_runner_and_rewind_stay_deleted():
+    gone = re.compile(r"restore_region|run_with_recovery|RecoveryReport")
+    hits = [f"{path.relative_to(ROOT)}: {match.group(0)}"
+            for top in ("src", "tools", "examples", "tests")
+            for path in sorted((ROOT / top).rglob("*.py"))
+            if path != Path(__file__).resolve()
+            for match in gone.finditer(path.read_text())]
+    assert hits == []
+    from repro.streaming import ParallelExecutor
+    assert "columnar" not in inspect.signature(
+        ParallelExecutor.__init__).parameters
+    execution = ast.parse((SRC / "streaming/execution.py").read_text())
+    rewinds = [fn.name for fn in ast.walk(execution)
+               if isinstance(fn, ast.FunctionDef)
+               and re.search(r"self\._split_positions\[\w+\]\[\w+\] = pos\b",
+                             ast.unparse(fn))]
+    assert rewinds == ["restore"]
 
 
 def test_recovery_primitives_are_defined_once():

@@ -10,7 +10,9 @@ fault-free output.  The feature-level sweeps stay in the marked suites.
 import pytest
 
 from repro.chaos import (
+    SITE_CHECKPOINT,
     SITE_DATA,
+    SITE_OPERATOR,
     SITE_STALL,
     FaultInjector,
     FaultPlan,
@@ -24,6 +26,7 @@ from repro.chaos import (
 )
 from repro.streaming import (
     DEAD_LETTER,
+    CheckpointStore,
     ParallelExecutor,
     ScalingSupervisor,
     SchedulePolicy,
@@ -137,17 +140,34 @@ class TestLadder:
         _advance_until_checkpoint(supervisor)
         real, calls = supervisor.executor.restore, []
 
-        def flaky(checkpoint):
+        def flaky(checkpoint, region=None):
             calls.append(checkpoint)
             if len(calls) < 3:
                 raise BrokerDown("still offline")
-            return real(checkpoint)
+            return real(checkpoint, region)
 
         supervisor.executor.restore = flaky
         supervisor.attempt(_raiser(OperatorCrash("boom")))
         assert len(calls) == 3
         assert supervisor.report.broker_faults == 2
         assert supervisor.report.full_restores == 1
+
+    def test_every_supervisor_reports_a_quarantined_checkpoint(self):
+        # the fold happens in Supervisor.finish(), so an autoscaled run
+        # can say its store fell back past a rotten checkpoint
+        plan = FaultPlan(specs=(
+            FaultSpec("checkpoint_corruption", SITE_CHECKPOINT, at=2,
+                      count=1000, param="payload"),
+            FaultSpec("operator_crash", SITE_OPERATOR, at=60,
+                      target="window_sum"),
+        ), name="rot")
+        report = ScalingSupervisor(
+            _job(), SchedulePolicy({}), injector=FaultInjector(plan),
+            parallelism=2, source_batch=SOURCE_BATCH, step_cycles=1,
+            interval_cycles=1, store=CheckpointStore(keep=100)).run()
+        assert report.crashes == 1 and report.integrity_failures > 0
+        assert report.trace
+        assert canonical_sinks(report.sink_values) == _golden(_job)
 
     def test_failure_budget_is_the_shared_constant(self, monkeypatch):
         monkeypatch.setattr(supervisor_module, "MAX_FAILURES", 2)

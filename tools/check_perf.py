@@ -117,7 +117,7 @@ def check_parallel_speedup(current: dict, minimum: float,
 def check_columnar_equivalence(events: int = 5_000) -> bool:
     """In-process smoke: the columnar representation must be invisible —
     identical sink contents and identical window-operator snapshots
-    against the same chained job run with ``columnar=False``."""
+    against the same job run per item (``batch_mode=False``)."""
     print(f"\n== columnar equivalence smoke ({events} events) ==",
           flush=True)
     ensure_paths()
@@ -126,9 +126,9 @@ def check_columnar_equivalence(events: int = 5_000) -> bool:
 
     elements = _elements(events)
     runs = {}
-    for label, columnar in (("columnar", True), ("per-element", False)):
-        executor = ParallelExecutor(_build_job(elements), batch_mode=True,
-                                    chaining=True, columnar=columnar)
+    for label, batch_mode in (("columnar", True), ("per-element", False)):
+        executor = ParallelExecutor(_build_job(elements),
+                                    batch_mode=batch_mode)
         sinks = executor.run(source_batch=SOURCE_BATCH)
         snapshot = executor.checkpoint()
         runs[label] = ([(r.key, r.window.start, r.value, r.count)

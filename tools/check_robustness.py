@@ -5,7 +5,7 @@ One seeded schedule kills a streaming operator mid-batch, makes a log
 partition unavailable on the fetch path, re-delivers already-consumed
 records, and times out an offload task — then the gate asserts:
 
-1. the supervised streaming run's sinks are **bit-identical** to the
+1. the recovered streaming run's sinks are **bit-identical** to the
    fault-free run, in per-item, batched and chained modes;
 2. the offload runner absorbs the timeout and still serves the frame;
 3. the same seed reproduces the same fault trace on a second run;
@@ -19,8 +19,8 @@ first unless ``--skip-tests``.
 ``--datafault`` switches to the data-fault tolerance gate instead: the
 ``datafault``-marked suite, then (1) committed sink + committed DLQ
 under data faults is invariant to layered operator crashes, rerun
-bit-identical, across per-item/batched/chained modes supervised and
-coordinated at parallelism 1/2/4; (2) on a pass-through pipeline the
+bit-identical, across per-item/batched/chained modes at parallelism
+1/2/4; (2) on a pass-through pipeline the
 sink and the dead-lettered originals partition the fault-free output
 exactly; (3) corrupted newest checkpoints are quarantined with
 fallback restore still exactly-once; (4) a persistently poisoned job
@@ -33,7 +33,6 @@ Usage:  python tools/check_robustness.py [--seed N] [--skip-tests]
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 from gatelib import Gate, ensure_paths, run_suite
@@ -55,7 +54,6 @@ from repro.chaos import (  # noqa: E402
     reference_events,
     reference_job,
     run_coordinated,
-    run_with_recovery,
     two_region_job,
 )
 from repro.eventlog.broker import LogCluster, TopicConfig  # noqa: E402
@@ -108,7 +106,7 @@ def check_streaming_recovery(seed: int) -> tuple[bool, list]:
             batch_mode=batch_mode, chaining=chaining)
         injector = FaultInjector(the_schedule(seed))
         chaos = seeded_cluster(seed, injector)
-        report = run_with_recovery(
+        report = run_coordinated(
             reference_job(log_source(chaos, "events")), injector,
             batch_mode=batch_mode, chaining=chaining)
         identical = report.sink_values == golden
@@ -222,19 +220,16 @@ def check_dlq_exactly_once(seed: int) -> bool:
     schedule must be bit-identical."""
     print("\n== DLQ exactly-once under data faults x crashes ==")
     ok = True
-    runners = {
-        "supervised": run_with_recovery,
-        **{f"coordinated p={p}": functools.partial(
-            run_coordinated, parallelism=p, interval_cycles=2)
-           for p in (1, 2, 4)},
-    }
-    for label, runner in runners.items():
+    for parallelism in (1, 2, 4):
+        label = f"coordinated p={parallelism}"
         for batch_mode, chaining in MODES:
             def once(specs):
                 injector = FaultInjector(FaultPlan(
                     specs=specs, seed=seed, name="datafault-gate"))
-                report = runner(_guarded_reference(seed), injector,
-                                batch_mode=batch_mode, chaining=chaining)
+                report = run_coordinated(
+                    _guarded_reference(seed), injector,
+                    parallelism=parallelism, interval_cycles=2,
+                    batch_mode=batch_mode, chaining=chaining)
                 return {name: _rrepr(values) for name, values
                         in report.sink_values.items()}, report
             golden, _ = once(_data_specs())
@@ -276,7 +271,7 @@ def check_dlq_accounting(seed: int) -> bool:
                        target="ident"))
     injector = FaultInjector(FaultPlan(specs=specs, seed=seed,
                                        name="accounting-gate"))
-    report = run_with_recovery(build(), injector)
+    report = run_coordinated(build(), injector)
     sink = report.sink_values["out"]
     dlq = report.sink_values["__dlq__"]
     union = sorted(_rrepr(sink) + _rrepr([d.value for d in dlq]))
@@ -338,7 +333,7 @@ def check_restart_budget(seed: int) -> bool:
             ("budget", RestartBudget(max_restarts=3, flap_threshold=0,
                                      seed=seed))):
         try:
-            run_with_recovery(
+            run_coordinated(
                 poisoned(),
                 FaultInjector(FaultPlan(specs=specs, seed=seed,
                                         name="budget-gate")),
@@ -378,7 +373,7 @@ def check_quietly(seed: int) -> tuple[bool, list]:
     for batch_mode, chaining in MODES:
         injector = FaultInjector(the_schedule(seed))
         chaos = seeded_cluster(seed, injector)
-        report = run_with_recovery(
+        report = run_coordinated(
             reference_job(log_source(chaos, "events")), injector,
             batch_mode=batch_mode, chaining=chaining)
         ok = ok and bool(report.failures)
