@@ -1,4 +1,4 @@
-"""P1: batched dataflow throughput — per-item vs batched vs chained.
+"""P1: batched dataflow throughput — per-item vs batched (chained).
 
 The timeliness barrier (paper Section 4.1) is an executor problem before
 it is an algorithms problem: the seed moved one element at a time
@@ -7,28 +7,20 @@ reference pipeline
 
     map -> filter -> keyBy -> watermarks -> tumbling window (sum)
 
-under three execution modes of the *same* job graph:
+under the two execution modes of the *same* job graph:
 
 - ``per_item``  — element-at-a-time dispatch (the seed's semantics),
-- ``batched``   — whole-batch channel moves + vectorized operators,
-- ``chained``   — batched plus operator fusion (map/filter/keyBy/
-  watermarks collapse into one chain node).
+- ``chained``   — whole-batch channel moves + columnar operators, with
+  map/filter/keyBy/watermarks fused into one chain node (batched
+  execution; the plan fuses whatever it can).
 
-All three modes must produce identical sink contents — asserted here —
-so the speedup is pure interpreter-overhead removal.  Results are
-written to ``BENCH_streaming.json`` so ``tools/check_perf.py`` can gate
-future PRs against throughput regressions.
+Both modes must produce identical sink contents — asserted here — so
+the speedup is pure interpreter-overhead removal.  Results are written
+to ``BENCH_streaming.json`` so ``tools/check_perf.py`` can gate future
+PRs against throughput regressions.
 
-The ``chaining`` row asks what operator fusion is worth where it can
-matter: the opaque reference job (dict values, scalar lambdas, so every
-hop is per-element Python) at ``source_batch=256``, chained against
-``chaining=False`` in five alternating pairs of the same run.  On the
-vectorized job above and at 2 048-row pulls the two are not resolvably
-different; here the channel hop between fused operators is a visible
-share of the work.  ``check_perf`` floors the median ratio at 0.95.
-
-The three modes pass ``emit_every=32``; every in-tree application and
-the end-to-end benchmark use ``with_watermarks()``'s default of one
+Both modes pass ``emit_every=32``; every in-tree application and the
+end-to-end benchmark use ``with_watermarks()``'s default of one
 watermark per element.  The ``default_watermarks`` row runs the chained
 job in the end-to-end benchmark's shape (time-ordered input, 1 000
 keys, ~10 rows per key and window, ``source_batch=1024``) under the
@@ -47,8 +39,6 @@ backing the "<5% enabled, ~0% disabled" budget that
 ``tools/check_obs.py`` gates.
 """
 
-import gc
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -58,7 +48,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 from repro.analytics.sketches import CountMinSketch, HyperLogLog
-from repro.chaos import reference_events, reference_job
 from repro.obs import Tracer
 from repro.streaming import (
     Element,
@@ -80,18 +69,12 @@ WINDOW_S = 5.0
 DEFAULT_ROW_KEYS = 1000
 DEFAULT_ROW_WINDOW_S = 100.0
 DEFAULT_ROW_SOURCE_BATCH = 1024
-#: the ``chaining`` row: the opaque reference job at small pulls
-CHAINING_ROW_EVENTS = 40_000
-CHAINING_ROW_KEYS = 16
-CHAINING_ROW_SOURCE_BATCH = 256
-CHAINING_ROW_PAIRS = 5
 #: the sections of BENCH_streaming.json this bench owns
 SECTIONS = ("throughput", "obs_overhead", "summary_metrics", "sketch")
 
 MODES = {
-    "per_item": dict(batch_mode=False, chaining=False),
-    "batched": dict(batch_mode=True, chaining=False),
-    "chained": dict(batch_mode=True, chaining=True),
+    "per_item": dict(batch_mode=False),
+    "chained": dict(batch_mode=True),
 }
 
 
@@ -162,9 +145,8 @@ def bench_pipeline(n_events: int, registry: MetricsRegistry,
         eps, outputs[mode] = _best_eps(elements, flags, repeats)
         registry.gauge("bench.eps", mode=mode).set(eps)
     base = outputs["per_item"]
-    for mode in ("batched", "chained"):
-        assert outputs[mode] == base, (
-            f"{mode} execution diverged from per-item results")
+    assert outputs["chained"] == base, (
+        "chained execution diverged from per-item results")
     # The end-to-end shape, chained, under the default cadence and under
     # emit_every=32; each sink checked against one per-item run.
     for label, emit_every in (("default_watermarks", None),
@@ -176,7 +158,6 @@ def bench_pipeline(n_events: int, registry: MetricsRegistry,
                                  **shape)[1], (
             f"{label}: chained execution diverged from per-item")
         registry.gauge("bench.eps", mode=label).set(eps)
-    chaining = bench_chaining()
     # Results flow through the registry: the report table and the
     # committed baseline both read the snapshot, not local floats.
     snap = registry.snapshot()
@@ -184,50 +165,13 @@ def bench_pipeline(n_events: int, registry: MetricsRegistry,
            for mode in (*MODES, "default_watermarks", "e2e_shape_emit_32")}
     return {
         "per_item_eps": eps["per_item"],
-        "batched_eps": eps["batched"],
         "chained_eps": eps["chained"],
-        "speedup_batched": eps["batched"] / eps["per_item"],
         "speedup_chained": eps["chained"] / eps["per_item"],
         "window_results": len(base),
         "default_watermarks_eps": eps["default_watermarks"],
         "e2e_shape_emit_32_eps": eps["e2e_shape_emit_32"],
         "default_watermarks_ratio":
             eps["default_watermarks"] / eps["e2e_shape_emit_32"],
-        **chaining,
-    }
-
-
-def bench_chaining() -> dict:
-    """The opaque reference job chained vs ``chaining=False``: median
-    eps of each and the median of the within-pair ratios (the box's
-    spread is wider than a single pair)."""
-    events = reference_events(seed=1, n=CHAINING_ROW_EVENTS,
-                              keys=CHAINING_ROW_KEYS)
-
-    def one_run(chaining: bool) -> tuple[float, list]:
-        executor = ParallelExecutor(reference_job(events),
-                                    chaining=chaining)
-        # the previous run's garbage would be collected inside this
-        # run's timed region (see tools/check_obs.py)
-        gc.collect()
-        start = time.perf_counter()
-        sinks = executor.run(source_batch=CHAINING_ROW_SOURCE_BATCH)
-        return (len(events) / (time.perf_counter() - start),
-                sinks["out"].elements)
-
-    one_run(True)  # warmup, discarded
-    chained, unchained = [], []
-    for pair in range(CHAINING_ROW_PAIRS):
-        first = pair % 2 == 0  # alternate which plan runs first
-        (eps_a, out_a), (eps_b, out_b) = one_run(first), one_run(not first)
-        assert out_a == out_b, "chaining changed the sink contents"
-        chained.append(eps_a if first else eps_b)
-        unchained.append(eps_b if first else eps_a)
-    return {
-        "opaque_chained_eps": statistics.median(chained),
-        "opaque_unchained_eps": statistics.median(unchained),
-        "opaque_chaining_ratio": statistics.median(
-            on / off for on, off in zip(chained, unchained)),
     }
 
 
@@ -362,9 +306,8 @@ def report(results: dict) -> None:
         f"({results['config']['n_events']} events, map->filter->keyBy->window)",
         ["mode", "elements/s", "speedup vs per-item"],
         [["per_item", t["per_item_eps"], 1.0],
-         ["batched", t["batched_eps"], t["speedup_batched"]],
          ["chained", t["chained_eps"], t["speedup_chained"]]],
-        note="identical sink contents across all modes (asserted)")
+        note="identical sink contents in both modes (asserted)")
     print_table(
         "P1  default watermark cadence (chained, end-to-end shape: "
         f"{DEFAULT_ROW_KEYS} keys, source_batch={DEFAULT_ROW_SOURCE_BATCH})",
@@ -374,15 +317,6 @@ def report(results: dict) -> None:
           t["default_watermarks_ratio"]]],
         note="sinks identical to per-item (asserted); check_perf floors "
              "the ratio at 0.5")
-    print_table(
-        "P1  what chaining is worth (opaque reference job, "
-        f"source_batch={CHAINING_ROW_SOURCE_BATCH}, median of "
-        f"{CHAINING_ROW_PAIRS} alternating pairs)",
-        ["plan", "elements/s", "vs chaining=False"],
-        [["chaining=False", t["opaque_unchained_eps"], 1.0],
-         ["chained", t["opaque_chained_eps"], t["opaque_chaining_ratio"]]],
-        note="sinks identical (asserted); check_perf floors the ratio "
-             "at 0.95")
     o = results["obs_overhead"]
     print_table(
         "P1  observability overhead (chained mode)",
@@ -408,7 +342,6 @@ def bench_p1_throughput(benchmark):
     report(results)
     t = results["throughput"]
     assert t["speedup_chained"] > 1.5
-    assert t["speedup_batched"] > 1.0
     assert results["sketch"]["cms_speedup"] > 1.0
 
 

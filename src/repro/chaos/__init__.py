@@ -11,7 +11,6 @@ fault-free run, for any seeded schedule.
 """
 
 from .harness import (
-    CoordinatedReport,
     canonical_sinks,
     fault_free_sinks,
     reference_events,
@@ -50,7 +49,6 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "ChaosLogCluster",
-    "CoordinatedReport",
     "run_coordinated",
     "reference_events",
     "reference_job",

@@ -23,12 +23,12 @@ from typing import Any, Callable
 from ..streaming.element import Element
 from ..streaming.execution import ParallelExecutor
 from ..streaming.graph import JobBuilder, JobGraph
-from ..streaming.supervisor import CoordinatedReport, run_coordinated
+from ..streaming.supervisor import run_coordinated
 from ..streaming.windows import TumblingWindows
 from ..util.rng import make_rng
 
 __all__ = ["reference_events", "reference_job", "reference_operator_names",
-           "fault_free_sinks", "CoordinatedReport", "run_coordinated",
+           "fault_free_sinks", "run_coordinated",
            "two_region_job", "canonical_sinks"]
 
 
@@ -53,7 +53,7 @@ def reference_job(elements_or_source: Any,
     """watermarks -> map -> filter -> key_by -> window(sum) -> sink.
 
     The linear head is chainable, the window is a shuffle point, so one
-    graph exercises per-item, batched and chained execution paths.
+    graph exercises the per-item path, a fused chain and a keyed node.
     ``splits`` pins the source's split count independently of source
     parallelism — required for rescaling tests, where a checkpoint can
     only restore into a plan with the same splits.
@@ -125,11 +125,9 @@ def two_region_job(events_a: Any, events_b: Any,
 
 def fault_free_sinks(build: Callable[[], JobGraph], *,
                      batch_mode: bool = True,
-                     chaining: bool = True,
                      parallelism: int | dict[str, int] = 1,
                      source_batch: int = 64) -> dict[str, list[Any]]:
     """The golden run: same job, no injector, straight execution."""
-    executor = ParallelExecutor(build(), parallelism,
-                                batch_mode=batch_mode, chaining=chaining)
+    executor = ParallelExecutor(build(), parallelism, batch_mode=batch_mode)
     sinks = executor.run(source_batch=source_batch)
     return {name: list(buf.values) for name, buf in sinks.items()}

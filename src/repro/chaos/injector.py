@@ -222,8 +222,8 @@ class FaultInjector:
         spec poisons, or ``None`` for a clean batch.  The counter is per
         physical operator clone and counts *elements* (a columnar batch
         advances it by its row count; watermarks and markers weigh
-        nothing), so per-item, batched, chained and columnar execution
-        poison the same records.  Chains call this once per member, so
+        nothing), so per-item and batched execution poison the same
+        records.  Chains call this once per member, so
         a fault targeting a fused operator lands on that member's input
         exactly as it would unfused.
 

@@ -109,7 +109,6 @@ class GeoDeployment(Supervisor):
                  standby_region: str = "core",
                  placement: RegionPlacement | None = None,
                  parallelism: int | dict[str, int] = 2,
-                 chaining: bool = True,
                  source_batch: int = 32,
                  step_cycles: int = 2,
                  interval_cycles: int = 4,
@@ -132,7 +131,6 @@ class GeoDeployment(Supervisor):
                               regions={},
                               default_region=primary_region))
         self.parallelism = parallelism
-        self.chaining = chaining
         self.step_wall_s = step_wall_s
         self.injector = injector
         self.topology = topology
@@ -163,7 +161,7 @@ class GeoDeployment(Supervisor):
     def _build_executor(self, job: Any,
                         placement: RegionPlacement) -> ParallelExecutor:
         return ParallelExecutor(job, self.parallelism,
-                                batch_mode=True, chaining=self.chaining,
+                                batch_mode=True,
                                 injector=self.injector,
                                 transactional_sinks=True,
                                 placement=placement)

@@ -21,7 +21,7 @@ connected span tree rooted at ``frame``:
     └── render
         └── render:compose
 
-The span set is identical across per-item, batched and chained modes —
+The span set is identical in per-item and batched (chained) mode —
 that invariant is what ``tools/check_obs.py`` gates and the integration
 tests assert.  All timestamps come from one :class:`SimClock`; the
 stages advance it by nominal costs so durations (and the critical path)
@@ -101,7 +101,7 @@ def _scene_from_aggregates(values: list[Any]) -> SceneGraph:
 
 
 def traced_reference_run(*, seed: int = 0, n_events: int = 200,
-                         batch_mode: bool = True, chaining: bool = True,
+                         batch_mode: bool = True,
                          tracer: Tracer | None = None,
                          registry: MetricsRegistry | None = None,
                          clock: SimClock | None = None,
@@ -110,8 +110,7 @@ def traced_reference_run(*, seed: int = 0, n_events: int = 200,
     clock = clock if clock is not None else SimClock()
     tracer = tracer if tracer is not None else Tracer(clock)
     registry = registry if registry is not None else MetricsRegistry()
-    mode = ("per_item" if not batch_mode
-            else ("chained" if chaining else "batched"))
+    mode = "chained" if batch_mode else "per_item"
 
     root = tracer.start_span("frame", attrs={"mode": mode,
                                              "events": n_events})
@@ -133,7 +132,7 @@ def traced_reference_run(*, seed: int = 0, n_events: int = 200,
             job = reference_job(log_source(cluster, "events",
                                            tracer=tracer))
             executor = ParallelExecutor(
-                job, batch_mode=batch_mode, chaining=chaining,
+                job, batch_mode=batch_mode,
                 tracer=tracer, metrics=registry, profiler=profiler)
             sink_buffers = executor.run(source_batch=64)
             clock.advance(n_events * _STREAM_COST_S)

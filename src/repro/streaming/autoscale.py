@@ -506,7 +506,7 @@ class ScalingSupervisor(Supervisor):
     def __init__(self, job: JobGraph, policy: Any, *,
                  parallelism: int | dict[str, int] = 1,
                  injector: Any = None,
-                 batch_mode: bool = True, chaining: bool = True,
+                 batch_mode: bool = True,
                  num_key_groups: int = DEFAULT_KEY_GROUPS,
                  source_batch: int = 32, step_cycles: int = 2,
                  interval_cycles: int = 4,
@@ -519,7 +519,6 @@ class ScalingSupervisor(Supervisor):
         self.policy = policy
         self.injector = injector
         self.batch_mode = batch_mode
-        self.chaining = chaining
         self.num_key_groups = num_key_groups
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.shed_policy = shed_policy
@@ -588,7 +587,7 @@ class ScalingSupervisor(Supervisor):
     def _build_executor(self, widths: dict[str, int]) -> ParallelExecutor:
         return ParallelExecutor(
             self.job, dict(widths), num_key_groups=self.num_key_groups,
-            batch_mode=self.batch_mode, chaining=self.chaining,
+            batch_mode=self.batch_mode,
             injector=self.injector, metrics=self.metrics,
             transactional_sinks=True)
 
@@ -790,7 +789,7 @@ def run_autoscaled(job: JobGraph, policy: Any,
 
     ``kwargs`` pass through to the supervisor constructor; the common
     shape is ``run_autoscaled(job, SchedulePolicy({...}), injector,
-    parallelism=1, batch_mode=True, chaining=True)``.
+    parallelism=1, batch_mode=True)``.
     """
     supervisor = ScalingSupervisor(job, policy, injector=injector, **kwargs)
     return supervisor.run()

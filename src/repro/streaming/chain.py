@@ -24,10 +24,11 @@ member's output list straight into the next member, so a
 :class:`~repro.streaming.batch.RecordBatch` flows zero-copy through the
 whole chain as long as every member has a columnar kernel — and the
 first member without one simply decodes it via the per-item fallback in
-:func:`~repro.streaming.operators._segmented`.  The same hand-off
-decides what a *punctuated* batch (the watermark generator's output)
-looks like to the next member: punctuation-aware members take it whole,
-any other gets it exploded into fragments and loose watermarks there.
+:meth:`~repro.streaming.operators.Operator.process_batch`.  The same
+hand-off decides what a *punctuated* batch (the watermark generator's
+output) looks like to the next member: punctuation-aware members take it
+whole, any other gets it exploded into fragments and loose watermarks
+there.
 """
 
 from __future__ import annotations

@@ -464,7 +464,7 @@ class ParallelExecutor:
                  *, num_key_groups: int = DEFAULT_KEY_GROUPS,
                  channel_capacity: int = 10_000,
                  drop_on_overflow: bool = False, batch_mode: bool = True,
-                 chaining: bool = True, injector: Any = None,
+                 injector: Any = None,
                  tracer: Any = None, metrics: Any = None,
                  profiler: Any = None,
                  transactional_sinks: bool = False,
@@ -472,7 +472,7 @@ class ParallelExecutor:
                  placement: Any = None) -> None:
         self.graph = compile_execution_graph(
             job, parallelism, num_key_groups=num_key_groups,
-            chaining=chaining and batch_mode, placement=placement)
+            chaining=batch_mode, placement=placement)
         self.placement = self.graph.placement
         self.job = job
         self.num_key_groups = num_key_groups

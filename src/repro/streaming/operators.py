@@ -7,13 +7,14 @@ stateless operators untouched; stateful event-time operators (windows,
 joins) react to them.
 
 Batched execution: :meth:`Operator.process_batch` moves a whole channel
-batch through an operator in one call.  The default defers to the
-per-item ``handle`` loop (so any subclass is automatically correct);
-the built-in operators override it with fast paths that segment the
-batch at watermarks and process element runs with hoisted locals — or,
-when constructed with ``vectorized=True``, with one numpy call over the
-whole run.  Batch processing is order-preserving and therefore
-bit-identical to per-item execution.
+batch through an operator in one call.  An operator has at most two
+kernels: ``process`` (required; one Element, the semantic reference) and
+``_run_columnar`` (optional; one :class:`RecordBatch` of columns — with
+``vectorized=True`` one numpy call over the whole batch).  A batch goes
+to the columnar kernel when there is one and is decoded for ``handle``
+when there is not; an Element that arrives loose takes ``handle``.
+Batch processing is order-preserving and therefore bit-identical to
+per-item execution.
 
 Operators expose ``snapshot``/``restore`` so the checkpoint coordinator
 can capture the whole job — stateless operators return ``None``.
@@ -44,60 +45,15 @@ __all__ = [
 ]
 
 
-def _segmented(op: "Operator", items: Iterable[StreamItem]) -> list[StreamItem]:
-    """Run a batch through ``op`` by splitting it into element runs
-    separated by watermarks.  Order (and therefore semantics) is exactly
-    that of the per-item loop; ``op._run`` maintains its own counters for
-    elements, this helper maintains ``emitted`` for watermark outputs
-    (fired windows etc.), mirroring :meth:`Operator.handle`.
-
-    Columnar batches: an operator with a columnar kernel
-    (``has_columnar_kernel``) consumes a :class:`RecordBatch` whole via
-    ``_run_columnar``; otherwise the batch is decoded into the current
-    element run and takes the per-item fallback.  A *punctuated* batch
-    reaches the kernel whole only when the operator also declares
-    ``punctuation_aware``; otherwise it is exploded here and the
-    operator sees unpunctuated fragments and loose watermarks.  A batch of
-    watermarks with no rows never reaches a kernel: an operator that
-    forwards watermarks untouched forwards it whole, any other gets it
-    exploded — the rules documented in docs/ARCHITECTURE.md ("Columnar
-    batch representation").
-    """
-    out: list[StreamItem] = []
-    run: list[Element] = []
-    columnar = op.has_columnar_kernel
-    whole = columnar and op.punctuation_aware
-    forwards = type(op).on_watermark is Operator.on_watermark
-    for item in items:
-        if type(item) is RecordBatch:
-            if item.wm_offsets is not None and not (whole and len(item)):
-                if run:
-                    op._run(run, out)
-                    run = []
-                if forwards and not len(item):
-                    out.append(item)
-                else:
-                    out.extend(_segmented(op, item.explode()))
-            elif columnar:
-                if run:
-                    op._run(run, out)
-                    run = []
-                if len(item):
-                    op._run_columnar(item, out)
-            else:
-                item.extend_elements(run)
-        elif isinstance(item, Watermark):
-            if run:
-                op._run(run, out)
-                run = []
-            wm_out = op.on_watermark(item)
-            op.emitted += sum(1 for o in wm_out if isinstance(o, Element))
-            out.extend(wm_out)
-        else:
-            run.append(item)
-    if run:
-        op._run(run, out)
-    return out
+def _check_length(op: "Operator", result: Any, n: int) -> None:
+    """A vectorized user function must answer row for row: a short (or
+    long) result would otherwise pair values with the wrong timestamps
+    or silently lose rows."""
+    if len(result) != n:
+        raise StreamError(
+            f"{type(op).__name__} {op.name!r}: vectorized function returned "
+            f"{len(result)} results for a batch of {n} rows"
+        )
 
 
 class Operator:
@@ -120,10 +76,9 @@ class Operator:
 
     #: Whether this operator implements ``_run_columnar`` and may
     #: consume :class:`RecordBatch` columns whole.  Operators without a
-    #: kernel are still correct: :func:`_segmented` (and the default
-    #: ``process_batch``) decode batches back to Elements — the per-item
-    #: fallback.  New operators must declare one or the other explicitly
-    #: (see CONTRIBUTING.md).
+    #: kernel are still correct: ``process_batch`` decodes batches back
+    #: to Elements — the per-item fallback.  New operators must declare
+    #: one or the other explicitly (see CONTRIBUTING.md).
     has_columnar_kernel = False
 
     #: Whether ``_run_columnar`` accepts a *punctuated* batch (one that
@@ -153,25 +108,39 @@ class Operator:
     def process_batch(self, items: Iterable[StreamItem]) -> list[StreamItem]:
         """Process a whole batch, preserving per-item order and counters.
 
-        The default is the per-item loop, so any subclass is correct by
-        construction; built-in operators override it (via ``_run``) with
-        fast paths.
+        Loose Elements and Watermarks take :meth:`handle`, the per-item
+        reference path.  An operator with a columnar kernel
+        (``has_columnar_kernel``) consumes a :class:`RecordBatch` whole
+        via ``_run_columnar``; one without has it decoded for ``handle``,
+        so any subclass is correct by construction.  A *punctuated*
+        batch reaches the kernel whole only when the operator also
+        declares ``punctuation_aware``; otherwise it is exploded here
+        and the operator sees unpunctuated fragments and loose
+        watermarks.  A batch of watermarks with no rows never reaches a
+        kernel: an operator that forwards watermarks untouched forwards
+        it whole, any other gets it exploded — the rules documented in
+        docs/ARCHITECTURE.md ("Columnar batch representation").
         """
         out: list[StreamItem] = []
         handle = self.handle
+        columnar = self.has_columnar_kernel
+        whole = columnar and self.punctuation_aware
+        forwards = type(self).on_watermark is Operator.on_watermark
         for item in items:
-            if type(item) is RecordBatch:
-                for decoded in item.to_items():
-                    out.extend(handle(decoded))
-            else:
+            if type(item) is not RecordBatch:
                 out.extend(handle(item))
+            elif item.wm_offsets is not None and not (whole and len(item)):
+                if forwards and not len(item):
+                    out.append(item)
+                else:
+                    out.extend(Operator.process_batch(self, item.explode()))
+            elif columnar:
+                if len(item):
+                    self._run_columnar(item, out)
+            else:
+                for element in item.to_elements():
+                    out.extend(handle(element))
         return out
-
-    def _run(self, elements: list[Element], out: list[StreamItem]) -> None:
-        """Fast path for a watermark-free run of elements (see
-        :func:`_segmented`).  Implementations must append outputs to
-        ``out`` and maintain ``processed``/``emitted`` themselves."""
-        raise NotImplementedError
 
     def _run_columnar(self, batch: RecordBatch,
                       out: list[StreamItem]) -> None:
@@ -286,26 +255,11 @@ class MapOperator(Operator):
             values = self.fn(batch.values_array())
             if not isinstance(values, np.ndarray):
                 values = list(values)
+            _check_length(self, values, n)
         else:
             fn = self.fn
             values = [fn(v) for v in batch.values_list()]
         out.append(batch.with_values(values, py_values=False))
-        self.processed += n
-        self.emitted += n
-
-    def process_batch(self, items: Iterable[StreamItem]) -> list[StreamItem]:
-        return _segmented(self, items)
-
-    def _run(self, elements: list[Element], out: list[StreamItem]) -> None:
-        n = len(elements)
-        if self.vectorized:
-            values = self.fn(np.asarray([e.value for e in elements]))
-            out.extend(Element(v, e.timestamp, e.key)
-                       for e, v in zip(elements, values))
-        else:
-            fn = self.fn
-            out.extend(Element(fn(e.value), e.timestamp, e.key)
-                       for e in elements)
         self.processed += n
         self.emitted += n
 
@@ -332,6 +286,7 @@ class FilterOperator(Operator):
         n = len(batch)
         if self.vectorized:
             mask = np.asarray(self.predicate(batch.values_array()))
+            _check_length(self, mask, n)
             mask = mask.astype(bool, copy=False)
         else:
             predicate = self.predicate
@@ -353,21 +308,6 @@ class FilterOperator(Operator):
             keep = bool(self.predicate(element.value))
         return [element] if keep else []
 
-    def process_batch(self, items: Iterable[StreamItem]) -> list[StreamItem]:
-        return _segmented(self, items)
-
-    def _run(self, elements: list[Element], out: list[StreamItem]) -> None:
-        if self.vectorized:
-            mask = np.asarray(
-                self.predicate(np.asarray([e.value for e in elements])))
-            kept = [e for e, m in zip(elements, mask) if m]
-        else:
-            predicate = self.predicate
-            kept = [e for e in elements if predicate(e.value)]
-        out.extend(kept)
-        self.processed += len(elements)
-        self.emitted += len(kept)
-
 
 class FlatMapOperator(Operator):
     """1-to-N value transform."""
@@ -380,21 +320,6 @@ class FlatMapOperator(Operator):
 
     def process(self, element: Element) -> list[StreamItem]:
         return [element.with_value(v) for v in self.fn(element.value)]
-
-    def process_batch(self, items: Iterable[StreamItem]) -> list[StreamItem]:
-        return _segmented(self, items)
-
-    def _run(self, elements: list[Element], out: list[StreamItem]) -> None:
-        fn = self.fn
-        append = out.append
-        emitted = 0
-        for e in elements:
-            ts, key = e.timestamp, e.key
-            for v in fn(e.value):
-                append(Element(v, ts, key))
-                emitted += 1
-        self.processed += len(elements)
-        self.emitted += emitted
 
 
 class KeyByOperator(Operator):
@@ -420,6 +345,7 @@ class KeyByOperator(Operator):
         keys = None
         if self.vectorized:
             keys = np.asarray(self.key_fn(batch.values_array()))
+            _check_length(self, keys, n)
             nan_keys = (keys.dtype.kind == "f" and bool(np.isnan(keys).any()))
             if keys.dtype.kind != "O" and not nan_keys:
                 # Dictionary-encode in one pass; np.unique's scalars are
@@ -452,22 +378,6 @@ class KeyByOperator(Operator):
         if self.vectorized:
             return [element.with_key(self.key_fn(np.asarray([element.value]))[0])]
         return [element.with_key(self.key_fn(element.value))]
-
-    def process_batch(self, items: Iterable[StreamItem]) -> list[StreamItem]:
-        return _segmented(self, items)
-
-    def _run(self, elements: list[Element], out: list[StreamItem]) -> None:
-        n = len(elements)
-        if self.vectorized:
-            keys = self.key_fn(np.asarray([e.value for e in elements]))
-            out.extend(Element(e.value, e.timestamp, k)
-                       for e, k in zip(elements, keys))
-        else:
-            key_fn = self.key_fn
-            out.extend(Element(e.value, e.timestamp, key_fn(e.value))
-                       for e in elements)
-        self.processed += n
-        self.emitted += n
 
 
 class ReduceOperator(Operator):
@@ -510,38 +420,14 @@ class ReduceOperator(Operator):
         self._state.put(element.key, acc)
         return [element.with_value(acc)]
 
-    def process_batch(self, items: Iterable[StreamItem]) -> list[StreamItem]:
-        return _segmented(self, items)
-
-    def _run(self, elements: list[Element], out: list[StreamItem]) -> None:
-        n = len(elements)
-        if any(e.key is None for e in elements):
-            raise StreamError(
-                f"reduce {self.name!r} requires keyed input; add key_by()"
-            )
-        if self.vectorized:
-            self._run_vectorized(elements, out)
-        else:
-            state = self._state
-            reduce_fn = self.reduce_fn
-            for e in elements:
-                key = e.key
-                if key in state:
-                    acc = reduce_fn(state.get(key), e.value)
-                else:
-                    acc = e.value
-                state.put(key, acc)
-                out.append(Element(acc, e.timestamp, key))
-        self.processed += n
-        self.emitted += n
-
     def _run_columnar(self, batch: RecordBatch,
                       out: list[StreamItem]) -> None:
         codes = batch.key_codes
         if codes is None or any(k is None for k in batch.key_dict):
             # Unkeyed (or partially unkeyed) input must fail with the
             # same error, at the same point, as per-item execution.
-            self._run(batch.to_elements(), out)
+            for element in batch.to_elements():
+                out.extend(self.handle(element))
             return
         n = len(batch)
         state = self._state
@@ -588,29 +474,6 @@ class ReduceOperator(Operator):
         self.processed += n
         self.emitted += n
 
-    def _run_vectorized(self, elements: list[Element],
-                        out: list[StreamItem]) -> None:
-        state = self._state
-        positions: dict[Any, list[int]] = {}
-        for i, e in enumerate(elements):
-            positions.setdefault(e.key, []).append(i)
-        results: list[Any] = [None] * len(elements)
-        for key, idx in positions.items():
-            values = np.asarray([elements[i].value for i in idx])
-            if key in state:
-                # Seed the fold with the checkpointed accumulator; the
-                # leading slot is dropped from the emitted prefix.
-                values = np.concatenate(
-                    (np.asarray([state.get(key)]), values))
-                acc = self.reduce_fn.accumulate(values)[1:]
-            else:
-                acc = self.reduce_fn.accumulate(values)
-            state.put(key, acc[-1])
-            for i, a in zip(idx, acc):
-                results[i] = a
-        out.extend(Element(results[i], e.timestamp, e.key)
-                   for i, e in enumerate(elements))
-
     def snapshot(self) -> Any:
         return self._state.snapshot()
 
@@ -654,16 +517,6 @@ class TimestampAssigner(Operator):
         return [Element(value=element.value, timestamp=float(
             self.ts_fn(element.value)), key=element.key)]
 
-    def process_batch(self, items: Iterable[StreamItem]) -> list[StreamItem]:
-        return _segmented(self, items)
-
-    def _run(self, elements: list[Element], out: list[StreamItem]) -> None:
-        ts_fn = self.ts_fn
-        out.extend(Element(e.value, float(ts_fn(e.value)), e.key)
-                   for e in elements)
-        self.processed += len(elements)
-        self.emitted += len(elements)
-
 
 class WatermarkGenerator(Operator):
     """Bounded-out-of-orderness watermarks.
@@ -705,34 +558,6 @@ class WatermarkGenerator(Operator):
                 self._last_wm = wm
                 out.append(Watermark(wm))
         return out
-
-    def process_batch(self, items: Iterable[StreamItem]) -> list[StreamItem]:
-        return _segmented(self, items)
-
-    def _run(self, elements: list[Element], out: list[StreamItem]) -> None:
-        append = out.append
-        max_ts = self._max_ts
-        since = self._since_emit
-        last_wm = self._last_wm
-        emit_every = self.emit_every
-        lateness = self.max_lateness
-        for e in elements:
-            ts = e.timestamp
-            if ts > max_ts:
-                max_ts = ts
-            since += 1
-            append(e)
-            if since >= emit_every:
-                since = 0
-                wm = max_ts - lateness
-                if wm > last_wm:
-                    last_wm = wm
-                    append(Watermark(wm))
-        self._max_ts = max_ts
-        self._since_emit = since
-        self._last_wm = last_wm
-        self.processed += len(elements)
-        self.emitted += len(elements)
 
     def _run_columnar(self, batch: RecordBatch,
                       out: list[StreamItem]) -> None:

@@ -44,7 +44,7 @@ from .execution import ParallelCheckpoint, ParallelExecutor
 from .graph import JobGraph
 
 __all__ = ["MAX_FAILURES", "SAVEPOINT_MAX_CYCLES", "SupervisionReport",
-           "Supervisor", "CoordinatedReport", "run_coordinated"]
+           "Supervisor", "run_coordinated"]
 
 #: Bounds pathological fault plans: a deterministic schedule cannot
 #: re-fire a passed fault, so any finite plan terminates well below it.
@@ -383,14 +383,9 @@ class Supervisor:
         return report
 
 
-@dataclass
-class CoordinatedReport(SupervisionReport):
-    """What happened during a coordinator-supervised run."""
-
-
 def run_coordinated(job: JobGraph, injector: Any = None,
                     *, parallelism: int | dict[str, int] = 1,
-                    batch_mode: bool = True, chaining: bool = True,
+                    batch_mode: bool = True,
                     source_batch: int = 64, step_cycles: int = 1,
                     interval_cycles: int = 4,
                     unaligned_after: int | None = None,
@@ -399,7 +394,7 @@ def run_coordinated(job: JobGraph, injector: Any = None,
                     store: Any = None,
                     tracer: Any = None, metrics: Any = None,
                     profiler: Any = None, on_coordinator: Any = None,
-                    restart_budget: Any = None) -> CoordinatedReport:
+                    restart_budget: Any = None) -> SupervisionReport:
     """Run ``job`` for real: the one production wiring of executor,
     2PC sinks, coordinator and store.
 
@@ -421,14 +416,14 @@ def run_coordinated(job: JobGraph, injector: Any = None,
     checkpoint).
     """
     executor = ParallelExecutor(job, parallelism, batch_mode=batch_mode,
-                                chaining=chaining, injector=injector,
-                                tracer=tracer, metrics=metrics,
+                                injector=injector, tracer=tracer,
+                                metrics=metrics,
                                 profiler=profiler,
                                 transactional_sinks=True,
                                 unaligned_after=unaligned_after)
     supervised = (tracer.start_span(f"coordinated:{job.name}")
                   if tracer is not None else None)
-    report = CoordinatedReport(sink_values={})
+    report = SupervisionReport(sink_values={})
     supervisor = Supervisor(
         executor, report, store=store, source_batch=source_batch,
         step_cycles=step_cycles, interval_cycles=interval_cycles,

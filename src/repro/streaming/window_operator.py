@@ -21,7 +21,7 @@ import numpy as np
 from ..util.errors import StreamError
 from .batch import RecordBatch
 from .element import Element, StreamItem, Watermark
-from .operators import Operator, _segmented
+from .operators import Operator
 from .windows import TumblingWindows, Window, WindowAssigner
 
 __all__ = ["WindowResult", "LateRecord", "WindowAggregateOperator",
@@ -299,7 +299,7 @@ class WindowAggregateOperator(Operator):
         items = list(items)
         if self._bulk_eligible(items):
             return self._process_bulk(items)
-        return _segmented(self, items)
+        return super().process_batch(items)
 
     # -- columnar bulk path --------------------------------------------------
 
@@ -308,7 +308,7 @@ class WindowAggregateOperator(Operator):
         columnar batches into non-merging tumbling windows without the
         late side output.  Everything else (loose elements, unkeyed
         batches, sessions/sliding, emit_late) takes the per-item
-        fallback via :func:`_segmented`."""
+        fallback of the base ``process_batch``."""
         if self.emit_late or type(self.assigner) is not TumblingWindows:
             return False
         saw_batch = False
@@ -593,61 +593,6 @@ class WindowAggregateOperator(Operator):
             a = b_
         self._min_deadline = min_deadline
         return dropped
-
-    def _run(self, elements: list[Element], out: list[StreamItem]) -> None:
-        """Watermark-free element run with hoisted hot-path locals; the
-        watermark is constant across the run so the late check is a pure
-        comparison."""
-        assigner = self.assigner
-        assign = assigner.assign
-        merging = assigner.merging
-        value_fn = self.value_fn
-        agg_init = self.agg.init
-        agg_add = self.agg.add
-        windows = self._windows
-        lateness = self.allowed_lateness
-        current_wm = self._current_wm
-        min_deadline = self._min_deadline
-        emit_late = self.emit_late
-        dropped = 0
-        late_emitted = 0
-        for element in elements:
-            key = element.key
-            if key is None:
-                raise StreamError(
-                    f"window {self.name!r} requires keyed input; add key_by()"
-                )
-            ts = element.timestamp
-            if ts + lateness <= current_wm:
-                dropped += 1
-                if emit_late:
-                    late = LateRecord(value=element.value, timestamp=ts,
-                                      key=key, lateness=current_wm - ts)
-                    out.append(Element(value=late, timestamp=ts, key=key))
-                    late_emitted += 1
-                continue
-            per_key = windows.get(key)
-            if per_key is None:
-                per_key = windows[key] = {}
-            value = value_fn(element.value)
-            for window in assign(ts):
-                if merging:
-                    window = self._merge_sessions(per_key, window)
-                slot = per_key.get(window)
-                if slot is None:
-                    slot = per_key[window] = [agg_init(), 0]
-                    deadline = window.end + lateness
-                    if deadline < min_deadline:
-                        min_deadline = deadline
-                    index = self._win_index
-                    if index is not None:
-                        index.setdefault(window, {})[key] = None
-                slot[0] = agg_add(slot[0], value)
-                slot[1] += 1
-        self._min_deadline = min_deadline
-        self.dropped_late += dropped
-        self.processed += len(elements)
-        self.emitted += late_emitted
 
     def _merge_sessions(self, per_key: dict[Window, list[Any]],
                         new_window: Window) -> Window:

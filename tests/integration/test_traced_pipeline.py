@@ -4,7 +4,7 @@ The contract under test (gated continuously by ``tools/check_obs.py``):
 a traced reference run yields ONE connected span tree rooted at
 ``frame`` covering produce -> broker hop -> consume -> every logical
 streaming operator -> sink -> offload -> render, and the tree's shape is
-identical in per-item, batched and chained execution.
+identical in per-item and batched (chained) execution.
 """
 
 from collections import Counter as TallyCounter
@@ -28,9 +28,8 @@ from repro.obs import (
 from repro.util import SimClock
 
 MODES = {
-    "per_item": dict(batch_mode=False, chaining=False),
-    "batched": dict(batch_mode=True, chaining=False),
-    "chained": dict(batch_mode=True, chaining=True),
+    "per_item": dict(batch_mode=False),
+    "chained": dict(batch_mode=True),
 }
 N_EVENTS = 60
 
@@ -98,13 +97,10 @@ class TestModeInvariance:
     def test_span_tree_shape_identical_across_modes(self, runs):
         shapes = {mode: _shape(run.tracer.spans)
                   for mode, run in runs.items()}
-        assert shapes["batched"] == shapes["per_item"]
         assert shapes["chained"] == shapes["per_item"]
 
     def test_sinks_identical_across_modes(self, runs):
-        base = runs["per_item"].sinks
-        for mode in ("batched", "chained"):
-            assert runs[mode].sinks == base, mode
+        assert runs["chained"].sinks == runs["per_item"].sinks
 
     def test_runs_are_reproducible(self):
         a = traced_reference_run(seed=0, n_events=20)

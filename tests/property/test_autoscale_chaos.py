@@ -31,7 +31,7 @@ from repro.chaos import (
 )
 from repro.streaming import SchedulePolicy, ScalingSupervisor
 
-MODES = ((False, False), (True, False), (True, True))
+MODES = (False, True)  # batch_mode: the per-item oracle, then batched
 SOURCE_BATCH = 32
 N_EVENTS = 400
 
@@ -41,24 +41,24 @@ def _build(seed=7, n=N_EVENTS):
                          splits=4)
 
 
-def _golden(seed=7, n=N_EVENTS, *, batch_mode=True, chaining=True):
+def _golden(seed=7, n=N_EVENTS, *, batch_mode=True):
     return canonical_sinks(fault_free_sinks(
-        lambda: _build(seed, n), batch_mode=batch_mode, chaining=chaining,
+        lambda: _build(seed, n), batch_mode=batch_mode,
         parallelism=1, source_batch=SOURCE_BATCH))
 
 
 def _run(plan, schedule, *, seed=7, n=N_EVENTS, batch_mode=True,
-         chaining=True, **kwargs):
+         **kwargs):
     injector = FaultInjector(plan) if plan is not None else None
     supervisor = ScalingSupervisor(
         _build(seed, n), SchedulePolicy(schedule), injector=injector,
-        parallelism=1, batch_mode=batch_mode, chaining=chaining,
+        parallelism=1, batch_mode=batch_mode,
         source_batch=SOURCE_BATCH, **kwargs)
     report = supervisor.run()
-    golden = _golden(seed, n, batch_mode=batch_mode, chaining=chaining)
+    golden = _golden(seed, n, batch_mode=batch_mode)
     assert canonical_sinks(report.sink_values) == golden, (
         f"rescale chaos diverged (plan={plan.name if plan else 'none'}, "
-        f"batch_mode={batch_mode}, chaining={chaining})")
+        f"batch_mode={batch_mode})")
     return report
 
 
@@ -67,14 +67,12 @@ class TestCrashAtEveryRescalePhase:
     """The four-phase sweep, across all execution modes."""
 
     @pytest.mark.parametrize("phase", RESCALE_PHASES)
-    @pytest.mark.parametrize("batch_mode,chaining", MODES)
-    def test_phase_crash_is_exactly_once(self, phase, batch_mode,
-                                         chaining):
+    @pytest.mark.parametrize("batch_mode", MODES)
+    def test_phase_crash_is_exactly_once(self, phase, batch_mode):
         plan = FaultPlan(specs=(
             FaultSpec("rescale_crash", SITE_RESCALE, at=0, target=phase),
         ), name=f"rescale-{phase}")
-        report = _run(plan, {1: {"window_sum": 2}},
-                      batch_mode=batch_mode, chaining=chaining)
+        report = _run(plan, {1: {"window_sum": 2}}, batch_mode=batch_mode)
         assert report.rescale_crashes == 1
         # liveness: the rescale still completes on retry
         assert len(report.rescales) == 1

@@ -8,9 +8,10 @@ including the overflow-raise path: ``_offer_batch`` used to count every
 item of a raising batch as backpressure and extend nothing, diverging
 from per-item execution in both the counter and the channel contents.
 
-Chaining removes the channels between fused operators, so a chained run
+Fusion removes the channels between fused operators, so a batched run
 observes backpressure only at chain boundaries: its counters are bounded
-by the batched run's, equal when nothing fuses.
+by the per-item run's, and equal on a plan where nothing fuses (the
+exact-equality tests below run such plans).
 """
 
 import pytest
@@ -26,9 +27,8 @@ from repro.streaming import (
 from repro.util.errors import BackpressureOverflow
 
 MODES = {
-    "per_item": dict(batch_mode=False, chaining=False),
-    "batched": dict(batch_mode=True, chaining=False),
-    "chained": dict(batch_mode=True, chaining=True),
+    "per_item": dict(batch_mode=False),
+    "chained": dict(batch_mode=True),
 }
 
 stream_strategy = st.lists(
@@ -38,33 +38,24 @@ stream_strategy = st.lists(
 
 
 def _to_elements(rows):
-    return [Element(value={"k": k, "v": float(i)}, timestamp=ts)
+    return [Element(value={"k": k, "v": float(i)}, timestamp=ts, key=k)
             for i, (k, ts) in enumerate(rows)]
 
 
 def _window_builder(elements):
+    """Keyed at the source: the watermark generator has no chainable
+    neighbour, so both modes run the same channels — elements and
+    watermarks cross each of them."""
     builder = JobBuilder("bp")
     (builder.source("s", elements)
             .with_watermarks(2.0, emit_every=3)
-            .key_by(lambda v: v["k"])
-            .window(TumblingWindows(10.0), "count")
-            .sink("out"))
-    return builder
-
-
-def _chain_free_builder(elements):
-    """key_by alone cannot fuse (window breaks the chain, sources are
-    not operators) — the chained plan is the batched plan."""
-    builder = JobBuilder("bp-free")
-    (builder.source("s", elements)
-            .key_by(lambda v: v["k"])
             .window(TumblingWindows(10.0), "count")
             .sink("out"))
     return builder
 
 
 def _chainable_builder(elements):
-    """map/filter/key_by fuse under chaining; window breaks the chain."""
+    """map/filter/key_by fuse when batched; window breaks the chain."""
     builder = JobBuilder("bp-chain")
     (builder.source("s", elements)
             .map(lambda v: {"k": v["k"], "v": v["v"] + 1.0})
@@ -116,7 +107,7 @@ class TestPerItemBatchedEquality:
         elements = _to_elements(rows)
         per_item = _outcome(*_run(_window_builder, elements, "per_item",
                                   capacity, drop, source_batch))
-        batched = _outcome(*_run(_window_builder, elements, "batched",
+        batched = _outcome(*_run(_window_builder, elements, "chained",
                                  capacity, drop, source_batch))
         assert batched == per_item
 
@@ -128,14 +119,14 @@ class TestPerItemBatchedEquality:
         like ``room`` successful per-item offers)."""
         elements = _to_elements(rows)
         executors = {}
-        for mode in ("per_item", "batched"):
+        for mode in MODES:
             executor, raised = _run(_window_builder, elements, mode,
                                     capacity, True, 16)
             assert not raised  # dropping never overflows
             executors[mode] = executor
-        assert (executors["batched"].sinks["out"].elements
+        assert (executors["chained"].sinks["out"].elements
                 == executors["per_item"].sinks["out"].elements)
-        assert (executors["batched"].dropped_overflow
+        assert (executors["chained"].dropped_overflow
                 == executors["per_item"].dropped_overflow)
 
 
@@ -146,9 +137,9 @@ class TestChainedBounds:
     @settings(max_examples=40, deadline=None)
     def test_chained_backpressure_bounded_by_batched(self, rows, capacity,
                                                      source_batch):
-        """No drops: all modes produce identical sinks; fusing removes
+        """No drops: both modes produce identical sinks; fusing removes
         intra-chain channels so chained backpressure never exceeds
-        batched, and per-item equals batched exactly."""
+        per-item."""
         elements = _to_elements(rows)
         results = {}
         for mode in MODES:
@@ -158,29 +149,25 @@ class TestChainedBounds:
                 return
             results[mode] = executor
         base = results["per_item"]
-        assert (results["batched"].backpressure_events
-                == base.backpressure_events)
+        assert len(results["chained"]._channels) < len(base._channels)
         assert (results["chained"].backpressure_events
-                <= results["batched"].backpressure_events)
-        for mode in ("batched", "chained"):
-            assert (results[mode].sinks["out"].elements
-                    == base.sinks["out"].elements), mode
+                <= base.backpressure_events)
+        assert (results["chained"].sinks["out"].elements
+                == base.sinks["out"].elements)
 
     @given(stream_strategy, st.integers(min_value=1, max_value=4))
     @settings(max_examples=30, deadline=None)
     def test_chain_free_graph_all_modes_equal(self, rows, capacity):
-        """On a graph where nothing fuses the chained plan is the
-        batched plan — counters match across all three modes."""
+        """On a graph where nothing fuses the batched plan has the
+        per-item plan's channels — counters match across both modes."""
         elements = _to_elements(rows)
-        guard = ParallelExecutor(_chain_free_builder(elements).build(),
-                                 chaining=True)
+        guard = ParallelExecutor(_window_builder(elements).build())
         # the graph really is chain-free
         assert all(len(node.members) == 1
                    for node in guard.graph.nodes.values())
-        outcomes = {mode: _outcome(*_run(_chain_free_builder, elements, mode,
+        outcomes = {mode: _outcome(*_run(_window_builder, elements, mode,
                                          capacity, False, 8))
                     for mode in MODES}
-        assert outcomes["batched"] == outcomes["per_item"]
         assert outcomes["chained"] == outcomes["per_item"]
 
 
@@ -196,12 +183,12 @@ class TestOverflowRaise:
         n = capacity * 10 + 1 + extra
         elements = _to_elements([(0, float(i)) for i in range(n)])
         states = {}
-        for mode in ("per_item", "batched"):
+        for mode in MODES:
             executor, raised = _run(_window_builder, elements, mode,
                                     capacity, False, n)
             assert raised, mode
             states[mode] = executor
-        per_item, batched = states["per_item"], states["batched"]
+        per_item, batched = states["per_item"], states["chained"]
         assert batched.backpressure_events == per_item.backpressure_events
         per_item_channels = _channel_contents(per_item)
         batched_channels = _channel_contents(batched)

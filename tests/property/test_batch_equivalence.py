@@ -1,9 +1,8 @@
-"""Property tests: batched/chained execution ≡ per-item execution.
+"""Property tests: batched (chained) execution ≡ per-item execution.
 
-The executor promises that ``batch_mode`` and ``chaining`` are pure
-performance knobs: for any job graph and any input stream, all three
-execution modes produce identical sink contents AND identical
-checkpoints.  These tests drive randomized streams (out-of-order
+The executor promises that ``batch_mode`` is a pure performance knob:
+for any job graph and any input stream, both execution modes produce
+identical sink contents AND identical checkpoints.  These tests drive randomized streams (out-of-order
 timestamps, watermark interleavings, two-sided joins) through the same
 job under every mode and compare exactly.
 """
@@ -20,9 +19,8 @@ from repro.streaming import (
 )
 
 MODES = {
-    "per_item": dict(batch_mode=False, chaining=False),
-    "batched": dict(batch_mode=True, chaining=False),
-    "chained": dict(batch_mode=True, chaining=True),
+    "per_item": dict(batch_mode=False),
+    "chained": dict(batch_mode=True),
 }
 
 stream_strategy = st.lists(
@@ -37,28 +35,36 @@ def _to_elements(rows):
             for i, (k, ts) in enumerate(rows)]
 
 
-def _run_modes(make_builder, source_batch=256):
+def _run_modes(make_builder, source_batch=256, parallelism=1):
     out = {}
     for mode, flags in MODES.items():
-        executor = ParallelExecutor(make_builder().build(), **flags)
+        executor = ParallelExecutor(make_builder().build(), parallelism,
+                                    **flags)
         executor.run(source_batch=source_batch)
         out[mode] = executor
     return out
 
 
+def _counters(executor):
+    return {name: [(op.processed, op.emitted)
+                   for op in executor.subtask_operators(name)]
+            for name in executor.job.operators}
+
+
 def _assert_identical(executors):
-    """Same sinks, same operator state, same source positions — exactly."""
+    """Same sinks, same operator state and counters, same source
+    positions — exactly."""
     base = executors["per_item"]
     base_ckpt = base.checkpoint()
-    for mode in ("batched", "chained"):
-        other = executors[mode]
-        for name, sink in base.sinks.items():
-            assert other.sinks[name].elements == sink.elements, (mode, name)
-        ckpt = other.checkpoint()
-        assert ckpt.source_positions == base_ckpt.source_positions, mode
-        assert ckpt.scalar_state == base_ckpt.scalar_state, mode
-        assert ckpt.keyed_state == base_ckpt.keyed_state, mode
-        assert ckpt.sink_elements == base_ckpt.sink_elements, mode
+    other = executors["chained"]
+    for name, sink in base.sinks.items():
+        assert other.sinks[name].elements == sink.elements, name
+    assert _counters(other) == _counters(base)
+    ckpt = other.checkpoint()
+    assert ckpt.source_positions == base_ckpt.source_positions
+    assert ckpt.scalar_state == base_ckpt.scalar_state
+    assert ckpt.keyed_state == base_ckpt.keyed_state
+    assert ckpt.sink_elements == base_ckpt.sink_elements
 
 
 class TestWindowedEquivalence:
@@ -151,6 +157,43 @@ class TestStatefulChains:
                     for e in got.elements] == expected
 
 
+class TestLooseElements:
+    """Behind a flat_map every operator of a batched run receives loose
+    Elements — the per-item path inside batched mode."""
+
+    @given(stream_strategy, st.integers(min_value=1, max_value=16),
+           st.integers(min_value=1, max_value=6), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_reduce_behind_flat_map(self, rows, source_batch, cycles,
+                                    vectorized):
+        elements = [Element(float(k), ts) for k, ts in rows]
+
+        def make_builder():
+            builder = JobBuilder("loose")
+            keyed = (builder.source("s", elements)
+                     .flat_map(lambda v: [v, v + 0.5])
+                     .assign_timestamps(lambda v: v * 2.0)
+                     .key_by(lambda v: v % 3.0))
+            (keyed.reduce(np.add, vectorized=True) if vectorized else
+             keyed.reduce(lambda a, b: a + b)).sink("out")
+            return builder
+
+        for p in (1, 2):
+            runs = _run_modes(make_builder, source_batch, p)
+            _assert_identical(runs)
+            # a checkpoint cut mid-run in one mode finishes in the other
+            for taken, finisher in (("chained", "per_item"),
+                                    ("per_item", "chained")):
+                donor = ParallelExecutor(make_builder().build(), p,
+                                         **MODES[taken])
+                donor.run(source_batch=source_batch, max_cycles=cycles)
+                survivor = ParallelExecutor(make_builder().build(), p,
+                                            **MODES[finisher])
+                survivor.restore(donor.checkpoint())
+                assert (survivor.run(source_batch=source_batch)["out"]
+                        .elements == runs["per_item"].sinks["out"].elements)
+
+
 class TestJoinEquivalence:
     @given(stream_strategy, stream_strategy,
            st.integers(min_value=1, max_value=24))
@@ -198,8 +241,7 @@ class TestCheckpointPortability:
         expected = ParallelExecutor(make_builder().build(),
                                     batch_mode=False).run()["out"].elements
 
-        donor = ParallelExecutor(make_builder().build(), batch_mode=True,
-                                 chaining=True)
+        donor = ParallelExecutor(make_builder().build(), batch_mode=True)
         donor.run(source_batch=batch, max_cycles=cycles)
         checkpoint = donor.checkpoint()
 

@@ -170,10 +170,9 @@ class TestMidBatchCrashRestore:
             checkpoint = executor.checkpoint()
         assert _results(executor.sinks["out"].values) == expected
 
-    @pytest.mark.parametrize("restore_batch_mode,restore_chaining",
-                             [(False, False), (True, False), (True, True)])
+    @pytest.mark.parametrize("restore_batch_mode", [False, True])
     def test_cross_mode_restore_into_fresh_executor(
-            self, restore_batch_mode, restore_chaining):
+            self, restore_batch_mode):
         """A checkpoint from a batched run must be loadable by a fresh
         executor in any mode; the fresh run emits exactly the suffix."""
         def emitted(values):
@@ -200,8 +199,7 @@ class TestMidBatchCrashRestore:
         delivered = emitted(e.value for e in checkpoint.sink_elements["out"])
         assert 0 < len(delivered) < len(straight)
         fresh = ParallelExecutor(self._build(elements),
-                                 batch_mode=restore_batch_mode,
-                                 chaining=restore_chaining)
+                                 batch_mode=restore_batch_mode)
         fresh.restore(checkpoint)
         # The snapshot carries what the crashed run had delivered, so the
         # fresh executor adds exactly the suffix — sink emission order is

@@ -3,7 +3,7 @@
 The columnar ``RecordBatch`` representation (see "Columnar batch
 representation" in docs/ARCHITECTURE.md) promises to be an *encoding*,
 not a semantic: for any job and any input stream, batched execution
-(columns, chained or not) produces bit-identical sink contents and
+(columns, fused where the plan allows) produces bit-identical sink contents and
 checkpoint state to element-at-a-time dispatch (``batch_mode=False``,
 the reference).  These tests drive randomized streams through vectorized
 kernels, through the mixed/opaque-value fallback, through parallel
@@ -52,9 +52,8 @@ from repro.streaming.operators import WatermarkGenerator
 import numpy as np
 
 MODES = {
-    "per_item": dict(batch_mode=False, chaining=False),
-    "batched": dict(batch_mode=True, chaining=False),
-    "chained": dict(batch_mode=True, chaining=True),
+    "per_item": dict(batch_mode=False),
+    "chained": dict(batch_mode=True),
 }
 PARALLELISMS = (1, 2, 4)
 N_SPLITS = 4
@@ -190,7 +189,8 @@ class TestParallelColumnar:
                         == runs["per_item"].sinks["out"].elements), (p, mode)
                 # Keyed state is snapshotted per key group; the whole
                 # checkpoint (a dataclass) must compare equal field-wise.
-                _assert_checkpoints_match(ckpts[mode], ckpts, mode, p)
+                _assert_checkpoints_match(ckpts[mode], ckpts["per_item"],
+                                          (p, mode))
 
     @given(numeric_rows)
     @settings(max_examples=10, deadline=None)
@@ -277,16 +277,16 @@ def _punctuated_job(elements, emit_every, splits=None):
     return builder.build()
 
 
-def _assert_checkpoints_match(ckpt, base, mode, context):
-    """Whole-dataclass equality against the per-item run for modes with
-    the per-item plan shape; fused chains name their channels after the
-    chain, so there everything but the routing table is compared."""
-    if MODES[mode]["chaining"]:
-        assert dataclasses.replace(ckpt, routing_state={}) \
-            == dataclasses.replace(base["per_item"], routing_state={}), \
-            (context, mode)
-    else:
-        assert ckpt == base["per_item"], (context, mode)
+def _assert_checkpoints_match(ckpt, ref, context):
+    """Whole-dataclass equality against the per-item run's checkpoint
+    where the plan has the per-item plan's channels; fused chains name
+    their channels after the chain, so there everything but the routing
+    table is compared."""
+    if (ckpt.routing_state["channel_wm"].keys()
+            != ref.routing_state["channel_wm"].keys()):
+        ckpt, ref = (dataclasses.replace(c, routing_state={})
+                     for c in (ckpt, ref))
+    assert ckpt == ref, context
 
 
 def _coordinated_run(job, p, flags, source_batch):
@@ -329,7 +329,8 @@ class TestPunctuatedBatches:
             for mode, other in runs.items():
                 assert (other.sinks["out"].elements
                         == runs["per_item"].sinks["out"].elements), (p, mode)
-                _assert_checkpoints_match(ckpts[mode], ckpts, mode, p)
+                _assert_checkpoints_match(ckpts[mode], ckpts["per_item"],
+                                          (p, mode))
 
     @given(punctuated_rows, st.sampled_from(EMIT_EVERY), st.booleans(),
            st.sampled_from((5, 13, 33)))
@@ -356,8 +357,7 @@ class TestPunctuatedBatches:
                 assert len(ckpts) == n_ckpts, (p, mode)
                 for i, ckpt in enumerate(ckpts):
                     _assert_checkpoints_match(
-                        ckpt, {m: r[1][i] for m, r in runs.items()},
-                        mode, (p, i))
+                        ckpt, runs["per_item"][1][i], (p, i, mode))
 
     def test_generator_emits_one_item_per_batch(self):
         # emit_every=1 on sorted input is one watermark per row; the

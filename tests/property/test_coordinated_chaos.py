@@ -50,20 +50,19 @@ from repro.streaming.connectors import log_source
 from repro.streaming.txn_sink import TransactionalLogSink
 from repro.util.clock import SimClock
 
-MODES = ((False, False), (True, False), (True, True))
+MODES = (False, True)  # batch_mode: the per-item oracle, then batched
 SOURCE_BATCH = 16
 
 
 def _run(build, plan, *, parallelism=2, exact=True, batch_mode=True,
-         chaining=True, source_batch=SOURCE_BATCH, **kwargs):
+         source_batch=SOURCE_BATCH, **kwargs):
     golden = fault_free_sinks(build, parallelism=parallelism,
                               source_batch=source_batch,
-                              batch_mode=batch_mode, chaining=chaining)
+                              batch_mode=batch_mode)
     injector = FaultInjector(plan) if plan is not None else None
     report = run_coordinated(build(), injector, parallelism=parallelism,
                              source_batch=source_batch,
-                             batch_mode=batch_mode, chaining=chaining,
-                             **kwargs)
+                             batch_mode=batch_mode, **kwargs)
     if plan is not None:
         # network faults and short stalls fire without raising, so the
         # injector trace — not report.failures — is the fired predicate
@@ -99,9 +98,9 @@ def _random_crashes(seed, horizon, crashes, **kwargs):
 
 def _run_all_modes(build, plan, **kwargs):
     """Crash-only: raw sink order, a barrier every cycle, every mode."""
-    for batch_mode, chaining in MODES:
-        _run(build, plan, batch_mode=batch_mode, chaining=chaining,
-             interval_cycles=1, **kwargs)
+    kwargs.setdefault("interval_cycles", 1)
+    for batch_mode in MODES:
+        _run(build, plan, batch_mode=batch_mode, **kwargs)
 
 
 #: name -> (events seed, parallelism, crash sites)
@@ -139,10 +138,9 @@ class TestCoordinatedSmoke:
 
     def test_no_faults_all_modes(self):
         events = reference_events(seed=3, n=200)
-        for batch_mode, chaining in MODES:
+        for batch_mode in MODES:
             report = _run(lambda: reference_job(events), None,
-                          batch_mode=batch_mode, chaining=chaining,
-                          interval_cycles=2)
+                          batch_mode=batch_mode, interval_cycles=2)
             assert report.checkpoints >= 1
 
     def test_subtask_and_coordinator_crash(self):
@@ -227,10 +225,8 @@ class TestCoordinatedCrashSweeps:
                       target="double"),
             FaultSpec("coordinator_crash", SITE_COORDINATOR, at=2),
         ), name=f"modes-p{parallelism}")
-        for batch_mode, chaining in MODES:
-            _run(lambda: reference_job(events), plan,
-                 parallelism=parallelism, batch_mode=batch_mode,
-                 chaining=chaining, interval_cycles=2)
+        _run_all_modes(lambda: reference_job(events), plan,
+                       parallelism=parallelism, interval_cycles=2)
 
     @pytest.mark.parametrize("parallelism", [2, 3, 4])
     def test_crash_only_at_all_parallelisms_and_modes(self, parallelism):
@@ -267,18 +263,18 @@ class TestLogBackedRecovery:
         plan = FaultPlan(
             specs=tuple(s for s in plan.specs if s.site != SITE_APPEND),
             seed=plan.seed, name=plan.name)
-        for batch_mode, chaining in MODES:
+        for batch_mode in MODES:
             golden = fault_free_sinks(
                 lambda: reference_job(log_source(golden_cluster, "events")),
-                batch_mode=batch_mode, chaining=chaining)
+                batch_mode=batch_mode)
             chaos_cluster = self._seeded_topic(FaultInjector(plan))
             report = run_coordinated(
                 reference_job(log_source(chaos_cluster, "events")),
                 chaos_cluster.injector, batch_mode=batch_mode,
-                chaining=chaining, interval_cycles=1)
+                interval_cycles=1)
             assert report.sink_values == golden, (
                 f"log-backed recovery diverged (batch_mode={batch_mode}, "
-                f"chaining={chaining}, seed={seed})")
+                f"seed={seed})")
 
 
 @pytest.mark.chaos

@@ -49,7 +49,7 @@ from repro.util.errors import ChaosError, RestartsExhausted
 
 pytestmark = pytest.mark.datafault
 
-MODES = ((False, False), (True, False), (True, True))
+MODES = (False, True)  # batch_mode: the per-item oracle, then batched
 
 #: operators carrying a DEAD_LETTER policy — the only valid targets for
 #: *persistent* data faults (an unguarded persistent fault refires on
@@ -95,26 +95,26 @@ class TestDlqInvariantAllModes:
     @pytest.mark.parametrize("seed", range(4))
     def test_crashes_do_not_move_sink_or_dlq(self, seed):
         data, layered = random_data_plan(seed + 4300, crashes=2)
-        for batch_mode, chaining in MODES:
+        for batch_mode in MODES:
             def once(plan):
                 report = run_coordinated(
                     guarded_job(seed % 3), FaultInjector(plan),
-                    batch_mode=batch_mode, chaining=chaining)
+                    batch_mode=batch_mode)
                 return rrepr(report.sink_values), report
             golden, _ = once(data)
             chaosed, report = once(layered)
             rerun, _ = once(layered)
             assert report.crashes >= 1, layered.name
-            assert chaosed == golden, (seed, batch_mode, chaining)
-            assert rerun == chaosed, (seed, batch_mode, chaining)
+            assert chaosed == golden, (seed, batch_mode)
+            assert rerun == chaosed, (seed, batch_mode)
 
     def test_modes_agree_on_committed_dlq(self):
         data, _ = random_data_plan(4400)
-        runs = [rrepr(run_coordinated(
-                    guarded_job(1), FaultInjector(data),
-                    batch_mode=bm, chaining=ch).sink_values)
-                for bm, ch in MODES]
-        assert runs[1] == runs[0] and runs[2] == runs[0]
+        per_item, batched = [rrepr(run_coordinated(
+                                 guarded_job(1), FaultInjector(data),
+                                 batch_mode=bm).sink_values)
+                             for bm in MODES]
+        assert batched == per_item
 
 
 class TestDlqInvariantCoordinated:

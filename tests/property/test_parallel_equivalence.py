@@ -25,9 +25,8 @@ from repro.streaming import (
 )
 
 MODES = {
-    "per_item": dict(batch_mode=False, chaining=False),
-    "batched": dict(batch_mode=True, chaining=False),
-    "chained": dict(batch_mode=True, chaining=True),
+    "per_item": dict(batch_mode=False),
+    "chained": dict(batch_mode=True),
 }
 PARALLELISMS = (1, 2, 4)
 N_SPLITS = 4

@@ -4,7 +4,7 @@ A transactional sink keeps its rows as batches from delivery to the
 store: the open transaction is whatever the feeders delivered, each
 epoch is sealed into one ``RecordBatch`` in canonical form, and that
 batch is what the checkpoint records and what ``StoreSink`` stages.
-None of it may show: for per-item, batched and chained execution at
+None of it may show: for per-item and batched (chained) execution at
 p = 1, 2, 4 the sink's elements, the sealed batches in
 every finalized checkpoint, the store a ``StoreSink`` feeds and a
 restore into a fresh executor must be identical to the per-item run —
@@ -31,9 +31,8 @@ from repro.streaming.batch import RecordBatch
 from repro.streaming.txn_sink import TransactionalSink
 
 MODES = {
-    "per_item": dict(batch_mode=False, chaining=False),
-    "batched": dict(batch_mode=True, chaining=False),
-    "chained": dict(batch_mode=True, chaining=True),
+    "per_item": dict(batch_mode=False),
+    "chained": dict(batch_mode=True),
 }
 PARALLELISMS = (1, 2, 4)
 N_SPLITS = 4

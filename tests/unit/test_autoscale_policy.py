@@ -216,7 +216,7 @@ class TestSupervisorSmoke:
         golden = canonical_sinks(fault_free_sinks(
             lambda: reference_job(reference_events(seed=7, n=300, keys=4),
                                   splits=4),
-            batch_mode=True, chaining=True, parallelism=1,
+            batch_mode=True, parallelism=1,
             source_batch=32))
         supervisor = ScalingSupervisor(
             reference_job(events, splits=4),

@@ -46,12 +46,18 @@ def boom_on(bad):
     return fn
 
 
-def build(policy, bad=(3, 7), n=20):
+def build(policy, bad=(3, 7), n=20, fused=False, fn=None):
+    """``fused`` gives the guarded map a chainable neighbour, so a
+    batched plan enforces the policy inside a chain; ``policy=None``
+    declares nothing."""
     builder = JobBuilder("policies")
-    (builder.source("events", events(n))
-            .map(boom_on(bad), name="double")
-            .on_error(policy)
-            .sink("out"))
+    stream = builder.source("events", events(n)).map(fn or boom_on(bad),
+                                                     name="double")
+    if policy is not None:
+        stream = stream.on_error(policy)
+    if fused:
+        stream = stream.map(lambda v: v, name="after")
+    stream.sink("out")
     return builder.build()
 
 
@@ -96,32 +102,30 @@ def test_dlq_sink_name_reserved():
 # -- executor enforcement, all modes -----------------------------------------
 
 
+#: (batch_mode, fused): per-item, batched on a lone operator, batched
+#: with the operator inside a chain
 MODES = [(False, False), (True, False), (True, True)]
 
 
-@pytest.mark.parametrize("batch_mode,chaining", MODES)
-def test_fail_is_default(batch_mode, chaining):
-    builder = JobBuilder("default")
-    (builder.source("events", events())
-            .map(boom_on({3}), name="double")
-            .sink("out"))
+@pytest.mark.parametrize("batch_mode,fused", MODES)
+def test_fail_is_default(batch_mode, fused):
     with pytest.raises(ValueError):
-        ParallelExecutor(builder.build(), batch_mode=batch_mode,
-                         chaining=chaining).run()
+        ParallelExecutor(build(None, bad={3}, fused=fused),
+                         batch_mode=batch_mode).run()
 
 
-@pytest.mark.parametrize("batch_mode,chaining", MODES)
-def test_skip_drops_only_poisoned(batch_mode, chaining):
-    sinks = ParallelExecutor(build(SKIP), batch_mode=batch_mode,
-                             chaining=chaining).run()
+@pytest.mark.parametrize("batch_mode,fused", MODES)
+def test_skip_drops_only_poisoned(batch_mode, fused):
+    sinks = ParallelExecutor(build(SKIP, fused=fused),
+                             batch_mode=batch_mode).run()
     assert [v["i"] for v in sinks["out"].values] \
         == [i for i in range(20) if i not in (3, 7)]
 
 
-@pytest.mark.parametrize("batch_mode,chaining", MODES)
-def test_dead_letter_routes_to_dlq(batch_mode, chaining):
-    sinks = ParallelExecutor(build(DEAD_LETTER), batch_mode=batch_mode,
-                             chaining=chaining).run()
+@pytest.mark.parametrize("batch_mode,fused", MODES)
+def test_dead_letter_routes_to_dlq(batch_mode, fused):
+    sinks = ParallelExecutor(build(DEAD_LETTER, fused=fused),
+                             batch_mode=batch_mode).run()
     assert [v["i"] for v in sinks["out"].values] \
         == [i for i in range(20) if i not in (3, 7)]
     letters = sinks[DLQ_SINK].values
@@ -133,8 +137,8 @@ def test_dead_letter_routes_to_dlq(batch_mode, chaining):
         assert dl.fault == "error"
 
 
-@pytest.mark.parametrize("batch_mode,chaining", MODES)
-def test_retry_escalates_after_attempts(batch_mode, chaining):
+@pytest.mark.parametrize("batch_mode,fused", MODES)
+def test_retry_escalates_after_attempts(batch_mode, fused):
     calls = {}
 
     def flaky(v):
@@ -143,13 +147,9 @@ def test_retry_escalates_after_attempts(batch_mode, chaining):
             raise ValueError("always")
         return v
 
-    builder = JobBuilder("retry")
-    (builder.source("events", events(10))
-            .map(flaky, name="m")
-            .on_error(RETRY(2, escalate="dead_letter"))
-            .sink("out"))
-    sinks = ParallelExecutor(builder.build(), batch_mode=batch_mode,
-                             chaining=chaining).run()
+    job = build(RETRY(2, escalate="dead_letter"), n=10, fused=fused,
+                fn=flaky)
+    sinks = ParallelExecutor(job, batch_mode=batch_mode).run()
     # Per-item: first try + 2 retries.  Batch mode adds one more call:
     # the failed vectorized pass, rolled back before per-item replay.
     assert calls[5] == (4 if batch_mode else 3)
@@ -166,9 +166,9 @@ def test_parallel_executor_enforces_policies(parallelism):
 
 
 def test_modes_agree_on_dlq_contents():
-    runs = [ParallelExecutor(build(DEAD_LETTER), batch_mode=bm,
-                             chaining=ch).run()
-            for bm, ch in MODES]
+    runs = [ParallelExecutor(build(DEAD_LETTER, fused=fused),
+                             batch_mode=bm).run()
+            for bm, fused in MODES]
     baseline = [(dl.value["i"], dl.operator, dl.error_type)
                 for dl in runs[0][DLQ_SINK].values]
     for sinks in runs[1:]:

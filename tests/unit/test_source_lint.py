@@ -82,6 +82,32 @@ def test_the_second_runner_and_rewind_stay_deleted():
     assert rewinds == ["restore"]
 
 
+def test_the_element_run_kernel_and_the_chaining_switch_stay_deleted():
+    """An operator has ``process`` and at most ``_run_columnar``; a job
+    has ``batch_mode`` and nothing else to pick a plan with."""
+    kernel = re.compile(r"def _run\(self, elements|_run_vectorized|_segmented")
+    assert _offenders(kernel, set()) == []
+    # the base Operator's is the only one the built-ins have
+    operators = (SRC / "streaming/operators.py").read_text()
+    assert operators.count("def process_batch(") == 1
+    from repro.geo.deployment import GeoDeployment
+    from repro.obs import traced_reference_run
+    from repro.streaming import (
+        ParallelExecutor,
+        ScalingSupervisor,
+        run_coordinated,
+    )
+    for entry in (ParallelExecutor.__init__, run_coordinated,
+                  ScalingSupervisor.__init__, GeoDeployment.__init__,
+                  traced_reference_run):
+        assert "chaining" not in inspect.signature(entry).parameters, entry
+    assert [str(path.relative_to(ROOT))
+            for top in ("tools", "examples", "tests")
+            for path in sorted((ROOT / top).rglob("*.py"))
+            if path != Path(__file__).resolve()
+            and "chaining" "=" in path.read_text()] == []
+
+
 def test_recovery_primitives_are_defined_once():
     assert _offenders(PRIMITIVES, {SUPERVISOR}) == []
     supervisor = (SRC / SUPERVISOR).read_text()

@@ -1,7 +1,7 @@
 """Unit tests: batched execution, operator chaining, vectorized kernels.
 
-The contract under test: batched (and chained) execution is
-bit-identical to per-item execution — same sink contents, same operator
+The contract under test: batched execution (fused wherever the plan
+allows) is bit-identical to per-item execution — same sink contents, same operator
 state, same processed/emitted counters, same overflow accounting.
 """
 
@@ -29,9 +29,8 @@ def _els(n, key_mod=3):
 
 
 MODES = {
-    "per_item": dict(batch_mode=False, chaining=False),
-    "batched": dict(batch_mode=True, chaining=False),
-    "chained": dict(batch_mode=True, chaining=True),
+    "per_item": dict(batch_mode=False),
+    "chained": dict(batch_mode=True),
 }
 
 
@@ -68,14 +67,10 @@ class TestChainPlan:
         # One channel into the chain instead of three hops.
         assert len(executor._channels) == 1
 
-    def test_chaining_disabled_keeps_channels(self):
-        executor = ParallelExecutor(self._linear().build(), chaining=False)
-        assert _chains(executor) == []
-        assert len(executor._channels) == 3
-
     def test_per_item_mode_never_chains(self):
         executor = ParallelExecutor(self._linear().build(), batch_mode=False)
         assert _chains(executor) == []
+        assert len(executor._channels) == 3
 
     def test_keyed_state_breaks_chain(self):
         builder = JobBuilder("j")
@@ -169,9 +164,8 @@ class TestModeEquivalence:
                     .sink("out"))
             return builder
         runs = run_all_modes(make_builder)
-        base_sink = runs["per_item"][1]["out"].elements
-        for mode in ("batched", "chained"):
-            assert runs[mode][1]["out"].elements == base_sink
+        assert (runs["chained"][1]["out"].elements
+                == runs["per_item"][1]["out"].elements)
 
     def test_counters_identical_across_modes(self):
         def make_builder():
@@ -184,45 +178,37 @@ class TestModeEquivalence:
             return builder
         runs = run_all_modes(make_builder)
         per_item = runs["per_item"][0]
-        for mode in ("batched", "chained"):
-            executor = runs[mode][0]
-            for name, op in executor.job.operators.items():
-                ref = per_item.job.operators[name]
-                assert (op.processed, op.emitted) == \
-                       (ref.processed, ref.emitted), (mode, name)
+        for name, op in runs["chained"][0].job.operators.items():
+            ref = per_item.job.operators[name]
+            assert (op.processed, op.emitted) == \
+                   (ref.processed, ref.emitted), name
+
+    @staticmethod
+    def _lone_map():
+        """A lone map cannot fuse, so both modes run the same channels
+        and must account for them identically."""
+        builder = JobBuilder("j")
+        builder.source("s", _els(100)).map(lambda v: v).sink("out")
+        return builder
 
     def test_overflow_drop_accounting_identical(self):
-        def make_builder():
-            builder = JobBuilder("j")
-            (builder.source("s", _els(100))
-                    .map(lambda v: v)
-                    .sink("out"))
-            return builder
-        runs = run_all_modes(make_builder, channel_capacity=10,
+        runs = run_all_modes(self._lone_map, channel_capacity=10,
                              drop_on_overflow=True)
-        # Chaining changes the channel structure, but per-item and
-        # batched (unchained) must account drops identically.
         a = runs["per_item"][0]
-        b = runs["batched"][0]
+        b = runs["chained"][0]
         assert a.dropped_overflow == b.dropped_overflow > 0
         assert runs["per_item"][1]["out"].elements == \
-               runs["batched"][1]["out"].elements
+               runs["chained"][1]["out"].elements
 
     def test_backpressure_accounting_identical(self):
-        def make_builder():
-            builder = JobBuilder("j")
-            (builder.source("s", _els(100))
-                    .map(lambda v: v)
-                    .sink("out"))
-            return builder
         counts = {}
-        for mode in ("per_item", "batched"):
-            executor = ParallelExecutor(make_builder().build(),
-                                        channel_capacity=10, **MODES[mode])
+        for mode, flags in MODES.items():
+            executor = ParallelExecutor(self._lone_map().build(),
+                                        channel_capacity=10, **flags)
             executor.run(source_batch=100)
             counts[mode] = executor.backpressure_events
             assert len(executor.sinks["out"]) == 100
-        assert counts["per_item"] == counts["batched"] > 0
+        assert counts["per_item"] == counts["chained"] > 0
 
     def test_vectorized_operators_match_scalar(self):
         values = [float(i) for i in range(30)]
@@ -255,6 +241,19 @@ class TestModeEquivalence:
                    [float(v) for v in scalar.values]
             assert [float(e.key) for e in got.elements] == \
                    [float(e.key) for e in scalar.elements]
+
+    @pytest.mark.parametrize("stage", ["map", "filter", "key_by"])
+    def test_vectorized_wrong_length_is_an_error(self, stage):
+        """A vectorized function that answers with fewer results than
+        rows used to lose a row silently (map, key_by) or die in numpy
+        (filter)."""
+        builder = JobBuilder("j")
+        handle = builder.source("s", [Element(float(i), float(i))
+                                      for i in range(10)])
+        getattr(handle, stage)(lambda v: v[:-1] > 0, vectorized=True,
+                               name="short").sink("out")
+        with pytest.raises(StreamError, match=r"short.* 9 results .* 10 rows"):
+            ParallelExecutor(builder.build()).run()
 
     def test_vectorized_reduce_requires_ufunc(self):
         with pytest.raises(StreamError):

@@ -175,7 +175,7 @@ class TestCheckpoint:
                 .sink("out"))
         executor = ParallelExecutor(builder.build())
         # Manually stuff a channel to simulate in-flight data (the two
-        # maps fuse under chaining, so grab whatever channel exists).
+        # maps fuse, so grab whatever channel exists).
         senders = next(iter(executor._channels.values()))
         channel = next(iter(senders.values()))
         channel.append(Element(value=1, timestamp=0.0))

@@ -94,7 +94,7 @@ def check_bounded_replay(seed: int) -> tuple[bool, tuple]:
     golden = canonical_sinks(fault_free_sinks(
         lambda: reference_job(reference_events(seed=seed, n=400, keys=4),
                               splits=SPLITS),
-        batch_mode=True, chaining=True, parallelism=1,
+        batch_mode=True, parallelism=1,
         source_batch=SOURCE_BATCH))
     exactly_once = canonical_sinks(report.sink_values) == golden
     # a savepoint precedes every restore, so replay per attempt can

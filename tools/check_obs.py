@@ -2,7 +2,7 @@
 """Observability gate: span-tree completeness + instrumentation overhead.
 
 Part 1 — completeness.  Runs the end-to-end traced reference pipeline in
-all three execution modes and asserts, per mode:
+both execution modes and asserts, per mode:
 
 - the trace forms one connected tree rooted at ``frame``;
 - every produced record has a ``produce`` span and a ``consume`` span
@@ -49,9 +49,8 @@ from repro.streaming import ParallelExecutor  # noqa: E402
 from repro.util.metrics import MetricsRegistry  # noqa: E402
 
 MODES = {
-    "per_item": dict(batch_mode=False, chaining=False),
-    "batched": dict(batch_mode=True, chaining=False),
-    "chained": dict(batch_mode=True, chaining=True),
+    "per_item": dict(batch_mode=False),
+    "chained": dict(batch_mode=True),
 }
 
 
@@ -117,13 +116,12 @@ def check_completeness(n_events: int) -> bool:
         for p in problems:
             print(f"             - {p}")
 
-    baseline = shapes["per_item"]
-    for mode in ("batched", "chained"):
-        if shapes[mode] != baseline:
-            ok = False
-            diff = (shapes[mode] - baseline) + (baseline - shapes[mode])
-            print(f"  trace shape differs in {mode} vs per_item: "
-                  f"{dict(diff)}")
+    baseline, chained = shapes["per_item"], shapes["chained"]
+    if chained != baseline:
+        ok = False
+        diff = (chained - baseline) + (baseline - chained)
+        print(f"  trace shape differs in chained vs per_item: "
+              f"{dict(diff)}")
     if ok:
         print("  trace shape identical across modes  ok")
     return ok

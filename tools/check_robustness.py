@@ -6,7 +6,7 @@ partition unavailable on the fetch path, re-delivers already-consumed
 records, and times out an offload task — then the gate asserts:
 
 1. the recovered streaming run's sinks are **bit-identical** to the
-   fault-free run, in per-item, batched and chained modes;
+   fault-free run, in per-item and batched (chained) mode;
 2. the offload runner absorbs the timeout and still serves the frame;
 3. the same seed reproduces the same fault trace on a second run;
 4. recovery MTTR: on the two-region reference plan, a crash in one
@@ -19,7 +19,7 @@ first unless ``--skip-tests``.
 ``--datafault`` switches to the data-fault tolerance gate instead: the
 ``datafault``-marked suite, then (1) committed sink + committed DLQ
 under data faults is invariant to layered operator crashes, rerun
-bit-identical, across per-item/batched/chained modes at parallelism
+bit-identical, in per-item and batched (chained) mode at parallelism
 1/2/4; (2) on a pass-through pipeline the
 sink and the dead-lettered originals partition the fault-free output
 exactly; (3) corrupted newest checkpoints are quarantined with
@@ -66,7 +66,7 @@ from repro.streaming.connectors import log_source  # noqa: E402
 from repro.util.clock import SimClock  # noqa: E402
 from repro.util.rng import RngRegistry  # noqa: E402
 
-MODES = [(False, False), (True, False), (True, True)]
+MODES = {"per-item": False, "chained": True}  # label -> batch_mode
 
 
 def the_schedule(seed: int) -> FaultPlan:
@@ -99,21 +99,19 @@ def check_streaming_recovery(seed: int) -> tuple[bool, list]:
     print("\n== streaming recovery (log-backed, all modes) ==")
     ok = True
     traces = []
-    for batch_mode, chaining in MODES:
+    for mode, batch_mode in MODES.items():
         golden = fault_free_sinks(
             lambda: reference_job(
                 log_source(seeded_cluster(seed, None), "events")),
-            batch_mode=batch_mode, chaining=chaining)
+            batch_mode=batch_mode)
         injector = FaultInjector(the_schedule(seed))
         chaos = seeded_cluster(seed, injector)
         report = run_coordinated(
             reference_job(log_source(chaos, "events")), injector,
-            batch_mode=batch_mode, chaining=chaining)
+            batch_mode=batch_mode)
         identical = report.sink_values == golden
         ok = ok and identical
         traces.append(injector.trace_tuples())
-        mode = ("chained" if chaining else
-                "batched" if batch_mode else "per-item")
         print(f"  {mode:>8}: crashes={report.crashes} "
               f"broker_faults={report.broker_faults} "
               f"restores={report.restores} "
@@ -222,14 +220,14 @@ def check_dlq_exactly_once(seed: int) -> bool:
     ok = True
     for parallelism in (1, 2, 4):
         label = f"coordinated p={parallelism}"
-        for batch_mode, chaining in MODES:
+        for mode, batch_mode in MODES.items():
             def once(specs):
                 injector = FaultInjector(FaultPlan(
                     specs=specs, seed=seed, name="datafault-gate"))
                 report = run_coordinated(
                     _guarded_reference(seed), injector,
                     parallelism=parallelism, interval_cycles=2,
-                    batch_mode=batch_mode, chaining=chaining)
+                    batch_mode=batch_mode)
                 return {name: _rrepr(values) for name, values
                         in report.sink_values.items()}, report
             golden, _ = once(_data_specs())
@@ -237,8 +235,6 @@ def check_dlq_exactly_once(seed: int) -> bool:
             rerun, _ = once(_data_specs() + _crash_specs())
             identical = golden == chaosed and chaosed == rerun
             ok = ok and identical and report.crashes >= 1
-            mode = ("chained" if chaining else
-                    "batched" if batch_mode else "per-item")
             dlq = len(golden.get("__dlq__", ()))
             print(f"  {label:>15} {mode:>8}: dlq={dlq} "
                   f"crashes={report.crashes} "
@@ -360,25 +356,22 @@ def check_datafault(seed: int) -> bool:
 
 def check_trace_reproducibility(seed: int, first: list) -> bool:
     print("\n== trace reproducibility (same seed, second run) ==")
-    _, second = check_quietly(seed)
+    second = check_quietly(seed)
     same = first == second
     print(f"  {len(first[0])} fired faults per streaming mode; "
           f"traces {'MATCH' if same else 'DIFFER'}")
     return same
 
 
-def check_quietly(seed: int) -> tuple[bool, list]:
+def check_quietly(seed: int) -> list:
     traces = []
-    ok = True
-    for batch_mode, chaining in MODES:
+    for batch_mode in MODES.values():
         injector = FaultInjector(the_schedule(seed))
         chaos = seeded_cluster(seed, injector)
-        report = run_coordinated(
-            reference_job(log_source(chaos, "events")), injector,
-            batch_mode=batch_mode, chaining=chaining)
-        ok = ok and bool(report.failures)
+        run_coordinated(reference_job(log_source(chaos, "events")),
+                        injector, batch_mode=batch_mode)
         traces.append(injector.trace_tuples())
-    return ok, traces
+    return traces
 
 
 def main() -> int:

@@ -35,9 +35,8 @@ from repro.obs import (  # noqa: E402  (path bootstrap above)
 )
 
 MODES = {
-    "per_item": dict(batch_mode=False, chaining=False),
-    "batched": dict(batch_mode=True, chaining=False),
-    "chained": dict(batch_mode=True, chaining=True),
+    "per_item": dict(batch_mode=False),
+    "chained": dict(batch_mode=True),
 }
 
 
