@@ -1,6 +1,6 @@
 """P4: parallel execution scaling — modelled speedup at parallelism 1/2/4.
 
-The logical->physical compiler (:mod:`repro.streaming.execution`) turns
+The logical->physical compiler (:mod:`repro.streaming.plan`) turns
 one job graph into N subtasks per operator with hash-partitioned keyed
 shuffles.  Execution stays single-threaded and deterministic, so the
 scaling quantity is the **modelled makespan**: per drain cycle, each
@@ -13,7 +13,7 @@ keyed-window workload — well under the ideal 4x, so channel/shuffle
 overhead is allowed, but a plan that stops overlapping work fails).
 
 Sinks must be bit-identical across parallelism (asserted): the source
-is key-aligned (keys ride on the elements, the default partitioner
+is key-aligned (keys ride on the elements, key-aligned routing
 hashes them to splits), so per-key order — and float accumulation
 order — is preserved no matter how many subtasks run.
 

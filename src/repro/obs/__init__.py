@@ -1,16 +1,15 @@
-"""Observability: tracing spans, metric exporters, profiling, reports.
+"""Observability: tracing spans, metric exporters, reports.
 
 This package is the repo's cross-cutting observability layer.  It sits
 *above* every subsystem: the executor, event log, offload runner, render
 compositor and chaos harness each accept duck-typed ``tracer`` /
-``metrics`` / ``profiler`` hooks and never import this package — so the
+``metrics`` hooks and never import this package — so the
 dependency edges all point upward and disabled instrumentation costs a
 ``None`` check.
 
 - :mod:`.trace` — deterministic causal spans on simulated time.
 - :mod:`.exporters` — in-memory, JSON-lines and console sinks.
 - :mod:`.report` — span-tree assembly, critical path, rendering.
-- :mod:`.profile` — per-operator wall-time hooks into the registry.
 - :mod:`.pipeline` — the end-to-end traced reference run.
 """
 
@@ -24,7 +23,6 @@ from .exporters import (
     span_to_dict,
 )
 from .pipeline import TracedRunReport, traced_reference_run
-from .profile import Profiler
 from .report import (
     SpanNode,
     build_tree,
@@ -39,7 +37,6 @@ __all__ = [
     "InMemoryExporter",
     "JsonLinesExporter",
     "NOOP_SPAN",
-    "Profiler",
     "Span",
     "SpanContext",
     "SpanEvent",

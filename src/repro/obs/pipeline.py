@@ -104,8 +104,7 @@ def traced_reference_run(*, seed: int = 0, n_events: int = 200,
                          batch_mode: bool = True,
                          tracer: Tracer | None = None,
                          registry: MetricsRegistry | None = None,
-                         clock: SimClock | None = None,
-                         profiler: Any = None) -> TracedRunReport:
+                         clock: SimClock | None = None) -> TracedRunReport:
     """Run the end-to-end reference pipeline under tracing."""
     clock = clock if clock is not None else SimClock()
     tracer = tracer if tracer is not None else Tracer(clock)
@@ -133,7 +132,7 @@ def traced_reference_run(*, seed: int = 0, n_events: int = 200,
                                            tracer=tracer))
             executor = ParallelExecutor(
                 job, batch_mode=batch_mode,
-                tracer=tracer, metrics=registry, profiler=profiler)
+                tracer=tracer, metrics=registry)
             sink_buffers = executor.run(source_batch=64)
             clock.advance(n_events * _STREAM_COST_S)
         sinks = {name: list(buf.values)

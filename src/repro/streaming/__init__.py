@@ -37,18 +37,16 @@ from .errors import (
     ErrorPolicy,
     RestartBudget,
 )
-from .execution import (
-    ExecutionGraph,
-    ParallelCheckpoint,
-    ParallelExecutor,
-    PhysicalEdge,
-    PhysicalNode,
-    SinkBuffer,
-    compile_execution_graph,
-)
+from .execution import ParallelCheckpoint, ParallelExecutor, SinkBuffer
 from .graph import JobBuilder, JobGraph, SourceSpec
 from .join import IntervalJoinOperator, Joined
 from .placement import RegionPlacement, placement_from_topology
+from .plan import (
+    ExecutionGraph,
+    PhysicalEdge,
+    PhysicalNode,
+    compile_execution_graph,
+)
 from .operators import (
     FilterOperator,
     FlatMapOperator,
@@ -59,6 +57,7 @@ from .operators import (
     TimestampAssigner,
     WatermarkGenerator,
 )
+from .sources import SourceReader, Split
 from .shuffle import (
     DEFAULT_KEY_GROUPS,
     key_group_for,
@@ -68,6 +67,7 @@ from .shuffle import (
 )
 from .state import KeyedState
 from .supervisor import Supervisor, run_coordinated
+from .transport import Channel, Channels
 from .txn_sink import TransactionalLogSink, TransactionalSink
 from .window_operator import (
     LateRecord,
@@ -133,6 +133,10 @@ __all__ = [
     "ParallelCheckpoint",
     "ParallelExecutor",
     "compile_execution_graph",
+    "Split",
+    "SourceReader",
+    "Channel",
+    "Channels",
     "RegionPlacement",
     "placement_from_topology",
     "DEFAULT_KEY_GROUPS",

@@ -24,7 +24,7 @@ Three layers, separable and separately tested:
    machine, ``decide -> savepoint -> recompile -> restore``:
    stop-with-savepoint through the coordinator (a barrier-aligned
    checkpoint of the *running* job), a fresh physical plan from
-   :func:`~repro.streaming.execution.compile_execution_graph` at the new
+   :func:`~repro.streaming.plan.compile_execution_graph` at the new
    widths, and a restore of the finalized checkpoint into it.  Chaos can
    kill the supervisor at any phase (``rescale_crash`` via
    :meth:`~repro.chaos.injector.FaultInjector.before_rescale`); the
@@ -37,7 +37,7 @@ Three layers, separable and separately tested:
 When even the maximum parallelism cannot keep up, the supervisor falls
 back to the **load-shedding tier** (the render compositor's shedding
 generalized to operators): a deterministic content-hash filter at the
-source admission boundary (see ``ParallelExecutor.set_shedding``), with
+source admission boundary (see ``SourceReader.set_shedding``), with
 shed counts flowing through the existing drop-accounting path and
 rewinding with checkpoints, so exactly-once for committed records holds
 under shedding too.
@@ -596,7 +596,7 @@ class ScalingSupervisor(Supervisor):
     def _arrival_array(self, name: str) -> np.ndarray:
         arr = self._arrivals.get(name)
         if arr is None:
-            ts = self.executor.source_item_timestamps(name)
+            ts = self.executor.sources.timestamps(name)
             arr = np.sort(np.asarray(ts, dtype=np.float64))
             self._arrivals[name] = arr
         return arr
@@ -612,7 +612,7 @@ class ScalingSupervisor(Supervisor):
         for name in self.job.sources:
             arr = self._arrival_array(name)
             arrived = float(np.searchsorted(arr, now, side="right"))
-            pulled = float(self.executor.source_pulled(name))
+            pulled = float(self.executor.sources.pulled(name))
             backlog = max(0.0, arrived - pulled)
             self.metrics.gauge("source.backlog", source=name).set(backlog)
             total += backlog
@@ -651,7 +651,7 @@ class ScalingSupervisor(Supervisor):
             return
         # the executor's plans are the activation state: they rewind
         # with every restore and carry over into an adopted executor
-        active = self.executor.shed_state_snapshot()["plans"]
+        active = self.executor.sources.shed_state()["plans"]
         for name in self.job.sources:
             backlog = self.metrics.gauge("source.backlog",
                                          source=name).value
@@ -662,10 +662,11 @@ class ScalingSupervisor(Supervisor):
             projected_wait = backlog / capacity
             if name not in active \
                     and projected_wait > policy.trigger_wait_s:
-                self.executor.set_shedding(name, policy.keep, policy.mod)
+                self.executor.sources.set_shedding(name, policy.keep,
+                                                   policy.mod)
             elif name in active \
                     and projected_wait < policy.release_wait_s:
-                self.executor.clear_shedding(name)
+                self.executor.sources.clear_shedding(name)
 
     # -- the rescale state machine -------------------------------------------
 
@@ -777,7 +778,8 @@ class ScalingSupervisor(Supervisor):
         if policy is None or policy.trigger_wait_s > 0:
             return
         for name in self.job.sources:
-            self.executor.set_shedding(name, policy.keep, policy.mod)
+            self.executor.sources.set_shedding(name, policy.keep,
+                                               policy.mod)
         # checkpoint zero must carry the plans so any restore — initial
         # included — re-activates them
         self._initial = self.executor.checkpoint()

@@ -54,10 +54,6 @@ class ChainedOperator(Operator):
 
     chainable = False  # chains are built once; never re-fused
     requires_shuffle = False  # only non-keyed operators ever fuse
-    #: optional :class:`repro.obs.profile.Profiler` (duck-typed) set by
-    #: the executor — the chain times each member so per-operator wall
-    #: time survives fusion.
-    profiler: Any = None
     #: per-member error policies (logical member name ->
     #: :class:`~repro.streaming.errors.ErrorPolicy`), set by the
     #: executor when the job declares any.  Fusion must not change what
@@ -128,7 +124,6 @@ class ChainedOperator(Operator):
         )
 
     def process_batch(self, items: Iterable[StreamItem]) -> list[StreamItem]:
-        profiler = self.profiler
         guarded = self._guarded()
         pending: list[StreamItem] | Iterable[StreamItem] = items
         for op in self.operators:
@@ -138,19 +133,11 @@ class ChainedOperator(Operator):
                            if not isinstance(pending, list) else pending)
                 faults = (self.fault_source(op, pending)
                           if self.fault_source is not None else None)
-                started = (profiler.timer()
-                           if profiler is not None else 0.0)
                 pending = guard_batch(op, pending, policy,
                                       op.process_batch,
                                       self.dead_letters, faults)
-                if profiler is not None:
-                    profiler.record("op.wall_s", started, op=op.name)
-            elif profiler is None:
-                pending = op.process_batch(pending)
             else:
-                started = profiler.timer()
                 pending = op.process_batch(pending)
-                profiler.record("op.wall_s", started, op=op.name)
             if not pending:
                 return []
         return list(pending)

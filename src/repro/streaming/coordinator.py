@@ -49,7 +49,12 @@ from ..util.errors import (
     CheckpointIntegrityError,
     CoordinatorDown,
 )
-from .execution import ExecutionGraph, ParallelCheckpoint
+from .execution import ParallelCheckpoint
+from .plan import ExecutionGraph
+
+#: simulated seconds one macro cycle takes (the autoscaler's load model
+#: reads source timestamps as arrival times on the same scale)
+CYCLE_SECONDS = 1.0
 
 __all__ = [
     "CheckpointManifest",
@@ -425,7 +430,6 @@ class CheckpointCoordinator:
                  store: CheckpointStore | None = None,
                  clock: SimClock | None = None,
                  interval_cycles: int = 4,
-                 cycle_seconds: float = 1.0,
                  heartbeat_timeout_s: float = 5.0,
                  injector: Any = None,
                  metrics: Any = None) -> None:
@@ -435,7 +439,6 @@ class CheckpointCoordinator:
         self.store = store if store is not None else CheckpointStore()
         self.clock = clock if clock is not None else SimClock()
         self.interval_cycles = interval_cycles
-        self.cycle_seconds = cycle_seconds
         self.injector = injector
         self.metrics = metrics
         self.monitor = HeartbeatMonitor(self.clock,
@@ -466,7 +469,7 @@ class CheckpointCoordinator:
 
     def on_cycle_end(self, executor: Any) -> None:
         """Advance simulated time, then try to finalize."""
-        self.clock.advance(self.cycle_seconds)
+        self.clock.advance(CYCLE_SECONDS)
         self.maybe_finalize()
 
     @property
@@ -496,7 +499,7 @@ class CheckpointCoordinator:
                 "progress")
         executor = executor if executor is not None else self.executor
         cid = self.store.next_checkpoint_id()
-        positions = executor.source_positions_snapshot()
+        positions = executor.sources.positions()
         expected = {(name, idx)
                     for name in executor.graph.topo
                     for idx in range(
@@ -505,7 +508,7 @@ class CheckpointCoordinator:
             checkpoint_id=cid, started_at=self.clock.now,
             source_positions=positions, expected_subtasks=expected,
             expected_sinks=set(executor.sinks))
-        self._pending.shed_state = executor.shed_state_snapshot()
+        self._pending.shed_state = executor.sources.shed_state()
         self.store.record(CheckpointManifest(
             checkpoint_id=cid, started_at=self.clock.now,
             source_positions=positions))

@@ -1,24 +1,12 @@
-"""Logical/physical plan split: the JobGraph -> ExecutionGraph compiler
-and the parallel executor.
+"""The parallel executor: the loop that runs a compiled plan.
 
-A :class:`~repro.streaming.graph.JobGraph` is *logical*: it names
-operators and edges, not instances.  :func:`compile_execution_graph`
-lowers it to a physical :class:`ExecutionGraph` with **per-operator
-parallelism**: every logical operator becomes N subtasks, and every
-logical edge becomes one of
-
-- a **forward** channel (subtask i -> subtask i, equal parallelism),
-- a **hash shuffle** into a keyed operator (stable key -> key group ->
-  subtask, see :mod:`repro.streaming.shuffle`) with watermarks
-  broadcast to all receiving subtasks,
-- a **rebalance** (deterministic round-robin) where parallelism changes
-  on a non-keyed edge, or
-- a **merge** into a sink (sinks are single buffers).
-
-Sources are read as **splits** (the rescaling unit, analogous to topic
-partitions) range-assigned to source subtasks — eventlog-backed sources
-map partitions to splits through consumer groups
-(:func:`~repro.streaming.connectors.parallel_log_source`).
+A :class:`ParallelExecutor` *has* a plan
+(:func:`~repro.streaming.plan.compile_execution_graph`), a
+:class:`~repro.streaming.sources.SourceReader` and
+:class:`~repro.streaming.transport.Channels`; what is its own is the
+operator clones and their error-policy wiring, emit routing (forward /
+hash / rebalance / merge), the drain / barrier / snapshot cycle, the run
+loop, and ``checkpoint`` / ``restore`` as orchestration of the three.
 
 Execution is single-threaded and deterministic: subtasks are
 *modelled* concurrency.  Each subtask index is a worker lane; per-cycle
@@ -35,14 +23,7 @@ operators fused into one
 **Per-item** (``batch_mode=False``) is element-at-a-time dispatch, kept
 as the semantic reference: batched execution is bit-identical to it
 (same sink contents, same operator state and checkpoints, same
-``processed``/``emitted`` counters).  ``backpressure_events`` and
-``dropped_overflow`` are accounted per *item* in both modes; chaining
-removes the channels between fused operators, so a chained run observes
-backpressure only at chain boundaries.
-
-Multi-input subtasks align watermarks per input channel (the minimum
-across channels is forwarded — Flink's watermark valve), so a keyed
-subtask never advances event time past its slowest upstream.
+``processed``/``emitted`` counters).
 
 Checkpoints are aligned snapshots taken when quiescent.  Keyed state is
 stored **by key group**, source progress **by split**, so a checkpoint
@@ -53,45 +34,32 @@ unchanged parallelism a restore is exact — the chaos suite's
 recovered-sinks-equal-fault-free invariant holds bit-for-bit.
 
 Parallelism 1 — the default, and what every single-instance job runs
-at — compiles to all-forward edges.  A source subtask with **one live
-split** has nothing to route or merge: the split is read in arrival
-order, whatever its timestamps and values look like (a FIFO of one
-split *is* the heap merge's order), so an unsorted or opaque-valued
-in-memory source still moves as columnar slices.
+at — compiles to all-forward edges.
 
 Equivalence contract (property-tested): for key-aligned sources (same
-key, same split — the default partitioner) and allowed lateness
-covering the watermark skew between subtasks (no late drops), sinks at
-any parallelism are identical to the parallelism-1 plan *modulo
-cross-key interleaving*; per-key subsequences are bit-identical.
+key, same split — key-aligned routing) and allowed lateness covering
+the watermark skew between subtasks (no late drops), sinks at any
+parallelism are identical to the parallelism-1 plan *modulo cross-key
+interleaving*; per-key subsequences are bit-identical.
 """
 
 from __future__ import annotations
 
 import copy
-import heapq
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
-from ..util.errors import (
-    BackpressureOverflow,
-    CheckpointError,
-    JobGraphError,
-)
-from ..util.ids import split_ranges
-from .barrier import BLOCKED, COMPLETE, IGNORED, STRAGGLER, BarrierAligner
+from ..util.errors import CheckpointError, JobGraphError
+from .barrier import BLOCKED, IGNORED, STRAGGLER, BarrierAligner
 from .batch import (
     RecordBatch,
     decode_items,
     elements_of,
-    explode_items,
     item_weight,
     items_weight,
-    take_prefix,
 )
 from .chain import ChainedOperator
 from .element import CheckpointBarrier, Element, StreamItem, Watermark
@@ -99,7 +67,14 @@ from .errors import DLQ_SINK, FAIL, ErrorPolicy, guard_batch, guard_item
 from .graph import JobGraph
 from .join import IntervalJoinOperator
 from .operators import Operator
-from .txn_sink import TransactionalSink
+from .plan import (
+    FORWARD,
+    HASH,
+    MERGE,
+    REBALANCE,
+    PhysicalEdge,
+    compile_execution_graph,
+)
 from .shuffle import (
     DEFAULT_KEY_GROUPS,
     key_group_for,
@@ -107,21 +82,11 @@ from .shuffle import (
     subtask_for_key_group,
     subtasks_for_keys,
 )
+from .sources import SourceReader
+from .transport import Channel, Channels
+from .txn_sink import TransactionalSink
 
-__all__ = [
-    "SinkBuffer",
-    "PhysicalNode",
-    "PhysicalEdge",
-    "ExecutionGraph",
-    "ParallelCheckpoint",
-    "ParallelExecutor",
-    "compile_execution_graph",
-]
-
-FORWARD = "forward"
-HASH = "hash"
-REBALANCE = "rebalance"
-MERGE = "merge"  # into a sink
+__all__ = ["SinkBuffer", "ParallelCheckpoint", "ParallelExecutor"]
 
 
 @dataclass
@@ -137,252 +102,6 @@ class SinkBuffer:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-
-@dataclass(frozen=True)
-class PhysicalEdge:
-    """One physical channel group between execution nodes."""
-
-    up: str
-    down: str
-    side: str | None
-    mode: str  # forward | hash | rebalance | merge
-    #: endpoints placed in different regions; must have been declared on
-    #: the job graph (cross-region edges are never inferred)
-    cross_region: bool = False
-    #: one-way inter-region link latency charged per delivered packet
-    link_cost_s: float = 0.0
-
-
-@dataclass
-class PhysicalNode:
-    """A logical execution node (operator or fused chain) times N."""
-
-    name: str
-    members: list[str]  # logical operator names (len > 1 for chains)
-    parallelism: int
-    keyed: bool
-    #: region this node's subtasks are pinned to (None: no placement)
-    region: str | None = None
-
-
-@dataclass
-class ExecutionGraph:
-    """The physical plan: nodes with parallelism, typed edges, splits."""
-
-    job: JobGraph
-    num_key_groups: int
-    nodes: dict[str, PhysicalNode]
-    edges: list[PhysicalEdge]
-    topo: list[str]  # execution-node order (operators only)
-    source_parallelism: dict[str, int]
-    source_splits: dict[str, int]
-    rename: dict[str, str]  # logical node -> execution node
-    #: the region placement this plan was compiled under (None: flat)
-    placement: Any = None
-    #: logical node -> region, resolved at compile time (empty: flat)
-    node_regions: dict[str, str] = field(default_factory=dict)
-
-    def max_parallelism(self) -> int:
-        widths = [n.parallelism for n in self.nodes.values()]
-        widths += list(self.source_parallelism.values())
-        return max(widths, default=1)
-
-    def cross_region_edges(self) -> list[PhysicalEdge]:
-        return [e for e in self.edges if e.cross_region]
-
-    def describe(self) -> str:
-        """Human-readable plan, one line per node/edge (debug aid)."""
-        lines = [f"plan for job {self.job.name!r} "
-                 f"(key groups: {self.num_key_groups})"]
-        for name, p in sorted(self.source_parallelism.items()):
-            where = (f" @{self.node_regions[name]}"
-                     if name in self.node_regions else "")
-            lines.append(f"  source {name} x{p} "
-                         f"({self.source_splits[name]} splits){where}")
-        for name in self.topo:
-            node = self.nodes[name]
-            kind = "keyed" if node.keyed else "stateless"
-            where = f" @{node.region}" if node.region is not None else ""
-            lines.append(f"  op {name} x{node.parallelism} ({kind}){where}")
-        for e in self.edges:
-            tag = f" [{e.side}]" if e.side else ""
-            cross = (f" x-region +{e.link_cost_s * 1e3:.0f}ms"
-                     if e.cross_region else "")
-            lines.append(f"  edge {e.up} -> {e.down}{tag}: {e.mode}{cross}")
-        return "\n".join(lines)
-
-
-def _parallelism_of(parallelism: int | dict[str, int], node: str) -> int:
-    if isinstance(parallelism, int):
-        return parallelism
-    return int(parallelism.get(node, parallelism.get("default", 1)))
-
-
-def _fusible_runs(job: JobGraph, p_of: Any,
-                  reg: Any) -> dict[str, list[str]]:
-    """Find maximal fusible runs: consecutive chainable operators linked
-    by an untagged edge where the upstream has exactly one downstream,
-    the downstream exactly one upstream, and both run at the same
-    parallelism in the same region (a width or region change is always
-    a channel).  Returns head -> member names."""
-    out_degree: dict[str, int] = {}
-    in_degree: dict[str, int] = {}
-    for up, down, _side in job.edges:
-        out_degree[up] = out_degree.get(up, 0) + 1
-        in_degree[down] = in_degree.get(down, 0) + 1
-    links: dict[str, str] = {}
-    for up, down, side in job.edges:
-        if side is not None:
-            continue
-        if up not in job.operators or down not in job.operators:
-            continue
-        if not (job.operators[up].chainable and job.operators[down].chainable):
-            continue
-        if out_degree[up] != 1 or in_degree[down] != 1:
-            continue
-        if p_of(up) != p_of(down) or reg(up) != reg(down):
-            continue
-        links[up] = down
-    linked_to = set(links.values())
-    chains: dict[str, list[str]] = {}
-    for head in links:
-        if head in linked_to:
-            continue
-        run = [head]
-        while run[-1] in links:
-            run.append(links[run[-1]])
-        chains[head] = run
-    return chains
-
-
-def compile_execution_graph(job: JobGraph,
-                            parallelism: int | dict[str, int] = 1,
-                            *, num_key_groups: int = DEFAULT_KEY_GROUPS,
-                            chaining: bool = True,
-                            placement: Any = None) -> ExecutionGraph:
-    """Lower a logical job graph to a physical execution graph.
-
-    ``parallelism`` is either one width for every node or a per-node
-    dict (``{"default": 2, "window_sum": 4}``); sources take their
-    width from the same mapping.  Chains only fuse operators of equal
-    parallelism, so a parallelism change is always a channel — exactly
-    like a shuffle.
-
-    ``placement`` (a :class:`~repro.streaming.placement.RegionPlacement`)
-    adds region affinity: placement pins override the job's own region
-    pins, operators in different regions never fuse, and every edge the
-    placement stretches across regions must have been declared via
-    :meth:`~repro.streaming.graph.JobBuilder.declare_cross_region` —
-    such edges carry the inter-region link cost into the runtime's
-    modelled makespan.  A job with region pins and no placement is
-    compiled under an implicit default placement.
-    """
-    job.validate()
-    if placement is None and job.regions:
-        from .placement import RegionPlacement
-        placement = RegionPlacement()
-    node_regions: dict[str, str] = {}
-    if placement is not None:
-        merged = {**job.regions, **dict(placement.regions)}
-        all_nodes = (list(job.sources) + list(job.operators)
-                     + list(job.sinks))
-        node_regions = {
-            n: merged.get(n, placement.default_region) for n in all_nodes
-        }
-    reg = node_regions.get
-    p_of = lambda n: _parallelism_of(parallelism, n)  # noqa: E731
-    for name in list(job.operators) + list(job.sources):
-        if p_of(name) < 1:
-            raise JobGraphError(f"node {name!r} has parallelism "
-                                f"{p_of(name)} < 1")
-    for name, op in job.operators.items():
-        if op.requires_shuffle and p_of(name) > num_key_groups:
-            raise JobGraphError(
-                f"keyed operator {name!r} parallelism {p_of(name)} exceeds "
-                f"num_key_groups {num_key_groups}")
-
-    chains = _fusible_runs(job, p_of, reg) if chaining else {}
-    rename: dict[str, str] = {}
-    nodes: dict[str, PhysicalNode] = {}
-    in_chain: set[str] = set()
-    for head, members in chains.items():
-        name = "chain(" + "+".join(members) + ")"
-        nodes[name] = PhysicalNode(name=name, members=list(members),
-                                   parallelism=p_of(head), keyed=False,
-                                   region=reg(head))
-        for m in members:
-            rename[m] = name
-            in_chain.add(m)
-    for name, op in job.operators.items():
-        if name not in in_chain:
-            nodes[name] = PhysicalNode(
-                name=name, members=[name], parallelism=p_of(name),
-                keyed=bool(op.requires_shuffle), region=reg(name))
-            rename[name] = name
-
-    source_parallelism: dict[str, int] = {}
-    source_splits: dict[str, int] = {}
-    for name, spec in job.sources.items():
-        p = p_of(name)
-        n_splits = spec.splits if spec.splits is not None else p
-        if p > n_splits:
-            raise JobGraphError(
-                f"source {name!r} parallelism {p} exceeds its "
-                f"{n_splits} splits")
-        source_parallelism[name] = p
-        source_splits[name] = n_splits
-        rename[name] = name
-
-    def _up_parallelism(up: str) -> int:
-        if up in source_parallelism:
-            return source_parallelism[up]
-        return nodes[rename[up]].parallelism
-
-    edges: list[PhysicalEdge] = []
-    seen_edges: set[tuple[str, str, str | None]] = set()
-    for up, down, side in job.edges:
-        new_up = rename.get(up, up)
-        new_down = rename.get(down, down)
-        if new_up == new_down:  # edge internal to a chain
-            continue
-        cross = (placement is not None
-                 and node_regions[up] != node_regions[down])
-        if cross and (up, down) not in job.cross_region_edges:
-            raise JobGraphError(
-                f"edge {up!r} -> {down!r} crosses regions "
-                f"{node_regions[up]!r} -> {node_regions[down]!r} but was "
-                "never declared cross-region; declare it with "
-                "declare_cross_region() or co-locate the nodes")
-        if (new_up, new_down, side) in seen_edges:
-            continue
-        seen_edges.add((new_up, new_down, side))
-        if down in job.sinks:
-            mode = MERGE
-        elif nodes[new_down].keyed:
-            mode = HASH
-        elif _up_parallelism(up) == nodes[new_down].parallelism:
-            mode = FORWARD
-        else:
-            mode = REBALANCE
-        cost = (placement.link_cost_s(node_regions[up], node_regions[down])
-                if cross else 0.0)
-        edges.append(PhysicalEdge(up=new_up, down=new_down, side=side,
-                                  mode=mode, cross_region=cross,
-                                  link_cost_s=cost))
-
-    seen: set[str] = set()
-    topo: list[str] = []
-    for name in job.topological_operators():
-        exec_name = rename[name]
-        if exec_name not in seen:
-            seen.add(exec_name)
-            topo.append(exec_name)
-    return ExecutionGraph(job=job, num_key_groups=num_key_groups,
-                          nodes=nodes, edges=edges, topo=topo,
-                          source_parallelism=source_parallelism,
-                          source_splits=source_splits, rename=rename,
-                          placement=placement, node_regions=node_regions)
 
 
 @dataclass
@@ -422,33 +141,6 @@ class ParallelCheckpoint:
     data_counts: dict[str, int] = field(default_factory=dict)
 
 
-class _BatchSplit(Sequence):
-    """A split buffer that is still the columnar batch it arrived as.
-
-    Length, timestamps and columnar pulls read the batch; anything that
-    needs the split item by item (the heap merge over an unsorted or
-    opaque-valued split) decodes it lazily, once.
-    """
-
-    __slots__ = ("batch", "_elements")
-
-    def __init__(self, batch: RecordBatch) -> None:
-        self.batch = batch
-        self._elements: list[Element] | None = None
-
-    @property
-    def decoded(self) -> bool:
-        return self._elements is not None
-
-    def __len__(self) -> int:
-        return len(self.batch)
-
-    def __getitem__(self, i: Any) -> Any:
-        if self._elements is None:
-            self._elements = self.batch.to_elements()
-        return self._elements[i]
-
-
 class ParallelExecutor:
     """Runs a physical plan: N subtasks per operator, keyed shuffles,
     per-subtask checkpoints, deterministic single-threaded execution.
@@ -466,18 +158,14 @@ class ParallelExecutor:
                  drop_on_overflow: bool = False, batch_mode: bool = True,
                  injector: Any = None,
                  tracer: Any = None, metrics: Any = None,
-                 profiler: Any = None,
                  transactional_sinks: bool = False,
                  unaligned_after: int | None = None,
                  placement: Any = None) -> None:
         self.graph = compile_execution_graph(
             job, parallelism, num_key_groups=num_key_groups,
             chaining=batch_mode, placement=placement)
-        self.placement = self.graph.placement
         self.job = job
         self.num_key_groups = num_key_groups
-        self.channel_capacity = channel_capacity
-        self.drop_on_overflow = drop_on_overflow
         #: batched execution is columnar: sources encode splits as
         #: RecordBatches and shuffles/merges stay vectorized,
         #: bit-identical to the per-item reference (``batch_mode=False``)
@@ -485,26 +173,22 @@ class ParallelExecutor:
         self.injector = injector
         self.tracer = tracer
         self.metrics = metrics
-        self.profiler = profiler
         self.transactional_sinks = transactional_sinks
         #: give up barrier alignment after this many macro cycles and
         #: spill in-flight items instead (None = align forever)
         self.unaligned_after = unaligned_after
-        self.backpressure_events = 0
-        self.dropped_overflow = 0
+        self.sources = SourceReader(job, self.graph, batch_mode=batch_mode,
+                                    metrics=metrics)
+        self.channels = Channels(
+            self.graph, capacity=channel_capacity,
+            drop_on_overflow=drop_on_overflow, batch_mode=batch_mode,
+            injector=injector, metrics=metrics)
         #: cross-region traffic accounting: packets that traversed an
         #: inter-region link and the modelled latency they paid
         self.cross_region_packets = 0
         self.cross_region_transfer_s = 0.0
-        #: elements dropped by the load-shedding tier (a subset of
-        #: ``dropped_overflow``: shed counts flow through the same
-        #: drop-accounting total the equivalence suites reconcile)
-        self.shed_elements = 0
-        self._shed: dict[str, tuple[int, int, int]] = {}
-        self._shed_by_source: dict[str, int] = {}
-        #: event-time frontiers for the live watermark-lag gauge:
-        #: max timestamp pulled from any source / delivered per sink
-        self._source_frontier = float("-inf")
+        #: newest event timestamp delivered per sink (with the source
+        #: frontier, the live watermark-lag gauge)
         self._sink_frontier: dict[str, float] = {}
         self._gauge_cache: dict[str, Any] | None = None
         self._checkpoint_seq = 0
@@ -514,51 +198,45 @@ class ParallelExecutor:
         self._coordinator: Any = None
         self._aligners: dict[tuple[str, int], BarrierAligner] = {}
         self._stalled_now: set[tuple[str, int]] = set()
-        #: in-flight faulted packets: (release_cycle, key, sender, seq, items)
-        self._held: list[tuple[int, tuple, tuple, int, list]] = []
-        #: reliable-transport state per (channel key, sender)
-        self._send_seq: dict[tuple, int] = {}
-        self._recv_seq: dict[tuple, int] = {}
-        self._ooo: dict[tuple, dict[int, list]] = {}
-        self._cycle = 0
         self._build_physical_ops()
-        self._build_channels()
+        #: out-edges by upstream node, and the round-robin cursors of
+        #: the rebalance edges among them: (edge_idx, up_idx) -> cursor
+        self._down: dict[str, list[tuple[int, PhysicalEdge]]] = {}
+        for edge_idx, edge in enumerate(self.graph.edges):
+            self._down.setdefault(edge.up, []).append((edge_idx, edge))
+        self._rr: dict[tuple[int, int], int] = {}
+        #: parallelism -> (key_dict, per-code subtask map) for the
+        #: vectorized hash shuffle (single entry per width: bounded)
+        self._hash_sub_cache: dict[int, tuple[list, np.ndarray]] = {}
         if transactional_sinks:
             self.sinks: dict[str, Any] = {
-                s: TransactionalSink(s, self._sink_feeders(s))
+                s: TransactionalSink(s, self.graph.sink_feeders(s))
                 for s in job.sinks
             }
         else:
             self.sinks = {s: SinkBuffer(s) for s in job.sinks}
         self._wire_error_policies()
-        # -- sources: split buffers + positions ---------------------------
-        self._split_buffers: dict[str, dict[int, Sequence[Element]]] = {}
-        self._split_positions: dict[str, dict[int, int]] = {}
-        #: columnar split encodings (one shared key dictionary per
-        #: source) and per-split "timestamps nondecreasing" flags; a
-        #: split holding markers or opaque values maps to None and the
-        #: subtask falls back to the heap merge.
-        self._split_batches: dict[str, dict[int, RecordBatch | None]] = {}
-        self._split_sorted: dict[str, dict[int, bool]] = {}
-        #: (source, subtask) -> pre-merged pull plan (built lazily,
-        #: dropped on restore — positions define the remaining suffix)
-        self._merge_cache: dict[tuple[str, int], dict[str, Any]] = {}
-        #: parallelism -> (key_dict, per-code subtask map) for the
-        #: vectorized hash shuffle (single entry per width: bounded)
-        self._hash_sub_cache: dict[int, tuple[list, np.ndarray]] = {}
-        self._finished_splits: dict[str, set[int]] = {
-            name: set() for name in job.sources
-        }
-        self._source_assignment: dict[str, list[range]] = {
-            name: split_ranges(self.graph.source_splits[name],
-                               self.graph.source_parallelism[name])
-            for name in job.sources
-        }
         # -- modelled concurrency: one worker lane per subtask index ------
         lanes = self.graph.max_parallelism()
         self.lane_busy_s = [0.0] * lanes
         self._lane_cycle = [0.0] * lanes
         self.modeled_makespan_s = 0.0
+
+    # -- the three public counters -------------------------------------------
+
+    @property
+    def backpressure_events(self) -> int:
+        return self.channels.backpressure_events
+
+    @property
+    def dropped_overflow(self) -> int:
+        """Items dropped before processing: channel overflow plus the
+        shed tier (one total for the equivalence suites to reconcile)."""
+        return self.channels.dropped + self.sources.shed_elements
+
+    @property
+    def shed_elements(self) -> int:
+        return self.sources.shed_elements
 
     # -- plan materialization ------------------------------------------------
 
@@ -588,57 +266,8 @@ class ParallelExecutor:
                     op: Operator = member_clones[0]
                 else:
                     op = ChainedOperator(member_clones)
-                    op.profiler = self.profiler
                 subtasks.append(op)
             self._ops[name] = subtasks
-
-    def _build_channels(self) -> None:
-        """One bounded FIFO per (receiver subtask, side, sender subtask),
-        plus per-channel watermark tracking for alignment."""
-        #: (down, idx, side) -> {(up, up_idx): deque}
-        self._channels: dict[tuple[str, int, str | None],
-                             dict[tuple[str, int], deque]] = {}
-        #: (down, idx, side) -> {(up, up_idx): watermark}
-        self._channel_wm: dict[tuple[str, int, str | None],
-                               dict[tuple[str, int], float]] = {}
-        #: (down, idx, side) -> last aligned watermark delivered
-        self._aligned_wm: dict[tuple[str, int, str | None], float] = {}
-        #: round-robin cursors for rebalance edges: (edge_idx, up_idx)
-        self._rr: dict[tuple[int, int], int] = {}
-        self._down: dict[str, list[tuple[int, PhysicalEdge]]] = {}
-        for edge_idx, edge in enumerate(self.graph.edges):
-            self._down.setdefault(edge.up, []).append((edge_idx, edge))
-            if edge.mode == MERGE:
-                continue
-            p_up = self._node_parallelism(edge.up)
-            p_down = self.graph.nodes[edge.down].parallelism
-            for j in range(p_down):
-                key = (edge.down, j, edge.side)
-                chans = self._channels.setdefault(key, {})
-                wms = self._channel_wm.setdefault(key, {})
-                self._aligned_wm.setdefault(key, float("-inf"))
-                if edge.mode == FORWARD:
-                    senders = [j]
-                else:  # hash / rebalance: every upstream subtask connects
-                    senders = list(range(p_up))
-                for i in senders:
-                    chans[(edge.up, i)] = deque()
-                    wms[(edge.up, i)] = float("-inf")
-
-    def _node_parallelism(self, name: str) -> int:
-        if name in self.graph.source_parallelism:
-            return self.graph.source_parallelism[name]
-        return self.graph.nodes[name].parallelism
-
-    def _sink_feeders(self, sink: str) -> tuple[tuple[str, int], ...]:
-        """Every (upstream node, subtask) merging into one sink — the
-        participants whose barriers gate the sink's 2PC pre-commit."""
-        feeders: list[tuple[str, int]] = []
-        for edge in self.graph.edges:
-            if edge.mode == MERGE and edge.down == sink:
-                for i in range(self._node_parallelism(edge.up)):
-                    feeders.append((edge.up, i))
-        return tuple(feeders)
 
     def _wire_error_policies(self) -> None:
         """Precompute per-node error-policy enforcement and create the
@@ -690,30 +319,15 @@ class ParallelExecutor:
             else:
                 self.sinks[DLQ_SINK] = SinkBuffer(DLQ_SINK)
 
-    def _guarded_process(self, op, policy):
-        """A ``process_batch`` replacement enforcing ``policy`` (and any
-        injected data faults) on every batch through ``op``."""
-        def process(batch):
+    def _guarded(self, op, policy, process, handler):
+        """``process`` (a batch kernel of ``op``; ``handler`` its
+        per-item twin) under ``policy`` and any injected data faults."""
+        def guarded(batch):
             faults = (self.injector.data_directives(op, batch)
                       if self._data_chaos else None)
-            return guard_batch(op, batch, policy, op.process_batch,
-                               self._dead_letters, faults)
-        return process
-
-    def _guarded_side_process(self, op, policy, side):
-        """Like :meth:`_guarded_process` for one side of a join."""
-        handler = lambda it, _s=side: (  # noqa: E731
-            op.on_watermark_side(_s, it) if isinstance(it, Watermark)
-            else op.process_side(_s, it))
-
-        def process(batch):
-            faults = (self.injector.data_directives(op, batch)
-                      if self._data_chaos else None)
-            return guard_batch(
-                op, batch, policy,
-                lambda items, _s=side: op.process_side_batch(_s, items),
-                self._dead_letters, faults, handler=handler)
-        return process
+            return guard_batch(op, batch, policy, process,
+                               self._dead_letters, faults, handler)
+        return guarded
 
     def _emit_dead_letters(self, name: str, idx: int) -> None:
         """Route dead letters collected while subtask (name, idx) was
@@ -744,29 +358,16 @@ class ParallelExecutor:
         self._coordinator = coordinator
         if not self._aligners:
             for name in self.graph.topo:
-                node = self.graph.nodes[name]
-                join = isinstance(self._ops[name][0], IntervalJoinOperator)
-                sides = ("left", "right") if join else (None,)
-                for idx in range(node.parallelism):
+                for idx in range(self.graph.nodes[name].parallelism):
                     channels = [
                         (side, up, up_idx)
-                        for side in sides
-                        for (up, up_idx) in self._channels.get(
-                            (name, idx, side), {})
+                        for side in self._sides(name)
+                        for (up, up_idx) in self.channels.inputs.get(
+                            (name, idx, side), ())
                     ]
                     self._aligners[(name, idx)] = BarrierAligner(
                         tuple(channels),
                         unaligned_after=self.unaligned_after)
-
-    def source_positions_snapshot(self) -> dict[str, dict[int, int]]:
-        """Current per-split read positions (the coordinator records
-        these at barrier injection: they are the checkpoint's cut).  A
-        source not read yet stands at position 0 on every split and is
-        not read for the asking, so a checkpoint taken before the first
-        pull is a valid restart-from-scratch restore point."""
-        return {name: dict(self._split_positions.get(name)
-                           or dict.fromkeys(range(n), 0))
-                for name, n in self.graph.source_splits.items()}
 
     def inject_barriers(self, checkpoint_id: int) -> None:
         """Emit barrier N from every source subtask — including subtasks
@@ -774,7 +375,7 @@ class ParallelExecutor:
         carries the marker and alignment can complete."""
         barrier = CheckpointBarrier(checkpoint_id)
         for name in sorted(self.job.sources):
-            self._materialize_source(name)
+            self.sources.open(name)
             for idx in range(self.graph.source_parallelism[name]):
                 self._emit(name, idx, [barrier])
                 self._capture_rr(name, idx)
@@ -793,14 +394,8 @@ class ParallelExecutor:
     def drain_for_coordinator(self) -> int:
         """One macro drain (no source pull): lets the coordinator flow a
         final barrier through an already-exhausted job."""
-        self._release_held()
-        moved = self._drain_cycle()
-        while self._drain_cycle():
-            pass
-        self._tick_aligners()
-        self._end_cycle()
-        self._cycle += 1
-        return moved
+        self.channels.release_held()
+        return self._drain()
 
     def on_checkpoint_finalized(self, checkpoint_id: int,
                                 duration_s: float) -> None:
@@ -809,522 +404,24 @@ class ParallelExecutor:
             self._job_span.add_event("checkpoint.finalized",
                                      checkpoint_id=checkpoint_id,
                                      duration_s=duration_s)
-        if self.profiler is not None:
-            self.profiler.record("coordinator.checkpoint_s",
-                                 self.profiler.timer() - duration_s)
 
     # -- sources -------------------------------------------------------------
 
-    def _materialize_source(self, name: str) -> dict[int, Sequence[Element]]:
-        """Read a source into per-split buffers on first touch, so
-        checkpoint/restore can rewind by position (log-backed sources
-        rewind by offset underneath).  Reading is what may hit a broker
-        fault, so ``checkpoint`` never gets here: the first touch
-        belongs to ``run`` or ``restore``, inside the supervisor's
-        failure ladder."""
-        if name in self._split_buffers:
-            return self._split_buffers[name]
-        spec = self.job.sources[name]
-        n_splits = self.graph.source_splits[name]
-        if spec.split_factory is not None:
-            per_split: Iterable = (spec.split_factory(s, n_splits)
-                                   for s in range(n_splits))
-        elif n_splits == 1:
-            # One split has nothing to route: the source's own order is
-            # the split's order.
-            per_split = [spec.iterate()]
-        else:
-            per_split = self._route_to_splits(spec, n_splits)
-        buffers: dict[int, Any] = {}
-        for s, items in enumerate(per_split):
-            if not isinstance(items, list):
-                items = list(items)
-            if self.batch_mode and items and all(
-                    type(it) is RecordBatch and it.wm_offsets is None
-                    for it in items):
-                # A columnar connector's batches stay columns;
-                # _columnarize_source wraps them in a _BatchSplit.
-                buffers[s] = [rb for rb in items if len(rb)]
-            else:
-                buffers[s] = decode_items(items)
-        self._split_buffers[name] = buffers
-        positions = self._split_positions.setdefault(name, {})
-        for s in range(n_splits):
-            positions.setdefault(s, 0)
-        if self.batch_mode:
-            self._columnarize_source(name, buffers)
-        return buffers
-
-    @staticmethod
-    def _route_to_splits(spec: Any, n_splits: int) -> list[list]:
-        """Spread a source without a split factory over its splits."""
-        buffers: list[list] = [[] for _ in range(n_splits)]
-        for i, item in enumerate(decode_items(spec.iterate())):
-            if isinstance(item, Watermark):
-                # A watermark in a source stream asserts event-time
-                # progress for the whole source: broadcast.
-                for buf in buffers:
-                    buf.append(item)
-            elif spec.partitioner is not None:
-                buffers[spec.partitioner(item, n_splits)].append(item)
-            elif item.key is not None:
-                # Key-aligned split: same key, same split — the
-                # precondition for per-key order preservation.
-                buffers[key_group_for(item.key, n_splits)].append(item)
-            else:
-                buffers[i % n_splits].append(item)
-        return buffers
-
-    def _columnarize_source(self, name: str, buffers: dict[int, Any]) -> None:
-        """Encode each split as a RecordBatch sharing one key dictionary
-        across the whole source, so a subtask merging several splits can
-        gather codes into one batch without re-encoding keys.  A split
-        that arrived as batches is spliced under that dictionary, never
-        decoded, and its buffer becomes a :class:`_BatchSplit` over the
-        result."""
-        key_index: dict = {}
-        key_dict: list = []
-        batches: dict[int, RecordBatch | None] = {}
-        sorted_flags: dict[int, bool] = {}
-        for s, buf in sorted(buffers.items()):
-            if buf and type(buf[0]) is RecordBatch:
-                rb = RecordBatch.splice(buf, key_index, key_dict)
-                buffers[s] = _BatchSplit(rb)
-            elif buf and all(type(it) is Element for it in buf):
-                rb = RecordBatch.from_elements(buf, key_index, key_dict)
-            else:
-                batches[s] = None
-                sorted_flags[s] = False
-                continue
-            batches[s] = rb
-            ts = rb.timestamps
-            sorted_flags[s] = bool(np.all(ts[1:] >= ts[:-1]))
-        self._split_batches[name] = batches
-        self._split_sorted[name] = sorted_flags
-
     def _pull_sources(self, batch: int) -> int:
         pulled = 0
-        batched = self.batch_mode
+        sources = self.sources
         for name in sorted(self.job.sources):
-            buffers = self._materialize_source(name)
-            positions = self._split_positions[name]
-            finished = self._finished_splits[name]
-            shed_plan = self._shed.get(name)
-            for idx, splits in enumerate(self._source_assignment[name]):
+            sources.open(name)  # the read is nobody's lane time
+            for idx in range(self.graph.source_parallelism[name]):
                 started = time.perf_counter()
-                taken = (self._take_merged_columnar(name, idx, splits,
-                                                    batch)
-                         if batched else None)
-                if taken is None:
-                    taken = self._take_merged(buffers, positions, finished,
-                                              splits, batch)
-                    if taken:
-                        pulled += len(taken)
-                elif taken:
-                    pulled += items_weight(taken)
-                if taken:
-                    self._note_source_progress(taken)
-                    if shed_plan is not None:
-                        taken = self._shed_filter(name, taken, shed_plan)
+                n, taken = sources.pull(name, idx, batch)
+                pulled += n
                 if taken:
                     self._emit(name, idx, taken)
                 self._lane_cycle[idx] += time.perf_counter() - started
         return pulled
 
-    def _note_source_progress(self, taken: list[StreamItem]) -> None:
-        """Advance the source event-time frontier (merged pulls are
-        time-ordered, so the last item carries the batch maximum)."""
-        last = taken[-1]
-        ts = (float(last.timestamps[-1]) if type(last) is RecordBatch
-              else last.timestamp)
-        if ts > self._source_frontier:
-            self._source_frontier = ts
-
-    # -- load shedding ---------------------------------------------------------
-
-    #: Fibonacci-hash multiplier for the shed decision (SplitMix64 mix)
-    _SHED_MIX = 0x9E3779B97F4A7C15
-
-    @staticmethod
-    def _shed_mask(ts: np.ndarray, keep: int, mod: int,
-                   salt: int) -> np.ndarray:
-        """Keep-mask over element timestamps.  The decision hashes the
-        raw float64 timestamp bits, so it depends only on element
-        *content* — never on read positions or batch boundaries.  That
-        makes shedding crash-consistent: a replay after restore sheds
-        exactly the same elements, in every execution mode."""
-        bits = np.ascontiguousarray(ts, dtype=np.float64).view(np.uint64)
-        h = (bits ^ np.uint64(salt)) * np.uint64(ParallelExecutor._SHED_MIX)
-        h ^= h >> np.uint64(31)
-        return (h % np.uint64(mod)) < np.uint64(keep)
-
-    def set_shedding(self, source: str, keep: int, mod: int, *,
-                     salt: int = 0) -> None:
-        """Activate the load-shedding tier on one source: admit a
-        deterministic ``keep/mod`` fraction of its elements and drop the
-        rest at the pull boundary (before they enter any channel or
-        operator).  Shed elements are counted in ``shed_elements`` and
-        ``dropped_overflow`` — the existing drop-accounting path — and
-        never reach operators or sinks, so exactly-once for *committed*
-        records is preserved by construction."""
-        if source not in self.job.sources:
-            raise JobGraphError(f"unknown source {source!r}")
-        if mod < 1 or not 0 <= keep <= mod:
-            raise JobGraphError(
-                f"shed ratio needs 0 <= keep <= mod, got {keep}/{mod}")
-        if keep == mod:
-            self._shed.pop(source, None)
-        else:
-            self._shed[source] = (int(keep), int(mod), int(salt))
-
-    def clear_shedding(self, source: str) -> None:
-        """Deactivate shedding on one source (already-shed counts stay)."""
-        self._shed.pop(source, None)
-
-    def _shed_filter(self, name: str, taken: list[StreamItem],
-                     plan: tuple[int, int, int]) -> list[StreamItem]:
-        keep, mod, salt = plan
-        shed = 0
-        out: list[StreamItem] = []
-        if type(taken[0]) is RecordBatch:
-            for rb in taken:
-                mask = self._shed_mask(rb.timestamps, keep, mod, salt)
-                kept = int(mask.sum())
-                if kept == len(rb):
-                    out.append(rb)
-                    continue
-                shed += len(rb) - kept
-                if kept:
-                    out.append(rb.compress(mask))
-        else:
-            # Progress markers (watermarks) always pass; elements run
-            # through the same vectorized mask as the columnar path so
-            # the shed *set* is bit-identical across modes.
-            elems = [(i, it) for i, it in enumerate(taken)
-                     if type(it) is Element]
-            if not elems:
-                return taken
-            ts = np.fromiter((it.timestamp for _, it in elems),
-                             dtype=np.float64, count=len(elems))
-            mask = self._shed_mask(ts, keep, mod, salt)
-            if bool(mask.all()):
-                return taken
-            dropped = {elems[j][0] for j in range(len(elems))
-                       if not mask[j]}
-            shed = len(dropped)
-            out = [it for i, it in enumerate(taken) if i not in dropped]
-        if shed:
-            self.shed_elements += shed
-            self.dropped_overflow += shed
-            self._shed_by_source[name] = \
-                self._shed_by_source.get(name, 0) + shed
-            if self.metrics is not None:
-                self.metrics.counter("source.shed", source=name).inc(shed)
-        return out
-
-    def shed_state_snapshot(self) -> dict[str, Any]:
-        """Shed-tier state for a checkpoint: active plans + per-source
-        shed counts at the cut (see ``ParallelCheckpoint.shed_state``)."""
-        return {"plans": {k: list(v) for k, v in self._shed.items()},
-                "shed": dict(self._shed_by_source)}
-
-    def apply_shed_state(self, state: dict[str, Any],
-                         sources: Iterable[str]) -> None:
-        """Restore shed plans and rewind shed counters of ``sources``
-        (all of them, or a recovering region's) to a checkpoint's cut.
-        Counter rewinds adjust ``dropped_overflow`` by the same delta,
-        so overflow-drop accounting is untouched."""
-        if not state:
-            return  # pre-shed-tier checkpoint: nothing to rewind
-        plans = {k: tuple(v) for k, v in state.get("plans", {}).items()}
-        counts = state.get("shed", {})
-        for name in sources:
-            if name in plans:
-                self._shed[name] = plans[name]  # type: ignore[assignment]
-            else:
-                self._shed.pop(name, None)
-            snap = int(counts.get(name, 0))
-            cur = self._shed_by_source.get(name, 0)
-            if snap != cur:
-                self.dropped_overflow = max(
-                    0, self.dropped_overflow + snap - cur)
-                self.shed_elements += snap - cur
-                self._shed_by_source[name] = snap
-
-    @staticmethod
-    def _take_merged(buffers: dict[int, Sequence[Element]],
-                     positions: dict[int, int], finished: set[int],
-                     splits: range, batch: int) -> list[StreamItem]:
-        """Pull up to ``batch`` items from one subtask's splits, merged
-        by event timestamp — per-split order is preserved and the merged
-        stream is as time-ordered as the splits are, so a subtask owning
-        several splits does not manufacture out-of-orderness beyond what
-        the data carries (the per-partition-watermark analogue; without
-        the merge, chunked round-robin over skewed splits makes a single
-        watermark generator drop everything from the lagging split)."""
-        heap: list[tuple[float, int]] = []
-        for s in splits:
-            if s in finished:
-                continue
-            if positions[s] >= len(buffers[s]):  # empty or fully consumed
-                finished.add(s)
-                continue
-            item = buffers[s][positions[s]]
-            heapq.heappush(heap, (item.timestamp, s))
-        taken: list[StreamItem] = []
-        while heap and len(taken) < batch:
-            _ts, s = heapq.heappop(heap)
-            pos = positions[s]
-            taken.append(buffers[s][pos])
-            positions[s] = pos + 1
-            if pos + 1 < len(buffers[s]):
-                heapq.heappush(heap, (buffers[s][pos + 1].timestamp, s))
-            else:
-                finished.add(s)
-        return taken
-
-    def _merge_plan(self, name: str, idx: int,
-                    splits: range) -> dict[str, Any] | None:
-        """Pre-merged pull plan for one source subtask: the remaining
-        suffixes of its columnar splits, globally ordered by
-        ``lexsort((split_id, timestamp))`` — provably the heap merge's
-        order when per-split timestamps are nondecreasing (the heap pops
-        by (ts, split) and per-split FIFO order is preserved by the
-        stable sort).  Each pull is then a zero-copy slice.  A subtask
-        with a single live split needs no merge at all: that split is
-        pulled in its own order, sorted and numeric or not.  Returns
-        None (heap fallback) when a live split holds markers, or when
-        several are live and one has opaque values or out-of-order
-        timestamps."""
-        key = (name, idx)
-        plan = self._merge_cache.get(key)
-        if plan is not None:
-            return plan
-        batches = self._split_batches.get(name)
-        if batches is None:
-            return None
-        sorted_flags = self._split_sorted[name]
-        positions = self._split_positions[name]
-        buffers = self._split_buffers[name]
-        live = [s for s in splits if positions[s] < len(buffers[s])]
-        if any(batches.get(s) is None for s in live):
-            return None
-        if len(live) > 1 and not all(
-                sorted_flags[s] and isinstance(batches[s].values, np.ndarray)
-                for s in live):
-            return None
-        if len(live) == 1:
-            s = live[0]
-            rb = batches[s]
-            plan = {"merged": rb.slice(positions[s], len(rb)),
-                    "sids": None, "split": s, "cursor": 0}
-        elif live:
-            ts_parts, val_parts, code_parts, sid_parts = [], [], [], []
-            kd: list | None = None
-            for s in live:
-                rb = batches[s]
-                pos = positions[s]
-                ts_parts.append(rb.timestamps[pos:])
-                val_parts.append(rb.values[pos:])
-                code_parts.append(rb.key_codes[pos:])
-                sid_parts.append(np.full(len(rb) - pos, s, dtype=np.int64))
-                kd = rb.key_dict
-            ts_all = np.concatenate(ts_parts)
-            sid_all = np.concatenate(sid_parts)
-            order = np.lexsort((sid_all, ts_all))
-            merged = RecordBatch(
-                ts_all[order], np.concatenate(val_parts)[order],
-                py_values=True,
-                key_codes=np.concatenate(code_parts)[order], key_dict=kd)
-            plan = {"merged": merged, "sids": sid_all[order],
-                    "split": None, "cursor": 0}
-        else:
-            plan = {"merged": None, "sids": None, "split": None,
-                    "cursor": 0}
-        plan["total"] = 0 if plan["merged"] is None \
-            else len(plan["merged"])
-        self._merge_cache[key] = plan
-        return plan
-
-    def _take_merged_columnar(self, name: str, idx: int, splits: range,
-                              batch: int) -> list | None:
-        """Columnar twin of :meth:`_take_merged`: slice the pre-merged
-        plan and advance per-split positions by how many of the pulled
-        rows each split contributed (so checkpointed offsets stay
-        mode-independent).  Returns None to fall back to the heap."""
-        plan = self._merge_plan(name, idx, splits)
-        if plan is None:
-            return None
-        positions = self._split_positions[name]
-        finished = self._finished_splits[name]
-        buffers = self._split_buffers[name]
-        cur = plan["cursor"]
-        total = plan["total"]
-        if cur >= total:
-            for s in splits:
-                if positions[s] >= len(buffers[s]):
-                    finished.add(s)
-            return []
-        end = min(cur + batch, total)
-        plan["cursor"] = end
-        out = plan["merged"].slice(cur, end)
-        s = plan["split"]
-        if s is not None:
-            touched = [s]
-            positions[s] += end - cur
-        else:
-            counts = np.bincount(plan["sids"][cur:end],
-                                 minlength=splits.stop)
-            touched = np.flatnonzero(counts).tolist()
-            for sv in touched:
-                positions[sv] += int(counts[sv])
-        for sv in (splits if end >= total else touched):
-            if positions[sv] >= len(buffers[sv]):
-                finished.add(sv)
-        return [out]
-
-    def _sources_done(self) -> bool:
-        for name in self.job.sources:
-            if name not in self._split_buffers:
-                return False
-            if len(self._finished_splits[name]) \
-                    < self.graph.source_splits[name]:
-                return False
-        return True
-
-    # -- channel plumbing ----------------------------------------------------
-
-    def _offer(self, key: tuple[str, int, str | None],
-               sender: tuple[str, int], items: list[StreamItem]) -> None:
-        """Batch offer with per-item backpressure/drop accounting, per
-        physical channel: the O(1) arithmetic of what one append at a
-        time would count."""
-        injector = self.injector
-        if injector is not None and getattr(injector, "has_channel_faults",
-                                            False):
-            items = self._apply_channel_faults(key, sender, items)
-            if not items:
-                return
-        channel = self._channels[key][sender]
-        batched = self.batch_mode
-        occupancy = items_weight(channel) if batched else len(channel)
-        n = items_weight(items) if batched else len(items)
-        capacity = self.channel_capacity
-        node = key[0]
-        if occupancy + n <= capacity:
-            channel.extend(items)
-            return
-        if self.drop_on_overflow:
-            room = max(0, capacity - occupancy)
-            if room:
-                channel.extend(take_prefix(items, room) if batched
-                               else items[:room])
-            self.dropped_overflow += n - room
-            if self.metrics is not None:
-                self.metrics.counter("channel.dropped",
-                                     node=node).inc(n - room)
-            return
-        if occupancy + n > capacity * 10:
-            i0 = capacity * 10 - occupancy
-            channel.extend(decode_items(take_prefix(items, i0))
-                           if batched else items[:i0])
-            events = (i0 + 1) - max(0, min(i0 + 1, capacity - occupancy))
-            self.backpressure_events += events
-            if self.metrics is not None:
-                self.metrics.counter("channel.backpressure",
-                                     node=node).inc(events)
-            raise BackpressureOverflow(
-                f"channel into {node!r} exceeded 10x capacity; "
-                "the job cannot keep up and dropping is disabled"
-            )
-        events = n - max(0, min(n, capacity - occupancy))
-        self.backpressure_events += events
-        if self.metrics is not None and events:
-            self.metrics.counter("channel.backpressure",
-                                 node=node).inc(events)
-        channel.extend(items)
-
-    def _apply_channel_faults(self, key: tuple[str, int, str | None],
-                              sender: tuple[str, int],
-                              items: list[StreamItem]) -> list[StreamItem]:
-        """Thread one offer through the injector's network-fault site.
-
-        Channels are *reliable transport over an unreliable network*:
-        every offer becomes a sequence-numbered packet, and the receiver
-        reassembles in-order, dropping replays — so delay, partition,
-        duplication and reordering are all masked (TCP-style) while the
-        protocol underneath genuinely experiences them.  Delay/partition
-        hold the packet for N cycles (head-of-line: later packets wait
-        in the reassembly buffer); reorder delivers it one cycle late so
-        its successors arrive first; duplicate re-delivers the same
-        packet, which the receiver discards by sequence number.
-        """
-        directives = self.injector.on_channel_offer(
-            key[0], key[1], sender[0], sender[1])
-        ck = (key, sender)
-        seq = self._send_seq.get(ck, 0)
-        self._send_seq[ck] = seq + 1
-        hold = directives.get("hold", 0)
-        if directives.get("reorder"):
-            hold = max(hold, 1)
-        if directives.get("duplicate"):
-            self._held.append((self._cycle + 1, key, sender, seq,
-                               list(items)))
-        if hold:
-            self._held.append((self._cycle + hold, key, sender, seq,
-                               list(items)))
-            if self.metrics is not None:
-                self.metrics.counter("channel.held",
-                                     node=key[0]).inc(len(items))
-            return []
-        return self._receive(key, sender, seq, items)
-
-    def _receive(self, key: tuple[str, int, str | None],
-                 sender: tuple[str, int], seq: int,
-                 items: list[StreamItem]) -> list[StreamItem]:
-        """Receiver-side reassembly: returns the in-order run now
-        deliverable (empty while waiting on an earlier packet)."""
-        ck = (key, sender)
-        expect = self._recv_seq.get(ck, 0)
-        if seq < expect:
-            return []  # replayed packet: already delivered
-        if seq > expect:
-            self._ooo.setdefault(ck, {}).setdefault(seq, list(items))
-            return []
-        out = list(items)
-        expect += 1
-        buffered = self._ooo.get(ck)
-        while buffered and expect in buffered:
-            out.extend(buffered.pop(expect))
-            expect += 1
-        self._recv_seq[ck] = expect
-        return out
-
-    def _release_held(self) -> None:
-        """Deliver held (delayed/duplicated/partitioned) packets whose
-        release cycle has come, through reassembly onto the channel."""
-        if not self._held:
-            return
-        due = [h for h in self._held if h[0] <= self._cycle]
-        if not due:
-            return
-        self._held = [h for h in self._held if h[0] > self._cycle]
-        for _release, key, sender, seq, items in due:
-            delivered = self._receive(key, sender, seq, items)
-            if delivered:
-                self._channels[key][sender].extend(delivered)
-
-    def _reset_transport(self, region: set[str]) -> None:
-        """Forget the transport state of channels into ``region``
-        (restore path): held and buffered packets are in-flight data
-        the rewind regenerates."""
-        self._held = [h for h in self._held if h[1][0] not in region]
-        for state in (self._send_seq, self._recv_seq, self._ooo):
-            for ck in [ck for ck in state if ck[0][0] in region]:
-                del state[ck]
-
-    def _transport_pending(self) -> bool:
-        return bool(self._held) or any(self._ooo.values())
+    # -- emit routing --------------------------------------------------------
 
     def _charge_cross_region(self, edge: PhysicalEdge,
                              lanes: Iterable[int]) -> None:
@@ -1364,53 +461,44 @@ class ParallelExecutor:
             if edge.mode == FORWARD:
                 if edge.cross_region:
                     self._charge_cross_region(edge, (up_idx,))
-                self._offer((edge.down, up_idx, edge.side), (up, up_idx),
-                            items)
+                self.channels.offer((edge.down, up_idx, edge.side),
+                                    (up, up_idx), items)
                 continue
             p_down = self.graph.nodes[edge.down].parallelism
             buckets: list[list[StreamItem]] = [[] for _ in range(p_down)]
-            if edge.mode == HASH:
-                g = self.num_key_groups
-                for item in items:
-                    if isinstance(item, (Watermark, CheckpointBarrier)):
-                        # Progress markers fan out to every subtask.
-                        for bucket in buckets:
-                            bucket.append(item)
-                    elif type(item) is RecordBatch:
+            hashed = edge.mode == HASH  # else REBALANCE: round-robin
+            g = self.num_key_groups
+            cursor = self._rr.get((edge_idx, up_idx), 0)
+            for item in items:
+                if isinstance(item, (Watermark, CheckpointBarrier)):
+                    # Progress markers fan out to every subtask.
+                    for bucket in buckets:
+                        bucket.append(item)
+                elif type(item) is RecordBatch:
+                    if hashed:
                         self._partition_batch(item, g, p_down, buckets)
+                    elif p_down == 1:
+                        buckets[0].append(item)
                     else:
-                        kg = key_group_for(item.key, g)
-                        buckets[subtask_for_key_group(kg, g, p_down)].append(
-                            item)
-            else:  # REBALANCE
-                rr_key = (edge_idx, up_idx)
-                cursor = self._rr.get(rr_key, 0)
-                for item in items:
-                    if isinstance(item, (Watermark, CheckpointBarrier)):
-                        for bucket in buckets:
-                            bucket.append(item)
-                    elif type(item) is RecordBatch:
-                        n = len(item)
-                        if p_down == 1:
-                            buckets[0].append(item)
-                        else:
-                            dest = (cursor + np.arange(n)) % p_down
-                            for j in range(p_down):
-                                part = item.compress(dest == j)
-                                if part.weight:
-                                    buckets[j].append(part)
-                        cursor += n
-                    else:
-                        buckets[cursor % p_down].append(item)
-                        cursor += 1
-                self._rr[rr_key] = cursor
+                        self._scatter(
+                            item, (cursor + np.arange(len(item))) % p_down,
+                            buckets)
+                    cursor += len(item)
+                elif hashed:
+                    kg = key_group_for(item.key, g)
+                    buckets[subtask_for_key_group(kg, g, p_down)].append(item)
+                else:
+                    buckets[cursor % p_down].append(item)
+                    cursor += 1
+            if not hashed:
+                self._rr[(edge_idx, up_idx)] = cursor
             if edge.cross_region:
                 self._charge_cross_region(
                     edge, (j for j, b in enumerate(buckets) if b))
             for j, bucket in enumerate(buckets):
                 if bucket:
-                    self._offer((edge.down, j, edge.side), (up, up_idx),
-                                bucket)
+                    self.channels.offer((edge.down, j, edge.side),
+                                        (up, up_idx), bucket)
 
     def _partition_batch(self, rb: RecordBatch, g: int, p: int,
                          buckets: list[list[StreamItem]]) -> None:
@@ -1447,7 +535,14 @@ class ParallelExecutor:
             if lo == int(dest.max()):
                 buckets[lo].append(rb)  # whole batch owned by one subtask
                 return
-        for j in range(p):
+        self._scatter(rb, dest, buckets)
+
+    @staticmethod
+    def _scatter(rb: RecordBatch, dest: np.ndarray,
+                 buckets: list[list[StreamItem]]) -> None:
+        """Cut a batch by destination subtask; every part keeps every
+        watermark the batch carries."""
+        for j in range(len(buckets)):
             part = rb.compress(dest == j)
             if part.weight:
                 buckets[j].append(part)
@@ -1504,76 +599,26 @@ class ParallelExecutor:
         if last is None or ts > last:
             self._sink_frontier[sink_name] = ts
 
-    # -- watermark alignment -------------------------------------------------
-
-    def _align(self, key: tuple[str, int, str | None],
-               sender: tuple[str, int],
-               pending: Iterable[StreamItem]) -> list[StreamItem]:
-        """Replace raw channel watermarks with aligned ones: a subtask's
-        event time is the minimum over all its input channels, and an
-        aligned watermark is delivered only when that minimum advances."""
-        wms = self._channel_wm[key]
-        out: list[StreamItem] = []
-        if len(wms) > 1:
-            # The minimum over several channels moves with every one of
-            # them: watermarks must be loose to be replaced one by one.
-            pending = explode_items(pending)
-        for item in pending:
-            if type(item) is RecordBatch:
-                if item.wm_offsets is not None:
-                    item = self._align_punctuation(key, sender, item)
-                if item.weight:
-                    out.append(item)
-            elif isinstance(item, Watermark):
-                if item.timestamp > wms[sender]:
-                    wms[sender] = item.timestamp
-                    aligned = min(wms.values())
-                    if aligned > self._aligned_wm[key]:
-                        self._aligned_wm[key] = aligned
-                        out.append(Watermark(aligned))
-            else:
-                out.append(item)
-        return out
-
-    def _align_punctuation(self, key: tuple[str, int, str | None],
-                           sender: tuple[str, int],
-                           rb: RecordBatch) -> RecordBatch:
-        """:meth:`_align` for the watermarks riding inside a batch on a
-        subtask's *only* input channel, where the aligned watermark is
-        the channel's own: keep the strictly advancing ones."""
-        values = rb.wm_values
-        wms = self._channel_wm[key]
-        seen = max(wms[sender], self._aligned_wm[key])
-        advancing = values > np.maximum.accumulate(
-            np.concatenate(([seen], values[:-1])))
-        wms[sender] = max(wms[sender], float(values.max()))
-        kept = values[advancing]
-        if len(kept):
-            self._aligned_wm[key] = float(kept[-1])
-        if len(kept) == len(values):
-            return rb
-        return rb.with_punctuation(rb.wm_offsets[advancing], kept)
-
     # -- drain cycles --------------------------------------------------------
 
     def _process(self, name: str, idx: int, side: str | None,
                  items: list[StreamItem]) -> None:
         op = self._ops[name][idx]
         injector = self.injector
-        join = isinstance(op, IntervalJoinOperator)
         guard = self._guard.get(name)
-        if self.batch_mode:
-            if join:
+        if isinstance(op, IntervalJoinOperator):
+            # a join is entered by side, a batch at a time or per item
+            process = lambda batch: op.process_side_batch(side, batch)  # noqa: E731
+            handler = lambda it: (  # noqa: E731
+                op.on_watermark_side(side, it) if isinstance(it, Watermark)
+                else op.process_side(side, it))
+            if self.batch_mode:
                 items = decode_items(items)
-                if guard is None:
-                    process = (lambda batch, _s=side:
-                               op.process_side_batch(_s, batch))
-                else:
-                    process = self._guarded_side_process(op, guard, side)
-            elif guard is None:
-                process = op.process_batch
-            else:
-                process = self._guarded_process(op, guard)
+        else:
+            process, handler = op.process_batch, op.handle
+        if self.batch_mode:
+            if guard is not None:
+                process = self._guarded(op, guard, process, handler)
             if injector is None:
                 out = process(items)
             else:
@@ -1585,18 +630,8 @@ class ParallelExecutor:
         for item in items:
             if injector is not None:
                 injector.before_item(op)
-            if join:
-                if isinstance(item, Watermark):
-                    handler = (lambda it, _s=side:
-                               op.on_watermark_side(_s, it))
-                else:
-                    handler = (lambda it, _s=side:
-                               op.process_side(_s, it))
-            else:
-                handler = None
             if guard is None:
-                out = (handler(item) if handler is not None
-                       else op.handle(item))
+                out = handler(item)
             else:
                 fault = None
                 if self._data_chaos:
@@ -1609,37 +644,43 @@ class ParallelExecutor:
         if self._dead_letters:
             self._emit_dead_letters(name, idx)
 
+    def _drain(self) -> int:
+        """Drain until nothing moves, then close the macro cycle;
+        returns what the first pass moved."""
+        moved = self._drain_cycle()
+        while self._drain_cycle():
+            pass
+        self._tick_aligners()
+        self._end_cycle()
+        self.channels.advance()
+        return moved
+
     def _drain_cycle(self) -> int:
         moved = 0
-        profiler = self.profiler
         metrics = self.metrics
         coordinated = self._coordinator is not None
         for name in self.graph.topo:
-            node = self.graph.nodes[name]
-            join = isinstance(self._ops[name][0], IntervalJoinOperator)
-            sides = ("left", "right") if join else (None,)
-            for idx in range(node.parallelism):
+            sides = self._sides(name)
+            for idx in range(self.graph.nodes[name].parallelism):
                 if self._stalled_now and (name, idx) in self._stalled_now:
                     continue
                 started = time.perf_counter()
                 drained = 0
                 for side in sides:
-                    chans = self._channels.get((name, idx, side))
-                    if not chans:
-                        continue
+                    chans = self.channels.inputs.get((name, idx, side), {})
                     for sender in sorted(chans):
+                        channel = chans[sender]
                         if coordinated:
                             drained += self._drain_channel_coordinated(
-                                name, idx, side, sender)
+                                name, idx, side, sender, channel)
                             continue
-                        pending = chans[sender]
-                        if not pending:
+                        if not channel.queue:
                             continue
-                        chans[sender] = deque()
+                        pending = channel.take()
                         drained += (items_weight(pending)
                                     if self.batch_mode else len(pending))
-                        items = self._align((name, idx, side), sender,
-                                            pending)
+                        items = self.channels.align((name, idx, side),
+                                                    sender, pending)
                         if items:
                             self._process(name, idx, side, items)
                 moved += drained
@@ -1650,18 +691,14 @@ class ParallelExecutor:
                         self.metrics.summary(
                             "op.batch_size", op=f"{name}[{idx}]").observe(
                                 drained)
-                    if profiler is not None and not isinstance(
-                            self._ops[name][idx], ChainedOperator):
-                        profiler.record(
-                            "op.wall_s", started,
-                            op=self._ops[name][idx].name)
         return moved
 
     # -- coordinated draining (barrier-aware) ---------------------------------
 
     def _drain_channel_coordinated(self, name: str, idx: int,
                                    side: str | None,
-                                   sender: tuple[str, int]) -> int:
+                                   sender: tuple[str, int],
+                                   channel: Channel) -> int:
         """Drain one channel under barrier rules: stop at a barrier that
         blocks the channel, spill items from lagging channels after an
         unaligned snapshot, and run alignment/snapshot transitions as
@@ -1669,8 +706,7 @@ class ParallelExecutor:
         key = (name, idx, side)
         chan_id = (side, sender[0], sender[1])
         aligner = self._aligners[(name, idx)]
-        chans = self._channels[key]
-        pending = chans[sender]
+        pending = channel.queue
         if not pending or aligner.is_blocked(chan_id):
             return 0
         moved = 0
@@ -1689,7 +725,7 @@ class ParallelExecutor:
                     aligner.current_id,
                     (name, idx, side, sender[0], sender[1]),
                     decode_items(segment))
-            items = self._align(key, sender, segment)
+            items = self.channels.align(key, sender, segment)
             if items:
                 self._process(name, idx, side, items)
 
@@ -1700,7 +736,7 @@ class ParallelExecutor:
                 _flush_segment()
                 segment = []
                 if self._on_channel_barrier(name, idx, side, sender,
-                                            chan_id, item):
+                                            channel, item):
                     return moved  # channel blocked until alignment ends
             else:
                 segment.append(item)
@@ -1708,12 +744,13 @@ class ParallelExecutor:
         return moved
 
     def _on_channel_barrier(self, name: str, idx: int, side: str | None,
-                            sender: tuple[str, int], chan_id: tuple,
+                            sender: tuple[str, int], channel: Channel,
                             barrier: CheckpointBarrier) -> bool:
         """Consume one barrier marker; returns True when the channel is
         now blocked (stop draining it this pass)."""
         aligner = self._aligners[(name, idx)]
-        result = aligner.on_barrier(chan_id, barrier.checkpoint_id)
+        result = aligner.on_barrier((side, sender[0], sender[1]),
+                                    barrier.checkpoint_id)
         coord = self._coordinator
         if result.action == IGNORED:
             return False
@@ -1724,24 +761,18 @@ class ParallelExecutor:
                                   (name, idx, side, sender[0], sender[1]))
             return False
         # BLOCKED and COMPLETE both mark this channel's cut point.
-        coord.capture_channel_wm(
-            (name, idx, side), sender,
-            self._channel_wm[(name, idx, side)][sender])
-        if result.action == COMPLETE:
-            self._complete_alignment(name, idx, result.checkpoint_id,
-                                     aligner)
-            return False
-        return True  # BLOCKED
-
-    def _complete_alignment(self, name: str, idx: int, checkpoint_id: int,
-                            aligner: BarrierAligner) -> None:
-        """All channels aligned: snapshot, ack, forward the barrier."""
+        coord.capture_channel_wm((name, idx, side), sender,
+                                 channel.watermark)
+        if result.action == BLOCKED:
+            return True
+        # COMPLETE, all channels aligned: snapshot, ack, forward
         if self.metrics is not None:
             self.metrics.summary(
                 "checkpoint.alignment_cycles",
                 op=f"{name}[{idx}]").observe(aligner.last_alignment_cycles)
-        self._snapshot_subtask(name, idx, checkpoint_id)
-        self._forward_barrier(name, idx, checkpoint_id)
+        self._snapshot_subtask(name, idx, result.checkpoint_id)
+        self._forward_barrier(name, idx, result.checkpoint_id)
+        return False
 
     def _complete_unaligned(self, name: str, idx: int, checkpoint_id: int,
                             spill_channels: tuple) -> None:
@@ -1755,7 +786,8 @@ class ParallelExecutor:
                                 (name, idx, side, up, up_idx))
             coord.capture_channel_wm(
                 (name, idx, side), (up, up_idx),
-                self._channel_wm[(name, idx, side)][(up, up_idx)])
+                self.channels.inputs[(name, idx, side)][(up, up_idx)]
+                .watermark)
         if self.metrics is not None:
             self.metrics.counter("checkpoint.unaligned",
                                  op=f"{name}[{idx}]").inc()
@@ -1764,9 +796,11 @@ class ParallelExecutor:
 
     def _forward_barrier(self, name: str, idx: int,
                          checkpoint_id: int) -> None:
-        for side in self._subtask_sides(name, idx):
-            self._coordinator.capture_aligned_wm(
-                (name, idx, side), self._aligned_wm[(name, idx, side)])
+        for side in self._sides(name):
+            if (name, idx, side) in self.channels.inputs:
+                self._coordinator.capture_aligned_wm(
+                    (name, idx, side),
+                    self.channels.aligned((name, idx, side)))
         self._emit(name, idx, [CheckpointBarrier(checkpoint_id)])
         if name in self._dlq_nodes and DLQ_SINK in self.sinks \
                 and self.transactional_sinks:
@@ -1778,10 +812,10 @@ class ParallelExecutor:
                 self._coordinator.on_sink_ack(cid, DLQ_SINK)
         self._capture_rr(name, idx)
 
-    def _subtask_sides(self, name: str, idx: int) -> list[str | None]:
+    def _sides(self, name: str) -> tuple[str | None, ...]:
+        """The input sides of an execution node: a join has two."""
         join = isinstance(self._ops[name][0], IntervalJoinOperator)
-        return [s for s in (("left", "right") if join else (None,))
-                if (name, idx, s) in self._aligned_wm]
+        return ("left", "right") if join else (None,)
 
     def _snapshot_subtask(self, name: str, idx: int,
                           checkpoint_id: int) -> None:
@@ -1792,7 +826,6 @@ class ParallelExecutor:
         op = self._ops[name][idx]
         if self.injector is not None:
             self.injector.before_snapshot(op, subtask, checkpoint_id)
-        started = time.perf_counter()
         node = self.graph.nodes[name]
         keyed: dict[str, dict[int, Any]] = {}
         scalar: dict[str, Any] = {}
@@ -1816,9 +849,6 @@ class ParallelExecutor:
                 {self._clones[m][idx].name:
                  all_counts.get(self._clones[m][idx].name, 0)
                  for m in node.members})
-        if self.profiler is not None:
-            self.profiler.record("checkpoint.snapshot_s", started,
-                                 op=subtask)
 
     def _tick_aligners(self) -> None:
         """Once per macro cycle: aligners still waiting count a pending
@@ -1836,6 +866,11 @@ class ParallelExecutor:
     def run(self, source_batch: int = 256,
             max_cycles: int | None = None) -> dict[str, SinkBuffer]:
         """Run until sources are exhausted and channels drained."""
+        if source_batch < 1:
+            # 0 would pull nothing, forever: the loop only ends once
+            # the sources are read to their end
+            raise JobGraphError(
+                f"source_batch must be >= 1, got {source_batch!r}")
         if self.tracer is not None:
             self._ensure_spans()
             with self.tracer.activate(self._job_span):
@@ -1857,7 +892,7 @@ class ParallelExecutor:
         the stalled-subtask set, and beat heartbeats for everyone else
         (a stalled subtask is fail-silent: it neither drains nor beats,
         so only the failure detector notices)."""
-        self._release_held()
+        self.channels.release_held()
         injector = self.injector
         if injector is not None and getattr(injector, "has_stalls", False):
             self._stalled_now = {
@@ -1875,10 +910,6 @@ class ParallelExecutor:
                     if (name, idx) not in self._stalled_now:
                         self._coordinator.heartbeat(f"{name}[{idx}]")
 
-    def _pending_items(self) -> bool:
-        return any(chan for chans in self._channels.values()
-                   for chan in chans.values())
-
     def _run_loop(self, source_batch: int,
                   max_cycles: int | None) -> dict[str, SinkBuffer]:
         cycles = 0
@@ -1889,26 +920,18 @@ class ParallelExecutor:
             pulled = self._pull_sources(source_batch)
             if coordinator is not None:
                 coordinator.on_cycle_start(self)
-            moved = self._drain_cycle()
-            while self._drain_cycle():
-                pass
-            self._tick_aligners()
-            self._end_cycle()
-            self._cycle += 1
-            # Live refresh: gauges used to be set only at end-of-run,
-            # which starved any observer of a running job (the
-            # autoscaler most of all).  Publishing per macro cycle keeps
-            # backpressure/progress/watermark-lag gauges current.
+            moved = self._drain()
+            # gauges refresh every macro cycle: the autoscaler steers
+            # a job while it runs
             if self.metrics is not None:
                 self._publish_metrics()
             if coordinator is not None:
                 coordinator.on_cycle_end(self)
             cycles += 1
-            if self._sources_done() and not pulled and moved == 0:
+            if self.sources.exhausted and not pulled and moved == 0:
                 # Blocked, stalled or held items keep the loop alive:
                 # barriers and fault windows resolve with more cycles.
-                if not self._transport_pending() \
-                        and not self._pending_items():
+                if not self.channels.pending():
                     break
                 idle += 1
                 if idle > 100_000:
@@ -1919,8 +942,7 @@ class ParallelExecutor:
                 idle = 0
             if max_cycles is not None and cycles >= max_cycles:
                 break
-        if self._sources_done() and not self._transport_pending() \
-                and not self._pending_items():
+        if self.sources.exhausted and not self.channels.pending():
             self._flush()
             self._close_spans()
             self._publish_metrics()
@@ -1977,37 +999,16 @@ class ParallelExecutor:
         """The per-subtask clones of one logical operator."""
         return list(self._clones[operator])
 
-    def source_item_timestamps(self, name: str) -> list[float]:
-        """Timestamps of every item in one source's split buffers, in
-        split order.  The scaling supervisor sorts these once to build
-        its deterministic arrival model (how many elements have
-        "arrived" by sim-time t)."""
-        buffers = self._materialize_source(name)
-        out: list[float] = []
-        for _, buf in sorted(buffers.items()):
-            if type(buf) is _BatchSplit:
-                out.extend(buf.batch.timestamps.tolist())
-            else:
-                out.extend(item.timestamp for item in buf)
-        return out
-
-    def source_pulled(self, name: str) -> int:
-        """Total items pulled so far across one source's splits."""
-        self._materialize_source(name)
-        return sum(self._split_positions[name].values())
-
     # -- checkpoints -----------------------------------------------------------
 
     def checkpoint(self) -> ParallelCheckpoint:
         """Aligned snapshot: keyed state by key group, sources by split,
         sink contents in full (so a restore into a *fresh* executor —
         the rescaling path — reproduces the run exactly)."""
-        if self._pending_items() or self._transport_pending():
+        if self.channels.pending():
             raise CheckpointError("cannot checkpoint with items in flight; "
                                   "call run() or drain first")
         self._checkpoint_seq += 1
-        started = (self.profiler.timer()
-                   if self.profiler is not None else 0.0)
         parallelism: dict[str, int] = {}
         keyed_state: dict[str, dict[int, Any]] = {}
         scalar_state: dict[str, list[Any]] = {}
@@ -2023,7 +1024,7 @@ class ParallelExecutor:
                 scalar_state[m] = [c.scalar_snapshot() for c in clones]
             else:
                 scalar_state[m] = [c.snapshot() for c in clones]
-        source_positions = self.source_positions_snapshot()
+        source_positions = self.sources.positions()
         for name in self.job.sources:
             parallelism[name] = self.graph.source_parallelism[name]
         snapshot = ParallelCheckpoint(
@@ -2038,18 +1039,12 @@ class ParallelExecutor:
                 s: list(buf.batches if self.transactional_sinks
                         else buf.elements)
                 for s, buf in self.sinks.items()},
-            routing_state={
-                "channel_wm": {k: dict(v)
-                               for k, v in self._channel_wm.items()},
-                "aligned_wm": dict(self._aligned_wm),
-                "rr": dict(self._rr),
-            },
-            shed_state=self.shed_state_snapshot(),
+            routing_state={**self.channels.routing_snapshot(),
+                           "rr": dict(self._rr)},
+            shed_state=self.sources.shed_state(),
             data_counts=(self.injector.data_counts()
                          if self._data_chaos else {}),
         )
-        if self.profiler is not None:
-            self.profiler.record("checkpoint.duration_s", started)
         if self.metrics is not None:
             self.metrics.counter("executor.checkpoints").inc()
         if self._job_span is not None:
@@ -2109,22 +1104,19 @@ class ParallelExecutor:
                 raise CheckpointError(
                     f"regional restore needs matching parallelism for "
                     f"{m!r}; restore the whole plan to rescale")
-        replayed = 0
-        for name in self.job.sources:
-            if name not in region:
-                continue
-            buffers = self._materialize_source(name)
-            finished = self._finished_splits[name]
-            finished.clear()
-            for s, pos in checkpoint.source_positions.get(name,
-                                                          {}).items():
-                replayed += max(0, self._split_positions[name][s] - pos)
-                self._split_positions[name][s] = pos
-                if pos >= len(buffers[s]):
-                    finished.add(s)
-        # rewound positions: re-plan the pulls of the region's sources
-        self._merge_cache = {k: plan for k, plan in self._merge_cache.items()
-                             if k[0] not in region}
+        # Routing state is exact only for the plan shape it was cut
+        # from; a rescaled plan starts its watermarks and cursors over.
+        routing = checkpoint.routing_state or {}
+        if whole and not self.channels.same_shape(routing):
+            if checkpoint.in_flight:
+                raise CheckpointError(
+                    "an unaligned checkpoint (spilled in-flight state) "
+                    "cannot be restored into a different plan shape; "
+                    "restore at the original parallelism first")
+            routing = {}
+        sources = [n for n in self.job.sources if n in region]
+        replayed = self.sources.rewind(sources, checkpoint.source_positions)
+        self.sources.apply_shed_state(checkpoint.shed_state, sources)
         for m in operators:
             clones = self._clones[m]
             exact = checkpoint.parallelism[m] == len(clones)
@@ -2155,36 +1147,7 @@ class ParallelExecutor:
                 buf.restore_elements(rows)  # 2PC: truncate open txns
             else:
                 buf.elements[:] = elements_of(rows)
-        # Routing state is exact only for the plan shape it was cut
-        # from; a rescaled plan starts its watermarks and cursors over.
-        routing = checkpoint.routing_state or {}
-        channel_wm = routing.get("channel_wm", {})
-        if whole and not (
-                channel_wm.keys() == self._channel_wm.keys()
-                and all(channel_wm[k].keys() == self._channel_wm[k].keys()
-                        for k in self._channel_wm)):
-            if checkpoint.in_flight:
-                raise CheckpointError(
-                    "an unaligned checkpoint (spilled in-flight state) "
-                    "cannot be restored into a different plan shape; "
-                    "restore at the original parallelism first")
-            routing = channel_wm = {}
-        aligned_wm = routing.get("aligned_wm", {})
-        for key, chans in self._channels.items():
-            if key[0] not in region:
-                continue
-            saved = channel_wm.get(key, {})
-            for sender in chans:
-                chans[sender].clear()
-                self._channel_wm[key][sender] = saved.get(
-                    sender, float("-inf"))
-            self._aligned_wm[key] = aligned_wm.get(key, float("-inf"))
-        self._reset_transport(region)
-        for (down, idx, side, up, up_idx), items \
-                in checkpoint.in_flight.items():
-            if down in region:
-                self._channels[(down, idx, side)][(up, up_idx)].extend(
-                    items)
+        self.channels.reset(region, routing, checkpoint.in_flight)
         rebalanced = {i for i, edge in enumerate(self.graph.edges)
                       if edge.mode == REBALANCE and edge.up in region}
         self._rr = {
@@ -2195,9 +1158,6 @@ class ParallelExecutor:
         for (name, idx), aligner in self._aligners.items():
             if name in region:
                 aligner.reset()
-        self.apply_shed_state(
-            checkpoint.shed_state,
-            [n for n in self.job.sources if n in region])
         if whole:
             if self._data_chaos:
                 # Data-fault windows name records, not wall-clock
@@ -2231,13 +1191,6 @@ class ParallelExecutor:
 
     # -- observability ---------------------------------------------------------
 
-    def _mode_name(self) -> str:
-        if not self.batch_mode:
-            return "per_item"
-        return "chained" if any(len(n.members) > 1
-                                for n in self.graph.nodes.values()) \
-            else "batched"
-
     def _ensure_spans(self) -> None:
         """Job span -> logical operator spans -> per-subtask child spans
         (only when parallelism > 1), so a parallel trace nests physical
@@ -2246,7 +1199,7 @@ class ParallelExecutor:
             return
         self._job_span = self.tracer.start_span(
             f"job:{self.job.name}",
-            attrs={"mode": self._mode_name(),
+            attrs={"mode": "chained" if self.batch_mode else "per_item",
                    "max_parallelism": self.graph.max_parallelism()})
         for name in sorted(self.job.sources):
             span = self.tracer.start_span(
@@ -2275,9 +1228,7 @@ class ParallelExecutor:
             return
         for name in self.job.sources:
             span = self._obs_spans[f"source:{name}"]
-            buffers = self._split_buffers.get(name, {})
-            span.set_attr("records",
-                          sum(len(b) for b in buffers.values()))
+            span.set_attr("records", self.sources.records(name))
             span.end()
         for name in self.job.operators:
             width = len(self._clones[name])
@@ -2338,7 +1289,7 @@ class ParallelExecutor:
                 emitted += clone.emitted
             g_processed.set(processed)
             g_emitted.set(emitted)
-        frontier = self._source_frontier
+        frontier = self.sources.frontier
         for name, buf, g_size, g_lag in cache["sinks"]:
             g_size.set(len(buf))
             last = self._sink_frontier.get(name)

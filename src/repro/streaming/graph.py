@@ -51,7 +51,7 @@ class SourceSpec:
 
     Parallel plans read a source as a set of **splits** (the rescaling
     unit — analogous to topic partitions; see
-    :mod:`repro.streaming.execution`):
+    :mod:`repro.streaming.sources`):
 
     - ``splits`` pins the split count independently of parallelism, so
       a checkpoint taken at parallelism N restores at parallelism M
@@ -60,17 +60,15 @@ class SourceSpec:
     - ``split_factory(split, num_splits)`` produces one split's
       elements directly — how eventlog-backed sources map partitions to
       splits (see :func:`~repro.streaming.connectors.parallel_log_source`).
-    - ``partitioner(element, num_splits)`` assigns a materialized
-      element to a split.  Default: key-aligned hashing for keyed
-      elements (same key, same split — preserving per-key order, the
-      parallel-equivalence contract), round-robin for unkeyed ones.
+    - A source with neither is spread over its splits by key-aligned
+      hashing (same key, same split — preserving per-key order, the
+      parallel-equivalence contract), round-robin for unkeyed elements.
     """
 
     name: str
     elements: Iterable[Element] | Callable[[], Iterable[Element]] | None
     splits: int | None = None
     split_factory: Callable[[int, int], Iterable[Element]] | None = None
-    partitioner: Callable[[Element, int], int] | None = None
 
     def iterate(self) -> Iterable[Element]:
         src = self.elements
@@ -320,17 +318,14 @@ class JobBuilder:
                | None = None,
                *, splits: int | None = None,
                split_factory: Callable[[int, int], Iterable[Element]]
-               | None = None,
-               partitioner: Callable[[Element, int], int] | None = None,
-               ) -> _StreamHandle:
+               | None = None) -> _StreamHandle:
         if name in self._sources:
             raise JobGraphError(f"duplicate source {name!r}")
         if elements is None and split_factory is None:
             raise JobGraphError(
                 f"source {name!r} needs elements or a split_factory")
         self._sources[name] = SourceSpec(name, elements, splits=splits,
-                                         split_factory=split_factory,
-                                         partitioner=partitioner)
+                                         split_factory=split_factory)
         return _StreamHandle(self, name)
 
     def _add_operator(self, operator: Operator) -> None:

@@ -2,7 +2,7 @@
 
 A :class:`RegionPlacement` assigns every logical node (source, operator,
 sink) of a job to a *region* and prices the links between regions.  The
-compiler (:func:`~repro.streaming.execution.compile_execution_graph`)
+compiler (:func:`~repro.streaming.plan.compile_execution_graph`)
 threads it through lowering:
 
 - operators in different regions never fuse into one chain (a chain is

@@ -1,6 +1,6 @@
 """Keyed shuffles: stable key -> key-group -> subtask mapping.
 
-The physical plan (see :mod:`repro.streaming.execution`) splits every
+The physical plan (see :mod:`repro.streaming.plan`) splits every
 keyed operator into N subtasks.  Elements are routed to subtasks not by
 hashing the key modulo N — which would make checkpoints unportable
 across parallelism changes — but through a fixed intermediate space of

@@ -32,6 +32,7 @@ from ..util.errors import (
     CheckpointError,
     CoordinatorDown,
     DataFaultError,
+    JobGraphError,
     OperatorCrash,
 )
 from .coordinator import (
@@ -120,6 +121,9 @@ class Supervisor:
                  metrics: Any = None, span: Any = None,
                  replayable: frozenset | set = frozenset(),
                  restart_budget: Any = None) -> None:
+        if source_batch < 1:
+            raise JobGraphError(
+                f"source_batch must be >= 1, got {source_batch!r}")
         self.executor = executor
         self.report = report
         self.store = store if store is not None else CheckpointStore()
@@ -239,7 +243,7 @@ class Supervisor:
         """What a whole-job restart to ``checkpoint`` would replay."""
         total = 0
         for source, splits in \
-                self.executor.source_positions_snapshot().items():
+                self.executor.sources.positions().items():
             recorded = checkpoint.source_positions.get(source, {})
             for split, pos in splits.items():
                 total += max(0, pos - recorded.get(split, 0))
@@ -393,7 +397,7 @@ def run_coordinated(job: JobGraph, injector: Any = None,
                     replayable: frozenset | set = frozenset(),
                     store: Any = None,
                     tracer: Any = None, metrics: Any = None,
-                    profiler: Any = None, on_coordinator: Any = None,
+                    on_coordinator: Any = None,
                     restart_budget: Any = None) -> SupervisionReport:
     """Run ``job`` for real: the one production wiring of executor,
     2PC sinks, coordinator and store.
@@ -418,7 +422,6 @@ def run_coordinated(job: JobGraph, injector: Any = None,
     executor = ParallelExecutor(job, parallelism, batch_mode=batch_mode,
                                 injector=injector, tracer=tracer,
                                 metrics=metrics,
-                                profiler=profiler,
                                 transactional_sinks=True,
                                 unaligned_after=unaligned_after)
     supervised = (tracer.start_span(f"coordinated:{job.name}")

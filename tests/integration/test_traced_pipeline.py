@@ -25,6 +25,7 @@ from repro.obs import (
     traced_reference_run,
     tree_is_connected,
 )
+from repro.streaming import Element, JobBuilder, ParallelExecutor
 from repro.util import SimClock
 
 MODES = {
@@ -101,6 +102,21 @@ class TestModeInvariance:
 
     def test_sinks_identical_across_modes(self, runs):
         assert runs["chained"].sinks == runs["per_item"].sinks
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_job_span_names_the_mode_not_the_plan_shape(self, mode):
+        """Two modes, two labels: a batched plan that happens to fuse
+        nothing is still ``chained``."""
+        builder = JobBuilder("lone-map")
+        builder.source("s", [Element(1.0, 0.0)]).map(lambda v: v).sink("out")
+        tracer = Tracer(SimClock())
+        executor = ParallelExecutor(builder.build(), tracer=tracer,
+                                    **MODES[mode])
+        assert all(len(node.members) == 1
+                   for node in executor.graph.nodes.values())
+        executor.run()
+        (job,) = [s for s in tracer.spans if s.name == "job:lone-map"]
+        assert job.attrs["mode"] == mode
 
     def test_runs_are_reproducible(self):
         a = traced_reference_run(seed=0, n_events=20)

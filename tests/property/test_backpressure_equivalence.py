@@ -81,9 +81,9 @@ def _run(make_builder, elements, mode, capacity, drop, source_batch):
 
 def _channel_contents(executor):
     """(receiver, sender) -> queued items, over every physical channel."""
-    return {(key, sender): list(queue)
-            for key, senders in executor._channels.items()
-            for sender, queue in senders.items()}
+    return {(key, sender): list(channel.queue)
+            for key, senders in executor.channels.inputs.items()
+            for sender, channel in senders.items()}
 
 
 def _outcome(executor, raised):
@@ -149,7 +149,8 @@ class TestChainedBounds:
                 return
             results[mode] = executor
         base = results["per_item"]
-        assert len(results["chained"]._channels) < len(base._channels)
+        assert (len(results["chained"].channels.inputs)
+                < len(base.channels.inputs))
         assert (results["chained"].backpressure_events
                 <= base.backpressure_events)
         assert (results["chained"].sinks["out"].elements

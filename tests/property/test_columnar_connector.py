@@ -34,7 +34,6 @@ from repro.streaming import (
 )
 from repro.streaming.batch import RecordBatch, decode_items
 from repro.streaming.connectors import log_source, parallel_log_source
-from repro.streaming.execution import _BatchSplit
 from repro.util.errors import BrokerDown
 from repro.util.ids import split_ranges
 
@@ -429,9 +428,9 @@ def _trace(buffers, columnar_factory, p):
     """Everything observable about a run with a crash in the middle:
     positions and checkpoint mid-split, sinks after the restore."""
     executor = ParallelExecutor(_job(buffers, columnar_factory), p)
-    stamps = executor.source_item_timestamps("s")
+    stamps = executor.sources.timestamps("s")
     executor.run(source_batch=3, max_cycles=2)
-    positions = executor.source_positions_snapshot()
+    positions = executor.sources.positions()
     snapshot = executor.checkpoint()
     executor.run(source_batch=5)                 # run ahead, then "crash"
     executor.restore(snapshot)
@@ -451,13 +450,13 @@ class TestSplitBuffers:
         for p in PARALLELISMS:
             *want, _ = _trace(buffers, False, p)
             *got, executor = _trace(buffers, True, p)
-            assert got[0] == want[0], "source_item_timestamps"
+            assert got[0] == want[0], "sources.timestamps"
             assert got[1] == want[1], "mid-split positions"
             assert got[2] == want[2], "mid-split checkpoint"
             assert got[3] == want[3], "sinks after restore"
             assert got[4] == want[4], "final checkpoint"
-            kept = executor._split_buffers["s"]
-            assert all(type(kept[s]) is _BatchSplit
+            kept = executor.sources.open("s")
+            assert all(kept[s].batch is not None
                        for s in range(N_SPLITS) if buffers[s])
 
     @pytest.mark.parametrize("shape,split", (("unsorted", 0), ("opaque", 1)))
@@ -466,13 +465,12 @@ class TestSplitBuffers:
         # two splits a subtask: merging them needs the heap where one is
         # out of order or opaque
         executor = ParallelExecutor(_job(_splits(rows, shape), True), 2)
-        kept = executor._materialize_source("s")
-        assert not any(buf.decoded for buf in kept.values())
+        kept = executor.sources.open("s")
+        assert not any(buf.decoded for buf in kept)
         executor.run(source_batch=5)
         # only the subtask whose merge needs item access pays for it
-        (owner,) = (r for r in executor._source_assignment["s"]
-                    if split in r)
-        assert [s for s, buf in kept.items() if buf.decoded] == list(owner)
+        (owner,) = (r for r in split_ranges(N_SPLITS, 2) if split in r)
+        assert [s for s, buf in enumerate(kept) if buf.decoded] == list(owner)
 
     @pytest.mark.parametrize("shape", ("unsorted", "opaque"))
     def test_single_live_split_is_never_decoded(self, shape):
@@ -482,8 +480,7 @@ class TestSplitBuffers:
         buffers = _splits(rows, shape)
         executor = ParallelExecutor(_job(buffers, True), N_SPLITS)
         executor.run(source_batch=5)
-        kept = executor._split_buffers["s"]
-        assert not any(buf.decoded for buf in kept.values())
+        assert not any(buf.decoded for buf in executor.sources.open("s"))
         want = ParallelExecutor(_job(buffers, False), N_SPLITS,
                                 batch_mode=False).run(source_batch=5)
         assert ([repr(v) for v in executor.sinks["out"].values]
@@ -522,10 +519,10 @@ class TestSplitBuffers:
                 .sink("out"))
         executor = ParallelExecutor(builder.build(), 1)
         executor.run(source_batch=64)
-        buffers = executor._split_buffers["events"]
-        assert len(buffers) == 4
-        assert all(type(buf) is _BatchSplit and len(buf) for buf in
-                   buffers.values())
-        assert not any(buf.decoded for buf in buffers.values())
-        assert executor.source_pulled("events") == 400
+        splits = executor.sources.open("events")
+        assert len(splits) == 4
+        assert all(split.batch is not None and len(split.buffer)
+                   for split in splits)
+        assert not any(split.decoded for split in splits)
+        assert executor.sources.pulled("events") == 400
         assert len(executor.sinks["out"].values) == 40

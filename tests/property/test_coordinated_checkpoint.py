@@ -298,9 +298,9 @@ class TestOneRewind:
     def test_region_by_region_equals_whole(self, parallelism):
         whole, whole_coord, snapshot = self._ahead_of_a_checkpoint(
             parallelism)
-        ahead = whole.source_positions_snapshot()
+        ahead = whole.sources.positions()
         whole.restore(snapshot)
-        assert whole.source_positions_snapshot() != ahead
+        assert whole.sources.positions() != ahead
         regional, regional_coord, same = self._ahead_of_a_checkpoint(
             parallelism)
         assert same.source_positions == snapshot.source_positions

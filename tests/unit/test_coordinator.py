@@ -10,10 +10,8 @@ from repro.streaming.coordinator import (
     failover_region_of,
     failover_regions,
 )
-from repro.streaming.execution import (
-    ParallelCheckpoint,
-    compile_execution_graph,
-)
+from repro.streaming.execution import ParallelCheckpoint
+from repro.streaming.plan import compile_execution_graph
 from repro.util.clock import SimClock
 from repro.util.errors import CheckpointError
 

@@ -9,7 +9,7 @@ from repro.streaming import (
     TumblingWindows,
     compile_execution_graph,
 )
-from repro.streaming.execution import FORWARD, HASH, MERGE, REBALANCE
+from repro.streaming.plan import FORWARD, HASH, MERGE, REBALANCE
 from repro.streaming.graph import JobGraph
 from repro.util.errors import CheckpointError, JobGraphError
 
@@ -146,9 +146,10 @@ class TestParallelExecutor:
     def test_checkpoint_with_inflight_rejected(self):
         executor = ParallelExecutor(_windowed_job(), 2)
         executor.run(max_cycles=1, source_batch=8)
-        key = next(iter(executor._channels))
-        next(iter(executor._channels[key].values())).append(
-            Element(value=1.0, timestamp=0.0))
+        key, senders = next(iter(executor.channels.inputs.items()))
+        sender = next(iter(senders))
+        executor.channels.offer(key, sender,
+                                [Element(value=1.0, timestamp=0.0)])
         with pytest.raises(CheckpointError, match="in flight"):
             executor.checkpoint()
 
@@ -167,6 +168,17 @@ class TestParallelExecutor:
         other = ParallelExecutor(_windowed_job(splits=4), 2)
         with pytest.raises(CheckpointError, match="splits"):
             other.restore(snapshot)
+
+    @pytest.mark.parametrize("batch_mode", (True, False))
+    @pytest.mark.parametrize("source_batch", (0, -1))
+    def test_run_rejects_a_source_batch_below_one(self, batch_mode,
+                                                  source_batch):
+        executor = ParallelExecutor(_windowed_job(), batch_mode=batch_mode)
+        # max_cycles: an unguarded per-item run would pull nothing forever
+        with pytest.raises(JobGraphError,
+                           match=f"source_batch.*{source_batch}"):
+            executor.run(source_batch=source_batch, max_cycles=3)
+        assert executor.sources.positions() == {"s": {0: 0}}
 
     def test_modeled_speedup_reported(self):
         executor = ParallelExecutor(_windowed_job(200, splits=4), 4)

@@ -20,6 +20,11 @@ text, imports only to inspect one signature).
     class drains cycles and restores checkpoints.
 (e) Layering: the engine and the store run without the chaos package —
     an injector is handed in, never imported.
+(f) The executor *has* a plan, sources and channels: split state lives
+    in ``streaming/sources.py`` (``Split``), channel state in
+    ``streaming/transport.py`` (``Channel``), the sixteen parallel
+    dictionaries they replaced and the three deleted options stay
+    deleted, and every ``streaming/`` module fits a line budget.
 """
 
 import ast
@@ -74,12 +79,12 @@ def test_the_second_runner_and_rewind_stay_deleted():
     from repro.streaming import ParallelExecutor
     assert "columnar" not in inspect.signature(
         ParallelExecutor.__init__).parameters
-    execution = ast.parse((SRC / "streaming/execution.py").read_text())
-    rewinds = [fn.name for fn in ast.walk(execution)
+    rewinds = [f"{rel}:{fn.name}" for rel, text in _sources()
+               for fn in ast.walk(ast.parse(text))
                if isinstance(fn, ast.FunctionDef)
-               and re.search(r"self\._split_positions\[\w+\]\[\w+\] = pos\b",
-                             ast.unparse(fn))]
-    assert rewinds == ["restore"]
+               and re.search(r"\.position = pos$", ast.unparse(fn),
+                             re.MULTILINE)]
+    assert rewinds == ["streaming/sources.py:rewind"]
 
 
 def test_the_element_run_kernel_and_the_chaining_switch_stay_deleted():
@@ -176,3 +181,73 @@ def test_chaos_proxy_defines_every_data_plane_method():
             "read_columns"} <= data_plane
     proxied = _public_methods("chaos/injector.py", "ChaosLogCluster")
     assert data_plane - proxied == set()
+
+
+# -- (f) plan / sources / transport -------------------------------------------
+
+STREAMING = "streaming/"
+#: what ``Split`` and ``Channel`` replaced, as attribute names
+CONTAINERS = re.compile(
+    r"\b(_split_buffers|_split_positions|_split_batches|_split_sorted"
+    r"|_finished_splits|_merge_cache|_source_assignment|_shed"
+    r"|_shed_by_source|_channels|_channel_wm|_aligned_wm|_send_seq"
+    r"|_recv_seq|_ooo|_held)\b")
+#: the line budget of one ``streaming/`` module; a PR that grows a file
+#: past it raises the number here and says why
+MAX_MODULE_LINES = 1300
+
+
+def test_split_and_channel_state_is_not_kept_in_parallel_containers():
+    outside = {rel for rel, _ in _sources() if not rel.startswith(STREAMING)}
+    assert _offenders(CONTAINERS, outside) == []
+    assert _offenders(re.compile(r"profiler"), outside) == []
+    assert _offenders(re.compile(r"_BatchSplit"),
+                      outside | {"streaming/sources.py"}) == []
+
+
+def test_execution_module_holds_the_executor_and_nothing_else():
+    tree = ast.parse((SRC / "streaming/execution.py").read_text())
+    classes = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    assert classes == {"SinkBuffer", "ParallelCheckpoint", "ParallelExecutor"}
+    (executor,) = [node for node in tree.body
+                   if isinstance(node, ast.ClassDef)
+                   and node.name == "ParallelExecutor"]
+    methods = [item for item in executor.body
+               if isinstance(item, ast.FunctionDef)]
+    attributes = {target.attr for node in ast.walk(executor)
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  for target in (node.targets if isinstance(node, ast.Assign)
+                                 else [node.target])
+                  if isinstance(target, ast.Attribute)
+                  and isinstance(target.value, ast.Name)
+                  and target.value.id == "self"}
+    assert len(methods) <= 48, len(methods)
+    assert len(attributes) <= 40, sorted(attributes)
+    (restore,) = [m for m in methods if m.name == "restore"]
+    fields = {"queue", "watermark", "send_seq", "recv_seq", "ooo",
+              "buffer", "position", "mergeable", "finished"}
+    touched = {node.attr for node in ast.walk(restore)
+               if isinstance(node, ast.Attribute)}
+    assert not touched & fields, touched & fields
+
+
+def test_the_three_unset_options_stay_deleted():
+    gone = {"profiler", "partitioner", "cycle_seconds"}
+    hits = []
+    for rel, text in _sources():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.arg) and node.arg in gone:
+                hits.append(f"{rel}:{node.lineno}: {node.arg}")
+            elif (isinstance(node, ast.AnnAssign)
+                  and isinstance(node.target, ast.Name)
+                  and node.target.id in gone):
+                hits.append(f"{rel}:{node.lineno}: {node.target.id}")
+    assert hits == []
+
+
+def test_streaming_modules_fit_their_line_budget():
+    over = {rel: len(text.splitlines()) for rel, text in _sources()
+            if rel.startswith(STREAMING)
+            and len(text.splitlines()) > MAX_MODULE_LINES}
+    assert over == {}

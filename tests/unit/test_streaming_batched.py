@@ -65,12 +65,12 @@ class TestChainPlan:
         executor = ParallelExecutor(self._linear().build())
         assert _chains(executor) == [["map_0", "filter_0", "map_1"]]
         # One channel into the chain instead of three hops.
-        assert len(executor._channels) == 1
+        assert len(executor.channels.inputs) == 1
 
     def test_per_item_mode_never_chains(self):
         executor = ParallelExecutor(self._linear().build(), batch_mode=False)
         assert _chains(executor) == []
-        assert len(executor._channels) == 3
+        assert len(executor.channels.inputs) == 3
 
     def test_keyed_state_breaks_chain(self):
         builder = JobBuilder("j")
@@ -108,8 +108,8 @@ class TestChainPlan:
         # The side-tagged join edges are unfusible, and each key_by has
         # no chainable neighbour left — nothing fuses at all.
         assert _chains(executor) == []
-        assert ("join_0", 0, "left") in executor._channels
-        assert ("join_0", 0, "right") in executor._channels
+        assert ("join_0", 0, "left") in executor.channels.inputs
+        assert ("join_0", 0, "right") in executor.channels.inputs
 
 
 class TestChainedOperator:

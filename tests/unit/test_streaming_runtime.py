@@ -176,9 +176,10 @@ class TestCheckpoint:
         executor = ParallelExecutor(builder.build())
         # Manually stuff a channel to simulate in-flight data (the two
         # maps fuse, so grab whatever channel exists).
-        senders = next(iter(executor._channels.values()))
-        channel = next(iter(senders.values()))
-        channel.append(Element(value=1, timestamp=0.0))
+        key, senders = next(iter(executor.channels.inputs.items()))
+        sender = next(iter(senders))
+        executor.channels.offer(key, sender,
+                                [Element(value=1, timestamp=0.0)])
         with pytest.raises(CheckpointError):
             executor.checkpoint()
 

@@ -32,6 +32,7 @@ from repro.streaming import (
     SchedulePolicy,
     Supervisor,
     run_autoscaled,
+    run_coordinated,
 )
 from repro.streaming import supervisor as supervisor_module
 from repro.streaming.supervisor import SupervisionReport
@@ -40,6 +41,7 @@ from repro.util.errors import (
     ChaosError,
     CoordinatorDown,
     DataFaultError,
+    JobGraphError,
     OperatorCrash,
 )
 
@@ -110,10 +112,10 @@ class TestLadder:
         supervisor = _supervisor(_job())
         _advance_until_checkpoint(supervisor)
         lost = supervisor.coordinator
-        positions = supervisor.executor.source_positions_snapshot()
+        positions = supervisor.executor.sources.positions()
         assert supervisor.attempt(_raiser(CoordinatorDown("gone"))) is None
         assert supervisor.coordinator is not lost
-        assert supervisor.executor.source_positions_snapshot() == positions
+        assert supervisor.executor.sources.positions() == positions
         report = _finish(supervisor)
         assert report.coordinator_crashes == 1
         assert report.restores == 0 and report.replayed_total == 0
@@ -176,6 +178,12 @@ class TestLadder:
             supervisor.attempt(_raiser(OperatorCrash("boom")))
         with pytest.raises(ChaosError, match="gave up after 3 failures"):
             supervisor.attempt(_raiser(OperatorCrash("boom")))
+
+
+class TestArguments:
+    def test_run_coordinated_rejects_a_source_batch_below_one(self):
+        with pytest.raises(JobGraphError, match="source_batch.*0"):
+            run_coordinated(_job(n=20), source_batch=0)
 
 
 class TestRecoverySelection:

@@ -17,7 +17,8 @@ PACKAGES = [
     "repro.core", "repro.eventlog", "repro.streaming", "repro.analytics",
     "repro.vision", "repro.sensors", "repro.render", "repro.offload",
     "repro.privacy", "repro.simnet", "repro.context", "repro.datagen",
-    "repro.apps", "repro.util",
+    "repro.apps", "repro.store", "repro.geo", "repro.chaos", "repro.obs",
+    "repro.util",
 ]
 
 
