@@ -33,8 +33,9 @@ from typing import Any, Callable
 
 from ..eventlog.broker import LogCluster
 from ..eventlog.mirror import ReplicatedTopic
+from ..streaming.barrier import ParallelCheckpoint
 from ..streaming.coordinator import CheckpointStore
-from ..streaming.execution import ParallelCheckpoint, ParallelExecutor
+from ..streaming.execution import ParallelExecutor
 from ..streaming.placement import RegionPlacement
 from ..streaming.supervisor import SupervisionReport, Supervisor
 from ..util.clock import SimClock
@@ -182,7 +183,7 @@ class GeoDeployment(Supervisor):
 
     def _do_handoff(self, names: tuple[str, ...], to_region: str,
                     attempts: int) -> HandoffReport:
-        savepoint = self._drive_savepoint()
+        savepoint = self.coordinator.savepoint()
         placement = self.placement
         for name in names:
             placement = placement.moved(name, to_region)

@@ -14,7 +14,7 @@ from .autoscale import (
     UtilizationTargetPolicy,
     run_autoscaled,
 )
-from .barrier import AlignmentResult, BarrierAligner
+from .barrier import AlignmentResult, BarrierAligner, ParallelCheckpoint
 from .cep import PatternMatch, PatternOperator, PatternStep
 from .chain import ChainedOperator
 from .connectors import log_sink, log_source, parallel_log_source
@@ -37,7 +37,7 @@ from .errors import (
     ErrorPolicy,
     RestartBudget,
 )
-from .execution import ParallelCheckpoint, ParallelExecutor, SinkBuffer
+from .execution import ParallelExecutor, SinkBuffer
 from .graph import JobBuilder, JobGraph, SourceSpec
 from .join import IntervalJoinOperator, Joined
 from .placement import RegionPlacement, placement_from_topology

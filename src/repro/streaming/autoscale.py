@@ -678,7 +678,7 @@ class ScalingSupervisor(Supervisor):
                  new: dict[str, int]) -> RescaleEvent:
         self._phase("decide")
         self._phase("savepoint")
-        savepoint = self._drive_savepoint()
+        savepoint = self.coordinator.savepoint()
 
         self._phase("recompile")
         replacement = self._build_executor(new)

@@ -28,16 +28,21 @@ subtask:
 Barrier duplication (an at-least-once channel re-delivering a marker —
 see the chaos channel faults) is absorbed: a barrier id at or below the
 last completed one is dropped.
+
+:class:`Cut` is one checkpoint being cut — written by the executor as
+barriers pass, or in one pass when it is quiescent — and the only code
+that builds a :class:`ParallelCheckpoint`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Any, Hashable, Iterable
 
 from ..util.errors import CheckpointError
+from .plan import ExecutionGraph
 
-__all__ = ["AlignmentResult", "BarrierAligner"]
+__all__ = ["AlignmentResult", "BarrierAligner", "Cut", "ParallelCheckpoint"]
 
 #: outcomes of feeding one barrier to the aligner
 IGNORED = "ignored"        # duplicate / stale marker: drop it
@@ -174,3 +179,124 @@ class BarrierAligner:
         self.arrived = set()
         self.pending_cycles = 0
         self.draining_unaligned = False
+
+
+# -- the cut -----------------------------------------------------------------
+
+
+@dataclass
+class ParallelCheckpoint:
+    """A consistent snapshot of a parallel job, portable across
+    parallelism changes (keyed state by key group, sources by split)."""
+
+    checkpoint_id: int
+    num_key_groups: int
+    parallelism: dict[str, int]  # logical operator/source -> width
+    num_splits: dict[str, int]  # source -> split count
+    source_positions: dict[str, dict[int, int]]  # source -> split -> pos
+    keyed_state: dict[str, dict[int, Any]]  # op -> key group -> blob
+    scalar_state: dict[str, list[Any]]  # op -> per-subtask snapshot
+    #: sink -> its rows: a 2PC sink's sealed batches (one per epoch, no
+    #: row copied), a plain buffer's Elements; either restores into both
+    sink_elements: dict[str, list]
+    #: transient routing state (channel watermarks, aligned watermarks,
+    #: round-robin cursors); applied on restore only when the plan shape
+    #: matches (same parallelism everywhere), dropped on a rescale.
+    routing_state: dict[str, Any] = field(default_factory=dict)
+    #: unaligned-checkpoint channel state: (down, idx, side, up, up_idx)
+    #: -> pre-barrier items spilled from a lagging channel.  Re-enqueued
+    #: on restore; non-empty in-flight state pins the plan shape (an
+    #: unaligned checkpoint cannot be restored at another parallelism).
+    in_flight: dict[tuple, list] = field(default_factory=dict)
+    #: load-shedding tier state: active per-source shed plans plus the
+    #: per-source shed counts *as of this checkpoint's cut*, so a
+    #: restore rewinds shed accounting together with source positions
+    #: (replayed input re-sheds the same elements, counted once).
+    shed_state: dict[str, Any] = field(default_factory=dict)
+    #: chaos data-fault counters at the cut (per physical operator
+    #: clone; see FaultInjector.data_counts): data-fault windows name
+    #: records, so a restore rewinds them and replay re-poisons the
+    #: same records — keeping committed output identical to a
+    #: crash-free run under the same data faults.
+    data_counts: dict[str, int] = field(default_factory=dict)
+
+
+class Cut:
+    """One checkpoint being cut, and the one place a
+    :class:`ParallelCheckpoint` is built.
+
+    The executor opens it at its source reader's current positions,
+    then writes into it as the barriers pass: each subtask's
+    state and data-fault counts, each channel's watermark and spill,
+    each forwarding subtask's aligned watermarks and round-robin
+    cursors, each sink's pre-commit.  The coordinator finalizes it once
+    :attr:`complete`.  A quiescent checkpoint is a cut filled in one
+    pass, through the same state read.
+    """
+
+    def __init__(self, checkpoint_id: int, graph: ExecutionGraph,
+                 sources: Any, sinks: Iterable[str]) -> None:
+        self.checkpoint_id = checkpoint_id
+        self.graph = graph
+        #: the cut point: where the source reader stands, and its shed
+        #: tier (rewound with the positions)
+        self.source_positions = sources.positions()
+        self.shed_state = sources.shed_state()
+        self.expected_subtasks = {(name, idx) for name in graph.topo
+                                  for idx in range(graph.width(name))}
+        self.acked: set[tuple[str, int]] = set()
+        self.expected_sinks = set(sinks)
+        self.sink_acked: set[str] = set()
+        #: logical operator -> key group -> blob
+        self.keyed: dict[str, dict[int, Any]] = {}
+        #: logical operator -> per-subtask scalar snapshot
+        self.scalar: dict[str, list[Any]] = {
+            m: [None] * graph.width(graph.rename[m])
+            for m in graph.job.operators}
+        #: unaligned in-flight state: channel key -> spilled items
+        self.in_flight: dict[tuple, list] = {}
+        self.open_spills: set[tuple] = set()
+        #: routing cut: the values at each channel's / subtask's cut point
+        self.channel_wm: dict[tuple, dict[tuple, float]] = {}
+        self.aligned_wm: dict[tuple, float] = {}
+        self.rr: dict[tuple[int, int], int] = {}
+        #: physical operator clone name -> data-fault records seen
+        self.data_counts: dict[str, int] = {}
+
+    @property
+    def complete(self) -> bool:
+        return (self.acked == self.expected_subtasks
+                and self.sink_acked == self.expected_sinks
+                and not self.open_spills)
+
+    @property
+    def spilled_items(self) -> int:
+        return sum(len(v) for v in self.in_flight.values())
+
+    def checkpoint(self, sink_elements: dict[str, list]
+                   ) -> ParallelCheckpoint:
+        """The snapshot this cut records, with ``sink_elements`` (each
+        sink's rows as of the cut) as its sink contents."""
+        graph = self.graph
+        parallelism = {m: len(states) for m, states in self.scalar.items()}
+        parallelism.update(graph.source_parallelism)
+        return ParallelCheckpoint(
+            checkpoint_id=self.checkpoint_id,
+            num_key_groups=graph.num_key_groups,
+            parallelism=parallelism,
+            num_splits=dict(graph.source_splits),
+            source_positions={s: dict(p) for s, p
+                              in self.source_positions.items()},
+            keyed_state={m: dict(g) for m, g in self.keyed.items()},
+            scalar_state={m: list(s) for m, s in self.scalar.items()},
+            sink_elements=sink_elements,
+            routing_state={
+                "channel_wm": {k: dict(v)
+                               for k, v in self.channel_wm.items()},
+                "aligned_wm": dict(self.aligned_wm),
+                "rr": dict(self.rr),
+            },
+            in_flight={k: list(v) for k, v in self.in_flight.items() if v},
+            shed_state=dict(self.shed_state),
+            data_counts=dict(self.data_counts),
+        )

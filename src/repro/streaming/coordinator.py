@@ -2,14 +2,14 @@
 
 The :class:`CheckpointCoordinator` drives Chandy–Lamport snapshots of a
 running :class:`~repro.streaming.execution.ParallelExecutor` *without*
-waiting for quiescence: it injects numbered
+waiting for quiescence: the executor opens a
+:class:`~repro.streaming.barrier.Cut`, injects numbered
 :class:`~repro.streaming.element.CheckpointBarrier` markers at every
-source subtask, collects per-subtask state fragments as barriers pass
-(see :mod:`repro.streaming.barrier` for the alignment rules), collects
-two-phase-commit acks from transactional sinks
-(:mod:`repro.streaming.txn_sink`), and — once every subtask, sink and
-open spill has reported — **finalizes** the checkpoint: the assembled
-:class:`~repro.streaming.execution.ParallelCheckpoint` and its manifest
+source subtask and writes the cut as they pass (alignment rules in
+:mod:`repro.streaming.barrier`, 2PC acks from
+:mod:`repro.streaming.txn_sink`).  Once every subtask, sink and open
+spill has reported, the coordinator **finalizes** it: the cut's
+:class:`~repro.streaming.barrier.ParallelCheckpoint` and its manifest
 are committed to the :class:`CheckpointStore` atomically, sinks commit
 phase 2, listeners (event-log mirrors) are notified, and superseded
 checkpoints are pruned.
@@ -44,17 +44,16 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..util.clock import SimClock
-from ..util.errors import (
-    CheckpointError,
-    CheckpointIntegrityError,
-    CoordinatorDown,
-)
-from .execution import ParallelCheckpoint
+from ..util.errors import CheckpointError, CheckpointIntegrityError
+from .barrier import ParallelCheckpoint
 from .plan import ExecutionGraph
 
 #: simulated seconds one macro cycle takes (the autoscaler's load model
 #: reads source timestamps as arrival times on the same scale)
 CYCLE_SECONDS = 1.0
+#: Drain cycles a savepoint may take before it is declared stuck (a
+#: blocked channel or a stalled subtask).
+SAVEPOINT_MAX_CYCLES = 256
 
 __all__ = [
     "CheckpointManifest",
@@ -364,66 +363,17 @@ class HeartbeatMonitor:
         """A recovered subtask starts a fresh deadline."""
         self._last[subtask] = self.clock.now
 
-    def reset_all(self) -> None:
-        """Whole-job restart: everyone gets a fresh deadline."""
-        now = self.clock.now
-        for subtask in self._last:
-            self._last[subtask] = now
-
-
-class _Pending:
-    """Mutable assembly state for one in-progress checkpoint."""
-
-    def __init__(self, checkpoint_id: int, started_at: float,
-                 source_positions: dict[str, dict[int, int]],
-                 expected_subtasks: set[tuple[str, int]],
-                 expected_sinks: set[str]) -> None:
-        self.checkpoint_id = checkpoint_id
-        self.started_at = started_at
-        self.source_positions = source_positions
-        self.expected_subtasks = expected_subtasks
-        self.acked: set[tuple[str, int]] = set()
-        self.expected_sinks = expected_sinks
-        self.sink_acked: set[str] = set()
-        #: logical operator -> key group -> blob
-        self.keyed: dict[str, dict[int, Any]] = {}
-        #: logical operator -> subtask idx -> scalar snapshot
-        self.scalar: dict[str, dict[int, Any]] = {}
-        #: unaligned in-flight state: channel key -> spilled items
-        self.in_flight: dict[tuple, list] = {}
-        self.open_spills: set[tuple] = set()
-        #: routing capture: values recorded at each channel's cut point
-        self.channel_wm: dict[tuple, dict[tuple, float]] = {}
-        self.aligned_wm: dict[tuple, float] = {}
-        self.rr: dict[tuple[int, int], int] = {}
-        #: shed-tier state captured at the cut (plans + counts), so the
-        #: finalized checkpoint rewinds shed accounting with positions
-        self.shed_state: dict[str, Any] = {}
-        #: chaos data-fault counters at each subtask's cut (physical
-        #: clone name -> records seen); restores rewind them so replay
-        #: re-poisons the same records
-        self.data_counts: dict[str, int] = {}
-
-    @property
-    def complete(self) -> bool:
-        return (self.acked == self.expected_subtasks
-                and self.sink_acked == self.expected_sinks
-                and not self.open_spills)
-
-    @property
-    def spilled_items(self) -> int:
-        return sum(len(v) for v in self.in_flight.values())
-
 
 class CheckpointCoordinator:
-    """Injects barriers, assembles snapshots, finalizes atomically.
+    """Paces checkpoints, finalizes them atomically, commits the sinks.
 
     Attach to a :class:`~repro.streaming.execution.ParallelExecutor`
     built with ``transactional_sinks=True``; the executor then calls
-    :meth:`on_cycle_start` / :meth:`on_cycle_end` from its run loop and
-    reports barrier passage through the ``on_*`` callbacks.  One
-    checkpoint is in progress at a time; ``interval_cycles`` paces
-    triggers.
+    :meth:`on_cycle_start` / :meth:`on_cycle_end` from its run loop.
+    :meth:`trigger` has the executor open a cut, which the executor
+    writes as its barriers pass; :meth:`maybe_finalize` commits it once
+    complete.  One checkpoint is in progress at a time;
+    ``interval_cycles`` paces triggers.
     """
 
     def __init__(self, executor: Any, *,
@@ -448,7 +398,6 @@ class CheckpointCoordinator:
         #: the rows past ``n`` as one undecoded batch, ``elements`` the
         #: decoded list
         self.listeners: list[Callable[[int, str, Any], Any]] = []
-        self._pending: _Pending | None = None
         self._cycles_since_trigger = 0
         self.finalized = 0
         self.aborted = 0
@@ -459,198 +408,66 @@ class CheckpointCoordinator:
 
     # -- pacing (driven by the executor's run loop) --------------------------
 
-    def on_cycle_start(self, executor: Any) -> None:
+    def on_cycle_start(self) -> None:
         """Called once per macro cycle, after sources pulled.  Triggers
         a new checkpoint when due and none is in progress."""
         self._cycles_since_trigger += 1
-        if (self._pending is None
+        if (self.in_progress is None
                 and self._cycles_since_trigger >= self.interval_cycles):
-            self.trigger(executor)
+            self.trigger()
 
-    def on_cycle_end(self, executor: Any) -> None:
+    def on_cycle_end(self) -> None:
         """Advance simulated time, then try to finalize."""
         self.clock.advance(CYCLE_SECONDS)
         self.maybe_finalize()
 
     @property
     def in_progress(self) -> int | None:
-        """Checkpoint id currently being assembled, or None.  The
-        scaling supervisor waits this out before cutting a savepoint
-        (one checkpoint in progress at a time is a coordinator
-        invariant)."""
-        return (self._pending.checkpoint_id
-                if self._pending is not None else None)
-
-    def heartbeat(self, subtask: str) -> None:
-        self.monitor.beat(subtask)
-
-    def dead_subtasks(self) -> list[str]:
-        return self.monitor.dead()
+        """Checkpoint id of the executor's open cut, or None (one
+        checkpoint in progress at a time is a coordinator invariant)."""
+        cut = self.executor.cut
+        return cut.checkpoint_id if cut is not None else None
 
     # -- trigger -------------------------------------------------------------
 
-    def trigger(self, executor: Any | None = None) -> int:
-        """Start checkpoint N: record the cut's source positions and
-        inject barriers at every source subtask (finished and empty
-        splits included — every channel must carry the marker)."""
-        if self._pending is not None:
+    def trigger(self) -> int:
+        """Start checkpoint N: the executor opens its cut and injects
+        barriers at every source subtask (finished and empty splits
+        included — every channel must carry the marker); a pending
+        manifest records the cut's source positions."""
+        if self.in_progress is not None:
             raise CheckpointError(
-                f"checkpoint {self._pending.checkpoint_id} still in "
-                "progress")
-        executor = executor if executor is not None else self.executor
+                f"checkpoint {self.in_progress} still in progress")
         cid = self.store.next_checkpoint_id()
-        positions = executor.sources.positions()
-        expected = {(name, idx)
-                    for name in executor.graph.topo
-                    for idx in range(
-                        executor.graph.nodes[name].parallelism)}
-        self._pending = _Pending(
-            checkpoint_id=cid, started_at=self.clock.now,
-            source_positions=positions, expected_subtasks=expected,
-            expected_sinks=set(executor.sinks))
-        self._pending.shed_state = executor.sources.shed_state()
+        cut = self.executor.open_cut(cid)
         self.store.record(CheckpointManifest(
             checkpoint_id=cid, started_at=self.clock.now,
-            source_positions=positions))
+            source_positions=cut.source_positions))
         self._cycles_since_trigger = 0
-        executor.inject_barriers(cid)
         if self.metrics is not None:
             self.metrics.counter("coordinator.triggered").inc()
         return cid
 
-    # -- barrier-passage callbacks (from the executor) -----------------------
-
-    def _pending_for(self, checkpoint_id: int) -> _Pending | None:
-        if (self._pending is None
-                or self._pending.checkpoint_id != checkpoint_id):
-            return None  # ack for an abandoned checkpoint: drop it
-        return self._pending
-
-    def on_subtask_ack(self, checkpoint_id: int, name: str, idx: int,
-                       keyed: dict[str, dict[int, Any]],
-                       scalar: dict[str, Any]) -> None:
-        """One subtask snapshotted on barrier passage."""
-        pending = self._pending_for(checkpoint_id)
-        if pending is None:
-            return
-        pending.acked.add((name, idx))
-        for m, groups in keyed.items():
-            pending.keyed.setdefault(m, {}).update(groups)
-        for m, snap in scalar.items():
-            pending.scalar.setdefault(m, {})[idx] = snap
-
-    def on_sink_ack(self, checkpoint_id: int, sink_name: str) -> None:
-        """A transactional sink pre-committed (2PC phase 1)."""
-        pending = self._pending_for(checkpoint_id)
-        if pending is not None:
-            pending.sink_acked.add(sink_name)
-            return
-        # Pre-commit for a checkpoint this coordinator is not assembling
-        # (barriers from an abandoned attempt, or from before a
-        # coordinator crash, finishing their journey): abort it so the
-        # elements fold back into the open transaction instead of being
-        # orphaned in a sealed one nobody will ever commit.
-        self.executor.sinks[sink_name].abort_pending(checkpoint_id)
-
-    def on_spill_open(self, checkpoint_id: int, channel: tuple) -> None:
-        """Unaligned snapshot taken; this lagging channel's pre-barrier
-        items will stream in until its straggler barrier."""
-        pending = self._pending_for(checkpoint_id)
-        if pending is not None:
-            pending.open_spills.add(channel)
-            pending.in_flight.setdefault(channel, [])
-
-    def on_spill(self, checkpoint_id: int, channel: tuple,
-                 items: list) -> None:
-        pending = self._pending_for(checkpoint_id)
-        if pending is not None and channel in pending.open_spills:
-            pending.in_flight[channel].extend(items)
-
-    def on_spill_closed(self, checkpoint_id: int, channel: tuple) -> None:
-        """Straggler barrier arrived: the channel's spill is complete."""
-        pending = self._pending_for(checkpoint_id)
-        if pending is not None:
-            pending.open_spills.discard(channel)
-
-    # -- routing capture (values at each channel's cut point) ----------------
-
-    def capture_channel_wm(self, key: tuple, sender: tuple,
-                           watermark: float) -> None:
-        if self._pending is not None:
-            self._pending.channel_wm.setdefault(key, {})[sender] = watermark
-
-    def capture_aligned_wm(self, key: tuple, watermark: float) -> None:
-        if self._pending is not None:
-            self._pending.aligned_wm[key] = watermark
-
-    def capture_rr(self, key: tuple[int, int], cursor: int) -> None:
-        if self._pending is not None:
-            self._pending.rr[key] = cursor
-
-    def capture_data_counts(self, checkpoint_id: int,
-                            counts: dict[str, int]) -> None:
-        """A subtask's data-fault counters at its barrier cut (only
-        reported when the injector carries data-fault specs)."""
-        pending = self._pending_for(checkpoint_id)
-        if pending is not None:
-            pending.data_counts.update(counts)
-
     # -- finalize / abort ----------------------------------------------------
 
     def maybe_finalize(self) -> ParallelCheckpoint | None:
-        pending = self._pending
-        if pending is None or not pending.complete:
+        executor = self.executor
+        cut = executor.cut
+        if cut is None or not cut.complete:
             return None
+        cid = cut.checkpoint_id
         if self.injector is not None:
             # May raise CoordinatorDown: the crash-point *before* the
             # atomic commit — the checkpoint is lost, sinks must abort.
-            self.injector.before_finalize(pending.checkpoint_id)
-        executor = self.executor
-        cid = pending.checkpoint_id
-        parallelism: dict[str, int] = {}
-        scalar_state: dict[str, list[Any]] = {}
-        for m in executor.job.operators:
-            width = len(executor.subtask_operators(m))
-            parallelism[m] = width
-            per_subtask = pending.scalar.get(m, {})
-            if set(per_subtask) != set(range(width)):
-                raise CheckpointError(
-                    f"checkpoint {cid}: operator {m!r} acked subtasks "
-                    f"{sorted(per_subtask)} of {width}")
-            scalar_state[m] = [per_subtask[i] for i in range(width)]
-        for name in executor.job.sources:
-            parallelism[name] = executor.graph.source_parallelism[name]
-        sink_elements = {
+            self.injector.before_finalize(cid)
+        checkpoint = cut.checkpoint({
             name: sink.projected_committed(cid)
-            for name, sink in executor.sinks.items()
-        }
-        checkpoint = ParallelCheckpoint(
-            checkpoint_id=cid,
-            num_key_groups=executor.num_key_groups,
-            parallelism=parallelism,
-            num_splits=dict(executor.graph.source_splits),
-            source_positions={s: dict(p) for s, p
-                              in pending.source_positions.items()},
-            keyed_state={m: dict(g) for m, g in pending.keyed.items()},
-            scalar_state=scalar_state,
-            sink_elements=sink_elements,
-            routing_state={
-                "channel_wm": {k: dict(v)
-                               for k, v in pending.channel_wm.items()},
-                "aligned_wm": dict(pending.aligned_wm),
-                "rr": dict(pending.rr),
-            },
-            in_flight={k: list(v) for k, v in pending.in_flight.items()
-                       if v},
-            shed_state=dict(pending.shed_state),
-            data_counts=dict(pending.data_counts),
-        )
+            for name, sink in executor.sinks.items()})
         manifest = self.store.manifests[cid]
         manifest.finalized_at = self.clock.now
-        manifest.acked_subtasks = sorted(f"{n}[{i}]"
-                                         for n, i in pending.acked)
-        manifest.acked_sinks = sorted(pending.sink_acked)
-        manifest.spilled_items = pending.spilled_items
+        manifest.acked_subtasks = sorted(f"{n}[{i}]" for n, i in cut.acked)
+        manifest.acked_sinks = sorted(cut.sink_acked)
+        manifest.spilled_items = cut.spilled_items
         # Atomic commit point: manifest + snapshot become visible
         # together, then phase 2 runs.  A crash after this line loses
         # nothing — recovery restores checkpoint N and the sinks'
@@ -663,38 +480,37 @@ class CheckpointCoordinator:
             after = getattr(self.injector, "after_finalize", None)
             if after is not None:
                 after(self.store, cid)
-        self._pending = None
+        executor.cut = None
         self.finalized += 1
         for name, sink in executor.sinks.items():
             sink.commit(cid)
             for listener in self.listeners:
                 listener(cid, name, sink)
-        duration = self.clock.now - pending.started_at
+        duration = self.clock.now - manifest.started_at
         if self.metrics is not None:
             self.metrics.counter("coordinator.finalized").inc()
             self.metrics.summary("checkpoint.duration_s").observe(duration)
             self.metrics.gauge("checkpoint.latest_id").set(cid)
-            if pending.spilled_items:
+            if manifest.spilled_items:
                 self.metrics.counter("checkpoint.spilled_items").inc(
-                    pending.spilled_items)
+                    manifest.spilled_items)
         executor.on_checkpoint_finalized(cid, duration)
         return checkpoint
 
-    def abandon_pending(self) -> int | None:
-        """Abort the in-progress checkpoint (2PC abort): sinks demote
-        their pre-committed transactions, the manifest is marked
-        aborted.  Returns the abandoned id, if any."""
-        pending, self._pending = self._pending, None
-        if pending is None:
-            return None
-        cid = pending.checkpoint_id
+    def abandon_pending(self) -> None:
+        """Abort the in-progress checkpoint, if any (2PC abort): sinks
+        demote their pre-committed transactions, the manifest is marked
+        aborted."""
+        cut, self.executor.cut = self.executor.cut, None
+        if cut is None:
+            return
+        cid = cut.checkpoint_id
         for sink in self.executor.sinks.values():
             sink.abort_pending(cid)
         self.store.abort(cid)
         self.aborted += 1
         if self.metrics is not None:
             self.metrics.counter("coordinator.aborted").inc()
-        return cid
 
     def on_executor_restored(self) -> None:
         """The executor rewound (full or regional): any in-progress
@@ -702,27 +518,34 @@ class CheckpointCoordinator:
         self.abandon_pending()
         self._cycles_since_trigger = 0
 
-    # -- completion ----------------------------------------------------------
+    # -- the one drive-to-finalize loop --------------------------------------
 
-    def final_checkpoint(self, executor: Any | None = None,
-                         max_cycles: int = 64) -> ParallelCheckpoint:
-        """After the job drains, commit the tail: trigger one last
-        checkpoint and drive drain cycles until it finalizes, so the
-        transactional sinks' committed output is the complete run."""
-        executor = executor if executor is not None else self.executor
-        if self._pending is None:
-            self.trigger(executor)
-        for _ in range(max_cycles):
-            if self._pending is None:
-                break
-            executor.drain_for_coordinator()
-            self.on_cycle_end(executor)
-        if self._pending is not None:
+    def savepoint(self) -> ParallelCheckpoint:
+        """Stop-with-savepoint, and the end-of-job commit: finish any
+        checkpoint already in progress, then cut a fresh one and drain
+        until it finalizes, so the transactional sinks' committed output
+        is everything processed so far.  Drain cycles move in-flight
+        data and barriers without pulling source input, so a running job
+        does not stop.  Returns the newest verifiable checkpoint — the
+        fresh cut unless storage rot quarantined it, then the fallback
+        recovery would use."""
+        cid = None
+        for _ in range(SAVEPOINT_MAX_CYCLES):
+            if self.in_progress is None:
+                if cid is not None:
+                    break
+                cid = self.trigger()
+            self.executor.drain_for_coordinator()
+            self.on_cycle_end()
+        if cid is None or self.in_progress is not None:
             raise CheckpointError(
-                "final checkpoint did not complete: barriers are stuck "
-                "(blocked channel or stalled subtask at end of job)")
+                f"savepoint did not finalize within {SAVEPOINT_MAX_CYCLES} "
+                "drain cycles: barriers are stuck (blocked channel or "
+                "stalled subtask)")
         latest = self.store.latest()
-        assert latest is not None
+        if latest is None:
+            raise CheckpointError(
+                f"no checkpoint verifies after savepoint {cid}")
         return latest
 
 

@@ -25,13 +25,15 @@ as the semantic reference: batched execution is bit-identical to it
 (same sink contents, same operator state and checkpoints, same
 ``processed``/``emitted`` counters).
 
-Checkpoints are aligned snapshots taken when quiescent.  Keyed state is
-stored **by key group**, source progress **by split**, so a checkpoint
-taken at parallelism N restores at parallelism M (*rescaling*): key
-groups and splits are reassigned wholesale, scalar operator state
-merges conservatively (watermarks regress to the minimum).  At
-unchanged parallelism a restore is exact — the chaos suite's
-recovered-sinks-equal-fault-free invariant holds bit-for-bit.
+Every checkpoint is a :class:`~repro.streaming.barrier.Cut` the executor
+writes: in flight as barriers pass (``open_cut``), or in one pass when
+quiescent (``checkpoint``).  Keyed state is stored **by key group**,
+source progress **by split**, so a checkpoint taken at parallelism N
+restores at parallelism M (*rescaling*): key groups and splits are
+reassigned wholesale, scalar operator state merges conservatively
+(watermarks regress to the minimum).  At unchanged parallelism a
+restore is exact — the chaos suite's recovered-sinks-equal-fault-free
+invariant holds bit-for-bit.
 
 Parallelism 1 — the default, and what every single-instance job runs
 at — compiles to all-forward edges.
@@ -53,14 +55,15 @@ from typing import Any, Iterable
 import numpy as np
 
 from ..util.errors import CheckpointError, JobGraphError
-from .barrier import BLOCKED, IGNORED, STRAGGLER, BarrierAligner
-from .batch import (
-    RecordBatch,
-    decode_items,
-    elements_of,
-    item_weight,
-    items_weight,
+from .barrier import (
+    BLOCKED,
+    IGNORED,
+    STRAGGLER,
+    BarrierAligner,
+    Cut,
+    ParallelCheckpoint,
 )
+from .batch import RecordBatch, decode_items, elements_of, items_weight
 from .chain import ChainedOperator
 from .element import CheckpointBarrier, Element, StreamItem, Watermark
 from .errors import DLQ_SINK, FAIL, ErrorPolicy, guard_batch, guard_item
@@ -86,7 +89,7 @@ from .sources import SourceReader
 from .transport import Channel, Channels
 from .txn_sink import TransactionalSink
 
-__all__ = ["SinkBuffer", "ParallelCheckpoint", "ParallelExecutor"]
+__all__ = ["SinkBuffer", "ParallelExecutor"]
 
 
 @dataclass
@@ -102,43 +105,6 @@ class SinkBuffer:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-
-@dataclass
-class ParallelCheckpoint:
-    """A consistent snapshot of a parallel job, portable across
-    parallelism changes (keyed state by key group, sources by split)."""
-
-    checkpoint_id: int
-    num_key_groups: int
-    parallelism: dict[str, int]  # logical operator/source -> width
-    num_splits: dict[str, int]  # source -> split count
-    source_positions: dict[str, dict[int, int]]  # source -> split -> pos
-    keyed_state: dict[str, dict[int, Any]]  # op -> key group -> blob
-    scalar_state: dict[str, list[Any]]  # op -> per-subtask snapshot
-    #: sink -> its rows: a 2PC sink's sealed batches (one per epoch, no
-    #: row copied), a plain buffer's Elements; either restores into both
-    sink_elements: dict[str, list]
-    #: transient routing state (channel watermarks, aligned watermarks,
-    #: round-robin cursors); applied on restore only when the plan shape
-    #: matches (same parallelism everywhere), dropped on a rescale.
-    routing_state: dict[str, Any] = field(default_factory=dict)
-    #: unaligned-checkpoint channel state: (down, idx, side, up, up_idx)
-    #: -> pre-barrier items spilled from a lagging channel.  Re-enqueued
-    #: on restore; non-empty in-flight state pins the plan shape (an
-    #: unaligned checkpoint cannot be restored at another parallelism).
-    in_flight: dict[tuple, list] = field(default_factory=dict)
-    #: load-shedding tier state: active per-source shed plans plus the
-    #: per-source shed counts *as of this checkpoint's cut*, so a
-    #: restore rewinds shed accounting together with source positions
-    #: (replayed input re-sheds the same elements, counted once).
-    shed_state: dict[str, Any] = field(default_factory=dict)
-    #: chaos data-fault counters at the cut (per physical operator
-    #: clone; see FaultInjector.data_counts): data-fault windows name
-    #: records, so a restore rewinds them and replay re-poisons the
-    #: same records — keeping committed output identical to a
-    #: crash-free run under the same data faults.
-    data_counts: dict[str, int] = field(default_factory=dict)
 
 
 class ParallelExecutor:
@@ -174,9 +140,6 @@ class ParallelExecutor:
         self.tracer = tracer
         self.metrics = metrics
         self.transactional_sinks = transactional_sinks
-        #: give up barrier alignment after this many macro cycles and
-        #: spill in-flight items instead (None = align forever)
-        self.unaligned_after = unaligned_after
         self.sources = SourceReader(job, self.graph, batch_mode=batch_mode,
                                     metrics=metrics)
         self.channels = Channels(
@@ -196,9 +159,23 @@ class ParallelExecutor:
         self._job_span: Any = None
         self._obs_spans: dict[str, Any] = {}
         self._coordinator: Any = None
-        self._aligners: dict[tuple[str, int], BarrierAligner] = {}
+        #: the checkpoint being cut: opened by the coordinator's trigger,
+        #: closed by its finalize or abandon
+        self.cut: Cut | None = None
         self._stalled_now: set[tuple[str, int]] = set()
         self._build_physical_ops()
+        #: one barrier aligner per subtask over its input channels; it
+        #: gives up alignment after ``unaligned_after`` macro cycles and
+        #: spills in-flight items instead (None = align forever)
+        self._aligners = {
+            (name, idx): BarrierAligner(
+                tuple((side, up, up_idx)
+                      for side in self._sides(name)
+                      for (up, up_idx) in self.channels.inputs.get(
+                          (name, idx, side), ())),
+                unaligned_after=unaligned_after)
+            for name in self.graph.topo
+            for idx in range(self.graph.nodes[name].parallelism)}
         #: out-edges by upstream node, and the round-robin cursors of
         #: the rebalance edges among them: (edge_idx, up_idx) -> cursor
         self._down: dict[str, list[tuple[int, PhysicalEdge]]] = {}
@@ -356,44 +333,61 @@ class ParallelExecutor:
             raise CheckpointError(
                 "coordinated checkpoints require transactional_sinks=True")
         self._coordinator = coordinator
-        if not self._aligners:
-            for name in self.graph.topo:
-                for idx in range(self.graph.nodes[name].parallelism):
-                    channels = [
-                        (side, up, up_idx)
-                        for side in self._sides(name)
-                        for (up, up_idx) in self.channels.inputs.get(
-                            (name, idx, side), ())
-                    ]
-                    self._aligners[(name, idx)] = BarrierAligner(
-                        tuple(channels),
-                        unaligned_after=self.unaligned_after)
 
-    def inject_barriers(self, checkpoint_id: int) -> None:
-        """Emit barrier N from every source subtask — including subtasks
-        whose splits are empty or exhausted, so every downstream channel
-        carries the marker and alignment can complete."""
+    def open_cut(self, checkpoint_id: int) -> Cut:
+        """Open checkpoint N's cut at the current source positions and
+        shed state, then emit barrier N from every source subtask —
+        including subtasks whose splits are empty or exhausted, so every
+        downstream channel carries the marker and alignment can
+        complete."""
+        self.cut = Cut(checkpoint_id, self.graph, self.sources, self.sinks)
         barrier = CheckpointBarrier(checkpoint_id)
         for name in sorted(self.job.sources):
             self.sources.open(name)
             for idx in range(self.graph.source_parallelism[name]):
                 self._emit(name, idx, [barrier])
-                self._capture_rr(name, idx)
+                self._cut_rr(name, idx, checkpoint_id)
+        return self.cut
 
-    def _capture_rr(self, up: str, up_idx: int) -> None:
+    def _cut_for(self, checkpoint_id: int) -> Cut | None:
+        """The open cut, if it is checkpoint ``checkpoint_id``'s: a
+        record from an abandoned checkpoint's barriers, still finishing
+        their journey, is dropped."""
+        cut = self.cut
+        if cut is None or cut.checkpoint_id != checkpoint_id:
+            return None
+        return cut
+
+    def _cut_rr(self, up: str, up_idx: int, checkpoint_id: int) -> None:
         """A subtask forwarding its barrier freezes its round-robin
         cursors: they are part of checkpoint N's routing cut."""
-        coord = self._coordinator
-        if coord is None:
+        cut = self._cut_for(checkpoint_id)
+        if cut is None:
             return
         for edge_idx, edge in self._down.get(up, ()):
             if edge.mode == REBALANCE:
                 key = (edge_idx, up_idx)
-                coord.capture_rr(key, self._rr.get(key, 0))
+                cut.rr[key] = self._rr.get(key, 0)
+
+    def _sink_precommitted(self, sink_name: str,
+                           checkpoint_id: int | None) -> None:
+        """A 2PC sink's barrier alignment returned ``checkpoint_id``:
+        phase 1 done, acked in the cut.  A pre-commit for a checkpoint
+        nobody is cutting (barriers from an abandoned attempt, or from
+        before a coordinator crash, finishing their journey) is aborted
+        instead, so its elements fold back into the open transaction
+        rather than being orphaned in a sealed one nobody will commit."""
+        if checkpoint_id is None:
+            return
+        cut = self._cut_for(checkpoint_id)
+        if cut is not None:
+            cut.sink_acked.add(sink_name)
+        else:
+            self.sinks[sink_name].abort_pending(checkpoint_id)
 
     def drain_for_coordinator(self) -> int:
-        """One macro drain (no source pull): lets the coordinator flow a
-        final barrier through an already-exhausted job."""
+        """One macro drain (no source pull): lets the coordinator's
+        savepoint flow its barriers through without reading input."""
         self.channels.release_held()
         return self._drain()
 
@@ -552,8 +546,8 @@ class ParallelExecutor:
                                items: list[StreamItem]) -> None:
         """Merge a feeder's output into a 2PC sink: elements stage into
         the open transaction, barriers advance the sink's alignment and
-        — once all feeders delivered — pre-commit (phase 1, acked to
-        the coordinator)."""
+        — once all feeders delivered — pre-commit (phase 1, acked in
+        the cut)."""
         run: list[Element] = []
         delivered = 0
         frontier = float("-inf")
@@ -580,9 +574,8 @@ class ParallelExecutor:
                 if run:
                     sink.deliver(run, feeder)
                     run = []
-                cid = sink.on_barrier(feeder, item.checkpoint_id)
-                if cid is not None and self._coordinator is not None:
-                    self._coordinator.on_sink_ack(cid, sink_name)
+                self._sink_precommitted(
+                    sink_name, sink.on_barrier(feeder, item.checkpoint_id))
         if run:
             sink.deliver(run, feeder)
         if delivered:
@@ -658,7 +651,6 @@ class ParallelExecutor:
     def _drain_cycle(self) -> int:
         moved = 0
         metrics = self.metrics
-        coordinated = self._coordinator is not None
         for name in self.graph.topo:
             sides = self._sides(name)
             for idx in range(self.graph.nodes[name].parallelism):
@@ -669,20 +661,8 @@ class ParallelExecutor:
                 for side in sides:
                     chans = self.channels.inputs.get((name, idx, side), {})
                     for sender in sorted(chans):
-                        channel = chans[sender]
-                        if coordinated:
-                            drained += self._drain_channel_coordinated(
-                                name, idx, side, sender, channel)
-                            continue
-                        if not channel.queue:
-                            continue
-                        pending = channel.take()
-                        drained += (items_weight(pending)
-                                    if self.batch_mode else len(pending))
-                        items = self.channels.align((name, idx, side),
-                                                    sender, pending)
-                        if items:
-                            self._process(name, idx, side, items)
+                        drained += self._drain_channel(
+                            name, idx, side, sender, chans[sender])
                 moved += drained
                 if drained:
                     elapsed = time.perf_counter() - started
@@ -693,16 +673,16 @@ class ParallelExecutor:
                                 drained)
         return moved
 
-    # -- coordinated draining (barrier-aware) ---------------------------------
+    # -- barriers and the cut -------------------------------------------------
 
-    def _drain_channel_coordinated(self, name: str, idx: int,
-                                   side: str | None,
-                                   sender: tuple[str, int],
-                                   channel: Channel) -> int:
-        """Drain one channel under barrier rules: stop at a barrier that
-        blocks the channel, spill items from lagging channels after an
-        unaligned snapshot, and run alignment/snapshot transitions as
-        markers are consumed."""
+    def _drain_channel(self, name: str, idx: int, side: str | None,
+                       sender: tuple[str, int], channel: Channel) -> int:
+        """Drain one channel under barrier rules: the items before each
+        barrier are one segment — spilled first while the channel lags
+        an unaligned snapshot — then the barrier runs its alignment /
+        snapshot transition, and a barrier that blocks the channel ends
+        the drain.  With no barrier queued the whole queue is one
+        segment."""
         key = (name, idx, side)
         chan_id = (side, sender[0], sender[1])
         aligner = self._aligners[(name, idx)]
@@ -710,37 +690,38 @@ class ParallelExecutor:
         if not pending or aligner.is_blocked(chan_id):
             return 0
         moved = 0
-        segment: list[StreamItem] = []
-
-        def _flush_segment() -> None:
-            if not segment:
-                return
-            if aligner.is_spilling(chan_id):
-                # Pre-barrier in-flight data after an unaligned snapshot
-                # — copy into the checkpoint before processing mutates
-                # downstream state.  Decoded: spilled state is
-                # representation-independent, so an unaligned checkpoint
-                # restores identically in any execution mode.
-                self._coordinator.on_spill(
-                    aligner.current_id,
-                    (name, idx, side, sender[0], sender[1]),
-                    decode_items(segment))
-            items = self.channels.align(key, sender, segment)
-            if items:
-                self._process(name, idx, side, items)
-
         while pending:
-            item = pending.popleft()
-            moved += item_weight(item)
-            if isinstance(item, CheckpointBarrier):
-                _flush_segment()
-                segment = []
-                if self._on_channel_barrier(name, idx, side, sender,
-                                            channel, item):
-                    return moved  # channel blocked until alignment ends
+            barrier = None
+            if CheckpointBarrier not in map(type, pending):
+                segment = channel.take()
             else:
-                segment.append(item)
-        _flush_segment()
+                segment = []
+                while type(pending[0]) is not CheckpointBarrier:
+                    segment.append(pending.popleft())
+                barrier = pending.popleft()
+            if segment:
+                moved += (items_weight(segment) if self.batch_mode
+                          else len(segment))
+                if aligner.is_spilling(chan_id):
+                    # Pre-barrier in-flight data after an unaligned
+                    # snapshot — copy into the checkpoint before
+                    # processing mutates downstream state.  Decoded:
+                    # spilled state is representation-independent, so an
+                    # unaligned checkpoint restores identically in any
+                    # execution mode.
+                    cut = self._cut_for(aligner.current_id)
+                    spill = (name, idx, side, sender[0], sender[1])
+                    if cut is not None and spill in cut.open_spills:
+                        cut.in_flight[spill].extend(decode_items(segment))
+                items = self.channels.align(key, sender, segment)
+                if items:
+                    self._process(name, idx, side, items)
+            if barrier is None:
+                break
+            moved += 1
+            if self._on_channel_barrier(name, idx, side, sender, channel,
+                                        barrier):
+                break  # channel blocked until alignment ends
         return moved
 
     def _on_channel_barrier(self, name: str, idx: int, side: str | None,
@@ -751,18 +732,20 @@ class ParallelExecutor:
         aligner = self._aligners[(name, idx)]
         result = aligner.on_barrier((side, sender[0], sender[1]),
                                     barrier.checkpoint_id)
-        coord = self._coordinator
         if result.action == IGNORED:
             return False
+        cut = self._cut_for(result.checkpoint_id)
         if result.action == STRAGGLER:
             # The spill for this channel is complete; its watermark cut
             # was captured at the unaligned snapshot.
-            coord.on_spill_closed(result.checkpoint_id,
-                                  (name, idx, side, sender[0], sender[1]))
+            if cut is not None:
+                cut.open_spills.discard(
+                    (name, idx, side, sender[0], sender[1]))
             return False
         # BLOCKED and COMPLETE both mark this channel's cut point.
-        coord.capture_channel_wm((name, idx, side), sender,
-                                 channel.watermark)
+        if cut is not None:
+            cut.channel_wm.setdefault((name, idx, side), {})[sender] = \
+                channel.watermark
         if result.action == BLOCKED:
             return True
         # COMPLETE, all channels aligned: snapshot, ack, forward
@@ -770,8 +753,7 @@ class ParallelExecutor:
             self.metrics.summary(
                 "checkpoint.alignment_cycles",
                 op=f"{name}[{idx}]").observe(aligner.last_alignment_cycles)
-        self._snapshot_subtask(name, idx, result.checkpoint_id)
-        self._forward_barrier(name, idx, result.checkpoint_id)
+        self._pass_barrier(name, idx, result.checkpoint_id)
         return False
 
     def _complete_unaligned(self, name: str, idx: int, checkpoint_id: int,
@@ -779,82 +761,78 @@ class ParallelExecutor:
         """Alignment timed out: snapshot *now*, open a spill for each
         lagging channel (capturing its watermark cut first), and let the
         barrier overtake the in-flight data."""
-        coord = self._coordinator
-        for chan_id in spill_channels:
-            side, up, up_idx = chan_id
-            coord.on_spill_open(checkpoint_id,
-                                (name, idx, side, up, up_idx))
-            coord.capture_channel_wm(
-                (name, idx, side), (up, up_idx),
-                self.channels.inputs[(name, idx, side)][(up, up_idx)]
-                .watermark)
+        cut = self._cut_for(checkpoint_id)
+        if cut is not None:
+            for side, up, up_idx in spill_channels:
+                spill = (name, idx, side, up, up_idx)
+                cut.open_spills.add(spill)
+                cut.in_flight.setdefault(spill, [])
+                cut.channel_wm.setdefault((name, idx, side), {})[
+                    (up, up_idx)] = self.channels.inputs[
+                        (name, idx, side)][(up, up_idx)].watermark
         if self.metrics is not None:
             self.metrics.counter("checkpoint.unaligned",
                                  op=f"{name}[{idx}]").inc()
-        self._snapshot_subtask(name, idx, checkpoint_id)
-        self._forward_barrier(name, idx, checkpoint_id)
+        self._pass_barrier(name, idx, checkpoint_id)
 
-    def _forward_barrier(self, name: str, idx: int,
-                         checkpoint_id: int) -> None:
-        for side in self._sides(name):
-            if (name, idx, side) in self.channels.inputs:
-                self._coordinator.capture_aligned_wm(
-                    (name, idx, side),
-                    self.channels.aligned((name, idx, side)))
+    def _pass_barrier(self, name: str, idx: int, checkpoint_id: int) -> None:
+        """Barrier N passes one subtask: snapshot it into the cut, then
+        forward the barrier.  The injector's barrier-phase crash site
+        sits just before the state read — a subtask dying *during* its
+        snapshot."""
+        if self.injector is not None:
+            self.injector.before_snapshot(self._ops[name][idx],
+                                          f"{name}[{idx}]", checkpoint_id)
+        cut = self._cut_for(checkpoint_id)
+        if cut is not None:
+            self._read_state(name, idx, cut)
+            for side in self._sides(name):
+                if (name, idx, side) in self.channels.inputs:
+                    cut.aligned_wm[(name, idx, side)] = \
+                        self.channels.aligned((name, idx, side))
         self._emit(name, idx, [CheckpointBarrier(checkpoint_id)])
         if name in self._dlq_nodes and DLQ_SINK in self.sinks \
                 and self.transactional_sinks:
             # Dead-letter feeders also gate the DLQ's 2PC pre-commit:
             # this subtask's barrier closes its dead-letter epoch.
-            cid = self.sinks[DLQ_SINK].on_barrier((name, idx),
-                                                  checkpoint_id)
-            if cid is not None and self._coordinator is not None:
-                self._coordinator.on_sink_ack(cid, DLQ_SINK)
-        self._capture_rr(name, idx)
+            self._sink_precommitted(
+                DLQ_SINK,
+                self.sinks[DLQ_SINK].on_barrier((name, idx), checkpoint_id))
+        self._cut_rr(name, idx, checkpoint_id)
 
     def _sides(self, name: str) -> tuple[str | None, ...]:
         """The input sides of an execution node: a join has two."""
         join = isinstance(self._ops[name][0], IntervalJoinOperator)
         return ("left", "right") if join else (None,)
 
-    def _snapshot_subtask(self, name: str, idx: int,
-                          checkpoint_id: int) -> None:
-        """Snapshot one subtask's members on barrier passage and ack the
-        coordinator.  The injector's barrier-phase crash site sits just
-        before the state read — a subtask dying *during* its snapshot."""
-        subtask = f"{name}[{idx}]"
-        op = self._ops[name][idx]
-        if self.injector is not None:
-            self.injector.before_snapshot(op, subtask, checkpoint_id)
-        node = self.graph.nodes[name]
-        keyed: dict[str, dict[int, Any]] = {}
-        scalar: dict[str, Any] = {}
-        for m in node.members:
+    def _read_state(self, name: str, idx: int, cut: Cut) -> None:
+        """Write one subtask's state into ``cut`` and ack it there: the
+        one state read of a barrier snapshot and a quiescent
+        checkpoint."""
+        members = self.graph.nodes[name].members
+        for m in members:
             clone = self._clones[m][idx]
             if self.job.operators[m].requires_shuffle:
-                keyed[m] = clone.snapshot_key_groups(self.num_key_groups)
-                scalar[m] = clone.scalar_snapshot()
+                cut.keyed.setdefault(m, {}).update(
+                    clone.snapshot_key_groups(self.num_key_groups))
+                state = clone.scalar_snapshot()
             else:
-                scalar[m] = clone.snapshot()
-        self._coordinator.on_subtask_ack(checkpoint_id, name, idx,
-                                         keyed, scalar)
+                state = clone.snapshot()
+            cut.scalar[m][idx] = state
+        cut.acked.add((name, idx))
         if self._data_chaos:
-            # This subtask's data-fault counters are exactly at the
-            # barrier cut: everything pre-barrier is processed, nothing
-            # post-barrier is.  Report them so the assembled checkpoint
-            # can rewind fault windows to the same records on restore.
-            all_counts = self.injector.data_counts()
-            self._coordinator.capture_data_counts(
-                checkpoint_id,
-                {self._clones[m][idx].name:
-                 all_counts.get(self._clones[m][idx].name, 0)
-                 for m in node.members})
+            # This subtask's data-fault counters are exactly at its cut:
+            # everything before it is processed, nothing after it is.
+            # The checkpoint carries them so a restore rewinds fault
+            # windows to the same records.
+            counts = self.injector.data_counts()
+            for m in members:
+                clone = self._clones[m][idx]
+                cut.data_counts[clone.name] = counts.get(clone.name, 0)
 
     def _tick_aligners(self) -> None:
         """Once per macro cycle: aligners still waiting count a pending
         cycle; past the unaligned threshold they flip to spill mode."""
-        if self._coordinator is None:
-            return
         for (name, idx), aligner in self._aligners.items():
             result = aligner.on_cycle()
             if result is not None:
@@ -908,7 +886,7 @@ class ParallelExecutor:
             for name in self.graph.topo:
                 for idx in range(self.graph.nodes[name].parallelism):
                     if (name, idx) not in self._stalled_now:
-                        self._coordinator.heartbeat(f"{name}[{idx}]")
+                        self._coordinator.monitor.beat(f"{name}[{idx}]")
 
     def _run_loop(self, source_batch: int,
                   max_cycles: int | None) -> dict[str, SinkBuffer]:
@@ -919,14 +897,14 @@ class ParallelExecutor:
             self._begin_cycle()
             pulled = self._pull_sources(source_batch)
             if coordinator is not None:
-                coordinator.on_cycle_start(self)
+                coordinator.on_cycle_start()
             moved = self._drain()
             # gauges refresh every macro cycle: the autoscaler steers
             # a job while it runs
             if self.metrics is not None:
                 self._publish_metrics()
             if coordinator is not None:
-                coordinator.on_cycle_end(self)
+                coordinator.on_cycle_end()
             cycles += 1
             if self.sources.exhausted and not pulled and moved == 0:
                 # Blocked, stalled or held items keep the loop alive:
@@ -1002,49 +980,27 @@ class ParallelExecutor:
     # -- checkpoints -----------------------------------------------------------
 
     def checkpoint(self) -> ParallelCheckpoint:
-        """Aligned snapshot: keyed state by key group, sources by split,
-        sink contents in full (so a restore into a *fresh* executor —
-        the rescaling path — reproduces the run exactly)."""
+        """Aligned snapshot of a quiescent executor — a cut taken in one
+        pass, through the barrier snapshot's state read: keyed state by
+        key group, sources by split, sink contents in full (so a restore
+        into a *fresh* executor — the rescaling path — reproduces the
+        run exactly)."""
         if self.channels.pending():
             raise CheckpointError("cannot checkpoint with items in flight; "
                                   "call run() or drain first")
         self._checkpoint_seq += 1
-        parallelism: dict[str, int] = {}
-        keyed_state: dict[str, dict[int, Any]] = {}
-        scalar_state: dict[str, list[Any]] = {}
-        for m, op in self.job.operators.items():
-            clones = self._clones[m]
-            parallelism[m] = len(clones)
-            if op.requires_shuffle:
-                groups: dict[int, Any] = {}
-                for clone in clones:
-                    groups.update(
-                        clone.snapshot_key_groups(self.num_key_groups))
-                keyed_state[m] = groups
-                scalar_state[m] = [c.scalar_snapshot() for c in clones]
-            else:
-                scalar_state[m] = [c.snapshot() for c in clones]
-        source_positions = self.sources.positions()
-        for name in self.job.sources:
-            parallelism[name] = self.graph.source_parallelism[name]
-        snapshot = ParallelCheckpoint(
-            checkpoint_id=self._checkpoint_seq,
-            num_key_groups=self.num_key_groups,
-            parallelism=parallelism,
-            num_splits=dict(self.graph.source_splits),
-            source_positions=source_positions,
-            keyed_state=keyed_state,
-            scalar_state=scalar_state,
-            sink_elements={
-                s: list(buf.batches if self.transactional_sinks
-                        else buf.elements)
-                for s, buf in self.sinks.items()},
-            routing_state={**self.channels.routing_snapshot(),
-                           "rr": dict(self._rr)},
-            shed_state=self.sources.shed_state(),
-            data_counts=(self.injector.data_counts()
-                         if self._data_chaos else {}),
-        )
+        cut = Cut(self._checkpoint_seq, self.graph, self.sources, self.sinks)
+        for name in self.graph.topo:
+            for idx in range(self.graph.nodes[name].parallelism):
+                self._read_state(name, idx, cut)
+        routing = self.channels.routing_snapshot()
+        cut.channel_wm = routing["channel_wm"]
+        cut.aligned_wm = routing["aligned_wm"]
+        cut.rr = self._rr
+        snapshot = cut.checkpoint({
+            s: list(buf.batches if self.transactional_sinks
+                    else buf.elements)
+            for s, buf in self.sinks.items()})
         if self.metrics is not None:
             self.metrics.counter("executor.checkpoints").inc()
         if self._job_span is not None:
@@ -1053,7 +1009,7 @@ class ParallelExecutor:
         return snapshot
 
     def restore(self, checkpoint: ParallelCheckpoint,
-                region: set[str] | None = None) -> dict[str, int]:
+                region: set[str] | None = None) -> int:
         """Rewind to a snapshot: the whole plan, or only ``region``.
 
         ``region=None`` rewinds everything and accepts a snapshot taken
@@ -1070,9 +1026,9 @@ class ParallelExecutor:
         pending dead letters, which span regions.  It is a restart, not
         a rescale — the region must run at the snapshot's parallelism.
 
-        Returns recovery stats: ``replayed_elements`` is how much source
-        input the rewind will re-read, which for a region counts only
-        its own sources — what makes partial recovery cheaper.
+        Returns how many source elements the rewind will re-read, which
+        for a region counts only its own sources — what makes partial
+        recovery cheaper.
         """
         if checkpoint.num_key_groups != self.num_key_groups:
             raise CheckpointError(
@@ -1155,9 +1111,6 @@ class ParallelExecutor:
                if k[0] not in rebalanced},
             **{k: v for k, v in routing.get("rr", {}).items()
                if k[0] in rebalanced}}
-        for (name, idx), aligner in self._aligners.items():
-            if name in region:
-                aligner.reset()
         if whole:
             if self._data_chaos:
                 # Data-fault windows name records, not wall-clock
@@ -1168,11 +1121,12 @@ class ParallelExecutor:
                 self.injector.restore_data_counts(checkpoint.data_counts)
             self._dead_letters.clear()
         self._flushed = False
-        nodes = [n for n in self.graph.topo if n in region]
         if self._coordinator is not None:
             self._coordinator.on_executor_restored()
-            for name in nodes:
-                for idx in range(self.graph.nodes[name].parallelism):
+        for (name, idx), aligner in self._aligners.items():
+            if name in region:
+                aligner.reset()
+                if self._coordinator is not None:
                     self._coordinator.monitor.reset(f"{name}[{idx}]")
         if self.metrics is not None:
             self.metrics.counter("executor.restores" if whole else
@@ -1186,8 +1140,7 @@ class ParallelExecutor:
                     "restore.regional",
                     checkpoint_id=checkpoint.checkpoint_id,
                     region=",".join(sorted(region)))
-        return {"replayed_elements": replayed,
-                "restored_nodes": len(nodes)}
+        return replayed
 
     # -- observability ---------------------------------------------------------
 

@@ -8,8 +8,9 @@ flight, and a :class:`CheckpointStore` to recover from.
 fault counters, and is the only place that classifies a failure
 (:meth:`Supervisor.attempt`, the *ladder*), bounds failures, picks
 regional vs full restore, carries commit listeners and checkpoint
-counts across coordinator incarnations, cuts a stop-with-savepoint and
-adopts a replacement executor (docs/ARCHITECTURE.md, "Supervision").
+counts across coordinator incarnations and adopts a replacement
+executor (docs/ARCHITECTURE.md, "Supervision"); the coordinator's
+``savepoint`` is the one loop that drives a cut to finalize.
 
 Rescale, zone handoff and region failover are *actions*: callables run
 through :meth:`Supervisor.attempt`, so a fault in any phase of any
@@ -35,24 +36,22 @@ from ..util.errors import (
     JobGraphError,
     OperatorCrash,
 )
+from .barrier import ParallelCheckpoint
 from .coordinator import (
     CheckpointCoordinator,
     CheckpointStore,
     failover_region_of,
 )
 from .errors import DLQ_SINK
-from .execution import ParallelCheckpoint, ParallelExecutor
+from .execution import ParallelExecutor
 from .graph import JobGraph
 
-__all__ = ["MAX_FAILURES", "SAVEPOINT_MAX_CYCLES", "SupervisionReport",
-           "Supervisor", "run_coordinated"]
+__all__ = ["MAX_FAILURES", "SupervisionReport", "Supervisor",
+           "run_coordinated"]
 
 #: Bounds pathological fault plans: a deterministic schedule cannot
 #: re-fire a passed fault, so any finite plan terminates well below it.
 MAX_FAILURES = 1000
-#: Drain cycles a stop-with-savepoint may take before it is declared
-#: stuck (a blocked channel or a stalled subtask).
-SAVEPOINT_MAX_CYCLES = 256
 
 
 @dataclass
@@ -165,7 +164,7 @@ class Supervisor:
         self.executor.run(source_batch=self.source_batch,
                           max_cycles=self.step_cycles)
         if self.executor.done:
-            self.coordinator.final_checkpoint(self.executor)
+            self.coordinator.savepoint()
         return self.executor.done
 
     def attempt(self, action: Callable[[], Any], *,
@@ -205,7 +204,7 @@ class Supervisor:
             self._recover(None)
         else:
             dead = ([] if self.executor.done
-                    else self.coordinator.dead_subtasks())
+                    else self.coordinator.monitor.dead())
             if not dead:
                 return result
             # fail-silent subtask: the heartbeat detector is the only
@@ -296,8 +295,7 @@ class Supervisor:
                     and candidate
                     & set(executor.graph.source_parallelism)):
                 region = candidate
-        replayed = self._restore(
-            lambda: executor.restore(target, region))["replayed_elements"]
+        replayed = self._restore(lambda: executor.restore(target, region))
         if region is not None:
             report.regional_restores += 1
             report.replayed_regional += replayed
@@ -331,30 +329,6 @@ class Supervisor:
 
     # -- action primitives ---------------------------------------------------
 
-    def _drive_savepoint(self) -> ParallelCheckpoint:
-        """Stop-with-savepoint: finish any checkpoint already being
-        assembled, then cut a fresh one and drain until it finalizes.
-        The job does not stop — drain cycles move in-flight data and
-        barriers without pulling new source input, exactly like
-        ``final_checkpoint`` but mid-job."""
-        cid = None
-        for _ in range(SAVEPOINT_MAX_CYCLES):
-            if self.coordinator.in_progress is None:
-                if cid is not None:
-                    break
-                cid = self.coordinator.trigger(self.executor)
-            self.executor.drain_for_coordinator()
-            self.coordinator.on_cycle_end(self.executor)
-        if cid is None:
-            raise CheckpointError(
-                "savepoint blocked: a prior checkpoint never finalized")
-        savepoint = self.store.latest()
-        if savepoint is None or savepoint.checkpoint_id != cid:
-            raise CheckpointError(
-                f"stop-with-savepoint {cid} did not finalize within "
-                f"{SAVEPOINT_MAX_CYCLES} drain cycles")
-        return savepoint
-
     def _adopt(self, replacement: ParallelExecutor,
                checkpoint: ParallelCheckpoint | None) -> int:
         """Restore ``checkpoint`` into ``replacement`` (None = cold
@@ -364,8 +338,7 @@ class Supervisor:
         will re-read."""
         replayed = 0
         if checkpoint is not None:
-            replayed = self._restore(
-                lambda: replacement.restore(checkpoint))["replayed_elements"]
+            replayed = self._restore(lambda: replacement.restore(checkpoint))
         self.executor = replacement
         self._next_coordinator()
         return replayed

@@ -5,22 +5,42 @@ completion must produce exactly the same sink contents as: run part of
 the stream, checkpoint, keep running, crash (restore), and re-run from
 the checkpoint.  This is the exactly-once guarantee the streaming
 engine claims, checked over randomized streams.
+
+Both kinds of cut — barriers in flight, and one pass over a quiescent
+executor — must record the same checkpoint of the same state.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import SITE_OPERATOR, FaultInjector, FaultPlan, FaultSpec
+from repro.chaos import (
+    SITE_OPERATOR,
+    FaultInjector,
+    FaultPlan,
+    FaultSpec,
+    reference_events,
+    reference_job,
+)
 from repro.streaming import (
     DEAD_LETTER,
     DLQ_SINK,
+    CheckpointCoordinator,
     Element,
     JobBuilder,
+    ParallelCheckpoint,
     ParallelExecutor,
     TumblingWindows,
 )
+from repro.streaming.batch import elements_of
 from repro.util.errors import OperatorCrash
+
+MODES = {
+    "per_item": dict(batch_mode=False),
+    "chained": dict(batch_mode=True),
+}
 
 stream_strategy = st.lists(
     st.tuples(st.integers(min_value=0, max_value=3),  # key
@@ -207,3 +227,39 @@ class TestMidBatchCrashRestore:
         # guarantee), so the whole sink matches positionally.
         assert emitted(fresh.sinks["out"].values) == delivered
         assert emitted(fresh.run(source_batch=16)["out"].values) == straight
+
+
+class TestBothCutsAgree:
+    """A drained job's end-of-job barrier checkpoint and a quiescent
+    ``checkpoint()`` of the same executor are the same snapshot."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("p", (1, 2, 4))
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.integers(min_value=0, max_value=160),
+           st.integers(min_value=1, max_value=48),
+           st.integers(min_value=1, max_value=4))
+    @settings(max_examples=15, deadline=None)
+    def test_final_cut_equals_quiescent_checkpoint(
+            self, p, mode, seed, n, source_batch, interval_cycles):
+        # a single-subtask source feeding p-wide operators puts a
+        # round-robin edge (and its cursors) into the plan at p > 1
+        executor = ParallelExecutor(
+            reference_job(reference_events(seed=seed, n=n), splits=4),
+            {"default": p, "events": 1}, transactional_sinks=True,
+            **MODES[mode])
+        coordinator = CheckpointCoordinator(executor,
+                                            interval_cycles=interval_cycles)
+        while not executor.done:
+            executor.run(source_batch=source_batch, max_cycles=1)
+        final = coordinator.savepoint()
+        quiescent = executor.checkpoint()
+        for f in dataclasses.fields(ParallelCheckpoint):
+            if f.name == "checkpoint_id":
+                continue
+            got, want = getattr(quiescent, f.name), getattr(final, f.name)
+            if f.name == "sink_elements":
+                got, want = ({sink: [e.value for e in elements_of(rows)]
+                              for sink, rows in cut.items()}
+                             for cut in (got, want))
+            assert got == want, f.name

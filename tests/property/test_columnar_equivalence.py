@@ -298,7 +298,7 @@ def _coordinated_run(job, p, flags, source_batch):
                                         interval_cycles=1)
     while not executor.done:  # the supervisor's slice protocol
         executor.run(source_batch=source_batch, max_cycles=1)
-    coordinator.final_checkpoint(executor)
+    coordinator.savepoint()
     return executor, [store.snapshot(cid) for cid in store.retained_ids()]
 
 

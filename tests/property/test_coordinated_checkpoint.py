@@ -309,8 +309,7 @@ class TestOneRewind:
                    for op in ("window_a", "window_b")}
         assert len(regions) == 2 and not frozenset.intersection(*regions)
         replayed = sum(regional.restore(same, set(region))
-                       ["replayed_elements"] for region in sorted(
-                           regions, key=sorted))
+                       for region in sorted(regions, key=sorted))
         assert replayed == sum(
             pos - snapshot.source_positions[name][split]
             for name, splits in ahead.items()
@@ -320,7 +319,7 @@ class TestOneRewind:
                                       (regional, regional_coord)):
             while not executor.done:
                 executor.run(source_batch=16, max_cycles=1)
-            coordinator.final_checkpoint(executor)
+            coordinator.savepoint()
         assert {n: s.values for n, s in regional.sinks.items()} \
             == {n: s.values for n, s in whole.sinks.items()}
 

@@ -86,7 +86,7 @@ def _coordinated(job, p, flags, source_batch, store=None):
         sink = StoreSink(store, sink_name="out").attach(coordinator)
     while not executor.done:
         executor.run(source_batch=source_batch, max_cycles=1)
-    coordinator.final_checkpoint(executor)
+    coordinator.savepoint()
     return executor, [checkpoints.snapshot(cid)
                       for cid in checkpoints.retained_ids()], sink
 

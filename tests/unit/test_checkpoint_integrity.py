@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.streaming.barrier import ParallelCheckpoint
 from repro.streaming.batch import RecordBatch
 from repro.streaming.coordinator import (
     ABORTED,
@@ -20,7 +21,6 @@ from repro.streaming.coordinator import (
     CheckpointStore,
 )
 from repro.streaming.element import Element
-from repro.streaming.execution import ParallelCheckpoint
 from repro.streaming.txn_sink import TransactionalSink
 from repro.util.errors import CheckpointError, CheckpointIntegrityError
 

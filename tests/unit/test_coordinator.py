@@ -3,6 +3,7 @@
 import pytest
 
 from repro.chaos import reference_events, reference_job, two_region_job
+from repro.streaming.barrier import ParallelCheckpoint
 from repro.streaming.coordinator import (
     CheckpointManifest,
     CheckpointStore,
@@ -10,7 +11,6 @@ from repro.streaming.coordinator import (
     failover_region_of,
     failover_regions,
 )
-from repro.streaming.execution import ParallelCheckpoint
 from repro.streaming.plan import compile_execution_graph
 from repro.util.clock import SimClock
 from repro.util.errors import CheckpointError
@@ -104,16 +104,6 @@ class TestHeartbeatMonitor:
         clock.advance(5.0)
         assert monitor.dead() == ["a[0]"]
         monitor.reset("a[0]")
-        assert monitor.dead() == []
-
-    def test_reset_all(self):
-        clock = SimClock()
-        monitor = HeartbeatMonitor(clock, timeout_s=1.0)
-        monitor.register("a[0]")
-        monitor.register("b[1]")
-        clock.advance(9.0)
-        assert monitor.dead() == ["a[0]", "b[1]"]
-        monitor.reset_all()
         assert monitor.dead() == []
 
     def test_register_is_idempotent(self):

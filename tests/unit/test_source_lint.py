@@ -25,6 +25,10 @@ text, imports only to inspect one signature).
     ``streaming/transport.py`` (``Channel``), the sixteen parallel
     dictionaries they replaced and the three deleted options stay
     deleted, and every ``streaming/`` module fits a line budget.
+(g) One cut: ``barrier.Cut`` is the only code that builds a
+    ``ParallelCheckpoint``, the coordinator's capture/ack callbacks and
+    its second drive-to-finalize loop stay deleted, and no coordinator
+    method takes the executor it already has.
 """
 
 import ast
@@ -39,7 +43,7 @@ SUPERVISOR = "streaming/supervisor.py"
 LADDER = re.compile(r"except\s+\(?[\w\s,.]*\b(OperatorCrash|CoordinatorDown)\b")
 PRIMITIVES = re.compile(
     r"def\s+(_check_budget|_recover|_rebuild_coordinator|_full_equiv"
-    r"|_drive_savepoint|_build_coordinator)\b")
+    r"|_build_coordinator)\b")
 NONDETERMINISTIC = re.compile(
     r"^\s*(import|from)\s+(random|uuid|datetime)\b|\btime\.time\(",
     re.MULTILINE)
@@ -209,7 +213,7 @@ def test_execution_module_holds_the_executor_and_nothing_else():
     tree = ast.parse((SRC / "streaming/execution.py").read_text())
     classes = {node.name for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)}
-    assert classes == {"SinkBuffer", "ParallelCheckpoint", "ParallelExecutor"}
+    assert classes == {"SinkBuffer", "ParallelExecutor"}
     (executor,) = [node for node in tree.body
                    if isinstance(node, ast.ClassDef)
                    and node.name == "ParallelExecutor"]
@@ -222,8 +226,8 @@ def test_execution_module_holds_the_executor_and_nothing_else():
                   if isinstance(target, ast.Attribute)
                   and isinstance(target.value, ast.Name)
                   and target.value.id == "self"}
-    assert len(methods) <= 48, len(methods)
-    assert len(attributes) <= 40, sorted(attributes)
+    assert len(methods) <= 47, len(methods)
+    assert len(attributes) <= 35, sorted(attributes)
     (restore,) = [m for m in methods if m.name == "restore"]
     fields = {"queue", "watermark", "send_seq", "recv_seq", "ooo",
               "buffer", "position", "mergeable", "finished"}
@@ -251,3 +255,35 @@ def test_streaming_modules_fit_their_line_budget():
             if rel.startswith(STREAMING)
             and len(text.splitlines()) > MAX_MODULE_LINES}
     assert over == {}
+
+
+# -- (g) one cut --------------------------------------------------------------
+
+#: what the executor writing the cut made unnecessary
+GONE_WITH_THE_CUT = {
+    "on_subtask_ack", "on_sink_ack", "on_spill_open", "on_spill",
+    "on_spill_closed", "capture_channel_wm", "capture_aligned_wm",
+    "capture_rr", "capture_data_counts", "_Pending", "_pending_for",
+    "final_checkpoint", "reset_all"}
+
+
+def test_every_checkpoint_is_built_by_the_cut():
+    sites = _offenders(re.compile(r"\bParallelCheckpoint\("), set())
+    assert [site.split(":")[0] for site in sites] == ["streaming/barrier.py"]
+    defined = [f"{rel}:{node.name}" for rel, text in _sources()
+               for node in ast.walk(ast.parse(text))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name in GONE_WITH_THE_CUT]
+    assert defined == []
+
+
+def test_coordinator_methods_take_no_executor():
+    tree = ast.parse((SRC / "streaming/coordinator.py").read_text())
+    (coordinator,) = [node for node in tree.body
+                      if isinstance(node, ast.ClassDef)
+                      and node.name == "CheckpointCoordinator"]
+    takes = [fn.name for fn in coordinator.body
+             if isinstance(fn, ast.FunctionDef) and fn.name != "__init__"
+             and any(a.arg == "executor" for a in fn.args.args
+                     + fn.args.kwonlyargs)]
+    assert takes == []

@@ -14,9 +14,9 @@ import pytest
 
 from repro.eventlog import LogCluster, Producer, TopicConfig
 from repro.store import StoreSink, TieredStore, canonical_contents, serve_topic
+from repro.streaming.barrier import ParallelCheckpoint
 from repro.streaming.coordinator import CheckpointManifest, CheckpointStore
 from repro.streaming.element import Element
-from repro.streaming.execution import ParallelCheckpoint
 from repro.util.errors import CheckpointError, StoreError
 from repro.util.rng import make_rng
 

@@ -237,7 +237,7 @@ class TestActions:
 
     def _swap(self, supervisor, job, *, die_in=None):
         def action():
-            savepoint = supervisor._drive_savepoint()
+            savepoint = supervisor.coordinator.savepoint()
             if die_in == "savepoint":
                 raise OperatorCrash("supervisor died after the savepoint")
             replacement = _executor(job)
