@@ -1,26 +1,23 @@
 """Columnar historical store: the analytics-facing scan tier.
 
-The read-optimized half of the tiered store.  Committed epochs append
-as immutable **segments** — numpy timestamp/metric columns plus a
-dictionary-encoded key column sharing one store-wide key table, the
-same representation :class:`~repro.streaming.batch.RecordBatch` moves
-through the engine.  A small query layer (filter / group-by /
-tumbling-window aggregate) runs directly over the consolidated columns,
-so dashboard queries are a handful of numpy reductions rather than
-per-row Python.
-
-Values may be opaque objects (app payloads are usually dicts); a
-``metric_fn`` extracts the numeric column at append time, and the raw
-objects stay available for callable-keyed regrouping (``by=``).
+Committed epochs append onto **one set of columns**: capacity-doubling
+numpy buffers for timestamps, metric and dictionary-encoded key codes
+(one store-wide key table, as in a
+:class:`~repro.streaming.batch.RecordBatch`) plus one raw-value list.
+Each epoch adds a **zone map** entry (min ts, max ts, first row), so a
+time-bounded query masks only the epochs that can match, and a key set
+selects through a lookup table over key codes.  Values may be opaque
+objects; a ``metric_fn`` extracts the numeric column at append time,
+and the raw objects stay for callable-keyed regrouping (``by=``).
 
 Appends go **only** through :meth:`append_epoch`, guarded by
-``last_applied_epoch`` exactly like the hot shards: staging takes the
-epoch's batch column by column (timestamps as they are, the metric
-column, key codes through one remap array) and resolves new keys
-against a *staged extension* of the key table; the install extends the
-table, appends one segment and flips the epoch — so a discarded stage
-leaves no trace and a crash-and-replay of the commit stream never
-double-appends a row.
+``last_applied_epoch`` like the hot shards: staging takes the batch
+column by column and resolves new keys against a *staged extension* of
+the key table; the install copies the columns onto the buffer tails,
+extends the raw list and key table, adds the zone entry and publishes
+the row count last — so a discarded stage leaves no trace, a reader's
+``[:rows]`` views are never rewritten, and a replayed commit stream
+never double-appends a row.
 """
 
 from __future__ import annotations
@@ -37,6 +34,12 @@ from ..util.errors import StoreError
 __all__ = ["AnalyticalStore"]
 
 _AGGS = ("sum", "mean", "count", "min", "max")
+#: the per-row Python path of ``group_by(by=...)``
+_SCALAR = {"count": len, "sum": sum, "min": min, "max": max,
+           "mean": lambda vals: sum(vals) / len(vals)}
+#: dense tumbling cells per selected row past which an ``np.unique``
+#: compaction beats the dense bincount (measured crossover: 1-4)
+_DENSE_PER_ROW = 4
 
 
 def _default_metric(value: Any) -> float:
@@ -45,17 +48,44 @@ def _default_metric(value: Any) -> float:
     return math.nan
 
 
+def _put(buf: np.ndarray, at: int, values: Any) -> np.ndarray:
+    """``buf`` with ``values`` written from row ``at``, at least doubled
+    when full; rows below ``at`` are never written (views keep them)."""
+    end = at + len(values)
+    if end > len(buf):
+        buf = np.concatenate(
+            (buf[:at], np.empty(max(end, 2 * len(buf)) - at, buf.dtype)))
+    buf[at:end] = values
+    return buf
+
+
+def _in_range(lo: np.ndarray, hi: np.ndarray, start: float | None,
+              end: float | None) -> np.ndarray:
+    """Which ``[lo, hi]`` intervals meet the half-open ``[start, end)``."""
+    mask = np.ones(len(lo), dtype=bool)
+    if start is not None:
+        mask &= hi >= start
+    if end is not None:
+        mask &= lo < end
+    return mask
+
+
 class AnalyticalStore:
     """Append-only columnar history with a numpy query layer."""
 
     def __init__(self, metric_fn: Callable[[Any], float] | None = None
                  ) -> None:
-        self.metric_fn = metric_fn if metric_fn is not None \
-            else _default_metric
-        self._segments: list[dict[str, Any]] = []
+        self.metric_fn = metric_fn or _default_metric
+        self._ts = np.empty(0, dtype=np.float64)
+        self._metric = np.empty(0, dtype=np.float64)
+        self._codes = np.empty(0, dtype=np.int64)
+        self._raw: list[Any] = []
         self._key_index: dict[Any, int] = {}
         self._key_dict: list[Any] = []
-        self._consolidated: dict[str, Any] | None = None
+        # zone map, one entry per installed epoch: min/max ts, first row
+        self._zone_lo = np.empty(0, dtype=np.float64)
+        self._zone_hi = np.empty(0, dtype=np.float64)
+        self._zone_at = np.empty(0, dtype=np.int64)
         self.last_applied_epoch = 0
         self.rows = 0
         self.appends = 0
@@ -101,10 +131,9 @@ class AnalyticalStore:
                 "key_base": base, "new_keys": list(new_keys)}
 
     def install_epoch(self, staged: dict[str, Any] | None) -> int:
-        """Install a staged epoch: key-table extension, one segment,
-        the epoch flip.  A token staged against another key table (an
-        epoch that brought new keys was installed since) is refused
-        before anything changes."""
+        """Install a staged epoch, publishing the row count last.  A token
+        staged against another key table (an epoch that brought new keys
+        was installed since) is refused before anything changes."""
         if staged is None:
             return 0
         epoch = staged["epoch"]
@@ -114,109 +143,93 @@ class AnalyticalStore:
             raise StoreError(
                 f"staged epoch {epoch} is stale: the analytical key "
                 "table grew since it was staged")
+        ts, at, zone = staged["ts"], self.rows, self.appends
+        # fmin/fmax skip NaN timestamps, which no time range matches
+        lo = float(np.fmin.reduce(ts, initial=math.inf))
+        hi = float(np.fmax.reduce(ts, initial=-math.inf))
+        self._ts = _put(self._ts, at, ts)
+        self._metric = _put(self._metric, at, staged["metric"])
+        self._codes = _put(self._codes, at, staged["codes"])
+        self._zone_lo = _put(self._zone_lo, zone, (lo,))
+        self._zone_hi = _put(self._zone_hi, zone, (hi,))
+        self._zone_at = _put(self._zone_at, zone, (at,))
+        self._raw.extend(staged["raw"])
         for key in staged["new_keys"]:
             self._key_index[key] = len(self._key_dict)
             self._key_dict.append(key)
-        self._segments.append(staged)
-        self._consolidated = None
-        self.rows += len(staged["ts"])
         self.last_applied_epoch = epoch
         self.appends += 1
-        return len(staged["ts"])
+        self.rows = at + len(ts)
+        return len(ts)
 
     def append_epoch(self, epoch: int,
                      rows: RecordBatch | Iterable[Element]) -> int:
         return self.install_epoch(self.stage_epoch(epoch, rows))
 
-    # -- consolidated columns ------------------------------------------------
-
     def columns(self) -> dict[str, Any]:
-        """All segments as one set of columns (cached until the next
-        append): ``ts``/``metric``/``codes`` arrays plus ``raw`` list
-        and the shared ``key_dict``."""
-        if self._consolidated is None:
-            if self._segments:
-                self._consolidated = {
-                    "ts": np.concatenate(
-                        [s["ts"] for s in self._segments]),
-                    "metric": np.concatenate(
-                        [s["metric"] for s in self._segments]),
-                    "codes": np.concatenate(
-                        [s["codes"] for s in self._segments]),
-                    "raw": [v for s in self._segments for v in s["raw"]],
-                }
-            else:
-                self._consolidated = {
-                    "ts": np.empty(0, dtype=np.float64),
-                    "metric": np.empty(0, dtype=np.float64),
-                    "codes": np.empty(0, dtype=np.int64),
-                    "raw": [],
-                }
-        cols = dict(self._consolidated)
-        cols["key_dict"] = self._key_dict
-        return cols
-
-    def _mask(self, cols: dict[str, Any], keys: Iterable[Any] | None,
-              start: float | None, end: float | None) -> np.ndarray:
-        mask = np.ones(len(cols["ts"]), dtype=bool)
-        if keys is not None:
-            wanted = {self._key_index[k] for k in keys
-                      if k in self._key_index}
-            if wanted:
-                mask &= np.isin(cols["codes"],
-                                np.fromiter(wanted, dtype=np.int64))
-            else:
-                mask &= False
-        if start is not None:
-            mask &= cols["ts"] >= start
-        if end is not None:
-            mask &= cols["ts"] < end
-        return mask
+        """``ts``/``metric``/``codes`` views of the installed rows
+        (never rewritten by a later install), a copy of the ``raw``
+        list, and the shared ``key_dict``."""
+        rows = self.rows
+        return {"ts": self._ts[:rows], "metric": self._metric[:rows],
+                "codes": self._codes[:rows], "raw": self._raw[:rows],
+                "key_dict": self._key_dict}
 
     # -- query layer ---------------------------------------------------------
 
     def _select(self, keys: Iterable[Any] | None, start: float | None,
-                end: float | None) -> tuple[dict[str, Any], np.ndarray]:
-        """The consolidated columns and the indices of the rows in a
-        key set and/or half-open time range.  Callers gather only the
-        columns they read: ``raw`` is a Python list, and gathering it
-        costs more than the numpy reductions of a dashboard query."""
-        cols = self.columns()
-        return cols, np.flatnonzero(self._mask(cols, keys, start, end))
+                end: float | None) -> np.ndarray:
+        """Indices of the rows in a key set and/or half-open time range,
+        masking only the first to last epoch whose zone meets the range
+        (right for any ts order: no row outside holds a match).  Callers
+        gather only the columns they read: ``raw`` is a Python list."""
+        zones = self.appends
+        hit = np.flatnonzero(_in_range(self._zone_lo[:zones],
+                                       self._zone_hi[:zones], start, end))
+        if not len(hit):
+            return np.empty(0, dtype=np.int64)
+        lo, last = int(self._zone_at[hit[0]]), int(hit[-1]) + 1
+        hi = int(self._zone_at[last]) if last < zones else self.rows
+        ts = self._ts[lo:hi]
+        mask = _in_range(ts, ts, start, end)
+        if keys is not None:
+            lut = np.zeros(len(self._key_dict), dtype=bool)
+            lut[[self._key_index[k] for k in keys
+                 if k in self._key_index]] = True
+            mask &= lut[self._codes[lo:hi]]
+        return lo + np.flatnonzero(mask)
 
     def filter(self, keys: Iterable[Any] | None = None,
                start: float | None = None,
                end: float | None = None) -> dict[str, Any]:
         """Row subset by key set and/or half-open time range, as
         columns (plus the raw value list, same order)."""
-        cols, idx = self._select(keys, start, end)
-        raw = cols["raw"]
-        return {"ts": cols["ts"][idx], "metric": cols["metric"][idx],
-                "codes": cols["codes"][idx],
-                "raw": [raw[i] for i in idx.tolist()],
+        idx = self._select(keys, start, end)
+        return {"ts": self._ts[idx], "metric": self._metric[idx],
+                "codes": self._codes[idx],
+                "raw": [self._raw[i] for i in idx.tolist()],
                 "key_dict": self._key_dict}
 
     def count(self, keys: Iterable[Any] | None = None,
               start: float | None = None, end: float | None = None) -> int:
-        cols = self.columns()
-        return int(self._mask(cols, keys, start, end).sum())
+        return len(self._select(keys, start, end))
 
     @staticmethod
-    def _reduce(agg: str, codes: np.ndarray, metric: np.ndarray,
-                size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-code aggregate over dense code space [0, size); returns
-        (touched codes, aggregated values)."""
-        counts = np.bincount(codes, minlength=size)
+    def _reduce(agg: str, codes: np.ndarray,
+                metric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-code aggregate over dense code space [0, max code];
+        returns (touched codes, aggregated values)."""
+        counts = np.bincount(codes)
         touched = np.flatnonzero(counts)
         if agg == "count":
             return touched, counts[touched].astype(np.float64)
         if agg in ("sum", "mean"):
-            sums = np.bincount(codes, weights=metric, minlength=size)
+            sums = np.bincount(codes, weights=metric)
             if agg == "sum":
                 return touched, sums[touched]
             return touched, sums[touched] / counts[touched]
         fill = math.inf if agg == "min" else -math.inf
-        extrema = np.full(size, fill, dtype=np.float64)
+        extrema = np.full(len(counts), fill, dtype=np.float64)
         op = np.minimum if agg == "min" else np.maximum
         op.at(extrema, codes, metric)
         return touched, extrema[touched]
@@ -225,64 +238,51 @@ class AnalyticalStore:
                  keys: Iterable[Any] | None = None,
                  start: float | None = None, end: float | None = None,
                  by: Callable[[Any], Any] | None = None) -> dict[Any, float]:
-        """Aggregate the metric per key.
-
-        ``by`` regroups by a callable over the *raw* values (e.g.
-        ``lambda v: v["item"]``) — a per-row Python path for dashboard
-        pivots the key column does not carry; omit it for the numpy
-        fast path over dictionary codes.
-        """
+        """Aggregate the metric per key, or per ``by(raw value)`` (e.g.
+        ``lambda v: v["item"]``): a per-row Python path for dashboard
+        pivots the key column does not carry."""
         if agg not in _AGGS:
             raise StoreError(f"unknown aggregate {agg!r} "
                              f"(expected one of {_AGGS})")
-        cols, idx = self._select(keys, start, end)
-        metric = cols["metric"][idx]
+        idx = self._select(keys, start, end)
+        metric = self._metric[idx]
         if by is not None:
-            raw = cols["raw"]
             groups: dict[Any, list[float]] = {}
             for i, m in zip(idx.tolist(), metric.tolist()):
-                groups.setdefault(by(raw[i]), []).append(m)
-            return {g: self._scalar(agg, vals)
+                groups.setdefault(by(self._raw[i]), []).append(m)
+            return {g: float(_SCALAR[agg](vals))
                     for g, vals in groups.items()}
-        touched, values = self._reduce(agg, cols["codes"][idx], metric,
-                                       len(self._key_dict))
+        touched, values = self._reduce(agg, self._codes[idx], metric)
         kd = self._key_dict
         return {kd[c]: float(v)
                 for c, v in zip(touched.tolist(), values.tolist())}
-
-    @staticmethod
-    def _scalar(agg: str, vals: list[float]) -> float:
-        if agg == "count":
-            return float(len(vals))
-        if agg == "sum":
-            return float(sum(vals))
-        if agg == "mean":
-            return float(sum(vals) / len(vals))
-        return float(min(vals) if agg == "min" else max(vals))
 
     def tumbling(self, window_s: float, agg: str = "sum",
                  keys: Iterable[Any] | None = None,
                  start: float | None = None, end: float | None = None,
                  ) -> dict[tuple[Any, float], float]:
-        """Per-key tumbling-window aggregate:
-        ``(key, window_start) -> value``, computed as one composite
-        bincount over ``code * n_windows + window_index``."""
+        """Per-key tumbling-window aggregate ``(key, window_start) ->
+        value``: one bincount over ``code * n_windows + window``, over
+        the occupied cells only when the dense space outsizes the rows."""
         if window_s <= 0:
             raise StoreError("window_s must be positive")
         if agg not in _AGGS:
             raise StoreError(f"unknown aggregate {agg!r} "
                              f"(expected one of {_AGGS})")
-        cols, idx = self._select(keys, start, end)
+        idx = self._select(keys, start, end)
         if not len(idx):
             return {}
-        widx = np.floor_divide(cols["ts"][idx], window_s).astype(np.int64)
+        widx = np.floor_divide(self._ts[idx], window_s).astype(np.int64)
         base = int(widx.min())
         widx -= base
         n_windows = int(widx.max()) + 1
-        composite = cols["codes"][idx] * n_windows + widx
-        touched, values = self._reduce(
-            agg, composite, cols["metric"][idx],
-            len(self._key_dict) * n_windows)
+        composite = self._codes[idx] * n_windows + widx
+        occupied = None
+        if len(self._key_dict) * n_windows > _DENSE_PER_ROW * len(idx):
+            occupied, composite = np.unique(composite, return_inverse=True)
+        touched, values = self._reduce(agg, composite, self._metric[idx])
+        if occupied is not None:
+            touched = occupied[touched]
         kd = self._key_dict
         out: dict[tuple[Any, float], float] = {}
         for comp, v in zip(touched.tolist(), values.tolist()):
@@ -291,6 +291,6 @@ class AnalyticalStore:
         return out
 
     def stats(self) -> dict[str, Any]:
-        return {"rows": self.rows, "segments": len(self._segments),
+        return {"rows": self.rows, "segments": self.appends,
                 "keys": len(self._key_dict), "appends": self.appends,
                 "last_applied_epoch": self.last_applied_epoch}

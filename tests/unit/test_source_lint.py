@@ -29,6 +29,10 @@ text, imports only to inspect one signature).
     ``ParallelCheckpoint``, the coordinator's capture/ack callbacks and
     its second drive-to-finalize loop stay deleted, and no coordinator
     method takes the executor it already has.
+(h) One column set: ``store/analytical.py`` keeps its columns in one
+    append-only buffer set — no per-epoch segment list, no consolidated
+    copy rebuilt per install, no ``np.isin`` scan of the key column —
+    and fits a line budget.
 """
 
 import ast
@@ -287,3 +291,16 @@ def test_coordinator_methods_take_no_executor():
              and any(a.arg == "executor" for a in fn.args.args
                      + fn.args.kwonlyargs)]
     assert takes == []
+
+
+# -- (h) one column set -------------------------------------------------------
+
+#: the analytical store's line budget (its size when it last kept one
+#: segment per epoch)
+MAX_ANALYTICAL_LINES = 296
+
+
+def test_the_analytical_store_keeps_one_column_set():
+    text = (SRC / "store/analytical.py").read_text()
+    assert re.findall(r"np\.isin\b|_consolidated|_segments", text) == []
+    assert len(text.splitlines()) <= MAX_ANALYTICAL_LINES

@@ -7,6 +7,7 @@ semantic.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,14 @@ def _elements(rng, n, keys):
                     timestamp=float(rng.uniform(0, 500)),
                     key=f"k-{int(rng.integers(keys))}")
             for _ in range(n)]
+
+
+def _snapshot(store):
+    """Everything a reader can see: column bytes, raw values, key table
+    and stats."""
+    cols = store.columns()
+    return ({name: cols[name].tobytes() for name in ("ts", "metric", "codes")},
+            list(cols["raw"]), list(cols["key_dict"]), store.stats())
 
 
 def _store_with(elements, epochs=4):
@@ -142,7 +151,7 @@ class TestEpochProtocol:
         # or a metric_fn that raises half way, changes nothing.
         store = AnalyticalStore(metric_fn=lambda v: v["m"])
         store.append_epoch(1, _elements(make_rng(3), 6, keys=2))
-        stats = store.stats()
+        before = _snapshot(store)
         key_dict = list(store.columns()["key_dict"])
         fresh = [Element({"m": 1.0}, 1.0, "brand-new"),
                  Element({"m": 2.0}, 2.0, "k-0"),
@@ -152,8 +161,7 @@ class TestEpochProtocol:
         del staged  # discarded
         with pytest.raises(KeyError):
             store.stage_epoch(2, fresh[:2] + [Element({}, 4.0, "third")])
-        assert store.stats() == stats
-        assert store.columns()["key_dict"] == key_dict
+        assert _snapshot(store) == before
         assert store.count(keys=["brand-new"]) == 0
         # ... and the same rows staged again install cleanly
         assert store.append_epoch(2, fresh) == 3
@@ -168,8 +176,10 @@ class TestEpochProtocol:
         b = store.stage_epoch(1, [Element({"m": 2.0}, 2.0, "b-key")])
         assert store.install_epoch(b) == 1
         # A's codes were given out before B's key took the first slot
+        before = _snapshot(store)
         with pytest.raises(StoreError):
             store.install_epoch(a)
+        assert _snapshot(store) == before
         assert store.stats()["rows"] == 1 and store.stats()["keys"] == 1
         assert store.last_applied_epoch == 1
         assert store.append_epoch(
@@ -197,8 +207,32 @@ class TestEpochProtocol:
             assert got[name].tobytes() == want[name].tobytes(), name
         assert got["raw"] == want["raw"]
         assert got["key_dict"] == want["key_dict"]
-        # the timestamp column is the batch's own array, not a copy
-        assert by_batch._segments[0]["ts"] is batch.timestamps
+        # staging takes the batch's own timestamp array, not a copy
+        assert AnalyticalStore().stage_epoch(1, batch)["ts"] \
+            is batch.timestamps
+
+    def test_views_taken_before_an_install_keep_their_bytes(self):
+        # an install writes only past the published row count; a full
+        # buffer is replaced, never rewritten, so a reader's columns()
+        # stay valid across in-place appends and reallocations alike
+        store = AnalyticalStore(metric_fn=lambda v: v["m"])
+        rng = make_rng(4)
+        held, reallocated = [], 0
+        for epoch in range(1, 40):
+            store.append_epoch(epoch, _elements(rng, int(rng.integers(9)),
+                                                keys=5))
+            cols = store.columns()
+            if held and cols["ts"].base is not held[-1][0]["ts"].base:
+                reallocated += 1
+            held.append((cols, {name: cols[name].tobytes()
+                                for name in ("ts", "metric", "codes")},
+                         list(cols["raw"])))
+        assert reallocated >= 3
+        for cols, data, raw in held:
+            for name, want in data.items():
+                assert cols[name].tobytes() == want, name
+            assert cols["raw"] == raw
+        assert store.stats()["segments"] == 39 == store.appends
 
     def test_default_metric_is_nan_for_objects(self):
         store = AnalyticalStore()
@@ -209,6 +243,24 @@ class TestEpochProtocol:
         cols = store.columns()
         assert math.isnan(cols["metric"][0])
         assert cols["metric"][1] == 4.5
+
+
+class TestTumblingMemory:
+    def test_peak_follows_the_rows_not_keys_times_windows(self):
+        # 2 000 keys x 4 000 windows is an 8 M-slot dense space (64 MB
+        # per int64/float64 array); the 4 000 rows occupy 4 000 slots
+        store = AnalyticalStore()
+        store.append_epoch(1, [Element(float(i), float(i), f"k{i % 2000}")
+                               for i in range(4000)])
+        tracemalloc.start()
+        try:
+            got = store.tumbling(1.0, "max")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, peak
+        assert got == {(f"k{i % 2000}", float(i)): float(i)
+                       for i in range(4000)}
 
 
 class TestValidation:
