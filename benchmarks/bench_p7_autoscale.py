@@ -42,9 +42,10 @@ from repro.chaos import (
 )
 from repro.datagen import LoadProfile, diurnal_flash_events
 from repro.streaming import (
-    ScalingSupervisor,
+    Autoscaler,
     SchedulePolicy,
     ShedPolicy,
+    Supervisor,
     UtilizationTargetPolicy,
 )
 
@@ -70,9 +71,11 @@ def _build(events):
 
 def _supervise(events, policy, *, shed_policy=None, injector=None,
                max_p=SPLITS):
-    supervisor = ScalingSupervisor(
-        _build(events), policy, injector=injector, parallelism=1,
-        source_batch=SOURCE_BATCH, slo_s=SLO_S, shed_policy=shed_policy)
+    supervisor = Supervisor(
+        _build(events),
+        controllers=[Autoscaler(policy, slo_s=SLO_S,
+                                shed_policy=shed_policy)],
+        injector=injector, parallelism=1, source_batch=SOURCE_BATCH)
     return supervisor.run(), supervisor
 
 
@@ -84,7 +87,7 @@ def _summarize(label, report, supervisor):
         "latency_p99_s": report.latency_p99(),
         "rescales": len(report.rescales),
         "max_width": max(report.max_width, 1),
-        "final_width": max(supervisor.current.values()),
+        "final_width": max(supervisor.parallelism.values()),
         "replayed": report.replayed_total,
         "shed": report.shed_total,
         "checkpoints": report.checkpoints,

@@ -21,7 +21,7 @@ Three measurements over the canonical :func:`repro.simnet.region_topology`
    the paper's timeliness argument is exactly that the access-network
    RTT, not the datacenter, dominates the AR tail.
 
-3. **Failover MTTR.**  A live :class:`repro.geo.GeoDeployment` run
+3. **Failover MTTR.**  A live :func:`repro.geo.GeoDeployment` run
    (simnet heartbeats, mirrored log, checkpointed job) loses its
    primary region mid-stream; reported are the detection-to-recovery
    time and the replay volume vs a full restart of the replica.

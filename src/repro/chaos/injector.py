@@ -390,13 +390,14 @@ class FaultInjector:
                 f"checkpoint {checkpoint_id}")
 
     def before_rescale(self, phase: str) -> None:
-        """Hook at each phase entry of a live rescale (see
+        """Hook at each phase entry of a supervisor reshape — a live
+        rescale, handoff or failover (see
         :data:`~repro.chaos.plan.RESCALE_PHASES`).  The counters are per
         phase plus a global one, so a plan can kill the supervisor "on
         the second savepoint" or "on any third phase entry".  A
         ``rescale_crash`` raises :class:`OperatorCrash` with
         ``op_name=None`` — the supervisor recovers the *old* executor
-        from the last finalized checkpoint and retries the rescale, the
+        from the last finalized checkpoint and the reshape retries, the
         same way a real control plane restarts after dying mid-scale."""
         before = self._advance(SITE_RESCALE, (None, phase))
         spec = self._matching(SITE_RESCALE, "rescale_crash", before)

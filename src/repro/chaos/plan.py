@@ -41,7 +41,7 @@ SITE_BARRIER = "streaming.barrier"
 SITE_COORDINATOR = "streaming.coordinator"
 #: one macro-cycle liveness check of a subtask
 SITE_STALL = "streaming.stall"
-#: one phase entry of a live-rescale attempt by the scaling supervisor
+#: one phase entry of a supervisor reshape (rescale, handoff, failover)
 SITE_RESCALE = "streaming.rescale"
 #: one phase entry of a serving-store epoch apply (StoreSink)
 SITE_STORE = "store.apply"
@@ -51,7 +51,7 @@ SITE_DATA = "streaming.data"
 #: one checkpoint finalized into the store (storage-rot site)
 SITE_CHECKPOINT = "streaming.checkpoint"
 
-#: the rescale state machine's phases, in order; ``rescale_crash``
+#: the phases of every reshape, in order; ``rescale_crash``
 #: targets one of these (or None for the global phase-entry counter)
 RESCALE_PHASES = ("decide", "savepoint", "recompile", "restore")
 

@@ -1,55 +1,41 @@
-"""Geo-distributed deployment supervisor.
+"""Geo-distributed deployment: a controller for the one supervisor.
 
-One :class:`GeoDeployment` owns a parallel streaming job placed across
-regions, the cross-region log mirror feeding a standby cluster, and a
-:class:`~repro.geo.controller.RegionController` watching region health
-on the simnet topology.  Failure detection and recovery are the shared
-:class:`~repro.streaming.supervisor.Supervisor` ladder; this module adds
-two geo-level *actions* on top of it:
+A :class:`GeoController` watches region health through a
+:class:`~repro.geo.controller.RegionController`, pumps the cross-region
+log mirror to a standby cluster, and asks its
+:class:`~repro.streaming.supervisor.Supervisor` for two reshapes:
 
-**Session handoff** (:meth:`GeoDeployment.handoff`) — a user crossed a
-zone boundary, so their operators should follow: stop-with-savepoint
-(the supervisor's rescale primitive), recompile the *same* job under a
-placement with the moved nodes re-pinned, restore.  Keyed state
-migrates through the ordinary key-group snapshot path; committed sink
-output is carried in the checkpoint, so the move is exactly-once.
+**Session handoff** (:meth:`GeoController.handoff`) — a user crossed a
+zone boundary, so their operators follow: the same job, the moved nodes
+re-pinned, restored from a savepoint.  Keyed state and committed sink
+output travel in the checkpoint, so the move is exactly-once.
 
-**Region failover** (:meth:`GeoDeployment.failover`) — the primary
-region is gone (loss or partition).  The deployment fences the mirror
-epoch so a zombie primary can no longer mirror, picks the newest
-finalized checkpoint whose source positions the replica actually
-covers, rebuilds the job against the standby cluster with every node
-pinned to the surviving region, and restores.  Because mirrored
-sequence numbers *are* replica offsets (strict prefix), the primary's
-checkpoint positions are valid replica positions — failover replays
-only the post-checkpoint suffix, and the report proves it by also
-computing what a cold restart would have replayed.
+**Region failover** (:meth:`GeoController.failover`) — the primary
+region is gone (loss or partition).  The mirror epoch is fenced against
+a zombie primary, and the job is rebuilt against the standby cluster,
+every node in the surviving region, restored from the newest finalized
+checkpoint the replica covers.  Mirrored sequence numbers *are* replica
+offsets, so failover replays only the post-checkpoint suffix; the
+report proves it against what a cold restart would replay.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..eventlog.broker import LogCluster
 from ..eventlog.mirror import ReplicatedTopic
 from ..streaming.barrier import ParallelCheckpoint
 from ..streaming.coordinator import CheckpointStore
-from ..streaming.execution import ParallelExecutor
 from ..streaming.placement import RegionPlacement
-from ..streaming.supervisor import SupervisionReport, Supervisor
-from ..util.clock import SimClock
-from ..util.errors import (
-    BrokerDown,
-    ChaosError,
-    CheckpointError,
-    LogError,
-    NetworkError,
-)
+from ..streaming.supervisor import Controller, Supervisor
+from ..util.errors import BrokerDown, CheckpointError, LogError, NetworkError
 from ..util.metrics import MetricsRegistry
 from .controller import RegionController
 
-__all__ = ["GeoDeployment", "GeoReport", "FailoverReport", "HandoffReport"]
+__all__ = ["GeoController", "GeoDeployment", "FailoverReport",
+           "HandoffReport"]
 
 
 @dataclass
@@ -83,42 +69,24 @@ class FailoverReport:
     mirror_lag: dict[int, int] | None
 
 
-@dataclass
-class GeoReport(SupervisionReport):
-    """Outcome of a supervised geo run."""
-
-    steps: int = 0
-    mirror_pumped: int = 0
-    handoffs: list[HandoffReport] = field(default_factory=list)
-    failover: FailoverReport | None = None
-
-
-class GeoDeployment(Supervisor):
-    """Supervise a region-placed job with mirror, handoff, failover.
+class GeoController(Controller):
+    """Mirror, region observation, handoff and failover for a
+    region-placed job.
 
     ``build_job`` is called with a :class:`LogCluster` and must return
     the job graph bound to that cluster's copy of ``topic`` — the same
     logical job compiles against primary and standby because the
-    replica is a strict prefix of the source.
+    replica is a strict prefix of the source.  With a ``simulator`` the
+    simulator's clock becomes the supervisor's.
     """
 
     def __init__(self, build_job: Callable[[LogCluster], Any], *,
                  primary_cluster: LogCluster,
-                 standby_cluster: LogCluster,
-                 topic: str,
+                 standby_cluster: LogCluster, topic: str,
                  primary_region: str = "edge-a",
                  standby_region: str = "core",
-                 placement: RegionPlacement | None = None,
-                 parallelism: int | dict[str, int] = 2,
-                 source_batch: int = 32,
-                 step_cycles: int = 2,
-                 interval_cycles: int = 4,
-                 heartbeat_timeout_s: float = 60.0,
-                 region_timeout_s: float = 5.0,
-                 step_wall_s: float = 1.0,
-                 injector: Any = None,
-                 topology: Any = None,
-                 simulator: Any = None,
+                 region_timeout_s: float = 5.0, step_wall_s: float = 1.0,
+                 topology: Any = None, simulator: Any = None,
                  observer: str | None = None,
                  mirror_producer_id: int = 9_000) -> None:
         self.build_job = build_job
@@ -127,74 +95,80 @@ class GeoDeployment(Supervisor):
         self.topic = topic
         self.primary_region = primary_region
         self.standby_region = standby_region
-        self.placement = (placement if placement is not None
-                          else RegionPlacement(
-                              regions={},
-                              default_region=primary_region))
-        self.parallelism = parallelism
+        self.region_timeout_s = region_timeout_s
         self.step_wall_s = step_wall_s
-        self.injector = injector
         self.topology = topology
         self.simulator = simulator
-
-        clock = simulator.clock if simulator is not None else SimClock()
+        self.observer = observer
         self.mirror = ReplicatedTopic(primary_cluster, standby_cluster,
-                                      topic,
-                                      producer_id=mirror_producer_id)
-        self.controller = RegionController(
-            clock, timeout_s=region_timeout_s, observer=observer)
-        self.controller.register(primary_region)
-        self.controller.register(standby_region)
-
-        self.job = build_job(primary_cluster)
+                                      topic, producer_id=mirror_producer_id)
         self.active_region = primary_region
         self.failed_over = False
-        super().__init__(
-            self._build_executor(self.job, self.placement),
-            GeoReport(sink_values={}), store=CheckpointStore(keep=4),
-            clock=clock, source_batch=source_batch,
-            step_cycles=step_cycles, interval_cycles=interval_cycles,
-            heartbeat_timeout_s=heartbeat_timeout_s, injector=injector,
-            metrics=MetricsRegistry())
 
-    # -- construction -------------------------------------------------------
+    def bind(self, supervisor: Supervisor) -> None:
+        super().bind(supervisor)
+        if self.simulator is not None:
+            supervisor.clock = self.simulator.clock
+        if supervisor.placement is None:
+            supervisor.placement = RegionPlacement(
+                regions={}, default_region=self.primary_region)
+        self.regions = RegionController(
+            supervisor.clock, timeout_s=self.region_timeout_s,
+            observer=self.observer)
+        self.regions.register(self.primary_region)
+        self.regions.register(self.standby_region)
 
-    def _build_executor(self, job: Any,
-                        placement: RegionPlacement) -> ParallelExecutor:
-        return ParallelExecutor(job, self.parallelism,
-                                batch_mode=True,
-                                injector=self.injector,
-                                transactional_sinks=True,
-                                placement=placement)
+    # -- the supervision hooks -----------------------------------------------
 
-    # -- session handoff -----------------------------------------------------
+    def before_slice(self) -> None:
+        """Let one step of wall time pass, observe the regions, and fail
+        over if the active one is lost."""
+        if self.simulator is not None:
+            # the simulator owns the clock: fire due topology events
+            # (region loss, heal) and land exactly on the step boundary
+            self.simulator.run(
+                until=self.supervisor.clock.now + self.step_wall_s)
+        else:
+            self.supervisor.clock.advance(self.step_wall_s)
+        if self.topology is not None:
+            self.regions.observe(self.topology)
+        else:
+            # no topology wired: regions are assumed healthy unless
+            # failover is triggered explicitly
+            for region in self.regions.regions:
+                self.regions.beat(region)
+        if (not self.failed_over
+                and self.active_region in self.regions.lost()):
+            self.failover()
+
+    def after_slice(self, done: bool | None) -> None:
+        if done or self.failed_over:
+            return  # fenced after failover: the replica is the source
+        try:
+            self.supervisor.report.mirror_pumped += self.mirror.pump()
+        except (BrokerDown, LogError, NetworkError) as exc:
+            self.supervisor.record_failure("broker", exc)
+
+    # -- the two reshapes ----------------------------------------------------
 
     def handoff(self, nodes: Any, to_region: str) -> HandoffReport:
         """Move ``nodes`` (logical operator/source/sink names) to
         ``to_region`` with exactly-once semantics.  Retries from the
         last finalized checkpoint if chaos kills the move mid-flight."""
         names = tuple(nodes)
-        attempts = 1
-        while (report := self.attempt(
-                lambda: self._do_handoff(names, to_region, attempts))) is None:
-            attempts += 1
-        self.report.handoffs.append(report)
-        return report
-
-    def _do_handoff(self, names: tuple[str, ...], to_region: str,
-                    attempts: int) -> HandoffReport:
-        savepoint = self.coordinator.savepoint()
-        placement = self.placement
+        placement = self.supervisor.placement
         for name in names:
             placement = placement.moved(name, to_region)
-        replayed = self._adopt(self._build_executor(self.job, placement),
-                               savepoint)
-        self.placement = placement
-        return HandoffReport(savepoint_id=savepoint.checkpoint_id,
-                             nodes=names, to_region=to_region,
-                             replayed=replayed, attempts=attempts)
-
-    # -- region failover -----------------------------------------------------
+        attempts = 1
+        while (reshaped := self.supervisor.reshape(
+                placement=placement)) is None:
+            attempts += 1
+        savepoint, replayed = reshaped
+        report = HandoffReport(savepoint_id=savepoint.checkpoint_id,
+                               nodes=names, to_region=to_region,
+                               replayed=replayed, attempts=attempts)
+        self.supervisor.report.handoffs.append(report)
+        return report
 
     def _covered_checkpoint(self) -> ParallelCheckpoint | None:
         """Newest finalized checkpoint whose every source position the
@@ -202,115 +176,68 @@ class GeoDeployment(Supervisor):
         map one-to-one onto partitions (the parallel_log_source
         default), and mirrored sequence numbers are replica offsets, so
         coverage is a plain per-partition comparison."""
-        ends = {p: self.standby_cluster.end_offset(self.topic, p)
-                for p in range(
-                    self.standby_cluster.partition_count(self.topic))}
-        for cid in sorted(self.store.retained_ids(), reverse=True):
-            snapshot = self.store.snapshot(cid)
-            if snapshot is None:
-                continue
-            covered = all(
-                pos <= ends.get(split, 0)
-                for splits in snapshot.source_positions.values()
-                for split, pos in splits.items())
-            if covered:
+        ends = self._replica_ends()
+        store = self.supervisor.store
+        for cid in sorted(store.retained_ids(), reverse=True):
+            snapshot = store.snapshot(cid)
+            if snapshot is not None and all(
+                    pos <= ends.get(split, 0)
+                    for splits in snapshot.source_positions.values()
+                    for split, pos in splits.items()):
                 return snapshot
         return None
+
+    def _replica_ends(self) -> dict[int, int]:
+        cluster = self.standby_cluster
+        return {p: cluster.end_offset(self.topic, p)
+                for p in range(cluster.partition_count(self.topic))}
 
     def failover(self) -> FailoverReport:
         """Fail the whole deployment over to the standby region."""
         if self.failed_over:
             raise CheckpointError("already failed over once")
+        sup = self.supervisor
         lost = self.active_region
-        outage_start = self.controller.last_seen.get(lost, self.clock.now)
+        outage_start = self.regions.last_seen.get(lost, sup.clock.now)
         try:
             lag = self.mirror.lag()
         except (BrokerDown, LogError, NetworkError):
             lag = None  # primary broker unreachable — lag unknowable
         self.mirror.fence()
-        while (report := self.attempt(
-                lambda: self._do_failover(lost, outage_start, lag))) is None:
-            pass
-        self.report.failover = report
-        return report
-
-    def _do_failover(self, lost: str, outage_start: float,
-                     lag: dict[int, int] | None) -> FailoverReport:
-        target = self._covered_checkpoint()
         job = self.build_job(self.standby_cluster)
-        placement = self.placement.moved_all(
+        placement = sup.placement.moved_all(
             self.standby_region,
             list(job.sources) + list(job.operators) + list(job.sinks))
-        full_equiv = sum(
-            self.standby_cluster.end_offset(self.topic, p)
-            for p in range(
-                self.standby_cluster.partition_count(self.topic)))
-        replayed = self._adopt(self._build_executor(job, placement), target)
-        if target is None:
-            replayed = full_equiv  # cold start: replay everything
-        self.job = job
-        self.placement = placement
+        while (reshaped := sup.reshape(
+                job=job, placement=placement,
+                target=self._covered_checkpoint())) is None:
+            pass
+        target, replayed = reshaped
         self.active_region = self.standby_region
         self.failed_over = True
-        self.report.replayed_total += replayed
-        return FailoverReport(
+        sup.report.failover = FailoverReport(
             lost_region=lost, to_region=self.standby_region,
             checkpoint_id=(target.checkpoint_id
                            if target is not None else None),
-            replayed=replayed, full_restart_equiv=full_equiv,
-            mttr_s=max(0.0, self.clock.now - outage_start),
+            replayed=replayed,
+            full_restart_equiv=sum(self._replica_ends().values()),
+            mttr_s=max(0.0, sup.clock.now - outage_start),
             mirror_lag=lag)
+        return sup.report.failover
 
-    # -- the supervision loop ------------------------------------------------
 
-    def _pump_mirror(self) -> None:
-        if self.failed_over:
-            return  # fenced; the replica is now the source of truth
-        try:
-            self.report.mirror_pumped += self.mirror.pump()
-        except (BrokerDown, LogError, NetworkError) as exc:
-            self._failed("broker", exc)
-
-    def _observe_regions(self) -> None:
-        if self.topology is not None:
-            self.controller.observe(self.topology)
-        else:
-            # no topology wired: regions are assumed healthy unless
-            # failover is triggered explicitly
-            for region in self.controller.regions:
-                self.controller.beat(region)
-
-    def step(self) -> bool:
-        """One supervision step.  Returns True while the job runs."""
-        self.report.steps += 1
-        if self.simulator is not None:
-            # the simulator owns the clock: fire due topology events
-            # (region loss, heal) and land exactly on the step boundary
-            self.simulator.run(until=self.clock.now + self.step_wall_s)
-        else:
-            self.clock.advance(self.step_wall_s)
-        self._observe_regions()
-        if (not self.failed_over
-                and self.active_region in self.controller.lost()):
-            self.failover()
-        if self.advance():
-            return False
-        self._pump_mirror()
-        return True
-
-    def run(self, *, max_steps: int = 10_000,
-            on_step: Callable[["GeoDeployment", int], None] | None = None,
-            ) -> GeoReport:
-        """Supervise to completion.  ``on_step(deployment, step)`` runs
-        after each step — the hook tests and demos use to inject
-        handoffs or region failures at deterministic points."""
-        for index in range(max_steps):
-            alive = self.step()
-            if on_step is not None:
-                on_step(self, index)
-            if not alive:
-                break
-        else:
-            raise ChaosError(
-                f"job did not finish within {max_steps} steps")
-        return self.finish()
+def GeoDeployment(build_job: Callable[[LogCluster], Any], *,
+                  parallelism: int | dict[str, int] = 2,
+                  placement: Any = None, injector: Any = None,
+                  source_batch: int = 32, step_cycles: int = 2,
+                  interval_cycles: int = 4, **geo: Any) -> Supervisor:
+    """A :class:`Supervisor` running ``build_job(primary_cluster)``
+    under one :class:`GeoController` (``geo`` are its options), keeping
+    four checkpoints and a metrics registry."""
+    controller = GeoController(build_job, **geo)
+    return Supervisor(
+        build_job(controller.primary_cluster), controllers=[controller],
+        parallelism=parallelism, placement=placement, injector=injector,
+        source_batch=source_batch, step_cycles=step_cycles,
+        interval_cycles=interval_cycles, store=CheckpointStore(keep=4),
+        metrics=MetricsRegistry())

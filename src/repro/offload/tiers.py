@@ -11,7 +11,7 @@ edge to core (and comes back after heal) without any static
 configuration.
 
 Selection is sticky: switching tiers costs a session handoff
-(state migration — see :meth:`repro.geo.GeoDeployment.handoff`), so
+(state migration — see :meth:`repro.geo.GeoController.handoff`), so
 the current tier is kept unless a rival beats it by the hysteresis
 factor.
 """

@@ -2,13 +2,11 @@
 
 from .autoscale import (
     Autoscaler,
-    AutoscaleReport,
     GradientPolicy,
     OperatorSignals,
     RescaleEvent,
     ScalingDecision,
     ScalingPolicy,
-    ScalingSupervisor,
     SchedulePolicy,
     ShedPolicy,
     UtilizationTargetPolicy,
@@ -66,7 +64,12 @@ from .shuffle import (
     subtask_for_key_group,
 )
 from .state import KeyedState
-from .supervisor import Supervisor, run_coordinated
+from .supervisor import (
+    Controller,
+    SupervisionReport,
+    Supervisor,
+    run_coordinated,
+)
 from .transport import Channel, Channels
 from .txn_sink import TransactionalLogSink, TransactionalSink
 from .window_operator import (
@@ -93,8 +96,8 @@ __all__ = [
     "ShedPolicy",
     "Autoscaler",
     "RescaleEvent",
-    "AutoscaleReport",
-    "ScalingSupervisor",
+    "Controller",
+    "SupervisionReport",
     "Supervisor",
     "run_coordinated",
     "run_autoscaled",

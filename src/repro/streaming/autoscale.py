@@ -1,68 +1,44 @@
-"""Elastic autoscaling control plane: policies, supervisor, shed tier.
+"""Elastic autoscaling control plane: policies, autoscaler, shed tier.
 
 The paper's timeliness claim (Sec 4.1) is that an AR backend must keep
 overlay updates fresh under bursty, city-scale load — flash crowds and
-diurnal mobility.  This module closes the loop over mechanisms the repo
-already has: the metrics registry exposes live per-operator gauges, a
-:class:`~repro.streaming.execution.ParallelCheckpoint` restores at any
-parallelism, and the :class:`~repro.streaming.coordinator
-.CheckpointCoordinator` finalizes consistent snapshots while data is in
-flight.
-
-Three layers, separable and separately tested:
+diurnal mobility.  Two layers, separately tested:
 
 1. **Policies** — pure decision functions (``decide(signals,
    evals_since_change) -> ScalingDecision``) with hysteresis bands,
    cooldown windows, and min/max parallelism clamps.  Table-tested in
    isolation; no executor needed.
-2. **Autoscaler** — watches per-operator gauges in a
-   :class:`~repro.util.metrics.MetricsRegistry` (``op.processed``,
-   ``source.backlog``, ``sink.watermark_lag_s``), derives utilization
-   and backlog-trend signals from *counter deltas on SimClock* — never
-   wall-clock — and asks the policy for per-operator targets.
-3. **ScalingSupervisor** — executes a rescale as a four-phase state
-   machine, ``decide -> savepoint -> recompile -> restore``:
-   stop-with-savepoint through the coordinator (a barrier-aligned
-   checkpoint of the *running* job), a fresh physical plan from
-   :func:`~repro.streaming.plan.compile_execution_graph` at the new
-   widths, and a restore of the finalized checkpoint into it.  Chaos can
-   kill the supervisor at any phase (``rescale_crash`` via
-   :meth:`~repro.chaos.injector.FaultInjector.before_rescale`); the
-   rescale is an *action* on the shared
-   :class:`~repro.streaming.supervisor.Supervisor` ladder, which
-   restores the *old* executor from the last finalized checkpoint, and
-   the rescale retries — a crash mid-rescale never loses or duplicates
-   committed output.
+2. **Autoscaler** — a :class:`~repro.streaming.supervisor.Controller`
+   that derives utilization and backlog-trend signals from registry
+   *counter deltas on SimClock* (never wall-clock), asks the policy for
+   per-operator targets and rescales through
+   :meth:`~repro.streaming.supervisor.Supervisor.reshape`: a crash in
+   any phase recovers the *old* executor and the targets stay pending,
+   so a rescale never loses or duplicates committed output.
 
-When even the maximum parallelism cannot keep up, the supervisor falls
-back to the **load-shedding tier** (the render compositor's shedding
-generalized to operators): a deterministic content-hash filter at the
-source admission boundary (see ``SourceReader.set_shedding``), with
-shed counts flowing through the existing drop-accounting path and
-rewinding with checkpoints, so exactly-once for committed records holds
-under shedding too.
-
-Everything runs on :class:`~repro.util.clock.SimClock` (the coordinator
-advances it one second per macro cycle) and every signal is a
-deterministic count, so an autoscaled run — rescales included — is
-bit-reproducible.
+When even the maximum parallelism cannot keep up, the autoscaler falls
+back to the **load-shedding tier**: a deterministic content-hash filter
+at the source admission boundary (see ``SourceReader.set_shedding``),
+whose counts flow through the drop accounting and rewind with
+checkpoints, so exactly-once for committed records holds under shedding
+too.  Every signal is a deterministic count on the coordinator's
+SimClock (one second per macro cycle), so an autoscaled run — rescales
+included — is bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from ..util.errors import ConfigError
 from ..util.metrics import MetricsRegistry
-from .coordinator import CheckpointStore
-from .execution import ParallelExecutor
 from .graph import JobGraph
-from .shuffle import DEFAULT_KEY_GROUPS
-from .supervisor import SupervisionReport, Supervisor
+from .plan import _parallelism_of
+from .supervisor import Controller, SupervisionReport, Supervisor
 
 __all__ = [
     "OperatorSignals",
@@ -74,8 +50,6 @@ __all__ = [
     "ShedPolicy",
     "Autoscaler",
     "RescaleEvent",
-    "AutoscaleReport",
-    "ScalingSupervisor",
     "run_autoscaled",
 ]
 
@@ -215,7 +189,7 @@ class UtilizationTargetPolicy(ScalingPolicy):
 
 
 @dataclass(frozen=True)
-class GradientPolicy:
+class GradientPolicy(ScalingPolicy):
     """Scale on the *sign* of the backlog gradient.
 
     A growing backlog (trend above ``up_slope`` elements/eval) means the
@@ -232,13 +206,6 @@ class GradientPolicy:
     min_parallelism: int = 1
     max_parallelism: int = 8
     cooldown: int = 2
-
-    # reuse the clamp/hold/validation helpers without dataclass
-    # inheritance (frozen dataclass bases with defaults fight field
-    # ordering); the contract is duck-typed on `decide`.
-    _validate_bounds = ScalingPolicy._validate_bounds
-    clamp = ScalingPolicy.clamp
-    hold = ScalingPolicy.hold
 
     def __post_init__(self) -> None:
         self._validate_bounds()
@@ -273,7 +240,7 @@ class GradientPolicy:
 
 
 @dataclass(frozen=True)
-class SchedulePolicy:
+class SchedulePolicy(ScalingPolicy):
     """Planned rescales at fixed evaluation indices.
 
     ``schedule`` maps ``eval_index -> {operator: target}``.  Signals are
@@ -286,10 +253,6 @@ class SchedulePolicy:
     min_parallelism: int = 1
     max_parallelism: int = 1024
     cooldown: int = 0
-
-    _validate_bounds = ScalingPolicy._validate_bounds
-    clamp = ScalingPolicy.clamp
-    hold = ScalingPolicy.hold
 
     def __post_init__(self) -> None:
         self._validate_bounds()
@@ -339,34 +302,58 @@ class ShedPolicy:
                 f"{self.keep}/{self.mod}")
 
 
-# -- the autoscaler (registry watcher) ---------------------------------------
+# -- the autoscaler ----------------------------------------------------------
 
 
-class Autoscaler:
-    """Derives :class:`OperatorSignals` from registry gauges and asks
-    the policy for per-operator targets.
+@dataclass
+class RescaleEvent:
+    """One completed live rescale."""
 
-    Watches the *live* gauges the executor now refreshes every macro
-    cycle (``op.processed`` per operator, ``source.backlog`` published
-    by the supervisor, ``sink.watermark_lag_s``).  Utilization is the
-    per-subtask processed-delta per cycle over ``rated_capacity``
-    (elements one subtask is rated to process per cycle — the
-    supervisor passes its source batch size).  All state the policy
-    contract externalizes lives here: previous counter readings, the
-    per-operator evaluations-since-change counters, and the decision
-    log.
+    eval_index: int
+    savepoint_id: int
+    old: dict[str, int]
+    new: dict[str, int]
+    #: source elements re-read because the savepoint cut preceded the
+    #: old executor's read positions (the rescale's replay cost)
+    replayed: int
+    #: phase-crash retries this rescale needed before completing
+    attempts: int = 1
+
+
+class Autoscaler(Controller):
+    """Turns registry gauges into per-operator targets and, as a
+    controller, rescales and sheds.
+
+    Utilization is the per-subtask ``op.processed`` delta per cycle over
+    ``rated_capacity`` (default: the supervisor's source batch); backlog
+    comes from a sorted arrival-timestamp array against the SimClock.
+    All state the policy contract externalizes lives here: previous
+    readings, evaluations-since-change and the decision log.  Targets
+    a failed rescale left pending are sticky, so "the rescale completes
+    under chaos" is a liveness property.
     """
 
-    def __init__(self, policy: Any, *, rated_capacity: float) -> None:
-        if rated_capacity <= 0:
+    def __init__(self, policy: Any, *, rated_capacity: float | None = None,
+                 slo_s: float | None = None,
+                 shed_policy: ShedPolicy | None = None) -> None:
+        if rated_capacity is not None and rated_capacity <= 0:
             raise ConfigError("rated_capacity must be > 0")
         self.policy = policy
-        self.rated_capacity = float(rated_capacity)
+        self.rated_capacity = (None if rated_capacity is None
+                               else float(rated_capacity))
+        self.slo_s = slo_s
+        self.shed_policy = shed_policy
         self.decisions: list[ScalingDecision] = []
         self._prev_processed: dict[str, float] = {}
         self._prev_backlog: dict[str, float] = {}
         self._evals_since_change: dict[str, int] = {}
         self._eval_index = 0
+        self._pending_targets: dict[str, int] | None = None
+        self._attempts = 0
+        self._committed_seen: dict[str, int] = {}
+        #: per-source sorted arrival timestamps (built lazily; the
+        #: deterministic arrival model behind backlog and shed control)
+        self._arrivals: dict[str, np.ndarray] = {}
 
     @staticmethod
     def _read(registry: MetricsRegistry, name: str, **labels: Any) -> float:
@@ -381,8 +368,7 @@ class Autoscaler:
 
         ``cycles`` is how many macro cycles elapsed since the previous
         evaluation (the denominator of the processing rate);
-        ``backlog`` is the job-wide ingest backlog the supervisor
-        computed from its arrival model.
+        ``backlog`` is the job-wide ingest backlog of the arrival model.
         """
         signals: dict[str, OperatorSignals] = {}
         for op in operators:
@@ -423,136 +409,66 @@ class Autoscaler:
         self._eval_index += 1
         return targets
 
+    # -- the controller hooks ------------------------------------------------
 
-# -- the scaling supervisor --------------------------------------------------
+    def bind(self, supervisor: Supervisor) -> None:
+        """Rate capacity at the source batch, make sure there is a
+        registry to watch, and start from valid scaling units."""
+        super().bind(supervisor)
+        if self.rated_capacity is None:
+            self.rated_capacity = float(supervisor.source_batch)
+        if supervisor.metrics is None:
+            supervisor.metrics = MetricsRegistry()
+        supervisor.report.slo_s = self.slo_s
+        supervisor.parallelism = self._normalize(supervisor.parallelism)
 
+    def start(self) -> None:
+        """A zero trigger threshold sheds from element zero, so a golden
+        and a chaos run shed the same set; this runs before checkpoint
+        zero, so any restore re-activates the plans."""
+        policy = self.shed_policy
+        if policy is None or policy.trigger_wait_s > 0:
+            return
+        for name in self.supervisor.job.sources:
+            self.supervisor.executor.sources.set_shedding(
+                name, policy.keep, policy.mod)
 
-@dataclass
-class RescaleEvent:
-    """One completed live rescale."""
+    def after_slice(self, done: bool | None) -> None:
+        if done is None:
+            return  # recovered: re-run before observing anything
+        self._observe_latencies()
+        if done:
+            return
+        if self._pending_targets is not None:
+            targets = dict(self._pending_targets)
+        else:
+            sup = self.supervisor
+            backlog = self._backlog()
+            targets = self.evaluate(self.collect(
+                sup.metrics, sup.parallelism, list(sup.job.operators),
+                cycles=float(sup.step_cycles), backlog=backlog,
+                watermark_lag_s=self._watermark_lag()))
+        self._shed_control()
+        if targets:
+            self._try_rescale(targets)
 
-    eval_index: int
-    savepoint_id: int
-    old: dict[str, int]
-    new: dict[str, int]
-    #: source elements re-read because the savepoint cut preceded the
-    #: old executor's read positions (the rescale's replay cost)
-    replayed: int
-    #: phase-crash retries this rescale needed before completing
-    attempts: int = 1
+    def on_reshape(self) -> None:
+        # committed visibility was rewound to the restored checkpoint's
+        # projected output; re-sync the latency cursor so nothing
+        # double-counts
+        for name, sink in self.supervisor.executor.sinks.items():
+            self._committed_seen[name] = min(
+                self._committed_seen.get(name, 0), len(sink))
 
-
-@dataclass
-class AutoscaleReport(SupervisionReport):
-    """What happened during an autoscaled run."""
-
-    rescales: list[RescaleEvent] = field(default_factory=list)
-    rescale_attempts: int = 0
-    #: rescale attempts a failure interrupted (each one was retried)
-    rescale_crashes: int = 0
-    shed_total: int = 0
-    dropped_overflow: int = 0
-    #: (eval_index, {node: width}) after every completed rescale
-    parallelism_trace: list[tuple[int, dict[str, int]]] = \
-        field(default_factory=list)
-    #: per committed result: sim-time commit latency vs event time
-    latencies: list[float] = field(default_factory=list)
-    slo_s: float | None = None
-
-    @property
-    def slo_compliance(self) -> float:
-        """Fraction of committed results within the latency SLO."""
-        if self.slo_s is None or not self.latencies:
-            return 1.0
-        within = sum(1 for lat in self.latencies if lat <= self.slo_s)
-        return within / len(self.latencies)
-
-    def latency_p99(self) -> float:
-        if not self.latencies:
-            return 0.0
-        return float(np.percentile(np.asarray(self.latencies), 99))
-
-    @property
-    def max_width(self) -> int:
-        widths = [max(p.values()) for _, p in self.parallelism_trace]
-        return max(widths) if widths else 0
-
-
-class ScalingSupervisor(Supervisor):
-    """Drives an autoscaled job: run, observe, decide, rescale, shed.
-
-    Failure detection and recovery are the shared
-    :class:`~repro.streaming.supervisor.Supervisor` ladder; this class
-    adds the load model, shed control and the rescale *action*.
-
-    The rescale state machine (each phase is a chaos crash site):
-
-    - **decide**   — the policy produced changed targets
-    - **savepoint**— the supervisor's stop-with-savepoint
-    - **recompile**— build a fresh :class:`ParallelExecutor` (a new
-      physical plan) at the new widths from the same logical job
-    - **restore**  — the supervisor adopts the new plan: restores the
-      finalized savepoint into it and hands the coordinator over
-
-    A failure at any phase recovers the *old* executor from the last
-    finalized checkpoint and re-attempts the rescale at the next
-    evaluation — pending targets are sticky, so "rescale completes
-    under chaos" is a liveness property the elasticity gate asserts.
-    All load signals are deterministic: arrival counts come from a
-    sorted timestamp array against the coordinator's SimClock (one
-    second per macro cycle), never from wall time.
-    """
-
-    def __init__(self, job: JobGraph, policy: Any, *,
-                 parallelism: int | dict[str, int] = 1,
-                 injector: Any = None,
-                 batch_mode: bool = True,
-                 num_key_groups: int = DEFAULT_KEY_GROUPS,
-                 source_batch: int = 32, step_cycles: int = 2,
-                 interval_cycles: int = 4,
-                 heartbeat_timeout_s: float = 60.0,
-                 metrics: MetricsRegistry | None = None,
-                 slo_s: float | None = None,
-                 shed_policy: ShedPolicy | None = None,
-                 store: CheckpointStore | None = None) -> None:
-        self.job = job
-        self.policy = policy
-        self.injector = injector
-        self.batch_mode = batch_mode
-        self.num_key_groups = num_key_groups
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.shed_policy = shed_policy
-        self.operators = list(job.operators)
-        self.current: dict[str, int] = self._normalize(parallelism)
-        super().__init__(
-            self._build_executor(self.current),
-            AutoscaleReport(sink_values={}, slo_s=slo_s), store=store,
-            source_batch=source_batch, step_cycles=step_cycles,
-            interval_cycles=interval_cycles,
-            heartbeat_timeout_s=heartbeat_timeout_s, injector=injector,
-            metrics=self.metrics)
-        self.autoscaler = Autoscaler(policy,
-                                     rated_capacity=float(source_batch))
-        self._pending_targets: dict[str, int] | None = None
-        self._rescale_attempts_current = 0
-        self._committed_seen: dict[str, int] = {}
-        #: per-source sorted arrival timestamps (built lazily; the
-        #: deterministic arrival model behind backlog and shed control)
-        self._arrivals: dict[str, np.ndarray] = {}
-
-    # -- plan construction ---------------------------------------------------
+    # -- scaling units -------------------------------------------------------
 
     def _normalize(self, parallelism: int | dict[str, int]
                    ) -> dict[str, int]:
         """One explicit width per node (operators and sources)."""
-        names = self.operators + list(self.job.sources)
-        if isinstance(parallelism, int):
-            widths = {name: parallelism for name in names}
-        else:
-            default = parallelism.get("default", 1)
-            widths = {name: int(parallelism.get(name, default))
-                      for name in names}
-        return self._clamp_widths(widths)
+        job = self.supervisor.job
+        return self._clamp_widths({
+            name: _parallelism_of(parallelism, name)
+            for name in [*job.operators, *job.sources]})
 
     def _clamp_widths(self, widths: dict[str, int]) -> dict[str, int]:
         """Quantize per-operator targets to valid *scaling units*.
@@ -561,42 +477,32 @@ class ScalingSupervisor(Supervisor):
         clamped to the key-group count.  Sources follow the widest
         requested operator, bounded by their split count — ingest
         capacity is what rescaling exists to change.  Non-keyed
-        operators (the chainable head) always follow the source width:
-        a head narrower than its source would merge the source
-        subtasks' output in coarse per-subtask chunks, and a watermark
-        generator downstream of that merge can see event time leap
-        beyond the allowed lateness — dropping records a uniform plan
-        keeps.  Keeping head and source equal keeps them chained (1:1
-        edges, no merge), which is the engine's tested equivalence
-        contract.
+        operators (the chainable head) follow the source width: a
+        narrower head would merge source output in coarse chunks, and a
+        watermark generator behind that merge can see event time leap
+        past the allowed lateness and drop records a uniform plan keeps.
+        Equal widths keep head and source chained (1:1, no merge).
         """
+        job: JobGraph = self.supervisor.job
         out = dict(widths)
-        width = max((out[name] for name in self.operators), default=1)
-        for name, spec in self.job.sources.items():
+        width = max((out[name] for name in job.operators), default=1)
+        for name, spec in job.sources.items():
             splits = spec.splits if spec.splits is not None else 1
             out[name] = max(1, min(width, splits))
-        source_width = max((out[name] for name in self.job.sources),
-                           default=1)
-        for name, op in self.job.operators.items():
+        source_width = max((out[name] for name in job.sources), default=1)
+        for name, op in job.operators.items():
             if op.requires_shuffle:
-                out[name] = min(out[name], self.num_key_groups)
+                out[name] = min(out[name], self.supervisor.num_key_groups)
             else:
                 out[name] = source_width
         return out
-
-    def _build_executor(self, widths: dict[str, int]) -> ParallelExecutor:
-        return ParallelExecutor(
-            self.job, dict(widths), num_key_groups=self.num_key_groups,
-            batch_mode=self.batch_mode,
-            injector=self.injector, metrics=self.metrics,
-            transactional_sinks=True)
 
     # -- deterministic load model --------------------------------------------
 
     def _arrival_array(self, name: str) -> np.ndarray:
         arr = self._arrivals.get(name)
         if arr is None:
-            ts = self.executor.sources.timestamps(name)
+            ts = self.supervisor.executor.sources.timestamps(name)
             arr = np.sort(np.asarray(ts, dtype=np.float64))
             self._arrivals[name] = arr
         return arr
@@ -607,22 +513,23 @@ class ScalingSupervisor(Supervisor):
         arrival times: the clock advances one second per macro cycle,
         so intake capacity is ``source_parallelism * source_batch``
         items per second — precisely the knob rescaling turns."""
-        now = self.clock.now
+        sup = self.supervisor
+        now = sup.clock.now
         total = 0.0
-        for name in self.job.sources:
+        for name in sup.job.sources:
             arr = self._arrival_array(name)
             arrived = float(np.searchsorted(arr, now, side="right"))
-            pulled = float(self.executor.sources.pulled(name))
+            pulled = float(sup.executor.sources.pulled(name))
             backlog = max(0.0, arrived - pulled)
-            self.metrics.gauge("source.backlog", source=name).set(backlog)
+            sup.metrics.gauge("source.backlog", source=name).set(backlog)
             total += backlog
         return total
 
     def _watermark_lag(self) -> float:
         lag = 0.0
-        for name in self.job.sinks:
-            value = self.metrics.gauge("sink.watermark_lag_s",
-                                       sink=name).value
+        for name in self.supervisor.job.sinks:
+            value = self.supervisor.metrics.gauge("sink.watermark_lag_s",
+                                                  sink=name).value
             if not math.isnan(value):
                 lag = max(lag, value)
         return lag
@@ -631,12 +538,13 @@ class ScalingSupervisor(Supervisor):
         """Commit-time latency per newly committed sink element:
         sim-clock now minus the element's event timestamp (clamped at
         zero — results cannot be early, only late)."""
-        now = self.clock.now
-        for name, sink in self.executor.sinks.items():
+        sup = self.supervisor
+        now = sup.clock.now
+        for name, sink in sup.executor.sinks.items():
             committed = len(sink)
             seen = self._committed_seen.get(name, 0)
             if committed > seen:
-                self.report.latencies.extend(
+                sup.report.latencies.extend(
                     max(0.0, now - ts)
                     for ts in sink.rows_from(seen).timestamps.tolist())
             # (a restore may also have truncated visibility below seen)
@@ -649,149 +557,60 @@ class ScalingSupervisor(Supervisor):
         policy = self.shed_policy
         if policy is None:
             return
+        sup = self.supervisor
+        sources = sup.executor.sources
         # the executor's plans are the activation state: they rewind
-        # with every restore and carry over into an adopted executor
-        active = self.executor.sources.shed_state()["plans"]
-        for name in self.job.sources:
-            backlog = self.metrics.gauge("source.backlog",
-                                         source=name).value
+        # with every restore and carry over into a reshaped executor
+        active = sources.shed_state()["plans"]
+        for name in sup.job.sources:
+            backlog = sup.metrics.gauge("source.backlog", source=name).value
             if math.isnan(backlog):
                 continue
-            p_src = self.current.get(name, 1)
-            capacity = max(1.0, p_src * float(self.source_batch))
+            capacity = max(1.0, sup.parallelism.get(name, 1)
+                           * float(sup.source_batch))
             projected_wait = backlog / capacity
             if name not in active \
                     and projected_wait > policy.trigger_wait_s:
-                self.executor.sources.set_shedding(name, policy.keep,
-                                                   policy.mod)
+                sources.set_shedding(name, policy.keep, policy.mod)
             elif name in active \
                     and projected_wait < policy.release_wait_s:
-                self.executor.sources.clear_shedding(name)
+                sources.clear_shedding(name)
 
-    # -- the rescale state machine -------------------------------------------
-
-    def _phase(self, phase: str) -> None:
-        if self.injector is not None:
-            self.injector.before_rescale(phase)
-
-    def _rescale(self, old: dict[str, int],
-                 new: dict[str, int]) -> RescaleEvent:
-        self._phase("decide")
-        self._phase("savepoint")
-        savepoint = self.coordinator.savepoint()
-
-        self._phase("recompile")
-        replacement = self._build_executor(new)
-
-        self._phase("restore")
-        replayed = self._adopt(replacement, savepoint)
-        self.current = new
-        self._retire_subtask_gauges(old, new)
-        self.report.replayed_total += replayed
-        # committed visibility was rewound to the savepoint's projected
-        # output; re-sync the latency cursor so nothing double-counts
-        for name, sink in self.executor.sinks.items():
-            self._committed_seen[name] = min(
-                self._committed_seen.get(name, 0), len(sink))
-        return RescaleEvent(
-            eval_index=self.autoscaler._eval_index,
-            savepoint_id=savepoint.checkpoint_id,
-            old=old, new=new, replayed=replayed,
-            attempts=self._rescale_attempts_current)
-
-    def _retire_subtask_gauges(self, old: dict[str, int],
-                               new: dict[str, int]) -> None:
-        """Recompile keeps one MetricsRegistry across executors, so
-        per-subtask gauges of clones a narrowing rescale removed (e.g.
-        ``subtask.processed{op=window_sum[3]}`` after 4→2) would linger
-        at their last value in every later snapshot and skew skew/
-        utilization reads.  Retire exactly the removed indices; widened
-        operators re-instantiate lazily on the next publish."""
-        per_subtask = ("subtask.processed", "op.batch_size",
-                       "checkpoint.alignment_cycles", "checkpoint.unaligned")
-        for name, old_w in old.items():
-            for idx in range(new.get(name, old_w), old_w):
-                for family in per_subtask:
-                    self.metrics.retire(family, op=f"{name}[{idx}]")
+    # -- the rescale ---------------------------------------------------------
 
     def _try_rescale(self, targets: dict[str, int]) -> None:
-        old = dict(self.current)
+        sup = self.supervisor
+        old = dict(sup.parallelism)
         new = self._clamp_widths({**old, **targets})
-        self.report.rescale_attempts += 1
-        self._rescale_attempts_current += 1
+        sup.report.rescale_attempts += 1
+        self._attempts += 1
         if new != old:
-            event = self.attempt(lambda: self._rescale(old, new))
-            if event is None:
-                # supervisor, subtask or coordinator died mid-rescale:
-                # the ladder recovered the old executor, and the targets
-                # stay pending for the next evaluation
-                self.report.rescale_crashes += 1
+            reshaped = sup.reshape(widths=new)
+            if reshaped is None:
+                # a failure interrupted the rescale: the ladder
+                # recovered the old executor, and the targets stay
+                # pending for the next evaluation
+                sup.report.rescale_crashes += 1
                 self._pending_targets = dict(targets)
                 return
-            self.report.rescales.append(event)
-            self.report.parallelism_trace.append(
-                (event.eval_index, dict(self.current)))
-            self.metrics.counter("autoscaler.rescales").inc()
-            self.metrics.gauge("autoscaler.width").set(
-                max(self.current.values()))
+            savepoint, replayed = reshaped
+            sup.report.rescales.append(RescaleEvent(
+                eval_index=self._eval_index,
+                savepoint_id=savepoint.checkpoint_id, old=old, new=new,
+                replayed=replayed, attempts=self._attempts))
+            sup.report.parallelism_trace.append(
+                (self._eval_index, dict(new)))
+            sup.metrics.counter("autoscaler.rescales").inc()
+            sup.metrics.gauge("autoscaler.width").set(max(new.values()))
         self._pending_targets = None
-        self._rescale_attempts_current = 0
-
-    # -- the control loop ----------------------------------------------------
-
-    def _evaluate(self) -> dict[str, int]:
-        if self._pending_targets is not None:
-            return dict(self._pending_targets)
-        backlog = self._backlog()
-        lag = self._watermark_lag()
-        signals = self.autoscaler.collect(
-            self.metrics, self.current, self.operators,
-            cycles=float(self.step_cycles), backlog=backlog,
-            watermark_lag_s=lag)
-        return self.autoscaler.evaluate(signals)
-
-    def run(self) -> AutoscaleReport:
-        """Run the job to completion under the control loop."""
-        self._shed_control_initial()
-        while True:
-            done = self.advance()
-            if done is None:
-                continue  # recovered: re-run before observing anything
-            self._observe_latencies()
-            if done:
-                break
-            targets = self._evaluate()
-            self._shed_control()
-            if targets:
-                self._try_rescale(targets)
-        report = self.finish()
-        report.shed_total = self.executor.shed_elements
-        report.dropped_overflow = self.executor.dropped_overflow
-        return report
-
-    def _shed_control_initial(self) -> None:
-        """A trigger threshold of zero means "shed from the start" —
-        the deterministic activation the shed equivalence suite needs
-        (both the golden and the chaos run shed the same set from
-        element zero)."""
-        policy = self.shed_policy
-        if policy is None or policy.trigger_wait_s > 0:
-            return
-        for name in self.job.sources:
-            self.executor.sources.set_shedding(name, policy.keep,
-                                               policy.mod)
-        # checkpoint zero must carry the plans so any restore — initial
-        # included — re-activates them
-        self._initial = self.executor.checkpoint()
+        self._attempts = 0
 
 
-def run_autoscaled(job: JobGraph, policy: Any,
-                   injector: Any = None, **kwargs: Any) -> AutoscaleReport:
-    """Convenience wrapper: build a :class:`ScalingSupervisor` and run.
-
-    ``kwargs`` pass through to the supervisor constructor; the common
-    shape is ``run_autoscaled(job, SchedulePolicy({...}), injector,
-    parallelism=1, batch_mode=True)``.
-    """
-    supervisor = ScalingSupervisor(job, policy, injector=injector, **kwargs)
-    return supervisor.run()
+def run_autoscaled(job: JobGraph, policy: Any, injector: Any = None,
+                   **kwargs: Any) -> SupervisionReport:
+    """Run ``job`` under a :class:`Supervisor` with one
+    :class:`Autoscaler` on ``policy``; ``kwargs`` pass through to the
+    supervisor (``run_autoscaled(job, SchedulePolicy({...}), injector,
+    parallelism=1)``)."""
+    return Supervisor(job, controllers=[Autoscaler(policy)],
+                      injector=injector, **kwargs).run()

@@ -94,7 +94,9 @@ class JobGraph:
     operators: dict[str, Operator]
     #: edges as (upstream, downstream, side); side is None or left/right
     edges: list[tuple[str, str, str | None]]
-    sinks: set[str] = field(default_factory=set)
+    #: in declaration order, like sources and operators: plan,
+    #: topological and checkpoint order never depend on the hash seed
+    sinks: list[str] = field(default_factory=list)
     #: optional region pins declared on the job itself (merged under any
     #: compile-time placement; node -> region tag)
     regions: dict[str, str] = field(default_factory=dict)
@@ -116,7 +118,7 @@ class JobGraph:
 
     def validate(self) -> None:
         graph = nx.DiGraph()
-        for node in set(self.sources) | set(self.operators) | set(self.sinks):
+        for node in [*self.sources, *self.operators, *self.sinks]:
             graph.add_node(node)
         for up, down, _side in self.edges:
             for node in (up, down):
@@ -300,7 +302,7 @@ class JobBuilder:
         self._sources: dict[str, SourceSpec] = {}
         self._operators: dict[str, Operator] = {}
         self._edges: list[tuple[str, str, str | None]] = []
-        self._sinks: set[str] = set()
+        self._sinks: list[str] = []
         self._counters: dict[str, int] = {}
         self._regions: dict[str, str] = {}
         self._cross_region: set[tuple[str, str]] = set()
@@ -353,7 +355,8 @@ class JobBuilder:
                 f"sink name {name!r} collides with an existing "
                 f"{'source' if name in self._sources else 'operator'}"
             )
-        self._sinks.add(name)
+        if name not in self._sinks:
+            self._sinks.append(name)
 
     def pin_region(self, node: str, region: str) -> "JobBuilder":
         """Pin a named node to a region."""
@@ -382,7 +385,7 @@ class JobBuilder:
     def build(self) -> JobGraph:
         job = JobGraph(name=self.name, sources=dict(self._sources),
                        operators=dict(self._operators),
-                       edges=list(self._edges), sinks=set(self._sinks),
+                       edges=list(self._edges), sinks=list(self._sinks),
                        regions=dict(self._regions),
                        cross_region_edges=set(self._cross_region),
                        error_policies=dict(self._error_policies))

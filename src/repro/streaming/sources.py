@@ -364,7 +364,7 @@ class SourceReader:
 
     def timestamps(self, name: str) -> list[float]:
         """Timestamps of every item of one source, in split order.  The
-        scaling supervisor sorts these once to build its deterministic
+        autoscaler sorts these once to build its deterministic
         arrival model (how many elements have "arrived" by sim-time t)."""
         out: list[float] = []
         for split in self.open(name):

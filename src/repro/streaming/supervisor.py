@@ -1,30 +1,31 @@
-"""One supervision loop: step -> detect -> recover -> adopt.
+"""One supervisor: run -> detect -> recover, and one reshape.
 
-``run_coordinated``, ``ScalingSupervisor`` and ``GeoDeployment`` all
-supervise the same thing: a :class:`ParallelExecutor` with transactional
-sinks, a :class:`CheckpointCoordinator` snapshotting it while data is in
-flight, and a :class:`CheckpointStore` to recover from.
-:class:`Supervisor` owns those plus the simulated clock and the shared
-fault counters, and is the only place that classifies a failure
-(:meth:`Supervisor.attempt`, the *ladder*), bounds failures, picks
-regional vs full restore, carries commit listeners and checkpoint
-counts across coordinator incarnations and adopts a replacement
-executor (docs/ARCHITECTURE.md, "Supervision"); the coordinator's
-``savepoint`` is the one loop that drives a cut to finalize.
+A :class:`Supervisor` owns a running plan — ``job``, ``parallelism``,
+``placement`` — and what runs it: the one place a supervised
+:class:`ParallelExecutor` is built, its :class:`CheckpointCoordinator`
+and :class:`CheckpointStore`, the simulated clock and the fault
+counters.  It alone classifies a failure (:meth:`Supervisor.attempt`,
+the *ladder*), bounds failures, picks regional vs full restore and
+carries listeners and counts across coordinator incarnations
+(docs/ARCHITECTURE.md, "Supervision").
 
-Rescale, zone handoff and region failover are *actions*: callables run
-through :meth:`Supervisor.attempt`, so a fault in any phase of any
-action takes the same recovery path as a fault in a plain run step —
-the old executor is restored from the last finalized checkpoint and
-the caller retries.  New control-plane behaviour is a new action, never
-a new loop.
+:meth:`Supervisor.reshape` is the one action that changes a running
+plan: a rescale (new widths), a zone handoff (new placement) and a
+region failover (new job from a given checkpoint) run the same four
+phases through the ladder, so a fault in any phase restores the *old*
+executor and the caller retries.  *When* to reshape is decided by
+:class:`Controller` s — the autoscaler, the geo deployment — that the
+one :meth:`Supervisor.run` loop consults around every slice; they
+compose.  A new policy is a new controller, never a loop or a subclass.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
+
+import numpy as np
 
 from ..util.clock import SimClock
 from ..util.errors import (
@@ -45,18 +46,23 @@ from .coordinator import (
 from .errors import DLQ_SINK
 from .execution import ParallelExecutor
 from .graph import JobGraph
+from .plan import ExecutionGraph
+from .shuffle import DEFAULT_KEY_GROUPS
 
-__all__ = ["MAX_FAILURES", "SupervisionReport", "Supervisor",
+__all__ = ["MAX_FAILURES", "Controller", "SupervisionReport", "Supervisor",
            "run_coordinated"]
 
 #: Bounds pathological fault plans: a deterministic schedule cannot
 #: re-fire a passed fault, so any finite plan terminates well below it.
 MAX_FAILURES = 1000
 
+#: ``reshape``'s default target: a savepoint of the running job
+_SAVEPOINT = object()
+
 
 @dataclass
 class SupervisionReport:
-    """Counters every coordinated supervisor reports."""
+    """Everything a supervised run counts, its controllers' included."""
 
     sink_values: dict[str, list[Any]]
     crashes: int = 0
@@ -70,7 +76,7 @@ class SupervisionReport:
     aborted: int = 0
     regional_restores: int = 0
     full_restores: int = 0
-    #: elements actually replayed across all recoveries
+    #: elements actually replayed across all recoveries and reshapes
     replayed_total: int = 0
     #: of which, by regional restores only
     replayed_regional: int = 0
@@ -81,6 +87,28 @@ class SupervisionReport:
     integrity_failures: int = 0
     #: the injector's fired-fault trace (empty without an injector)
     trace: list = field(default_factory=list)
+    #: slices :meth:`Supervisor.run` drove
+    steps: int = 0
+    shed_total: int = 0
+    dropped_overflow: int = 0
+    # -- the autoscaler's (repro.streaming.autoscale) --
+    #: completed rescales (``RescaleEvent``)
+    rescales: list = field(default_factory=list)
+    rescale_attempts: int = 0
+    #: rescale attempts a failure interrupted (each one was retried)
+    rescale_crashes: int = 0
+    #: (eval_index, {node: width}) after every completed rescale
+    parallelism_trace: list[tuple[int, dict[str, int]]] = \
+        field(default_factory=list)
+    #: per committed result: sim-time commit latency vs event time
+    latencies: list[float] = field(default_factory=list)
+    slo_s: float | None = None
+    # -- the geo deployment's (repro.geo) --
+    mirror_pumped: int = 0
+    #: completed zone handoffs (``HandoffReport``)
+    handoffs: list = field(default_factory=list)
+    #: the region failover (``FailoverReport``), if one happened
+    failover: Any = None
 
     @property
     def failures(self) -> int:
@@ -92,6 +120,24 @@ class SupervisionReport:
     def restores(self) -> int:
         return self.regional_restores + self.full_restores
 
+    @property
+    def slo_compliance(self) -> float:
+        """Fraction of committed results within the latency SLO."""
+        if self.slo_s is None or not self.latencies:
+            return 1.0
+        within = sum(1 for lat in self.latencies if lat <= self.slo_s)
+        return within / len(self.latencies)
+
+    def latency_p99(self) -> float:
+        if not self.latencies:
+            return 0.0
+        return float(np.percentile(np.asarray(self.latencies), 99))
+
+    @property
+    def max_width(self) -> int:
+        widths = [max(p.values()) for _, p in self.parallelism_trace]
+        return max(widths) if widths else 0
+
 
 #: failure class (the ``chaos.faults{kind=}`` label) -> report counter
 _COUNTER = {"crash": "crashes", "data": "data_failures",
@@ -99,11 +145,36 @@ _COUNTER = {"crash": "crashes", "data": "data_failures",
             "broker": "broker_faults", "dead": "dead_detected"}
 
 
-class Supervisor:
-    """Owns executor + coordinator + store + clock + fault counters.
+class Controller:
+    """A control policy :meth:`Supervisor.run` consults; every hook is
+    a no-op here."""
 
-    ``report`` is the caller's :class:`SupervisionReport` (subclass);
-    ``span`` (a duck-typed tracer span) gets one event per fault and
+    supervisor: "Supervisor"
+
+    def bind(self, supervisor: "Supervisor") -> None:
+        """Once, before the first plan compiles: a controller may set
+        the supervisor's widths, placement or clock here."""
+        self.supervisor = supervisor
+
+    def start(self) -> None:
+        """Once the first executor exists, before checkpoint zero."""
+
+    def before_slice(self) -> None:
+        """Before every slice."""
+
+    def after_slice(self, done: bool | None) -> None:
+        """After every slice; ``done`` is :meth:`Supervisor.advance`'s."""
+
+    def on_reshape(self) -> None:
+        """After every completed reshape, whichever controller asked."""
+
+
+class Supervisor:
+    """Owns plan + executor + coordinator + store + clock + counters.
+
+    ``controllers`` decide when the plan changes; the report is a
+    :class:`SupervisionReport`.  A ``tracer`` gets a
+    ``coordinated:<job>`` span with one event per fault, and
     ``metrics`` a ``chaos.faults`` counter, so a chaos trace shows
     recovery structure.  ``restart_budget`` (a
     :class:`~repro.streaming.errors.RestartBudget`) is consulted before
@@ -111,39 +182,68 @@ class Supervisor:
     "progress" means a checkpoint finalized since the previous failure.
     """
 
-    def __init__(self, executor: ParallelExecutor,
-                 report: SupervisionReport, *, source_batch: int,
-                 step_cycles: int, interval_cycles: int,
-                 heartbeat_timeout_s: float,
+    def __init__(self, job: JobGraph, *,
+                 controllers: Iterable[Controller] = (),
+                 parallelism: int | dict[str, int] = 1,
+                 placement: Any = None, batch_mode: bool = True,
+                 num_key_groups: int = DEFAULT_KEY_GROUPS,
+                 unaligned_after: int | None = None,
+                 source_batch: int = 32, step_cycles: int = 2,
+                 interval_cycles: int = 4,
+                 heartbeat_timeout_s: float = 60.0,
                  store: CheckpointStore | None = None,
                  clock: SimClock | None = None, injector: Any = None,
-                 metrics: Any = None, span: Any = None,
+                 tracer: Any = None, metrics: Any = None,
                  replayable: frozenset | set = frozenset(),
                  restart_budget: Any = None) -> None:
         if source_batch < 1:
             raise JobGraphError(
                 f"source_batch must be >= 1, got {source_batch!r}")
-        self.executor = executor
-        self.report = report
-        self.store = store if store is not None else CheckpointStore()
-        self.clock = clock if clock is not None else SimClock()
+        self.job = job
+        self.parallelism = parallelism
+        self.placement = placement
+        self.batch_mode = batch_mode
+        self.num_key_groups = num_key_groups
+        self.unaligned_after = unaligned_after
         self.source_batch = source_batch
         self.step_cycles = step_cycles
         self.interval_cycles = interval_cycles
         self.heartbeat_timeout_s = heartbeat_timeout_s
+        self.store = store if store is not None else CheckpointStore()
+        self.clock = clock if clock is not None else SimClock()
         self.injector = injector
+        self.tracer = tracer
         self.metrics = metrics
-        self.span = span
         self.replayable = replayable
         self.restart_budget = restart_budget
+        self.report = SupervisionReport(sink_values={})
+        self.controllers = list(controllers)
+        for controller in self.controllers:
+            controller.bind(self)
         if restart_budget is not None:
             restart_budget.bind_clock(self.clock)
+        self.executor = self._build_executor(self.job, self.parallelism,
+                                             self.placement)
+        self.span = (tracer.start_span(f"coordinated:{job.name}")
+                     if tracer is not None else None)
         self.coordinator = self._build_coordinator()
+        for controller in self.controllers:
+            controller.start()
         # Checkpoint zero: the initial state is always a valid restore
         # point, so a crash before the first finalize restarts from
         # scratch.
-        self._initial = executor.checkpoint()
+        self._initial = self.executor.checkpoint()
         self._progress_mark = 0
+
+    def _build_executor(self, job: JobGraph,
+                        parallelism: int | dict[str, int],
+                        placement: Any) -> ParallelExecutor:
+        return ParallelExecutor(
+            job, parallelism, num_key_groups=self.num_key_groups,
+            batch_mode=self.batch_mode, injector=self.injector,
+            tracer=self.tracer, metrics=self.metrics,
+            transactional_sinks=True, unaligned_after=self.unaligned_after,
+            placement=placement)
 
     def _build_coordinator(self) -> CheckpointCoordinator:
         return CheckpointCoordinator(
@@ -151,6 +251,35 @@ class Supervisor:
             interval_cycles=self.interval_cycles,
             heartbeat_timeout_s=self.heartbeat_timeout_s,
             injector=self.injector, metrics=self.metrics)
+
+    # -- the loop ------------------------------------------------------------
+
+    def run(self, *, on_step: Callable[["Supervisor", int], None]
+            | None = None) -> SupervisionReport:
+        """Supervise to completion: every controller is consulted before
+        and after each slice, then ``on_step(supervisor, step)`` — the
+        hook tests and demos use to act at deterministic points."""
+        span = self.span
+        with (self.tracer.activate(span) if span is not None
+              else nullcontext()):
+            done: bool | None = False
+            while not done:
+                step = self.report.steps
+                self.report.steps += 1
+                for controller in self.controllers:
+                    controller.before_slice()
+                done = self.advance()
+                for controller in self.controllers:
+                    controller.after_slice(done)
+                if on_step is not None:
+                    on_step(self, step)
+        if span is not None:
+            for attr in ("crashes", "coordinator_crashes",
+                         "regional_restores", "full_restores",
+                         "replayed_total"):
+                span.set_attr(attr, getattr(self.report, attr))
+            span.end()
+        return self.finish()
 
     # -- the ladder ----------------------------------------------------------
 
@@ -181,7 +310,7 @@ class Supervisor:
         try:
             result = action()
         except OperatorCrash as exc:
-            self._failed("crash", exc)
+            self.record_failure("crash", exc)
             self._recover(exc.op_name if regional else None)
         except DataFaultError as exc:
             # An injected data fault escalated through a FAIL or
@@ -190,17 +319,17 @@ class Supervisor:
             # replay re-poisons the *same* record — a persistent fault
             # loops here until the restart budget's flapping detection
             # (or MAX_FAILURES) makes it terminal.
-            self._failed("data", exc)
+            self.record_failure("data", exc)
             self._recover(None)
         except CoordinatorDown as exc:
             # subtask state is intact: the in-progress checkpoint is
             # lost, but no executor restore happens at all
-            self._failed("coordinator", exc)
+            self.record_failure("coordinator", exc)
             self._rebuild_coordinator()
         except BrokerDown as exc:
             # The source fetch hit a fault window; restoring resets
             # in-flight state, then the retry re-reads the log.
-            self._failed("broker", exc)
+            self.record_failure("broker", exc)
             self._recover(None)
         else:
             dead = ([] if self.executor.done
@@ -209,15 +338,15 @@ class Supervisor:
                 return result
             # fail-silent subtask: the heartbeat detector is the only
             # witness, and it is treated as a crash of that subtask
-            self._failed("dead", OperatorCrash(
+            self.record_failure("dead", OperatorCrash(
                 f"fail-silent subtask {dead[0]!r}", op_name=dead[0]))
             self._recover(dead[0] if regional else None)
         return None
 
-    def _failed(self, kind: str, exc: Exception) -> None:
-        """Count one failure, then consume one restart attempt: raises
-        ChaosError past MAX_FAILURES, RestartsExhausted when the budget
-        is spent or the job is flapping."""
+    def record_failure(self, kind: str, exc: Exception) -> None:
+        """Count one failure of class ``kind``, then consume one restart
+        attempt: raises ChaosError past MAX_FAILURES, RestartsExhausted
+        when the budget is spent or the job is flapping."""
         counter = _COUNTER[kind]
         setattr(self.report, counter, getattr(self.report, counter) + 1)
         if self.span is not None:
@@ -256,7 +385,7 @@ class Supervisor:
             try:
                 return restore()
             except BrokerDown as exc:
-                self._failed("broker", exc)
+                self.record_failure("broker", exc)
 
     def _recover(self, op_name: str | None) -> None:
         """Restore the executor from the last finalized checkpoint (or
@@ -327,94 +456,116 @@ class Supervisor:
         self.coordinator.abandon_pending()
         self._next_coordinator()
 
-    # -- action primitives ---------------------------------------------------
+    # -- the one plan change -------------------------------------------------
 
-    def _adopt(self, replacement: ParallelExecutor,
-               checkpoint: ParallelCheckpoint | None) -> int:
-        """Restore ``checkpoint`` into ``replacement`` (None = cold
-        start) and swap it in under a fresh coordinator incarnation.
-        Until the swap the old executor is untouched, so a crash
-        mid-adopt recovers it.  Returns the elements the restore
-        will re-read."""
-        replayed = 0
-        if checkpoint is not None:
-            replayed = self._restore(lambda: replacement.restore(checkpoint))
+    def reshape(self, *, widths: int | dict[str, int] | None = None,
+                placement: Any = None, job: JobGraph | None = None,
+                target: Any = _SAVEPOINT
+                ) -> tuple[ParallelCheckpoint | None, int] | None:
+        """Replace the running plan with new ``widths``, ``placement``
+        or ``job`` (each defaults to the current one), restored from a
+        savepoint of the running job — or from ``target``: a given
+        checkpoint, or ``None`` for a cold start.
+
+        Runs decide / savepoint / recompile / restore (each a
+        ``before_rescale`` chaos site) through the ladder; returns
+        ``(checkpoint restored, elements replayed)``, or None when a
+        failure interrupted it and the *old* executor was recovered.
+        """
+        return self.attempt(
+            lambda: self._reshape(widths, placement, job, target))
+
+    def _phase(self, phase: str) -> None:
+        if self.injector is not None:
+            self.injector.before_rescale(phase)
+
+    def _reshape(self, widths: Any, placement: Any, job: Any,
+                 target: Any) -> tuple[ParallelCheckpoint | None, int]:
+        self._phase("decide")
+        self._phase("savepoint")
+        if target is _SAVEPOINT:
+            target = self.coordinator.savepoint()
+        self._phase("recompile")
+        job = job if job is not None else self.job
+        widths = widths if widths is not None else self.parallelism
+        placement = placement if placement is not None else self.placement
+        replacement = self._build_executor(job, widths, placement)
+        self._phase("restore")
+        # Until the swap the old executor is untouched, so a crash
+        # mid-restore recovers it.
+        if target is not None:
+            replayed = self._restore(lambda: replacement.restore(target))
+        else:  # cold start: every element the new sources hold
+            replayed = sum(len(replacement.sources.timestamps(name))
+                           for name in job.sources)
+        old = self.executor.graph
         self.executor = replacement
+        self.job, self.parallelism, self.placement = job, widths, placement
         self._next_coordinator()
-        return replayed
+        self._retire_removed_subtasks(old, replacement.graph)
+        self.report.replayed_total += replayed
+        for controller in self.controllers:
+            controller.on_reshape()
+        return target, replayed
+
+    def _retire_removed_subtasks(self, old: ExecutionGraph,
+                                 new: ExecutionGraph) -> None:
+        """One MetricsRegistry spans every executor, so per-subtask
+        gauges of clones a narrowing reshape removed (e.g.
+        ``subtask.processed{op=window_sum[3]}`` after 4→2) would linger
+        at their last value in every later snapshot and skew skew/
+        utilization reads.  Retire exactly the removed indices; widened
+        operators re-instantiate lazily on the next publish."""
+        if self.metrics is None:
+            return
+        per_subtask = ("subtask.processed", "op.batch_size",
+                       "checkpoint.alignment_cycles", "checkpoint.unaligned")
+        for name, node in old.rename.items():
+            width = old.width(node)
+            now = new.width(new.rename[name]) if name in new.rename else width
+            for idx in range(now, width):
+                for family in per_subtask:
+                    self.metrics.retire(family, op=f"{name}[{idx}]")
 
     # -- completion ----------------------------------------------------------
 
-    def finish(self) -> Any:
+    def finish(self) -> SupervisionReport:
         """Fold the live coordinator's counts, the store's quarantine
-        count, the fault trace and the committed sink output into the
-        report (call once, at end of run)."""
-        report = self.report
+        count, the shed/drop counters, the fault trace and the committed
+        sink output into the report (call once, at end of run)."""
+        report, executor = self.report, self.executor
         report.checkpoints += self.coordinator.finalized
         report.aborted += self.coordinator.aborted
         report.integrity_failures = self.store.integrity_failures
+        report.shed_total = executor.shed_elements
+        report.dropped_overflow = executor.dropped_overflow
         if self.injector is not None:
             report.trace = list(self.injector.trace)
         report.sink_values = {name: list(sink.values)
-                              for name, sink in self.executor.sinks.items()}
+                              for name, sink in executor.sinks.items()}
         return report
 
 
-def run_coordinated(job: JobGraph, injector: Any = None,
-                    *, parallelism: int | dict[str, int] = 1,
-                    batch_mode: bool = True,
+def run_coordinated(job: JobGraph, injector: Any = None, *,
                     source_batch: int = 64, step_cycles: int = 1,
-                    interval_cycles: int = 4,
-                    unaligned_after: int | None = None,
                     heartbeat_timeout_s: float = 5.0,
-                    replayable: frozenset | set = frozenset(),
-                    store: Any = None,
-                    tracer: Any = None, metrics: Any = None,
                     on_coordinator: Any = None,
-                    restart_budget: Any = None) -> SupervisionReport:
-    """Run ``job`` for real: the one production wiring of executor,
-    2PC sinks, coordinator and store.
+                    **supervision: Any) -> SupervisionReport:
+    """Run ``job`` for real under a controller-less :class:`Supervisor`
+    with finer slices; ``supervision`` passes through.
 
-    The job runs under a :class:`Supervisor`, whose
-    :class:`~repro.streaming.coordinator.CheckpointCoordinator`
-    snapshots *while data is in flight* via barrier alignment, commits
-    sink output through 2PC, and recovers regionally — the failure
-    classes and what each restores are the supervisor's ladder.
     ``injector`` (duck-typed, see :mod:`repro.chaos`; ``None`` in
-    production) threads faults through every layer.
-
-    ``on_coordinator`` (if given) is called with the coordinator after
-    construction — the place to register commit listeners such as
-    :class:`~repro.streaming.txn_sink.TransactionalLogSink`.  Listeners
+    production) threads faults through every layer.  ``on_coordinator``
+    gets the coordinator after construction — the place to register
+    commit listeners (e.g. a
+    :class:`~repro.streaming.txn_sink.TransactionalLogSink`), which
     survive coordinator rebuilds.
-
-    ``restart_budget`` bounds recovery (backoff runs on the
-    supervisor's simulated clock; "progress" means a newly finalized
-    checkpoint).
     """
-    executor = ParallelExecutor(job, parallelism, batch_mode=batch_mode,
-                                injector=injector, tracer=tracer,
-                                metrics=metrics,
-                                transactional_sinks=True,
-                                unaligned_after=unaligned_after)
-    supervised = (tracer.start_span(f"coordinated:{job.name}")
-                  if tracer is not None else None)
-    report = SupervisionReport(sink_values={})
-    supervisor = Supervisor(
-        executor, report, store=store, source_batch=source_batch,
-        step_cycles=step_cycles, interval_cycles=interval_cycles,
-        heartbeat_timeout_s=heartbeat_timeout_s, injector=injector,
-        metrics=metrics, span=supervised, replayable=replayable,
-        restart_budget=restart_budget)
+    supervisor = Supervisor(job, injector=injector,
+                            source_batch=source_batch,
+                            step_cycles=step_cycles,
+                            heartbeat_timeout_s=heartbeat_timeout_s,
+                            **supervision)
     if on_coordinator is not None:
         on_coordinator(supervisor.coordinator)
-    with (tracer.activate(supervised) if supervised is not None
-          else nullcontext()):
-        while not supervisor.advance():
-            pass
-    if supervised is not None:
-        for attr in ("crashes", "coordinator_crashes", "regional_restores",
-                     "full_restores", "replayed_total"):
-            supervised.set_attr(attr, getattr(report, attr))
-        supervised.end()
-    return supervisor.finish()
+    return supervisor.run()

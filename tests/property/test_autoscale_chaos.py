@@ -29,7 +29,7 @@ from repro.chaos import (
     reference_events,
     reference_job,
 )
-from repro.streaming import SchedulePolicy, ScalingSupervisor
+from repro.streaming import Autoscaler, SchedulePolicy, Supervisor
 
 MODES = (False, True)  # batch_mode: the per-item oracle, then batched
 SOURCE_BATCH = 32
@@ -50,9 +50,9 @@ def _golden(seed=7, n=N_EVENTS, *, batch_mode=True):
 def _run(plan, schedule, *, seed=7, n=N_EVENTS, batch_mode=True,
          **kwargs):
     injector = FaultInjector(plan) if plan is not None else None
-    supervisor = ScalingSupervisor(
-        _build(seed, n), SchedulePolicy(schedule), injector=injector,
-        parallelism=1, batch_mode=batch_mode,
+    supervisor = Supervisor(
+        _build(seed, n), controllers=[Autoscaler(SchedulePolicy(schedule))],
+        injector=injector, parallelism=1, batch_mode=batch_mode,
         source_batch=SOURCE_BATCH, **kwargs)
     report = supervisor.run()
     golden = _golden(seed, n, batch_mode=batch_mode)
@@ -170,8 +170,9 @@ class TestDeterminism:
                 FaultSpec("operator_crash", SITE_OPERATOR, at=50,
                           target="window_sum"),
             ), name="determinism")
-            supervisor = ScalingSupervisor(
-                _build(11), SchedulePolicy({1: {"window_sum": 2}}),
+            supervisor = Supervisor(
+                _build(11), controllers=[Autoscaler(
+                    SchedulePolicy({1: {"window_sum": 2}}))],
                 injector=FaultInjector(plan), parallelism=1,
                 source_batch=SOURCE_BATCH)
             report = supervisor.run()

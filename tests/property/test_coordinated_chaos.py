@@ -45,7 +45,13 @@ from repro.chaos import (
 )
 from repro.eventlog.broker import LogCluster, TopicConfig
 from repro.eventlog.producer import Producer
-from repro.streaming import JobBuilder, SchedulePolicy, ScalingSupervisor, ShedPolicy
+from repro.streaming import (
+    Autoscaler,
+    JobBuilder,
+    SchedulePolicy,
+    ShedPolicy,
+    Supervisor,
+)
 from repro.streaming.connectors import log_source
 from repro.streaming.txn_sink import TransactionalLogSink
 from repro.util.clock import SimClock
@@ -391,10 +397,11 @@ def _shed_run(plan, *, seed=7, n=400, schedule=None, **kwargs):
     the golden and the chaos run shed the identical subset)."""
     events = reference_events(seed=seed, n=n, keys=4)
     injector = FaultInjector(plan) if plan is not None else None
-    supervisor = ScalingSupervisor(
+    supervisor = Supervisor(
         reference_job(events, splits=4),
-        SchedulePolicy(schedule or {}), injector=injector,
-        parallelism=1, source_batch=32, shed_policy=SHED, **kwargs)
+        controllers=[Autoscaler(SchedulePolicy(schedule or {}),
+                                shed_policy=SHED)],
+        injector=injector, parallelism=1, source_batch=32, **kwargs)
     return supervisor.run()
 
 
@@ -411,9 +418,10 @@ class TestShedExactlyOnceSmoke:
         (builder.source("events", events, splits=4)
                 .map(lambda v: v, name="ident")
                 .sink("out"))
-        supervisor = ScalingSupervisor(
-            builder.build(), SchedulePolicy({}), parallelism=1,
-            source_batch=32, shed_policy=SHED)
+        supervisor = Supervisor(
+            builder.build(),
+            controllers=[Autoscaler(SchedulePolicy({}), shed_policy=SHED)],
+            parallelism=1, source_batch=32)
         report = supervisor.run()
         committed = len(report.sink_values["out"])
         assert report.shed_total > 0

@@ -27,6 +27,7 @@ from repro.chaos import (
     SITE_COORDINATOR,
     SITE_DATA,
     SITE_OPERATOR,
+    SITE_RESCALE,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -34,7 +35,7 @@ from repro.chaos import (
     fault_free_sinks,
 )
 from repro.eventlog import LogCluster, Producer, TopicConfig
-from repro.geo import GeoDeployment
+from repro.geo import GeoController, GeoDeployment
 from repro.simnet import (
     FailureInjector,
     RegionFailureEvent,
@@ -44,7 +45,11 @@ from repro.simnet import (
 from repro.streaming import (
     DEAD_LETTER,
     FAIL,
+    Autoscaler,
+    CheckpointStore,
     JobBuilder,
+    SchedulePolicy,
+    Supervisor,
     parallel_log_source,
 )
 from repro.streaming import supervisor as supervisor_module
@@ -101,10 +106,15 @@ def _golden(parallelism: int):
         lambda: _build_job(primary), parallelism=parallelism))
 
 
+def _geo(supervisor):
+    (geo,) = supervisor.controllers
+    return geo
+
+
 def _deployment(parallelism: int, *, injector=None,
                 region_event: RegionFailureEvent | None = None,
                 region_timeout_s: float = 2.0,
-                build_job=_build_job) -> GeoDeployment:
+                build_job=_build_job):
     primary = LogCluster(num_brokers=1)
     standby = LogCluster(num_brokers=1)
     _fill(primary)
@@ -135,7 +145,7 @@ class TestZoneHandoff:
 
         def cross_zone(dep, step):
             if step == 1:
-                dep.handoff(MOVABLE, "edge-b")
+                _geo(dep).handoff(MOVABLE, "edge-b")
 
         report = deployment.run(on_step=cross_zone)
         assert canonical_sinks(report.sink_values) == golden
@@ -161,7 +171,7 @@ class TestZoneHandoff:
 
         def cross_zone(dep, step):
             if step == 2:
-                dep.handoff(MOVABLE, "edge-b")
+                _geo(dep).handoff(MOVABLE, "edge-b")
 
         report = deployment.run(on_step=cross_zone)
         assert canonical_sinks(report.sink_values) == golden
@@ -174,9 +184,9 @@ class TestZoneHandoff:
 
         def roam(dep, step):
             if step == 1:
-                dep.handoff(MOVABLE, "edge-b")
+                _geo(dep).handoff(MOVABLE, "edge-b")
             elif step == 3:
-                dep.handoff(MOVABLE, "edge-a")
+                _geo(dep).handoff(MOVABLE, "edge-a")
 
         report = deployment.run(on_step=roam)
         assert canonical_sinks(report.sink_values) == golden
@@ -201,7 +211,7 @@ class TestRegionFailover:
         assert failover is not None
         assert failover.lost_region == "edge-a"
         assert failover.to_region == "core"
-        assert deployment.active_region == "core"
+        assert _geo(deployment).active_region == "core"
 
     @pytest.mark.parametrize("parallelism", [1, 2, 4])
     def test_failover_replays_strictly_less_than_restart(
@@ -269,7 +279,7 @@ class TestHandoffThenFailover:
 
         def roam(dep, step):
             if step == 0:
-                dep.handoff(MOVABLE, "edge-b")
+                _geo(dep).handoff(MOVABLE, "edge-b")
 
         report = deployment.run(on_step=roam)
         assert canonical_sinks(report.sink_values) == golden
@@ -289,7 +299,7 @@ class TestDataFaultsUnderGeo:
     @staticmethod
     def _cross_zone(dep, step):
         if step == 1:
-            dep.handoff(MOVABLE, "edge-b")
+            _geo(dep).handoff(MOVABLE, "edge-b")
 
     def test_dead_lettered_poison_is_exactly_once_across_handoff(self):
         build = partial(_build_job, udf_policy=DEAD_LETTER)
@@ -323,3 +333,69 @@ class TestDataFaultsUnderGeo:
             deployment.run(on_step=self._cross_zone)
         assert deployment.report.data_failures == 5
 
+
+
+@pytest.mark.chaos
+class TestAutoscaleHandoffFailover:
+    """The two controllers compose on one supervisor: a job autoscales
+    1 -> 2 -> 4, hands its keyed operators off to edge-b, then loses
+    edge-a and fails over to core — under an operator crash, a
+    coordinator crash and a supervisor crash in the handoff's recompile
+    phase — and commits exactly the fault-free output.  The autoscaler's
+    arrival arrays and commit cursor outlive reshapes another controller
+    made, and each reshape keeps what it does not change."""
+
+    def test_composed_run_is_exactly_once(self):
+        golden = _golden(1)
+        primary, standby = LogCluster(num_brokers=1), LogCluster(num_brokers=1)
+        _fill(primary)
+        topo = region_topology(make_rng(11))
+        sim = Simulator()
+        # lands on a step boundary after the handoff (the coordinator
+        # moves the shared clock inside a slice, the simulator between)
+        FailureInjector(sim, topo).schedule_region(
+            RegionFailureEvent("edge-a", down_at=22.0, up_at=1e9))
+        geo = GeoController(
+            _build_job, primary_cluster=primary, standby_cluster=standby,
+            topic=TOPIC, region_timeout_s=2.0, topology=topo,
+            simulator=sim, observer="core")
+        plan = FaultPlan(specs=(
+            FaultSpec("operator_crash", SITE_OPERATOR, at=40,
+                      target="window_sum"),
+            FaultSpec("coordinator_crash", SITE_COORDINATOR, at=3),
+            # the two rescales enter recompile first: the third entry
+            # is the handoff's
+            FaultSpec("rescale_crash", SITE_RESCALE, at=2,
+                      target="recompile"),
+        ), name="autoscale-handoff-failover")
+        supervisor = Supervisor(
+            _build_job(primary),
+            controllers=[Autoscaler(SchedulePolicy(
+                {1: {"window_sum": 2}, 3: {"window_sum": 4}})), geo],
+            placement=placement_from_topology(topo, dict(PINS),
+                                              default_region="core"),
+            parallelism=1, source_batch=4, step_cycles=2,
+            interval_cycles=2, store=CheckpointStore(keep=4),
+            injector=FaultInjector(plan))
+
+        def roam(sup, step):
+            if len(sup.report.rescales) == 2 and not sup.report.handoffs:
+                geo.handoff(MOVABLE, "edge-b")
+
+        report = supervisor.run(on_step=roam)
+        assert canonical_sinks(report.sink_values) == golden
+        assert [(e.old["window_sum"], e.new["window_sum"])
+                for e in report.rescales] == [(1, 2), (2, 4)]
+        assert report.rescale_crashes == 0
+        assert report.handoffs[0].attempts == 2
+        assert {f.kind for f in report.trace} == {
+            "operator_crash", "coordinator_crash", "rescale_crash"}
+        assert report.coordinator_crashes == 1 and report.crashes == 2
+        assert report.failover is not None
+        assert geo.active_region == "core"
+        # the failover kept the widths the autoscaler chose
+        assert supervisor.parallelism["window_sum"] == 4
+        assert set(supervisor.executor.graph.node_regions.values()) \
+            == {"core"}
+        # every committed result was observed by the latency cursor
+        assert len(report.latencies) >= len(report.sink_values["out"]) > 0

@@ -21,8 +21,8 @@ from repro.streaming import (
     GradientPolicy,
     OperatorSignals,
     SchedulePolicy,
-    ScalingSupervisor,
     ShedPolicy,
+    Supervisor,
     UtilizationTargetPolicy,
 )
 from repro.util.errors import ConfigError
@@ -218,9 +218,9 @@ class TestSupervisorSmoke:
                                   splits=4),
             batch_mode=True, parallelism=1,
             source_batch=32))
-        supervisor = ScalingSupervisor(
+        supervisor = Supervisor(
             reference_job(events, splits=4),
-            SchedulePolicy({1: {"window_sum": 2}}),
+            controllers=[Autoscaler(SchedulePolicy({1: {"window_sum": 2}}))],
             parallelism=1, source_batch=32)
         report = supervisor.run()
         assert len(report.rescales) == 1
@@ -234,9 +234,10 @@ class TestSupervisorSmoke:
     def test_deterministic_trajectory(self):
         def once():
             events = reference_events(seed=9, n=300, keys=4)
-            supervisor = ScalingSupervisor(
+            supervisor = Supervisor(
                 reference_job(events, splits=4),
-                SchedulePolicy({1: {"window_sum": 2}}),
+                controllers=[Autoscaler(
+                    SchedulePolicy({1: {"window_sum": 2}}))],
                 parallelism=1, source_batch=32)
             report = supervisor.run()
             return (report.sink_values,
@@ -255,9 +256,9 @@ class TestGaugeRetirementOnRescale:
 
     def test_scale_down_then_snapshot_has_no_ghost_subtasks(self):
         events = reference_events(seed=7, n=300, keys=4)
-        supervisor = ScalingSupervisor(
+        supervisor = Supervisor(
             reference_job(events, splits=4),
-            SchedulePolicy({1: {"window_sum": 1}}),
+            controllers=[Autoscaler(SchedulePolicy({1: {"window_sum": 1}}))],
             parallelism=2, source_batch=32)
         report = supervisor.run()
         assert len(report.rescales) == 1
@@ -269,9 +270,9 @@ class TestGaugeRetirementOnRescale:
 
     def test_scale_up_retires_nothing(self):
         events = reference_events(seed=7, n=300, keys=4)
-        supervisor = ScalingSupervisor(
+        supervisor = Supervisor(
             reference_job(events, splits=4),
-            SchedulePolicy({1: {"window_sum": 2}}),
+            controllers=[Autoscaler(SchedulePolicy({1: {"window_sum": 2}}))],
             parallelism=1, source_batch=32)
         report = supervisor.run()
         assert report.rescales[0].new["window_sum"] == 2

@@ -185,3 +185,35 @@ class TestParallelExecutor:
         executor.run(source_batch=16)
         assert executor.serial_busy_s > 0.0
         assert executor.modeled_speedup >= 1.0
+
+
+#: one two-region run (p=1, two macro cycles), then the digest of its
+#: quiescent checkpoint
+_DIGEST = """
+import hashlib, pickle
+from repro.chaos import reference_events, two_region_job
+from repro.streaming import ParallelExecutor
+executor = ParallelExecutor(two_region_job(reference_events(seed=1, n=160),
+                                           reference_events(seed=2, n=160)))
+executor.run(source_batch=16, max_cycles=2)
+print(hashlib.sha256(pickle.dumps(executor.checkpoint())).hexdigest())
+"""
+
+
+def test_checkpoint_bytes_do_not_depend_on_the_hash_seed():
+    """Sink order and the operators' topological order follow the job's
+    declaration order, not ``set`` iteration: two interpreters with
+    different hash seeds cut byte-identical checkpoints."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    digests = set()
+    for seed in ("0", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        digests.add(subprocess.run(
+            [sys.executable, "-c", _DIGEST], env=env, check=True,
+            capture_output=True, text=True).stdout.strip())
+    assert len(digests) == 1, digests

@@ -172,3 +172,40 @@ class TestPlacementFromTopology:
         topo = region_topology(make_rng(0))
         with pytest.raises(JobGraphError):
             placement_from_topology(topo, {"events": "mars"})
+
+
+class TestGeoDeployment:
+    def test_a_geo_jobs_operators_publish_metrics(self):
+        """The geo deployment's executors are built by the one
+        supervisor builder, so its operators publish like any other."""
+        from repro.eventlog import LogCluster, Producer, TopicConfig
+        from repro.geo import GeoDeployment
+        from repro.streaming import parallel_log_source
+
+        topic = "geo.events"
+        primary = LogCluster(num_brokers=1)
+        primary.create_topic(TopicConfig(name=topic, partitions=2))
+        producer = Producer(primary, idempotent=True)
+        for i in range(40):
+            producer.send(topic, {"k": i % 4, "v": float(i)},
+                          key=f"k-{i % 4}", timestamp=float(i))
+
+        def build(cluster):
+            builder = JobBuilder("geo-metrics")
+            factory, splits = parallel_log_source(cluster, topic)
+            (builder.source(topic, splits=splits, split_factory=factory)
+                    .key_by(lambda v: v["k"], name="by_key")
+                    .window(TumblingWindows(10.0), "sum",
+                            value_fn=lambda v: v["v"], name="window_sum")
+                    .sink("out"))
+            return builder.build()
+
+        deployment = GeoDeployment(
+            build, primary_cluster=primary,
+            standby_cluster=LogCluster(num_brokers=1), topic=topic,
+            source_batch=8)
+        report = deployment.run()
+        assert report.sink_values["out"] and report.mirror_pumped == 40
+        for op in ("by_key", "window_sum"):
+            gauge = deployment.metrics.gauge("op.processed", op=op)
+            assert gauge.updated and gauge.value > 0, op

@@ -33,6 +33,11 @@ text, imports only to inspect one signature).
     append-only buffer set — no per-epoch segment list, no consolidated
     copy rebuilt per install, no ``np.isin`` scan of the key column —
     and fits a line budget.
+(i) One reshape: ``_build_executor`` and ``reshape`` are defined once,
+    in ``streaming/supervisor.py``, which is the only control-plane
+    module that builds a ``ParallelExecutor``; nothing subclasses
+    ``Supervisor``, and neither the autoscaler nor ``geo/`` has a
+    ``run``/``step`` loop of its own — they are controllers.
 """
 
 import ast
@@ -103,15 +108,17 @@ def test_the_element_run_kernel_and_the_chaining_switch_stay_deleted():
     # the base Operator's is the only one the built-ins have
     operators = (SRC / "streaming/operators.py").read_text()
     assert operators.count("def process_batch(") == 1
-    from repro.geo.deployment import GeoDeployment
+    from repro.geo import GeoController, GeoDeployment
     from repro.obs import traced_reference_run
     from repro.streaming import (
+        Autoscaler,
         ParallelExecutor,
-        ScalingSupervisor,
+        Supervisor,
         run_coordinated,
     )
     for entry in (ParallelExecutor.__init__, run_coordinated,
-                  ScalingSupervisor.__init__, GeoDeployment.__init__,
+                  Supervisor.__init__, Autoscaler.__init__,
+                  GeoController.__init__, GeoDeployment,
                   traced_reference_run):
         assert "chaining" not in inspect.signature(entry).parameters, entry
     assert [str(path.relative_to(ROOT))
@@ -304,3 +311,36 @@ def test_the_analytical_store_keeps_one_column_set():
     text = (SRC / "store/analytical.py").read_text()
     assert re.findall(r"np\.isin\b|_consolidated|_segments", text) == []
     assert len(text.splitlines()) <= MAX_ANALYTICAL_LINES
+
+
+# -- (i) one reshape ----------------------------------------------------------
+
+#: the modules that supervise, scale or move a job
+CONTROL_PLANE = (SUPERVISOR, "streaming/autoscale.py", "geo/")
+
+
+def _definitions(kind, prefixes=("",)):
+    """(rel, node) for every ``kind`` node in modules under ``prefixes``."""
+    return [(rel, node) for rel, text in _sources()
+            if rel.startswith(prefixes)
+            for node in ast.walk(ast.parse(text)) if isinstance(node, kind)]
+
+
+def test_one_supervisor_builds_and_reshapes():
+    for name in ("_build_executor", "reshape"):
+        sites = [rel for rel, fn in _definitions(ast.FunctionDef)
+                 if fn.name == name]
+        assert sites == [SUPERVISOR], (name, sites)
+    builds = [rel for rel, text in _sources()
+              if rel.startswith(CONTROL_PLANE)
+              for _ in re.finditer(r"\bParallelExecutor\(", text)]
+    assert builds == [SUPERVISOR]
+    subclasses = [f"{rel}:{cls.name}"
+                  for rel, cls in _definitions(ast.ClassDef)
+                  if any(ast.unparse(base).rpartition(".")[2] == "Supervisor"
+                         for base in cls.bases)]
+    assert subclasses == []
+    loops = [f"{rel}:{fn.name}" for rel, fn in _definitions(
+                 ast.FunctionDef, ("streaming/autoscale.py", "geo/"))
+             if fn.name in ("run", "step")]
+    assert loops == []

@@ -1,18 +1,22 @@
-"""The one supervision ladder: every failure class, every action phase.
+"""The one supervision ladder and the one reshape.
 
-``run_coordinated``, ``ScalingSupervisor`` and ``GeoDeployment`` share
+``run_coordinated``, the autoscaler and the geo deployment all run under
 :class:`repro.streaming.Supervisor`; these tests drive the ladder
 directly — raise each failure class from an action and check what was
 counted, what was restored and that the job still commits exactly the
-fault-free output.  The feature-level sweeps stay in the marked suites.
+fault-free output — and crash :meth:`Supervisor.reshape` in each phase
+for each kind of plan change.  The feature-level sweeps stay in the
+marked suites.
 """
 
 import pytest
 
 from repro.chaos import (
+    RESCALE_PHASES,
     SITE_CHECKPOINT,
     SITE_DATA,
     SITE_OPERATOR,
+    SITE_RESCALE,
     SITE_STALL,
     FaultInjector,
     FaultPlan,
@@ -26,16 +30,15 @@ from repro.chaos import (
 )
 from repro.streaming import (
     DEAD_LETTER,
+    Autoscaler,
     CheckpointStore,
-    ParallelExecutor,
-    ScalingSupervisor,
+    RegionPlacement,
     SchedulePolicy,
     Supervisor,
     run_autoscaled,
     run_coordinated,
 )
 from repro.streaming import supervisor as supervisor_module
-from repro.streaming.supervisor import SupervisionReport
 from repro.util.errors import (
     BrokerDown,
     ChaosError,
@@ -52,17 +55,10 @@ def _job(seed=3, n=200):
     return reference_job(reference_events(seed=seed, n=n), splits=4)
 
 
-def _executor(job, injector=None):
-    return ParallelExecutor(job, 2, injector=injector,
-                            transactional_sinks=True)
-
-
 def _supervisor(job, injector=None):
-    return Supervisor(_executor(job, injector),
-                      SupervisionReport(sink_values={}),
-                      source_batch=SOURCE_BATCH, step_cycles=1,
-                      interval_cycles=2, heartbeat_timeout_s=5.0,
-                      injector=injector)
+    return Supervisor(job, parallelism=2, source_batch=SOURCE_BATCH,
+                      step_cycles=1, interval_cycles=2,
+                      heartbeat_timeout_s=5.0, injector=injector)
 
 
 def _golden(build):
@@ -163,10 +159,11 @@ class TestLadder:
             FaultSpec("operator_crash", SITE_OPERATOR, at=60,
                       target="window_sum"),
         ), name="rot")
-        report = ScalingSupervisor(
-            _job(), SchedulePolicy({}), injector=FaultInjector(plan),
-            parallelism=2, source_batch=SOURCE_BATCH, step_cycles=1,
-            interval_cycles=1, store=CheckpointStore(keep=100)).run()
+        report = Supervisor(
+            _job(), controllers=[Autoscaler(SchedulePolicy({}))],
+            injector=FaultInjector(plan), parallelism=2,
+            source_batch=SOURCE_BATCH, step_cycles=1, interval_cycles=1,
+            store=CheckpointStore(keep=100)).run()
         assert report.crashes == 1 and report.integrity_failures > 0
         assert report.trace
         assert canonical_sinks(report.sink_values) == _golden(_job)
@@ -232,40 +229,73 @@ class TestRecoverySelection:
         assert canonical_sinks(report.sink_values) == _golden(_job)
 
 
-class TestActions:
-    """Savepoint + adopt, the primitives rescale/handoff/failover use."""
+#: one reshape of each kind: new widths, new placement, new job restored
+#: from a given checkpoint (failover's shape)
+RESHAPES = {
+    "widths": lambda supervisor: {"widths": 4},
+    "placement": lambda supervisor: {
+        "placement": RegionPlacement(default_region="edge-b")},
+    "job": lambda supervisor: {"job": _job(),
+                               "target": supervisor.store.latest()},
+}
 
-    def _swap(self, supervisor, job, *, die_in=None):
-        def action():
-            savepoint = supervisor.coordinator.savepoint()
-            if die_in == "savepoint":
-                raise OperatorCrash("supervisor died after the savepoint")
-            replacement = _executor(job)
-            if die_in == "adopt":
-                def dead_restore(checkpoint):
-                    raise OperatorCrash("died restoring the replacement")
-                replacement.restore = dead_restore
-            supervisor._adopt(replacement, savepoint)
-            return replacement
-        return supervisor.attempt(action)
 
-    @pytest.mark.parametrize("die_in", ["savepoint", "adopt"])
-    def test_crash_mid_action_recovers_the_old_executor(self, die_in):
-        job = _job()
-        supervisor = _supervisor(job)
+def _crash_in(phase):
+    return FaultInjector(FaultPlan(specs=(
+        FaultSpec("rescale_crash", SITE_RESCALE, at=0, target=phase),
+    ), name=f"reshape-{phase}"))
+
+
+class TestReshape:
+    """The one plan change, under a crash in each of its phases."""
+
+    @pytest.mark.parametrize("phase", RESCALE_PHASES)
+    @pytest.mark.parametrize("kind", sorted(RESHAPES))
+    def test_crash_in_a_phase_recovers_the_old_executor(self, kind, phase):
+        supervisor = _supervisor(_job(), _crash_in(phase))
         _advance_until_checkpoint(supervisor)
         old = supervisor.executor
-        assert self._swap(supervisor, job, die_in=die_in) is None
+        assert supervisor.reshape(**RESHAPES[kind](supervisor)) is None
         assert supervisor.executor is old
         assert supervisor.report.crashes == 1
         assert supervisor.report.full_restores == 1
-        # the retry completes, and the run is still exactly-once
-        assert self._swap(supervisor, job) is supervisor.executor
+        # the retry completes, counts its replay once, and the run is
+        # still exactly-once
+        before = supervisor.report.replayed_total
+        target, replayed = supervisor.reshape(**RESHAPES[kind](supervisor))
         assert supervisor.executor is not old
+        assert target is not None and target.checkpoint_id >= 1
+        assert supervisor.report.replayed_total == before + replayed
         report = _finish(supervisor)
         assert canonical_sinks(report.sink_values) == _golden(_job)
 
-    def test_listeners_and_counts_survive_rebuild_and_adopt(self):
+    def test_each_kind_keeps_what_it_does_not_change(self):
+        supervisor = _supervisor(_job())
+        _advance_until_checkpoint(supervisor)
+        placed = RegionPlacement(default_region="edge-b")
+        assert supervisor.reshape(placement=placed) is not None
+        assert supervisor.reshape(widths=4) is not None
+        # a rescale keeps the handed-off placement ...
+        assert supervisor.placement is placed
+        assert set(supervisor.executor.graph.node_regions.values()) \
+            == {"edge-b"}
+        assert supervisor.reshape(job=_job(),
+                                  target=supervisor.store.latest())
+        # ... and a failover the current widths
+        assert supervisor.parallelism == 4
+        assert supervisor.executor.graph.width("window_sum") == 4
+        report = _finish(supervisor)
+        assert canonical_sinks(report.sink_values) == _golden(_job)
+
+    def test_a_cold_start_replays_everything(self):
+        supervisor = _supervisor(_job())
+        _advance_until_checkpoint(supervisor)
+        target, replayed = supervisor.reshape(job=_job(), target=None)
+        assert target is None and replayed == 200
+        report = _finish(supervisor)
+        assert canonical_sinks(report.sink_values) == _golden(_job)
+
+    def test_listeners_and_counts_survive_rebuild_and_reshape(self):
         job = _job()
         supervisor = _supervisor(job)
         committed = []
@@ -274,7 +304,7 @@ class TestActions:
         _advance_until_checkpoint(supervisor)
         supervisor.coordinator.trigger()  # a pending cut to abandon
         supervisor.attempt(_raiser(CoordinatorDown("gone")))
-        assert self._swap(supervisor, job) is not None
+        assert supervisor.reshape(widths=4) is not None
         report = _finish(supervisor)
         assert report.aborted == 1
         # every finalized checkpoint, across three coordinator
@@ -304,8 +334,9 @@ class TestDataFaultsNeverEscapeRaw:
     def test_scaling_supervisor(self, monkeypatch):
         monkeypatch.setattr(supervisor_module, "MAX_FAILURES", 4)
         job, injector = self._poison()
-        supervisor = ScalingSupervisor(job, SchedulePolicy({}),
-                                       injector=injector, parallelism=2)
+        supervisor = Supervisor(
+            job, controllers=[Autoscaler(SchedulePolicy({}))],
+            injector=injector, parallelism=2)
         with pytest.raises(ChaosError, match="gave up"):
             supervisor.run()
         assert supervisor.report.data_failures == 5

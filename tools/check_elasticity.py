@@ -44,7 +44,11 @@ from repro.chaos import (  # noqa: E402
     reference_events,
     reference_job,
 )
-from repro.streaming import SchedulePolicy, ScalingSupervisor  # noqa: E402
+from repro.streaming import (  # noqa: E402
+    Autoscaler,
+    SchedulePolicy,
+    Supervisor,
+)
 
 SOURCE_BATCH = 32
 INTERVAL_CYCLES = 4
@@ -78,10 +82,10 @@ def _crashed_rescale(seed: int):
         FaultSpec("rescale_crash", SITE_RESCALE, at=0, target="restore"),
     ), name="elasticity-gate")
     injector = FaultInjector(plan)
-    supervisor = ScalingSupervisor(
+    supervisor = Supervisor(
         reference_job(reference_events(seed=seed, n=400, keys=4),
                       splits=SPLITS),
-        SchedulePolicy({1: {"window_sum": 2}}),
+        controllers=[Autoscaler(SchedulePolicy({1: {"window_sum": 2}}))],
         injector=injector, parallelism=1,
         source_batch=SOURCE_BATCH, interval_cycles=INTERVAL_CYCLES)
     report = supervisor.run()
