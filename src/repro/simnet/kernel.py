@@ -121,12 +121,16 @@ class Simulator:
         return series
 
     def step(self) -> bool:
-        """Run the single next event; returns False when queue is empty."""
+        """Run the single next event; returns False when queue is empty.
+
+        The clock may be shared with something else that moves it (a
+        supervisor's run slice): an event whose time that already passed
+        is overdue and fires now, instead of rewinding the clock."""
         while self._queue:
             event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
-            self.clock.advance_to(event.time)
+            self.clock.advance_to(max(event.time, self.clock.now))
             event.callback()
             self._processed += 1
             return True

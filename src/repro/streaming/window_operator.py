@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from copy import deepcopy
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Callable
 
 import numpy as np
@@ -70,6 +71,11 @@ class _Agg:
         self.result = result
         self.copy = copy
 
+    def __deepcopy__(self, memo: dict) -> "_Agg":
+        # Stateless: an operator clone shares its aggregator, so the bulk
+        # kernel's ``agg is aggregators[...]`` tests hold in every clone.
+        return self
+
 
 def _exact_add(partials: list, x: float) -> list:
     """Shewchuk's grow-partials step: fold ``x`` into a list of
@@ -91,6 +97,17 @@ def _exact_add(partials: list, x: float) -> list:
 
 #: accumulator length at which _sum_add collapses to exact partials
 _COMPACT_AT = 64
+
+#: magnitude below which no sum of a window's values (or of their
+#: partials) can overflow: a window fires straight from parked columns
+#: only when every summand is under it, because then ``math.fsum`` of
+#: the folded accumulator and of the unfolded summands are the same
+#: correctly rounded sum
+_TAME = 2.0 ** 960
+
+#: parked rows at which a bulk call folds at once: bounds what parking
+#: holds for a job that neither fires nor checkpoints for a long time
+_PARK_ROWS = 1 << 16
 
 
 def _exact_partials(values: list) -> list:
@@ -244,6 +261,13 @@ class WindowAggregateOperator(Operator):
         self.emit_late = emit_late
         # key -> {window -> [acc, count]}
         self._windows: dict[Any, dict[Window, list[Any]]] = {}
+        #: transient: rows bulk calls accepted but nothing has read yet,
+        #: as ``(key_dict, key_codes, window_starts, values)`` chunks in
+        #: arrival order (values None for count).  ``_fold`` moves them
+        #: into ``_windows``, ``_fold_ripe`` fires ripe ones from the
+        #: columns, restores drop them; never snapshotted.
+        self._parked: list[tuple] = []
+        self._parked_rows = 0
         #: transient window -> {key: None} reverse index: the firing
         #: scan visits distinct windows (usually a handful) instead of
         #: every (key, window) pair.  ``None`` means "rebuild on next
@@ -266,6 +290,8 @@ class WindowAggregateOperator(Operator):
             raise StreamError(
                 f"window {self.name!r} requires keyed input; add key_by()"
             )
+        if self._parked:
+            self._fold()
         if element.timestamp + self.allowed_lateness <= self._current_wm:
             self.dropped_late += 1
             if self.emit_late:
@@ -420,17 +446,87 @@ class WindowAggregateOperator(Operator):
 
     def _bulk_accumulate(self, batches: list[RecordBatch],
                          row_wms: np.ndarray | None) -> int:
-        """One grouped reduction over (key, window) for the whole run:
-        remap per-batch key codes to a global dictionary, concatenate
-        columns once, drop late rows with a single vectorized mask
-        (``row_wms`` carries the running watermark each row arrived
-        under; None when no watermark has been seen yet), assign
-        tumbling starts vectorized, then update each group's
-        accumulator in arrival order.  Returns the late-drop count."""
+        """Accept the rows of one bulk call; returns the late-drop count.
+
+        Late rows go with one vectorized mask (``row_wms`` carries the
+        running watermark each row arrived under; None before the first
+        watermark) — the per-item path's ``ts + lateness <= wm`` test —
+        and tumbling starts are assigned vectorized.  A call of a
+        built-in aggregate over float64 columns (any column for count)
+        with no late row only *parks* its columns: the accumulators are
+        brought up to date once for many calls, by :meth:`_fold` when
+        something reads them or by :meth:`_fold_ripe` when their windows
+        fire.  Any other call folds what is parked, then accumulates its
+        own rows at once.
+        """
         agg = self.agg
-        # Global key-code remap: consecutive batches usually share one
-        # key dictionary (zero-copy slices of a macro batch), so gather
-        # through a per-dictionary remap built once.
+        count = agg is aggregators["count"]
+        ts = (batches[0].timestamps if len(batches) == 1
+              else np.concatenate([b.timestamps for b in batches]))
+        starts = self.assigner.assign_starts(ts)
+        late = None
+        dropped = 0
+        if row_wms is not None:
+            late = ts + self.allowed_lateness <= row_wms
+            dropped = int(np.count_nonzero(late))
+        values: list[Any]
+        if not self._identity_value:
+            value_fn = self.value_fn
+            values = [[value_fn(v) for v in b.values_list()]
+                      for b in batches]
+        elif count:
+            values = [None] * len(batches)
+        elif (agg is aggregators["sum"] or agg is aggregators["mean"]) \
+                and all(isinstance(b.values, np.ndarray) for b in batches):
+            values = [b.values for b in batches]
+        else:
+            values = [b.values_list() for b in batches]
+        chunks = []
+        at = 0
+        for b, vals in zip(batches, values):
+            chunks.append((b.key_dict, b.key_codes,
+                           starts[at:at + len(b)], vals))
+            at += len(b)
+        if not dropped and self._identity_value and (count or all(
+                isinstance(v, np.ndarray) and v.dtype == np.float64
+                for v in values)):
+            lo = float(starts.min())
+            # a non-finite start (NaN/inf timestamp) names a window no
+            # later call can find again: such rows are not parked
+            if math.isfinite(lo) and math.isfinite(float(starts.max())):
+                self._parked.extend(chunks)
+                self._parked_rows += at
+                # the earliest parked window's deadline: every open
+                # window's is already at or above the bound, so this is
+                # the value accumulating now would have left
+                deadline = (lo + self.assigner.size) + self.allowed_lateness
+                if deadline < self._min_deadline:
+                    self._min_deadline = deadline
+                if self._parked_rows >= _PARK_ROWS:
+                    self._fold()
+                return 0
+        self._fold()
+        keys, codes, starts, vals = self._columns(chunks)
+        if dropped:
+            keep = ~late
+            codes = codes[keep]
+            starts = starts[keep]
+            if isinstance(vals, np.ndarray):
+                vals = vals[keep]
+            elif vals is not None:
+                vals = list(compress(vals, keep.tolist()))
+            if not len(starts):
+                return dropped
+        self._fold_rows(keys, codes, starts, vals)
+        return dropped
+
+    @staticmethod
+    def _columns(chunks: list[tuple]) -> tuple:
+        """Concatenate ``(key_dict, key_codes, starts, values)`` chunks
+        under one key dictionary: ``(keys, codes, starts, values)``.
+        Consecutive chunks usually share a dictionary (zero-copy slices
+        of one macro batch), so each distinct one is remapped once.
+        Values concatenate to an array or a list, or stay None."""
         gindex: dict[Any, int] = {}
         gkeys: list[Any] = []
         remap_cache: dict[int, np.ndarray] = {}
@@ -446,8 +542,7 @@ class WindowAggregateOperator(Operator):
             code_parts.append(run_remap[raw])
             run_codes.clear()
 
-        for b in batches:
-            kd = b.key_dict
+        for kd, key_codes, _starts, _values in chunks:
             remap = remap_cache.get(id(kd))
             if remap is None:
                 remap = np.empty(len(kd), dtype=np.int64)
@@ -462,59 +557,28 @@ class WindowAggregateOperator(Operator):
             if remap is not run_remap:
                 _flush_codes()
                 run_remap = remap
-            run_codes.append(b.key_codes)
+            run_codes.append(key_codes)
         _flush_codes()
         codes = (code_parts[0] if len(code_parts) == 1
                  else np.concatenate(code_parts))
-        ts = (batches[0].timestamps if len(batches) == 1
-              else np.concatenate([b.timestamps for b in batches]))
-
-        # Per-element aggregation inputs, in arrival order.
-        is_sum = agg is aggregators["sum"]
-        is_mean = agg is aggregators["mean"]
-        is_count = agg is aggregators["count"]
-        values_arr: np.ndarray | None = None
-        values_src: list | None = None
-        if self._identity_value:
-            if (is_sum or is_mean or is_count) and \
-                    all(isinstance(b.values, np.ndarray) for b in batches):
-                if not is_count:
-                    values_arr = (batches[0].values
-                                  if len(batches) == 1 else
-                                  np.concatenate([b.values
-                                                  for b in batches]))
-            else:
-                values_src = []
-                for b in batches:
-                    values_src.extend(b.values_list())
+        if len(chunks) == 1:
+            return gkeys, codes, chunks[0][2], chunks[0][3]
+        starts = np.concatenate([c[2] for c in chunks])
+        first = chunks[0][3]
+        if first is None:
+            values = None
+        elif isinstance(first, np.ndarray):
+            values = np.concatenate([c[3] for c in chunks])
         else:
-            value_fn = self.value_fn
-            values_src = []
-            for b in batches:
-                values_src.extend(value_fn(v) for v in b.values_list())
+            values = [v for c in chunks for v in c[3]]
+        return gkeys, codes, starts, values
 
-        # Late drop: one mask over the concatenation, each row judged
-        # against the watermark it arrived under — the same
-        # ``ts + lateness <= wm`` test the per-item path applies.
-        dropped = 0
-        lateness = self.allowed_lateness
-        if row_wms is not None:
-            late = ts + lateness <= row_wms
-            dropped = int(late.sum())
-            if dropped:
-                keep = ~late
-                ts = ts[keep]
-                codes = codes[keep]
-                if values_arr is not None:
-                    values_arr = values_arr[keep]
-                elif values_src is not None:
-                    values_src = [v for v, k in zip(values_src, keep)
-                                  if k]
-                if not len(ts):
-                    return dropped
-
-        starts = self.assigner.assign_starts(ts)
-        size = self.assigner.size
+    @staticmethod
+    def _groups(codes: np.ndarray, starts: np.ndarray) -> tuple:
+        """Order rows by (key code, window start), stably, so each
+        group's rows stay in arrival order.  Returns that order, each
+        group's end offset into it, its key code and its window index,
+        and the distinct window starts (the last four as lists)."""
         if len(starts) > 1 and bool(np.all(starts[1:] >= starts[:-1])):
             # Monotone timestamps (the common replay shape): unique
             # starts are run boundaries — no sort needed.
@@ -528,61 +592,92 @@ class WindowAggregateOperator(Operator):
         gid = codes * np.int64(len(uniq_starts)) + start_inv
         order = np.argsort(gid, kind="stable")
         bounds = np.flatnonzero(np.diff(gid[order])) + 1
-
-        # Contiguous-slice gathers: group membership is constant within
-        # a run after the stable sort, so key code and window index are
-        # read from each group's first row only; values are gathered
-        # fully (every row's value feeds its accumulator, in arrival
-        # order).
+        # Group membership is constant within a run after the stable
+        # sort, so key code and window index are read from each group's
+        # first row only.
         first_rows = np.empty(len(bounds) + 1, dtype=np.int64)
         first_rows[0] = 0
         first_rows[1:] = bounds
         leaders = order[first_rows]
-        group_codes = codes[leaders].tolist()
-        group_sidx = start_inv[leaders].tolist()
-        if values_arr is not None:
-            sorted_vals: list | None = values_arr[order].tolist()
-        elif values_src is not None:
-            sorted_vals = [values_src[i] for i in order.tolist()]
+        edges = bounds.tolist()
+        edges.append(len(order))
+        return (order, edges, codes[leaders].tolist(),
+                start_inv[leaders].tolist(), uniq_starts.tolist())
+
+    def _fold(self) -> None:
+        """Bring the accumulators up to date: one grouped pass over
+        every parked row, however many calls parked them."""
+        chunks = self._parked
+        if chunks:
+            self._parked = []
+            self._parked_rows = 0
+            self._fold_rows(*self._columns(chunks))
+
+    def _fold_rows(self, keys: list, codes: np.ndarray, starts: np.ndarray,
+                   values: Any) -> None:
+        """The one grouped pass: every (key, window) group's accumulator
+        takes the group's rows in arrival order — count adds the group
+        size, sum and mean extend their exact partials (compacting where
+        per-item adds would), other aggregates fold ``add`` over it."""
+        agg = self.agg
+        is_sum = agg is aggregators["sum"]
+        is_mean = agg is aggregators["mean"]
+        is_count = agg is aggregators["count"]
+        order, edges, group_codes, group_sidx, start_list = \
+            self._groups(codes, starts)
+        if isinstance(values, np.ndarray):
+            sorted_vals: list | None = values[order].tolist()
+        elif values is not None:
+            sorted_vals = [values[i] for i in order.tolist()]
         else:
             sorted_vals = None
-
+        # tolist() of a float64 column gives the Python floats float(v)
+        # would; any other column (int64 gives ints) is converted
+        pure = isinstance(values, np.ndarray) and values.dtype == np.float64
         windows = self._windows
         min_deadline = self._min_deadline
         win_index = self._win_index
-        pure_vals = values_arr is not None  # tolist() gave Python floats
-        start_list = uniq_starts.tolist()
+        lateness = self.allowed_lateness
+        size = self.assigner.size
+        # One Window, one deadline test and one index lookup per distinct
+        # window: an open window's deadline is already at or above the
+        # bound, and every window here gets a slot if it has none.
         window_cache: list[Window | None] = [None] * len(start_list)
-        edges = bounds.tolist()
-        edges.append(len(order))
+        index_cache: list[dict | None] = [None] * len(start_list)
         a = 0
         for gi, b_ in enumerate(edges):
-            key = gkeys[group_codes[gi]]
+            key = keys[group_codes[gi]]
             sidx = group_sidx[gi]
             window = window_cache[sidx]
             if window is None:
                 start = start_list[sidx]
                 window = window_cache[sidx] = Window(start, start + size)
-            per_key = windows.get(key)
-            if per_key is None:
-                per_key = windows[key] = {}
-            slot = per_key.get(window)
-            if slot is None:
-                slot = per_key[window] = [agg.init(), 0]
                 deadline = window.end + lateness
                 if deadline < min_deadline:
                     min_deadline = deadline
                 if win_index is not None:
-                    win_index.setdefault(window, {})[key] = None
+                    index_cache[sidx] = win_index.setdefault(window, {})
+            per_key = windows.get(key)
+            if per_key is None:
+                slot = None
+                per_key = windows[key] = {}
+            else:
+                slot = per_key.get(window)
+            if slot is None:
+                slot = per_key[window] = [agg.init(), 0]
+                if win_index is not None:
+                    index_cache[sidx][key] = None
             m = b_ - a
             if is_count:
                 slot[0] += m
-            elif is_sum:
-                _sum_extend(slot[0], sorted_vals[a:b_], pure_vals)
-            elif is_mean:
-                acc = slot[0]
-                _sum_extend(acc[0], sorted_vals[a:b_], pure_vals)
-                acc[1] += m
+            elif is_sum or is_mean:
+                acc = slot[0][0] if is_mean else slot[0]
+                if pure and len(acc) + m < _COMPACT_AT:
+                    acc.extend(sorted_vals[a:b_])  # no compaction due
+                else:
+                    _sum_extend(acc, sorted_vals[a:b_], pure)
+                if is_mean:
+                    slot[0][1] += m
             else:
                 acc = slot[0]
                 add = agg.add
@@ -592,7 +687,91 @@ class WindowAggregateOperator(Operator):
             slot[1] += m
             a = b_
         self._min_deadline = min_deadline
-        return dropped
+
+    def _fold_ripe(self, wm: float) -> tuple[dict, float]:
+        """Fire from parked columns: the parked rows of windows ripe at
+        ``wm`` are reduced straight to ``{window: {key: (value,
+        count)}}`` — one ``math.fsum`` over the group's folded partials
+        plus its parked values, its count from the group's length — and
+        only the rows of windows not yet ripe stay parked.  Also returns
+        the earliest deadline among those.
+
+        The reduction equals what folding then firing gives only for
+        tame sums, so a call with a summand that is not finite or not
+        under ``_TAME``, or a sum of zero (whose sign may follow the
+        summands' order), folds everything first and returns nothing:
+        the caller fires from the accumulators as before.
+        """
+        chunks = self._parked
+        if not chunks:
+            return {}, float("inf")
+        keys, codes, starts, values = self._columns(chunks)
+        size = self.assigner.size
+        deadlines = (starts + size) + self.allowed_lateness
+        ripe = deadlines <= wm
+        n_ripe = int(np.count_nonzero(ripe))
+        if not n_ripe:
+            return {}, float(deadlines.min())
+        whole = n_ripe == len(ripe)
+        vals = values if whole or values is None else values[ripe]
+        if vals is not None and not (vals.max() < _TAME
+                                     and vals.min() > -_TAME):
+            self._fold()
+            return {}, float("inf")
+        order, edges, group_codes, group_sidx, start_list = self._groups(
+            codes if whole else codes[ripe],
+            starts if whole else starts[ripe])
+        sorted_vals = None if vals is None else vals[order].tolist()
+        agg = self.agg
+        is_count = agg is aggregators["count"]
+        is_mean = agg is aggregators["mean"]
+        windows = self._windows
+        fired: dict[Window, dict[Any, tuple[Any, int]]] = {}
+        window_cache: list[Window | None] = [None] * len(start_list)
+        a = 0
+        for gi, b_ in enumerate(edges):
+            key = keys[group_codes[gi]]
+            sidx = group_sidx[gi]
+            window = window_cache[sidx]
+            if window is None:
+                start = start_list[sidx]
+                window = window_cache[sidx] = Window(start, start + size)
+                fired[window] = {}
+            per_key = windows.get(key)
+            slot = None if per_key is None else per_key.get(window)
+            m = b_ - a
+            if is_count:
+                value = count = m
+                if slot is not None:
+                    value += slot[0]
+                    count += slot[1]
+            else:
+                summands = sorted_vals[a:b_]
+                count = n = m
+                if slot is not None:
+                    acc = slot[0][0] if is_mean else slot[0]
+                    if acc and not (max(acc) < _TAME and min(acc) > -_TAME):
+                        self._fold()
+                        return {}, float("inf")
+                    summands = acc + summands
+                    count += slot[1]
+                    n += slot[0][1] if is_mean else 0
+                total = math.fsum(summands)
+                if not 0.0 < abs(total) < _TAME:
+                    self._fold()
+                    return {}, float("inf")
+                value = total / n if is_mean else total
+            fired[window][key] = (value, count)
+            a = b_
+        if whole:
+            self._parked = []
+            self._parked_rows = 0
+            return fired, float("inf")
+        rest = ~ripe
+        self._parked = [(keys, codes[rest], starts[rest],
+                         None if values is None else values[rest])]
+        self._parked_rows = len(ripe) - n_ripe
+        return fired, float(deadlines[rest].min())
 
     def _merge_sessions(self, per_key: dict[Window, list[Any]],
                         new_window: Window) -> Window:
@@ -624,6 +803,7 @@ class WindowAggregateOperator(Operator):
             # never suppresses a firing.
             return [watermark]
         wm = self._current_wm
+        parked, min_deadline = self._fold_ripe(wm)
         lateness = self.allowed_lateness
         index = self._win_index
         if index is None:
@@ -632,47 +812,51 @@ class WindowAggregateOperator(Operator):
                 for w in per_key:
                     index.setdefault(w, {})[key] = None
         # Ripeness over *distinct* windows (a handful), not every
-        # (key, window) pair; survivors seen in the same pass give the
-        # exact post-fire min deadline.
+        # (key, window) pair; survivors seen in the same pass, with the
+        # rows left parked, give the exact post-fire min deadline.
         ripe: list[Window] = []
-        min_deadline = float("inf")
         for w in index:
             deadline = w.end + lateness
             if deadline <= wm:
                 ripe.append(w)
             elif deadline < min_deadline:
                 min_deadline = deadline
+        ripe.extend(w for w in parked if w not in index)
         if not ripe:
             self._min_deadline = min_deadline
             return [watermark]
         ripe.sort()
+        ripe_parked = [(w, parked.get(w)) for w in ripe]
         keys: dict[Any, None] = {}
-        for w in ripe:
-            keys.update(index[w])
+        for w, from_parked in ripe_parked:
+            keys.update(index.get(w, ()))
+            if from_parked is not None:
+                keys.update(from_parked)
         out: list[StreamItem] = []
         windows = self._windows
         agg_result = self.agg.result
         for key in sorted(keys, key=repr):
             per_key = windows.get(key)
-            if per_key is None:
-                continue
             fired_here = 0
-            for window in ripe:
-                slot = per_key.pop(window, None)
-                if slot is None:
+            for window, from_parked in ripe_parked:
+                slot = None if per_key is None else per_key.pop(window, None)
+                if from_parked is not None and key in from_parked:
+                    value, count = from_parked[key]
+                elif slot is not None:
+                    value, count = agg_result(slot[0]), slot[1]
+                else:
                     continue
                 fired_here += 1
                 result = WindowResult(key=key, window=window,
-                                      value=agg_result(slot[0]),
-                                      count=slot[1])
+                                      value=value, count=count)
                 out.append(Element(value=result, timestamp=window.end,
                                    key=key))
             if fired_here:
                 self.fired += fired_here
-                if not per_key:
+                if per_key is not None and not per_key:
                     del windows[key]
         for w in ripe:
-            del index[w]
+            index.pop(w, None)
         self._min_deadline = min_deadline
         out.append(watermark)
         return out
@@ -695,7 +879,21 @@ class WindowAggregateOperator(Operator):
                       for window, slot in per_key.items()}
                 for key, per_key in windows.items()}
 
+    def _restore_windows(self, windows: dict[Any, dict[Window, list[Any]]]
+                         ) -> None:
+        """Install a restored window map: parked rows are dropped (the
+        snapshot that is restored folded everything before it)."""
+        self._windows = self._copy_windows(windows)
+        self._parked = []
+        self._parked_rows = 0
+        self._win_index = None
+        self._min_deadline = min(
+            (w.end + self.allowed_lateness
+             for per_key in self._windows.values() for w in per_key),
+            default=float("inf"))
+
     def snapshot(self) -> Any:
+        self._fold()
         return {
             "windows": self._copy_windows(self._windows),
             "wm": self._current_wm,
@@ -705,23 +903,16 @@ class WindowAggregateOperator(Operator):
 
     def restore(self, snapshot: Any) -> None:
         snapshot = snapshot or {}
-        self._windows = self._copy_windows(snapshot.get("windows", {}))
-        self._win_index = None
+        self._restore_windows(snapshot.get("windows", {}))
         self._current_wm = snapshot.get("wm", float("-inf"))
         self.dropped_late = snapshot.get("dropped", 0)
         self.fired = snapshot.get("fired", 0)
-        self._recompute_min_deadline()
-
-    def _recompute_min_deadline(self) -> None:
-        self._min_deadline = min(
-            (w.end + self.allowed_lateness
-             for per_key in self._windows.values() for w in per_key),
-            default=float("inf"))
 
     # -- key-grouped checkpoints (parallel plans) ----------------------------
 
     def snapshot_key_groups(self, num_key_groups: int) -> dict[int, Any]:
         from .shuffle import group_by_key_group
+        self._fold()
         return group_by_key_group(self._copy_windows(self._windows),
                                   num_key_groups)
 
@@ -732,8 +923,7 @@ class WindowAggregateOperator(Operator):
     def restore_parallel(self, groups: dict[int, Any], scalars: list[Any],
                          primary: bool = True) -> None:
         from .shuffle import merge_key_groups
-        self._windows = self._copy_windows(merge_key_groups(groups.values()))
-        self._win_index = None
+        self._restore_windows(merge_key_groups(groups.values()))
         if len(scalars) == 1:
             self._current_wm = scalars[0]["wm"]
             self.dropped_late = scalars[0]["dropped"]
@@ -748,4 +938,3 @@ class WindowAggregateOperator(Operator):
             self.dropped_late = sum(s["dropped"] for s in scalars) \
                 if primary else 0
             self.fired = sum(s["fired"] for s in scalars) if primary else 0
-        self._recompute_min_deadline()

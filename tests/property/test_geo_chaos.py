@@ -213,6 +213,19 @@ class TestRegionFailover:
         assert failover.to_region == "core"
         assert _geo(deployment).active_region == "core"
 
+    @pytest.mark.parametrize("down_at", [4.3, 7.25, 20.0])
+    def test_loss_inside_a_slice_is_exactly_once(self, down_at):
+        # the supervisor's slices move the shared clock past the loss
+        # (slices run 3 s here): the simulator fires it overdue
+        golden = _golden(2)
+        deployment = _deployment(
+            2, region_event=RegionFailureEvent("edge-a", down_at=down_at,
+                                               up_at=1e9))
+        report = deployment.run()
+        assert canonical_sinks(report.sink_values) == golden
+        assert report.failover is not None
+        assert report.failover.lost_region == "edge-a"
+
     @pytest.mark.parametrize("parallelism", [1, 2, 4])
     def test_failover_replays_strictly_less_than_restart(
             self, parallelism):

@@ -12,7 +12,8 @@ from repro.simnet import (
     Simulator,
     Topology,
 )
-from repro.util.errors import ConfigError, SimulationError
+from repro.util.clock import SimClock
+from repro.util.errors import ClockError, ConfigError, SimulationError
 from repro.util.rng import make_rng
 
 
@@ -93,6 +94,24 @@ class TestSimulator:
         sim.schedule_at(2.5, series.cancel)
         sim.run(until=10.0)
         assert ticks == [1.0, 2.0]
+
+    def test_overdue_events_fire_at_now(self):
+        # another owner of the shared clock ran past two queued events:
+        # they fire in order at the current time, the clock stays put
+        clock = SimClock()
+        sim = Simulator(clock)
+        seen = []
+        sim.schedule_at(20.0, lambda: seen.append(("loss", sim.now)))
+        sim.schedule_at(20.5, lambda: seen.append(("heal", sim.now)))
+        sim.schedule_at(30.0, lambda: seen.append(("later", sim.now)))
+        clock.advance_to(21.0)
+        assert sim.run(until=25.0) == 2
+        assert seen == [("loss", 21.0), ("heal", 21.0)]
+        assert sim.now == 25.0
+        sim.run()
+        assert seen[-1] == ("later", 30.0)
+        with pytest.raises(ClockError):
+            clock.advance_to(29.0)  # an explicit rewind still raises
 
     def test_max_events_bound(self):
         sim = Simulator()

@@ -38,6 +38,11 @@ text, imports only to inspect one signature).
     module that builds a ``ParallelExecutor``; nothing subclasses
     ``Supervisor``, and neither the autoscaler nor ``geo/`` has a
     ``run``/``step`` loop of its own — they are controllers.
+(j) One fold: every ``WindowAggregateOperator`` method that reads
+    ``self._windows`` is the fold, a restore or ``__init__``, or calls
+    the fold before its first read (parked rows never go unseen), and
+    one function groups rows by (key, window) and one loop extends
+    accumulators from the groups.
 """
 
 import ast
@@ -344,3 +349,56 @@ def test_one_supervisor_builds_and_reshapes():
                  ast.FunctionDef, ("streaming/autoscale.py", "geo/"))
              if fn.name in ("run", "step")]
     assert loops == []
+
+
+# -- (j) one fold -------------------------------------------------------------
+
+WINDOW = "streaming/window_operator.py"
+#: the fold itself, the restores that drop parked rows, and the
+#: constructor: the only methods that may read the windows unfolded
+READ_UNFOLDED = {"__init__", "_fold", "_fold_rows", "_fold_ripe",
+                 "restore", "restore_parallel", "_restore_windows"}
+
+
+def _reads_self(node, attr):
+    return (isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
+def _called(node):
+    """The name a call calls: ``f`` for ``f(...)`` and ``x.f(...)``."""
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(
+        func, "id", None)
+
+
+def test_every_reader_of_the_windows_folds_first():
+    tree = ast.parse((SRC / WINDOW).read_text())
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef)
+              and node.name == "WindowAggregateOperator"]
+    unfolded = []
+    for fn in cls.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name in READ_UNFOLDED:
+            continue
+        reads = [node.lineno for node in ast.walk(fn)
+                 if _reads_self(node, "_windows")]
+        folds = [node.lineno for node in ast.walk(fn)
+                 if isinstance(node, ast.Call)
+                 and _reads_self(node.func, _called(node))
+                 and _called(node).startswith("_fold")]
+        if reads and (not folds or min(folds) > min(reads)):
+            unfolded.append(fn.name)
+    assert unfolded == []
+
+
+def test_one_grouping_and_one_accumulating_loop():
+    tree = ast.parse((SRC / WINDOW).read_text())
+
+    def callers(target):
+        return sorted({fn.name for fn in ast.walk(tree)
+                       if isinstance(fn, ast.FunctionDef)
+                       for node in ast.walk(fn)
+                       if isinstance(node, ast.Call)
+                       and _called(node) == target})
+    assert callers("argsort") == ["_groups"]
+    assert callers("_sum_extend") == ["_fold_rows"]
