@@ -22,6 +22,7 @@ outages with leader failover, and duplicate delivery on fetch.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Iterable, Mapping
 
 from ..eventlog.broker import LogCluster
@@ -593,6 +594,14 @@ class ChaosLogCluster:
         offset = self._cluster.append_row(topic, partition, value, key,
                                           timestamp, headers, size)
         return self._after_append(directives, topic, partition, offset)
+
+    def appenders(self, topic: str) -> tuple[tuple[Callable[..., int]], ...]:
+        """One writer per partition, each a whole :meth:`append_row` —
+        faults, broker events and leader lookup included — so a
+        producer's resolved writers reach every fault a plain
+        ``append_row`` would, and stay valid whatever the faults do."""
+        return tuple((partial(self.append_row, topic, p),)
+                     for p in range(self._cluster.partition_count(topic)))
 
     def append(self, topic: str, partition: int, record: Record) -> int:
         directives = self._injector.before_append(self._cluster, topic,

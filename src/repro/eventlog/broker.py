@@ -12,7 +12,7 @@ and producers see :class:`BrokerDown`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from ..util.errors import (
     BrokerDown,
@@ -88,6 +88,10 @@ class LogCluster:
         # (topic, partition, producer_id) -> (epoch, last sequence, offset)
         self._producer_state: dict[tuple[str, int, int],
                                    tuple[int, int, int]] = {}
+        #: bumped whenever leadership, an ISR or a replica log changes
+        #: (:meth:`fail_broker`, :meth:`recover_broker`): what
+        #: :meth:`appenders` returned stays valid until it moves
+        self.generation = 0
 
     # -- topic management ---------------------------------------------------
 
@@ -141,6 +145,7 @@ class LogCluster:
         """Take a broker down and re-elect leaders from surviving ISRs."""
         broker = self._broker(broker_id)
         broker.up = False
+        self.generation += 1
         for state in self._states.values():
             if broker_id in state.isr:
                 state.isr = [b for b in state.isr if b != broker_id]
@@ -151,6 +156,7 @@ class LogCluster:
         """Bring a broker back; it catches up from leaders and rejoins ISRs."""
         broker = self._broker(broker_id)
         broker.up = True
+        self.generation += 1
         for (topic, index), state in self._states.items():
             if broker_id not in state.replica_brokers:
                 continue
@@ -204,6 +210,28 @@ class LogCluster:
                 follower.replicas[tp].append_row(
                     value, key, timestamp, headers, size)
         return offset
+
+    def appenders(self, topic: str
+                  ) -> tuple[tuple[Callable[..., int], ...] | None, ...]:
+        """:meth:`append_row` resolved once for many rows: per partition
+        of ``topic``, the ``append_row(value, key, timestamp, headers,
+        size)`` of every live in-sync replica log, leader first (the
+        leader's returns the offset), or None for a partition with no
+        live leader.  Valid while :attr:`generation` is unchanged."""
+        config = self.topic_config(topic)
+        brokers = self.brokers
+        out: list[tuple[Callable[..., int], ...] | None] = []
+        for p in range(config.partitions):
+            tp = (topic, p)
+            state = self._states[tp]
+            leader = state.leader
+            if leader == -1 or not brokers[leader].up:
+                out.append(None)
+                continue
+            out.append((brokers[leader].replicas[tp].append_row,) + tuple(
+                brokers[b].replicas[tp].append_row for b in state.isr
+                if b != leader and brokers[b].up))
+        return tuple(out)
 
     def append(self, topic: str, partition: int, record: Record) -> int:
         """:meth:`append_row` of the record's fields."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from ..util.clock import SimClock
-from ..util.errors import BrokerDown
+from ..util.errors import BrokerDown, PartitionNotFound
 from ..util.ids import stable_hash
 from ..util.retry import Retrier, RetryPolicy
 from .broker import LogCluster
@@ -68,6 +68,9 @@ class Producer:
         self.epoch = 0
         self._sequences: dict[tuple[str, int], int] = {}
         self._round_robin: dict[str, int] = {}
+        #: topic -> (cluster generation, its appenders), for the plain
+        #: path of :meth:`send`
+        self._writers: dict[str, tuple[int, tuple]] = {}
         #: the last idempotent attempt, for :meth:`resend_last`
         self._last_record: tuple[str, int, Record, int, int] | None = None
         self._txn: list[tuple[str, Any, str | None, float | None,
@@ -90,8 +93,7 @@ class Producer:
         self._last_record = None
         return self.epoch
 
-    def _choose_partition(self, topic: str, key: str | None) -> int:
-        n = self.cluster.partition_count(topic)
+    def _choose_partition(self, topic: str, key: str | None, n: int) -> int:
         if key is not None:
             return stable_hash(key) % n
         cursor = self._round_robin.get(topic, 0)
@@ -105,19 +107,40 @@ class Producer:
         """Append one record; returns (partition, offset)."""
         if timestamp is None:
             timestamp = self.clock.now if self.clock is not None else 0.0
-        if partition is None:
-            partition = self._choose_partition(topic, key)
         if self.tracer is None and not self.idempotent:
-            # Nothing to stamp: the row's fields go to the partition's
-            # columns as they are, without a Record in between.
+            # Nothing to stamp: the row's fields go to the replica logs
+            # as they are, through the topic's writers resolved once
+            # per cluster generation, without a Record in between.
+            cached = self._writers.get(topic)
+            generation = self.cluster.generation
+            if cached is None or cached[0] != generation:
+                cached = self._writers[topic] = (
+                    generation, self.cluster.appenders(topic))
+            writers = cached[1]
+            if partition is None:
+                # _choose_partition, with the keyed case inlined
+                if key is not None:
+                    partition = stable_hash(key) % len(writers)
+                else:
+                    partition = self._choose_partition(topic, None,
+                                                       len(writers))
+            elif not 0 <= partition < len(writers):
+                raise PartitionNotFound(f"{topic}[{partition}]")
+            replicas = writers[partition]
+            if replicas is None:
+                raise BrokerDown(f"{topic}[{partition}] has no live leader")
             if headers:
                 headers = dict(headers)
             size = record_size(value, key, headers)
-            offset = self.cluster.append_row(topic, partition, value, key,
-                                             timestamp, headers, size)
+            offset = replicas[0](value, key, timestamp, headers, size)
+            for follower in replicas[1:]:
+                follower(value, key, timestamp, headers, size)
             self.sent += 1
             self.bytes_sent += size
             return partition, offset
+        if partition is None:
+            partition = self._choose_partition(
+                topic, key, self.cluster.partition_count(topic))
         all_headers = dict(headers) if headers else {}
         span = None
         if self.tracer is not None:

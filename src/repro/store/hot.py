@@ -9,19 +9,21 @@ is the write-optimized half of the tiered store:
   :mod:`repro.streaming.shuffle`), so a key's serving shard is as
   deterministic as its processing subtask.
 - Each shard is a small LSM tree: a **memtable** (dict of per-key
-  version lists, each kept sorted by ``(timestamp, seq)``) absorbing
-  writes, flushed into immutable **sorted runs** whose rows order by
+  lists of run rows, each oldest to newest) absorbing writes, flushed
+  into immutable **sorted runs** whose rows order by
   ``(key, -timestamp, -seq)`` — reverse-timestamp row keys, so "latest
   N versions of a key" is the tail of one memtable list plus a prefix
-  scan per run from that run's exact key index.
+  scan per run from that run's exact key index.  A row has that one
+  shape from staging on: a flush only lays each key's list out
+  reversed, and reads take memtable rows as stored.
 - One **ordering key** decides "newer" everywhere — memtable, flush,
   compaction, ``latest``, ``contents`` and TTL liveness: the event
-  time, then the apply sequence.  It is computed once, when an epoch
-  is staged, and a NaN event time orders as ``-inf`` (older than every
-  finite timestamp; ties, also with a real ``-inf``, fall to the apply
-  sequence) — so what a shard answers never depends on how its rows
-  are spread over memtable and runs, and a key's live versions are
-  always a prefix of its newest-first order.
+  time, then the apply sequence.  It is computed once, when an
+  epoch's rows are built, and a NaN event time orders as ``-inf``
+  (older than every finite timestamp; ties, also with a real ``-inf``,
+  fall to the apply sequence) — so what a shard answers never depends
+  on how its rows are spread over memtable and runs, and a key's live
+  versions are always a prefix of its newest-first order.
 - **Size-tiered compaction** merges runs of similar size when a tier
   collects ``tier_fanout`` of them, bounding run count (and therefore
   lookup fan-out) logarithmically in total rows.
@@ -42,7 +44,8 @@ old epoch or fully at the new one — never in between.
 from __future__ import annotations
 
 from heapq import merge
-from typing import Any, Iterable
+from itertools import count
+from typing import Any, Iterable, Iterator
 
 from ..streaming.shuffle import (
     DEFAULT_KEY_GROUPS,
@@ -54,9 +57,14 @@ from ..util.errors import StoreError
 
 __all__ = ["HotShard", "HotStore", "SortedRun", "key_repr"]
 
-#: what a NaN event time orders as (NaN itself compares false with
-#: everything, which would leave every sort structure-dependent)
-_NAN_ORDER = float("-inf")
+#: a NaN event time's ``-order_ts`` in a run row: NaN orders as
+#: ``-inf`` (NaN itself compares false with everything, which would
+#: leave every sort structure-dependent)
+_NAN_RANK = float("inf")
+
+#: distinct ``str`` keys whose ``(shard id, key_repr)`` route stays
+#: memoised; the memo starts over when it reaches this size
+_ROUTE_MEMO_MAX = 1 << 16
 
 
 def key_repr(key: Any) -> str:
@@ -68,6 +76,12 @@ def key_repr(key: Any) -> str:
     return repr(key)
 
 
+def run_row(kr: str, ts: float, seq: int, value: Any) -> tuple:
+    """The one row shape, memtable and runs alike:
+    ``(key_repr, -order_ts, -seq, timestamp, value)``."""
+    return (kr, -ts if ts == ts else _NAN_RANK, -seq, ts, value)
+
+
 class SortedRun:
     """One immutable sorted run.
 
@@ -76,17 +90,20 @@ class SortedRun:
     shard, so a comparison never reaches the value).  ``first_row``
     maps every key the run holds to its first (newest) row: a run that
     cannot hold a key costs a lookup one dict miss, and prefix scans
-    from that row are the whole read API.
+    from that row are the whole read API.  A flush, which lays the run
+    out key by key, passes ``first_row`` in.
     """
 
     __slots__ = ("rows", "first_row")
 
-    def __init__(self, rows: list[tuple]) -> None:
+    def __init__(self, rows: list[tuple],
+                 first_row: dict[str, int] | None = None) -> None:
         self.rows = rows
-        # Filled back to front, so each key keeps its lowest index.
-        self.first_row: dict[str, int] = dict(zip(
-            [row[0] for row in reversed(rows)],
-            range(len(rows) - 1, -1, -1)))
+        if first_row is None:
+            # Filled back to front, so each key keeps its lowest index.
+            first_row = dict(zip([row[0] for row in reversed(rows)],
+                                 range(len(rows) - 1, -1, -1)))
+        self.first_row: dict[str, int] = first_row
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -129,9 +146,9 @@ class HotShard:
         self.tier_fanout = tier_fanout
         #: epoch of the last applied commit; the double-apply guard
         self.last_applied_epoch = 0
-        #: key_repr -> [(order_ts, seq, ts, value), ...], ascending: the
-        #: newest version of a key is the last element of its list
-        self._mem: dict[str, list[tuple[float, int, float, Any]]] = {}
+        #: key_repr -> run rows oldest to newest (descending tuple
+        #: order): the newest version of a key is the last element
+        self._mem: dict[str, list[tuple]] = {}
         self._mem_rows = 0
         self._runs: list[SortedRun] = []
         self._seq = 0
@@ -149,15 +166,30 @@ class HotShard:
 
     def stage_epoch(self, epoch: int, rows: list[tuple[str, float, Any]]
                     ) -> tuple | None:
+        """:meth:`stage_keys` of ``(key_repr, timestamp, value)`` rows
+        in commit order."""
+        fresh: dict[str, list[tuple]] = {}
+        for seq, (kr, ts, value) in enumerate(rows, self._seq):
+            row = run_row(kr, ts, seq, value)
+            bucket = fresh.get(kr)
+            if bucket is None:
+                fresh[kr] = [row]
+            else:
+                bucket.append(row)
+        return self.stage_keys(epoch, fresh)
+
+    def stage_keys(self, epoch: int, fresh: dict[str, list[tuple]]
+                   ) -> tuple | None:
         """Build everything the install needs, off to the side.
 
-        ``rows`` are ``(key_repr, timestamp, value)`` in commit order.
-        Returns an opaque staged token (or ``None`` when the epoch is
-        already applied — restore/rescale re-drives hit this guard).
-        Nothing observable changes; a crash after staging costs only
-        the scratch work.
+        ``fresh`` maps each key of the epoch to its run rows in commit
+        order, numbered on from this shard's next apply sequence across
+        the whole epoch (see :func:`run_row`).  Returns an opaque staged
+        token (or ``None`` when the epoch is already applied —
+        restore/rescale re-drives hit this guard).  Nothing observable
+        changes; a crash after staging costs only the scratch work.
 
-        Only the epoch's own versions are touched.  Per key they are
+        Only the epoch's own rows are touched.  Per key they are
         ordered, then either they all sort after the resident tail
         (event time mostly follows apply order) and the token holds
         them as a tail to append, or the token holds a merged
@@ -166,30 +198,23 @@ class HotShard:
         """
         if epoch <= self.last_applied_epoch:
             return None
-        seq = base = self._seq
-        fresh: dict[str, list[tuple[float, int, float, Any]]] = {}
-        for kr, ts, value in rows:
-            version = (ts if ts == ts else _NAN_ORDER, seq, ts, value)
-            seq += 1
-            bucket = fresh.get(kr)
-            if bucket is None:
-                fresh[kr] = [version]
-            else:
-                bucket.append(version)
         mem = self._mem
         tails: dict[str, list] = {}
         replaced: dict[str, list] = {}
-        for kr, versions in fresh.items():
-            if len(versions) > 1:
-                versions.sort()
+        staged = 0
+        for kr, rows in fresh.items():
+            staged += len(rows)
+            if len(rows) > 1:
+                rows.sort(reverse=True)
             resident = mem.get(kr)
             if resident is None:
-                replaced[kr] = versions
-            elif versions[0] > resident[-1]:
-                tails[kr] = versions
+                replaced[kr] = rows
+            elif rows[0] < resident[-1]:
+                tails[kr] = rows
             else:
-                replaced[kr] = list(merge(resident, versions))
-        return (epoch, self.flushes, base, tails, replaced, seq)
+                replaced[kr] = list(merge(resident, rows, reverse=True))
+        base = self._seq
+        return (epoch, self.flushes, base, tails, replaced, base + staged)
 
     def install_epoch(self, staged: tuple | None) -> int:
         """Install a staged epoch atomically: list extends, one dict
@@ -234,10 +259,12 @@ class HotShard:
         if not self._mem_rows:
             return
         mem = self._mem
-        run = SortedRun([(kr, -order, -seq, ts, value)
-                         for kr in sorted(mem)
-                         for order, seq, ts, value in reversed(mem[kr])])
-        self._runs = self._runs + [run]
+        rows: list[tuple] = []
+        first_row: dict[str, int] = {}
+        for kr in sorted(mem):
+            first_row[kr] = len(rows)
+            rows.extend(reversed(mem[kr]))
+        self._runs = self._runs + [SortedRun(rows, first_row)]
         self._mem = {}
         self._mem_rows = 0
         self.flushes += 1
@@ -292,20 +319,23 @@ class HotShard:
         """Newest ``n`` live versions: ``[(timestamp, value), ...]``,
         newest first.  The key's newest ``n`` are among the last ``n``
         of its memtable list and the first ``n`` of its rows in each
-        run; those at most ``n * (runs + 1)`` candidates, in run-row
-        shape, merge by ``(order_ts, seq)`` so same-timestamp writes
-        resolve to the latest applied."""
+        run; those at most ``n * (runs + 1)`` candidates merge by
+        ``(order_ts, seq)`` so same-timestamp writes resolve to the
+        latest applied."""
+        return self.latest_rows(key_repr(key), n)
+
+    def latest_rows(self, kr: str, n: int) -> list[tuple[float, Any]]:
+        """:meth:`latest` of a key already in row-key form."""
         if n < 1:
             raise StoreError("latest() needs n >= 1")
-        kr = key_repr(key)
         min_ts = self._min_ts()
         candidates: list[tuple] = []
         versions = self._mem.get(kr)
         if versions:
-            for order, seq, ts, value in reversed(versions[-n:]):
-                if min_ts is not None and order < min_ts:
+            for row in reversed(versions[-n:]):
+                if min_ts is not None and -row[1] < min_ts:
                     break
-                candidates.append((kr, -order, -seq, ts, value))
+                candidates.append(row)
         for run in self._runs:
             candidates.extend(run.scan_key(kr, n, min_ts))
         if len(candidates) > 1:
@@ -319,9 +349,8 @@ class HotShard:
         min_ts = self._min_ts()
         acc: dict[str, list[tuple]] = {}
         for kr, versions in self._mem.items():
-            live = [(kr, -order, -seq, ts, value)
-                    for order, seq, ts, value in versions
-                    if min_ts is None or order >= min_ts]
+            live = [row for row in versions
+                    if min_ts is None or -row[1] >= min_ts]
             if live:
                 acc[kr] = live
         for run in self._runs:
@@ -358,14 +387,82 @@ class HotStore:
                                 memtable_limit=memtable_limit,
                                 tier_fanout=tier_fanout)
                        for i in range(num_shards)]
+        #: str key -> (shard id, key_repr), see :meth:`route`
+        self._routes: dict[str, tuple[int, str]] = {}
+
+    def route(self, key: Any) -> tuple[int, str]:
+        """``(shard id, key_repr)`` of a stream key.
+
+        Memoised for ``str`` keys only: there, equal keys have equal
+        ``repr``.  Other keys can be equal and print differently
+        (``1 == 1.0 == True``, ``0.0 == -0.0``, ``(1, "a") ==
+        (1.0, "a")``), and each keeps the row key it prints as.
+        """
+        if type(key) is str:
+            hit = self._routes.get(key)
+            if hit is not None:
+                return hit
+        group = key_group_for(key, self.num_key_groups)
+        hit = (subtask_for_key_group(group, self.num_key_groups,
+                                     self.num_shards), key_repr(key))
+        if type(key) is str:
+            if len(self._routes) >= _ROUTE_MEMO_MAX:
+                self._routes.clear()
+            self._routes[key] = hit
+        return hit
 
     def shard_for(self, key: Any) -> HotShard:
-        group = key_group_for(key, self.num_key_groups)
-        return self.shards[subtask_for_key_group(
-            group, self.num_key_groups, self.num_shards)]
+        return self.shards[self.route(key)[0]]
+
+    def stage_epoch(self, epoch: int, keys: list, codes: list[int],
+                    timestamps: list[float], values: list
+                    ) -> dict[int, tuple | None]:
+        """Stage one epoch on every shard it touches: ``{shard id:
+        staged token}``.  Rows come as columns in commit order: ``keys``
+        is the key dictionary, ``codes`` index into it.
+
+        Each distinct key is routed once (:meth:`route`); then each row
+        is built once, in its run-row shape, straight into its key's
+        bucket, numbered per shard in commit order from that shard's
+        next apply sequence — what :meth:`HotShard.stage_epoch` would
+        number each shard's rows.  The shards do the per-key rest.
+        """
+        shards = self.shards
+        per_shard: dict[int, dict[str, list[tuple]]] = {}
+        seqs: dict[int, Iterator[int]] = {}
+        key_rows: list[list[tuple]] = []
+        row_keys: list[str] = []
+        key_seqs: list[Iterator[int]] = []
+        if codes:
+            for k in keys:
+                sid, kr = self.route(k)
+                fresh = per_shard.get(sid)
+                if fresh is None:
+                    fresh = per_shard[sid] = {}
+                    seqs[sid] = count(-shards[sid]._seq, -1)
+                bucket = fresh.get(kr)
+                if bucket is None:
+                    bucket = fresh[kr] = []
+                key_rows.append(bucket)
+                row_keys.append(kr)
+                key_seqs.append(seqs[sid])
+        nan_rank = _NAN_RANK
+        for c, ts, value in zip(codes, timestamps, values):
+            # run_row, inlined: this loop runs once per stored row
+            key_rows[c].append((row_keys[c], -ts if ts == ts else nan_rank,
+                                next(key_seqs[c]), ts, value))
+        staged = {}
+        for sid, fresh in per_shard.items():
+            if not all(fresh.values()):
+                # the key dictionary names keys no row carries
+                fresh = {kr: rows for kr, rows in fresh.items() if rows}
+            if fresh:
+                staged[sid] = shards[sid].stage_keys(epoch, fresh)
+        return staged
 
     def latest(self, key: Any, n: int = 1) -> list[tuple[float, Any]]:
-        return self.shard_for(key).latest(key, n)
+        sid, kr = self.route(key)
+        return self.shards[sid].latest_rows(kr, n)
 
     def point(self, key: Any) -> Any | None:
         """Newest live value for ``key`` (overlay binding), or None."""

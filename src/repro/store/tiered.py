@@ -21,7 +21,7 @@ from ..streaming.element import Element
 from ..streaming.shuffle import DEFAULT_KEY_GROUPS
 from ..util.clock import SimClock
 from .analytical import AnalyticalStore
-from .hot import HotStore, key_repr
+from .hot import HotStore
 
 __all__ = ["TieredStore", "serve_topic", "canonical_contents"]
 
@@ -54,35 +54,15 @@ class TieredStore:
         # decoded once: the hot rows and the analytical raw column hold
         # the same value objects
         values = batch.values_list()
-        hot = self.hot
+        codes, keys = batch.key_column()
         return {
             "epoch": epoch,
-            "shards": {sid: hot.shards[sid].stage_epoch(epoch, shard_rows)
-                       for sid, shard_rows
-                       in self._route(batch, values).items()},
+            "shards": self.hot.stage_epoch(epoch, keys, codes.tolist(),
+                                           batch.timestamps.tolist(),
+                                           values),
             "analytical": self.analytical.stage_epoch(epoch, batch,
                                                       raw=values),
         }
-
-    def _route(self, batch: RecordBatch, values: list
-               ) -> dict[int, list[tuple[str, float, Any]]]:
-        """Hot rows ``(key_repr, timestamp, value)`` per shard, each in
-        commit order.  Shard and row key are resolved once per distinct
-        key of the batch, not once per row."""
-        if not len(batch):
-            return {}
-        codes, keys = batch.key_column()
-        codes_l = codes.tolist()
-        shard_for = self.hot.shard_for
-        per_shard: dict[int, list] = {}
-        dest = [per_shard.setdefault(shard_for(k).shard_id, [])
-                for k in keys]
-        row_keys = [key_repr(k) for k in keys]
-        rows = zip([row_keys[c] for c in codes_l],
-                   batch.timestamps.tolist(), values)
-        for c, row in zip(codes_l, rows):
-            dest[c].append(row)
-        return {sid: rows for sid, rows in per_shard.items() if rows}
 
     def install_epoch(self, staged: dict[str, Any]) -> int:
         """Install a staged epoch into every affected shard and the

@@ -98,13 +98,6 @@ def _exact_add(partials: list, x: float) -> list:
 #: accumulator length at which _sum_add collapses to exact partials
 _COMPACT_AT = 64
 
-#: magnitude below which no sum of a window's values (or of their
-#: partials) can overflow: a window fires straight from parked columns
-#: only when every summand is under it, because then ``math.fsum`` of
-#: the folded accumulator and of the unfolded summands are the same
-#: correctly rounded sum
-_TAME = 2.0 ** 960
-
 #: parked rows at which a bulk call folds at once: bounds what parking
 #: holds for a job that neither fires nor checkpoints for a long time
 _PARK_ROWS = 1 << 16
@@ -264,8 +257,7 @@ class WindowAggregateOperator(Operator):
         #: transient: rows bulk calls accepted but nothing has read yet,
         #: as ``(key_dict, key_codes, window_starts, values)`` chunks in
         #: arrival order (values None for count).  ``_fold`` moves them
-        #: into ``_windows``, ``_fold_ripe`` fires ripe ones from the
-        #: columns, restores drop them; never snapshotted.
+        #: into ``_windows``, restores drop them; never snapshotted.
         self._parked: list[tuple] = []
         self._parked_rows = 0
         #: transient window -> {key: None} reverse index: the firing
@@ -455,9 +447,8 @@ class WindowAggregateOperator(Operator):
         built-in aggregate over float64 columns (any column for count)
         with no late row only *parks* its columns: the accumulators are
         brought up to date once for many calls, by :meth:`_fold` when
-        something reads them or by :meth:`_fold_ripe` when their windows
-        fire.  Any other call folds what is parked, then accumulates its
-        own rows at once.
+        something reads them (a firing included).  Any other call folds
+        what is parked, then accumulates its own rows at once.
         """
         agg = self.agg
         count = agg is aggregators["count"]
@@ -672,10 +663,7 @@ class WindowAggregateOperator(Operator):
                 slot[0] += m
             elif is_sum or is_mean:
                 acc = slot[0][0] if is_mean else slot[0]
-                if pure and len(acc) + m < _COMPACT_AT:
-                    acc.extend(sorted_vals[a:b_])  # no compaction due
-                else:
-                    _sum_extend(acc, sorted_vals[a:b_], pure)
+                _sum_extend(acc, sorted_vals[a:b_], pure)
                 if is_mean:
                     slot[0][1] += m
             else:
@@ -687,91 +675,6 @@ class WindowAggregateOperator(Operator):
             slot[1] += m
             a = b_
         self._min_deadline = min_deadline
-
-    def _fold_ripe(self, wm: float) -> tuple[dict, float]:
-        """Fire from parked columns: the parked rows of windows ripe at
-        ``wm`` are reduced straight to ``{window: {key: (value,
-        count)}}`` — one ``math.fsum`` over the group's folded partials
-        plus its parked values, its count from the group's length — and
-        only the rows of windows not yet ripe stay parked.  Also returns
-        the earliest deadline among those.
-
-        The reduction equals what folding then firing gives only for
-        tame sums, so a call with a summand that is not finite or not
-        under ``_TAME``, or a sum of zero (whose sign may follow the
-        summands' order), folds everything first and returns nothing:
-        the caller fires from the accumulators as before.
-        """
-        chunks = self._parked
-        if not chunks:
-            return {}, float("inf")
-        keys, codes, starts, values = self._columns(chunks)
-        size = self.assigner.size
-        deadlines = (starts + size) + self.allowed_lateness
-        ripe = deadlines <= wm
-        n_ripe = int(np.count_nonzero(ripe))
-        if not n_ripe:
-            return {}, float(deadlines.min())
-        whole = n_ripe == len(ripe)
-        vals = values if whole or values is None else values[ripe]
-        if vals is not None and not (vals.max() < _TAME
-                                     and vals.min() > -_TAME):
-            self._fold()
-            return {}, float("inf")
-        order, edges, group_codes, group_sidx, start_list = self._groups(
-            codes if whole else codes[ripe],
-            starts if whole else starts[ripe])
-        sorted_vals = None if vals is None else vals[order].tolist()
-        agg = self.agg
-        is_count = agg is aggregators["count"]
-        is_mean = agg is aggregators["mean"]
-        windows = self._windows
-        fired: dict[Window, dict[Any, tuple[Any, int]]] = {}
-        window_cache: list[Window | None] = [None] * len(start_list)
-        a = 0
-        for gi, b_ in enumerate(edges):
-            key = keys[group_codes[gi]]
-            sidx = group_sidx[gi]
-            window = window_cache[sidx]
-            if window is None:
-                start = start_list[sidx]
-                window = window_cache[sidx] = Window(start, start + size)
-                fired[window] = {}
-            per_key = windows.get(key)
-            slot = None if per_key is None else per_key.get(window)
-            m = b_ - a
-            if is_count:
-                value = count = m
-                if slot is not None:
-                    value += slot[0]
-                    count += slot[1]
-            else:
-                summands = sorted_vals[a:b_]
-                count = n = m
-                if slot is not None:
-                    acc = slot[0][0] if is_mean else slot[0]
-                    if acc and not (max(acc) < _TAME and min(acc) > -_TAME):
-                        self._fold()
-                        return {}, float("inf")
-                    summands = acc + summands
-                    count += slot[1]
-                    n += slot[0][1] if is_mean else 0
-                total = math.fsum(summands)
-                if not 0.0 < abs(total) < _TAME:
-                    self._fold()
-                    return {}, float("inf")
-                value = total / n if is_mean else total
-            fired[window][key] = (value, count)
-            a = b_
-        if whole:
-            self._parked = []
-            self._parked_rows = 0
-            return fired, float("inf")
-        rest = ~ripe
-        self._parked = [(keys, codes[rest], starts[rest],
-                         None if values is None else values[rest])]
-        self._parked_rows = len(ripe) - n_ripe
-        return fired, float(deadlines[rest].min())
 
     def _merge_sessions(self, per_key: dict[Window, list[Any]],
                         new_window: Window) -> Window:
@@ -803,7 +706,7 @@ class WindowAggregateOperator(Operator):
             # never suppresses a firing.
             return [watermark]
         wm = self._current_wm
-        parked, min_deadline = self._fold_ripe(wm)
+        self._fold()
         lateness = self.allowed_lateness
         index = self._win_index
         if index is None:
@@ -812,48 +715,44 @@ class WindowAggregateOperator(Operator):
                 for w in per_key:
                     index.setdefault(w, {})[key] = None
         # Ripeness over *distinct* windows (a handful), not every
-        # (key, window) pair; survivors seen in the same pass, with the
-        # rows left parked, give the exact post-fire min deadline.
+        # (key, window) pair; survivors seen in the same pass give the
+        # exact post-fire min deadline.
         ripe: list[Window] = []
+        min_deadline = float("inf")
         for w in index:
             deadline = w.end + lateness
             if deadline <= wm:
                 ripe.append(w)
             elif deadline < min_deadline:
                 min_deadline = deadline
-        ripe.extend(w for w in parked if w not in index)
         if not ripe:
             self._min_deadline = min_deadline
             return [watermark]
         ripe.sort()
-        ripe_parked = [(w, parked.get(w)) for w in ripe]
         keys: dict[Any, None] = {}
-        for w, from_parked in ripe_parked:
-            keys.update(index.get(w, ()))
-            if from_parked is not None:
-                keys.update(from_parked)
+        for w in ripe:
+            keys.update(index[w])
         out: list[StreamItem] = []
         windows = self._windows
         agg_result = self.agg.result
         for key in sorted(keys, key=repr):
             per_key = windows.get(key)
+            if per_key is None:
+                continue
             fired_here = 0
-            for window, from_parked in ripe_parked:
-                slot = None if per_key is None else per_key.pop(window, None)
-                if from_parked is not None and key in from_parked:
-                    value, count = from_parked[key]
-                elif slot is not None:
-                    value, count = agg_result(slot[0]), slot[1]
-                else:
+            for window in ripe:
+                slot = per_key.pop(window, None)
+                if slot is None:
                     continue
                 fired_here += 1
                 result = WindowResult(key=key, window=window,
-                                      value=value, count=count)
+                                      value=agg_result(slot[0]),
+                                      count=slot[1])
                 out.append(Element(value=result, timestamp=window.end,
                                    key=key))
             if fired_here:
                 self.fired += fired_here
-                if per_key is not None and not per_key:
+                if not per_key:
                     del windows[key]
         for w in ripe:
             index.pop(w, None)

@@ -3,8 +3,8 @@
 A batched tumbling window of a built-in aggregate (count, sum, mean)
 parks the columns of each pulled batch and folds every parked row into
 its ``(key, window)`` accumulator once, when something reads the state
-(a loose element, a snapshot, a firing scan, the end of the stream);
-ripe windows fire straight from the parked columns.  Whatever the batch
+(a loose element, a snapshot, a firing scan, the end of the stream).
+Whatever the batch
 splits, checkpoint cadence or values, the result must be the per-item
 reference's: the same sink output, the same checkpoints compared field
 by field, and accumulators holding Python floats only.
@@ -157,7 +157,8 @@ class TestTheKernelRunsInTheExecutor:
         executor = ParallelExecutor(_job(elements, "mean"))
         executor.run(source_batch=64, max_cycles=2)
         checkpoint = executor.checkpoint()
-        executor.run(source_batch=64, max_cycles=1)
+        # a few rows: no window ripens, so nothing reads the state
+        executor.run(source_batch=4, max_cycles=1)
         (window,) = executor.subtask_operators("win")
         assert window._parked  # rows accepted since, not yet folded
         executor.restore(checkpoint)

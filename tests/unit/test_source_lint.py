@@ -197,8 +197,8 @@ def test_chaos_proxy_defines_every_data_plane_method():
     data_plane = {name for name in _public_methods("eventlog/broker.py",
                                                    "LogCluster")
                   if name.startswith(("append", "read"))}
-    assert {"append", "append_row", "append_idempotent", "read",
-            "read_columns"} <= data_plane
+    assert {"append", "append_row", "appenders", "append_idempotent",
+            "read", "read_columns"} <= data_plane
     proxied = _public_methods("chaos/injector.py", "ChaosLogCluster")
     assert data_plane - proxied == set()
 
@@ -356,8 +356,8 @@ def test_one_supervisor_builds_and_reshapes():
 WINDOW = "streaming/window_operator.py"
 #: the fold itself, the restores that drop parked rows, and the
 #: constructor: the only methods that may read the windows unfolded
-READ_UNFOLDED = {"__init__", "_fold", "_fold_rows", "_fold_ripe",
-                 "restore", "restore_parallel", "_restore_windows"}
+READ_UNFOLDED = {"__init__", "_fold", "_fold_rows", "restore",
+                 "restore_parallel", "_restore_windows"}
 
 
 def _reads_self(node, attr):

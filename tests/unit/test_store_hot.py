@@ -10,7 +10,9 @@ import math
 
 import pytest
 
-from repro.store import HotShard, HotStore, key_repr
+from repro.store import HotShard, HotStore, TieredStore, key_repr
+from repro.store import hot as hot_module
+from repro.streaming.element import Element
 from repro.streaming.shuffle import key_group_for, subtask_for_key_group
 from repro.util.clock import SimClock
 from repro.util.errors import StoreError
@@ -239,6 +241,40 @@ class TestHotStore:
             assert store.latest(eval(kr), 2) == versions[:2]
             assert store.point(eval(kr)) == versions[0][1]
         assert store.point("never-seen") is None
+
+    def test_equal_keys_that_print_differently_keep_their_row_keys(self):
+        """``1 == 1.0 == True``, ``0.0 == -0.0`` and ``(1, "a") ==
+        (1.0, "a")``, but each prints differently, and a key's row key
+        is what it prints as: arriving in separate epochs, each keeps
+        its own versions, on its own shard, whatever the route memo
+        saw first."""
+        store = TieredStore(num_shards=4)
+        keys = [1, 1.0, True, (1, "a"), (1.0, "a"), 0.0, -0.0, "1"]
+        expected = {}
+        for epoch, key in enumerate(keys * 2, start=1):
+            store.apply_epoch(epoch, [Element(value=epoch,
+                                              timestamp=float(epoch),
+                                              key=key)])
+            expected.setdefault(repr(key), []).insert(
+                0, (float(epoch), epoch))
+        assert store.contents() == dict(sorted(expected.items()))
+        for key in keys:
+            assert store.latest(key, 3) == expected[repr(key)]
+            assert store.hot.route(key)[1] == repr(key)
+            assert store.hot.shard_for(key).shard_id == subtask_for_key_group(
+                key_group_for(key, store.hot.num_key_groups),
+                store.hot.num_key_groups, 4)
+
+    def test_route_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(hot_module, "_ROUTE_MEMO_MAX", 4)
+        store = HotStore(num_shards=4, num_key_groups=16)
+        for _ in range(2):
+            for i in range(10):
+                key = f"user-{i}"
+                group = key_group_for(key, 16)
+                assert store.route(key) == (
+                    subtask_for_key_group(group, 16, 4), repr(key))
+                assert len(store._routes) <= 4
 
     def test_point_on_empty_store(self):
         store = HotStore(num_shards=2)
