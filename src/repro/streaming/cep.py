@@ -18,6 +18,7 @@ from typing import Any, Callable, Sequence
 from ..util.errors import StreamError
 from .element import Element, StreamItem, Watermark
 from .operators import Operator
+from .state import KeyedState
 
 __all__ = ["PatternStep", "PatternMatch", "PatternOperator"]
 
@@ -43,14 +44,6 @@ class PatternMatch:
         return self.timestamps[-1] - self.timestamps[0]
 
 
-class _Partial:
-    __slots__ = ("events", "timestamps")
-
-    def __init__(self) -> None:
-        self.events: list[Any] = []
-        self.timestamps: list[float] = []
-
-
 class PatternOperator(Operator):
     """Keyed sequence matching within a time window."""
 
@@ -68,77 +61,48 @@ class PatternOperator(Operator):
             raise StreamError("pattern step names must be unique")
         self.steps = list(steps)
         self.within_s = within_s
-        self._partials: dict[Any, _Partial] = {}
+        # key -> the partial match: (events, timestamps)
+        self.state = KeyedState(default_factory=lambda: ([], []))
         self.matches = 0
 
     def process(self, element: Element) -> list[StreamItem]:
         if element.key is None:
             raise StreamError(
                 f"pattern {self.name!r} requires keyed input")
-        partial = self._partials.get(element.key)
-        if partial is None:
-            partial = _Partial()
-            self._partials[element.key] = partial
+        events, timestamps = self.state.get_or_create(element.key)
         # Expire a stale partial before extending it.
-        if (partial.timestamps
-                and element.timestamp - partial.timestamps[0]
-                > self.within_s):
+        if timestamps and element.timestamp - timestamps[0] > self.within_s:
             # Restart: the head of the window slid past; try to re-seed
             # with this element as a fresh first step.
-            partial.events.clear()
-            partial.timestamps.clear()
-        step = self.steps[len(partial.events)]
+            events.clear()
+            timestamps.clear()
+        step = self.steps[len(events)]
         if not step.predicate(element.value):
             return []  # skip-till-next-match: ignore non-matching events
-        partial.events.append(element.value)
-        partial.timestamps.append(element.timestamp)
-        if len(partial.events) < len(self.steps):
+        events.append(element.value)
+        timestamps.append(element.timestamp)
+        if len(events) < len(self.steps):
             return []
-        match = PatternMatch(key=element.key,
-                             events=tuple(partial.events),
-                             timestamps=tuple(partial.timestamps))
-        del self._partials[element.key]
+        match = PatternMatch(key=element.key, events=tuple(events),
+                             timestamps=tuple(timestamps))
+        self.state.remove(element.key)
         self.matches += 1
         return [Element(value=match, timestamp=element.timestamp,
                         key=element.key)]
 
     def on_watermark(self, watermark: Watermark) -> list[StreamItem]:
         # Garbage-collect partials that can no longer complete.
-        for key in list(self._partials):
-            partial = self._partials[key]
-            if (partial.timestamps
-                    and watermark.timestamp - partial.timestamps[0]
-                    > self.within_s):
-                del self._partials[key]
+        dead = [key for key, (_, timestamps) in self.state.items()
+                if timestamps
+                and watermark.timestamp - timestamps[0] > self.within_s]
+        for key in dead:
+            self.state.remove(key)
         return [watermark]
 
     def snapshot(self) -> Any:
-        return {key: (list(p.events), list(p.timestamps))
-                for key, p in self._partials.items()}
-
-    def restore(self, snapshot: Any) -> None:
-        self._partials = {}
-        for key, (events, timestamps) in (snapshot or {}).items():
-            partial = _Partial()
-            partial.events = list(events)
-            partial.timestamps = list(timestamps)
-            self._partials[key] = partial
-
-    # -- key-grouped checkpoints (parallel plans) ----------------------------
-
-    def snapshot_key_groups(self, num_key_groups: int) -> dict[int, Any]:
-        from .shuffle import group_by_key_group
-        return group_by_key_group(self.snapshot(), num_key_groups)
-
-    def scalar_snapshot(self) -> Any:
         return {"matches": self.matches}
 
-    def restore_parallel(self, groups: dict[int, Any], scalars: list[Any],
-                         primary: bool = True) -> None:
-        from .shuffle import merge_key_groups
-        self.restore(merge_key_groups(groups.values()))
-        if len(scalars) == 1:
-            self.matches = scalars[0]["matches"]
-        else:
-            self.matches = sum(s["matches"] for s in scalars) \
-                if primary else 0
+    def restore(self, scalars: list[Any], primary: bool = True,
+                exact: bool = True) -> None:
+        """The match total rides the primary subtask."""
+        self.matches = sum(s["matches"] for s in scalars) if primary else 0

@@ -47,9 +47,10 @@ class ChainedOperator(Operator):
     """A fused linear run of operators executed as one node.
 
     The chain itself is stateless glue: member operators own all state
-    and counters.  ``snapshot``/``restore`` delegate per member keyed by
-    name (the executor normally checkpoints members directly through the
-    job graph, but the chain stays self-contained for direct use).
+    and counters, and none of them keeps keyed state.  ``snapshot`` /
+    ``restore`` delegate per member keyed by name (the executor
+    checkpoints members directly through the job graph, but the chain
+    stays self-contained for direct use and ``capture``).
     """
 
     chainable = False  # chains are built once; never re-fused
@@ -161,7 +162,8 @@ class ChainedOperator(Operator):
     def snapshot(self) -> Any:
         return {op.name: op.snapshot() for op in self.operators}
 
-    def restore(self, snapshot: Any) -> None:
-        snapshot = snapshot or {}
+    def restore(self, scalars: list[Any], primary: bool = True,
+                exact: bool = True) -> None:
         for op in self.operators:
-            op.restore(snapshot.get(op.name))
+            op.restore([s[op.name] for s in scalars], primary=primary,
+                       exact=exact)

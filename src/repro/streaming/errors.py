@@ -222,12 +222,12 @@ def apply_corruption(element: Element, kind: str,
 
 
 def _capture(op: Any) -> tuple[Any, int, int]:
-    return op.snapshot(), op.processed, op.emitted
+    return op.capture(), op.processed, op.emitted
 
 
 def _rollback(op: Any, state: tuple[Any, int, int]) -> None:
-    snap, processed, emitted = state
-    op.restore(snap)
+    captured, processed, emitted = state
+    op.rollback(captured)
     op.processed = processed
     op.emitted = emitted
 

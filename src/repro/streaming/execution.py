@@ -812,13 +812,11 @@ class ParallelExecutor:
         members = self.graph.nodes[name].members
         for m in members:
             clone = self._clones[m][idx]
-            if self.job.operators[m].requires_shuffle:
+            state = clone.state
+            if state is not None:
                 cut.keyed.setdefault(m, {}).update(
-                    clone.snapshot_key_groups(self.num_key_groups))
-                state = clone.scalar_snapshot()
-            else:
-                state = clone.snapshot()
-            cut.scalar[m][idx] = state
+                    state.snapshot_by_group(self.num_key_groups))
+            cut.scalar[m][idx] = clone.snapshot()
         cut.acked.add((name, idx))
         if self._data_chaos:
             # This subtask's data-fault counters are exactly at its cut:
@@ -1015,9 +1013,8 @@ class ParallelExecutor:
         ``region=None`` rewinds everything and accepts a snapshot taken
         at another parallelism (*rescaling*): key groups and splits are
         reassigned to the new subtask ranges and scalar state merges
-        conservatively (see ``restore_parallel`` / ``restore_rescaled``
-        on operators).  At unchanged parallelism the restore is exact,
-        routing state included.
+        conservatively (see ``Operator.restore``).  At unchanged
+        parallelism the restore is exact, routing state included.
 
         A ``region`` (an execution-node/source/sink set from
         :func:`~repro.streaming.coordinator.failover_region_of`) is
@@ -1076,23 +1073,17 @@ class ParallelExecutor:
         for m in operators:
             clones = self._clones[m]
             exact = checkpoint.parallelism[m] == len(clones)
-            if m in checkpoint.keyed_state:
-                groups = checkpoint.keyed_state[m]
-                for i, clone in enumerate(clones):
-                    mine = {kg: groups[kg]
-                            for kg in key_group_range(self.num_key_groups,
-                                                      len(clones), i)
-                            if kg in groups}
-                    scalars = ([checkpoint.scalar_state[m][i]] if exact
-                               else list(checkpoint.scalar_state[m]))
-                    clone.restore_parallel(mine, scalars, primary=(i == 0))
-            else:
-                for i, clone in enumerate(clones):
-                    if exact:
-                        clone.restore(checkpoint.scalar_state[m][i])
-                    else:
-                        clone.restore_rescaled(
-                            list(checkpoint.scalar_state[m]))
+            groups = checkpoint.keyed_state.get(m, {})
+            scalars = checkpoint.scalar_state[m]
+            for i, clone in enumerate(clones):
+                state = clone.state
+                if state is not None:
+                    state.restore_groups(
+                        groups[kg] for kg in key_group_range(
+                            self.num_key_groups, len(clones), i)
+                        if kg in groups)
+                clone.restore([scalars[i]] if exact else list(scalars),
+                              primary=exact or i == 0, exact=exact)
         for name, buf in self.sinks.items():
             if name not in region:
                 continue

@@ -3,7 +3,8 @@
 Joins elements of a left and right stream that share a key and whose
 event timestamps are within ``[lower, upper]`` of each other
 (Flink's interval join).  Buffers are pruned by the watermark, bounding
-state.  The two inputs are distinguished by tagging elements with a
+state; each key's entry in the operator's table holds both sides'
+buffers.  The two inputs are distinguished by tagging elements with a
 side; the executor delivers items from each upstream edge with its tag.
 """
 
@@ -15,6 +16,7 @@ from typing import Any, Callable, Iterable
 from ..util.errors import StreamError
 from .element import Element, StreamItem, Watermark
 from .operators import Operator
+from .state import KeyedState
 
 __all__ = ["Joined", "IntervalJoinOperator"]
 
@@ -49,10 +51,8 @@ class IntervalJoinOperator(Operator):
         self.lower = lower
         self.upper = upper
         self.project = project
-        # side -> key -> list[(ts, value)]
-        self._buffers: dict[str, dict[Any, list[tuple[float, Any]]]] = {
-            "left": {}, "right": {},
-        }
+        # key -> ([(ts, value)] on the left, [(ts, value)] on the right)
+        self.state = KeyedState(default_factory=lambda: ([], []))
         self._wm: dict[str, float] = {"left": float("-inf"),
                                       "right": float("-inf")}
         self.matches = 0
@@ -69,12 +69,11 @@ class IntervalJoinOperator(Operator):
         if element.key is None:
             raise StreamError(f"join {self.name!r} requires keyed input")
         self.processed += 1
-        buffers = self._buffers[side]
-        buffers.setdefault(element.key, []).append(
-            (element.timestamp, element.value))
-        other = "right" if side == "left" else "left"
+        mine = self.SIDES.index(side)
+        rows = self.state.get_or_create(element.key)
+        rows[mine].append((element.timestamp, element.value))
         out: list[StreamItem] = []
-        for other_ts, other_value in self._buffers[other].get(element.key, ()):
+        for other_ts, other_value in rows[1 - mine]:
             if side == "left":
                 delta = other_ts - element.timestamp
                 left_ts, right_ts = element.timestamp, other_ts
@@ -129,68 +128,29 @@ class IntervalJoinOperator(Operator):
         [ts+lower, ts+upper]; once the watermark passes ts+upper it is
         dead.  Symmetrically for the right side with -lower.
         """
-        for side, horizon in (("left", self.upper), ("right", -self.lower)):
-            buffers = self._buffers[side]
-            for key in list(buffers):
-                kept = [(ts, v) for ts, v in buffers[key]
-                        if ts + horizon >= watermark]
-                if kept:
-                    buffers[key] = kept
-                else:
-                    del buffers[key]
+        horizons = (self.upper, -self.lower)
+        dead = []
+        for key, rows in self.state.items():
+            for side, horizon in zip(rows, horizons):
+                side[:] = [(ts, v) for ts, v in side
+                           if ts + horizon >= watermark]
+            if not any(rows):
+                dead.append(key)
+        for key in dead:
+            self.state.remove(key)
 
     def buffered(self) -> int:
-        return sum(len(rows) for side in self._buffers.values()
-                   for rows in side.values())
+        return sum(len(left) + len(right)
+                   for _, (left, right) in self.state.items())
 
     def snapshot(self) -> Any:
-        import copy
-        return {"buffers": copy.deepcopy(self._buffers),
-                "wm": dict(self._wm), "matches": self.matches}
-
-    def restore(self, snapshot: Any) -> None:
-        import copy
-        snapshot = snapshot or {}
-        self._buffers = copy.deepcopy(
-            snapshot.get("buffers", {"left": {}, "right": {}}))
-        self._wm = dict(snapshot.get(
-            "wm", {"left": float("-inf"), "right": float("-inf")}))
-        self.matches = snapshot.get("matches", 0)
-
-    # -- key-grouped checkpoints (parallel plans) ----------------------------
-
-    def snapshot_key_groups(self, num_key_groups: int) -> dict[int, Any]:
-        import copy
-        from .shuffle import key_group_for
-        groups: dict[int, Any] = {}
-        for side, per_key in self._buffers.items():
-            for key, rows in per_key.items():
-                blob = groups.setdefault(
-                    key_group_for(key, num_key_groups),
-                    {"left": {}, "right": {}})
-                blob[side][key] = copy.deepcopy(rows)
-        return groups
-
-    def scalar_snapshot(self) -> Any:
         return {"wm": dict(self._wm), "matches": self.matches}
 
-    def restore_parallel(self, groups: dict[int, Any], scalars: list[Any],
-                         primary: bool = True) -> None:
-        import copy
-        self._buffers = {"left": {}, "right": {}}
-        for blob in groups.values():
-            for side in self.SIDES:
-                self._buffers[side].update(copy.deepcopy(blob[side]))
-        if len(scalars) == 1:
-            self._wm = dict(scalars[0]["wm"])
-            self.matches = scalars[0]["matches"]
-        else:
-            # Rescale: per-side watermarks regress to the minimum (prune
-            # later, never earlier); the match total rides the primary.
-            self._wm = {
-                side: min((s["wm"][side] for s in scalars),
-                          default=float("-inf"))
-                for side in self.SIDES
-            }
-            self.matches = sum(s["matches"] for s in scalars) \
-                if primary else 0
+    def restore(self, scalars: list[Any], primary: bool = True,
+                exact: bool = True) -> None:
+        """Per-side watermarks regress to the minimum over ``scalars``
+        (prune later, never earlier); the match total rides the
+        primary subtask."""
+        self._wm = {side: min(s["wm"][side] for s in scalars)
+                    for side in self.SIDES}
+        self.matches = sum(s["matches"] for s in scalars) if primary else 0

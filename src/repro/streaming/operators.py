@@ -16,8 +16,10 @@ when there is not; an Element that arrives loose takes ``handle``.
 Batch processing is order-preserving and therefore bit-identical to
 per-item execution.
 
-Operators expose ``snapshot``/``restore`` so the checkpoint coordinator
-can capture the whole job — stateless operators return ``None``.
+Operators keep per-key values in one :class:`KeyedState` (``state``),
+which the executor checkpoints by key group, and expose the rest of
+their state through ``snapshot``/``restore`` — stateless operators
+return ``None``.
 """
 
 from __future__ import annotations
@@ -68,11 +70,16 @@ class Operator:
     #: Whether this operator's input edges must be hash-partitioned by
     #: key in a parallel plan.  True for every operator with *keyed*
     #: state (reduce, window, join, CEP): correctness requires all
-    #: elements of one key to reach the same subtask.  Operators that
-    #: declare ``requires_shuffle = True`` must also implement the
-    #: key-grouped snapshot protocol below (see docs/ARCHITECTURE.md,
+    #: elements of one key to reach the same subtask, so such an
+    #: operator keeps that state in ``state`` (see docs/ARCHITECTURE.md,
     #: "Parallel execution", and CONTRIBUTING.md).
     requires_shuffle = False
+
+    #: The operator's per-key values — one :class:`KeyedState` for an
+    #: operator with keyed state, None for the rest.  The executor
+    #: snapshots and restores it by key group, so checkpoints survive
+    #: rescaling.
+    state: KeyedState | None = None
 
     #: Whether this operator implements ``_run_columnar`` and may
     #: consume :class:`RecordBatch` columns whole.  Operators without a
@@ -162,66 +169,47 @@ class Operator:
         return []
 
     # -- checkpointing ------------------------------------------------------
+    #
+    # One protocol for every operator: the executor checkpoints
+    # ``state`` by key group itself, and the operator only its scalar
+    # part (watermarks, counters) through ``snapshot`` / ``restore``.
 
     def snapshot(self) -> Any:
+        """The scalar part of this operator's state: None when it has
+        none."""
         return None
 
-    def restore(self, snapshot: Any) -> None:
-        if snapshot is not None:
-            raise StreamError(
-                f"operator {self.name!r} is stateless but got a snapshot"
-            )
+    def restore(self, scalars: list[Any], primary: bool = True,
+                exact: bool = True) -> None:
+        """Install the scalar part, after ``state`` has been restored.
 
-    # -- parallel checkpointing (key-grouped state) --------------------------
-    #
-    # Keyed operators (``requires_shuffle = True``) snapshot their keyed
-    # state by key group so a parallel checkpoint can be restored at a
-    # different parallelism (key-group ranges are reassigned, never
-    # split).  Non-keyed scalar remainders (watermarks, counters) travel
-    # via ``scalar_snapshot``.  Non-keyed *stateful* operators instead
-    # implement ``restore_rescaled`` with a conservative merge.
-
-    def snapshot_key_groups(self, num_key_groups: int) -> dict[int, Any]:
-        """Keyed state grouped by key group (keyed operators only)."""
-        raise StreamError(
-            f"operator {self.name!r} has no keyed state to snapshot by "
-            "key group"
-        )
-
-    def scalar_snapshot(self) -> Any:
-        """Non-keyed remainder of a keyed operator's state."""
-        raise StreamError(
-            f"operator {self.name!r} has no keyed-state scalar snapshot"
-        )
-
-    def restore_parallel(self, groups: dict[int, Any], scalars: list[Any],
-                         primary: bool = True) -> None:
-        """Restore one subtask from key-group blobs plus scalar parts.
-
-        ``groups`` holds exactly this subtask's key-group range.  At
-        unchanged parallelism ``scalars`` is the single snapshot this
-        subtask wrote; on a rescale it is the *full* list from all old
-        subtasks and the operator merges conservatively (monotonic
-        quantities regress to the safe bound, counters land on the
-        ``primary`` subtask so totals are preserved).
+        ``exact`` says ``scalars`` is the one snapshot this subtask
+        wrote.  Otherwise the job was rescaled, ``scalars`` holds every
+        old subtask's snapshot, and the operator merges them
+        conservatively: progress (watermarks) regresses to the minimum,
+        and job-wide counters land whole on the ``primary`` subtask and
+        start at zero on the others, so totals are preserved.  An
+        operator whose ``snapshot`` returns something must override
+        this.
         """
-        raise StreamError(
-            f"operator {self.name!r} does not support key-grouped restore"
-        )
-
-    def restore_rescaled(self, snapshots: list[Any]) -> None:
-        """Restore one subtask of a *non-keyed* operator from the old
-        subtasks' snapshots after a parallelism change.  Stateless
-        operators accept trivially; stateful non-keyed operators must
-        override with an explicit merge rule (see WatermarkGenerator).
-        """
-        live = [s for s in snapshots if s is not None]
-        if live:
+        if any(s is not None for s in scalars):
             raise StreamError(
-                f"operator {self.name!r} is stateful but non-keyed and "
-                "defines no rescale merge; override restore_rescaled"
-            )
-        self.restore(None)
+                f"operator {self.name!r} has no scalar state but got a "
+                "snapshot")
+
+    def capture(self) -> tuple[Any, Any]:
+        """The whole operator — a copy of its table and its scalar
+        part — for :meth:`rollback` (error policies, direct use)."""
+        state = self.state
+        return (None if state is None else state.snapshot(),
+                self.snapshot())
+
+    def rollback(self, captured: tuple[Any, Any]) -> None:
+        """Return to a :meth:`capture`, exactly."""
+        keyed, scalar = captured
+        if keyed is not None:
+            self.state.restore(keyed)
+        self.restore([scalar])
 
 
 class MapOperator(Operator):
@@ -406,18 +394,18 @@ class ReduceOperator(Operator):
             )
         self.reduce_fn = reduce_fn
         self.vectorized = vectorized
-        self._state = KeyedState()
+        self.state = KeyedState()
 
     def process(self, element: Element) -> list[StreamItem]:
         if element.key is None:
             raise StreamError(
                 f"reduce {self.name!r} requires keyed input; add key_by()"
             )
-        if element.key in self._state:
-            acc = self.reduce_fn(self._state.get(element.key), element.value)
+        if element.key in self.state:
+            acc = self.reduce_fn(self.state.get(element.key), element.value)
         else:
             acc = element.value
-        self._state.put(element.key, acc)
+        self.state.put(element.key, acc)
         return [element.with_value(acc)]
 
     def _run_columnar(self, batch: RecordBatch,
@@ -430,7 +418,7 @@ class ReduceOperator(Operator):
                 out.extend(self.handle(element))
             return
         n = len(batch)
-        state = self._state
+        state = self.state
         if not self.vectorized:
             reduce_fn = self.reduce_fn
             kd = batch.key_dict
@@ -473,22 +461,6 @@ class ReduceOperator(Operator):
             out.append(batch.with_values(results, py_values=False))
         self.processed += n
         self.emitted += n
-
-    def snapshot(self) -> Any:
-        return self._state.snapshot()
-
-    def restore(self, snapshot: Any) -> None:
-        self._state.restore(snapshot or {})
-
-    def snapshot_key_groups(self, num_key_groups: int) -> dict[int, Any]:
-        return self._state.snapshot_by_group(num_key_groups)
-
-    def scalar_snapshot(self) -> Any:
-        return None  # all reduce state is keyed
-
-    def restore_parallel(self, groups: dict[int, Any], scalars: list[Any],
-                         primary: bool = True) -> None:
-        self._state.restore_groups(groups.values())
 
 
 class TimestampAssigner(Operator):
@@ -612,24 +584,15 @@ class WatermarkGenerator(Operator):
         return {"max_ts": self._max_ts, "last_wm": self._last_wm,
                 "since": self._since_emit}
 
-    def restore(self, snapshot: Any) -> None:
-        snapshot = snapshot or {}
-        self._max_ts = snapshot.get("max_ts", float("-inf"))
-        self._last_wm = snapshot.get("last_wm", float("-inf"))
-        self._since_emit = snapshot.get("since", 0)
-
-    def restore_rescaled(self, snapshots: list[Any]) -> None:
-        """Conservative rescale merge: watermark progress regresses to
-        the *minimum* over the old subtasks, so the restored run can
-        only emit lower-or-equal watermarks than any old subtask would
-        have — it may fire windows later, never drop more data.  (The
-        equivalence contract in docs/ARCHITECTURE.md therefore requires
-        allowed lateness to cover the regression for bit-identical
-        rescaled runs.)"""
-        live = [s for s in snapshots if s]
-        if not live:
-            self.restore(None)
-            return
-        self._max_ts = min(s.get("max_ts", float("-inf")) for s in live)
-        self._last_wm = min(s.get("last_wm", float("-inf")) for s in live)
-        self._since_emit = 0
+    def restore(self, scalars: list[Any], primary: bool = True,
+                exact: bool = True) -> None:
+        """Exact: as cut.  Rescaled: watermark progress regresses to the
+        *minimum* over the old subtasks and the cadence restarts, so the
+        restored run can only emit lower-or-equal watermarks than any
+        old subtask would have — it may fire windows later, never drop
+        more data.  (The equivalence contract in docs/ARCHITECTURE.md
+        therefore requires allowed lateness to cover the regression for
+        bit-identical rescaled runs.)"""
+        self._max_ts = min(s["max_ts"] for s in scalars)
+        self._last_wm = min(s["last_wm"] for s in scalars)
+        self._since_emit = scalars[0]["since"] if exact else 0

@@ -7,9 +7,11 @@ across parallelism changes — but through a fixed intermediate space of
 **key groups** (Flink's design): a key hashes to one of
 ``num_key_groups`` groups for the lifetime of the job, and each subtask
 owns a contiguous *range* of groups that depends on the current
-parallelism.  Keyed state is snapshotted *per key group*, so a
-checkpoint taken at parallelism N can be restored at parallelism M by
-reassigning group ranges — no state is ever split or rehashed.
+parallelism.  Keyed state is snapshotted *per key group* — the
+grouping is :class:`~repro.streaming.state.KeyedState`'s, the one
+table every keyed operator keeps — so a checkpoint taken at
+parallelism N can be restored at parallelism M by reassigning group
+ranges: no state is ever split or rehashed.
 
 Hashing uses FNV-1a over ``repr(key)`` (:func:`repro.util.ids.stable_hash`),
 the same process-stable hash the eventlog producer partitions by, so a
@@ -30,8 +32,6 @@ __all__ = [
     "subtask_for_key_group",
     "subtask_for_key",
     "subtasks_for_keys",
-    "group_by_key_group",
-    "merge_key_groups",
 ]
 
 #: Default size of the key-group space — the *maximum parallelism* a
@@ -90,21 +90,3 @@ def subtasks_for_keys(keys: Iterable[Any], num_key_groups: int,
     return [subtask_for_key_group(key_group_for(k, num_key_groups),
                                   num_key_groups, parallelism)
             for k in keys]
-
-
-def group_by_key_group(data: dict[Any, Any],
-                       num_key_groups: int) -> dict[int, dict[Any, Any]]:
-    """Regroup a per-key state dict by key group (snapshot helper)."""
-    out: dict[int, dict[Any, Any]] = {}
-    for key, value in data.items():
-        out.setdefault(key_group_for(key, num_key_groups), {})[key] = value
-    return out
-
-
-def merge_key_groups(groups: Iterable[dict[Any, Any]]) -> dict[Any, Any]:
-    """Flatten key-group blobs back into one per-key dict (restore
-    helper).  Groups are disjoint by construction, so plain update."""
-    out: dict[Any, Any] = {}
-    for blob in groups:
-        out.update(blob)
-    return out

@@ -1,31 +1,43 @@
-"""Operator state: keyed state with snapshot/restore.
+"""Keyed state: the one table every keyed operator keeps per-key values in.
 
-Operators keep their mutable state in a :class:`KeyedState` so the
-checkpoint coordinator can snapshot and restore the whole job.  Values
-must be copyable via :func:`copy.deepcopy`; our state values are plain
-dicts/lists/numbers so this is exact.
+Reduce, window, interval join and CEP each hold their per-key values in
+one :class:`KeyedState`, exposed as ``op.state``.  The executor
+snapshots and restores that table *by key group*
+(:meth:`KeyedState.snapshot_by_group` / :meth:`KeyedState.restore_groups`)
+— the unit of redistribution when a job is rescaled; see
+:mod:`repro.streaming.shuffle` for the key -> key group -> subtask map.
+An operator checkpoints only its scalar part (watermarks, counters)
+itself; see :class:`~repro.streaming.operators.Operator`.
 
-For parallel plans the state can also be snapshotted *by key group*
-(:meth:`KeyedState.snapshot_by_group`) — the unit of redistribution
-when a job is rescaled; see :mod:`repro.streaming.shuffle`.
+A table is built with the copy its values need: a function returning an
+independent duplicate of a ``{key: value}`` dict, :func:`~copy.deepcopy`
+by default.  Every snapshot and every restore goes through it, so a
+checkpoint and the live table never share anything mutable.  An
+operator that defers writes (the window's parked rows) also passes a
+``settle`` hook, which every snapshot calls first: nothing copies the
+table before it is up to date.
 """
 
 from __future__ import annotations
 
-import copy
-from typing import Any, Callable, Iterable
+from copy import deepcopy
+from typing import Any, Callable, ItemsView, Iterable
 
-from .shuffle import group_by_key_group, merge_key_groups
+from .shuffle import key_group_for
 
 __all__ = ["KeyedState"]
 
 
 class KeyedState:
-    """Per-key mutable state with deep snapshot semantics."""
+    """Per-key mutable state, snapshotted whole or by key group."""
 
-    def __init__(self, default_factory: Callable[[], Any] | None = None) -> None:
+    def __init__(self, default_factory: Callable[[], Any] | None = None,
+                 copy: Callable[[dict], dict] = deepcopy,
+                 settle: Callable[[], None] | None = None) -> None:
         self._data: dict[Any, Any] = {}
         self._default_factory = default_factory
+        self._copy = copy
+        self._settle = settle
 
     def get(self, key: Any) -> Any:
         """Read-only lookup: a missing key returns the factory's default
@@ -69,6 +81,11 @@ class KeyedState:
     def keys(self) -> list[Any]:
         return list(self._data)
 
+    def items(self) -> ItemsView[Any, Any]:
+        """Live ``(key, value)`` view, in insertion order: do not add or
+        remove keys while iterating it."""
+        return self._data.items()
+
     def __contains__(self, key: Any) -> bool:
         return key in self._data
 
@@ -76,23 +93,32 @@ class KeyedState:
         return len(self._data)
 
     def snapshot(self) -> dict[Any, Any]:
-        """Deep copy of the full state."""
-        return copy.deepcopy(self._data)
+        """An independent copy of the whole table."""
+        if self._settle is not None:
+            self._settle()
+        return self._copy(self._data)
 
     def restore(self, snapshot: dict[Any, Any]) -> None:
-        self._data = copy.deepcopy(snapshot)
+        self._data = self._copy(snapshot)
 
     def clear(self) -> None:
         self._data.clear()
 
-    # -- key-group snapshots (parallel plans) ---------------------------------
+    # -- key-group snapshots (checkpoints) ------------------------------------
 
     def snapshot_by_group(self, num_key_groups: int) -> dict[int, dict]:
-        """Deep-copied state regrouped by key group — the redistribution
-        unit for rescaling."""
-        return group_by_key_group(copy.deepcopy(self._data), num_key_groups)
+        """An independent copy of the table split into key-group blobs —
+        what a checkpoint records, and the unit a rescale reassigns."""
+        groups: dict[int, dict] = {}
+        for key, value in self.snapshot().items():
+            group = key_group_for(key, num_key_groups)
+            groups.setdefault(group, {})[key] = value
+        return groups
 
     def restore_groups(self, groups: Iterable[dict[Any, Any]]) -> None:
-        """Replace state with the union of key-group blobs (disjoint by
-        construction)."""
-        self._data = copy.deepcopy(merge_key_groups(groups))
+        """Replace the table with the union of key-group blobs (disjoint
+        by construction), copied so the blobs stay untouched."""
+        merged: dict[Any, Any] = {}
+        for blob in groups:
+            merged.update(blob)
+        self._data = self._copy(merged)

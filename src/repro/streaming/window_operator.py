@@ -23,6 +23,7 @@ from ..util.errors import StreamError
 from .batch import RecordBatch
 from .element import Element, StreamItem, Watermark
 from .operators import Operator
+from .state import KeyedState
 from .windows import TumblingWindows, Window, WindowAssigner
 
 __all__ = ["WindowResult", "LateRecord", "WindowAggregateOperator",
@@ -252,12 +253,12 @@ class WindowAggregateOperator(Operator):
         self._kd_clean: list | None = None
         self.value_fn = value_fn if value_fn is not None else (lambda v: v)
         self.emit_late = emit_late
-        # key -> {window -> [acc, count]}
-        self._windows: dict[Any, dict[Window, list[Any]]] = {}
+        #: key -> {window -> [acc, count]}; its snapshots fold first
+        self.state = KeyedState(copy=self._copy_windows, settle=self._fold)
         #: transient: rows bulk calls accepted but nothing has read yet,
         #: as ``(key_dict, key_codes, window_starts, values)`` chunks in
         #: arrival order (values None for count).  ``_fold`` moves them
-        #: into ``_windows``, restores drop them; never snapshotted.
+        #: into the table, restores drop them; never snapshotted.
         self._parked: list[tuple] = []
         self._parked_rows = 0
         #: transient window -> {key: None} reverse index: the firing
@@ -294,7 +295,10 @@ class WindowAggregateOperator(Operator):
                 return [Element(value=late, timestamp=element.timestamp,
                                 key=element.key)]
             return []
-        per_key = self._windows.setdefault(element.key, {})
+        per_key = self.state.get_existing(element.key)
+        if per_key is None:
+            per_key = {}
+            self.state.put(element.key, per_key)
         value = self.value_fn(element.value)
         for window in self.assigner.assign(element.timestamp):
             if self.assigner.merging:
@@ -625,7 +629,8 @@ class WindowAggregateOperator(Operator):
         # tolist() of a float64 column gives the Python floats float(v)
         # would; any other column (int64 gives ints) is converted
         pure = isinstance(values, np.ndarray) and values.dtype == np.float64
-        windows = self._windows
+        get_windows = self.state.get_existing
+        put_windows = self.state.put
         min_deadline = self._min_deadline
         win_index = self._win_index
         lateness = self.allowed_lateness
@@ -648,10 +653,11 @@ class WindowAggregateOperator(Operator):
                     min_deadline = deadline
                 if win_index is not None:
                     index_cache[sidx] = win_index.setdefault(window, {})
-            per_key = windows.get(key)
+            per_key = get_windows(key)
             if per_key is None:
                 slot = None
-                per_key = windows[key] = {}
+                per_key = {}
+                put_windows(key, per_key)
             else:
                 slot = per_key.get(window)
             if slot is None:
@@ -707,11 +713,12 @@ class WindowAggregateOperator(Operator):
             return [watermark]
         wm = self._current_wm
         self._fold()
+        table = self.state
         lateness = self.allowed_lateness
         index = self._win_index
         if index is None:
             index = self._win_index = {}
-            for key, per_key in self._windows.items():
+            for key, per_key in table.items():
                 for w in per_key:
                     index.setdefault(w, {})[key] = None
         # Ripeness over *distinct* windows (a handful), not every
@@ -733,10 +740,9 @@ class WindowAggregateOperator(Operator):
         for w in ripe:
             keys.update(index[w])
         out: list[StreamItem] = []
-        windows = self._windows
         agg_result = self.agg.result
         for key in sorted(keys, key=repr):
-            per_key = windows.get(key)
+            per_key = table.get_existing(key)
             if per_key is None:
                 continue
             fired_here = 0
@@ -753,7 +759,7 @@ class WindowAggregateOperator(Operator):
             if fired_here:
                 self.fired += fired_here
                 if not per_key:
-                    del windows[key]
+                    table.remove(key)
         for w in ripe:
             index.pop(w, None)
         self._min_deadline = min_deadline
@@ -769,71 +775,37 @@ class WindowAggregateOperator(Operator):
 
     def _copy_windows(self, windows: dict[Any, dict[Window, list[Any]]]
                       ) -> dict[Any, dict[Window, list[Any]]]:
-        """An independent duplicate of a ``{key: {window: [acc, count]}}``
-        map — what ``deepcopy`` returns, without walking what cannot
-        change: keys are hashable, ``Window`` is frozen, counts are
-        ints; only the accumulator needs the aggregator's ``copy``."""
+        """The table's copy: an independent duplicate of a ``{key:
+        {window: [acc, count]}}`` map — what ``deepcopy`` returns,
+        without walking what cannot change: keys are hashable,
+        ``Window`` is frozen, counts are ints; only the accumulator
+        needs the aggregator's ``copy``."""
         copy_acc = self.agg.copy
         return {key: {window: [copy_acc(slot[0]), slot[1]]
                       for window, slot in per_key.items()}
                 for key, per_key in windows.items()}
 
-    def _restore_windows(self, windows: dict[Any, dict[Window, list[Any]]]
-                         ) -> None:
-        """Install a restored window map: parked rows are dropped (the
-        snapshot that is restored folded everything before it)."""
-        self._windows = self._copy_windows(windows)
+    def snapshot(self) -> Any:
+        return {"wm": self._current_wm, "dropped": self.dropped_late,
+                "fired": self.fired}
+
+    def restore(self, scalars: list[Any], primary: bool = True,
+                exact: bool = True) -> None:
+        """After the table: parked rows are dropped (the table restored
+        folded everything before it), and the firing index and deadline
+        are derived from the table again.  The watermark regresses to
+        the minimum over ``scalars`` (it can only admit *more* data,
+        never drop extra); the counters are job-wide totals, carried by
+        the primary subtask so aggregation across subtasks stays
+        exact."""
         self._parked = []
         self._parked_rows = 0
         self._win_index = None
         self._min_deadline = min(
             (w.end + self.allowed_lateness
-             for per_key in self._windows.values() for w in per_key),
+             for _, per_key in self.state.items() for w in per_key),
             default=float("inf"))
-
-    def snapshot(self) -> Any:
-        self._fold()
-        return {
-            "windows": self._copy_windows(self._windows),
-            "wm": self._current_wm,
-            "dropped": self.dropped_late,
-            "fired": self.fired,
-        }
-
-    def restore(self, snapshot: Any) -> None:
-        snapshot = snapshot or {}
-        self._restore_windows(snapshot.get("windows", {}))
-        self._current_wm = snapshot.get("wm", float("-inf"))
-        self.dropped_late = snapshot.get("dropped", 0)
-        self.fired = snapshot.get("fired", 0)
-
-    # -- key-grouped checkpoints (parallel plans) ----------------------------
-
-    def snapshot_key_groups(self, num_key_groups: int) -> dict[int, Any]:
-        from .shuffle import group_by_key_group
-        self._fold()
-        return group_by_key_group(self._copy_windows(self._windows),
-                                  num_key_groups)
-
-    def scalar_snapshot(self) -> Any:
-        return {"wm": self._current_wm, "dropped": self.dropped_late,
-                "fired": self.fired}
-
-    def restore_parallel(self, groups: dict[int, Any], scalars: list[Any],
-                         primary: bool = True) -> None:
-        from .shuffle import merge_key_groups
-        self._restore_windows(merge_key_groups(groups.values()))
-        if len(scalars) == 1:
-            self._current_wm = scalars[0]["wm"]
-            self.dropped_late = scalars[0]["dropped"]
-            self.fired = scalars[0]["fired"]
-        else:
-            # Rescale: the watermark regresses to the conservative
-            # minimum (can only admit *more* data, never drop extra);
-            # counters are job-wide totals, carried by the primary
-            # subtask so aggregation across subtasks stays exact.
-            self._current_wm = min(
-                (s["wm"] for s in scalars), default=float("-inf"))
-            self.dropped_late = sum(s["dropped"] for s in scalars) \
-                if primary else 0
-            self.fired = sum(s["fired"] for s in scalars) if primary else 0
+        self._current_wm = min(s["wm"] for s in scalars)
+        self.dropped_late = sum(s["dropped"] for s in scalars) \
+            if primary else 0
+        self.fired = sum(s["fired"] for s in scalars) if primary else 0

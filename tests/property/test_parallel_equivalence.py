@@ -14,6 +14,7 @@ float accumulation; there equality holds only up to float rounding —
 the documented weaker contract, pinned by its own test.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,8 @@ from repro.streaming import (
     Element,
     JobBuilder,
     ParallelExecutor,
+    PatternOperator,
+    PatternStep,
     TumblingWindows,
 )
 
@@ -152,6 +155,60 @@ class TestRescaling:
         executor.restore(snapshot)
         executor.run(source_batch=8)
         assert [repr(v) for v in executor.sinks["out"].values] == expected
+
+
+def _counter_job(kind):
+    """A p-agnostic job around one keyed operator named ``op`` whose
+    job-wide counter (window ``fired``, join and CEP ``matches``) is
+    already non-zero a few cycles in."""
+    rows = [(i % 3, float(i % 7)) for i in range(120)]
+    builder = JobBuilder(f"counters-{kind}")
+    if kind == "join":
+        left = (builder.source("l", _keyed_elements(rows), splits=N_SPLITS)
+                       .with_watermarks(5.0, emit_every=4))
+        right = (builder.source("r", _keyed_elements(rows[::-1]),
+                                splits=N_SPLITS)
+                        .with_watermarks(5.0, emit_every=4))
+        left.join(right, -2.0, 2.0, name="op").sink("out")
+        return builder.build()
+    stream = (builder.source("s", _keyed_elements(rows), splits=N_SPLITS)
+                     .with_watermarks(5.0, emit_every=4))
+    if kind == "window":
+        stream = stream.window(TumblingWindows(10.0), "sum", name="op")
+    else:
+        stream = stream.apply(PatternOperator(
+            "op", [PatternStep("high", lambda v: v >= 5.0),
+                   PatternStep("low", lambda v: v <= 1.0)], within_s=20.0))
+    return stream.sink("out").build()
+
+
+def _counter_total(executor, kind):
+    attr = "fired" if kind == "window" else "matches"
+    return sum(getattr(clone, attr)
+               for clone in executor.subtask_operators("op"))
+
+
+class TestRescaleCounters:
+    """Job-wide counters survive a rescale *out of* parallelism 1: the
+    executor says the restore is not exact, so only the primary subtask
+    carries the single old subtask's totals."""
+
+    @pytest.mark.parametrize("new_p", [2, 4])
+    @pytest.mark.parametrize("kind", ["window", "join", "cep"])
+    def test_rescale_out_of_one_keeps_counter_totals(self, kind, new_p):
+        reference = ParallelExecutor(_counter_job(kind), 1)
+        reference.run(source_batch=8)
+        donor = ParallelExecutor(_counter_job(kind), 1)
+        donor.run(source_batch=8, max_cycles=6)
+        snapshot = donor.checkpoint()
+        at_cut = _counter_total(donor, kind)
+        assert at_cut > 0
+        survivor = ParallelExecutor(_counter_job(kind), new_p)
+        survivor.restore(snapshot)
+        assert _counter_total(survivor, kind) == at_cut
+        survivor.run(source_batch=8)
+        assert _counter_total(survivor, kind) == \
+            _counter_total(reference, kind)
 
 
 class TestUnkeyedRoundRobin:

@@ -209,8 +209,8 @@ def test_guard_batch_rolls_back_state_on_replay():
         def snapshot(self):
             return self.seen
 
-        def restore(self, snapshot):
-            self.seen = snapshot or 0
+        def restore(self, scalars, primary=True, exact=True):
+            self.seen = scalars[0] or 0
 
     op = Counting()
     dead = []

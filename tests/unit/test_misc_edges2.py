@@ -44,12 +44,28 @@ class TestKeyedState:
     def test_snapshot_by_group_round_trip(self):
         state = KeyedState()
         for i in range(40):
-            state.put(f"k{i}", i)
+            state.put(f"k{i}", [i])
         groups = state.snapshot_by_group(8)
         assert sum(len(g) for g in groups.values()) == 40
         restored = KeyedState()
         restored.restore_groups(groups.values())
         assert restored.snapshot() == state.snapshot()
+        restored.get("k0").append(-1)  # the blobs stay untouched
+        assert restored.snapshot() != state.snapshot()
+        restored.restore_groups(groups.values())
+        assert restored.snapshot() == state.snapshot()
+
+    def test_the_table_copies_with_its_own_copy(self):
+        calls = []
+
+        def shallow(data):
+            calls.append(len(data))
+            return dict(data)
+        state = KeyedState(copy=shallow)
+        state.put_many([("a", 1), ("b", 2)])
+        state.snapshot_by_group(8)
+        state.restore(state.snapshot())
+        assert calls == [2, 2, 2]
 
     def test_restore_replaces_content(self):
         state = KeyedState()

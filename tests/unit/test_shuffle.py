@@ -4,13 +4,12 @@ import pytest
 
 from repro.streaming.shuffle import (
     DEFAULT_KEY_GROUPS,
-    group_by_key_group,
     key_group_for,
     key_group_range,
-    merge_key_groups,
     subtask_for_key,
     subtask_for_key_group,
 )
+from repro.streaming.state import KeyedState
 from repro.util.errors import StreamError
 from repro.util.ids import split_ranges, stable_hash
 
@@ -86,14 +85,23 @@ class TestKeyGroups:
             subtask_for_key_group(kg, DEFAULT_KEY_GROUPS, 4)
 
     def test_group_and_merge_round_trip(self):
-        state = {f"k{i}": i * 10 for i in range(40)}
-        groups = group_by_key_group(state, 16)
+        state = KeyedState()
+        state.put_many((f"k{i}", [i * 10]) for i in range(40))
+        groups = state.snapshot_by_group(16)
         assert set(groups) <= set(range(16))
-        assert merge_key_groups(groups.values()) == state
+        restored = KeyedState()
+        restored.restore_groups(groups.values())
+        assert restored.snapshot() == state.snapshot()
+        # blobs and tables share nothing mutable, both ways
+        restored.get("k0").append(1)
+        state.get("k1").append(1)
+        merged = {k: v for blob in groups.values() for k, v in blob.items()}
+        assert merged == {f"k{i}": [i * 10] for i in range(40)}
 
     def test_grouping_respects_key_group_for(self):
-        state = {"a": 1, "b": 2}
-        groups = group_by_key_group(state, 8)
+        state = KeyedState()
+        state.put_many([("a", 1), ("b", 2)])
+        groups = state.snapshot_by_group(8)
         for kg, blob in groups.items():
             for key in blob:
                 assert key_group_for(key, 8) == kg

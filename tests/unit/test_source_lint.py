@@ -39,10 +39,16 @@ text, imports only to inspect one signature).
     ``Supervisor``, and neither the autoscaler nor ``geo/`` has a
     ``run``/``step`` loop of its own — they are controllers.
 (j) One fold: every ``WindowAggregateOperator`` method that reads
-    ``self._windows`` is the fold, a restore or ``__init__``, or calls
-    the fold before its first read (parked rows never go unseen), and
-    one function groups rows by (key, window) and one loop extends
-    accumulators from the groups.
+    its window table (``self.state``) is the fold, the restore or
+    ``__init__``, or calls the fold before its first read, and the
+    table's snapshots call the fold first (its ``settle`` hook) — parked
+    rows never go unseen — and one function groups rows by (key,
+    window) and one loop extends accumulators from the groups.
+(k) One checkpoint protocol: keyed state lives in ``op.state`` (a
+    ``KeyedState``), which the executor snapshots by key group itself;
+    no operator defines a key-grouped snapshot or restore of its own,
+    and the executor's state read and restore do not branch on
+    ``requires_shuffle``.
 """
 
 import ast
@@ -354,10 +360,11 @@ def test_one_supervisor_builds_and_reshapes():
 # -- (j) one fold -------------------------------------------------------------
 
 WINDOW = "streaming/window_operator.py"
-#: the fold itself, the restores that drop parked rows, and the
-#: constructor: the only methods that may read the windows unfolded
-READ_UNFOLDED = {"__init__", "_fold", "_fold_rows", "restore",
-                 "restore_parallel", "_restore_windows"}
+#: where the window operator keeps its window table
+WINDOW_TABLE = "state"
+#: the fold itself, the restore that drops parked rows, and the
+#: constructor: the only methods that may read the table unfolded
+READ_UNFOLDED = {"__init__", "_fold", "_fold_rows", "restore"}
 
 
 def _reads_self(node, attr):
@@ -372,8 +379,10 @@ def _called(node):
         func, "id", None)
 
 
-def test_every_reader_of_the_windows_folds_first():
-    tree = ast.parse((SRC / WINDOW).read_text())
+def _unfolded_readers(source):
+    """Methods of ``WindowAggregateOperator`` in ``source`` that read
+    the window table before (or without) calling the fold."""
+    tree = ast.parse(source)
     (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef)
               and node.name == "WindowAggregateOperator"]
     unfolded = []
@@ -381,14 +390,47 @@ def test_every_reader_of_the_windows_folds_first():
         if not isinstance(fn, ast.FunctionDef) or fn.name in READ_UNFOLDED:
             continue
         reads = [node.lineno for node in ast.walk(fn)
-                 if _reads_self(node, "_windows")]
+                 if _reads_self(node, WINDOW_TABLE)]
         folds = [node.lineno for node in ast.walk(fn)
                  if isinstance(node, ast.Call)
                  and _reads_self(node.func, _called(node))
                  and _called(node).startswith("_fold")]
         if reads and (not folds or min(folds) > min(reads)):
             unfolded.append(fn.name)
-    assert unfolded == []
+    return unfolded
+
+
+def test_every_reader_of_the_windows_folds_first():
+    source = (SRC / WINDOW).read_text()
+    assert _unfolded_readers(source) == []
+    # the table really lives where the lint looks, and whatever copies
+    # it from outside (a checkpoint, a capture) folds first
+    readers = {fn.name for fn in ast.walk(ast.parse(source))
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if _reads_self(node, WINDOW_TABLE)}
+    assert {"process", "on_watermark", "_fold_rows"} <= readers
+    assert re.search(r"self\.state = KeyedState\([^)]*settle=self\._fold\b",
+                     source)
+
+
+def test_the_fold_lint_catches_an_unfolded_reader():
+    source = (SRC / WINDOW).read_text()
+    # the firing scan with its fold taken out, and a new method reading
+    # the table before it folds
+    unfolded = source.replace(
+        "        self._fold()\n        table = self.state\n",
+        "        table = self.state\n", 1)
+    assert unfolded != source
+    assert _unfolded_readers(unfolded) == ["on_watermark"]
+    late = source.replace(
+        "    def snapshot(self) -> Any:\n",
+        "    def peek(self) -> int:\n"
+        "        n = len(self.state)\n"
+        "        self._fold()\n"
+        "        return n\n\n"
+        "    def snapshot(self) -> Any:\n", 1)
+    assert late != source
+    assert _unfolded_readers(late) == ["peek"]
 
 
 def test_one_grouping_and_one_accumulating_loop():
@@ -402,3 +444,21 @@ def test_one_grouping_and_one_accumulating_loop():
                        and _called(node) == target})
     assert callers("argsort") == ["_groups"]
     assert callers("_sum_extend") == ["_fold_rows"]
+
+
+# -- (k) one checkpoint protocol ----------------------------------------------
+
+#: the per-operator checkpoint protocols the keyed-state table replaced
+GONE_WITH_THE_TABLE = re.compile(
+    r"def\s+(snapshot_key_groups|scalar_snapshot|restore_parallel"
+    r"|restore_rescaled)\b")
+
+
+def test_keyed_state_is_checkpointed_through_the_table_only():
+    assert _offenders(GONE_WITH_THE_TABLE, set()) == []
+    tree = ast.parse((SRC / "streaming/execution.py").read_text())
+    branching = [fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef)
+                 and fn.name in ("_read_state", "restore")
+                 and "requires_shuffle" in ast.unparse(fn)]
+    assert branching == []

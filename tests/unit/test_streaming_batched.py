@@ -147,7 +147,7 @@ class TestChainedOperator:
         assert snap["m"] is None
         fresh_wm = WatermarkGenerator("w", max_lateness=1.0)
         fresh = ChainedOperator([MapOperator("m", lambda v: v), fresh_wm])
-        fresh.restore(snap)
+        fresh.restore([snap])
         assert fresh_wm.snapshot() == wm_gen.snapshot()
 
 

@@ -86,7 +86,7 @@ class TestPatternOperator:
         op = _vitals_pattern(within=50.0)
         op.handle(_el({"hr": 120}, 0.0))
         op.handle(Watermark(1000.0))
-        assert op.snapshot() == {}
+        assert len(op.state) == 0
 
     def test_unkeyed_rejected(self):
         op = _vitals_pattern()
@@ -105,9 +105,9 @@ class TestPatternOperator:
     def test_snapshot_restore(self):
         op = _vitals_pattern()
         op.handle(_el({"hr": 120}, 0.0))
-        snapshot = op.snapshot()
+        captured = op.capture()
         op.handle(_el({"bp": 80}, 10.0))  # completes
-        op.restore(snapshot)
+        op.rollback(captured)
         # Restored to the half-complete state: second step completes it.
         assert len(op.handle(_el({"bp": 85}, 20.0))) == 1
 

@@ -97,9 +97,9 @@ class TestBasicOperators:
     def test_reduce_snapshot_restore(self):
         op = ReduceOperator("r", lambda a, b: a + b)
         op.handle(_el(5, key="a"))
-        snap = op.snapshot()
+        captured = op.capture()
         op.handle(_el(5, key="a"))
-        op.restore(snap)
+        op.rollback(captured)
         assert op.handle(_el(1, key="a"))[0].value == 6
 
     def test_timestamp_assigner(self):

@@ -113,9 +113,9 @@ class TestWindowAggregate:
     def test_snapshot_restore_roundtrip(self):
         op = WindowAggregateOperator("w", TumblingWindows(10.0), "sum")
         op.handle(_el(1.0, 1.0))
-        snap = op.snapshot()
+        captured = op.capture()
         op.handle(_el(100.0, 2.0))
-        op.restore(snap)
+        op.rollback(captured)
         fired = _results(op.handle(Watermark(10.0)))
         assert fired[0].value == 1.0
 
@@ -130,20 +130,21 @@ class TestWindowAggregate:
         op = WindowAggregateOperator("w", TumblingWindows(10.0), aggregate)
         for i in range(70):  # past the sum accumulator's compaction point
             op.handle(_el(float(i), float(i % 25), key=("k", i % 3)))
-        reference = copy.deepcopy(op._windows)
-        snap = op.snapshot()
-        groups = op.snapshot_key_groups(8)
-        assert snap["windows"] == reference
+        reference = copy.deepcopy(dict(op.state.items()))
+        keyed, scalar = op.capture()
+        groups = op.state.snapshot_by_group(8)
+        assert keyed == reference
         assert {k: v for blob in groups.values()
                 for k, v in blob.items()} == reference
         for i in range(70):  # mutate every live accumulator in place
             op.handle(_el(1.0, float(i % 25), key=("k", i % 3)))
-        assert snap["windows"] == reference
-        op.restore(snap)
+        assert keyed == reference
+        op.rollback((keyed, scalar))
         op.handle(_el(1.0, 1.0, key=("k", 0)))
-        assert snap["windows"] == reference
+        assert keyed == reference
         twin = WindowAggregateOperator("w", TumblingWindows(10.0), aggregate)
-        twin.restore_parallel(groups, [op.scalar_snapshot()])
+        twin.state.restore_groups(groups.values())
+        twin.restore([scalar])
         twin.handle(_el(1.0, 1.0, key=("k", 0)))
         assert {k: v for blob in groups.values()
                 for k, v in blob.items()} == reference
@@ -212,8 +213,8 @@ class TestIntervalJoin:
     def test_snapshot_restore(self):
         op = self._join()
         op.process_side("left", _el("L", 10.0))
-        snap = op.snapshot()
+        captured = op.capture()
         op.process_side("right", _el("R", 10.0))
-        op.restore(snap)
+        op.rollback(captured)
         assert op.buffered() == 1
         assert op.matches == 0
