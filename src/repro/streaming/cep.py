@@ -44,10 +44,14 @@ class PatternMatch:
         return self.timestamps[-1] - self.timestamps[0]
 
 
+def _copy_partials(partials: dict) -> dict:
+    """Copy of the partial-match table: fresh lists, shared events."""
+    return {key: (list(events), list(timestamps))
+            for key, (events, timestamps) in partials.items()}
+
+
 class PatternOperator(Operator):
     """Keyed sequence matching within a time window."""
-
-    requires_shuffle = True
 
     def __init__(self, name: str, steps: Sequence[PatternStep],
                  within_s: float) -> None:
@@ -62,7 +66,8 @@ class PatternOperator(Operator):
         self.steps = list(steps)
         self.within_s = within_s
         # key -> the partial match: (events, timestamps)
-        self.state = KeyedState(default_factory=lambda: ([], []))
+        self.state = KeyedState(default_factory=lambda: ([], []),
+                                copy=_copy_partials)
         self.matches = 0
 
     def process(self, element: Element) -> list[StreamItem]:

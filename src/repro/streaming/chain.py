@@ -54,7 +54,6 @@ class ChainedOperator(Operator):
     """
 
     chainable = False  # chains are built once; never re-fused
-    requires_shuffle = False  # only non-keyed operators ever fuse
     #: per-member error policies (logical member name ->
     #: :class:`~repro.streaming.errors.ErrorPolicy`), set by the
     #: executor when the job declares any.  Fusion must not change what

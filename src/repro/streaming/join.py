@@ -41,7 +41,6 @@ class IntervalJoinOperator(Operator):
     """
 
     SIDES = ("left", "right")
-    requires_shuffle = True
 
     def __init__(self, name: str, lower: float, upper: float,
                  project: Callable[[Any, Any], Any] | None = None) -> None:

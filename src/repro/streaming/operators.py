@@ -67,19 +67,21 @@ class Operator:
     #: stay unfused (see docs/ARCHITECTURE.md, "Batched execution").
     chainable = False
 
-    #: Whether this operator's input edges must be hash-partitioned by
-    #: key in a parallel plan.  True for every operator with *keyed*
-    #: state (reduce, window, join, CEP): correctness requires all
-    #: elements of one key to reach the same subtask, so such an
-    #: operator keeps that state in ``state`` (see docs/ARCHITECTURE.md,
-    #: "Parallel execution", and CONTRIBUTING.md).
-    requires_shuffle = False
-
     #: The operator's per-key values — one :class:`KeyedState` for an
     #: operator with keyed state, None for the rest.  The executor
     #: snapshots and restores it by key group, so checkpoints survive
     #: rescaling.
     state: KeyedState | None = None
+
+    @property
+    def requires_shuffle(self) -> bool:
+        """Whether this operator's input edges must be hash-partitioned
+        by key in a parallel plan: exactly when it keeps keyed state in
+        ``state`` (reduce, window, join, CEP).  Each subtask then holds
+        every key its key groups own, which is what the executor's
+        by-key-group checkpoint assumes (see docs/ARCHITECTURE.md,
+        "Parallel execution", and CONTRIBUTING.md)."""
+        return self.state is not None
 
     #: Whether this operator implements ``_run_columnar`` and may
     #: consume :class:`RecordBatch` columns whole.  Operators without a
@@ -380,7 +382,6 @@ class ReduceOperator(Operator):
     bit-identical to the per-item fold.
     """
 
-    requires_shuffle = True
     has_columnar_kernel = True
 
     def __init__(self, name: str,

@@ -238,7 +238,7 @@ def compile_execution_graph(job: JobGraph,
         if name not in in_chain:
             nodes[name] = PhysicalNode(
                 name=name, members=[name], parallelism=p_of(name),
-                keyed=bool(op.requires_shuffle), region=reg(name))
+                keyed=op.requires_shuffle, region=reg(name))
             rename[name] = name
 
     source_parallelism: dict[str, int] = {}

@@ -224,7 +224,6 @@ aggregators: dict[str, _Agg] = {
 class WindowAggregateOperator(Operator):
     """Keyed event-time windowing with incremental aggregation."""
 
-    requires_shuffle = True
 
     def __init__(self, name: str, assigner: WindowAssigner,
                  aggregate: str | _Agg = "count",

@@ -48,7 +48,9 @@ text, imports only to inspect one signature).
     ``KeyedState``), which the executor snapshots by key group itself;
     no operator defines a key-grouped snapshot or restore of its own,
     and the executor's state read and restore do not branch on
-    ``requires_shuffle``.
+    ``requires_shuffle`` — which no operator sets: it is derived from
+    whether ``state`` holds a table, so the hash shuffle and the
+    by-key-group checkpoint cannot disagree.
 """
 
 import ast
@@ -462,3 +464,20 @@ def test_keyed_state_is_checkpointed_through_the_table_only():
                  and fn.name in ("_read_state", "restore")
                  and "requires_shuffle" in ast.unparse(fn)]
     assert branching == []
+
+
+def test_keyed_means_having_a_table():
+    assert _offenders(re.compile(r"\brequires_shuffle\s*=[^=]"),
+                      set()) == []
+    from repro.streaming import (
+        IntervalJoinOperator, MapOperator, PatternOperator, PatternStep,
+        ReduceOperator, TumblingWindows, WindowAggregateOperator)
+    step = PatternStep("any", lambda v: True)
+    keyed = [ReduceOperator("r", lambda a, b: a + b),
+             WindowAggregateOperator("w", TumblingWindows(10.0), "sum"),
+             IntervalJoinOperator("j", 0.0, 1.0),
+             PatternOperator("p", [step, PatternStep("b", lambda v: True)],
+                             within_s=1.0)]
+    assert all(op.requires_shuffle and op.state is not None for op in keyed)
+    plain = MapOperator("m", lambda v: v)
+    assert not plain.requires_shuffle and plain.state is None

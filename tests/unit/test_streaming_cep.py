@@ -1,5 +1,7 @@
 """Unit tests: the CEP pattern operator."""
 
+import threading
+
 import pytest
 
 from repro.streaming import (
@@ -110,6 +112,24 @@ class TestPatternOperator:
         op.rollback(captured)
         # Restored to the half-complete state: second step completes it.
         assert len(op.handle(_el({"bp": 85}, 20.0))) == 1
+
+    def test_checkpoint_copies_the_lists_not_the_events(self):
+        # A partial's lists are copied; its event values are shared, as
+        # a checkpoint of CEP state always has, so an event that does
+        # not deep-copy (here it holds a lock) still checkpoints.
+        op = _vitals_pattern()
+        event = {"hr": 120, "lock": threading.Lock()}
+        op.handle(_el(event, 0.0))
+        (blob,) = op.state.snapshot_by_group(128).values()
+        events, timestamps = blob["pt-1"]
+        assert events == [event] and events[0] is event
+        live_events, live_timestamps = op.state.get("pt-1")
+        assert events is not live_events
+        assert timestamps is not live_timestamps
+        op.state.restore_groups([blob])
+        assert op.state.get("pt-1")[0] is not events
+        assert len(op.handle(_el({"bp": 80}, 10.0))) == 1
+        assert blob["pt-1"] == ([event], [0.0])
 
     def test_in_dataflow_graph(self):
         elements = [

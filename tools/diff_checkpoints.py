@@ -33,10 +33,8 @@ never whether the recordings agree: this is a tool, not a gate.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
-import pickle
 import subprocess
 import sys
 import tarfile
@@ -52,18 +50,14 @@ PLUGIN = "diff_checkpoints"
 KINDS = ("keyed", "scalar", "sources", "sinks")
 
 
-def digest(obj: Any) -> str:
-    """Content digest of one part: its pickle, or its ``repr`` when it
-    does not pickle."""
-    try:
-        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    except (pickle.PicklingError, TypeError, AttributeError):
-        payload = repr(obj).encode("utf-8", "replace")
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
 def parts(checkpoint: Any) -> dict[str, str]:
-    """One digest per part of a ``ParallelCheckpoint``."""
+    """One digest per part of a ``ParallelCheckpoint``: the
+    coordinator's own payload digest, shortened."""
+    from repro.streaming.coordinator import _digest
+
+    def digest(obj: Any) -> str:
+        return _digest(obj)[:16]
+
     out = {}
     for op, groups in checkpoint.keyed_state.items():
         out[f"keyed/{op}"] = digest(sorted(groups.items()))
@@ -246,8 +240,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--against", metavar="SHA",
                         help="diff against this commit (default: a second "
                              "recording of this tree)")
-    parser.add_argument("--out", type=Path,
-                        help="also write the diff as JSON here")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -259,10 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             there_name = "a second run"
             there = record(REPO, args.selection, tmp / "there.json")
-    result = diff(here, there)
-    if args.out:
-        args.out.write_text(json.dumps(result, indent=1, sort_keys=True))
-    print(summary(result, "this tree", there_name))
+    print(summary(diff(here, there), "this tree", there_name))
     return 0
 
 
