@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test chaos chaos-parallel perf robustness datafault obs elasticity store geo e2e-smoke verify
+.PHONY: test chaos chaos-parallel determinism perf robustness datafault obs elasticity store geo e2e-smoke verify
 
 test:  ## tier-1: fast unit/integration/property tests
 	$(PYTHON) -m pytest -x -q
@@ -20,6 +20,9 @@ chaos-parallel:  ## coordinated checkpoints: barriers, 2PC sinks, regional recov
 	$(PYTHON) -m pytest -q -m "chaos or not chaos" \
 		tests/property/test_coordinated_chaos.py \
 		tests/property/test_coordinated_checkpoint.py
+
+determinism:  ## every checkpoint of the coordinated, datafault and store sweeps identical under two hash seeds
+	$(PYTHON) tools/diff_checkpoints.py test_coordinated_chaos test_datafault_chaos test_store_chaos
 
 # perf needs numpy: check_perf fails fast with install instructions if
 # it is missing.  --events 100000 matches the committed baseline so the
@@ -46,7 +49,7 @@ e2e-smoke:  ## whole path (log -> engine -> store -> overlay) vs the brute-force
 	$(PYTHON) benchmarks/e2e/run.py --smoke
 	$(PYTHON) -m pytest benchmarks/e2e/tests -q
 
-GATES := test perf obs chaos chaos-parallel robustness datafault elasticity store geo e2e-smoke
+GATES := test perf obs chaos chaos-parallel determinism robustness datafault elasticity store geo e2e-smoke
 
 verify:  ## every gate in turn, stopping at the first failure; prints each gate's wall time
 	@times=""; status="all gates passed"; \

@@ -9,10 +9,10 @@ hash / rebalance / merge), the drain / barrier / snapshot cycle, the run
 loop, and ``checkpoint`` / ``restore`` as orchestration of the three.
 
 Execution is single-threaded and deterministic: subtasks are
-*modelled* concurrency.  Each subtask index is a worker lane; per-cycle
-lane busy time is measured and the **modelled makespan** (sum over
-cycles of the slowest lane) is what the parallel benchmarks report as
-speedup, while semantics remain bit-reproducible.
+*modelled* concurrency, and nothing here reads a clock.  Each subtask
+index is a worker lane; :meth:`ParallelExecutor.lane_items` counts the
+items each lane processed, which is what the parallel benchmarks read
+parallelism from.
 
 Two execution modes share one semantics.  **Batched** (the default)
 moves whole channel batches through :meth:`Operator.process_batch` as
@@ -48,9 +48,8 @@ interleaving*; per-key subsequences are bit-identical.
 from __future__ import annotations
 
 import copy
-import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -193,11 +192,6 @@ class ParallelExecutor:
         else:
             self.sinks = {s: SinkBuffer(s) for s in job.sinks}
         self._wire_error_policies()
-        # -- modelled concurrency: one worker lane per subtask index ------
-        lanes = self.graph.max_parallelism()
-        self.lane_busy_s = [0.0] * lanes
-        self._lane_cycle = [0.0] * lanes
-        self.modeled_makespan_s = 0.0
 
     # -- the three public counters -------------------------------------------
 
@@ -405,28 +399,21 @@ class ParallelExecutor:
         pulled = 0
         sources = self.sources
         for name in sorted(self.job.sources):
-            sources.open(name)  # the read is nobody's lane time
+            sources.open(name)
             for idx in range(self.graph.source_parallelism[name]):
-                started = time.perf_counter()
                 n, taken = sources.pull(name, idx, batch)
                 pulled += n
                 if taken:
                     self._emit(name, idx, taken)
-                self._lane_cycle[idx] += time.perf_counter() - started
         return pulled
 
     # -- emit routing --------------------------------------------------------
 
-    def _charge_cross_region(self, edge: PhysicalEdge,
-                             lanes: Iterable[int]) -> None:
-        """Model one packet traversing an inter-region link per
-        receiving lane: the link's one-way latency lands on the
-        receiver's lane clock, so cross-region shuffles stretch the
-        modelled makespan exactly like slow subtasks do."""
-        for lane in lanes:
-            self.cross_region_packets += 1
-            self.cross_region_transfer_s += edge.link_cost_s
-            self._lane_cycle[lane] += edge.link_cost_s
+    def _charge_cross_region(self, edge: PhysicalEdge, packets: int) -> None:
+        """Model ``packets`` packets traversing an inter-region link,
+        each paying the link's one-way latency."""
+        self.cross_region_packets += packets
+        self.cross_region_transfer_s += packets * edge.link_cost_s
 
     def _emit(self, up: str, up_idx: int, items: list[StreamItem]) -> None:
         """Route one subtask's output batch down every out-edge."""
@@ -435,8 +422,7 @@ class ParallelExecutor:
         for edge_idx, edge in self._down.get(up, ()):
             if edge.mode == MERGE:
                 if edge.cross_region:
-                    self.cross_region_packets += 1
-                    self.cross_region_transfer_s += edge.link_cost_s
+                    self._charge_cross_region(edge, 1)
                 sink = self.sinks[edge.down]
                 if self.transactional_sinks:
                     self._deliver_transactional(sink, edge.down,
@@ -454,7 +440,7 @@ class ParallelExecutor:
                 continue
             if edge.mode == FORWARD:
                 if edge.cross_region:
-                    self._charge_cross_region(edge, (up_idx,))
+                    self._charge_cross_region(edge, 1)
                 self.channels.offer((edge.down, up_idx, edge.side),
                                     (up, up_idx), items)
                 continue
@@ -487,8 +473,7 @@ class ParallelExecutor:
             if not hashed:
                 self._rr[(edge_idx, up_idx)] = cursor
             if edge.cross_region:
-                self._charge_cross_region(
-                    edge, (j for j, b in enumerate(buckets) if b))
+                self._charge_cross_region(edge, sum(map(bool, buckets)))
             for j, bucket in enumerate(buckets):
                 if bucket:
                     self.channels.offer((edge.down, j, edge.side),
@@ -644,7 +629,6 @@ class ParallelExecutor:
         while self._drain_cycle():
             pass
         self._tick_aligners()
-        self._end_cycle()
         self.channels.advance()
         return moved
 
@@ -656,7 +640,6 @@ class ParallelExecutor:
             for idx in range(self.graph.nodes[name].parallelism):
                 if self._stalled_now and (name, idx) in self._stalled_now:
                     continue
-                started = time.perf_counter()
                 drained = 0
                 for side in sides:
                     chans = self.channels.inputs.get((name, idx, side), {})
@@ -664,13 +647,9 @@ class ParallelExecutor:
                         drained += self._drain_channel(
                             name, idx, side, sender, chans[sender])
                 moved += drained
-                if drained:
-                    elapsed = time.perf_counter() - started
-                    self._lane_cycle[idx] += elapsed
-                    if metrics is not None:
-                        self.metrics.summary(
-                            "op.batch_size", op=f"{name}[{idx}]").observe(
-                                drained)
+                if drained and metrics is not None:
+                    metrics.summary(
+                        "op.batch_size", op=f"{name}[{idx}]").observe(drained)
         return moved
 
     # -- barriers and the cut -------------------------------------------------
@@ -853,16 +832,6 @@ class ParallelExecutor:
                 return self._run_loop(source_batch, max_cycles)
         return self._run_loop(source_batch, max_cycles)
 
-    def _end_cycle(self) -> None:
-        """Fold this cycle's lane times into the modelled makespan: the
-        cycle takes as long as its busiest lane (subtasks overlap)."""
-        busiest = max(self._lane_cycle, default=0.0)
-        if busiest > 0.0:
-            self.modeled_makespan_s += busiest
-            for lane, busy in enumerate(self._lane_cycle):
-                self.lane_busy_s[lane] += busy
-                self._lane_cycle[lane] = 0.0
-
     def _begin_cycle(self) -> None:
         """Macro-cycle prologue: release held channel batches, compute
         the stalled-subtask set, and beat heartbeats for everyone else
@@ -931,37 +900,15 @@ class ParallelExecutor:
         for name in self.graph.topo:
             node = self.graph.nodes[name]
             for idx in range(node.parallelism):
-                started = time.perf_counter()
                 out = self._ops[name][idx].flush()
                 if out:
                     self._emit(name, idx, out)
-                self._lane_cycle[idx] += time.perf_counter() - started
-                if out:
                     while self._drain_cycle():
                         pass
-        self._end_cycle()
 
     @property
     def done(self) -> bool:
         return self._flushed
-
-    # -- modelled speedup ------------------------------------------------------
-    # Wall-clock, so read off the executor only: the lane model never
-    # reaches a span or a metrics registry (a traced run dumps the same
-    # bytes twice).
-
-    @property
-    def serial_busy_s(self) -> float:
-        """Total subtask busy time — what one lane would have paid."""
-        return sum(self.lane_busy_s)
-
-    @property
-    def modeled_speedup(self) -> float:
-        """Serial work over modelled makespan: the concurrency the plan
-        actually exposed (≤ max parallelism; 1.0 when single-lane)."""
-        if self.modeled_makespan_s <= 0.0:
-            return 1.0
-        return self.serial_busy_s / self.modeled_makespan_s
 
     # -- counters / introspection ---------------------------------------------
 
@@ -970,6 +917,18 @@ class ParallelExecutor:
         clones = self._clones[operator]
         return (sum(c.processed for c in clones),
                 sum(c.emitted for c in clones))
+
+    def lane_items(self) -> list[int]:
+        """Items processed per worker lane: ``processed`` summed over the
+        operator clones at each subtask index (sources are not counted).
+        The counts are checkpointed and the same in both execution
+        modes, so ``sum / max`` is an exact, repeatable measure of how
+        far the plan overlaps its work."""
+        lanes = [0] * self.graph.max_parallelism()
+        for clones in self._clones.values():
+            for idx, clone in enumerate(clones):
+                lanes[idx] += clone.processed
+        return lanes
 
     def subtask_operators(self, operator: str) -> list[Operator]:
         """The per-subtask clones of one logical operator."""

@@ -9,7 +9,8 @@ threads it through lowering:
   a single locality domain);
 - every physical edge whose endpoints land in different regions is
   marked ``cross_region`` and carries the inter-region link cost, which
-  the executor folds into the modelled makespan per delivered packet;
+  the executor adds to its modelled ``cross_region_transfer_s`` per
+  delivered packet;
 - a cross-region edge must have been **declared** on the job graph
   (:meth:`~repro.streaming.graph.JobBuilder.declare_cross_region`) —
   placement never silently turns a local edge into a WAN hop

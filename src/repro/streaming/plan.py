@@ -195,7 +195,7 @@ def compile_execution_graph(job: JobGraph,
     placement stretches across regions must have been declared via
     :meth:`~repro.streaming.graph.JobBuilder.declare_cross_region` —
     such edges carry the inter-region link cost into the runtime's
-    modelled makespan.  A job with region pins and no placement is
+    modelled cross-region transfer time.  A job with region pins and no placement is
     compiled under an implicit default placement.
     """
     job.validate()

@@ -1,6 +1,7 @@
 """``tools/diff_checkpoints.py``: the checkpoint differential records
-the same digests twice over the same selection, and its diff names a
-part that changed (tier-1; two small pytest runs in subprocesses)."""
+the same digests twice over the same selection under two hash seeds,
+and its diff names a part that changed (tier-1; two small pytest runs
+in subprocesses)."""
 
 import importlib.util
 from pathlib import Path
@@ -21,7 +22,8 @@ def _tool():
 def test_two_recordings_of_one_selection_agree(tmp_path):
     tool = _tool()
     first = tool.record(ROOT, SELECTION, tmp_path / "first.json")
-    second = tool.record(ROOT, SELECTION, tmp_path / "second.json")
+    second = tool.record(ROOT, SELECTION, tmp_path / "second.json",
+                         hash_seed=1)
     result = tool.diff(first, second)
     assert result["checkpoints"]["paired"] > 0
     assert not result["checkpoints"].get("only_here")
@@ -29,6 +31,7 @@ def test_two_recordings_of_one_selection_agree(tmp_path):
     kinds = {part.split("/")[0] for part in result["parts"]}
     assert kinds == {"keyed", "scalar", "sources", "sinks"}
     assert tool.differences(result) == []
+    assert tool.agree(result)
 
 
 def test_the_diff_names_what_changed():
@@ -44,4 +47,6 @@ def test_the_diff_names_what_changed():
     assert result["parts"]["scalar/win/fired"] == {"same": 1, "differ": 1}
     assert result["tests"] == {"scalar/win/fired": ["t"], "sinks/out": ["t"]}
     assert tool.differences(result) == ["scalar/win/fired", "sinks/out"]
+    assert not tool.agree(result)
+    assert not tool.agree(tool.diff({"t": [{}]}, {"t": [{}, {}]}))
     assert "2 part(s) differ" in tool.summary(result, "here", "there")

@@ -180,11 +180,25 @@ class TestParallelExecutor:
             executor.run(source_batch=source_batch, max_cycles=3)
         assert executor.sources.positions() == {"s": {0: 0}}
 
-    def test_modeled_speedup_reported(self):
-        executor = ParallelExecutor(_windowed_job(200, splits=4), 4)
+    def test_lane_items_sum_the_logical_counters(self):
+        job = _windowed_job(200, splits=4)
+        executor = ParallelExecutor(job, 4)
         executor.run(source_batch=16)
-        assert executor.serial_busy_s > 0.0
-        assert executor.modeled_speedup >= 1.0
+        lanes = executor.lane_items()
+        assert len(lanes) == 4 and min(lanes) > 0
+        assert sum(lanes) == sum(executor.logical_counters(op)[0]
+                                 for op in job.operators)
+
+    @pytest.mark.parametrize("parallelism", (1, 2, 4))
+    def test_lane_items_repeat_in_both_modes(self, parallelism):
+        lanes = set()
+        for batch_mode in (True, True, False, False):
+            executor = ParallelExecutor(_windowed_job(400, splits=4),
+                                        parallelism, batch_mode=batch_mode)
+            executor.run(source_batch=16)
+            lanes.add(tuple(executor.lane_items()))
+        (counts,) = lanes
+        assert len(counts) == parallelism and min(counts) > 0
 
 
 #: one two-region run (p=1, two macro cycles), then the digest of its

@@ -20,14 +20,22 @@ differs, field by field::
 
 ``--against <sha>`` records the same selection on a ``git archive`` of
 that commit as well (this file's plugin, that tree's ``src/`` and
-tests) and diffs the two; without it, the selection is recorded twice
-here, which shows whether the recording itself repeats.  A selection
-is pytest arguments; a bare module name such as ``test_store_chaos``
-means that file under ``tests/``.  Marker filters are lifted, so the
-chaos tiers run too.  Hypothesis runs derandomized and without its
-example database, and ``PYTHONHASHSEED`` is pinned, so both sides draw
-the same examples.  The exit status says whether the runs succeeded,
-never whether the recordings agree: this is a tool, not a gate.
+tests) and diffs the two; both run under ``PYTHONHASHSEED=0``, and the
+exit status says only whether the runs succeeded: a change may mean to
+move a checkpoint, so in this mode it is a tool, not a gate.
+
+Without ``--against`` it is a gate (``make determinism``): the
+selection is recorded twice here, the second time under
+``PYTHONHASHSEED=1``, and any part that differs — or a checkpoint only
+one recording has — exits 1.  Two recordings of one tree must agree,
+so a difference is a defect: a checkpoint that follows hash order, a
+wall clock or unseeded randomness.
+
+A selection is pytest arguments; a bare module name such as
+``test_store_chaos`` means that file under ``tests/``.  Marker filters
+are lifted, so the chaos tiers run too.  Hypothesis runs derandomized
+and without its example database, so both sides draw the same
+examples.
 """
 
 from __future__ import annotations
@@ -128,8 +136,10 @@ class Recorder:
 # -- recording and diffing ----------------------------------------------------
 
 
-def record(tree: Path, selection: list[str], out: Path) -> dict:
-    """Run the selection in ``tree`` under the plugin; the recording."""
+def record(tree: Path, selection: list[str], out: Path,
+           hash_seed: int = 0) -> dict:
+    """Run the selection in ``tree`` under the plugin, with
+    ``PYTHONHASHSEED=hash_seed``; the recording."""
     args = []
     for arg in selection:
         if not arg.startswith("-") and "/" not in arg and "::" not in arg:
@@ -138,7 +148,7 @@ def record(tree: Path, selection: list[str], out: Path) -> dict:
                 args.extend(str(m.relative_to(tree)) for m in matches)
                 continue
         args.append(arg)
-    env = {**os.environ, "PYTHONHASHSEED": "0",
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed),
            "PYTHONPATH": os.pathsep.join([str(tree / "src"),
                                           str(Path(__file__).parent)])}
     cmd = [sys.executable, "-m", "pytest", "-p", PLUGIN,
@@ -198,6 +208,14 @@ def differences(result: dict) -> list[str]:
             if c.get("differ") or c.get("only_here") or c.get("only_there")]
 
 
+def agree(result: dict) -> bool:
+    """Both recordings hold the same checkpoints, identical in every
+    part."""
+    c = result["checkpoints"]
+    return not (differences(result) or c.get("only_here")
+                or c.get("only_there"))
+
+
 def summary(result: dict, here: str, there: str) -> str:
     c = result["checkpoints"]
     lines = [f"checkpoints: {c.get('paired', 0)} paired, "
@@ -239,7 +257,8 @@ def main(argv: list[str] | None = None) -> int:
                              "that file under tests/")
     parser.add_argument("--against", metavar="SHA",
                         help="diff against this commit (default: a second "
-                             "recording of this tree)")
+                             "recording of this tree under another hash "
+                             "seed, as a gate)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -249,10 +268,12 @@ def main(argv: list[str] | None = None) -> int:
             there = record(archive(args.against, tmp), args.selection,
                            tmp / "there.json")
         else:
-            there_name = "a second run"
-            there = record(REPO, args.selection, tmp / "there.json")
-    print(summary(diff(here, there), "this tree", there_name))
-    return 0
+            there_name = "PYTHONHASHSEED=1"
+            there = record(REPO, args.selection, tmp / "there.json",
+                           hash_seed=1)
+    result = diff(here, there)
+    print(summary(result, "this tree", there_name))
+    return 0 if args.against or agree(result) else 1
 
 
 if __name__ == "__main__":
