@@ -135,15 +135,16 @@ class ARSession:
         if not self.probes:
             return self._scene
         filtered = SceneGraph()
-        for annotation, _anchor in self._scene.all_world_annotations():
+        annotations, _anchors = self._scene.world_anchors()
+        for annotation in annotations:
             if all(probe.predicate(annotation)
                    for probe in self.probes.values()):
                 filtered.add(annotation)
         return filtered
 
     def visible_annotation_ids(self) -> set[str]:
-        return {a.annotation_id for a, _p
-                in self._probe_filtered().all_world_annotations()}
+        annotations, _anchors = self._probe_filtered().world_anchors()
+        return {a.annotation_id for a in annotations}
 
     # -- rendering -----------------------------------------------------------
 

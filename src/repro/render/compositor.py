@@ -9,7 +9,11 @@ metrics are what the visualization experiments measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import struct
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,10 +32,14 @@ from .scene import SceneGraph
 
 __all__ = ["OverlayItem", "OverlayFrame", "Compositor", "FrameBudget"]
 
+#: distinct (pose, intrinsics, world anchor) projections a compositor
+#: keeps; the memo starts over when it reaches this size (an entry is
+#: ~290 bytes, so the memo stays under 5 MB)
+_PROJECTION_MEMO_MAX = 1 << 14
 
-@dataclass(frozen=True)
-class OverlayItem:
-    """One composited piece of content."""
+
+class OverlayItem(NamedTuple):
+    """One composited piece of content (an immutable record)."""
 
     annotation_id: str
     kind: str
@@ -39,22 +47,65 @@ class OverlayItem:
     depth_m: float
     occluded: bool
     xray: bool  # drawn in see-through style
-    payload: dict = field(default_factory=dict)
+    payload: dict
 
 
 @dataclass
 class OverlayFrame:
-    """Result of compositing one frame."""
+    """Result of compositing one frame.
+
+    ``placed`` is the layout's output in placement order and ``screen``
+    the rectangle it was laid out on.  ``layout`` measures them on first
+    read and keeps the result: the metrics are quadratic in the labels
+    and nothing on the frame's own path reads them.
+    """
 
     items: list[OverlayItem]
     culled_offscreen: int
     culled_occluded: int
     shed_by_budget: int
-    layout: LayoutMetrics
+    placed: list[PlacedLabel]
+    screen: Rect
 
     @property
     def drawn(self) -> int:
         return sum(1 for item in self.items if not item.label.dropped)
+
+    @cached_property
+    def layout(self) -> LayoutMetrics:
+        return clutter_metrics(self.placed, self.screen)
+
+
+def _project_rows(pose: Pose, intrinsics: CameraIntrinsics,
+                  points: list[list[float]],
+                  ) -> list[tuple[float, float, float, bool]]:
+    """``(px, py, depth, in_view)`` of each world point: the scalar form
+    of ``intrinsics.project(pose.transform(points))`` and ``in_view``.
+
+    Each coordinate is written out (``x*r00 + y*r01 + z*r02 + t0``, ...)
+    in Python floats, one rounding per operation, so a point's pixel
+    depends on the pose, the intrinsics and that point alone.  A BLAS
+    matmul rounds a row differently depending on how many rows share
+    the batch; a point must not depend on its neighbours, nor on which
+    of them a memo already holds.  A frame misses a few anchors, where a
+    loop costs less than numpy's per-call overhead.
+    """
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = \
+        pose.rotation.tolist()
+    t0, t1, t2 = pose.translation.tolist()
+    fx, fy, cx, cy = intrinsics.fx, intrinsics.fy, intrinsics.cx, intrinsics.cy
+    width, height = intrinsics.width, intrinsics.height
+    out = []
+    for x, y, z in points:
+        depth = x * r20 + y * r21 + z * r22 + t2
+        if depth > 0:
+            px = fx * (x * r00 + y * r01 + z * r02 + t0) / depth + cx
+            py = fy * (x * r10 + y * r11 + z * r12 + t1) / depth + cy
+        else:  # behind the camera (or NaN): no pixel
+            px = py = math.nan
+        # NaN and +-inf fail the range test, as in ``in_view``
+        out.append((px, py, depth, 0 <= px < width and 0 <= py < height))
+    return out
 
 
 @dataclass(frozen=True)
@@ -94,6 +145,8 @@ class Compositor:
         self.tracer = tracer
         self.metrics = metrics
         self.frames_composited = 0
+        self._projections: dict[tuple[bytes, bytes],
+                                tuple[float, float, float, bool]] = {}
 
     def compose(self, scene: SceneGraph, pose: Pose) -> OverlayFrame:
         if self.tracer is None:
@@ -111,31 +164,26 @@ class Compositor:
     def _compose(self, scene: SceneGraph, pose: Pose) -> OverlayFrame:
         self.frames_composited += 1
         screen = Rect(0, 0, self.intrinsics.width, self.intrinsics.height)
-        annotations = scene.all_world_annotations()
-        camera_center = pose.camera_center
+        annotations, anchors = scene.world_anchors()
 
         # One row per surviving annotation, built once and carried
         # through cull -> shed -> layout: (annotation, px, py, depth,
-        # occluded).
+        # occluded).  Occlusion is tested per frame, not memoised.
         rows = []
         culled_offscreen = 0
         culled_occluded = 0
         if annotations:
-            anchors = np.array([anchor for _a, anchor in annotations])
-            cam_points = pose.transform(anchors)
-            pixels = self.intrinsics.project(cam_points)
-            in_view = self.intrinsics.in_view(pixels)
             check_occlusion = (self.occlusion_policy != "ignore"
                                and bool(self.occlusion.occluders))
+            camera_center = pose.camera_center if check_occlusion else None
             hide = self.occlusion_policy == "hide"
-            for (annotation, anchor), (px, py), depth, ok in zip(
-                    annotations, pixels.tolist(),
-                    cam_points[:, 2].tolist(), in_view.tolist()):
+            for i, (annotation, (px, py, depth, ok)) in enumerate(
+                    zip(annotations, self._project(pose, anchors))):
                 if not ok:
                     culled_offscreen += 1
                     continue
                 occluded = check_occlusion and not self.occlusion.check(
-                    camera_center, anchor).visible
+                    camera_center, anchors[i]).visible
                 if occluded and hide:
                     culled_occluded += 1
                     continue
@@ -183,7 +231,8 @@ class Compositor:
             culled_offscreen=culled_offscreen,
             culled_occluded=culled_occluded,
             shed_by_budget=shed,
-            layout=clutter_metrics(placed, screen),
+            placed=placed,
+            screen=screen,
         )
         if self.metrics is not None:
             m = self.metrics
@@ -193,3 +242,27 @@ class Compositor:
             m.counter("render.shed_by_budget").inc(shed)
             m.summary("render.drawn_per_frame").observe(frame.drawn)
         return frame
+
+    def _project(self, pose: Pose, anchors: np.ndarray,
+                 ) -> list[tuple[float, float, float, bool]]:
+        """:func:`_project_rows` of ``anchors``, memoised per (pose,
+        intrinsics, world anchor).  The key is the bytes of everything
+        the value depends on, so a pose mutated in place or reassigned
+        intrinsics miss; the misses of a frame go through one pass."""
+        intr = self.intrinsics
+        view = (pose.rotation.tobytes() + pose.translation.tobytes()
+                + struct.pack("<6d", intr.fx, intr.fy, intr.cx, intr.cy,
+                              intr.width, intr.height))
+        raw = anchors.tobytes()
+        step = 3 * anchors.itemsize
+        keys = [(view, raw[i:i + step]) for i in range(0, len(raw), step)]
+        memo = self._projections
+        out = [memo.get(key) for key in keys]
+        missing = [i for i, hit in enumerate(out) if hit is None]
+        if missing:
+            if len(memo) + len(missing) > _PROJECTION_MEMO_MAX:
+                memo.clear()
+            for i, value in zip(missing, _project_rows(
+                    pose, intr, anchors[missing].tolist())):
+                out[i] = memo[keys[i]] = value
+        return out

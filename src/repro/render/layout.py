@@ -16,6 +16,7 @@ on a 2D map" — becomes measurable here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..util.errors import RenderError
 from ..util.geometry import Rect
@@ -24,9 +25,12 @@ __all__ = ["PlacedLabel", "naive_layout", "declutter_layout",
            "clutter_metrics", "LayoutMetrics"]
 
 
-@dataclass(frozen=True)
-class PlacedLabel:
-    """A label's final screen placement."""
+class PlacedLabel(NamedTuple):
+    """A label's final screen placement (an immutable record).
+
+    A tuple is built in one step, where a frozen dataclass pays one
+    ``object.__setattr__`` per field; the compositor builds one per
+    label per frame."""
 
     annotation_id: str
     rect: Rect

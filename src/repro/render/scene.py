@@ -9,13 +9,19 @@ so grouped content (e.g. a building's sensor array) moves together.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
 from ..util.errors import RenderError
 
 __all__ = ["Annotation", "SceneNode", "SceneGraph"]
+
+#: the root's parent transform, shared read-only by every walk
+_IDENTITY = np.eye(3)
+_IDENTITY.setflags(write=False)
+_ORIGIN = np.zeros(3)
+_ORIGIN.setflags(write=False)
 
 
 @dataclass
@@ -52,22 +58,6 @@ class SceneNode:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
     annotations: list[Annotation] = field(default_factory=list)
     children: list["SceneNode"] = field(default_factory=list)
-
-    def world_annotations(self, parent_rotation: np.ndarray | None = None,
-                          parent_translation: np.ndarray | None = None,
-                          ) -> Iterator[tuple[Annotation, np.ndarray]]:
-        """Yield (annotation, world anchor) applying cumulative transforms."""
-        r_p = parent_rotation if parent_rotation is not None else np.eye(3)
-        t_p = (parent_translation if parent_translation is not None
-               else np.zeros(3))
-        r = r_p @ self.rotation
-        t = r_p @ self.translation + t_p
-        if self.annotations:
-            # one (N,3) transform per node, not a matmul per annotation
-            anchors = np.array([a.anchor for a in self.annotations])
-            yield from zip(self.annotations, anchors @ r.T + t)
-        for child in self.children:
-            yield from child.world_annotations(r, t)
 
 
 class SceneGraph:
@@ -130,5 +120,30 @@ class SceneGraph:
     def __len__(self) -> int:
         return len(self._index)
 
-    def all_world_annotations(self) -> list[tuple[Annotation, np.ndarray]]:
-        return list(self.root.world_annotations())
+    def world_anchors(self) -> tuple[list[Annotation], np.ndarray]:
+        """Every annotation and its world anchor, in one walk.
+
+        Returns ``(annotations, anchors)``: depth-first, a node's own
+        annotations before its children's, and an ``(N, 3)`` array whose
+        row ``i`` is ``annotations[i]``'s anchor under the cumulative
+        node transforms.  Each node transforms its anchors as one
+        ``(n, 3)`` batch, not a matmul per annotation.
+        """
+        annotations: list[Annotation] = []
+        blocks: list[np.ndarray] = []
+
+        def walk(node: SceneNode, r_p: np.ndarray, t_p: np.ndarray) -> None:
+            r = r_p @ node.rotation
+            t = r_p @ node.translation + t_p
+            if node.annotations:
+                annotations.extend(node.annotations)
+                local = np.array([a.anchor for a in node.annotations])
+                blocks.append(local @ r.T + t)
+            for child in node.children:
+                walk(child, r, t)
+
+        walk(self.root, _IDENTITY, _ORIGIN)
+        if not blocks:
+            return annotations, np.empty((0, 3))
+        return annotations, (blocks[0] if len(blocks) == 1
+                             else np.concatenate(blocks))

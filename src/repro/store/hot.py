@@ -151,6 +151,9 @@ class HotShard:
         self._mem: dict[str, list[tuple]] = {}
         self._mem_rows = 0
         self._runs: list[SortedRun] = []
+        #: the run list the last compaction pass found nothing to merge
+        #: in; every change to the runs assigns a new list
+        self._settled_runs: list[SortedRun] | None = None
         self._seq = 0
         self.flushes = 0
         self.compactions = 0
@@ -281,6 +284,8 @@ class HotShard:
         them into one (dropping expired versions).  The merged run is
         built fully before the run list is swapped, so a crash during
         the merge leaves the old runs — and every answer — intact."""
+        if self._runs is self._settled_runs:
+            return
         while True:
             tiers: dict[int, list[SortedRun]] = {}
             for run in self._runs:
@@ -288,6 +293,7 @@ class HotShard:
             victims = next((runs for runs in tiers.values()
                             if len(runs) >= self.tier_fanout), None)
             if victims is None:
+                self._settled_runs = self._runs
                 return
             min_ts = self._min_ts()
             merged_rows = [row for run in victims

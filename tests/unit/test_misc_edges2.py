@@ -121,7 +121,8 @@ class TestSceneGraphRemoval:
         assert len(scene) == 1
         scene.remove("deep")
         assert len(scene) == 0
-        assert scene.all_world_annotations() == []
+        annotations, anchors = scene.world_anchors()
+        assert annotations == [] and anchors.shape == (0, 3)
 
     def test_add_node_detects_duplicate_ids(self):
         scene = SceneGraph()

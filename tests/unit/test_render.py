@@ -58,8 +58,9 @@ class TestSceneGraph:
         node = SceneNode(name="group", translation=np.array([10.0, 0, 0]))
         node.annotations.append(_annotation("a", 1, 2, 3))
         scene.add_node(node)
-        pairs = scene.all_world_annotations()
-        assert np.allclose(pairs[0][1], [11.0, 2.0, 3.0])
+        annotations, anchors = scene.world_anchors()
+        assert [a.annotation_id for a in annotations] == ["a"]
+        assert np.allclose(anchors[0], [11.0, 2.0, 3.0])
 
     def test_nested_transforms_compose(self):
         scene = SceneGraph()
@@ -68,9 +69,8 @@ class TestSceneGraph:
         child.annotations.append(_annotation("a", 0, 0, 0))
         parent.children.append(child)
         scene.add_node(parent)
-        pairs = scene.root.world_annotations()
-        _a, anchor = next(iter(pairs))
-        assert np.allclose(anchor, [10.0, 5.0, 0.0])
+        _annotations, anchors = scene.world_anchors()
+        assert np.allclose(anchors, [[10.0, 5.0, 0.0]])
 
 
 class TestOcclusion:

@@ -50,6 +50,11 @@ text, imports only to inspect one signature).
     ``requires_shuffle`` — which no operator sets: it is derived from
     whether ``state`` holds a table, so the hash shuffle and the
     by-key-group checkpoint cannot disagree.
+(l) A frame pays only for the frame: in ``render/compositor.py`` the
+    O(n²) ``clutter_metrics`` is referenced only inside ``OverlayFrame``
+    (its lazily computed ``layout``), and ``render/scene.py`` allocates
+    no ``np.eye``/``np.zeros`` inside a function — only in field
+    defaults and module constants.
 """
 
 import ast
@@ -475,3 +480,52 @@ def test_keyed_means_having_a_table():
     assert all(op.requires_shuffle and op.state is not None for op in keyed)
     plain = MapOperator("m", lambda v: v)
     assert not plain.requires_shuffle and plain.state is None
+
+
+# -- (l) a frame pays only for the frame -------------------------------------
+
+def _enclosing_classes(tree, name):
+    """Name of the class around each reference to ``name`` (None at
+    module or function level outside any class)."""
+    found = []
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Name) and node.id == name:
+            found.append(cls)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def test_layout_metrics_are_computed_on_read_only():
+    tree = ast.parse((SRC / "render/compositor.py").read_text())
+    assert _enclosing_classes(tree, "clutter_metrics") == ["OverlayFrame"]
+
+
+def _allocations_in_functions(text):
+    """``np.eye(``/``np.zeros(`` calls inside any ``def`` (lambdas in
+    field defaults and module-level constants are not inside one)."""
+    hits = []
+    for fn in ast.walk(ast.parse(text)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        hits += [f"{fn.name}:{node.lineno}" for node in ast.walk(fn)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and node.func.attr in ("eye", "zeros")
+                 and isinstance(node.func.value, ast.Name)
+                 and node.func.value.id == "np"]
+    return sorted(set(hits))
+
+
+def test_the_scene_walk_allocates_no_identity_per_call():
+    assert _allocations_in_functions(
+        (SRC / "render/scene.py").read_text()) == []
+    caught = _allocations_in_functions(
+        "import numpy as np\n_I = np.eye(3)\n"
+        "def walk(r=None):\n    return np.eye(3) if r is None else r\n")
+    assert caught == ["walk:4"]

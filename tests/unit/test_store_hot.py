@@ -188,6 +188,24 @@ class TestHotShard:
         assert stats["compactions"] > 0
         assert shard.contents() == _model(applied)
 
+    def test_maintain_without_a_flush_does_not_retier(self, monkeypatch):
+        shard = HotShard(0, memtable_limit=4, tier_fanout=2)
+        for epoch in range(1, 8):
+            shard.apply_epoch(epoch, [(key_repr(k), float(epoch), epoch)
+                                      for k in "abcd"])
+            shard.maintain()
+        calls = []
+        tier_of = shard._tier_of
+        monkeypatch.setattr(shard, "_tier_of",
+                            lambda run: calls.append(run) or tier_of(run))
+        shard.apply_epoch(8, [(key_repr("a"), 8.0, 8)])  # under the limit
+        shard.maintain()
+        assert calls == []
+        shard.flush()
+        shard.maintain()
+        assert calls  # a new run is tiered again
+        assert shard.latest("a", 1) == [(8.0, 8)]
+
     def test_ttl_filters_reads_and_expire_reclaims(self):
         clock = SimClock()
         shard = HotShard(0, clock=clock, ttl_s=10.0, memtable_limit=4)
