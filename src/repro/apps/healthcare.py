@@ -176,8 +176,6 @@ class HealthcareApp:
         """
         from ..streaming.cep import PatternOperator, PatternStep
         from ..streaming.connectors import log_source
-        from ..streaming.execution import ParallelExecutor
-        from ..streaming.graph import JobBuilder
 
         pattern = PatternOperator("deterioration", [
             PatternStep("tachycardia",
@@ -187,14 +185,13 @@ class HealthcareApp:
                         lambda v: (v.get("vital") == "systolic_bp"
                                    and v.get("value", 999) < bp_below)),
         ], within_s=within_s)
-        builder = JobBuilder("compound-alarms")
-        (builder.source("vitals", log_source(self.pipeline.log,
-                                             VITALS_TOPIC))
-                .key_by(lambda v: v["patient"])
-                .apply(pattern)
-                .sink("matches"))
-        sinks = ParallelExecutor(builder.build()).run()
-        return list(sinks["matches"].values)
+        def build(builder):
+            (builder.source("vitals", log_source(self.pipeline.log,
+                                                 VITALS_TOPIC))
+                    .key_by(lambda v: v["patient"])
+                    .apply(pattern)
+                    .sink("matches"))
+        return self.pipeline.run_job(build, "compound-alarms")["matches"]
 
     # -- tiered serving store ----------------------------------------------
 

@@ -192,18 +192,15 @@ class TourismApp:
         uses to separate "walked past" from "spent an hour there".
         """
         from ..streaming.connectors import log_source
-        from ..streaming.execution import ParallelExecutor
-        from ..streaming.graph import JobBuilder
         from ..streaming.windows import SessionWindows
 
-        builder = JobBuilder("dwell")
-        (builder.source("visits", log_source(self.pipeline.log,
-                                             VISITS_TOPIC))
-                .key_by(lambda v: (v["user"], v["poi"]))
-                .window(SessionWindows(gap=gap_s), "count")
-                .sink("sessions"))
-        sinks = ParallelExecutor(builder.build()).run()
-        return list(sinks["sessions"].values)
+        def build(builder):
+            (builder.source("visits", log_source(self.pipeline.log,
+                                                 VISITS_TOPIC))
+                    .key_by(lambda v: (v["user"], v["poi"]))
+                    .window(SessionWindows(gap=gap_s), "count")
+                    .sink("sessions"))
+        return self.pipeline.run_job(build, "dwell")["sessions"]
 
     def trending_private(self, now: float, k: int, epsilon: float,
                          rng: np.random.Generator) -> list[str]:

@@ -17,7 +17,6 @@ from .influence import (
 )
 from .pipeline import (
     DEFAULT_INTRINSICS,
-    AnalyticsSnapshot,
     ARBigDataPipeline,
     PipelineConfig,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "classify",
     "classify_score",
     "DEFAULT_INTRINSICS",
-    "AnalyticsSnapshot",
     "ARBigDataPipeline",
     "PipelineConfig",
     "PrivacyConfig",

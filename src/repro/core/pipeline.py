@@ -34,40 +34,22 @@ from ..render.occlusion import OcclusionWorld
 from ..simnet.network import LINK_PRESETS, LinkSpec
 from ..simnet.topology import NodeSpec, Topology
 from ..streaming.connectors import log_source
-from ..streaming.execution import ParallelExecutor
 from ..streaming.graph import JobBuilder
+from ..streaming.supervisor import run_coordinated
 from ..streaming.window_operator import WindowResult
 from ..streaming.windows import TumblingWindows
 from ..util.clock import SimClock
-from ..util.errors import LogError, PipelineError, StreamError
+from ..util.errors import PipelineError
 from ..util.rng import RngRegistry
 from ..vision.camera import CameraIntrinsics
 from .privacy_guard import PrivacyConfig, PrivacyGuard
 from .session import ARSession, SharedDataset
 from .timeliness import TimelinessController
 
-__all__ = ["PipelineConfig", "ARBigDataPipeline", "AnalyticsSnapshot"]
+__all__ = ["PipelineConfig", "ARBigDataPipeline"]
 
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=500.0, fy=500.0, cx=160.0,
                                       cy=120.0, width=320, height=240)
-
-
-@dataclass(frozen=True)
-class AnalyticsSnapshot:
-    """Windowed analytics, possibly served stale.
-
-    When the backbone is degraded (a partition with no live leader, a
-    broken stream), the AR session keeps rendering the *last-known*
-    analytics rather than blanking out — ``stale`` flags it and
-    ``age_s`` says by how much, so the UI can dim the overlay instead
-    of dropping it.
-    """
-
-    results: tuple
-    stale: bool
-    age_s: float
-    computed_at: float
-    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -127,9 +109,6 @@ class ARBigDataPipeline:
         self.timeliness = TimelinessController(
             self.planner, GreedyLatency(), deadline_s=config.deadline_s)
         self._sessions: dict[str, ARSession] = {}
-        # Last good analytics per aggregation key, for graceful
-        # degradation when the stream lags or the log is unavailable.
-        self._analytics_cache: dict[tuple, AnalyticsSnapshot] = {}
 
     # -- topology/policy tweaks ------------------------------------------------
 
@@ -185,60 +164,24 @@ class ARBigDataPipeline:
                            max_lateness: float = 5.0,
                            ) -> list[WindowResult]:
         """Run a tumbling-window job over everything retained in a topic."""
-        builder = JobBuilder(f"{topic}-window")
-        (builder.source(topic, log_source(self.log, topic))
-                .with_watermarks(max_lateness)
-                .key_by(key_fn)
-                .window(TumblingWindows(window_s), aggregate,
-                        value_fn=value_fn)
-                .sink("out"))
-        sinks = ParallelExecutor(builder.build()).run()
-        return [element for element in sinks["out"].values]
-
-    def resilient_windowed_aggregate(self, topic: str,
-                                     key_fn: Callable[[Any], Any],
-                                     value_fn: Callable[[Any], float],
-                                     window_s: float,
-                                     aggregate: str = "mean",
-                                     max_lateness: float = 5.0,
-                                     ) -> AnalyticsSnapshot:
-        """:meth:`windowed_aggregate` with graceful degradation.
-
-        A healthy run refreshes the cache and returns a fresh snapshot.
-        If the backbone fails mid-query (partition unavailable, stream
-        error), the last-known results are served with ``stale=True``
-        and their age — data-plane degradation is reported, not raised
-        (CONTRIBUTING.md rule: errors raise, degradation is counted).
-        A failure with no prior result re-raises: there is nothing to
-        degrade *to*.
-        """
-        cache_key = (topic, window_s, aggregate)
-        try:
-            results = self.windowed_aggregate(
-                topic, key_fn, value_fn, window_s, aggregate=aggregate,
-                max_lateness=max_lateness)
-        except (LogError, StreamError) as exc:
-            cached = self._analytics_cache.get(cache_key)
-            if cached is None:
-                raise
-            return AnalyticsSnapshot(
-                results=cached.results, stale=True,
-                age_s=max(0.0, self.clock.now - cached.computed_at),
-                computed_at=cached.computed_at,
-                reason=f"{type(exc).__name__}: {exc}")
-        snapshot = AnalyticsSnapshot(
-            results=tuple(results), stale=False, age_s=0.0,
-            computed_at=self.clock.now)
-        self._analytics_cache[cache_key] = snapshot
-        return snapshot
+        def build(builder: JobBuilder) -> None:
+            (builder.source(topic, log_source(self.log, topic))
+                    .with_watermarks(max_lateness)
+                    .key_by(key_fn)
+                    .window(TumblingWindows(window_s), aggregate,
+                            value_fn=value_fn)
+                    .sink("out"))
+        return self.run_job(build, f"{topic}-window")["out"]
 
     def run_job(self, build: Callable[[JobBuilder], None],
-                name: str = "job") -> dict[str, Any]:
-        """Escape hatch: run an arbitrary dataflow over the log."""
+                name: str = "job") -> dict[str, list[Any]]:
+        """Build a dataflow over the log and run it supervised
+        (checkpoints, 2PC sinks, the failure ladder); returns each
+        sink's committed values."""
         builder = JobBuilder(name)
         build(builder)
-        sinks = ParallelExecutor(builder.build()).run()
-        return {name: buf.values for name, buf in sinks.items()}
+        return run_coordinated(builder.build(),
+                               source_batch=256).sink_values
 
     # -- semantics ------------------------------------------------------------------
 

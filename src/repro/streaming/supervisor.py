@@ -52,8 +52,9 @@ from .shuffle import DEFAULT_KEY_GROUPS
 __all__ = ["MAX_FAILURES", "Controller", "SupervisionReport", "Supervisor",
            "run_coordinated"]
 
-#: Bounds pathological fault plans: a deterministic schedule cannot
-#: re-fire a passed fault, so any finite plan terminates well below it.
+#: Bounds pathological fault plans and permanent outages: a
+#: deterministic schedule cannot re-fire a passed fault, so any finite
+#: plan terminates well below it.
 MAX_FAILURES = 1000
 
 #: ``reshape``'s default target: a savepoint of the running job
@@ -358,7 +359,7 @@ class Supervisor:
         if self.report.failures > MAX_FAILURES:
             raise ChaosError(
                 f"gave up after {self.report.failures} failures; the "
-                "fault plan appears to re-fire indefinitely")
+                f"last was {type(exc).__name__}: {exc}") from exc
         if self.restart_budget is not None:
             finalized = self.report.checkpoints + self.coordinator.finalized
             made = finalized > self._progress_mark

@@ -57,10 +57,6 @@ class BrokerDown(LogError):
     """Operation routed to a broker that is currently failed."""
 
 
-class NotLeader(LogError):
-    """Write addressed to a replica that is not the partition leader."""
-
-
 class RetryExhausted(ReproError):
     """A retried call gave up: attempts or deadline budget ran out.
 
@@ -222,4 +218,6 @@ class PipelineError(ReproError):
 
 
 class ChaosError(ReproError):
-    """Fault-injection plan or harness misuse (not an injected fault)."""
+    """Fault-injection plan or harness misuse (not an injected fault),
+    or a supervisor giving up past ``MAX_FAILURES`` (the last failure is
+    its ``__cause__``)."""

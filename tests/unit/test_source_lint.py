@@ -55,6 +55,10 @@ text, imports only to inspect one signature).
     (its lazily computed ``layout``), and ``render/scene.py`` allocates
     no ``np.eye``/``np.zeros`` inside a function — only in field
     defaults and module constants.
+(m) One runner behind the facade: nothing under ``core/`` or ``apps/``
+    names ``ParallelExecutor``, and of those packages only
+    ``core/pipeline.py`` (its ``run_job``) calls ``run_coordinated`` —
+    every facade and app job runs supervised through it.
 """
 
 import ast
@@ -529,3 +533,18 @@ def test_the_scene_walk_allocates_no_identity_per_call():
         "import numpy as np\n_I = np.eye(3)\n"
         "def walk(r=None):\n    return np.eye(3) if r is None else r\n")
     assert caught == ["walk:4"]
+
+
+# -- (m) one runner behind the facade ----------------------------------------
+
+FACADE = ("core/", "apps/")
+
+
+def test_facade_and_apps_run_jobs_through_run_job_only():
+    facade = {rel for rel, _ in _sources() if rel.startswith(FACADE)}
+    outside = {rel for rel, _ in _sources()} - facade
+    assert _offenders(re.compile(r"\bParallelExecutor\b"), outside) == []
+    runners = _offenders(re.compile(r"\brun_coordinated\b"),
+                         outside | {"core/pipeline.py"})
+    assert runners == []
+    assert "run_coordinated(" in (SRC / "core/pipeline.py").read_text()
