@@ -28,9 +28,8 @@ from typing import Any, Callable, Iterable, Mapping
 from ..eventlog.broker import LogCluster
 from ..eventlog.record import Record
 from ..streaming.batch import RecordBatch, items_weight, take_prefix
-from ..streaming.chain import ChainedOperator
 from ..streaming.element import Element, StreamItem
-from ..streaming.operators import Operator
+from ..streaming.operators import Operator, logical_name
 from ..util.errors import (
     BrokerDown,
     CoordinatorDown,
@@ -130,31 +129,15 @@ class FaultInjector:
     # -- streaming operator site --------------------------------------------
 
     @staticmethod
-    def _base_name(name: str) -> str:
-        """Strip a parallel subtask suffix: ``window[1]`` -> ``window``.
-        Physical operator clones in a parallel plan carry the subtask
-        index in brackets (see ParallelExecutor); the logical name is
-        everything before it."""
-        if name.endswith("]"):
-            base, bracket, idx = name.rpartition("[")
-            if bracket and idx[:-1].isdigit():
-                return base
-        return name
-
-    @classmethod
-    def _member_names(cls, op: Operator) -> set[str]:
-        names = {op.name}
-        if isinstance(op, ChainedOperator):
-            names.update(member.name for member in op.operators)
-        # A spec targeting a logical operator name matches any of its
-        # subtask clones; targeting "name[i]" pins one subtask (the
-        # occurrence counters stay per clone either way — they key on
-        # the physical op.name).
-        for name in list(names):
-            base = cls._base_name(name)
-            if base != name:
-                names.add(base)
-        return names
+    def _member_names(op: Operator) -> set[str]:
+        """The identities a spec may target to hit ``op``: its name and
+        its members' (an execution subtask is a chain of one or more),
+        each also by its logical name — a spec targeting a logical
+        operator matches any of its subtask clones, ``"name[i]"`` pins
+        one (the occurrence counters stay per clone either way: they key
+        on the physical ``op.name``)."""
+        names = {op.name, *(m.name for m in getattr(op, "operators", ()))}
+        return names | {logical_name(name) for name in names}
 
     def _crash_candidates(self, idents: set[str],
                           below: int) -> list[FaultSpec]:
@@ -343,7 +326,7 @@ class FaultInjector:
         heartbeats, so only the coordinator's failure detector — not the
         data plane — can notice it."""
         idents = self._member_names(op) | {subtask,
-                                           self._base_name(subtask)}
+                                           logical_name(subtask)}
         before = self._advance(SITE_STALL, [None, *sorted(idents)])
         spec = self._matching(SITE_STALL, "subtask_stall", before)
         if spec is None:
@@ -363,7 +346,7 @@ class FaultInjector:
         ``barrier_crash`` kills the subtask at the worst possible
         moment — mid-checkpoint, after alignment."""
         idents = self._member_names(op) | {subtask,
-                                           self._base_name(subtask)}
+                                           logical_name(subtask)}
         before = self._advance(SITE_BARRIER, [None, *sorted(idents)])
         spec = self._matching(SITE_BARRIER, "barrier_crash", before)
         if spec is not None:

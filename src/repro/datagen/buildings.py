@@ -62,18 +62,6 @@ class WindField:
             v += k * (-2.0 * dx * dy) / r4
         return (float(u), float(v))
 
-    def sample_grid(self, x0: float, y0: float, x1: float, y1: float,
-                    nx: int, ny: int) -> np.ndarray:
-        """Rows (x, y, vx, vy) over a regular grid."""
-        xs = np.linspace(x0, x1, nx)
-        ys = np.linspace(y0, y1, ny)
-        rows = []
-        for y in ys:
-            for x in xs:
-                vx, vy = self.velocity(float(x), float(y))
-                rows.append((float(x), float(y), vx, vy))
-        return np.array(rows)
-
     def stream_samples(self, rng: np.random.Generator, n: int,
                        bounds: tuple[float, float, float, float],
                        noise: float = 0.1, t0: float = 0.0,

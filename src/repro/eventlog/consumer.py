@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import partial
 from itertools import repeat
-from typing import Any, Iterator
+from typing import Any
 
 from ..util.clock import SimClock
 from ..util.errors import BrokerDown, LogError, OffsetOutOfRange
@@ -235,18 +235,6 @@ class Consumer:
         retrier = Retrier(policy or RetryPolicy(), clock=clock)
         return retrier.call(lambda: self.poll(max_records),
                             retry_on=(BrokerDown,))
-
-    def iter_batches(self, max_records: int = 512,
-                     ) -> Iterator[list[ConsumedRecord]]:
-        """Yield non-empty poll batches until the assigned partitions are
-        drained — the batch-granular feed for streaming sources, so the
-        executor's batched source pulls ride on batched log reads instead
-        of a hidden record-at-a-time loop."""
-        while True:
-            batch = self.poll(max_records)
-            if not batch:
-                return
-            yield batch
 
 
 class ConsumerGroup:

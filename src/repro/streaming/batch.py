@@ -247,12 +247,6 @@ class RecordBatch:
             return np.zeros(len(self), dtype=np.int64), [None]
         return self.key_codes, self.key_dict
 
-    def keys_list(self) -> list:
-        if self.key_codes is None:
-            return [None] * len(self)
-        kd = self.key_dict
-        return [kd[c] for c in self.key_codes.tolist()]
-
     def values_list(self) -> list:
         """Values as the per-item path would see them: Python floats for
         source-encoded numerics, numpy scalars for vectorized outputs,

@@ -1,11 +1,23 @@
-"""Operator chaining: fuse linear runs of operators into one node.
+"""Execution subtasks: every subtask runs one chain of operators.
 
-Flink-style task chaining for the single-threaded executor: a maximal
-linear run of chainable operators (single input, single output, no
-keyed state, no side-tagged edges) is fused into one
-:class:`ChainedOperator` at executor build time.  Items then traverse
-the whole run in a single call instead of one bounded channel hop per
-operator — the per-hop deque traffic and drain bookkeeping disappear.
+Every execution subtask is a :class:`ChainedOperator`.  In batched mode
+a maximal linear run of chainable operators (single input, single
+output, no keyed state, no side-tagged edges) is fused into one chain at
+compile time; every other operator — and every operator in per-item
+mode — runs as a chain of one, which is named after its operator, so
+crash sites, fault traces and failover regions see the operator's own
+name.  Fused items traverse the whole run in a single call instead of
+one bounded channel hop per operator.
+
+The chain is the one place the rules for a subtask's input are applied.
+Each member's error policy and the chaos injector's data faults are
+enforced per member, through
+:func:`~repro.streaming.errors.guard_batch` /
+:func:`~repro.streaming.errors.guard_item`, in :meth:`~ChainedOperator.
+process_batch`, :meth:`~ChainedOperator.handle` and the
+:meth:`~ChainedOperator.flush` cascade alike — so a record a member
+emits at end of stream meets the same policy as any other.  A join
+(always a chain of one) is entered by ``side``.
 
 A chain is broken by (see docs/ARCHITECTURE.md):
 
@@ -15,8 +27,8 @@ A chain is broken by (see docs/ARCHITECTURE.md):
   operator fed by several upstreams) must stay a routing point.
 
 Member operators keep their identity: the job graph still names them,
-the checkpoint coordinator snapshots/restores them individually, and
-their ``processed``/``emitted`` counters keep working, so chaining is
+the executor checkpoints and restores them individually, and their
+``processed``/``emitted`` counters keep working, so chaining is
 invisible to everything except the channel structure.
 
 Columnar execution composes transparently: ``process_batch`` pipes each
@@ -33,89 +45,75 @@ there.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 from ..util.errors import StreamError
-from .element import StreamItem
-from .errors import FAIL, guard_batch, guard_item
+from .batch import decode_items
+from .element import Element, StreamItem
+from .errors import FAIL, ErrorPolicy, guard_batch, guard_item
 from .operators import Operator
 
 __all__ = ["ChainedOperator"]
 
 
 class ChainedOperator(Operator):
-    """A fused linear run of operators executed as one node.
+    """A linear run of one or more operators executed as one subtask.
 
     The chain itself is stateless glue: member operators own all state
-    and counters, and none of them keeps keyed state.  ``snapshot`` /
-    ``restore`` delegate per member keyed by name (the executor
-    checkpoints members directly through the job graph, but the chain
-    stays self-contained for direct use and ``capture``).
+    and counters.  ``policies`` is aligned with ``operators`` (None: no
+    policy declared).  Dead letters go to ``dead_letters``, which the
+    owning executor drains to the DLQ sink after each call into the
+    chain.  ``data_directives`` is the chaos injector's ``(member,
+    items) -> {offset: fault}`` hook, called on each member's input, so
+    fused and unfused runs poison the same records.
     """
 
     chainable = False  # chains are built once; never re-fused
-    #: per-member error policies (logical member name ->
-    #: :class:`~repro.streaming.errors.ErrorPolicy`), set by the
-    #: executor when the job declares any.  Fusion must not change what
-    #: happens to a poisoned record, so the chain enforces each
-    #: member's policy exactly where the unchained executor would.
-    policies: dict[str, Any] | None = None
-    #: shared dead-letter list the owning executor drains and routes to
-    #: the DLQ sink after each call into the chain.
-    dead_letters: list | None = None
-    #: optional callable ``(member_op, items) -> {offset: fault}`` from
-    #: the chaos injector — injected data faults are counted per
-    #: *member* input so chained and unchained runs poison the same
-    #: records.
-    fault_source: Any = None
 
-    def __init__(self, operators: Sequence[Operator]) -> None:
-        if len(operators) < 2:
-            raise StreamError("a chain needs at least two operators")
-        super().__init__("chain(" + "+".join(op.name for op in operators)
+    def __init__(self, operators: Sequence[Operator],
+                 policies: Sequence[ErrorPolicy | None] | None = None,
+                 dead_letters: list[Element] | None = None,
+                 data_directives: Callable[..., Any] | None = None) -> None:
+        if not operators:
+            raise StreamError("a chain needs at least one operator")
+        super().__init__(operators[0].name if len(operators) == 1 else
+                         "chain(" + "+".join(op.name for op in operators)
                          + ")")
         self.operators = list(operators)
+        self.policies = (list(policies) if policies is not None
+                         else [None] * len(self.operators))
+        self.dead_letters = [] if dead_letters is None else dead_letters
+        self.data_directives = data_directives
 
-    @property
-    def member_names(self) -> list[str]:
-        """Member operator names in chain order (used by the parallel
-        executor's per-subtask bookkeeping and the chaos injector's
-        crash-site targeting)."""
-        return [op.name for op in self.operators]
+    @staticmethod
+    def _kernels(op: Operator, side: str | None) -> tuple[Callable, Callable]:
+        """``op``'s batch kernel and its per-item twin; a join's take
+        the side its input arrived on."""
+        if side is None:
+            return op.process_batch, op.handle
+        process = partial(op.process_side_batch, side)
+        return process, lambda item: process((item,))
 
-    def _member_policy(self, op: Operator) -> Any:
-        if self.policies is None:
-            return None
-        name = op.name
-        if name.endswith("]"):
-            cut = name.rfind("[")
-            if cut > 0:
-                name = name[:cut]
-        return self.policies.get(name)
-
-    def _guarded(self) -> bool:
-        return self.policies is not None or self.fault_source is not None
-
-    def handle(self, item: StreamItem) -> list[StreamItem]:
+    def handle(self, item: StreamItem,
+               side: str | None = None) -> list[StreamItem]:
         pending: list[StreamItem] = [item]
-        guarded = self._guarded()
-        for op in self.operators:
+        directives = self.data_directives
+        for op, policy in zip(self.operators, self.policies):
             if not pending:
                 break
-            nxt: list[StreamItem] = []
-            if not guarded:
-                for it in pending:
-                    nxt.extend(op.handle(it))
-            else:
-                policy = self._member_policy(op) or FAIL
-                source = self.fault_source
-                for it in pending:
-                    faults = (source(op, (it,))
-                              if source is not None else None)
-                    nxt.extend(guard_item(
-                        op, it, policy, self.dead_letters,
-                        faults.get(0) if faults else None))
-            pending = nxt
+            handler = self._kernels(op, side)[1]
+            out: list[StreamItem] = []
+            for it in pending:
+                if policy is None and directives is None:
+                    out.extend(handler(it))
+                    continue
+                faults = directives(op, (it,)) if directives else None
+                out.extend(guard_item(op, it, policy or FAIL,
+                                      self.dead_letters,
+                                      faults.get(0) if faults else None,
+                                      handler))
+            pending = out
         return pending
 
     def process(self, element):  # pragma: no cover - handle() is the entry
@@ -123,46 +121,37 @@ class ChainedOperator(Operator):
             f"chain {self.name!r} dispatches via handle()/process_batch()"
         )
 
-    def process_batch(self, items: Iterable[StreamItem]) -> list[StreamItem]:
-        guarded = self._guarded()
-        pending: list[StreamItem] | Iterable[StreamItem] = items
-        for op in self.operators:
-            if guarded:
-                policy = self._member_policy(op) or FAIL
-                pending = (list(pending)
-                           if not isinstance(pending, list) else pending)
-                faults = (self.fault_source(op, pending)
-                          if self.fault_source is not None else None)
-                pending = guard_batch(op, pending, policy,
-                                      op.process_batch,
-                                      self.dead_letters, faults)
-            else:
-                pending = op.process_batch(pending)
+    def process_batch(self, items: list[StreamItem],
+                      side: str | None = None) -> list[StreamItem]:
+        if side is not None:
+            items = decode_items(items)  # a join takes its sides per item
+        return self._run(0, items, side)
+
+    def _run(self, start: int, items: list[StreamItem],
+             side: str | None = None) -> list[StreamItem]:
+        """``items`` through the members from ``start`` on, each under
+        its policy and the data faults injected into its input."""
+        pending = items
+        directives = self.data_directives
+        for i in range(start, len(self.operators)):
             if not pending:
                 return []
-        return list(pending)
+            op, policy = self.operators[i], self.policies[i]
+            process, handler = self._kernels(op, side)
+            if policy is None and directives is None:
+                pending = process(pending)
+            else:
+                pending = guard_batch(
+                    op, pending, policy or FAIL, process, self.dead_letters,
+                    directives(op, pending) if directives else None, handler)
+        return pending
 
     def flush(self) -> list[StreamItem]:
         """Flush members head-to-tail, cascading each member's pendings
-        through the rest of the chain — equivalent to the unchained
-        executor flushing each node and draining its downstream hops."""
+        through the rest of the chain under the same policies — what the
+        unfused executor does when it flushes each node and drains its
+        downstream hops."""
         out: list[StreamItem] = []
         for i, op in enumerate(self.operators):
-            pending: list[StreamItem] = op.flush()
-            for later in self.operators[i + 1:]:
-                if not pending:
-                    break
-                pending = later.process_batch(pending)
-            out.extend(pending)
+            out.extend(self._run(i + 1, op.flush()))
         return out
-
-    # -- checkpointing ------------------------------------------------------
-
-    def snapshot(self) -> Any:
-        return {op.name: op.snapshot() for op in self.operators}
-
-    def restore(self, scalars: list[Any], primary: bool = True,
-                exact: bool = True) -> None:
-        for op in self.operators:
-            op.restore([s[op.name] for s in scalars], primary=primary,
-                       exact=exact)

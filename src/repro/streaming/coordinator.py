@@ -46,6 +46,7 @@ from typing import Any, Callable
 from ..util.clock import SimClock
 from ..util.errors import CheckpointError, CheckpointIntegrityError
 from .barrier import ParallelCheckpoint
+from .operators import logical_name, subtask_name
 from .plan import ExecutionGraph
 
 #: simulated seconds one macro cycle takes (the autoscaler's load model
@@ -404,7 +405,7 @@ class CheckpointCoordinator:
         executor.attach_coordinator(self)
         for name in executor.graph.topo:
             for idx in range(executor.graph.nodes[name].parallelism):
-                self.monitor.register(f"{name}[{idx}]")
+                self.monitor.register(subtask_name(name, idx))
 
     # -- pacing (driven by the executor's run loop) --------------------------
 
@@ -465,7 +466,8 @@ class CheckpointCoordinator:
             for name, sink in executor.sinks.items()})
         manifest = self.store.manifests[cid]
         manifest.finalized_at = self.clock.now
-        manifest.acked_subtasks = sorted(f"{n}[{i}]" for n, i in cut.acked)
+        manifest.acked_subtasks = sorted(subtask_name(n, i)
+                                         for n, i in cut.acked)
         manifest.acked_sinks = sorted(cut.sink_acked)
         manifest.spilled_items = cut.spilled_items
         # Atomic commit point: manifest + snapshot become visible
@@ -604,10 +606,7 @@ def failover_region_of(graph: ExecutionGraph, op_name: str,
         # all chain members share a region (they are directly wired),
         # so any one of them resolves it
         base = base[len("chain("):-1].split("+")[0]
-    if base.endswith("]"):
-        head, bracket, idx = base.rpartition("[")
-        if bracket and idx[:-1].isdigit():
-            base = head
+    base = logical_name(base)
     node = graph.rename.get(base, base)
     for region in failover_regions(graph, replayable):
         if node in region:

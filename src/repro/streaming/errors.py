@@ -15,9 +15,10 @@ when an operator fails *on a record*:
   fault provenance) to the job's dead-letter queue.
 
 Policies are declared per *logical* operator on the
-:class:`~repro.streaming.graph.JobBuilder` and enforced by both
-executors and by :class:`~repro.streaming.chain.ChainedOperator` for
-fused members, through the two guards here:
+:class:`~repro.streaming.graph.JobBuilder` and enforced in one place:
+the :class:`~repro.streaming.chain.ChainedOperator` every execution
+subtask runs applies each member's policy, in both execution modes,
+through the two guards here:
 
 - :func:`guard_batch` wraps a batch kernel.  The hot path is a bare
   ``try``: a clean batch pays nothing.  Injected data faults (known
@@ -37,7 +38,8 @@ under any crash schedule, ``committed sink + committed DLQ`` accounts
 for every input record exactly once.
 
 :class:`RestartBudget` is the supervisor-side complement: bounded
-restart attempts with seeded backoff on a
+restart attempts with seeded backoff (``RetryPolicy``'s capped
+exponential, on the budget's own jitter stream) on a
 :class:`~repro.util.clock.SimClock`, plus flapping detection, so a
 permanently-poisoned job escalates to
 :class:`~repro.util.errors.RestartsExhausted` instead of crash-looping
@@ -59,9 +61,11 @@ from ..util.errors import (
     OperatorCrash,
     RestartsExhausted,
 )
+from ..util.retry import RetryPolicy
 from ..util.rng import make_rng
 from .batch import RecordBatch, decode_items, explode_items
 from .element import Element, StreamItem, Watermark
+from .operators import logical_name
 
 __all__ = [
     "DEAD_LETTER",
@@ -161,22 +165,13 @@ class DeadLetter:
     attempts: int = 0
 
 
-def _base_name(name: str) -> str:
-    """``"double[1]" -> "double"`` — subtask clone to logical name."""
-    if name.endswith("]"):
-        cut = name.rfind("[")
-        if cut > 0:
-            return name[:cut]
-    return name
-
-
 def dead_letter_element(element: Element, op_name: str,
                         exc: BaseException, fault: str = "error",
                         attempts: int = 0) -> Element:
     """Wrap a failed record for delivery to the DLQ sink."""
     letter = DeadLetter(
         value=element.value, timestamp=element.timestamp,
-        key=element.key, operator=_base_name(op_name),
+        key=element.key, operator=logical_name(op_name),
         error_type=type(exc).__name__, error=str(exc),
         fault=fault, attempts=attempts)
     return Element(letter, timestamp=element.timestamp, key=element.key)
@@ -421,19 +416,14 @@ class RestartBudget:
                  clock: SimClock | None = None) -> None:
         if max_restarts < 0:
             raise ConfigError("max_restarts must be >= 0")
-        if base_delay_s < 0 or max_delay_s < 0:
-            raise ConfigError("delays must be non-negative")
-        if multiplier < 1.0:
-            raise ConfigError("multiplier must be >= 1")
-        if not 0.0 <= jitter < 1.0:
-            raise ConfigError("jitter must be in [0, 1)")
         if flap_threshold < 0:
             raise ConfigError("flap_threshold must be >= 0 (0 disables)")
         self.max_restarts = max_restarts
-        self.base_delay_s = base_delay_s
-        self.multiplier = multiplier
-        self.max_delay_s = max_delay_s
-        self.jitter = jitter
+        #: the backoff formula (and its argument checks) is the retry
+        #: layer's; the jitter stream below is the budget's own
+        self.backoff = RetryPolicy(base_delay_s=base_delay_s,
+                                   multiplier=multiplier,
+                                   max_delay_s=max_delay_s, jitter=jitter)
         self.flap_threshold = flap_threshold
         self.clock = clock
         self._rng = make_rng((int(seed), 0xB0D6E7))
@@ -471,10 +461,7 @@ class RestartBudget:
                 f"last error: {error!r}",
                 restarts=self.restarts, reason="budget",
                 last_error=error)
-        delay = min(self.max_delay_s,
-                    self.base_delay_s * self.multiplier ** self.restarts)
-        if self.jitter:
-            delay *= 1.0 + self.jitter * (self._rng.random() * 2.0 - 1.0)
+        delay = self.backoff.delay(self.restarts + 1, self._rng)
         self.restarts += 1
         self.total_backoff_s += delay
         if self.clock is not None and delay > 0.0:

@@ -4,9 +4,12 @@ A :class:`ParallelExecutor` *has* a plan
 (:func:`~repro.streaming.plan.compile_execution_graph`), a
 :class:`~repro.streaming.sources.SourceReader` and
 :class:`~repro.streaming.transport.Channels`; what is its own is the
-operator clones and their error-policy wiring, emit routing (forward /
-hash / rebalance / merge), the drain / barrier / snapshot cycle, the run
-loop, and ``checkpoint`` / ``restore`` as orchestration of the three.
+operator clones (each subtask runs one
+:class:`~repro.streaming.chain.ChainedOperator` of them, which applies
+their error policies and data faults), emit routing (forward / hash /
+rebalance / merge), dead-letter routing, the drain / barrier / snapshot
+cycle, the run loop, and ``checkpoint`` / ``restore`` as orchestration
+of the three.
 
 Execution is single-threaded and deterministic: subtasks are
 *modelled* concurrency, and nothing here reads a clock.  Each subtask
@@ -18,8 +21,7 @@ Two execution modes share one semantics.  **Batched** (the default)
 moves whole channel batches through :meth:`Operator.process_batch` as
 columns (:class:`~repro.streaming.batch.RecordBatch`; Element lists
 only where a source cannot be encoded), with linear runs of chainable
-operators fused into one
-:class:`~repro.streaming.chain.ChainedOperator` node at compile time.
+operators fused into one chain at compile time.
 **Per-item** (``batch_mode=False``) is element-at-a-time dispatch, kept
 as the semantic reference: batched execution is bit-identical to it
 (same sink contents, same operator state and checkpoints, same
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -65,10 +68,10 @@ from .barrier import (
 from .batch import RecordBatch, decode_items, elements_of, items_weight
 from .chain import ChainedOperator
 from .element import CheckpointBarrier, Element, StreamItem, Watermark
-from .errors import DLQ_SINK, FAIL, ErrorPolicy, guard_batch, guard_item
+from .errors import DLQ_SINK
 from .graph import JobGraph
 from .join import IntervalJoinOperator
-from .operators import Operator
+from .operators import Operator, subtask_name
 from .plan import (
     FORWARD,
     HASH,
@@ -191,7 +194,22 @@ class ParallelExecutor:
             }
         else:
             self.sinks = {s: SinkBuffer(s) for s in job.sinks}
-        self._wire_error_policies()
+        # The nodes whose policies can dead-letter feed the reserved DLQ
+        # sink, which mirrors the job's sink flavour: a transactional run
+        # stages dead letters through the same 2PC protocol as regular
+        # output, so a crash can neither lose nor duplicate them.
+        policies = job.error_policies
+        dlq_nodes = [name for name in self.graph.topo
+                     if any(policies[m].can_dead_letter
+                            for m in self.graph.nodes[name].members
+                            if m in policies)]
+        self._dlq_nodes = set(dlq_nodes)
+        if job.needs_dead_letters:
+            self.sinks[DLQ_SINK] = (
+                TransactionalSink(DLQ_SINK, tuple(
+                    (n, i) for n in dlq_nodes
+                    for i in range(self.graph.nodes[n].parallelism)))
+                if transactional_sinks else SinkBuffer(DLQ_SINK))
 
     # -- the three public counters -------------------------------------------
 
@@ -212,93 +230,43 @@ class ParallelExecutor:
     # -- plan materialization ------------------------------------------------
 
     def _build_physical_ops(self) -> None:
-        """Clone each logical operator once per subtask.
+        """Clone each logical operator once per subtask and chain each
+        subtask's clones.
 
         Clones are independent instances (state deep-copied, functions
-        shared) named ``op[i]`` so injector crash sites, metrics and
-        spans are subtask-scoped; the logical name is recoverable by
-        stripping the suffix.
+        shared) named ``op[i]`` (:func:`~repro.streaming.operators.
+        subtask_name`) so injector crash sites, metrics and spans are
+        subtask-scoped.  Every subtask runs one
+        :class:`~repro.streaming.chain.ChainedOperator` of its node's
+        members, which enforces their error policies and the injector's
+        data faults; dead letters collect in one shared list.
         """
-        self._ops: dict[str, list[Operator]] = {}
+        policies = self.job.error_policies
+        self._data_chaos = (self.injector is not None
+                            and getattr(self.injector, "has_data_faults",
+                                        False))
+        directives = (self.injector.data_directives if self._data_chaos
+                      else None)
+        self._dead_letters: list[Element] = []
+        self._ops: dict[str, list[ChainedOperator]] = {}
         self._clones: dict[str, list[Operator]] = {
             m: [] for m in self.job.operators
         }
         for name in self.graph.topo:
             node = self.graph.nodes[name]
-            subtasks: list[Operator] = []
+            member_policies = [policies.get(m) for m in node.members]
+            subtasks: list[ChainedOperator] = []
             for i in range(node.parallelism):
                 member_clones: list[Operator] = []
                 for m in node.members:
                     clone = copy.deepcopy(self.job.operators[m])
-                    clone.name = f"{m}[{i}]"
+                    clone.name = subtask_name(m, i)
                     self._clones[m].append(clone)
                     member_clones.append(clone)
-                if len(member_clones) == 1:
-                    op: Operator = member_clones[0]
-                else:
-                    op = ChainedOperator(member_clones)
-                subtasks.append(op)
+                subtasks.append(ChainedOperator(
+                    member_clones, member_policies, self._dead_letters,
+                    directives))
             self._ops[name] = subtasks
-
-    def _wire_error_policies(self) -> None:
-        """Precompute per-node error-policy enforcement and create the
-        reserved dead-letter sink when any policy can dead-letter.
-
-        ``self._guard`` maps guarded single-operator execution nodes to
-        their policy; fused chains enforce per member internally (the
-        per-subtask chain clones get policies / the shared dead-letter
-        list / the injector's fault source installed here).  The DLQ
-        sink mirrors the job's sink flavour: transactional runs stage
-        dead letters through the same 2PC protocol as regular output,
-        so a crash can neither lose nor duplicate them."""
-        policies = self.job.error_policies
-        self._data_chaos = (self.injector is not None
-                            and getattr(self.injector, "has_data_faults",
-                                        False))
-        self._dead_letters: list[Element] = []
-        self._guard: dict[str, ErrorPolicy] = {}
-        dlq_nodes: list[str] = []
-        for name in self.graph.topo:
-            node = self.graph.nodes[name]
-            if len(node.members) > 1:
-                member_policies = {m: policies[m] for m in node.members
-                                   if m in policies}
-                if member_policies or self._data_chaos:
-                    for op in self._ops[name]:
-                        op.policies = member_policies
-                        op.dead_letters = self._dead_letters
-                        if self._data_chaos:
-                            op.fault_source = self.injector.data_directives
-                if any(p.can_dead_letter
-                       for p in member_policies.values()):
-                    dlq_nodes.append(name)
-            else:
-                policy = policies.get(node.members[0])
-                if policy is not None and policy.kind != "fail":
-                    self._guard[name] = policy
-                elif self._data_chaos:
-                    self._guard[name] = policy or FAIL
-                if policy is not None and policy.can_dead_letter:
-                    dlq_nodes.append(name)
-        self._dlq_nodes = set(dlq_nodes)
-        if self.job.needs_dead_letters:
-            if self.transactional_sinks:
-                feeders = tuple(
-                    (n, i) for n in dlq_nodes
-                    for i in range(self.graph.nodes[n].parallelism))
-                self.sinks[DLQ_SINK] = TransactionalSink(DLQ_SINK, feeders)
-            else:
-                self.sinks[DLQ_SINK] = SinkBuffer(DLQ_SINK)
-
-    def _guarded(self, op, policy, process, handler):
-        """``process`` (a batch kernel of ``op``; ``handler`` its
-        per-item twin) under ``policy`` and any injected data faults."""
-        def guarded(batch):
-            faults = (self.injector.data_directives(op, batch)
-                      if self._data_chaos else None)
-            return guard_batch(op, batch, policy, process,
-                               self._dead_letters, faults, handler)
-        return guarded
 
     def _emit_dead_letters(self, name: str, idx: int) -> None:
         """Route dead letters collected while subtask (name, idx) was
@@ -581,44 +549,21 @@ class ParallelExecutor:
 
     def _process(self, name: str, idx: int, side: str | None,
                  items: list[StreamItem]) -> None:
-        op = self._ops[name][idx]
+        """Run subtask (name, idx)'s chain over ``items`` — through the
+        injector's crash site — emit its output and route its dead
+        letters."""
+        chain = self._ops[name][idx]
         injector = self.injector
-        guard = self._guard.get(name)
-        if isinstance(op, IntervalJoinOperator):
-            # a join is entered by side, a batch at a time or per item
-            process = lambda batch: op.process_side_batch(side, batch)  # noqa: E731
-            handler = lambda it: (  # noqa: E731
-                op.on_watermark_side(side, it) if isinstance(it, Watermark)
-                else op.process_side(side, it))
-            if self.batch_mode:
-                items = decode_items(items)
+        if not self.batch_mode:
+            for item in items:
+                if injector is not None:
+                    injector.before_item(chain)
+                self._emit(name, idx, chain.handle(item, side))
+        elif injector is None:
+            self._emit(name, idx, chain.process_batch(items, side))
         else:
-            process, handler = op.process_batch, op.handle
-        if self.batch_mode:
-            if guard is not None:
-                process = self._guarded(op, guard, process, handler)
-            if injector is None:
-                out = process(items)
-            else:
-                out = injector.intercept_batch(op, items, process)
-            self._emit(name, idx, out)
-            if self._dead_letters:
-                self._emit_dead_letters(name, idx)
-            return
-        for item in items:
-            if injector is not None:
-                injector.before_item(op)
-            if guard is None:
-                out = handler(item)
-            else:
-                fault = None
-                if self._data_chaos:
-                    faults = injector.data_directives(op, (item,))
-                    if faults:
-                        fault = faults.get(0)
-                out = guard_item(op, item, guard, self._dead_letters,
-                                 fault, handler=handler)
-            self._emit(name, idx, out)
+            self._emit(name, idx, injector.intercept_batch(
+                chain, items, partial(chain.process_batch, side=side)))
         if self._dead_letters:
             self._emit_dead_letters(name, idx)
 
@@ -649,7 +594,8 @@ class ParallelExecutor:
                 moved += drained
                 if drained and metrics is not None:
                     metrics.summary(
-                        "op.batch_size", op=f"{name}[{idx}]").observe(drained)
+                        "op.batch_size",
+                        op=subtask_name(name, idx)).observe(drained)
         return moved
 
     # -- barriers and the cut -------------------------------------------------
@@ -731,7 +677,8 @@ class ParallelExecutor:
         if self.metrics is not None:
             self.metrics.summary(
                 "checkpoint.alignment_cycles",
-                op=f"{name}[{idx}]").observe(aligner.last_alignment_cycles)
+                op=subtask_name(name, idx),
+            ).observe(aligner.last_alignment_cycles)
         self._pass_barrier(name, idx, result.checkpoint_id)
         return False
 
@@ -751,7 +698,7 @@ class ParallelExecutor:
                         (name, idx, side)][(up, up_idx)].watermark
         if self.metrics is not None:
             self.metrics.counter("checkpoint.unaligned",
-                                 op=f"{name}[{idx}]").inc()
+                                 op=subtask_name(name, idx)).inc()
         self._pass_barrier(name, idx, checkpoint_id)
 
     def _pass_barrier(self, name: str, idx: int, checkpoint_id: int) -> None:
@@ -761,7 +708,8 @@ class ParallelExecutor:
         snapshot."""
         if self.injector is not None:
             self.injector.before_snapshot(self._ops[name][idx],
-                                          f"{name}[{idx}]", checkpoint_id)
+                                          subtask_name(name, idx),
+                                          checkpoint_id)
         cut = self._cut_for(checkpoint_id)
         if cut is not None:
             self._read_state(name, idx, cut)
@@ -781,7 +729,8 @@ class ParallelExecutor:
 
     def _sides(self, name: str) -> tuple[str | None, ...]:
         """The input sides of an execution node: a join has two."""
-        join = isinstance(self._ops[name][0], IntervalJoinOperator)
+        join = isinstance(self._ops[name][0].operators[0],
+                          IntervalJoinOperator)
         return ("left", "right") if join else (None,)
 
     def _read_state(self, name: str, idx: int, cut: Cut) -> None:
@@ -845,7 +794,7 @@ class ParallelExecutor:
                 for name in self.graph.topo
                 for idx in range(self.graph.nodes[name].parallelism)
                 if injector.stall_check(self._ops[name][idx],
-                                        f"{name}[{idx}]")
+                                        subtask_name(name, idx))
             }
         elif self._stalled_now:
             self._stalled_now = set()
@@ -853,7 +802,7 @@ class ParallelExecutor:
             for name in self.graph.topo:
                 for idx in range(self.graph.nodes[name].parallelism):
                     if (name, idx) not in self._stalled_now:
-                        self._coordinator.monitor.beat(f"{name}[{idx}]")
+                        self._coordinator.monitor.beat(subtask_name(name, idx))
 
     def _run_loop(self, source_batch: int,
                   max_cycles: int | None) -> dict[str, SinkBuffer]:
@@ -901,8 +850,10 @@ class ParallelExecutor:
             node = self.graph.nodes[name]
             for idx in range(node.parallelism):
                 out = self._ops[name][idx].flush()
+                self._emit(name, idx, out)
+                if self._dead_letters:
+                    self._emit_dead_letters(name, idx)
                 if out:
-                    self._emit(name, idx, out)
                     while self._drain_cycle():
                         pass
 
@@ -1077,7 +1028,7 @@ class ParallelExecutor:
             if name in region:
                 aligner.reset()
                 if self._coordinator is not None:
-                    self._coordinator.monitor.reset(f"{name}[{idx}]")
+                    self._coordinator.monitor.reset(subtask_name(name, idx))
         if self.metrics is not None:
             self.metrics.counter("executor.restores" if whole else
                                  "executor.regional_restores").inc()

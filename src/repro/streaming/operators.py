@@ -44,7 +44,26 @@ __all__ = [
     "ReduceOperator",
     "TimestampAssigner",
     "WatermarkGenerator",
+    "logical_name",
+    "subtask_name",
 ]
+
+
+def subtask_name(operator: str, index: int) -> str:
+    """``("double", 1) -> "double[1]"`` — the name of an operator's
+    clone, or of an execution node's subtask, at one subtask index: what
+    crash sites, data-fault counters, heartbeats and metrics key on."""
+    return f"{operator}[{index}]"
+
+
+def logical_name(name: str) -> str:
+    """``"double[1]" -> "double"`` — the inverse of :func:`subtask_name`;
+    any other name (a logical name, ``"m[x]"``) is returned as it is."""
+    if name.endswith("]"):
+        base, bracket, index = name.rpartition("[")
+        if bracket and index[:-1].isdigit():
+            return base
+    return name
 
 
 def _check_length(op: "Operator", result: Any, n: int) -> None:

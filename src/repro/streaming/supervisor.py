@@ -46,6 +46,7 @@ from .coordinator import (
 from .errors import DLQ_SINK
 from .execution import ParallelExecutor
 from .graph import JobGraph
+from .operators import subtask_name
 from .plan import ExecutionGraph
 from .shuffle import DEFAULT_KEY_GROUPS
 
@@ -526,7 +527,7 @@ class Supervisor:
             now = new.width(new.rename[name]) if name in new.rename else width
             for idx in range(now, width):
                 for family in per_subtask:
-                    self.metrics.retire(family, op=f"{name}[{idx}]")
+                    self.metrics.retire(family, op=subtask_name(name, idx))
 
     # -- completion ----------------------------------------------------------
 

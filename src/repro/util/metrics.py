@@ -80,13 +80,6 @@ class Summary:
         self._samples.append(float(value))
         self._array = None
 
-    def observe_many(self, values) -> None:
-        """Bulk observe — one C-level extend for a whole delivery batch
-        (the columnar sink path records per-element lag samples without
-        a per-element call)."""
-        self._samples.extend(float(v) for v in values)
-        self._array = None
-
     def reset(self) -> None:
         """Drop all observations (for reusing one Summary across runs)."""
         self._samples.clear()

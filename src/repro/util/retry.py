@@ -86,9 +86,11 @@ class RetryPolicy:
         if n is None:
             n = max(0, self.max_attempts - 1)
         rng = make_rng(self.seed)
-        return [self._delay(i + 1, rng) for i in range(n)]
+        return [self.delay(i + 1, rng) for i in range(n)]
 
-    def _delay(self, retry_index: int, rng: np.random.Generator) -> float:
+    def delay(self, retry_index: int, rng: np.random.Generator) -> float:
+        """The delay before retry ``retry_index`` (1-based), its jitter
+        drawn from ``rng``."""
         raw = min(self.max_delay_s,
                   self.base_delay_s * self.multiplier ** (retry_index - 1))
         if self.jitter:
@@ -147,7 +149,7 @@ class Retrier:
                     raise RetryExhausted(
                         f"gave up after {attempt} attempts: {exc}",
                         last_error=exc) from exc
-                delay = policy._delay(attempt, self._rng)
+                delay = policy.delay(attempt, self._rng)
                 if (policy.deadline_s is not None
                         and slept + delay > policy.deadline_s):
                     raise RetryExhausted(

@@ -176,6 +176,31 @@ def test_modes_agree_on_dlq_contents():
                 for dl in sinks[DLQ_SINK].values] == baseline
 
 
+class _PoisonAtFlush(MapOperator):
+    """A chainable map that emits one record at end of stream."""
+
+    def flush(self):
+        return [Element("poison", 99.0)]
+
+
+@pytest.mark.parametrize("batch_mode", [False, True])
+def test_records_emitted_at_flush_meet_the_downstream_policy(batch_mode):
+    builder = JobBuilder("flush")
+    (builder.source("s", [Element(float(i), float(i)) for i in range(5)])
+            .apply(_PoisonAtFlush("tail", lambda v: v))
+            .map(lambda v: v + 1, name="inc").on_error(DEAD_LETTER)
+            .sink("out"))
+    executor = ParallelExecutor(builder.build(), batch_mode=batch_mode)
+    sinks = executor.run()
+    # batched, the flush cascades inside the fused chain tail+inc
+    assert [n.members for n in executor.graph.nodes.values()] == (
+        [["tail", "inc"]] if batch_mode else [["tail"], ["inc"]])
+    assert sinks["out"].values == [1.0, 2.0, 3.0, 4.0, 5.0]
+    [letter] = sinks[DLQ_SINK].values
+    assert (letter.value, letter.operator, letter.error_type) \
+        == ("poison", "inc", "TypeError")
+
+
 def test_no_dlq_sink_without_dead_letter_policy():
     assert DLQ_SINK not in ParallelExecutor(build(SKIP)).run()
     assert DLQ_SINK in ParallelExecutor(build(DEAD_LETTER)).run()
@@ -274,3 +299,30 @@ def test_restart_budget_backoff_is_seeded_and_capped():
                            max_delay_s=2.0, jitter=0.0)
     delays = [budget.on_failure(ValueError("x")) for _ in range(8)]
     assert max(delays) == 2.0
+
+
+#: the first eight default-budget delays per seed, as recorded before the
+#: budget took its formula from ``RetryPolicy.delay`` — bit-identical
+PINNED_DELAYS = {
+    0: [0.2350768273390897, 0.5427098194143201, 0.9454163148716139,
+        2.0050769436483735, 3.7077601723796043, 8.092093503819488,
+        15.681486938650341, 30.595510157546908],
+    1: [0.2317068836382062, 0.45543948700539755, 0.9121371053751453,
+        1.8011086143337236, 4.268033048901451, 8.552098277497901,
+        14.547677013148464, 29.220673308799004],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_DELAYS))
+def test_restart_budget_delays_are_pinned(seed):
+    budget = RestartBudget(max_restarts=8, seed=seed)
+    assert [budget.on_failure(ValueError("x")) for _ in range(8)] \
+        == PINNED_DELAYS[seed]
+
+
+def test_restart_budget_checks_its_backoff_arguments():
+    for kwargs in ({"base_delay_s": -1.0}, {"multiplier": 0.5},
+                   {"jitter": 1.0}, {"flap_threshold": -1},
+                   {"max_restarts": -1}):
+        with pytest.raises(ConfigError):
+            RestartBudget(**kwargs)

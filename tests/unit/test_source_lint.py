@@ -59,6 +59,13 @@ text, imports only to inspect one signature).
     names ``ParallelExecutor``, and of those packages only
     ``core/pipeline.py`` (its ``run_job``) calls ``run_coordinated`` —
     every facade and app job runs supervised through it.
+(n) One place runs a subtask: ``guard_batch`` / ``guard_item`` are
+    called from ``streaming/chain.py`` only (and from each other in
+    ``streaming/errors.py``, which defines them); nothing under ``src/``
+    asks whether an operator ``isinstance`` of ``ChainedOperator`` —
+    every execution subtask is one; and the ``"op[i]" -> "op"`` rule
+    (``rpartition("[")`` / ``rfind("[")``) is written once, in
+    ``operators.logical_name``.
 """
 
 import ast
@@ -253,8 +260,8 @@ def test_execution_module_holds_the_executor_and_nothing_else():
                   if isinstance(target, ast.Attribute)
                   and isinstance(target.value, ast.Name)
                   and target.value.id == "self"}
-    assert len(methods) <= 45, len(methods)
-    assert len(attributes) <= 32, sorted(attributes)
+    assert len(methods) <= 43, len(methods)
+    assert len(attributes) <= 31, sorted(attributes)
     (restore,) = [m for m in methods if m.name == "restore"]
     fields = {"queue", "watermark", "send_seq", "recv_seq", "ooo",
               "buffer", "position", "mergeable", "finished"}
@@ -548,3 +555,36 @@ def test_facade_and_apps_run_jobs_through_run_job_only():
                          outside | {"core/pipeline.py"})
     assert runners == []
     assert "run_coordinated(" in (SRC / "core/pipeline.py").read_text()
+
+
+# -- (n) one place runs a subtask ---------------------------------------------
+
+GUARD_CALL = re.compile(r"(?<!def )\bguard_(batch|item)\(")
+CHAIN_CHECK = re.compile(r"isinstance\([^)]*\bChainedOperator\b")
+
+
+def _bracket_cuts(text):
+    """The functions that cut a name at its last ``[``."""
+    return [func.name for func in ast.walk(ast.parse(text))
+            if isinstance(func, ast.FunctionDef)
+            for call in ast.walk(func)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr in ("rpartition", "rfind")
+            and call.args and isinstance(call.args[0], ast.Constant)
+            and call.args[0].value == "["]
+
+
+def test_the_chain_is_the_one_place_policies_are_applied():
+    assert _offenders(GUARD_CALL, {"streaming/chain.py",
+                                   "streaming/errors.py"}) == []
+    assert GUARD_CALL.search((SRC / "streaming/chain.py").read_text())
+    assert _offenders(CHAIN_CHECK, set()) == []
+
+
+def test_the_subtask_name_rule_is_written_once():
+    cuts = {rel: _bracket_cuts(text) for rel, text in _sources()}
+    assert {rel: names for rel, names in cuts.items() if names} \
+        == {"streaming/operators.py": ["logical_name"]}
+    assert _bracket_cuts(
+        "def base(n):\n    return n.rpartition('[')[0]\n") == ["base"]

@@ -113,9 +113,21 @@ class TestChainPlan:
 
 
 class TestChainedOperator:
-    def test_needs_two_operators(self):
-        with pytest.raises(StreamError):
-            ChainedOperator([MapOperator("m", lambda v: v)])
+    def test_chain_of_one_is_named_after_its_member(self):
+        member = MapOperator("m[0]", lambda v: v * 2)
+        chain = ChainedOperator([member])
+        assert chain.name == "m[0]" and chain.operators == [member]
+        items = [Element(float(i), float(i)) for i in range(3)]
+        reference = MapOperator("m[0]", lambda v: v * 2)
+        assert chain.process_batch(items) == reference.process_batch(items)
+        assert chain.handle(items[0]) == reference.handle(items[0])
+        assert (member.processed, member.emitted) == (4, 4)
+        # bare: no policy declared, so a failing record raises as it
+        # would from the operator itself and nothing is dead-lettered
+        bare = ChainedOperator([MapOperator("b", lambda v: v / 0)])
+        with pytest.raises(ZeroDivisionError):
+            bare.process_batch(items)
+        assert bare.dead_letters == []
 
     def test_handle_and_batch_agree(self):
         def make():
@@ -138,17 +150,6 @@ class TestChainedOperator:
         chain.process_batch([Element(1.0, 5.0)])
         out = chain.flush()
         assert out == [Watermark(float("inf"))]
-
-    def test_snapshot_restore_roundtrip(self):
-        wm_gen = WatermarkGenerator("w", max_lateness=1.0)
-        chain = ChainedOperator([MapOperator("m", lambda v: v), wm_gen])
-        chain.process_batch([Element(1.0, 5.0)])
-        snap = chain.snapshot()
-        assert snap["m"] is None
-        fresh_wm = WatermarkGenerator("w", max_lateness=1.0)
-        fresh = ChainedOperator([MapOperator("m", lambda v: v), fresh_wm])
-        fresh.restore([snap])
-        assert fresh_wm.snapshot() == wm_gen.snapshot()
 
 
 class TestModeEquivalence:
