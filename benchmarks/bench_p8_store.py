@@ -15,12 +15,13 @@ shape a deployment has — **Zipf keys, lookups landing on keys whose
 memtable list holds hundreds of versions** — because a lookup whose
 cost grows with a key's version count is invisible on the first.
 
-The write side gets one row as well, **epoch apply**: what
-``StoreSink.on_checkpoint_committed`` costs per row for one 20 000-row
-Zipf epoch and for 1 000 epochs of 20 rows, each handed over once as
-the batch the transactional sink sealed and once as a plain Element
-list (which the store encodes at its boundary).  The columnar hand-off
-exists to make the first cheaper than the second.
+The write side gets one row as well, **epoch apply**: what applying an
+epoch costs per row for one 20 000-row Zipf epoch and for 1 000 epochs
+of 20 rows, each handed over once as the batch the transactional sink
+sealed (``StoreSink.on_checkpoint_committed``) and once as a plain
+Element list (``StoreSink.stage`` / ``apply``; the store encodes it at
+its boundary).  The columnar hand-off exists to make the first cheaper
+than the second.
 
 Reported: per-phase build throughput, hot-tier structure (runs,
 compactions), lookup p50/p99/max, concurrent analytical ingest rate,
@@ -196,13 +197,12 @@ def _measure_hot_keys(rng) -> dict:
 
 
 def _apply_epochs(epochs: list[list[Element]], as_batch: bool) -> float:
-    """Seconds spent inside ``StoreSink.on_checkpoint_committed`` over
-    ``epochs``, committed one by one into a fresh store.  ``as_batch``:
-    the listener is handed the transactional sink that sealed each
-    epoch; otherwise the growing Element list."""
+    """Seconds spent applying ``epochs``, committed one by one into a
+    fresh store.  ``as_batch``: the commit listener is handed the
+    transactional sink that sealed each epoch; otherwise each epoch's
+    Element list is staged and applied as it is."""
     feeder = ("bench", 0)
     txn = TransactionalSink("out", (feeder,))
-    committed: list[Element] = []
     sink = StoreSink(TieredStore())
     spent = 0
     for cid, elements in enumerate(epochs, start=1):
@@ -210,11 +210,9 @@ def _apply_epochs(epochs: list[list[Element]], as_batch: bool) -> float:
             txn.deliver(RecordBatch.from_elements(elements), feeder)
             txn.on_barrier(feeder, cid)
             txn.commit(cid)
-        else:
-            committed.extend(elements)
         t0 = time.perf_counter_ns()
-        applied = sink.on_checkpoint_committed(
-            cid, txn if as_batch else committed)
+        applied = (sink.on_checkpoint_committed(cid, txn) if as_batch
+                   else sink.apply(cid, sink.stage(cid, elements)))
         spent += time.perf_counter_ns() - t0
         assert applied == len(elements)
     return spent / 1e9

@@ -31,6 +31,7 @@ from typing import Any
 
 from ..streaming.batch import RecordBatch
 from ..streaming.element import Element
+from ..streaming.txn_sink import TransactionalSink
 from ..util.errors import StoreError
 from .tiered import TieredStore
 
@@ -72,7 +73,7 @@ class StoreSink:
         return self
 
     def _on_commit(self, checkpoint_id: int, sink_name: str,
-                   committed: Any) -> None:
+                   committed: TransactionalSink) -> None:
         if self.sink_name is not None and sink_name != self.sink_name:
             return
         self.on_checkpoint_committed(checkpoint_id, committed)
@@ -80,11 +81,10 @@ class StoreSink:
     # -- the epoch-apply protocol --------------------------------------------
 
     def on_checkpoint_committed(self, checkpoint_id: int,
-                                committed: Any) -> int:
+                                committed: TransactionalSink) -> int:
         """Stage and apply the newly committed delta of ``committed`` —
-        the transactional sink (the delta comes as a batch) or a plain
-        Element list.  Returns rows applied (0 when replaying an
-        already-applied commit)."""
+        the transactional sink, whose delta comes as one batch.  Returns
+        rows applied (0 when replaying an already-applied commit)."""
         if len(committed) < self._applied_rows:
             # Committed output is a prefix-growing projection; shrinking
             # below what we applied means the caller handed us a
@@ -93,10 +93,8 @@ class StoreSink:
                 f"committed output ({len(committed)} rows) rewound below "
                 f"applied rows ({self._applied_rows}) — StoreSink must "
                 "follow a single transactional sink")
-        delta = (committed[self._applied_rows:]
-                 if isinstance(committed, list)
-                 else committed.rows_from(self._applied_rows))
-        staged = self.stage(checkpoint_id, delta)
+        staged = self.stage(checkpoint_id,
+                            committed.rows_from(self._applied_rows))
         return self.apply(checkpoint_id, staged)
 
     def stage(self, epoch: int,

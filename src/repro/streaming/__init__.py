@@ -35,7 +35,7 @@ from .errors import (
     ErrorPolicy,
     RestartBudget,
 )
-from .execution import ParallelExecutor, SinkBuffer
+from .execution import ParallelExecutor
 from .graph import JobBuilder, JobGraph, SourceSpec
 from .join import IntervalJoinOperator, Joined
 from .placement import RegionPlacement, placement_from_topology
@@ -129,7 +129,6 @@ __all__ = [
     "JobBuilder",
     "JobGraph",
     "SourceSpec",
-    "SinkBuffer",
     "ExecutionGraph",
     "PhysicalNode",
     "PhysicalEdge",

@@ -196,8 +196,8 @@ class ParallelCheckpoint:
     source_positions: dict[str, dict[int, int]]  # source -> split -> pos
     keyed_state: dict[str, dict[int, Any]]  # op -> key group -> blob
     scalar_state: dict[str, list[Any]]  # op -> per-subtask snapshot
-    #: sink -> its rows: a 2PC sink's sealed batches (one per epoch, no
-    #: row copied), a plain buffer's Elements; either restores into both
+    #: sink -> its committed rows: the 2PC sink's sealed batches (one
+    #: per committed epoch, no row copied)
     sink_elements: dict[str, list]
     #: transient routing state (channel watermarks, aligned watermarks,
     #: round-robin cursors); applied on restore only when the plan shape

@@ -369,7 +369,7 @@ class CheckpointCoordinator:
     """Paces checkpoints, finalizes them atomically, commits the sinks.
 
     Attach to a :class:`~repro.streaming.execution.ParallelExecutor`
-    built with ``transactional_sinks=True``; the executor then calls
+    (whose sinks are all 2PC participants); the executor then calls
     :meth:`on_cycle_start` / :meth:`on_cycle_end` from its run loop.
     :meth:`trigger` has the executor open a cut, which the executor
     writes as its barriers pass; :meth:`maybe_finalize` commits it once

@@ -11,6 +11,12 @@ rebalance / merge), dead-letter routing, the drain / barrier / snapshot
 cycle, the run loop, and ``checkpoint`` / ``restore`` as orchestration
 of the three.
 
+Every sink is a 2PC :class:`~repro.streaming.txn_sink.TransactionalSink`.
+With a checkpoint coordinator attached, its output becomes visible when
+a checkpoint finalizes; with none, the run loop commits each sink's
+open transaction at the end of every macro cycle and after the
+end-of-input flush, so ``run`` returns with every delivered row visible.
+
 Execution is single-threaded and deterministic: subtasks are
 *modelled* concurrency, and nothing here reads a clock.  Each subtask
 index is a worker lane; :meth:`ParallelExecutor.lane_items` counts the
@@ -50,13 +56,12 @@ interleaving*; per-key subsequences are bit-identical.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Any
 
 import numpy as np
 
-from ..util.errors import CheckpointError, JobGraphError
+from ..util.errors import CheckpointError, ConfigError, JobGraphError
 from .barrier import (
     BLOCKED,
     IGNORED,
@@ -65,7 +70,7 @@ from .barrier import (
     Cut,
     ParallelCheckpoint,
 )
-from .batch import RecordBatch, decode_items, elements_of, items_weight
+from .batch import RecordBatch, decode_items, items_weight
 from .chain import ChainedOperator
 from .element import CheckpointBarrier, Element, StreamItem, Watermark
 from .errors import DLQ_SINK
@@ -91,22 +96,7 @@ from .sources import SourceReader
 from .transport import Channel, Channels
 from .txn_sink import TransactionalSink
 
-__all__ = ["SinkBuffer", "ParallelExecutor"]
-
-
-@dataclass
-class SinkBuffer:
-    """Collects elements delivered to a named sink."""
-
-    name: str
-    elements: list[Element] = field(default_factory=list)
-
-    @property
-    def values(self) -> list[Any]:
-        return [e.value for e in self.elements]
-
-    def __len__(self) -> int:
-        return len(self.elements)
+__all__ = ["ParallelExecutor"]
 
 
 class ParallelExecutor:
@@ -126,9 +116,12 @@ class ParallelExecutor:
                  drop_on_overflow: bool = False, batch_mode: bool = True,
                  injector: Any = None,
                  tracer: Any = None, metrics: Any = None,
-                 transactional_sinks: bool = False,
+                 transactional_sinks: bool = True,
                  unaligned_after: int | None = None,
                  placement: Any = None) -> None:
+        if not transactional_sinks:
+            raise ConfigError("every sink is a 2PC TransactionalSink; "
+                              "transactional_sinks=False is not supported")
         self.graph = compile_execution_graph(
             job, parallelism, num_key_groups=num_key_groups,
             chaining=batch_mode, placement=placement)
@@ -141,7 +134,6 @@ class ParallelExecutor:
         self.injector = injector
         self.tracer = tracer
         self.metrics = metrics
-        self.transactional_sinks = transactional_sinks
         self.sources = SourceReader(job, self.graph, batch_mode=batch_mode,
                                     metrics=metrics)
         self.channels = Channels(
@@ -187,17 +179,12 @@ class ParallelExecutor:
         #: parallelism -> (key_dict, per-code subtask map) for the
         #: vectorized hash shuffle (single entry per width: bounded)
         self._hash_sub_cache: dict[int, tuple[list, np.ndarray]] = {}
-        if transactional_sinks:
-            self.sinks: dict[str, Any] = {
-                s: TransactionalSink(s, self.graph.sink_feeders(s))
-                for s in job.sinks
-            }
-        else:
-            self.sinks = {s: SinkBuffer(s) for s in job.sinks}
+        self.sinks = {s: TransactionalSink(s, self.graph.sink_feeders(s))
+                      for s in job.sinks}
         # The nodes whose policies can dead-letter feed the reserved DLQ
-        # sink, which mirrors the job's sink flavour: a transactional run
-        # stages dead letters through the same 2PC protocol as regular
-        # output, so a crash can neither lose nor duplicate them.
+        # sink, which stages dead letters through the same 2PC protocol
+        # as regular output, so a crash can neither lose nor duplicate
+        # them.
         policies = job.error_policies
         dlq_nodes = [name for name in self.graph.topo
                      if any(policies[m].can_dead_letter
@@ -205,11 +192,9 @@ class ParallelExecutor:
                             if m in policies)]
         self._dlq_nodes = set(dlq_nodes)
         if job.needs_dead_letters:
-            self.sinks[DLQ_SINK] = (
-                TransactionalSink(DLQ_SINK, tuple(
-                    (n, i) for n in dlq_nodes
-                    for i in range(self.graph.nodes[n].parallelism)))
-                if transactional_sinks else SinkBuffer(DLQ_SINK))
+            self.sinks[DLQ_SINK] = TransactionalSink(DLQ_SINK, tuple(
+                (n, i) for n in dlq_nodes
+                for i in range(self.graph.nodes[n].parallelism)))
 
     # -- the three public counters -------------------------------------------
 
@@ -270,15 +255,11 @@ class ParallelExecutor:
 
     def _emit_dead_letters(self, name: str, idx: int) -> None:
         """Route dead letters collected while subtask (name, idx) was
-        processing into the reserved DLQ sink.  Transactional runs stage
-        them against this feeder's open epoch; the sink frontier gauge is
-        left alone (a poisoned record's timestamp may be garbage)."""
+        processing into the reserved DLQ sink, staged against this
+        feeder's open epoch; the sink frontier gauge is left alone (a
+        poisoned record's timestamp may be garbage)."""
         letters = self._dead_letters
-        sink = self.sinks[DLQ_SINK]
-        if self.transactional_sinks:
-            sink.deliver(list(letters), (name, idx))
-        else:
-            sink.elements.extend(letters)
+        self.sinks[DLQ_SINK].deliver(list(letters), (name, idx))
         if self.metrics is not None:
             self.metrics.counter("sink.delivered",
                                  sink=DLQ_SINK).inc(len(letters))
@@ -287,13 +268,9 @@ class ParallelExecutor:
     # -- checkpoint coordination ---------------------------------------------
 
     def attach_coordinator(self, coordinator: Any) -> None:
-        """Wire a CheckpointCoordinator into the run loop.  Requires
-        transactional sinks: with plain sink buffers, output written
-        between the barrier cut and a crash would already be visible,
-        so an in-band checkpoint could not be exactly-once."""
-        if not self.transactional_sinks:
-            raise CheckpointError(
-                "coordinated checkpoints require transactional_sinks=True")
+        """Wire a CheckpointCoordinator into the run loop: from now on
+        sinks commit only when its checkpoints finalize, not at the end
+        of every macro cycle."""
         self._coordinator = coordinator
 
     def open_cut(self, checkpoint_id: int) -> Cut:
@@ -391,20 +368,7 @@ class ParallelExecutor:
             if edge.mode == MERGE:
                 if edge.cross_region:
                     self._charge_cross_region(edge, 1)
-                sink = self.sinks[edge.down]
-                if self.transactional_sinks:
-                    self._deliver_transactional(sink, edge.down,
-                                                (up, up_idx), items)
-                    continue
-                delivered = elements_of(items)
-                sink.elements.extend(delivered)
-                if delivered:
-                    self._note_sink_delivery(
-                        edge.down, max(e.timestamp for e in delivered))
-                    if self.metrics is not None:
-                        self.metrics.counter(
-                            "sink.delivered",
-                            sink=edge.down).inc(len(delivered))
+                self._deliver(edge.down, (up, up_idx), items)
                 continue
             if edge.mode == FORWARD:
                 if edge.cross_region:
@@ -494,13 +458,13 @@ class ParallelExecutor:
             if part.weight:
                 buckets[j].append(part)
 
-    def _deliver_transactional(self, sink: Any, sink_name: str,
-                               feeder: tuple[str, int],
-                               items: list[StreamItem]) -> None:
+    def _deliver(self, sink_name: str, feeder: tuple[str, int],
+                 items: list[StreamItem]) -> None:
         """Merge a feeder's output into a 2PC sink: elements stage into
         the open transaction, barriers advance the sink's alignment and
         — once all feeders delivered — pre-commit (phase 1, acked in
         the cut)."""
+        sink = self.sinks[sink_name]
         run: list[Element] = []
         delivered = 0
         frontier = float("-inf")
@@ -718,8 +682,7 @@ class ParallelExecutor:
                     cut.aligned_wm[(name, idx, side)] = \
                         self.channels.aligned((name, idx, side))
         self._emit(name, idx, [CheckpointBarrier(checkpoint_id)])
-        if name in self._dlq_nodes and DLQ_SINK in self.sinks \
-                and self.transactional_sinks:
+        if name in self._dlq_nodes and DLQ_SINK in self.sinks:
             # Dead-letter feeders also gate the DLQ's 2PC pre-commit:
             # this subtask's barrier closes its dead-letter epoch.
             self._sink_precommitted(
@@ -768,8 +731,10 @@ class ParallelExecutor:
     # -- run loop ------------------------------------------------------------
 
     def run(self, source_batch: int = 256,
-            max_cycles: int | None = None) -> dict[str, SinkBuffer]:
-        """Run until sources are exhausted and channels drained."""
+            max_cycles: int | None = None) -> dict[str, TransactionalSink]:
+        """Run until sources are exhausted and channels drained (or for
+        ``max_cycles`` macro cycles).  With no coordinator attached every
+        delivered row is committed, so visible, when this returns."""
         if source_batch < 1:
             # 0 would pull nothing, forever: the loop only ends once
             # the sources are read to their end
@@ -805,7 +770,7 @@ class ParallelExecutor:
                         self._coordinator.monitor.beat(subtask_name(name, idx))
 
     def _run_loop(self, source_batch: int,
-                  max_cycles: int | None) -> dict[str, SinkBuffer]:
+                  max_cycles: int | None) -> dict[str, TransactionalSink]:
         cycles = 0
         idle = 0
         coordinator = self._coordinator
@@ -815,6 +780,10 @@ class ParallelExecutor:
             if coordinator is not None:
                 coordinator.on_cycle_start()
             moved = self._drain()
+            if coordinator is None:
+                # no checkpoint to commit with: the cycle's end commits
+                for sink in self.sinks.values():
+                    sink.commit_open()
             # gauges refresh every macro cycle: the autoscaler steers
             # a job while it runs
             if self.metrics is not None:
@@ -838,6 +807,9 @@ class ParallelExecutor:
                 break
         if self.sources.exhausted and not self.channels.pending():
             self._flush()
+            if coordinator is None:
+                for sink in self.sinks.values():
+                    sink.commit_open()
             self._close_spans()
             self._publish_metrics()
         return self.sinks
@@ -905,10 +877,8 @@ class ParallelExecutor:
         cut.channel_wm = routing["channel_wm"]
         cut.aligned_wm = routing["aligned_wm"]
         cut.rr = self._rr
-        snapshot = cut.checkpoint({
-            s: list(buf.batches if self.transactional_sinks
-                    else buf.elements)
-            for s, buf in self.sinks.items()})
+        snapshot = cut.checkpoint({s: list(buf.batches)
+                                   for s, buf in self.sinks.items()})
         if self.metrics is not None:
             self.metrics.counter("executor.checkpoints").inc()
         if self._job_span is not None:
@@ -995,15 +965,8 @@ class ParallelExecutor:
                 clone.restore([scalars[i]] if exact else list(scalars),
                               primary=exact or i == 0, exact=exact)
         for name, buf in self.sinks.items():
-            if name not in region:
-                continue
-            # sealed batches from a 2PC sink or Elements from a plain
-            # buffer: either kind of row restores into either sink
-            rows = checkpoint.sink_elements.get(name, ())
-            if self.transactional_sinks:
-                buf.restore_elements(rows)  # 2PC: truncate open txns
-            else:
-                buf.elements[:] = elements_of(rows)
+            if name in region:  # truncates open transactions too
+                buf.restore_elements(checkpoint.sink_elements.get(name, ()))
         self.channels.reset(region, routing, checkpoint.in_flight)
         rebalanced = {i for i, edge in enumerate(self.graph.edges)
                       if edge.mode == REBALANCE and edge.up in region}

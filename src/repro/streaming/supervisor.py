@@ -244,8 +244,7 @@ class Supervisor:
             job, parallelism, num_key_groups=self.num_key_groups,
             batch_mode=self.batch_mode, injector=self.injector,
             tracer=self.tracer, metrics=self.metrics,
-            transactional_sinks=True, unaligned_after=self.unaligned_after,
-            placement=placement)
+            unaligned_after=self.unaligned_after, placement=placement)
 
     def _build_coordinator(self) -> CheckpointCoordinator:
         return CheckpointCoordinator(

@@ -1,8 +1,8 @@
 """Two-phase-commit transactional sinks.
 
-The coordinated-checkpoint protocol (see
-:mod:`repro.streaming.coordinator`) makes sink output exactly-once by
-turning every sink into a 2PC participant:
+Every sink is a 2PC participant.  The coordinated-checkpoint protocol
+(see :mod:`repro.streaming.coordinator`) makes sink output exactly-once
+this way:
 
 - elements delivered between barriers accumulate in an **open
   transaction** (invisible);
@@ -17,8 +17,9 @@ turning every sink into a 2PC participant:
   output rewinds to exactly what checkpoint *n* recorded — so no
   element is ever exposed twice or lost, for any crash point.
 
-:class:`TransactionalSink` is the in-memory collected sink
-(:class:`~repro.streaming.execution.SinkBuffer`-compatible surface).
+:class:`TransactionalSink` is the in-memory collected sink, the only
+kind there is; a run with no coordinator commits each open transaction
+at every macro cycle's end (:meth:`TransactionalSink.commit_open`).
 :class:`TransactionalLogSink` mirrors committed output into an event-log
 topic through a fenced idempotent producer; its resume point is derived
 from the topic's end offsets, so a crash *between* checkpoint
@@ -51,8 +52,8 @@ class TransactionalSink:
     Rows stay columns from delivery to the store: the open transaction
     is a list of delivered batches and loose Elements, a pre-committed
     one is a single sealed batch, and the committed output is one sealed
-    batch per non-empty epoch (``batches``).  ``committed`` /
-    ``elements`` / ``values`` decode them on demand.
+    batch per non-empty epoch (``batches``).  ``elements`` / ``values``
+    decode them on demand.
     """
 
     def __init__(self, name: str, feeders: tuple[Hashable, ...]) -> None:
@@ -77,10 +78,10 @@ class TransactionalSink:
         self.commits = 0
         self.aborts = 0
 
-    # -- SinkBuffer-compatible surface --------------------------------------
+    # -- visible output -------------------------------------------------------
 
     @property
-    def committed(self) -> list[Element]:
+    def elements(self) -> list[Element]:
         """The committed (visible) output, decoded past what an earlier
         call already decoded."""
         if self._decoded < len(self.batches):
@@ -88,8 +89,6 @@ class TransactionalSink:
                 self._elements.extend(rb.to_elements())
             self._decoded = len(self.batches)
         return self._elements
-
-    elements = committed
 
     @property
     def values(self) -> list[Any]:
@@ -198,6 +197,17 @@ class TransactionalSink:
         self.commits += 1
         return len(txn)
 
+    def commit_open(self) -> int:
+        """Seal and commit the open transaction in one step — a run with
+        no coordinator attached, at the end of each macro cycle.
+        Returns how many rows became visible."""
+        txn = RecordBatch.sealed(self._staged)
+        self._staged = []
+        if len(txn):
+            self.batches.append(txn)
+            self._rows += len(txn)
+        return len(txn)
+
     def abort_pending(self, checkpoint_id: int) -> None:
         """The coordinator abandoned ``checkpoint_id`` (e.g. it crashed
         before finalize): demote the sealed transaction back into the
@@ -210,9 +220,9 @@ class TransactionalSink:
 
     def restore_elements(self, rows: list) -> None:
         """Recovery: visible output becomes exactly the checkpoint's
-        record — sealed batches as they are, Elements (a snapshot of a
-        plain sink buffer) encoded; every in-flight transaction is
-        truncated (replay will regenerate it)."""
+        record — its sealed batches as they are (a run of Elements is
+        encoded); every in-flight transaction is truncated (replay will
+        regenerate it)."""
         self.batches = batches_of(rows)
         self._rows = sum(len(rb) for rb in self.batches)
         self._decoded = 0
@@ -263,15 +273,12 @@ class TransactionalLogSink:
         return epoch
 
     def on_checkpoint_committed(self, checkpoint_id: int,
-                                committed: Any) -> int:
+                                committed: TransactionalSink) -> int:
         """Append the delta of newly committed elements — ``committed``
-        is the sink (only the delta is decoded) or a plain Element list;
-        returns how many records were appended (0 when replaying an
-        already-applied commit)."""
-        delta = (committed[self.committed_appends:]
-                 if isinstance(committed, list)
-                 else committed.rows_from(
-                     self.committed_appends).to_elements())
+        is the sink, and only the delta is decoded; returns how many
+        records were appended (0 when replaying an already-applied
+        commit)."""
+        delta = committed.rows_from(self.committed_appends).to_elements()
         if not delta:
             return 0
         self.producer.begin_transaction()

@@ -106,9 +106,10 @@ class TestCheckpointInvisibility:
         final = executor.run()
         assert _results(final["out"].values) == expected
 
-    def test_plain_sink_and_dlq_rewind_to_the_snapshot(self):
-        # plain SinkBuffers, no 2PC: what checkpoint() recorded is what
-        # restore() puts back, in the sink and in the dead-letter queue
+    def test_uncoordinated_sink_and_dlq_rewind_to_the_snapshot(self):
+        # an uncoordinated run, no checkpoint coordinator: what
+        # checkpoint() recorded is what restore() puts back, in the sink
+        # and in the dead-letter queue
         def brittle(v):
             if v["v"] % 7 == 3:
                 raise ValueError("poison")
@@ -216,7 +217,8 @@ class TestMidBatchCrashRestore:
         except OperatorCrash:
             pass
         assert checkpoint is not None
-        delivered = emitted(e.value for e in checkpoint.sink_elements["out"])
+        delivered = emitted(
+            e.value for e in elements_of(checkpoint.sink_elements["out"]))
         assert 0 < len(delivered) < len(straight)
         fresh = ParallelExecutor(self._build(elements),
                                  batch_mode=restore_batch_mode)
@@ -246,8 +248,7 @@ class TestBothCutsAgree:
         # round-robin edge (and its cursors) into the plan at p > 1
         executor = ParallelExecutor(
             reference_job(reference_events(seed=seed, n=n), splits=4),
-            {"default": p, "events": 1}, transactional_sinks=True,
-            **MODES[mode])
+            {"default": p, "events": 1}, **MODES[mode])
         coordinator = CheckpointCoordinator(executor,
                                             interval_cycles=interval_cycles)
         while not executor.done:

@@ -292,7 +292,7 @@ def _assert_checkpoints_match(ckpt, ref, context):
 def _coordinated_run(job, p, flags, source_batch):
     """Run under barrier checkpoints every cycle; returns the executor
     and every finalized checkpoint."""
-    executor = ParallelExecutor(job, p, transactional_sinks=True, **flags)
+    executor = ParallelExecutor(job, p, **flags)
     store = CheckpointStore(keep=10_000)
     coordinator = CheckpointCoordinator(executor, store=store,
                                         interval_cycles=1)
@@ -352,8 +352,8 @@ class TestPunctuatedBatches:
             n_ckpts = len(runs["per_item"][1])
             assert n_ckpts >= 2
             for mode, (other, ckpts) in runs.items():
-                assert (other.sinks["out"].committed
-                        == base.sinks["out"].committed), (p, mode)
+                assert (other.sinks["out"].elements
+                        == base.sinks["out"].elements), (p, mode)
                 assert len(ckpts) == n_ckpts, (p, mode)
                 for i, ckpt in enumerate(ckpts):
                     _assert_checkpoints_match(

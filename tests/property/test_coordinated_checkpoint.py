@@ -249,8 +249,7 @@ class TestRescaleFromCoordinatedCheckpoint:
         expected = canon(ParallelExecutor(
             _keyed_job(events), batch_mode=False).run()["out"].values)
         for old_p, new_p in ((2, 4), (2, 1), (4, 2)):
-            donor = ParallelExecutor(_keyed_job(events), old_p,
-                                     transactional_sinks=True)
+            donor = ParallelExecutor(_keyed_job(events), old_p)
             store = CheckpointStore()
             CheckpointCoordinator(donor, store=store, interval_cycles=1)
             donor.run(source_batch=8, max_cycles=4)
@@ -276,7 +275,7 @@ class TestOneRewind:
         executor = ParallelExecutor(
             two_region_job(reference_events(seed=1, n=160),
                            reference_events(seed=2, n=160)),
-            parallelism, transactional_sinks=True)
+            parallelism)
         store = CheckpointStore()
         coordinator = CheckpointCoordinator(executor, store=store,
                                             interval_cycles=2)
@@ -325,8 +324,7 @@ class TestOneRewind:
 
     def test_a_region_refuses_to_rescale(self):
         donor, _, snapshot = self._ahead_of_a_checkpoint(2)
-        wider = ParallelExecutor(donor.job, {"default": 2, "window_a": 4},
-                                 transactional_sinks=True)
+        wider = ParallelExecutor(donor.job, {"default": 2, "window_a": 4})
         region = set(failover_region_of(wider.graph, "window_a",
                                         frozenset()))
         with pytest.raises(CheckpointError, match="matching parallelism"):

@@ -77,7 +77,7 @@ def _job(elements, kind):
 def _coordinated(job, p, flags, source_batch, store=None):
     """Run under a barrier every cycle with a StoreSink listening;
     returns the executor, its finalized checkpoints and the store."""
-    executor = ParallelExecutor(job, p, transactional_sinks=True, **flags)
+    executor = ParallelExecutor(job, p, **flags)
     checkpoints = CheckpointStore(keep=10_000)
     coordinator = CheckpointCoordinator(executor, store=checkpoints,
                                         interval_cycles=1)
@@ -137,16 +137,14 @@ class TestSinkAsColumns:
                     context
                 assert sink.last_applied_epoch \
                     == base_sink.last_applied_epoch, context
-                # a restore into a fresh executor — 2PC or plain sink
-                # buffers, this parallelism or another — has it all
-                for p_new, transactional in ((p, True), (3, True),
-                                             (p, False)):
-                    fresh = ParallelExecutor(
-                        _job(elements, kind), p_new,
-                        transactional_sinks=transactional, **flags)
+                # a restore into a fresh executor, at this parallelism
+                # or another, has it all
+                for p_new in (p, 3):
+                    fresh = ParallelExecutor(_job(elements, kind), p_new,
+                                             **flags)
                     fresh.restore(ckpts[-1])
                     assert _typed(fresh.sinks["out"].elements) == want, \
-                        (context, p_new, transactional)
+                        (context, p_new)
 
     @given(rows, st.sampled_from((3, 32)))
     @settings(max_examples=8, deadline=None)

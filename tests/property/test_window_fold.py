@@ -189,8 +189,7 @@ def _run(job, batch_mode, source_batch, interval, p=1):
     """Barrier checkpoints every ``interval`` cycles; returns the
     executor and every finalized checkpoint, or the exception the run
     raised (fsum raises on inf + -inf and on overflow, in both modes)."""
-    executor = ParallelExecutor(job, p, transactional_sinks=True,
-                                batch_mode=batch_mode)
+    executor = ParallelExecutor(job, p, batch_mode=batch_mode)
     store = CheckpointStore(keep=10_000)
     coordinator = CheckpointCoordinator(executor, store=store,
                                         interval_cycles=interval)
@@ -228,8 +227,8 @@ class TestHostileValues:
         if ref_ckpts is None or ckpts is None:
             assert got == ref  # the same exception type, in both modes
             return
-        assert (_canon(got.sinks["out"].committed)
-                == _canon(ref.sinks["out"].committed))
+        assert (_canon(got.sinks["out"].elements)
+                == _canon(ref.sinks["out"].elements))
         assert len(ckpts) == len(ref_ckpts)
         for i, (ckpt, want) in enumerate(zip(ckpts, ref_ckpts)):
             _assert_same_checkpoint(ckpt, want, i)

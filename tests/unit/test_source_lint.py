@@ -66,6 +66,11 @@ text, imports only to inspect one signature).
     every execution subtask is one; and the ``"op[i]" -> "op"`` rule
     (``rpartition("[")`` / ``rfind("[")``) is written once, in
     ``operators.logical_name``.
+(o) One sink: every sink is a 2PC ``TransactionalSink`` — the deleted
+    ``SinkBuffer`` is named nowhere, ``transactional_sinks`` survives
+    only as ``ParallelExecutor``'s one parameter (no call passes it but
+    the test that it refuses ``False``), and no commit listener asks
+    whether it was handed a plain list instead of the sink.
 """
 
 import ast
@@ -247,7 +252,7 @@ def test_execution_module_holds_the_executor_and_nothing_else():
     tree = ast.parse((SRC / "streaming/execution.py").read_text())
     classes = {node.name for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)}
-    assert classes == {"SinkBuffer", "ParallelExecutor"}
+    assert classes == {"ParallelExecutor"}
     (executor,) = [node for node in tree.body
                    if isinstance(node, ast.ClassDef)
                    and node.name == "ParallelExecutor"]
@@ -261,7 +266,7 @@ def test_execution_module_holds_the_executor_and_nothing_else():
                   and isinstance(target.value, ast.Name)
                   and target.value.id == "self"}
     assert len(methods) <= 43, len(methods)
-    assert len(attributes) <= 31, sorted(attributes)
+    assert len(attributes) <= 30, sorted(attributes)
     (restore,) = [m for m in methods if m.name == "restore"]
     fields = {"queue", "watermark", "send_seq", "recv_seq", "ooo",
               "buffer", "position", "mergeable", "finished"}
@@ -588,3 +593,45 @@ def test_the_subtask_name_rule_is_written_once():
         == {"streaming/operators.py": ["logical_name"]}
     assert _bracket_cuts(
         "def base(n):\n    return n.rpartition('[')[0]\n") == ["base"]
+
+
+# -- (o) one sink -------------------------------------------------------------
+
+TREES = ("src", "tests", "tools", "examples")
+
+
+def _tree_files():
+    for top in TREES:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path != Path(__file__).resolve():
+                yield path.relative_to(ROOT).as_posix(), path.read_text()
+
+
+def test_the_plain_sink_buffer_stays_deleted():
+    assert [rel for rel, text in _tree_files() if "SinkBuffer" in text] \
+        == []
+    assert _offenders(re.compile(r"isinstance\(committed,\s*list\)"),
+                      set()) == []
+
+
+def test_transactional_sinks_is_one_parameter_nobody_passes():
+    params, passed, other = [], [], []
+    for rel, text in _tree_files():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef):
+                params += [f"{rel}:{node.name}"
+                           for a in node.args.args + node.args.kwonlyargs
+                           if a.arg == "transactional_sinks"]
+            elif (isinstance(node, ast.keyword)
+                  and node.arg == "transactional_sinks"):
+                passed.append(f"{rel}:{ast.unparse(node.value)}")
+            elif (isinstance(node, (ast.Attribute, ast.Name))
+                  and "transactional_sinks" in (getattr(node, "attr", None),
+                                                getattr(node, "id", None))):
+                other.append(f"{rel}:{node.lineno}")
+    assert params == ["src/repro/streaming/execution.py:__init__"]
+    # the one call: the test that the plain-sink value is refused
+    assert passed == ["tests/unit/test_txn_sink.py:False"]
+    # read once, by the constructor's refusal; never stored
+    assert [site.split(":")[0] for site in other] \
+        == ["src/repro/streaming/execution.py"]

@@ -17,6 +17,7 @@ from repro.store import StoreSink, TieredStore, canonical_contents, serve_topic
 from repro.streaming.barrier import ParallelCheckpoint
 from repro.streaming.coordinator import CheckpointManifest, CheckpointStore
 from repro.streaming.element import Element
+from repro.streaming.txn_sink import TransactionalSink
 from repro.util.errors import CheckpointError, StoreError
 from repro.util.rng import make_rng
 
@@ -39,6 +40,19 @@ def _els(n, offset=0):
             for i in range(offset, offset + n)]
 
 
+def _commit(out, rows):
+    """Commit ``rows`` into the transactional sink ``out`` as one epoch."""
+    out.deliver(rows, ("up", 0))
+    out.commit_open()
+    return out
+
+
+def _committed(rows):
+    """A sink that committed ``rows`` — what a coordinator hands its
+    commit listeners."""
+    return _commit(TransactionalSink("out", (("up", 0),)), rows)
+
+
 class _FakeCoordinator:
     def __init__(self):
         self.store = CheckpointStore(keep=1)
@@ -48,9 +62,9 @@ class _FakeCoordinator:
 class TestStoreSinkDelta:
     def test_applies_only_the_unapplied_suffix(self):
         sink = StoreSink(TieredStore(num_shards=2))
-        committed = _els(5)
+        committed = _committed(_els(5))
         assert sink.on_checkpoint_committed(1, committed) == 5
-        committed = committed + _els(3, offset=5)
+        _commit(committed, _els(3, offset=5))
         assert sink.on_checkpoint_committed(2, committed) == 3
         assert sink.store.analytical.rows == 8
         assert sink.store.hot.rows == 8
@@ -58,7 +72,7 @@ class TestStoreSinkDelta:
 
     def test_replayed_commit_is_a_noop(self):
         sink = StoreSink(TieredStore(num_shards=2))
-        committed = _els(5)
+        committed = _committed(_els(5))
         sink.on_checkpoint_committed(1, committed)
         assert sink.on_checkpoint_committed(1, committed) == 0
         assert sink.store.analytical.rows == 5
@@ -66,18 +80,20 @@ class TestStoreSinkDelta:
 
     def test_rewound_stream_raises(self):
         sink = StoreSink(TieredStore(num_shards=2))
-        sink.on_checkpoint_committed(1, _els(5))
+        committed = _committed(_els(5))
+        sink.on_checkpoint_committed(1, committed)
+        committed.restore_elements(_els(3))  # rewound below what applied
         with pytest.raises(StoreError):
-            sink.on_checkpoint_committed(2, _els(3))
+            sink.on_checkpoint_committed(2, committed)
 
     def test_sink_name_filter(self):
         sink = StoreSink(TieredStore(num_shards=2), sink_name="store")
         coord = _FakeCoordinator()
         sink.attach(coord)
         (listener,) = coord.listeners
-        listener(1, "other-sink", _els(4))
+        listener(1, "other-sink", _committed(_els(4)))
         assert sink.store.analytical.rows == 0
-        listener(1, "store", _els(4))
+        listener(1, "store", _committed(_els(4)))
         assert sink.store.analytical.rows == 4
 
     def test_attach_is_idempotent_and_advances_watermark(self):
@@ -87,7 +103,7 @@ class TestStoreSinkDelta:
         sink.attach(coord)  # re-attach after a coordinator rebuild
         assert len(coord.listeners) == 1
         assert coord.store.retain_watermark() == 0
-        coord.listeners[0](3, "store", _els(6))
+        coord.listeners[0](3, "store", _committed(_els(6)))
         assert coord.store.retain_watermark() == 3
 
 

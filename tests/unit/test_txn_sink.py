@@ -1,11 +1,16 @@
-"""Two-phase-commit sinks: staging, pre-commit, commit, abort, restore."""
+"""Two-phase-commit sinks: staging, pre-commit, commit, abort, restore,
+and the uncoordinated run that commits at every macro cycle's end."""
+
+import math
 
 import pytest
 
 from repro.eventlog.broker import LogCluster, TopicConfig
+from repro.streaming import JobBuilder, ParallelExecutor
 from repro.streaming.element import Element
 from repro.streaming.txn_sink import TransactionalLogSink, TransactionalSink
-from repro.util.errors import CheckpointError
+from repro.util.errors import CheckpointError, ConfigError
+from repro.util.metrics import MetricsRegistry
 
 F0, F1 = ("up", 0), ("up", 1)
 
@@ -117,6 +122,61 @@ class TestTransactionalSink:
         with pytest.raises(CheckpointError):
             TransactionalSink("out", ())
 
+    def test_commit_open_seals_and_commits_in_one_step(self):
+        sink = TransactionalSink("out", (F0, F1))
+        sink.deliver([_el(1), _el(2)], F0)
+        sink.deliver([_el(3)], F1)
+        assert sink.commit_open() == 3
+        assert sink.values == [1, 2, 3]
+        assert len(sink.batches) == 1 and sink.uncommitted == 0
+        assert sink.commit_open() == 0  # nothing open: no empty epoch
+        assert len(sink.batches) == 1
+        assert sink.commits == 0 and sink.last_committed_id == -1
+
+
+MODES = {"per_item": False, "batched": True}
+
+
+def _nan_led_job():
+    builder = JobBuilder("nan-led")
+    (builder.source("s", [Element(value=i, key="a",
+                                  timestamp=math.nan if i == 0 else float(i))
+                          for i in range(50)])
+            .filter(lambda v: v < 10)
+            .sink("out"))
+    return builder.build()
+
+
+class TestUncoordinatedRun:
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_a_leading_nan_does_not_pin_the_sink_frontier(self, mode):
+        # regression: the plain sink path took max() over the delivered
+        # timestamps, so a leading NaN pinned the frontier at NaN and
+        # the lag gauge read 0.0 for the rest of the run
+        metrics = MetricsRegistry()
+        executor = ParallelExecutor(_nan_led_job(), metrics=metrics,
+                                    batch_mode=MODES[mode])
+        sinks = executor.run(source_batch=8)
+        assert len(sinks["out"]) == 10
+        assert metrics.gauge("sink.watermark_lag_s", sink="out").value \
+            == 40.0
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_every_cycle_leaves_every_delivered_row_visible(self, mode):
+        executor = ParallelExecutor(_nan_led_job(), batch_mode=MODES[mode])
+        seen = []
+        while not executor.done:
+            executor.run(source_batch=4, max_cycles=1)
+            out = executor.sinks["out"]
+            assert out.uncommitted == 0
+            seen.append(len(out))
+        assert seen[0] == 4 and seen[-1] == 10
+        assert executor.sinks["out"].values == list(range(10))
+
+    def test_plain_sinks_are_gone(self):
+        with pytest.raises(ConfigError):
+            ParallelExecutor(_nan_led_job(), transactional_sinks=False)
+
 
 class TestTransactionalLogSink:
     def _cluster(self):
@@ -124,6 +184,14 @@ class TestTransactionalLogSink:
         cluster.create_topic(TopicConfig("mirror", partitions=2,
                                          replication=2))
         return cluster
+
+    @staticmethod
+    def _commit(out, *values):
+        """Commit one epoch of keyed rows into ``out``, as an
+        uncoordinated run does at a cycle's end."""
+        out.deliver([_el(v, key="k") for v in values], F0)
+        out.commit_open()
+        return out
 
     def _log_values(self, cluster):
         values = []
@@ -136,16 +204,16 @@ class TestTransactionalLogSink:
     def test_appends_only_the_delta(self):
         cluster = self._cluster()
         log = TransactionalLogSink(cluster, "mirror", "out")
-        committed = [_el("a", key="k"), _el("b", key="k")]
+        committed = self._commit(TransactionalSink("out", (F0,)), "a", "b")
         assert log.on_checkpoint_committed(1, committed) == 2
-        committed = committed + [_el("c", key="k")]
+        self._commit(committed, "c")
         assert log.on_checkpoint_committed(2, committed) == 1
         assert sorted(self._log_values(cluster)) == ["a", "b", "c"]
 
     def test_replayed_commit_is_a_noop(self):
         cluster = self._cluster()
         log = TransactionalLogSink(cluster, "mirror", "out")
-        committed = [_el("a", key="k")]
+        committed = self._commit(TransactionalSink("out", (F0,)), "a")
         log.on_checkpoint_committed(1, committed)
         assert log.on_checkpoint_committed(1, committed) == 0
         assert self._log_values(cluster) == ["a"]
@@ -153,7 +221,7 @@ class TestTransactionalLogSink:
     def test_fence_rederives_resume_point_from_log(self):
         cluster = self._cluster()
         log = TransactionalLogSink(cluster, "mirror", "out", producer_id=7)
-        committed = [_el("a", key="k"), _el("b", key="k")]
+        committed = self._commit(TransactionalSink("out", (F0,)), "a", "b")
         log.on_checkpoint_committed(1, committed)
         # new incarnation after a crash: resume point comes from the
         # topic itself, so the replayed commit appends nothing
@@ -162,6 +230,6 @@ class TestTransactionalLogSink:
         epoch = revived.fence()
         assert epoch >= 1
         assert revived.on_checkpoint_committed(1, committed) == 0
-        committed = committed + [_el("c", key="k")]
+        self._commit(committed, "c")
         assert revived.on_checkpoint_committed(2, committed) == 1
         assert sorted(self._log_values(cluster)) == ["a", "b", "c"]
