@@ -99,8 +99,8 @@ def two_region_job(events_a: Any, events_b: Any,
     """Two disjoint pipelines in one job: the canonical two-region plan.
 
     The pipelines share no edges, so :func:`failover_regions` splits
-    them into independent restart units without any replayable-edge
-    declaration — a crash in pipeline A replays only ``events_a`` while
+    them into independent restart units (the connected components of
+    the plan) — a crash in pipeline A replays only ``events_a`` while
     pipeline B keeps its state and position.  The recovery-MTTR gate
     asserts exactly that: regional replay strictly below what a
     whole-job restart would re-read.

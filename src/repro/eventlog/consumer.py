@@ -132,7 +132,10 @@ class Consumer:
         prefix (``dedup``) and advance — forward only, so a fetch that
         re-delivered older offsets cannot rewind us.  Returns one
         ``(partition, *columns)`` chunk per partition that delivered
-        anything.
+        anything.  Positions, delivered marks and counters move only
+        once every read of a pass has returned: a :class:`BrokerDown`
+        from a later partition's read leaves the consumer where it was,
+        so a retry re-reads the chunks that pass had already fetched.
 
         When dedup filters a whole pass (everything was re-delivered)
         the pass is repeated — bounded — so callers that treat an empty
@@ -142,6 +145,9 @@ class Consumer:
         topic = self.topic
         for _ in range(65 if self.dedup else 1):
             chunks: list[tuple] = []
+            positions: dict[int, int] = {}
+            delivered_to: dict[int, int] = {}
+            consumed = duplicates = 0
             fetched_any = False
             remaining = max_records
             for p in self.partitions:
@@ -158,22 +164,26 @@ class Consumer:
                 offsets = columns[0]
                 n = len(offsets)
                 if not n:
-                    self._positions[p] = position
+                    positions[p] = position
                     continue
                 fetched_any = True
                 delivered = self._delivered.get(p, position)
                 if self.dedup and offsets[0] < delivered:
                     skip = bisect_left(offsets, delivered)
-                    self.duplicates_dropped += skip
+                    duplicates += skip
                     columns = [column[skip:] for column in columns]
                 else:
                     skip = 0
                 if skip < n:
                     chunks.append((p, *columns))
-                    self.consumed += n - skip
-                self._positions[p] = max(position, offsets[-1] + 1)
-                self._delivered[p] = max(delivered, offsets[-1] + 1)
+                    consumed += n - skip
+                positions[p] = max(position, offsets[-1] + 1)
+                delivered_to[p] = max(delivered, offsets[-1] + 1)
                 remaining -= n
+            self._positions.update(positions)
+            self._delivered.update(delivered_to)
+            self.consumed += consumed
+            self.duplicates_dropped += duplicates
             if chunks or not fetched_any:
                 break
         return chunks

@@ -6,24 +6,14 @@ the barrier has arrived on *all* of its inputs, and must not process
 post-barrier items from channels that already delivered it — otherwise
 the snapshot would mix pre- and post-barrier effects and replay would
 double-count.  :class:`BarrierAligner` tracks that state machine for one
-subtask:
-
-- **aligned** (default): a channel that delivers barrier *n* is
-  *blocked* — its queued items stay buffered in the channel — until the
-  barrier arrives everywhere; then the subtask snapshots and the
-  channels unblock.  Nothing in flight needs to be part of the snapshot
-  (the classic Chandy–Lamport cut: pre-barrier items are in state,
-  post-barrier items will be replayed from the sources).
-- **unaligned escape hatch**: if alignment has been pending for more
-  than ``unaligned_after`` drain cycles (slow/partitioned channel), the
-  aligner gives up blocking: the snapshot is taken immediately, blocked
-  channels unblock (their buffered items are post-barrier and process
-  normally), and every item subsequently drained from a *lagging*
-  channel — pre-barrier in-flight data the snapshot would otherwise
-  lose — is **spilled** into the checkpoint's in-flight state as it is
-  processed, until that channel's straggler barrier arrives and is
-  swallowed.  A restore re-enqueues the spilled items (Flink's
-  unaligned-checkpoint channel state).
+subtask.  Every checkpoint is aligned: a channel that delivers barrier
+*n* is *blocked* — its queued items stay buffered in the channel — until
+the barrier arrives everywhere; then the subtask snapshots and the
+channels unblock.  Nothing in flight is part of the snapshot (the
+classic Chandy–Lamport cut: pre-barrier items are in state, post-barrier
+items will be replayed from the sources).  A slow or partitioned
+channel delays the checkpoint; it never changes what the checkpoint
+holds.
 
 Barrier duplication (an at-least-once channel re-delivering a marker —
 see the chaos channel faults) is absorbed: a barrier id at or below the
@@ -48,21 +38,14 @@ __all__ = ["AlignmentResult", "BarrierAligner", "Cut", "ParallelCheckpoint"]
 IGNORED = "ignored"        # duplicate / stale marker: drop it
 BLOCKED = "blocked"        # channel now blocked, still waiting for others
 COMPLETE = "complete"      # all channels aligned: snapshot now
-SPILL = "spill"            # unaligned completion: snapshot + spill in-flight
-STRAGGLER = "straggler"    # late barrier after an unaligned snapshot: the
-                           # channel's spill is complete
 
 
 @dataclass
 class AlignmentResult:
-    """What the subtask must do after one barrier arrival / cycle tick."""
+    """What the subtask must do after one barrier arrival."""
 
     action: str
     checkpoint_id: int
-    #: channels whose queued pre-barrier items must be spilled into the
-    #: snapshot (unaligned completion only): the channels that had NOT
-    #: yet delivered the barrier.
-    spill_channels: tuple[Hashable, ...] = ()
 
 
 @dataclass
@@ -70,9 +53,6 @@ class BarrierAligner:
     """Alignment state for one subtask across its input channels."""
 
     channels: tuple[Hashable, ...]
-    #: give up blocking after this many drain cycles of partial
-    #: alignment; ``None`` means align forever (pure aligned mode).
-    unaligned_after: int | None = None
 
     current_id: int | None = None
     arrived: set = field(default_factory=set)
@@ -80,9 +60,6 @@ class BarrierAligner:
     completed_id: int = -1
     #: how many cycles the most recent completed alignment waited
     last_alignment_cycles: int = 0
-    #: set while an unaligned snapshot for ``current_id`` has been taken
-    #: but stragglers' barriers are still due — they are swallowed.
-    draining_unaligned: bool = False
 
     def __post_init__(self) -> None:
         self.channels = tuple(self.channels)
@@ -93,15 +70,7 @@ class BarrierAligner:
 
     def is_blocked(self, channel: Hashable) -> bool:
         """Should the subtask leave this channel's queued items alone?"""
-        return (self.current_id is not None
-                and not self.draining_unaligned
-                and channel in self.arrived)
-
-    def is_spilling(self, channel: Hashable) -> bool:
-        """After an unaligned snapshot, is this channel still delivering
-        pre-barrier items that must be copied into the checkpoint's
-        in-flight state as they are processed?"""
-        return self.draining_unaligned and channel not in self.arrived
+        return self.current_id is not None and channel in self.arrived
 
     @property
     def aligning(self) -> bool:
@@ -120,7 +89,6 @@ class BarrierAligner:
             self.current_id = checkpoint_id
             self.arrived = set()
             self.pending_cycles = 0
-            self.draining_unaligned = False
         elif checkpoint_id < self.current_id:
             # A marker from a checkpoint the coordinator already
             # abandoned, surfacing late from a previously blocked
@@ -133,44 +101,26 @@ class BarrierAligner:
             self.current_id = checkpoint_id
             self.arrived = set()
             self.pending_cycles = 0
-            self.draining_unaligned = False
         if channel in self.arrived:
             return AlignmentResult(IGNORED, checkpoint_id)  # duplicated marker
         self.arrived.add(channel)
-        if self.draining_unaligned:
-            # Snapshot already taken unaligned; this straggler marker
-            # closes the channel's spill (its pre-barrier items are all
-            # in the checkpoint's in-flight state now).
-            if len(self.arrived) == len(self.channels):
-                self._finish()
-            return AlignmentResult(STRAGGLER, checkpoint_id)
         if len(self.arrived) == len(self.channels):
             cid = self.current_id
             self._finish()
             return AlignmentResult(COMPLETE, cid)
         return AlignmentResult(BLOCKED, checkpoint_id)
 
-    def on_cycle(self) -> AlignmentResult | None:
-        """Called once per drain cycle while aligning; may trigger the
-        unaligned escape hatch."""
-        if self.current_id is None or self.draining_unaligned:
-            return None
-        self.pending_cycles += 1
-        if (self.unaligned_after is not None
-                and self.pending_cycles > self.unaligned_after):
-            lagging = tuple(c for c in self.channels
-                            if c not in self.arrived)
-            self.draining_unaligned = True
-            return AlignmentResult(SPILL, self.current_id,
-                                   spill_channels=lagging)
-        return None
+    def on_cycle(self) -> None:
+        """Called once per drain cycle: an alignment in progress counts
+        one more pending cycle (``checkpoint.alignment_cycles``)."""
+        if self.current_id is not None:
+            self.pending_cycles += 1
 
     def reset(self) -> None:
         """Forget any in-progress alignment (restore path)."""
         self.current_id = None
         self.arrived = set()
         self.pending_cycles = 0
-        self.draining_unaligned = False
 
     def _finish(self) -> None:
         self.completed_id = max(self.completed_id, self.current_id or -1)
@@ -178,7 +128,6 @@ class BarrierAligner:
         self.current_id = None
         self.arrived = set()
         self.pending_cycles = 0
-        self.draining_unaligned = False
 
 
 # -- the cut -----------------------------------------------------------------
@@ -203,11 +152,6 @@ class ParallelCheckpoint:
     #: round-robin cursors); applied on restore only when the plan shape
     #: matches (same parallelism everywhere), dropped on a rescale.
     routing_state: dict[str, Any] = field(default_factory=dict)
-    #: unaligned-checkpoint channel state: (down, idx, side, up, up_idx)
-    #: -> pre-barrier items spilled from a lagging channel.  Re-enqueued
-    #: on restore; non-empty in-flight state pins the plan shape (an
-    #: unaligned checkpoint cannot be restored at another parallelism).
-    in_flight: dict[tuple, list] = field(default_factory=dict)
     #: load-shedding tier state: active per-source shed plans plus the
     #: per-source shed counts *as of this checkpoint's cut*, so a
     #: restore rewinds shed accounting together with source positions
@@ -227,7 +171,7 @@ class Cut:
 
     The executor opens it at its source reader's current positions,
     then writes into it as the barriers pass: each subtask's
-    state and data-fault counts, each channel's watermark and spill,
+    state and data-fault counts, each channel's watermark,
     each forwarding subtask's aligned watermarks and round-robin
     cursors, each sink's pre-commit.  The coordinator finalizes it once
     :attr:`complete`.  A quiescent checkpoint is a cut filled in one
@@ -253,9 +197,6 @@ class Cut:
         self.scalar: dict[str, list[Any]] = {
             m: [None] * graph.width(graph.rename[m])
             for m in graph.job.operators}
-        #: unaligned in-flight state: channel key -> spilled items
-        self.in_flight: dict[tuple, list] = {}
-        self.open_spills: set[tuple] = set()
         #: routing cut: the values at each channel's / subtask's cut point
         self.channel_wm: dict[tuple, dict[tuple, float]] = {}
         self.aligned_wm: dict[tuple, float] = {}
@@ -266,12 +207,7 @@ class Cut:
     @property
     def complete(self) -> bool:
         return (self.acked == self.expected_subtasks
-                and self.sink_acked == self.expected_sinks
-                and not self.open_spills)
-
-    @property
-    def spilled_items(self) -> int:
-        return sum(len(v) for v in self.in_flight.values())
+                and self.sink_acked == self.expected_sinks)
 
     def checkpoint(self, sink_elements: dict[str, list]
                    ) -> ParallelCheckpoint:
@@ -296,7 +232,6 @@ class Cut:
                 "aligned_wm": dict(self.aligned_wm),
                 "rr": dict(self.rr),
             },
-            in_flight={k: list(v) for k, v in self.in_flight.items() if v},
             shed_state=dict(self.shed_state),
             data_counts=dict(self.data_counts),
         )

@@ -320,8 +320,8 @@ class RecordBatch:
         Without this, every ``compress`` inherits the full dictionary,
         so a long-running keyed job drags every key it has ever seen
         through every filter and shuffle.  (``slice`` stays a view: its
-        cuts are transient, and whatever is *retained* — spills,
-        checkpoints — is decoded to Elements first.)  When the surviving
+        cuts are transient, and no checkpoint holds channel content.)
+        When the surviving
         rows number fewer than half the table (so live codes are
         necessarily below half too), rebuild the table from the codes
         actually present.  The new dictionary holds the *same key

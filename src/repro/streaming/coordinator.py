@@ -7,8 +7,8 @@ waiting for quiescence: the executor opens a
 :class:`~repro.streaming.element.CheckpointBarrier` markers at every
 source subtask and writes the cut as they pass (alignment rules in
 :mod:`repro.streaming.barrier`, 2PC acks from
-:mod:`repro.streaming.txn_sink`).  Once every subtask, sink and open
-spill has reported, the coordinator **finalizes** it: the cut's
+:mod:`repro.streaming.txn_sink`).  Once every subtask and sink has
+reported, the coordinator **finalizes** it: the cut's
 :class:`~repro.streaming.barrier.ParallelCheckpoint` and its manifest
 are committed to the :class:`CheckpointStore` atomically, sinks commit
 phase 2, listeners (event-log mirrors) are notified, and superseded
@@ -30,10 +30,10 @@ The module also houses the two failure-handling companions:
   ``subtask_stall`` chaos fault exercises).
 - :func:`failover_regions` — partitions the physical plan into regions
   that must restart together: the weakly connected components of the
-  execution graph, cut at *replayable* edges (edges whose downstream can
-  re-read its input from a durable log rather than from the upstream
-  operator).  Regional recovery restores only the dead subtask's region
-  and replays strictly less input than a whole-job restart.
+  execution graph.  No operator edge is backed by a durable log, so a
+  region is never cut inside a component.  Regional recovery restores
+  only the dead subtask's region and replays strictly less input than
+  a whole-job restart.
 """
 
 from __future__ import annotations
@@ -112,7 +112,6 @@ class CheckpointManifest:
     source_positions: dict[str, dict[int, int]] = field(default_factory=dict)
     acked_subtasks: list[str] = field(default_factory=list)
     acked_sinks: list[str] = field(default_factory=list)
-    spilled_items: int = 0
     #: sha256 of the snapshot payload, recorded at finalize — restore
     #: re-derives it to detect bit-rot/truncation before trusting state
     payload_digest: str | None = None
@@ -129,7 +128,6 @@ class CheckpointManifest:
                                  for s, p in self.source_positions.items()},
             "acked_subtasks": list(self.acked_subtasks),
             "acked_sinks": list(self.acked_sinks),
-            "spilled_items": self.spilled_items,
             "payload_digest": self.payload_digest,
             "checksum": self.checksum,
         }
@@ -469,7 +467,6 @@ class CheckpointCoordinator:
         manifest.acked_subtasks = sorted(subtask_name(n, i)
                                          for n, i in cut.acked)
         manifest.acked_sinks = sorted(cut.sink_acked)
-        manifest.spilled_items = cut.spilled_items
         # Atomic commit point: manifest + snapshot become visible
         # together, then phase 2 runs.  A crash after this line loses
         # nothing — recovery restores checkpoint N and the sinks'
@@ -493,9 +490,6 @@ class CheckpointCoordinator:
             self.metrics.counter("coordinator.finalized").inc()
             self.metrics.summary("checkpoint.duration_s").observe(duration)
             self.metrics.gauge("checkpoint.latest_id").set(cid)
-            if manifest.spilled_items:
-                self.metrics.counter("checkpoint.spilled_items").inc(
-                    manifest.spilled_items)
         executor.on_checkpoint_finalized(cid, duration)
         return checkpoint
 
@@ -554,19 +548,15 @@ class CheckpointCoordinator:
 # -- failover regions --------------------------------------------------------
 
 
-def failover_regions(graph: ExecutionGraph,
-                     replayable: set[tuple[str, str]] | frozenset = frozenset()
-                     ) -> list[set[str]]:
+def failover_regions(graph: ExecutionGraph) -> list[set[str]]:
     """Partition the physical plan into restart units.
 
-    Two nodes share a region when a (non-replayable) physical edge
-    connects them, in either direction: a failed subtask invalidates
-    everything downstream of it (missing/partial output) and everything
-    upstream feeding it (their emitted-but-unprocessed output is lost in
-    the failed node's channels).  ``replayable`` names edges — as
-    ``(up, down)`` execution-node pairs — whose downstream re-reads from
-    a durable log, so the dependency is cut and the components come
-    apart.  Returns the regions sorted by their smallest member.
+    Two nodes share a region when a physical edge connects them, in
+    either direction: a failed subtask invalidates everything downstream
+    of it (missing/partial output) and everything upstream feeding it
+    (their emitted-but-unprocessed output is lost in the failed node's
+    channels).  The regions are the connected components of the plan,
+    sorted by their smallest member.
     """
     names = (set(graph.source_parallelism) | set(graph.nodes)
              | set(graph.job.sinks))
@@ -583,10 +573,7 @@ def failover_regions(graph: ExecutionGraph,
         if ra != rb:
             parent[ra] = rb
 
-    cut = {(u, d) for u, d in replayable}
     for edge in graph.edges:
-        if (edge.up, edge.down) in cut:
-            continue
         union(edge.up, edge.down)
     regions: dict[str, set[str]] = {}
     for n in names:
@@ -594,9 +581,7 @@ def failover_regions(graph: ExecutionGraph,
     return sorted(regions.values(), key=lambda r: min(r))
 
 
-def failover_region_of(graph: ExecutionGraph, op_name: str,
-                       replayable: set[tuple[str, str]] | frozenset
-                       = frozenset()) -> set[str]:
+def failover_region_of(graph: ExecutionGraph, op_name: str) -> set[str]:
     """The region containing ``op_name`` — a logical operator, a
     physical subtask (``"window_sum[1]"``), a fused chain (logical
     ``"chain(a+b)"`` or a physical instance ``"chain(a[0]+b[0])"``), a
@@ -608,7 +593,7 @@ def failover_region_of(graph: ExecutionGraph, op_name: str,
         base = base[len("chain("):-1].split("+")[0]
     base = logical_name(base)
     node = graph.rename.get(base, base)
-    for region in failover_regions(graph, replayable):
+    for region in failover_regions(graph):
         if node in region:
             return region
     raise CheckpointError(

@@ -65,12 +65,11 @@ from ..util.errors import CheckpointError, ConfigError, JobGraphError
 from .barrier import (
     BLOCKED,
     IGNORED,
-    STRAGGLER,
     BarrierAligner,
     Cut,
     ParallelCheckpoint,
 )
-from .batch import RecordBatch, decode_items, items_weight
+from .batch import RecordBatch, items_weight
 from .chain import ChainedOperator
 from .element import CheckpointBarrier, Element, StreamItem, Watermark
 from .errors import DLQ_SINK
@@ -112,12 +111,10 @@ class ParallelExecutor:
     def __init__(self, job: JobGraph,
                  parallelism: int | dict[str, int] = 1,
                  *, num_key_groups: int = DEFAULT_KEY_GROUPS,
-                 channel_capacity: int = 10_000,
-                 drop_on_overflow: bool = False, batch_mode: bool = True,
+                 channel_capacity: int = 10_000, batch_mode: bool = True,
                  injector: Any = None,
                  tracer: Any = None, metrics: Any = None,
                  transactional_sinks: bool = True,
-                 unaligned_after: int | None = None,
                  placement: Any = None) -> None:
         if not transactional_sinks:
             raise ConfigError("every sink is a 2PC TransactionalSink; "
@@ -137,8 +134,7 @@ class ParallelExecutor:
         self.sources = SourceReader(job, self.graph, batch_mode=batch_mode,
                                     metrics=metrics)
         self.channels = Channels(
-            self.graph, capacity=channel_capacity,
-            drop_on_overflow=drop_on_overflow, batch_mode=batch_mode,
+            self.graph, capacity=channel_capacity, batch_mode=batch_mode,
             injector=injector, metrics=metrics)
         #: cross-region traffic accounting: packets that traversed an
         #: inter-region link and the modelled latency they paid
@@ -158,16 +154,13 @@ class ParallelExecutor:
         self.cut: Cut | None = None
         self._stalled_now: set[tuple[str, int]] = set()
         self._build_physical_ops()
-        #: one barrier aligner per subtask over its input channels; it
-        #: gives up alignment after ``unaligned_after`` macro cycles and
-        #: spills in-flight items instead (None = align forever)
+        #: one barrier aligner per subtask over its input channels
         self._aligners = {
             (name, idx): BarrierAligner(
                 tuple((side, up, up_idx)
                       for side in self._sides(name)
                       for (up, up_idx) in self.channels.inputs.get(
-                          (name, idx, side), ())),
-                unaligned_after=unaligned_after)
+                          (name, idx, side), ())))
             for name in self.graph.topo
             for idx in range(self.graph.nodes[name].parallelism)}
         #: out-edges by upstream node, and the round-robin cursors of
@@ -196,17 +189,11 @@ class ParallelExecutor:
                 (n, i) for n in dlq_nodes
                 for i in range(self.graph.nodes[n].parallelism)))
 
-    # -- the three public counters -------------------------------------------
+    # -- the two public counters ---------------------------------------------
 
     @property
     def backpressure_events(self) -> int:
         return self.channels.backpressure_events
-
-    @property
-    def dropped_overflow(self) -> int:
-        """Items dropped before processing: channel overflow plus the
-        shed tier (one total for the equivalence suites to reconcile)."""
-        return self.channels.dropped + self.sources.shed_elements
 
     @property
     def shed_elements(self) -> int:
@@ -567,16 +554,14 @@ class ParallelExecutor:
     def _drain_channel(self, name: str, idx: int, side: str | None,
                        sender: tuple[str, int], channel: Channel) -> int:
         """Drain one channel under barrier rules: the items before each
-        barrier are one segment — spilled first while the channel lags
-        an unaligned snapshot — then the barrier runs its alignment /
+        barrier are one segment, then the barrier runs its alignment /
         snapshot transition, and a barrier that blocks the channel ends
         the drain.  With no barrier queued the whole queue is one
         segment."""
         key = (name, idx, side)
-        chan_id = (side, sender[0], sender[1])
         aligner = self._aligners[(name, idx)]
         pending = channel.queue
-        if not pending or aligner.is_blocked(chan_id):
+        if not pending or aligner.is_blocked((side, sender[0], sender[1])):
             return 0
         moved = 0
         while pending:
@@ -591,17 +576,6 @@ class ParallelExecutor:
             if segment:
                 moved += (items_weight(segment) if self.batch_mode
                           else len(segment))
-                if aligner.is_spilling(chan_id):
-                    # Pre-barrier in-flight data after an unaligned
-                    # snapshot — copy into the checkpoint before
-                    # processing mutates downstream state.  Decoded:
-                    # spilled state is representation-independent, so an
-                    # unaligned checkpoint restores identically in any
-                    # execution mode.
-                    cut = self._cut_for(aligner.current_id)
-                    spill = (name, idx, side, sender[0], sender[1])
-                    if cut is not None and spill in cut.open_spills:
-                        cut.in_flight[spill].extend(decode_items(segment))
                 items = self.channels.align(key, sender, segment)
                 if items:
                     self._process(name, idx, side, items)
@@ -624,13 +598,6 @@ class ParallelExecutor:
         if result.action == IGNORED:
             return False
         cut = self._cut_for(result.checkpoint_id)
-        if result.action == STRAGGLER:
-            # The spill for this channel is complete; its watermark cut
-            # was captured at the unaligned snapshot.
-            if cut is not None:
-                cut.open_spills.discard(
-                    (name, idx, side, sender[0], sender[1]))
-            return False
         # BLOCKED and COMPLETE both mark this channel's cut point.
         if cut is not None:
             cut.channel_wm.setdefault((name, idx, side), {})[sender] = \
@@ -645,25 +612,6 @@ class ParallelExecutor:
             ).observe(aligner.last_alignment_cycles)
         self._pass_barrier(name, idx, result.checkpoint_id)
         return False
-
-    def _complete_unaligned(self, name: str, idx: int, checkpoint_id: int,
-                            spill_channels: tuple) -> None:
-        """Alignment timed out: snapshot *now*, open a spill for each
-        lagging channel (capturing its watermark cut first), and let the
-        barrier overtake the in-flight data."""
-        cut = self._cut_for(checkpoint_id)
-        if cut is not None:
-            for side, up, up_idx in spill_channels:
-                spill = (name, idx, side, up, up_idx)
-                cut.open_spills.add(spill)
-                cut.in_flight.setdefault(spill, [])
-                cut.channel_wm.setdefault((name, idx, side), {})[
-                    (up, up_idx)] = self.channels.inputs[
-                        (name, idx, side)][(up, up_idx)].watermark
-        if self.metrics is not None:
-            self.metrics.counter("checkpoint.unaligned",
-                                 op=subtask_name(name, idx)).inc()
-        self._pass_barrier(name, idx, checkpoint_id)
 
     def _pass_barrier(self, name: str, idx: int, checkpoint_id: int) -> None:
         """Barrier N passes one subtask: snapshot it into the cut, then
@@ -721,12 +669,9 @@ class ParallelExecutor:
 
     def _tick_aligners(self) -> None:
         """Once per macro cycle: aligners still waiting count a pending
-        cycle; past the unaligned threshold they flip to spill mode."""
-        for (name, idx), aligner in self._aligners.items():
-            result = aligner.on_cycle()
-            if result is not None:
-                self._complete_unaligned(name, idx, result.checkpoint_id,
-                                         result.spill_channels)
+        cycle."""
+        for aligner in self._aligners.values():
+            aligner.on_cycle()
 
     # -- run loop ------------------------------------------------------------
 
@@ -941,11 +886,6 @@ class ParallelExecutor:
         # from; a rescaled plan starts its watermarks and cursors over.
         routing = checkpoint.routing_state or {}
         if whole and not self.channels.same_shape(routing):
-            if checkpoint.in_flight:
-                raise CheckpointError(
-                    "an unaligned checkpoint (spilled in-flight state) "
-                    "cannot be restored into a different plan shape; "
-                    "restore at the original parallelism first")
             routing = {}
         sources = [n for n in self.job.sources if n in region]
         replayed = self.sources.rewind(sources, checkpoint.source_positions)
@@ -967,7 +907,7 @@ class ParallelExecutor:
         for name, buf in self.sinks.items():
             if name in region:  # truncates open transactions too
                 buf.restore_elements(checkpoint.sink_elements.get(name, ()))
-        self.channels.reset(region, routing, checkpoint.in_flight)
+        self.channels.reset(region, routing)
         rebalanced = {i for i, edge in enumerate(self.graph.edges)
                       if edge.mode == REBALANCE and edge.up in region}
         self._rr = {
@@ -1066,7 +1006,6 @@ class ParallelExecutor:
             span.end()
         self._job_span.set_attr("backpressure_events",
                                 self.backpressure_events)
-        self._job_span.set_attr("dropped_overflow", self.dropped_overflow)
         self._job_span.end()
 
     def _publish_metrics(self) -> None:
@@ -1080,7 +1019,6 @@ class ParallelExecutor:
             m = self.metrics
             cache = self._gauge_cache = {
                 "backpressure": m.gauge("executor.backpressure_events"),
-                "dropped": m.gauge("executor.dropped_overflow"),
                 "shed": m.gauge("executor.shed_elements"),
                 "ops": [
                     (m.gauge("op.processed", op=name),
@@ -1096,7 +1034,6 @@ class ParallelExecutor:
                 ],
             }
         cache["backpressure"].set(self.backpressure_events)
-        cache["dropped"].set(self.dropped_overflow)
         cache["shed"].set(self.shed_elements)
         for g_processed, g_emitted, clones in cache["ops"]:
             processed = emitted = 0

@@ -391,9 +391,9 @@ class SourceReader:
         """Activate the load-shedding tier on one source: admit a
         deterministic ``keep/mod`` fraction of its elements and drop the
         rest at the pull boundary (before they enter any channel or
-        operator).  Shed elements are counted in ``shed_elements`` —
-        and through it in the executor's ``dropped_overflow`` — and
-        never reach operators or sinks, so exactly-once for *committed*
+        operator).  Shed elements are counted in ``shed_elements`` (the
+        executor's ``shed_elements``, a supervised run's ``shed_total``)
+        and never reach operators or sinks, so exactly-once for *committed*
         records is preserved by construction."""
         if source not in self.job.sources:
             raise JobGraphError(f"unknown source {source!r}")

@@ -92,7 +92,6 @@ class SupervisionReport:
     #: slices :meth:`Supervisor.run` drove
     steps: int = 0
     shed_total: int = 0
-    dropped_overflow: int = 0
     # -- the autoscaler's (repro.streaming.autoscale) --
     #: completed rescales (``RescaleEvent``)
     rescales: list = field(default_factory=list)
@@ -189,14 +188,12 @@ class Supervisor:
                  parallelism: int | dict[str, int] = 1,
                  placement: Any = None, batch_mode: bool = True,
                  num_key_groups: int = DEFAULT_KEY_GROUPS,
-                 unaligned_after: int | None = None,
                  source_batch: int = 32, step_cycles: int = 2,
                  interval_cycles: int = 4,
                  heartbeat_timeout_s: float = 60.0,
                  store: CheckpointStore | None = None,
                  clock: SimClock | None = None, injector: Any = None,
                  tracer: Any = None, metrics: Any = None,
-                 replayable: frozenset | set = frozenset(),
                  restart_budget: Any = None) -> None:
         if source_batch < 1:
             raise JobGraphError(
@@ -206,7 +203,6 @@ class Supervisor:
         self.placement = placement
         self.batch_mode = batch_mode
         self.num_key_groups = num_key_groups
-        self.unaligned_after = unaligned_after
         self.source_batch = source_batch
         self.step_cycles = step_cycles
         self.interval_cycles = interval_cycles
@@ -216,7 +212,6 @@ class Supervisor:
         self.injector = injector
         self.tracer = tracer
         self.metrics = metrics
-        self.replayable = replayable
         self.restart_budget = restart_budget
         self.report = SupervisionReport(sink_values={})
         self.controllers = list(controllers)
@@ -243,8 +238,7 @@ class Supervisor:
         return ParallelExecutor(
             job, parallelism, num_key_groups=self.num_key_groups,
             batch_mode=self.batch_mode, injector=self.injector,
-            tracer=self.tracer, metrics=self.metrics,
-            unaligned_after=self.unaligned_after, placement=placement)
+            tracer=self.tracer, metrics=self.metrics, placement=placement)
 
     def _build_coordinator(self) -> CheckpointCoordinator:
         return CheckpointCoordinator(
@@ -410,20 +404,16 @@ class Supervisor:
         if checkpoint is not None and op_name is not None \
                 and not force_full:
             try:
-                candidate = failover_region_of(executor.graph, op_name,
-                                               self.replayable)
+                candidate = failover_region_of(executor.graph, op_name)
             except CheckpointError:
                 candidate = None
             total_nodes = (len(executor.graph.nodes)
                            + len(executor.graph.source_parallelism)
                            + len(executor.job.sinks))
-            # Regional restore needs the region to contain its own
-            # sources (its input replays from them) and to be a strict
-            # subset — a region spanning the whole plan is just a full
-            # restore with extra bookkeeping.
-            if (candidate is not None and len(candidate) < total_nodes
-                    and candidate
-                    & set(executor.graph.source_parallelism)):
+            # A region is a connected component, so it holds the sources
+            # its input replays from; one spanning the whole plan is
+            # just a full restore with extra bookkeeping.
+            if candidate is not None and len(candidate) < total_nodes:
                 region = candidate
         replayed = self._restore(lambda: executor.restore(target, region))
         if region is not None:
@@ -520,7 +510,7 @@ class Supervisor:
         if self.metrics is None:
             return
         per_subtask = ("subtask.processed", "op.batch_size",
-                       "checkpoint.alignment_cycles", "checkpoint.unaligned")
+                       "checkpoint.alignment_cycles")
         for name, node in old.rename.items():
             width = old.width(node)
             now = new.width(new.rename[name]) if name in new.rename else width
@@ -532,14 +522,13 @@ class Supervisor:
 
     def finish(self) -> SupervisionReport:
         """Fold the live coordinator's counts, the store's quarantine
-        count, the shed/drop counters, the fault trace and the committed
+        count, the shed counter, the fault trace and the committed
         sink output into the report (call once, at end of run)."""
         report, executor = self.report, self.executor
         report.checkpoints += self.coordinator.finalized
         report.aborted += self.coordinator.aborted
         report.integrity_failures = self.store.integrity_failures
         report.shed_total = executor.shed_elements
-        report.dropped_overflow = executor.dropped_overflow
         if self.injector is not None:
             report.trace = list(self.injector.trace)
         report.sink_values = {name: list(sink.values)

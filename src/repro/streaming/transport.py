@@ -7,10 +7,14 @@ protocol.  :class:`Channels` builds them from the plan and is the only
 code that queues, counts, sequences, aligns and resets what is in
 flight.
 
-``backpressure_events`` and ``dropped`` are accounted per *item* in
-both execution modes (a batch weighs its rows plus the watermarks it
-carries); chaining removes the channels between fused operators, so a
-chained run observes backpressure only at chain boundaries.
+A channel never drops an item.  ``backpressure_events`` counts, per
+*item* in both execution modes (a batch weighs its rows plus the
+watermarks it carries), what arrived over capacity; past ten times
+capacity the offer raises :class:`~repro.util.errors.BackpressureOverflow`
+— the memory bound.  Chaining removes the channels between fused
+operators, so a chained run observes backpressure only at chain
+boundaries.  Load is shed in one place, the autoscaler's source-side
+tier, which rewinds with checkpoints.
 
 Multi-input subtasks align watermarks per input channel (the minimum
 across channels is forwarded — Flink's watermark valve), so a keyed
@@ -75,16 +79,13 @@ class Channels:
     """Every channel of one physical plan."""
 
     def __init__(self, graph: ExecutionGraph, *, capacity: int,
-                 drop_on_overflow: bool, batch_mode: bool,
-                 injector: Any = None, metrics: Any = None) -> None:
+                 batch_mode: bool, injector: Any = None,
+                 metrics: Any = None) -> None:
         self.capacity = capacity
-        self.drop_on_overflow = drop_on_overflow
         self.batch_mode = batch_mode
         self.injector = injector
         self.metrics = metrics
         self.backpressure_events = 0
-        #: items dropped on overflow (``drop_on_overflow`` only)
-        self.dropped = 0
         #: macro cycles elapsed — the clock faulted packets are held on
         self._cycle = 0
         #: in-flight faulted packets: (release_cycle, key, sender, seq, items)
@@ -115,7 +116,7 @@ class Channels:
 
     def offer(self, key: InputKey, sender: Sender,
               items: list[StreamItem]) -> None:
-        """Batch offer with per-item backpressure/drop accounting, per
+        """Batch offer with per-item backpressure accounting, per
         physical channel: the O(1) arithmetic of what one append at a
         time would count."""
         injector = self.injector
@@ -133,16 +134,6 @@ class Channels:
         if occupancy + n <= capacity:
             queue.extend(items)
             return
-        if self.drop_on_overflow:
-            room = max(0, capacity - occupancy)
-            if room:
-                queue.extend(take_prefix(items, room) if batched
-                             else items[:room])
-            self.dropped += n - room
-            if self.metrics is not None:
-                self.metrics.counter("channel.dropped",
-                                     node=node).inc(n - room)
-            return
         if occupancy + n > capacity * 10:
             i0 = capacity * 10 - occupancy
             queue.extend(decode_items(take_prefix(items, i0))
@@ -154,7 +145,7 @@ class Channels:
                                      node=node).inc(events)
             raise BackpressureOverflow(
                 f"channel into {node!r} exceeded 10x capacity; "
-                "the job cannot keep up and dropping is disabled"
+                "the job cannot keep up"
             )
         events = n - max(0, min(n, capacity - occupancy))
         self.backpressure_events += events
@@ -308,13 +299,11 @@ class Channels:
                 and all(saved[key].keys() == senders.keys()
                         for key, senders in self._inputs.items()))
 
-    def reset(self, region: set[str], routing: dict[str, Any],
-              in_flight: dict[tuple, list]) -> None:
+    def reset(self, region: set[str], routing: dict[str, Any]) -> None:
         """Forget everything in flight into ``region`` — queued, held
         and buffered packets are data the rewind regenerates — and set
         its watermarks to ``routing``'s (absent: event time starts
-        over); then re-enqueue a checkpoint's spilled ``in_flight``
-        items, keyed (down, idx, side, up, up_idx)."""
+        over)."""
         channel_wm = routing.get("channel_wm", {})
         aligned_wm = routing.get("aligned_wm", {})
         for key, senders in self._inputs.items():
@@ -326,7 +315,3 @@ class Channels:
                     deque(), saved.get(sender, float("-inf")))
             self._aligned[key] = aligned_wm.get(key, float("-inf"))
         self._on_hold = [h for h in self._on_hold if h[1][0] not in region]
-        for (down, idx, side, up, up_idx), items in in_flight.items():
-            if down in region:
-                self._inputs[(down, idx, side)][(up, up_idx)].queue.extend(
-                    items)

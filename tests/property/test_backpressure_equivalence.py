@@ -1,7 +1,7 @@
-"""Property tests: backpressure/drop accounting is mode-independent.
+"""Property tests: backpressure accounting is mode-independent.
 
-``backpressure_events`` and ``dropped_overflow`` are accounted per
-*item* in every execution mode — the batched channel offer computes the
+``backpressure_events`` is accounted per *item* in every execution
+mode — the batched channel offer computes the
 same arithmetic in O(1) that the per-item offer performs one append at a
 time.  These tests pin the contract under small channel capacities,
 including the overflow-raise path: ``_offer_batch`` used to count every
@@ -67,10 +67,9 @@ def _chainable_builder(elements):
     return builder
 
 
-def _run(make_builder, elements, mode, capacity, drop, source_batch):
+def _run(make_builder, elements, mode, capacity, source_batch):
     executor = ParallelExecutor(make_builder(elements).build(),
-                                channel_capacity=capacity,
-                                drop_on_overflow=drop, **MODES[mode])
+                                channel_capacity=capacity, **MODES[mode])
     raised = False
     try:
         executor.run(source_batch=source_batch)
@@ -89,45 +88,24 @@ def _channel_contents(executor):
 def _outcome(executor, raised):
     return (raised,
             executor.backpressure_events,
-            executor.dropped_overflow,
             {name: sink.elements for name, sink in executor.sinks.items()})
 
 
 class TestPerItemBatchedEquality:
     @given(stream_strategy,
            st.integers(min_value=1, max_value=6),     # channel capacity
-           st.integers(min_value=1, max_value=40),    # source batch
-           st.booleans())                             # drop_on_overflow
+           st.integers(min_value=1, max_value=40))    # source batch
     @settings(max_examples=60, deadline=None)
-    def test_counters_and_sinks_match(self, rows, capacity, source_batch,
-                                      drop):
-        """For any stream/capacity/batch/drop-flag combination the
-        per-item and batched executors agree exactly — on whether they
-        raise, on both counters, and on sink contents."""
+    def test_counters_and_sinks_match(self, rows, capacity, source_batch):
+        """For any stream/capacity/batch combination the per-item and
+        batched executors agree exactly — on whether they raise, on the
+        backpressure counter, and on sink contents."""
         elements = _to_elements(rows)
         per_item = _outcome(*_run(_window_builder, elements, "per_item",
-                                  capacity, drop, source_batch))
+                                  capacity, source_batch))
         batched = _outcome(*_run(_window_builder, elements, "chained",
-                                 capacity, drop, source_batch))
+                                 capacity, source_batch))
         assert batched == per_item
-
-    @given(stream_strategy, st.integers(min_value=1, max_value=4))
-    @settings(max_examples=40, deadline=None)
-    def test_drop_decisions_are_per_item(self, rows, capacity):
-        """Under drop_on_overflow the *same elements* survive in both
-        modes (the batch path keeps the first ``room`` items, exactly
-        like ``room`` successful per-item offers)."""
-        elements = _to_elements(rows)
-        executors = {}
-        for mode in MODES:
-            executor, raised = _run(_window_builder, elements, mode,
-                                    capacity, True, 16)
-            assert not raised  # dropping never overflows
-            executors[mode] = executor
-        assert (executors["chained"].sinks["out"].elements
-                == executors["per_item"].sinks["out"].elements)
-        assert (executors["chained"].dropped_overflow
-                == executors["per_item"].dropped_overflow)
 
 
 class TestChainedBounds:
@@ -137,14 +115,14 @@ class TestChainedBounds:
     @settings(max_examples=40, deadline=None)
     def test_chained_backpressure_bounded_by_batched(self, rows, capacity,
                                                      source_batch):
-        """No drops: both modes produce identical sinks; fusing removes
+        """Both modes produce identical sinks; fusing removes
         intra-chain channels so chained backpressure never exceeds
         per-item."""
         elements = _to_elements(rows)
         results = {}
         for mode in MODES:
             executor, raised = _run(_chainable_builder, elements, mode,
-                                    capacity, False, source_batch)
+                                    capacity, source_batch)
             if raised:  # raise-path equality is pinned separately below
                 return
             results[mode] = executor
@@ -167,7 +145,7 @@ class TestChainedBounds:
         assert all(len(node.members) == 1
                    for node in guard.graph.nodes.values())
         outcomes = {mode: _outcome(*_run(_window_builder, elements, mode,
-                                         capacity, False, 8))
+                                         capacity, 8))
                     for mode in MODES}
         assert outcomes["chained"] == outcomes["per_item"]
 
@@ -186,7 +164,7 @@ class TestOverflowRaise:
         states = {}
         for mode in MODES:
             executor, raised = _run(_window_builder, elements, mode,
-                                    capacity, False, n)
+                                    capacity, n)
             assert raised, mode
             states[mode] = executor
         per_item, batched = states["per_item"], states["chained"]

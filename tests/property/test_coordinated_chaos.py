@@ -27,7 +27,6 @@ import pytest
 
 from repro.chaos import (
     SITE_APPEND,
-    SITE_CHANNEL,
     SITE_COORDINATOR,
     SITE_OPERATOR,
     SITE_STALL,
@@ -304,20 +303,6 @@ class TestNetworkFaultSweeps:
         _run(lambda: reference_job(events), plan, exact=False,
              interval_cycles=2)
 
-    def test_unaligned_checkpoints_under_partition(self):
-        # a partitioned channel stalls alignment past the escape hatch:
-        # the snapshot goes unaligned, spilling in-flight items — and
-        # output must still be exactly-once
-        events = reference_events(seed=4, n=240)
-        plan = FaultPlan(specs=(
-            FaultSpec("channel_partition", SITE_CHANNEL, at=8, count=2,
-                      param=3),
-            FaultSpec("operator_crash", SITE_OPERATOR, at=140,
-                      target="window_sum"),
-        ), name="unaligned")
-        _run(lambda: reference_job(events), plan, exact=False,
-             interval_cycles=2, unaligned_after=2)
-
 
 @pytest.mark.chaos
 class TestFailureDetector:
@@ -368,25 +353,6 @@ class TestRegionalRecoverySweeps:
         assert report.regional_restores >= 1
         assert report.replayed_total < report.replayed_full_equiv
 
-    def test_log_cut_makes_connected_plan_regional(self):
-        # the reference plan is one component, but declaring the edge
-        # into the keyed window replayable cuts it into two regions
-        events = reference_events(seed=8, n=240)
-        plan = FaultPlan(specs=(
-            FaultSpec("operator_crash", SITE_OPERATOR, at=160,
-                      target="window_sum"),
-        ), name="log-cut")
-        golden = fault_free_sinks(lambda: reference_job(events),
-                                  parallelism=2, source_batch=SOURCE_BATCH)
-        injector = FaultInjector(plan)
-        report = run_coordinated(
-            reference_job(events), injector, parallelism=2,
-            source_batch=SOURCE_BATCH, interval_cycles=2,
-            replayable={("by_key", "window_sum")})
-        # the cut region has no source to rewind, so recovery falls
-        # back to a full restore — but correctness must hold either way
-        assert canonical_sinks(report.sink_values) == canonical_sinks(golden)
-
 
 SHED = ShedPolicy(trigger_wait_s=0.0, release_wait_s=0.0, keep=2, mod=3)
 
@@ -426,8 +392,6 @@ class TestShedExactlyOnceSmoke:
         committed = len(report.sink_values["out"])
         assert report.shed_total > 0
         assert committed + report.shed_total == total
-        # shed elements flow through the shared drop-accounting path
-        assert report.dropped_overflow >= report.shed_total
 
 
 @pytest.mark.chaos

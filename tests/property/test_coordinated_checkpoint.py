@@ -257,7 +257,6 @@ class TestRescaleFromCoordinatedCheckpoint:
             assert manifest is not None and manifest.status == "finalized"
             snapshot = store.latest()
             assert snapshot is not None
-            assert not snapshot.in_flight  # aligned: rescale is legal
             survivor = ParallelExecutor(_keyed_job(events), new_p)
             survivor.restore(snapshot)
             survivor.run(source_batch=8)
@@ -303,8 +302,7 @@ class TestOneRewind:
         regional, regional_coord, same = self._ahead_of_a_checkpoint(
             parallelism)
         assert same.source_positions == snapshot.source_positions
-        regions = {frozenset(failover_region_of(regional.graph, op,
-                                                frozenset()))
+        regions = {frozenset(failover_region_of(regional.graph, op))
                    for op in ("window_a", "window_b")}
         assert len(regions) == 2 and not frozenset.intersection(*regions)
         replayed = sum(regional.restore(same, set(region))
@@ -325,8 +323,7 @@ class TestOneRewind:
     def test_a_region_refuses_to_rescale(self):
         donor, _, snapshot = self._ahead_of_a_checkpoint(2)
         wider = ParallelExecutor(donor.job, {"default": 2, "window_a": 4})
-        region = set(failover_region_of(wider.graph, "window_a",
-                                        frozenset()))
+        region = set(failover_region_of(wider.graph, "window_a"))
         with pytest.raises(CheckpointError, match="matching parallelism"):
             wider.restore(snapshot, region)
         wider.restore(snapshot)  # the whole plan may

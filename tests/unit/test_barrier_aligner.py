@@ -6,13 +6,11 @@ from repro.streaming.barrier import (
     BLOCKED,
     COMPLETE,
     IGNORED,
-    SPILL,
-    STRAGGLER,
     BarrierAligner,
 )
 from repro.util.errors import CheckpointError
 
-A, B, C = "chan-a", "chan-b", "chan-c"
+A, B = "chan-a", "chan-b"
 
 
 class TestAlignedMode:
@@ -90,40 +88,22 @@ class TestOvertakingBarrier:
 
 
 class TestUnalignedEscapeHatch:
-    def test_spill_after_timeout(self):
-        aligner = BarrierAligner((A, B, C), unaligned_after=2)
-        aligner.on_barrier(A, 1)
-        assert aligner.on_cycle() is None
-        assert aligner.on_cycle() is None
-        result = aligner.on_cycle()
-        assert result is not None and result.action == SPILL
-        assert set(result.spill_channels) == {B, C}
-        # blocked channel unblocks, lagging channels spill
-        assert not aligner.is_blocked(A)
-        assert aligner.is_spilling(B) and aligner.is_spilling(C)
-        assert not aligner.is_spilling(A)
-
-    def test_stragglers_close_the_spill(self):
-        aligner = BarrierAligner((A, B), unaligned_after=1)
-        aligner.on_barrier(A, 1)
-        aligner.on_cycle()
-        spill = aligner.on_cycle()
-        assert spill is not None and spill.spill_channels == (B,)
-        late = aligner.on_barrier(B, 1)
-        assert late.action == STRAGGLER
-        assert aligner.completed_id == 1
-        assert not aligner.aligning
+    """There is none: a checkpoint is always aligned, and a cycle tick
+    only counts how long an alignment has waited."""
 
     def test_no_timeout_in_pure_aligned_mode(self):
-        aligner = BarrierAligner((A, B), unaligned_after=None)
+        aligner = BarrierAligner((A, B))
         aligner.on_barrier(A, 1)
         for _ in range(50):
-            assert aligner.on_cycle() is None
+            aligner.on_cycle()
         assert aligner.is_blocked(A)
+        assert aligner.pending_cycles == 50
+        assert aligner.on_barrier(B, 1).action == COMPLETE
+        assert aligner.last_alignment_cycles == 50
 
     def test_on_cycle_idle_without_alignment(self):
-        aligner = BarrierAligner((A, B), unaligned_after=1)
-        assert aligner.on_cycle() is None
+        aligner = BarrierAligner((A, B))
+        aligner.on_cycle()
         assert aligner.pending_cycles == 0
 
 

@@ -201,6 +201,26 @@ class TestDuplicateDelivery:
         rows = consumer.poll_with_retry(max_records=100, clock=SimClock())
         assert len(rows) == 8
 
+    def test_a_failed_later_partition_read_loses_no_earlier_chunk(self):
+        # partition 0's read returns, partition 1's raises BrokerDown:
+        # the retry must re-read partition 0 too, not skip past it
+        base = _cluster(partitions=2)
+        producer = Producer(base, clock=SimClock())
+        for p in (0, 1):
+            for i in range(4):
+                producer.send("t", {"p": p, "i": i}, partition=p)
+        chaos = ChaosLogCluster(base, FaultInjector(FaultPlan(specs=(
+            FaultSpec("partition_unavailable", SITE_FETCH, at=1,
+                      count=1),))))
+        consumer = Consumer(chaos, "t", dedup=True)
+        rows = consumer.poll_with_retry(max_records=100, clock=SimClock())
+        assert sorted((r.partition, r.offset) for r in rows) \
+            == [(p, o) for p in (0, 1) for o in range(4)]
+        assert [consumer.position(p) for p in (0, 1)] \
+            == [base.end_offset("t", p) for p in (0, 1)] == [4, 4]
+        assert consumer.consumed == 8
+        assert consumer.poll(100) == []
+
 
 class TestEpochFencing:
     def test_old_epoch_is_fenced(self):

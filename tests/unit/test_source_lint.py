@@ -71,6 +71,13 @@ text, imports only to inspect one signature).
     only as ``ParallelExecutor``'s one parameter (no call passes it but
     the test that it refuses ``False``), and no commit listener asks
     whether it was handed a plain list instead of the sink.
+(p) Only options a caller sets: a checkpoint is always aligned, a
+    channel never drops and a failover region is a connected component,
+    so ``unaligned_after``, ``drop_on_overflow``, ``replayable`` and
+    what only they reached are named nowhere under ``src/``, ``tools/``,
+    ``benchmarks/`` or ``examples/``, and ``ParallelExecutor``,
+    ``Supervisor`` and ``Channels`` take no more parameters than they
+    need.
 """
 
 import ast
@@ -265,7 +272,7 @@ def test_execution_module_holds_the_executor_and_nothing_else():
                   if isinstance(target, ast.Attribute)
                   and isinstance(target.value, ast.Name)
                   and target.value.id == "self"}
-    assert len(methods) <= 43, len(methods)
+    assert len(methods) <= 41, len(methods)
     assert len(attributes) <= 30, sorted(attributes)
     (restore,) = [m for m in methods if m.name == "restore"]
     fields = {"queue", "watermark", "send_seq", "recv_seq", "ooo",
@@ -635,3 +642,44 @@ def test_transactional_sinks_is_one_parameter_nobody_passes():
     # read once, by the constructor's refusal; never stored
     assert [site.split(":")[0] for site in other] \
         == ["src/repro/streaming/execution.py"]
+
+
+# -- (p) only options a caller sets --------------------------------------------
+
+#: the three deleted options and what only they reached
+UNSET_MODES = re.compile(
+    r"\b(unaligned_after|drop_on_overflow|replayable|in_flight"
+    r"|spilled_items|dropped_overflow|is_spilling|SPILL|STRAGGLER)\b")
+#: (module, class) -> parameters of its ``__init__``, ``self`` excluded
+INIT_PARAMETERS = {
+    ("streaming/execution.py", "ParallelExecutor"): 10,
+    ("streaming/supervisor.py", "Supervisor"): 16,
+    ("streaming/transport.py", "Channels"): 5,
+}
+
+
+def test_the_deleted_modes_are_named_nowhere():
+    hits = []
+    for top in ("src", "tools", "benchmarks", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            text = path.read_text()
+            for match in UNSET_MODES.finditer(text):
+                line = text.count("\n", 0, match.start()) + 1
+                hits.append(f"{path.relative_to(ROOT)}:{line}: "
+                            f"{match.group(0)}")
+    assert hits == []
+
+
+def test_constructors_take_only_the_options_callers_set():
+    counts = {}
+    for (rel, name) in INIT_PARAMETERS:
+        tree = ast.parse((SRC / rel).read_text())
+        (cls,) = [node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == name]
+        (init,) = [item for item in cls.body
+                   if isinstance(item, ast.FunctionDef)
+                   and item.name == "__init__"]
+        args = init.args
+        counts[(rel, name)] = len(args.posonlyargs + args.args
+                                  + args.kwonlyargs) - 1
+    assert counts == INIT_PARAMETERS

@@ -192,15 +192,6 @@ class TestModeEquivalence:
         builder.source("s", _els(100)).map(lambda v: v).sink("out")
         return builder
 
-    def test_overflow_drop_accounting_identical(self):
-        runs = run_all_modes(self._lone_map, channel_capacity=10,
-                             drop_on_overflow=True)
-        a = runs["per_item"][0]
-        b = runs["chained"][0]
-        assert a.dropped_overflow == b.dropped_overflow > 0
-        assert runs["per_item"][1]["out"].elements == \
-               runs["chained"][1]["out"].elements
-
     def test_backpressure_accounting_identical(self):
         counts = {}
         for mode, flags in MODES.items():

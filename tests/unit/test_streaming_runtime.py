@@ -118,17 +118,6 @@ class TestExecutor:
         assert len(ParallelExecutor(job).run()["out"]) == 3
         assert len(ParallelExecutor(job).run()["out"]) == 3  # re-runnable
 
-    def test_drop_on_overflow_counts(self):
-        builder = JobBuilder("j")
-        (builder.source("s", _els(100))
-                .map(lambda v: v)
-                .sink("out"))
-        executor = ParallelExecutor(builder.build(), channel_capacity=10,
-                                    drop_on_overflow=True)
-        executor.run(source_batch=100)
-        assert executor.dropped_overflow > 0
-        assert len(executor.sinks["out"]) < 100
-
     def test_backpressure_counter(self):
         builder = JobBuilder("j")
         (builder.source("s", _els(100))

@@ -46,8 +46,8 @@ def _two_region_plan():
 
 
 def _channels(*directives, batch_mode=False):
-    return Channels(_two_region_plan(), capacity=100, drop_on_overflow=False,
-                    batch_mode=batch_mode, injector=_Network(*directives))
+    return Channels(_two_region_plan(), capacity=100, batch_mode=batch_mode,
+                    injector=_Network(*directives))
 
 
 KEY_A, FROM_A = ("ma", 0, None), ("a", 0)
@@ -103,7 +103,7 @@ class TestReset:
         channels.offer(KEY_B, FROM_B, _packet(10))
         channels.offer(KEY_A, FROM_A, _packet(1))
         channels.offer(KEY_B, FROM_B, _packet(11))
-        channels.reset({"a", "ma", "out_a"}, {}, {})
+        channels.reset({"a", "ma", "out_a"}, {})
         # region a starts over: sequence numbers too, so a fresh packet
         # is deliverable at once
         channels.offer(KEY_A, FROM_A, _packet(2))
@@ -113,20 +113,17 @@ class TestReset:
         assert _delivered(channels, KEY_B, FROM_B, cycles=6) == [10.0, 11.0]
         assert not channels.pending()
 
-    def test_reset_restores_watermarks_and_spilled_items(self):
+    def test_reset_restores_watermarks(self):
         channels = _channels()
-        routing = {"channel_wm": {KEY_A: {FROM_A: 7.0}},
-                   "aligned_wm": {KEY_A: 7.0}}
-        spilled = {("ma", 0, None, "a", 0): _packet(3),
-                   ("mb", 0, None, "b", 0): _packet(13)}
-        channels.reset({"a", "ma", "out_a"}, routing, spilled)
+        routing = {"channel_wm": {KEY_A: {FROM_A: 7.0}, KEY_B: {FROM_B: 9.0}},
+                   "aligned_wm": {KEY_A: 7.0, KEY_B: 9.0}}
+        channels.reset({"a", "ma", "out_a"}, routing)
         snapshot = channels.routing_snapshot()
         assert snapshot["channel_wm"][KEY_A] == {FROM_A: 7.0}
         assert snapshot["aligned_wm"][KEY_A] == 7.0
+        # outside the region nothing moves
         assert snapshot["channel_wm"][KEY_B] == {FROM_B: float("-inf")}
-        assert [e.value for e in channels.inputs[KEY_A][FROM_A].queue] \
-            == [3.0]
-        assert not channels.inputs[KEY_B][FROM_B].queue
+        assert snapshot["aligned_wm"][KEY_B] == float("-inf")
         assert not channels.same_shape({"channel_wm": {KEY_A: {FROM_A: 0}}})
         assert channels.same_shape(snapshot)
 
