@@ -196,7 +196,6 @@ class HealthcareApp:
     # -- tiered serving store ----------------------------------------------
 
     def build_serving_store(self, *, parallelism: int = 1,
-                            ttl_s: float | None = None,
                             injector=None):
         """Stream the vitals topic into a tiered serving store, exactly
         once: the hot tier answers "latest vitals for this patient" for
@@ -206,8 +205,8 @@ class HealthcareApp:
 
         store, report = serve_topic(
             self.pipeline.log, VITALS_TOPIC, parallelism=parallelism,
-            ttl_s=ttl_s, metric_fn=lambda v: v["value"],
-            injector=injector, name="health-serving")
+            metric_fn=lambda v: v["value"], injector=injector,
+            name="health-serving")
         self.serving_store = store
         self.serving_report = report
         return store

@@ -142,7 +142,6 @@ class RetailApp:
     # -- tiered serving store ---------------------------------------------------
 
     def build_serving_store(self, *, parallelism: int = 1,
-                            ttl_s: float | None = None,
                             injector=None):
         """Stream the gaze topic into a tiered serving store, exactly
         once: the hot tier binds the in-aisle AR overlay (latest gazed
@@ -152,8 +151,8 @@ class RetailApp:
 
         store, report = serve_topic(
             self.pipeline.log, GAZE_TOPIC, parallelism=parallelism,
-            ttl_s=ttl_s, metric_fn=lambda v: v["dwell"],
-            injector=injector, name="retail-serving")
+            metric_fn=lambda v: v["dwell"], injector=injector,
+            name="retail-serving")
         self.serving_store = store
         self.serving_report = report
         return store

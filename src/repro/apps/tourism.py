@@ -146,7 +146,6 @@ class TourismApp:
     # -- tiered serving store ---------------------------------------------------
 
     def build_serving_store(self, *, parallelism: int = 1,
-                            ttl_s: float | None = None,
                             injector=None):
         """Stream the visits topic into a tiered serving store, exactly
         once: the hot tier answers "where was this tourist last" for the
@@ -156,8 +155,8 @@ class TourismApp:
 
         store, report = serve_topic(
             self.pipeline.log, VISITS_TOPIC, parallelism=parallelism,
-            ttl_s=ttl_s, metric_fn=lambda v: 1.0,
-            injector=injector, name="tourism-serving")
+            metric_fn=lambda v: 1.0, injector=injector,
+            name="tourism-serving")
         self.serving_store = store
         self.serving_report = report
         return store

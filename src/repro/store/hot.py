@@ -17,19 +17,16 @@ is the write-optimized half of the tiered store:
   shape from staging on: a flush only lays each key's list out
   reversed, and reads take memtable rows as stored.
 - One **ordering key** decides "newer" everywhere — memtable, flush,
-  compaction, ``latest``, ``contents`` and TTL liveness: the event
-  time, then the apply sequence.  It is computed once, when an
-  epoch's rows are built, and a NaN event time orders as ``-inf``
-  (older than every finite timestamp; ties, also with a real ``-inf``,
-  fall to the apply sequence) — so what a shard answers never depends
-  on how its rows are spread over memtable and runs, and a key's live
-  versions are always a prefix of its newest-first order.
+  compaction, ``latest`` and ``contents``: the event time, then the
+  apply sequence.  It is computed once, when an epoch's rows are
+  built, and a NaN event time orders as ``-inf`` (older than every
+  finite timestamp; ties, also with a real ``-inf``, fall to the apply
+  sequence) — so what a shard answers never depends on how its rows
+  are spread over memtable and runs.
 - **Size-tiered compaction** merges runs of similar size when a tier
-  collects ``tier_fanout`` of them, bounding run count (and therefore
-  lookup fan-out) logarithmically in total rows.
-- **TTL expiry** runs on :class:`~repro.util.clock.SimClock`: reads
-  filter expired versions, compaction drops them, and ``expire()``
-  forces a deterministic full sweep — no wall clock anywhere.
+  collects :data:`TIER_FANOUT` of them, bounding run count (and
+  therefore lookup fan-out) logarithmically in total rows.  A shard
+  keeps every version it was given: nothing expires.
 
 Mutations enter **only** through :meth:`HotShard.apply_epoch`, the
 install half of the store's epoch-apply protocol (see
@@ -45,17 +42,17 @@ from __future__ import annotations
 
 from heapq import merge
 from itertools import count
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
-from ..streaming.shuffle import (
-    DEFAULT_KEY_GROUPS,
-    key_group_for,
-    subtask_for_key_group,
-)
-from ..util.clock import SimClock
+from ..streaming import shuffle
+from ..streaming.shuffle import key_group_for, subtask_for_key_group
 from ..util.errors import StoreError
 
-__all__ = ["HotShard", "HotStore", "SortedRun", "key_repr"]
+__all__ = ["TIER_FANOUT", "HotShard", "HotStore", "SortedRun", "key_repr"]
+
+#: runs of one size tier that compaction merges into one; read at call
+#: time, so a test can rebind it
+TIER_FANOUT = 4
 
 #: a NaN event time's ``-order_ts`` in a run row: NaN orders as
 #: ``-inf`` (NaN itself compares false with everything, which would
@@ -108,42 +105,27 @@ class SortedRun:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def scan_key(self, kr: str, limit: int,
-                 min_ts: float | None) -> list[tuple]:
-        """Up to ``limit`` newest live rows of one key, newest first.
-        Rows run newest to oldest, so the first expired one ends the
-        scan."""
+    def scan_key(self, kr: str, limit: int) -> list[tuple]:
+        """Up to ``limit`` newest rows of one key, newest first."""
         i = self.first_row.get(kr)
         if i is None:
             return []
         out = []
         for row in self.rows[i:i + limit]:
-            if row[0] != kr or (min_ts is not None and -row[1] < min_ts):
+            if row[0] != kr:
                 break
             out.append(row)
         return out
-
-    def live_rows(self, min_ts: float | None) -> Iterable[tuple]:
-        if min_ts is None:
-            return iter(self.rows)
-        return (row for row in self.rows if -row[1] >= min_ts)
 
 
 class HotShard:
     """One key-range shard: memtable + sorted runs + compaction."""
 
-    def __init__(self, shard_id: int, *, clock: SimClock | None = None,
-                 ttl_s: float | None = None, memtable_limit: int = 4096,
-                 tier_fanout: int = 4) -> None:
+    def __init__(self, shard_id: int, *, memtable_limit: int = 4096) -> None:
         if memtable_limit < 1:
             raise StoreError("memtable_limit must be >= 1")
-        if tier_fanout < 2:
-            raise StoreError("tier_fanout must be >= 2")
         self.shard_id = shard_id
-        self.clock = clock
-        self.ttl_s = ttl_s
         self.memtable_limit = memtable_limit
-        self.tier_fanout = tier_fanout
         #: epoch of the last applied commit; the double-apply guard
         self.last_applied_epoch = 0
         #: key_repr -> run rows oldest to newest (descending tuple
@@ -157,13 +139,6 @@ class HotShard:
         self._seq = 0
         self.flushes = 0
         self.compactions = 0
-
-    # -- TTL -----------------------------------------------------------------
-
-    def _min_ts(self) -> float | None:
-        if self.ttl_s is None or self.clock is None:
-            return None
-        return self.clock.now - self.ttl_s
 
     # -- epoch apply (the only mutation path) --------------------------------
 
@@ -275,15 +250,15 @@ class HotShard:
     def _tier_of(self, run: SortedRun) -> int:
         tier, size = 0, len(run)
         while size >= self.memtable_limit:
-            size //= self.tier_fanout
+            size //= TIER_FANOUT
             tier += 1
         return tier
 
     def compact(self) -> None:
-        """Size-tiered: when any tier holds ``tier_fanout`` runs, merge
-        them into one (dropping expired versions).  The merged run is
-        built fully before the run list is swapped, so a crash during
-        the merge leaves the old runs — and every answer — intact."""
+        """Size-tiered: when any tier holds :data:`TIER_FANOUT` runs,
+        merge them into one.  The merged run is built fully before the
+        run list is swapped, so a crash during the merge leaves the old
+        runs — and every answer — intact."""
         if self._runs is self._settled_runs:
             return
         while True:
@@ -291,13 +266,11 @@ class HotShard:
             for run in self._runs:
                 tiers.setdefault(self._tier_of(run), []).append(run)
             victims = next((runs for runs in tiers.values()
-                            if len(runs) >= self.tier_fanout), None)
+                            if len(runs) >= TIER_FANOUT), None)
             if victims is None:
                 self._settled_runs = self._runs
                 return
-            min_ts = self._min_ts()
-            merged_rows = [row for run in victims
-                           for row in run.live_rows(min_ts)]
+            merged_rows = [row for run in victims for row in run.rows]
             merged_rows.sort()
             merged = SortedRun(merged_rows)
             dead = set(map(id, victims))
@@ -305,24 +278,10 @@ class HotShard:
                           if id(r) not in dead] + [merged]
             self.compactions += 1
 
-    def expire(self) -> None:
-        """Deterministic TTL sweep on the SimClock: flush, then rewrite
-        every run without expired versions (one atomic swap)."""
-        min_ts = self._min_ts()
-        if min_ts is None:
-            return
-        self.flush()
-        rewritten = []
-        for run in self._runs:
-            rows = [row for row in run.live_rows(min_ts)]
-            if rows:
-                rewritten.append(SortedRun(rows))
-        self._runs = rewritten
-
     # -- reads ---------------------------------------------------------------
 
     def latest(self, key: Any, n: int = 1) -> list[tuple[float, Any]]:
-        """Newest ``n`` live versions: ``[(timestamp, value), ...]``,
+        """Newest ``n`` versions: ``[(timestamp, value), ...]``,
         newest first.  The key's newest ``n`` are among the last ``n``
         of its memtable list and the first ``n`` of its rows in each
         run; those at most ``n * (runs + 1)`` candidates merge by
@@ -334,33 +293,23 @@ class HotShard:
         """:meth:`latest` of a key already in row-key form."""
         if n < 1:
             raise StoreError("latest() needs n >= 1")
-        min_ts = self._min_ts()
         candidates: list[tuple] = []
         versions = self._mem.get(kr)
         if versions:
-            for row in reversed(versions[-n:]):
-                if min_ts is not None and -row[1] < min_ts:
-                    break
-                candidates.append(row)
+            candidates.extend(reversed(versions[-n:]))
         for run in self._runs:
-            candidates.extend(run.scan_key(kr, n, min_ts))
+            candidates.extend(run.scan_key(kr, n))
         if len(candidates) > 1:
             candidates.sort()
         return [(row[3], row[4]) for row in candidates[:n]]
 
     def contents(self) -> dict[str, list[tuple[float, Any]]]:
-        """Canonical dump: key_repr -> all live versions newest-first.
+        """Canonical dump: key_repr -> all versions newest-first.
         The chaos suite compares this across crashed and fault-free
         runs, so it must be independent of memtable/run structure."""
-        min_ts = self._min_ts()
-        acc: dict[str, list[tuple]] = {}
-        for kr, versions in self._mem.items():
-            live = [row for row in versions
-                    if min_ts is None or -row[1] >= min_ts]
-            if live:
-                acc[kr] = live
+        acc = {kr: list(versions) for kr, versions in self._mem.items()}
         for run in self._runs:
-            for row in run.live_rows(min_ts):
+            for row in run.rows:
                 acc.setdefault(row[0], []).append(row)
         return {kr: [(row[3], row[4]) for row in sorted(acc[kr])]
                 for kr in sorted(acc)}
@@ -380,18 +329,14 @@ class HotStore:
     """Sharded hot store: routes keys the way the engine does."""
 
     def __init__(self, *, num_shards: int = 8,
-                 num_key_groups: int = DEFAULT_KEY_GROUPS,
-                 clock: SimClock | None = None, ttl_s: float | None = None,
-                 memtable_limit: int = 4096, tier_fanout: int = 4) -> None:
+                 memtable_limit: int = 4096) -> None:
         if num_shards < 1:
             raise StoreError("need at least one shard")
-        if num_key_groups < num_shards:
-            raise StoreError("num_key_groups must be >= num_shards")
+        if num_shards > shuffle.KEY_GROUPS:
+            raise StoreError(f"at most {shuffle.KEY_GROUPS} shards: one "
+                             "per key group")
         self.num_shards = num_shards
-        self.num_key_groups = num_key_groups
-        self.shards = [HotShard(i, clock=clock, ttl_s=ttl_s,
-                                memtable_limit=memtable_limit,
-                                tier_fanout=tier_fanout)
+        self.shards = [HotShard(i, memtable_limit=memtable_limit)
                        for i in range(num_shards)]
         #: str key -> (shard id, key_repr), see :meth:`route`
         self._routes: dict[str, tuple[int, str]] = {}
@@ -408,8 +353,8 @@ class HotStore:
             hit = self._routes.get(key)
             if hit is not None:
                 return hit
-        group = key_group_for(key, self.num_key_groups)
-        hit = (subtask_for_key_group(group, self.num_key_groups,
+        groups = shuffle.KEY_GROUPS
+        hit = (subtask_for_key_group(key_group_for(key, groups), groups,
                                      self.num_shards), key_repr(key))
         if type(key) is str:
             if len(self._routes) >= _ROUTE_MEMO_MAX:
@@ -471,17 +416,13 @@ class HotStore:
         return self.shards[sid].latest_rows(kr, n)
 
     def point(self, key: Any) -> Any | None:
-        """Newest live value for ``key`` (overlay binding), or None."""
+        """Newest value for ``key`` (overlay binding), or None."""
         versions = self.latest(key, 1)
         return versions[0][1] if versions else None
 
     def maintain(self) -> None:
         for shard in self.shards:
             shard.maintain()
-
-    def expire(self) -> None:
-        for shard in self.shards:
-            shard.expire()
 
     def contents(self) -> dict[str, list[tuple[float, Any]]]:
         out: dict[str, list[tuple[float, Any]]] = {}

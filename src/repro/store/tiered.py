@@ -18,8 +18,6 @@ from typing import Any, Callable
 
 from ..streaming.batch import RecordBatch, as_batch
 from ..streaming.element import Element
-from ..streaming.shuffle import DEFAULT_KEY_GROUPS
-from ..util.clock import SimClock
 from .analytical import AnalyticalStore
 from .hot import HotStore
 
@@ -29,18 +27,10 @@ __all__ = ["TieredStore", "serve_topic", "canonical_contents"]
 class TieredStore:
     """Hot point-lookup tier + columnar analytical tier, fed together."""
 
-    def __init__(self, *, num_shards: int = 8,
-                 num_key_groups: int = DEFAULT_KEY_GROUPS,
-                 clock: SimClock | None = None,
-                 ttl_s: float | None = None,
-                 memtable_limit: int = 4096, tier_fanout: int = 4,
+    def __init__(self, *, num_shards: int = 8, memtable_limit: int = 4096,
                  metric_fn: Callable[[Any], float] | None = None) -> None:
-        self.clock = clock
         self.hot = HotStore(num_shards=num_shards,
-                            num_key_groups=num_key_groups,
-                            clock=clock, ttl_s=ttl_s,
-                            memtable_limit=memtable_limit,
-                            tier_fanout=tier_fanout)
+                            memtable_limit=memtable_limit)
         self.analytical = AnalyticalStore(metric_fn=metric_fn)
 
     # -- epoch protocol (driven by StoreSink) --------------------------------
@@ -82,12 +72,6 @@ class TieredStore:
     def maintain(self) -> None:
         self.hot.maintain()
 
-    def expire(self) -> None:
-        """Deterministic TTL sweep of the hot tier (SimClock-driven);
-        analytical history is deliberately unexpiring — it is the
-        full-log tier."""
-        self.hot.expire()
-
     # -- serving surface -----------------------------------------------------
 
     def latest(self, key: Any, n: int = 1) -> list[tuple[float, Any]]:
@@ -124,8 +108,6 @@ def serve_topic(cluster: Any, topic: str, *,
                 parallelism: int = 1, source_batch: int = 64,
                 interval_cycles: int = 4, injector: Any = None,
                 metric_fn: Callable[[Any], float] | None = None,
-                num_shards: int = 8, ttl_s: float | None = None,
-                memtable_limit: int = 4096,
                 name: str | None = None,
                 ) -> tuple[TieredStore, Any]:
     """Stream an event-log topic into a tiered store, exactly once.
@@ -133,7 +115,8 @@ def serve_topic(cluster: Any, topic: str, *,
     Builds ``source(topic) [-> key_by(key_fn)] -> sink``, runs it under
     coordinated checkpoints with a :class:`StoreSink` listening on the
     transactional sink's commits, and returns ``(store, report)``.
-    Records keep their log keys unless ``key_fn`` re-keys them.  The
+    Records keep their log keys unless ``key_fn`` re-keys them, and a
+    default :class:`TieredStore` is built unless ``store`` is given.  The
     run is chaos-ready: pass an ``injector`` and the store still comes
     out bit-identical to the fault-free run.
     """
@@ -143,9 +126,7 @@ def serve_topic(cluster: Any, topic: str, *,
     from .sink import StoreSink
 
     if store is None:
-        store = TieredStore(num_shards=num_shards, ttl_s=ttl_s,
-                            memtable_limit=memtable_limit,
-                            metric_fn=metric_fn)
+        store = TieredStore(metric_fn=metric_fn)
     builder = JobBuilder(name or f"serve:{topic}")
     stream = builder.source("events", log_source(cluster, topic))
     if key_fn is not None:

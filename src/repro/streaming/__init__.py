@@ -15,7 +15,7 @@ from .autoscale import (
 from .barrier import AlignmentResult, BarrierAligner, ParallelCheckpoint
 from .cep import PatternMatch, PatternOperator, PatternStep
 from .chain import ChainedOperator
-from .connectors import log_sink, log_source, parallel_log_source
+from .connectors import log_source, parallel_log_source
 from .coordinator import (
     CheckpointCoordinator,
     CheckpointManifest,
@@ -57,7 +57,7 @@ from .operators import (
 )
 from .sources import SourceReader, Split
 from .shuffle import (
-    DEFAULT_KEY_GROUPS,
+    KEY_GROUPS,
     key_group_for,
     key_group_range,
     subtask_for_key,
@@ -141,7 +141,7 @@ __all__ = [
     "Channels",
     "RegionPlacement",
     "placement_from_topology",
-    "DEFAULT_KEY_GROUPS",
+    "KEY_GROUPS",
     "key_group_for",
     "key_group_range",
     "subtask_for_key",
@@ -169,5 +169,4 @@ __all__ = [
     "KeyedState",
     "log_source",
     "parallel_log_source",
-    "log_sink",
 ]

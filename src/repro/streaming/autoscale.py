@@ -36,6 +36,7 @@ import numpy as np
 
 from ..util.errors import ConfigError
 from ..util.metrics import MetricsRegistry
+from . import shuffle
 from .graph import JobGraph
 from .plan import _parallelism_of
 from .supervisor import Controller, SupervisionReport, Supervisor
@@ -492,7 +493,7 @@ class Autoscaler(Controller):
         source_width = max((out[name] for name in job.sources), default=1)
         for name, op in job.operators.items():
             if op.requires_shuffle:
-                out[name] = min(out[name], self.supervisor.num_key_groups)
+                out[name] = min(out[name], shuffle.KEY_GROUPS)
             else:
                 out[name] = source_width
         return out

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable
 
 from ..util.errors import CheckpointError
+from . import shuffle
 from .plan import ExecutionGraph
 
 __all__ = ["AlignmentResult", "BarrierAligner", "Cut", "ParallelCheckpoint"]
@@ -218,7 +219,7 @@ class Cut:
         parallelism.update(graph.source_parallelism)
         return ParallelCheckpoint(
             checkpoint_id=self.checkpoint_id,
-            num_key_groups=graph.num_key_groups,
+            num_key_groups=shuffle.KEY_GROUPS,
             parallelism=parallelism,
             num_splits=dict(graph.source_splits),
             source_positions={s: dict(p) for s, p

@@ -3,9 +3,8 @@
 ``log_source`` adapts an event-log topic into a stream source: each
 retained record becomes a row (decoded: an :class:`Element`) whose
 timestamp is the record's event timestamp and whose key is the record
-key.  ``log_sink``
-returns a callable that writes sink elements back to a topic — the glue
-for multi-stage pipelines (raw -> analytics -> AR content topics).
+key.  Output goes back to a topic exactly once through
+:class:`~repro.streaming.txn_sink.TransactionalLogSink`.
 """
 
 from __future__ import annotations
@@ -16,11 +15,10 @@ import numpy as np
 
 from ..eventlog.broker import LogCluster
 from ..eventlog.consumer import Consumer, ConsumerGroup
-from ..eventlog.producer import Producer
 from .batch import RecordBatch
 from .element import Element
 
-__all__ = ["log_source", "parallel_log_source", "log_sink"]
+__all__ = ["log_source", "parallel_log_source"]
 
 
 def _fetch_batch(consumer: Consumer, max_records: int, *, drain: bool,
@@ -193,16 +191,3 @@ def parallel_log_source(cluster: LogCluster, topic: str,
         return [batch] if columnar else batch.to_elements()
 
     return split_factory, num_splits
-
-
-def log_sink(cluster: LogCluster, topic: str) -> Callable[[Element], None]:
-    """A callable that appends sink elements to ``topic``."""
-    producer = Producer(cluster)
-
-    def write(element: Element) -> None:
-        key = element.key if isinstance(element.key, str) else (
-            None if element.key is None else str(element.key))
-        producer.send(topic, element.value, key=key,
-                      timestamp=element.timestamp)
-
-    return write

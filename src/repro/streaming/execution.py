@@ -84,8 +84,8 @@ from .plan import (
     PhysicalEdge,
     compile_execution_graph,
 )
+from . import shuffle
 from .shuffle import (
-    DEFAULT_KEY_GROUPS,
     key_group_for,
     key_group_range,
     subtask_for_key_group,
@@ -110,8 +110,7 @@ class ParallelExecutor:
 
     def __init__(self, job: JobGraph,
                  parallelism: int | dict[str, int] = 1,
-                 *, num_key_groups: int = DEFAULT_KEY_GROUPS,
-                 channel_capacity: int = 10_000, batch_mode: bool = True,
+                 *, batch_mode: bool = True,
                  injector: Any = None,
                  tracer: Any = None, metrics: Any = None,
                  transactional_sinks: bool = True,
@@ -120,10 +119,8 @@ class ParallelExecutor:
             raise ConfigError("every sink is a 2PC TransactionalSink; "
                               "transactional_sinks=False is not supported")
         self.graph = compile_execution_graph(
-            job, parallelism, num_key_groups=num_key_groups,
-            chaining=batch_mode, placement=placement)
+            job, parallelism, chaining=batch_mode, placement=placement)
         self.job = job
-        self.num_key_groups = num_key_groups
         #: batched execution is columnar: sources encode splits as
         #: RecordBatches and shuffles/merges stay vectorized,
         #: bit-identical to the per-item reference (``batch_mode=False``)
@@ -133,9 +130,8 @@ class ParallelExecutor:
         self.metrics = metrics
         self.sources = SourceReader(job, self.graph, batch_mode=batch_mode,
                                     metrics=metrics)
-        self.channels = Channels(
-            self.graph, capacity=channel_capacity, batch_mode=batch_mode,
-            injector=injector, metrics=metrics)
+        self.channels = Channels(self.graph, batch_mode=batch_mode,
+                                 injector=injector, metrics=metrics)
         #: cross-region traffic accounting: packets that traversed an
         #: inter-region link and the modelled latency they paid
         self.cross_region_packets = 0
@@ -366,7 +362,7 @@ class ParallelExecutor:
             p_down = self.graph.nodes[edge.down].parallelism
             buckets: list[list[StreamItem]] = [[] for _ in range(p_down)]
             hashed = edge.mode == HASH  # else REBALANCE: round-robin
-            g = self.num_key_groups
+            g = shuffle.KEY_GROUPS
             cursor = self._rr.get((edge_idx, up_idx), 0)
             for item in items:
                 if isinstance(item, (Watermark, CheckpointBarrier)):
@@ -654,7 +650,7 @@ class ParallelExecutor:
             state = clone.state
             if state is not None:
                 cut.keyed.setdefault(m, {}).update(
-                    state.snapshot_by_group(self.num_key_groups))
+                    state.snapshot_by_group(shuffle.KEY_GROUPS))
             cut.scalar[m][idx] = clone.snapshot()
         cut.acked.add((name, idx))
         if self._data_chaos:
@@ -685,6 +681,10 @@ class ParallelExecutor:
             # the sources are read to their end
             raise JobGraphError(
                 f"source_batch must be >= 1, got {source_batch!r}")
+        if max_cycles is not None and max_cycles < 1:
+            # the loop checks its bound after a cycle, so 0 would run one
+            raise JobGraphError(
+                f"max_cycles must be >= 1, got {max_cycles!r}")
         if self.tracer is not None:
             self._ensure_spans()
             with self.tracer.activate(self._job_span):
@@ -852,10 +852,10 @@ class ParallelExecutor:
         for a region counts only its own sources — what makes partial
         recovery cheaper.
         """
-        if checkpoint.num_key_groups != self.num_key_groups:
+        if checkpoint.num_key_groups != shuffle.KEY_GROUPS:
             raise CheckpointError(
                 f"snapshot has {checkpoint.num_key_groups} key groups, "
-                f"this plan {self.num_key_groups}; key-group counts are "
+                f"this plan {shuffle.KEY_GROUPS}; key-group counts are "
                 "fixed for a job's lifetime")
         whole = region is None
         if region is None:
@@ -900,7 +900,7 @@ class ParallelExecutor:
                 if state is not None:
                     state.restore_groups(
                         groups[kg] for kg in key_group_range(
-                            self.num_key_groups, len(clones), i)
+                            shuffle.KEY_GROUPS, len(clones), i)
                         if kg in groups)
                 clone.restore([scalars[i]] if exact else list(scalars),
                               primary=exact or i == 0, exact=exact)

@@ -27,7 +27,7 @@ from typing import Any
 
 from ..util.errors import JobGraphError
 from .graph import JobGraph
-from .shuffle import DEFAULT_KEY_GROUPS
+from . import shuffle
 
 __all__ = [
     "PhysicalNode",
@@ -78,7 +78,6 @@ class ExecutionGraph:
     """The physical plan: nodes with parallelism, typed edges, splits."""
 
     job: JobGraph
-    num_key_groups: int
     nodes: dict[str, PhysicalNode]
     edges: list[PhysicalEdge]
     topo: list[str]  # execution-node order (operators only)
@@ -114,7 +113,7 @@ class ExecutionGraph:
     def describe(self) -> str:
         """Human-readable plan, one line per node/edge (debug aid)."""
         lines = [f"plan for job {self.job.name!r} "
-                 f"(key groups: {self.num_key_groups})"]
+                 f"(key groups: {shuffle.KEY_GROUPS})"]
         for name, p in sorted(self.source_parallelism.items()):
             where = (f" @{self.node_regions[name]}"
                      if name in self.node_regions else "")
@@ -178,8 +177,7 @@ def _fusible_runs(job: JobGraph, p_of: Any,
 
 def compile_execution_graph(job: JobGraph,
                             parallelism: int | dict[str, int] = 1,
-                            *, num_key_groups: int = DEFAULT_KEY_GROUPS,
-                            chaining: bool = True,
+                            *, chaining: bool = True,
                             placement: Any = None) -> ExecutionGraph:
     """Lower a logical job graph to a physical execution graph.
 
@@ -212,15 +210,23 @@ def compile_execution_graph(job: JobGraph,
         }
     reg = node_regions.get
     p_of = lambda n: _parallelism_of(parallelism, n)  # noqa: E731
+    if isinstance(parallelism, dict):
+        unknown = sorted(set(parallelism) - {"default", *job.operators,
+                                             *job.sources}, key=repr)
+        if unknown:
+            raise JobGraphError(
+                f"parallelism names {unknown} that are neither "
+                "'default' nor a source or operator of the job")
     for name in list(job.operators) + list(job.sources):
         if p_of(name) < 1:
             raise JobGraphError(f"node {name!r} has parallelism "
                                 f"{p_of(name)} < 1")
+    key_groups = shuffle.KEY_GROUPS
     for name, op in job.operators.items():
-        if op.requires_shuffle and p_of(name) > num_key_groups:
+        if op.requires_shuffle and p_of(name) > key_groups:
             raise JobGraphError(
                 f"keyed operator {name!r} parallelism {p_of(name)} exceeds "
-                f"num_key_groups {num_key_groups}")
+                f"the {key_groups} key groups")
 
     chains = _fusible_runs(job, p_of, reg) if chaining else {}
     rename: dict[str, str] = {}
@@ -298,8 +304,7 @@ def compile_execution_graph(job: JobGraph,
         if exec_name not in seen:
             seen.add(exec_name)
             topo.append(exec_name)
-    return ExecutionGraph(job=job, num_key_groups=num_key_groups,
-                          nodes=nodes, edges=edges, topo=topo,
+    return ExecutionGraph(job=job, nodes=nodes, edges=edges, topo=topo,
                           source_parallelism=source_parallelism,
                           source_splits=source_splits, rename=rename,
                           placement=placement, node_regions=node_regions)

@@ -106,12 +106,12 @@ class KeyedState:
 
     # -- key-group snapshots (checkpoints) ------------------------------------
 
-    def snapshot_by_group(self, num_key_groups: int) -> dict[int, dict]:
+    def snapshot_by_group(self, key_groups: int) -> dict[int, dict]:
         """An independent copy of the table split into key-group blobs —
         what a checkpoint records, and the unit a rescale reassigns."""
         groups: dict[int, dict] = {}
         for key, value in self.snapshot().items():
-            group = key_group_for(key, num_key_groups)
+            group = key_group_for(key, key_groups)
             groups.setdefault(group, {})[key] = value
         return groups
 

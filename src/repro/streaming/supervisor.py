@@ -48,7 +48,6 @@ from .execution import ParallelExecutor
 from .graph import JobGraph
 from .operators import subtask_name
 from .plan import ExecutionGraph
-from .shuffle import DEFAULT_KEY_GROUPS
 
 __all__ = ["MAX_FAILURES", "Controller", "SupervisionReport", "Supervisor",
            "run_coordinated"]
@@ -187,7 +186,6 @@ class Supervisor:
                  controllers: Iterable[Controller] = (),
                  parallelism: int | dict[str, int] = 1,
                  placement: Any = None, batch_mode: bool = True,
-                 num_key_groups: int = DEFAULT_KEY_GROUPS,
                  source_batch: int = 32, step_cycles: int = 2,
                  interval_cycles: int = 4,
                  heartbeat_timeout_s: float = 60.0,
@@ -198,11 +196,13 @@ class Supervisor:
         if source_batch < 1:
             raise JobGraphError(
                 f"source_batch must be >= 1, got {source_batch!r}")
+        if step_cycles < 1:
+            raise JobGraphError(
+                f"step_cycles must be >= 1, got {step_cycles!r}")
         self.job = job
         self.parallelism = parallelism
         self.placement = placement
         self.batch_mode = batch_mode
-        self.num_key_groups = num_key_groups
         self.source_batch = source_batch
         self.step_cycles = step_cycles
         self.interval_cycles = interval_cycles
@@ -236,8 +236,7 @@ class Supervisor:
                         parallelism: int | dict[str, int],
                         placement: Any) -> ParallelExecutor:
         return ParallelExecutor(
-            job, parallelism, num_key_groups=self.num_key_groups,
-            batch_mode=self.batch_mode, injector=self.injector,
+            job, parallelism, batch_mode=self.batch_mode, injector=self.injector,
             tracer=self.tracer, metrics=self.metrics, placement=placement)
 
     def _build_coordinator(self) -> CheckpointCoordinator:

@@ -9,8 +9,8 @@ flight.
 
 A channel never drops an item.  ``backpressure_events`` counts, per
 *item* in both execution modes (a batch weighs its rows plus the
-watermarks it carries), what arrived over capacity; past ten times
-capacity the offer raises :class:`~repro.util.errors.BackpressureOverflow`
+watermarks it carries), what arrived over :data:`CHANNEL_CAPACITY`;
+past ten times that the offer raises :class:`~repro.util.errors.BackpressureOverflow`
 — the memory bound.  Chaining removes the channels between fused
 operators, so a chained run observes backpressure only at chain
 boundaries.  Load is shed in one place, the autoscaler's source-side
@@ -48,7 +48,11 @@ from .batch import (
 from .element import StreamItem, Watermark
 from .plan import FORWARD, MERGE, ExecutionGraph
 
-__all__ = ["Channel", "Channels"]
+__all__ = ["CHANNEL_CAPACITY", "Channel", "Channels"]
+
+#: items one channel holds before an offer counts backpressure (ten
+#: times this raises); read at call time, so a test can rebind it
+CHANNEL_CAPACITY = 10_000
 
 #: (receiver node, receiver subtask, side) — one subtask input
 InputKey = tuple[str, int, "str | None"]
@@ -78,10 +82,8 @@ class Channel:
 class Channels:
     """Every channel of one physical plan."""
 
-    def __init__(self, graph: ExecutionGraph, *, capacity: int,
-                 batch_mode: bool, injector: Any = None,
-                 metrics: Any = None) -> None:
-        self.capacity = capacity
+    def __init__(self, graph: ExecutionGraph, *, batch_mode: bool,
+                 injector: Any = None, metrics: Any = None) -> None:
         self.batch_mode = batch_mode
         self.injector = injector
         self.metrics = metrics
@@ -129,7 +131,7 @@ class Channels:
         batched = self.batch_mode
         occupancy = items_weight(queue) if batched else len(queue)
         n = items_weight(items) if batched else len(items)
-        capacity = self.capacity
+        capacity = CHANNEL_CAPACITY
         node = key[0]
         if occupancy + n <= capacity:
             queue.extend(items)

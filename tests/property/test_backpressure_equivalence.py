@@ -14,6 +14,8 @@ by the per-item run's, and equal on a plan where nothing fuses (the
 exact-equality tests below run such plans).
 """
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from repro.streaming import (
     JobBuilder,
     ParallelExecutor,
     TumblingWindows,
+    transport,
 )
 from repro.util.errors import BackpressureOverflow
 
@@ -69,12 +72,13 @@ def _chainable_builder(elements):
 
 def _run(make_builder, elements, mode, capacity, source_batch):
     executor = ParallelExecutor(make_builder(elements).build(),
-                                channel_capacity=capacity, **MODES[mode])
+                                **MODES[mode])
     raised = False
-    try:
-        executor.run(source_batch=source_batch)
-    except BackpressureOverflow:
-        raised = True
+    with patch.object(transport, "CHANNEL_CAPACITY", capacity):
+        try:
+            executor.run(source_batch=source_batch)
+        except BackpressureOverflow:
+            raised = True
     return executor, raised
 
 
@@ -176,9 +180,9 @@ class TestOverflowRaise:
         assert sum(len(ch) for ch in per_item_channels.values()) \
             == capacity * 10
 
-    def test_raise_message_names_the_node(self):
+    def test_raise_message_names_the_node(self, monkeypatch):
+        monkeypatch.setattr(transport, "CHANNEL_CAPACITY", 2)
         elements = _to_elements([(0, float(i)) for i in range(25)])
-        executor = ParallelExecutor(_window_builder(elements).build(),
-                                    channel_capacity=2)
+        executor = ParallelExecutor(_window_builder(elements).build())
         with pytest.raises(BackpressureOverflow, match="10x capacity"):
             executor.run(source_batch=25)

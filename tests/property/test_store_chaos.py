@@ -11,9 +11,6 @@ version, every timestamp) and the analytical tier's row count are
 a double-applied delta would duplicate versions; either breaks the
 canonical comparison.
 
-TTL expiry runs on the SimClock only, so two identical runs expire
-identically — the determinism half of the satellite.
-
 Marked ``store``: run via ``make store`` / ``tools/check_store.py``,
 excluded from tier 1.  Two fixed-schedule smokes in
 ``tests/unit/test_store_sink.py`` keep the seam covered in tier 1.
@@ -32,7 +29,6 @@ from repro.chaos import (
 )
 from repro.eventlog import LogCluster, Producer, TopicConfig
 from repro.store import TieredStore, canonical_contents, serve_topic
-from repro.util.clock import SimClock
 from repro.util.rng import make_rng
 
 pytestmark = pytest.mark.store
@@ -53,8 +49,7 @@ def _cluster(topic: str, seed: int = 17) -> LogCluster:
     return cluster
 
 
-def _run(plan: FaultPlan | None, parallelism: int,
-         store: TieredStore | None = None):
+def _run(plan: FaultPlan | None, parallelism: int):
     """One serving run over a fresh replica of the reference topic.
 
     ``key_by`` re-keys through a real operator so SITE_OPERATOR crashes
@@ -62,7 +57,7 @@ def _run(plan: FaultPlan | None, parallelism: int,
     """
     injector = FaultInjector(plan) if plan is not None else None
     result, report = serve_topic(
-        _cluster("store.chaos"), "store.chaos", store=store,
+        _cluster("store.chaos"), "store.chaos",
         key_fn=lambda v: v["u"], metric_fn=lambda v: v["m"],
         parallelism=parallelism, source_batch=32, interval_cycles=1,
         injector=injector)
@@ -131,33 +126,3 @@ class TestRandomSweep:
             name=f"store-random-{seed}")
         store, report, _ = _run(plan, 2)
         assert _state(store) == _state(golden)
-
-
-class TestTTLDeterminism:
-    """SimClock-driven expiry: byte-identical across identical runs."""
-
-    def _expired_run(self, plan):
-        clock = SimClock()
-        store = TieredStore(num_shards=4, clock=clock, ttl_s=100.0,
-                            metric_fn=lambda v: v["m"])
-        store, _report, _ = _run(plan, 2, store=store)
-        clock.advance(250.0)  # events span ts 0..299: expire ts < 150
-        store.expire()
-        return store
-
-    def test_expiry_is_deterministic_and_crash_independent(self):
-        baseline = self._expired_run(None)
-        again = self._expired_run(None)
-        assert _state(baseline) == _state(again)
-        # TTL filtering really happened: every surviving version is live
-        for _kr, versions in canonical_contents(baseline):
-            for ts, _value in versions:
-                assert ts >= 150.0
-        assert 0 < baseline.hot.rows < N_RECORDS
-        # a crashed-and-recovered run expires to the same state
-        plan = FaultPlan(specs=(
-            FaultSpec("store_crash", SITE_STORE, at=1, target="apply"),))
-        crashed = self._expired_run(plan)
-        assert _state(crashed) == _state(baseline)
-        # the analytical tier is the unexpiring full log
-        assert baseline.analytical.rows == N_RECORDS

@@ -5,7 +5,7 @@ serving path uses — in any shape the commit stream can produce: a key
 several times in one epoch, epochs whose event times run backwards
 from one to the next (so a key's new rows merge into its memtable list
 instead of extending it), NaN and +-inf event times, and ``maintain()``
-/ ``expire()`` calls and clock advances between epochs under a TTL.
+calls between epochs.
 
 After every step the model — every row ever applied, numbered per
 shard in commit order, nothing ever sorted incrementally — is checked
@@ -15,20 +15,20 @@ against the store:
 - every memtable list runs oldest to newest within one key;
 - every run's rows are strictly ascending and its ``first_row`` names
   exactly each key's first row;
-- memtable plus runs hold each applied row once, in its run-row shape
-  ``(key_repr, -order_ts, -seq, timestamp, value)``, and only expired
-  rows may be missing.
+- memtable plus runs hold each applied row exactly once, in its run-row
+  shape ``(key_repr, -order_ts, -seq, timestamp, value)``.
 """
 
 import math
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.store import TieredStore
+from repro.store import TieredStore, hot
+from repro.streaming import shuffle
 from repro.streaming.element import Element
 from repro.streaming.shuffle import key_group_for, subtask_for_key_group
-from repro.util.clock import SimClock
 
 KEY_GROUPS = 16
 KEYS = ["a", "b", "c", "d", 7, ("t", 1)]
@@ -39,9 +39,8 @@ stamps = st.one_of(st.integers(0, 12).map(float),
 epochs = st.tuples(st.integers(-20, 40),
                    st.lists(st.tuples(st.sampled_from(KEYS), stamps),
                             max_size=8))
-#: between epochs: nothing, a maintenance pass, a TTL sweep, or time
-steps = st.tuples(epochs, st.sampled_from(("none", "maintain", "expire")),
-                  st.sampled_from((0.0, 0.0, 3.0, 10.0)))
+#: between epochs: a maintenance pass or nothing
+steps = st.tuples(epochs, st.booleans())
 
 
 def _order(ts):
@@ -55,10 +54,8 @@ def _canon(row):
 
 
 class Model:
-    def __init__(self, num_shards, ttl_s, clock):
+    def __init__(self, num_shards):
         self.num_shards = num_shards
-        self.ttl_s = ttl_s
-        self.clock = clock
         self.rows = {sid: [] for sid in range(num_shards)}
         self.seq = [0] * num_shards
 
@@ -74,17 +71,11 @@ class Model:
             self.rows[sid].append((repr(e.key), -_order(e.timestamp), -seq,
                                    e.timestamp, e.value))
 
-    def live(self, row):
-        if self.ttl_s is None:
-            return True
-        return -row[1] >= self.clock.now - self.ttl_s
-
     def contents(self):
         by_key = {}
         for rows in self.rows.values():
             for row in rows:
-                if self.live(row):
-                    by_key.setdefault(row[0], []).append(row)
+                by_key.setdefault(row[0], []).append(row)
         return {kr: [(repr(r[3]), r[4]) for r in sorted(by_key[kr])]
                 for kr in sorted(by_key)}
 
@@ -118,37 +109,30 @@ def _check(store, model):
             held.extend(rows)
         held = [_canon(row) for row in held]
         assert len(set(held)) == len(held)
-        applied = {_canon(row): row for row in model.rows[shard.shard_id]}
-        assert set(held) <= set(applied)
-        for missing in set(applied) - set(held):
-            assert not model.live(applied[missing])
+        assert set(held) == {_canon(row)
+                             for row in model.rows[shard.shard_id]}
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(steps, min_size=1, max_size=14),
-       st.sampled_from((None, 6.0, 20.0)), st.sampled_from((1, 2, 3)),
+@given(st.lists(steps, min_size=1, max_size=14), st.sampled_from((1, 2, 3)),
        st.sampled_from((1, 2, 4, 8)), st.sampled_from((2, 3)))
-def test_hot_tier_matches_brute_force(step_list, ttl_s, num_shards,
+def test_hot_tier_matches_brute_force(step_list, num_shards,
                                       memtable_limit, tier_fanout):
-    clock = SimClock()
-    store = TieredStore(num_shards=num_shards, num_key_groups=KEY_GROUPS,
-                        clock=clock, ttl_s=ttl_s,
-                        memtable_limit=memtable_limit,
-                        tier_fanout=tier_fanout)
-    model = Model(num_shards, ttl_s, clock)
-    value = 0
-    for epoch, ((base, spec), action, advance) in enumerate(step_list,
-                                                             start=1):
-        elements = []
-        for key, ts in spec:
-            elements.append(Element(value=value, timestamp=base + ts,
-                                    key=key))
-            value += 1
-        store.apply_epoch(epoch, elements)
-        model.apply(elements)
-        clock.advance(advance)
-        if action == "maintain":
-            store.maintain()
-        elif action == "expire":
-            store.expire()
-        _check(store, model)
+    with patch.object(shuffle, "KEY_GROUPS", KEY_GROUPS), \
+            patch.object(hot, "TIER_FANOUT", tier_fanout):
+        store = TieredStore(num_shards=num_shards,
+                            memtable_limit=memtable_limit)
+        model = Model(num_shards)
+        value = 0
+        for epoch, ((base, spec), maintain) in enumerate(step_list,
+                                                         start=1):
+            elements = []
+            for key, ts in spec:
+                elements.append(Element(value=value, timestamp=base + ts,
+                                        key=key))
+                value += 1
+            store.apply_epoch(epoch, elements)
+            model.apply(elements)
+            if maintain:
+                store.maintain()
+            _check(store, model)

@@ -9,6 +9,7 @@ from repro.streaming import (
     TumblingWindows,
     compile_execution_graph,
 )
+from repro.streaming import shuffle
 from repro.streaming.plan import FORWARD, HASH, MERGE, REBALANCE
 from repro.streaming.graph import JobGraph
 from repro.util.errors import CheckpointError, JobGraphError
@@ -63,11 +64,21 @@ class TestCompile:
         with pytest.raises(JobGraphError, match="parallelism"):
             compile_execution_graph(_windowed_job(), 0)
 
-    def test_rejects_keyed_parallelism_over_key_groups(self):
-        with pytest.raises(JobGraphError, match="num_key_groups"):
+    def test_rejects_a_parallelism_key_the_job_does_not_have(self):
+        with pytest.raises(JobGraphError, match="window_summ"):
             compile_execution_graph(_windowed_job(), {"default": 1,
-                                                      "window_sum": 16},
-                                    num_key_groups=8)
+                                                      "window_summ": 4})
+        with pytest.raises(JobGraphError, match="out"):  # a sink
+            compile_execution_graph(_windowed_job(), {"out": 2})
+
+    def test_rejects_keyed_parallelism_over_key_groups(self, monkeypatch):
+        monkeypatch.setattr(shuffle, "KEY_GROUPS", 8)
+        with pytest.raises(JobGraphError, match="8 key groups"):
+            compile_execution_graph(_windowed_job(), {"default": 1,
+                                                      "window_sum": 16})
+        graph = compile_execution_graph(_windowed_job(), {"default": 1,
+                                                          "window_sum": 8})
+        assert graph.nodes["window_sum"].parallelism == 8
 
     def test_rejects_source_parallelism_over_splits(self):
         with pytest.raises(JobGraphError, match="splits"):
@@ -153,11 +164,14 @@ class TestParallelExecutor:
         with pytest.raises(CheckpointError, match="in flight"):
             executor.checkpoint()
 
-    def test_restore_rejects_key_group_mismatch(self):
-        executor = ParallelExecutor(_windowed_job(), 2, num_key_groups=64)
+    def test_restore_rejects_key_group_mismatch(self, monkeypatch):
+        executor = ParallelExecutor(_windowed_job(), 2)
         executor.run(max_cycles=1, source_batch=8)
         snapshot = executor.checkpoint()
-        other = ParallelExecutor(_windowed_job(), 2, num_key_groups=32)
+        assert snapshot.num_key_groups == shuffle.KEY_GROUPS
+        # a checkpoint written under another key-group count
+        monkeypatch.setattr(shuffle, "KEY_GROUPS", 32)
+        other = ParallelExecutor(_windowed_job(), 2)
         with pytest.raises(CheckpointError, match="key group"):
             other.restore(snapshot)
 
@@ -178,6 +192,11 @@ class TestParallelExecutor:
         with pytest.raises(JobGraphError,
                            match=f"source_batch.*{source_batch}"):
             executor.run(source_batch=source_batch, max_cycles=3)
+        # a cycle bound below one used to run one cycle anyway
+        for cycles in (0, -3):
+            with pytest.raises(JobGraphError,
+                               match=f"max_cycles.*{cycles}"):
+                executor.run(source_batch=8, max_cycles=cycles)
         assert executor.sources.positions() == {"s": {0: 0}}
 
     def test_lane_items_sum_the_logical_counters(self):

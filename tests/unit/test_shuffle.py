@@ -3,7 +3,7 @@
 import pytest
 
 from repro.streaming.shuffle import (
-    DEFAULT_KEY_GROUPS,
+    KEY_GROUPS,
     key_group_for,
     key_group_range,
     subtask_for_key,
@@ -80,9 +80,9 @@ class TestKeyGroups:
 
     def test_subtask_for_key_composes(self):
         key = "car-17"
-        kg = key_group_for(key, DEFAULT_KEY_GROUPS)
-        assert subtask_for_key(key, DEFAULT_KEY_GROUPS, 4) == \
-            subtask_for_key_group(kg, DEFAULT_KEY_GROUPS, 4)
+        kg = key_group_for(key, KEY_GROUPS)
+        assert subtask_for_key(key, KEY_GROUPS, 4) == \
+            subtask_for_key_group(kg, KEY_GROUPS, 4)
 
     def test_group_and_merge_round_trip(self):
         state = KeyedState()

@@ -75,9 +75,16 @@ text, imports only to inspect one signature).
     channel never drops and a failover region is a connected component,
     so ``unaligned_after``, ``drop_on_overflow``, ``replayable`` and
     what only they reached are named nowhere under ``src/``, ``tools/``,
-    ``benchmarks/`` or ``examples/``, and ``ParallelExecutor``,
-    ``Supervisor`` and ``Channels`` take no more parameters than they
-    need.
+    ``benchmarks/`` or ``examples/``.  Key groups, channel capacity and
+    compaction fan-out are module constants (``shuffle.KEY_GROUPS``,
+    ``transport.CHANNEL_CAPACITY``, ``hot.TIER_FANOUT``) and the hot
+    tier keeps no TTL, so ``ttl_s``, ``tier_fanout``,
+    ``channel_capacity``, ``DEFAULT_KEY_GROUPS`` and the at-least-once
+    ``log_sink`` are named nowhere there either; no function under
+    ``src/`` takes ``num_key_groups`` and no store class a ``clock``;
+    and the engine's and the serving store's constructors, and
+    ``serve_topic`` and ``compile_execution_graph``, take no more
+    parameters than they need.
 """
 
 import ast
@@ -646,15 +653,24 @@ def test_transactional_sinks_is_one_parameter_nobody_passes():
 
 # -- (p) only options a caller sets --------------------------------------------
 
-#: the three deleted options and what only they reached
+#: the deleted options and what only they reached
 UNSET_MODES = re.compile(
     r"\b(unaligned_after|drop_on_overflow|replayable|in_flight"
-    r"|spilled_items|dropped_overflow|is_spilling|SPILL|STRAGGLER)\b")
+    r"|spilled_items|dropped_overflow|is_spilling|SPILL|STRAGGLER"
+    r"|ttl_s|tier_fanout|channel_capacity|DEFAULT_KEY_GROUPS|log_sink)\b")
 #: (module, class) -> parameters of its ``__init__``, ``self`` excluded
 INIT_PARAMETERS = {
-    ("streaming/execution.py", "ParallelExecutor"): 10,
-    ("streaming/supervisor.py", "Supervisor"): 16,
-    ("streaming/transport.py", "Channels"): 5,
+    ("streaming/execution.py", "ParallelExecutor"): 8,
+    ("streaming/supervisor.py", "Supervisor"): 15,
+    ("streaming/transport.py", "Channels"): 4,
+    ("store/hot.py", "HotShard"): 2,
+    ("store/hot.py", "HotStore"): 2,
+    ("store/tiered.py", "TieredStore"): 3,
+}
+#: (module, function) -> its parameters
+FUNCTION_PARAMETERS = {
+    ("store/tiered.py", "serve_topic"): 10,
+    ("streaming/plan.py", "compile_execution_graph"): 4,
 }
 
 
@@ -670,6 +686,11 @@ def test_the_deleted_modes_are_named_nowhere():
     assert hits == []
 
 
+def _parameter_count(function):
+    args = function.args
+    return len(args.posonlyargs + args.args + args.kwonlyargs)
+
+
 def test_constructors_take_only_the_options_callers_set():
     counts = {}
     for (rel, name) in INIT_PARAMETERS:
@@ -679,7 +700,28 @@ def test_constructors_take_only_the_options_callers_set():
         (init,) = [item for item in cls.body
                    if isinstance(item, ast.FunctionDef)
                    and item.name == "__init__"]
-        args = init.args
-        counts[(rel, name)] = len(args.posonlyargs + args.args
-                                  + args.kwonlyargs) - 1
+        counts[(rel, name)] = _parameter_count(init) - 1
     assert counts == INIT_PARAMETERS
+
+
+def test_functions_take_only_the_options_callers_set():
+    counts = {}
+    for (rel, name) in FUNCTION_PARAMETERS:
+        tree = ast.parse((SRC / rel).read_text())
+        (function,) = [node for node in tree.body
+                       if isinstance(node, ast.FunctionDef)
+                       and node.name == name]
+        counts[(rel, name)] = _parameter_count(function)
+    assert counts == FUNCTION_PARAMETERS
+
+
+def test_key_groups_and_store_clocks_are_no_parameter():
+    hits = []
+    for rel, text in _sources():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.arg):
+                continue
+            if node.arg == "num_key_groups" or (
+                    rel.startswith("store/") and node.arg == "clock"):
+                hits.append(f"{rel}:{node.lineno}: {node.arg}")
+    assert hits == []

@@ -1,7 +1,7 @@
-"""Log-structured hot store: memtable/runs, compaction, TTL, latest-N.
+"""Log-structured hot store: memtable/runs, compaction, latest-N.
 
-Every structural path (pure memtable, flushed runs, compacted tiers,
-expired rows) is pinned against a brute-force model: a plain dict of
+Every structural path (pure memtable, flushed runs, compacted tiers)
+is pinned against a brute-force model: a plain dict of
 ``key -> [(ts, value), ...]`` sorted newest-first.  If `latest` ever
 disagrees with the model the store lost or reordered a version.
 """
@@ -13,8 +13,8 @@ import pytest
 from repro.store import HotShard, HotStore, TieredStore, key_repr
 from repro.store import hot as hot_module
 from repro.streaming.element import Element
+from repro.streaming import shuffle
 from repro.streaming.shuffle import key_group_for, subtask_for_key_group
-from repro.util.clock import SimClock
 from repro.util.errors import StoreError
 from repro.util.rng import make_rng
 
@@ -24,13 +24,12 @@ def _order(ts):
     return ts if ts == ts else -math.inf
 
 
-def _model(applied, min_ts=None):
-    """Brute force: key -> live versions newest-first (ties: later apply
+def _model(applied):
+    """Brute force: key -> versions newest-first (ties: later apply
     wins), every version of every key sorted from scratch."""
     by_key = {}
     for seq, (kr, ts, value) in enumerate(applied):
-        if min_ts is None or _order(ts) >= min_ts:
-            by_key.setdefault(kr, []).append((_order(ts), seq, ts, value))
+        by_key.setdefault(kr, []).append((_order(ts), seq, ts, value))
     return {
         kr: [(ts, v) for _o, _s, ts, v in
              sorted(rows, key=lambda r: (-r[0], -r[1]))]
@@ -70,27 +69,21 @@ def _adversarial_rows(rng, n, keys):
 
 
 class TestHotShard:
-    def test_latest_matches_model_across_structures(self):
+    def test_latest_matches_model_across_structures(self, monkeypatch):
         """Seeded property test: whatever the split between memtable and
-        runs, and with TTL on or off, ``latest`` and ``contents`` are
-        the brute-force model's."""
+        runs, ``latest`` and ``contents`` are the brute-force model's."""
+        monkeypatch.setattr(hot_module, "TIER_FANOUT", 3)
         for seed in range(24):
             rng = make_rng(seed)
             epochs = [_adversarial_rows(rng, int(rng.integers(1, 12)),
                                         keys=5) for _ in range(12)]
-            ttl_s = 70.0 if seed % 2 else None
             applied = [row for rows in epochs for row in rows]
-            # the clock ends at 120, so TTL keeps order_ts >= 50
-            model = _model(applied, None if ttl_s is None else 50.0)
-            expected = {kr: _canon(v) for kr, v in model.items()}
+            expected = {kr: _canon(v) for kr, v in _model(applied).items()}
             for limit in (1, 3, 4096):
-                clock = SimClock()
-                shard = HotShard(0, clock=clock, ttl_s=ttl_s,
-                                 memtable_limit=limit, tier_fanout=3)
+                shard = HotShard(0, memtable_limit=limit)
                 for epoch, rows in enumerate(epochs, 1):
                     shard.apply_epoch(epoch, rows)
                     shard.maintain()
-                    clock.advance(10.0)
                 where = f"seed {seed} memtable_limit {limit}"
                 assert _canon_contents(shard.contents()) == expected, where
                 for i in range(5):
@@ -173,9 +166,11 @@ class TestHotShard:
         shard.install_epoch(staged)
         assert shard.latest("a", 1) == [(9.0, "z")]
 
-    def test_compaction_bounds_runs_and_preserves_contents(self):
+    def test_compaction_bounds_runs_and_preserves_contents(self,
+                                                           monkeypatch):
+        monkeypatch.setattr(hot_module, "TIER_FANOUT", 2)
         rng = make_rng(11)
-        shard = HotShard(0, memtable_limit=8, tier_fanout=2)
+        shard = HotShard(0, memtable_limit=8)
         applied = []
         for epoch in range(1, 40):
             rows = _random_rows(rng, 8, keys=5)
@@ -189,7 +184,8 @@ class TestHotShard:
         assert shard.contents() == _model(applied)
 
     def test_maintain_without_a_flush_does_not_retier(self, monkeypatch):
-        shard = HotShard(0, memtable_limit=4, tier_fanout=2)
+        monkeypatch.setattr(hot_module, "TIER_FANOUT", 2)
+        shard = HotShard(0, memtable_limit=4)
         for epoch in range(1, 8):
             shard.apply_epoch(epoch, [(key_repr(k), float(epoch), epoch)
                                       for k in "abcd"])
@@ -206,30 +202,11 @@ class TestHotShard:
         assert calls  # a new run is tiered again
         assert shard.latest("a", 1) == [(8.0, 8)]
 
-    def test_ttl_filters_reads_and_expire_reclaims(self):
-        clock = SimClock()
-        shard = HotShard(0, clock=clock, ttl_s=10.0, memtable_limit=4)
-        shard.apply_epoch(1, [(key_repr("a"), 0.0, "old"),
-                              (key_repr("a"), 1.0, "older-ish"),
-                              (key_repr("b"), 0.5, "b-old")])
-        shard.maintain()
-        shard.apply_epoch(2, [(key_repr("a"), 8.0, "fresh")])
-        clock.advance(12.0)  # now=12: live window is ts >= 2
-        assert shard.latest("a", 5) == [(8.0, "fresh")]
-        assert shard.latest("b", 5) == []
-        rows_before = shard.rows
-        shard.expire()
-        assert shard.rows < rows_before
-        assert shard.latest("a", 5) == [(8.0, "fresh")]
-        # determinism: same clock, same state -> expire is idempotent
-        snapshot = shard.contents()
-        shard.expire()
-        assert shard.contents() == snapshot
-
 
 class TestHotStore:
-    def test_sharding_matches_engine_routing(self):
-        store = HotStore(num_shards=4, num_key_groups=16)
+    def test_sharding_matches_engine_routing(self, monkeypatch):
+        monkeypatch.setattr(shuffle, "KEY_GROUPS", 16)
+        store = HotStore(num_shards=4)
         for i in range(50):
             key = f"user-{i}"
             shard = store.shard_for(key)
@@ -280,12 +257,13 @@ class TestHotStore:
             assert store.latest(key, 3) == expected[repr(key)]
             assert store.hot.route(key)[1] == repr(key)
             assert store.hot.shard_for(key).shard_id == subtask_for_key_group(
-                key_group_for(key, store.hot.num_key_groups),
-                store.hot.num_key_groups, 4)
+                key_group_for(key, shuffle.KEY_GROUPS),
+                shuffle.KEY_GROUPS, 4)
 
     def test_route_memo_is_bounded(self, monkeypatch):
         monkeypatch.setattr(hot_module, "_ROUTE_MEMO_MAX", 4)
-        store = HotStore(num_shards=4, num_key_groups=16)
+        monkeypatch.setattr(shuffle, "KEY_GROUPS", 16)
+        store = HotStore(num_shards=4)
         for _ in range(2):
             for i in range(10):
                 key = f"user-{i}"

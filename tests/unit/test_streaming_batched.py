@@ -18,6 +18,7 @@ from repro.streaming import (
     TumblingWindows,
     Watermark,
     WatermarkGenerator,
+    transport,
 )
 from repro.util.errors import StreamError
 from repro.util.metrics import Summary
@@ -192,11 +193,11 @@ class TestModeEquivalence:
         builder.source("s", _els(100)).map(lambda v: v).sink("out")
         return builder
 
-    def test_backpressure_accounting_identical(self):
+    def test_backpressure_accounting_identical(self, monkeypatch):
+        monkeypatch.setattr(transport, "CHANNEL_CAPACITY", 10)
         counts = {}
         for mode, flags in MODES.items():
-            executor = ParallelExecutor(self._lone_map().build(),
-                                        channel_capacity=10, **flags)
+            executor = ParallelExecutor(self._lone_map().build(), **flags)
             executor.run(source_batch=100)
             counts[mode] = executor.backpressure_events
             assert len(executor.sinks["out"]) == 100

@@ -181,6 +181,11 @@ class TestArguments:
     def test_run_coordinated_rejects_a_source_batch_below_one(self):
         with pytest.raises(JobGraphError, match="source_batch.*0"):
             run_coordinated(_job(n=20), source_batch=0)
+        for cycles in (0, -3):
+            with pytest.raises(JobGraphError, match=f"step_cycles.*{cycles}"):
+                run_coordinated(_job(n=20), step_cycles=cycles)
+            with pytest.raises(JobGraphError, match=f"step_cycles.*{cycles}"):
+                Supervisor(_job(n=20), step_cycles=cycles)
 
 
 class TestRecoverySelection:

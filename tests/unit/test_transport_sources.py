@@ -46,7 +46,7 @@ def _two_region_plan():
 
 
 def _channels(*directives, batch_mode=False):
-    return Channels(_two_region_plan(), capacity=100, batch_mode=batch_mode,
+    return Channels(_two_region_plan(), batch_mode=batch_mode,
                     injector=_Network(*directives))
 
 

@@ -210,6 +210,19 @@ class TestTransactionalLogSink:
         assert log.on_checkpoint_committed(2, committed) == 1
         assert sorted(self._log_values(cluster)) == ["a", "b", "c"]
 
+    def test_a_non_string_key_is_written_as_its_string(self):
+        cluster = self._cluster()
+        log = TransactionalLogSink(cluster, "mirror", "out")
+        out = TransactionalSink("out", (F0,))
+        out.deliver([_el("a", key=7), _el("b", key="k"), _el("c")], F0)
+        out.commit_open()
+        assert log.on_checkpoint_committed(1, out) == 3
+        keys = {record.value: record.key
+                for p in range(cluster.partition_count("mirror"))
+                for _offset, record in cluster.read("mirror", p, 0,
+                                                    max_records=10_000)}
+        assert keys == {"a": "7", "b": "k", "c": None}
+
     def test_replayed_commit_is_a_noop(self):
         cluster = self._cluster()
         log = TransactionalLogSink(cluster, "mirror", "out")
