@@ -184,22 +184,36 @@ class RecordBatch:
         Each batch's codes go through a remap array (O(keys) Python,
         O(rows) numpy).  Keys enter ``key_dict`` in order of first
         *row* appearance, whatever order the batch's own dictionary has
-        them in.
+        them in.  One batch into an empty dictionary is not remapped
+        when its own dictionary is already in that order (see
+        :func:`_adopt_canonical`): its codes are kept, and its numeric
+        columns too.
         """
-        code_parts = []
-        for rb in batches:
-            codes, local = rb.key_column()
-            live, first = np.unique(codes, return_index=True)
-            remap = np.zeros(len(local), dtype=np.int64)
-            for c in live[np.argsort(first)].tolist():
-                k = local[c]
-                code = key_index.get(k)
-                if code is None and k not in key_index:
-                    code = len(key_dict)
-                    key_index[k] = code
-                    key_dict.append(k)
-                remap[c] = code
-            code_parts.append(remap[codes])
+        codes = None
+        if len(batches) == 1 and not key_index:
+            (rb,) = batches
+            codes = _adopt_canonical(rb, key_index, key_dict)
+            if (codes is not None and rb.py_values
+                    and isinstance(rb.values, np.ndarray)):
+                return cls(np.asarray(rb.timestamps, dtype=np.float64),
+                           rb.values, py_values=True, key_codes=codes,
+                           key_dict=key_dict)
+        if codes is None:
+            code_parts = []
+            for rb in batches:
+                codes, local = rb.key_column()
+                live, first = np.unique(codes, return_index=True)
+                remap = np.zeros(len(local), dtype=np.int64)
+                for c in live[np.argsort(first)].tolist():
+                    k = local[c]
+                    code = key_index.get(k)
+                    if code is None and k not in key_index:
+                        code = len(key_dict)
+                        key_index[k] = code
+                        key_dict.append(k)
+                    remap[c] = code
+                code_parts.append(remap[codes])
+            codes = np.concatenate(code_parts)
         numeric = all(isinstance(rb.values, np.ndarray) and rb.py_values
                       for rb in batches)
         if numeric:
@@ -211,8 +225,8 @@ class RecordBatch:
                 values = np.asarray(values, dtype=np.float64)
         return cls(np.concatenate([rb.timestamps for rb in batches],
                                   dtype=np.float64),
-                   values, py_values=numeric,
-                   key_codes=np.concatenate(code_parts), key_dict=key_dict)
+                   values, py_values=numeric, key_codes=codes,
+                   key_dict=key_dict)
 
     @classmethod
     def sealed(cls, rows: Sequence[Any]) -> "RecordBatch":
@@ -415,6 +429,31 @@ class RecordBatch:
                            py_values=self.py_values,
                            key_codes=self.key_codes, key_dict=self.key_dict,
                            wm_offsets=offsets, wm_values=values)
+
+
+def _adopt_canonical(rb: RecordBatch, key_index: dict,
+                     key_dict: list) -> np.ndarray | None:
+    """``rb``'s own codes, with its dictionary copied into the empty
+    ``key_index`` / ``key_dict``, when that dictionary already lists
+    exactly the keys its rows use, in order of first appearance, once
+    each; ``None`` (dictionary left empty) otherwise.
+
+    First appearance is dictionary order when the running maximum of
+    the codes starts at 0 and grows by at most 1 a row, and every entry
+    is used when it ends at ``len(dict) - 1`` — O(rows) numpy, no
+    Python loop over keys."""
+    codes, local = rb.key_column()
+    if not len(codes) or codes.dtype != np.int64 or codes[0] != 0:
+        return None
+    peak = np.maximum.accumulate(codes)
+    if peak[-1] != len(local) - 1 or (peak[1:] - peak[:-1] > 1).any():
+        return None
+    key_index.update(zip(local, range(len(local))))
+    if len(key_index) < len(local):  # two entries are one key
+        key_index.clear()
+        return None
+    key_dict.extend(local)
+    return codes
 
 
 def _pack(column: Any) -> tuple:

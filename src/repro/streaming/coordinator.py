@@ -166,6 +166,9 @@ class CheckpointStore:
         self.integrity_failures = 0
         #: consumer name -> last checkpoint epoch it fully applied
         self._consumers: dict[str, int] = {}
+        #: highest id ever recorded or finalized (``manifests`` keeps
+        #: the whole history; this spares scanning it per trigger)
+        self._last_id = 0
 
     # -- consumer watermarks --------------------------------------------------
 
@@ -200,6 +203,7 @@ class CheckpointStore:
     def record(self, manifest: CheckpointManifest) -> None:
         """Register a pending manifest (checkpoint attempt started)."""
         self.manifests[manifest.checkpoint_id] = manifest
+        self._last_id = max(self._last_id, manifest.checkpoint_id)
 
     def finalize(self, checkpoint: ParallelCheckpoint,
                  manifest: CheckpointManifest) -> None:
@@ -218,6 +222,7 @@ class CheckpointStore:
         manifest.payload_digest = _digest(checkpoint)
         manifest.checksum = _manifest_checksum(manifest)
         self.manifests[manifest.checkpoint_id] = manifest
+        self._last_id = max(self._last_id, manifest.checkpoint_id)
         self._snapshots[checkpoint.checkpoint_id] = checkpoint
         self._prune()
 
@@ -309,7 +314,7 @@ class CheckpointStore:
     def next_checkpoint_id(self) -> int:
         """Ids keep increasing across coordinator incarnations: a
         rebuilt coordinator must never reuse an id a dead one claimed."""
-        return max(self.manifests, default=0) + 1
+        return self._last_id + 1
 
     def _prune(self) -> None:
         watermark = self.retain_watermark()

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-import networkx as nx
-
 from ..util.errors import JobGraphError
 from .element import Element
 from .errors import DLQ_SINK, ErrorPolicy
@@ -117,22 +115,38 @@ class JobGraph:
         return any(p.can_dead_letter for p in self.error_policies.values())
 
     def validate(self) -> None:
-        graph = nx.DiGraph()
-        for node in [*self.sources, *self.operators, *self.sinks]:
-            graph.add_node(node)
-        for up, down, _side in self.edges:
+        """Raise :class:`JobGraphError` on the first defect, and record
+        the topological order: a Kahn pass over the nodes (a name used
+        by two kinds is one node) that takes them generation by
+        generation — the first in declaration order, each later one in
+        the order its last parent edge is reached, a node's children in
+        edge order, parallel edges as one."""
+        indegree = dict.fromkeys(
+            [*self.sources, *self.operators, *self.sinks], 0)
+        children: dict[str, dict[str, None]] = {n: {} for n in indegree}
+        inputs: dict[str, list[str | None]] = {n: [] for n in indegree}
+        for up, down, side in self.edges:
             for node in (up, down):
-                known = (node in self.sources or node in self.operators
-                         or node in self.sinks)
-                if not known:
+                if node not in indegree:
                     raise JobGraphError(f"edge references unknown node {node!r}")
-            graph.add_edge(up, down)
-        if not nx.is_directed_acyclic_graph(graph):
+            succ = children[up]
+            if down not in succ:
+                succ[down] = None
+                indegree[down] += 1
+            inputs[down].append(side)
+        order = [n for n, d in indegree.items() if d == 0]
+        for node in order:  # grows as it goes: generation after generation
+            for child in children[node]:
+                indegree[child] -= 1
+                if not indegree[child]:
+                    order.append(child)
+        if len(order) < len(indegree):
             raise JobGraphError(f"job {self.name!r} contains a cycle")
         if not self.sources:
             raise JobGraphError(f"job {self.name!r} has no sources")
+        sinks = set(self.sinks)
         for up, down, _side in self.edges:
-            if up in self.sinks:
+            if up in sinks:
                 raise JobGraphError(
                     f"sink {up!r} has an outgoing edge to {down!r}; sinks "
                     "are terminal"
@@ -144,35 +158,33 @@ class JobGraph:
                     f"{'source' if sink in self.sources else 'operator'}"
                 )
         for name, op in self.operators.items():
-            in_edges = [(u, s) for u, d, s in self.edges if d == name]
-            if not in_edges:
+            sides = inputs[name]
+            if not sides:
                 raise JobGraphError(f"operator {name!r} has no input")
             if isinstance(op, IntervalJoinOperator):
-                sides = sorted(s for _u, s in in_edges)
+                sides = sorted(sides)
                 if sides != ["left", "right"]:
                     raise JobGraphError(
                         f"join {name!r} needs exactly one 'left' and one "
                         f"'right' input, got {sides}"
                     )
-            elif any(s is not None for _u, s in in_edges):
+            elif any(s is not None for s in sides):
                 raise JobGraphError(
                     f"operator {name!r} is single-input but has a tagged edge"
                 )
         for sink in self.sinks:
-            if not any(d == sink for _u, d, _s in self.edges):
+            if not inputs[sink]:
                 raise JobGraphError(f"sink {sink!r} has no input")
-        known = set(self.sources) | set(self.operators) | set(self.sinks)
         for node in self.regions:
-            if node not in known:
+            if node not in indegree:
                 raise JobGraphError(
                     f"region pin references unknown node {node!r}")
-        edge_pairs = {(u, d) for u, d, _s in self.edges}
         for up, down in self.cross_region_edges:
-            if (up, down) not in edge_pairs:
+            if down not in children.get(up, ()):
                 raise JobGraphError(
                     f"declared cross-region edge {up!r} -> {down!r} does "
                     "not exist in the job graph")
-        if DLQ_SINK in self.sinks:
+        if DLQ_SINK in sinks:
             raise JobGraphError(
                 f"sink name {DLQ_SINK!r} is reserved for the dead-letter "
                 "queue")
@@ -184,7 +196,7 @@ class JobGraph:
                 raise JobGraphError(
                     f"error policy for {name!r} must be an ErrorPolicy, "
                     f"got {type(policy).__name__}")
-        self._topo_order = [n for n in nx.topological_sort(graph)]
+        self._topo_order = order
 
     def topological_operators(self) -> list[str]:
         """Operator names in execution order (sources/sinks excluded)."""

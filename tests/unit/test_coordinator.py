@@ -5,12 +5,14 @@ import pytest
 from repro.chaos import reference_events, reference_job, two_region_job
 from repro.streaming.barrier import ParallelCheckpoint
 from repro.streaming.coordinator import (
+    CheckpointCoordinator,
     CheckpointManifest,
     CheckpointStore,
     HeartbeatMonitor,
     failover_region_of,
     failover_regions,
 )
+from repro.streaming.execution import ParallelExecutor
 from repro.streaming.plan import compile_execution_graph
 from repro.util.clock import SimClock
 from repro.util.errors import CheckpointError
@@ -64,6 +66,31 @@ class TestCheckpointStore:
         store.record(CheckpointManifest(checkpoint_id=1))
         store.abort(1)  # even an aborted attempt claims its id forever
         assert store.next_checkpoint_id() == 2
+
+    def test_ids_strictly_increase_through_abort_finalize_and_rebuild(self):
+        store = CheckpointStore()
+        ids = []
+        for step in ("abort", "finalize", "abort", "finalize"):
+            cid = store.next_checkpoint_id()
+            ids.append(cid)
+            manifest = CheckpointManifest(checkpoint_id=cid)
+            store.record(manifest)
+            if step == "abort":
+                store.abort(cid)
+            else:
+                store.finalize(_checkpoint(cid), manifest)
+        # a finalize the store never saw recorded still claims its id
+        store.finalize(_checkpoint(9), CheckpointManifest(checkpoint_id=9))
+        ids.append(9)
+        job = reference_job(reference_events(seed=1, n=10))
+        for _incarnation in range(2):  # one store, coordinators rebuilt
+            coordinator = CheckpointCoordinator(ParallelExecutor(job),
+                                                store=store)
+            ids.append(coordinator.trigger())
+            coordinator.abandon_pending()
+            ids.append(coordinator.trigger())
+        assert ids == [1, 2, 3, 4, 9, 10, 11, 12, 13]
+        assert sorted(store.manifests) == ids  # history is kept
 
     def test_id_mismatch_rejected(self):
         store = CheckpointStore()

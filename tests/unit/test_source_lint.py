@@ -85,6 +85,9 @@ text, imports only to inspect one signature).
     and the engine's and the serving store's constructors, and
     ``serve_topic`` and ``compile_execution_graph``, take no more
     parameters than they need.
+(q) A job launch pays for no graph library: nothing under
+    ``streaming/`` imports ``networkx`` — ``JobGraph.validate`` orders
+    the graph with its own Kahn pass (networkx stays for ``simnet/``).
 """
 
 import ast
@@ -724,4 +727,21 @@ def test_key_groups_and_store_clocks_are_no_parameter():
             if node.arg == "num_key_groups" or (
                     rel.startswith("store/") and node.arg == "clock"):
                 hits.append(f"{rel}:{node.lineno}: {node.arg}")
+    assert hits == []
+
+
+def test_the_engine_does_not_import_networkx():
+    hits = []
+    for rel, text in _sources():
+        if not rel.startswith(STREAMING):
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            hits += [f"{rel}:{node.lineno}: {name}" for name in names
+                     if name.split(".")[0] == "networkx"]
     assert hits == []
