@@ -15,6 +15,12 @@ shape a deployment has — **Zipf keys, lookups landing on keys whose
 memtable list holds hundreds of versions** — because a lookup whose
 cost grows with a key's version count is invisible on the first.
 
+A third store holds every key's versions spread over the memtable
+and six sorted runs — **read amplification**: the lookups land on keys
+whose newest version may sit in any of them, the shape a key written
+steadily between flushes has.  Reported only, beside the uniform-key
+row; no gate reads it.
+
 The write side gets one row as well, **epoch apply**: what applying an
 epoch costs per row for one 20 000-row Zipf epoch and for 1 000 epochs
 of 20 rows, each handed over once as the batch the transactional sink
@@ -25,6 +31,7 @@ than the second.
 
 Reported: per-phase build throughput, hot-tier structure (runs,
 compactions), lookup p50/p99/max, concurrent analytical ingest rate,
+the read-amplification lookup p50/p99 with the run count behind them,
 the hot-key lookup p50/p99 with the version count behind them, and the
 epoch-apply cost per row for both hand-offs at both epoch sizes.
 The committed gate (``tools/check_store.py``) holds the uniform-key p99
@@ -79,6 +86,12 @@ HOT_LOOKUPS = 10_000
 #: run.  A tail read sits under 1x; sorting every memtable version of
 #: the key per lookup sat near 10x.
 HOT_KEY_RATIO_CEILING = 3.0
+
+AMP_KEYS = 2_000
+#: epochs writing every key once, each flushed: 15 leave three merged
+#: runs of four epochs and three runs of one
+AMP_EPOCHS = 15
+AMP_LOOKUPS = 10_000
 
 APPLY_KEYS = 20_000
 #: (label, epochs, rows per epoch): one chunk-sized epoch, many tick-sized
@@ -196,6 +209,42 @@ def _measure_hot_keys(rng) -> dict:
     }
 
 
+def _measure_read_amp(rng) -> dict:
+    """Every key written once per epoch, each epoch flushed into a run
+    (compaction merging them as it would), then one more epoch over
+    half the keys left in the memtable; individually timed lookups of
+    those keys, whose versions span the memtable and every run."""
+    hot = HotStore(num_shards=1, memtable_limit=AMP_KEYS)
+    shard = hot.shards[0]
+    keys = [f"amp-{i:04d}" for i in range(AMP_KEYS)]
+    ts = 0.0
+    for epoch in range(1, AMP_EPOCHS + 2):
+        written = keys if epoch <= AMP_EPOCHS else keys[::2]
+        rows = []
+        for i in rng.permutation(len(written)).tolist():
+            ts += 1.0
+            rows.append((key_repr(written[i]), ts,
+                         float(rng.uniform(0, 1))))
+        shard.apply_epoch(epoch, rows)
+        hot.maintain()
+    stats = shard.stats()
+    assert stats["memtable_rows"] == len(keys[::2])
+    latencies = []
+    for i in rng.integers(0, len(keys) // 2, size=AMP_LOOKUPS).tolist():
+        key = keys[2 * i]
+        t0 = time.perf_counter_ns()
+        value = hot.point(key)
+        latencies.append(time.perf_counter_ns() - t0)
+        assert value is not None
+    lat_us = np.asarray(latencies, dtype=np.float64) / 1_000.0
+    return {
+        "amp_lookups": len(latencies),
+        "amp_lookup_p50_us": round(float(np.percentile(lat_us, 50)), 1),
+        "amp_lookup_p99_us": round(float(np.percentile(lat_us, 99)), 1),
+        "amp_runs": stats["runs"],
+    }
+
+
 def _apply_epochs(epochs: list[list[Element]], as_batch: bool) -> float:
     """Seconds spent applying ``epochs``, committed one by one into a
     fresh store.  ``as_batch``: the commit listener is handed the
@@ -260,6 +309,7 @@ def run_experiment() -> dict:
     hot_keys["hot_key_p50_ratio"] = round(
         hot_keys["hot_key_lookup_p50_us"] / measure["lookup_p50_us"], 2)
     epoch_apply = _measure_epoch_apply(rng)
+    read_amp = _measure_read_amp(rng)  # last: the other rows' draws hold
     hot_stats = store.hot.stats()
     results = {
         "config": {"keys": N_KEYS, "num_shards": NUM_SHARDS,
@@ -269,11 +319,13 @@ def run_experiment() -> dict:
                    "p99_floor_us": P99_FLOOR_US,
                    "hot_keys": HOT_KEYS, "hot_zipf_a": HOT_ZIPF_A,
                    "hot_memtable_limit": HOT_MEMTABLE_LIMIT,
+                   "amp_keys": AMP_KEYS, "amp_epochs": AMP_EPOCHS,
                    "hot_key_ratio_ceiling": HOT_KEY_RATIO_CEILING,
                    "apply_keys": APPLY_KEYS,
                    "apply_shapes": [list(shape) for shape in APPLY_SHAPES],
                    "apply_repeats": APPLY_REPEATS},
-        "store": {**build, **measure, **hot_keys, **epoch_apply,
+        "store": {**build, **measure, **read_amp, **hot_keys,
+                  **epoch_apply,
                   "hot_rows": store.hot.rows,
                   "runs": int(sum(s["runs"]
                                   for s in hot_stats["shards"])),
@@ -296,6 +348,9 @@ def report(results: dict) -> None:
          ["point lookup p50", f"{s['lookup_p50_us']} us"],
          ["point lookup p99", f"{s['lookup_p99_us']} us"],
          ["point lookup max", f"{s['lookup_max_us']} us"],
+         ["point lookup p50 / p99, key in the memtable and "
+          f"{s['amp_runs']} runs",
+          f"{s['amp_lookup_p50_us']} / {s['amp_lookup_p99_us']} us"],
          ["hot-key lookup p50 (Zipf, "
           f"{s['hot_key_memtable_versions_p50']} memtable versions "
           "behind the median lookup)", f"{s['hot_key_lookup_p50_us']} us"],

@@ -16,6 +16,14 @@ is the write-optimized half of the tiered store:
   scan per run from that run's exact key index.  A row has that one
   shape from staging on: a flush only lays each key's list out
   reversed, and reads take memtable rows as stored.
+- Each shard also keeps each key's **newest run row** across all of
+  its runs.  Only a flush writes it (one compare per flushed key, in
+  the same swap that adds the run); compaction merges rows already in
+  runs, so it cannot change any key's newest and never touches it.
+  ``latest(key)`` (n = 1, the overlay read) is then the smaller of the
+  memtable tail and that row — two dict reads and one compare, however
+  many runs the shard holds.  ``latest(key, n)`` for n > 1 merges the
+  memtable tail with a prefix scan per run.
 - One **ordering key** decides "newer" everywhere — memtable, flush,
   compaction, ``latest`` and ``contents``: the event time, then the
   apply sequence.  It is computed once, when an epoch's rows are
@@ -25,7 +33,8 @@ is the write-optimized half of the tiered store:
   are spread over memtable and runs.
 - **Size-tiered compaction** merges runs of similar size when a tier
   collects :data:`TIER_FANOUT` of them, bounding run count (and
-  therefore lookup fan-out) logarithmically in total rows.  A shard
+  therefore a multi-version lookup's fan-out) logarithmically in
+  total rows.  A shard
   keeps every version it was given: nothing expires.
 
 Mutations enter **only** through :meth:`HotShard.apply_epoch`, the
@@ -133,6 +142,9 @@ class HotShard:
         self._mem: dict[str, list[tuple]] = {}
         self._mem_rows = 0
         self._runs: list[SortedRun] = []
+        #: key_repr -> the key's newest (smallest) row over all runs;
+        #: written only by :meth:`flush`
+        self._run_newest: dict[str, tuple] = {}
         #: the run list the last compaction pass found nothing to merge
         #: in; every change to the runs assigns a new list
         self._settled_runs: list[SortedRun] | None = None
@@ -233,16 +245,27 @@ class HotShard:
     def flush(self) -> None:
         """Freeze the memtable into one sorted run (atomic swap).  Each
         key's list is already in order: reversed, under sorted keys,
-        they are the run."""
+        they are the run.  A key whose memtable tail is newer than its
+        newest run row so far gets the tail as its new one; the run
+        list and that index change together, after everything is
+        built."""
         if not self._mem_rows:
             return
         mem = self._mem
+        run_newest = self._run_newest
         rows: list[tuple] = []
         first_row: dict[str, int] = {}
+        newer: dict[str, tuple] = {}
         for kr in sorted(mem):
+            versions = mem[kr]
             first_row[kr] = len(rows)
-            rows.extend(reversed(mem[kr]))
+            rows.extend(reversed(versions))
+            tail = versions[-1]
+            known = run_newest.get(kr)
+            if known is None or tail < known:
+                newer[kr] = tail
         self._runs = self._runs + [SortedRun(rows, first_row)]
+        run_newest.update(newer)
         self._mem = {}
         self._mem_rows = 0
         self.flushes += 1
@@ -258,7 +281,8 @@ class HotShard:
         """Size-tiered: when any tier holds :data:`TIER_FANOUT` runs,
         merge them into one.  The merged run is built fully before the
         run list is swapped, so a crash during the merge leaves the old
-        runs — and every answer — intact."""
+        runs — and every answer — intact.  A merge only moves rows
+        that are already in runs, so no key's newest run row changes."""
         if self._runs is self._settled_runs:
             return
         while True:
@@ -282,15 +306,22 @@ class HotShard:
 
     def latest(self, key: Any, n: int = 1) -> list[tuple[float, Any]]:
         """Newest ``n`` versions: ``[(timestamp, value), ...]``,
-        newest first.  The key's newest ``n`` are among the last ``n``
-        of its memtable list and the first ``n`` of its rows in each
-        run; those at most ``n * (runs + 1)`` candidates merge by
-        ``(order_ts, seq)`` so same-timestamp writes resolve to the
-        latest applied."""
+        newest first, ordered by ``(order_ts, seq)`` so same-timestamp
+        writes resolve to the latest applied.  The newest one is the
+        smaller of the key's memtable tail and its newest run row.  For
+        ``n > 1`` the key's newest ``n`` are among the last ``n`` of its
+        memtable list and the first ``n`` of its rows in each run; those
+        at most ``n * (runs + 1)`` candidates are merged."""
         return self.latest_rows(key_repr(key), n)
 
     def latest_rows(self, kr: str, n: int) -> list[tuple[float, Any]]:
         """:meth:`latest` of a key already in row-key form."""
+        if n == 1:
+            best = self._run_newest.get(kr)
+            versions = self._mem.get(kr)
+            if versions and (best is None or versions[-1] < best):
+                best = versions[-1]
+            return [] if best is None else [(best[3], best[4])]
         if n < 1:
             raise StoreError("latest() needs n >= 1")
         candidates: list[tuple] = []

@@ -175,11 +175,13 @@ class RecordBatch:
                                 key_index, key_dict)
 
     @classmethod
-    def splice(cls, batches: Sequence["RecordBatch"], key_index: dict,
-               key_dict: list) -> "RecordBatch":
+    def splice(cls, batches: Sequence["RecordBatch"],
+               key_index: dict | None, key_dict: list) -> "RecordBatch":
         """Concatenate unpunctuated batches under a shared key
         dictionary — field for field what :meth:`from_elements` gives
-        over their decoded rows, without decoding them.
+        over their decoded rows, without decoding them.  ``key_index``
+        is ``None`` for a fresh dictionary whose index the caller does
+        not keep.
 
         Each batch's codes go through a remap array (O(keys) Python,
         O(rows) numpy).  Keys enter ``key_dict`` in order of first
@@ -198,6 +200,8 @@ class RecordBatch:
                 return cls(np.asarray(rb.timestamps, dtype=np.float64),
                            rb.values, py_values=True, key_codes=codes,
                            key_dict=key_dict)
+        if key_index is None:
+            key_index = {}
         if codes is None:
             code_parts = []
             for rb in batches:
@@ -239,7 +243,7 @@ class RecordBatch:
             return _EMPTY
         if len(batches) == 1 and type(rows[0]) is Element:
             return batches[0]  # one encoded run is canonical as it is
-        rb = cls.splice(batches, {}, [])
+        rb = cls.splice(batches, None, [])
         if rb.key_dict == [None]:
             rb.key_codes = rb.key_dict = None
         return rb
@@ -431,12 +435,13 @@ class RecordBatch:
                            wm_offsets=offsets, wm_values=values)
 
 
-def _adopt_canonical(rb: RecordBatch, key_index: dict,
+def _adopt_canonical(rb: RecordBatch, key_index: dict | None,
                      key_dict: list) -> np.ndarray | None:
     """``rb``'s own codes, with its dictionary copied into the empty
-    ``key_index`` / ``key_dict``, when that dictionary already lists
-    exactly the keys its rows use, in order of first appearance, once
-    each; ``None`` (dictionary left empty) otherwise.
+    ``key_index`` (unless it is ``None``) and ``key_dict``, when that
+    dictionary already lists exactly the keys its rows use, in order of
+    first appearance, once each; ``None`` (dictionary left empty)
+    otherwise.
 
     First appearance is dictionary order when the running maximum of
     the codes starts at 0 and grows by at most 1 a row, and every entry
@@ -448,10 +453,15 @@ def _adopt_canonical(rb: RecordBatch, key_index: dict,
     peak = np.maximum.accumulate(codes)
     if peak[-1] != len(local) - 1 or (peak[1:] - peak[:-1] > 1).any():
         return None
-    key_index.update(zip(local, range(len(local))))
-    if len(key_index) < len(local):  # two entries are one key
-        key_index.clear()
-        return None
+    # two entries that are one key: the index would hold fewer
+    if key_index is None:
+        if len(set(local)) < len(local):
+            return None
+    else:
+        key_index.update(zip(local, range(len(local))))
+        if len(key_index) < len(local):
+            key_index.clear()
+            return None
     key_dict.extend(local)
     return codes
 

@@ -157,12 +157,17 @@ class JobGraph:
                     f"sink {sink!r} collides with an existing "
                     f"{'source' if sink in self.sources else 'operator'}"
                 )
+        for name in self.operators:
+            if name in self.sources:
+                raise JobGraphError(
+                    f"operator {name!r} collides with an existing source")
         for name, op in self.operators.items():
             sides = inputs[name]
             if not sides:
                 raise JobGraphError(f"operator {name!r} has no input")
             if isinstance(op, IntervalJoinOperator):
-                sides = sorted(sides)
+                # by repr: an untagged (None) edge sorts beside the tags
+                sides = sorted(sides, key=repr)
                 if sides != ["left", "right"]:
                     raise JobGraphError(
                         f"join {name!r} needs exactly one 'left' and one "

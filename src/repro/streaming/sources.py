@@ -193,10 +193,12 @@ class SourceReader:
         subtask falls back to the heap merge."""
         key_index: dict = {}
         key_dict: list = []
+        # one split: no later split reads the index, so none is kept
+        spliced_index = key_index if len(buffers) > 1 else None
         splits: list[Split] = []
         for buf in buffers:
             if buf and type(buf[0]) is RecordBatch:
-                rb = RecordBatch.splice(buf, key_index, key_dict)
+                rb = RecordBatch.splice(buf, spliced_index, key_dict)
             elif buf and all(type(it) is Element for it in buf):
                 rb = RecordBatch.from_elements(buf, key_index, key_dict)
             else:

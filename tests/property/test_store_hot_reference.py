@@ -15,6 +15,8 @@ against the store:
 - every memtable list runs oldest to newest within one key;
 - every run's rows are strictly ascending and its ``first_row`` names
   exactly each key's first row;
+- each shard's ``_run_newest`` names exactly each key's newest row
+  across all of its runs (compaction in between or not);
 - memtable plus runs hold each applied row exactly once, in its run-row
   shape ``(key_repr, -order_ts, -seq, timestamp, value)``.
 """
@@ -99,6 +101,7 @@ def _check(store, model):
             assert all(row[0] == kr for row in versions)
             assert all(a > b for a, b in zip(versions, versions[1:]))
             held.extend(versions)
+        newest = {}
         for run in shard._runs:
             rows = run.rows
             assert all(a < b for a, b in zip(rows, rows[1:]))
@@ -106,7 +109,13 @@ def _check(store, model):
             for i, row in enumerate(rows):
                 first.setdefault(row[0], i)
             assert run.first_row == first
+            for kr, i in first.items():
+                if kr not in newest or rows[i] < newest[kr]:
+                    newest[kr] = rows[i]
             held.extend(rows)
+        assert shard._run_newest.keys() == newest.keys()
+        assert all(shard._run_newest[kr] is row
+                   for kr, row in newest.items())
         held = [_canon(row) for row in held]
         assert len(set(held)) == len(held)
         assert set(held) == {_canon(row)

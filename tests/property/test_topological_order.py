@@ -8,10 +8,12 @@ as one edge, and a name that two kinds share as one node.  networkx
 stays the oracle here (``simnet/`` still depends on it).
 
 Random DAGs are drawn with joins (a left and a right input, possibly
-from one upstream), parallel edges, several sinks, edges into sources,
-and — in half the draws — an operator renamed after a source or a sink
-renamed after another node.  The errors a graph can raise first keep
-their messages.
+from one upstream; in a quarter of the joins two inputs whose sides are
+drawn from left, right and untagged), parallel edges, several sinks,
+edges into sources, and — in half the draws — an operator renamed after
+a source or a sink renamed after another node.  The errors a graph can
+raise first keep their messages, and a renamed operator or a join's bad
+sides raise their own.
 """
 
 import networkx as nx
@@ -37,6 +39,9 @@ def _oracle(job):
     return list(nx.topological_sort(graph))
 
 
+SIDES = st.sampled_from(["left", "right", None])
+
+
 @st.composite
 def job_graphs(draw):
     n_sources = draw(st.integers(1, 3))
@@ -53,8 +58,11 @@ def job_graphs(draw):
     for pos, node in enumerate(ranked):
         ups = ranked[:pos]
         if node in joins:
-            edges.append((draw(st.sampled_from(ups)), node, "left"))
-            edges.append((draw(st.sampled_from(ups)), node, "right"))
+            sides = ("left", "right")
+            if not draw(st.integers(0, 3)):
+                sides = draw(st.tuples(SIDES, SIDES))
+            for side in sides:
+                edges.append((draw(st.sampled_from(ups)), node, side))
         elif node in ops:
             for up in draw(st.lists(st.sampled_from(ups), min_size=1,
                                     max_size=3)):
@@ -102,6 +110,13 @@ def test_validate_orders_nodes_as_networkx_does(job):
     terminal_edges = [(u, d) for u, d, _s in job.edges if u in job.sinks]
     colliding = [s for s in job.sinks
                  if s in job.sources or s in job.operators]
+    renamed = [op for op in job.operators if op in job.sources]
+    bad_joins = [(op, sorted((s for _u, d, s in job.edges if d == op),
+                             key=repr))
+                 for op, kind in job.operators.items()
+                 if isinstance(kind, IntervalJoinOperator)]
+    bad_joins = [(op, sides) for op, sides in bad_joins
+                 if sides != ["left", "right"]]
     if terminal_edges:
         up, down = terminal_edges[0]
         with pytest.raises(JobGraphError) as err:
@@ -115,6 +130,17 @@ def test_validate_orders_nodes_as_networkx_does(job):
             job.validate()
         assert str(err.value) == (f"sink {sink!r} collides with an "
                                   f"existing {kind}")
+    elif renamed:
+        with pytest.raises(JobGraphError) as err:
+            job.validate()
+        assert str(err.value) == (f"operator {renamed[0]!r} collides with "
+                                  "an existing source")
+    elif bad_joins:
+        op, sides = bad_joins[0]
+        with pytest.raises(JobGraphError) as err:
+            job.validate()
+        assert str(err.value) == (f"join {op!r} needs exactly one 'left' "
+                                  f"and one 'right' input, got {sides}")
     else:
         job.validate()
         assert job._topo_order == expected

@@ -12,6 +12,8 @@ from repro.streaming import (
 from repro.streaming import shuffle
 from repro.streaming.plan import FORWARD, HASH, MERGE, REBALANCE
 from repro.streaming.graph import JobGraph
+from repro.streaming.join import IntervalJoinOperator
+from repro.streaming.operators import MapOperator
 from repro.util.errors import CheckpointError, JobGraphError
 
 
@@ -121,6 +123,34 @@ class TestGraphValidation:
                        edges=[("s", "m", None)], sinks={"m"})
         with pytest.raises(JobGraphError, match="collides"):
             bad.validate()
+
+    def test_operator_named_like_a_source_rejected(self):
+        # "s" fed by "t" would run merged with the source "s" as one node
+        bad = JobGraph(name="j", sources={"s": None, "t": None},
+                       operators={"s": MapOperator("s", abs)},
+                       edges=[("t", "s", None), ("s", "out", None)],
+                       sinks=["out"])
+        with pytest.raises(JobGraphError) as err:
+            bad.validate()
+        assert str(err.value) == ("operator 's' collides with an "
+                                  "existing source")
+
+    @pytest.mark.parametrize("sides, got", [
+        (("left", None), "['left', None]"),
+        ((None, "right"), "['right', None]"),
+        ((None, None), "[None, None]"),
+        (("left", "left"), "['left', 'left']"),
+    ])
+    def test_join_sides_are_checked_tagged_or_not(self, sides, got):
+        bad = JobGraph(name="j", sources={"a": None, "b": None},
+                       operators={"j": IntervalJoinOperator("j", 0.0, 1.0)},
+                       edges=[("a", "j", sides[0]), ("b", "j", sides[1]),
+                              ("j", "out", None)],
+                       sinks=["out"])
+        with pytest.raises(JobGraphError) as err:
+            bad.validate()
+        assert str(err.value) == ("join 'j' needs exactly one 'left' and "
+                                  f"one 'right' input, got {got}")
 
     def test_sink_name_collision_in_builder(self):
         builder = JobBuilder("j")
