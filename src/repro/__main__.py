@@ -29,7 +29,7 @@ SUBSYSTEMS = [
     ("repro.streaming", "Flink-like event-time dataflow engine"),
     ("repro.analytics", "sketches, recommenders, anomaly detection"),
     ("repro.vision", "pure-numpy AR tracking stack"),
-    ("repro.sensors", "GPS/IMU, fusion, spatial index, POIs"),
+    ("repro.sensors", "crowd building models, spatial index, POIs"),
     ("repro.render", "occlusion, declutter, frame-budget compositor"),
     ("repro.offload", "CloudRiDAR-style offloading + battery models"),
     ("repro.privacy", "DP mechanisms, location privacy, attacks"),

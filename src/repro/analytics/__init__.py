@@ -2,12 +2,11 @@
 anomaly detection, correlation mining."""
 
 from .anomaly import Alarm, EwmaDetector, ThresholdDetector
-from .correlation import AssociationRule, LiftMiner, StreamingPearson
+from .correlation import AssociationRule, LiftMiner
 from .heavyhitters import HeavyHitters
 from .incremental import (
     DecayedCounter,
     IncrementalQuery,
-    IncrementalTopK,
     RunningStats,
 )
 from .quantiles import P2Quantile
@@ -20,7 +19,7 @@ from .recommend import (
     hit_rate,
     precision_at_k,
 )
-from .sketches import BloomFilter, CountMinSketch, HyperLogLog, ReservoirSample
+from .sketches import CountMinSketch, HyperLogLog
 
 __all__ = [
     "Alarm",
@@ -28,11 +27,9 @@ __all__ = [
     "ThresholdDetector",
     "AssociationRule",
     "LiftMiner",
-    "StreamingPearson",
     "HeavyHitters",
     "DecayedCounter",
     "IncrementalQuery",
-    "IncrementalTopK",
     "RunningStats",
     "P2Quantile",
     "ContextRanker",
@@ -42,8 +39,6 @@ __all__ = [
     "Recommender",
     "hit_rate",
     "precision_at_k",
-    "BloomFilter",
     "CountMinSketch",
     "HyperLogLog",
-    "ReservoirSample",
 ]

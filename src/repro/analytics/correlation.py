@@ -2,9 +2,8 @@
 
 "Big data is good at discovering correlations ... but it does not tell
 us which correlations are meaningful" (Section 4.2).  We provide the
-discovery half — streaming Pearson correlation and association-rule
-lift — and leave meaning to :mod:`repro.context`, which binds results to
-semantic entities.
+discovery half — association-rule lift — and leave meaning to
+:mod:`repro.context`, which binds results to semantic entities.
 """
 
 from __future__ import annotations
@@ -15,38 +14,7 @@ from dataclasses import dataclass
 
 from ..util.errors import ConfigError
 
-__all__ = ["StreamingPearson", "LiftMiner", "AssociationRule"]
-
-
-class StreamingPearson:
-    """Online Pearson correlation between two paired series."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean_x = 0.0
-        self._mean_y = 0.0
-        self._m2_x = 0.0
-        self._m2_y = 0.0
-        self._cov = 0.0
-
-    def add(self, x: float, y: float) -> None:
-        x, y = float(x), float(y)
-        self.count += 1
-        dx = x - self._mean_x
-        self._mean_x += dx / self.count
-        self._m2_x += dx * (x - self._mean_x)
-        dy = y - self._mean_y
-        self._mean_y += dy / self.count
-        self._m2_y += dy * (y - self._mean_y)
-        self._cov += dx * (y - self._mean_y)
-
-    def correlation(self) -> float:
-        if self.count < 2:
-            return math.nan
-        denom = math.sqrt(self._m2_x * self._m2_y)
-        if denom == 0.0:
-            return math.nan
-        return self._cov / denom
+__all__ = ["LiftMiner", "AssociationRule"]
 
 
 @dataclass(frozen=True)

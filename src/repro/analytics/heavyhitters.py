@@ -1,6 +1,6 @@
 """Streaming heavy hitters: count-min sketch + candidate heap.
 
-Exact per-key counting (``IncrementalTopK``) needs memory linear in the
+Exact per-key counting (one counter per key) needs memory linear in the
 key cardinality — fine for product catalogs, fatal for open-ended keys
 (hashtags, visited cells).  :class:`HeavyHitters` keeps the classic
 bounded-memory alternative: frequencies estimated by a count-min sketch,

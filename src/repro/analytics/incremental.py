@@ -16,8 +16,7 @@ from typing import Callable, Iterable
 
 from ..util.errors import ConfigError
 
-__all__ = ["RunningStats", "DecayedCounter", "IncrementalTopK",
-           "IncrementalQuery"]
+__all__ = ["RunningStats", "DecayedCounter", "IncrementalQuery"]
 
 
 class RunningStats:
@@ -100,30 +99,6 @@ class DecayedCounter:
         if now > self._last:
             self._value *= math.exp(-(now - self._last) / self.tau)
             self._last = now
-
-
-class IncrementalTopK:
-    """Top-k most frequent keys maintained incrementally (exact counts)."""
-
-    def __init__(self, k: int) -> None:
-        if k < 1:
-            raise ConfigError("k must be >= 1")
-        self.k = k
-        self._counts: dict[str, float] = {}
-
-    def add(self, key: str, weight: float = 1.0) -> None:
-        self._counts[key] = self._counts.get(key, 0.0) + weight
-
-    def top(self) -> list[tuple[str, float]]:
-        # Sort by count desc, then key asc for determinism.
-        ranked = sorted(self._counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ranked[: self.k]
-
-    def count(self, key: str) -> float:
-        return self._counts.get(key, 0.0)
-
-    def __len__(self) -> int:
-        return len(self._counts)
 
 
 class IncrementalQuery:

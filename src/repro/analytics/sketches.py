@@ -4,9 +4,7 @@ The "velocity" leg of the 3Vs: these structures summarize unbounded
 streams in bounded memory with quantified error —
 
 - :class:`CountMinSketch` — frequency estimates, one-sided error
-- :class:`BloomFilter` — set membership, no false negatives
 - :class:`HyperLogLog` — cardinality estimation
-- :class:`ReservoirSample` — uniform sample of a stream
 
 All are deterministic given their construction parameters (hash seeds
 are fixed), so tests can assert exact behaviour.  The ``add_many``
@@ -24,7 +22,7 @@ import numpy as np
 
 from ..util.errors import ConfigError
 
-__all__ = ["CountMinSketch", "BloomFilter", "HyperLogLog", "ReservoirSample"]
+__all__ = ["CountMinSketch", "HyperLogLog"]
 
 
 def _hash64(data: str, seed: int) -> int:
@@ -167,58 +165,6 @@ class CountMinSketch:
         return self.width * self.depth
 
 
-class BloomFilter:
-    """Set membership with tunable false-positive rate, no false negatives."""
-
-    def __init__(self, capacity: int, fp_rate: float = 0.01) -> None:
-        if capacity < 1:
-            raise ConfigError("capacity must be >= 1")
-        if not 0 < fp_rate < 1:
-            raise ConfigError("fp_rate must be in (0, 1)")
-        self.capacity = capacity
-        self.fp_rate = fp_rate
-        self.num_bits = max(8, math.ceil(
-            -capacity * math.log(fp_rate) / (math.log(2) ** 2)))
-        self.num_hashes = max(1, round(self.num_bits / capacity * math.log(2)))
-        self._bits = np.zeros(self.num_bits, dtype=bool)
-        self.added = 0
-
-    def add(self, item: str) -> None:
-        for seed in range(self.num_hashes):
-            self._bits[_hash64(item, seed) % self.num_bits] = True
-        self.added += 1
-
-    def add_many(self, items: Iterable[str]) -> None:
-        """Batch insert: one vectorized hash pass per hash function."""
-        items = list(items)
-        if not items:
-            return
-        num_bits = np.uint64(self.num_bits)
-        for seed in range(self.num_hashes):
-            idx = (_hash64_many(items, seed) % num_bits).astype(np.int64)
-            self._bits[idx] = True
-        self.added += len(items)
-
-    def __contains__(self, item: str) -> bool:
-        return all(self._bits[_hash64(item, seed) % self.num_bits]
-                   for seed in range(self.num_hashes))
-
-    def contains_many(self, items: Sequence[str]) -> np.ndarray:
-        """Vectorized membership test; returns a boolean array."""
-        if not len(items):
-            return np.zeros(0, dtype=bool)
-        result = np.ones(len(items), dtype=bool)
-        num_bits = np.uint64(self.num_bits)
-        for seed in range(self.num_hashes):
-            idx = (_hash64_many(items, seed) % num_bits).astype(np.int64)
-            result &= self._bits[idx]
-        return result
-
-    @property
-    def fill_ratio(self) -> float:
-        return float(self._bits.mean())
-
-
 class HyperLogLog:
     """Cardinality estimation with ~1.04/sqrt(2^p) relative error."""
 
@@ -271,27 +217,3 @@ class HyperLogLog:
         if self.precision != other.precision:
             raise ConfigError("cannot merge HLLs of different precision")
         np.maximum(self._registers, other._registers, out=self._registers)
-
-
-class ReservoirSample:
-    """Uniform sample of size k over a stream (Algorithm R)."""
-
-    def __init__(self, k: int, rng: np.random.Generator) -> None:
-        if k < 1:
-            raise ConfigError("k must be >= 1")
-        self.k = k
-        self._rng = rng
-        self._sample: list = []
-        self.seen = 0
-
-    def add(self, item) -> None:
-        self.seen += 1
-        if len(self._sample) < self.k:
-            self._sample.append(item)
-            return
-        j = int(self._rng.integers(0, self.seen))
-        if j < self.k:
-            self._sample[j] = item
-
-    def sample(self) -> list:
-        return list(self._sample)

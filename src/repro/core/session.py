@@ -37,15 +37,12 @@ class SharedDataset:
     def __init__(self) -> None:
         self._annotations: dict[str, Annotation] = {}
         self.version = 0
-        self._log: list[tuple[int, str, Annotation | None]] = []
 
     def publish(self, annotations: list[Annotation]) -> int:
         """Upsert a batch; one version tick per batch."""
         self.version += 1
         for annotation in annotations:
             self._annotations[annotation.annotation_id] = annotation
-            self._log.append((self.version, annotation.annotation_id,
-                              annotation))
         return self.version
 
     def retract(self, annotation_id: str) -> int:
@@ -53,7 +50,6 @@ class SharedDataset:
             raise PipelineError(f"unknown annotation {annotation_id!r}")
         self.version += 1
         del self._annotations[annotation_id]
-        self._log.append((self.version, annotation_id, None))
         return self.version
 
     def snapshot(self) -> tuple[int, list[Annotation]]:
@@ -74,12 +70,6 @@ class ARSession:
     probes: dict[str, Probe] = field(default_factory=dict)
     _scene: SceneGraph = field(default_factory=SceneGraph)
     frames_rendered: int = 0
-    #: simnet node this user's device maps to (geo-aware deployments)
-    device: str | None = None
-    #: tier currently serving this session's overlay updates
-    serving_node: str | None = None
-    serving_region: str | None = None
-    tier_switches: int = 0
 
     @property
     def staleness(self) -> int:
@@ -95,29 +85,6 @@ class ARSession:
             self._scene.add(annotation)
         self.synced_version = version
         return advanced
-
-    # -- serving tier --------------------------------------------------------
-
-    def rehome(self, selector) -> "TierDecision":
-        """Re-price this session's serving tier against live link
-        conditions (a :class:`~repro.offload.tiers.LiveTierSelector`).
-
-        Sticky by construction: the selector keeps the incumbent tier
-        within its hysteresis band, so a session only switches — and
-        only then pays a state handoff — when the network genuinely
-        moved under it (edge outage, partition, congestion).
-        """
-        if self.device is None:
-            raise PipelineError(
-                f"session {self.user_id!r} has no device node; "
-                "set ARSession.device to enable tier selection")
-        decision = selector.select(self.device, current=self.serving_node)
-        if decision.node != self.serving_node:
-            if self.serving_node is not None:
-                self.tier_switches += 1
-            self.serving_node = decision.node
-        self.serving_region = decision.region
-        return decision
 
     # -- probes -------------------------------------------------------------
 

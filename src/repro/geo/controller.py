@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..streaming.coordinator import HeartbeatMonitor
+from ..streaming.coordinator import HEARTBEAT_TIMEOUT_S, HeartbeatMonitor
 from ..util.clock import SimClock
 from ..util.errors import NetworkError
 
@@ -32,7 +32,7 @@ class RegionController:
     """
 
     def __init__(self, clock: SimClock | None = None, *,
-                 timeout_s: float = 5.0,
+                 timeout_s: float = HEARTBEAT_TIMEOUT_S,
                  observer: str | None = None) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.monitor = HeartbeatMonitor(self.clock, timeout_s=timeout_s)

@@ -13,7 +13,6 @@ from .policies import (
 )
 from .runner import OffloadAttempt, OffloadResult, OffloadRunner
 from .tasks import Pipeline, TaskStage, vision_pipeline
-from .tiers import LiveTierSelector, TierDecision
 
 __all__ = [
     "Battery",
@@ -34,6 +33,4 @@ __all__ = [
     "Pipeline",
     "TaskStage",
     "vision_pipeline",
-    "LiveTierSelector",
-    "TierDecision",
 ]

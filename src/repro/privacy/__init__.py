@@ -5,7 +5,6 @@ from .exponential import exponential_mechanism, private_top_k
 from .location import CloakedRegion, GridCloak, PlanarLaplace
 from .mechanisms import (
     BudgetAccountant,
-    GaussianMechanism,
     GeometricMechanism,
     LaplaceMechanism,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "GridCloak",
     "PlanarLaplace",
     "BudgetAccountant",
-    "GaussianMechanism",
     "GeometricMechanism",
     "LaplaceMechanism",
     "AttackResult",

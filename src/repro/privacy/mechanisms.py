@@ -17,8 +17,7 @@ import numpy as np
 
 from ..util.errors import BudgetExhausted, PrivacyError
 
-__all__ = ["LaplaceMechanism", "GaussianMechanism", "GeometricMechanism",
-           "BudgetAccountant"]
+__all__ = ["LaplaceMechanism", "GeometricMechanism", "BudgetAccountant"]
 
 
 class BudgetAccountant:
@@ -80,40 +79,6 @@ class LaplaceMechanism:
             self.accountant.charge(self.epsilon)
         value = np.asarray(true_value, dtype=float)
         noised = value + self._rng.laplace(0.0, self.scale, size=value.shape)
-        if np.isscalar(true_value) or value.shape == ():
-            return float(noised)
-        return noised
-
-
-class GaussianMechanism:
-    """(epsilon, delta)-DP with L2 sensitivity (analytic sigma bound)."""
-
-    def __init__(self, epsilon: float, delta: float, sensitivity: float,
-                 rng: np.random.Generator,
-                 accountant: BudgetAccountant | None = None) -> None:
-        if not 0 < epsilon < 1:
-            raise PrivacyError("classic Gaussian mechanism needs epsilon in "
-                               "(0, 1)")
-        if not 0 < delta < 1:
-            raise PrivacyError("delta must be in (0, 1)")
-        if sensitivity <= 0:
-            raise PrivacyError("sensitivity must be positive")
-        self.epsilon = epsilon
-        self.delta = delta
-        self.sensitivity = sensitivity
-        self._rng = rng
-        self.accountant = accountant
-
-    @property
-    def sigma(self) -> float:
-        return (self.sensitivity * math.sqrt(2.0 * math.log(1.25 / self.delta))
-                / self.epsilon)
-
-    def release(self, true_value: float | np.ndarray) -> float | np.ndarray:
-        if self.accountant is not None:
-            self.accountant.charge(self.epsilon, self.delta)
-        value = np.asarray(true_value, dtype=float)
-        noised = value + self._rng.normal(0.0, self.sigma, size=value.shape)
         if np.isscalar(true_value) or value.shape == ():
             return float(noised)
         return noised

@@ -1,16 +1,7 @@
-"""Sensing substrate: geo utilities, GPS/IMU models, Kalman fusion,
-spatial index, POI database."""
+"""Sensing substrate: crowd-sourced building models, spatial index, POI
+database."""
 
 from .crowdmodel import BoxModel, Contribution, CrowdModel
-from .fusion import KalmanFusion
-from .geo import (
-    EARTH_RADIUS_M,
-    LocalProjection,
-    geohash_decode,
-    geohash_encode,
-    haversine_m,
-)
-from .models import GpsFix, GpsSensor, ImuReading, ImuSensor
 from .poi import Poi, PoiDatabase
 from .spatial import QuadTree, SpatialPoint
 
@@ -18,16 +9,6 @@ __all__ = [
     "BoxModel",
     "Contribution",
     "CrowdModel",
-    "KalmanFusion",
-    "EARTH_RADIUS_M",
-    "LocalProjection",
-    "geohash_decode",
-    "geohash_encode",
-    "haversine_m",
-    "GpsFix",
-    "GpsSensor",
-    "ImuReading",
-    "ImuSensor",
     "Poi",
     "PoiDatabase",
     "QuadTree",

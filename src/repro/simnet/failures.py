@@ -15,8 +15,7 @@ from ..util.errors import ConfigError
 from .kernel import Simulator
 from .topology import Topology
 
-__all__ = ["FailureEvent", "RegionFailureEvent", "FailureInjector",
-           "channel_fault_specs"]
+__all__ = ["FailureEvent", "RegionFailureEvent", "FailureInjector"]
 
 
 @dataclass(frozen=True)
@@ -60,34 +59,6 @@ class RegionFailureEvent:
             raise ConfigError(
                 f"unknown region failure mode {self.mode!r}; expected one "
                 f"of {REGION_FAILURE_MODES}")
-
-
-def channel_fault_specs(events: list[FailureEvent], *,
-                        occurrences_per_second: float = 1.0,
-                        kind: str = "channel_partition") -> list:
-    """Bridge simnet outages onto the streaming chaos plan.
-
-    Each scheduled :class:`FailureEvent` becomes one channel-fault
-    :class:`~repro.chaos.plan.FaultSpec` at the
-    ``streaming.channel`` site: the outage interval maps to an
-    occurrence window (``occurrences_per_second`` converts simulated
-    seconds to channel offers) and the repair time to the hold length,
-    so a link that is down for 3 simulated seconds partitions a
-    dataflow channel for ~3 delivery cycles.  This is how network-level
-    experiments (A5 remote-diagnosis link loss) reuse the coordinated
-    checkpoint suite without re-modelling faults twice.
-    """
-    from ..chaos.plan import SITE_CHANNEL, FaultSpec
-    if occurrences_per_second <= 0:
-        raise ConfigError("occurrences_per_second must be positive")
-    specs = []
-    for event in events:
-        at = int(event.down_at * occurrences_per_second)
-        width = max(1, int((event.up_at - event.down_at)
-                           * occurrences_per_second))
-        specs.append(FaultSpec(kind, SITE_CHANNEL, at=at, count=width,
-                               param=width))
-    return sorted(specs, key=lambda s: (s.at, s.count))
 
 
 class FailureInjector:

@@ -2,7 +2,6 @@
 
 from .autoscale import (
     Autoscaler,
-    GradientPolicy,
     OperatorSignals,
     RescaleEvent,
     ScalingDecision,
@@ -10,7 +9,6 @@ from .autoscale import (
     SchedulePolicy,
     ShedPolicy,
     UtilizationTargetPolicy,
-    run_autoscaled,
 )
 from .barrier import AlignmentResult, BarrierAligner, ParallelCheckpoint
 from .cep import PatternMatch, PatternOperator, PatternStep
@@ -60,7 +58,6 @@ from .shuffle import (
     KEY_GROUPS,
     key_group_for,
     key_group_range,
-    subtask_for_key,
     subtask_for_key_group,
 )
 from .state import KeyedState
@@ -80,7 +77,6 @@ from .window_operator import (
 )
 from .windows import (
     SessionWindows,
-    SlidingWindows,
     TumblingWindows,
     Window,
     WindowAssigner,
@@ -91,7 +87,6 @@ __all__ = [
     "ScalingDecision",
     "ScalingPolicy",
     "UtilizationTargetPolicy",
-    "GradientPolicy",
     "SchedulePolicy",
     "ShedPolicy",
     "Autoscaler",
@@ -100,7 +95,6 @@ __all__ = [
     "SupervisionReport",
     "Supervisor",
     "run_coordinated",
-    "run_autoscaled",
     "PatternMatch",
     "PatternOperator",
     "PatternStep",
@@ -144,7 +138,6 @@ __all__ = [
     "KEY_GROUPS",
     "key_group_for",
     "key_group_range",
-    "subtask_for_key",
     "subtask_for_key_group",
     "Operator",
     "ChainedOperator",
@@ -162,7 +155,6 @@ __all__ = [
     "Window",
     "WindowAssigner",
     "TumblingWindows",
-    "SlidingWindows",
     "SessionWindows",
     "IntervalJoinOperator",
     "Joined",

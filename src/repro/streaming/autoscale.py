@@ -39,19 +39,17 @@ from ..util.metrics import MetricsRegistry
 from . import shuffle
 from .graph import JobGraph
 from .plan import _parallelism_of
-from .supervisor import Controller, SupervisionReport, Supervisor
+from .supervisor import Controller, Supervisor
 
 __all__ = [
     "OperatorSignals",
     "ScalingDecision",
     "ScalingPolicy",
     "UtilizationTargetPolicy",
-    "GradientPolicy",
     "SchedulePolicy",
     "ShedPolicy",
     "Autoscaler",
     "RescaleEvent",
-    "run_autoscaled",
 ]
 
 
@@ -187,57 +185,6 @@ class UtilizationTargetPolicy(ScalingPolicy):
                     f"utilization {u:.2f} below low band {self.low}")
             return self.hold(signals, "at-min")
         return self.hold(signals, "in-band")
-
-
-@dataclass(frozen=True)
-class GradientPolicy(ScalingPolicy):
-    """Scale on the *sign* of the backlog gradient.
-
-    A growing backlog (trend above ``up_slope`` elements/eval) means the
-    job is underprovisioned regardless of utilization — multiply width
-    by ``factor``.  A shrinking backlog (trend below ``down_slope``,
-    which must be negative) means headroom — divide by ``factor``.
-    Trends inside the deadband hold.  Useful when rated capacity is
-    unknown: the gradient needs no capacity model, only arrival counts.
-    """
-
-    up_slope: float = 1.0
-    down_slope: float = -1.0
-    factor: float = 2.0
-    min_parallelism: int = 1
-    max_parallelism: int = 8
-    cooldown: int = 2
-
-    def __post_init__(self) -> None:
-        self._validate_bounds()
-        if self.up_slope <= 0 or self.down_slope >= 0:
-            raise ConfigError(
-                "need up_slope > 0 and down_slope < 0 (a deadband "
-                f"around zero), got {self.up_slope}/{self.down_slope}")
-        if self.factor <= 1.0:
-            raise ConfigError("factor must be > 1")
-
-    def decide(self, signals: OperatorSignals,
-               evals_since_change: int) -> ScalingDecision:
-        if evals_since_change < self.cooldown:
-            return self.hold(signals, "cooldown")
-        p = signals.parallelism
-        trend = signals.backlog_trend
-        if trend > self.up_slope:
-            want = self.clamp(math.ceil(p * self.factor))
-            if want > p:
-                return ScalingDecision(
-                    signals.operator, p, want,
-                    f"backlog growing ({trend:+.1f}/eval)")
-            return self.hold(signals, "at-max")
-        if trend < self.down_slope:
-            want = self.clamp(math.floor(p / self.factor))
-            if want < p:
-                return ScalingDecision(
-                    signals.operator, p, want,
-                    f"backlog shrinking ({trend:+.1f}/eval)")
-            return self.hold(signals, "at-min")
-        return self.hold(signals, "steady")
 
 
 @dataclass(frozen=True)
@@ -605,13 +552,3 @@ class Autoscaler(Controller):
             sup.metrics.gauge("autoscaler.width").set(max(new.values()))
         self._pending_targets = None
         self._attempts = 0
-
-
-def run_autoscaled(job: JobGraph, policy: Any, injector: Any = None,
-                   **kwargs: Any) -> SupervisionReport:
-    """Run ``job`` under a :class:`Supervisor` with one
-    :class:`Autoscaler` on ``policy``; ``kwargs`` pass through to the
-    supervisor (``run_autoscaled(job, SchedulePolicy({...}), injector,
-    parallelism=1)``)."""
-    return Supervisor(job, controllers=[Autoscaler(policy)],
-                      injector=injector, **kwargs).run()

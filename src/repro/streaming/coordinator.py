@@ -61,6 +61,7 @@ __all__ = [
     "CheckpointStore",
     "CheckpointCoordinator",
     "HeartbeatMonitor",
+    "HEARTBEAT_TIMEOUT_S",
     "failover_regions",
     "failover_region_of",
 ]
@@ -68,6 +69,11 @@ __all__ = [
 PENDING = "pending"
 FINALIZED = "finalized"
 ABORTED = "aborted"
+
+#: simulated seconds without a beat before a :class:`HeartbeatMonitor`
+#: declares a member dead: a subtask (every live one beats once a macro
+#: cycle of ``CYCLE_SECONDS``) or, in ``geo/``, a region
+HEARTBEAT_TIMEOUT_S = 5.0
 
 
 def _digest(obj: Any) -> str:
@@ -344,7 +350,8 @@ class CheckpointStore:
 class HeartbeatMonitor:
     """Deadline failure detector: who has not beaten lately?"""
 
-    def __init__(self, clock: SimClock, timeout_s: float = 5.0) -> None:
+    def __init__(self, clock: SimClock,
+                 timeout_s: float = HEARTBEAT_TIMEOUT_S) -> None:
         if timeout_s <= 0:
             raise CheckpointError("heartbeat timeout must be positive")
         self.clock = clock
@@ -384,7 +391,7 @@ class CheckpointCoordinator:
                  store: CheckpointStore | None = None,
                  clock: SimClock | None = None,
                  interval_cycles: int = 4,
-                 heartbeat_timeout_s: float = 5.0,
+                 heartbeat_timeout_s: float = HEARTBEAT_TIMEOUT_S,
                  injector: Any = None,
                  metrics: Any = None) -> None:
         if interval_cycles < 1:

@@ -30,7 +30,6 @@ __all__ = [
     "key_group_for",
     "key_group_range",
     "subtask_for_key_group",
-    "subtask_for_key",
     "subtasks_for_keys",
 ]
 
@@ -74,12 +73,6 @@ def subtask_for_key_group(key_group: int, groups: int,
         raise StreamError(f"key group {key_group} outside "
                           f"[0, {groups})")
     return key_group * parallelism // groups
-
-
-def subtask_for_key(key: Any, groups: int, parallelism: int) -> int:
-    """Route a key straight to its subtask (hash -> group -> range)."""
-    return subtask_for_key_group(key_group_for(key, groups),
-                                 groups, parallelism)
 
 
 def subtasks_for_keys(keys: Iterable[Any], groups: int,

@@ -39,6 +39,7 @@ from ..util.errors import (
 )
 from .barrier import ParallelCheckpoint
 from .coordinator import (
+    HEARTBEAT_TIMEOUT_S,
     CheckpointCoordinator,
     CheckpointStore,
     failover_region_of,
@@ -188,7 +189,7 @@ class Supervisor:
                  placement: Any = None, batch_mode: bool = True,
                  source_batch: int = 32, step_cycles: int = 2,
                  interval_cycles: int = 4,
-                 heartbeat_timeout_s: float = 60.0,
+                 heartbeat_timeout_s: float = HEARTBEAT_TIMEOUT_S,
                  store: CheckpointStore | None = None,
                  clock: SimClock | None = None, injector: Any = None,
                  tracer: Any = None, metrics: Any = None,
@@ -537,7 +538,7 @@ class Supervisor:
 
 def run_coordinated(job: JobGraph, injector: Any = None, *,
                     source_batch: int = 64, step_cycles: int = 1,
-                    heartbeat_timeout_s: float = 5.0,
+                    heartbeat_timeout_s: float = HEARTBEAT_TIMEOUT_S,
                     on_coordinator: Any = None,
                     **supervision: Any) -> SupervisionReport:
     """Run ``job`` for real under a controller-less :class:`Supervisor`

@@ -328,7 +328,7 @@ class WindowAggregateOperator(Operator):
         """The grouped-reduction kernel covers the common shape: keyed
         columnar batches into non-merging tumbling windows without the
         late side output.  Everything else (loose elements, unkeyed
-        batches, sessions/sliding, emit_late) takes the per-item
+        batches, session windows, emit_late) takes the per-item
         fallback of the base ``process_batch``."""
         if self.emit_late or type(self.assigner) is not TumblingWindows:
             return False

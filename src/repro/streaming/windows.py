@@ -1,4 +1,4 @@
-"""Window assigners: tumbling, sliding, session.
+"""Window assigners: tumbling and session.
 
 A :class:`Window` is a half-open event-time interval [start, end).
 Assigners map an element timestamp to the window(s) it belongs to.
@@ -17,7 +17,6 @@ __all__ = [
     "Window",
     "WindowAssigner",
     "TumblingWindows",
-    "SlidingWindows",
     "SessionWindows",
 ]
 
@@ -101,31 +100,6 @@ class TumblingWindows(WindowAssigner):
         if over.any():
             starts[over] = ends[over]
         return starts
-
-
-class SlidingWindows(WindowAssigner):
-    """Windows of ``size`` seconds sliding every ``slide`` seconds."""
-
-    def __init__(self, size: float, slide: float) -> None:
-        if size <= 0 or slide <= 0:
-            raise ConfigError("size and slide must be positive")
-        if slide > size:
-            raise ConfigError("slide larger than size leaves gaps; use "
-                              "tumbling windows instead")
-        self.size = size
-        self.slide = slide
-
-    def assign(self, timestamp: float) -> list[Window]:
-        # Index-based construction avoids accumulating subtraction error;
-        # the final containment filter makes boundary behaviour exact.
-        last_k = int(timestamp // self.slide)
-        first_k = int((timestamp - self.size) // self.slide)
-        windows = []
-        for k in range(first_k, last_k + 2):
-            window = Window(k * self.slide, k * self.slide + self.size)
-            if window.contains(timestamp):
-                windows.append(window)
-        return windows
 
 
 class SessionWindows(WindowAssigner):

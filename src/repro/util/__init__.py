@@ -1,31 +1,24 @@
-"""Shared infrastructure: clock, ids, RNG plumbing, metrics, pub/sub."""
+"""Shared infrastructure: clock, RNG plumbing, geometry, metrics, retry."""
 
 from .clock import MICROS, MILLIS, SimClock
-from .events import EventBus
 from .geometry import Rect, clamp
-from .ids import IdFactory, monotonic_ids
 from .metrics import Counter, Gauge, MetricsRegistry, Summary
-from .retry import CircuitBreaker, Retrier, RetryPolicy, retry_call
-from .rng import RngRegistry, make_rng, spawn
+from .retry import CircuitBreaker, Retrier, RetryPolicy
+from .rng import RngRegistry, make_rng
 
 __all__ = [
     "SimClock",
     "MILLIS",
     "MICROS",
-    "EventBus",
     "Rect",
     "clamp",
-    "IdFactory",
-    "monotonic_ids",
     "Counter",
     "Gauge",
     "Summary",
     "MetricsRegistry",
     "RngRegistry",
     "make_rng",
-    "spawn",
     "RetryPolicy",
     "Retrier",
     "CircuitBreaker",
-    "retry_call",
 ]

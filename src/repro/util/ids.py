@@ -1,9 +1,4 @@
-"""Deterministic identifier generation and stable hashing/assignment.
-
-Real distributed systems use UUIDs; a reproducible simulation cannot.
-:class:`IdFactory` hands out readable, strictly increasing identifiers
-(``"task-0001"``, ``"task-0002"``, ...) per namespace, so logs, tests and
-benchmark output are stable run to run.
+"""Deterministic stable hashing and range assignment.
 
 :func:`stable_hash` (FNV-1a, process-stable — unlike built-in ``hash``)
 and :func:`split_ranges` (contiguous range assignment of N items to P
@@ -15,10 +10,9 @@ primitives without importing each other.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import lru_cache
 
-__all__ = ["IdFactory", "monotonic_ids", "stable_hash", "split_ranges"]
+__all__ = ["stable_hash", "split_ranges"]
 
 
 #: distinct keys whose hash stays memoised (a few MB of short strings)
@@ -58,33 +52,3 @@ def split_ranges(n_items: int, n_workers: int) -> list[range]:
         stop = -(-((i + 1) * n_items) // n_workers)
         out.append(range(start, stop))
     return out
-
-
-class IdFactory:
-    """Per-namespace counters producing readable unique ids."""
-
-    def __init__(self) -> None:
-        self._counters: defaultdict[str, int] = defaultdict(int)
-
-    def next(self, namespace: str) -> str:
-        """Return the next id for ``namespace``, e.g. ``"frame-0007"``."""
-        value = self._counters[namespace]
-        self._counters[namespace] = value + 1
-        return f"{namespace}-{value:04d}"
-
-    def next_int(self, namespace: str) -> int:
-        """Return the next raw integer for ``namespace`` (starting at 0)."""
-        value = self._counters[namespace]
-        self._counters[namespace] = value + 1
-        return value
-
-    def peek(self, namespace: str) -> int:
-        """Return the integer the next call would use, without consuming."""
-        return self._counters[namespace]
-
-
-def monotonic_ids(namespace: str):
-    """Infinite generator of ids for one namespace (convenience)."""
-    factory = IdFactory()
-    while True:
-        yield factory.next(namespace)

@@ -26,7 +26,7 @@ from .clock import SimClock
 from .errors import CircuitOpen, ConfigError, RetryExhausted
 from .rng import make_rng
 
-__all__ = ["RetryPolicy", "Retrier", "CircuitBreaker", "retry_call"]
+__all__ = ["RetryPolicy", "Retrier", "CircuitBreaker"]
 
 
 @dataclass(frozen=True)
@@ -164,12 +164,6 @@ class Retrier:
                 self.total_backoff_s += delay
                 self.retries += 1
                 attempt += 1
-
-
-def retry_call(fn: Callable[[], Any], policy: RetryPolicy | None = None,
-               retry_on=(Exception,), clock: SimClock | None = None) -> Any:
-    """One-shot convenience wrapper around :class:`Retrier`."""
-    return Retrier(policy, clock=clock).call(fn, retry_on=retry_on)
 
 
 class CircuitBreaker:

@@ -2,26 +2,22 @@
 
 All stochastic behaviour in the library flows through
 ``numpy.random.Generator`` objects created here.  :func:`make_rng` builds
-a root generator from an integer seed; :func:`spawn` derives independent
-child streams for subsystems so that adding randomness to one module
-never perturbs another (a classic reproducibility trap in simulators).
+a root generator from an integer seed; :class:`RngRegistry` derives
+independent named child streams for subsystems so that adding
+randomness to one module never perturbs another (a classic
+reproducibility trap in simulators).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn", "RngRegistry"]
+__all__ = ["make_rng", "RngRegistry"]
 
 
 def make_rng(seed: int | None = 0) -> np.random.Generator:
     """Create a root generator.  ``None`` gives OS entropy (discouraged)."""
     return np.random.default_rng(seed)
-
-
-def spawn(rng: np.random.Generator, n: int = 1) -> list[np.random.Generator]:
-    """Derive ``n`` statistically independent child generators."""
-    return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(n)]
 
 
 class RngRegistry:

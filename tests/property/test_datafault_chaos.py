@@ -38,11 +38,12 @@ from repro.chaos import (
 from repro.streaming import (
     DEAD_LETTER,
     DLQ_SINK,
+    Autoscaler,
     Element,
     JobBuilder,
     RestartBudget,
     SchedulePolicy,
-    run_autoscaled,
+    Supervisor,
 )
 from repro.streaming import supervisor as supervisor_module
 from repro.util.errors import ChaosError, RestartsExhausted
@@ -278,8 +279,8 @@ class TestRestartBudget:
             if entry == "coordinated":
                 run_coordinated(job, FaultInjector(plan), parallelism=2)
             else:
-                run_autoscaled(job, SchedulePolicy({}),
-                               FaultInjector(plan), parallelism=2)
+                Supervisor(job, controllers=[Autoscaler(SchedulePolicy({}))],
+                           injector=FaultInjector(plan), parallelism=2).run()
 
 
 class TestDlqInvariantAutoscaled:
@@ -295,12 +296,13 @@ class TestDlqInvariantAutoscaled:
                            target="window_sum"))
 
         def autoscaled(specs):
-            report = run_autoscaled(
+            report = Supervisor(
                 guarded_job(2, splits=4),
-                SchedulePolicy({1: {"window_sum": 2}}),
-                FaultInjector(FaultPlan(specs=specs, seed=1,
-                                        name="autoscale-dlq")),
-                parallelism=1, source_batch=32)
+                controllers=[Autoscaler(
+                    SchedulePolicy({1: {"window_sum": 2}}))],
+                injector=FaultInjector(FaultPlan(specs=specs, seed=1,
+                                                 name="autoscale-dlq")),
+                parallelism=1, source_batch=32).run()
             assert len(report.rescales) == 1
             return report
 

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from repro.analytics import CountMinSketch, HyperLogLog, RunningStats
 from repro.eventlog import LogCluster, Partition, Producer, Record, TopicConfig
 from repro.privacy import discretize_trace
-from repro.sensors import QuadTree, SpatialPoint, geohash_decode, geohash_encode
+from repro.sensors import QuadTree, SpatialPoint
 from repro.streaming import (
     Element,
-    SlidingWindows,
     TumblingWindows,
     Watermark,
     WindowAggregateOperator,
@@ -94,18 +93,6 @@ class TestWindowProperties:
             assert windows[0].contains(ts)
             assert windows[0].start == start  # columnar stays bit-identical
 
-    @given(st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
-           st.floats(min_value=1.0, max_value=50.0),
-           st.integers(min_value=1, max_value=5))
-    def test_sliding_every_window_contains_timestamp(self, ts, slide,
-                                                     factor):
-        assigner = SlidingWindows(size=slide * factor, slide=slide)
-        windows = assigner.assign(ts)
-        # Exactly `factor` windows in exact arithmetic; floating-point
-        # boundaries may add or drop one at the edges.
-        assert factor - 1 <= len(windows) <= factor + 1
-        assert all(w.contains(ts) for w in windows)
-
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=3),
                               st.floats(min_value=0.0, max_value=100.0,
                                         allow_nan=False)),
@@ -175,14 +162,6 @@ class TestSketchProperties:
 
 
 class TestGeoProperties:
-    @given(st.floats(min_value=-89.9, max_value=89.9),
-           st.floats(min_value=-179.9, max_value=179.9))
-    def test_geohash_roundtrip_close(self, lat, lon):
-        gh = geohash_encode(lat, lon, precision=10)
-        lat2, lon2 = geohash_decode(gh)
-        assert abs(lat - lat2) < 1e-4
-        assert abs(lon - lon2) < 1e-4
-
     @given(st.lists(st.tuples(st.floats(min_value=0, max_value=100),
                               st.floats(min_value=0, max_value=100)),
                     min_size=1, max_size=100),

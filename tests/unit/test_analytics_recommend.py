@@ -1,7 +1,5 @@
 """Unit tests: recommenders, context ranker, anomaly, correlation."""
 
-import math
-
 import pytest
 
 from repro.analytics import (
@@ -11,7 +9,6 @@ from repro.analytics import (
     ItemCFRecommender,
     LiftMiner,
     PopularityRecommender,
-    StreamingPearson,
     ThresholdDetector,
     hit_rate,
     precision_at_k,
@@ -172,38 +169,6 @@ class TestThresholdDetector:
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ConfigError):
             ThresholdDetector(low=10.0, high=0.0)
-
-
-class TestStreamingPearson:
-    def test_perfect_positive(self):
-        corr = StreamingPearson()
-        for i in range(50):
-            corr.add(i, 2 * i + 1)
-        assert corr.correlation() == pytest.approx(1.0)
-
-    def test_perfect_negative(self):
-        corr = StreamingPearson()
-        for i in range(50):
-            corr.add(i, -i)
-        assert corr.correlation() == pytest.approx(-1.0)
-
-    def test_independent_near_zero(self):
-        corr = StreamingPearson()
-        rng = make_rng(4)
-        for _ in range(2000):
-            corr.add(float(rng.normal()), float(rng.normal()))
-        assert abs(corr.correlation()) < 0.1
-
-    def test_insufficient_data_nan(self):
-        corr = StreamingPearson()
-        corr.add(1, 1)
-        assert math.isnan(corr.correlation())
-
-    def test_constant_series_nan(self):
-        corr = StreamingPearson()
-        for i in range(10):
-            corr.add(1.0, float(i))
-        assert math.isnan(corr.correlation())
 
 
 class TestLiftMiner:

@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 
 from repro.analytics import (
-    BloomFilter,
     CountMinSketch,
     DecayedCounter,
     HyperLogLog,
     IncrementalQuery,
-    IncrementalTopK,
     P2Quantile,
-    ReservoirSample,
     RunningStats,
 )
 from repro.util.errors import ConfigError
@@ -63,26 +60,6 @@ class TestCountMinSketch:
             CountMinSketch(epsilon=0.0)
 
 
-class TestBloomFilter:
-    def test_no_false_negatives(self):
-        bloom = BloomFilter(capacity=1000, fp_rate=0.01)
-        keys = [f"k{i}" for i in range(1000)]
-        for key in keys:
-            bloom.add(key)
-        assert all(key in bloom for key in keys)
-
-    def test_false_positive_rate_near_target(self):
-        bloom = BloomFilter(capacity=2000, fp_rate=0.02)
-        for i in range(2000):
-            bloom.add(f"in-{i}")
-        fps = sum(1 for i in range(10000) if f"out-{i}" in bloom)
-        assert fps / 10000 < 0.06  # 3x slack over target
-
-    def test_empty_contains_nothing(self):
-        bloom = BloomFilter(capacity=10)
-        assert "x" not in bloom
-
-
 class TestHyperLogLog:
     def test_estimates_within_error(self):
         hll = HyperLogLog(precision=12)
@@ -116,27 +93,6 @@ class TestHyperLogLog:
     def test_bad_precision_rejected(self):
         with pytest.raises(ConfigError):
             HyperLogLog(precision=3)
-
-
-class TestReservoirSample:
-    def test_fills_then_stays_at_k(self):
-        reservoir = ReservoirSample(10, make_rng(0))
-        for i in range(100):
-            reservoir.add(i)
-        assert len(reservoir.sample()) == 10
-        assert reservoir.seen == 100
-
-    def test_roughly_uniform(self):
-        hits = np.zeros(100)
-        for seed in range(300):
-            reservoir = ReservoirSample(10, make_rng(seed))
-            for i in range(100):
-                reservoir.add(i)
-            for item in reservoir.sample():
-                hits[item] += 1
-        # Each item expected 30 times; gross skew would break this.
-        assert hits.min() > 5
-        assert hits.max() < 80
 
 
 class TestP2Quantile:
@@ -224,21 +180,6 @@ class TestDecayedCounter:
             counter.value(4.0)
 
 
-class TestIncrementalTopK:
-    def test_top_ordering(self):
-        topk = IncrementalTopK(2)
-        for key, n in [("a", 3), ("b", 5), ("c", 1)]:
-            for _ in range(n):
-                topk.add(key)
-        assert topk.top() == [("b", 5.0), ("a", 3.0)]
-
-    def test_tie_broken_by_key(self):
-        topk = IncrementalTopK(2)
-        topk.add("z")
-        topk.add("a")
-        assert topk.top() == [("a", 1.0), ("z", 1.0)]
-
-
 class TestIncrementalQuery:
     def test_update_answers_match_rebuild(self):
         history = [{"cat": "a", "v": float(i)} for i in range(10)]
@@ -264,7 +205,7 @@ class TestIncrementalQuery:
 
 
 class TestBatchKernels:
-    """Vectorized add_many/estimate_many/contains_many are bit-identical
+    """Vectorized add_many/estimate_many are bit-identical
     to the scalar loops they replace."""
 
     KEYS = [f"user-{i % 37}-{i}" for i in range(500)] + ["", "x", "x"]
@@ -306,23 +247,6 @@ class TestBatchKernels:
         cms = CountMinSketch()
         cms.add_many([])
         assert cms.total == 0
-
-    def test_bloom_add_many_matches_loop(self):
-        loop = BloomFilter(capacity=1000, fp_rate=0.01)
-        batch = BloomFilter(capacity=1000, fp_rate=0.01)
-        for k in self.KEYS:
-            loop.add(k)
-        batch.add_many(self.KEYS)
-        assert (loop._bits == batch._bits).all()
-        assert loop.added == batch.added
-
-    def test_bloom_contains_many_matches_scalar(self):
-        bloom = BloomFilter(capacity=1000, fp_rate=0.01)
-        bloom.add_many(self.KEYS)
-        queries = self.KEYS[:50] + [f"absent-{i}" for i in range(200)]
-        got = bloom.contains_many(queries)
-        assert got.tolist() == [q in bloom for q in queries]
-        assert got[:50].all()  # no false negatives, ever
 
     def test_hll_add_many_matches_loop(self):
         loop, batch = HyperLogLog(10), HyperLogLog(10)

@@ -1,10 +1,9 @@
 """Table-driven tests for the autoscaling decision layer.
 
 Policies are pure functions of (signals, evals_since_change), so every
-hysteresis band, cooldown window, min/max clamp and gradient sign flip
-is pinned by an explicit table — no executor, no clock.  The Autoscaler
-bookkeeping (counter deltas, cooldown reset, crash-rewind clamping) is
-tested against a bare MetricsRegistry, and one small end-to-end smoke
+hysteresis band, cooldown window and min/max clamp is pinned by an
+explicit table — no executor, no clock.  The Autoscaler bookkeeping
+(counter deltas, cooldown reset, crash-rewind clamping) is tested against a bare MetricsRegistry, and one small end-to-end smoke
 keeps the supervisor's happy path inside tier 1.
 """
 
@@ -18,7 +17,6 @@ from repro.chaos import (
 )
 from repro.streaming import (
     Autoscaler,
-    GradientPolicy,
     OperatorSignals,
     SchedulePolicy,
     ShedPolicy,
@@ -91,45 +89,6 @@ class TestUtilizationTargetPolicy:
             UtilizationTargetPolicy(cooldown=-1)
 
 
-class TestGradientPolicy:
-    POLICY = GradientPolicy(up_slope=1.0, down_slope=-1.0, factor=2.0,
-                            min_parallelism=1, max_parallelism=8,
-                            cooldown=1)
-
-    # (parallelism, backlog_trend, evals_since_change) -> expected
-    TABLE = [
-        # deadband: anything in [-1, 1] holds
-        (2, 0.0, 9, 2),
-        (2, 0.9, 9, 2),
-        (2, -0.9, 9, 2),
-        # growing backlog: multiply by factor (sign flip up)
-        (1, 5.0, 9, 2),
-        (2, 1.1, 9, 4),
-        (4, 100.0, 9, 8),
-        (8, 100.0, 9, 8),     # max clamp
-        # shrinking backlog: divide by factor (sign flip down)
-        (4, -2.0, 9, 2),
-        (2, -1.1, 9, 1),
-        (1, -100.0, 9, 1),    # min clamp
-        # cooldown holds both directions
-        (2, 50.0, 0, 2),
-        (2, -50.0, 0, 2),
-    ]
-
-    @pytest.mark.parametrize("p,trend,since,expected", TABLE)
-    def test_table(self, p, trend, since, expected):
-        decision = self.POLICY.decide(sig(p=p, trend=trend), since)
-        assert decision.target == expected
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            GradientPolicy(up_slope=-1.0)
-        with pytest.raises(ConfigError):
-            GradientPolicy(down_slope=1.0)
-        with pytest.raises(ConfigError):
-            GradientPolicy(factor=1.0)
-
-
 class TestSchedulePolicy:
     def test_fires_only_at_scheduled_evals(self):
         policy = SchedulePolicy({3: {"win": 4}})
@@ -182,7 +141,7 @@ class TestAutoscalerBookkeeping:
 
     def test_backlog_trend_is_delta(self):
         registry = MetricsRegistry()
-        scaler = Autoscaler(GradientPolicy(), rated_capacity=16.0)
+        scaler = Autoscaler(UtilizationTargetPolicy(), rated_capacity=16.0)
         self._collect(scaler, registry, processed=0.0, backlog=10.0)
         signals = self._collect(scaler, registry, processed=0.0,
                                 backlog=25.0)

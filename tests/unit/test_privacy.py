@@ -7,7 +7,6 @@ import pytest
 
 from repro.privacy import (
     BudgetAccountant,
-    GaussianMechanism,
     GeometricMechanism,
     GridCloak,
     LaplaceMechanism,
@@ -78,19 +77,6 @@ class TestLaplaceMechanism:
         loose_err = np.std([loose.release(0.0) for _ in range(500)])
         tight_err = np.std([tight.release(0.0) for _ in range(500)])
         assert tight_err > 50 * loose_err
-
-
-class TestGaussianMechanism:
-    def test_sigma_formula(self):
-        mech = GaussianMechanism(epsilon=0.5, delta=1e-5, sensitivity=1.0,
-                                 rng=make_rng(4))
-        expected = math.sqrt(2 * math.log(1.25 / 1e-5)) / 0.5
-        assert mech.sigma == pytest.approx(expected)
-
-    def test_epsilon_range_enforced(self):
-        with pytest.raises(PrivacyError):
-            GaussianMechanism(epsilon=2.0, delta=1e-5, sensitivity=1.0,
-                              rng=make_rng(0))
 
 
 class TestGeometricMechanism:

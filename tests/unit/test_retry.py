@@ -4,7 +4,7 @@ import pytest
 
 from repro.util.clock import SimClock
 from repro.util.errors import CircuitOpen, ConfigError, RetryExhausted
-from repro.util.retry import CircuitBreaker, Retrier, RetryPolicy, retry_call
+from repro.util.retry import CircuitBreaker, Retrier, RetryPolicy
 
 
 class Flaky:
@@ -103,10 +103,6 @@ class TestRetrier:
         retrier.call(Flaky(2),
                      on_retry=lambda attempt, exc: seen.append(attempt))
         assert seen == [1, 2]
-
-    def test_retry_call_convenience(self):
-        assert retry_call(Flaky(1),
-                          RetryPolicy(max_attempts=2, jitter=0.0)) == "ok"
 
 
 class TestCircuitBreaker:

@@ -1,155 +1,11 @@
-"""Unit tests: geo utilities, sensor models, Kalman fusion, quadtree, POIs."""
+"""Unit tests: quadtree, POIs."""
 
-import numpy as np
 import pytest
 
-from repro.sensors import (
-    GpsSensor,
-    ImuSensor,
-    KalmanFusion,
-    LocalProjection,
-    Poi,
-    PoiDatabase,
-    QuadTree,
-    SpatialPoint,
-    geohash_decode,
-    geohash_encode,
-    haversine_m,
-)
-from repro.util.errors import ConfigError, SensorError, SpatialIndexError
+from repro.sensors import Poi, PoiDatabase, QuadTree, SpatialPoint
+from repro.util.errors import SensorError, SpatialIndexError
 from repro.util.geometry import Rect
 from repro.util.rng import make_rng
-
-
-class TestGeo:
-    def test_haversine_zero(self):
-        assert haversine_m(22.3, 114.2, 22.3, 114.2) == 0.0
-
-    def test_haversine_known_distance(self):
-        # One degree of latitude is ~111.2 km.
-        d = haversine_m(0.0, 0.0, 1.0, 0.0)
-        assert d == pytest.approx(111_195, rel=0.01)
-
-    def test_projection_roundtrip(self):
-        proj = LocalProjection(22.3, 114.2)
-        x, y = proj.to_xy(22.31, 114.21)
-        lat, lon = proj.to_latlon(x, y)
-        assert lat == pytest.approx(22.31, abs=1e-9)
-        assert lon == pytest.approx(114.21, abs=1e-9)
-
-    def test_projection_agrees_with_haversine_locally(self):
-        proj = LocalProjection(22.3, 114.2)
-        x, y = proj.to_xy(22.305, 114.205)
-        planar = float(np.hypot(x, y))
-        true = haversine_m(22.3, 114.2, 22.305, 114.205)
-        assert planar == pytest.approx(true, rel=0.01)
-
-    def test_geohash_roundtrip_precision(self):
-        lat, lon = 22.3193, 114.1694
-        gh = geohash_encode(lat, lon, precision=9)
-        lat2, lon2 = geohash_decode(gh)
-        assert haversine_m(lat, lon, lat2, lon2) < 5.0
-
-    def test_geohash_prefix_property(self):
-        gh = geohash_encode(22.3193, 114.1694, precision=9)
-        coarse = geohash_encode(22.3193, 114.1694, precision=4)
-        assert gh.startswith(coarse)
-
-    def test_geohash_invalid_char_rejected(self):
-        with pytest.raises(ConfigError):
-            geohash_decode("abc!")
-
-    def test_geohash_out_of_range_rejected(self):
-        with pytest.raises(ConfigError):
-            geohash_encode(91.0, 0.0)
-
-
-class TestGpsSensor:
-    def test_noise_magnitude(self):
-        gps = GpsSensor(make_rng(0), sigma_m=5.0)
-        errors = []
-        for i in range(500):
-            fix = gps.read(float(i), 100.0, 200.0)
-            errors.append(np.hypot(fix.x - 100.0, fix.y - 200.0))
-        # Mean radial error of 2-D Gaussian = sigma * sqrt(pi/2).
-        assert np.mean(errors) == pytest.approx(5.0 * np.sqrt(np.pi / 2),
-                                                rel=0.15)
-
-    def test_dropout_rate(self):
-        gps = GpsSensor(make_rng(1), dropout=0.3)
-        fixes = [gps.read(float(i), 0.0, 0.0) for i in range(1000)]
-        drop_rate = sum(1 for f in fixes if f is None) / len(fixes)
-        assert drop_rate == pytest.approx(0.3, abs=0.05)
-
-    def test_track_length_mismatch_rejected(self):
-        gps = GpsSensor(make_rng(0))
-        with pytest.raises(SensorError):
-            gps.track(np.arange(3), np.arange(2), np.arange(3))
-
-    def test_invalid_params_rejected(self):
-        with pytest.raises(SensorError):
-            GpsSensor(make_rng(0), dropout=1.0)
-
-
-class TestImuSensor:
-    def test_bias_is_persistent(self):
-        imu = ImuSensor(make_rng(2), noise_sigma=0.0, bias_sigma=0.1)
-        r1 = imu.read(0.0, 0.0, 0.0)
-        r2 = imu.read(1.0, 0.0, 0.0)
-        assert r1.ax == r2.ax  # constant bias, zero noise
-        assert r1.ax != 0.0
-
-    def test_noise_zero_mean(self):
-        imu = ImuSensor(make_rng(3), noise_sigma=0.05, bias_sigma=0.0)
-        readings = [imu.read(float(i), 1.0, -1.0) for i in range(2000)]
-        assert np.mean([r.ax for r in readings]) == pytest.approx(1.0,
-                                                                  abs=0.01)
-
-
-class TestKalmanFusion:
-    def test_converges_to_static_position(self):
-        gps = GpsSensor(make_rng(4), sigma_m=5.0)
-        kf = KalmanFusion()
-        for i in range(100):
-            fix = gps.read(float(i), 50.0, -30.0)
-            kf.update_gps(fix)
-        x, y = kf.position
-        assert np.hypot(x - 50.0, y + 30.0) < 2.0
-        assert kf.position_uncertainty < 5.0
-
-    def test_fused_error_below_raw_gps(self):
-        # Constant-velocity target; KF should beat raw fixes.
-        rng = make_rng(5)
-        gps = GpsSensor(rng, sigma_m=8.0)
-        kf = KalmanFusion(process_noise=0.05)
-        raw_err, kf_err = [], []
-        for i in range(300):
-            t = float(i)
-            true_x, true_y = 2.0 * t, 1.0 * t
-            fix = gps.read(t, true_x, true_y)
-            state = kf.update_gps(fix)
-            if i > 50:
-                raw_err.append(np.hypot(fix.x - true_x, fix.y - true_y))
-                kf_err.append(np.hypot(state[0] - true_x,
-                                       state[1] - true_y))
-        assert np.mean(kf_err) < np.mean(raw_err)
-
-    def test_velocity_estimated(self):
-        rng = make_rng(6)
-        gps = GpsSensor(rng, sigma_m=2.0)
-        kf = KalmanFusion(process_noise=0.05)
-        for i in range(200):
-            t = float(i)
-            kf.update_gps(gps.read(t, 3.0 * t, 0.0))
-        vx, vy = kf.velocity
-        assert vx == pytest.approx(3.0, abs=0.3)
-        assert vy == pytest.approx(0.0, abs=0.3)
-
-    def test_time_backwards_rejected(self):
-        kf = KalmanFusion()
-        kf.predict(5.0)
-        with pytest.raises(SensorError):
-            kf.predict(4.0)
 
 
 class TestQuadTree:

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.streaming.shuffle import (
-    KEY_GROUPS,
     key_group_for,
     key_group_range,
-    subtask_for_key,
     subtask_for_key_group,
 )
 from repro.streaming.state import KeyedState
@@ -77,12 +75,6 @@ class TestKeyGroups:
                                               subtask):
                         assert subtask_for_key_group(
                             kg, num_groups, parallelism) == subtask
-
-    def test_subtask_for_key_composes(self):
-        key = "car-17"
-        kg = key_group_for(key, KEY_GROUPS)
-        assert subtask_for_key(key, KEY_GROUPS, 4) == \
-            subtask_for_key_group(kg, KEY_GROUPS, 4)
 
     def test_group_and_merge_round_trip(self):
         state = KeyedState()

@@ -88,6 +88,13 @@ text, imports only to inspect one signature).
 (q) A job launch pays for no graph library: nothing under
     ``streaming/`` imports ``networkx`` — ``JobGraph.validate`` orders
     the graph with its own Kahn pass (networkx stays for ``simnet/``).
+(r) Every public def has a caller: each public module-level ``def`` or
+    ``class`` under ``src/`` is named by code in ``src/``,
+    ``benchmarks/``, ``examples/`` or ``tools/`` (never a ``tests``
+    directory), and by code that is itself reached — an ``__init__``
+    re-export, a docstring or ``__all__`` is no caller.  What only tests
+    reach is deleted, or sits on an allow-list with its reason; the list
+    only shrinks, because a listed name that gains a caller fails too.
 """
 
 import ast
@@ -745,3 +752,111 @@ def test_the_engine_does_not_import_networkx():
             hits += [f"{rel}:{node.lineno}: {name}" for name in names
                      if name.split(".")[0] == "networkx"]
     assert hits == []
+
+
+# -- (r) every public def has a caller ----------------------------------------
+
+#: the trees whose code counts as a caller; a ``tests`` directory never does
+CALLER_TREES = ("src", "benchmarks", "examples", "tools")
+#: public defs that no non-test code reaches, and why each stays; an
+#: entry leaves when its def gains a caller (the census then fails)
+UNREACHED_ALLOWED = {
+    "GeometricMechanism": "ROADMAP item 10's DP release operator for counts",
+    "TransactionalLogSink": "ROADMAP item 3 gives it its first caller",
+    "InMemoryExporter": "the fake that tests substitute for an exporter",
+    "span_from_dict": "the wire form's inverse, the round trip's reference",
+    "tree_is_connected": "the trace-connectivity check two tests assert",
+    "elements_of": "the sink decode two property tests compare against",
+    "RETRY": "deleting it changes ErrorPolicy and the DeadLetter format",
+}
+DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names_used(node):
+    """Every identifier ``node`` reads: names, attributes, imports."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            used.update(alias.name.rpartition(".")[2] for alias in sub.names)
+    return used
+
+
+def unreached_defs(files):
+    """``path:name`` of every public module-level def or class under
+    ``src/`` in ``files`` (path -> source) that no caller reaches.
+
+    Non-library code is always live, and so is a library module's
+    top-level code other than imports (an ``__init__`` re-export is no
+    caller).  A def is reached when live code names it, and then what
+    its body names is live too, until nothing changes: a def whose only
+    caller is unreached is unreached.  Docstrings and ``__all__`` are
+    strings, so they name nothing.
+    """
+    live, defs = set(), []
+    for rel, text in files.items():
+        library = rel.startswith("src/")
+        for stmt in ast.parse(text).body:
+            if library and isinstance(stmt, DEFINITION):
+                defs.append((rel, stmt.name, _names_used(stmt)))
+            elif not (library and isinstance(stmt, (ast.Import,
+                                                    ast.ImportFrom))):
+                live |= _names_used(stmt)
+    unreached = defs
+    while True:
+        reached = [d for d in unreached if d[1] in live]
+        if not reached:
+            break
+        unreached = [d for d in unreached if d[1] not in live]
+        for _rel, _name, used in reached:
+            live |= used
+    return sorted(f"{rel}:{name}" for rel, name, _used in unreached
+                  if not name.startswith("_"))
+
+
+def _caller_files():
+    return {path.relative_to(ROOT).as_posix(): path.read_text()
+            for top in CALLER_TREES
+            for path in sorted((ROOT / top).rglob("*.py"))
+            if "tests" not in path.relative_to(ROOT).parts}
+
+
+def test_every_public_def_has_a_caller_outside_the_tests():
+    unreached = unreached_defs(_caller_files())
+    names = {site.rpartition(":")[2] for site in unreached}
+    assert [site for site in unreached
+            if site.rpartition(":")[2] not in UNREACHED_ALLOWED] == []
+    # the allow-list only shrinks: a name that gained a caller leaves it
+    assert sorted(set(UNREACHED_ALLOWED) - names) == []
+
+
+def test_the_census_flags_a_def_nothing_calls():
+    files = {"src/repro/m.py": "def used():\n    pass\n\n\n"
+                               "def orphan():\n    return used()\n",
+             "tools/t.py": "from repro.m import used\nused()\n"}
+    assert unreached_defs(files) == ["src/repro/m.py:orphan"]
+
+
+def test_a_re_export_or_a_docstring_is_no_caller():
+    files = {"src/repro/pkg/__init__.py": "from .m import hidden, shown\n"
+                                          "__all__ = ['hidden', 'shown']\n",
+             "src/repro/pkg/m.py": '"""See :func:`hidden`."""\n\n\n'
+                                   "def hidden():\n    pass\n\n\n"
+                                   "class shown:\n"
+                                   '    """Unlike :func:`hidden`."""\n',
+             "examples/e.py": "from repro.pkg import shown\nshown()\n"}
+    assert unreached_defs(files) == ["src/repro/pkg/m.py:hidden"]
+
+
+def test_a_helper_of_a_reached_def_is_reached_and_of_a_dead_one_dead():
+    module = ("def helper():\n    return helper()\n\n\n"
+              "def api():\n    return helper()\n\n\n"
+              "def lonely():\n    return lonely_helper()\n\n\n"
+              "def lonely_helper():\n    return lonely()\n")
+    files = {"src/repro/m.py": module,
+             "benchmarks/b.py": "import repro.m\nrepro.m.api()\n"}
+    assert unreached_defs(files) == ["src/repro/m.py:lonely",
+                                     "src/repro/m.py:lonely_helper"]

@@ -10,7 +10,6 @@ from repro.streaming import (
     MapOperator,
     ReduceOperator,
     SessionWindows,
-    SlidingWindows,
     TimestampAssigner,
     TumblingWindows,
     Watermark,
@@ -157,16 +156,6 @@ class TestWindowAssigners:
     def test_tumbling_offset(self):
         assigner = TumblingWindows(10.0, offset=3.0)
         assert assigner.assign(12.0) == [Window(3.0, 13.0)]
-
-    def test_sliding_assigns_overlapping(self):
-        assigner = SlidingWindows(size=10.0, slide=5.0)
-        windows = assigner.assign(12.0)
-        assert windows == [Window(5.0, 15.0), Window(10.0, 20.0)]
-        assert all(w.contains(12.0) for w in windows)
-
-    def test_sliding_rejects_gaps(self):
-        with pytest.raises(ConfigError):
-            SlidingWindows(size=5.0, slide=10.0)
 
     def test_session_is_merging(self):
         assigner = SessionWindows(gap=5.0)

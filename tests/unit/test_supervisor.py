@@ -35,7 +35,6 @@ from repro.streaming import (
     RegionPlacement,
     SchedulePolicy,
     Supervisor,
-    run_autoscaled,
     run_coordinated,
 )
 from repro.streaming import supervisor as supervisor_module
@@ -123,10 +122,12 @@ class TestLadder:
             FaultSpec("subtask_stall", SITE_STALL, at=6, count=12,
                       target="window_sum[0]"),
         ), name="stall")
-        report = run_autoscaled(
-            reference_job(events, splits=4), SchedulePolicy({}),
-            FaultInjector(plan), parallelism=2, source_batch=SOURCE_BATCH,
-            step_cycles=1, interval_cycles=2, heartbeat_timeout_s=4.0)
+        report = Supervisor(
+            reference_job(events, splits=4),
+            controllers=[Autoscaler(SchedulePolicy({}))],
+            injector=FaultInjector(plan), parallelism=2,
+            source_batch=SOURCE_BATCH, step_cycles=1, interval_cycles=2,
+            heartbeat_timeout_s=4.0).run()
         assert report.dead_detected >= 1
         assert report.crashes == 0
         assert canonical_sinks(report.sink_values) == canonical_sinks(

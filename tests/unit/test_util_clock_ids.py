@@ -1,4 +1,4 @@
-"""Unit tests: SimClock, IdFactory, EventBus, metrics."""
+"""Unit tests: SimClock, metrics."""
 
 import math
 
@@ -6,8 +6,6 @@ import pytest
 
 from repro.util import (
     Counter,
-    EventBus,
-    IdFactory,
     MetricsRegistry,
     SimClock,
     Summary,
@@ -52,71 +50,6 @@ class TestSimClock:
     def test_advance_to_same_time_ok(self):
         clock = SimClock(5.0)
         assert clock.advance_to(5.0) == 5.0
-
-
-class TestIdFactory:
-    def test_sequential_per_namespace(self):
-        factory = IdFactory()
-        assert factory.next("task") == "task-0000"
-        assert factory.next("task") == "task-0001"
-
-    def test_namespaces_independent(self):
-        factory = IdFactory()
-        factory.next("a")
-        assert factory.next("b") == "b-0000"
-
-    def test_next_int(self):
-        factory = IdFactory()
-        assert factory.next_int("n") == 0
-        assert factory.next_int("n") == 1
-
-    def test_peek_does_not_consume(self):
-        factory = IdFactory()
-        assert factory.peek("x") == 0
-        assert factory.peek("x") == 0
-        factory.next("x")
-        assert factory.peek("x") == 1
-
-
-class TestEventBus:
-    def test_publish_delivers_to_subscriber(self):
-        bus = EventBus()
-        got = []
-        bus.subscribe("topic", got.append)
-        delivered = bus.publish("topic", 42)
-        assert got == [42]
-        assert delivered == 1
-
-    def test_publish_no_subscribers(self):
-        assert EventBus().publish("nobody", 1) == 0
-
-    def test_unsubscribe(self):
-        bus = EventBus()
-        got = []
-        unsub = bus.subscribe("t", got.append)
-        unsub()
-        bus.publish("t", 1)
-        assert got == []
-
-    def test_unsubscribe_idempotent(self):
-        bus = EventBus()
-        unsub = bus.subscribe("t", lambda _x: None)
-        unsub()
-        unsub()  # must not raise
-
-    def test_publish_count(self):
-        bus = EventBus()
-        bus.publish("t")
-        bus.publish("t")
-        assert bus.publish_count("t") == 2
-
-    def test_handlers_called_in_order(self):
-        bus = EventBus()
-        order = []
-        bus.subscribe("t", lambda _x: order.append("first"))
-        bus.subscribe("t", lambda _x: order.append("second"))
-        bus.publish("t")
-        assert order == ["first", "second"]
 
 
 class TestMetrics:
