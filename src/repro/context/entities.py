@@ -71,9 +71,6 @@ class ContextStore:
         except KeyError:
             raise ContextError(f"unknown entity {entity_id!r}") from None
 
-    def has_entity(self, entity_id: str) -> bool:
-        return entity_id in self._entities
-
     def entities(self, entity_type: str | None = None) -> list[SemanticEntity]:
         out = list(self._entities.values())
         if entity_type is not None:

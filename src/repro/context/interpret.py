@@ -103,20 +103,23 @@ class InterpretationEngine:
         live AR pipeline degrades, it does not crash on one bad record.
         """
         out = BoundContent()
+        rules = self._rules
+        # one dict read resolves a subject (the store's own index)
+        entities = self.store._entities
         for result in results:
             tag = result.get("tag")
             if not tag:
                 out.unbound_untagged += 1
                 continue
-            rule = self._rules.get(tag)
+            rule = rules.get(tag)
             if rule is None:
                 out.unbound_no_rule += 1
                 continue
             subject = result.get("subject")
-            if not subject or not self.store.has_entity(str(subject)):
+            entity = entities.get(str(subject)) if subject else None
+            if entity is None:
                 out.unbound_unknown_subject += 1
                 continue
-            entity = self.store.entity(str(subject))
             annotation = rule.build(entity, result)
             out.annotations.append(annotation)
             out.bound += 1

@@ -21,35 +21,28 @@ __all__ = ["LaplaceMechanism", "GeometricMechanism", "BudgetAccountant"]
 
 
 class BudgetAccountant:
-    """Sequential-composition epsilon (and optional delta) ledger."""
+    """Sequential-composition epsilon ledger."""
 
-    def __init__(self, epsilon: float, delta: float = 0.0) -> None:
+    def __init__(self, epsilon: float) -> None:
         if epsilon <= 0:
             raise PrivacyError("total epsilon must be positive")
-        if delta < 0:
-            raise PrivacyError("delta must be non-negative")
         self.total_epsilon = epsilon
-        self.total_delta = delta
         self.spent_epsilon = 0.0
-        self.spent_delta = 0.0
         self.queries = 0
 
     @property
     def remaining_epsilon(self) -> float:
         return self.total_epsilon - self.spent_epsilon
 
-    def charge(self, epsilon: float, delta: float = 0.0) -> None:
+    def charge(self, epsilon: float) -> None:
         if epsilon <= 0:
             raise PrivacyError("query epsilon must be positive")
-        if (self.spent_epsilon + epsilon > self.total_epsilon + 1e-12
-                or self.spent_delta + delta > self.total_delta + 1e-12):
+        if self.spent_epsilon + epsilon > self.total_epsilon + 1e-12:
             raise BudgetExhausted(
-                f"charge ({epsilon}, {delta}) exceeds remaining "
-                f"({self.remaining_epsilon:.4g}, "
-                f"{self.total_delta - self.spent_delta:.4g})"
+                f"charge {epsilon} exceeds remaining "
+                f"{self.remaining_epsilon:.4g}"
             )
         self.spent_epsilon += epsilon
-        self.spent_delta += delta
         self.queries += 1
 
 

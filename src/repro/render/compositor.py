@@ -13,6 +13,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +37,12 @@ __all__ = ["OverlayItem", "OverlayFrame", "Compositor", "FrameBudget"]
 #: keeps; the memo starts over when it reaches this size (an entry is
 #: ~290 bytes, so the memo stays under 5 MB)
 _PROJECTION_MEMO_MAX = 1 << 14
+
+#: fields of a compose row, read in C (a sort key or ``map`` of a
+#: lambda pays one Python call per label)
+_ORDER_KEY = itemgetter(0)
+_LAYOUT_ROW = itemgetter(1)
+_ANNOTATION_ID = itemgetter(0)
 
 
 class OverlayItem(NamedTuple):
@@ -167,8 +174,9 @@ class Compositor:
         annotations, anchors = scene.world_anchors()
 
         # One row per surviving annotation, built once and carried
-        # through cull -> shed -> layout: (annotation, px, py, depth,
-        # occluded).  Occlusion is tested per frame, not memoised.
+        # through cull -> shed -> layout: (budget order key, layout input
+        # row, annotation, depth, occluded).  Occlusion is tested per
+        # frame, not memoised.
         rows = []
         culled_offscreen = 0
         culled_occluded = 0
@@ -187,45 +195,44 @@ class Compositor:
                 if occluded and hide:
                     culled_occluded += 1
                     continue
-                rows.append((annotation, px, py, depth, occluded))
+                aid = annotation.annotation_id
+                priority = annotation.priority
+                rows.append(((-priority, aid),
+                             (aid, px, py, annotation.width_px,
+                              annotation.height_px, priority),
+                             annotation, depth, occluded))
 
         # Frame budget: shed lowest priority first.
         xray = self.occlusion_policy == "xray"
         shed = 0
-        if self.budget is not None:
-            rows.sort(key=lambda r: (-r[0].priority, r[0].annotation_id))
+        budget = self.budget
+        if budget is not None:
+            rows.sort(key=_ORDER_KEY)
+            label_cost = budget.cost_per_label_ms
+            xray_cost = label_cost + budget.xray_surcharge_ms
+            limit = budget.budget_ms
             cost = 0.0
             kept = []
             for row in rows:
-                item_cost = self.budget.cost_per_label_ms
-                if row[4] and xray:
-                    item_cost += self.budget.xray_surcharge_ms
-                if cost + item_cost > self.budget.budget_ms:
+                item_cost = xray_cost if row[4] and xray else label_cost
+                if cost + item_cost > limit:
                     shed += 1
                     continue
                 cost += item_cost
                 kept.append(row)
             rows = kept
 
-        layout_input = [
-            (a.annotation_id, px, py, a.width_px, a.height_px, a.priority)
-            for a, px, py, _depth, _occluded in rows
-        ]
+        layout_input = list(map(_LAYOUT_ROW, rows))
         if self.declutter:
             placed = declutter_layout(layout_input, screen)
         else:
             placed = naive_layout(layout_input)
-        placed_by_id = {p.annotation_id: p for p in placed}
+        label_of = dict(zip(map(_ANNOTATION_ID, placed), placed))
 
-        items = [OverlayItem(
-            annotation_id=annotation.annotation_id,
-            kind=annotation.kind,
-            label=placed_by_id[annotation.annotation_id],
-            depth_m=depth,
-            occluded=occluded,
-            xray=occluded and xray,
-            payload=annotation.payload,
-        ) for annotation, _px, _py, depth, occluded in rows]
+        items = [OverlayItem(a.annotation_id, a.kind,
+                             label_of[a.annotation_id], depth, occluded,
+                             occluded and xray, a.payload)
+                 for _key, _layout_row, a, depth, occluded in rows]
         frame = OverlayFrame(
             items=items,
             culled_offscreen=culled_offscreen,
@@ -257,9 +264,9 @@ class Compositor:
         step = 3 * anchors.itemsize
         keys = [(view, raw[i:i + step]) for i in range(0, len(raw), step)]
         memo = self._projections
-        out = [memo.get(key) for key in keys]
-        missing = [i for i, hit in enumerate(out) if hit is None]
-        if missing:
+        out = list(map(memo.get, keys))
+        if None in out:
+            missing = [i for i, hit in enumerate(out) if hit is None]
             if len(memo) + len(missing) > _PROJECTION_MEMO_MAX:
                 memo.clear()
             for i, value in zip(missing, _project_rows(

@@ -8,6 +8,7 @@ so grouped content (e.g. a building's sensor array) moves together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -22,6 +23,10 @@ _IDENTITY = np.eye(3)
 _IDENTITY.setflags(write=False)
 _ORIGIN = np.zeros(3)
 _ORIGIN.setflags(write=False)
+_FLOAT64 = _IDENTITY.dtype
+#: the bytes of the transform a :class:`SceneNode` is built with
+_IDENTITY_BYTES = _IDENTITY.tobytes()
+_ORIGIN_BYTES = _ORIGIN.tobytes()
 
 
 @dataclass
@@ -44,9 +49,16 @@ class Annotation:
     payload: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.anchor = np.asarray(self.anchor, dtype=float).reshape(3)
-        if self.width_px <= 0 or self.height_px <= 0:
-            raise RenderError("annotation extent must be positive")
+        anchor = self.anchor
+        # an entity's position already is a float64 (3,) array: keep it
+        if not (type(anchor) is np.ndarray and anchor.dtype is _FLOAT64
+                and anchor.shape == (3,)):
+            self.anchor = np.asarray(anchor, dtype=float).reshape(3)
+        if not (0 < self.width_px < math.inf
+                and 0 < self.height_px < math.inf):
+            raise RenderError("annotation extent must be positive and "
+                              f"finite, not {self.width_px!r} x "
+                              f"{self.height_px!r}")
 
 
 @dataclass
@@ -54,8 +66,10 @@ class SceneNode:
     """A grouping node with a rigid transform (rotation + translation)."""
 
     name: str
-    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    # a writable copy of the shared identity, made in C (every frame
+    # builds a scene, and with it a root)
+    rotation: np.ndarray = field(default_factory=_IDENTITY.copy)
+    translation: np.ndarray = field(default_factory=_ORIGIN.copy)
     annotations: list[Annotation] = field(default_factory=list)
     children: list["SceneNode"] = field(default_factory=list)
 
@@ -128,7 +142,26 @@ class SceneGraph:
         row ``i`` is ``annotations[i]``'s anchor under the cumulative
         node transforms.  Each node transforms its anchors as one
         ``(n, 3)`` batch, not a matmul per annotation.
+
+        A flat scene — the root alone, its transform still the identity
+        it was built with — skips the walk and its identity matmuls.  Its
+        anchors come out as the walk gives them: ``x @ I + 0`` is exact
+        for finite coordinates and turns ``-0.0`` into ``0.0``, which
+        ``x + 0.0`` does too; a row with a NaN or infinite coordinate
+        (``inf * 0`` is NaN) takes the walk's matmul.
         """
+        root = self.root
+        if not root.children and _is_identity(root):
+            annotations = list(root.annotations)
+            if not annotations:
+                return annotations, np.empty((0, 3))
+            local = np.array([a.anchor for a in annotations])
+            world = local + 0.0
+            # the sum is finite only when every coordinate is
+            if math.isfinite(np.add.reduce(world, axis=None)):
+                return annotations, world
+            return annotations, local @ _IDENTITY.T + _ORIGIN
+
         annotations: list[Annotation] = []
         blocks: list[np.ndarray] = []
 
@@ -142,8 +175,19 @@ class SceneGraph:
             for child in node.children:
                 walk(child, r, t)
 
-        walk(self.root, _IDENTITY, _ORIGIN)
+        walk(root, _IDENTITY, _ORIGIN)
         if not blocks:
             return annotations, np.empty((0, 3))
         return annotations, (blocks[0] if len(blocks) == 1
                              else np.concatenate(blocks))
+
+
+def _is_identity(node: SceneNode) -> bool:
+    """Whether ``node``'s transform is, bit for bit, the float64 identity
+    and zero translation a new node is built with (reassigned or mutated
+    in place, it is tested as it stands)."""
+    r, t = node.rotation, node.translation
+    return (type(r) is np.ndarray and r.dtype is _FLOAT64
+            and r.shape == (3, 3) and r.tobytes() == _IDENTITY_BYTES
+            and type(t) is np.ndarray and t.dtype is _FLOAT64
+            and t.shape == (3,) and t.tobytes() == _ORIGIN_BYTES)

@@ -75,7 +75,15 @@ class TieredStore:
     # -- serving surface -----------------------------------------------------
 
     def latest(self, key: Any, n: int = 1) -> list[tuple[float, Any]]:
-        return self.hot.latest(key, n)
+        """:meth:`HotStore.latest`, with the hot tier's route memo read
+        here: a memoised key reaches its shard's row in two calls, this
+        one and :meth:`HotShard.latest_rows` (an overlay frame makes one
+        lookup per label)."""
+        hot = self.hot
+        hit = hot._routes.get(key) if type(key) is str else None
+        if hit is None:
+            hit = hot.route(key)
+        return hot.shards[hit[0]].latest_rows(hit[1], n)
 
     def point(self, key: Any) -> Any | None:
         return self.hot.point(key)

@@ -66,7 +66,6 @@ class OperatorSignals:
     backlog          elements arrived (by sim-time) but not yet pulled,
                      attributed to every operator of the job (they all
                      feel the same ingest pressure)
-    backlog_trend    backlog delta since the previous evaluation
     watermark_lag_s  event-time lag between source frontier and the
                      job's sinks (freshness of results)
     eval_index       ordinal of this evaluation (SchedulePolicy keys
@@ -77,7 +76,6 @@ class OperatorSignals:
     parallelism: int
     utilization: float
     backlog: float = 0.0
-    backlog_trend: float = 0.0
     watermark_lag_s: float = 0.0
     eval_index: int = 0
 
@@ -293,7 +291,6 @@ class Autoscaler(Controller):
         self.shed_policy = shed_policy
         self.decisions: list[ScalingDecision] = []
         self._prev_processed: dict[str, float] = {}
-        self._prev_backlog: dict[str, float] = {}
         self._evals_since_change: dict[str, int] = {}
         self._eval_index = 0
         self._pending_targets: dict[str, int] | None = None
@@ -329,12 +326,9 @@ class Autoscaler(Controller):
             p = max(1, parallelism.get(op, 1))
             rate = delta / max(1.0, cycles)
             utilization = rate / (p * self.rated_capacity)
-            trend = backlog - self._prev_backlog.get(op, backlog)
-            self._prev_backlog[op] = backlog
             signals[op] = OperatorSignals(
                 operator=op, parallelism=p, utilization=utilization,
-                backlog=backlog, backlog_trend=trend,
-                watermark_lag_s=watermark_lag_s,
+                backlog=backlog, watermark_lag_s=watermark_lag_s,
                 eval_index=self._eval_index)
         return signals
 

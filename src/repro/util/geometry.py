@@ -7,7 +7,7 @@ three subtly different ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,18 +21,30 @@ def clamp(value: float, low: float, high: float) -> float:
     return max(low, min(high, value))
 
 
-@dataclass(frozen=True)
-class Rect:
-    """Axis-aligned rectangle: (x, y) is the min corner."""
-
+class _RectFields(NamedTuple):
     x: float
     y: float
     width: float
     height: float
 
-    def __post_init__(self) -> None:
-        if self.width < 0 or self.height < 0:
-            raise ValueError("Rect width/height must be non-negative")
+
+class Rect(_RectFields):
+    """Axis-aligned rectangle: (x, y) is the min corner (an immutable record).
+
+    A tuple, like :class:`~repro.render.layout.PlacedLabel`: it equals
+    and hashes as the tuple of its fields, and is built in one step where
+    a frozen dataclass pays one ``object.__setattr__`` per field; the
+    layout builds one per label per frame.  A negative or NaN extent is
+    refused.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, width: float,
+                height: float) -> "Rect":
+        if width >= 0 and height >= 0:
+            return tuple.__new__(cls, (x, y, width, height))
+        raise ValueError("Rect width/height must be non-negative, not NaN")
 
     @property
     def x2(self) -> float:

@@ -18,6 +18,10 @@ __all__ = ["stable_hash", "split_ranges"]
 #: distinct keys whose hash stays memoised (a few MB of short strings)
 _HASH_CACHE_SIZE = 1 << 16
 
+_FNV_OFFSET = 1469598103934665603
+_FNV_PRIME = 1099511628211
+_MASK64 = (1 << 64) - 1
+
 
 @lru_cache(maxsize=_HASH_CACHE_SIZE)
 def stable_hash(key: str) -> int:
@@ -27,10 +31,11 @@ def stable_hash(key: str) -> int:
     producer partitioning every send, a shuffle routing every row) see
     the same keys over and over.
     """
-    h = 1469598103934665603
+    h = _FNV_OFFSET
     for byte in key.encode("utf-8"):
-        h ^= byte
-        h = (h * 1099511628211) % (1 << 64)
+        # one expression per byte; the mask is ``% 2**64`` without the
+        # division
+        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h
 
 

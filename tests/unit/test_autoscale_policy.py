@@ -27,9 +27,9 @@ from repro.util.errors import ConfigError
 from repro.util.metrics import MetricsRegistry
 
 
-def sig(op="win", p=2, u=0.65, trend=0.0, eval_index=0):
+def sig(op="win", p=2, u=0.65, eval_index=0):
     return OperatorSignals(operator=op, parallelism=p, utilization=u,
-                           backlog_trend=trend, eval_index=eval_index)
+                           eval_index=eval_index)
 
 
 class TestUtilizationTargetPolicy:
@@ -138,14 +138,6 @@ class TestAutoscalerBookkeeping:
         # a restore rewound the gauge below the previous reading
         signals = self._collect(scaler, registry, processed=40.0)
         assert signals["win"].utilization == 0.0
-
-    def test_backlog_trend_is_delta(self):
-        registry = MetricsRegistry()
-        scaler = Autoscaler(UtilizationTargetPolicy(), rated_capacity=16.0)
-        self._collect(scaler, registry, processed=0.0, backlog=10.0)
-        signals = self._collect(scaler, registry, processed=0.0,
-                                backlog=25.0)
-        assert signals["win"].backlog_trend == pytest.approx(15.0)
 
     def test_cooldown_resets_on_change_and_first_decision_allowed(self):
         registry = MetricsRegistry()

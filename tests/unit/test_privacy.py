@@ -33,12 +33,6 @@ class TestBudgetAccountant:
         with pytest.raises(BudgetExhausted):
             accountant.charge(0.01)
 
-    def test_delta_tracked(self):
-        accountant = BudgetAccountant(epsilon=1.0, delta=1e-5)
-        accountant.charge(0.1, delta=1e-5)
-        with pytest.raises(BudgetExhausted):
-            accountant.charge(0.1, delta=1e-6)
-
     def test_invalid_epsilon_rejected(self):
         with pytest.raises(PrivacyError):
             BudgetAccountant(epsilon=0.0)

@@ -1,5 +1,7 @@
 """Unit tests: scene graph, occlusion, layout, compositor."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,24 @@ class TestSceneGraph:
     def test_unknown_id_rejected(self):
         with pytest.raises(RenderError):
             SceneGraph().get("nope")
+
+    @pytest.mark.parametrize("extent", [math.nan, math.inf, -math.inf,
+                                        0.0, -1.0])
+    @pytest.mark.parametrize("field", ["width_px", "height_px"])
+    def test_non_finite_or_non_positive_extent_rejected(self, field,
+                                                        extent):
+        # a NaN extent used to pass the ``<= 0`` test and compose to a
+        # dropped label at ``Rect(x=nan, ..., width=nan)``
+        with pytest.raises(RenderError):
+            _annotation("a", 0, 0, 0, **{field: extent})
+
+    def test_an_anchor_that_is_a_float64_point_is_kept(self):
+        position = np.array([1.0, -0.0, 3.0])
+        assert _annotation("a", 0, 0, 0).anchor.shape == (3,)
+        kept = Annotation(annotation_id="a", anchor=position)
+        assert kept.anchor is position
+        cast = Annotation(annotation_id="b", anchor=[[1, 2, 3]])
+        assert cast.anchor.dtype == np.float64 and cast.anchor.shape == (3,)
 
     def test_node_transform_applies_to_anchor(self):
         scene = SceneGraph()

@@ -1,6 +1,8 @@
 """Key-group math: stable hashing, ranges, routing consistency."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.streaming.shuffle import (
     key_group_for,
@@ -32,6 +34,25 @@ class TestStableHash:
         for key in ("", "a", "patient-17:hr", "kä", "键" * 40):
             assert stable_hash(key) == stable_hash(key) == cached(key)
         assert stable_hash.cache_info().maxsize == 1 << 16
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.characters(min_codepoint=0,
+                                          max_codepoint=0x10FFFF,
+                                          blacklist_categories=("Cs",)),
+                   max_size=40)
+           | st.text(alphabet=st.characters(min_codepoint=0x10000,
+                                            max_codepoint=0x10FFFF,
+                                            blacklist_categories=("Cs",)),
+                     min_size=1, max_size=10))
+    def test_masked_step_is_the_modulo_step(self, key):
+        # the FNV-1a loop as written before the step became one masked
+        # expression: every key, non-BMP characters included, keeps its
+        # hash, so no checkpoint's key groups move
+        h = 1469598103934665603
+        for byte in key.encode("utf-8"):
+            h ^= byte
+            h = (h * 1099511628211) % (1 << 64)
+        assert stable_hash.__wrapped__(key) == h
 
 
 class TestSplitRanges:

@@ -1,5 +1,8 @@
 """Unit tests: Rect and clamp."""
 
+import math
+import pickle
+
 import pytest
 
 from repro.util.geometry import Rect, clamp
@@ -24,6 +27,20 @@ class TestRect:
     def test_negative_extent_rejected(self):
         with pytest.raises(ValueError):
             Rect(0, 0, -1, 5)
+
+    @pytest.mark.parametrize("extent", [(math.nan, 5), (5, math.nan)])
+    def test_nan_extent_rejected(self, extent):
+        with pytest.raises(ValueError):
+            Rect(0, 0, *extent)
+
+    def test_a_rect_is_the_tuple_of_its_fields(self):
+        rect = Rect(x=1.0, y=2.0, width=3.0, height=4.0)
+        assert rect == (1.0, 2.0, 3.0, 4.0)
+        assert hash(rect) == hash((1.0, 2.0, 3.0, 4.0))
+        assert repr(rect) == "Rect(x=1.0, y=2.0, width=3.0, height=4.0)"
+        with pytest.raises(AttributeError):
+            rect.x = 0.0
+        assert pickle.loads(pickle.dumps(rect)) == rect
 
     def test_corners_and_area(self):
         rect = Rect(1, 2, 3, 4)
