@@ -24,13 +24,13 @@ Quick start::
     pipeline.ingest("demo", {"reading": 21.5}, key="sensor-1", timestamp=0.0)
 """
 
-from .core import (
-    ARBigDataPipeline,
-    ARSession,
-    PipelineConfig,
-    PrivacyConfig,
-    SharedDataset,
-)
+from ._lazy import lazy_exports
+
+# lazy: the facade imports most of the library, scipy and networkx, and
+# an importer of one substrate (``repro.store``, say) needs none of it
+__getattr__, __dir__ = lazy_exports(__name__, {".core": (
+    "ARBigDataPipeline", "ARSession", "PipelineConfig", "PrivacyConfig",
+    "SharedDataset")})
 
 __version__ = "1.0.0"
 

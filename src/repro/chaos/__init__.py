@@ -10,38 +10,24 @@ headline invariant — sinks after recovery are bit-identical to the
 fault-free run, for any seeded schedule.
 """
 
-from .harness import (
-    canonical_sinks,
-    fault_free_sinks,
-    reference_events,
-    reference_job,
-    reference_operator_names,
-    run_coordinated,
-    two_region_job,
-)
-from .injector import ChaosLogCluster, FaultInjector
-from .plan import (
-    CORRUPT_TS_MODES,
-    CORRUPT_VALUE_MODES,
-    DATA_FAULT_KINDS,
-    RESCALE_PHASES,
-    SITE_APPEND,
-    SITE_BARRIER,
-    SITE_CHANNEL,
-    SITE_CHECKPOINT,
-    SITE_COORDINATOR,
-    SITE_DATA,
-    SITE_FETCH,
-    SITE_OFFLOAD,
-    SITE_OPERATOR,
-    SITE_RESCALE,
-    SITE_STALL,
-    SITE_STORE,
-    STORE_PHASES,
-    FaultEvent,
-    FaultPlan,
-    FaultSpec,
-)
+from .._lazy import lazy_exports
+
+# lazy: the harness is the runner's home for every job, and needs
+# neither the injector nor the schedules
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".harness": (
+        "canonical_sinks", "fault_free_sinks", "reference_events",
+        "reference_job", "reference_operator_names", "run_coordinated",
+        "two_region_job"),
+    ".injector": ("ChaosLogCluster", "FaultInjector"),
+    ".plan": (
+        "CORRUPT_TS_MODES", "CORRUPT_VALUE_MODES", "DATA_FAULT_KINDS",
+        "RESCALE_PHASES", "SITE_APPEND", "SITE_BARRIER", "SITE_CHANNEL",
+        "SITE_CHECKPOINT", "SITE_COORDINATOR", "SITE_DATA", "SITE_FETCH",
+        "SITE_OFFLOAD", "SITE_OPERATOR", "SITE_RESCALE", "SITE_STALL",
+        "SITE_STORE", "STORE_PHASES", "FaultEvent", "FaultPlan",
+        "FaultSpec"),
+})
 
 __all__ = [
     "FaultSpec",

@@ -27,6 +27,7 @@ from .layout import (
     clutter_metrics,
     declutter_layout,
     naive_layout,
+    place_ordered,
 )
 from .occlusion import OcclusionWorld
 from .scene import SceneGraph
@@ -34,8 +35,8 @@ from .scene import SceneGraph
 __all__ = ["OverlayItem", "OverlayFrame", "Compositor", "FrameBudget"]
 
 #: distinct (pose, intrinsics, world anchor) projections a compositor
-#: keeps; the memo starts over when it reaches this size (an entry is
-#: ~290 bytes, so the memo stays under 5 MB)
+#: keeps, over every view; the memo starts over when it would pass this
+#: size (an entry is under 300 bytes, so the memo stays under 5 MB)
 _PROJECTION_MEMO_MAX = 1 << 14
 
 #: fields of a compose row, read in C (a sort key or ``map`` of a
@@ -43,6 +44,8 @@ _PROJECTION_MEMO_MAX = 1 << 14
 _ORDER_KEY = itemgetter(0)
 _LAYOUT_ROW = itemgetter(1)
 _ANNOTATION_ID = itemgetter(0)
+#: builds an ``OverlayItem`` in C, without ``NamedTuple``'s ``__new__``
+_new = tuple.__new__
 
 
 class OverlayItem(NamedTuple):
@@ -152,8 +155,9 @@ class Compositor:
         self.tracer = tracer
         self.metrics = metrics
         self.frames_composited = 0
-        self._projections: dict[tuple[bytes, bytes],
-                                tuple[float, float, float, bool]] = {}
+        self._projections: dict[bytes, dict[
+            bytes, tuple[float, float, float, bool]]] = {}
+        self._memoised = 0  # projections held, over every view
 
     def compose(self, scene: SceneGraph, pose: Pose) -> OverlayFrame:
         if self.tracer is None:
@@ -180,6 +184,7 @@ class Compositor:
         rows = []
         culled_offscreen = 0
         culled_occluded = 0
+        nan_priority = False
         if annotations:
             check_occlusion = (self.occlusion_policy != "ignore"
                                and bool(self.occlusion.occluders))
@@ -197,6 +202,8 @@ class Compositor:
                     continue
                 aid = annotation.annotation_id
                 priority = annotation.priority
+                if priority != priority:
+                    nan_priority = True
                 rows.append(((-priority, aid),
                              (aid, px, py, annotation.width_px,
                               annotation.height_px, priority),
@@ -223,15 +230,20 @@ class Compositor:
             rows = kept
 
         layout_input = list(map(_LAYOUT_ROW, rows))
-        if self.declutter:
-            placed = declutter_layout(layout_input, screen)
-        else:
+        if not self.declutter:
             placed = naive_layout(layout_input)
+        elif budget is not None and not nan_priority:
+            # already in the layout's order: the budget sorted by the
+            # same key, and sorting a sorted list again is a no-op while
+            # the key is a total order, which a NaN priority breaks
+            placed = place_ordered(layout_input, screen, True)
+        else:
+            placed = declutter_layout(layout_input, screen)
         label_of = dict(zip(map(_ANNOTATION_ID, placed), placed))
 
-        items = [OverlayItem(a.annotation_id, a.kind,
-                             label_of[a.annotation_id], depth, occluded,
-                             occluded and xray, a.payload)
+        items = [_new(OverlayItem, (a.annotation_id, a.kind,
+                                    label_of[a.annotation_id], depth,
+                                    occluded, occluded and xray, a.payload))
                  for _key, _layout_row, a, depth, occluded in rows]
         frame = OverlayFrame(
             items=items,
@@ -252,23 +264,26 @@ class Compositor:
 
     def _project(self, pose: Pose, anchors: np.ndarray,
                  ) -> list[tuple[float, float, float, bool]]:
-        """:func:`_project_rows` of ``anchors``, memoised per (pose,
-        intrinsics, world anchor).  The key is the bytes of everything
-        the value depends on, so a pose mutated in place or reassigned
-        intrinsics miss; the misses of a frame go through one pass."""
+        """:func:`_project_rows` of ``anchors``, memoised per view (pose
+        and intrinsics), then per world anchor.  The keys are the bytes
+        of everything the value depends on, so a pose mutated in place
+        or reassigned intrinsics miss; the misses of a frame go through
+        one pass.  An anchor's key is its row read as one opaque
+        (``void``) scalar, so a frame's keys are built in C."""
         intr = self.intrinsics
         view = (pose.rotation.tobytes() + pose.translation.tobytes()
                 + struct.pack("<6d", intr.fx, intr.fy, intr.cx, intr.cy,
                               intr.width, intr.height))
-        raw = anchors.tobytes()
-        step = 3 * anchors.itemsize
-        keys = [(view, raw[i:i + step]) for i in range(0, len(raw), step)]
-        memo = self._projections
-        out = list(map(memo.get, keys))
+        keys = np.ascontiguousarray(anchors).view(
+            np.dtype((np.void, 3 * anchors.itemsize))).ravel().tolist()
+        out = list(map(self._projections.get(view, {}).get, keys))
         if None in out:
             missing = [i for i, hit in enumerate(out) if hit is None]
-            if len(memo) + len(missing) > _PROJECTION_MEMO_MAX:
-                memo.clear()
+            self._memoised += len(missing)
+            if self._memoised > _PROJECTION_MEMO_MAX:
+                self._projections.clear()
+                self._memoised = len(missing)
+            memo = self._projections.setdefault(view, {})
             for i, value in zip(missing, _project_rows(
                     pose, intr, anchors[missing].tolist())):
                 out[i] = memo[keys[i]] = value

@@ -85,6 +85,10 @@ def naive_layout(items: list[tuple[str, float, float, float, float, float]],
             for aid, ax, ay, w, h, priority in items]
 
 
+#: builds a ``PlacedLabel`` from all six fields in C, without the
+#: Python-level ``__new__`` that ``NamedTuple`` compiles for its defaults
+_new = tuple.__new__
+
 _CANDIDATE_OFFSETS = [
     (0.0, 0.0), (0.0, -1.2), (1.2, 0.0), (0.0, 1.2), (-1.2, 0.0),
     (1.0, -1.0), (-1.0, -1.0), (1.0, 1.0), (-1.0, 1.0),
@@ -102,10 +106,6 @@ def declutter_layout(items: list[tuple[str, float, float, float, float, float]],
     not overlap an already-placed label.  Exhausting the candidates
     drops the label (when allowed) or accepts the overlapping anchor
     position.
-
-    Candidates are tested as float edges ``(x1, y1, x2, y2)`` computed
-    the way :class:`Rect` computes them; a ``Rect`` exists only for the
-    position a label ends up with.
     """
     ordered = sorted(items, key=lambda row: (-row[5], row[0]))
     if max_labels is not None:
@@ -115,6 +115,23 @@ def declutter_layout(items: list[tuple[str, float, float, float, float, float]],
         ordered = ordered[:max_labels]
     else:
         overflow = []
+    placed = place_ordered(ordered, screen, allow_drop)
+    for aid, ax, ay, w, h, priority in overflow:
+        placed.append(_new(PlacedLabel, (aid, _label_rect(ax, ay, w, h),
+                                         ax, ay, priority, True)))
+    return placed
+
+
+def place_ordered(ordered: list[tuple[str, float, float, float, float, float]],
+                  screen: Rect, allow_drop: bool) -> list[PlacedLabel]:
+    """:func:`declutter_layout`'s placement of rows already in its
+    order: highest priority first, ties by id.
+
+    The compositor's budget pass sorts its rows by that key, so it skips
+    the second sort.  Candidates are tested as float edges ``(x1, y1,
+    x2, y2)`` computed the way :class:`Rect` computes them; a ``Rect``
+    exists only for the position a label ends up with.
+    """
     sx1, sy1, sx2, sy2 = screen.x, screen.y, screen.x2, screen.y2
     placed: list[PlacedLabel] = []
     occupied: list[tuple[float, float, float, float]] = []
@@ -137,14 +154,12 @@ def declutter_layout(items: list[tuple[str, float, float, float, float, float]],
             x1, y1 = ax - half_w, ay - half_h
             x2, y2 = x1 + w, y1 + h
             if allow_drop:
-                placed.append(PlacedLabel(aid, Rect(x1, y1, w, h),
-                                          ax, ay, priority, dropped=True))
+                placed.append(_new(PlacedLabel, (aid, Rect(x1, y1, w, h),
+                                                 ax, ay, priority, True)))
                 continue
         occupied.append((x1, y1, x2, y2))
-        placed.append(PlacedLabel(aid, Rect(x1, y1, w, h), ax, ay, priority))
-    for aid, ax, ay, w, h, priority in overflow:
-        placed.append(PlacedLabel(aid, _label_rect(ax, ay, w, h),
-                                  ax, ay, priority, dropped=True))
+        placed.append(_new(PlacedLabel, (aid, Rect(x1, y1, w, h),
+                                         ax, ay, priority, False)))
     return placed
 
 

@@ -270,9 +270,12 @@ class AnalyticalStore:
             raise StoreError(f"unknown aggregate {agg!r} "
                              f"(expected one of {_AGGS})")
         idx = self._select(keys, start, end)
+        ts = self._ts[idx]
+        if not np.isfinite(ts).all():  # a NaN or infinite ts is in no window
+            idx, ts = idx[np.isfinite(ts)], ts[np.isfinite(ts)]
         if not len(idx):
             return {}
-        widx = np.floor_divide(self._ts[idx], window_s).astype(np.int64)
+        widx = np.floor_divide(ts, window_s).astype(np.int64)
         base = int(widx.min())
         widx -= base
         n_windows = int(widx.max()) + 1
@@ -284,11 +287,8 @@ class AnalyticalStore:
         if occupied is not None:
             touched = occupied[touched]
         kd = self._key_dict
-        out: dict[tuple[Any, float], float] = {}
-        for comp, v in zip(touched.tolist(), values.tolist()):
-            code, w = divmod(comp, n_windows)
-            out[(kd[code], (w + base) * window_s)] = float(v)
-        return out
+        return {(kd[c // n_windows], (c % n_windows + base) * window_s): v
+                for c, v in zip(touched.tolist(), values.tolist())}
 
     def stats(self) -> dict[str, Any]:
         return {"rows": self.rows, "segments": self.appends,

@@ -1,26 +1,22 @@
 """Computer-vision substrate: camera model, features, geometry, markers,
 planar tracking, synthetic scene imaging."""
 
-from .camera import CameraIntrinsics, Pose, look_at
-from .flow import FlowResult, HybridTracker, track_points
-from .features import (
-    BriefDescriptor,
-    Keypoint,
-    Match,
-    detect_corners,
-    match_descriptors,
-)
-from .geometry import (
-    RansacResult,
-    apply_homography,
-    estimate_homography,
-    pose_from_homography,
-    ransac_homography,
-    reprojection_error,
-)
-from .markers import MarkerSpec, decode_marker, generate_marker
-from .synth import PlanarTarget, make_texture, render_plane
-from .tracker import PlanarTracker, StageProfile, TrackResult
+from .._lazy import lazy_exports
+
+# lazy: a camera model is all a renderer needs, and features and flow
+# import scipy
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".camera": ("CameraIntrinsics", "Pose", "look_at"),
+    ".flow": ("FlowResult", "HybridTracker", "track_points"),
+    ".features": ("BriefDescriptor", "Keypoint", "Match", "detect_corners",
+                  "match_descriptors"),
+    ".geometry": ("RansacResult", "apply_homography", "estimate_homography",
+                  "pose_from_homography", "ransac_homography",
+                  "reprojection_error"),
+    ".markers": ("MarkerSpec", "decode_marker", "generate_marker"),
+    ".synth": ("PlanarTarget", "make_texture", "render_plane"),
+    ".tracker": ("PlanarTracker", "StageProfile", "TrackResult"),
+})
 
 __all__ = [
     "FlowResult",

@@ -8,6 +8,7 @@ semantic.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +262,44 @@ class TestTumblingMemory:
         assert peak < 8 << 20, peak
         assert got == {(f"k{i % 2000}", float(i)): float(i)
                        for i in range(4000)}
+
+
+class TestNonFiniteTimestamps:
+    """No window holds a NaN or infinite timestamp: ``tumbling`` skips
+    such a row with or without bounds, as a query bounded on both sides
+    always did, instead of casting it to a window index."""
+
+    ROWS = [(10.0, 1.0, "a"), (70.0, 4.0, "b"), (15.0, 3.0, "a")]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bounds", [{}, {"start": 0.0}, {"end": 100.0},
+                                        {"start": 0.0, "end": 100.0}])
+    def test_tumbling_skips_the_row(self, bad, bounds):
+        finite = AnalyticalStore()
+        finite.append_epoch(1, [Element(v, ts, k) for ts, v, k in self.ROWS])
+        store = AnalyticalStore()
+        store.append_epoch(1, [Element(v, ts, k) for ts, v, k in self.ROWS]
+                           + [Element(2.0, bad, "a"), Element(8.0, bad, "c")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for agg in AGGS:
+                got = store.tumbling(60.0, agg, **bounds)
+                assert got == finite.tumbling(60.0, agg, **bounds)
+        assert got == {("a", 0.0): 3.0, ("b", 60.0): 4.0}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_only_non_finite_rows_give_no_windows(self, bad):
+        store = AnalyticalStore()
+        store.append_epoch(1, [Element(1.0, bad, "a")])
+        assert store.tumbling(60.0, "mean") == {}
+        assert store.tumbling(60.0, "mean", start=-1e9) == {}
+        assert store.tumbling(60.0, "mean", end=1e9) == {}
+
+    def test_group_by_still_counts_them_unbounded(self):
+        store = AnalyticalStore()
+        store.append_epoch(1, [Element(1.0, 10.0, "a"),
+                               Element(2.0, math.nan, "a")])
+        assert store.group_by("count") == {"a": 2.0}
 
 
 class TestValidation:
