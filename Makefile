@@ -5,10 +5,15 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test chaos chaos-parallel determinism perf robustness datafault obs elasticity store geo e2e-smoke verify
+.PHONY: test lint chaos chaos-parallel determinism perf robustness datafault obs elasticity store geo e2e-smoke verify
 
 test:  ## tier-1: fast unit/integration/property tests
 	$(PYTHON) -m pytest -x -q
+
+# Not in GATES: tier-1 already runs these; this reproduces a census,
+# import-budget or API-reference failure in seconds.
+lint:  ## structural checks only: source lints and census, import budget, API reference
+	$(PYTHON) -m pytest -q tests/unit/test_source_lint.py tests/unit/test_import_budget.py tests/unit/test_api_docs.py
 
 obs:  ## observability gate: span-tree completeness + overhead budget
 	$(PYTHON) tools/check_obs.py

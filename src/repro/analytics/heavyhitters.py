@@ -30,14 +30,6 @@ class HeavyHitters:
         self._heap: list[tuple[int, str]] = []
         self._members: set[str] = set()
 
-    @property
-    def items_seen(self) -> int:
-        return self._sketch.total
-
-    @property
-    def memory_cells(self) -> int:
-        return self._sketch.memory_cells + 2 * self.k
-
     def add(self, key: str, count: int = 1) -> None:
         self._sketch.add(key, count)
         estimate = self._sketch.estimate(key)

@@ -52,10 +52,6 @@ class Recommender:
                   exclude_seen: bool = True) -> list[tuple[str, float]]:
         raise NotImplementedError
 
-    def add_all(self, interactions) -> None:
-        for interaction in interactions:
-            self.add(interaction)
-
 
 class PopularityRecommender(Recommender):
     """Global popularity ranking — identical for every user."""

@@ -142,27 +142,11 @@ class CountMinSketch:
         return int(min(self._table[row, col]
                        for row, col in enumerate(self._indices(item))))
 
-    def estimate_many(self, items: Sequence[str]) -> np.ndarray:
-        """Vectorized ``estimate`` over many keys."""
-        if not len(items):
-            return np.zeros(0, dtype=np.int64)
-        estimates = np.full(len(items), np.iinfo(np.int64).max,
-                            dtype=np.int64)
-        width = np.uint64(self.width)
-        for row in range(self.depth):
-            cols = (_hash64_many(items, row) % width).astype(np.int64)
-            np.minimum(estimates, self._table[row, cols], out=estimates)
-        return estimates
-
     def merge(self, other: "CountMinSketch") -> None:
         if (self.width, self.depth) != (other.width, other.depth):
             raise ConfigError("cannot merge sketches of different shape")
         self._table += other._table
         self.total += other.total
-
-    @property
-    def memory_cells(self) -> int:
-        return self.width * self.depth
 
 
 class HyperLogLog:

@@ -211,22 +211,6 @@ class HealthcareApp:
         self.serving_report = report
         return store
 
-    def latest_vitals(self, patient_id: str) -> dict[str, tuple]:
-        """Hot-tier point lookups: vital -> (timestamp, value) for the
-        bedside AR overlay.  Requires :meth:`build_serving_store`."""
-        store = getattr(self, "serving_store", None)
-        if store is None:
-            raise PipelineError("call build_serving_store() first")
-        if patient_id not in self.patients:
-            raise PipelineError(f"unknown patient {patient_id!r}")
-        out: dict[str, tuple] = {}
-        for vital in VITALS:
-            versions = store.latest(f"{patient_id}:{vital}", 1)
-            if versions:
-                ts, value = versions[0]
-                out[vital] = (ts, value["value"])
-        return out
-
     def vitals_dashboard(self, window_s: float = 60.0,
                          agg: str = "mean") -> dict:
         """Analytical-tier ward dashboard: per-(patient, vital) tumbling

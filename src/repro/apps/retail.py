@@ -104,10 +104,6 @@ class RetailApp:
                 maximum=(store - 2.0, y0 + 0.3, 2.0)))
         return world
 
-    @property
-    def shelves(self) -> OcclusionWorld:
-        return self._shelves
-
     # -- data ingestion ------------------------------------------------------
 
     def ingest_interactions(self, interactions: list[Interaction]) -> int:
@@ -138,48 +134,6 @@ class RetailApp:
             self._gaze.setdefault(event.user, []).append(
                 (event.product_id, event.timestamp))
         return len(events)
-
-    # -- tiered serving store ---------------------------------------------------
-
-    def build_serving_store(self, *, parallelism: int = 1,
-                            injector=None):
-        """Stream the gaze topic into a tiered serving store, exactly
-        once: the hot tier binds the in-aisle AR overlay (latest gazed
-        items per shopper), the analytical tier backs engagement
-        dashboards.  Returns the :class:`~repro.store.TieredStore`."""
-        from ..store import serve_topic
-
-        store, report = serve_topic(
-            self.pipeline.log, GAZE_TOPIC, parallelism=parallelism,
-            metric_fn=lambda v: v["dwell"], injector=injector,
-            name="retail-serving")
-        self.serving_store = store
-        self.serving_report = report
-        return store
-
-    def overlay_state(self, user: str, n: int = 5) -> list[dict]:
-        """Hot-tier lookup for the shopper's AR overlay: the latest
-        ``n`` gaze fixations, newest first."""
-        store = getattr(self, "serving_store", None)
-        if store is None:
-            raise PipelineError("call build_serving_store() first")
-        # Gaze is ingested personal=True, so the log (and therefore the
-        # store) keys by the privacy guard's stable pseudonym.
-        anon = self.pipeline.guard.pseudonymize(user)
-        return [{"ts": ts, "item": v["item"], "dwell": v["dwell"]}
-                for ts, v in store.latest(anon, n)]
-
-    def engagement_dashboard(self, start: float | None = None,
-                             end: float | None = None,
-                             agg: str = "sum") -> dict[str, float]:
-        """Analytical-tier dashboard: dwell aggregate per *item* over
-        committed history (callable regrouping — the key column carries
-        shoppers, not items)."""
-        store = getattr(self, "serving_store", None)
-        if store is None:
-            raise PipelineError("call build_serving_store() first")
-        return store.group_by(agg, start=start, end=end,
-                              by=lambda v: v["item"])
 
     # -- recommendation ---------------------------------------------------------
 

@@ -143,64 +143,6 @@ class TourismApp:
         scored.sort(key=lambda kv: (-kv[1], kv[0]))
         return scored[:k]
 
-    # -- tiered serving store ---------------------------------------------------
-
-    def build_serving_store(self, *, parallelism: int = 1,
-                            injector=None):
-        """Stream the visits topic into a tiered serving store, exactly
-        once: the hot tier answers "where was this tourist last" for the
-        guide overlay, the analytical tier backs footfall dashboards.
-        Returns the :class:`~repro.store.TieredStore`."""
-        from ..store import serve_topic
-
-        store, report = serve_topic(
-            self.pipeline.log, VISITS_TOPIC, parallelism=parallelism,
-            metric_fn=lambda v: 1.0, injector=injector,
-            name="tourism-serving")
-        self.serving_store = store
-        self.serving_report = report
-        return store
-
-    def recent_visits(self, user: str, n: int = 5) -> list[tuple[float, str]]:
-        """Hot-tier lookup for the guide overlay: the user's latest
-        ``n`` POI visits, newest first, as ``(timestamp, poi_id)``."""
-        store = getattr(self, "serving_store", None)
-        if store is None:
-            raise PipelineError("call build_serving_store() first")
-        # Visits are ingested personal=True: the store keys by the
-        # privacy guard's stable pseudonym, never the raw user id.
-        anon = self.pipeline.guard.pseudonymize(user)
-        return [(ts, v["poi"]) for ts, v in store.latest(anon, n)]
-
-    def footfall_dashboard(self, start: float | None = None,
-                           end: float | None = None) -> dict[str, float]:
-        """Analytical-tier dashboard: visit counts per POI over the
-        committed history, optionally time-bounded."""
-        store = getattr(self, "serving_store", None)
-        if store is None:
-            raise PipelineError("call build_serving_store() first")
-        return store.group_by("count", start=start, end=end,
-                              by=lambda v: v["poi"])
-
-    def dwell_sessions(self, gap_s: float = 900.0) -> list:
-        """Session-window analysis of the visit stream: one session per
-        (user, POI) burst of visits closer than ``gap_s`` apart.
-
-        Returns the fired :class:`~repro.streaming.WindowResult`s —
-        session length (count) per key — the dwell signal a smart guide
-        uses to separate "walked past" from "spent an hour there".
-        """
-        from ..streaming.connectors import log_source
-        from ..streaming.windows import SessionWindows
-
-        def build(builder):
-            (builder.source("visits", log_source(self.pipeline.log,
-                                                 VISITS_TOPIC))
-                    .key_by(lambda v: (v["user"], v["poi"]))
-                    .window(SessionWindows(gap=gap_s), "count")
-                    .sink("sessions"))
-        return self.pipeline.run_job(build, "dwell")["sessions"]
-
     def trending_private(self, now: float, k: int, epsilon: float,
                          rng: np.random.Generator) -> list[str]:
         """DP release of the trending list (Sec 4.3: recommendations

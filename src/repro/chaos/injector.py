@@ -606,8 +606,7 @@ class ChaosLogCluster:
         duplicate-delivery rewind moves it back)."""
         rewind = self._injector.before_fetch(topic, partition)
         if rewind:
-            offset = max(self._cluster.base_offset(topic, partition),
-                         offset - rewind)
+            offset = max(0, offset - rewind)
         return offset
 
     def read(self, topic: str, partition: int, offset: int,

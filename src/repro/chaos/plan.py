@@ -210,9 +210,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.specs)
 
-    def for_site(self, site: str) -> list[FaultSpec]:
-        return [s for s in self.specs if s.site == site]
-
     @classmethod
     def random(cls, seed: int, *, horizon: int,
                operators: tuple[str, ...] | list[str] = (),

@@ -23,9 +23,8 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from ..context.entities import ContextStore, SemanticEntity, UserContext
-from ..context.interpret import BindingRule, BoundContent, InterpretationEngine
+from ..context.interpret import BoundContent, InterpretationEngine
 from ..eventlog.broker import LogCluster, TopicConfig
-from ..eventlog.consumer import ConsumerGroup
 from ..eventlog.producer import Producer
 from ..offload.executor import OffloadPlanner
 from ..offload.policies import GreedyLatency, OffloadPolicy
@@ -122,13 +121,11 @@ class ARBigDataPipeline:
 
     # -- ingestion ---------------------------------------------------------------
 
-    def create_topic(self, name: str, partitions: int | None = None,
-                     compacted: bool = False) -> None:
+    def create_topic(self, name: str, partitions: int | None = None) -> None:
         self.log.create_topic(TopicConfig(
             name=name,
             partitions=partitions or self.config.partitions,
-            replication=min(self.config.replication, self.config.brokers),
-            compacted=compacted))
+            replication=min(self.config.replication, self.config.brokers)))
 
     def ingest(self, topic: str, value: Mapping[str, Any],
                key: str | None = None,
@@ -150,9 +147,6 @@ class ARBigDataPipeline:
                 record["loc_error_m"] = err
         return self.producer.send(topic, record, key=key,
                                   timestamp=timestamp)
-
-    def consumer_group(self, topic: str, group_id: str) -> ConsumerGroup:
-        return ConsumerGroup(self.log, topic, group_id)
 
     # -- streaming analytics -------------------------------------------------------
 
@@ -190,9 +184,6 @@ class ARBigDataPipeline:
 
     def update_user_context(self, context: UserContext) -> None:
         self.context.update_user(context)
-
-    def register_rule(self, rule: BindingRule) -> None:
-        self.interpreter.register(rule)
 
     def interpret_and_publish(self, results: list[Mapping[str, Any]],
                               ) -> BoundContent:

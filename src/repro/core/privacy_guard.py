@@ -5,12 +5,10 @@ Personal data leaves the device only through the guard:
 
 - locations are perturbed (geo-indistinguishability) or cloaked
   (k-anonymity) before entering any shared topic;
-- aggregate statistics are released only through DP mechanisms charged
-  against a per-user epsilon budget;
 - raw identifiers are pseudonymized with a keyed stable hash.
 
-The guard exposes counters (perturbations, releases, refusals) so the
-privacy experiments can relate protection level to utility loss.
+The guard counts the locations it protected, so the privacy experiments
+can relate protection level to utility loss.
 """
 
 from __future__ import annotations
@@ -21,8 +19,7 @@ import numpy as np
 
 from ..eventlog.producer import stable_hash
 from ..privacy.location import GridCloak, PlanarLaplace
-from ..privacy.mechanisms import BudgetAccountant, LaplaceMechanism
-from ..util.errors import BudgetExhausted, PrivacyError
+from ..util.errors import PrivacyError
 
 __all__ = ["PrivacyConfig", "PrivacyGuard"]
 
@@ -34,16 +31,12 @@ class PrivacyConfig:
     location_mode   'none' | 'laplace' | 'cloak'
     geo_epsilon     epsilon per metre for planar Laplace
     cloak_k         k for grid cloaking
-    dp_epsilon_total  per-user budget for aggregate releases
-    dp_epsilon_per_query  charged per release
     pseudonym_salt  keyed-hash salt for identifier pseudonymization
     """
 
     location_mode: str = "laplace"
     geo_epsilon: float = 0.01
     cloak_k: int = 5
-    dp_epsilon_total: float = 1.0
-    dp_epsilon_per_query: float = 0.1
     pseudonym_salt: str = "repro"
 
     def __post_init__(self) -> None:
@@ -58,16 +51,12 @@ class PrivacyGuard:
     def __init__(self, config: PrivacyConfig, rng: np.random.Generator,
                  cloak: GridCloak | None = None) -> None:
         self.config = config
-        self._rng = rng
         self._planar = PlanarLaplace(config.geo_epsilon, rng) \
             if config.location_mode == "laplace" else None
         self._cloak = cloak
         if config.location_mode == "cloak" and cloak is None:
             raise PrivacyError("cloak mode requires a GridCloak instance")
-        self._accountants: dict[str, BudgetAccountant] = {}
         self.locations_processed = 0
-        self.releases = 0
-        self.refusals = 0
 
     # -- identifiers -------------------------------------------------------
 
@@ -97,29 +86,3 @@ class PrivacyGuard:
         region = self._cloak.cloak(x, y, population)
         cx, cy = region.rect.center
         return cx, cy, region.radius_m
-
-    # -- aggregate releases ------------------------------------------------------
-
-    def _accountant(self, scope: str) -> BudgetAccountant:
-        if scope not in self._accountants:
-            self._accountants[scope] = BudgetAccountant(
-                self.config.dp_epsilon_total)
-        return self._accountants[scope]
-
-    def release_aggregate(self, scope: str, true_value: float,
-                          sensitivity: float = 1.0) -> float | None:
-        """DP-noised release, or None when the scope's budget is spent."""
-        accountant = self._accountant(scope)
-        mechanism = LaplaceMechanism(
-            self.config.dp_epsilon_per_query, sensitivity, self._rng,
-            accountant=accountant)
-        try:
-            value = mechanism.release(true_value)
-        except BudgetExhausted:
-            self.refusals += 1
-            return None
-        self.releases += 1
-        return float(value)
-
-    def remaining_budget(self, scope: str) -> float:
-        return self._accountant(scope).remaining_epsilon

@@ -62,27 +62,6 @@ class WindField:
             v += k * (-2.0 * dx * dy) / r4
         return (float(u), float(v))
 
-    def stream_samples(self, rng: np.random.Generator, n: int,
-                       bounds: tuple[float, float, float, float],
-                       noise: float = 0.1, t0: float = 0.0,
-                       rate_per_s: float = 100.0) -> list[dict]:
-        """Streaming sensor readings: dicts ready for the event log."""
-        x0, y0, x1, y1 = bounds
-        out = []
-        t = t0
-        for i in range(n):
-            x = float(rng.uniform(x0, x1))
-            y = float(rng.uniform(y0, y1))
-            vx, vy = self.velocity(x, y)
-            out.append({
-                "sensor": f"anem-{i % 64:02d}",
-                "t": t, "x": x, "y": y,
-                "vx": vx + float(rng.normal(0, noise)),
-                "vy": vy + float(rng.normal(0, noise)),
-            })
-            t += 1.0 / rate_per_s
-        return out
-
 
 class ExcavationSite:
     """Voxelized design vs as-built terrain (Figure 2's overlay).

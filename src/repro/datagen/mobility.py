@@ -59,11 +59,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.ts)
 
-    @property
-    def displacement_m(self) -> np.ndarray:
-        """Per-step jump lengths."""
-        return np.hypot(np.diff(self.xs), np.diff(self.ys))
-
 
 def _truncated_pareto(rng: np.random.Generator, alpha: float, lo: float,
                       hi: float) -> float:

@@ -84,10 +84,6 @@ class LoadProfile:
         cumulative = np.round(np.cumsum(rates)).astype(np.int64)
         return np.diff(cumulative, prepend=np.int64(0))
 
-    @property
-    def total_events(self) -> int:
-        return int(self.counts_per_second().sum())
-
 
 def diurnal_flash_events(profile: LoadProfile = LoadProfile(),
                          seed: int = 0) -> list[Element]:

@@ -37,9 +37,6 @@ class Broker:
     # (topic, partition-index) -> replica log
     replicas: dict[tuple[str, int], Partition] = field(default_factory=dict)
 
-    def hosted(self) -> list[tuple[str, int]]:
-        return sorted(self.replicas)
-
 
 @dataclass(frozen=True)
 class TopicConfig:
@@ -48,9 +45,6 @@ class TopicConfig:
     name: str
     partitions: int = 1
     replication: int = 1
-    retention_bytes: int | None = None
-    retention_seconds: float | None = None
-    compacted: bool = False
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -287,41 +281,3 @@ class LogCluster:
 
     def end_offset(self, topic: str, partition: int) -> int:
         return self.leader_partition(topic, partition).end_offset
-
-    def base_offset(self, topic: str, partition: int) -> int:
-        return self.leader_partition(topic, partition).base_offset
-
-    # -- housekeeping -------------------------------------------------------------
-
-    def run_retention(self, now: float) -> int:
-        """Apply every topic's retention policy; returns records dropped."""
-        dropped = 0
-        for (topic, index), state in self._states.items():
-            config = self._topics[topic]
-            min_ts = (now - config.retention_seconds
-                      if config.retention_seconds is not None else None)
-            for b in state.replica_brokers:
-                broker = self.brokers[b]
-                if not broker.up:
-                    continue
-                log = broker.replicas[(topic, index)]
-                n = log.enforce_retention(max_bytes=config.retention_bytes,
-                                          min_timestamp=min_ts)
-                if b == state.leader:
-                    dropped += n
-        return dropped
-
-    def run_compaction(self) -> int:
-        """Compact all compacted topics; returns records removed on leaders."""
-        removed = 0
-        for (topic, index), state in self._states.items():
-            if not self._topics[topic].compacted:
-                continue
-            for b in state.replica_brokers:
-                broker = self.brokers[b]
-                if not broker.up:
-                    continue
-                n = broker.replicas[(topic, index)].compact()
-                if b == state.leader:
-                    removed += n
-        return removed

@@ -13,10 +13,8 @@ from functools import partial
 from itertools import repeat
 from typing import Any
 
-from ..util.clock import SimClock
-from ..util.errors import BrokerDown, LogError, OffsetOutOfRange
+from ..util.errors import LogError, OffsetOutOfRange
 from ..util.ids import split_ranges
-from ..util.retry import Retrier, RetryPolicy
 from .broker import LogCluster
 from .record import ConsumedRecord
 
@@ -54,7 +52,7 @@ class Consumer:
         self._delivered: dict[int, int] = {}
         for p in self.partitions:
             if start == "earliest":
-                self._positions[p] = cluster.base_offset(topic, p)
+                self._positions[p] = 0
             elif start == "latest":
                 self._positions[p] = cluster.end_offset(topic, p)
             else:
@@ -73,64 +71,31 @@ class Consumer:
 
     def seek(self, partition: int, offset: int) -> None:
         self.position(partition)  # validate assignment
-        base = self.cluster.base_offset(self.topic, partition)
         end = self.cluster.end_offset(self.topic, partition)
-        if not base <= offset <= end:
+        if not 0 <= offset <= end:
             raise OffsetOutOfRange(
                 f"{self.topic}[{partition}]: seek to {offset} outside "
-                f"[{base}, {end}]"
+                f"[0, {end}]"
             )
         self._positions[partition] = offset
         # An explicit seek is a deliberate rewind: re-delivery from the
         # new position is wanted, so the dedup watermark follows it.
         self._delivered[partition] = offset
 
-    def seek_to_timestamp(self, timestamp: float) -> None:
-        """Position every assigned partition at the first retained record
-        with ``record.timestamp >= timestamp`` (end offset when none).
-
-        Records within a partition are appended in non-decreasing
-        timestamp order by convention, so a binary scan per partition is
-        exact under that convention.
-        """
-        for p in self.partitions:
-            base = self.cluster.base_offset(self.topic, p)
-            end = self.cluster.end_offset(self.topic, p)
-            lo, hi = base, end
-            while lo < hi:
-                mid = (lo + hi) // 2
-                offsets, timestamps, *_ = self.cluster.read_columns(
-                    self.topic, p, mid, max_records=1)
-                if not offsets:
-                    # Only compacted holes from mid to the end; the
-                    # answer (if any) lies below mid.
-                    hi = mid
-                    continue
-                offset = offsets[0]
-                if timestamps[0] < timestamp:
-                    lo = offset + 1
-                else:
-                    hi = mid  # holes in [mid, offset) are skipped anyway
-            self._positions[p] = lo
-            self._delivered[p] = lo
-
     def lag(self, partition: int) -> int:
         """Records between the consumer position and the end offset."""
         return (self.cluster.end_offset(self.topic, partition)
                 - self.position(partition))
-
-    def total_lag(self) -> int:
-        return sum(self.lag(p) for p in self.partitions)
 
     def _fetch(self, max_records: int, read: Any) -> list[tuple]:
         """The fetch loop behind :meth:`poll` and :meth:`poll_columns`,
         and the only place positions move.
 
         ``read(topic, partition, offset, n)`` returns parallel columns,
-        offsets first and ascending.  Per assigned partition: jump past
-        a retention-truncated head, fetch, cut the already-delivered
-        prefix (``dedup``) and advance — forward only, so a fetch that
-        re-delivered older offsets cannot rewind us.  Returns one
+        offsets first and ascending.  Per assigned partition: fetch, cut
+        the already-delivered prefix (``dedup``) and advance — forward
+        only, so a fetch that re-delivered older offsets cannot rewind
+        us.  Returns one
         ``(partition, *columns)`` chunk per partition that delivered
         anything.  Positions, delivered marks and counters move only
         once every read of a pass has returned: a :class:`BrokerDown`
@@ -154,12 +119,6 @@ class Consumer:
                 if remaining <= 0:
                     break
                 position = self._positions[p]
-                base = self.cluster.base_offset(topic, p)
-                if position < base:
-                    # Retention ran past us; jump forward (data loss
-                    # surfaced via the returned gap, mirroring
-                    # auto.offset.reset).
-                    position = base
                 columns = read(topic, p, position, remaining)
                 offsets = columns[0]
                 n = len(offsets)
@@ -237,15 +196,6 @@ class Consumer:
             keys.append(rec.key)
         return chunks
 
-    def poll_with_retry(self, max_records: int = 512,
-                        policy: RetryPolicy | None = None,
-                        clock: SimClock | None = None) -> list[ConsumedRecord]:
-        """``poll`` with capped-backoff retries on :class:`BrokerDown` —
-        rides out partition-unavailable windows instead of surfacing them."""
-        retrier = Retrier(policy or RetryPolicy(), clock=clock)
-        return retrier.call(lambda: self.poll(max_records),
-                            retry_on=(BrokerDown,))
-
 
 class ConsumerGroup:
     """Coordinates members, assignment and committed offsets for a topic."""
@@ -267,13 +217,6 @@ class ConsumerGroup:
         self._rebalance()
         return self._members[member_id]
 
-    def leave(self, member_id: str) -> None:
-        if member_id not in self._members:
-            raise LogError(f"member {member_id!r} not in group")
-        del self._members[member_id]
-        if self._members:
-            self._rebalance()
-
     def _rebalance(self) -> None:
         """Range assignment: contiguous partition slices per member.
 
@@ -293,9 +236,8 @@ class ConsumerGroup:
                                 start="earliest")
             for p in assigned:
                 if p in self._committed:
-                    base = self.cluster.base_offset(self.topic, p)
                     end = self.cluster.end_offset(self.topic, p)
-                    consumer.seek(p, min(max(self._committed[p], base), end))
+                    consumer.seek(p, min(self._committed[p], end))
             self._members[member_id] = consumer
 
     def member(self, member_id: str) -> Consumer:
@@ -318,13 +260,3 @@ class ConsumerGroup:
 
     def committed(self, partition: int) -> int | None:
         return self._committed.get(partition)
-
-    def total_lag(self) -> int:
-        return sum(self.member(m).total_lag() for m in self._members)
-
-    def poll_all(self, max_records_per_member: int = 512) -> list[ConsumedRecord]:
-        """Poll every member once (deterministic member order)."""
-        out: list[ConsumedRecord] = []
-        for member_id in sorted(self._members):
-            out.extend(self.member(member_id).poll(max_records_per_member))
-        return out

@@ -82,9 +82,6 @@ class ReplicatedTopic:
             for p in range(self.partitions)
         }
 
-    def max_observed_lag(self) -> int:
-        return max(self.lag().values(), default=0)
-
     # -- control ----------------------------------------------------------
 
     def fence(self) -> int:
@@ -133,15 +130,3 @@ class ReplicatedTopic:
                     applied += 1
         self.mirrored += applied
         return applied
-
-    def resync(self) -> None:
-        """Re-derive read positions from the replica itself — the crash
-        recovery path.  A restarted mirror resumes exactly where the
-        replica ends; because mirrored sequence numbers *are* replica
-        offsets, the idempotent sequence space stays contiguous and a
-        half-applied batch whose append landed but whose position
-        update was lost deduplicates on the retry."""
-        self._positions = {
-            p: self.dest.end_offset(self.topic, p)
-            for p in range((self.partitions))
-        }

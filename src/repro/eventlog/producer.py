@@ -80,7 +80,6 @@ class Producer:
         self.duplicates_rejected = 0
         self.retries = 0
         self.txn_commits = 0
-        self.txn_aborts = 0
 
     def bump_epoch(self) -> int:
         """Start a new producer incarnation.
@@ -252,10 +251,6 @@ class Producer:
 
     # -- transactional commit path -------------------------------------------
 
-    @property
-    def in_transaction(self) -> bool:
-        return self._txn is not None
-
     def begin_transaction(self) -> None:
         """Open a transaction; requires an idempotent producer (the
         commit relies on sequence dedup to survive broker flaps)."""
@@ -299,12 +294,3 @@ class Producer:
                 partition=partition, policy=policy))
         self.txn_commits += 1
         return coords
-
-    def abort_transaction(self) -> int:
-        """Discard the staged records; returns how many were dropped."""
-        if self._txn is None:
-            raise ValueError("no open transaction")
-        dropped = len(self._txn)
-        self._txn = None
-        self.txn_aborts += 1
-        return dropped

@@ -1,10 +1,10 @@
 """Records: the unit of data in the event log.
 
 A :class:`Record` mirrors a Kafka record: optional key (drives
-partitioning and compaction), arbitrary value, event timestamp, and
-headers.  ``size_bytes`` gives the serialized-size estimate used by the
-network and retention models — values are plain Python objects, so we
-price them structurally instead of actually serializing.
+partitioning), arbitrary value, event timestamp, and headers.
+``size_bytes`` gives the serialized-size estimate used by the network
+model and a partition's byte count — values are plain Python objects,
+so we price them structurally instead of actually serializing.
 
 A partition stores a row's fields in columns, not a ``Record``: records
 are built where a caller asks for one (``read``, ``get``,
@@ -23,7 +23,7 @@ __all__ = ["Record", "ConsumedRecord", "estimate_size", "record_size"]
 def estimate_size(value: Any) -> int:
     """Rough serialized size in bytes of a Python value.
 
-    Deterministic and cheap; used for retention accounting and transfer
+    Deterministic and cheap; used for a partition's byte count and transfer
     pricing, not for actual wire formats.
     """
     if value is None:
@@ -54,7 +54,7 @@ def record_size(value: Any, key: str | None = None,
     """Serialized-size estimate of one log row: value + timestamp, key,
     headers.  The common row (a float, an ASCII key, no headers) is
     priced without the generic calls; the sizes are the same bytes
-    either way, retention arithmetic reads them."""
+    either way."""
     size = 16 if type(value) is float else estimate_size(value) + 8
     if key is not None:
         size += len(key) if key.isascii() else len(key.encode("utf-8"))

@@ -36,12 +36,6 @@ class SpanNode:
         end = self.span.get("end")
         return 0.0 if end is None else end - self.span["start"]
 
-    @property
-    def self_time(self) -> float:
-        """Duration not covered by child durations (clamped at 0)."""
-        return max(0.0, self.duration - sum(c.duration
-                                            for c in self.children))
-
     def walk(self) -> Iterable["SpanNode"]:
         yield self
         for child in self.children:

@@ -67,27 +67,6 @@ class OffloadPlanner:
         self.device = topology.node(device)
         self.energy = energy if energy is not None else EnergyModel()
         self.result_bytes = result_bytes
-        self._tier_load: dict[str, float] = {}
-
-    def set_tier_load(self, node: str, utilization: float) -> None:
-        """Report a tier's current utilization (offered load / capacity).
-
-        Remote compute time is inflated by the M/M/1-style factor
-        1/(1 - rho); at rho >= 1 the tier is saturated and treated as
-        infeasible (A6 measured exactly that knee).  Load reports come
-        from whatever admission/monitoring loop the caller runs — the
-        planner just prices what it is told.
-        """
-        if utilization < 0:
-            raise OffloadError("utilization must be non-negative")
-        self.topology.node(node)  # validate
-        self._tier_load[node] = float(utilization)
-
-    def _congestion_factor(self, node: str) -> float:
-        rho = self._tier_load.get(node, 0.0)
-        if rho >= 1.0:
-            raise OffloadError(f"tier {node!r} saturated (rho={rho:.2f})")
-        return 1.0 / (1.0 - rho)
 
     def price(self, pipeline: Pipeline, cut: int,
               tier_node: str) -> PlanOutcome:
@@ -107,8 +86,7 @@ class OffloadPlanner:
         tier = self.topology.node(tier_node)
         if not tier.up:
             raise OffloadError(f"tier node {tier_node!r} is down")
-        remote_s = (remote_cycles / tier.cpu_hz
-                    * self._congestion_factor(tier_node))
+        remote_s = remote_cycles / tier.cpu_hz
         up_s = self.topology.transfer_time(self.device.name, tier_node,
                                            upload)
         down_s = self.topology.transfer_time(tier_node, self.device.name,

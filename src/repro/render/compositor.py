@@ -90,7 +90,8 @@ def _project_rows(pose: Pose, intrinsics: CameraIntrinsics,
                   points: list[list[float]],
                   ) -> list[tuple[float, float, float, bool]]:
     """``(px, py, depth, in_view)`` of each world point: the scalar form
-    of ``intrinsics.project(pose.transform(points))`` and ``in_view``.
+    of ``intrinsics.project(pose.transform(points))`` and of the test
+    that a finite pixel lies inside the image.
 
     Each coordinate is written out (``x*r00 + y*r01 + z*r02 + t0``, ...)
     in Python floats, one rounding per operation, so a point's pixel
@@ -113,7 +114,7 @@ def _project_rows(pose: Pose, intrinsics: CameraIntrinsics,
             py = fy * (x * r10 + y * r11 + z * r12 + t1) / depth + cy
         else:  # behind the camera (or NaN): no pixel
             px = py = math.nan
-        # NaN and +-inf fail the range test, as in ``in_view``
+        # NaN and +-inf fail the range test
         out.append((px, py, depth, 0 <= px < width and 0 <= py < height))
     return out
 

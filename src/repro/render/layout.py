@@ -173,7 +173,7 @@ def clutter_metrics(labels: list[PlacedLabel], screen: Rect) -> LayoutMetrics:
     for i, (ax1, ay1, ax2, ay2) in enumerate(edges):
         for j in range(i + 1, len(edges)):
             bx1, by1, bx2, by2 = edges[j]
-            # Rect.intersection on edges, same max/min tie rules
+            # the two boxes' overlap, from their edges
             x1 = bx1 if bx1 > ax1 else ax1
             x2 = bx2 if bx2 < ax2 else ax2
             if x2 <= x1:

@@ -31,15 +31,6 @@ class StabilityStats:
     moved: int = 0  # labels whose offset changed between frames
     total_jitter_px: float = 0.0
 
-    @property
-    def mean_jitter_px(self) -> float:
-        return (self.total_jitter_px / self.label_frames
-                if self.label_frames else 0.0)
-
-    @property
-    def moved_fraction(self) -> float:
-        return self.moved / self.label_frames if self.label_frames else 0.0
-
 
 class StableLayout:
     """Stateful declutter layout with position hysteresis."""

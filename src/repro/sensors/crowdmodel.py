@@ -67,9 +67,6 @@ class CrowdModel:
         self._contributions.setdefault(contribution.building_id,
                                        []).append(contribution)
 
-    def contribution_count(self, building_id: str) -> int:
-        return len(self._contributions.get(building_id, ()))
-
     def buildings(self) -> list[str]:
         return sorted(self._contributions)
 

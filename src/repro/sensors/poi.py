@@ -2,7 +2,7 @@
 
 The "POI databases, geocoded Tweets, and Flickr" data source of Section
 3.2, reduced to one queryable store: POIs carry category, name,
-popularity and free-form attributes; queries are radius / k-nearest /
+popularity and free-form attributes; queries are radius /
 category-filtered, served from the quadtree.
 """
 
@@ -44,10 +44,6 @@ class PoiDatabase:
         self._tree.insert(SpatialPoint(poi.x, poi.y, payload=poi))
         self._by_id[poi.poi_id] = poi
 
-    def add_all(self, pois) -> None:
-        for poi in pois:
-            self.add(poi)
-
     def get(self, poi_id: str) -> Poi:
         try:
             return self._by_id[poi_id]
@@ -69,19 +65,6 @@ class PoiDatabase:
             hits = [p for p in hits if p.category == category]
         hits.sort(key=lambda p: ((p.x - x) ** 2 + (p.y - y) ** 2, p.poi_id))
         return hits
-
-    def nearest(self, x: float, y: float, k: int = 1,
-                category: str | None = None) -> list[Poi]:
-        """k nearest POIs; with a category filter we over-fetch and trim."""
-        if category is None:
-            return [p.payload for p in self._tree.nearest(x, y, k)]
-        fetch = min(len(self._by_id), max(k * 4, 16))
-        while True:
-            candidates = [p.payload for p in self._tree.nearest(x, y, fetch)]
-            matching = [p for p in candidates if p.category == category]
-            if len(matching) >= k or fetch >= len(self._by_id):
-                return matching[:k]
-            fetch = min(len(self._by_id), fetch * 2)
 
     def most_popular(self, k: int = 10,
                      category: str | None = None) -> list[Poi]:

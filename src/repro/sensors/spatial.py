@@ -1,4 +1,4 @@
-"""Point quadtree: range and k-nearest-neighbour queries in local metres.
+"""Point quadtree: range queries in local metres.
 
 Backs the POI database and the X-ray-vision object lookup.  Points carry
 an opaque payload; coordinates are (x, y) in the local projection.
@@ -6,7 +6,6 @@ an opaque payload; coordinates are (x, y) in the local projection.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Any
 
@@ -120,38 +119,3 @@ class QuadTree:
         r_sq = radius * radius
         return [p for p in self.query_rect(box)
                 if p.distance_sq(x, y) <= r_sq]
-
-    def nearest(self, x: float, y: float, k: int = 1) -> list[SpatialPoint]:
-        """k nearest points to (x, y), closest first (best-first search)."""
-        if k < 1:
-            raise SpatialIndexError("k must be >= 1")
-        # Heap of (distance_sq, seq, node-or-point, is_point)
-        seq = 0
-        heap: list[tuple[float, int, Any, bool]] = [
-            (self._rect_dist_sq(self._root.bounds, x, y), seq,
-             self._root, False)
-        ]
-        out: list[SpatialPoint] = []
-        while heap and len(out) < k:
-            dist_sq, _s, item, is_point = heapq.heappop(heap)
-            if is_point:
-                out.append(item)
-                continue
-            node: _Node = item
-            if node.children is not None:
-                for child in node.children:
-                    seq += 1
-                    heapq.heappush(heap, (
-                        self._rect_dist_sq(child.bounds, x, y), seq,
-                        child, False))
-            else:
-                for p in node.points:
-                    seq += 1
-                    heapq.heappush(heap, (p.distance_sq(x, y), seq, p, True))
-        return out
-
-    @staticmethod
-    def _rect_dist_sq(rect: Rect, x: float, y: float) -> float:
-        dx = max(rect.x - x, 0.0, x - rect.x2)
-        dy = max(rect.y - y, 0.0, y - rect.y2)
-        return dx * dx + dy * dy

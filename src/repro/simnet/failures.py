@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..util.errors import ConfigError
 from .kernel import Simulator
 from .topology import Topology
@@ -106,28 +104,3 @@ class FailureInjector:
         self.sim.schedule_at(event.up_at, up,
                              label=f"heal:{event.region}")
         self.region_injected.append(event)
-
-    def schedule_random(self, node: str, rng: np.random.Generator,
-                        horizon: float, mtbf: float, mttr: float) -> int:
-        """Poisson outages for ``node`` over [now, now+horizon).
-
-        ``mtbf``/``mttr`` are exponential means for time-between-failures
-        and time-to-repair.  Returns the number of outages scheduled.
-        """
-        if mtbf <= 0 or mttr <= 0 or horizon <= 0:
-            raise ConfigError("mtbf, mttr and horizon must be positive")
-        t = self.sim.now
-        end = t + horizon
-        count = 0
-        while True:
-            t += rng.exponential(mtbf)
-            if t >= end:
-                break
-            repair = rng.exponential(mttr)
-            up_at = min(t + repair, end)
-            if up_at <= t:
-                continue
-            self.schedule(FailureEvent(node=node, down_at=t, up_at=up_at))
-            t = up_at
-            count += 1
-        return count

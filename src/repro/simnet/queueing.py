@@ -58,10 +58,6 @@ class ProcessingQueue:
         """Tasks waiting (excludes in-service)."""
         return len(self._waiting)
 
-    @property
-    def busy(self) -> int:
-        return self._busy
-
     def submit(self, task: QueuedTask) -> None:
         """Enqueue a task at the current simulated time."""
         if task.service_time < 0:

@@ -52,12 +52,6 @@ class NodeSpec:
         if self.cores < 1:
             raise ConfigError(f"node {self.name!r}: cores must be >= 1")
 
-    def compute_time(self, cycles: float) -> float:
-        """Seconds to execute ``cycles`` on one core of this node."""
-        if cycles < 0:
-            raise ConfigError("cycles must be non-negative")
-        return cycles / self.cpu_hz
-
 
 class Topology:
     """Named nodes + links with shortest-path routing and failure state."""
@@ -160,19 +154,6 @@ class Topology:
 
     # -- directional blocking (partitions) --------------------------------
 
-    def block_direction(self, src: str, dst: str) -> None:
-        """Drop all traffic flowing ``src -> dst`` on their link.  The
-        reverse direction keeps working — asymmetric partitions."""
-        if frozenset((src, dst)) not in self._links:
-            raise ConfigError(f"no link between {src!r} and {dst!r}")
-        self._blocked.add((src, dst))
-
-    def unblock_direction(self, src: str, dst: str) -> None:
-        self._blocked.discard((src, dst))
-
-    def blocked_directions(self) -> set[tuple[str, str]]:
-        return set(self._blocked)
-
     def partition_region(self, region: str,
                          direction: str = "both") -> int:
         """Block links crossing the ``region`` boundary.
@@ -260,12 +241,6 @@ class Topology:
         for a, b in zip(path, path[1:]):
             total += self.link(a, b).transfer_time(size_bytes)
         return total
-
-    def rtt(self, src: str, dst: str, request_bytes: float,
-            response_bytes: float) -> float:
-        """Request/response round trip along the current route."""
-        return (self.transfer_time(src, dst, request_bytes)
-                + self.transfer_time(dst, src, response_bytes))
 
     def nominal_path_latency(self, src: str, dst: str) -> float:
         """Deterministic sum of propagation latencies (no payload)."""

@@ -11,13 +11,11 @@ objects; a ``metric_fn`` extracts the numeric column at append time,
 and the raw objects stay for callable-keyed regrouping (``by=``).
 
 Appends go **only** through :meth:`append_epoch`, guarded by
-``last_applied_epoch`` like the hot shards: staging takes the batch
-column by column and resolves new keys against a *staged extension* of
-the key table; the install copies the columns onto the buffer tails,
-extends the raw list and key table, adds the zone entry and publishes
-the row count last — so a discarded stage leaves no trace, a reader's
-``[:rows]`` views are never rewritten, and a replayed commit stream
-never double-appends a row.
+``last_applied_epoch`` like the hot shards: staging resolves new keys
+against a *staged extension* of the key table; the install copies the
+columns onto the buffer tails and publishes the row count last — a
+discarded stage leaves no trace, ``[:rows]`` views are never rewritten,
+and a replayed commit stream never double-appends a row.
 """
 
 from __future__ import annotations
@@ -131,9 +129,8 @@ class AnalyticalStore:
                 "key_base": base, "new_keys": list(new_keys)}
 
     def install_epoch(self, staged: dict[str, Any] | None) -> int:
-        """Install a staged epoch, publishing the row count last.  A token
-        staged against another key table (an epoch that brought new keys
-        was installed since) is refused before anything changes."""
+        """Install a staged epoch, publishing the row count last; a token
+        staged against an older key table is refused, changing nothing."""
         if staged is None:
             return 0
         epoch = staged["epoch"]
@@ -167,9 +164,8 @@ class AnalyticalStore:
         return self.install_epoch(self.stage_epoch(epoch, rows))
 
     def columns(self) -> dict[str, Any]:
-        """``ts``/``metric``/``codes`` views of the installed rows
-        (never rewritten by a later install), a copy of the ``raw``
-        list, and the shared ``key_dict``."""
+        """Views of the installed rows' ``ts``/``metric``/``codes``, a
+        copy of the ``raw`` list, and the shared ``key_dict``."""
         rows = self.rows
         return {"ts": self._ts[:rows], "metric": self._metric[:rows],
                 "codes": self._codes[:rows], "raw": self._raw[:rows],
@@ -181,8 +177,7 @@ class AnalyticalStore:
                 end: float | None) -> np.ndarray:
         """Indices of the rows in a key set and/or half-open time range,
         masking only the first to last epoch whose zone meets the range
-        (right for any ts order: no row outside holds a match).  Callers
-        gather only the columns they read: ``raw`` is a Python list."""
+        (right for any ts order: no row outside holds a match)."""
         zones = self.appends
         hit = np.flatnonzero(_in_range(self._zone_lo[:zones],
                                        self._zone_hi[:zones], start, end))
@@ -202,8 +197,7 @@ class AnalyticalStore:
     def filter(self, keys: Iterable[Any] | None = None,
                start: float | None = None,
                end: float | None = None) -> dict[str, Any]:
-        """Row subset by key set and/or half-open time range, as
-        columns (plus the raw value list, same order)."""
+        """Rows in a key set and/or half-open time range, as columns."""
         idx = self._select(keys, start, end)
         return {"ts": self._ts[idx], "metric": self._metric[idx],
                 "codes": self._codes[idx],
@@ -217,8 +211,7 @@ class AnalyticalStore:
     @staticmethod
     def _reduce(agg: str, codes: np.ndarray,
                 metric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-code aggregate over dense code space [0, max code];
-        returns (touched codes, aggregated values)."""
+        """Per-code aggregate: (touched codes, aggregated values)."""
         counts = np.bincount(codes)
         touched = np.flatnonzero(counts)
         if agg == "count":
@@ -261,10 +254,11 @@ class AnalyticalStore:
                  keys: Iterable[Any] | None = None,
                  start: float | None = None, end: float | None = None,
                  ) -> dict[tuple[Any, float], float]:
-        """Per-key tumbling-window aggregate ``(key, window_start) ->
-        value``: one bincount over ``code * n_windows + window``, over
-        the occupied cells only when the dense space outsizes the rows."""
-        if window_s <= 0:
+        """``(key, floor(ts / window_s) * window_s) -> value``: one bincount
+        over ``code * n_windows + window`` (its occupied cells when the
+        dense space outsizes the rows), or over the unique (key, window)
+        pairs when that composite is not exact in int64."""
+        if not window_s > 0:
             raise StoreError("window_s must be positive")
         if agg not in _AGGS:
             raise StoreError(f"unknown aggregate {agg!r} "
@@ -275,18 +269,24 @@ class AnalyticalStore:
             idx, ts = idx[np.isfinite(ts)], ts[np.isfinite(ts)]
         if not len(idx):
             return {}
-        widx = np.floor_divide(ts, window_s).astype(np.int64)
-        base = int(widx.min())
-        widx -= base
-        n_windows = int(widx.max()) + 1
-        composite = self._codes[idx] * n_windows + widx
+        wf = np.floor_divide(ts, window_s)  # window index, as a float
+        base = float(wf.min())
+        n_windows = float(wf.max()) - base + 1
+        codes, metric, kd = self._codes[idx], self._metric[idx], self._key_dict
+        if not len(kd) * n_windows < 2 ** 53:  # no exact int64 composite
+            cells, inverse = np.unique(np.column_stack((codes, wf)), axis=0,
+                                       return_inverse=True)
+            touched, values = self._reduce(agg, inverse.ravel(), metric)
+            return {(kd[int(c)], w * window_s): v for (c, w), v
+                    in zip(cells[touched].tolist(), values.tolist())}
+        n_windows = int(n_windows)
+        composite = codes * n_windows + (wf - base).astype(np.int64)
         occupied = None
-        if len(self._key_dict) * n_windows > _DENSE_PER_ROW * len(idx):
+        if len(kd) * n_windows > _DENSE_PER_ROW * len(idx):
             occupied, composite = np.unique(composite, return_inverse=True)
-        touched, values = self._reduce(agg, composite, self._metric[idx])
+        touched, values = self._reduce(agg, composite, metric)
         if occupied is not None:
             touched = occupied[touched]
-        kd = self._key_dict
         return {(kd[c // n_windows], (c % n_windows + base) * window_s): v
                 for c, v in zip(touched.tolist(), values.tolist())}
 

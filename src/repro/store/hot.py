@@ -465,9 +465,6 @@ class HotStore:
     def rows(self) -> int:
         return sum(shard.rows for shard in self.shards)
 
-    def last_applied_epochs(self) -> list[int]:
-        return [shard.last_applied_epoch for shard in self.shards]
-
     def stats(self) -> dict[str, Any]:
         return {"shards": [s.stats() for s in self.shards],
                 "rows": self.rows}

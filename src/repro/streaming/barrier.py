@@ -73,10 +73,6 @@ class BarrierAligner:
         """Should the subtask leave this channel's queued items alone?"""
         return self.current_id is not None and channel in self.arrived
 
-    @property
-    def aligning(self) -> bool:
-        return self.current_id is not None
-
     # -- events --------------------------------------------------------------
 
     def on_barrier(self, channel: Hashable,

@@ -409,13 +409,6 @@ class RecordBatch:
                            wm_offsets=self.wm_offsets,
                            wm_values=self.wm_values)
 
-    def with_timestamps(self, timestamps: np.ndarray) -> "RecordBatch":
-        return RecordBatch(timestamps, self.values,
-                           py_values=self.py_values,
-                           key_codes=self.key_codes, key_dict=self.key_dict,
-                           wm_offsets=self.wm_offsets,
-                           wm_values=self.wm_values)
-
     def with_keys(self, key_codes: np.ndarray,
                   key_dict: list) -> "RecordBatch":
         return RecordBatch(self.timestamps, self.values,
@@ -596,4 +589,3 @@ def batches_of(rows: Iterable[Any]) -> list[RecordBatch]:
     if run:
         out.append(RecordBatch.from_elements(run))
     return out
-

@@ -39,10 +39,6 @@ class PatternMatch:
     events: tuple[Any, ...]
     timestamps: tuple[float, ...]
 
-    @property
-    def span_s(self) -> float:
-        return self.timestamps[-1] - self.timestamps[0]
-
 
 def _copy_partials(partials: dict) -> dict:
     """Copy of the partial-match table: fresh lists, shared events."""

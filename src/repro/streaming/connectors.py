@@ -178,7 +178,7 @@ def parallel_log_source(cluster: LogCluster, topic: str,
                 if tracer is not None else None)
         # Rewind so the factory is re-runnable (restores re-read splits).
         for p in member.partitions:
-            member.seek(p, cluster.base_offset(topic, p))
+            member.seek(p, 0)
         batch = _fetch_batch(member, 4096, drain=True,
                              time_ordered=time_ordered)
         if span is not None:

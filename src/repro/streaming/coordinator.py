@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..util.clock import SimClock
-from ..util.errors import CheckpointError, CheckpointIntegrityError
+from ..util.errors import CheckpointError
 from .barrier import ParallelCheckpoint
 from .operators import logical_name, subtask_name
 from .plan import ExecutionGraph
@@ -186,10 +186,6 @@ class CheckpointStore:
         if current is None or last_applied_epoch > current:
             self._consumers[name] = int(last_applied_epoch)
 
-    def unregister_consumer(self, name: str) -> None:
-        self._consumers.pop(name, None)
-        self._prune()
-
     def consumer_applied(self, name: str, checkpoint_id: int) -> None:
         """Advance a consumer's watermark (monotonic) and re-run
         pruning — an advancing consumer releases retained snapshots."""
@@ -256,17 +252,6 @@ class CheckpointStore:
             return False
         return manifest.payload_digest == _digest(snapshot)
 
-    def require(self, checkpoint_id: int) -> ParallelCheckpoint:
-        """A specific snapshot, verified — or
-        :class:`~repro.util.errors.CheckpointIntegrityError`."""
-        if not self.verify(checkpoint_id):
-            if checkpoint_id not in self.quarantined:
-                self.quarantined.add(checkpoint_id)
-                self.integrity_failures += 1
-            raise CheckpointIntegrityError(
-                f"checkpoint {checkpoint_id} failed verification")
-        return self._snapshots[checkpoint_id]
-
     def corrupt(self, checkpoint_id: int, mode: str = "payload") -> None:
         """Chaos helper: silently damage a retained checkpoint.
 
@@ -309,13 +294,6 @@ class CheckpointStore:
 
     def retained_ids(self) -> list[int]:
         return sorted(self._snapshots)
-
-    def latest_manifest(self) -> CheckpointManifest | None:
-        finalized = [m for m in self.manifests.values()
-                     if m.status == FINALIZED]
-        if not finalized:
-            return None
-        return max(finalized, key=lambda m: m.checkpoint_id)
 
     def next_checkpoint_id(self) -> int:
         """Ids keep increasing across coordinator incarnations: a

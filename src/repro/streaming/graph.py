@@ -26,12 +26,10 @@ from .errors import DLQ_SINK, ErrorPolicy
 from .join import IntervalJoinOperator
 from .operators import (
     FilterOperator,
-    FlatMapOperator,
     KeyByOperator,
     MapOperator,
     Operator,
     ReduceOperator,
-    TimestampAssigner,
     WatermarkGenerator,
 )
 from .window_operator import WindowAggregateOperator
@@ -207,10 +205,6 @@ class JobGraph:
         """Operator names in execution order (sources/sinks excluded)."""
         return [n for n in self._topo_order if n in self.operators]
 
-    def downstream(self, node: str) -> list[tuple[str, str | None]]:
-        """(downstream node, side-tag-at-downstream) pairs for ``node``."""
-        return [(d, s) for u, d, s in self.edges if u == node]
-
 
 class _StreamHandle:
     """Fluent cursor over the node most recently added to the builder."""
@@ -232,11 +226,6 @@ class _StreamHandle:
             self._builder._auto(name, "filter"), predicate,
             vectorized=vectorized))
 
-    def flat_map(self, fn: Callable[[Any], Iterable[Any]],
-                 name: str | None = None):
-        return self._attach(FlatMapOperator(
-            self._builder._auto(name, "flat_map"), fn))
-
     def key_by(self, key_fn: Callable[[Any], Any], name: str | None = None,
                vectorized: bool = False):
         return self._attach(KeyByOperator(
@@ -248,11 +237,6 @@ class _StreamHandle:
         return self._attach(ReduceOperator(
             self._builder._auto(name, "reduce"), reduce_fn,
             vectorized=vectorized))
-
-    def assign_timestamps(self, ts_fn: Callable[[Any], float],
-                          name: str | None = None):
-        return self._attach(TimestampAssigner(
-            self._builder._auto(name, "assign_ts"), ts_fn))
 
     def with_watermarks(self, max_lateness: float, emit_every: int = 1,
                         name: str | None = None):
@@ -282,12 +266,6 @@ class _StreamHandle:
     def apply(self, operator: Operator):
         """Attach a custom operator instance."""
         return self._attach(operator)
-
-    def in_region(self, region: str) -> "_StreamHandle":
-        """Pin the current node to a region (fluent form of
-        :meth:`JobBuilder.pin_region`)."""
-        self._builder.pin_region(self._node, region)
-        return self
 
     def sink(self, name: str) -> "JobBuilder":
         self._builder._add_sink(name)

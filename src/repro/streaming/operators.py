@@ -39,10 +39,8 @@ __all__ = [
     "Operator",
     "MapOperator",
     "FilterOperator",
-    "FlatMapOperator",
     "KeyByOperator",
     "ReduceOperator",
-    "TimestampAssigner",
     "WatermarkGenerator",
     "logical_name",
     "subtask_name",
@@ -318,19 +316,6 @@ class FilterOperator(Operator):
         return [element] if keep else []
 
 
-class FlatMapOperator(Operator):
-    """1-to-N value transform."""
-
-    chainable = True
-
-    def __init__(self, name: str, fn: Callable[[Any], Iterable[Any]]) -> None:
-        super().__init__(name)
-        self.fn = fn
-
-    def process(self, element: Element) -> list[StreamItem]:
-        return [element.with_value(v) for v in self.fn(element.value)]
-
-
 class KeyByOperator(Operator):
     """Assign a partitioning key extracted from the value.
 
@@ -481,33 +466,6 @@ class ReduceOperator(Operator):
             out.append(batch.with_values(results, py_values=False))
         self.processed += n
         self.emitted += n
-
-
-class TimestampAssigner(Operator):
-    """Rewrite element timestamps from a field of the value."""
-
-    chainable = True
-    has_columnar_kernel = True
-    punctuation_aware = True
-
-    def __init__(self, name: str, ts_fn: Callable[[Any], float]) -> None:
-        super().__init__(name)
-        self.ts_fn = ts_fn
-
-    def _run_columnar(self, batch: RecordBatch,
-                      out: list[StreamItem]) -> None:
-        n = len(batch)
-        ts_fn = self.ts_fn
-        timestamps = np.fromiter((float(ts_fn(v))
-                                  for v in batch.values_list()),
-                                 dtype=np.float64, count=n)
-        out.append(batch.with_timestamps(timestamps))
-        self.processed += n
-        self.emitted += n
-
-    def process(self, element: Element) -> list[StreamItem]:
-        return [Element(value=element.value, timestamp=float(
-            self.ts_fn(element.value)), key=element.key)]
 
 
 class WatermarkGenerator(Operator):

@@ -34,7 +34,7 @@ from typing import Any, Hashable
 from ..eventlog.broker import LogCluster
 from ..eventlog.producer import Producer
 from ..util.errors import CheckpointError
-from .batch import RecordBatch, batches_of, items_weight
+from .batch import RecordBatch, batches_of
 from .element import Element
 
 __all__ = ["TransactionalSink", "TransactionalLogSink"]
@@ -111,12 +111,6 @@ class TransactionalSink:
         if len(tail) == 1:
             return tail[0]
         return RecordBatch.sealed(tail[::-1])
-
-    @property
-    def uncommitted(self) -> int:
-        """Elements staged or pre-committed but not yet visible."""
-        return (items_weight(self._staged) + items_weight(self._staged_next)
-                + sum(len(rb) for rb in self.pending.values()))
 
     # -- data plane ----------------------------------------------------------
 
@@ -262,7 +256,6 @@ class TransactionalLogSink:
     def _log_length(self) -> int:
         return sum(
             self.cluster.end_offset(self.topic, p)
-            - self.cluster.base_offset(self.topic, p)
             for p in range(self.cluster.partition_count(self.topic)))
 
     def fence(self) -> int:

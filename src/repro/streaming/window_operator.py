@@ -5,8 +5,6 @@ window's end (+ allowed lateness), the window fires and an aggregate is
 emitted as ``WindowResult``.  Elements arriving after their window has
 fired-and-purged are counted as *dropped late* — the quantity the A3
 watermark experiment sweeps.
-
-Session windows merge on insert, the standard merging-window algorithm.
 """
 
 from __future__ import annotations
@@ -56,19 +54,17 @@ class LateRecord:
 
 
 class _Agg:
-    """An incremental aggregator: (init, add, merge, result), plus
+    """An incremental aggregator: (init, add, result), plus
     ``copy`` — an independent duplicate of one accumulator, what a
     snapshot stores.  Aggregators that know their accumulator's shape
     pass a structural copy; the default is ``deepcopy``."""
 
     def __init__(self, init: Callable[[], Any],
                  add: Callable[[Any, Any], Any],
-                 merge: Callable[[Any, Any], Any],
                  result: Callable[[Any], Any],
                  copy: Callable[[Any], Any] = deepcopy) -> None:
         self.init = init
         self.add = add
-        self.merge = merge
         self.result = result
         self.copy = copy
 
@@ -183,13 +179,6 @@ def _sum_extend(acc: list, values: list, pure: bool = False) -> list:
     return acc
 
 
-def _sum_merge(a: list, b: list) -> list:
-    a.extend(b)
-    if len(a) >= _COMPACT_AT:
-        a[:] = _exact_partials(a)
-    return a
-
-
 def _mean_init():
     return [[], 0]
 
@@ -200,24 +189,16 @@ def _mean_add(acc, v):
     return acc
 
 
-def _mean_merge(a, b):
-    return [_sum_merge(a[0], b[0]), a[1] + b[1]]
-
-
 aggregators: dict[str, _Agg] = {
-    "count": _Agg(lambda: 0, lambda a, _v: a + 1, lambda a, b: a + b,
-                  lambda a: a, copy=lambda a: a),
-    "sum": _Agg(list, _sum_add, _sum_merge,
-                lambda a: math.fsum(a), copy=list),
-    "min": _Agg(lambda: float("inf"), min, min,
-                lambda a: a),
-    "max": _Agg(lambda: float("-inf"), max, max,
-                lambda a: a),
-    "mean": _Agg(_mean_init, _mean_add, _mean_merge,
+    "count": _Agg(lambda: 0, lambda a, _v: a + 1, lambda a: a,
+                  copy=lambda a: a),
+    "sum": _Agg(list, _sum_add, lambda a: math.fsum(a), copy=list),
+    "min": _Agg(lambda: float("inf"), min, lambda a: a),
+    "max": _Agg(lambda: float("-inf"), max, lambda a: a),
+    "mean": _Agg(_mean_init, _mean_add,
                  lambda a: math.fsum(a[0]) / a[1] if a[1] else float("nan"),
                  copy=lambda a: [list(a[0]), a[1]]),
-    "list": _Agg(list, lambda a, v: a + [v], lambda a, b: a + b,
-                 lambda a: a),
+    "list": _Agg(list, lambda a, v: a + [v], lambda a: a),
 }
 
 
@@ -263,7 +244,7 @@ class WindowAggregateOperator(Operator):
         #: transient window -> {key: None} reverse index: the firing
         #: scan visits distinct windows (usually a handful) instead of
         #: every (key, window) pair.  ``None`` means "rebuild on next
-        #: firing" (after restores and session merges); never
+        #: firing" (after restores); never
         #: snapshotted.
         self._win_index: dict[Window, dict[Any, None]] | None = {}
         self._current_wm = float("-inf")
@@ -300,8 +281,6 @@ class WindowAggregateOperator(Operator):
             self.state.put(element.key, per_key)
         value = self.value_fn(element.value)
         for window in self.assigner.assign(element.timestamp):
-            if self.assigner.merging:
-                window = self._merge_sessions(per_key, window)
             slot = per_key.get(window)
             if slot is None:
                 slot = [self.agg.init(), 0]
@@ -326,9 +305,9 @@ class WindowAggregateOperator(Operator):
 
     def _bulk_eligible(self, items: list) -> bool:
         """The grouped-reduction kernel covers the common shape: keyed
-        columnar batches into non-merging tumbling windows without the
+        columnar batches into tumbling windows without the
         late side output.  Everything else (loose elements, unkeyed
-        batches, session windows, emit_late) takes the per-item
+        batches, other assigners, emit_late) takes the per-item
         fallback of the base ``process_batch``."""
         if self.emit_late or type(self.assigner) is not TumblingWindows:
             return False
@@ -680,26 +659,6 @@ class WindowAggregateOperator(Operator):
             slot[1] += m
             a = b_
         self._min_deadline = min_deadline
-
-    def _merge_sessions(self, per_key: dict[Window, list[Any]],
-                        new_window: Window) -> Window:
-        """Merge the provisional session window with overlapping ones."""
-        # Merging rewrites window identities mid-stream; cheaper to
-        # rebuild the firing index lazily than to track the rewrite.
-        self._win_index = None
-        overlapping = [w for w in per_key if w.intersects(new_window)]
-        if not overlapping:
-            return new_window
-        merged = new_window
-        acc = self.agg.init()
-        count = 0
-        for w in overlapping:
-            merged = merged.merged(w)
-            slot = per_key.pop(w)
-            acc = self.agg.merge(acc, slot[0])
-            count += slot[1]
-        per_key[merged] = [acc, count]
-        return merged
 
     # -- watermark path ---------------------------------------------------------
 

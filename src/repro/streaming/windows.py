@@ -1,10 +1,7 @@
-"""Window assigners: tumbling and session.
+"""Window assigners: tumbling.
 
 A :class:`Window` is a half-open event-time interval [start, end).
 Assigners map an element timestamp to the window(s) it belongs to.
-Session windows are assigned per-key by merging gaps, handled by the
-window operator (assignment alone can't merge), so the session assigner
-here produces a provisional single-point window that the operator merges.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ __all__ = [
     "Window",
     "WindowAssigner",
     "TumblingWindows",
-    "SessionWindows",
 ]
 
 
@@ -39,18 +35,9 @@ class Window:
     def contains(self, timestamp: float) -> bool:
         return self.start <= timestamp < self.end
 
-    def intersects(self, other: "Window") -> bool:
-        return self.start < other.end and other.start < self.end
-
-    def merged(self, other: "Window") -> "Window":
-        return Window(min(self.start, other.start), max(self.end, other.end))
-
 
 class WindowAssigner:
     """Maps a timestamp to the windows containing it."""
-
-    #: session assigners need operator-side merging
-    merging = False
 
     def assign(self, timestamp: float) -> list[Window]:
         raise NotImplementedError
@@ -100,18 +87,3 @@ class TumblingWindows(WindowAssigner):
         if over.any():
             starts[over] = ends[over]
         return starts
-
-
-class SessionWindows(WindowAssigner):
-    """Gap-based sessions: elements closer than ``gap`` merge."""
-
-    merging = True
-
-    def __init__(self, gap: float) -> None:
-        if gap <= 0:
-            raise ConfigError("session gap must be positive")
-        self.gap = gap
-
-    def assign(self, timestamp: float) -> list[Window]:
-        # Provisional window; the operator merges overlapping sessions.
-        return [Window(timestamp, timestamp + self.gap)]

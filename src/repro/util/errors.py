@@ -125,14 +125,6 @@ class DataFaultError(StreamError):
     """
 
 
-class CheckpointIntegrityError(CheckpointError):
-    """A stored checkpoint failed verification: its manifest checksum or
-    snapshot payload digest no longer matches what was recorded at
-    finalize time.  Restore logic falls back to the newest checkpoint
-    that still verifies; this error surfaces only when none does.
-    """
-
-
 class RestartsExhausted(StreamError):
     """A supervisor gave up restarting a job.
 

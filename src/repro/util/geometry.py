@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
 __all__ = ["Rect", "clamp"]
 
 
@@ -73,32 +71,5 @@ class Rect(_RectFields):
             or other.y2 <= self.y
         )
 
-    def intersection(self, other: "Rect") -> "Rect | None":
-        x1 = max(self.x, other.x)
-        y1 = max(self.y, other.y)
-        x2 = min(self.x2, other.x2)
-        y2 = min(self.y2, other.y2)
-        if x2 <= x1 or y2 <= y1:
-            return None
-        return Rect(x1, y1, x2 - x1, y2 - y1)
-
-    def union_bounds(self, other: "Rect") -> "Rect":
-        x1 = min(self.x, other.x)
-        y1 = min(self.y, other.y)
-        x2 = max(self.x2, other.x2)
-        y2 = max(self.y2, other.y2)
-        return Rect(x1, y1, x2 - x1, y2 - y1)
-
-    def iou(self, other: "Rect") -> float:
-        """Intersection-over-union; 0.0 when disjoint."""
-        inter = self.intersection(other)
-        if inter is None:
-            return 0.0
-        union = self.area + other.area - inter.area
-        return inter.area / union if union > 0 else 0.0
-
     def translated(self, dx: float, dy: float) -> "Rect":
         return Rect(self.x + dx, self.y + dy, self.width, self.height)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.width, self.height], dtype=float)

@@ -58,21 +58,6 @@ class CameraIntrinsics:
         pixels[z <= 0] = np.nan
         return pixels
 
-    def unproject(self, pixels: np.ndarray, depth: np.ndarray) -> np.ndarray:
-        """Back-project Nx2 pixels at given depths to Nx3 camera points."""
-        pixels = np.atleast_2d(np.asarray(pixels, dtype=float))
-        depth = np.asarray(depth, dtype=float).reshape(-1)
-        x = (pixels[:, 0] - self.cx) / self.fx * depth
-        y = (pixels[:, 1] - self.cy) / self.fy * depth
-        return np.stack([x, y, depth], axis=1)
-
-    def in_view(self, pixels: np.ndarray) -> np.ndarray:
-        """Boolean mask of pixels inside the image."""
-        pixels = np.atleast_2d(pixels)
-        return ((pixels[:, 0] >= 0) & (pixels[:, 0] < self.width)
-                & (pixels[:, 1] >= 0) & (pixels[:, 1] < self.height)
-                & np.isfinite(pixels).all(axis=1))
-
 
 @dataclass(frozen=True)
 class Pose:
@@ -113,15 +98,6 @@ class Pose:
     def camera_center(self) -> np.ndarray:
         """Camera position in world coordinates."""
         return -self.rotation.T @ self.translation
-
-    def rotation_angle_to(self, other: "Pose") -> float:
-        """Geodesic rotation distance in radians."""
-        r_rel = self.rotation.T @ other.rotation
-        cos_angle = (np.trace(r_rel) - 1.0) / 2.0
-        return float(np.arccos(np.clip(cos_angle, -1.0, 1.0)))
-
-    def translation_distance_to(self, other: "Pose") -> float:
-        return float(np.linalg.norm(self.camera_center - other.camera_center))
 
 
 def look_at(eye: np.ndarray, target: np.ndarray,

@@ -9,14 +9,12 @@ in batched and in per-item mode.
 
 import pytest
 
-from repro.apps import HealthcareApp, TourismApp
+from repro.apps import HealthcareApp
 from repro.chaos.harness import fault_free_sinks
 from repro.core import ARBigDataPipeline, PipelineConfig
 from repro.datagen import Episode, generate_patients, vitals_stream
-from repro.sensors import Poi, PoiDatabase
 from repro.streaming.connectors import log_source
 from repro.streaming.graph import JobBuilder
-from repro.util.geometry import Rect
 from repro.util.rng import make_rng
 
 
@@ -70,26 +68,10 @@ def _detect_compound():
     return app.pipeline, app.detect_compound
 
 
-def _dwell_sessions():
-    rng = make_rng(1)
-    pois = PoiDatabase(Rect(0, 0, 1000.0, 1000.0))
-    for i in range(6):
-        pois.add(Poi(poi_id=f"poi-{i:03d}", name=f"POI {i}",
-                     category="landmark", x=float(rng.uniform(0, 1000)),
-                     y=float(rng.uniform(0, 1000)), popularity=float(6 - i)))
-    app = TourismApp(ARBigDataPipeline(PipelineConfig(seed=1)), pois)
-    for i in range(500):
-        app.record_visit(f"u{int(rng.integers(8))}",
-                         f"poi-{int(rng.integers(6)):03d}",
-                         timestamp=float(i * 60 + rng.integers(0, 50)))
-    return app.pipeline, lambda: app.dwell_sessions(gap_s=300.0)
-
-
 ENTRY_POINTS = {
     "windowed_aggregate": (_windowed_aggregate, "out"),
     "run_job": (_run_job, None),
     "detect_compound": (_detect_compound, "matches"),
-    "dwell_sessions": (_dwell_sessions, "sessions"),
 }
 
 

@@ -158,21 +158,24 @@ class TestStatefulChains:
 
 
 class TestLooseElements:
-    """Behind a flat_map every operator of a batched run receives loose
-    Elements — the per-item path inside batched mode."""
+    """Behind a window every operator of a batched run receives loose
+    Elements (the fired results) — the per-item path inside batched
+    mode."""
 
     @given(stream_strategy, st.integers(min_value=1, max_value=16),
            st.integers(min_value=1, max_value=6), st.booleans())
     @settings(max_examples=25, deadline=None)
-    def test_reduce_behind_flat_map(self, rows, source_batch, cycles,
+    def test_reduce_behind_a_window(self, rows, source_batch, cycles,
                                     vectorized):
         elements = [Element(float(k), ts) for k, ts in rows]
 
         def make_builder():
             builder = JobBuilder("loose")
             keyed = (builder.source("s", elements)
-                     .flat_map(lambda v: [v, v + 0.5])
-                     .assign_timestamps(lambda v: v * 2.0)
+                     .with_watermarks(5.0, emit_every=3)
+                     .key_by(lambda v: v % 3.0)
+                     .window(TumblingWindows(20.0), "sum")
+                     .map(lambda r: r.value + 0.5)
                      .key_by(lambda v: v % 3.0))
             (keyed.reduce(np.add, vectorized=True) if vectorized else
              keyed.reduce(lambda a, b: a + b)).sink("out")

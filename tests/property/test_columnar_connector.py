@@ -62,8 +62,6 @@ topics = st.fixed_dictionaries({
                   st.sampled_from(KEYS),
                   st.integers(min_value=-9, max_value=9)),   # value draw
         min_size=0, max_size=60),
-    "compact": st.booleans(),
-    "truncate": st.integers(min_value=0, max_value=4),
     "time_ordered": st.booleans(),
 })
 
@@ -71,18 +69,11 @@ topics = st.fixed_dictionaries({
 def _build(spec) -> LogCluster:
     cluster = LogCluster(num_brokers=1)
     n = spec["partitions"]
-    cluster.create_topic(TopicConfig(TOPIC, partitions=n,
-                                     compacted=spec["compact"]))
+    cluster.create_topic(TopicConfig(TOPIC, partitions=n))
     producer = Producer(cluster)
     for p, ts, key, draw in spec["rows"]:
         producer.send(TOPIC, _value(spec["kind"], draw), key=key,
                       timestamp=ts * 0.5, partition=p % n)
-    if spec["compact"]:
-        cluster.run_compaction()          # holes inside the partitions
-    if spec["truncate"]:
-        for p in range(n):                # a retention-truncated head
-            log = cluster.leader_partition(TOPIC, p)
-            log.truncate_before(log.base_offset + spec["truncate"])
     return cluster
 
 

@@ -253,10 +253,10 @@ class TestRescaleFromCoordinatedCheckpoint:
             store = CheckpointStore()
             CheckpointCoordinator(donor, store=store, interval_cycles=1)
             donor.run(source_batch=8, max_cycles=4)
-            manifest = store.latest_manifest()
-            assert manifest is not None and manifest.status == "finalized"
             snapshot = store.latest()
             assert snapshot is not None
+            assert store.manifests[snapshot.checkpoint_id].status \
+                == "finalized"
             survivor = ParallelExecutor(_keyed_job(events), new_p)
             survivor.restore(snapshot)
             survivor.run(source_batch=8)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analytics import CountMinSketch, HyperLogLog, RunningStats
-from repro.eventlog import LogCluster, Partition, Producer, Record, TopicConfig
+from repro.eventlog import LogCluster, Producer, TopicConfig
 from repro.privacy import discretize_trace
 from repro.sensors import QuadTree, SpatialPoint
 from repro.streaming import (
@@ -22,43 +22,6 @@ from repro.vision import apply_homography, estimate_homography
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
 small_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-
-
-class TestPartitionProperties:
-    @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1,
-                    max_size=60),
-           st.integers(min_value=0, max_value=70))
-    def test_truncate_then_read_never_returns_dropped(self, values, cut):
-        partition = Partition("t", 0)
-        for v in values:
-            partition.append(Record(value=v))
-        cut = min(cut, partition.end_offset)
-        partition.truncate_before(cut)
-        if cut < partition.end_offset:
-            rows = partition.read(cut, max_records=1000)
-            assert all(offset >= cut for offset, _r in rows)
-            assert [r.value for _o, r in rows] == values[cut:]
-
-    @given(st.lists(st.tuples(st.sampled_from(["a", "b", "c", None]),
-                              st.integers()), min_size=1, max_size=50))
-    def test_compaction_keeps_latest_per_key(self, rows):
-        partition = Partition("t", 0)
-        for key, value in rows:
-            partition.append(Record(value=value, key=key))
-        partition.compact()
-        retained = [r for _o, r in partition.read(0, max_records=1000)]
-        # Latest value per key must be present exactly once.
-        last = {}
-        for key, value in rows:
-            if key is not None:
-                last[key] = value
-        for key, value in last.items():
-            matching = [r for r in retained if r.key == key]
-            assert len(matching) == 1
-            assert matching[0].value == value
-        # All keyless records retained in order.
-        keyless = [r.value for r in retained if r.key is None]
-        assert keyless == [v for k, v in rows if k is None]
 
 
 class TestKeyedPartitioningProperty:

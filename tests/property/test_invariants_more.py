@@ -28,6 +28,12 @@ label_items = st.lists(
     unique_by=lambda row: row[0])
 
 
+def _overlaps(a, b):
+    """Whether two rects share area (a non-empty intersection)."""
+    return (min(a.x2, b.x2) > max(a.x, b.x)
+            and min(a.y2, b.y2) > max(a.y, b.y))
+
+
 class TestLayoutProperties:
     @given(label_items)
     @settings(max_examples=60)
@@ -37,7 +43,7 @@ class TestLayoutProperties:
         active = [l for l in placed if not l.dropped]
         for i, a in enumerate(active):
             for b in active[i + 1:]:
-                assert a.rect.intersection(b.rect) is None
+                assert not _overlaps(a.rect, b.rect)
 
     @given(label_items)
     @settings(max_examples=60)

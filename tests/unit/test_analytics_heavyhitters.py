@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analytics import HeavyHitters
-from repro.eventlog import Consumer, LogCluster, Producer, TopicConfig
 from repro.privacy import (
     BudgetAccountant,
     exponential_mechanism,
@@ -53,7 +52,9 @@ class TestHeavyHitters:
         for i in range(5_000):
             hh.add(f"unique-{i}")
         assert len(hh.top()) == 10
-        assert hh.memory_cells < 10_000  # far below key cardinality
+        # far below key cardinality: the sketch's cells plus the top-k
+        sketch = hh._sketch
+        assert sketch.width * sketch.depth + 2 * hh.k < 10_000
 
     def test_weighted_add(self):
         hh = HeavyHitters(k=2)
@@ -124,50 +125,3 @@ class TestExponentialMechanism:
     def test_k_too_large_rejected(self):
         with pytest.raises(PrivacyError):
             private_top_k({"a": 1.0}, k=2, epsilon=1.0, rng=make_rng(0))
-
-
-class TestSeekToTimestamp:
-    def _cluster(self, n=50, partitions=3):
-        cluster = LogCluster(1)
-        cluster.create_topic(TopicConfig("t", partitions=partitions,
-                                         replication=1))
-        producer = Producer(cluster)
-        for i in range(n):
-            producer.send("t", {"i": i}, key=f"k{i % 7}",
-                          timestamp=float(i))
-        return cluster
-
-    def test_seek_reads_only_newer(self):
-        cluster = self._cluster()
-        consumer = Consumer(cluster, "t")
-        consumer.seek_to_timestamp(30.0)
-        rows = consumer.poll(max_records=100)
-        assert rows
-        assert all(r.timestamp >= 30.0 for r in rows)
-        assert {r.value["i"] for r in rows} == set(range(30, 50))
-
-    def test_seek_to_zero_reads_everything(self):
-        cluster = self._cluster()
-        consumer = Consumer(cluster, "t")
-        consumer.poll(max_records=100)  # drain first
-        consumer.seek_to_timestamp(0.0)
-        assert len(consumer.poll(max_records=100)) == 50
-
-    def test_seek_past_end_reads_nothing(self):
-        cluster = self._cluster()
-        consumer = Consumer(cluster, "t")
-        consumer.seek_to_timestamp(1e9)
-        assert consumer.poll() == []
-
-    def test_seek_after_retention(self):
-        cluster = LogCluster(1)
-        cluster.create_topic(TopicConfig("t", partitions=1, replication=1,
-                                         retention_seconds=20.0))
-        producer = Producer(cluster)
-        for i in range(50):
-            producer.send("t", i, timestamp=float(i))
-        cluster.run_retention(now=50.0)  # drops ts < 30
-        consumer = Consumer(cluster, "t")
-        consumer.seek_to_timestamp(10.0)  # before the retained range
-        rows = consumer.poll(max_records=100)
-        assert [r.value for r in rows] == list(range(30, 50))

@@ -20,7 +20,7 @@ class TestAlignedMode:
         assert result.action == COMPLETE
         assert result.checkpoint_id == 1
         assert aligner.completed_id == 1
-        assert not aligner.aligning
+        assert aligner.current_id is None
 
     def test_two_channels_block_then_complete(self):
         aligner = BarrierAligner((A, B))
@@ -112,7 +112,7 @@ class TestReset:
         aligner = BarrierAligner((A, B))
         aligner.on_barrier(A, 5)
         aligner.reset()
-        assert not aligner.aligning
+        assert aligner.current_id is None
         assert not aligner.is_blocked(A)
         # restore rewinds below completed ids; a fresh barrier 5 must
         # still be ignored only if it was *completed*, not just seen

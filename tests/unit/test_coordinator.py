@@ -32,10 +32,10 @@ class TestCheckpointStore:
         store.record(manifest)
         # pending: not a restore target, not the latest snapshot
         assert store.latest() is None
-        assert store.latest_manifest() is None
+        assert manifest.status == "pending"
         store.finalize(_checkpoint(1), manifest)
         assert store.latest().checkpoint_id == 1
-        assert store.latest_manifest().status == "finalized"
+        assert store.manifests[1].status == "finalized"
 
     def test_prune_keeps_newest(self):
         store = CheckpointStore(keep=1)
@@ -58,7 +58,7 @@ class TestCheckpointStore:
         store.record(CheckpointManifest(checkpoint_id=2))
         store.abort(2)
         assert store.manifests[2].status == "aborted"
-        assert store.latest_manifest().checkpoint_id == 1
+        assert store.latest().checkpoint_id == 1
 
     def test_ids_monotonic_across_incarnations(self):
         store = CheckpointStore()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.context.entities import SemanticEntity
+from repro.eventlog import ConsumerGroup
 from repro.core import (
     ARBigDataPipeline,
     FieldInfluence,
@@ -58,7 +59,7 @@ class TestPipelineFacade:
         pipeline.create_topic("t")
         pipeline.ingest("t", {"user": "alice", "x": 10.0, "y": 20.0},
                         key="alice", timestamp=0.0, personal=True)
-        group = pipeline.consumer_group("t", "g")
+        group = ConsumerGroup(pipeline.log, "t", "g")
         rows = group.join("m").poll()
         record = rows[0].value
         assert record["user"].startswith("anon-")
@@ -225,23 +226,6 @@ class TestPrivacyGuard:
     def test_cloak_requires_instance(self):
         with pytest.raises(PrivacyError):
             PrivacyGuard(PrivacyConfig(location_mode="cloak"), make_rng(2))
-
-    def test_budget_refusal_after_exhaustion(self):
-        guard = PrivacyGuard(PrivacyConfig(
-            location_mode="none", dp_epsilon_total=0.2,
-            dp_epsilon_per_query=0.1), make_rng(3))
-        assert guard.release_aggregate("scope", 10.0) is not None
-        assert guard.release_aggregate("scope", 10.0) is not None
-        assert guard.release_aggregate("scope", 10.0) is None
-        assert guard.refusals == 1
-
-    def test_scopes_have_independent_budgets(self):
-        guard = PrivacyGuard(PrivacyConfig(
-            location_mode="none", dp_epsilon_total=0.1,
-            dp_epsilon_per_query=0.1), make_rng(4))
-        assert guard.release_aggregate("a", 1.0) is not None
-        assert guard.release_aggregate("b", 1.0) is not None
-        assert guard.remaining_budget("a") == pytest.approx(0.0)
 
 
 class TestInfluence:

@@ -3,7 +3,7 @@
 The partition keeps columns and ``poll`` builds a flat
 ``ConsumedRecord`` per row; every case here states what was sent and
 asserts that exactly that comes back — coordinates, fields, stamped
-headers, byte accounting, dedup counters, timestamp seeks — for plain,
+headers, byte accounting, dedup counters — for plain,
 idempotent and traced producers alike.  The file passes unchanged on
 the commit before the log stored columns.
 """
@@ -148,36 +148,3 @@ class TestDedupUnderARewindingFetch:
             offsets.extend(r.offset for r in batch)
         # fetches 1, 2 and 3 each start two offsets back
         assert offsets == [0, 1, 2, 3, 2, 3, 4, 5, 4, 5, 6, 7, 6, 7, 8, 9]
-
-
-class TestSeekToTimestampOverCompaction:
-    def _compacted(self):
-        cluster = LogCluster(num_brokers=1)
-        cluster.create_topic(TopicConfig("t", partitions=1, compacted=True))
-        producer = Producer(cluster)
-        for i, key in enumerate("aabcbbdcdd"):      # ts = offset / 2
-            producer.send("t", float(i), key=key, timestamp=i * 0.5)
-        assert cluster.run_compaction() == 6       # live: 1, 5, 7, 9
-        return cluster
-
-    @pytest.mark.parametrize("timestamp, first", [
-        (-1.0, 1), (0.0, 1), (0.5, 1), (0.6, 5), (2.5, 5), (2.6, 7),
-        (3.5, 7), (4.0, 9), (4.5, 9), (4.6, None)])
-    def test_first_retained_row_at_or_after(self, timestamp, first):
-        cluster = self._compacted()
-        consumer = Consumer(cluster, "t")
-        consumer.seek_to_timestamp(timestamp)
-        rows = consumer.poll(1)
-        if first is None:
-            assert rows == [] and consumer.position(0) == 10
-        else:
-            assert [(r.offset, r.timestamp, r.value) for r in rows] \
-                == [(first, first * 0.5, float(first))]
-
-    def test_seeks_and_reads_after_the_head_is_truncated(self):
-        cluster = self._compacted()
-        cluster.leader_partition("t", 0).truncate_before(6)
-        consumer = Consumer(cluster, "t")
-        consumer.seek_to_timestamp(0.0)
-        assert consumer.position(0) == 6
-        assert [r.offset for r in consumer.poll(10)] == [7, 9]

@@ -191,16 +191,6 @@ class TestDuplicateDelivery:
         consumer.seek(0, 2)
         assert [o for _, o in _drain(consumer)] == [2, 3, 4, 5]
 
-    def test_poll_with_retry_rides_out_fetch_unavailability(self):
-        base = _cluster(partitions=1)
-        Producer(base, clock=SimClock()).send_batch(
-            "t", [{"i": i} for i in range(8)])
-        chaos = ChaosLogCluster(base, FaultInjector(FaultPlan(specs=(
-            FaultSpec("partition_unavailable", SITE_FETCH, at=0, count=2),))))
-        consumer = Consumer(chaos, "t", dedup=True)
-        rows = consumer.poll_with_retry(max_records=100, clock=SimClock())
-        assert len(rows) == 8
-
     def test_a_failed_later_partition_read_loses_no_earlier_chunk(self):
         # partition 0's read returns, partition 1's raises BrokerDown:
         # the retry must re-read partition 0 too, not skip past it
@@ -213,7 +203,10 @@ class TestDuplicateDelivery:
             FaultSpec("partition_unavailable", SITE_FETCH, at=1,
                       count=1),))))
         consumer = Consumer(chaos, "t", dedup=True)
-        rows = consumer.poll_with_retry(max_records=100, clock=SimClock())
+        with pytest.raises(BrokerDown):
+            consumer.poll(100)
+        assert [consumer.position(p) for p in (0, 1)] == [0, 0]
+        rows = consumer.poll(100)
         assert sorted((r.partition, r.offset) for r in rows) \
             == [(p, o) for p in (0, 1) for o in range(4)]
         assert [consumer.position(p) for p in (0, 1)] \

@@ -59,9 +59,9 @@ class TestLag:
         mirror = ReplicatedTopic(source, dest, "t")
         _produce(source, 6)
         assert mirror.lag() == {0: 3, 1: 3}
-        assert mirror.max_observed_lag() == 3
+        assert max(mirror.lag().values()) == 3
         mirror.pump()
-        assert mirror.max_observed_lag() == 0
+        assert max(mirror.lag().values()) == 0
 
     def test_pump_respects_lag_bound(self):
         source, dest = _clusters()
@@ -78,7 +78,7 @@ class TestLag:
         for round_ in range(4):
             _produce(source, 4)
             mirror.pump()
-            assert mirror.max_observed_lag() == 0
+            assert max(mirror.lag().values()) == 0
         assert mirror.mirrored == 16
 
 
@@ -92,16 +92,6 @@ class TestExactlyOnce:
         restarted = ReplicatedTopic(source, dest, "t")
         _produce(source, 4)
         restarted.pump()
-        for p in (0, 1):
-            assert _contents(dest, p) == _contents(source, p)
-
-    def test_explicit_resync(self):
-        source, dest = _clusters()
-        mirror = ReplicatedTopic(source, dest, "t")
-        _produce(source, 8)
-        mirror.pump()
-        mirror.resync()
-        assert mirror.pump() == 0  # nothing to re-apply
         for p in (0, 1):
             assert _contents(dest, p) == _contents(source, p)
 

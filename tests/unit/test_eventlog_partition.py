@@ -1,9 +1,8 @@
-"""Unit tests: partition offsets, retention, compaction; record sizing;
-the columnar partition (and a replicated cluster of them) against a
-plain list-of-records model."""
+"""Unit tests: partition offsets; record sizing; the columnar partition
+(and a replicated cluster of them) against a plain list-of-records
+model."""
 
 import random
-import time
 
 import pytest
 
@@ -73,7 +72,6 @@ class TestPartitionAppendRead:
         p = Partition("t", 0)
         assert [p.append(_record(i)) for i in range(3)] == [0, 1, 2]
         assert p.end_offset == 3
-        assert p.base_offset == 0
 
     def test_read_from_offset(self):
         p = Partition("t", 0)
@@ -111,117 +109,7 @@ class TestPartitionAppendRead:
         assert p.size_bytes == r.size_bytes
 
 
-class TestRetention:
-    def test_truncate_before(self):
-        p = Partition("t", 0)
-        for i in range(5):
-            p.append(_record(i))
-        dropped = p.truncate_before(3)
-        assert dropped == 3
-        assert p.base_offset == 3
-        assert [o for o, _r in p.read(3)] == [3, 4]
-
-    def test_truncate_noop_when_before_base(self):
-        p = Partition("t", 0)
-        p.append(_record(0))
-        assert p.truncate_before(0) == 0
-
-    def test_read_before_base_raises(self):
-        p = Partition("t", 0)
-        for i in range(5):
-            p.append(_record(i))
-        p.truncate_before(3)
-        with pytest.raises(OffsetOutOfRange):
-            p.read(1)
-
-    def test_time_retention(self):
-        p = Partition("t", 0)
-        for i in range(5):
-            p.append(_record(i, ts=float(i)))
-        dropped = p.enforce_retention(min_timestamp=3.0)
-        assert dropped == 3
-        assert p.base_offset == 3
-
-    def test_size_retention(self):
-        p = Partition("t", 0)
-        for i in range(10):
-            p.append(_record(i))
-        per_record = _record(0).size_bytes
-        p.enforce_retention(max_bytes=3 * per_record)
-        assert len(p) <= 3
-        assert p.size_bytes <= 3 * per_record
-
-    def test_size_retention_is_one_pass(self):
-        # was one truncate_before (a re-slice of the whole log) per
-        # dropped record: 40 000 down to a tenth took seconds
-        p = Partition("t", 0)
-        n = 40_000
-        for i in range(n):
-            p.append(_record(i))
-        per_record = _record(0).size_bytes
-        started = time.perf_counter()
-        dropped = p.enforce_retention(max_bytes=n // 10 * per_record)
-        elapsed = time.perf_counter() - started
-        assert dropped == n - n // 10
-        assert len(p) == n // 10
-        assert p.size_bytes == n // 10 * per_record
-        assert p.base_offset == n - n // 10
-        assert elapsed < 0.5
-
-    def test_size_retention_stops_as_soon_as_the_rest_fits(self):
-        # holes at the head go with the records around them, holes past
-        # the cut stay: the cut is the first slot at which the rest fits
-        p = Partition("t", 0)
-        for i, key in enumerate("aabbcdd"):
-            p.append(_record(i, key=key))
-        p.compact()                       # live: offsets 1, 3, 4, 6
-        per_record = _record(0, key="a").size_bytes
-        assert p.enforce_retention(max_bytes=4 * per_record) == 0
-        assert p.base_offset == 0
-        assert p.enforce_retention(max_bytes=3 * per_record) == 1
-        assert p.base_offset == 2         # hole 0 and record 1 dropped
-        assert p.enforce_retention(max_bytes=per_record) == 2
-        assert p.base_offset == 5         # ... 2 (hole), 3, 4; hole 5 stays
-        assert [o for o, _r in p.read(5)] == [6]
-        assert p.size_bytes == per_record and p._holes == 1
-        assert p.enforce_retention(max_bytes=0) == 1
-        assert (p.base_offset, p.end_offset, len(p)) == (7, 7, 0)
-
-    def test_offsets_preserved_after_retention(self):
-        p = Partition("t", 0)
-        for i in range(5):
-            p.append(_record(i))
-        p.truncate_before(2)
-        assert p.append(_record(5)) == 5
-
-
-class TestCompaction:
-    def test_keeps_latest_per_key(self):
-        p = Partition("t", 0)
-        p.append(_record(0, key="a"))
-        p.append(_record(1, key="b"))
-        p.append(_record(2, key="a"))
-        removed = p.compact()
-        assert removed == 1
-        values = [r.value["i"] for _o, r in p.read(0)]
-        assert values == [1, 2]
-
-    def test_keyless_records_survive(self):
-        p = Partition("t", 0)
-        p.append(_record(0))
-        p.append(_record(1, key="a"))
-        p.append(_record(2, key="a"))
-        p.compact()
-        assert [r.value["i"] for _o, r in p.read(0)] == [0, 2]
-
-    def test_offsets_stable_across_compaction(self):
-        p = Partition("t", 0)
-        p.append(_record(0, key="a"))
-        p.append(_record(1, key="a"))
-        p.compact()
-        assert [o for o, _r in p.read(0)] == [1]
-        assert p.end_offset == 2
-
+class TestClone:
     def test_clone_is_independent(self):
         p = Partition("t", 0)
         p.append(_record(0))
@@ -232,22 +120,18 @@ class TestCompaction:
 
 
 class TestColumnRead:
-    def _partition(self, n=6, compact=False, truncate=0):
+    def _partition(self, n=6, keyed=False):
         p = Partition("t", 0)
         for i in range(n):
-            p.append(_record(i, key=f"k{i % 2}" if compact else None,
+            p.append(_record(i, key=f"k{i % 2}" if keyed else None,
                              ts=i * 0.5))
-        if compact:
-            p.compact()
-        if truncate:
-            p.truncate_before(truncate)
         return p
 
-    @pytest.mark.parametrize("compact", (False, True))
-    @pytest.mark.parametrize("truncate", (0, 2))
-    def test_read_columns_is_read_transposed(self, compact, truncate):
-        p = self._partition(compact=compact, truncate=truncate)
-        for offset in range(p.base_offset, p.end_offset + 1):
+    @pytest.mark.parametrize("keyed", (False, True))
+    @pytest.mark.parametrize("first", (0, 2))
+    def test_read_columns_is_read_transposed(self, keyed, first):
+        p = self._partition(keyed=keyed)
+        for offset in range(first, p.end_offset + 1):
             for max_records in (1, 2, 100):
                 rows = p.read(offset, max_records)
                 offsets, timestamps, values, keys = p.read_columns(
@@ -258,25 +142,13 @@ class TestColumnRead:
                 assert keys == [r.key for _, r in rows]
 
     def test_same_range_errors_as_read(self):
-        p = self._partition(truncate=2)
+        p = self._partition()
         assert p.read_columns(p.end_offset) == ([], [], [], [])
-        for offset in (0, 1, p.end_offset + 1):
+        for offset in (-1, p.end_offset + 1):
             with pytest.raises(OffsetOutOfRange):
                 p.read_columns(offset)
             with pytest.raises(OffsetOutOfRange):
                 p.read(offset)
-
-    def test_hole_count_follows_compaction_and_truncation(self):
-        p = self._partition(n=6, compact=True)    # survivors: offsets 4, 5
-        assert len(p) == 2 and p._holes == 4
-        assert [o for o, _ in p.read(0)] == [4, 5]
-        assert p.clone()._holes == 4
-        p.truncate_before(3)
-        assert len(p) == 2 and p._holes == 1
-        p.truncate_before(4)                      # no hole left: slice path
-        assert p._holes == 0
-        assert p.read_columns(4)[0] == [4, 5]
-        assert p.read(5, max_records=1)[0][0] == 5
 
 
 # -- the columnar partition against a list-of-records model -------------------
@@ -288,74 +160,44 @@ HEADERS = (None, None, {}, {"h": "x"}, {"seq": "12", "tré": "é"})
 
 
 class ListModel:
-    """What a partition is, said the slow way: one ``Record | None`` per
-    offset from ``base`` on (``None`` = compacted away)."""
+    """What a partition is, said the slow way: one ``Record`` per
+    offset."""
 
     def __init__(self):
-        self.base = 0
         self.slots = []
 
     def clone(self):
         twin = ListModel()
-        twin.base, twin.slots = self.base, list(self.slots)
+        twin.slots = list(self.slots)
         return twin
 
     @property
     def end(self):
-        return self.base + len(self.slots)
+        return len(self.slots)
 
     def live(self):
-        return [(self.base + i, r) for i, r in enumerate(self.slots)
-                if r is not None]
+        return list(enumerate(self.slots))
 
     def append(self, record):
         self.slots.append(record)
         return self.end - 1
 
-    def truncate_before(self, offset):
-        cut = max(0, min(offset, self.end) - self.base)
-        dropped = sum(r is not None for r in self.slots[:cut])
-        del self.slots[:cut]
-        self.base += cut
-        return dropped
-
     def size(self):
-        return sum(r.size_bytes for _, r in self.live())
-
-    def enforce_retention(self, max_bytes=None, min_timestamp=None):
-        dropped = 0
-        if min_timestamp is not None:
-            keep = next((o for o, r in self.live()
-                         if r.timestamp >= min_timestamp), self.end)
-            dropped += self.truncate_before(keep)
-        if max_bytes is not None:
-            while self.size() > max_bytes and self.slots:
-                dropped += self.truncate_before(self.base + 1)
-        return dropped
-
-    def compact(self):
-        latest = {r.key: o for o, r in self.live() if r.key is not None}
-        doomed = [o for o, r in self.live()
-                  if r.key is not None and latest[r.key] != o]
-        for o in doomed:
-            self.slots[o - self.base] = None
-        return len(doomed)
+        return sum(r.size_bytes for r in self.slots)
 
 
 def _assert_matches(partition, model):
     live = model.live()
     assert len(partition) == len(live)
     assert partition.size_bytes == model.size()
-    assert (partition.base_offset, partition.end_offset) \
-        == (model.base, model.end)
-    for offset in (model.base - 1, model.end + 1):
-        if offset >= 0:
-            with pytest.raises(OffsetOutOfRange):
-                partition.read(offset)
-            with pytest.raises(OffsetOutOfRange):
-                partition.read_columns(offset)
+    assert partition.end_offset == model.end
+    for offset in (-1, model.end + 1):
+        with pytest.raises(OffsetOutOfRange):
+            partition.read(offset)
+        with pytest.raises(OffsetOutOfRange):
+            partition.read_columns(offset)
     assert partition.read(model.end) == []
-    for start in {model.base, (model.base + model.end) // 2}:
+    for start in {0, model.end // 2}:
         for limit in (1, 3, 10_000):
             want = [(o, r) for o, r in live if o >= start][:limit]
             assert partition.read(start, limit) == want
@@ -364,12 +206,8 @@ def _assert_matches(partition, model):
                 [r.value for _, r in want], [r.key for _, r in want])
             assert partition.read_columns(start, limit, headers=True)[4] \
                 == [r.headers for _, r in want]
-    for i, slot in enumerate(model.slots):
-        if slot is None:
-            with pytest.raises(OffsetOutOfRange):
-                partition.get(model.base + i)
-        else:
-            assert partition.get(model.base + i) == slot
+    for offset, slot in live:
+        assert partition.get(offset) == slot
 
 
 def _random_record(rng, clock):
@@ -386,7 +224,7 @@ def test_partition_matches_the_list_model(seed):
     clock = 0.0
     for _ in range(60):
         op = rng.choice(("append", "append", "append_row", "append_row",
-                         "compact", "truncate", "time", "size", "clone"))
+                         "clone"))
         if op in ("append", "append_row"):
             for _ in range(rng.randint(1, 6)):
                 clock += rng.choice((0.0, 0.5))
@@ -399,20 +237,6 @@ def test_partition_matches_the_list_model(seed):
                         record.headers, record_size(
                             record.value, record.key, record.headers))
                 assert got == model.append(record)
-        elif op == "compact":
-            assert partition.compact() == model.compact()
-        elif op == "truncate":
-            offset = rng.randint(model.base - 1, model.end + 2)
-            assert partition.truncate_before(offset) \
-                == model.truncate_before(offset)
-        elif op == "time":
-            cutoff = clock - rng.choice((0.0, 1.0, 3.0))
-            assert partition.enforce_retention(min_timestamp=cutoff) \
-                == model.enforce_retention(min_timestamp=cutoff)
-        elif op == "size":
-            budget = rng.randint(0, model.size() + 10)
-            assert partition.enforce_retention(max_bytes=budget) \
-                == model.enforce_retention(max_bytes=budget)
         else:
             # the clone carries on; the original must not follow it
             frozen, frozen_model = partition, model.clone()

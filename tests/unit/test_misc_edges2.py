@@ -135,11 +135,6 @@ class TestSceneGraphRemoval:
 
 
 class TestTraceHelpers:
-    def test_displacement_lengths(self):
-        trace = generate_trace("u", make_rng(0),
-                               MobilityConfig(steps=50))
-        assert len(trace.displacement_m) == 49
-        assert (trace.displacement_m >= 0).all()
 
     def test_len(self):
         trace = generate_trace("u", make_rng(1),

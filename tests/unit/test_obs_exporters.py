@@ -171,9 +171,3 @@ class TestReport:
         text = out.getvalue()
         assert "produce x10" in text
         assert text.count("produce") == 1  # aggregated, not 10 lines
-
-    def test_self_time_excludes_children(self):
-        tracer = _small_trace()
-        [root] = build_tree(tracer.spans)
-        assert math.isclose(root.self_time, 0.0, abs_tol=1e-12)
-        assert len(list(root.walk())) == 3

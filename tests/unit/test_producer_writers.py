@@ -27,7 +27,7 @@ def _cluster():
 
 def _log(cluster, broker, partition=0):
     log = cluster.brokers[broker].replicas[("t", partition)]
-    return [(o, r.value) for o, r in log.read(log.base_offset, 100)]
+    return [(o, r.value) for o, r in log.read(0, 100)]
 
 
 class TestWriterInvalidation:

@@ -208,14 +208,23 @@ def _reference_declutter(items, screen, max_labels=None, allow_drop=True):
     return placed
 
 
+def _reference_intersection(a, b):
+    """The overlap of two rects, or None when they share no area."""
+    x1, y1 = max(a.x, b.x), max(a.y, b.y)
+    x2, y2 = min(a.x2, b.x2), min(a.y2, b.y2)
+    if x2 <= x1 or y2 <= y1:
+        return None
+    return Rect(x1, y1, x2 - x1, y2 - y1)
+
+
 def _reference_metrics(labels, screen):
-    """``clutter_metrics`` written with ``Rect.intersection``."""
+    """``clutter_metrics`` written with rectangle intersections."""
     active = [label for label in labels if not label.dropped]
     overlap_area = 0.0
     overlapping_ids = set()
     for i, a in enumerate(active):
         for b in active[i + 1:]:
-            inter = a.rect.intersection(b.rect)
+            inter = _reference_intersection(a.rect, b.rect)
             if inter is not None:
                 overlap_area += inter.area
                 overlapping_ids.update((a.annotation_id, b.annotation_id))

@@ -43,18 +43,6 @@ class TestQuadTree:
         got = {p.payload for p in tree.query_radius(cx, cy, r)}
         assert got == expected
 
-    def test_nearest_matches_bruteforce(self):
-        tree, points = self._tree()
-        got = tree.nearest(42.0, 13.0, k=5)
-        expected = sorted(points,
-                          key=lambda p: p.distance_sq(42.0, 13.0))[:5]
-        assert [p.payload for p in got] == [p.payload for p in expected]
-
-    def test_nearest_k_larger_than_size(self):
-        tree = QuadTree(Rect(0, 0, 10, 10))
-        tree.insert(SpatialPoint(1, 1))
-        assert len(tree.nearest(0, 0, k=5)) == 1
-
 
 class TestPoiDatabase:
     def _db(self):
@@ -78,11 +66,6 @@ class TestPoiDatabase:
         db = self._db()
         hits = db.within(119, 100, 500)
         assert hits[0].poi_id == "p2"
-
-    def test_nearest_with_category_filter(self):
-        db = self._db()
-        hits = db.nearest(100, 100, k=1, category="museum")
-        assert [p.poi_id for p in hits] == ["p3"]
 
     def test_most_popular(self):
         db = self._db()

@@ -185,14 +185,3 @@ class TestFailureInjector:
     def test_bad_window_rejected(self):
         with pytest.raises(ConfigError):
             FailureEvent(node="n1", down_at=2.0, up_at=1.0)
-
-    def test_random_outages_within_horizon(self):
-        sim = Simulator()
-        topology = self._topology()
-        injector = FailureInjector(sim, topology)
-        count = injector.schedule_random("n1", make_rng(3), horizon=1000.0,
-                                         mtbf=100.0, mttr=10.0)
-        assert count >= 1
-        assert all(e.up_at <= 1000.0 for e in injector.injected)
-        sim.run()
-        assert topology.node("n1").up

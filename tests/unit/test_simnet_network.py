@@ -141,7 +141,3 @@ class TestTopology:
         with pytest.raises(ConfigError):
             topology.replace_link("device", "cloud",
                                   LinkSpec(latency_s=0, bandwidth_bps=1))
-
-    def test_compute_time(self):
-        node = NodeSpec("n", cpu_hz=2e9)
-        assert node.compute_time(4e9) == pytest.approx(2.0)

@@ -80,7 +80,11 @@ text, imports only to inspect one signature).
     ``transport.CHANNEL_CAPACITY``, ``hot.TIER_FANOUT``) and the hot
     tier keeps no TTL, so ``ttl_s``, ``tier_fanout``,
     ``channel_capacity``, ``DEFAULT_KEY_GROUPS`` and the at-least-once
-    ``log_sink`` are named nowhere there either; no function under
+    ``log_sink`` are named nowhere there either, nor are the log's
+    retention and compaction (``retention_bytes``,
+    ``retention_seconds``, ``compacted=``, ``run_retention``,
+    ``run_compaction``) or session windows (``SessionWindows``,
+    ``_merge_sessions``), which only tests switched on; no function under
     ``src/`` takes ``num_key_groups`` and no store class a ``clock``;
     and the engine's and the serving store's constructors, and
     ``serve_topic`` and ``compile_execution_graph``, take no more
@@ -88,13 +92,18 @@ text, imports only to inspect one signature).
 (q) A job launch pays for no graph library: nothing under
     ``streaming/`` imports ``networkx`` — ``JobGraph.validate`` orders
     the graph with its own Kahn pass (networkx stays for ``simnet/``).
-(r) Every public def has a caller: each public module-level ``def`` or
-    ``class`` under ``src/`` is named by code in ``src/``,
-    ``benchmarks/``, ``examples/`` or ``tools/`` (never a ``tests``
-    directory), and by code that is itself reached — an ``__init__``
-    re-export, a docstring or ``__all__`` is no caller.  What only tests
-    reach is deleted, or sits on an allow-list with its reason; the list
-    only shrinks, because a listed name that gains a caller fails too.
+(r) Every def has a caller: each module-level ``def`` or ``class``
+    under ``src/``, and each function defined directly in a class body
+    (methods, properties, static and class methods), is used by code in
+    ``src/``, ``benchmarks/``, ``examples/`` or ``tools/`` (never a
+    ``tests`` directory) that is itself reached — by name, attribute or
+    identifier string, so ``getattr(obj, "name")`` reaches ``name``.  A
+    method counts once its class is reached; dunders are always live.
+    An ``__init__`` re-export (eager or ``lazy_exports``), a docstring
+    or ``__all__`` is no caller.  What only tests reach is deleted, or
+    sits on an allow-list with its reason (``Class.method`` for a
+    method), and an allow-listed body counts as live; the list only
+    shrinks, because a listed name that gains a caller fails too.
 """
 
 import ast
@@ -218,7 +227,7 @@ def test_there_is_one_executor():
     init = ast.parse((SRC / "streaming/__init__.py").read_text())
     (exported,) = [ast.literal_eval(node.value) for node in init.body
                    if isinstance(node, ast.Assign)
-                   and node.targets[0].id == "__all__"]
+                   and getattr(node.targets[0], "id", None) == "__all__"]
     assert not {"Executor", "Checkpoint", "ColumnarStream"} & set(exported)
 
 
@@ -667,7 +676,9 @@ def test_transactional_sinks_is_one_parameter_nobody_passes():
 UNSET_MODES = re.compile(
     r"\b(unaligned_after|drop_on_overflow|replayable|in_flight"
     r"|spilled_items|dropped_overflow|is_spilling|SPILL|STRAGGLER"
-    r"|ttl_s|tier_fanout|channel_capacity|DEFAULT_KEY_GROUPS|log_sink)\b")
+    r"|ttl_s|tier_fanout|channel_capacity|DEFAULT_KEY_GROUPS|log_sink"
+    r"|retention_bytes|retention_seconds|run_retention|run_compaction"
+    r"|SessionWindows|_merge_sessions)\b|\bcompacted\s*=")
 #: (module, class) -> parameters of its ``__init__``, ``self`` excluded
 INIT_PARAMETERS = {
     ("streaming/execution.py", "ParallelExecutor"): 8,
@@ -754,12 +765,12 @@ def test_the_engine_does_not_import_networkx():
     assert hits == []
 
 
-# -- (r) every public def has a caller ----------------------------------------
+# -- (r) every def has a caller ----------------------------------------------
 
 #: the trees whose code counts as a caller; a ``tests`` directory never does
 CALLER_TREES = ("src", "benchmarks", "examples", "tools")
-#: public defs that no non-test code reaches, and why each stays; an
-#: entry leaves when its def gains a caller (the census then fails)
+#: defs that no non-test code reaches, and why each stays; an entry
+#: leaves when its def gains a caller (the census then fails)
 UNREACHED_ALLOWED = {
     "GeometricMechanism": "ROADMAP item 10's DP release operator for counts",
     "TransactionalLogSink": "ROADMAP item 3 gives it its first caller",
@@ -768,53 +779,150 @@ UNREACHED_ALLOWED = {
     "tree_is_connected": "the trace-connectivity check two tests assert",
     "elements_of": "the sink decode two property tests compare against",
     "RETRY": "deleting it changes ErrorPolicy and the DeadLetter format",
+    "Producer.send_batch": "ROADMAP item 3: TransactionalLogSink writes "
+                           "through it",
+    "GeoController.handoff": "ROADMAP item 7(a)'s zone-handoff rule; "
+                             "make geo proves it exactly-once",
+    "HealthcareApp.vitals_dashboard": "ROADMAP item 12's ward dashboard",
+    "HealthcareApp.build_serving_store": "ROADMAP item 12: the app's job "
+                                         "feeds its serving store",
+    "TourismApp.trending_private": "ROADMAP item 10 releases it through "
+                                   "the DP operator",
+    "SharedDataset.retract": "ROADMAP item 15's delta sync applies "
+                             "retracts",
+    "ARSession.close_probe": "ROADMAP item 15 filters probes at open and "
+                             "close, never per frame",
 }
-DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITION = FUNCTION + (ast.ClassDef,)
 
 
-def _names_used(node):
-    """Every identifier ``node`` reads: names, attributes, imports."""
+def _docstrings(tree):
+    """The docstring constants of ``tree``'s module, classes and defs."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module,) + DEFINITION) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) \
+                    and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                found.add(first.value)
+    return found
+
+
+def _names_used(nodes, docstrings, strings=True):
+    """Every identifier ``nodes`` read: names, attributes, imports and,
+    with ``strings``, string constants that are identifiers (what
+    ``getattr(obj, "name")`` reaches) other than docstrings."""
     used = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            used.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            used.add(sub.attr)
-        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
-            used.update(alias.name.rpartition(".")[2] for alias in sub.names)
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                used.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                used.add(sub.attr)
+            elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+                used.update(alias.name.rpartition(".")[2]
+                            for alias in sub.names)
+            elif strings and isinstance(sub, ast.Constant) \
+                    and isinstance(sub.value, str) \
+                    and sub.value.isidentifier() and sub not in docstrings:
+                used.add(sub.value)
     return used
 
 
-def unreached_defs(files):
-    """``path:name`` of every public module-level def or class under
-    ``src/`` in ``files`` (path -> source) that no caller reaches.
+def _is_re_export(stmt):
+    """``__all__ = [...]`` or a ``lazy_exports`` table: names a module
+    lists, not code that calls them."""
+    if not isinstance(stmt, ast.Assign):
+        return False
+    if any(isinstance(target, ast.Name) and target.id == "__all__"
+           for target in stmt.targets):
+        return True
+    call = stmt.value
+    return isinstance(call, ast.Call) \
+        and getattr(call.func, "id", None) == "lazy_exports"
+
+
+def _library_defs(tree, rel, docstrings):
+    """``(rel, class or None, name, names its body uses)`` of each
+    module-level def and class, and of each function defined directly
+    in a class body.  A class's own entry covers what is not a method:
+    its bases, decorators and fields."""
+    for stmt in tree.body:
+        if isinstance(stmt, FUNCTION):
+            yield rel, None, stmt.name, _names_used([stmt], docstrings)
+        elif isinstance(stmt, ast.ClassDef):
+            shell = [*stmt.bases, *stmt.keywords, *stmt.decorator_list,
+                     *(item for item in stmt.body
+                       if not isinstance(item, FUNCTION))]
+            yield rel, None, stmt.name, _names_used(shell, docstrings)
+            for item in stmt.body:
+                if isinstance(item, FUNCTION):
+                    yield (rel, stmt.name, item.name,
+                           _names_used([item], docstrings))
+
+
+def _label(cls, name):
+    return f"{cls}.{name}" if cls else name
+
+
+def unreached_defs(files, allowed=()):
+    """``path:name`` of every def or class under ``src/`` in ``files``
+    (path -> source) that no caller reaches; a method is written
+    ``path:Class.method``.
 
     Non-library code is always live, and so is a library module's
-    top-level code other than imports (an ``__init__`` re-export is no
-    caller).  A def is reached when live code names it, and then what
-    its body names is live too, until nothing changes: a def whose only
-    caller is unreached is unreached.  Docstrings and ``__all__`` are
-    strings, so they name nothing.
+    top-level code other than imports and re-exports.  A def is reached
+    when live code uses its name — as a name, an attribute or an
+    identifier string — and then what its body uses is live too, until
+    nothing changes: a def whose only caller is unreached is unreached.
+    A method is reached when its class is and its name is used (any
+    class's method of that name: an override is reached through a call
+    of the base's); a dunder is reached with its class.  Docstrings,
+    ``__all__`` and ``lazy_exports`` tables name nothing.  The bodies of
+    the ``allowed`` defs count as live, so what kept code calls is kept.
+    A method of an unreached class is not listed: the class is.
     """
     live, defs = set(), []
     for rel, text in files.items():
-        library = rel.startswith("src/")
-        for stmt in ast.parse(text).body:
-            if library and isinstance(stmt, DEFINITION):
-                defs.append((rel, stmt.name, _names_used(stmt)))
-            elif not (library and isinstance(stmt, (ast.Import,
-                                                    ast.ImportFrom))):
-                live |= _names_used(stmt)
-    unreached = defs
+        tree = ast.parse(text)
+        docstrings = _docstrings(tree)
+        if not rel.startswith("src/"):
+            live |= _names_used([tree], docstrings)
+            continue
+        defs += _library_defs(tree, rel, docstrings)
+        for stmt in tree.body:
+            if _is_re_export(stmt):
+                live |= _names_used([stmt], docstrings, strings=False)
+            elif not isinstance(stmt, DEFINITION + (ast.Import,
+                                                    ast.ImportFrom)):
+                live |= _names_used([stmt], docstrings)
+    classes = set()
+
+    def reach(d):
+        rel, cls, name, used = d
+        live.update(used)
+        if cls is None:
+            classes.add((rel, name))
+
+    unreached = []
+    for d in defs:
+        (reach if _label(d[1], d[2]) in allowed else unreached.append)(d)
     while True:
-        reached = [d for d in unreached if d[1] in live]
+        reached = [d for d in unreached
+                   if (d[2] in live if d[1] is None else
+                       (d[0], d[1]) in classes and (
+                           d[2] in live or (d[2].startswith("__")
+                                            and d[2].endswith("__"))))]
         if not reached:
             break
-        unreached = [d for d in unreached if d[1] not in live]
-        for _rel, _name, used in reached:
-            live |= used
-    return sorted(f"{rel}:{name}" for rel, name, _used in unreached
-                  if not name.startswith("_"))
+        unreached = [d for d in unreached if d not in reached]
+        for d in reached:
+            reach(d)
+    return sorted(f"{rel}:{_label(cls, name)}"
+                  for rel, cls, name, _used in unreached
+                  if cls is None or (rel, cls) in classes)
 
 
 def _caller_files():
@@ -824,13 +932,19 @@ def _caller_files():
             if "tests" not in path.relative_to(ROOT).parts}
 
 
-def test_every_public_def_has_a_caller_outside_the_tests():
-    unreached = unreached_defs(_caller_files())
-    names = {site.rpartition(":")[2] for site in unreached}
+def _names(sites):
+    return {site.rpartition(":")[2] for site in sites}
+
+
+def test_every_def_has_a_caller_outside_the_tests():
+    files = _caller_files()
+    unreached = unreached_defs(files, UNREACHED_ALLOWED)
     assert [site for site in unreached
             if site.rpartition(":")[2] not in UNREACHED_ALLOWED] == []
-    # the allow-list only shrinks: a name that gained a caller leaves it
-    assert sorted(set(UNREACHED_ALLOWED) - names) == []
+    # the allow-list only shrinks: a name that gained a caller other
+    # than an allow-listed body leaves it
+    assert sorted(set(UNREACHED_ALLOWED)
+                  - _names(unreached_defs(files))) == []
 
 
 def test_the_census_flags_a_def_nothing_calls():
@@ -851,6 +965,19 @@ def test_a_re_export_or_a_docstring_is_no_caller():
     assert unreached_defs(files) == ["src/repro/pkg/m.py:hidden"]
 
 
+def test_a_lazy_re_export_is_no_caller():
+    files = {"src/repro/_lazy.py": "def lazy_exports(p, e):\n"
+                                   "    return e, e\n",
+             "src/repro/pkg/__init__.py":
+                 "from .._lazy import lazy_exports\n"
+                 "__getattr__, __dir__ = lazy_exports(\n"
+                 "    __name__, {'.m': ('hidden', 'shown')})\n",
+             "src/repro/pkg/m.py": "def hidden():\n    pass\n\n\n"
+                                   "def shown():\n    pass\n",
+             "examples/e.py": "from repro.pkg import shown\nshown()\n"}
+    assert unreached_defs(files) == ["src/repro/pkg/m.py:hidden"]
+
+
 def test_a_helper_of_a_reached_def_is_reached_and_of_a_dead_one_dead():
     module = ("def helper():\n    return helper()\n\n\n"
               "def api():\n    return helper()\n\n\n"
@@ -860,3 +987,59 @@ def test_a_helper_of_a_reached_def_is_reached_and_of_a_dead_one_dead():
              "benchmarks/b.py": "import repro.m\nrepro.m.api()\n"}
     assert unreached_defs(files) == ["src/repro/m.py:lonely",
                                      "src/repro/m.py:lonely_helper"]
+
+
+#: a library class for the method cases below, and a tool that calls
+#: ``Box.used`` and nothing else of it
+BOX = ("class Box:\n"
+       "    def __init__(self):\n        self._setup()\n\n"
+       "    def _setup(self):\n        pass\n\n"
+       "    def used(self):\n        return 1\n\n"
+       "    def orphan(self):\n        return self.orphan_helper()\n\n"
+       "    def orphan_helper(self):\n        return 2\n\n"
+       "    def by_name(self):\n        return 3\n")
+BOX_CALLER = "from repro.m import Box\nBox().used()\n"
+
+
+def test_a_method_nothing_calls_is_flagged_with_its_class():
+    files = {"src/repro/m.py": BOX, "tools/t.py": BOX_CALLER}
+    assert unreached_defs(files) == ["src/repro/m.py:Box.by_name",
+                                     "src/repro/m.py:Box.orphan",
+                                     "src/repro/m.py:Box.orphan_helper"]
+
+
+def test_a_method_reached_only_through_a_dead_method_is_dead():
+    files = {"src/repro/m.py": BOX, "tools/t.py": BOX_CALLER}
+    assert "src/repro/m.py:Box.orphan_helper" in unreached_defs(files)
+    # ... and live once the dead method's body is allow-listed
+    assert "src/repro/m.py:Box.orphan_helper" not in unreached_defs(
+        files, {"Box.orphan"})
+
+
+def test_a_getattr_string_reaches_a_method():
+    files = {"src/repro/m.py": BOX,
+             "tools/t.py": BOX_CALLER + "getattr(Box(), 'by_name')()\n"}
+    assert "src/repro/m.py:Box.by_name" not in unreached_defs(files)
+
+
+def test_a_dunder_is_live_and_so_is_its_private_helper():
+    files = {"src/repro/m.py": BOX, "tools/t.py": BOX_CALLER}
+    unreached = unreached_defs(files)
+    assert "src/repro/m.py:Box.__init__" not in unreached
+    assert "src/repro/m.py:Box._setup" not in unreached
+
+
+def test_an_override_is_reached_through_a_call_of_the_base_name():
+    module = ("class Base:\n    def run(self):\n        return 0\n\n\n"
+              "class Child(Base):\n    def run(self):\n        return 1\n"
+              "\n    def extra(self):\n        return 2\n")
+    files = {"src/repro/m.py": module,
+             "tools/t.py": "from repro.m import Base, Child\n"
+                           "def go(b: Base):\n    return b.run()\n"
+                           "go(Child())\n"}
+    assert unreached_defs(files) == ["src/repro/m.py:Child.extra"]
+
+
+def test_the_methods_of_an_unreached_class_go_with_it():
+    files = {"src/repro/m.py": BOX, "tools/t.py": "print('no box')\n"}
+    assert unreached_defs(files) == ["src/repro/m.py:Box"]

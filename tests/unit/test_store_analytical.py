@@ -302,6 +302,44 @@ class TestNonFiniteTimestamps:
         assert store.group_by("count") == {"a": 2.0}
 
 
+def _tumbling_model(rows, window, agg):
+    """``(key, floor(ts / window) * window) -> aggregate``, row by row."""
+    cells = {}
+    for ts, value, key in rows:
+        start = float(np.floor_divide(ts, window) * window)
+        cells.setdefault((key, start), []).append(value)
+    return {cell: _scalar(agg, vals) for cell, vals in cells.items()}
+
+
+class TestWideWindowSpans:
+    """A span of window indices too wide for an exact ``code * n_windows
+    + window`` composite in int64 still lands every row in its own
+    ``(key, floor(ts / window) * window)`` cell, with no warning."""
+
+    def _tumbling(self, rows, window):
+        store = AnalyticalStore()
+        store.append_epoch(1, [Element(v, ts, k) for ts, v, k in rows])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for agg in AGGS:
+                got = store.tumbling(window, agg)
+                assert got == _tumbling_model(rows, window, agg), agg
+        return store.tumbling(window, "sum")
+
+    def test_a_millisecond_window_over_a_billion_seconds(self):
+        rows = [(ts, value, f"k{i}") for i in range(20)
+                for ts, value in ((0.0, 1.0), (1e15, 2.0))]
+        got = self._tumbling(rows, 1e-3)
+        assert len(got) == 40 and sum(got.values()) == 60.0
+        assert {start for _key, start in got} \
+            == {0.0, float(np.floor_divide(1e15, 1e-3) * 1e-3)}
+
+    def test_a_minute_window_past_the_int64_range(self):
+        got = self._tumbling([(10.0, 1.0, "a"), (1e300, 2.0, "a")], 60.0)
+        assert got == {("a", 0.0): 1.0,
+                       ("a", float(np.floor_divide(1e300, 60.0) * 60.0)): 2.0}
+
+
 class TestValidation:
     def test_unknown_aggregate_raises(self):
         store = AnalyticalStore()
@@ -311,5 +349,6 @@ class TestValidation:
             store.tumbling(10.0, "p99")
 
     def test_nonpositive_window_raises(self):
-        with pytest.raises(StoreError):
-            AnalyticalStore().tumbling(0.0)
+        for window in (0.0, -1.0, math.nan):
+            with pytest.raises(StoreError):
+                AnalyticalStore().tumbling(window)

@@ -141,15 +141,6 @@ class TestRetainWatermark:
         store.consumer_applied("c", 2)  # late report: does not rewind
         assert store.retain_watermark() == 3
 
-    def test_unregister_releases_the_watermark(self):
-        store = CheckpointStore(keep=1)
-        store.register_consumer("c", 1)
-        for cid in range(1, 5):
-            _finalize(store, cid)
-        assert len(store.retained_ids()) == 4
-        store.unregister_consumer("c")
-        assert store.retained_ids() == [4]
-
 
 class TestServeTopic:
     def _cluster(self, topic, n=120):

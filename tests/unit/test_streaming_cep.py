@@ -35,7 +35,7 @@ class TestPatternOperator:
         assert len(out) == 1
         match = out[0].value
         assert isinstance(match, PatternMatch)
-        assert match.span_s == 90.0
+        assert match.timestamps[-1] - match.timestamps[0] == 90.0
         assert match.events[0]["hr"] == 120
         assert op.matches == 1
 

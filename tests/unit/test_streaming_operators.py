@@ -5,12 +5,9 @@ import pytest
 from repro.streaming import (
     Element,
     FilterOperator,
-    FlatMapOperator,
     KeyByOperator,
     MapOperator,
     ReduceOperator,
-    SessionWindows,
-    TimestampAssigner,
     TumblingWindows,
     Watermark,
     WatermarkGenerator,
@@ -71,12 +68,6 @@ class TestBasicOperators:
         assert op.handle(_el(2)) == [_el(2)]
         assert op.handle(_el(3)) == []
 
-    def test_flat_map(self):
-        op = FlatMapOperator("fm", lambda v: range(v))
-        out = op.handle(_el(3, ts=1.0))
-        assert [o.value for o in out] == [0, 1, 2]
-        assert all(o.timestamp == 1.0 for o in out)
-
     def test_key_by(self):
         op = KeyByOperator("k", lambda v: v["user"])
         out = op.handle(_el({"user": "u1"}))
@@ -100,11 +91,6 @@ class TestBasicOperators:
         op.handle(_el(5, key="a"))
         op.rollback(captured)
         assert op.handle(_el(1, key="a"))[0].value == 6
-
-    def test_timestamp_assigner(self):
-        op = TimestampAssigner("ts", lambda v: v["t"])
-        out = op.handle(_el({"t": 42.0}, ts=0.0))
-        assert out[0].timestamp == 42.0
 
     def test_watermark_passthrough_on_stateless(self):
         op = MapOperator("m", lambda v: v)
@@ -156,14 +142,6 @@ class TestWindowAssigners:
     def test_tumbling_offset(self):
         assigner = TumblingWindows(10.0, offset=3.0)
         assert assigner.assign(12.0) == [Window(3.0, 13.0)]
-
-    def test_session_is_merging(self):
-        assigner = SessionWindows(gap=5.0)
-        assert assigner.merging
-        assert assigner.assign(10.0) == [Window(10.0, 15.0)]
-
-    def test_window_merge(self):
-        assert Window(0, 10).merged(Window(5, 15)) == Window(0, 15)
 
     def test_empty_window_rejected(self):
         with pytest.raises(ConfigError):

@@ -60,29 +60,5 @@ class TestRect:
         assert a.intersects(Rect(5, 5, 10, 10))
         assert not a.intersects(Rect(10, 0, 5, 5))  # touching edge: no
 
-    def test_intersection_area(self):
-        inter = Rect(0, 0, 10, 10).intersection(Rect(5, 5, 10, 10))
-        assert inter == Rect(5, 5, 5, 5)
-
-    def test_intersection_disjoint_is_none(self):
-        assert Rect(0, 0, 1, 1).intersection(Rect(5, 5, 1, 1)) is None
-
-    def test_union_bounds(self):
-        union = Rect(0, 0, 1, 1).union_bounds(Rect(5, 5, 1, 1))
-        assert union == Rect(0, 0, 6, 6)
-
-    def test_iou_identical(self):
-        rect = Rect(0, 0, 4, 4)
-        assert rect.iou(rect) == pytest.approx(1.0)
-
-    def test_iou_disjoint(self):
-        assert Rect(0, 0, 1, 1).iou(Rect(2, 2, 1, 1)) == 0.0
-
-    def test_iou_half_overlap(self):
-        # 2x2 rects overlapping in a 1x2 strip: inter 2, union 6.
-        a = Rect(0, 0, 2, 2)
-        b = Rect(1, 0, 2, 2)
-        assert a.iou(b) == pytest.approx(2 / 6)
-
     def test_translated(self):
         assert Rect(0, 0, 1, 1).translated(2, 3) == Rect(2, 3, 1, 1)

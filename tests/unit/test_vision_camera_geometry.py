@@ -33,16 +33,6 @@ class TestCameraIntrinsics:
         px = INTR.project(np.array([[0.0, 0.0, -1.0]]))
         assert np.isnan(px).all()
 
-    def test_unproject_roundtrip(self):
-        points = np.array([[0.3, -0.2, 2.0], [1.0, 1.0, 5.0]])
-        pixels = INTR.project(points)
-        back = INTR.unproject(pixels, points[:, 2])
-        assert np.allclose(back, points)
-
-    def test_in_view(self):
-        pixels = np.array([[10.0, 10.0], [-5.0, 10.0], [np.nan, 1.0]])
-        assert list(INTR.in_view(pixels)) == [True, False, False]
-
     def test_bad_focal_rejected(self):
         with pytest.raises(CalibrationError):
             CameraIntrinsics(fx=0, fy=1, cx=0, cy=0, width=10, height=10)
@@ -74,10 +64,6 @@ class TestPose:
         cam = pose.transform(np.array([[0.0, 0.0, 0.0]]))
         assert cam[0, 2] == pytest.approx(2.0)  # in front, +z
         assert cam[0, :2] == pytest.approx([0.0, 0.0])
-
-    def test_rotation_distance(self):
-        a = look_at(eye=[0, 0, -2], target=[0, 0, 0])
-        assert a.rotation_angle_to(a) == pytest.approx(0.0, abs=1e-7)
 
     def test_degenerate_look_at_rejected(self):
         with pytest.raises(CalibrationError):
@@ -161,5 +147,9 @@ class TestPoseFromHomography:
         pixels = INTR.project(pose_true.transform(world_pts))
         h = estimate_homography(world_pts[:, :2], pixels)
         pose_est = pose_from_homography(h, INTR)
-        assert pose_true.translation_distance_to(pose_est) < 0.01
-        assert pose_true.rotation_angle_to(pose_est) < 0.01
+        assert np.linalg.norm(pose_true.camera_center
+                              - pose_est.camera_center) < 0.01
+        # geodesic rotation distance
+        r_rel = pose_true.rotation.T @ pose_est.rotation
+        cos_angle = np.clip((np.trace(r_rel) - 1.0) / 2.0, -1.0, 1.0)
+        assert np.arccos(cos_angle) < 0.01
