@@ -21,6 +21,11 @@ whose newest version may sit in any of them, the shape a key written
 steadily between flushes has.  Reported only, beside the uniform-key
 row; no gate reads it.
 
+A fourth store is a dashboard's: **the ward-backfill panel shape**, a
+tumbling mean over one ward's 200 keys of a 50 000-row, ~1 000-key
+analytical tier, and a ``group_by`` mean over a ~20 000-row time range
+of it, each query timed individually.  Reported only; no gate reads it.
+
 The write side gets one row as well, **epoch apply**: what applying an
 epoch costs per row for one 20 000-row Zipf epoch and for 1 000 epochs
 of 20 rows, each handed over once as the batch the transactional sink
@@ -32,7 +37,8 @@ than the second.
 Reported: per-phase build throughput, hot-tier structure (runs,
 compactions), lookup p50/p99/max, concurrent analytical ingest rate,
 the read-amplification lookup p50/p99 with the run count behind them,
-the hot-key lookup p50/p99 with the version count behind them, and the
+the hot-key lookup p50/p99 with the version count behind them, the
+dashboard query p50s with the rows and cells behind them, and the
 epoch-apply cost per row for both hand-offs at both epoch sizes.
 The committed gate (``tools/check_store.py``) holds the uniform-key p99
 under ``P99_FLOOR_US`` — ~10x the measured value on the reference
@@ -92,6 +98,16 @@ AMP_KEYS = 2_000
 #: runs of four epochs and three runs of one
 AMP_EPOCHS = 15
 AMP_LOOKUPS = 10_000
+
+DASH_ROWS = 50_000
+DASH_KEYS = 1_000
+#: one ward: 40 patients x 5 vitals
+DASH_PANEL_KEYS = 200
+#: the store's rows sit on 10 s window ends over this many seconds
+DASH_SECONDS = 1_040
+DASH_WINDOW_S = 60.0
+DASH_GROUP_ROWS = 20_000
+DASH_QUERIES = 200
 
 APPLY_KEYS = 20_000
 #: (label, epochs, rows per epoch): one chunk-sized epoch, many tick-sized
@@ -245,6 +261,42 @@ def _measure_read_amp(rng) -> dict:
     }
 
 
+def _measure_dashboard(rng) -> dict:
+    """A backfilled analytical tier (rows on 10 s window ends, appended
+    in ts order, one epoch per 10 s), then individually timed dashboard
+    queries: a tumbling mean over one ward's keys across the whole
+    history, and a group_by mean over a time range of ~20 000 rows."""
+    store = TieredStore()
+    keys = [f"w-{i:04d}" for i in range(DASH_KEYS)]
+    ts = np.sort(rng.integers(1, DASH_SECONDS // 10 + 1, DASH_ROWS)) * 10.0
+    codes = rng.integers(0, DASH_KEYS, DASH_ROWS).tolist()
+    values = rng.normal(75.0, 12.0, DASH_ROWS).tolist()
+    epochs = np.flatnonzero(np.diff(ts, prepend=-1.0)).tolist() + [DASH_ROWS]
+    for epoch, (lo, hi) in enumerate(zip(epochs, epochs[1:]), start=1):
+        store.analytical.append_epoch(epoch, [
+            Element(values[i], float(ts[i]), keys[codes[i]])
+            for i in range(lo, hi)])
+    panel = keys[:DASH_PANEL_KEYS]
+    start = float(ts[DASH_ROWS - DASH_GROUP_ROWS])
+    queries = {
+        "tumbling": lambda: store.analytical.tumbling(
+            DASH_WINDOW_S, "mean", keys=panel),
+        "group_by": lambda: store.analytical.group_by("mean", start=start)}
+    out = {"dash_rows": DASH_ROWS, "dash_keys": DASH_KEYS}
+    for name, query in queries.items():
+        latencies = []
+        for _ in range(DASH_QUERIES):
+            t0 = time.perf_counter_ns()
+            cells = query()
+            latencies.append(time.perf_counter_ns() - t0)
+        out[f"dash_{name}_cells"] = len(cells)
+        out[f"dash_{name}_us_p50"] = round(
+            float(np.percentile(latencies, 50)) / 1_000.0, 1)
+    out["dash_tumbling_rows"] = store.analytical.count(keys=panel)
+    out["dash_group_by_rows"] = store.analytical.count(start=start)
+    return out
+
+
 def _apply_epochs(epochs: list[list[Element]], as_batch: bool) -> float:
     """Seconds spent applying ``epochs``, committed one by one into a
     fresh store.  ``as_batch``: the commit listener is handed the
@@ -309,7 +361,8 @@ def run_experiment() -> dict:
     hot_keys["hot_key_p50_ratio"] = round(
         hot_keys["hot_key_lookup_p50_us"] / measure["lookup_p50_us"], 2)
     epoch_apply = _measure_epoch_apply(rng)
-    read_amp = _measure_read_amp(rng)  # last: the other rows' draws hold
+    read_amp = _measure_read_amp(rng)
+    dashboard = _measure_dashboard(rng)  # last: the other rows' draws hold
     hot_stats = store.hot.stats()
     results = {
         "config": {"keys": N_KEYS, "num_shards": NUM_SHARDS,
@@ -323,9 +376,12 @@ def run_experiment() -> dict:
                    "hot_key_ratio_ceiling": HOT_KEY_RATIO_CEILING,
                    "apply_keys": APPLY_KEYS,
                    "apply_shapes": [list(shape) for shape in APPLY_SHAPES],
-                   "apply_repeats": APPLY_REPEATS},
+                   "apply_repeats": APPLY_REPEATS,
+                   "dash_window_s": DASH_WINDOW_S,
+                   "dash_panel_keys": DASH_PANEL_KEYS,
+                   "dash_queries": DASH_QUERIES},
         "store": {**build, **measure, **read_amp, **hot_keys,
-                  **epoch_apply,
+                  **epoch_apply, **dashboard,
                   "hot_rows": store.hot.rows,
                   "runs": int(sum(s["runs"]
                                   for s in hot_stats["shards"])),
@@ -362,6 +418,10 @@ def report(results: dict) -> None:
             f"{s[f'apply_{label}_list_us_per_row']} us/row = "
             f"{s[f'apply_{label}_batch_over_list']}x"]
            for label, epochs, rows in APPLY_SHAPES),
+         *([f"dashboard {name}: {s[f'dash_{name}_rows']:,} of "
+            f"{s['dash_rows']:,} rows -> {s[f'dash_{name}_cells']:,} cells",
+            f"p50 {s[f'dash_{name}_us_p50']} us"]
+           for name in ("tumbling", "group_by")),
          ["columnar ingest rows/s", f"{s['ingest_rows_per_s']:,}"],
          ["analytical rows", f"{s['analytical_rows']:,}"]],
         note=f"gate: tools/check_store.py holds p99 < "

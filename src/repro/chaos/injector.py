@@ -571,11 +571,11 @@ class ChaosLogCluster:
 
     def append_row(self, topic: str, partition: int, value: Any,
                    key: str | None, timestamp: float,
-                   headers: Mapping[str, str] | None, size: int) -> int:
+                   headers: Mapping[str, str] | None) -> int:
         directives = self._injector.before_append(self._cluster, topic,
                                                   partition)
         offset = self._cluster.append_row(topic, partition, value, key,
-                                          timestamp, headers, size)
+                                          timestamp, headers)
         return self._after_append(directives, topic, partition, offset)
 
     def appenders(self, topic: str) -> tuple[tuple[Callable[..., int]], ...]:

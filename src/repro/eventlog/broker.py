@@ -183,11 +183,10 @@ class LogCluster:
 
     def append_row(self, topic: str, partition: int, value: Any,
                    key: str | None, timestamp: float,
-                   headers: Mapping[str, str] | None, size: int) -> int:
+                   headers: Mapping[str, str] | None) -> int:
         """Leader append + synchronous ISR replication of one row's
         fields; returns its offset.  The one append primitive — every
-        other append shape ends here.  ``size`` is
-        ``record_size(value, key, headers)``."""
+        other append shape ends here."""
         tp = (topic, partition)
         state = self._states.get(tp) or self.partition_state(topic, partition)
         brokers = self.brokers
@@ -195,21 +194,21 @@ class LogCluster:
         if leader == -1 or not brokers[leader].up:
             raise BrokerDown(f"{topic}[{partition}] has no live leader")
         offset = brokers[leader].replicas[tp].append_row(
-            value, key, timestamp, headers, size)
+            value, key, timestamp, headers)
         for b in state.isr:
             if b == leader:
                 continue
             follower = brokers[b]
             if follower.up:
                 follower.replicas[tp].append_row(
-                    value, key, timestamp, headers, size)
+                    value, key, timestamp, headers)
         return offset
 
     def appenders(self, topic: str
                   ) -> tuple[tuple[Callable[..., int], ...] | None, ...]:
         """:meth:`append_row` resolved once for many rows: per partition
-        of ``topic``, the ``append_row(value, key, timestamp, headers,
-        size)`` of every live in-sync replica log, leader first (the
+        of ``topic``, the ``append_row(value, key, timestamp, headers)``
+        of every live in-sync replica log, leader first (the
         leader's returns the offset), or None for a partition with no
         live leader.  Valid while :attr:`generation` is unchanged."""
         config = self.topic_config(topic)
@@ -230,8 +229,7 @@ class LogCluster:
     def append(self, topic: str, partition: int, record: Record) -> int:
         """:meth:`append_row` of the record's fields."""
         return self.append_row(topic, partition, record.value, record.key,
-                               record.timestamp, record.headers,
-                               record.size_bytes)
+                               record.timestamp, record.headers)
 
     def append_idempotent(self, topic: str, partition: int, record: Record,
                           producer_id: int, sequence: int,

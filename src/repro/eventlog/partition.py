@@ -34,29 +34,25 @@ class Partition:
         self._timestamps: list[float] = []
         #: absolute offset -> headers, for the rows that have any
         self._headers: dict[int, Mapping[str, str]] = {}
-        #: priced size of every row appended
-        self._size_bytes = 0
 
     # -- write path --------------------------------------------------------
 
     def append_row(self, value: Any, key: str | None, timestamp: float,
-                   headers: Mapping[str, str] | None, size: int) -> int:
-        """Append one row and return its absolute offset.  ``size`` is
-        ``record_size(value, key, headers)``, priced by the caller; a
-        non-empty ``headers`` mapping is stored as given."""
+                   headers: Mapping[str, str] | None) -> int:
+        """Append one row and return its absolute offset; a non-empty
+        ``headers`` mapping is stored as given."""
         offset = len(self._timestamps)
         self._values.append(value)
         self._keys.append(key)
         self._timestamps.append(timestamp)
         if headers:
             self._headers[offset] = headers
-        self._size_bytes += size
         return offset
 
     def append(self, record: Record) -> int:
         """Append and return the record's absolute offset."""
         return self.append_row(record.value, record.key, record.timestamp,
-                               record.headers, record.size_bytes)
+                               record.headers)
 
     # -- read path ---------------------------------------------------------
 
@@ -64,10 +60,6 @@ class Partition:
     def end_offset(self) -> int:
         """Offset the *next* append will receive (= high watermark)."""
         return len(self._timestamps)
-
-    @property
-    def size_bytes(self) -> int:
-        return self._size_bytes
 
     def __len__(self) -> int:
         return len(self._timestamps)
@@ -125,5 +117,4 @@ class Partition:
         twin._keys = list(self._keys)
         twin._timestamps = list(self._timestamps)
         twin._headers = dict(self._headers)
-        twin._size_bytes = self._size_bytes
         return twin

@@ -130,12 +130,11 @@ class Producer:
                 raise BrokerDown(f"{topic}[{partition}] has no live leader")
             if headers:
                 headers = dict(headers)
-            size = record_size(value, key, headers)
-            offset = replicas[0](value, key, timestamp, headers, size)
+            offset = replicas[0](value, key, timestamp, headers)
             for follower in replicas[1:]:
-                follower(value, key, timestamp, headers, size)
+                follower(value, key, timestamp, headers)
             self.sent += 1
-            self.bytes_sent += size
+            self.bytes_sent += record_size(value, key, headers)
             return partition, offset
         if partition is None:
             partition = self._choose_partition(

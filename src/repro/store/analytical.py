@@ -1,21 +1,17 @@
 """Columnar historical store: the analytics-facing scan tier.
 
 Committed epochs append onto **one set of columns**: capacity-doubling
-numpy buffers for timestamps, metric and dictionary-encoded key codes
-(one store-wide key table, as in a
-:class:`~repro.streaming.batch.RecordBatch`) plus one raw-value list.
-Each epoch adds a **zone map** entry (min ts, max ts, first row), so a
-time-bounded query masks only the epochs that can match, and a key set
-selects through a lookup table over key codes.  Values may be opaque
-objects; a ``metric_fn`` extracts the numeric column at append time,
-and the raw objects stay for callable-keyed regrouping (``by=``).
+numpy buffers for timestamps, metric and codes of one store-wide key
+table, plus one raw-value list.  Each epoch adds a **zone map** entry
+(min ts, max ts, first row), so a time-bounded query masks only the
+epochs that can match.  A ``metric_fn`` extracts the numeric column at
+append time; the raw values stay for callable-keyed regrouping (``by=``).
 
-Appends go **only** through :meth:`append_epoch`, guarded by
+Appends go **only** through a staged epoch, guarded by
 ``last_applied_epoch`` like the hot shards: staging resolves new keys
 against a *staged extension* of the key table; the install copies the
-columns onto the buffer tails and publishes the row count last — a
-discarded stage leaves no trace, ``[:rows]`` views are never rewritten,
-and a replayed commit stream never double-appends a row.
+columns onto the buffer tails and publishes the row count last, so a
+discarded stage leaves no trace and a replay never double-appends.
 """
 
 from __future__ import annotations
@@ -59,13 +55,32 @@ def _put(buf: np.ndarray, at: int, values: Any) -> np.ndarray:
 
 def _in_range(lo: np.ndarray, hi: np.ndarray, start: float | None,
               end: float | None) -> np.ndarray:
-    """Which ``[lo, hi]`` intervals meet the half-open ``[start, end)``."""
-    mask = np.ones(len(lo), dtype=bool)
-    if start is not None:
-        mask &= hi >= start
-    if end is not None:
-        mask &= lo < end
-    return mask
+    """Which ``[lo, hi]`` meet ``[start, end)`` (at least one bound set)."""
+    if start is None:
+        return lo < end
+    if end is None:
+        return hi >= start
+    return (hi >= start) & (lo < end)
+
+
+def _window_index(ts: np.ndarray, window_s: float) -> tuple[Any, np.ndarray]:
+    """``(finite, index)``: the window index of the rows ``finite`` picks
+    (a NaN or infinite ts has none), ``np.floor_divide`` bit for bit.  A
+    rounded quotient that is not whole floors as the exact one, as does
+    floor_divide below 2**50; whole ones, and all past it, divide again."""
+    with np.errstate(over="ignore"):
+        quotient = ts / window_s
+    index = np.floor(quotient)
+    if -2.0**50 < index.min(initial=0) <= index.max(initial=0) < 2.0**50:
+        whole = np.flatnonzero(index == quotient)
+        index[whole] = np.floor_divide(ts[whole], window_s)
+        return slice(None), index
+    finite = np.isfinite(ts)
+    ts, quotient = ts[finite], quotient[finite]
+    if not np.isfinite(quotient).all():
+        raise StoreError(f"ts {float(ts[~np.isfinite(quotient)][0])!r} has "
+                         f"no finite window index at window_s {window_s!r}")
+    return finite, np.floor_divide(ts, window_s)
 
 
 class AnalyticalStore:
@@ -95,10 +110,8 @@ class AnalyticalStore:
                     raw: list | None = None) -> dict[str, Any] | None:
         """Take one epoch's rows (a batch, or Elements encoded here) as
         columns, off to the side: nothing of the store changes, whether
-        the token is installed, dropped, or ``metric_fn`` raises half
-        way.  ``raw`` is the batch's decoded value list when the caller
-        already has it.  Returns ``None`` when the epoch is already
-        applied."""
+        the token is installed, dropped, or ``metric_fn`` raises.  ``raw``
+        is the decoded values, if known; None if the epoch is applied."""
         if epoch <= self.last_applied_epoch:
             return None
         batch = as_batch(rows)
@@ -163,14 +176,6 @@ class AnalyticalStore:
                      rows: RecordBatch | Iterable[Element]) -> int:
         return self.install_epoch(self.stage_epoch(epoch, rows))
 
-    def columns(self) -> dict[str, Any]:
-        """Views of the installed rows' ``ts``/``metric``/``codes``, a
-        copy of the ``raw`` list, and the shared ``key_dict``."""
-        rows = self.rows
-        return {"ts": self._ts[:rows], "metric": self._metric[:rows],
-                "codes": self._codes[:rows], "raw": self._raw[:rows],
-                "key_dict": self._key_dict}
-
     # -- query layer ---------------------------------------------------------
 
     def _select(self, keys: Iterable[Any] | None, start: float | None,
@@ -178,21 +183,23 @@ class AnalyticalStore:
         """Indices of the rows in a key set and/or half-open time range,
         masking only the first to last epoch whose zone meets the range
         (right for any ts order: no row outside holds a match)."""
-        zones = self.appends
-        hit = np.flatnonzero(_in_range(self._zone_lo[:zones],
-                                       self._zone_hi[:zones], start, end))
-        if not len(hit):
-            return np.empty(0, dtype=np.int64)
-        lo, last = int(self._zone_at[hit[0]]), int(hit[-1]) + 1
-        hi = int(self._zone_at[last]) if last < zones else self.rows
-        ts = self._ts[lo:hi]
-        mask = _in_range(ts, ts, start, end)
+        lo, hi, mask = 0, self.rows, None
+        if start is not None or end is not None:
+            zones = self.appends
+            hit = np.flatnonzero(_in_range(self._zone_lo[:zones],
+                                           self._zone_hi[:zones], start, end))
+            if not len(hit):
+                return np.empty(0, dtype=np.int64)
+            lo, last = int(self._zone_at[hit[0]]), int(hit[-1]) + 1
+            hi = int(self._zone_at[last]) if last < zones else self.rows
+            mask = _in_range(self._ts[lo:hi], self._ts[lo:hi], start, end)
         if keys is not None:
             lut = np.zeros(len(self._key_dict), dtype=bool)
             lut[[self._key_index[k] for k in keys
                  if k in self._key_index]] = True
-            mask &= lut[self._codes[lo:hi]]
-        return lo + np.flatnonzero(mask)
+            in_keys = lut[self._codes[lo:hi]]
+            mask = in_keys if mask is None else mask & in_keys
+        return np.arange(lo, hi) if mask is None else lo + np.flatnonzero(mask)
 
     def filter(self, keys: Iterable[Any] | None = None,
                start: float | None = None,
@@ -217,26 +224,20 @@ class AnalyticalStore:
         if agg == "count":
             return touched, counts[touched].astype(np.float64)
         if agg in ("sum", "mean"):
-            sums = np.bincount(codes, weights=metric)
-            if agg == "sum":
-                return touched, sums[touched]
-            return touched, sums[touched] / counts[touched]
-        fill = math.inf if agg == "min" else -math.inf
-        extrema = np.full(len(counts), fill, dtype=np.float64)
-        op = np.minimum if agg == "min" else np.maximum
-        op.at(extrema, codes, metric)
+            sums = np.bincount(codes, weights=metric)[touched]
+            return touched, sums if agg == "sum" else sums / counts[touched]
+        extrema = np.full(len(counts), math.inf if agg == "min" else -math.inf)
+        (np.minimum if agg == "min" else np.maximum).at(extrema, codes, metric)
         return touched, extrema[touched]
 
     def group_by(self, agg: str = "sum",
                  keys: Iterable[Any] | None = None,
                  start: float | None = None, end: float | None = None,
                  by: Callable[[Any], Any] | None = None) -> dict[Any, float]:
-        """Aggregate the metric per key, or per ``by(raw value)`` (e.g.
-        ``lambda v: v["item"]``): a per-row Python path for dashboard
-        pivots the key column does not carry."""
+        """Aggregate the metric per key, or per ``by(raw value)``: a
+        per-row Python path for pivots the key column does not carry."""
         if agg not in _AGGS:
-            raise StoreError(f"unknown aggregate {agg!r} "
-                             f"(expected one of {_AGGS})")
+            raise StoreError(f"unknown aggregate {agg!r}, not in {_AGGS}")
         idx = self._select(keys, start, end)
         metric = self._metric[idx]
         if by is not None:
@@ -246,49 +247,48 @@ class AnalyticalStore:
             return {g: float(_SCALAR[agg](vals))
                     for g, vals in groups.items()}
         touched, values = self._reduce(agg, self._codes[idx], metric)
-        kd = self._key_dict
-        return {kd[c]: float(v)
-                for c, v in zip(touched.tolist(), values.tolist())}
+        return dict(zip(map(self._key_dict.__getitem__, touched.tolist()),
+                        values.tolist()))
 
     def tumbling(self, window_s: float, agg: str = "sum",
                  keys: Iterable[Any] | None = None,
                  start: float | None = None, end: float | None = None,
                  ) -> dict[tuple[Any, float], float]:
-        """``(key, floor(ts / window_s) * window_s) -> value``: one bincount
-        over ``code * n_windows + window`` (its occupied cells when the
-        dense space outsizes the rows), or over the unique (key, window)
-        pairs when that composite is not exact in int64."""
-        if not window_s > 0:
-            raise StoreError("window_s must be positive")
+        """``(key, (ts // window_s) * window_s) -> value`` over the finite
+        ts: one bincount over ``code * n_windows + window`` (its occupied
+        cells when the dense space outsizes the rows), or over the unique
+        (key, window) pairs when that composite is not exact in int64."""
+        if not 0 < window_s < math.inf:
+            raise StoreError("window_s must be positive and finite")
         if agg not in _AGGS:
-            raise StoreError(f"unknown aggregate {agg!r} "
-                             f"(expected one of {_AGGS})")
+            raise StoreError(f"unknown aggregate {agg!r}, not in {_AGGS}")
         idx = self._select(keys, start, end)
-        ts = self._ts[idx]
-        if not np.isfinite(ts).all():  # a NaN or infinite ts is in no window
-            idx, ts = idx[np.isfinite(ts)], ts[np.isfinite(ts)]
+        finite, wf = _window_index(self._ts[idx], window_s)
+        idx = idx[finite]
         if not len(idx):
             return {}
-        wf = np.floor_divide(ts, window_s)  # window index, as a float
         base = float(wf.min())
         n_windows = float(wf.max()) - base + 1
         codes, metric, kd = self._codes[idx], self._metric[idx], self._key_dict
-        if not len(kd) * n_windows < 2 ** 53:  # no exact int64 composite
+        if len(kd) * n_windows < 2 ** 53:  # an exact int64 composite
+            n_windows = int(n_windows)
+            composite = codes * n_windows + (wf - base).astype(np.int64)
+            sparse = len(kd) * n_windows > _DENSE_PER_ROW * len(idx)
+            if sparse:
+                occupied, composite = np.unique(composite, return_inverse=True)
+            touched, values = self._reduce(agg, composite, metric)
+            touched = occupied[touched] if sparse else touched
+            # (c % n + base) * window_s per cell: a scalar loop's floats
+            cell_codes = touched // n_windows
+            starts = (touched % n_windows + base) * window_s
+        else:
             cells, inverse = np.unique(np.column_stack((codes, wf)), axis=0,
                                        return_inverse=True)
             touched, values = self._reduce(agg, inverse.ravel(), metric)
-            return {(kd[int(c)], w * window_s): v for (c, w), v
-                    in zip(cells[touched].tolist(), values.tolist())}
-        n_windows = int(n_windows)
-        composite = codes * n_windows + (wf - base).astype(np.int64)
-        occupied = None
-        if len(kd) * n_windows > _DENSE_PER_ROW * len(idx):
-            occupied, composite = np.unique(composite, return_inverse=True)
-        touched, values = self._reduce(agg, composite, metric)
-        if occupied is not None:
-            touched = occupied[touched]
-        return {(kd[c // n_windows], (c % n_windows + base) * window_s): v
-                for c, v in zip(touched.tolist(), values.tolist())}
+            cell_codes = cells[touched, 0].astype(np.int64)
+            starts = cells[touched, 1] * window_s
+        return dict(zip(zip(map(kd.__getitem__, cell_codes.tolist()),
+                            starts.tolist()), values.tolist()))
 
     def stats(self) -> dict[str, Any]:
         return {"rows": self.rows, "segments": self.appends,

@@ -28,10 +28,6 @@ class Window:
         if self.end <= self.start:
             raise ConfigError(f"empty window [{self.start}, {self.end})")
 
-    @property
-    def length(self) -> float:
-        return self.end - self.start
-
     def contains(self, timestamp: float) -> bool:
         return self.start <= timestamp < self.end
 

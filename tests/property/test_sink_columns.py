@@ -105,7 +105,7 @@ def _typed(elements):
 
 
 def _analytical(store):
-    cols = store.analytical.columns()
+    cols = store.analytical.filter()
     return ({name: cols[name].tobytes()
              for name in ("ts", "metric", "codes")},
             cols["raw"], cols["key_dict"], store.stats())

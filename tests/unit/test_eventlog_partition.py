@@ -9,10 +9,10 @@ import pytest
 from repro.eventlog import (
     LogCluster,
     Partition,
+    Producer,
     Record,
     TopicConfig,
     estimate_size,
-    record_size,
 )
 from repro.util.errors import BrokerDown, OffsetOutOfRange
 
@@ -103,10 +103,18 @@ class TestPartitionAppendRead:
         assert p.get(1).value == {"i": 1}
 
     def test_size_bytes_tracks_appends(self):
-        p = Partition("t", 0)
-        r = _record(0)
-        p.append(r)
-        assert p.size_bytes == r.size_bytes
+        """A producer prices each row it appends: ``bytes_sent`` is the
+        ``size_bytes`` of the records the partition reads back."""
+        cluster = LogCluster(num_brokers=1)
+        cluster.create_topic(TopicConfig("t", partitions=1))
+        producer = Producer(cluster)
+        for i in range(3):
+            producer.send("t", {"i": i}, key=f"k{i}",
+                          headers={"h": "x"} if i else None)
+        read = cluster.leader_partition("t", 0).read(0)
+        assert producer.bytes_sent == sum(r.size_bytes for _, r in read)
+        assert producer.bytes_sent > sum(_record(i).size_bytes
+                                         for i in range(3))
 
 
 class TestClone:
@@ -182,14 +190,10 @@ class ListModel:
         self.slots.append(record)
         return self.end - 1
 
-    def size(self):
-        return sum(r.size_bytes for r in self.slots)
-
 
 def _assert_matches(partition, model):
     live = model.live()
     assert len(partition) == len(live)
-    assert partition.size_bytes == model.size()
     assert partition.end_offset == model.end
     for offset in (-1, model.end + 1):
         with pytest.raises(OffsetOutOfRange):
@@ -234,8 +238,7 @@ def test_partition_matches_the_list_model(seed):
                 else:
                     got = partition.append_row(
                         record.value, record.key, record.timestamp,
-                        record.headers, record_size(
-                            record.value, record.key, record.headers))
+                        record.headers)
                 assert got == model.append(record)
         else:
             # the clone carries on; the original must not follow it
@@ -290,7 +293,7 @@ def test_followers_hold_the_leaders_columns(seed):
                 else:
                     got = cluster.append_row(
                         "t", p, record.value, record.key, record.timestamp,
-                        record.headers, record.size_bytes)
+                        record.headers)
             except BrokerDown:
                 assert cluster.partition_state("t", p).leader == -1
                 continue
@@ -305,4 +308,3 @@ def test_followers_hold_the_leaders_columns(seed):
                 replica = cluster.brokers[b].replicas[("t", p)]
                 assert replica.read_columns(0, 10_000, headers=True) \
                     == leader.read_columns(0, 10_000, headers=True)
-                assert replica.size_bytes == leader.size_bytes

@@ -39,10 +39,19 @@ def _elements(rng, n, keys):
             for _ in range(n)]
 
 
+def _columns(store):
+    """Views of the installed rows' columns, a copy of the raw values and
+    the key table."""
+    rows = store.rows
+    return {"ts": store._ts[:rows], "metric": store._metric[:rows],
+            "codes": store._codes[:rows], "raw": store._raw[:rows],
+            "key_dict": store._key_dict}
+
+
 def _snapshot(store):
     """Everything a reader can see: column bytes, raw values, key table
     and stats."""
-    cols = store.columns()
+    cols = _columns(store)
     return ({name: cols[name].tobytes() for name in ("ts", "metric", "codes")},
             list(cols["raw"]), list(cols["key_dict"]), store.stats())
 
@@ -153,7 +162,7 @@ class TestEpochProtocol:
         store = AnalyticalStore(metric_fn=lambda v: v["m"])
         store.append_epoch(1, _elements(make_rng(3), 6, keys=2))
         before = _snapshot(store)
-        key_dict = list(store.columns()["key_dict"])
+        key_dict = list(_columns(store)["key_dict"])
         fresh = [Element({"m": 1.0}, 1.0, "brand-new"),
                  Element({"m": 2.0}, 2.0, "k-0"),
                  Element({"m": 3.0}, 3.0, "another")]
@@ -166,7 +175,7 @@ class TestEpochProtocol:
         assert store.count(keys=["brand-new"]) == 0
         # ... and the same rows staged again install cleanly
         assert store.append_epoch(2, fresh) == 3
-        assert store.columns()["key_dict"] == key_dict + ["brand-new",
+        assert _columns(store)["key_dict"] == key_dict + ["brand-new",
                                                           "another"]
         assert store.group_by("sum", keys=["brand-new", "another"]) \
             == {"brand-new": 1.0, "another": 3.0}
@@ -193,7 +202,7 @@ class TestEpochProtocol:
         b = store.stage_epoch(2, [Element({"m": 2.0}, 2.0, "b-key")])
         assert store.install_epoch(b) == 1
         assert store.install_epoch(a) == 0
-        assert store.columns()["key_dict"] == ["b-key"]
+        assert _columns(store)["key_dict"] == ["b-key"]
         assert store.stats()["rows"] == 1
 
     def test_a_batch_is_taken_column_by_column(self):
@@ -203,7 +212,7 @@ class TestEpochProtocol:
         by_batch, by_rows = AnalyticalStore(), AnalyticalStore()
         by_batch.append_epoch(1, batch)
         by_rows.append_epoch(1, els)
-        got, want = by_batch.columns(), by_rows.columns()
+        got, want = _columns(by_batch), _columns(by_rows)
         for name in ("ts", "metric", "codes"):
             assert got[name].tobytes() == want[name].tobytes(), name
         assert got["raw"] == want["raw"]
@@ -214,7 +223,7 @@ class TestEpochProtocol:
 
     def test_views_taken_before_an_install_keep_their_bytes(self):
         # an install writes only past the published row count; a full
-        # buffer is replaced, never rewritten, so a reader's columns()
+        # buffer is replaced, never rewritten, so views of the columns
         # stay valid across in-place appends and reallocations alike
         store = AnalyticalStore(metric_fn=lambda v: v["m"])
         rng = make_rng(4)
@@ -222,7 +231,7 @@ class TestEpochProtocol:
         for epoch in range(1, 40):
             store.append_epoch(epoch, _elements(rng, int(rng.integers(9)),
                                                 keys=5))
-            cols = store.columns()
+            cols = _columns(store)
             if held and cols["ts"].base is not held[-1][0]["ts"].base:
                 reallocated += 1
             held.append((cols, {name: cols[name].tobytes()
@@ -241,7 +250,7 @@ class TestEpochProtocol:
             Element(value={"not": "numeric"}, timestamp=1.0, key="a"),
             Element(value=4.5, timestamp=2.0, key="a"),
         ])
-        cols = store.columns()
+        cols = _columns(store)
         assert math.isnan(cols["metric"][0])
         assert cols["metric"][1] == 4.5
 
@@ -352,3 +361,52 @@ class TestValidation:
         for window in (0.0, -1.0, math.nan):
             with pytest.raises(StoreError):
                 AnalyticalStore().tumbling(window)
+
+
+class TestWindowBoundaries:
+    """The window of a finite ts is ``floor(ts / window_s)``; a width or
+    an index that is not finite has no window and is refused."""
+
+    ROWS = [(5.0, 1.0, "a"), (-5.0, 2.0, "b"), (1e308, 3.0, "c")]
+
+    def _store(self):
+        store = AnalyticalStore()
+        store.append_epoch(1, [Element(v, ts, k) for ts, v, k in self.ROWS])
+        return store
+
+    def test_an_infinite_width_is_refused(self):
+        store = self._store()
+        with pytest.raises(StoreError, match="finite"):
+            store.tumbling(math.inf, "sum")
+
+    def test_an_overflowing_index_is_refused_naming_ts_and_width(self):
+        store = self._store()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StoreError) as err:
+                store.tumbling(1e-300, "sum")
+            # the rows whose index is finite still answer
+            assert store.tumbling(1e-300, "sum", end=1e300) == {
+                ("a", 5.0): 1.0, ("b", -5.0): 2.0}
+        assert "1e+308" in str(err.value) and "1e-300" in str(err.value)
+
+    def test_an_index_at_a_whole_quotient_is_the_exact_floor(self):
+        # 1.0 / 0.1 rounds to 10.0, but 0.1 is a little over a tenth, so
+        # the exact quotient is just under 10 and Python's 1.0 // 0.1 is
+        # 9.0; 0.3 / 0.1 rounds to 2.9999999999999996, floored to 2.0
+        store = AnalyticalStore()
+        store.append_epoch(1, [Element(1.0, 0.3, "a"), Element(2.0, 1.0, "a")])
+        got = store.tumbling(0.1, "sum")
+        assert 1.0 // 0.1 == 9.0 and 0.3 // 0.1 == 2.0
+        assert list(got.items()) == [(("a", 2.0 * 0.1), 1.0),
+                                     (("a", 9.0 * 0.1), 2.0)]
+
+    def test_past_2_50_windows_the_index_is_pythons_floor_division(self):
+        # 1152518003591066.8 / (1/3) rounds to 3457554010773200.5, whose
+        # floor is the exact quotient's; Python's // reads one under it
+        ts, window = 1152518003591066.8, 1 / 3
+        assert ts // window == 3457554010773199.0
+        store = AnalyticalStore()
+        store.append_epoch(1, [Element(1.0, ts, "a")])
+        assert list(store.tumbling(window, "count")) \
+            == [("a", (ts // window) * window)]

@@ -14,7 +14,9 @@ tiered serving store (:mod:`repro.store`):
    committed floor; its Zipf row (lookups on keys with hundreds of
    memtable versions) holds a p50 within a fixed ratio of the
    uniform-key p50 measured in the same run; its read-amplification row
-   (keys in the memtable and six runs) is printed, with no bound; its
+   (keys in the memtable and six runs) and its dashboard row (the
+   ward-backfill panel's tumbling mean, a ~20 000-row group_by) are
+   printed, with no bound; its
    epoch-apply row (one 20 000-row epoch, 1 000 epochs of 20 rows)
    costs no more handed over as the sink's sealed batch than as an
    Element list in the same run;
@@ -121,6 +123,10 @@ def check_latency_floor() -> bool:
     print(f"  keys in the memtable and {stats['amp_runs']} runs: "
           f"p50={stats['amp_lookup_p50_us']} us "
           f"p99={stats['amp_lookup_p99_us']} us (reported, no bound)")
+    for name in ("tumbling", "group_by"):
+        print(f"  dashboard {name}: {stats[f'dash_{name}_rows']:,} rows -> "
+              f"{stats[f'dash_{name}_cells']:,} cells, "
+              f"p50={stats[f'dash_{name}_us_p50']} us (reported, no bound)")
     print(f"  Zipf keys, {stats['hot_key_memtable_versions_p50']} memtable "
           f"versions behind the median lookup: "
           f"p50={stats['hot_key_lookup_p50_us']} us = {ratio}x the "
