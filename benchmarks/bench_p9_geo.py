@@ -167,10 +167,9 @@ def run_failover_experiment() -> dict:
     deployment = GeoDeployment(
         _build_job,
         primary_cluster=primary, standby_cluster=standby, topic=TOPIC,
-        primary_region="edge-a", standby_region="core",
         placement=placement_from_topology(topo, dict(PINS),
                                           default_region="core"),
-        parallelism=2, source_batch=8, step_cycles=2, interval_cycles=2,
+        source_batch=8, interval_cycles=2,
         region_timeout_s=2.0, topology=topo, simulator=sim,
         observer="core")
     report = deployment.run()

@@ -131,10 +131,9 @@ def _demo_geo() -> int:
     deployment = GeoDeployment(
         build_job,
         primary_cluster=primary, standby_cluster=standby, topic=topic,
-        primary_region="edge-a", standby_region="core",
         placement=placement_from_topology(topo, dict(pins),
                                           default_region="core"),
-        parallelism=2, source_batch=8, step_cycles=2, interval_cycles=2,
+        source_batch=8, interval_cycles=2,
         region_timeout_s=2.0, topology=topo, simulator=sim,
         observer="core")
     print(f"demo-geo: {n_records} records pinned to edge-a, mirrored "

@@ -218,8 +218,7 @@ class RetailApp:
         try:
             return self.pipeline.session(user)
         except PipelineError:
-            return self.pipeline.open_session(
-                user, occlusion=self._shelves, occlusion_policy="xray")
+            return self.pipeline.open_session(user, occlusion=self._shelves)
 
     # -- evaluation --------------------------------------------------------------------
 

@@ -71,11 +71,8 @@ class ContextStore:
         except KeyError:
             raise ContextError(f"unknown entity {entity_id!r}") from None
 
-    def entities(self, entity_type: str | None = None) -> list[SemanticEntity]:
-        out = list(self._entities.values())
-        if entity_type is not None:
-            out = [e for e in out if e.entity_type == entity_type]
-        return sorted(out, key=lambda e: e.entity_id)
+    def entities(self) -> list[SemanticEntity]:
+        return sorted(self._entities.values(), key=lambda e: e.entity_id)
 
     def __len__(self) -> int:
         return len(self._entities)
@@ -93,12 +90,11 @@ class ContextStore:
 
     # -- queries ------------------------------------------------------------
 
-    def nearby(self, user_id: str, radius_m: float,
-               entity_type: str | None = None) -> list[SemanticEntity]:
+    def nearby(self, user_id: str, radius_m: float) -> list[SemanticEntity]:
         """Entities within ``radius_m`` of the user, nearest first."""
         user = self.user(user_id)
         hits = []
-        for entity in self.entities(entity_type):
+        for entity in self.entities():
             dist = float(np.linalg.norm(entity.position - user.position))
             if dist <= radius_m:
                 hits.append((dist, entity))

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-import numpy as np
-
 from ..context.entities import ContextStore, SemanticEntity, UserContext
 from ..context.interpret import BoundContent, InterpretationEngine
 from ..eventlog.broker import LogCluster, TopicConfig
@@ -130,8 +128,7 @@ class ARBigDataPipeline:
     def ingest(self, topic: str, value: Mapping[str, Any],
                key: str | None = None,
                timestamp: float | None = None,
-               personal: bool = False,
-               population: np.ndarray | None = None) -> tuple[int, int]:
+               personal: bool = False) -> tuple[int, int]:
         """Append one record; personal records pass the privacy guard
         (pseudonymized user, protected location)."""
         record = dict(value)
@@ -141,8 +138,7 @@ class ARBigDataPipeline:
                 key = record["user"] if key is not None else key
             if "x" in record and "y" in record:
                 px, py, err = self.guard.protect_location(
-                    float(record["x"]), float(record["y"]),
-                    population=population)
+                    float(record["x"]), float(record["y"]))
                 record["x"], record["y"] = px, py
                 record["loc_error_m"] = err
         return self.producer.send(topic, record, key=key,
@@ -155,12 +151,11 @@ class ARBigDataPipeline:
                            value_fn: Callable[[Any], float],
                            window_s: float,
                            aggregate: str = "mean",
-                           max_lateness: float = 5.0,
                            ) -> list[WindowResult]:
         """Run a tumbling-window job over everything retained in a topic."""
         def build(builder: JobBuilder) -> None:
             (builder.source(topic, log_source(self.log, topic))
-                    .with_watermarks(max_lateness)
+                    .with_watermarks(5.0)
                     .key_by(key_fn)
                     .window(TumblingWindows(window_s), aggregate,
                             value_fn=value_fn)
@@ -196,16 +191,12 @@ class ARBigDataPipeline:
     # -- sessions ---------------------------------------------------------------------
 
     def open_session(self, user_id: str,
-                     intrinsics: CameraIntrinsics = DEFAULT_INTRINSICS,
                      occlusion: OcclusionWorld | None = None,
-                     occlusion_policy: str = "xray",
-                     declutter: bool = True,
                      budget: FrameBudget | None = None) -> ARSession:
         if user_id in self._sessions:
             raise PipelineError(f"session for {user_id!r} already open")
-        compositor = Compositor(intrinsics, occlusion=occlusion,
-                                occlusion_policy=occlusion_policy,
-                                declutter=declutter, budget=budget)
+        compositor = Compositor(DEFAULT_INTRINSICS, occlusion=occlusion,
+                                budget=budget)
         session = ARSession(user_id=user_id, dataset=self.dataset,
                             compositor=compositor)
         session.sync()

@@ -3,8 +3,8 @@ component).
 
 Personal data leaves the device only through the guard:
 
-- locations are perturbed (geo-indistinguishability) or cloaked
-  (k-anonymity) before entering any shared topic;
+- locations are perturbed (geo-indistinguishability) before entering
+  any shared topic;
 - raw identifiers are pseudonymized with a keyed stable hash.
 
 The guard counts the locations it protected, so the privacy experiments
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..eventlog.producer import stable_hash
-from ..privacy.location import GridCloak, PlanarLaplace
+from ..privacy.location import PlanarLaplace
 from ..util.errors import PrivacyError
 
 __all__ = ["PrivacyConfig", "PrivacyGuard"]
@@ -28,19 +28,17 @@ __all__ = ["PrivacyConfig", "PrivacyGuard"]
 class PrivacyConfig:
     """Guard configuration.
 
-    location_mode   'none' | 'laplace' | 'cloak'
+    location_mode   'none' | 'laplace'
     geo_epsilon     epsilon per metre for planar Laplace
-    cloak_k         k for grid cloaking
     pseudonym_salt  keyed-hash salt for identifier pseudonymization
     """
 
     location_mode: str = "laplace"
     geo_epsilon: float = 0.01
-    cloak_k: int = 5
     pseudonym_salt: str = "repro"
 
     def __post_init__(self) -> None:
-        if self.location_mode not in ("none", "laplace", "cloak"):
+        if self.location_mode not in ("none", "laplace"):
             raise PrivacyError(
                 f"unknown location mode {self.location_mode!r}")
 
@@ -48,14 +46,11 @@ class PrivacyConfig:
 class PrivacyGuard:
     """The single gate personal data passes on its way to big data."""
 
-    def __init__(self, config: PrivacyConfig, rng: np.random.Generator,
-                 cloak: GridCloak | None = None) -> None:
+    def __init__(self, config: PrivacyConfig,
+                 rng: np.random.Generator) -> None:
         self.config = config
         self._planar = PlanarLaplace(config.geo_epsilon, rng) \
             if config.location_mode == "laplace" else None
-        self._cloak = cloak
-        if config.location_mode == "cloak" and cloak is None:
-            raise PrivacyError("cloak mode requires a GridCloak instance")
         self.locations_processed = 0
 
     # -- identifiers -------------------------------------------------------
@@ -67,22 +62,11 @@ class PrivacyGuard:
 
     # -- locations -----------------------------------------------------------
 
-    def protect_location(self, x: float, y: float,
-                         population: np.ndarray | None = None,
-                         ) -> tuple[float, float, float]:
-        """Returns (x', y', worst_case_error_m) per the configured mode."""
+    def protect_location(self, x: float,
+                         y: float) -> tuple[float, float, float]:
+        """Returns (x', y', expected_error_m) per the configured mode."""
         self.locations_processed += 1
-        mode = self.config.location_mode
-        if mode == "none":
+        if self._planar is None:
             return x, y, 0.0
-        if mode == "laplace":
-            assert self._planar is not None
-            px, py = self._planar.perturb(x, y)
-            return px, py, self._planar.expected_displacement_m
-        # cloak
-        assert self._cloak is not None
-        if population is None:
-            raise PrivacyError("cloak mode needs the population snapshot")
-        region = self._cloak.cloak(x, y, population)
-        cx, cy = region.rect.center
-        return cx, cy, region.radius_m
+        px, py = self._planar.perturb(x, y)
+        return px, py, self._planar.expected_displacement_m

@@ -63,24 +63,21 @@ class AdaptiveQualityController:
 
     Section 4.1's real-time contract must survive bad conditions — the
     AR session "continues at reduced rate rather than dying".  The
-    controller holds a ladder of resolutions; after ``window`` frames it
-    steps down if the miss rate exceeds ``down_threshold`` and steps up
-    if every frame met the deadline with ``up_margin`` slack.
+    controller holds a ladder of resolutions and starts at the best;
+    after ``window`` frames it steps down if the miss rate exceeds
+    ``down_threshold`` and steps up if every frame met the deadline with
+    ``up_margin`` slack.
     """
 
     #: (width, height) ladder, best first.
     LADDER = ((1280, 720), (640, 480), (320, 240), (160, 120))
+    window = 10
+    down_threshold = 0.3
+    up_margin = 0.5
 
-    def __init__(self, timeliness: "TimelinessController",
-                 window: int = 10, down_threshold: float = 0.3,
-                 up_margin: float = 0.5, start_level: int = 0) -> None:
-        if not 0 <= start_level < len(self.LADDER):
-            raise PipelineError("start_level out of range")
+    def __init__(self, timeliness: "TimelinessController") -> None:
         self.timeliness = timeliness
-        self.window = window
-        self.down_threshold = down_threshold
-        self.up_margin = up_margin
-        self.level = start_level
+        self.level = 0
         self._recent: list[FrameTiming] = []
         self.downshifts = 0
         self.upshifts = 0

@@ -33,8 +33,7 @@ class Consumer:
     """
 
     def __init__(self, cluster: LogCluster, topic: str,
-                 partitions: list[int] | None = None,
-                 start: str = "earliest", dedup: bool = False,
+                 partitions: list[int] | None = None, dedup: bool = False,
                  tracer: Any = None) -> None:
         self.cluster = cluster
         self.topic = topic
@@ -47,17 +46,10 @@ class Consumer:
             partitions = list(range(cluster.partition_count(topic)))
         self.partitions = sorted(partitions)
         self.dedup = dedup
-        self._positions: dict[int, int] = {}
+        # Every partition is read from its earliest offset.
+        self._positions: dict[int, int] = dict.fromkeys(self.partitions, 0)
         # Highest offset + 1 already handed to the caller, per partition.
-        self._delivered: dict[int, int] = {}
-        for p in self.partitions:
-            if start == "earliest":
-                self._positions[p] = 0
-            elif start == "latest":
-                self._positions[p] = cluster.end_offset(topic, p)
-            else:
-                raise LogError(f"unknown start mode {start!r}")
-            self._delivered[p] = self._positions[p]
+        self._delivered: dict[int, int] = dict.fromkeys(self.partitions, 0)
         self.consumed = 0
         self.duplicates_dropped = 0
 
@@ -232,8 +224,7 @@ class ConsumerGroup:
         ranges = split_ranges(n_parts, len(members))
         for member_id, assigned_range in zip(members, ranges):
             assigned = list(assigned_range)
-            consumer = Consumer(self.cluster, self.topic, assigned,
-                                start="earliest")
+            consumer = Consumer(self.cluster, self.topic, assigned)
             for p in assigned:
                 if p in self._committed:
                     end = self.cluster.end_offset(self.topic, p)

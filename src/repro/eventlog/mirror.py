@@ -21,10 +21,9 @@ checkpoint taken against the primary and resume reading the replica at
 the same positions.
 
 Lag is first-class: :meth:`lag` reports, per partition, how many source
-records the replica has not yet applied; :meth:`pump` drains until lag
-is within the configured ``max_lag`` bound, so a deployment that pumps
-once per supervision step keeps replication lag observable *and*
-bounded.
+records the replica has not yet applied; :meth:`pump` drains it to
+zero, so a deployment that pumps once per supervision step keeps
+replication lag observable *and* bounded by one step's appends.
 """
 
 from __future__ import annotations
@@ -34,23 +33,20 @@ from .broker import LogCluster, TopicConfig
 
 __all__ = ["ReplicatedTopic"]
 
+#: the idempotent-producer id every mirrored record is appended under
+MIRROR_PRODUCER_ID = 9_000
+#: source records read per fetch while pumping
+PUMP_BATCH = 256
+
 
 class ReplicatedTopic:
     """Asynchronous fenced mirror of one topic between two clusters."""
 
-    def __init__(self, source: LogCluster, dest: LogCluster, topic: str,
-                 *, producer_id: int = 9_000, max_lag: int = 0,
-                 batch: int = 256) -> None:
-        if max_lag < 0:
-            raise ConfigError("max_lag must be non-negative")
-        if batch < 1:
-            raise ConfigError("batch must be >= 1")
+    def __init__(self, source: LogCluster, dest: LogCluster,
+                 topic: str) -> None:
         self.source = source
         self.dest = dest
         self.topic = topic
-        self.producer_id = producer_id
-        self.max_lag = max_lag
-        self.batch = batch
         self.epoch = 0
         self.fenced = False
         config = source.topic_config(topic)
@@ -95,8 +91,8 @@ class ReplicatedTopic:
         self.fenced = True
         return self.epoch
 
-    def pump(self, partition: int | None = None) -> int:
-        """Mirror pending records until lag is within ``max_lag``.
+    def pump(self) -> int:
+        """Mirror every pending record, partition by partition.
 
         Returns the number of records applied to the replica.  Raises
         the underlying :class:`~repro.util.errors.BrokerDown` when a
@@ -106,20 +102,17 @@ class ReplicatedTopic:
         if self.fenced:
             raise LogError(
                 f"mirror of {self.topic!r} is fenced at epoch {self.epoch}")
-        parts = ([partition] if partition is not None
-                 else list(range(self.partitions)))
         applied = 0
-        for p in parts:
-            while (self.source.end_offset(self.topic, p)
-                   - self._positions[p]) > self.max_lag:
+        for p in range(self.partitions):
+            while self.source.end_offset(self.topic, p) > self._positions[p]:
                 records = self.source.read(self.topic, p,
-                                           self._positions[p], self.batch)
+                                           self._positions[p], PUMP_BATCH)
                 if not records:
                     break
                 for offset, record in records:
                     got = self.dest.append_idempotent(
                         self.topic, p, record,
-                        producer_id=self.producer_id,
+                        producer_id=MIRROR_PRODUCER_ID,
                         sequence=offset, epoch=self.epoch)
                     if got != offset:
                         raise LogError(

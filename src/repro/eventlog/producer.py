@@ -10,9 +10,9 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from ..util.clock import SimClock
-from ..util.errors import BrokerDown, PartitionNotFound
+from ..util.errors import BrokerDown
 from ..util.ids import stable_hash
-from ..util.retry import Retrier, RetryPolicy
+from ..util.retry import Retrier
 from .broker import LogCluster
 from .record import Record, record_size
 
@@ -74,7 +74,7 @@ class Producer:
         #: the last idempotent attempt, for :meth:`resend_last`
         self._last_record: tuple[str, int, Record, int, int] | None = None
         self._txn: list[tuple[str, Any, str | None, float | None,
-                              dict[str, str], int | None]] | None = None
+                              dict[str, str]]] | None = None
         self.sent = 0
         self.bytes_sent = 0
         self.duplicates_rejected = 0
@@ -101,9 +101,9 @@ class Producer:
 
     def send(self, topic: str, value: Any, key: str | None = None,
              timestamp: float | None = None,
-             headers: Mapping[str, str] | None = None,
-             partition: int | None = None) -> tuple[int, int]:
-        """Append one record; returns (partition, offset)."""
+             headers: Mapping[str, str] | None = None) -> tuple[int, int]:
+        """Append one record to the partition its key hashes to (round
+        robin for no key); returns (partition, offset)."""
         if timestamp is None:
             timestamp = self.clock.now if self.clock is not None else 0.0
         if self.tracer is None and not self.idempotent:
@@ -116,15 +116,11 @@ class Producer:
                 cached = self._writers[topic] = (
                     generation, self.cluster.appenders(topic))
             writers = cached[1]
-            if partition is None:
-                # _choose_partition, with the keyed case inlined
-                if key is not None:
-                    partition = stable_hash(key) % len(writers)
-                else:
-                    partition = self._choose_partition(topic, None,
-                                                       len(writers))
-            elif not 0 <= partition < len(writers):
-                raise PartitionNotFound(f"{topic}[{partition}]")
+            # _choose_partition, with the keyed case inlined
+            if key is not None:
+                partition = stable_hash(key) % len(writers)
+            else:
+                partition = self._choose_partition(topic, None, len(writers))
             replicas = writers[partition]
             if replicas is None:
                 raise BrokerDown(f"{topic}[{partition}] has no live leader")
@@ -136,9 +132,8 @@ class Producer:
             self.sent += 1
             self.bytes_sent += record_size(value, key, headers)
             return partition, offset
-        if partition is None:
-            partition = self._choose_partition(
-                topic, key, self.cluster.partition_count(topic))
+        partition = self._choose_partition(
+            topic, key, self.cluster.partition_count(topic))
         all_headers = dict(headers) if headers else {}
         span = None
         if self.tracer is not None:
@@ -214,8 +209,7 @@ class Producer:
     def send_with_retry(self, topic: str, value: Any, key: str | None = None,
                         timestamp: float | None = None,
                         headers: Mapping[str, str] | None = None,
-                        partition: int | None = None,
-                        policy: RetryPolicy | None = None) -> tuple[int, int]:
+                        ) -> tuple[int, int]:
         """``send`` with capped-backoff retries on :class:`BrokerDown`.
 
         For an idempotent producer the retries go through
@@ -224,7 +218,7 @@ class Producer:
         of double-appending — at-least-once delivery with effectively-
         once log contents.  Non-idempotent producers simply re-send.
         """
-        retrier = Retrier(policy or RetryPolicy(), clock=self.clock)
+        retrier = Retrier(clock=self.clock)
         state = {"started": False}
 
         def _attempt() -> tuple[int, int]:
@@ -232,7 +226,7 @@ class Producer:
                 return self.resend_last()
             state["started"] = True
             return self.send(topic, value, key=key, timestamp=timestamp,
-                             headers=headers, partition=partition)
+                             headers=headers)
 
         try:
             return retrier.call(_attempt, retry_on=(BrokerDown,))
@@ -262,17 +256,15 @@ class Producer:
     def send_transactional(self, topic: str, value: Any,
                            key: str | None = None,
                            timestamp: float | None = None,
-                           headers: Mapping[str, str] | None = None,
-                           partition: int | None = None) -> None:
+                           headers: Mapping[str, str] | None = None) -> None:
         """Stage one record into the open transaction.  Nothing reaches
         the cluster until :meth:`commit_transaction`."""
         if self._txn is None:
             raise ValueError("no open transaction")
         self._txn.append((topic, value, key, timestamp,
-                          dict(headers or {}), partition))
+                          dict(headers or {})))
 
-    def commit_transaction(
-            self, policy: RetryPolicy | None = None) -> list[tuple[int, int]]:
+    def commit_transaction(self) -> list[tuple[int, int]]:
         """Drive every staged record into the log and close the
         transaction; returns their (partition, offset) coordinates.
 
@@ -287,9 +279,8 @@ class Producer:
             raise ValueError("no open transaction")
         staged, self._txn = self._txn, None
         coords = []
-        for topic, value, key, timestamp, headers, partition in staged:
+        for topic, value, key, timestamp, headers in staged:
             coords.append(self.send_with_retry(
-                topic, value, key=key, timestamp=timestamp, headers=headers,
-                partition=partition, policy=policy))
+                topic, value, key=key, timestamp=timestamp, headers=headers))
         self.txn_commits += 1
         return coords

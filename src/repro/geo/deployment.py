@@ -80,29 +80,29 @@ class GeoController(Controller):
     simulator's clock becomes the supervisor's.
     """
 
+    #: the region the job starts in, and the one it fails over to
+    primary_region = "edge-a"
+    standby_region = "core"
+    #: simulated seconds that pass before each supervision slice
+    step_wall_s = 1.0
+
     def __init__(self, build_job: Callable[[LogCluster], Any], *,
                  primary_cluster: LogCluster,
                  standby_cluster: LogCluster, topic: str,
-                 primary_region: str = "edge-a",
-                 standby_region: str = "core",
-                 region_timeout_s: float = 5.0, step_wall_s: float = 1.0,
+                 region_timeout_s: float = 5.0,
                  topology: Any = None, simulator: Any = None,
-                 observer: str | None = None,
-                 mirror_producer_id: int = 9_000) -> None:
+                 observer: str | None = None) -> None:
         self.build_job = build_job
         self.primary_cluster = primary_cluster
         self.standby_cluster = standby_cluster
         self.topic = topic
-        self.primary_region = primary_region
-        self.standby_region = standby_region
         self.region_timeout_s = region_timeout_s
-        self.step_wall_s = step_wall_s
         self.topology = topology
         self.simulator = simulator
         self.observer = observer
         self.mirror = ReplicatedTopic(primary_cluster, standby_cluster,
-                                      topic, producer_id=mirror_producer_id)
-        self.active_region = primary_region
+                                      topic)
+        self.active_region = self.primary_region
         self.failed_over = False
 
     def bind(self, supervisor: Supervisor) -> None:
@@ -227,17 +227,16 @@ class GeoController(Controller):
 
 
 def GeoDeployment(build_job: Callable[[LogCluster], Any], *,
-                  parallelism: int | dict[str, int] = 2,
                   placement: Any = None, injector: Any = None,
-                  source_batch: int = 32, step_cycles: int = 2,
-                  interval_cycles: int = 4, **geo: Any) -> Supervisor:
-    """A :class:`Supervisor` running ``build_job(primary_cluster)``
-    under one :class:`GeoController` (``geo`` are its options), keeping
-    four checkpoints and a metrics registry."""
+                  source_batch: int = 32, interval_cycles: int = 4,
+                  **geo: Any) -> Supervisor:
+    """A :class:`Supervisor` running ``build_job(primary_cluster)`` two
+    wide, two cycles a slice, under one :class:`GeoController` (``geo``
+    are its options), keeping four checkpoints and a metrics registry."""
     controller = GeoController(build_job, **geo)
     return Supervisor(
         build_job(controller.primary_cluster), controllers=[controller],
-        parallelism=parallelism, placement=placement, injector=injector,
-        source_batch=source_batch, step_cycles=step_cycles,
+        parallelism=2, placement=placement, injector=injector,
+        source_batch=source_batch, step_cycles=2,
         interval_cycles=interval_cycles, store=CheckpointStore(keep=4),
         metrics=MetricsRegistry())

@@ -106,11 +106,14 @@ def _format_duration(seconds: float) -> str:
     return f"{seconds * 1e3:.3f}ms"
 
 
-def render_tree(roots: list[SpanNode], stream: TextIO,
-                collapse_over: int = 4) -> None:
+#: a sibling group sharing a name collapses above this many members
+COLLAPSE_OVER = 4
+
+
+def render_tree(roots: list[SpanNode], stream: TextIO) -> None:
     """Print an indented span tree.
 
-    Sibling groups sharing a name with more than ``collapse_over``
+    Sibling groups sharing a name with more than ``COLLAPSE_OVER``
     members collapse into one aggregate line (count + total duration) —
     per-record produce/consume spans would otherwise drown the report.
     """
@@ -127,7 +130,7 @@ def render_tree(roots: list[SpanNode], stream: TextIO,
             group = groups.get(child.name)
             if group is None:
                 continue  # already emitted as an aggregate
-            if len(group) > collapse_over:
+            if len(group) > COLLAPSE_OVER:
                 total = sum(c.duration for c in group)
                 grandchildren = sum(len(c.children) for c in group)
                 stream.write(f"{'  ' * (depth + 1)}{child.name} "

@@ -218,10 +218,10 @@ class Tracer:
         return span
 
     @contextmanager
-    def span(self, name: str, parent: "Span | SpanContext | None" = None,
-             **attrs: Any) -> Iterator[Span]:
-        """Open a span, make it the active parent, end it on exit."""
-        s = self.start_span(name, parent=parent, attrs=attrs or None)
+    def span(self, name: str, **attrs: Any) -> Iterator[Span]:
+        """Open a child of the active span, make it the active parent,
+        end it on exit."""
+        s = self.start_span(name, attrs=attrs or None)
         if not s.is_recording:
             yield s
             return

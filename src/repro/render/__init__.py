@@ -11,7 +11,7 @@ from .layout import (
 )
 from .occlusion import BoxOccluder, OcclusionWorld, Visibility
 from .scene import Annotation, SceneGraph, SceneNode
-from .stability import StabilityStats, StableLayout
+from .stability import StableLayout
 
 __all__ = [
     "Compositor",
@@ -29,6 +29,5 @@ __all__ = [
     "Annotation",
     "SceneGraph",
     "SceneNode",
-    "StabilityStats",
     "StableLayout",
 ]

@@ -130,8 +130,14 @@ class FrameBudget:
     xray_surcharge_ms: float = 0.15
 
     def __post_init__(self) -> None:
-        if self.budget_ms <= 0 or self.cost_per_label_ms <= 0:
-            raise RenderError("budget and label cost must be positive")
+        # ``not x > 0`` also refuses NaN, which would switch shedding off
+        if not (self.budget_ms > 0 and self.cost_per_label_ms > 0):
+            raise RenderError("budget and label cost must be positive, got "
+                              f"{self.budget_ms!r} / "
+                              f"{self.cost_per_label_ms!r}")
+        if not self.xray_surcharge_ms >= 0:
+            raise RenderError("x-ray surcharge must be non-negative, got "
+                              f"{self.xray_surcharge_ms!r}")
 
 
 class Compositor:
@@ -237,7 +243,7 @@ class Compositor:
             # already in the layout's order: the budget sorted by the
             # same key, and sorting a sorted list again is a no-op while
             # the key is a total order, which a NaN priority breaks
-            placed = place_ordered(layout_input, screen, True)
+            placed = place_ordered(layout_input, screen)
         else:
             placed = declutter_layout(layout_input, screen)
         label_of = dict(zip(map(_ANNOTATION_ID, placed), placed))

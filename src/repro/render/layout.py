@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ..util.errors import RenderError
 from ..util.geometry import Rect
 
 __all__ = ["PlacedLabel", "naive_layout", "declutter_layout",
@@ -97,33 +96,20 @@ _CANDIDATE_OFFSETS = [
 
 
 def declutter_layout(items: list[tuple[str, float, float, float, float, float]],
-                     screen: Rect, max_labels: int | None = None,
-                     allow_drop: bool = True) -> list[PlacedLabel]:
+                     screen: Rect) -> list[PlacedLabel]:
     """Greedy priority placement with candidate offsets.
 
     Labels are processed in priority order; each tries offsets scaled by
     its own extent until it finds a position inside the screen that does
     not overlap an already-placed label.  Exhausting the candidates
-    drops the label (when allowed) or accepts the overlapping anchor
-    position.
+    drops the label.
     """
-    ordered = sorted(items, key=lambda row: (-row[5], row[0]))
-    if max_labels is not None:
-        if max_labels < 0:
-            raise RenderError("max_labels must be non-negative")
-        overflow = ordered[max_labels:]
-        ordered = ordered[:max_labels]
-    else:
-        overflow = []
-    placed = place_ordered(ordered, screen, allow_drop)
-    for aid, ax, ay, w, h, priority in overflow:
-        placed.append(_new(PlacedLabel, (aid, _label_rect(ax, ay, w, h),
-                                         ax, ay, priority, True)))
-    return placed
+    return place_ordered(sorted(items, key=lambda row: (-row[5], row[0])),
+                         screen)
 
 
 def place_ordered(ordered: list[tuple[str, float, float, float, float, float]],
-                  screen: Rect, allow_drop: bool) -> list[PlacedLabel]:
+                  screen: Rect) -> list[PlacedLabel]:
     """:func:`declutter_layout`'s placement of rows already in its
     order: highest priority first, ties by id.
 
@@ -150,13 +136,11 @@ def place_ordered(ordered: list[tuple[str, float, float, float, float, float]],
             else:
                 break  # on screen and clear of every placed label
         else:
-            # every candidate was off-screen or collided
-            x1, y1 = ax - half_w, ay - half_h
-            x2, y2 = x1 + w, y1 + h
-            if allow_drop:
-                placed.append(_new(PlacedLabel, (aid, Rect(x1, y1, w, h),
-                                                 ax, ay, priority, True)))
-                continue
+            # every candidate was off-screen or collided: dropped
+            placed.append(_new(PlacedLabel, (aid, Rect(ax - half_w,
+                                                       ay - half_h, w, h),
+                                             ax, ay, priority, True)))
+            continue
         occupied.append((x1, y1, x2, y2))
         placed.append(_new(PlacedLabel, (aid, Rect(x1, y1, w, h),
                                          ax, ay, priority, False)))

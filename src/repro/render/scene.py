@@ -91,8 +91,8 @@ class SceneGraph:
         self._index[annotation.annotation_id] = annotation
         return annotation
 
-    def add_node(self, node: SceneNode,
-                 parent: SceneNode | None = None) -> SceneNode:
+    def add_node(self, node: SceneNode) -> SceneNode:
+        """Attach ``node`` (and its subtree) under the root."""
         # Index every annotation in the subtree (children included),
         # validating before mutating so a duplicate leaves no partial
         # state behind.
@@ -108,7 +108,7 @@ class SceneGraph:
             if annotation.annotation_id in self._index:
                 raise RenderError(
                     f"duplicate annotation id {annotation.annotation_id!r}")
-        (parent if parent is not None else self.root).children.append(node)
+        self.root.children.append(node)
         for annotation in subtree:
             self._index[annotation.annotation_id] = annotation
         return node

@@ -7,29 +7,15 @@ declutter layout with hysteresis:
 - a label keeps its previous *offset from its anchor* as long as the
   resulting rectangle stays on-screen and collision-free (processed in
   priority order);
-- only labels whose kept position fails re-run placement;
-- per-frame movement relative to the anchor is what we report as jitter,
-  the metric the A-series ablation on/off comparison uses.
+- only labels whose kept position fails re-run placement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..util.geometry import Rect
 from .layout import PlacedLabel, declutter_layout
 
-__all__ = ["StabilityStats", "StableLayout"]
-
-
-@dataclass
-class StabilityStats:
-    """Accumulated jitter metrics across frames."""
-
-    frames: int = 0
-    label_frames: int = 0  # (label, frame) pairs after the first frame
-    moved: int = 0  # labels whose offset changed between frames
-    total_jitter_px: float = 0.0
+__all__ = ["StableLayout"]
 
 
 class StableLayout:
@@ -38,12 +24,10 @@ class StableLayout:
     def __init__(self, screen: Rect) -> None:
         self.screen = screen
         self._offsets: dict[str, tuple[float, float]] = {}
-        self.stats = StabilityStats()
 
     def layout(self, items: list[tuple[str, float, float, float, float,
                                        float]]) -> list[PlacedLabel]:
         """Place labels, keeping last frame's anchor offsets when legal."""
-        self.stats.frames += 1
         ordered = sorted(items, key=lambda row: (-row[5], row[0]))
         placed: list[PlacedLabel] = []
         occupied: list[Rect] = []
@@ -61,7 +45,6 @@ class StableLayout:
             if inside and not any(rect.intersects(o) for o in occupied):
                 occupied.append(rect)
                 placed.append(PlacedLabel(aid, rect, ax, ay, priority))
-                self._note_jitter(aid, offset, offset)
             else:
                 retry.append((aid, ax, ay, w, h, priority))
         # Labels without a keepable position go through fresh placement
@@ -80,10 +63,7 @@ class StableLayout:
                 if not label.dropped:
                     occupied.append(label.rect)
                     cx, cy = label.rect.center
-                    new_offset = (cx - ax, cy - ay)
-                    old_offset = self._offsets.get(aid)
-                    self._note_jitter(aid, old_offset, new_offset)
-                    self._offsets[aid] = new_offset
+                    self._offsets[aid] = (cx - ax, cy - ay)
                 else:
                     self._offsets.pop(aid, None)
                 placed.append(label)
@@ -98,16 +78,3 @@ class StableLayout:
                 self._offsets[label.annotation_id] = (
                     cx - label.anchor_x, cy - label.anchor_y)
         return placed
-
-    def _note_jitter(self, aid: str,
-                     old: tuple[float, float] | None,
-                     new: tuple[float, float]) -> None:
-        if old is None:
-            return  # first appearance: not jitter
-        self.stats.label_frames += 1
-        dx = new[0] - old[0]
-        dy = new[1] - old[1]
-        jitter = (dx * dx + dy * dy) ** 0.5
-        self.stats.total_jitter_px += jitter
-        if jitter > 1e-9:
-            self.stats.moved += 1

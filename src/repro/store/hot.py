@@ -93,38 +93,18 @@ class SortedRun:
 
     Rows are ``(key_repr, -order_ts, -seq, timestamp, value)`` tuples
     sorted by their first three fields (``seq`` is unique within a
-    shard, so a comparison never reaches the value).  ``first_row``
-    maps every key the run holds to its first (newest) row: a run that
-    cannot hold a key costs a lookup one dict miss, and prefix scans
-    from that row are the whole read API.  A flush, which lays the run
-    out key by key, passes ``first_row`` in.
+    shard, so a comparison never reaches the value).  A read finds a
+    key's newest run row in the shard's ``_run_newest`` index, never by
+    scanning a run.
     """
 
-    __slots__ = ("rows", "first_row")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows: list[tuple],
-                 first_row: dict[str, int] | None = None) -> None:
+    def __init__(self, rows: list[tuple]) -> None:
         self.rows = rows
-        if first_row is None:
-            # Filled back to front, so each key keeps its lowest index.
-            first_row = dict(zip([row[0] for row in reversed(rows)],
-                                 range(len(rows) - 1, -1, -1)))
-        self.first_row: dict[str, int] = first_row
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def scan_key(self, kr: str, limit: int) -> list[tuple]:
-        """Up to ``limit`` newest rows of one key, newest first."""
-        i = self.first_row.get(kr)
-        if i is None:
-            return []
-        out = []
-        for row in self.rows[i:i + limit]:
-            if row[0] != kr:
-                break
-            out.append(row)
-        return out
 
 
 class HotShard:
@@ -254,17 +234,15 @@ class HotShard:
         mem = self._mem
         run_newest = self._run_newest
         rows: list[tuple] = []
-        first_row: dict[str, int] = {}
         newer: dict[str, tuple] = {}
         for kr in sorted(mem):
             versions = mem[kr]
-            first_row[kr] = len(rows)
             rows.extend(reversed(versions))
             tail = versions[-1]
             known = run_newest.get(kr)
             if known is None or tail < known:
                 newer[kr] = tail
-        self._runs = self._runs + [SortedRun(rows, first_row)]
+        self._runs = self._runs + [SortedRun(rows)]
         run_newest.update(newer)
         self._mem = {}
         self._mem_rows = 0
@@ -304,35 +282,20 @@ class HotShard:
 
     # -- reads ---------------------------------------------------------------
 
-    def latest(self, key: Any, n: int = 1) -> list[tuple[float, Any]]:
-        """Newest ``n`` versions: ``[(timestamp, value), ...]``,
-        newest first, ordered by ``(order_ts, seq)`` so same-timestamp
-        writes resolve to the latest applied.  The newest one is the
-        smaller of the key's memtable tail and its newest run row.  For
-        ``n > 1`` the key's newest ``n`` are among the last ``n`` of its
-        memtable list and the first ``n`` of its rows in each run; those
-        at most ``n * (runs + 1)`` candidates are merged."""
-        return self.latest_rows(key_repr(key), n)
+    def latest(self, key: Any) -> list[tuple[float, Any]]:
+        """The newest version, ``[(timestamp, value)]`` (``[]`` for an
+        unknown key), ordered by ``(order_ts, seq)`` so same-timestamp
+        writes resolve to the latest applied: the smaller of the key's
+        memtable tail and its newest run row."""
+        return self.latest_rows(key_repr(key))
 
-    def latest_rows(self, kr: str, n: int) -> list[tuple[float, Any]]:
+    def latest_rows(self, kr: str) -> list[tuple[float, Any]]:
         """:meth:`latest` of a key already in row-key form."""
-        if n == 1:
-            best = self._run_newest.get(kr)
-            versions = self._mem.get(kr)
-            if versions and (best is None or versions[-1] < best):
-                best = versions[-1]
-            return [] if best is None else [(best[3], best[4])]
-        if n < 1:
-            raise StoreError("latest() needs n >= 1")
-        candidates: list[tuple] = []
+        best = self._run_newest.get(kr)
         versions = self._mem.get(kr)
-        if versions:
-            candidates.extend(reversed(versions[-n:]))
-        for run in self._runs:
-            candidates.extend(run.scan_key(kr, n))
-        if len(candidates) > 1:
-            candidates.sort()
-        return [(row[3], row[4]) for row in candidates[:n]]
+        if versions and (best is None or versions[-1] < best):
+            best = versions[-1]
+        return [] if best is None else [(best[3], best[4])]
 
     def contents(self) -> dict[str, list[tuple[float, Any]]]:
         """Canonical dump: key_repr -> all versions newest-first.
@@ -442,13 +405,13 @@ class HotStore:
                 staged[sid] = shards[sid].stage_keys(epoch, fresh)
         return staged
 
-    def latest(self, key: Any, n: int = 1) -> list[tuple[float, Any]]:
+    def latest(self, key: Any) -> list[tuple[float, Any]]:
         sid, kr = self.route(key)
-        return self.shards[sid].latest_rows(kr, n)
+        return self.shards[sid].latest_rows(kr)
 
     def point(self, key: Any) -> Any | None:
         """Newest value for ``key`` (overlay binding), or None."""
-        versions = self.latest(key, 1)
+        versions = self.latest(key)
         return versions[0][1] if versions else None
 
     def maintain(self) -> None:

@@ -74,7 +74,7 @@ class TieredStore:
 
     # -- serving surface -----------------------------------------------------
 
-    def latest(self, key: Any, n: int = 1) -> list[tuple[float, Any]]:
+    def latest(self, key: Any) -> list[tuple[float, Any]]:
         """:meth:`HotStore.latest`, with the hot tier's route memo read
         here: a memoised key reaches its shard's row in two calls, this
         one and :meth:`HotShard.latest_rows` (an overlay frame makes one
@@ -83,7 +83,7 @@ class TieredStore:
         hit = hot._routes.get(key) if type(key) is str else None
         if hit is None:
             hit = hot.route(key)
-        return hot.shards[hit[0]].latest_rows(hit[1], n)
+        return hot.shards[hit[0]].latest_rows(hit[1])
 
     def point(self, key: Any) -> Any | None:
         return self.hot.point(key)
@@ -111,7 +111,6 @@ class TieredStore:
 
 
 def serve_topic(cluster: Any, topic: str, *,
-                store: TieredStore | None = None,
                 key_fn: Callable[[Any], Any] | None = None,
                 parallelism: int = 1, source_batch: int = 64,
                 interval_cycles: int = 4, injector: Any = None,
@@ -123,8 +122,7 @@ def serve_topic(cluster: Any, topic: str, *,
     Builds ``source(topic) [-> key_by(key_fn)] -> sink``, runs it under
     coordinated checkpoints with a :class:`StoreSink` listening on the
     transactional sink's commits, and returns ``(store, report)``.
-    Records keep their log keys unless ``key_fn`` re-keys them, and a
-    default :class:`TieredStore` is built unless ``store`` is given.  The
+    Records keep their log keys unless ``key_fn`` re-keys them.  The
     run is chaos-ready: pass an ``injector`` and the store still comes
     out bit-identical to the fault-free run.
     """
@@ -133,8 +131,7 @@ def serve_topic(cluster: Any, topic: str, *,
     from ..streaming.supervisor import run_coordinated
     from .sink import StoreSink
 
-    if store is None:
-        store = TieredStore(metric_fn=metric_fn)
+    store = TieredStore(metric_fn=metric_fn)
     builder = JobBuilder(name or f"serve:{topic}")
     stream = builder.source("events", log_source(cluster, topic))
     if key_fn is not None:

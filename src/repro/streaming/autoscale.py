@@ -271,7 +271,7 @@ class Autoscaler(Controller):
     controller, rescales and sheds.
 
     Utilization is the per-subtask ``op.processed`` delta per cycle over
-    ``rated_capacity`` (default: the supervisor's source batch); backlog
+    ``rated_capacity`` (the supervisor's source batch); backlog
     comes from a sorted arrival-timestamp array against the SimClock.
     All state the policy contract externalizes lives here: previous
     readings, evaluations-since-change and the decision log.  Targets
@@ -279,14 +279,11 @@ class Autoscaler(Controller):
     under chaos" is a liveness property.
     """
 
-    def __init__(self, policy: Any, *, rated_capacity: float | None = None,
-                 slo_s: float | None = None,
+    def __init__(self, policy: Any, *, slo_s: float | None = None,
                  shed_policy: ShedPolicy | None = None) -> None:
-        if rated_capacity is not None and rated_capacity <= 0:
-            raise ConfigError("rated_capacity must be > 0")
         self.policy = policy
-        self.rated_capacity = (None if rated_capacity is None
-                               else float(rated_capacity))
+        #: set from the supervisor's source batch at the first ``bind``
+        self.rated_capacity: float | None = None
         self.slo_s = slo_s
         self.shed_policy = shed_policy
         self.decisions: list[ScalingDecision] = []

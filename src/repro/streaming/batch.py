@@ -402,9 +402,8 @@ class RecordBatch:
                            key_codes=codes, key_dict=kd,
                            wm_offsets=offsets, wm_values=self.wm_values)
 
-    def with_values(self, values: Any,
-                    py_values: bool = False) -> "RecordBatch":
-        return RecordBatch(self.timestamps, values, py_values=py_values,
+    def with_values(self, values: Any) -> "RecordBatch":
+        return RecordBatch(self.timestamps, values, py_values=False,
                            key_codes=self.key_codes, key_dict=self.key_dict,
                            wm_offsets=self.wm_offsets,
                            wm_values=self.wm_values)

@@ -369,7 +369,6 @@ class CheckpointCoordinator:
                  store: CheckpointStore | None = None,
                  clock: SimClock | None = None,
                  interval_cycles: int = 4,
-                 heartbeat_timeout_s: float = HEARTBEAT_TIMEOUT_S,
                  injector: Any = None,
                  metrics: Any = None) -> None:
         if interval_cycles < 1:
@@ -380,8 +379,7 @@ class CheckpointCoordinator:
         self.interval_cycles = interval_cycles
         self.injector = injector
         self.metrics = metrics
-        self.monitor = HeartbeatMonitor(self.clock,
-                                        timeout_s=heartbeat_timeout_s)
+        self.monitor = HeartbeatMonitor(self.clock)
         #: commit listeners: f(checkpoint_id, sink_name, sink) — the
         #: committed sink itself: ``len(sink)`` rows, ``rows_from(n)``
         #: the rows past ``n`` as one undecoded batch, ``elements`` the

@@ -136,9 +136,9 @@ SKIP = ErrorPolicy("skip")
 DEAD_LETTER = ErrorPolicy("dead_letter")
 
 
-def RETRY(attempts: int, escalate: str = "fail") -> ErrorPolicy:
-    """Retry the record ``attempts`` more times, then escalate."""
-    return ErrorPolicy("retry", attempts=attempts, escalate=escalate)
+def RETRY(attempts: int) -> ErrorPolicy:
+    """Retry the record ``attempts`` more times, then fail."""
+    return ErrorPolicy("retry", attempts=attempts)
 
 
 @dataclass(frozen=True)
@@ -410,10 +410,7 @@ class RestartBudget:
     """
 
     def __init__(self, max_restarts: int = 16, *,
-                 base_delay_s: float = 0.25, multiplier: float = 2.0,
-                 max_delay_s: float = 30.0, jitter: float = 0.1,
-                 flap_threshold: int = 0, seed: int = 0,
-                 clock: SimClock | None = None) -> None:
+                 flap_threshold: int = 0, seed: int = 0) -> None:
         if max_restarts < 0:
             raise ConfigError("max_restarts must be >= 0")
         if flap_threshold < 0:
@@ -421,11 +418,10 @@ class RestartBudget:
         self.max_restarts = max_restarts
         #: the backoff formula (and its argument checks) is the retry
         #: layer's; the jitter stream below is the budget's own
-        self.backoff = RetryPolicy(base_delay_s=base_delay_s,
-                                   multiplier=multiplier,
-                                   max_delay_s=max_delay_s, jitter=jitter)
+        self.backoff = RetryPolicy(base_delay_s=0.25, max_delay_s=30.0)
         self.flap_threshold = flap_threshold
-        self.clock = clock
+        #: the run's clock, bound by the supervisor (:meth:`bind_clock`)
+        self.clock: SimClock | None = None
         self._rng = make_rng((int(seed), 0xB0D6E7))
         self.restarts = 0
         self.total_backoff_s = 0.0

@@ -232,11 +232,9 @@ class _StreamHandle:
             self._builder._auto(name, "key_by"), key_fn,
             vectorized=vectorized))
 
-    def reduce(self, reduce_fn: Callable[[Any, Any], Any],
-               name: str | None = None, vectorized: bool = False):
+    def reduce(self, reduce_fn: Callable[[Any, Any], Any]):
         return self._attach(ReduceOperator(
-            self._builder._auto(name, "reduce"), reduce_fn,
-            vectorized=vectorized))
+            self._builder._auto(None, "reduce"), reduce_fn))
 
     def with_watermarks(self, max_lateness: float, emit_every: int = 1,
                         name: str | None = None):
@@ -245,19 +243,15 @@ class _StreamHandle:
             emit_every))
 
     def window(self, assigner: WindowAssigner, aggregate: str = "count",
-               allowed_lateness: float = 0.0,
                value_fn: Callable[[Any], Any] | None = None,
-               emit_late: bool = False,
                name: str | None = None):
         return self._attach(WindowAggregateOperator(
             self._builder._auto(name, "window"), assigner, aggregate,
-            allowed_lateness, value_fn, emit_late=emit_late))
+            value_fn))
 
-    def join(self, other: "_StreamHandle", lower: float, upper: float,
-             project: Callable[[Any, Any], Any] | None = None,
-             name: str | None = None):
-        op = IntervalJoinOperator(self._builder._auto(name, "join"),
-                                  lower, upper, project)
+    def join(self, other: "_StreamHandle", lower: float, upper: float):
+        op = IntervalJoinOperator(self._builder._auto(None, "join"),
+                                  lower, upper)
         self._builder._add_operator(op)
         self._builder._add_edge(self._node, op.name, "left")
         self._builder._add_edge(other._node, op.name, "right")

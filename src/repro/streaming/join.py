@@ -11,7 +11,7 @@ side; the executor delivers items from each upstream edge with its tag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from ..util.errors import StreamError
 from .element import Element, StreamItem, Watermark
@@ -42,14 +42,12 @@ class IntervalJoinOperator(Operator):
 
     SIDES = ("left", "right")
 
-    def __init__(self, name: str, lower: float, upper: float,
-                 project: Callable[[Any, Any], Any] | None = None) -> None:
+    def __init__(self, name: str, lower: float, upper: float) -> None:
         super().__init__(name)
         if lower > upper:
             raise StreamError(f"empty join interval [{lower}, {upper}]")
         self.lower = lower
         self.upper = upper
-        self.project = project
         # key -> ([(ts, value)] on the left, [(ts, value)] on the right)
         self.state = KeyedState(default_factory=lambda: ([], []))
         self._wm: dict[str, float] = {"left": float("-inf"),
@@ -83,11 +81,9 @@ class IntervalJoinOperator(Operator):
                 left_v, right_v = other_value, element.value
             if self.lower <= delta <= self.upper:
                 self.matches += 1
-                payload: Any = Joined(key=element.key, left=left_v,
-                                      right=right_v, left_ts=left_ts,
-                                      right_ts=right_ts)
-                if self.project is not None:
-                    payload = self.project(left_v, right_v)
+                payload = Joined(key=element.key, left=left_v,
+                                 right=right_v, left_ts=left_ts,
+                                 right_ts=right_ts)
                 out.append(Element(value=payload,
                                    timestamp=max(left_ts, right_ts),
                                    key=element.key))

@@ -266,7 +266,7 @@ class MapOperator(Operator):
         else:
             fn = self.fn
             values = [fn(v) for v in batch.values_list()]
-        out.append(batch.with_values(values, py_values=False))
+        out.append(batch.with_values(values))
         self.processed += n
         self.emitted += n
 
@@ -379,26 +379,14 @@ class ReduceOperator(Operator):
 
     Requires keyed input (a ``KeyByOperator`` upstream); raises otherwise
     — silently reducing a keyless stream is a classic correctness trap.
-
-    With ``vectorized=True`` the reduce function must be a numpy ufunc
-    (e.g. ``np.add``, ``np.maximum``); batches are then reduced with
-    ``ufunc.accumulate`` per key, which is sequential and therefore
-    bit-identical to the per-item fold.
     """
 
     has_columnar_kernel = True
 
     def __init__(self, name: str,
-                 reduce_fn: Callable[[Any, Any], Any],
-                 vectorized: bool = False) -> None:
+                 reduce_fn: Callable[[Any, Any], Any]) -> None:
         super().__init__(name)
-        if vectorized and not hasattr(reduce_fn, "accumulate"):
-            raise StreamError(
-                f"reduce {name!r}: vectorized=True needs a numpy ufunc "
-                "(something with .accumulate)"
-            )
         self.reduce_fn = reduce_fn
-        self.vectorized = vectorized
         self.state = KeyedState()
 
     def process(self, element: Element) -> list[StreamItem]:
@@ -423,47 +411,22 @@ class ReduceOperator(Operator):
                 out.extend(self.handle(element))
             return
         n = len(batch)
-        state = self.state
-        if not self.vectorized:
-            reduce_fn = self.reduce_fn
-            kd = batch.key_dict
-            get_existing = state.get_existing
-            put = state.put
-            results: list[Any] = []
-            append = results.append
-            values = batch.values_list()
-            for i, c in enumerate(codes.tolist()):
-                key = kd[c]
-                v = values[i]
-                prev = get_existing(key, _MISSING)
-                if prev is not _MISSING:
-                    v = reduce_fn(prev, v)
-                put(key, v)
-                append(v)
-            out.append(batch.with_values(results, py_values=False))
-        else:
-            order = np.argsort(codes, kind="stable")
-            sorted_codes = codes[order]
-            bounds = np.flatnonzero(np.diff(sorted_codes)) + 1
-            values_arr = batch.values_array()
-            kd = batch.key_dict
-            results = None
-            updates = []
-            for idx in np.split(order, bounds):
-                key = kd[int(codes[idx[0]])]
-                values = values_arr[idx]
-                prev = state.get_existing(key, _MISSING)
-                if prev is not _MISSING:
-                    values = np.concatenate((np.asarray([prev]), values))
-                    acc = self.reduce_fn.accumulate(values)[1:]
-                else:
-                    acc = self.reduce_fn.accumulate(values)
-                updates.append((key, acc[-1]))
-                if results is None:
-                    results = np.empty(n, dtype=acc.dtype)
-                results[idx] = acc
-            state.put_many(updates)
-            out.append(batch.with_values(results, py_values=False))
+        reduce_fn = self.reduce_fn
+        kd = batch.key_dict
+        get_existing = self.state.get_existing
+        put = self.state.put
+        results: list[Any] = []
+        append = results.append
+        values = batch.values_list()
+        for i, c in enumerate(codes.tolist()):
+            key = kd[c]
+            v = values[i]
+            prev = get_existing(key, _MISSING)
+            if prev is not _MISSING:
+                v = reduce_fn(prev, v)
+            put(key, v)
+            append(v)
+        out.append(batch.with_values(results))
         self.processed += n
         self.emitted += n
 
@@ -487,8 +450,9 @@ class WatermarkGenerator(Operator):
     def __init__(self, name: str, max_lateness: float,
                  emit_every: int = 1) -> None:
         super().__init__(name)
-        if max_lateness < 0:
-            raise StreamError("max_lateness must be non-negative")
+        if not max_lateness >= 0:  # NaN too
+            raise StreamError(
+                f"max_lateness must be non-negative, got {max_lateness!r}")
         if emit_every < 1:
             raise StreamError("emit_every must be >= 1")
         self.max_lateness = max_lateness

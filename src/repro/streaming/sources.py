@@ -85,14 +85,14 @@ class Split:
         return self._decoded
 
 
-def _shed_mask(ts: np.ndarray, keep: int, mod: int, salt: int) -> np.ndarray:
+def _shed_mask(ts: np.ndarray, keep: int, mod: int) -> np.ndarray:
     """Keep-mask over element timestamps.  The decision hashes the raw
     float64 timestamp bits, so it depends only on element *content* —
     never on read positions or batch boundaries.  That makes shedding
     crash-consistent: a replay after restore sheds exactly the same
     elements, in every execution mode."""
     bits = np.ascontiguousarray(ts, dtype=np.float64).view(np.uint64)
-    h = (bits ^ np.uint64(salt)) * np.uint64(_SHED_MIX)
+    h = bits * np.uint64(_SHED_MIX)
     h ^= h >> np.uint64(31)
     return (h % np.uint64(mod)) < np.uint64(keep)
 
@@ -123,8 +123,8 @@ class SourceReader:
         #: (source, subtask) -> pre-merged pull plan (built lazily,
         #: dropped on rewind — positions define the remaining suffix)
         self._plans: dict[tuple[str, int], dict[str, Any]] = {}
-        #: source -> (keep, mod, salt) while shedding is active
-        self._shed_plans: dict[str, tuple[int, int, int]] = {}
+        #: source -> (keep, mod) while shedding is active
+        self._shed_plans: dict[str, tuple[int, int]] = {}
         self._shed_counts: dict[str, int] = {}
 
     # -- reading a source into splits ----------------------------------------
@@ -388,8 +388,7 @@ class SourceReader:
 
     # -- load shedding -------------------------------------------------------
 
-    def set_shedding(self, source: str, keep: int, mod: int, *,
-                     salt: int = 0) -> None:
+    def set_shedding(self, source: str, keep: int, mod: int) -> None:
         """Activate the load-shedding tier on one source: admit a
         deterministic ``keep/mod`` fraction of its elements and drop the
         rest at the pull boundary (before they enter any channel or
@@ -405,20 +404,20 @@ class SourceReader:
         if keep == mod:
             self._shed_plans.pop(source, None)
         else:
-            self._shed_plans[source] = (int(keep), int(mod), int(salt))
+            self._shed_plans[source] = (int(keep), int(mod))
 
     def clear_shedding(self, source: str) -> None:
         """Deactivate shedding on one source (already-shed counts stay)."""
         self._shed_plans.pop(source, None)
 
     def _shed_filter(self, name: str, taken: list[StreamItem],
-                     plan: tuple[int, int, int]) -> list[StreamItem]:
-        keep, mod, salt = plan
+                     plan: tuple[int, int]) -> list[StreamItem]:
+        keep, mod = plan
         shed = 0
         out: list[StreamItem] = []
         if type(taken[0]) is RecordBatch:
             for rb in taken:
-                mask = _shed_mask(rb.timestamps, keep, mod, salt)
+                mask = _shed_mask(rb.timestamps, keep, mod)
                 kept = int(mask.sum())
                 if kept == len(rb):
                     out.append(rb)
@@ -434,7 +433,7 @@ class SourceReader:
             ts = np.fromiter(
                 (it.timestamp for it, e in zip(taken, is_element) if e),
                 dtype=np.float64, count=sum(is_element))
-            admit = iter(_shed_mask(ts, keep, mod, salt).tolist())
+            admit = iter(_shed_mask(ts, keep, mod).tolist())
             out = [it for it, e in zip(taken, is_element)
                    if not e or next(admit)]
             shed = len(taken) - len(out)

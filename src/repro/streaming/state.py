@@ -70,11 +70,6 @@ class KeyedState:
         factory-made empty one without materializing anything."""
         return self._data.get(key, default)
 
-    def put_many(self, pairs: Iterable[tuple[Any, Any]]) -> None:
-        """Bulk insert — one C-level dict update for a whole grouped
-        reduction instead of one ``put`` per group."""
-        self._data.update(pairs)
-
     def remove(self, key: Any) -> None:
         self._data.pop(key, None)
 

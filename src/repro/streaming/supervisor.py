@@ -21,7 +21,6 @@ compose.  A new policy is a new controller, never a loop or a subclass.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -39,7 +38,6 @@ from ..util.errors import (
 )
 from .barrier import ParallelCheckpoint
 from .coordinator import (
-    HEARTBEAT_TIMEOUT_S,
     CheckpointCoordinator,
     CheckpointStore,
     failover_region_of,
@@ -174,10 +172,8 @@ class Supervisor:
     """Owns plan + executor + coordinator + store + clock + counters.
 
     ``controllers`` decide when the plan changes; the report is a
-    :class:`SupervisionReport`.  A ``tracer`` gets a
-    ``coordinated:<job>`` span with one event per fault, and
-    ``metrics`` a ``chaos.faults`` counter, so a chaos trace shows
-    recovery structure.  ``restart_budget`` (a
+    :class:`SupervisionReport`.  ``metrics`` gets a ``chaos.faults``
+    counter, so a chaos run shows recovery structure.  ``restart_budget`` (a
     :class:`~repro.streaming.errors.RestartBudget`) is consulted before
     every restore: backoff runs on this supervisor's clock and
     "progress" means a checkpoint finalized since the previous failure.
@@ -189,10 +185,8 @@ class Supervisor:
                  placement: Any = None, batch_mode: bool = True,
                  source_batch: int = 32, step_cycles: int = 2,
                  interval_cycles: int = 4,
-                 heartbeat_timeout_s: float = HEARTBEAT_TIMEOUT_S,
-                 store: CheckpointStore | None = None,
-                 clock: SimClock | None = None, injector: Any = None,
-                 tracer: Any = None, metrics: Any = None,
+                 store: CheckpointStore | None = None, injector: Any = None,
+                 metrics: Any = None,
                  restart_budget: Any = None) -> None:
         if source_batch < 1:
             raise JobGraphError(
@@ -207,11 +201,9 @@ class Supervisor:
         self.source_batch = source_batch
         self.step_cycles = step_cycles
         self.interval_cycles = interval_cycles
-        self.heartbeat_timeout_s = heartbeat_timeout_s
         self.store = store if store is not None else CheckpointStore()
-        self.clock = clock if clock is not None else SimClock()
+        self.clock = SimClock()
         self.injector = injector
-        self.tracer = tracer
         self.metrics = metrics
         self.restart_budget = restart_budget
         self.report = SupervisionReport(sink_values={})
@@ -222,8 +214,6 @@ class Supervisor:
             restart_budget.bind_clock(self.clock)
         self.executor = self._build_executor(self.job, self.parallelism,
                                              self.placement)
-        self.span = (tracer.start_span(f"coordinated:{job.name}")
-                     if tracer is not None else None)
         self.coordinator = self._build_coordinator()
         for controller in self.controllers:
             controller.start()
@@ -238,42 +228,27 @@ class Supervisor:
                         placement: Any) -> ParallelExecutor:
         return ParallelExecutor(
             job, parallelism, batch_mode=self.batch_mode, injector=self.injector,
-            tracer=self.tracer, metrics=self.metrics, placement=placement)
+            metrics=self.metrics, placement=placement)
 
     def _build_coordinator(self) -> CheckpointCoordinator:
         return CheckpointCoordinator(
             self.executor, store=self.store, clock=self.clock,
             interval_cycles=self.interval_cycles,
-            heartbeat_timeout_s=self.heartbeat_timeout_s,
             injector=self.injector, metrics=self.metrics)
 
     # -- the loop ------------------------------------------------------------
 
-    def run(self, *, on_step: Callable[["Supervisor", int], None]
-            | None = None) -> SupervisionReport:
+    def run(self) -> SupervisionReport:
         """Supervise to completion: every controller is consulted before
-        and after each slice, then ``on_step(supervisor, step)`` — the
-        hook tests and demos use to act at deterministic points."""
-        span = self.span
-        with (self.tracer.activate(span) if span is not None
-              else nullcontext()):
-            done: bool | None = False
-            while not done:
-                step = self.report.steps
-                self.report.steps += 1
-                for controller in self.controllers:
-                    controller.before_slice()
-                done = self.advance()
-                for controller in self.controllers:
-                    controller.after_slice(done)
-                if on_step is not None:
-                    on_step(self, step)
-        if span is not None:
-            for attr in ("crashes", "coordinator_crashes",
-                         "regional_restores", "full_restores",
-                         "replayed_total"):
-                span.set_attr(attr, getattr(self.report, attr))
-            span.end()
+        and after each slice."""
+        done: bool | None = False
+        while not done:
+            self.report.steps += 1
+            for controller in self.controllers:
+                controller.before_slice()
+            done = self.advance()
+            for controller in self.controllers:
+                controller.after_slice(done)
         return self.finish()
 
     # -- the ladder ----------------------------------------------------------
@@ -344,8 +319,6 @@ class Supervisor:
         when the budget is spent or the job is flapping."""
         counter = _COUNTER[kind]
         setattr(self.report, counter, getattr(self.report, counter) + 1)
-        if self.span is not None:
-            self.span.add_event("fault", kind=kind)
         if self.metrics is not None:
             self.metrics.counter("chaos.faults", kind=kind).inc()
         # the one give-up rule of every entry point; the module global
@@ -537,8 +510,7 @@ class Supervisor:
 
 
 def run_coordinated(job: JobGraph, injector: Any = None, *,
-                    source_batch: int = 64, step_cycles: int = 1,
-                    heartbeat_timeout_s: float = HEARTBEAT_TIMEOUT_S,
+                    source_batch: int = 64,
                     on_coordinator: Any = None,
                     **supervision: Any) -> SupervisionReport:
     """Run ``job`` for real under a controller-less :class:`Supervisor`
@@ -553,8 +525,7 @@ def run_coordinated(job: JobGraph, injector: Any = None, *,
     """
     supervisor = Supervisor(job, injector=injector,
                             source_batch=source_batch,
-                            step_cycles=step_cycles,
-                            heartbeat_timeout_s=heartbeat_timeout_s,
+                            step_cycles=1,
                             **supervision)
     if on_coordinator is not None:
         on_coordinator(supervisor.coordinator)

@@ -1,10 +1,9 @@
 """Event-time window aggregation operator.
 
 Keyed elements are assigned to windows; when the watermark passes a
-window's end (+ allowed lateness), the window fires and an aggregate is
-emitted as ``WindowResult``.  Elements arriving after their window has
-fired-and-purged are counted as *dropped late* — the quantity the A3
-watermark experiment sweeps.
+window's end, the window fires and an aggregate is emitted as
+``WindowResult``.  Elements at or behind the watermark are counted as
+*dropped late* — the quantity the A3 watermark experiment sweeps.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ from .operators import Operator
 from .state import KeyedState
 from .windows import TumblingWindows, Window, WindowAssigner
 
-__all__ = ["WindowResult", "LateRecord", "WindowAggregateOperator",
-           "aggregators"]
+__all__ = ["WindowResult", "WindowAggregateOperator", "aggregators"]
 
 
 @dataclass(frozen=True)
@@ -36,21 +34,6 @@ class WindowResult:
     window: Window
     value: Any
     count: int
-
-
-@dataclass(frozen=True)
-class LateRecord:
-    """A late element surfaced on the side output instead of dropped.
-
-    Downstream can route these to a correction path (e.g. re-aggregate
-    and amend released results) — the recovery story for the timeliness
-    vs completeness trade-off of experiment A3.
-    """
-
-    value: Any
-    timestamp: float
-    key: Any
-    lateness: float  # how far behind the watermark it arrived
 
 
 class _Agg:
@@ -208,9 +191,7 @@ class WindowAggregateOperator(Operator):
 
     def __init__(self, name: str, assigner: WindowAssigner,
                  aggregate: str | _Agg = "count",
-                 allowed_lateness: float = 0.0,
-                 value_fn: Callable[[Any], Any] | None = None,
-                 emit_late: bool = False) -> None:
+                 value_fn: Callable[[Any], Any] | None = None) -> None:
         super().__init__(name)
         self.assigner = assigner
         if isinstance(aggregate, str):
@@ -222,9 +203,6 @@ class WindowAggregateOperator(Operator):
                     f"{sorted(aggregators)}"
                 ) from None
         self.agg = aggregate
-        if allowed_lateness < 0:
-            raise StreamError("allowed_lateness must be non-negative")
-        self.allowed_lateness = allowed_lateness
         self._identity_value = value_fn is None
         #: transient cache: last key dictionary verified None-free by
         #: the bulk-eligibility check (slices of one macro batch share
@@ -232,7 +210,6 @@ class WindowAggregateOperator(Operator):
         #: slice).  Never snapshotted.
         self._kd_clean: list | None = None
         self.value_fn = value_fn if value_fn is not None else (lambda v: v)
-        self.emit_late = emit_late
         #: key -> {window -> [acc, count]}; its snapshots fold first
         self.state = KeyedState(copy=self._copy_windows, settle=self._fold)
         #: transient: rows bulk calls accepted but nothing has read yet,
@@ -248,8 +225,7 @@ class WindowAggregateOperator(Operator):
         #: snapshotted.
         self._win_index: dict[Window, dict[Any, None]] | None = {}
         self._current_wm = float("-inf")
-        # Lower bound on min(window.end + allowed_lateness) over all open
-        # windows: lets on_watermark skip the full ripeness scan when no
+        # Lower bound on min(window.end) over all open windows: lets on_watermark skip the full ripeness scan when no
         # window can possibly fire (the overwhelmingly common case with
         # per-element watermarks).
         self._min_deadline = float("inf")
@@ -265,15 +241,8 @@ class WindowAggregateOperator(Operator):
             )
         if self._parked:
             self._fold()
-        if element.timestamp + self.allowed_lateness <= self._current_wm:
+        if element.timestamp <= self._current_wm:
             self.dropped_late += 1
-            if self.emit_late:
-                late = LateRecord(
-                    value=element.value, timestamp=element.timestamp,
-                    key=element.key,
-                    lateness=self._current_wm - element.timestamp)
-                return [Element(value=late, timestamp=element.timestamp,
-                                key=element.key)]
             return []
         per_key = self.state.get_existing(element.key)
         if per_key is None:
@@ -285,9 +254,8 @@ class WindowAggregateOperator(Operator):
             if slot is None:
                 slot = [self.agg.init(), 0]
                 per_key[window] = slot
-                deadline = window.end + self.allowed_lateness
-                if deadline < self._min_deadline:
-                    self._min_deadline = deadline
+                if window.end < self._min_deadline:
+                    self._min_deadline = window.end
                 index = self._win_index
                 if index is not None:
                     index.setdefault(window, {})[element.key] = None
@@ -305,11 +273,10 @@ class WindowAggregateOperator(Operator):
 
     def _bulk_eligible(self, items: list) -> bool:
         """The grouped-reduction kernel covers the common shape: keyed
-        columnar batches into tumbling windows without the
-        late side output.  Everything else (loose elements, unkeyed
-        batches, other assigners, emit_late) takes the per-item
+        columnar batches into tumbling windows.  Everything else (loose
+        elements, unkeyed batches, other assigners) takes the per-item
         fallback of the base ``process_batch``."""
-        if self.emit_late or type(self.assigner) is not TumblingWindows:
+        if type(self.assigner) is not TumblingWindows:
             return False
         saw_batch = False
         clean = self._kd_clean  # last key dictionary known None-free
@@ -335,7 +302,7 @@ class WindowAggregateOperator(Operator):
         the watermarks in order.
 
         Equivalence with the per-item interleaving: an element accepted
-        at position *q* has ``ts + lateness > wm(q)`` and its tumbling
+        at position *q* has ``ts > wm(q)`` and its tumbling
         window ends after ``ts``, so no watermark at ``p <= q`` can have
         fired that window — accumulate-then-fire emits byte-identical
         results.  Late drops still use the running watermark at each
@@ -424,7 +391,7 @@ class WindowAggregateOperator(Operator):
 
         Late rows go with one vectorized mask (``row_wms`` carries the
         running watermark each row arrived under; None before the first
-        watermark) — the per-item path's ``ts + lateness <= wm`` test —
+        watermark) — the per-item path's ``ts <= wm`` test —
         and tumbling starts are assigned vectorized.  A call of a
         built-in aggregate over float64 columns (any column for count)
         with no late row only *parks* its columns: the accumulators are
@@ -440,7 +407,7 @@ class WindowAggregateOperator(Operator):
         late = None
         dropped = 0
         if row_wms is not None:
-            late = ts + self.allowed_lateness <= row_wms
+            late = ts <= row_wms
             dropped = int(np.count_nonzero(late))
         values: list[Any]
         if not self._identity_value:
@@ -472,7 +439,7 @@ class WindowAggregateOperator(Operator):
                 # the earliest parked window's deadline: every open
                 # window's is already at or above the bound, so this is
                 # the value accumulating now would have left
-                deadline = (lo + self.assigner.size) + self.allowed_lateness
+                deadline = lo + self.assigner.size
                 if deadline < self._min_deadline:
                     self._min_deadline = deadline
                 if self._parked_rows >= _PARK_ROWS:
@@ -611,7 +578,6 @@ class WindowAggregateOperator(Operator):
         put_windows = self.state.put
         min_deadline = self._min_deadline
         win_index = self._win_index
-        lateness = self.allowed_lateness
         size = self.assigner.size
         # One Window, one deadline test and one index lookup per distinct
         # window: an open window's deadline is already at or above the
@@ -626,9 +592,8 @@ class WindowAggregateOperator(Operator):
             if window is None:
                 start = start_list[sidx]
                 window = window_cache[sidx] = Window(start, start + size)
-                deadline = window.end + lateness
-                if deadline < min_deadline:
-                    min_deadline = deadline
+                if window.end < min_deadline:
+                    min_deadline = window.end
                 if win_index is not None:
                     index_cache[sidx] = win_index.setdefault(window, {})
             per_key = get_windows(key)
@@ -672,7 +637,6 @@ class WindowAggregateOperator(Operator):
         wm = self._current_wm
         self._fold()
         table = self.state
-        lateness = self.allowed_lateness
         index = self._win_index
         if index is None:
             index = self._win_index = {}
@@ -685,11 +649,10 @@ class WindowAggregateOperator(Operator):
         ripe: list[Window] = []
         min_deadline = float("inf")
         for w in index:
-            deadline = w.end + lateness
-            if deadline <= wm:
+            if w.end <= wm:
                 ripe.append(w)
-            elif deadline < min_deadline:
-                min_deadline = deadline
+            elif w.end < min_deadline:
+                min_deadline = w.end
         if not ripe:
             self._min_deadline = min_deadline
             return [watermark]
@@ -760,8 +723,7 @@ class WindowAggregateOperator(Operator):
         self._parked_rows = 0
         self._win_index = None
         self._min_deadline = min(
-            (w.end + self.allowed_lateness
-             for _, per_key in self.state.items() for w in per_key),
+            (w.end for _, per_key in self.state.items() for w in per_key),
             default=float("inf"))
         self._current_wm = min(s["wm"] for s in scalars)
         self.dropped_late = sum(s["dropped"] for s in scalars) \

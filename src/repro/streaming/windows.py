@@ -6,6 +6,7 @@ Assigners map an element timestamp to the window(s) it belongs to.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..util.errors import ConfigError
@@ -40,17 +41,21 @@ class WindowAssigner:
 
 
 class TumblingWindows(WindowAssigner):
-    """Fixed, non-overlapping windows of ``size`` seconds."""
+    """Fixed, non-overlapping windows of ``size`` seconds, aligned on
+    multiples of ``size``."""
 
-    def __init__(self, size: float, offset: float = 0.0) -> None:
-        if size <= 0:
-            raise ConfigError("window size must be positive")
+    def __init__(self, size: float) -> None:
+        # The chained comparison refuses NaN and inf too: either would put
+        # every row in ``Window(nan, nan)``, a window that never fires.
+        if not 0 < size < math.inf:
+            raise ConfigError(
+                f"window size must be positive and finite, got {size!r}")
         self.size = size
-        self.offset = offset
         self._last: tuple[float, list[Window]] | None = None
 
     def assign(self, timestamp: float) -> list[Window]:
-        start = ((timestamp - self.offset) // self.size) * self.size + self.offset
+        # ``+ 0.0`` makes the start of ``-0.0``'s window ``+0.0``.
+        start = (timestamp // self.size) * self.size + 0.0
         if timestamp >= start + self.size:
             # ``start + size`` rounded onto the timestamp (a boundary
             # timestamp whose exact quotient sits just below the next
@@ -76,8 +81,7 @@ class TumblingWindows(WindowAssigner):
         correction included — so grouped (columnar) window assignment
         lands every element in the same bucket as per-item assignment.
         """
-        starts = ((timestamps - self.offset) // self.size) * self.size \
-            + self.offset
+        starts = (timestamps // self.size) * self.size + 0.0
         ends = starts + self.size
         over = timestamps >= ends
         if over.any():

@@ -29,10 +29,8 @@ class SimClock:
     almost always indicate a scheduling bug in the caller.
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ClockError(f"clock cannot start at negative time {start!r}")
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:

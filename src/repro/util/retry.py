@@ -81,12 +81,10 @@ class RetryPolicy:
                 raise ConfigError(
                     "retryable must be exception classes")
 
-    def delays(self, n: int | None = None) -> list[float]:
-        """The first ``n`` jittered delays (default: one per retry)."""
-        if n is None:
-            n = max(0, self.max_attempts - 1)
+    def delays(self) -> list[float]:
+        """The jittered delays, one per retry."""
         rng = make_rng(self.seed)
-        return [self.delay(i + 1, rng) for i in range(n)]
+        return [self.delay(i + 1, rng) for i in range(self.max_attempts - 1)]
 
     def delay(self, retry_index: int, rng: np.random.Generator) -> float:
         """The delay before retry ``retry_index`` (1-based), its jitter
@@ -99,7 +97,7 @@ class RetryPolicy:
 
 
 class Retrier:
-    """Executes callables under one :class:`RetryPolicy`.
+    """Executes callables under the default :class:`RetryPolicy`.
 
     Stateful so that the jitter stream is drawn once per retrier, not
     re-seeded per call — two calls through the same retrier see
@@ -107,9 +105,8 @@ class Retrier:
     client process behaves.
     """
 
-    def __init__(self, policy: RetryPolicy | None = None,
-                 clock: SimClock | None = None) -> None:
-        self.policy = policy if policy is not None else RetryPolicy()
+    def __init__(self, clock: SimClock | None = None) -> None:
+        self.policy = RetryPolicy()
         self.clock = clock
         self._rng = make_rng(self.policy.seed)
         self.attempts = 0
@@ -118,23 +115,16 @@ class Retrier:
 
     def call(self, fn: Callable[[], Any],
              retry_on: tuple[type[BaseException], ...] | Iterable[
-                 type[BaseException]] = (Exception,),
-             on_retry: Callable[[int, BaseException], None] | None = None,
-             retryable: tuple[type[BaseException], ...] | Iterable[
-                 type[BaseException]] | None = None,
-             ) -> Any:
+                 type[BaseException]] = (Exception,)) -> Any:
         """Call ``fn`` until it succeeds or the policy gives up.
 
-        ``on_retry(attempt, error)`` fires before each backoff — the
-        hook producers use to switch from ``send`` to ``resend_last``.
-        ``retryable`` overrides the policy's non-transient filter for
-        this call: a caught exception not matching it re-raises
-        immediately (no backoff, no :class:`RetryExhausted` wrapper).
+        A caught exception that the policy's ``retryable`` filter does
+        not match re-raises immediately (no backoff, no
+        :class:`RetryExhausted` wrapper).
         """
         retry_on = tuple(retry_on)
-        transient = (tuple(retryable) if retryable is not None
-                     else self.policy.retryable)
         policy = self.policy
+        transient = policy.retryable
         slept = 0.0
         attempt = 1
         while True:
@@ -156,8 +146,6 @@ class Retrier:
                         f"deadline {policy.deadline_s}s would be exceeded "
                         f"after {attempt} attempts: {exc}",
                         last_error=exc) from exc
-                if on_retry is not None:
-                    on_retry(attempt, exc)
                 if self.clock is not None:
                     self.clock.advance(delay)
                 slept += delay

@@ -152,8 +152,8 @@ class TestLogStreamWindowJoin:
         purchase = (builder.source("purchase",
                                    log_source(pipeline.log, "purchase"))
                            .key_by(lambda v: v["user"]))
-        (gaze.join(purchase, lower=0.0, upper=1.0,
-                   project=lambda g, p: (g["item"], p["item"]))
+        (gaze.join(purchase, lower=0.0, upper=1.0)
+             .map(lambda j: (j.left["item"], j.right["item"]))
              .sink("out"))
         sinks = ParallelExecutor(builder.build()).run()
         # Every purchase at t+0.5 matches gazes in [t-0.5, t+0.5] for the

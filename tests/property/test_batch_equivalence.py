@@ -7,7 +7,6 @@ timestamps, watermark interleavings, two-sided joins) through the same
 job under every mode and compare exactly.
 """
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,9 +89,9 @@ class TestWindowedEquivalence:
     @given(stream_strategy)
     @settings(max_examples=25, deadline=None)
     def test_late_side_output_equivalence(self, rows):
-        # emit_late surfaces dropped records on the side output; the
-        # late/on-time split depends on exact watermark interleaving, so
-        # it is a sharp probe of batch segmentation.
+        # The late/on-time split (late rows are dropped and counted)
+        # depends on exact watermark interleaving, so it is a sharp
+        # probe of batch segmentation.
         elements = _to_elements(rows)
 
         def make_builder():
@@ -100,7 +99,7 @@ class TestWindowedEquivalence:
             (builder.source("s", elements)
                     .with_watermarks(1.0, emit_every=2)
                     .key_by(lambda v: v["k"])
-                    .window(TumblingWindows(5.0), "count", emit_late=True)
+                    .window(TumblingWindows(5.0), "count")
                     .sink("out"))
             return builder
         _assert_identical(_run_modes(make_builder))
@@ -136,7 +135,7 @@ class TestStatefulChains:
                 (source.map(lambda v: v * 2.0 - 1.0, vectorized=True)
                        .filter(lambda v: v >= 3.0, vectorized=True)
                        .key_by(lambda v: v % 4.0, vectorized=True)
-                       .reduce(np.add, vectorized=True)
+                       .reduce(lambda a, b: a + b)
                        .sink("out"))
             else:
                 (source.map(lambda v: v * 2.0 - 1.0)
@@ -163,10 +162,9 @@ class TestLooseElements:
     mode."""
 
     @given(stream_strategy, st.integers(min_value=1, max_value=16),
-           st.integers(min_value=1, max_value=6), st.booleans())
+           st.integers(min_value=1, max_value=6))
     @settings(max_examples=25, deadline=None)
-    def test_reduce_behind_a_window(self, rows, source_batch, cycles,
-                                    vectorized):
+    def test_reduce_behind_a_window(self, rows, source_batch, cycles):
         elements = [Element(float(k), ts) for k, ts in rows]
 
         def make_builder():
@@ -177,8 +175,7 @@ class TestLooseElements:
                      .window(TumblingWindows(20.0), "sum")
                      .map(lambda r: r.value + 0.5)
                      .key_by(lambda v: v % 3.0))
-            (keyed.reduce(np.add, vectorized=True) if vectorized else
-             keyed.reduce(lambda a, b: a + b)).sink("out")
+            keyed.reduce(lambda a, b: a + b).sink("out")
             return builder
 
         for p in (1, 2):

@@ -269,8 +269,7 @@ def _punctuated_job(elements, emit_every, splits=None):
             .with_watermarks(3.0, emit_every=emit_every, name="wm")
             .filter(lambda v: v > 0.0, vectorized=True, name="positive")
             .map(lambda v: v * 1.5, vectorized=True, name="scale")
-            .window(TumblingWindows(10.0), "mean", allowed_lateness=1.0,
-                    name="win")
+            .window(TumblingWindows(10.0), "mean", name="win")
             .map(lambda result: result.value, name="unwrap")
             .window(TumblingWindows(30.0), "sum", name="rollup")
             .sink("out"))

@@ -73,7 +73,8 @@ def scenes(draw):
             name=f"n{n}", rotation=_rotation(draw(quaternion)),
             translation=np.array([draw(unit) * 2, draw(unit) * 2,
                                   draw(unit) * 2]))
-        scene.add_node(node, draw(st.sampled_from(nodes)))
+        # an empty node: nothing for add_node to index
+        draw(st.sampled_from(nodes)).children.append(node)
         nodes.append(node)
     for i in range(draw(st.integers(min_value=0, max_value=20))):
         anchor = np.array([draw(coordinate) for _ in range(3)])

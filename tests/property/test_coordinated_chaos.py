@@ -316,7 +316,7 @@ class TestFailureDetector:
                       target="window_sum[0]"),
         ), name="stall")
         report = _run(lambda: reference_job(events), plan, exact=False,
-                      interval_cycles=2, heartbeat_timeout_s=4.0)
+                      interval_cycles=2)
         assert report.dead_detected >= 1
 
     @pytest.mark.parametrize("seed", range(3))
@@ -327,7 +327,7 @@ class TestFailureDetector:
         plan = _random_crashes(seed + 1300, 12, 0, stalls=1,
                                name=f"stall-{seed}")
         _run(lambda: reference_job(events), plan, exact=False,
-             interval_cycles=2, heartbeat_timeout_s=4.0)
+             interval_cycles=2)
 
 
 @pytest.mark.chaos

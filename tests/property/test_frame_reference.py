@@ -270,7 +270,8 @@ def scenes(draw):
             node = SceneNode(
                 name=f"n{n}", rotation=_rotation(draw(quaternion)),
                 translation=np.array([draw(unit) * 2 for _ in range(3)]))
-            scene.add_node(node, draw(st.sampled_from(nodes)))
+            # an empty node: nothing for add_node to index
+            draw(st.sampled_from(nodes)).children.append(node)
             nodes.append(node)
     _edit_root(scene.root, draw(st.sampled_from(ROOT_EDITS)),
                draw(quaternion))

@@ -47,6 +47,7 @@ from repro.streaming import (
     FAIL,
     Autoscaler,
     CheckpointStore,
+    Controller,
     JobBuilder,
     SchedulePolicy,
     Supervisor,
@@ -56,6 +57,7 @@ from repro.streaming import supervisor as supervisor_module
 from repro.streaming.placement import placement_from_topology
 from repro.streaming.windows import TumblingWindows
 from repro.util.errors import ChaosError
+from repro.util.metrics import MetricsRegistry
 from repro.util.rng import make_rng
 
 pytestmark = pytest.mark.geo
@@ -107,8 +109,28 @@ def _golden(parallelism: int):
 
 
 def _geo(supervisor):
-    (geo,) = supervisor.controllers
+    (geo,) = [c for c in supervisor.controllers
+              if isinstance(c, GeoController)]
     return geo
+
+
+class _AfterSlice(Controller):
+    """Calls ``act(supervisor, step)`` after every slice, once every
+    other controller has had its turn: how a test acts at a
+    deterministic point of a supervised run."""
+
+    def __init__(self, act):
+        self.act = act
+
+    def after_slice(self, done):
+        self.act(self.supervisor, self.supervisor.report.steps - 1)
+
+
+def _run(supervisor, act):
+    hook = _AfterSlice(act)
+    hook.bind(supervisor)
+    supervisor.controllers.append(hook)
+    return supervisor.run()
 
 
 def _deployment(parallelism: int, *, injector=None,
@@ -124,15 +146,20 @@ def _deployment(parallelism: int, *, injector=None,
         FailureInjector(sim, topo).schedule_region(region_event)
     placement = placement_from_topology(topo, dict(PINS),
                                         default_region="core")
-    return GeoDeployment(
-        build_job,
-        primary_cluster=primary, standby_cluster=standby, topic=TOPIC,
-        primary_region="edge-a", standby_region="core",
-        placement=placement, parallelism=parallelism,
+    geo = dict(primary_cluster=primary, standby_cluster=standby,
+               topic=TOPIC, region_timeout_s=region_timeout_s,
+               topology=topo, simulator=sim, observer="core")
+    if parallelism == 2:  # GeoDeployment's width
+        return GeoDeployment(build_job, placement=placement,
+                             injector=injector, source_batch=8,
+                             interval_cycles=2, **geo)
+    # what GeoDeployment builds, at another width
+    controller = GeoController(build_job, **geo)
+    return Supervisor(
+        build_job(controller.primary_cluster), controllers=[controller],
+        parallelism=parallelism, placement=placement, injector=injector,
         source_batch=8, step_cycles=2, interval_cycles=2,
-        region_timeout_s=region_timeout_s,
-        injector=injector, topology=topo, simulator=sim,
-        observer="core")
+        store=CheckpointStore(keep=4), metrics=MetricsRegistry())
 
 
 class TestZoneHandoff:
@@ -147,7 +174,7 @@ class TestZoneHandoff:
             if step == 1:
                 _geo(dep).handoff(MOVABLE, "edge-b")
 
-        report = deployment.run(on_step=cross_zone)
+        report = _run(deployment, cross_zone)
         assert canonical_sinks(report.sink_values) == golden
         assert len(report.handoffs) == 1
         handoff = report.handoffs[0]
@@ -173,7 +200,7 @@ class TestZoneHandoff:
             if step == 2:
                 _geo(dep).handoff(MOVABLE, "edge-b")
 
-        report = deployment.run(on_step=cross_zone)
+        report = _run(deployment, cross_zone)
         assert canonical_sinks(report.sink_values) == golden
         assert report.crashes + report.coordinator_crashes > 0
         assert len(report.handoffs) == 1
@@ -188,7 +215,7 @@ class TestZoneHandoff:
             elif step == 3:
                 _geo(dep).handoff(MOVABLE, "edge-a")
 
-        report = deployment.run(on_step=roam)
+        report = _run(deployment, roam)
         assert canonical_sinks(report.sink_values) == golden
         assert [h.to_region for h in report.handoffs] == \
             ["edge-b", "edge-a"]
@@ -294,7 +321,7 @@ class TestHandoffThenFailover:
             if step == 0:
                 _geo(dep).handoff(MOVABLE, "edge-b")
 
-        report = deployment.run(on_step=roam)
+        report = _run(deployment, roam)
         assert canonical_sinks(report.sink_values) == golden
         assert len(report.handoffs) == 1
         assert report.failover is not None
@@ -321,7 +348,7 @@ class TestDataFaultsUnderGeo:
             plan = FaultPlan(specs=(self.POISON,) + infra, name="geo-dlq")
             deployment = _deployment(2, injector=FaultInjector(plan),
                                      build_job=build)
-            return deployment.run(on_step=self._cross_zone)
+            return _run(deployment, self._cross_zone)
 
         clean = once()
         chaosed = once(
@@ -343,7 +370,7 @@ class TestDataFaultsUnderGeo:
                                                 name="geo-poison")),
             build_job=partial(_build_job, udf_policy=FAIL))
         with pytest.raises(ChaosError, match="gave up"):
-            deployment.run(on_step=self._cross_zone)
+            _run(deployment, self._cross_zone)
         assert deployment.report.data_failures == 5
 
 
@@ -395,7 +422,7 @@ class TestAutoscaleHandoffFailover:
             if len(sup.report.rescales) == 2 and not sup.report.handoffs:
                 geo.handoff(MOVABLE, "edge-b")
 
-        report = supervisor.run(on_step=roam)
+        report = _run(supervisor, roam)
         assert canonical_sinks(report.sink_values) == golden
         assert [(e.old["window_sum"], e.new["window_sum"])
                 for e in report.rescales] == [(1, 2), (2, 4)]

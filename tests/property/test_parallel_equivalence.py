@@ -90,7 +90,7 @@ class TestKeyAlignedEquivalence:
             builder = JobBuilder("eq-reduce")
             (builder.source("s", elements, splits=N_SPLITS)
                     .filter(lambda v: v > -40.0, name="keep")
-                    .reduce(lambda a, b: a + b, name="running")
+                    .reduce(lambda a, b: a + b)
                     .sink("out"))
             return builder.build()
         _assert_parallel_matches(make_job, source_batch)
@@ -107,8 +107,7 @@ class TestKeyAlignedEquivalence:
                         .with_watermarks(5.0, emit_every=4))
             r = (builder.source("r", right, splits=N_SPLITS)
                         .with_watermarks(5.0, emit_every=4))
-            l.join(r, -5.0, 5.0,
-                   project=lambda a, b: (a, b)).sink("out")
+            l.join(r, -5.0, 5.0).sink("out")
             return builder.build()
         _assert_parallel_matches(make_job)
 
@@ -158,8 +157,9 @@ class TestRescaling:
 
 
 def _counter_job(kind):
-    """A p-agnostic job around one keyed operator named ``op`` whose
-    job-wide counter (window ``fired``, join and CEP ``matches``) is
+    """A p-agnostic job around one keyed operator named ``op`` (the
+    join is ``join_0``, the name the builder gives it) whose job-wide
+    counter (window ``fired``, join and CEP ``matches``) is
     already non-zero a few cycles in."""
     rows = [(i % 3, float(i % 7)) for i in range(120)]
     builder = JobBuilder(f"counters-{kind}")
@@ -169,7 +169,7 @@ def _counter_job(kind):
         right = (builder.source("r", _keyed_elements(rows[::-1]),
                                 splits=N_SPLITS)
                         .with_watermarks(5.0, emit_every=4))
-        left.join(right, -2.0, 2.0, name="op").sink("out")
+        left.join(right, -2.0, 2.0).sink("out")
         return builder.build()
     stream = (builder.source("s", _keyed_elements(rows), splits=N_SPLITS)
                      .with_watermarks(5.0, emit_every=4))
@@ -184,8 +184,9 @@ def _counter_job(kind):
 
 def _counter_total(executor, kind):
     attr = "fired" if kind == "window" else "matches"
+    name = "join_0" if kind == "join" else "op"
     return sum(getattr(clone, attr)
-               for clone in executor.subtask_operators("op"))
+               for clone in executor.subtask_operators(name))
 
 
 class TestRescaleCounters:

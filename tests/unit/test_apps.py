@@ -327,9 +327,9 @@ class TestServingStores:
             if s.vital not in newest or s.timestamp >= newest[s.vital][0]:
                 newest[s.vital] = (s.timestamp, s.value)
         for vital, (ts, value) in newest.items():
-            [(got_ts, got)] = store.latest(f"{pid}:{vital}", 1)
+            [(got_ts, got)] = store.latest(f"{pid}:{vital}")
             assert (got_ts, got["value"]) == (ts, value)
-        assert store.latest("pt-999:heart_rate", 1) == []
+        assert store.latest("pt-999:heart_rate") == []
         dash = app.vitals_dashboard(window_s=30.0)
         rows = sum(len(v) for v in streams.values())
         assert app.serving_store.analytical.rows == rows

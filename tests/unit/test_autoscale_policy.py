@@ -123,9 +123,17 @@ class TestAutoscalerBookkeeping:
                               cycles=cycles, backlog=backlog,
                               watermark_lag_s=0.0)
 
+    @staticmethod
+    def _scaler(policy):
+        """An unbound autoscaler rated at 16 elements per cycle, the
+        capacity a supervisor with ``source_batch=16`` gives it."""
+        scaler = Autoscaler(policy)
+        scaler.rated_capacity = 16.0
+        return scaler
+
     def test_utilization_from_counter_deltas(self):
         registry = MetricsRegistry()
-        scaler = Autoscaler(UtilizationTargetPolicy(), rated_capacity=16.0)
+        scaler = self._scaler(UtilizationTargetPolicy())
         self._collect(scaler, registry, processed=0.0)
         signals = self._collect(scaler, registry, processed=64.0)
         # 64 elements / 2 cycles / (2 subtasks * 16 rated) = 1.0
@@ -133,7 +141,7 @@ class TestAutoscalerBookkeeping:
 
     def test_crash_rewind_clamps_to_zero(self):
         registry = MetricsRegistry()
-        scaler = Autoscaler(UtilizationTargetPolicy(), rated_capacity=16.0)
+        scaler = self._scaler(UtilizationTargetPolicy())
         self._collect(scaler, registry, processed=100.0)
         # a restore rewound the gauge below the previous reading
         signals = self._collect(scaler, registry, processed=40.0)
@@ -142,7 +150,7 @@ class TestAutoscalerBookkeeping:
     def test_cooldown_resets_on_change_and_first_decision_allowed(self):
         registry = MetricsRegistry()
         policy = UtilizationTargetPolicy(cooldown=2)
-        scaler = Autoscaler(policy, rated_capacity=16.0)
+        scaler = self._scaler(policy)
         self._collect(scaler, registry, processed=0.0)
         # saturated: first evaluation may act (counter seeded to cooldown)
         targets = scaler.evaluate(self._collect(scaler, registry,
@@ -153,10 +161,6 @@ class TestAutoscalerBookkeeping:
                                                 processed=128.0))
         assert targets == {}
         assert any(d.reason == "cooldown" for d in scaler.decisions)
-
-    def test_rated_capacity_validation(self):
-        with pytest.raises(ConfigError):
-            Autoscaler(UtilizationTargetPolicy(), rated_capacity=0.0)
 
 
 class TestSupervisorSmoke:

@@ -35,12 +35,6 @@ class TestContextStore:
         with pytest.raises(ContextError):
             store.add_entity(_entity())
 
-    def test_entities_by_type(self):
-        store = ContextStore()
-        store.add_entity(_entity("e1", "product"))
-        store.add_entity(_entity("e2", "poi"))
-        assert [e.entity_id for e in store.entities("poi")] == ["e2"]
-
     def test_nearby_sorted_by_distance(self):
         store = ContextStore()
         store.add_entity(_entity("near", pos=(1.0, 0, 0)))

@@ -132,12 +132,6 @@ class TestProducer:
         assert stable_hash("abc") == stable_hash("abc")
         assert stable_hash("abc") != stable_hash("abd")
 
-    def test_explicit_partition(self):
-        cluster = _cluster()
-        producer = Producer(cluster)
-        partition, offset = producer.send("t", 1, partition=2)
-        assert (partition, offset) == (2, 0)
-
 
 class TestConsumer:
     def test_poll_reads_everything(self):
@@ -165,7 +159,8 @@ class TestConsumer:
         cluster = _cluster(partitions=1)
         producer = Producer(cluster)
         producer.send("t", 0)
-        consumer = Consumer(cluster, "t", start="latest")
+        consumer = Consumer(cluster, "t")
+        consumer.seek(0, cluster.end_offset("t", 0))
         assert consumer.poll() == []
         producer.send("t", 1)
         assert [r.value for r in consumer.poll()] == [1]

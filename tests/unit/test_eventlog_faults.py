@@ -15,7 +15,6 @@ from repro.eventlog.consumer import Consumer
 from repro.eventlog.producer import Producer
 from repro.util.clock import SimClock
 from repro.util.errors import BrokerDown, LogError, RetryExhausted
-from repro.util.retry import RetryPolicy
 
 
 def _cluster(partitions=2):
@@ -63,8 +62,7 @@ class TestRetryOnUnavailable:
                       count=100)])
         producer = Producer(chaos, clock=SimClock(), idempotent=True)
         with pytest.raises(RetryExhausted):
-            producer.send_with_retry("t", {"i": 0},
-                                     policy=RetryPolicy(max_attempts=3))
+            producer.send_with_retry("t", {"i": 0})
 
 
 class TestPlainSendUnderFaults:
@@ -195,10 +193,9 @@ class TestDuplicateDelivery:
         # partition 0's read returns, partition 1's raises BrokerDown:
         # the retry must re-read partition 0 too, not skip past it
         base = _cluster(partitions=2)
-        producer = Producer(base, clock=SimClock())
         for p in (0, 1):
             for i in range(4):
-                producer.send("t", {"p": p, "i": i}, partition=p)
+                base.append_row("t", p, {"p": p, "i": i}, None, 0.0, None)
         chaos = ChaosLogCluster(base, FaultInjector(FaultPlan(specs=(
             FaultSpec("partition_unavailable", SITE_FETCH, at=1,
                       count=1),))))

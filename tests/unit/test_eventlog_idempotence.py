@@ -102,6 +102,6 @@ class TestIdempotentProducer:
         """Contrast: without idempotence a retry double-appends."""
         cluster = _cluster(partitions=1)
         producer = Producer(cluster)
-        producer.send("t", {"v": 1}, partition=0)
-        producer.send("t", {"v": 1}, partition=0)  # "retry"
+        producer.send("t", {"v": 1})
+        producer.send("t", {"v": 1})  # "retry"
         assert cluster.end_offset("t", 0) == 2

@@ -3,8 +3,6 @@ in corner cases."""
 
 import numpy as np
 
-from repro.core import ARBigDataPipeline, PipelineConfig, PrivacyConfig
-from repro.core.privacy_guard import PrivacyGuard
 from repro.eventlog import (
     ConsumerGroup,
     LogCluster,
@@ -12,7 +10,6 @@ from repro.eventlog import (
     TopicConfig,
 )
 from repro.offload import Pipeline, TaskStage
-from repro.privacy import GridCloak
 from repro.render import Compositor, SceneGraph
 from repro.streaming import (
     Element,
@@ -20,8 +17,7 @@ from repro.streaming import (
     ParallelExecutor,
     TumblingWindows,
 )
-from repro.util.geometry import Rect
-from repro.util.rng import RngRegistry, make_rng
+from repro.util.rng import RngRegistry
 from repro.vision import CameraIntrinsics, MarkerSpec, decode_marker, \
     generate_marker, look_at
 
@@ -148,36 +144,3 @@ class TestMarkerSpecVariants:
             texture = generate_marker(marker_id, spec)
             assert texture.shape == (spec.side_px, spec.side_px)
             assert decode_marker(texture, np.eye(3), spec) == marker_id
-
-
-class TestGuardCloakMode:
-    def test_cloak_mode_through_pipeline_ingest(self):
-        rng = make_rng(0)
-        population = rng.uniform(0, 1000, size=(200, 2))
-        cloak = GridCloak(Rect(0, 0, 1000, 1000), k=10)
-        guard = PrivacyGuard(PrivacyConfig(location_mode="cloak"),
-                             make_rng(1), cloak=cloak)
-        x, y = float(population[0, 0]), float(population[0, 1])
-        px, py, err = guard.protect_location(x, y, population=population)
-        assert err > 0
-        # The reported point is the cell centre, not the true point.
-        assert (px, py) != (x, y)
-        assert abs(px - x) <= err and abs(py - y) <= err
-
-    def test_pipeline_cloak_mode_requires_population(self):
-        rng = make_rng(2)
-        population = rng.uniform(0, 1000, size=(100, 2))
-        cloak = GridCloak(Rect(0, 0, 1000, 1000), k=5)
-        pipeline = ARBigDataPipeline(PipelineConfig(seed=3))
-        # Swap in a cloak-mode guard.
-        pipeline.guard = PrivacyGuard(
-            PrivacyConfig(location_mode="cloak"), make_rng(4),
-            cloak=cloak)
-        pipeline.create_topic("t")
-        pipeline.ingest("t", {"user": "u", "x": float(population[0, 0]),
-                              "y": float(population[0, 1])},
-                        key="u", timestamp=0.0, personal=True,
-                        population=population)
-        group = ConsumerGroup(pipeline.log, "t", "g")
-        record = group.join("m").poll()[0].value
-        assert record["loc_error_m"] > 0

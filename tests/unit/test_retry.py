@@ -36,43 +36,52 @@ class TestRetryPolicy:
             RetryPolicy(deadline_s=-0.1)
 
     def test_delays_grow_exponentially_up_to_cap(self):
-        policy = RetryPolicy(base_delay_s=1.0, multiplier=2.0,
-                             max_delay_s=5.0, jitter=0.0)
-        assert policy.delays(4) == [1.0, 2.0, 4.0, 5.0]
+        policy = RetryPolicy(max_attempts=5, base_delay_s=1.0,
+                             multiplier=2.0, max_delay_s=5.0, jitter=0.0)
+        assert policy.delays() == [1.0, 2.0, 4.0, 5.0]
 
     def test_jitter_is_seeded_and_deterministic(self):
-        a = RetryPolicy(jitter=0.3, seed=42).delays(6)
-        b = RetryPolicy(jitter=0.3, seed=42).delays(6)
-        c = RetryPolicy(jitter=0.3, seed=43).delays(6)
+        a = RetryPolicy(max_attempts=7, jitter=0.3, seed=42).delays()
+        b = RetryPolicy(max_attempts=7, jitter=0.3, seed=42).delays()
+        c = RetryPolicy(max_attempts=7, jitter=0.3, seed=43).delays()
         assert a == b
         assert a != c
 
     def test_jitter_stays_within_band(self):
-        policy = RetryPolicy(base_delay_s=1.0, multiplier=1.0,
-                             max_delay_s=1.0, jitter=0.2, seed=5)
-        for delay in policy.delays(50):
+        policy = RetryPolicy(max_attempts=51, base_delay_s=1.0,
+                             multiplier=1.0, max_delay_s=1.0, jitter=0.2,
+                             seed=5)
+        for delay in policy.delays():
             assert 0.8 <= delay <= 1.2
+
+
+def _retrier(policy, clock=None):
+    """A retrier under ``policy`` in place of the default one (which a
+    retrier's callers use), with the same seed-0 jitter stream."""
+    retrier = Retrier(clock=clock)
+    retrier.policy = policy
+    return retrier
 
 
 class TestRetrier:
     def test_succeeds_after_transient_failures(self):
         fn = Flaky(3)
-        retrier = Retrier(RetryPolicy(max_attempts=5, jitter=0.0))
+        retrier = Retrier()
         assert retrier.call(fn) == "ok"
         assert fn.calls == 4
         assert retrier.retries == 3
 
     def test_exhausts_attempts(self):
         fn = Flaky(100)
-        retrier = Retrier(RetryPolicy(max_attempts=3, jitter=0.0))
+        retrier = Retrier()
         with pytest.raises(RetryExhausted) as info:
             retrier.call(fn)
-        assert fn.calls == 3
+        assert fn.calls == RetryPolicy().max_attempts == 8
         assert isinstance(info.value.last_error, RuntimeError)
 
     def test_non_matching_exception_propagates_immediately(self):
         fn = Flaky(2, exc=ValueError)
-        retrier = Retrier(RetryPolicy(max_attempts=5))
+        retrier = Retrier()
         with pytest.raises(ValueError):
             retrier.call(fn, retry_on=(KeyError,))
         assert fn.calls == 1
@@ -82,7 +91,7 @@ class TestRetrier:
         policy = RetryPolicy(max_attempts=10, base_delay_s=1.0,
                              multiplier=2.0, jitter=0.0, deadline_s=4.0)
         clock = SimClock()
-        retrier = Retrier(policy, clock=clock)
+        retrier = _retrier(policy, clock=clock)
         with pytest.raises(RetryExhausted) as info:
             retrier.call(Flaky(100))
         assert "deadline" in str(info.value)
@@ -91,18 +100,11 @@ class TestRetrier:
 
     def test_backoff_advances_sim_clock(self):
         clock = SimClock()
-        retrier = Retrier(RetryPolicy(max_attempts=4, base_delay_s=0.5,
-                                      multiplier=2.0, jitter=0.0),
-                          clock=clock)
+        retrier = _retrier(RetryPolicy(max_attempts=4, base_delay_s=0.5,
+                                       multiplier=2.0, jitter=0.0),
+                           clock=clock)
         retrier.call(Flaky(3))
         assert clock.now == pytest.approx(0.5 + 1.0 + 2.0)
-
-    def test_on_retry_hook_sees_each_failure(self):
-        seen = []
-        retrier = Retrier(RetryPolicy(max_attempts=4, jitter=0.0))
-        retrier.call(Flaky(2),
-                     on_retry=lambda attempt, exc: seen.append(attempt))
-        assert seen == [1, 2]
 
 
 class TestCircuitBreaker:

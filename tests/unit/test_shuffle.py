@@ -99,7 +99,8 @@ class TestKeyGroups:
 
     def test_group_and_merge_round_trip(self):
         state = KeyedState()
-        state.put_many((f"k{i}", [i * 10]) for i in range(40))
+        for i in range(40):
+            state.put(f"k{i}", [i * 10])
         groups = state.snapshot_by_group(16)
         assert set(groups) <= set(range(16))
         restored = KeyedState()
@@ -113,7 +114,8 @@ class TestKeyGroups:
 
     def test_grouping_respects_key_group_for(self):
         state = KeyedState()
-        state.put_many([("a", 1), ("b", 2)])
+        state.put("a", 1)
+        state.put("b", 2)
         groups = state.snapshot_by_group(8)
         for kg, blob in groups.items():
             for key in blob:

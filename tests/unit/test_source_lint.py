@@ -70,7 +70,9 @@ text, imports only to inspect one signature).
     ``SinkBuffer`` is named nowhere, ``transactional_sinks`` survives
     only as ``ParallelExecutor``'s one parameter (no call passes it but
     the test that it refuses ``False``), and no commit listener asks
-    whether it was handed a plain list instead of the sink.
+    whether it was handed a plain list instead of the sink.  Every log
+    source yields batches the same way: ``parallel_log_source``'s
+    ``columnar`` refuses ``False``, and only the benchmark passes it.
 (p) Only options a caller sets: a checkpoint is always aligned, a
     channel never drops and a failover region is a connected component,
     so ``unaligned_after``, ``drop_on_overflow``, ``replayable`` and
@@ -102,8 +104,20 @@ text, imports only to inspect one signature).
     An ``__init__`` re-export (eager or ``lazy_exports``), a docstring
     or ``__all__`` is no caller.  What only tests reach is deleted, or
     sits on an allow-list with its reason (``Class.method`` for a
-    method), and an allow-listed body counts as live; the list only
-    shrinks, because a listed name that gains a caller fails too.
+    method), and an allow-listed body (a class's methods with it)
+    counts as live; the list only shrinks, because a listed name that
+    gains a caller fails too.
+(s) Every parameter has a caller: each defaulted parameter of a def in
+    ``streaming/``, ``store/``, ``eventlog/``, ``render/``,
+    ``context/``, ``core/``, ``obs/``, ``geo/`` and ``util/`` is set to
+    a value other than its default by code lint (r) counts as reached —
+    by keyword, position, ``*args`` or ``**kwargs``, matched by name as
+    lint (r) matches.  A parameter forwarded from an enclosing def's
+    parameter with the same default is set only if that one is.  Three
+    kinds are exempt, each named with its reason: a seam through which
+    tests substitute a fake, the parameters of lint (r)'s allow-listed
+    defs, and a keyword the end-to-end benchmark passes and the library
+    refuses to vary (``parallel_log_source(columnar)``).
 """
 
 import ast
@@ -668,6 +682,31 @@ def test_transactional_sinks_is_one_parameter_nobody_passes():
     # read once, by the constructor's refusal; never stored
     assert [site.split(":")[0] for site in other] \
         == ["src/repro/streaming/execution.py"]
+    # parallel_log_source(columnar=) is the same kind of keyword: the
+    # end-to-end benchmark passes True, and False is refused
+    from repro.eventlog import LogCluster, TopicConfig
+    from repro.streaming import parallel_log_source
+    from repro.util.errors import ConfigError
+    cluster = LogCluster(num_brokers=1)
+    cluster.create_topic(TopicConfig("t", partitions=1))
+    try:
+        parallel_log_source(cluster, "t", columnar=False)
+    except ConfigError:
+        pass
+    else:
+        raise AssertionError("parallel_log_source accepted columnar=False")
+    passes = [f"{path.relative_to(ROOT)}:{node.lineno}:"
+              f"{ast.unparse(keyword.value)}"
+              for top in TREES + ("benchmarks",)
+              for path in sorted((ROOT / top).rglob("*.py"))
+              if path != Path(__file__).resolve()
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Call)
+              and _called(node) == "parallel_log_source"
+              for keyword in node.keywords if keyword.arg == "columnar"]
+    assert [site.split(":")[0] for site in passes] \
+        == ["benchmarks/e2e/pipeline.py"] * 2
+    assert {site.rpartition(":")[2] for site in passes} == {"True"}
 
 
 # -- (p) only options a caller sets --------------------------------------------
@@ -682,7 +721,7 @@ UNSET_MODES = re.compile(
 #: (module, class) -> parameters of its ``__init__``, ``self`` excluded
 INIT_PARAMETERS = {
     ("streaming/execution.py", "ParallelExecutor"): 8,
-    ("streaming/supervisor.py", "Supervisor"): 15,
+    ("streaming/supervisor.py", "Supervisor"): 12,
     ("streaming/transport.py", "Channels"): 4,
     ("store/hot.py", "HotShard"): 2,
     ("store/hot.py", "HotStore"): 2,
@@ -690,7 +729,7 @@ INIT_PARAMETERS = {
 }
 #: (module, function) -> its parameters
 FUNCTION_PARAMETERS = {
-    ("store/tiered.py", "serve_topic"): 10,
+    ("store/tiered.py", "serve_topic"): 9,
     ("streaming/plan.py", "compile_execution_graph"): 4,
 }
 
@@ -779,6 +818,8 @@ UNREACHED_ALLOWED = {
     "tree_is_connected": "the trace-connectivity check two tests assert",
     "elements_of": "the sink decode two property tests compare against",
     "RETRY": "deleting it changes ErrorPolicy and the DeadLetter format",
+    "GridCloak": "ROADMAP item 16 cloaks what the guard lets through; "
+                 "the guard's cloak mode, its one caller, had none",
     "Producer.send_batch": "ROADMAP item 3: TransactionalLogSink writes "
                            "through it",
     "GeoController.handoff": "ROADMAP item 7(a)'s zone-handoff rule; "
@@ -881,8 +922,9 @@ def unreached_defs(files, allowed=()):
     class's method of that name: an override is reached through a call
     of the base's); a dunder is reached with its class.  Docstrings,
     ``__all__`` and ``lazy_exports`` tables name nothing.  The bodies of
-    the ``allowed`` defs count as live, so what kept code calls is kept.
-    A method of an unreached class is not listed: the class is.
+    the ``allowed`` defs (and of the methods of an allowed class) count
+    as live, so what kept code calls is kept.  A method of an unreached
+    class is not listed: the class is.
     """
     live, defs = set(), []
     for rel, text in files.items():
@@ -908,7 +950,8 @@ def unreached_defs(files, allowed=()):
 
     unreached = []
     for d in defs:
-        (reach if _label(d[1], d[2]) in allowed else unreached.append)(d)
+        (reach if {_label(d[1], d[2]), d[1]} & set(allowed)
+         else unreached.append)(d)
     while True:
         reached = [d for d in unreached
                    if (d[2] in live if d[1] is None else
@@ -1043,3 +1086,342 @@ def test_an_override_is_reached_through_a_call_of_the_base_name():
 def test_the_methods_of_an_unreached_class_go_with_it():
     files = {"src/repro/m.py": BOX, "tools/t.py": "print('no box')\n"}
     assert unreached_defs(files) == ["src/repro/m.py:Box"]
+
+
+# -- (s) every parameter is set by a caller ----------------------------------
+
+#: the packages whose defaulted parameters the census counts
+CENSUS_PACKAGES = tuple(f"src/repro/{package}/" for package in (
+    "streaming", "store", "eventlog", "render", "context", "core", "obs",
+    "geo", "util"))
+#: defaulted parameters no caller outside the tests sets, and why each
+#: stays; an entry leaves when a caller sets it (the census then fails)
+UNSET_ALLOWED = {
+    "Tracer(timer)": "a seam: tests substitute a fake clock",
+    "GeoDeployment(injector)": "a seam: tests substitute a fault injector",
+    "parallel_log_source(columnar)": "benchmarks/e2e/pipeline.py passes "
+                                     "columnar=True and may not change; "
+                                     "False is refused (ROADMAP item 1(f))",
+}
+
+
+class _Scope:
+    """The parameters of one def as a call inside it sees them."""
+
+    def __init__(self, key, fn, method=False):
+        self.key = key
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        defaults = [None] * (len(positional) - len(args.defaults)) \
+            + list(args.defaults)
+        params = [(a.arg, d, i) for i, (a, d) in enumerate(zip(positional,
+                                                               defaults))]
+        params += [(a.arg, d, None)
+                   for a, d in zip(args.kwonlyargs, args.kw_defaults)]
+        if method and not any(getattr(d, "id", None) == "staticmethod"
+                              for d in fn.decorator_list):
+            params = [(name, d, None if i is None else i - 1)
+                      for name, d, i in params[1:]]
+        #: name -> (default node or None, positional index or None)
+        self.params = {name: (d, i) for name, d, i in params}
+        self.kwarg = args.kwarg.arg if args.kwarg else None
+        self.bound = {node.id for node in ast.walk(fn)
+                      if isinstance(node, ast.Name)
+                      and isinstance(node.ctx, ast.Store)}
+        self.bound |= {a.arg for a in (args.vararg, args.kwarg) if a}
+
+
+def _same_value(value, default):
+    """Whether a call passes ``value`` where the def has ``default``."""
+    if ast.dump(value) == ast.dump(default):
+        return True
+    try:
+        a, b = ast.literal_eval(value), ast.literal_eval(default)
+    except (ValueError, SyntaxError, TypeError):
+        return False
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _param_label(key, param):
+    rel, cls, name = key
+    where = cls if name == "__init__" else _label(cls, name)
+    return f"{rel}:{where}({param})"
+
+
+def unset_parameters(files, allowed_defs=(), allowed=()):
+    """``(number of censused parameters, [path:Def(param)])``: every
+    parameter with a default, of each module-level def and method under
+    ``CENSUS_PACKAGES`` in ``files``, that no reached code (lint (r)'s
+    sense) sets to a value other than its default.  ``Class(param)``
+    names a constructor's parameter.
+
+    Calls match by name, as lint (r) does: ``f(...)`` and ``x.f(...)``
+    reach every def named ``f``, ``Class(...)``, ``cls(...)`` and
+    ``super().__init__(...)`` reach the (inherited) ``__init__``, and
+    ``partial(f, ...)`` binds what it names and leaves the rest of
+    ``f``'s positional parameters to a caller the census cannot see, so
+    they count as set.  A keyword, a positional argument, a ``*args``
+    (the positions from it on) or a ``**mapping`` (every parameter)
+    sets a parameter.  An argument equal to the default sets nothing.
+    ``f(p=p)`` inside a def whose own ``p`` has the same default and is
+    never rebound sets ``f``'s ``p`` only if the outer ``p`` is set, and
+    ``f(**kwargs)`` with the def's own ``**kwargs`` forwards the
+    keywords its callers pass.  The parameters of ``allowed_defs`` (and
+    of the methods of an allowed class) are not censused, and a
+    parameter whose ``Def(param)`` label is in ``allowed`` is not
+    listed.
+    """
+    unreached = set(unreached_defs(files, allowed_defs))
+    trees = {rel: ast.parse(text) for rel, text in files.items()}
+    by_name, scopes, bases, inits, census = {}, {}, {}, {}, {}
+    for rel, tree in trees.items():
+        if not rel.startswith("src/"):
+            continue
+        for stmt in tree.body:
+            members = [(None, stmt)] if isinstance(stmt, FUNCTION) else []
+            if isinstance(stmt, ast.ClassDef):
+                bases[stmt.name] = [ast.unparse(b).rpartition(".")[2]
+                                    for b in stmt.bases]
+                members = [(stmt.name, item) for item in stmt.body
+                           if isinstance(item, FUNCTION)]
+            for cls, fn in members:
+                key = (rel, cls, fn.name)
+                scopes[key] = _Scope(key, fn, method=cls is not None)
+                if fn.name == "__init__":
+                    inits[cls] = key
+                by_name.setdefault(cls if fn.name == "__init__"
+                                   else fn.name, []).append(key)
+                if (rel.startswith(CENSUS_PACKAGES)
+                        and not {cls, _label(cls, fn.name)} & set(
+                            allowed_defs)
+                        and f"{rel}:{_label(cls, fn.name)}" not in unreached):
+                    census.update({(key, p): default for p, (default, _)
+                                   in scopes[key].params.items()
+                                   if default is not None})
+    for cls in bases:
+        lineage = list(bases[cls])
+        while cls not in inits and lineage:
+            base = lineage.pop(0)
+            if base in inits:
+                by_name.setdefault(cls, []).append(inits[base])
+                break
+            lineage += bases.get(base, [])
+
+    live, forwarded_from = set(), {}
+    pending, kwargs_to = [], {}
+
+    def setter(value, default, outer):
+        """What passing ``value`` does: ``None`` (nothing), ``"set"``,
+        or the outer parameter it is live through."""
+        if _same_value(value, default):
+            return None
+        for scope in reversed(outer):
+            if isinstance(value, ast.Name) and value.id in scope.params:
+                own = scope.params[value.id][0]
+                if ((scope.key, value.id) in census
+                        and value.id not in scope.bound
+                        and _same_value(own, default)):
+                    return scope.key, value.id
+                return "set"
+            if isinstance(value, ast.Name) and value.id in scope.bound:
+                return "set"
+        return "set"
+
+    def pass_to(key, param, value, outer):
+        if (key, param) not in census:
+            return
+        how = "set" if value is None else setter(value, census[(key, param)],
+                                                 outer)
+        if how == "set":
+            live.add((key, param))
+        elif how is not None:
+            forwarded_from.setdefault(how, set()).add((key, param))
+
+    def call(node, outer, cls):
+        func, args, rest = node.func, node.args, None
+        if getattr(func, "id", None) == "partial" and args:
+            func, args = args[0], args[1:]
+            rest = len(args)
+        if isinstance(func, ast.Name):
+            names = [cls if func.id == "cls" else func.id]
+        elif (isinstance(func, ast.Attribute) and func.attr == "__init__"
+              and isinstance(func.value, ast.Call)
+              and getattr(func.value.func, "id", None) == "super"):
+            names = bases.get(cls, [])
+        elif isinstance(func, ast.Attribute):
+            names = [func.attr]
+        elif isinstance(func, ast.Call) \
+                and getattr(func.func, "id", None) == "type":
+            names = [cls]
+        else:
+            return
+        for key in (key for name in names for key in by_name.get(name, ())):
+            params = scopes[key].params
+            for j, arg in enumerate(args):
+                if isinstance(arg, ast.Starred):
+                    rest = j if rest is None else min(rest, j)
+                    break
+                for p, (_, i) in params.items():
+                    if i == j:
+                        pass_to(key, p, arg, outer)
+            for p, (_, i) in params.items():
+                if rest is not None and i is not None and i >= rest:
+                    pass_to(key, p, None, outer)
+            for kw in node.keywords:
+                if kw.arg in params:
+                    pass_to(key, kw.arg, kw.value, outer)
+                elif kw.arg is not None:
+                    pending.append((key, kw.arg, kw.value, outer))
+                elif (outer and outer[-1].key is not None
+                      and isinstance(kw.value, ast.Name)
+                      and kw.value.id == outer[-1].kwarg):
+                    kwargs_to.setdefault(outer[-1].key, []).append(key)
+                else:
+                    for p in params:
+                        pass_to(key, p, None, outer)
+
+    def visit(node, outer, cls, key=None):
+        if isinstance(node, FUNCTION + (ast.Lambda,)):
+            for sub in (*node.args.defaults, *node.args.kw_defaults,
+                        *getattr(node, "decorator_list", ())):
+                if sub is not None:
+                    visit(sub, outer, cls)
+            inner = outer + [scopes[key] if key else _Scope(None, node)]
+            for stmt in (node.body if isinstance(node.body, list)
+                         else [node.body]):
+                visit(stmt, inner, cls)
+            return
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.Call):
+            call(node, outer, cls)
+        for child in ast.iter_child_nodes(node):
+            visit(child, outer, cls)
+
+    for rel, tree in trees.items():
+        if not rel.startswith("src/"):
+            visit(tree, [], None)
+            continue
+        for stmt in tree.body:
+            members = [(None, stmt)] if isinstance(stmt, FUNCTION) else []
+            if isinstance(stmt, ast.ClassDef):
+                if f"{rel}:{stmt.name}" in unreached:
+                    continue
+                for sub in (*stmt.bases, *stmt.keywords, *stmt.decorator_list,
+                            *(item for item in stmt.body
+                              if not isinstance(item, FUNCTION))):
+                    visit(sub, [], stmt.name)
+                members = [(stmt.name, item) for item in stmt.body
+                           if isinstance(item, FUNCTION)]
+            elif not members:
+                visit(stmt, [], None)
+            for cls, fn in members:
+                if f"{rel}:{_label(cls, fn.name)}" not in unreached:
+                    visit(fn, [], cls, (rel, cls, fn.name))
+
+    # keywords a def takes through ``**kwargs`` reach what it forwards to
+    seen = set()
+    while pending:
+        key, p, value, outer = pending.pop()
+        for target in kwargs_to.get(key, ()):
+            if (target, p, id(value)) not in seen:
+                seen.add((target, p, id(value)))
+                if p in scopes[target].params:
+                    pass_to(target, p, value, outer)
+                else:
+                    pending.append((target, p, value, outer))
+    todo = list(live)
+    while todo:
+        for nxt in forwarded_from.get(todo.pop(), ()):
+            if nxt not in live:
+                live.add(nxt)
+                todo.append(nxt)
+    unset = (_param_label(key, p) for key, p in census
+             if (key, p) not in live)
+    return len(census), sorted(site for site in unset
+                               if site.rpartition(":")[2] not in allowed)
+
+
+def test_every_parameter_is_set_by_a_caller_outside_the_tests():
+    files = _caller_files()
+    _, unset = unset_parameters(files, UNREACHED_ALLOWED, UNSET_ALLOWED)
+    assert unset == []
+    # the allow-list only shrinks: a parameter that gained a caller
+    # leaves it
+    _, unset = unset_parameters(files, UNREACHED_ALLOWED)
+    assert sorted(set(UNSET_ALLOWED) - _names(unset)) == []
+
+
+#: a library module with one defaulted parameter per census rule, and
+#: the tool that calls into it
+KNOBS = ("def knob(a, unset=1, default_only=2, positional=3, keyword=4):\n"
+         "    return a\n\n\n"
+         "def outer(dead=5, live=6):\n"
+         "    return inner(dead=dead, live=live)\n\n\n"
+         "def inner(dead=5, live=6):\n"
+         "    return dead + live\n\n\n"
+         "def passes(**options):\n"
+         "    return target(**options)\n\n\n"
+         "def target(through=7, untouched=8):\n"
+         "    return through + untouched\n\n\n"
+         "class Seam:\n"
+         "    def __init__(self, fake=None):\n"
+         "        self.fake = fake\n")
+KNOBS_CALLER = ("from repro.core.m import Seam, knob, outer, passes\n"
+                "knob(0, 1, 2, 9, keyword=2)\n"
+                "knob(0, default_only=2, keyword=10)\n"
+                "outer(live=60)\n"
+                "passes(through=70)\n"
+                "Seam()\n")
+
+
+def _knobs(allowed_defs=(), allowed=(), caller=KNOBS_CALLER):
+    files = {"src/repro/core/m.py": KNOBS, "tools/t.py": caller}
+    return unset_parameters(files, allowed_defs, allowed)
+
+
+def test_the_parameter_census_flags_what_no_caller_sets():
+    count, unset = _knobs()
+    assert count == 11
+    assert unset == ["src/repro/core/m.py:Seam(fake)",
+                     "src/repro/core/m.py:inner(dead)",
+                     "src/repro/core/m.py:knob(default_only)",
+                     "src/repro/core/m.py:knob(unset)",
+                     "src/repro/core/m.py:outer(dead)",
+                     "src/repro/core/m.py:target(untouched)"]
+
+
+def test_a_positional_argument_sets_a_parameter_and_a_default_does_not():
+    _, unset = _knobs()
+    # ``knob(0, 1, 2, 9, ...)`` passes both defaults positionally
+    assert "src/repro/core/m.py:knob(positional)" not in unset
+    assert "src/repro/core/m.py:knob(unset)" in unset
+    assert "src/repro/core/m.py:knob(keyword)" not in unset
+    _, unset = _knobs(caller=KNOBS_CALLER.replace("9, keyword=2", "3"))
+    assert "src/repro/core/m.py:knob(positional)" in unset
+
+
+def test_a_parameter_forwarded_from_a_dead_one_is_dead():
+    _, unset = _knobs()
+    assert "src/repro/core/m.py:inner(dead)" in unset
+    assert "src/repro/core/m.py:inner(live)" not in unset
+    _, unset = _knobs(caller=KNOBS_CALLER + "outer(dead=50)\n")
+    assert "src/repro/core/m.py:inner(dead)" not in unset
+
+
+def test_a_keyword_reaches_a_parameter_through_kwargs():
+    _, unset = _knobs()
+    assert "src/repro/core/m.py:target(through)" not in unset
+    assert "src/repro/core/m.py:target(untouched)" in unset
+
+
+def test_the_census_exempts_a_seam_and_an_allow_listed_def():
+    _, unset = _knobs(allowed=("Seam(fake)",))
+    assert "src/repro/core/m.py:Seam(fake)" not in unset
+    _, unset = _knobs(allowed_defs=("knob", "Seam"))
+    assert not [site for site in unset if ":knob(" in site]
+    assert "src/repro/core/m.py:Seam(fake)" not in unset
+    # the real exemptions are of those kinds, and name what exists
+    assert all(label.partition("(")[0] in ("Tracer", "GeoDeployment",
+                                           "parallel_log_source")
+               for label in UNSET_ALLOWED)

@@ -88,9 +88,8 @@ class TestHotShard:
                 assert _canon_contents(shard.contents()) == expected, where
                 for i in range(5):
                     versions = expected.get(key_repr(f"k-{i}"), [])
-                    for n in (1, 3, len(applied)):
-                        assert _canon(shard.latest(f"k-{i}", n)) \
-                            == versions[:n], where
+                    assert _canon(shard.latest(f"k-{i}")) \
+                        == versions[:1], where
 
     def test_discarded_stage_leaves_no_trace(self):
         """stage -> discard -> re-stage -> install: no list of a token
@@ -122,8 +121,8 @@ class TestHotShard:
         assert shard.contents() == before
         assert shard.install_epoch(staged) == 4
         assert shard.contents() == _model(first + second)
-        assert shard.latest("a", 2) == [(9.0, "a9"), (7.0, "a7")]
-        assert shard.latest("b", 1) == [(5.0, "b5")]
+        assert shard.latest("a") == [(9.0, "a9")]
+        assert shard.latest("b") == [(5.0, "b5")]
         shard.apply_epoch(3, [(a, 8.0, "a8")])
         assert shard.contents() == _model(
             first + second + [(a, 8.0, "a8")])
@@ -164,7 +163,7 @@ class TestHotShard:
         assert shard.contents() == before
         assert shard.last_applied_epoch == 1
         shard.install_epoch(staged)
-        assert shard.latest("a", 1) == [(9.0, "z")]
+        assert shard.latest("a") == [(9.0, "z")]
 
     def test_compaction_bounds_runs_and_preserves_contents(self,
                                                            monkeypatch):
@@ -200,7 +199,7 @@ class TestHotShard:
         shard.flush()
         shard.maintain()
         assert calls  # a new run is tiered again
-        assert shard.latest("a", 1) == [(8.0, 8)]
+        assert shard.latest("a") == [(8.0, 8)]
 
 
 class TestHotStore:
@@ -233,7 +232,7 @@ class TestHotStore:
         model = _model(applied)
         assert store.contents() == model
         for kr, versions in model.items():
-            assert store.latest(eval(kr), 2) == versions[:2]
+            assert store.latest(eval(kr)) == versions[:1]
             assert store.point(eval(kr)) == versions[0][1]
         assert store.point("never-seen") is None
 
@@ -254,7 +253,7 @@ class TestHotStore:
                 0, (float(epoch), epoch))
         assert store.contents() == dict(sorted(expected.items()))
         for key in keys:
-            assert store.latest(key, 3) == expected[repr(key)]
+            assert store.latest(key) == expected[repr(key)][:1]
             assert store.hot.route(key)[1] == repr(key)
             assert store.hot.shard_for(key).shard_id == subtask_for_key_group(
                 key_group_for(key, shuffle.KEY_GROUPS),
@@ -275,5 +274,5 @@ class TestHotStore:
     def test_point_on_empty_store(self):
         store = HotStore(num_shards=2)
         assert store.point("nope") is None
-        assert store.latest("nope", 3) == []
+        assert store.latest("nope") == []
         assert store.rows == 0

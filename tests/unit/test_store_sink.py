@@ -162,7 +162,7 @@ class TestServeTopic:
         assert store.hot.rows == 120
         # newest record per key is the highest-timestamp one
         for k in range(5):
-            (ts, value), = store.latest(f"u-{k}", 1)
+            (ts, value), = store.latest(f"u-{k}")
             assert value["i"] == 115 + k
         # dashboards see every committed row
         assert sum(store.group_by("count").values()) == 120

@@ -214,7 +214,7 @@ class TestModeEquivalence:
                         .map(lambda v: v * 3.0 + 1.0, vectorized=True)
                         .filter(lambda v: v > 10.0, vectorized=True)
                         .key_by(lambda v: v % 5.0, vectorized=True)
-                        .reduce(np.add, vectorized=True)
+                        .reduce(lambda a, b: a + b)
                         .sink("out"))
             else:
                 (builder.source("s", source)
@@ -247,11 +247,6 @@ class TestModeEquivalence:
                                name="short").sink("out")
         with pytest.raises(StreamError, match=r"short.* 9 results .* 10 rows"):
             ParallelExecutor(builder.build()).run()
-
-    def test_vectorized_reduce_requires_ufunc(self):
-        with pytest.raises(StreamError):
-            JobBuilder("j").source("s", _els(1)).reduce(
-                lambda a, b: a + b, vectorized=True)
 
 
 class TestSummaryCache:

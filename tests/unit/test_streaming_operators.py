@@ -1,10 +1,14 @@
 """Unit tests: stream operators, watermark generation, windows assigners."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.streaming import (
     Element,
     FilterOperator,
+    JobBuilder,
     KeyByOperator,
     MapOperator,
     ReduceOperator,
@@ -129,6 +133,12 @@ class TestWatermarkGenerator:
     def test_flush_empty_stream(self):
         assert WatermarkGenerator("wm", 1.0).flush() == []
 
+    @pytest.mark.parametrize("lateness", [-1.0, math.nan])
+    def test_negative_or_nan_lateness_rejected(self, lateness):
+        # NaN passed ``< 0``, and every watermark came out NaN
+        with pytest.raises(StreamError):
+            JobBuilder("j").source("s", []).with_watermarks(lateness)
+
 
 class TestWindowAssigners:
     def test_tumbling_assigns_single_window(self):
@@ -139,9 +149,26 @@ class TestWindowAssigners:
         assigner = TumblingWindows(10.0)
         assert assigner.assign(20.0) == [Window(20.0, 30.0)]
 
-    def test_tumbling_offset(self):
-        assigner = TumblingWindows(10.0, offset=3.0)
-        assert assigner.assign(12.0) == [Window(3.0, 13.0)]
+    @pytest.mark.parametrize("size", [0.0, -1.0, math.nan, math.inf,
+                                      -math.inf])
+    def test_size_must_be_positive_and_finite(self, size):
+        # NaN and inf put every row in ``Window(nan, nan)``, a window
+        # that never fires: a job emitted nothing, with no error
+        with pytest.raises(ConfigError):
+            TumblingWindows(size)
+
+    def test_negative_zero_starts_at_positive_zero(self):
+        # the ``+ 0.0`` in both assigners: without it the window of
+        # -0.0 would start at -0.0, and its repr (and every digest over
+        # it) would change
+        assigner = TumblingWindows(10.0)
+        (window,) = assigner.assign(-0.0)
+        assert repr(window) == "Window(start=0.0, end=10.0)"
+        assert math.copysign(1.0, window.start) == 1.0
+        starts = assigner.assign_starts(np.array([-0.0, 0.0, -5.0]))
+        assert [math.copysign(1.0, s) for s in starts.tolist()] \
+            == [1.0, 1.0, -1.0]
+        assert starts.tolist() == [0.0, 0.0, -10.0]
 
     def test_empty_window_rejected(self):
         with pytest.raises(ConfigError):

@@ -104,8 +104,8 @@ class TestExecutor:
         builder = JobBuilder("j")
         left = builder.source("l", left_els).key_by(lambda v: v["k"])
         right = builder.source("r", right_els).key_by(lambda v: v["k"])
-        (left.join(right, lower=0.0, upper=1.0,
-                   project=lambda l, r: (l["i"], r["i"]))
+        (left.join(right, lower=0.0, upper=1.0)
+             .map(lambda j: (j.left["i"], j.right["i"]))
              .sink("out"))
         sinks = ParallelExecutor(builder.build()).run()
         # left i matches right i (+0.5) and right i-1 (-0.5 -> outside).

@@ -56,8 +56,7 @@ def _job(seed=3, n=200):
 
 def _supervisor(job, injector=None):
     return Supervisor(job, parallelism=2, source_batch=SOURCE_BATCH,
-                      step_cycles=1, interval_cycles=2,
-                      heartbeat_timeout_s=5.0, injector=injector)
+                      step_cycles=1, interval_cycles=2, injector=injector)
 
 
 def _golden(build):
@@ -126,8 +125,8 @@ class TestLadder:
             reference_job(events, splits=4),
             controllers=[Autoscaler(SchedulePolicy({}))],
             injector=FaultInjector(plan), parallelism=2,
-            source_batch=SOURCE_BATCH, step_cycles=1, interval_cycles=2,
-            heartbeat_timeout_s=4.0).run()
+            source_batch=SOURCE_BATCH, step_cycles=1,
+            interval_cycles=2).run()
         assert report.dead_detected >= 1
         assert report.crashes == 0
         assert canonical_sinks(report.sink_values) == canonical_sinks(
@@ -183,8 +182,6 @@ class TestArguments:
         with pytest.raises(JobGraphError, match="source_batch.*0"):
             run_coordinated(_job(n=20), source_batch=0)
         for cycles in (0, -3):
-            with pytest.raises(JobGraphError, match=f"step_cycles.*{cycles}"):
-                run_coordinated(_job(n=20), step_cycles=cycles)
             with pytest.raises(JobGraphError, match=f"step_cycles.*{cycles}"):
                 Supervisor(_job(n=20), step_cycles=cycles)
 
