@@ -32,7 +32,7 @@ FRAMES = 10
 
 def run_experiment():
     rng = make_rng(99)
-    target = PlanarTarget(make_texture(rng, size=256), 0.5, 0.5)
+    target = PlanarTarget(make_texture(rng), 0.5, 0.5)
     rows = []
     for noise in NOISES:
         for gain in GAINS:

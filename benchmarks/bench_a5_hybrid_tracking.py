@@ -49,7 +49,7 @@ def _planner():
 
 def run_experiment():
     rng = make_rng(82)
-    target = PlanarTarget(make_texture(rng, size=256), 0.5, 0.5)
+    target = PlanarTarget(make_texture(rng), 0.5, 0.5)
     frames = _orbit_frames(rng, target)
     planner = _planner()
     policy = AlwaysLocal()

@@ -30,7 +30,7 @@ def run_experiment():
                    up=np.array([0.0, 0.0, 1.0]))
     rows = []
     for day in range(DAYS):
-        scene = app.excavation_overlay(site, tolerance_m=0.3)
+        scene = app.excavation_overlay(site)
         frame = compositor.compose(scene, pose)
         rows.append([day, site.progress, site.deviation_cells(),
                      len(scene), frame.drawn,

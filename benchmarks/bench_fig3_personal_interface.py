@@ -37,8 +37,7 @@ def run_experiment():
         for tag in ("health", "message", "ambient"):
             pipeline.interpreter.register_default(tag)
         session = pipeline.open_session(
-            "wearer", budget=FrameBudget(budget_ms=2.0,
-                                         cost_per_label_ms=0.25))
+            "wearer", budget=FrameBudget(budget_ms=2.0))
         results = []
         for k in range(rate):
             kind = ("health", "message", "ambient")[k % 3]

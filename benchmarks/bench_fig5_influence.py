@@ -56,7 +56,7 @@ def _retail_scores():
     app = RetailApp(ARBigDataPipeline(PipelineConfig(seed=31)), world)
     app.ingest_interactions(world.interactions(rng,
                                                events_per_shopper=30))
-    evaluation = app.evaluate(rng, k=5, max_users=30)
+    evaluation = app.evaluate(rng, max_users=30)
     # AR: X-ray locator task — find 20 random products from the entrance.
     found_occluded = 0
     occluded = 0
@@ -112,8 +112,7 @@ def _healthcare_scores():
     outcomes = app.detection_outcomes()
     detection_rate = (np.mean([o.detected for o in outcomes])
                       if outcomes else 0.0)
-    remote = app.remote_diagnosis(rng, link="wan", frames=200,
-                                  deadline_s=0.150)
+    remote = app.remote_diagnosis(rng, link="wan", frames=200)
     return FieldInfluence("healthcare", float(detection_rate),
                           1.0 - remote.miss_rate)
 

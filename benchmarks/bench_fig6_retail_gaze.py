@@ -37,7 +37,7 @@ def run_experiment():
             rng, events_per_shopper=history))
         pop_p, cf_p, gaze_p = [], [], []
         for shopper in world.shoppers[:EVAL_USERS]:
-            relevant = (world.holdout_relevant(rng, shopper, n=20)
+            relevant = (world.holdout_relevant(rng, shopper)
                         - app.seen_items(shopper.shopper_id))
             if not relevant:
                 continue

@@ -59,8 +59,7 @@ def run_remote():
                         patients)
     rows = []
     for link in LINKS:
-        stats = app.remote_diagnosis(rng, link=link, frames=300,
-                                     deadline_s=0.150)
+        stats = app.remote_diagnosis(rng, link=link, frames=300)
         rows.append([link, stats.mean_latency_s * 1000,
                      stats.miss_rate])
     return rows

@@ -254,19 +254,19 @@ def bench_summary_metrics(n_samples: int = 20_000, calls: int = 300) -> dict:
 def bench_sketches(n_keys: int = 30_000) -> dict:
     keys = [f"user-{i % 2000}-{i % 97}" for i in range(n_keys)]
 
-    cms_loop = CountMinSketch(epsilon=0.005, delta=0.01)
+    cms_loop = CountMinSketch(epsilon=0.005)
     start = time.perf_counter()
     for k in keys:
         cms_loop.add(k)
     loop_s = time.perf_counter() - start
 
-    cms_batch = CountMinSketch(epsilon=0.005, delta=0.01)
+    cms_batch = CountMinSketch(epsilon=0.005)
     start = time.perf_counter()
     cms_batch.add_many(keys)
     batch_s = time.perf_counter() - start
     assert (cms_loop._table == cms_batch._table).all()
 
-    hll_loop, hll_batch = HyperLogLog(12), HyperLogLog(12)
+    hll_loop, hll_batch = HyperLogLog(), HyperLogLog()
     start = time.perf_counter()
     for k in keys:
         hll_loop.add(k)

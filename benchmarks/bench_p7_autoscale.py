@@ -56,13 +56,11 @@ SEED = 3
 SPLITS = 8
 SOURCE_BATCH = 32
 SLO_S = 15.0
-PROFILE = LoadProfile(duration_s=120.0, base_rate=8.0, peak_rate=24.0,
-                      period_s=120.0, flash_start_s=60.0,
-                      flash_duration_s=20.0, flash_rate=120.0, keys=8)
+PROFILE = LoadProfile()
 
 
 def _events():
-    return diurnal_flash_events(PROFILE, seed=SEED)
+    return diurnal_flash_events(seed=SEED)
 
 
 def _build(events):
@@ -103,8 +101,7 @@ def run_experiment() -> dict:
         events, UtilizationTargetPolicy(max_parallelism=SPLITS))
     capped_report, capped_sup = _supervise(
         events, UtilizationTargetPolicy(max_parallelism=2),
-        shed_policy=ShedPolicy(trigger_wait_s=8.0, release_wait_s=2.0,
-                               keep=1, mod=2))
+        shed_policy=ShedPolicy(trigger_wait_s=8.0, release_wait_s=2.0))
 
     # the autoscaled run must dominate the fixed baseline on the SLO
     assert auto_report.slo_compliance > fixed_report.slo_compliance

@@ -56,9 +56,9 @@ def main() -> None:
         estimate = app.estimated_mastery("maya", topic)
         print(f"  {topic:14s} true {maya.mastery[topic]:.2f} "
               f"estimated {estimate:.2f}")
-    weak = app.weakest_topics("maya", k=2)
+    weak = app.weakest_topics("maya")
     print(f"review recommendation: {weak}")
-    bound = app.publish_review_hints("maya", k=2)
+    bound = app.publish_review_hints("maya")
     print(f"{bound} review hints anchored at lesson stations")
 
     # -- the semester experiment --------------------------------------------------

@@ -27,7 +27,7 @@ def main() -> None:
     rng = make_rng(57)
     intrinsics = CameraIntrinsics(fx=500, fy=500, cx=160, cy=120,
                                   width=320, height=240)
-    target = PlanarTarget(make_texture(rng, size=256), width_m=0.5,
+    target = PlanarTarget(make_texture(rng), width_m=0.5,
                           height_m=0.5)
     tracker = PlanarTracker(target, intrinsics, rng)
     print(f"reference target described: "

@@ -22,7 +22,7 @@ def main() -> None:
 
     # 1. A building instrumented with temperature sensors + one fault.
     rng = make_rng(7)
-    grid = SensorGrid(rng, nx=10, ny=8)
+    grid = SensorGrid(rng)
     grid.add_hot_spot(6, 3, delta_c=12.0)  # overheating equipment
 
     # 2. Velocity: stream ten rounds of readings into the log.

@@ -49,7 +49,7 @@ def main() -> None:
                                position=(5.0, 5.0))
     print("gaze+proximity contextual:     ",
           [item for item, _s in contextual])
-    published = app.publish_recommendations(shopper.shopper_id, k=5,
+    published = app.publish_recommendations(shopper.shopper_id,
                                             now=gaze[-1].timestamp)
     print(f"published {published} shelf-anchored offer annotations")
 
@@ -62,7 +62,7 @@ def main() -> None:
           f"{state}")
 
     # -- how much did big data buy? ---------------------------------------
-    evaluation = app.evaluate(rng, k=5, max_users=40)
+    evaluation = app.evaluate(rng, max_users=40)
     print(f"\nprecision@5: CF {evaluation.cf_precision:.3f} vs "
           f"popularity {evaluation.popularity_precision:.3f} "
           f"(uplift {evaluation.uplift:.0%})")

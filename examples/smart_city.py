@@ -20,11 +20,11 @@ def main() -> None:
     app = PublicServicesApp(ARBigDataPipeline(PipelineConfig(seed=47)))
 
     # -- traffic: a stalled car creates a shock wave ------------------------
-    sim = RingRoadSim(rng, num_vehicles=30, ring_length_m=1500.0)
+    sim = RingRoadSim(rng, ring_length_m=1500.0)
     sim.force_slowdown(8, start_s=10.0, end_s=120.0, speed_mps=0.3)
     warned_total = set()
     for _step in range(120):  # one minute of traffic
-        sim.step(0.5)
+        sim.step()
         app.ingest_beacons(sim.beacons())
         for threat in app.assess_threats(sim):
             if threat.warning:

@@ -11,7 +11,6 @@ from .incremental import (
 )
 from .quantiles import P2Quantile
 from .recommend import (
-    ContextRanker,
     Interaction,
     ItemCFRecommender,
     PopularityRecommender,
@@ -32,7 +31,6 @@ __all__ = [
     "IncrementalQuery",
     "RunningStats",
     "P2Quantile",
-    "ContextRanker",
     "Interaction",
     "ItemCFRecommender",
     "PopularityRecommender",

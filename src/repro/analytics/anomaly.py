@@ -30,15 +30,14 @@ class EwmaDetector:
     """Exponentially weighted mean/std with z-score alarming.
 
     A warm-up period suppresses alarms until the baseline stabilizes.
+    The mean and variance move by ``alpha`` of each new reading.
     """
 
-    def __init__(self, alpha: float = 0.05, threshold: float = 4.0,
-                 warmup: int = 30) -> None:
-        if not 0 < alpha <= 1:
-            raise ConfigError("alpha must be in (0, 1]")
+    alpha = 0.05
+
+    def __init__(self, threshold: float = 4.0, warmup: int = 30) -> None:
         if threshold <= 0:
             raise ConfigError("threshold must be positive")
-        self.alpha = alpha
         self.threshold = threshold
         self.warmup = warmup
         self._mean: float | None = None

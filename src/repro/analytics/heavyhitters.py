@@ -20,12 +20,11 @@ __all__ = ["HeavyHitters"]
 class HeavyHitters:
     """Approximate top-k over an unbounded key domain."""
 
-    def __init__(self, k: int, epsilon: float = 0.001,
-                 delta: float = 0.01) -> None:
+    def __init__(self, k: int, epsilon: float = 0.001) -> None:
         if k < 1:
             raise ConfigError("k must be >= 1")
         self.k = k
-        self._sketch = CountMinSketch(epsilon=epsilon, delta=delta)
+        self._sketch = CountMinSketch(epsilon=epsilon)
         # Min-heap of (estimate, key); _members mirrors heap membership.
         self._heap: list[tuple[int, str]] = []
         self._members: set[str] = set()

@@ -8,16 +8,14 @@ Two recommenders with one interface, so the F6 experiment can compare
 - :class:`ItemCFRecommender` — item-based collaborative filtering over
   the interaction log (cosine similarity on co-occurrence), personal.
 
-:class:`ContextRanker` re-ranks candidates by the user's *current AR
-context* (proximity, gaze, recency) — the interpretation step the paper
-says AR must add on top of raw analytics.
+Both recommend only items the user has not interacted with yet.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..util.errors import ConfigError
 
@@ -26,7 +24,6 @@ __all__ = [
     "Recommender",
     "PopularityRecommender",
     "ItemCFRecommender",
-    "ContextRanker",
     "precision_at_k",
     "hit_rate",
 ]
@@ -34,11 +31,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Interaction:
-    """One user-item event (view, gaze dwell, purchase...)."""
+    """One user-item event (view, gaze dwell, purchase...), each of
+    weight 1."""
+
+    weight = 1.0
 
     user: str
     item: str
-    weight: float = 1.0
     timestamp: float = 0.0
 
 
@@ -48,8 +47,7 @@ class Recommender:
     def add(self, interaction: Interaction) -> None:
         raise NotImplementedError
 
-    def recommend(self, user: str, k: int = 10,
-                  exclude_seen: bool = True) -> list[tuple[str, float]]:
+    def recommend(self, user: str, k: int = 10) -> list[tuple[str, float]]:
         raise NotImplementedError
 
 
@@ -64,9 +62,8 @@ class PopularityRecommender(Recommender):
         self._popularity[interaction.item] += interaction.weight
         self._seen[interaction.user].add(interaction.item)
 
-    def recommend(self, user: str, k: int = 10,
-                  exclude_seen: bool = True) -> list[tuple[str, float]]:
-        seen = self._seen.get(user, set()) if exclude_seen else set()
+    def recommend(self, user: str, k: int = 10) -> list[tuple[str, float]]:
+        seen = self._seen.get(user, set())
         ranked = sorted(
             ((item, score) for item, score in self._popularity.items()
              if item not in seen),
@@ -80,13 +77,13 @@ class ItemCFRecommender(Recommender):
 
     Maintains co-occurrence counts incrementally; similarity is computed
     on demand, so the structure supports streaming updates (the paper's
-    velocity requirement) without retraining.
+    velocity requirement) without retraining.  An item's score draws on
+    its ``max_neighbors`` most similar items.
     """
 
-    def __init__(self, max_neighbors: int = 50) -> None:
-        if max_neighbors < 1:
-            raise ConfigError("max_neighbors must be >= 1")
-        self.max_neighbors = max_neighbors
+    max_neighbors = 50
+
+    def __init__(self) -> None:
         self._user_items: dict[str, dict[str, float]] = defaultdict(dict)
         self._item_users: dict[str, dict[str, float]] = defaultdict(dict)
         self._cooc: dict[str, dict[str, float]] = defaultdict(
@@ -123,56 +120,16 @@ class ItemCFRecommender(Recommender):
         scored.sort(key=lambda kv: (-kv[1], kv[0]))
         return scored[: self.max_neighbors]
 
-    def recommend(self, user: str, k: int = 10,
-                  exclude_seen: bool = True) -> list[tuple[str, float]]:
+    def recommend(self, user: str, k: int = 10) -> list[tuple[str, float]]:
         profile = self._user_items.get(user, {})
         scores: dict[str, float] = defaultdict(float)
         for item, weight in profile.items():
             for neighbor, sim in self.neighbors(item):
                 scores[neighbor] += sim * weight
-        if exclude_seen:
-            for item in profile:
-                scores.pop(item, None)
+        for item in profile:
+            scores.pop(item, None)
         ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
         return ranked[:k]
-
-
-@dataclass
-class ContextRanker:
-    """Re-rank candidates by AR context (Section 4.2's interpretation).
-
-    ``score = base * (1 + proximity_boost + gaze_boost)`` where proximity
-    decays with distance and gaze boosts items the user recently dwelled
-    on (or their CF neighbors, supplied by the caller).
-    """
-
-    proximity_scale: float = 10.0  # metres at which the boost halves
-    gaze_boost: float = 1.0
-    recency_tau: float = 60.0  # seconds
-    _gaze_events: dict[str, list[tuple[str, float]]] = field(
-        default_factory=lambda: defaultdict(list))
-
-    def observe_gaze(self, user: str, item: str, timestamp: float) -> None:
-        self._gaze_events[user].append((item, timestamp))
-
-    def rank(self, user: str, candidates: list[tuple[str, float]],
-             distances: dict[str, float] | None = None,
-             now: float = 0.0, k: int | None = None,
-             ) -> list[tuple[str, float]]:
-        distances = distances or {}
-        gaze_weight: dict[str, float] = defaultdict(float)
-        for item, ts in self._gaze_events.get(user, ()):
-            gaze_weight[item] += math.exp(-max(0.0, now - ts)
-                                          / self.recency_tau)
-        rescored = []
-        for item, base in candidates:
-            boost = 0.0
-            if item in distances:
-                boost += 1.0 / (1.0 + distances[item] / self.proximity_scale)
-            boost += self.gaze_boost * gaze_weight.get(item, 0.0)
-            rescored.append((item, base * (1.0 + boost)))
-        rescored.sort(key=lambda kv: (-kv[1], kv[0]))
-        return rescored[:k] if k is not None else rescored
 
 
 def precision_at_k(recommended: list[str], relevant: set[str], k: int) -> float:

@@ -27,12 +27,18 @@ from ..core.pipeline import ARBigDataPipeline
 from ..util.errors import PipelineError
 from ..vision.camera import CameraIntrinsics, look_at
 from ..vision.geometry import estimate_homography
-from ..vision.markers import MarkerSpec, decode_marker, generate_marker
+from ..vision.markers import decode_marker, generate_marker
 from ..vision.synth import PlanarTarget, render_plane
 
 __all__ = ["Lesson", "Student", "EducationApp", "ReviewOutcome"]
 
 QUIZ_TOPIC = "edu.quiz"
+#: a printed marker's side
+MARKER_SIZE_M = 0.15
+#: topics a student reviews
+REVIEW_SLOTS = 2
+#: the share of the gap to ceiling mastery one review closes
+LEARN_RATE = 0.4
 
 
 @dataclass(frozen=True)
@@ -77,8 +83,7 @@ class EducationApp:
     """The AR classroom on the convergence pipeline."""
 
     def __init__(self, pipeline: ARBigDataPipeline,
-                 lessons: list[Lesson],
-                 marker_spec: MarkerSpec = MarkerSpec()) -> None:
+                 lessons: list[Lesson]) -> None:
         if not lessons:
             raise PipelineError("need at least one lesson")
         ids = [l.lesson_id for l in lessons]
@@ -86,7 +91,6 @@ class EducationApp:
             raise PipelineError("duplicate lesson ids")
         self.pipeline = pipeline
         self.lessons = {l.lesson_id: l for l in lessons}
-        self.marker_spec = marker_spec
         self._by_marker = {l.marker_id: l for l in lessons}
         pipeline.create_topic(QUIZ_TOPIC)
         for lesson in lessons:
@@ -105,7 +109,6 @@ class EducationApp:
     def scan_marker(self, rng: np.random.Generator,
                     lesson_id: str, distance_m: float,
                     intrinsics: CameraIntrinsics,
-                    marker_size_m: float = 0.15,
                     noise_sigma: float = 0.01) -> dict:
         """A student points the tablet at a lesson's marker.
 
@@ -117,9 +120,9 @@ class EducationApp:
         lesson = self.lessons.get(lesson_id)
         if lesson is None:
             raise PipelineError(f"unknown lesson {lesson_id!r}")
-        texture = generate_marker(lesson.marker_id, self.marker_spec)
-        target = PlanarTarget(texture, marker_size_m, marker_size_m)
-        centre = marker_size_m / 2.0
+        texture = generate_marker(lesson.marker_id)
+        target = PlanarTarget(texture, MARKER_SIZE_M, MARKER_SIZE_M)
+        centre = MARKER_SIZE_M / 2.0
         pose = look_at(eye=[centre, centre, -distance_m],
                        target=[centre, centre, 0.0])
         frame = render_plane(target, intrinsics, pose, rng=rng,
@@ -133,7 +136,7 @@ class EducationApp:
         if not np.isfinite(pixels).all():
             return {"decoded": None, "triggered": False}
         homography = estimate_homography(corners_tex, pixels)
-        decoded = decode_marker(frame, homography, self.marker_spec)
+        decoded = decode_marker(frame, homography)
         triggered = decoded == lesson.marker_id
         if triggered:
             self.pipeline.interpret_and_publish([{
@@ -158,16 +161,17 @@ class EducationApp:
         stats = self._mastery_stats.get((student_id, topic))
         return stats.mean if stats is not None and stats.count else 0.5
 
-    def weakest_topics(self, student_id: str, k: int = 2) -> list[str]:
-        """The review recommendation: lowest estimated mastery first."""
+    def weakest_topics(self, student_id: str) -> list[str]:
+        """The review recommendation: the ``REVIEW_SLOTS`` topics of
+        lowest estimated mastery, lowest first."""
         topics = sorted({l.topic for l in self.lessons.values()})
         ranked = sorted(topics, key=lambda t: (
             self.estimated_mastery(student_id, t), t))
-        return ranked[:k]
+        return ranked[:REVIEW_SLOTS]
 
-    def publish_review_hints(self, student_id: str, k: int = 2) -> int:
+    def publish_review_hints(self, student_id: str) -> int:
         """Anchor review hints at the lessons for the weak topics."""
-        weak = set(self.weakest_topics(student_id, k))
+        weak = set(self.weakest_topics(student_id))
         results = []
         for lesson in self.lessons.values():
             if lesson.topic in weak:
@@ -180,14 +184,13 @@ class EducationApp:
     # -- the measurable uplift -------------------------------------------------
 
     def run_semester(self, rng: np.random.Generator,
-                     num_students: int = 20, quiz_rounds: int = 15,
-                     review_slots: int = 2,
-                     learn_rate: float = 0.4) -> ReviewOutcome:
+                     num_students: int = 20,
+                     quiz_rounds: int = 15) -> ReviewOutcome:
         """Quizzes -> mastery estimates -> review -> post-test.
 
         Targeted students review their *estimated* weakest topics;
-        untargeted students review random topics.  Learning has
-        diminishing returns: a review closes ``learn_rate`` of the gap
+        untargeted students review as many random topics.  Learning has
+        diminishing returns: a review closes ``LEARN_RATE`` of the gap
         to ceiling mastery (0.95), so reviewing what you already know is
         nearly worthless — which is exactly why targeting pays.
         """
@@ -219,17 +222,16 @@ class EducationApp:
                 before = float(np.mean(list(student.mastery.values())))
                 for topic in choose_topics(student):
                     gap = 0.95 - student.mastery[topic]
-                    student.mastery[topic] += learn_rate * max(gap, 0.0)
+                    student.mastery[topic] += LEARN_RATE * max(gap, 0.0)
                 after = float(np.mean(list(student.mastery.values())))
                 gains.append(after - before)
             return float(np.mean(gains))
 
         targeted_gain = review_and_gain(
-            targeted,
-            lambda s: self.weakest_topics(s.student_id, review_slots))
+            targeted, lambda s: self.weakest_topics(s.student_id))
         untargeted_gain = review_and_gain(
             untargeted,
-            lambda s: list(rng.choice(topics, size=review_slots,
+            lambda s: list(rng.choice(topics, size=REVIEW_SLOTS,
                                       replace=False)))
         return ReviewOutcome(students=num_students,
                              targeted_gain=targeted_gain,

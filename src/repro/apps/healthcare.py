@@ -110,7 +110,7 @@ class HealthcareApp:
     def _detector(self, patient_id: str, vital: str) -> EwmaDetector:
         key = (patient_id, vital)
         if key not in self._detectors:
-            self._detectors[key] = EwmaDetector(alpha=0.05, threshold=5.0,
+            self._detectors[key] = EwmaDetector(threshold=5.0,
                                                 warmup=50)
             spec = VITALS[vital]
             self._hard_limits[key] = ThresholdDetector(low=spec.low,
@@ -165,12 +165,11 @@ class HealthcareApp:
                     onset_s=episode.onset_s, detected_at_s=detected_at))
         return outcomes
 
-    def detect_compound(self, hr_above: float = 110.0,
-                        bp_below: float = 95.0,
-                        within_s: float = 600.0) -> list:
-        """CEP over the vitals topic: tachycardia followed by
-        hypotension within ``within_s`` per patient — the compound
-        deterioration signature single-vital thresholds miss.
+    def detect_compound(self) -> list:
+        """CEP over the vitals topic: tachycardia (heart rate above 110)
+        followed by hypotension (systolic BP below 95) within 600 s per
+        patient — the compound deterioration signature single-vital
+        thresholds miss.
 
         Returns the :class:`~repro.streaming.cep.PatternMatch` list.
         """
@@ -180,11 +179,11 @@ class HealthcareApp:
         pattern = PatternOperator("deterioration", [
             PatternStep("tachycardia",
                         lambda v: (v.get("vital") == "heart_rate"
-                                   and v.get("value", 0) > hr_above)),
+                                   and v.get("value", 0) > 110.0)),
             PatternStep("hypotension",
                         lambda v: (v.get("vital") == "systolic_bp"
-                                   and v.get("value", 999) < bp_below)),
-        ], within_s=within_s)
+                                   and v.get("value", 999) < 95.0)),
+        ], within_s=600.0)
         def build(builder):
             (builder.source("vitals", log_source(self.pipeline.log,
                                                  VITALS_TOPIC))
@@ -238,12 +237,10 @@ class HealthcareApp:
 
     def remote_diagnosis(self, rng: np.random.Generator,
                          link: LinkSpec | str = "wan",
-                         frames: int = 300,
-                         frame_bytes: float = 60_000.0,
-                         overlay_bytes: float = 2_000.0,
-                         deadline_s: float = 0.150) -> RemoteDiagnosisStats:
-        """Live-stream frames to a remote doctor, overlay EHR content,
-        return the annotated view; measure the interactive budget.
+                         frames: int = 300) -> RemoteDiagnosisStats:
+        """Live-stream 60 kB frames to a remote doctor, overlay 2 kB of
+        EHR content, return the annotated view; measure the interactive
+        budget.
 
         150 ms is the usual interactivity cap for remote consultation
         video; the paper's claim is that cloud connectivity can meet it.
@@ -256,10 +253,10 @@ class HealthcareApp:
         channel = Link(link, rng)
         stats = RemoteDiagnosisStats()
         for _ in range(frames):
-            latency = channel.round_trip_time(frame_bytes, overlay_bytes)
+            latency = channel.round_trip_time(60_000.0, 2_000.0)
             stats.frames += 1
             stats.latencies_s.append(latency)
-            if latency > deadline_s:
+            if latency > 0.150:
                 stats.deadline_misses += 1
         return stats
 
@@ -271,11 +268,10 @@ class HealthcareApp:
                               duration_s: float = 600.0,
                               finding_rate_per_s: float = 0.02,
                               sync_period_s: float = 1.0,
-                              finding_bytes: float = 2_000.0,
                               ) -> CollaborativeStats:
         """Doctors at different sites annotate one shared patient view.
 
-        Each doctor publishes findings at Poisson times; a finding
+        Each doctor publishes 2 kB findings at Poisson times; a finding
         reaches the shared dataset after that doctor's uplink delay and
         becomes visible to each peer at the peer's next sync (period +
         downlink delay).  The measured propagation delay — publish to
@@ -309,13 +305,13 @@ class HealthcareApp:
             stats.findings_published += 1
             peers = set(channels) - {doctor}
             pending[finding_id] = (sim.now, peers)
-            uplink = channels[doctor].transfer_time(finding_bytes)
+            uplink = channels[doctor].transfer_time(2_000.0)
             sim.schedule_after(
                 uplink, lambda f=finding_id: shared_at.setdefault(f,
                                                                   sim.now))
 
         def sync(doctor: str) -> None:
-            downlink = channels[doctor].transfer_time(finding_bytes)
+            downlink = channels[doctor].transfer_time(2_000.0)
 
             def deliver() -> None:
                 for finding_id in list(pending):

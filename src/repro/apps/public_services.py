@@ -124,16 +124,14 @@ class PublicServicesApp:
 
     def run_screening(self, rng: np.random.Generator, passengers: int = 200,
                       arrival_rate_per_s: float = 0.5, lanes: int = 2,
-                      manual_service_s: float = 8.0,
-                      ar_service_s: float = 2.5,
-                      ar_exception_rate: float = 0.05,
                       mode: str = "ar",
                       arrivals: list[float] | None = None,
                       ) -> ScreeningResult:
         """Queueing comparison: manual ID checks vs AR-overlaid profiles.
 
-        AR mode: the analyzed profile is already on the agent's view, so
-        service is fast except for flagged exceptions that fall back to
+        A manual check takes 8 s on average.  AR mode: the analyzed
+        profile is already on the agent's view, so service takes 2.5 s
+        except for the 5 % of flagged exceptions that fall back to
         manual inspection.  Pass ``arrivals`` (absolute times) to compare
         modes on an identical passenger sequence.
         """
@@ -150,13 +148,12 @@ class PublicServicesApp:
             else:
                 t += float(rng.exponential(1.0 / arrival_rate_per_s))
             if mode == "manual":
-                service = float(rng.gamma(4.0, manual_service_s / 4.0))
+                service = float(rng.gamma(4.0, 8.0 / 4.0))
             else:
-                if rng.random() < ar_exception_rate:
-                    service = float(rng.gamma(4.0, manual_service_s / 4.0)) \
-                        + ar_service_s
+                if rng.random() < 0.05:
+                    service = float(rng.gamma(4.0, 8.0 / 4.0)) + 2.5
                 else:
-                    service = float(rng.gamma(2.0, ar_service_s / 2.0))
+                    service = float(rng.gamma(2.0, 2.5 / 2.0))
             sim.schedule_at(t, lambda s=service, k=i: queue.submit(
                 QueuedTask(name=f"pax-{k}", service_time=s)))
         sim.run()
@@ -171,15 +168,15 @@ class PublicServicesApp:
 
     # -- civil maintenance (Figure 2) ------------------------------------------------
 
-    def excavation_overlay(self, site: ExcavationSite,
-                           tolerance_m: float = 0.3) -> SceneGraph:
-        """Annotations over cells that deviate from the design."""
+    def excavation_overlay(self, site: ExcavationSite) -> SceneGraph:
+        """Annotations over cells that deviate from the design by more
+        than the site's tolerance."""
         scene = SceneGraph()
         diff = site.diff()
         for iy in range(site.ny):
             for ix in range(site.nx):
                 d = float(diff[iy, ix])
-                if abs(d) <= tolerance_m:
+                if abs(d) <= site.tolerance_m:
                     continue
                 kind = "dig" if d > 0 else "overdig"
                 scene.add(Annotation(

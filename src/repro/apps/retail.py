@@ -1,10 +1,10 @@
 """Retail application (Section 3.1, Figure 6).
 
 Big-data-driven AR shopping: the interaction history stream trains an
-item-CF recommender; gaze events (eye-tracking glasses) feed the context
-ranker; the store view overlays personalized recommendations anchored at
-shelf positions, and the "X-ray" locator highlights a searched product
-through the shelves.
+item-CF recommender; gaze events (eye-tracking glasses) boost what is
+similar to what a shopper looked at; the store view overlays
+personalized recommendations anchored at shelf positions, and the
+"X-ray" locator highlights a searched product through the shelves.
 
 The app exposes the *with/without big data* comparison directly:
 ``recommend(user, personalized=False)`` degrades to the popularity
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analytics.recommend import (
-    ContextRanker,
     Interaction,
     ItemCFRecommender,
     PopularityRecommender,
@@ -37,6 +36,12 @@ __all__ = ["RetailApp", "RecommendationEval"]
 
 INTERACTIONS_TOPIC = "retail.interactions"
 GAZE_TOPIC = "retail.gaze"
+#: the distance at which a product's proximity boost halves
+PROXIMITY_SCALE_M = 10.0
+#: how fast a gaze's boost fades
+RECENCY_TAU_S = 60.0
+#: recommendations a shelf shows and an evaluation judges
+TOP_K = 5
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,6 @@ class RetailApp:
         self.world = world
         self.cf = ItemCFRecommender()
         self.popularity = PopularityRecommender()
-        self.ranker = ContextRanker()
         self._seen: dict[str, set[str]] = {}
         self._gaze: dict[str, list[tuple[str, float]]] = {}
         pipeline.create_topic(INTERACTIONS_TOPIC)
@@ -129,8 +133,6 @@ class RetailApp:
                 {"user": event.user, "item": event.product_id,
                  "dwell": event.dwell_s},
                 key=event.user, timestamp=event.timestamp, personal=True)
-            self.ranker.observe_gaze(event.user, event.product_id,
-                                     event.timestamp)
             self._gaze.setdefault(event.user, []).append(
                 (event.product_id, event.timestamp))
         return len(events)
@@ -154,12 +156,12 @@ class RetailApp:
                 product = by_id[item]
                 distance = float(np.hypot(product.x - px, product.y - py))
                 scores[item] *= 1.0 + 1.0 / (
-                    1.0 + distance / self.ranker.proximity_scale)
+                    1.0 + distance / PROXIMITY_SCALE_M)
         # Gaze context: boost candidates *similar* to recently gazed
         # products (gazed items themselves are seen and excluded).
         for gazed, ts in self._gaze.get(user, ()):
             recency = math.exp(-max(0.0, now - ts)
-                               / self.ranker.recency_tau)
+                               / RECENCY_TAU_S)
             if recency < 1e-3:
                 continue
             for item in scores:
@@ -169,10 +171,10 @@ class RetailApp:
         ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
         return ranked[:k]
 
-    def publish_recommendations(self, user: str, k: int = 5,
-                                now: float = 0.0) -> int:
-        """Interpretation step: recommendations -> anchored annotations."""
-        recs = self.recommend(user, k=k, now=now)
+    def publish_recommendations(self, user: str, now: float = 0.0) -> int:
+        """Interpretation step: the top ``TOP_K`` recommendations ->
+        anchored annotations."""
+        recs = self.recommend(user, k=TOP_K, now=now)
         results = [{"tag": "recommendation", "subject": item,
                     "value": f"score {score:.2f}", "priority": score}
                    for item, score in recs]
@@ -222,15 +224,15 @@ class RetailApp:
 
     # -- evaluation --------------------------------------------------------------------
 
-    def evaluate(self, rng: np.random.Generator, k: int = 5,
-                 holdout_per_user: int = 20,
+    def evaluate(self, rng: np.random.Generator,
                  max_users: int | None = None) -> RecommendationEval:
-        """Precision@k of CF vs popularity against preference holdouts."""
+        """Precision@k of CF vs popularity against preference holdouts,
+        at k = ``TOP_K``."""
+        k = TOP_K
         shoppers = self.world.shoppers[:max_users]
         cf_p, pop_p, cf_h, pop_h = [], [], [], []
         for shopper in shoppers:
-            relevant = self.world.holdout_relevant(
-                rng, shopper, n=holdout_per_user)
+            relevant = self.world.holdout_relevant(rng, shopper)
             # Recommenders exclude seen items, so judge them only on the
             # unseen part of the holdout.
             relevant = relevant - self.seen_items(shopper.shopper_id)

@@ -32,25 +32,24 @@ __all__ = ["reference_events", "reference_job", "reference_operator_names",
            "two_region_job", "canonical_sinks"]
 
 
-def reference_events(seed: int = 0, n: int = 400,
-                     keys: int = 4) -> list[Element]:
-    """Seeded out-of-order keyed events for the reference pipeline."""
+def reference_events(seed: int = 0, n: int = 400) -> list[Element]:
+    """Seeded out-of-order events over four keys for the reference
+    pipeline."""
     rng = make_rng((int(seed), 0xE7E27))
     events = []
     for i in range(n):
         ts = float(i) * 0.25 + float(rng.uniform(-1.5, 1.5))
         events.append(Element(
-            value={"k": int(rng.integers(0, keys)),
+            value={"k": int(rng.integers(0, 4)),
                    "v": float(rng.uniform(0.0, 10.0))},
             timestamp=max(0.0, ts)))
     return events
 
 
 def reference_job(elements_or_source: Any,
-                  max_lateness: float = 5.0,
-                  window_s: float = 10.0,
                   splits: int | None = None) -> JobGraph:
-    """watermarks -> map -> filter -> key_by -> window(sum) -> sink.
+    """watermarks -> map -> filter -> key_by -> window(sum) -> sink,
+    with 5 s of lateness and 10 s windows.
 
     The linear head is chainable, the window is a shuffle point, so one
     graph exercises the per-item path, a fused chain and a keyed node.
@@ -60,11 +59,11 @@ def reference_job(elements_or_source: Any,
     """
     builder = JobBuilder("chaos-reference")
     (builder.source("events", elements_or_source, splits=splits)
-            .with_watermarks(max_lateness, name="watermarks")
+            .with_watermarks(5.0, name="watermarks")
             .map(lambda v: {"k": v["k"], "v": v["v"] * 2.0}, name="double")
             .filter(lambda v: v["v"] >= 1.0, name="drop_tiny")
             .key_by(lambda v: v["k"], name="by_key")
-            .window(TumblingWindows(window_s), "sum",
+            .window(TumblingWindows(10.0), "sum",
                     value_fn=lambda v: v["v"], name="window_sum")
             .sink("out"))
     return builder.build()
@@ -93,10 +92,9 @@ def canonical_sinks(sink_values: dict[str, list[Any]]
             for name, values in sink_values.items()}
 
 
-def two_region_job(events_a: Any, events_b: Any,
-                   max_lateness: float = 5.0,
-                   window_s: float = 10.0) -> JobGraph:
-    """Two disjoint pipelines in one job: the canonical two-region plan.
+def two_region_job(events_a: Any, events_b: Any) -> JobGraph:
+    """Two disjoint pipelines in one job: the canonical two-region plan,
+    each with the reference job's lateness and windows.
 
     The pipelines share no edges, so :func:`failover_regions` splits
     them into independent restart units (the connected components of
@@ -107,17 +105,17 @@ def two_region_job(events_a: Any, events_b: Any,
     """
     builder = JobBuilder("two-region")
     (builder.source("events_a", events_a)
-            .with_watermarks(max_lateness, name="wm_a")
+            .with_watermarks(5.0, name="wm_a")
             .map(lambda v: {"k": v["k"], "v": v["v"] * 2.0}, name="double_a")
             .key_by(lambda v: v["k"], name="by_key_a")
-            .window(TumblingWindows(window_s), "sum",
+            .window(TumblingWindows(10.0), "sum",
                     value_fn=lambda v: v["v"], name="window_a")
             .sink("out_a"))
     (builder.source("events_b", events_b)
-            .with_watermarks(max_lateness, name="wm_b")
+            .with_watermarks(5.0, name="wm_b")
             .map(lambda v: {"k": v["k"], "v": v["v"] + 1.0}, name="shift_b")
             .key_by(lambda v: v["k"], name="by_key_b")
-            .window(TumblingWindows(window_s), "sum",
+            .window(TumblingWindows(10.0), "sum",
                     value_fn=lambda v: v["v"], name="window_b")
             .sink("out_b"))
     return builder.build()

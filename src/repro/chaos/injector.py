@@ -393,27 +393,22 @@ class FaultInjector:
                 f"injected supervisor crash during rescale phase "
                 f"{phase!r}", op_name=None)
 
-    def before_store_phase(self, phase: str,
-                           shard: str | None = None) -> None:
+    def before_store_phase(self, phase: str) -> None:
         """Hook at each phase of a serving-store epoch apply (see
         :data:`~repro.chaos.plan.STORE_PHASES`).  Counters run per phase
-        plus a global one (plus per shard when given), so a plan can
+        plus a global one, so a plan can
         kill the store "on the second apply" or "during any compaction".
         A ``store_crash`` raises :class:`OperatorCrash` with
         ``op_name=None`` — the harness restores the whole job from the
         last finalized checkpoint, and because the store only installs
         an epoch atomically (stage off to the side, swap in one step),
         the re-driven commit stream applies exactly the missing delta."""
-        idents: tuple[str | None, ...] = (None, phase)
-        if shard is not None:
-            idents = (None, phase, shard)
-        before = self._advance(SITE_STORE, idents)
+        before = self._advance(SITE_STORE, (None, phase))
         spec = self._matching(SITE_STORE, "store_crash", before)
         if spec is not None:
             self._fire(spec, identity=f"store:{phase}",
                        occurrence=before[spec.target],
-                       detail=f"phase {phase}"
-                              + (f" shard {shard}" if shard else ""))
+                       detail=f"phase {phase}")
             raise OperatorCrash(
                 f"injected store crash during {phase!r}", op_name=None)
 

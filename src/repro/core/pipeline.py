@@ -49,28 +49,30 @@ DEFAULT_INTRINSICS = CameraIntrinsics(fx=500.0, fy=500.0, cx=160.0,
                                       cy=120.0, width=320, height=240)
 
 
+#: the log's brokers, and each topic's replicas and default partitions
+BROKERS = 3
+REPLICATION = 2
+PARTITIONS = 4
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Top-level knobs, all defaulted to sane values."""
+    """Top-level knobs, all defaulted to sane values.
+
+    The device, edge and cloud run at 2, 16 and 64 GHz, and the edge
+    reaches the cloud over the ``"wan"`` link preset.
+    """
 
     seed: int = 0
-    brokers: int = 3
-    replication: int = 2
-    partitions: int = 4
     deadline_s: float = 1.0 / 30.0
-    device_hz: float = 2.0e9
-    edge_hz: float = 16.0e9
-    cloud_hz: float = 64.0e9
     access_link: str = "wifi"  # device <-> edge preset name
-    backhaul_link: str = "wan"  # edge <-> cloud preset name
     privacy: PrivacyConfig = PrivacyConfig(location_mode="none")
 
     def __post_init__(self) -> None:
-        for preset in (self.access_link, self.backhaul_link):
-            if preset not in LINK_PRESETS:
-                raise PipelineError(
-                    f"unknown link preset {preset!r}; choose from "
-                    f"{sorted(LINK_PRESETS)}")
+        if self.access_link not in LINK_PRESETS:
+            raise PipelineError(
+                f"unknown link preset {self.access_link!r}; choose from "
+                f"{sorted(LINK_PRESETS)}")
 
 
 class ARBigDataPipeline:
@@ -81,7 +83,7 @@ class ARBigDataPipeline:
         self.rngs = RngRegistry(config.seed)
         self.clock = SimClock()
         # Big-data backbone.
-        self.log = LogCluster(num_brokers=config.brokers)
+        self.log = LogCluster(num_brokers=BROKERS)
         self.producer = Producer(self.log, clock=self.clock)
         # Semantics + interpretation.
         self.context = ContextStore()
@@ -92,16 +94,16 @@ class ARBigDataPipeline:
         self.guard = PrivacyGuard(config.privacy, self.rngs.get("privacy"))
         # Offloading topology: device -- edge -- cloud.
         self.topology = Topology(self.rngs.get("network"))
-        self.topology.add_node(NodeSpec("device", cpu_hz=config.device_hz,
+        self.topology.add_node(NodeSpec("device", cpu_hz=2.0e9,
                                         role="device", power_w=2.5))
-        self.topology.add_node(NodeSpec("edge", cpu_hz=config.edge_hz,
+        self.topology.add_node(NodeSpec("edge", cpu_hz=16.0e9,
                                         role="edge", cores=4))
-        self.topology.add_node(NodeSpec("cloud", cpu_hz=config.cloud_hz,
+        self.topology.add_node(NodeSpec("cloud", cpu_hz=64.0e9,
                                         role="cloud", cores=32))
         self.topology.add_link("device", "edge",
                                LINK_PRESETS[config.access_link])
         self.topology.add_link("edge", "cloud",
-                               LINK_PRESETS[config.backhaul_link])
+                               LINK_PRESETS["wan"])
         self.planner = OffloadPlanner(self.topology, "device")
         self.timeliness = TimelinessController(
             self.planner, GreedyLatency(), deadline_s=config.deadline_s)
@@ -122,8 +124,7 @@ class ARBigDataPipeline:
     def create_topic(self, name: str, partitions: int | None = None) -> None:
         self.log.create_topic(TopicConfig(
             name=name,
-            partitions=partitions or self.config.partitions,
-            replication=min(self.config.replication, self.config.brokers)))
+            partitions=partitions or PARTITIONS, replication=REPLICATION))
 
     def ingest(self, topic: str, value: Mapping[str, Any],
                key: str | None = None,

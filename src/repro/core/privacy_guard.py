@@ -23,6 +23,9 @@ from ..util.errors import PrivacyError
 
 __all__ = ["PrivacyConfig", "PrivacyGuard"]
 
+#: keyed-hash salt for identifier pseudonymization
+PSEUDONYM_SALT = "repro"
+
 
 @dataclass(frozen=True)
 class PrivacyConfig:
@@ -30,12 +33,13 @@ class PrivacyConfig:
 
     location_mode   'none' | 'laplace'
     geo_epsilon     epsilon per metre for planar Laplace
-    pseudonym_salt  keyed-hash salt for identifier pseudonymization
+
+    Identifiers are pseudonymized under the keyed-hash salt
+    ``PSEUDONYM_SALT``.
     """
 
     location_mode: str = "laplace"
     geo_epsilon: float = 0.01
-    pseudonym_salt: str = "repro"
 
     def __post_init__(self) -> None:
         if self.location_mode not in ("none", "laplace"):
@@ -57,7 +61,7 @@ class PrivacyGuard:
 
     def pseudonymize(self, user_id: str) -> str:
         """Stable keyed pseudonym (same user -> same pseudonym)."""
-        digest = stable_hash(f"{self.config.pseudonym_salt}:{user_id}")
+        digest = stable_hash(f"{PSEUDONYM_SALT}:{user_id}")
         return f"anon-{digest % 10**12:012d}"
 
     # -- locations -----------------------------------------------------------

@@ -66,17 +66,22 @@ class WindField:
 class ExcavationSite:
     """Voxelized design vs as-built terrain (Figure 2's overlay).
 
-    ``design`` holds target depth per (x, y) cell; ``current`` the
-    as-excavated depth.  Daily scans move ``current`` toward ``design``
-    with noise; the diff is what AR overlays on the pit.
+    ``design`` holds target depth per (x, y) cell, at most
+    ``max_depth_m``; ``current`` the as-excavated depth.  Daily scans
+    move ``current`` toward ``design`` with noise; the diff is what AR
+    overlays on the pit, where it is off by more than ``tolerance_m``.
     """
 
-    def __init__(self, rng: np.random.Generator, nx: int = 40, ny: int = 30,
-                 cell_m: float = 2.0, max_depth_m: float = 12.0) -> None:
+    cell_m = 2.0
+    max_depth_m = 12.0
+    tolerance_m = 0.3
+
+    def __init__(self, rng: np.random.Generator, nx: int = 40,
+                 ny: int = 30) -> None:
         if nx < 2 or ny < 2:
             raise ConfigError("site grid too small")
         self.nx, self.ny = nx, ny
-        self.cell_m = cell_m
+        max_depth_m = self.max_depth_m
         # Smooth design surface: superposed cosine bumps.
         xs = np.linspace(0, 1, nx)
         ys = np.linspace(0, 1, ny)
@@ -111,20 +116,26 @@ class ExcavationSite:
         done = np.clip(self.current, 0.0, self.design).sum()
         return float(done / self.design.sum())
 
-    def deviation_cells(self, tolerance_m: float = 0.3) -> int:
+    def deviation_cells(self) -> int:
         """Cells outside tolerance — what field workers must act on."""
-        return int((np.abs(self.diff()) > tolerance_m).sum())
+        return int((np.abs(self.diff()) > self.tolerance_m).sum())
 
 
 class SensorGrid:
     """A building instrumented with temperature sensors (asset
-    inspection of Section 2.1): smooth spatial field + hot spots."""
+    inspection of Section 2.1): smooth spatial field + hot spots.
 
-    def __init__(self, rng: np.random.Generator, nx: int = 10, ny: int = 8,
-                 floor_m: float = 4.0, base_temp: float = 21.0) -> None:
-        self.nx, self.ny = nx, ny
-        self.floor_m = floor_m
-        self.base_temp = base_temp
+    ``nx`` x ``ny`` sensors sit ``floor_m`` apart around a base
+    temperature of ``base_temp``; each reading carries Gaussian noise of
+    ``noise_c``.
+    """
+
+    nx, ny = 10, 8
+    floor_m = 4.0
+    base_temp = 21.0
+    noise_c = 0.1
+
+    def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
         self._gradients = rng.normal(0.0, 0.3, size=2)
         self.hot_spots: list[tuple[int, int, float]] = []
@@ -134,7 +145,7 @@ class SensorGrid:
             raise ConfigError("hot spot outside grid")
         self.hot_spots.append((ix, iy, delta_c))
 
-    def read_all(self, t: float, noise_c: float = 0.1) -> list[dict]:
+    def read_all(self, t: float) -> list[dict]:
         """One reading per sensor: dicts with position and value."""
         out = []
         for iy in range(self.ny):
@@ -148,6 +159,7 @@ class SensorGrid:
                     "sensor": f"temp-{ix:02d}-{iy:02d}",
                     "t": t,
                     "x": ix * self.floor_m, "y": iy * self.floor_m,
-                    "value": float(temp + self._rng.normal(0, noise_c)),
+                    "value": float(temp + self._rng.normal(0,
+                                                           self.noise_c)),
                 })
         return out

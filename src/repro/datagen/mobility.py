@@ -25,26 +25,19 @@ __all__ = ["MobilityConfig", "Trace", "generate_trace", "generate_population"]
 class MobilityConfig:
     """Trace generation parameters."""
 
+    dt_s = 60.0
+    levy_alpha = 1.6  # Pareto tail exponent of jump lengths
+    min_jump_m = 5.0
+    max_jump_m = 1_000.0
+    num_anchors = 4  # preferred places per user
+    return_prob = 0.3
+
     area_m: float = 5_000.0  # square side; walks reflect at the borders
     steps: int = 200
-    dt_s: float = 60.0
-    levy_alpha: float = 1.6  # Pareto tail exponent of jump lengths
-    min_jump_m: float = 5.0
-    max_jump_m: float = 1_000.0
-    num_anchors: int = 4  # preferred places per user
-    return_prob: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.area_m <= 0 or self.steps < 1 or self.dt_s <= 0:
-            raise ConfigError("area, steps and dt must be positive")
-        if self.levy_alpha <= 0:
-            raise ConfigError("levy_alpha must be positive")
-        if not 0 < self.min_jump_m < self.max_jump_m:
-            raise ConfigError("need 0 < min_jump < max_jump")
-        if self.num_anchors < 1:
-            raise ConfigError("num_anchors must be >= 1")
-        if not 0 <= self.return_prob <= 1:
-            raise ConfigError("return_prob must be in [0, 1]")
+        if not (self.area_m > 0 and self.steps >= 1):
+            raise ConfigError("area and steps must be positive")
 
 
 @dataclass(frozen=True)

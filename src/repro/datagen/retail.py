@@ -18,6 +18,9 @@ from ..util.errors import ConfigError
 
 __all__ = ["Product", "Shopper", "RetailWorld", "GazeEvent"]
 
+#: the Zipf exponent of product popularity within a category
+ZIPF_S = 1.1
+
 
 @dataclass(frozen=True)
 class Product:
@@ -65,9 +68,8 @@ class RetailWorld:
     @staticmethod
     def generate(rng: np.random.Generator, num_products: int = 200,
                  num_categories: int = 10, num_shoppers: int = 100,
-                 store_m: float = 50.0,
                  preference_concentration: float = 0.3) -> "RetailWorld":
-        """Build a store.
+        """Build a store, 50 m on a side.
 
         ``preference_concentration`` is the Dirichlet alpha: small values
         give each shopper a few loved categories (strong CF signal),
@@ -83,8 +85,8 @@ class RetailWorld:
                 product_id=f"p-{i:04d}",
                 category=category,
                 price=float(np.round(rng.uniform(1.0, 200.0), 2)),
-                x=float(rng.uniform(0, store_m)),
-                y=float(rng.uniform(0, store_m)),
+                x=float(rng.uniform(0, 50.0)),
+                y=float(rng.uniform(0, 50.0)),
                 z=float(rng.uniform(0.2, 1.8)),
             ))
         shoppers = []
@@ -100,48 +102,46 @@ class RetailWorld:
         return self._by_category.get(category, [])
 
     def _sample_product(self, rng: np.random.Generator,
-                        shopper: Shopper, zipf_s: float) -> Product:
+                        shopper: Shopper) -> Product:
         """Category by preference, then product by within-category Zipf."""
         cat_idx = int(rng.choice(len(self.categories),
                                  p=shopper.preferences))
         pool = self.by_category(self.categories[cat_idx])
         ranks = np.arange(1, len(pool) + 1, dtype=float)
-        weights = ranks ** -zipf_s
+        weights = ranks ** -ZIPF_S
         weights /= weights.sum()
         return pool[int(rng.choice(len(pool), p=weights))]
 
     def interactions(self, rng: np.random.Generator,
-                     events_per_shopper: int = 30,
-                     zipf_s: float = 1.1,
-                     start_time: float = 0.0,
-                     dt_s: float = 20.0) -> list[Interaction]:
-        """Historical interaction log (training data for recommenders)."""
+                     events_per_shopper: int = 30) -> list[Interaction]:
+        """Historical interaction log (training data for recommenders),
+        one event every 20 s from time 0."""
         out: list[Interaction] = []
-        t = start_time
+        t = 0.0
         for shopper in self.shoppers:
             for _ in range(events_per_shopper):
-                product = self._sample_product(rng, shopper, zipf_s)
+                product = self._sample_product(rng, shopper)
                 out.append(Interaction(user=shopper.shopper_id,
                                        item=product.product_id,
-                                       weight=1.0, timestamp=t))
-                t += dt_s
+                                       timestamp=t))
+                t += 20.0
         return out
 
-    def holdout_relevant(self, rng: np.random.Generator, shopper: Shopper,
-                         n: int = 20, zipf_s: float = 1.1) -> set[str]:
-        """Future-relevant products for a shopper (evaluation ground
-        truth, drawn from the same preference process)."""
-        return {self._sample_product(rng, shopper, zipf_s).product_id
-                for _ in range(n)}
+    def holdout_relevant(self, rng: np.random.Generator,
+                         shopper: Shopper) -> set[str]:
+        """Future-relevant products for a shopper: 20 draws from the
+        same preference process (evaluation ground truth)."""
+        return {self._sample_product(rng, shopper).product_id
+                for _ in range(20)}
 
     def gaze_stream(self, rng: np.random.Generator, shopper: Shopper,
-                    n_events: int = 10, zipf_s: float = 1.1,
-                    start_time: float = 0.0) -> list[GazeEvent]:
-        """Gaze dwells follow the shopper's true preferences."""
+                    n_events: int = 10) -> list[GazeEvent]:
+        """Gaze dwells from time 0 follow the shopper's true
+        preferences."""
         events = []
-        t = start_time
+        t = 0.0
         for _ in range(n_events):
-            product = self._sample_product(rng, shopper, zipf_s)
+            product = self._sample_product(rng, shopper)
             dwell = float(rng.exponential(1.5))
             events.append(GazeEvent(user=shopper.shopper_id,
                                     product_id=product.product_id,

@@ -32,21 +32,20 @@ class SocialPost:
 
 @dataclass(frozen=True)
 class SocialStreamConfig:
+    num_users = 50
+    topics = ("food", "art", "history", "music", "sport")
+    scatter_m = 30.0  # post location scatter around the POI
+
     rate_per_s: float = 2.0
     horizon_s: float = 600.0
-    num_users: int = 50
-    topics: tuple[str, ...] = ("food", "art", "history", "music", "sport")
     zipf_s: float = 1.2  # POI popularity skew
     tagged_fraction: float = 0.7  # rest lack a resolvable poi_id
-    scatter_m: float = 30.0  # post location scatter around the POI
 
     def __post_init__(self) -> None:
         if self.rate_per_s <= 0 or self.horizon_s <= 0:
             raise ConfigError("rate and horizon must be positive")
         if not 0 <= self.tagged_fraction <= 1:
             raise ConfigError("tagged_fraction must be in [0, 1]")
-        if self.num_users < 1 or not self.topics:
-            raise ConfigError("need users and topics")
 
 
 def generate_posts(rng: np.random.Generator,

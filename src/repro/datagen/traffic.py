@@ -38,22 +38,24 @@ class Beacon:
 
 
 class RingRoadSim:
-    """Single-lane ring road with simplified IDM car following."""
+    """Single-lane ring road of 30 vehicles with simplified IDM car
+    following, stepped every half second."""
 
-    def __init__(self, rng: np.random.Generator, num_vehicles: int = 30,
-                 ring_length_m: float = 2_000.0, desired_speed: float = 14.0,
-                 time_headway: float = 1.5, min_gap: float = 4.0,
-                 max_accel: float = 1.2, comfort_decel: float = 2.0) -> None:
-        if num_vehicles < 2:
-            raise ConfigError("need at least two vehicles")
-        if ring_length_m <= num_vehicles * min_gap * 2:
+    #: desired speed, time headway, minimum gap, maximum acceleration,
+    #: comfortable deceleration (IDM), and the update step
+    v0 = 14.0
+    t_headway = 1.5
+    s0 = 4.0
+    a_max = 1.2
+    b = 2.0
+    dt = 0.5
+
+    def __init__(self, rng: np.random.Generator,
+                 ring_length_m: float = 2_000.0) -> None:
+        num_vehicles = 30
+        if ring_length_m <= num_vehicles * self.s0 * 2:
             raise ConfigError("ring too short for vehicle count")
         self.ring = ring_length_m
-        self.v0 = desired_speed
-        self.t_headway = time_headway
-        self.s0 = min_gap
-        self.a_max = max_accel
-        self.b = comfort_decel
         spacing = ring_length_m / num_vehicles
         jitter = rng.uniform(-spacing * 0.2, spacing * 0.2,
                              size=num_vehicles)
@@ -61,7 +63,7 @@ class RingRoadSim:
             % ring_length_m
         order = np.argsort(self.positions)
         self.positions = self.positions[order]
-        self.speeds = np.full(num_vehicles, desired_speed * 0.8) \
+        self.speeds = np.full(num_vehicles, self.v0 * 0.8) \
             + rng.uniform(-1.0, 1.0, size=num_vehicles)
         self.ids = [f"car-{i:03d}" for i in range(num_vehicles)]
         self.time = 0.0
@@ -78,8 +80,9 @@ class RingRoadSim:
             raise ConfigError("vehicle index out of range")
         self._forced_slow[vehicle_index] = (start_s, end_s, speed_mps)
 
-    def step(self, dt: float = 0.5) -> None:
+    def step(self) -> None:
         """One IDM update for every vehicle."""
+        dt = self.dt
         n = self.num_vehicles
         new_speeds = np.empty(n)
         for i in range(n):

@@ -21,19 +21,16 @@ backlog model: the stream *is* the load trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..streaming.element import Element
-from ..util.errors import ConfigError
 from ..util.rng import make_rng
 from .mobility import MobilityConfig, generate_population
 
 __all__ = ["LoadProfile", "diurnal_flash_events"]
 
 
-@dataclass(frozen=True)
 class LoadProfile:
     """Analytic arrival-rate curve: diurnal sinusoid + flash crowd.
 
@@ -43,24 +40,14 @@ class LoadProfile:
     a flash crowd adds a plateau of ``flash_rate`` events/s on top.
     """
 
-    duration_s: float = 120.0
-    base_rate: float = 8.0
-    peak_rate: float = 24.0
-    period_s: float = 120.0
-    flash_start_s: float = 60.0
-    flash_duration_s: float = 20.0
-    flash_rate: float = 120.0
-    keys: int = 8
-
-    def __post_init__(self) -> None:
-        if self.duration_s <= 0 or self.period_s <= 0:
-            raise ConfigError("duration_s and period_s must be positive")
-        if not 0 < self.base_rate <= self.peak_rate:
-            raise ConfigError("need 0 < base_rate <= peak_rate")
-        if self.flash_duration_s < 0 or self.flash_rate < 0:
-            raise ConfigError("flash duration and rate must be >= 0")
-        if self.keys < 1:
-            raise ConfigError("keys must be >= 1")
+    duration_s = 120.0
+    base_rate = 8.0
+    peak_rate = 24.0
+    period_s = 120.0
+    flash_start_s = 60.0
+    flash_duration_s = 20.0
+    flash_rate = 120.0
+    keys = 8
 
     def rate_at(self, t: float) -> float:
         """Instantaneous arrival rate (events/s) at time ``t``."""
@@ -85,9 +72,8 @@ class LoadProfile:
         return np.diff(cumulative, prepend=np.int64(0))
 
 
-def diurnal_flash_events(profile: LoadProfile = LoadProfile(),
-                         seed: int = 0) -> list[Element]:
-    """Materialize a :class:`LoadProfile` as a keyed event stream.
+def diurnal_flash_events(seed: int = 0) -> list[Element]:
+    """Materialize the :class:`LoadProfile` as a keyed event stream.
 
     Each event carries the grid cell of a simulated user drawn from a
     truncated-Lévy mobility population — so key skew follows human
@@ -97,6 +83,7 @@ def diurnal_flash_events(profile: LoadProfile = LoadProfile(),
     sorted by time, as an ingest log would be.
     """
     rng = make_rng(seed)
+    profile = LoadProfile()
     counts = profile.counts_per_second()
     num_users = max(4, 2 * profile.keys)
     steps = max(2, int(math.ceil(profile.duration_s

@@ -152,8 +152,8 @@ class Producer:
         try:
             if self.idempotent:
                 # Remember the attempt *before* the append: an ambiguous
-                # failure (applied but the ack was lost) must be retryable
-                # via resend_last with the same sequence.
+                # failure (applied but the ack was lost) must be safe to
+                # retry via resend_last with the same sequence.
                 self._last_record = (topic, partition, record, sequence,
                                      self.epoch)
                 offset = self.cluster.append_idempotent(

@@ -58,15 +58,16 @@ class PlanOutcome:
 
 
 class OffloadPlanner:
-    """Enumerates and prices plans over a topology."""
+    """Enumerates and prices plans over a topology; a remote tier sends
+    ``result_bytes`` back to the device."""
+
+    result_bytes = 128.0
 
     def __init__(self, topology: Topology, device: str,
-                 energy: EnergyModel | None = None,
-                 result_bytes: float = 128.0) -> None:
+                 energy: EnergyModel | None = None) -> None:
         self.topology = topology
         self.device = topology.node(device)
         self.energy = energy if energy is not None else EnergyModel()
-        self.result_bytes = result_bytes
 
     def price(self, pipeline: Pipeline, cut: int,
               tier_node: str) -> PlanOutcome:

@@ -54,19 +54,17 @@ class AlwaysLocal(OffloadPolicy):
 
 
 class AlwaysRemote(OffloadPolicy):
-    """Fixed tier, fixed cut (defaults to the earliest valid cut: ship
-    the frame, run everything remote)."""
+    """Fixed tier, at the earliest valid cut: ship the frame, run
+    everything remote."""
 
-    def __init__(self, tier: str, cut: int | None = None) -> None:
+    def __init__(self, tier: str) -> None:
         self.tier = tier
-        self.cut = cut
         self.name = f"always-{tier}"
 
     def decide(self, planner: OffloadPlanner,
                pipeline: Pipeline) -> PolicyDecision:
-        cuts = pipeline.valid_cuts()
-        cut = self.cut if self.cut is not None else min(cuts)
-        outcome = planner.price(pipeline, cut, self.tier)
+        outcome = planner.price(pipeline, min(pipeline.valid_cuts()),
+                                self.tier)
         return PolicyDecision(outcome=outcome, met_deadline=None,
                               considered=1)
 
@@ -74,12 +72,9 @@ class AlwaysRemote(OffloadPolicy):
 class GreedyLatency(OffloadPolicy):
     name = "greedy-latency"
 
-    def __init__(self, tiers: list[str] | None = None) -> None:
-        self.tiers = tiers
-
     def decide(self, planner: OffloadPlanner,
                pipeline: Pipeline) -> PolicyDecision:
-        outcomes = planner.plan(pipeline, self.tiers)
+        outcomes = planner.plan(pipeline)
         if not outcomes:
             raise OffloadError("no feasible plan")
         best = min(outcomes, key=lambda o: (o.latency_s, o.energy_j))
@@ -90,17 +85,15 @@ class GreedyLatency(OffloadPolicy):
 class DeadlineEnergyAware(OffloadPolicy):
     """Least energy among deadline-meeting plans; fastest otherwise."""
 
-    def __init__(self, deadline_s: float,
-                 tiers: list[str] | None = None) -> None:
+    def __init__(self, deadline_s: float) -> None:
         if deadline_s <= 0:
             raise OffloadError("deadline must be positive")
         self.deadline_s = deadline_s
-        self.tiers = tiers
         self.name = f"deadline-{deadline_s * 1000:.0f}ms"
 
     def decide(self, planner: OffloadPlanner,
                pipeline: Pipeline) -> PolicyDecision:
-        outcomes = planner.plan(pipeline, self.tiers)
+        outcomes = planner.plan(pipeline)
         if not outcomes:
             raise OffloadError("no feasible plan")
         meeting = [o for o in outcomes if o.latency_s <= self.deadline_s]

@@ -1,14 +1,14 @@
 """Resilient offload execution: retries, circuit breaking, degradation.
 
-The planner prices plans and the policies pick one; the
-:class:`OffloadRunner` is what actually *runs* the pick against an
-unreliable edge — remote attempts can time out or lose their tier
-mid-task.  The runner retries a timed-out tier (bounded), drops a tier
-that vanished, trips a per-tier circuit breaker so repeated failures
-stop being attempted at all, and when every remote option is exhausted
-degrades to all-local execution rather than failing the frame — the
-AR session continues at reduced rate, which is the paper's stated
-requirement for interactive workloads.
+The planner prices plans; the :class:`OffloadRunner` is what actually
+*runs* the fastest of them against an unreliable edge — remote attempts
+can time out or lose their tier mid-task.  The runner retries a
+timed-out tier (bounded), drops a tier that vanished, trips a per-tier
+circuit breaker so repeated failures stop being attempted at all, and
+when every remote option is exhausted degrades to all-local execution
+rather than failing the frame — the AR session continues at reduced
+rate, which is the paper's stated requirement for interactive
+workloads.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..util.clock import SimClock
-from ..util.errors import OffloadError, TaskTimeout, TierDropout
+from ..util.errors import TaskTimeout, TierDropout
 from ..util.retry import CircuitBreaker
 from .executor import OffloadPlanner, PlanOutcome
-from .policies import GreedyLatency, OffloadPolicy
 from .tasks import Pipeline
 
 __all__ = ["OffloadAttempt", "OffloadResult", "OffloadRunner"]
@@ -52,50 +51,36 @@ class OffloadResult:
 
 
 class OffloadRunner:
-    """Executes policy decisions with fault handling.
+    """Runs each frame on its fastest plan, with fault handling.
 
-    deadline_s            treat a priced plan slower than this as a
-                          timeout even without injection (the frame is
-                          useless by the time it lands)
-    max_attempts_per_tier bounded same-tier retries on timeout before
-                          the tier is excluded for this frame
-    breaker kwargs        per-tier :class:`CircuitBreaker` tuning; an
-                          open breaker excludes the tier up front, so a
-                          flapping edge server stops eating attempts
+    A tier that times out is retried ``max_attempts_per_tier`` times in
+    a frame before the frame excludes it.  Each tier has a
+    :class:`CircuitBreaker` that opens after ``failure_threshold``
+    consecutive failures; an open breaker excludes the tier up front, so
+    a flapping edge server stops eating attempts.
     """
 
-    def __init__(self, planner: OffloadPlanner,
-                 policy: OffloadPolicy | None = None,
-                 injector=None, deadline_s: float | None = None,
+    max_attempts_per_tier = 2
+    failure_threshold = 3
+
+    def __init__(self, planner: OffloadPlanner, injector=None,
                  clock: SimClock | None = None,
-                 max_attempts_per_tier: int = 2,
-                 failure_threshold: int = 3,
-                 reset_timeout_s: float = 30.0,
                  tracer=None, metrics=None) -> None:
-        if deadline_s is not None and deadline_s <= 0:
-            raise OffloadError("deadline must be positive")
-        if max_attempts_per_tier < 1:
-            raise OffloadError("max_attempts_per_tier must be >= 1")
         self.planner = planner
-        self.policy = policy if policy is not None else GreedyLatency()
         self.injector = injector
         # Duck-typed observability hooks, same convention as the
         # streaming executor: None keeps every path hook-free.
         self.tracer = tracer
         self.metrics = metrics
-        self.deadline_s = deadline_s
         self.clock = clock if clock is not None else SimClock()
-        self.max_attempts_per_tier = max_attempts_per_tier
         self._breakers: dict[str, CircuitBreaker] = {}
-        self._breaker_kwargs = dict(failure_threshold=failure_threshold,
-                                    reset_timeout_s=reset_timeout_s)
         self.frames = 0
         self.degraded_frames = 0
 
     def breaker(self, tier: str) -> CircuitBreaker:
         if tier not in self._breakers:
             self._breakers[tier] = CircuitBreaker(
-                clock=self.clock, **self._breaker_kwargs)
+                failure_threshold=self.failure_threshold, clock=self.clock)
         return self._breakers[tier]
 
     def _available_tiers(self, excluded: set[str]) -> list[str]:
@@ -104,24 +89,11 @@ class OffloadRunner:
                 if n.name != device and n.up and n.name not in excluded
                 and self.breaker(n.name).allow()]
 
-    def _decide(self, pipeline: Pipeline,
-                tiers: list[str]) -> PlanOutcome | None:
-        """Run the policy restricted to ``tiers`` (when it supports
-        restriction); ``None`` means no feasible plan from the policy."""
-        restores = hasattr(self.policy, "tiers")
-        saved = getattr(self.policy, "tiers", None)
-        if restores:
-            # Honour the policy's own restriction: the runner only ever
-            # narrows the choice (down/excluded/broker-open tiers).
-            self.policy.tiers = (tiers if saved is None
-                                 else [t for t in tiers if t in saved])
-        try:
-            return self.policy.decide(self.planner, pipeline).outcome
-        except (OffloadError,):
-            return None
-        finally:
-            if restores:
-                self.policy.tiers = saved
+    def _fastest(self, pipeline: Pipeline, tiers: list[str]) -> PlanOutcome:
+        """The fastest plan on ``tiers`` or the device (the least energy
+        among equally fast ones): :class:`GreedyLatency`'s choice."""
+        return min(self.planner.plan(pipeline, tiers),
+                   key=lambda o: (o.latency_s, o.energy_j))
 
     def _local(self, pipeline: Pipeline) -> PlanOutcome:
         return self.planner.price(pipeline, max(pipeline.valid_cuts()),
@@ -184,12 +156,8 @@ class OffloadRunner:
         tier_attempts: dict[str, int] = {}
         while True:
             tiers = self._available_tiers(excluded)
-            outcome = self._decide(pipeline, tiers) if tiers else None
-            if outcome is None or (not outcome.is_local
-                                   and outcome.tier_node not in tiers):
-                # Policy found nothing runnable (or insists on a dead
-                # tier, as a fixed AlwaysRemote does): degrade to local.
-                outcome = self._local(pipeline)
+            outcome = (self._fastest(pipeline, tiers) if tiers
+                       else self._local(pipeline))
             if outcome.is_local:
                 # Local after failed remote attempts is degraded service:
                 # the frame completes, slower than the policy wanted.
@@ -210,22 +178,16 @@ class OffloadRunner:
             try:
                 if self.injector is not None:
                     self.injector.before_offload(pipeline.name, tier)
-                if (self.deadline_s is not None
-                        and outcome.latency_s > self.deadline_s):
-                    raise TaskTimeout(
-                        f"plan on {tier!r} priced at "
-                        f"{outcome.latency_s * 1000:.1f}ms exceeds the "
-                        f"{self.deadline_s * 1000:.0f}ms deadline")
             except TaskTimeout as exc:
                 result.timeouts += 1
                 attempt = OffloadAttempt(
                     tier=tier, cut=outcome.cut, ok=False, error=str(exc),
-                    latency_s=self.deadline_s or outcome.latency_s)
+                    latency_s=outcome.latency_s)
                 result.attempts.append(attempt)
                 self.breaker(tier).record_failure()
                 span = self._start_attempt(attempt)
                 # The caller ate the full timeout budget waiting.
-                self.clock.advance(self.deadline_s or outcome.latency_s)
+                self.clock.advance(outcome.latency_s)
                 self._end_attempt(span, attempt)
                 if tier_attempts[tier] >= self.max_attempts_per_tier:
                     excluded.add(tier)

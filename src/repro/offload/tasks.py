@@ -123,9 +123,9 @@ _BYTES_PER_FEATURE = 40.0  # descriptor + keypoint
 _POSE_BYTES = 128.0
 
 
-def vision_pipeline(profile: StageProfile,
-                    name: str = "ar-frame") -> Pipeline:
-    """Build the offloadable AR frame pipeline from measured workload."""
+def vision_pipeline(profile: StageProfile) -> Pipeline:
+    """Build the offloadable AR frame pipeline (``"ar-frame"``) from
+    measured workload."""
     pixels = max(1, profile.pixels)
     features = max(1, profile.features)
     ransac_iters = max(1, profile.ransac_iterations)
@@ -145,4 +145,4 @@ def vision_pipeline(profile: StageProfile,
         TaskStage("render", cycles=_CYCLES_RENDER,
                   output_bytes=_BYTES_PER_PIXEL * pixels, pinned="device"),
     )
-    return Pipeline(name=name, stages=stages)
+    return Pipeline(name="ar-frame", stages=stages)

@@ -13,23 +13,18 @@ from __future__ import annotations
 import numpy as np
 
 from ..util.errors import PrivacyError
-from .mechanisms import BudgetAccountant
 
 __all__ = ["exponential_mechanism", "private_top_k"]
 
 
 def exponential_mechanism(scores: dict[str, float], epsilon: float,
                           rng: np.random.Generator,
-                          sensitivity: float = 1.0,
-                          accountant: BudgetAccountant | None = None,
-                          ) -> str:
+                          sensitivity: float = 1.0) -> str:
     """Sample one key with probability ~ exp(eps * score / (2 * sens))."""
     if not scores:
         raise PrivacyError("no candidates to select from")
     if epsilon <= 0 or sensitivity <= 0:
         raise PrivacyError("epsilon and sensitivity must be positive")
-    if accountant is not None:
-        accountant.charge(epsilon)
     keys = sorted(scores)
     values = np.array([scores[k] for k in keys], dtype=float)
     # Stabilize: shift by max before exponentiating.
@@ -41,9 +36,8 @@ def exponential_mechanism(scores: dict[str, float], epsilon: float,
 
 
 def private_top_k(scores: dict[str, float], k: int, epsilon: float,
-                  rng: np.random.Generator, sensitivity: float = 1.0,
-                  accountant: BudgetAccountant | None = None,
-                  ) -> list[str]:
+                  rng: np.random.Generator,
+                  sensitivity: float = 1.0) -> list[str]:
     """eps-DP top-k by iterative exponential-mechanism peeling.
 
     Each of the k picks spends eps/k, so the whole release is eps-DP by
@@ -58,8 +52,7 @@ def private_top_k(scores: dict[str, float], k: int, epsilon: float,
     per_pick = epsilon / k
     for _ in range(k):
         choice = exponential_mechanism(remaining, per_pick, rng,
-                                       sensitivity=sensitivity,
-                                       accountant=accountant)
+                                       sensitivity=sensitivity)
         picks.append(choice)
         del remaining[choice]
     return picks

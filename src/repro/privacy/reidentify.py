@@ -87,9 +87,8 @@ class TraceDatabase:
                 if known_points <= points]
 
     def attack(self, rng: np.random.Generator, known_points: int,
-               observed: "TraceDatabase | None" = None,
-               targets: list[str] | None = None) -> AttackResult:
-        """Sample ``known_points`` true points per target and match them
+               observed: "TraceDatabase | None" = None) -> AttackResult:
+        """Sample ``known_points`` true points per user and match them
         against this (possibly defended) database.
 
         ``observed`` supplies the adversary's side knowledge — the TRUE
@@ -97,8 +96,7 @@ class TraceDatabase:
         (no defence).  The database being attacked is ``self``.
         """
         observed = observed if observed is not None else self
-        if targets is None:
-            targets = observed.users()
+        targets = observed.users()
         unique = ambiguous = missed = 0
         for user in targets:
             true_points = sorted(observed.points_of(user))

@@ -119,25 +119,25 @@ def _project_rows(pose: Pose, intrinsics: CameraIntrinsics,
     return out
 
 
+#: what drawing one label costs a frame, and what x-ray styling adds
+LABEL_COST_MS = 0.25
+XRAY_SURCHARGE_MS = 0.15
+
+
 @dataclass(frozen=True)
 class FrameBudget:
-    """Per-frame cost model: a label costs ``cost_per_label`` ms, x-ray
-    styling costs extra; content is shed lowest-priority-first when the
-    total exceeds ``budget_ms`` (the AR real-time cap of Section 4.1)."""
+    """Per-frame cost model: a label costs ``LABEL_COST_MS``, x-ray
+    styling ``XRAY_SURCHARGE_MS`` more; content is shed
+    lowest-priority-first when the total exceeds ``budget_ms`` (the AR
+    real-time cap of Section 4.1)."""
 
     budget_ms: float = 16.0
-    cost_per_label_ms: float = 0.25
-    xray_surcharge_ms: float = 0.15
 
     def __post_init__(self) -> None:
         # ``not x > 0`` also refuses NaN, which would switch shedding off
-        if not (self.budget_ms > 0 and self.cost_per_label_ms > 0):
-            raise RenderError("budget and label cost must be positive, got "
-                              f"{self.budget_ms!r} / "
-                              f"{self.cost_per_label_ms!r}")
-        if not self.xray_surcharge_ms >= 0:
-            raise RenderError("x-ray surcharge must be non-negative, got "
-                              f"{self.xray_surcharge_ms!r}")
+        if not self.budget_ms > 0:
+            raise RenderError("budget must be positive, got "
+                              f"{self.budget_ms!r}")
 
 
 class Compositor:
@@ -222,8 +222,8 @@ class Compositor:
         budget = self.budget
         if budget is not None:
             rows.sort(key=_ORDER_KEY)
-            label_cost = budget.cost_per_label_ms
-            xray_cost = label_cost + budget.xray_surcharge_ms
+            label_cost = LABEL_COST_MS
+            xray_cost = label_cost + XRAY_SURCHARGE_MS
             limit = budget.budget_ms
             cost = 0.0
             kept = []

@@ -86,25 +86,23 @@ class CrowdModel:
     @staticmethod
     def simulate_contributions(truth: BoxModel, n: int,
                                rng: np.random.Generator,
-                               position_sigma: float = 2.0,
-                               extent_sigma: float = 1.0,
                                outlier_rate: float = 0.1,
-                               outlier_scale: float = 10.0,
                                ) -> list[BoxModel]:
-        """Noisy contributions: Gaussian errors plus gross outliers."""
+        """Noisy contributions: Gaussian errors (2 m in position, 1 m in
+        extent) plus gross outliers, ten times as wide."""
         if n < 1:
             raise SensorError("need at least one contribution")
         models = []
         for _ in range(n):
             gross = rng.random() < outlier_rate
-            scale = outlier_scale if gross else 1.0
+            scale = 10.0 if gross else 1.0
             models.append(BoxModel(
-                cx=truth.cx + float(rng.normal(0, position_sigma * scale)),
-                cy=truth.cy + float(rng.normal(0, position_sigma * scale)),
+                cx=truth.cx + float(rng.normal(0, 2.0 * scale)),
+                cy=truth.cy + float(rng.normal(0, 2.0 * scale)),
                 width=max(0.5, truth.width
-                          + float(rng.normal(0, extent_sigma * scale))),
+                          + float(rng.normal(0, 1.0 * scale))),
                 depth=max(0.5, truth.depth
-                          + float(rng.normal(0, extent_sigma * scale))),
+                          + float(rng.normal(0, 1.0 * scale))),
                 height=max(0.5, truth.height
-                           + float(rng.normal(0, extent_sigma * scale)))))
+                           + float(rng.normal(0, 1.0 * scale)))))
         return models

@@ -1,15 +1,13 @@
 """Point-of-interest database.
 
 The "POI databases, geocoded Tweets, and Flickr" data source of Section
-3.2, reduced to one queryable store: POIs carry category, name,
-popularity and free-form attributes; queries are radius /
-category-filtered, served from the quadtree.
+3.2, reduced to one queryable store: POIs carry category, name and
+popularity; radius queries are served from the quadtree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 from ..util.errors import SensorError
 from ..util.geometry import Rect
@@ -28,11 +26,10 @@ class Poi:
     x: float
     y: float
     popularity: float = 0.0
-    attributes: dict[str, Any] = field(default_factory=dict)
 
 
 class PoiDatabase:
-    """Quadtree-backed POI store with category-aware queries."""
+    """Quadtree-backed POI store."""
 
     def __init__(self, bounds: Rect) -> None:
         self._tree = QuadTree(bounds)
@@ -56,20 +53,13 @@ class PoiDatabase:
     def categories(self) -> list[str]:
         return sorted({p.category for p in self._by_id.values()})
 
-    def within(self, x: float, y: float, radius: float,
-               category: str | None = None) -> list[Poi]:
-        """POIs within ``radius`` metres, optionally category-filtered,
-        ordered by distance then id."""
+    def within(self, x: float, y: float, radius: float) -> list[Poi]:
+        """POIs within ``radius`` metres, ordered by distance then id."""
         hits = [p.payload for p in self._tree.query_radius(x, y, radius)]
-        if category is not None:
-            hits = [p for p in hits if p.category == category]
         hits.sort(key=lambda p: ((p.x - x) ** 2 + (p.y - y) ** 2, p.poi_id))
         return hits
 
-    def most_popular(self, k: int = 10,
-                     category: str | None = None) -> list[Poi]:
+    def most_popular(self, k: int = 10) -> list[Poi]:
         pois = list(self._by_id.values())
-        if category is not None:
-            pois = [p for p in pois if p.category == category]
         pois.sort(key=lambda p: (-p.popularity, p.poi_id))
         return pois[:k]

@@ -35,15 +35,14 @@ class _Node:
 
 
 class QuadTree:
-    """A bucketed point quadtree over a fixed bounding rectangle."""
+    """A bucketed point quadtree over a fixed bounding rectangle: a
+    leaf splits past ``bucket_size`` points, down to ``max_depth``."""
 
-    def __init__(self, bounds: Rect, bucket_size: int = 16,
-                 max_depth: int = 16) -> None:
-        if bucket_size < 1 or max_depth < 1:
-            raise SpatialIndexError("bucket_size and max_depth must be >= 1")
+    bucket_size = 16
+    max_depth = 16
+
+    def __init__(self, bounds: Rect) -> None:
         self._root = _Node(bounds)
-        self.bucket_size = bucket_size
-        self.max_depth = max_depth
         self._count = 0
 
     @property

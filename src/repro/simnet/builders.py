@@ -1,91 +1,59 @@
 """Canonical topology builders.
 
 :func:`region_topology` builds the geo-distributed shape the paper's
-timeliness argument needs (Sec 4.1, CloudRiDAR): several *edge regions*
+timeliness argument needs (Sec 4.1, CloudRiDAR): two *edge regions*
 — each an edge zone with an edge server and its attached devices — plus
 one deep *core* region, wired with realistic link tiers:
 
-- device -> zone edge server: an access link (WiFi by default),
-- device -> core: a cellular fallback (LTE by default) — the path a
-  session degrades onto when its edge zone is down or partitioned,
+- device -> zone edge server: a WiFi access link,
+- device -> core: a cellular (LTE) fallback — the path a
+  session degrades onto when its edge zone is down,
 - edge region <-> edge region: metro fibre,
 - edge region <-> core: a WAN backhaul.
 
 Every node carries its region (and, for edge nodes, zone) tag, so
-whole-region loss and partitions (:meth:`Topology.fail_region`,
-:meth:`Topology.partition_region`) and the geo placement layer all act
-on the same labels.
+whole-region loss (:meth:`Topology.fail_region`) and the geo placement
+layer act on the same labels.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
-from ..util.errors import ConfigError
-from .network import LINK_PRESETS, LinkSpec
+from .network import LINK_PRESETS
 from .topology import NodeSpec, Topology
 
 __all__ = ["region_topology"]
 
 
-def region_topology(rng: np.random.Generator, *,
-                    edge_regions: Sequence[str] = ("edge-a", "edge-b"),
-                    devices_per_zone: int = 2,
-                    core_region: str = "core",
-                    device_cpu_hz: float = 1.5e9,
-                    edge_cpu_hz: float = 8e9,
-                    core_cpu_hz: float = 64e9,
-                    access: str | LinkSpec = "wifi",
-                    fallback: str | LinkSpec | None = "lte",
-                    inter_edge: str | LinkSpec = "metro",
-                    backhaul: str | LinkSpec = "wan") -> Topology:
-    """Edge zones + one core, with realistic inter-region latency.
+def region_topology(rng: np.random.Generator) -> Topology:
+    """Two edge zones (``edge-a``, ``edge-b``) of two devices each, plus
+    one core, with realistic inter-region latency.
 
-    Node naming is deterministic: ``{region}-edge`` per edge region,
-    ``{region}-dev{i}`` for its devices, and ``{core_region}`` for the
+    Devices run at 1.5 GHz, edge servers at 8 GHz and the core at
+    64 GHz.  Node naming is deterministic: ``{region}-edge`` per edge
+    region, ``{region}-dev{i}`` for its devices, and ``core`` for the
     cloud node — tests and benchmarks address nodes by these names.
     """
-    if not edge_regions:
-        raise ConfigError("need at least one edge region")
-    if len(set(edge_regions)) != len(edge_regions):
-        raise ConfigError("edge region names must be unique")
-    if core_region in edge_regions:
-        raise ConfigError(f"core region {core_region!r} collides with an "
-                          "edge region")
-    if devices_per_zone < 0:
-        raise ConfigError("devices_per_zone must be non-negative")
-
-    def _spec(preset: str | LinkSpec) -> LinkSpec:
-        if isinstance(preset, LinkSpec):
-            return preset
-        try:
-            return LINK_PRESETS[preset]
-        except KeyError:
-            raise ConfigError(f"unknown link preset {preset!r}") from None
-
     topo = Topology(rng)
-    topo.add_node(NodeSpec(name=core_region, cpu_hz=core_cpu_hz,
-                           role="cloud", cores=16, power_w=250.0,
-                           region=core_region))
+    topo.add_node(NodeSpec(name="core", cpu_hz=64e9, role="cloud", cores=16,
+                           power_w=250.0, region="core"))
     edge_names = []
-    for region in edge_regions:
+    for region in ("edge-a", "edge-b"):
         edge = f"{region}-edge"
-        topo.add_node(NodeSpec(name=edge, cpu_hz=edge_cpu_hz, role="edge",
+        topo.add_node(NodeSpec(name=edge, cpu_hz=8e9, role="edge",
                                cores=4, power_w=45.0, region=region,
                                zone=region))
-        topo.add_link(edge, core_region, _spec(backhaul))
-        for i in range(devices_per_zone):
+        topo.add_link(edge, "core", LINK_PRESETS["wan"])
+        for i in range(2):
             dev = f"{region}-dev{i}"
-            topo.add_node(NodeSpec(name=dev, cpu_hz=device_cpu_hz,
-                                   role="device", region=region,
-                                   zone=region, forwards=False))
-            topo.add_link(dev, edge, _spec(access))
-            if fallback is not None:
-                topo.add_link(dev, core_region, _spec(fallback))
+            topo.add_node(NodeSpec(name=dev, cpu_hz=1.5e9, role="device",
+                                   region=region, zone=region,
+                                   forwards=False))
+            topo.add_link(dev, edge, LINK_PRESETS["wifi"])
+            topo.add_link(dev, "core", LINK_PRESETS["lte"])
         edge_names.append(edge)
     for i, a in enumerate(edge_names):
         for b in edge_names[i + 1:]:
-            topo.add_link(a, b, _spec(inter_edge))
+            topo.add_link(a, b, LINK_PRESETS["metro"])
     return topo

@@ -40,10 +40,13 @@ class ScheduledEvent:
 
 
 class Simulator:
-    """Deterministic single-threaded discrete-event simulator."""
+    """Deterministic single-threaded discrete-event simulator.
 
-    def __init__(self, clock: SimClock | None = None) -> None:
-        self.clock = clock if clock is not None else SimClock()
+    Its ``clock`` may be shared: a geo deployment hands it to the
+    supervisor it drives."""
+
+    def __init__(self) -> None:
+        self.clock = SimClock()
         self._queue: list[ScheduledEvent] = []
         self._seq = 0
         self._processed = 0
@@ -82,8 +85,7 @@ class Simulator:
         return self.schedule_at(self.clock.now + delay, callback, label)
 
     def schedule_every(self, interval: float, callback: Callback,
-                       until: float | None = None,
-                       label: str = "") -> ScheduledEvent:
+                       until: float | None = None) -> ScheduledEvent:
         """Schedule a repeating callback every ``interval`` seconds.
 
         The returned handle cancels the *whole* series when cancelled.
@@ -93,8 +95,8 @@ class Simulator:
         if interval <= 0:
             raise SimulationError(f"non-positive interval {interval!r}")
 
-        series = ScheduledEvent(self.clock.now + interval, self._seq, callback,
-                                label)
+        series = ScheduledEvent(self.clock.now + interval, self._seq,
+                                callback)
 
         def fire() -> None:
             if series.cancelled:
@@ -102,12 +104,12 @@ class Simulator:
             callback()
             next_time = self.clock.now + interval
             if until is None or next_time <= until:
-                inner = self.schedule_at(next_time, fire, label)
+                inner = self.schedule_at(next_time, fire)
                 # Propagate cancellation of the series to the queued event.
                 series_children.append(inner)
 
         series_children: list[ScheduledEvent] = []
-        first = self.schedule_after(interval, fire, label)
+        first = self.schedule_after(interval, fire)
         series_children.append(first)
 
         original_cancel = series.cancel

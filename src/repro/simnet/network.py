@@ -76,11 +76,11 @@ LINK_PRESETS: dict[str, LinkSpec] = {
 class Link:
     """A sampled link: adds jitter and loss/retry behaviour to a spec."""
 
-    def __init__(self, spec: LinkSpec, rng: np.random.Generator,
-                 max_retries: int = 5) -> None:
+    max_retries = 5
+
+    def __init__(self, spec: LinkSpec, rng: np.random.Generator) -> None:
         self.spec = spec
         self._rng = rng
-        self.max_retries = max_retries
         self.transfers = 0
         self.retries = 0
 

@@ -60,9 +60,6 @@ class Topology:
         self._graph = nx.Graph()
         self._rng = rng
         self._links: dict[frozenset[str], Link] = {}
-        #: directed (src, dst) pairs whose traffic is blocked — how
-        #: asymmetric partitions are expressed over undirected links
-        self._blocked: set[tuple[str, str]] = set()
 
     # -- construction -----------------------------------------------------
 
@@ -152,43 +149,6 @@ class Topology:
             raise NetworkError(f"unknown region {region!r}")
         return names
 
-    # -- directional blocking (partitions) --------------------------------
-
-    def partition_region(self, region: str,
-                         direction: str = "both") -> int:
-        """Block links crossing the ``region`` boundary.
-
-        ``direction`` is ``"both"`` (full partition), ``"out"`` (traffic
-        leaving the region is dropped; inbound still flows) or ``"in"``
-        — the two one-sided modes model asymmetric partitions.  Returns
-        the number of directed pairs blocked.
-        """
-        if direction not in ("both", "out", "in"):
-            raise ConfigError(f"bad partition direction {direction!r}")
-        members = set(self._region_node_names(region))
-        blocked = 0
-        for pair in self._links:
-            a, b = tuple(pair)
-            if (a in members) == (b in members):
-                continue  # internal or fully external link
-            inside, outside = (a, b) if a in members else (b, a)
-            if direction in ("both", "out"):
-                self._blocked.add((inside, outside))
-                blocked += 1
-            if direction in ("both", "in"):
-                self._blocked.add((outside, inside))
-                blocked += 1
-        return blocked
-
-    def heal_region(self, region: str) -> int:
-        """Unblock every directed pair touching ``region`` (the inverse
-        of :meth:`partition_region`); link state is fully restored."""
-        members = set(self._region_node_names(region))
-        stale = {(a, b) for a, b in self._blocked
-                 if a in members or b in members}
-        self._blocked -= stale
-        return len(stale)
-
     def _alive_subgraph(self) -> nx.Graph:
         alive = [n for n, d in self._graph.nodes(data=True) if d["spec"].up]
         return self._graph.subgraph(alive)
@@ -202,21 +162,12 @@ class Topology:
         devices) can be endpoints of a route but not intermediate hops.
         """
         self.node(src), self.node(dst)  # validate both exist
-        graph: nx.Graph | nx.DiGraph = self._alive_subgraph()
+        graph = self._alive_subgraph()
         if src not in graph or dst not in graph:
             raise NetworkError(f"route {src!r}->{dst!r}: endpoint down")
         transit = [n for n in graph.nodes
                    if n in (src, dst) or self.node(n).forwards]
         graph = graph.subgraph(transit)
-        if self._blocked:
-            directed = nx.DiGraph()
-            directed.add_nodes_from(graph.nodes)
-            for a, b, data in graph.edges(data=True):
-                if (a, b) not in self._blocked:
-                    directed.add_edge(a, b, **data)
-                if (b, a) not in self._blocked:
-                    directed.add_edge(b, a, **data)
-            graph = directed
         try:
             return nx.shortest_path(graph, src, dst, weight="weight")
         except nx.NetworkXNoPath:

@@ -109,17 +109,7 @@ class ScalingPolicy:
     which is what makes them table-testable.
     """
 
-    min_parallelism: int = 1
-    max_parallelism: int = 8
-    cooldown: int = 2
-
-    def _validate_bounds(self) -> None:
-        if self.min_parallelism < 1:
-            raise ConfigError("min_parallelism must be >= 1")
-        if self.max_parallelism < self.min_parallelism:
-            raise ConfigError("max_parallelism must be >= min_parallelism")
-        if self.cooldown < 0:
-            raise ConfigError("cooldown must be >= 0")
+    min_parallelism = 1
 
     def clamp(self, parallelism: int) -> int:
         return max(self.min_parallelism,
@@ -147,19 +137,18 @@ class UtilizationTargetPolicy(ScalingPolicy):
     max_parallelism]``.
     """
 
-    target: float = 0.65
-    high: float = 0.85
-    low: float = 0.35
-    min_parallelism: int = 1
+    target = 0.65
+    high = 0.85
+    low = 0.35
+    cooldown = 2
+
     max_parallelism: int = 8
-    cooldown: int = 2
 
     def __post_init__(self) -> None:
-        self._validate_bounds()
-        if not 0.0 < self.low < self.target < self.high:
-            raise ConfigError(
-                f"need 0 < low < target < high, got low={self.low} "
-                f"target={self.target} high={self.high}")
+        # ``not a >= b`` also refuses NaN, which every clamp would pass
+        if not self.max_parallelism >= self.min_parallelism:
+            raise ConfigError("max_parallelism must be >= min_parallelism, "
+                              f"got {self.max_parallelism!r}")
 
     def decide(self, signals: OperatorSignals,
                evals_since_change: int) -> ScalingDecision:
@@ -195,13 +184,12 @@ class SchedulePolicy(ScalingPolicy):
     schedule is the fixed-parallelism baseline.
     """
 
+    max_parallelism = 1024
+    cooldown = 0
+
     schedule: dict[int, dict[str, int]] = field(default_factory=dict)
-    min_parallelism: int = 1
-    max_parallelism: int = 1024
-    cooldown: int = 0
 
     def __post_init__(self) -> None:
-        self._validate_bounds()
         for step, targets in self.schedule.items():
             for op, width in targets.items():
                 if width < 1:
@@ -226,26 +214,27 @@ class ShedPolicy:
 
     When the projected drain time of a source's backlog (backlog over
     current intake capacity, in sim-seconds) exceeds ``trigger_wait_s``,
-    the supervisor activates deterministic shedding on that source with
-    ratio ``keep/mod``; it deactivates below ``release_wait_s``
+    the supervisor activates deterministic shedding on that source,
+    admitting ``keep`` of every ``mod`` elements; it deactivates below
+    ``release_wait_s``
     (hysteresis, so the tier does not flap at the boundary).  The tier
     is the last resort for when rescaling cannot keep up — policies
     should set ``trigger_wait_s`` well above the latency SLO so scaling
     gets the first shot.
     """
 
+    keep = 1
+    mod = 2
+
     trigger_wait_s: float
     release_wait_s: float
-    keep: int = 1
-    mod: int = 2
 
     def __post_init__(self) -> None:
-        if self.trigger_wait_s < self.release_wait_s:
-            raise ConfigError("trigger_wait_s must be >= release_wait_s")
-        if self.mod < 1 or not 0 <= self.keep <= self.mod:
-            raise ConfigError(
-                f"shed ratio needs 0 <= keep <= mod, got "
-                f"{self.keep}/{self.mod}")
+        # ``not a >= b`` also refuses NaN, which would never shed
+        if not self.trigger_wait_s >= self.release_wait_s:
+            raise ConfigError("trigger_wait_s must be >= release_wait_s, "
+                              f"got {self.trigger_wait_s!r} / "
+                              f"{self.release_wait_s!r}")
 
 
 # -- the autoscaler ----------------------------------------------------------

@@ -10,7 +10,7 @@ when an operator fails *on a record*:
   untouched);
 - :data:`SKIP` — drop the record and continue;
 - :func:`RETRY` — re-invoke the operator on the record up to ``n``
-  more times, then escalate to another policy;
+  more times, then fail;
 - :data:`DEAD_LETTER` — divert the record (with operator, exception and
   fault provenance) to the job's dead-letter queue.
 
@@ -48,7 +48,7 @@ forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from ..util.clock import SimClock
@@ -87,7 +87,6 @@ __all__ = [
 DLQ_SINK = "__dlq__"
 
 _KINDS = ("fail", "skip", "retry", "dead_letter")
-_ESCALATIONS = ("fail", "skip", "dead_letter")
 
 #: Failures the policy machinery must never swallow: injected
 #: infrastructure faults and harness errors are the *supervisor's*
@@ -101,22 +100,17 @@ class ErrorPolicy:
     """What an operator does when processing a record raises.
 
     ``attempts`` is the number of *re*-invocations a ``retry`` policy
-    makes after the first failure; once exhausted the ``escalate``
-    policy kind applies.  Non-retry kinds ignore both fields.
+    makes after the first failure; once exhausted the record fails.
+    Non-retry kinds take no attempts.
     """
 
     kind: str = "fail"
     attempts: int = 0
-    escalate: str = "fail"
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown error-policy kind {self.kind!r}; "
                               f"expected one of {_KINDS}")
-        if self.escalate not in _ESCALATIONS:
-            raise ConfigError(
-                f"error policy may escalate to one of {_ESCALATIONS}, "
-                f"not {self.escalate!r}")
         if self.kind == "retry" and self.attempts < 1:
             raise ConfigError("RETRY needs attempts >= 1")
         if self.kind != "retry" and self.attempts != 0:
@@ -126,9 +120,7 @@ class ErrorPolicy:
     @property
     def can_dead_letter(self) -> bool:
         """Whether this policy can ever emit to the DLQ."""
-        return (self.kind == "dead_letter"
-                or (self.kind == "retry"
-                    and self.escalate == "dead_letter"))
+        return self.kind == "dead_letter"
 
 
 FAIL = ErrorPolicy("fail")
@@ -162,18 +154,22 @@ class DeadLetter:
     error_type: str
     error: str
     fault: str = "error"
-    attempts: int = 0
+    #: retries before the record was dead-lettered: always 0, since a
+    #: retry ends in fail; kept so a dead letter's bytes stay the same
+    attempts: int = field(default=0, init=False)
+
+    def __post_init__(self) -> None:
+        # a checkpoint pickles the instance dict: the field belongs in it
+        object.__setattr__(self, "attempts", 0)
 
 
 def dead_letter_element(element: Element, op_name: str,
-                        exc: BaseException, fault: str = "error",
-                        attempts: int = 0) -> Element:
+                        exc: BaseException, fault: str = "error") -> Element:
     """Wrap a failed record for delivery to the DLQ sink."""
     letter = DeadLetter(
         value=element.value, timestamp=element.timestamp,
         key=element.key, operator=logical_name(op_name),
-        error_type=type(exc).__name__, error=str(exc),
-        fault=fault, attempts=attempts)
+        error_type=type(exc).__name__, error=str(exc), fault=fault)
     return Element(letter, timestamp=element.timestamp, key=element.key)
 
 
@@ -266,30 +262,23 @@ def guard_item(op: Any, item: StreamItem, policy: ErrorPolicy,
         raise
     except Exception as exc:
         _rollback(op, state)
-        effective = policy.kind
-        attempts = 0
-        if effective == "retry":
-            persistent = injected and kind == "udf_exception"
-            while attempts < policy.attempts:
-                attempts += 1
-                if persistent:
-                    continue  # the record itself is poisoned: refire
+        if policy.kind == "retry" and not (
+                injected and kind == "udf_exception"):
+            # a poisoned record refires on every retry: it fails at once
+            for _ in range(policy.attempts):
                 state = _capture(op)
                 try:
                     return _attempt(op, element, handler)
                 except _PASSTHROUGH:
                     raise
-                except Exception as again:
+                except Exception:
                     _rollback(op, state)
-                    exc = again
-            effective = policy.escalate
-        if effective == "skip":
+        if policy.kind == "skip":
             return []
-        if effective == "dead_letter":
+        if policy.kind == "dead_letter":
             dead_letters.append(dead_letter_element(
                 element, op.name, exc,
-                fault=fault[0] if injected else "error",
-                attempts=attempts))
+                fault=fault[0] if injected else "error"))
             return []
         raise
 
@@ -404,7 +393,7 @@ class RestartBudget:
     sleeps a seeded, capped exponential backoff on the simulated clock.
     A restart that follows *no forward progress* (no new checkpoint
     since the previous failure) counts toward the flapping streak;
-    ``flap_threshold`` consecutive no-progress restarts escalate to
+    ``flap_threshold`` consecutive no-progress restarts raise
     :class:`~repro.util.errors.RestartsExhausted` immediately — the
     job is permanently poisoned and further restarts only mask it.
     """

@@ -119,8 +119,8 @@ class DataFaultError(StreamError):
     timestamp, or a deterministically-throwing UDF.
 
     Data faults are *non-transient*: retrying the same record yields the
-    same failure, so retry layers (see ``util.retry``) should treat this
-    as non-retryable and per-operator error policies decide the record's
+    same failure, so retry layers (see ``util.retry``) gain nothing by
+    retrying it, and per-operator error policies decide the record's
     fate instead (skip, dead-letter, or fail the job).
     """
 

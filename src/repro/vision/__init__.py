@@ -13,7 +13,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".geometry": ("RansacResult", "apply_homography", "estimate_homography",
                   "pose_from_homography", "ransac_homography",
                   "reprojection_error"),
-    ".markers": ("MarkerSpec", "decode_marker", "generate_marker"),
+    ".markers": ("decode_marker", "generate_marker"),
     ".synth": ("PlanarTarget", "make_texture", "render_plane"),
     ".tracker": ("PlanarTracker", "StageProfile", "TrackResult"),
 })
@@ -36,7 +36,6 @@ __all__ = [
     "pose_from_homography",
     "ransac_homography",
     "reprojection_error",
-    "MarkerSpec",
     "decode_marker",
     "generate_marker",
     "PlanarTarget",

@@ -51,13 +51,15 @@ def _check_image(image: np.ndarray) -> np.ndarray:
     return image
 
 
-def detect_corners(image: np.ndarray, max_corners: int = 500,
-                   quality: float = 0.01, min_distance: int = 5,
-                   sigma: float = 1.0) -> list[Keypoint]:
-    """Shi–Tomasi corners: min-eigenvalue score + greedy NMS."""
+def detect_corners(image: np.ndarray,
+                   max_corners: int = 500) -> list[Keypoint]:
+    """Shi–Tomasi corners: min-eigenvalue score + greedy NMS.
+
+    The image is smoothed at sigma 1; a corner scores at least 1 % of
+    the best one and is the maximum within 5 pixels.
+    """
     image = _check_image(image)
-    if not 0 < quality <= 1:
-        raise VisionError("quality must be in (0, 1]")
+    sigma, quality, min_distance = 1.0, 0.01, 5
     smoothed = ndimage.gaussian_filter(image, sigma)
     iy, ix = np.gradient(smoothed)
     ixx = ndimage.gaussian_filter(ix * ix, sigma)
@@ -90,20 +92,17 @@ def detect_corners(image: np.ndarray, max_corners: int = 500,
 class BriefDescriptor:
     """BRIEF binary descriptor over a smoothed patch.
 
-    ``n_bits`` intensity comparisons at offsets drawn once from an
-    isotropic Gaussian (fixed seed: the pattern is part of the
-    descriptor definition, not run randomness).
+    ``n_bits`` intensity comparisons in a ``patch_size`` square, at
+    offsets drawn once from an isotropic Gaussian (fixed seed: the
+    pattern is part of the descriptor definition, not run randomness).
     """
 
-    def __init__(self, n_bits: int = 256, patch_size: int = 24,
-                 pattern_seed: int = 7) -> None:
-        if n_bits < 8:
-            raise VisionError("n_bits must be >= 8")
-        if patch_size < 8:
-            raise VisionError("patch_size must be >= 8")
-        self.n_bits = n_bits
-        self.patch_size = patch_size
-        rng = np.random.default_rng(pattern_seed)
+    n_bits = 256
+    patch_size = 24
+
+    def __init__(self) -> None:
+        n_bits, patch_size = self.n_bits, self.patch_size
+        rng = np.random.default_rng(7)
         scale = patch_size / 5.0
         self._offsets_a = np.clip(
             rng.normal(0, scale, size=(n_bits, 2)),
@@ -137,10 +136,9 @@ class BriefDescriptor:
         return kept, np.stack(rows)
 
 
-def match_descriptors(query: np.ndarray, train: np.ndarray,
-                      max_distance: int | None = None,
-                      ratio: float = 0.8) -> list[Match]:
-    """Hamming matching with Lowe's ratio test and cross-check.
+def match_descriptors(query: np.ndarray,
+                      train: np.ndarray) -> list[Match]:
+    """Hamming matching with Lowe's ratio test (0.8) and cross-check.
 
     ``query``/``train`` are bool arrays (N, bits)/(M, bits).
     """
@@ -159,11 +157,9 @@ def match_descriptors(query: np.ndarray, train: np.ndarray,
         order = np.argsort(row)
         ti = int(order[0])
         best = int(row[ti])
-        if max_distance is not None and best > max_distance:
-            continue
         if len(order) > 1:
             second = int(row[order[1]])
-            if second > 0 and best >= ratio * second:
+            if second > 0 and best >= 0.8 * second:
                 continue
         if int(best_train[ti]) != qi:  # cross-check
             continue

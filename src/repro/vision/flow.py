@@ -47,13 +47,14 @@ def _pyramid(image: np.ndarray, levels: int) -> list[np.ndarray]:
     return pyramid
 
 
-def track_points(prev: np.ndarray, curr: np.ndarray, points: np.ndarray,
-                 window: int = 9, levels: int = 3,
-                 iterations: int = 3) -> FlowResult:
-    """Pyramidal translational Lucas–Kanade for sparse points.
+def track_points(prev: np.ndarray, curr: np.ndarray,
+                 points: np.ndarray) -> FlowResult:
+    """Pyramidal translational Lucas–Kanade for sparse points: a 9 px
+    window, 3 pyramid levels, 3 iterations a level.
 
     ``points`` is (N, 2) in (x, y) pixel coordinates of ``prev``.
     """
+    window, levels, iterations = 9, 3, 3
     prev = np.asarray(prev, dtype=float)
     curr = np.asarray(curr, dtype=float)
     if prev.shape != curr.shape:
@@ -61,8 +62,6 @@ def track_points(prev: np.ndarray, curr: np.ndarray, points: np.ndarray,
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != 2:
         raise VisionError("points must be Nx2")
-    if window < 3 or window % 2 == 0:
-        raise VisionError("window must be odd and >= 3")
     half = window // 2
     prev_pyr = _pyramid(prev, levels)
     curr_pyr = _pyramid(curr, levels)
@@ -149,18 +148,18 @@ class HybridTracker:
     image-point) correspondences; each new frame flows them forward,
     refits the homography, and re-detects only when the surviving
     correspondence count falls below ``min_flow_points`` (or on the
-    first frame / after a loss).
+    first frame / after a loss, or every ``redetect_every`` frames).
     """
 
+    min_flow_points = 20
+    redetect_every = 30
+
     def __init__(self, target: PlanarTarget, intrinsics: CameraIntrinsics,
-                 rng: np.random.Generator, min_flow_points: int = 20,
-                 redetect_every: int = 30) -> None:
+                 rng: np.random.Generator) -> None:
         self.detector = PlanarTracker(target, intrinsics, rng)
         self.target = target
         self.intrinsics = intrinsics
         self._rng = rng
-        self.min_flow_points = min_flow_points
-        self.redetect_every = redetect_every
         self._prev_frame: np.ndarray | None = None
         self._prev_texture_pts: np.ndarray | None = None
         self._prev_image_pts: np.ndarray | None = None

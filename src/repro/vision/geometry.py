@@ -89,11 +89,10 @@ class RansacResult:
 
 def ransac_homography(src: np.ndarray, dst: np.ndarray,
                       rng: np.random.Generator,
-                      threshold: float = 3.0,
-                      max_iterations: int = 500,
-                      confidence: float = 0.995) -> RansacResult:
-    """RANSAC homography with adaptive iteration count and final
-    least-squares refit on the inliers."""
+                      threshold: float = 3.0) -> RansacResult:
+    """RANSAC homography with adaptive iteration count (at most 500, for
+    99.5 % confidence) and final least-squares refit on the inliers."""
+    max_iterations, confidence = 500, 0.995
     src = np.atleast_2d(np.asarray(src, dtype=float))
     dst = np.atleast_2d(np.asarray(dst, dtype=float))
     n = src.shape[0]

@@ -9,87 +9,70 @@ and mis-identification are measurable, not assumed away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..util.errors import VisionError
 from .geometry import apply_homography
 
-__all__ = ["MarkerSpec", "generate_marker", "decode_marker"]
+__all__ = ["generate_marker", "decode_marker"]
+
+#: data cells per side; each row holds ``GRID - 1`` payload bits and a
+#: parity bit
+GRID = 4
+CELL_PX = 16
+BORDER_CELLS = 1
+PAYLOAD_BITS = GRID * (GRID - 1)
+MAX_ID = (1 << PAYLOAD_BITS) - 1
+SIDE_PX = (GRID + 2 * BORDER_CELLS) * CELL_PX
 
 
-@dataclass(frozen=True)
-class MarkerSpec:
-    """Marker family parameters."""
-
-    grid: int = 4  # data cells per side (payload bits = grid*(grid-1))
-    cell_px: int = 16
-    border_cells: int = 1
-
-    @property
-    def payload_bits(self) -> int:
-        return self.grid * (self.grid - 1)
-
-    @property
-    def max_id(self) -> int:
-        return (1 << self.payload_bits) - 1
-
-    @property
-    def side_px(self) -> int:
-        return (self.grid + 2 * self.border_cells) * self.cell_px
-
-
-def _id_to_bits(marker_id: int, spec: MarkerSpec) -> np.ndarray:
-    """Bits as a grid x grid array; last column is per-row *odd* parity.
+def _id_to_bits(marker_id: int) -> np.ndarray:
+    """Bits as a GRID x GRID array; last column is per-row *odd* parity.
 
     Odd parity guarantees every row contains at least one white cell, so
     even marker id 0 has contrast against the black border.
     """
-    bits = np.zeros((spec.grid, spec.grid), dtype=bool)
-    payload = [(marker_id >> i) & 1 for i in range(spec.payload_bits)]
+    bits = np.zeros((GRID, GRID), dtype=bool)
+    payload = [(marker_id >> i) & 1 for i in range(PAYLOAD_BITS)]
     k = 0
-    for row in range(spec.grid):
-        for col in range(spec.grid - 1):
+    for row in range(GRID):
+        for col in range(GRID - 1):
             bits[row, col] = bool(payload[k])
             k += 1
-        bits[row, spec.grid - 1] = (
-            int(bits[row, :spec.grid - 1].sum()) % 2 == 0)
+        bits[row, GRID - 1] = int(bits[row, :GRID - 1].sum()) % 2 == 0
     return bits
 
 
-def _bits_to_id(bits: np.ndarray, spec: MarkerSpec) -> int | None:
+def _bits_to_id(bits: np.ndarray) -> int | None:
     """Decode; None when any row parity fails."""
     marker_id = 0
     k = 0
-    for row in range(spec.grid):
-        if int(bits[row, :spec.grid].sum()) % 2 != 1:  # odd parity
+    for row in range(GRID):
+        if int(bits[row, :GRID].sum()) % 2 != 1:  # odd parity
             return None
-        for col in range(spec.grid - 1):
+        for col in range(GRID - 1):
             if bits[row, col]:
                 marker_id |= 1 << k
             k += 1
     return marker_id
 
 
-def generate_marker(marker_id: int, spec: MarkerSpec = MarkerSpec(),
-                    ) -> np.ndarray:
+def generate_marker(marker_id: int) -> np.ndarray:
     """Render the marker texture (float image in [0, 1])."""
-    if not 0 <= marker_id <= spec.max_id:
+    if not 0 <= marker_id <= MAX_ID:
         raise VisionError(
-            f"marker id {marker_id} out of range [0, {spec.max_id}]")
-    bits = _id_to_bits(marker_id, spec)
-    side = spec.grid + 2 * spec.border_cells
+            f"marker id {marker_id} out of range [0, {MAX_ID}]")
+    bits = _id_to_bits(marker_id)
+    side = GRID + 2 * BORDER_CELLS
     cells = np.zeros((side, side), dtype=float)  # black border
-    for row in range(spec.grid):
-        for col in range(spec.grid):
-            cells[row + spec.border_cells, col + spec.border_cells] = (
+    for row in range(GRID):
+        for col in range(GRID):
+            cells[row + BORDER_CELLS, col + BORDER_CELLS] = (
                 1.0 if bits[row, col] else 0.0)
-    return np.kron(cells, np.ones((spec.cell_px, spec.cell_px)))
+    return np.kron(cells, np.ones((CELL_PX, CELL_PX)))
 
 
-def decode_marker(image: np.ndarray, homography: np.ndarray,
-                  spec: MarkerSpec = MarkerSpec()) -> int | None:
+def decode_marker(image: np.ndarray, homography: np.ndarray) -> int | None:
     """Decode a marker from ``image`` given the homography mapping marker
     texture pixel coords to image pixel coords.
 
@@ -115,20 +98,19 @@ def decode_marker(image: np.ndarray, homography: np.ndarray,
 
     # Cell centres in texture coordinates.
     centres = []
-    for row in range(spec.grid):
-        for col in range(spec.grid):
-            cx = (col + spec.border_cells + 0.5) * spec.cell_px
-            cy = (row + spec.border_cells + 0.5) * spec.cell_px
+    for row in range(GRID):
+        for col in range(GRID):
+            cx = (col + BORDER_CELLS + 0.5) * CELL_PX
+            cy = (row + BORDER_CELLS + 0.5) * CELL_PX
             centres.append((cx, cy))
     cell_values = sample_at(np.array(centres))
     if np.isnan(cell_values).any():
         return None
     # Border samples give the black reference.
-    border_pts = [(spec.cell_px * 0.5, spec.cell_px * 0.5),
-                  (spec.side_px - spec.cell_px * 0.5, spec.cell_px * 0.5),
-                  (spec.cell_px * 0.5, spec.side_px - spec.cell_px * 0.5),
-                  (spec.side_px - spec.cell_px * 0.5,
-                   spec.side_px - spec.cell_px * 0.5)]
+    border_pts = [(CELL_PX * 0.5, CELL_PX * 0.5),
+                  (SIDE_PX - CELL_PX * 0.5, CELL_PX * 0.5),
+                  (CELL_PX * 0.5, SIDE_PX - CELL_PX * 0.5),
+                  (SIDE_PX - CELL_PX * 0.5, SIDE_PX - CELL_PX * 0.5)]
     border_values = sample_at(np.array(border_pts))
     if np.isnan(border_values).any():
         return None
@@ -137,5 +119,5 @@ def decode_marker(image: np.ndarray, homography: np.ndarray,
     if white - black < 0.1:
         return None  # no contrast; not a marker view
     threshold = (black + white) / 2.0
-    bits = (cell_values > threshold).reshape(spec.grid, spec.grid)
-    return _bits_to_id(bits, spec)
+    bits = (cell_values > threshold).reshape(GRID, GRID)
+    return _bits_to_id(bits)

@@ -17,15 +17,14 @@ from .camera import CameraIntrinsics, Pose
 __all__ = ["make_texture", "render_plane", "PlanarTarget"]
 
 
-def make_texture(rng: np.random.Generator, size: int = 256,
-                 blobs: int = 60, checker: int = 8) -> np.ndarray:
-    """A feature-rich texture: checkerboard base + random dark blobs.
+def make_texture(rng: np.random.Generator) -> np.ndarray:
+    """A feature-rich 256 px texture: an 8 x 8 checkerboard base + 60
+    random dark blobs.
 
     Checker corners plus blob edges give the corner detector plenty of
     stable structure at many scales.
     """
-    if size < 32:
-        raise VisionError("texture size must be >= 32")
+    size, blobs, checker = 256, 60, 8
     ys, xs = np.mgrid[0:size, 0:size]
     cell = max(1, size // checker)
     texture = (((xs // cell) + (ys // cell)) % 2).astype(float) * 0.35 + 0.45
@@ -93,9 +92,9 @@ def _bilinear_sample(image: np.ndarray, u: np.ndarray, v: np.ndarray,
 
 def render_plane(target: PlanarTarget, intrinsics: CameraIntrinsics,
                  pose: Pose, rng: np.random.Generator | None = None,
-                 noise_sigma: float = 0.01, gain: float = 1.0,
-                 background: float = 0.5) -> np.ndarray:
-    """Render the target plane through the camera.
+                 noise_sigma: float = 0.01, gain: float = 1.0) -> np.ndarray:
+    """Render the target plane through the camera, over a mid-grey
+    background.
 
     ``gain`` models ambient-lighting variation (Section 2.1's rendering
     consideration); ``noise_sigma`` is additive sensor noise.
@@ -119,9 +118,8 @@ def render_plane(target: PlanarTarget, intrinsics: CameraIntrinsics,
     valid = (dir_z != 0) & (t > 0)
     points = center[None, :] + t[:, None] * dirs_world
     uv = target.world_to_texture(points[:, :2])
-    samples = _bilinear_sample(target.texture, uv[:, 0], uv[:, 1],
-                               fill=background)
-    samples[~valid] = background
+    samples = _bilinear_sample(target.texture, uv[:, 0], uv[:, 1], fill=0.5)
+    samples[~valid] = 0.5
     image = samples.reshape(h, w) * gain
     if rng is not None and noise_sigma > 0:
         image = image + rng.normal(0.0, noise_sigma, size=image.shape)

@@ -62,16 +62,15 @@ class _Reference:
 class PlanarTracker:
     """Detect-describe-match-RANSAC-pose tracker for one planar target."""
 
+    max_corners = 400
+    min_inliers = 12
+    ransac_threshold = 3.0
+
     def __init__(self, target: PlanarTarget, intrinsics: CameraIntrinsics,
-                 rng: np.random.Generator, max_corners: int = 400,
-                 min_inliers: int = 12, ransac_threshold: float = 3.0,
-                 ) -> None:
+                 rng: np.random.Generator) -> None:
         self.target = target
         self.intrinsics = intrinsics
         self._rng = rng
-        self.max_corners = max_corners
-        self.min_inliers = min_inliers
-        self.ransac_threshold = ransac_threshold
         self._descriptor = BriefDescriptor()
         self._reference = self._describe_reference()
         self.frames = 0
@@ -157,14 +156,16 @@ class PlanarTracker:
         self.history.append(track)
         return track
 
-    def registration_error_px(self, track: TrackResult, true_pose: Pose,
-                              grid: int = 5) -> float:
+    def registration_error_px(self, track: TrackResult,
+                              true_pose: Pose) -> float:
         """Mean pixel error of overlay registration vs ground truth.
 
-        Projects a grid of target points with the estimated and the true
-        pose; the mean distance is what a user would perceive as overlay
-        misalignment (Section 2.1's "perceive it as a real counterpart").
+        Projects a 5 x 5 grid of target points with the estimated and the
+        true pose; the mean distance is what a user would perceive as
+        overlay misalignment (Section 2.1's "perceive it as a real
+        counterpart").
         """
+        grid = 5
         xs = np.linspace(0, self.target.width_m, grid)
         ys = np.linspace(0, self.target.height_m, grid)
         gx, gy = np.meshgrid(xs, ys)

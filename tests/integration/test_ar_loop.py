@@ -29,7 +29,7 @@ INTR = CameraIntrinsics(fx=400, fy=400, cx=160, cy=120, width=320,
 class TestClosedArLoop:
     def _world(self, seed):
         rng = make_rng(seed)
-        target = PlanarTarget(make_texture(rng, size=256), 0.5, 0.5)
+        target = PlanarTarget(make_texture(rng), 0.5, 0.5)
         scene = SceneGraph()
         # Virtual content anchored at the target's centre and corners.
         anchors = {

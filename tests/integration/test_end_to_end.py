@@ -93,7 +93,7 @@ class TestVisionToOffloadFlow:
     def test_tracked_frames_price_offload(self):
         rng = make_rng(12)
         pipeline = ARBigDataPipeline(PipelineConfig(seed=12))
-        target = PlanarTarget(make_texture(rng, size=256), 0.5, 0.5)
+        target = PlanarTarget(make_texture(rng), 0.5, 0.5)
         tracker = PlanarTracker(target, INTR, rng)
         for i in range(3):
             pose = look_at(eye=[0.2 + 0.02 * i, 0.25, -0.8],

@@ -30,6 +30,7 @@ from repro.chaos import (
     reference_job,
 )
 from repro.streaming import Autoscaler, SchedulePolicy, Supervisor
+from tests.chaos_plans import random_plan
 
 MODES = (False, True)  # batch_mode: the per-item oracle, then batched
 SOURCE_BATCH = 32
@@ -37,7 +38,7 @@ N_EVENTS = 400
 
 
 def _build(seed=7, n=N_EVENTS):
-    return reference_job(reference_events(seed=seed, n=n, keys=4),
+    return reference_job(reference_events(seed=seed, n=n),
                          splits=4)
 
 
@@ -150,7 +151,7 @@ class TestParallelismTransitions:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_rescale_crash_schedules(self, seed):
-        plan = FaultPlan.random(
+        plan = random_plan(
             seed + 1500, horizon=60, operators=("window_sum", "double"),
             crashes=1, torn_appends=0, unavailable_windows=0,
             duplicate_deliveries=0, task_timeouts=0, rescale_crashes=2,

@@ -54,6 +54,7 @@ from repro.streaming import (
 from repro.streaming.connectors import log_source
 from repro.streaming.txn_sink import TransactionalLogSink
 from repro.util.clock import SimClock
+from tests.chaos_plans import random_plan
 
 MODES = (False, True)  # batch_mode: the per-item oracle, then batched
 SOURCE_BATCH = 16
@@ -96,7 +97,7 @@ def _random_crashes(seed, horizon, crashes, **kwargs):
     else, unless ``kwargs`` turns another fault class on."""
     quiet = dict(torn_appends=0, unavailable_windows=0,
                  duplicate_deliveries=0, task_timeouts=0)
-    return FaultPlan.random(
+    return random_plan(
         seed, horizon=horizon, operators=reference_operator_names(),
         crashes=crashes, **{**quiet, **kwargs})
 
@@ -354,14 +355,21 @@ class TestRegionalRecoverySweeps:
         assert report.replayed_total < report.replayed_full_equiv
 
 
-SHED = ShedPolicy(trigger_wait_s=0.0, release_wait_s=0.0, keep=2, mod=3)
+class _TwoOfThree(ShedPolicy):
+    """The shed tier admitting 2 of every 3 elements (the library's
+    policy admits 1 of 2), so a ratio other than a half is covered."""
+
+    keep, mod = 2, 3
+
+
+SHED = _TwoOfThree(trigger_wait_s=0.0, release_wait_s=0.0)
 
 
 def _shed_run(plan, *, seed=7, n=400, schedule=None, **kwargs):
     """A coordinated run with always-on deterministic shedding (the
     trigger threshold of zero activates the tier from element zero, so
     the golden and the chaos run shed the identical subset)."""
-    events = reference_events(seed=seed, n=n, keys=4)
+    events = reference_events(seed=seed, n=n)
     injector = FaultInjector(plan) if plan is not None else None
     supervisor = Supervisor(
         reference_job(events, splits=4),
@@ -378,7 +386,7 @@ class TestShedExactlyOnceSmoke:
         # passthrough job: every admitted element reaches the sink, so
         # committed + shed must partition the input exactly, and the
         # shed set never leaks into the transactional sink
-        events = reference_events(seed=5, n=300, keys=4)
+        events = reference_events(seed=5, n=300)
         total = len(events)
         builder = JobBuilder("shed-passthrough")
         (builder.source("events", events, splits=4)

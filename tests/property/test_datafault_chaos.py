@@ -47,6 +47,7 @@ from repro.streaming import (
 )
 from repro.streaming import supervisor as supervisor_module
 from repro.util.errors import ChaosError, RestartsExhausted
+from tests.chaos_plans import random_plan
 
 pytestmark = pytest.mark.datafault
 
@@ -74,11 +75,11 @@ def random_data_plan(seed, *, crashes=0, coordinator_crashes=0,
                      checkpoint_corruptions=0, name="datafault"):
     """A seeded mix of data faults on guarded operators plus optional
     infrastructure faults on the whole reference plan."""
-    data = FaultPlan.random(
+    data = random_plan(
         seed, horizon=150, operators=GUARDED, crashes=0,
         torn_appends=0, unavailable_windows=0, duplicate_deliveries=0,
         task_timeouts=0, data_faults=3, name=f"{name}-data")
-    infra = FaultPlan.random(
+    infra = random_plan(
         seed + 1, horizon=150,
         operators=("double", "window_sum", "by_key"),
         crashes=crashes, torn_appends=0, unavailable_windows=0,

@@ -36,7 +36,11 @@ from repro.render import (
     SceneGraph,
     SceneNode,
 )
-from repro.render.compositor import _project_rows
+from repro.render.compositor import (
+    LABEL_COST_MS,
+    XRAY_SURCHARGE_MS,
+    _project_rows,
+)
 from repro.render.layout import _CANDIDATE_OFFSETS
 from repro.vision import CameraIntrinsics, Pose
 
@@ -152,9 +156,9 @@ def reference_compose(compositor, scene, pose):
         rows.sort(key=lambda r: (-r[0].priority, r[0].annotation_id))
         cost, kept = 0.0, []
         for row in rows:
-            item_cost = budget.cost_per_label_ms
+            item_cost = LABEL_COST_MS
             if row[4] and xray:
-                item_cost += budget.xray_surcharge_ms
+                item_cost += XRAY_SURCHARGE_MS
             if cost + item_cost > budget.budget_ms:
                 shed += 1
                 continue

@@ -75,7 +75,7 @@ class TestSketchProperties:
                     max_size=200))
     @settings(max_examples=30)
     def test_cms_never_underestimates(self, items):
-        cms = CountMinSketch(epsilon=0.01, delta=0.05)
+        cms = CountMinSketch(epsilon=0.01)
         truth = {}
         for item in items:
             cms.add(item)
@@ -87,7 +87,7 @@ class TestSketchProperties:
                    max_size=500))
     @settings(max_examples=20)
     def test_hll_monotone_in_set_size(self, items):
-        hll = HyperLogLog(precision=12)
+        hll = HyperLogLog()
         previous = 0.0
         for i, item in enumerate(sorted(items)):
             hll.add(item)
@@ -133,7 +133,7 @@ class TestGeoProperties:
                      st.floats(min_value=1, max_value=60)))
     @settings(max_examples=40)
     def test_quadtree_radius_query_equals_bruteforce(self, points, query):
-        tree = QuadTree(Rect(0, 0, 100, 100), bucket_size=4)
+        tree = QuadTree(Rect(0, 0, 100, 100))
         sps = [SpatialPoint(x, y, payload=i)
                for i, (x, y) in enumerate(points)]
         for sp in sps:

@@ -13,7 +13,7 @@ from repro.simnet import LinkSpec, NodeSpec, Topology
 from repro.util.errors import PrivacyError
 from repro.util.geometry import Rect
 from repro.util.rng import make_rng
-from repro.vision.markers import MarkerSpec, decode_marker, generate_marker
+from repro.vision.markers import MAX_ID, decode_marker, generate_marker
 
 SCREEN = Rect(0, 0, 640, 480)
 
@@ -154,12 +154,11 @@ class TestPrivacyProperties:
 
 
 class TestMarkerProperty:
-    @given(st.integers(min_value=0, max_value=MarkerSpec().max_id))
+    @given(st.integers(min_value=0, max_value=MAX_ID))
     @settings(max_examples=60)
     def test_every_id_roundtrips(self, marker_id):
-        spec = MarkerSpec()
-        texture = generate_marker(marker_id, spec)
-        assert decode_marker(texture, np.eye(3), spec) == marker_id
+        texture = generate_marker(marker_id)
+        assert decode_marker(texture, np.eye(3)) == marker_id
 
 
 class TestArmlProperty:

@@ -30,6 +30,7 @@ from repro.chaos import (
 from repro.eventlog import LogCluster, Producer, TopicConfig
 from repro.store import TieredStore, canonical_contents, serve_topic
 from repro.util.rng import make_rng
+from tests.chaos_plans import random_plan
 
 pytestmark = pytest.mark.store
 
@@ -118,7 +119,7 @@ class TestRandomSweep:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_schedules_converge(self, seed):
         golden, _, _ = _run(None, 2)
-        plan = FaultPlan.random(
+        plan = random_plan(
             seed, horizon=6, operators=("key_by",),
             crashes=1, torn_appends=0, unavailable_windows=0,
             duplicate_deliveries=0, task_timeouts=0,

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analytics import HeavyHitters
-from repro.privacy import (
-    BudgetAccountant,
-    exponential_mechanism,
-    private_top_k,
-)
-from repro.util.errors import BudgetExhausted, ConfigError, PrivacyError
+from repro.privacy import exponential_mechanism, private_top_k
+from repro.util.errors import ConfigError, PrivacyError
 from repro.util.rng import make_rng
 
 
@@ -82,14 +78,6 @@ class TestExponentialMechanism:
                  for _ in range(1000)]
         share = picks.count("a") / 1000
         assert 0.4 < share < 0.6
-
-    def test_charges_accountant(self):
-        rng = make_rng(3)
-        accountant = BudgetAccountant(epsilon=0.15)
-        exponential_mechanism({"a": 1.0}, 0.1, rng, accountant=accountant)
-        with pytest.raises(BudgetExhausted):
-            exponential_mechanism({"a": 1.0}, 0.1, rng,
-                                  accountant=accountant)
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(PrivacyError):

@@ -1,9 +1,8 @@
-"""Unit tests: recommenders, context ranker, anomaly, correlation."""
+"""Unit tests: recommenders, anomaly, correlation."""
 
 import pytest
 
 from repro.analytics import (
-    ContextRanker,
     EwmaDetector,
     Interaction,
     ItemCFRecommender,
@@ -34,13 +33,6 @@ class TestPopularityRecommender:
         _feed(rec, [("u1", "a"), ("u2", "a"), ("u1", "b")])
         items = [i for i, _s in rec.recommend("u1", k=5)]
         assert "a" not in items and "b" not in items
-
-    def test_include_seen_flag(self):
-        rec = PopularityRecommender()
-        _feed(rec, [("u1", "a")])
-        items = [i for i, _s in rec.recommend("u1", k=5,
-                                              exclude_seen=False)]
-        assert items == ["a"]
 
 
 class TestItemCF:
@@ -87,27 +79,6 @@ class TestItemCF:
         assert rec.recommend("stranger", k=5) == []
 
 
-class TestContextRanker:
-    def test_proximity_boosts_near_items(self):
-        ranker = ContextRanker(proximity_scale=10.0)
-        candidates = [("far", 1.0), ("near", 1.0)]
-        ranked = ranker.rank("u", candidates,
-                             distances={"far": 100.0, "near": 1.0})
-        assert ranked[0][0] == "near"
-
-    def test_gaze_boost_decays(self):
-        ranker = ContextRanker(recency_tau=10.0)
-        ranker.observe_gaze("u", "seen", timestamp=0.0)
-        early = ranker.rank("u", [("seen", 1.0), ("other", 1.0)], now=1.0)
-        late = ranker.rank("u", [("seen", 1.0), ("other", 1.0)], now=1000.0)
-        assert early[0][0] == "seen"
-        assert late[0][1] == pytest.approx(late[1][1], abs=1e-3)
-
-    def test_k_truncates(self):
-        ranker = ContextRanker()
-        assert len(ranker.rank("u", [("a", 1.0), ("b", 2.0)], k=1)) == 1
-
-
 class TestMetricsHelpers:
     def test_precision_at_k(self):
         assert precision_at_k(["a", "b", "c"], {"a", "c"}, 2) == 0.5
@@ -124,7 +95,7 @@ class TestMetricsHelpers:
 
 class TestEwmaDetector:
     def test_flags_large_jump_after_warmup(self):
-        detector = EwmaDetector(alpha=0.1, threshold=4.0, warmup=10)
+        detector = EwmaDetector(threshold=4.0, warmup=10)
         rng = make_rng(0)
         for i in range(100):
             detector.add(10.0 + float(rng.normal(0, 0.5)), timestamp=i)
@@ -139,15 +110,11 @@ class TestEwmaDetector:
         assert detector.alarms == []
 
     def test_stable_signal_no_alarms(self):
-        detector = EwmaDetector(alpha=0.05, threshold=4.0, warmup=10)
+        detector = EwmaDetector(threshold=4.0, warmup=10)
         rng = make_rng(1)
         for i in range(500):
             detector.add(float(rng.normal(5, 1)), timestamp=i)
         assert len(detector.alarms) <= 3  # ~4-sigma false-alarm budget
-
-    def test_bad_alpha_rejected(self):
-        with pytest.raises(ConfigError):
-            EwmaDetector(alpha=0.0)
 
 
 class TestThresholdDetector:

@@ -19,7 +19,7 @@ from repro.util.rng import make_rng
 
 class TestCountMinSketch:
     def test_never_underestimates(self):
-        cms = CountMinSketch(epsilon=0.01, delta=0.01)
+        cms = CountMinSketch(epsilon=0.01)
         truth = {}
         rng = make_rng(0)
         for _ in range(2000):
@@ -30,7 +30,7 @@ class TestCountMinSketch:
             assert cms.estimate(key) >= count
 
     def test_error_bound_roughly_holds(self):
-        cms = CountMinSketch(epsilon=0.005, delta=0.01)
+        cms = CountMinSketch(epsilon=0.005)
         rng = make_rng(1)
         for _ in range(5000):
             cms.add(f"k{int(rng.integers(0, 50))}")
@@ -44,8 +44,8 @@ class TestCountMinSketch:
         assert cms.estimate("x") >= 7
 
     def test_merge(self):
-        a = CountMinSketch(epsilon=0.01, delta=0.1)
-        b = CountMinSketch(epsilon=0.01, delta=0.1)
+        a = CountMinSketch(epsilon=0.01)
+        b = CountMinSketch(epsilon=0.01)
         a.add("x", 3)
         b.add("x", 4)
         a.merge(b)
@@ -62,7 +62,7 @@ class TestCountMinSketch:
 
 class TestHyperLogLog:
     def test_estimates_within_error(self):
-        hll = HyperLogLog(precision=12)
+        hll = HyperLogLog()
         n = 50_000
         for i in range(n):
             hll.add(f"item-{i}")
@@ -70,7 +70,7 @@ class TestHyperLogLog:
         assert rel_error < 0.05  # ~3 sigma for p=12
 
     def test_small_cardinality_linear_counting(self):
-        hll = HyperLogLog(precision=10)
+        hll = HyperLogLog()
         for i in range(10):
             hll.add(f"x{i}")
         assert abs(hll.estimate() - 10) < 2
@@ -82,17 +82,13 @@ class TestHyperLogLog:
         assert hll.estimate() < 3
 
     def test_merge_unions(self):
-        a = HyperLogLog(precision=12)
-        b = HyperLogLog(precision=12)
+        a = HyperLogLog()
+        b = HyperLogLog()
         for i in range(10000):
             a.add(f"a-{i}")
             b.add(f"b-{i}")
         a.merge(b)
         assert abs(a.estimate() - 20000) / 20000 < 0.05
-
-    def test_bad_precision_rejected(self):
-        with pytest.raises(ConfigError):
-            HyperLogLog(precision=3)
 
 
 class TestP2Quantile:
@@ -211,30 +207,13 @@ class TestBatchKernels:
     KEYS = [f"user-{i % 37}-{i}" for i in range(500)] + ["", "x", "x"]
 
     def test_cms_add_many_matches_loop(self):
-        loop = CountMinSketch(epsilon=0.01, delta=0.01)
-        batch = CountMinSketch(epsilon=0.01, delta=0.01)
+        loop = CountMinSketch(epsilon=0.01)
+        batch = CountMinSketch(epsilon=0.01)
         for k in self.KEYS:
             loop.add(k)
         batch.add_many(self.KEYS)
         assert (loop._table == batch._table).all()
         assert loop.total == batch.total
-
-    def test_cms_add_many_with_counts(self):
-        loop = CountMinSketch(epsilon=0.01, delta=0.01)
-        batch = CountMinSketch(epsilon=0.01, delta=0.01)
-        counts = [(i % 5) for i in range(len(self.KEYS))]
-        for k, c in zip(self.KEYS, counts):
-            loop.add(k, c)
-        batch.add_many(self.KEYS, counts)
-        assert (loop._table == batch._table).all()
-        assert loop.total == batch.total
-
-    def test_cms_add_many_validates_counts(self):
-        cms = CountMinSketch()
-        with pytest.raises(ConfigError):
-            cms.add_many(["a", "b"], [1])
-        with pytest.raises(ConfigError):
-            cms.add_many(["a", "b"], [1, -1])
 
     def test_cms_add_many_empty_is_noop(self):
         cms = CountMinSketch()
@@ -242,7 +221,7 @@ class TestBatchKernels:
         assert cms.total == 0
 
     def test_hll_add_many_matches_loop(self):
-        loop, batch = HyperLogLog(10), HyperLogLog(10)
+        loop, batch = HyperLogLog(), HyperLogLog()
         for k in self.KEYS:
             loop.add(k)
         batch.add_many(self.KEYS)
@@ -252,8 +231,8 @@ class TestBatchKernels:
     def test_hll_add_many_incremental_merge(self):
         # Splitting the stream across add_many calls lands on the same
         # registers as one call (register updates are max-commutative).
-        one = HyperLogLog(10)
-        split = HyperLogLog(10)
+        one = HyperLogLog()
+        split = HyperLogLog()
         one.add_many(self.KEYS)
         split.add_many(self.KEYS[:100])
         split.add_many(self.KEYS[100:])

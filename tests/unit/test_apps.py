@@ -44,7 +44,7 @@ class TestRetailApp:
 
     def test_cf_beats_popularity(self):
         app, rng = self._app()
-        evaluation = app.evaluate(rng, k=5, max_users=20)
+        evaluation = app.evaluate(rng, max_users=20)
         assert evaluation.cf_precision > evaluation.popularity_precision
         assert evaluation.uplift > 0.0
 
@@ -60,9 +60,8 @@ class TestRetailApp:
         b = app.recommend("s-0001", k=5, personalized=False)
         # Identical except for seen-item exclusion; compare scores pool.
         assert {i for i, _ in a} <= {i for i, _ in
-                                     app.popularity.recommend("s-0001",
-                                                              k=100,
-                                                              exclude_seen=False)}
+                                     app.popularity.recommend("nobody",
+                                                              k=100)}
         assert len(a) == len(b) == 5
 
     def test_gaze_boosts_looked_at_neighbourhood(self):
@@ -94,7 +93,7 @@ class TestRetailApp:
 
     def test_publish_recommendations_binds(self):
         app, _rng = self._app()
-        bound = app.publish_recommendations("s-0000", k=5)
+        bound = app.publish_recommendations("s-0000")
         assert bound == 5
 
 
@@ -247,12 +246,12 @@ class TestPublicServicesApp:
     def test_threats_during_slowdown(self):
         rng = make_rng(3)
         app = PublicServicesApp(_pipeline(3))
-        sim = RingRoadSim(rng, num_vehicles=30, ring_length_m=1500.0)
+        sim = RingRoadSim(rng, ring_length_m=1500.0)
         sim.force_slowdown(5, start_s=5.0, end_s=100.0, speed_mps=0.3)
         warned_ever = False
         min_ttc = float("inf")
         for _ in range(40):  # sample while the shock wave forms
-            sim.step(0.5)
+            sim.step()
             threats = app.assess_threats(sim)
             warned_ever = warned_ever or any(t.warning for t in threats)
             min_ttc = min(min_ttc, min(t.ttc_s for t in threats))
@@ -262,10 +261,10 @@ class TestPublicServicesApp:
     def test_blind_spot_warnings_use_xray(self):
         rng = make_rng(4)
         app = PublicServicesApp(_pipeline(4))
-        sim = RingRoadSim(rng, num_vehicles=30, ring_length_m=1500.0)
+        sim = RingRoadSim(rng, ring_length_m=1500.0)
         sim.force_slowdown(5, start_s=5.0, end_s=100.0, speed_mps=0.2)
         for _ in range(60):
-            sim.step(0.5)
+            sim.step()
         warned = app.blind_spot_warnings(sim, lookahead=3)
         assert len(warned) >= 1
 

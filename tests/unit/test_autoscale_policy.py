@@ -33,9 +33,8 @@ def sig(op="win", p=2, u=0.65, eval_index=0):
 
 
 class TestUtilizationTargetPolicy:
-    POLICY = UtilizationTargetPolicy(target=0.65, high=0.85, low=0.35,
-                                     min_parallelism=1, max_parallelism=8,
-                                     cooldown=2)
+    #: target 0.65 in the band [0.35, 0.85], widths 1..8, cooldown 2
+    POLICY = UtilizationTargetPolicy(max_parallelism=8)
 
     # (parallelism, utilization, evals_since_change) -> expected target
     TABLE = [
@@ -78,15 +77,11 @@ class TestUtilizationTargetPolicy:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            UtilizationTargetPolicy(low=0.7, target=0.65)  # low > target
+            UtilizationTargetPolicy(max_parallelism=0)
+
+    def test_nan_max_parallelism_is_refused(self):
         with pytest.raises(ConfigError):
-            UtilizationTargetPolicy(high=0.5)  # high < target
-        with pytest.raises(ConfigError):
-            UtilizationTargetPolicy(min_parallelism=0)
-        with pytest.raises(ConfigError):
-            UtilizationTargetPolicy(min_parallelism=4, max_parallelism=2)
-        with pytest.raises(ConfigError):
-            UtilizationTargetPolicy(cooldown=-1)
+            UtilizationTargetPolicy(max_parallelism=float("nan"))
 
 
 class TestSchedulePolicy:
@@ -110,10 +105,14 @@ class TestShedPolicyValidation:
     def test_hysteresis_and_ratio(self):
         with pytest.raises(ConfigError):
             ShedPolicy(trigger_wait_s=1.0, release_wait_s=2.0)
+        policy = ShedPolicy(trigger_wait_s=2.0, release_wait_s=1.0)
+        assert (policy.keep, policy.mod) == (1, 2)
+
+    @pytest.mark.parametrize("trigger,release", [(float("nan"), 2.0),
+                                                 (2.0, float("nan"))])
+    def test_nan_wait_is_refused(self, trigger, release):
         with pytest.raises(ConfigError):
-            ShedPolicy(trigger_wait_s=2.0, release_wait_s=1.0, keep=3,
-                       mod=2)
-        ShedPolicy(trigger_wait_s=2.0, release_wait_s=1.0, keep=1, mod=2)
+            ShedPolicy(trigger_wait_s=trigger, release_wait_s=release)
 
 
 class TestAutoscalerBookkeeping:
@@ -149,7 +148,8 @@ class TestAutoscalerBookkeeping:
 
     def test_cooldown_resets_on_change_and_first_decision_allowed(self):
         registry = MetricsRegistry()
-        policy = UtilizationTargetPolicy(cooldown=2)
+        policy = UtilizationTargetPolicy()
+        assert policy.cooldown == 2
         scaler = self._scaler(policy)
         self._collect(scaler, registry, processed=0.0)
         # saturated: first evaluation may act (counter seeded to cooldown)
@@ -167,9 +167,9 @@ class TestSupervisorSmoke:
     """Tier-1 happy path: one live rescale, output equal to golden."""
 
     def test_scheduled_rescale_preserves_output(self):
-        events = reference_events(seed=7, n=300, keys=4)
+        events = reference_events(seed=7, n=300)
         golden = canonical_sinks(fault_free_sinks(
-            lambda: reference_job(reference_events(seed=7, n=300, keys=4),
+            lambda: reference_job(reference_events(seed=7, n=300),
                                   splits=4),
             batch_mode=True, parallelism=1,
             source_batch=32))
@@ -188,7 +188,7 @@ class TestSupervisorSmoke:
 
     def test_deterministic_trajectory(self):
         def once():
-            events = reference_events(seed=9, n=300, keys=4)
+            events = reference_events(seed=9, n=300)
             supervisor = Supervisor(
                 reference_job(events, splits=4),
                 controllers=[Autoscaler(
@@ -210,7 +210,7 @@ class TestGaugeRetirementOnRescale:
     """
 
     def test_scale_down_then_snapshot_has_no_ghost_subtasks(self):
-        events = reference_events(seed=7, n=300, keys=4)
+        events = reference_events(seed=7, n=300)
         supervisor = Supervisor(
             reference_job(events, splits=4),
             controllers=[Autoscaler(SchedulePolicy({1: {"window_sum": 1}}))],
@@ -224,7 +224,7 @@ class TestGaugeRetirementOnRescale:
             f"ghost subtask gauges survived the rescale: {sorted(snap)}"
 
     def test_scale_up_retires_nothing(self):
-        events = reference_events(seed=7, n=300, keys=4)
+        events = reference_events(seed=7, n=300)
         supervisor = Supervisor(
             reference_job(events, splits=4),
             controllers=[Autoscaler(SchedulePolicy({1: {"window_sum": 2}}))],

@@ -14,6 +14,7 @@ from repro.chaos import (
 from repro.streaming.element import Element
 from repro.streaming.operators import MapOperator
 from repro.util.errors import ChaosError, OperatorCrash, TaskTimeout
+from tests.chaos_plans import random_plan
 
 
 class TestFaultSpec:
@@ -51,16 +52,16 @@ class TestFaultPlanRandom:
         kwargs = dict(horizon=100, operators=("a", "b"),
                       tiers=("edge", "cloud"), brokers=(0, 1),
                       crashes=3, broker_outages=1, tier_dropouts=1)
-        assert (FaultPlan.random(7, **kwargs).specs
-                == FaultPlan.random(7, **kwargs).specs)
+        assert (random_plan(7, **kwargs).specs
+                == random_plan(7, **kwargs).specs)
 
     def test_different_seed_different_plan(self):
         kwargs = dict(horizon=100, operators=("a", "b"), crashes=3)
-        assert (FaultPlan.random(1, **kwargs).specs
-                != FaultPlan.random(2, **kwargs).specs)
+        assert (random_plan(1, **kwargs).specs
+                != random_plan(2, **kwargs).specs)
 
     def test_empty_pools_skip_categories(self):
-        plan = FaultPlan.random(0, horizon=50, crashes=5, broker_outages=5,
+        plan = random_plan(0, horizon=50, crashes=5, broker_outages=5,
                                 tier_dropouts=5)
         kinds = {s.kind for s in plan.specs}
         assert "operator_crash" not in kinds  # no operators given
@@ -69,12 +70,12 @@ class TestFaultPlanRandom:
         assert "torn_append" in kinds
 
     def test_horizon_bounds_every_at(self):
-        plan = FaultPlan.random(9, horizon=30, operators=("x",), crashes=4)
+        plan = random_plan(9, horizon=30, operators=("x",), crashes=4)
         assert all(0 <= s.at < 30 for s in plan.specs)
 
     def test_bad_horizon(self):
         with pytest.raises(ChaosError):
-            FaultPlan.random(0, horizon=0)
+            random_plan(0, horizon=0)
 
 
 def _op(name="m"):

@@ -71,10 +71,6 @@ def test_policy_validation():
         ErrorPolicy("retry")  # needs attempts >= 1
     with pytest.raises(ConfigError):
         ErrorPolicy("skip", attempts=2)
-    with pytest.raises(ConfigError):
-        ErrorPolicy("retry", attempts=2, escalate="retry")
-    assert ErrorPolicy("retry", attempts=2,
-                       escalate="dead_letter").can_dead_letter
     assert not RETRY(2).can_dead_letter
     assert DEAD_LETTER.can_dead_letter
     assert not SKIP.can_dead_letter and not FAIL.can_dead_letter
@@ -149,14 +145,13 @@ def test_retry_escalates_after_attempts(batch_mode, fused):
             raise ValueError("always")
         return v
 
-    job = build(ErrorPolicy("retry", attempts=2, escalate="dead_letter"),
-                n=10, fused=fused, fn=flaky)
-    sinks = ParallelExecutor(job, batch_mode=batch_mode).run()
-    # Per-item: first try + 2 retries.  Batch mode adds one more call:
-    # the failed vectorized pass, rolled back before per-item replay.
+    job = build(RETRY(2), n=10, fused=fused, fn=flaky)
+    with pytest.raises(ValueError):
+        ParallelExecutor(job, batch_mode=batch_mode).run()
+    # Per-item: first try + 2 retries, then fail.  Batch mode adds one
+    # more call: the failed vectorized pass, rolled back before per-item
+    # replay.
     assert calls[5] == (4 if batch_mode else 3)
-    [letter] = sinks[DLQ_SINK].values
-    assert letter.value["i"] == 5 and letter.attempts == 2
 
 
 @pytest.mark.parametrize("parallelism", [1, 2, 4])

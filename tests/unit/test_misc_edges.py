@@ -18,8 +18,7 @@ from repro.streaming import (
     TumblingWindows,
 )
 from repro.util.rng import RngRegistry
-from repro.vision import CameraIntrinsics, MarkerSpec, decode_marker, \
-    generate_marker, look_at
+from repro.vision import CameraIntrinsics, look_at
 
 
 class TestRngRegistry:
@@ -134,13 +133,3 @@ class TestOffloadEdges:
             TaskStage("b", 1e6, 100, pinned="device")))
         cuts = pipeline.valid_cuts()
         assert all(pipeline.remote_cycles(c) == 0 for c in cuts)
-
-
-class TestMarkerSpecVariants:
-    def test_larger_grid_roundtrip(self):
-        spec = MarkerSpec(grid=5, cell_px=12)
-        assert spec.payload_bits == 20
-        for marker_id in (0, 12345, spec.max_id):
-            texture = generate_marker(marker_id, spec)
-            assert texture.shape == (spec.side_px, spec.side_px)
-            assert decode_marker(texture, np.eye(3), spec) == marker_id

@@ -3,18 +3,11 @@
 import pytest
 
 from repro.chaos import SITE_OFFLOAD, FaultInjector, FaultPlan, FaultSpec
-from repro.offload import (
-    AlwaysRemote,
-    GreedyLatency,
-    OffloadPlanner,
-    OffloadRunner,
-    vision_pipeline,
-)
+from repro.offload import OffloadPlanner, OffloadRunner, vision_pipeline
 from repro.offload.tasks import StageProfile
 from repro.simnet.network import LINK_PRESETS
 from repro.simnet.topology import NodeSpec, Topology
 from repro.util.clock import SimClock
-from repro.util.errors import OffloadError
 from repro.util.rng import RngRegistry
 
 
@@ -81,37 +74,19 @@ class TestOffloadRunner:
         assert all(a.tier != "edge" for a in result.attempts[1:])
         assert result.attempts[-1].ok
 
-    def test_deadline_prices_slow_plans_as_timeouts(self):
-        # 1 microsecond: no remote plan can land in time.
-        runner = OffloadRunner(_planner(), deadline_s=1e-6,
-                               clock=SimClock())
-        result = runner.execute(_pipeline())
-        assert result.tier == "device"
-        assert result.degraded
-        assert result.timeouts > 0
-
     def test_breaker_opens_after_repeated_failures(self):
         injector = _injector(
             FaultSpec("task_timeout", SITE_OFFLOAD, at=0, count=1000,
                       target="edge"))
+        # the breaker opens after 3 failures and stays open for 30 s
         runner = OffloadRunner(_planner(), injector=injector,
-                               clock=SimClock(), failure_threshold=3,
-                               reset_timeout_s=1e9)
+                               clock=SimClock())
         for _ in range(3):
             runner.execute(_pipeline())
         assert runner.breaker("edge").state == "open"
         # With edge's breaker open it is not even attempted any more.
         result = runner.execute(_pipeline())
         assert all(a.tier != "edge" for a in result.attempts)
-
-    def test_fixed_policy_on_dead_tier_degrades(self):
-        planner = _planner()
-        planner.topology.node("edge").up = False
-        runner = OffloadRunner(planner, policy=AlwaysRemote("edge"),
-                               clock=SimClock())
-        result = runner.execute(_pipeline())
-        assert result.tier == "device"
-        assert not result.degraded  # no failed attempts, just no tier
 
     def test_clock_advances_by_execution_time(self):
         clock = SimClock()
@@ -133,15 +108,3 @@ class TestOffloadRunner:
             return attempts, injector.trace_tuples()
 
         assert run() == run()
-
-    def test_validation(self):
-        with pytest.raises(OffloadError):
-            OffloadRunner(_planner(), deadline_s=0.0)
-        with pytest.raises(OffloadError):
-            OffloadRunner(_planner(), max_attempts_per_tier=0)
-
-    def test_policy_tiers_restored_after_execute(self):
-        policy = GreedyLatency(tiers=["cloud"])
-        runner = OffloadRunner(_planner(), policy=policy, clock=SimClock())
-        runner.execute(_pipeline())
-        assert policy.tiers == ["cloud"]

@@ -4,7 +4,13 @@ import pytest
 
 from repro.util.clock import SimClock
 from repro.util.errors import CircuitOpen, ConfigError, RetryExhausted
-from repro.util.retry import CircuitBreaker, Retrier, RetryPolicy
+from repro.util.retry import (
+    MAX_ATTEMPTS,
+    CircuitBreaker,
+    Retrier,
+    RetryPolicy,
+)
+from repro.util.rng import make_rng
 
 
 class Flaky:
@@ -25,34 +31,37 @@ class Flaky:
 class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ConfigError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ConfigError):
-            RetryPolicy(jitter=1.0)
-        with pytest.raises(ConfigError):
             RetryPolicy(base_delay_s=-1.0)
         with pytest.raises(ConfigError):
-            RetryPolicy(deadline_s=-0.1)
+            RetryPolicy(max_delay_s=-1.0)
+
+    @pytest.mark.parametrize("field", ["base_delay_s", "max_delay_s"])
+    def test_nan_delay_is_refused(self, field):
+        with pytest.raises(ConfigError):
+            RetryPolicy(**{field: float("nan")})
 
     def test_delays_grow_exponentially_up_to_cap(self):
-        policy = RetryPolicy(max_attempts=5, base_delay_s=1.0,
-                             multiplier=2.0, max_delay_s=5.0, jitter=0.0)
-        assert policy.delays() == [1.0, 2.0, 4.0, 5.0]
+        policy = RetryPolicy(base_delay_s=1.0, max_delay_s=5.0)
+        rng = make_rng(0)
+        delays = [policy.delay(i, rng) for i in range(1, 5)]
+        for delay, raw in zip(delays, [1.0, 2.0, 4.0, 5.0]):
+            assert raw * 0.9 <= delay <= raw * 1.1
 
     def test_jitter_is_seeded_and_deterministic(self):
-        a = RetryPolicy(max_attempts=7, jitter=0.3, seed=42).delays()
-        b = RetryPolicy(max_attempts=7, jitter=0.3, seed=42).delays()
-        c = RetryPolicy(max_attempts=7, jitter=0.3, seed=43).delays()
-        assert a == b
-        assert a != c
+        policy = RetryPolicy()
+
+        def delays(seed):
+            rng = make_rng(seed)
+            return [policy.delay(i, rng) for i in range(1, 7)]
+
+        assert delays(42) == delays(42)
+        assert delays(42) != delays(43)
 
     def test_jitter_stays_within_band(self):
-        policy = RetryPolicy(max_attempts=51, base_delay_s=1.0,
-                             multiplier=1.0, max_delay_s=1.0, jitter=0.2,
-                             seed=5)
-        for delay in policy.delays():
-            assert 0.8 <= delay <= 1.2
+        policy = RetryPolicy(base_delay_s=1.0, max_delay_s=1.0)
+        rng = make_rng(5)
+        for i in range(1, 51):
+            assert 0.9 <= policy.delay(i, rng) <= 1.1
 
 
 def _retrier(policy, clock=None):
@@ -76,7 +85,7 @@ class TestRetrier:
         retrier = Retrier()
         with pytest.raises(RetryExhausted) as info:
             retrier.call(fn)
-        assert fn.calls == RetryPolicy().max_attempts == 8
+        assert fn.calls == MAX_ATTEMPTS == 8
         assert isinstance(info.value.last_error, RuntimeError)
 
     def test_non_matching_exception_propagates_immediately(self):
@@ -86,31 +95,19 @@ class TestRetrier:
             retrier.call(fn, retry_on=(KeyError,))
         assert fn.calls == 1
 
-    def test_deadline_bounds_total_backoff(self):
-        # Delays 1, 2, 4, ...: the third retry would push past 4s.
-        policy = RetryPolicy(max_attempts=10, base_delay_s=1.0,
-                             multiplier=2.0, jitter=0.0, deadline_s=4.0)
-        clock = SimClock()
-        retrier = _retrier(policy, clock=clock)
-        with pytest.raises(RetryExhausted) as info:
-            retrier.call(Flaky(100))
-        assert "deadline" in str(info.value)
-        assert retrier.total_backoff_s == pytest.approx(3.0)
-        assert clock.now == pytest.approx(3.0)
-
     def test_backoff_advances_sim_clock(self):
         clock = SimClock()
-        retrier = _retrier(RetryPolicy(max_attempts=4, base_delay_s=0.5,
-                                       multiplier=2.0, jitter=0.0),
-                           clock=clock)
+        policy = RetryPolicy(base_delay_s=0.5)
+        retrier = _retrier(policy, clock=clock)
         retrier.call(Flaky(3))
-        assert clock.now == pytest.approx(0.5 + 1.0 + 2.0)
+        rng = make_rng(0)
+        assert clock.now == sum(policy.delay(i, rng) for i in (1, 2, 3))
+        assert clock.now == pytest.approx(0.5 + 1.0 + 2.0, rel=0.1)
 
 
 class TestCircuitBreaker:
     def _tripped(self, clock, threshold=3):
-        breaker = CircuitBreaker(failure_threshold=threshold,
-                                 reset_timeout_s=10.0, clock=clock)
+        breaker = CircuitBreaker(failure_threshold=threshold, clock=clock)
         for _ in range(threshold):
             breaker.record_failure()
         return breaker
@@ -141,46 +138,34 @@ class TestCircuitBreaker:
         with pytest.raises(CircuitOpen):
             breaker.call(lambda: "never runs")
         assert breaker.rejected == 1
-        clock.advance(10.0)
+        clock.advance(30.0)
         assert breaker.allow()
         assert breaker.state == CircuitBreaker.HALF_OPEN
 
     def test_half_open_success_closes(self):
         clock = SimClock()
         breaker = self._tripped(clock)
-        clock.advance(10.0)
+        clock.advance(30.0)
         assert breaker.call(lambda: "probe") == "probe"
         assert breaker.state == CircuitBreaker.CLOSED
 
     def test_half_open_failure_reopens_and_restarts_cooldown(self):
         clock = SimClock()
         breaker = self._tripped(clock)
-        clock.advance(10.0)
+        clock.advance(30.0)
         assert breaker.allow()
         breaker.record_failure()
         assert breaker.state == CircuitBreaker.OPEN
         assert breaker.trips == 2
-        clock.advance(9.9)
+        clock.advance(29.9)
         assert not breaker.allow()
         clock.advance(0.1)
         assert breaker.allow()
 
-    def test_multiple_half_open_successes_required(self):
-        clock = SimClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=1.0,
-                                 half_open_successes=2, clock=clock)
-        breaker.record_failure()
-        clock.advance(1.0)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-
     def test_half_open_admits_exactly_one_probe(self):
         clock = SimClock()
         breaker = self._tripped(clock)
-        clock.advance(10.0)
+        clock.advance(30.0)
         assert breaker.allow()  # the probe slot
         # while the probe is in flight, every other caller is refused
         assert not breaker.allow()
@@ -193,33 +178,16 @@ class TestCircuitBreaker:
     def test_probe_failure_reopens_and_frees_the_slot(self):
         clock = SimClock()
         breaker = self._tripped(clock)
-        clock.advance(10.0)
+        clock.advance(30.0)
         assert breaker.allow()
         assert not breaker.allow()
         breaker.record_failure()
         assert breaker.state == CircuitBreaker.OPEN
         # after the new cool-down, the slot is claimable again
-        clock.advance(10.0)
+        clock.advance(30.0)
         assert breaker.allow()
         assert not breaker.allow()
-
-    def test_successive_probes_one_at_a_time(self):
-        clock = SimClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=1.0,
-                                 half_open_successes=2, clock=clock)
-        breaker.record_failure()
-        clock.advance(1.0)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        # second trial call needs its own slot claim — and gets it
-        assert breaker.allow()
-        assert not breaker.allow()
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ConfigError):
-            CircuitBreaker(reset_timeout_s=-1.0)

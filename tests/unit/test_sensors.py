@@ -11,7 +11,7 @@ from repro.util.rng import make_rng
 class TestQuadTree:
     def _tree(self, n=200, seed=0):
         rng = make_rng(seed)
-        tree = QuadTree(Rect(0, 0, 100, 100), bucket_size=8)
+        tree = QuadTree(Rect(0, 0, 100, 100))
         points = [SpatialPoint(float(x), float(y), payload=i)
                   for i, (x, y) in enumerate(rng.uniform(0, 100,
                                                          size=(n, 2)))]
@@ -57,9 +57,9 @@ class TestPoiDatabase:
         with pytest.raises(SensorError):
             db.add(Poi("p1", "dup", "cafe", 1, 1))
 
-    def test_within_radius_and_category(self):
+    def test_within_radius(self):
         db = self._db()
-        hits = db.within(100, 100, 50, category="cafe")
+        hits = db.within(100, 100, 50)
         assert [p.poi_id for p in hits] == ["p1", "p2"]
 
     def test_within_sorted_by_distance(self):

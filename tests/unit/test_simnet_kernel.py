@@ -12,7 +12,6 @@ from repro.simnet import (
     Simulator,
     Topology,
 )
-from repro.util.clock import SimClock
 from repro.util.errors import ClockError, ConfigError, SimulationError
 from repro.util.rng import make_rng
 
@@ -98,8 +97,8 @@ class TestSimulator:
     def test_overdue_events_fire_at_now(self):
         # another owner of the shared clock ran past two queued events:
         # they fire in order at the current time, the clock stays put
-        clock = SimClock()
-        sim = Simulator(clock)
+        sim = Simulator()
+        clock = sim.clock
         seen = []
         sim.schedule_at(20.0, lambda: seen.append(("loss", sim.now)))
         sim.schedule_at(20.5, lambda: seen.append(("heal", sim.now)))

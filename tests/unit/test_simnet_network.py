@@ -56,7 +56,7 @@ class TestLink:
 
     def test_total_loss_raises(self):
         spec = LinkSpec(latency_s=0.01, bandwidth_bps=1e6, loss_rate=0.99)
-        link = Link(spec, make_rng(3), max_retries=2)
+        link = Link(spec, make_rng(3))  # 6 tries of 1 % each
         with pytest.raises(NetworkError):
             for _ in range(200):
                 link.transfer_time(10)

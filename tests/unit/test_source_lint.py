@@ -90,7 +90,11 @@ text, imports only to inspect one signature).
     ``src/`` takes ``num_key_groups`` and no store class a ``clock``;
     and the engine's and the serving store's constructors, and
     ``serve_topic`` and ``compile_execution_graph``, take no more
-    parameters than they need.
+    parameters than they need.  Nor are the modes named there that only
+    test-set values reached: ``recommend(exclude_seen=False)``, a region
+    partition (``partition_out``, ``partition_in``), a retry filter
+    (``retryable``), a retry that escalates to another policy
+    (``escalate``) and a per-budget x-ray cost (``xray_surcharge_ms``).
 (q) A job launch pays for no graph library: nothing under
     ``streaming/`` imports ``networkx`` — ``JobGraph.validate`` orders
     the graph with its own Kahn pass (networkx stays for ``simnet/``).
@@ -107,17 +111,22 @@ text, imports only to inspect one signature).
     method), and an allow-listed body (a class's methods with it)
     counts as live; the list only shrinks, because a listed name that
     gains a caller fails too.
-(s) Every parameter has a caller: each defaulted parameter of a def in
-    ``streaming/``, ``store/``, ``eventlog/``, ``render/``,
-    ``context/``, ``core/``, ``obs/``, ``geo/`` and ``util/`` is set to
-    a value other than its default by code lint (r) counts as reached —
-    by keyword, position, ``*args`` or ``**kwargs``, matched by name as
-    lint (r) matches.  A parameter forwarded from an enclosing def's
-    parameter with the same default is set only if that one is.  Three
-    kinds are exempt, each named with its reason: a seam through which
-    tests substitute a fake, the parameters of lint (r)'s allow-listed
-    defs, and a keyword the end-to-end benchmark passes and the library
-    refuses to vary (``parallel_log_source(columnar)``).
+(s) Every parameter has a caller: each defaulted parameter of a def
+    under ``src/`` (``__main__.py`` and every package), and each
+    defaulted field of a frozen dataclass — a parameter of the
+    constructor it gets, by keyword or by position in field order — is
+    set to a value other than its default by code lint (r) counts as
+    reached: by keyword, position, ``*args`` or ``**kwargs``, matched by
+    name as lint (r) matches.  A frozen instance is set only at
+    construction, so a field no caller sets is a constant in disguise;
+    a mutable dataclass holds state and is not counted, nor is a
+    ``ClassVar`` or a ``field(init=False)``.  A parameter forwarded from
+    an enclosing def's parameter with the same default is set only if
+    that one is.  Three kinds are exempt, each named with its reason: a
+    seam through which tests substitute a fake or a command line, the
+    parameters of lint (r)'s allow-listed defs, and a keyword the
+    end-to-end benchmark passes and the library refuses to vary
+    (``parallel_log_source(columnar)``).
 """
 
 import ast
@@ -717,7 +726,9 @@ UNSET_MODES = re.compile(
     r"|spilled_items|dropped_overflow|is_spilling|SPILL|STRAGGLER"
     r"|ttl_s|tier_fanout|channel_capacity|DEFAULT_KEY_GROUPS|log_sink"
     r"|retention_bytes|retention_seconds|run_retention|run_compaction"
-    r"|SessionWindows|_merge_sessions)\b|\bcompacted\s*=")
+    r"|SessionWindows|_merge_sessions|exclude_seen|partition_out"
+    r"|partition_in|retryable|escalate|xray_surcharge_ms)\b"
+    r"|\bcompacted\s*=")
 #: (module, class) -> parameters of its ``__init__``, ``self`` excluded
 INIT_PARAMETERS = {
     ("streaming/execution.py", "ParallelExecutor"): 8,
@@ -1090,10 +1101,6 @@ def test_the_methods_of_an_unreached_class_go_with_it():
 
 # -- (s) every parameter is set by a caller ----------------------------------
 
-#: the packages whose defaulted parameters the census counts
-CENSUS_PACKAGES = tuple(f"src/repro/{package}/" for package in (
-    "streaming", "store", "eventlog", "render", "context", "core", "obs",
-    "geo", "util"))
 #: defaulted parameters no caller outside the tests sets, and why each
 #: stays; an entry leaves when a caller sets it (the census then fails)
 UNSET_ALLOWED = {
@@ -1102,6 +1109,8 @@ UNSET_ALLOWED = {
     "parallel_log_source(columnar)": "benchmarks/e2e/pipeline.py passes "
                                      "columnar=True and may not change; "
                                      "False is refused (ROADMAP item 1(f))",
+    "main(argv)": "a seam: tests pass the command line in place of "
+                  "sys.argv",
 }
 
 
@@ -1131,6 +1140,47 @@ class _Scope:
         self.bound |= {a.arg for a in (args.vararg, args.kwarg) if a}
 
 
+def _is_frozen_dataclass(cls):
+    return any(isinstance(d, ast.Call)
+               and ast.unparse(d.func).rpartition(".")[2] == "dataclass"
+               and any(kw.arg == "frozen"
+                       and getattr(kw.value, "value", False) is True
+                       for kw in d.keywords)
+               for d in cls.decorator_list)
+
+
+def _dataclass_init(cls):
+    """The ``__init__`` a frozen dataclass gets from its fields, in
+    field order (``field(init=False)`` and ``ClassVar`` fields left
+    out), or ``None`` for another class or one that writes its own."""
+    if not _is_frozen_dataclass(cls) or any(
+            isinstance(item, FUNCTION) and item.name == "__init__"
+            for item in cls.body):
+        return None
+    names, defaults = [ast.arg("self")], []
+    for item in cls.body:
+        if not (isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)) \
+                or "ClassVar" in ast.unparse(item.annotation):
+            continue
+        default = item.value
+        if isinstance(default, ast.Call) \
+                and getattr(default.func, "id", None) == "field":
+            options = {kw.arg: kw.value for kw in default.keywords}
+            if getattr(options.get("init"), "value", True) is False:
+                continue
+            default = options.get("default", default if (
+                "default_factory" in options) else None)
+        names.append(ast.arg(item.target.id))
+        if default is not None:
+            defaults.append(default)
+    return ast.FunctionDef(
+        name="__init__", body=[], decorator_list=[],
+        args=ast.arguments(posonlyargs=[], args=names, vararg=None,
+                           kwonlyargs=[], kw_defaults=[], kwarg=None,
+                           defaults=defaults))
+
+
 def _same_value(value, default):
     """Whether a call passes ``value`` where the def has ``default``."""
     if ast.dump(value) == ast.dump(default):
@@ -1151,9 +1201,10 @@ def _param_label(key, param):
 def unset_parameters(files, allowed_defs=(), allowed=()):
     """``(number of censused parameters, [path:Def(param)])``: every
     parameter with a default, of each module-level def and method under
-    ``CENSUS_PACKAGES`` in ``files``, that no reached code (lint (r)'s
-    sense) sets to a value other than its default.  ``Class(param)``
-    names a constructor's parameter.
+    ``src/`` in ``files`` and of each frozen dataclass's constructor
+    (its own fields, in order), that no reached code (lint (r)'s sense)
+    sets to a value other than its default.  ``Class(param)`` names a
+    constructor's parameter.
 
     Calls match by name, as lint (r) does: ``f(...)`` and ``x.f(...)``
     reach every def named ``f``, ``Class(...)``, ``cls(...)`` and
@@ -1184,6 +1235,9 @@ def unset_parameters(files, allowed_defs=(), allowed=()):
                                     for b in stmt.bases]
                 members = [(stmt.name, item) for item in stmt.body
                            if isinstance(item, FUNCTION)]
+                fields = _dataclass_init(stmt)
+                if fields is not None:
+                    members.append((stmt.name, fields))
             for cls, fn in members:
                 key = (rel, cls, fn.name)
                 scopes[key] = _Scope(key, fn, method=cls is not None)
@@ -1191,10 +1245,9 @@ def unset_parameters(files, allowed_defs=(), allowed=()):
                     inits[cls] = key
                 by_name.setdefault(cls if fn.name == "__init__"
                                    else fn.name, []).append(key)
-                if (rel.startswith(CENSUS_PACKAGES)
-                        and not {cls, _label(cls, fn.name)} & set(
-                            allowed_defs)
-                        and f"{rel}:{_label(cls, fn.name)}" not in unreached):
+                if (not {cls, _label(cls, fn.name)} & set(allowed_defs)
+                        and f"{rel}:{_label(cls, fn.name)}" not in unreached
+                        and f"{rel}:{cls}" not in unreached):
                     census.update({(key, p): default for p, (default, _)
                                    in scopes[key].params.items()
                                    if default is not None})
@@ -1423,5 +1476,56 @@ def test_the_census_exempts_a_seam_and_an_allow_listed_def():
     assert "src/repro/core/m.py:Seam(fake)" not in unset
     # the real exemptions are of those kinds, and name what exists
     assert all(label.partition("(")[0] in ("Tracer", "GeoDeployment",
-                                           "parallel_log_source")
+                                           "parallel_log_source", "main")
                for label in UNSET_ALLOWED)
+
+
+#: a frozen config whose fields are set by keyword, by position or not
+#: at all, a mutable record the census leaves alone, and a top-level
+#: module's def
+CONFIGS = ("from dataclasses import dataclass, field\n"
+           "from typing import ClassVar\n\n\n"
+           "@dataclass(frozen=True)\n"
+           "class Config:\n"
+           "    name: str\n"
+           "    by_keyword: int = 1\n"
+           "    by_position: int = 2\n"
+           "    unset: int = 3\n"
+           "    derived: int = field(default=0, init=False)\n"
+           "    constant: ClassVar[int] = 4\n\n\n"
+           "@dataclass\n"
+           "class Record:\n"
+           "    count: int = 0\n")
+CONFIGS_CALLER = ("from repro.core.c import Config, Record\n"
+                  "from repro.m import top\n"
+                  "Config('a', by_keyword=10)\n"
+                  "Config('b', 1, 20)\n"
+                  "Record()\n"
+                  "top()\n")
+TOP_LEVEL = "def top(unset=1):\n    return unset\n"
+
+
+def _configs():
+    files = {"src/repro/core/c.py": CONFIGS, "src/repro/m.py": TOP_LEVEL,
+             "tools/t.py": CONFIGS_CALLER}
+    return unset_parameters(files)
+
+
+def test_a_frozen_dataclass_field_is_a_constructor_parameter():
+    count, unset = _configs()
+    # by_keyword, by_position and unset of Config, and top's unset
+    assert count == 4
+    assert "src/repro/core/c.py:Config(by_keyword)" not in unset
+    assert "src/repro/core/c.py:Config(by_position)" not in unset
+    assert "src/repro/core/c.py:Config(unset)" in unset
+
+
+def test_a_mutable_dataclass_is_not_censused():
+    _, unset = _configs()
+    assert not [site for site in unset if ":Record(" in site]
+
+
+def test_a_def_in_a_top_level_module_is_censused():
+    _, unset = _configs()
+    assert unset == ["src/repro/core/c.py:Config(unset)",
+                     "src/repro/m.py:top(unset)"]

@@ -9,7 +9,6 @@ from repro.util.errors import TrackingLost, VisionError
 from repro.vision import (
     BriefDescriptor,
     CameraIntrinsics,
-    MarkerSpec,
     PlanarTarget,
     PlanarTracker,
     decode_marker,
@@ -21,6 +20,7 @@ from repro.vision import (
     match_descriptors,
     render_plane,
 )
+from repro.vision.markers import BORDER_CELLS, CELL_PX, MAX_ID, SIDE_PX
 
 INTR = CameraIntrinsics(fx=400, fy=400, cx=160, cy=120, width=320,
                         height=240)
@@ -62,18 +62,18 @@ class TestBriefDescriptor:
     def test_descriptor_shape(self):
         image = _checkerboard()
         keypoints = detect_corners(image, max_corners=50)
-        descriptor = BriefDescriptor(n_bits=128)
+        descriptor = BriefDescriptor()
         kept, desc = descriptor.compute(image, keypoints)
-        assert desc.shape == (len(kept), 128)
+        assert desc.shape == (len(kept), 256)
         assert desc.dtype == bool
 
     def test_border_keypoints_dropped(self):
         image = _checkerboard()
-        descriptor = BriefDescriptor(patch_size=24)
+        descriptor = BriefDescriptor()  # 24 px patches
         from repro.vision.features import Keypoint
         kept, desc = descriptor.compute(image, [Keypoint(2.0, 2.0, 1.0)])
         assert kept == []
-        assert desc.shape == (0, 128) or desc.shape == (0, 256)
+        assert desc.shape == (0, 256)
 
     def test_same_patch_same_descriptor(self):
         image = _checkerboard()
@@ -88,7 +88,7 @@ class TestMatching:
     def test_identical_sets_match_mostly(self):
         # A random texture gives distinctive descriptors (a checkerboard
         # would not: its corners all look alike and fail the ratio test).
-        image = make_texture(make_rng(9), size=128)
+        image = make_texture(make_rng(9))
         keypoints = detect_corners(image, max_corners=30)
         descriptor = BriefDescriptor()
         _kept, desc = descriptor.compute(image, keypoints)
@@ -108,22 +108,20 @@ class TestMatching:
 
 class TestMarkers:
     def test_roundtrip_all_small_ids(self):
-        spec = MarkerSpec(grid=4)
-        for marker_id in [0, 1, 37, 511, spec.max_id]:
-            texture = generate_marker(marker_id, spec)
+        for marker_id in [0, 1, 37, 511, MAX_ID]:
+            texture = generate_marker(marker_id)
+            assert texture.shape == (SIDE_PX, SIDE_PX)
             # Identity homography decodes the texture itself.
             h = np.eye(3)
-            assert decode_marker(texture, h, spec) == marker_id
+            assert decode_marker(texture, h) == marker_id
 
     def test_id_out_of_range_rejected(self):
-        spec = MarkerSpec(grid=4)
         with pytest.raises(VisionError):
-            generate_marker(spec.max_id + 1, spec)
+            generate_marker(MAX_ID + 1)
 
     def test_decode_through_projection(self):
         rng = make_rng(0)
-        spec = MarkerSpec()
-        texture = generate_marker(123, spec)
+        texture = generate_marker(123)
         target = PlanarTarget(texture, 0.2, 0.2)
         pose = look_at(eye=[0.1, 0.12, -0.45], target=[0.1, 0.1, 0.0])
         frame = render_plane(target, INTR, pose, rng=rng,
@@ -136,26 +134,23 @@ class TestMarkers:
         pixels = INTR.project(pose.transform(
             target.texture_to_world(corners_tex)))
         h = estimate_homography(corners_tex, pixels)
-        assert decode_marker(frame, h, spec) == 123
+        assert decode_marker(frame, h) == 123
 
     def test_decode_flat_image_fails(self):
-        spec = MarkerSpec()
-        assert decode_marker(np.full((240, 320), 0.5), np.eye(3),
-                             spec) is None
+        assert decode_marker(np.full((240, 320), 0.5), np.eye(3)) is None
 
     def test_parity_rejects_corruption(self):
-        spec = MarkerSpec()
-        texture = generate_marker(37, spec)
+        texture = generate_marker(37)
         # Flip one full data cell: parity must fail (or decode to wrong id
         # that parity catches — with row parity a single cell flip always
         # breaks that row's parity).
-        cell = spec.cell_px
-        r0 = (0 + spec.border_cells) * cell
-        c0 = (0 + spec.border_cells) * cell
+        cell = CELL_PX
+        r0 = (0 + BORDER_CELLS) * cell
+        c0 = (0 + BORDER_CELLS) * cell
         corrupted = texture.copy()
         corrupted[r0:r0 + cell, c0:c0 + cell] = \
             1.0 - corrupted[r0:r0 + cell, c0:c0 + cell]
-        assert decode_marker(corrupted, np.eye(3), spec) != 37
+        assert decode_marker(corrupted, np.eye(3)) != 37
 
 
 class TestRendererAndTracker:
@@ -171,13 +166,13 @@ class TestRendererAndTracker:
         rng = make_rng(1)
         target = PlanarTarget(make_texture(rng), 0.5, 0.5)
         pose = look_at(eye=[0.25, 0.25, -1.0], target=[0.25, 0.25, 0.0])
-        bright = render_plane(target, INTR, pose, gain=1.0, background=0.0)
-        dim = render_plane(target, INTR, pose, gain=0.5, background=0.0)
+        bright = render_plane(target, INTR, pose, gain=1.0)
+        dim = render_plane(target, INTR, pose, gain=0.5)
         assert dim.mean() < bright.mean()
 
     def test_tracker_recovers_pose(self):
         rng = make_rng(42)
-        target = PlanarTarget(make_texture(rng, size=256), 0.5, 0.5)
+        target = PlanarTarget(make_texture(rng), 0.5, 0.5)
         tracker = PlanarTracker(target, INTR, rng)
         pose_true = look_at(eye=[0.2, 0.3, -0.8], target=[0.25, 0.25, 0.0])
         frame = render_plane(target, INTR, pose_true, rng=rng,
@@ -190,7 +185,7 @@ class TestRendererAndTracker:
 
     def test_tracker_multi_frame_sequence(self):
         rng = make_rng(43)
-        target = PlanarTarget(make_texture(rng, size=256), 0.5, 0.5)
+        target = PlanarTarget(make_texture(rng), 0.5, 0.5)
         tracker = PlanarTracker(target, INTR, rng)
         errors = []
         for i in range(5):
@@ -206,7 +201,7 @@ class TestRendererAndTracker:
 
     def test_tracking_lost_on_blank_frame(self):
         rng = make_rng(44)
-        target = PlanarTarget(make_texture(rng, size=256), 0.5, 0.5)
+        target = PlanarTarget(make_texture(rng), 0.5, 0.5)
         tracker = PlanarTracker(target, INTR, rng)
         with pytest.raises(TrackingLost):
             tracker.track(np.full((240, 320), 0.5))
@@ -214,7 +209,7 @@ class TestRendererAndTracker:
 
     def test_tracking_lost_when_target_out_of_view(self):
         rng = make_rng(45)
-        target = PlanarTarget(make_texture(rng, size=256), 0.5, 0.5)
+        target = PlanarTarget(make_texture(rng), 0.5, 0.5)
         tracker = PlanarTracker(target, INTR, rng)
         pose_away = look_at(eye=[5.0, 5.0, -1.0], target=[5.0, 5.0, 1.0])
         frame = render_plane(target, INTR, pose_away, rng=rng)
@@ -223,7 +218,7 @@ class TestRendererAndTracker:
 
     def test_profile_populated(self):
         rng = make_rng(46)
-        target = PlanarTarget(make_texture(rng, size=256), 0.5, 0.5)
+        target = PlanarTarget(make_texture(rng), 0.5, 0.5)
         tracker = PlanarTracker(target, INTR, rng)
         pose_true = look_at(eye=[0.25, 0.25, -0.8],
                             target=[0.25, 0.25, 0.0])

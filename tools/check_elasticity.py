@@ -83,7 +83,7 @@ def _crashed_rescale(seed: int):
     ), name="elasticity-gate")
     injector = FaultInjector(plan)
     supervisor = Supervisor(
-        reference_job(reference_events(seed=seed, n=400, keys=4),
+        reference_job(reference_events(seed=seed, n=400),
                       splits=SPLITS),
         controllers=[Autoscaler(SchedulePolicy({1: {"window_sum": 2}}))],
         injector=injector, parallelism=1,
@@ -96,7 +96,7 @@ def check_bounded_replay(seed: int) -> tuple[bool, tuple]:
     print("\n== bounded replay across a crashed rescale ==")
     report, trace = _crashed_rescale(seed)
     golden = canonical_sinks(fault_free_sinks(
-        lambda: reference_job(reference_events(seed=seed, n=400, keys=4),
+        lambda: reference_job(reference_events(seed=seed, n=400),
                               splits=SPLITS),
         batch_mode=True, parallelism=1,
         source_batch=SOURCE_BATCH))
