@@ -35,11 +35,12 @@ its boundary).  The columnar hand-off exists to make the first cheaper
 than the second.
 
 Reported: per-phase build throughput, hot-tier structure (runs,
-compactions), lookup p50/p99/max, concurrent analytical ingest rate,
-the read-amplification lookup p50/p99 with the run count behind them,
-the hot-key lookup p50/p99 with the version count behind them, the
-dashboard query p50s with the rows and cells behind them, and the
-epoch-apply cost per row for both hand-offs at both epoch sizes.
+compactions), what the hot tier holds per stored row (see
+:func:`_hot_bytes_per_row`), lookup p50/p99/max, concurrent analytical
+ingest rate, the read-amplification lookup p50/p99 with the run count
+behind them, the hot-key lookup p50/p99 with the version count behind
+them, the dashboard query p50s with the rows and cells behind them, and
+the epoch-apply cost per row for both hand-offs at both epoch sizes.
 The committed gate (``tools/check_store.py``) holds the uniform-key p99
 under ``P99_FLOOR_US`` — ~10x the measured value on the reference
 container, so a structural regression (e.g. lookups degrading to
@@ -54,6 +55,7 @@ Results merge into ``BENCH_streaming.json`` under the ``"store"`` key.
 
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -61,7 +63,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from repro.store import HotStore, StoreSink, TieredStore, key_repr
+from repro.store import HotShard, HotStore, StoreSink, TieredStore, key_repr
 from repro.streaming.batch import RecordBatch
 from repro.streaming.element import Element
 from repro.streaming.txn_sink import TransactionalSink
@@ -137,6 +139,34 @@ def _build_hot(store: TieredStore, rng) -> dict:
     return {"build_s": round(elapsed, 2),
             "build_rows_per_s": round(N_KEYS / elapsed),
             "epochs": epoch}
+
+
+def _hot_bytes_per_row() -> float:
+    """Bytes ``tracemalloc`` traces per stored row of one shard of the
+    1M-key store: keys, values, memtable, runs and indexes.
+
+    The shard is built alone, from its share of the same keys in its
+    share of each build epoch (tracing the whole build took ten times
+    its untraced time on a 2-core box), flushed and compacted as the
+    build does it.  It draws its values from its own generator, so the other rows'
+    draws hold.
+    """
+    rng = np.random.default_rng(SEED)
+    keys = N_KEYS // NUM_SHARDS
+    epoch_rows = BUILD_EPOCH_ROWS // NUM_SHARDS
+    tracemalloc.start()
+    try:
+        shard = HotShard(0, memtable_limit=MEMTABLE_LIMIT)
+        for epoch, base in enumerate(range(0, keys, epoch_rows), 1):
+            shard.apply_epoch(epoch, [
+                (key_repr(f"k-{i:07d}"), float(i % 10_000),
+                 float(rng.uniform(0, 1)))
+                for i in range(base, min(base + epoch_rows, keys))])
+            shard.maintain()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return round(held / shard.rows, 1)
 
 
 def _measure(store: TieredStore, rng) -> dict:
@@ -355,6 +385,7 @@ def run_experiment() -> dict:
                         memtable_limit=MEMTABLE_LIMIT,
                         metric_fn=lambda v: float(v))
     build = _build_hot(store, rng)
+    build["hot_bytes_per_row"] = _hot_bytes_per_row()
     assert store.hot.rows >= N_KEYS
     measure = _measure(store, rng)
     hot_keys = _measure_hot_keys(rng)
@@ -401,6 +432,8 @@ def report(results: dict) -> None:
         [["hot build rows/s", f"{s['build_rows_per_s']:,}"],
          ["sorted runs (all shards)", str(s["runs"])],
          ["compactions", str(s["compactions"])],
+         ["hot tier traced bytes per stored row",
+          f"{s['hot_bytes_per_row']} B"],
          ["point lookup p50", f"{s['lookup_p50_us']} us"],
          ["point lookup p99", f"{s['lookup_p99_us']} us"],
          ["point lookup max", f"{s['lookup_max_us']} us"],

@@ -9,39 +9,40 @@ is the write-optimized half of the tiered store:
   :mod:`repro.streaming.shuffle`), so a key's serving shard is as
   deterministic as its processing subtask.
 - Each shard is a small LSM tree: a **memtable** (dict of per-key
-  lists of run rows, each oldest to newest) absorbing writes, flushed
-  into immutable **sorted runs** whose rows order by
-  ``(key, -timestamp, -seq)`` — reverse-timestamp row keys, so "latest
-  N versions of a key" is the tail of one memtable list plus a prefix
-  scan per run from that run's exact key index.  A row has that one
-  shape from staging on: a flush only lays each key's list out
-  reversed, and reads take memtable rows as stored.
+  lists of row tuples ``(key_repr, -order_ts, -seq, timestamp,
+  value)``, each oldest to newest) absorbing writes, flushed into
+  immutable **sorted runs** whose rows order by ``(key, -timestamp,
+  -seq)`` — reverse-timestamp row keys, so a key's versions sit newest
+  first.  A run is **columns**, not rows: its sorted distinct keys with
+  their row offsets, the timestamps as float64, the apply sequences as
+  int64 and the values as a list (the same objects the analytical
+  tier's ``raw`` column holds).  A flush lays each key's memtable list
+  out reversed under sorted keys and builds the columns in C;
+  compaction and ``contents`` merge columns with one ``np.lexsort``.
+  Numpy runs only there, never per epoch.
 - Each shard also keeps each key's **newest run row** across all of
-  its runs.  Only a flush writes it (one compare per flushed key, in
-  the same swap that adds the run); compaction merges rows already in
-  runs, so it cannot change any key's newest and never touches it.
-  ``latest(key)`` (n = 1, the overlay read) is then the smaller of the
-  memtable tail and that row — two dict reads and one compare, however
-  many runs the shard holds.  ``latest(key, n)`` for n > 1 merges the
-  memtable tail with a prefix scan per run.
+  its runs, as a row tuple.  Only a flush writes it (one compare per
+  flushed key, in the same swap that adds the run); compaction merges
+  rows already in runs, so it cannot change any key's newest and never
+  touches it.  ``latest(key)`` (the overlay read) is then the smaller
+  of the memtable tail and that row — two dict reads and one compare,
+  however many runs the shard holds.  No read scans a run.
 - One **ordering key** decides "newer" everywhere — memtable, flush,
   compaction, ``latest`` and ``contents``: the event time, then the
-  apply sequence.  It is computed once, when an epoch's rows are
-  built, and a NaN event time orders as ``-inf`` (older than every
-  finite timestamp; ties, also with a real ``-inf``, fall to the apply
-  sequence) — so what a shard answers never depends on how its rows
-  are spread over memtable and runs.
+  apply sequence.  A NaN event time orders as ``-inf`` (older than
+  every finite timestamp; ties, also with a real ``-inf``, fall to the
+  apply sequence) — so what a shard answers never depends on how its
+  rows are spread over memtable and runs.
 - **Size-tiered compaction** merges runs of similar size when a tier
-  collects :data:`TIER_FANOUT` of them, bounding run count (and
-  therefore a multi-version lookup's fan-out) logarithmically in
-  total rows.  A shard
-  keeps every version it was given: nothing expires.
+  collects :data:`TIER_FANOUT` of them, bounding run count
+  logarithmically in total rows.  A shard keeps every version it was
+  given: nothing expires.
 
 Mutations enter **only** through :meth:`HotShard.apply_epoch`, the
 install half of the store's epoch-apply protocol (see
 :mod:`repro.store.sink`): all failure-prone work (key encoding,
-ordering, merging) happens while staging; the install is a short
-sequence of container mutations ending with
+timestamp conversion, ordering, merging) happens while staging; the
+install is a short sequence of container mutations ending with
 ``last_applied_epoch = epoch``, so a
 crash at any injected fault site leaves the shard either fully at the
 old epoch or fully at the new one — never in between.
@@ -50,8 +51,11 @@ old epoch or fully at the new one — never in between.
 from __future__ import annotations
 
 from heapq import merge
-from itertools import count
+from itertools import chain, count
+from operator import itemgetter
 from typing import Any, Iterator
+
+import numpy as np
 
 from ..streaming import shuffle
 from ..streaming.shuffle import key_group_for, subtask_for_key_group
@@ -63,9 +67,9 @@ __all__ = ["TIER_FANOUT", "HotShard", "HotStore", "SortedRun", "key_repr"]
 #: time, so a test can rebind it
 TIER_FANOUT = 4
 
-#: a NaN event time's ``-order_ts`` in a run row: NaN orders as
-#: ``-inf`` (NaN itself compares false with everything, which would
-#: leave every sort structure-dependent)
+#: a NaN event time's ``-order_ts`` (its rank): NaN orders as ``-inf``
+#: (NaN itself compares false with everything, which would leave every
+#: sort structure-dependent)
 _NAN_RANK = float("inf")
 
 #: distinct ``str`` keys whose ``(shard id, key_repr)`` route stays
@@ -83,28 +87,77 @@ def key_repr(key: Any) -> str:
 
 
 def run_row(kr: str, ts: float, seq: int, value: Any) -> tuple:
-    """The one row shape, memtable and runs alike:
+    """The memtable's row shape:
     ``(key_repr, -order_ts, -seq, timestamp, value)``."""
     return (kr, -ts if ts == ts else _NAN_RANK, -seq, ts, value)
 
 
 class SortedRun:
-    """One immutable sorted run.
+    """One immutable sorted run, held as columns.
 
-    Rows are ``(key_repr, -order_ts, -seq, timestamp, value)`` tuples
-    sorted by their first three fields (``seq`` is unique within a
-    shard, so a comparison never reaches the value).  A read finds a
-    key's newest run row in the shard's ``_run_newest`` index, never by
-    scanning a run.
+    ``keys`` are the run's distinct key_reprs, sorted; key ``keys[k]``
+    owns rows ``starts[k]`` to ``starts[k + 1]`` (``starts`` is int64,
+    one entry longer than ``keys``).  Row ``i`` is the version
+    ``(ts[i], values[i])`` applied as ``seq[i]``: ``ts`` is float64,
+    ``seq`` int64 and ``values`` a list, so a value object stays the
+    one the analytical tier holds.  Within a key rows run newest first,
+    by ``(-order_ts, -seq)`` (``seq`` is unique within a shard).  A
+    read finds a key's newest run row in the shard's ``_run_newest``
+    index, never by scanning a run.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("keys", "starts", "ts", "seq", "values")
 
-    def __init__(self, rows: list[tuple]) -> None:
-        self.rows = rows
+    def __init__(self, keys: list[str], starts: np.ndarray, ts: np.ndarray,
+                 seq: np.ndarray, values: list) -> None:
+        self.keys = keys
+        self.starts = starts
+        self.ts = ts
+        self.seq = seq
+        self.values = values
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.values)
+
+
+def _freeze(mem: dict[str, list[tuple]]) -> SortedRun:
+    """A memtable as one run: each key's list (oldest to newest)
+    reversed, under sorted keys, its fields gathered in C."""
+    keys = sorted(mem)
+    rows: list[tuple] = []
+    starts = [0]
+    for kr in keys:
+        rows.extend(reversed(mem[kr]))
+        starts.append(len(rows))
+    n = len(rows)
+    seq = np.fromiter(map(itemgetter(2), rows), np.int64, n)
+    np.negative(seq, out=seq)
+    return SortedRun(keys, np.array(starts, np.int64),
+                     np.fromiter(map(itemgetter(3), rows), np.float64, n),
+                     seq, list(map(itemgetter(4), rows)))
+
+
+def _merge(runs: list[SortedRun]) -> SortedRun:
+    """One run holding every row of ``runs``, ordered by one
+    ``np.lexsort`` over (key code, rank, -seq); the rank is ``-ts``,
+    NaN mapped to :data:`_NAN_RANK`."""
+    keys = sorted(set().union(*(run.keys for run in runs)))
+    code = {kr: i for i, kr in enumerate(keys)}
+    codes = np.concatenate([
+        np.repeat(np.fromiter(map(code.__getitem__, run.keys), np.int64,
+                              len(run.keys)), np.diff(run.starts))
+        for run in runs])
+    ts = np.concatenate([run.ts for run in runs])
+    seq = np.concatenate([run.seq for run in runs])
+    rank = np.negative(ts)
+    rank[np.isnan(rank)] = _NAN_RANK
+    order = np.lexsort((np.negative(seq), rank, codes))
+    values = np.fromiter(chain.from_iterable(run.values for run in runs),
+                         object, len(ts))
+    starts = np.zeros(len(keys) + 1, np.int64)
+    np.cumsum(np.bincount(codes, minlength=len(keys)), out=starts[1:])
+    return SortedRun(keys, starts, ts[order], seq[order],
+                     values[order].tolist())
 
 
 class HotShard:
@@ -117,13 +170,14 @@ class HotShard:
         self.memtable_limit = memtable_limit
         #: epoch of the last applied commit; the double-apply guard
         self.last_applied_epoch = 0
-        #: key_repr -> run rows oldest to newest (descending tuple
+        #: key_repr -> row tuples oldest to newest (descending tuple
         #: order): the newest version of a key is the last element
         self._mem: dict[str, list[tuple]] = {}
         self._mem_rows = 0
         self._runs: list[SortedRun] = []
-        #: key_repr -> the key's newest (smallest) row over all runs;
-        #: written only by :meth:`flush`
+        #: key_repr -> the key's newest (smallest) row over all runs,
+        #: as the memtable tail it was flushed from; written only by
+        #: :meth:`flush`
         self._run_newest: dict[str, tuple] = {}
         #: the run list the last compaction pass found nothing to merge
         #: in; every change to the runs assigns a new list
@@ -137,9 +191,20 @@ class HotShard:
     def stage_epoch(self, epoch: int, rows: list[tuple[str, float, Any]]
                     ) -> tuple | None:
         """:meth:`stage_keys` of ``(key_repr, timestamp, value)`` rows
-        in commit order."""
+        in commit order.
+
+        Each timestamp is taken as its ``float`` here, so a run's
+        float64 column can hold every row staging accepts; one that
+        ``float()`` refuses or cannot hold raises :class:`StoreError`,
+        and nothing is staged."""
         fresh: dict[str, list[tuple]] = {}
         for seq, (kr, ts, value) in enumerate(rows, self._seq):
+            try:
+                ts = float(ts)
+            except (TypeError, ValueError, OverflowError):
+                raise StoreError(
+                    f"epoch {epoch}, key {kr}: timestamp {ts!r:.40} is "
+                    "not a float") from None
             row = run_row(kr, ts, seq, value)
             bucket = fresh.get(kr)
             if bucket is None:
@@ -152,7 +217,7 @@ class HotShard:
                    ) -> tuple | None:
         """Build everything the install needs, off to the side.
 
-        ``fresh`` maps each key of the epoch to its run rows in commit
+        ``fresh`` maps each key of the epoch to its row tuples in commit
         order, numbered on from this shard's next apply sequence across
         the whole epoch (see :func:`run_row`).  Returns an opaque staged
         token (or ``None`` when the epoch is already applied —
@@ -225,24 +290,21 @@ class HotShard:
     def flush(self) -> None:
         """Freeze the memtable into one sorted run (atomic swap).  Each
         key's list is already in order: reversed, under sorted keys,
-        they are the run.  A key whose memtable tail is newer than its
-        newest run row so far gets the tail as its new one; the run
-        list and that index change together, after everything is
-        built."""
+        they are the run's rows, whose fields become its columns.  A
+        key whose memtable tail is newer than its newest run row so far
+        gets the tail as its new one; the run list and that index
+        change together, after everything is built."""
         if not self._mem_rows:
             return
         mem = self._mem
         run_newest = self._run_newest
-        rows: list[tuple] = []
         newer: dict[str, tuple] = {}
-        for kr in sorted(mem):
-            versions = mem[kr]
-            rows.extend(reversed(versions))
+        for kr, versions in mem.items():
             tail = versions[-1]
             known = run_newest.get(kr)
             if known is None or tail < known:
                 newer[kr] = tail
-        self._runs = self._runs + [SortedRun(rows)]
+        self._runs = self._runs + [_freeze(mem)]
         run_newest.update(newer)
         self._mem = {}
         self._mem_rows = 0
@@ -257,10 +319,11 @@ class HotShard:
 
     def compact(self) -> None:
         """Size-tiered: when any tier holds :data:`TIER_FANOUT` runs,
-        merge them into one.  The merged run is built fully before the
-        run list is swapped, so a crash during the merge leaves the old
-        runs — and every answer — intact.  A merge only moves rows
-        that are already in runs, so no key's newest run row changes."""
+        merge their columns into one (:func:`_merge`).  The merged run
+        is built fully before the run list is swapped, so a crash during
+        the merge leaves the old runs — and every answer — intact.  A
+        merge only moves rows that are already in runs, so no key's
+        newest run row changes."""
         if self._runs is self._settled_runs:
             return
         while True:
@@ -272,9 +335,7 @@ class HotShard:
             if victims is None:
                 self._settled_runs = self._runs
                 return
-            merged_rows = [row for run in victims for row in run.rows]
-            merged_rows.sort()
-            merged = SortedRun(merged_rows)
+            merged = _merge(victims)
             dead = set(map(id, victims))
             self._runs = [r for r in self._runs
                           if id(r) not in dead] + [merged]
@@ -300,13 +361,19 @@ class HotShard:
     def contents(self) -> dict[str, list[tuple[float, Any]]]:
         """Canonical dump: key_repr -> all versions newest-first.
         The chaos suite compares this across crashed and fault-free
-        runs, so it must be independent of memtable/run structure."""
-        acc = {kr: list(versions) for kr, versions in self._mem.items()}
-        for run in self._runs:
-            for row in run.rows:
-                acc.setdefault(row[0], []).append(row)
-        return {kr: [(row[3], row[4]) for row in sorted(acc[kr])]
-                for kr in sorted(acc)}
+        runs, so it must be independent of memtable/run structure:
+        the memtable, frozen as a run, and every run merge into one
+        (:func:`_merge`) that is read out key by key."""
+        runs = self._runs
+        if self._mem:
+            runs = runs + [_freeze(self._mem)]
+        if not runs:
+            return {}
+        run = _merge(runs) if len(runs) > 1 else runs[0]
+        versions = list(zip(run.ts.tolist(), run.values))
+        bounds = run.starts.tolist()
+        return {kr: versions[lo:hi]
+                for kr, lo, hi in zip(run.keys, bounds, bounds[1:])}
 
     @property
     def rows(self) -> int:
@@ -367,7 +434,7 @@ class HotStore:
         is the key dictionary, ``codes`` index into it.
 
         Each distinct key is routed once (:meth:`route`); then each row
-        is built once, in its run-row shape, straight into its key's
+        is built once, in its memtable shape, straight into its key's
         bucket, numbered per shard in commit order from that shard's
         next apply sequence — what :meth:`HotShard.stage_epoch` would
         number each shard's rows.  The shards do the per-key rest.

@@ -146,8 +146,9 @@ class ParallelCheckpoint:
     #: per committed epoch, no row copied)
     sink_elements: dict[str, list]
     #: transient routing state (channel watermarks, aligned watermarks,
-    #: round-robin cursors); applied on restore only when the plan shape
-    #: matches (same parallelism everywhere), dropped on a rescale.
+    #: round-robin cursors) named by logical operator, so batched and
+    #: per-item plans share it; applied on restore only when the plan
+    #: shape matches (same parallelism everywhere), dropped on a rescale.
     routing_state: dict[str, Any] = field(default_factory=dict)
     #: load-shedding tier state: active per-source shed plans plus the
     #: per-source shed counts *as of this checkpoint's cut*, so a
@@ -223,12 +224,8 @@ class Cut:
             keyed_state={m: dict(g) for m, g in self.keyed.items()},
             scalar_state={m: list(s) for m, s in self.scalar.items()},
             sink_elements=sink_elements,
-            routing_state={
-                "channel_wm": {k: dict(v)
-                               for k, v in self.channel_wm.items()},
-                "aligned_wm": dict(self.aligned_wm),
-                "rr": dict(self.rr),
-            },
+            routing_state=graph.routing_state(
+                self.channel_wm, self.aligned_wm, self.rr),
             shed_state=dict(self.shed_state),
             data_counts=dict(self.data_counts),
         )

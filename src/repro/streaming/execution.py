@@ -908,13 +908,15 @@ class ParallelExecutor:
             if name in region:  # truncates open transactions too
                 buf.restore_elements(checkpoint.sink_elements.get(name, ()))
         self.channels.reset(region, routing)
-        rebalanced = {i for i, edge in enumerate(self.graph.edges)
+        rebalanced = {self.graph.edge_id(edge): i
+                      for i, edge in enumerate(self.graph.edges)
                       if edge.mode == REBALANCE and edge.up in region}
         self._rr = {
             **{k: v for k, v in self._rr.items()
-               if k[0] not in rebalanced},
-            **{k: v for k, v in routing.get("rr", {}).items()
-               if k[0] in rebalanced}}
+               if k[0] not in rebalanced.values()},
+            **{(rebalanced[e], i): v
+               for (e, i), v in routing.get("rr", {}).items()
+               if e in rebalanced}}
         if whole:
             if self._data_chaos:
                 # Data-fault windows name records, not wall-clock

@@ -18,6 +18,11 @@ With ``chaining`` on (what a batched executor asks for), linear runs of
 chainable operators of equal parallelism in one region are fused into a
 single ``chain(a+b)`` node.  The compiler is pure: it reads the job and
 builds records; nothing here runs, buffers or routes an item.
+
+Checkpointed routing state names channels by logical operator (a
+chain's head receives, its tail sends) and leaves out the channels a
+chaining compile fuses away, so batched and per-item plans of one job
+restore each other's routing state.
 """
 
 from __future__ import annotations
@@ -88,6 +93,9 @@ class ExecutionGraph:
     placement: Any = None
     #: logical node -> region, resolved at compile time (empty: flat)
     node_regions: dict[str, str] = field(default_factory=dict)
+    #: operators a chaining compile fuses to their upstream (every
+    #: chain member but the head), whether or not this plan chains
+    fused: frozenset[str] = frozenset()
 
     def width(self, name: str) -> int:
         """Subtask count of a source or an execution node."""
@@ -101,6 +109,49 @@ class ExecutionGraph:
         return tuple((edge.up, i) for edge in self.edges
                      if edge.mode == MERGE and edge.down == sink
                      for i in range(self.width(edge.up)))
+
+    # -- routing state names: the same in a chained and an unchained plan
+
+    def input_id(self, key: tuple) -> tuple | None:
+        """A subtask input named by its receiving logical operator (a
+        chain's head); None for an input a chaining compile fuses away,
+        which a checkpoint leaves out: every watermark it will carry
+        exceeds the one it held, so unset restores it exactly."""
+        name, idx, side = key
+        head = self.nodes[name].members[0]
+        return None if head in self.fused else (head, idx, side)
+
+    def sender_id(self, sender: tuple[str, int]) -> tuple[str, int]:
+        """A sending subtask named by its logical operator (a chain's
+        tail) or source."""
+        name, idx = sender
+        node = self.nodes.get(name)
+        return (name if node is None else node.members[-1], idx)
+
+    def edge_id(self, edge: PhysicalEdge) -> tuple:
+        """A physical edge named by its logical endpoints."""
+        up, down = self.nodes.get(edge.up), self.nodes.get(edge.down)
+        return (edge.up if up is None else up.members[-1],
+                edge.down if down is None else down.members[0], edge.side)
+
+    def routing_state(self, channel_wm: dict, aligned_wm: dict,
+                      rr: dict) -> dict[str, Any]:
+        """This plan's routing values as a checkpoint stores them, under
+        the names above."""
+        state: dict[str, Any] = {"channel_wm": {}, "aligned_wm": {},
+                                 "rr": {}}
+        for key, senders in channel_wm.items():
+            name = self.input_id(key)
+            if name is not None:
+                state["channel_wm"][name] = {
+                    self.sender_id(s): wm for s, wm in senders.items()}
+        for key, wm in aligned_wm.items():
+            name = self.input_id(key)
+            if name is not None:
+                state["aligned_wm"][name] = wm
+        for (e, i), cursor in rr.items():
+            state["rr"][self.edge_id(self.edges[e]), i] = cursor
+        return state
 
     def max_parallelism(self) -> int:
         widths = [n.parallelism for n in self.nodes.values()]
@@ -228,7 +279,8 @@ def compile_execution_graph(job: JobGraph,
                 f"keyed operator {name!r} parallelism {p_of(name)} exceeds "
                 f"the {key_groups} key groups")
 
-    chains = _fusible_runs(job, p_of, reg) if chaining else {}
+    runs = _fusible_runs(job, p_of, reg)
+    chains = runs if chaining else {}
     rename: dict[str, str] = {}
     nodes: dict[str, PhysicalNode] = {}
     in_chain: set[str] = set()
@@ -307,5 +359,7 @@ def compile_execution_graph(job: JobGraph,
     return ExecutionGraph(job=job, nodes=nodes, edges=edges, topo=topo,
                           source_parallelism=source_parallelism,
                           source_splits=source_splits, rename=rename,
-                          placement=placement, node_regions=node_regions)
+                          placement=placement, node_regions=node_regions,
+                          fused=frozenset(m for run in runs.values()
+                                          for m in run[1:]))
 

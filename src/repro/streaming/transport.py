@@ -84,6 +84,7 @@ class Channels:
 
     def __init__(self, graph: ExecutionGraph, *, batch_mode: bool,
                  injector: Any = None, metrics: Any = None) -> None:
+        self._graph = graph
         self.batch_mode = batch_mode
         self.injector = injector
         self.metrics = metrics
@@ -284,8 +285,9 @@ class Channels:
             for channel in senders.values())
 
     def routing_snapshot(self) -> dict[str, Any]:
-        """Channel and aligned watermarks, as a checkpoint's
-        ``routing_state`` stores them."""
+        """Channel and aligned watermarks under this plan's node names
+        (a checkpoint stores them through
+        :meth:`~repro.streaming.plan.ExecutionGraph.routing_state`)."""
         return {
             "channel_wm": {key: {sender: channel.watermark
                                  for sender, channel in senders.items()}
@@ -294,26 +296,31 @@ class Channels:
         }
 
     def same_shape(self, routing: dict[str, Any]) -> bool:
-        """Whether ``routing`` was cut from a plan with exactly these
-        channels (routing state is exact only for its own shape)."""
+        """Whether a checkpoint's ``routing`` was cut from a plan with
+        exactly these channels, chained or not (routing state is exact
+        only for its own shape)."""
         saved = routing.get("channel_wm", {})
-        return (saved.keys() == self._inputs.keys()
+        mine = self._graph.routing_state(rr={}, **self.routing_snapshot())
+        return (saved.keys() == mine["channel_wm"].keys()
                 and all(saved[key].keys() == senders.keys()
-                        for key, senders in self._inputs.items()))
+                        for key, senders in mine["channel_wm"].items()))
 
     def reset(self, region: set[str], routing: dict[str, Any]) -> None:
         """Forget everything in flight into ``region`` — queued, held
         and buffered packets are data the rewind regenerates — and set
-        its watermarks to ``routing``'s (absent: event time starts
-        over)."""
+        its watermarks to a checkpoint's ``routing`` (absent: event
+        time starts over)."""
         channel_wm = routing.get("channel_wm", {})
         aligned_wm = routing.get("aligned_wm", {})
+        graph = self._graph
         for key, senders in self._inputs.items():
             if key[0] not in region:
                 continue
-            saved = channel_wm.get(key, {})
+            name = graph.input_id(key)
+            saved = channel_wm.get(name, {})
             for sender in senders:
                 senders[sender] = Channel(
-                    deque(), saved.get(sender, float("-inf")))
-            self._aligned[key] = aligned_wm.get(key, float("-inf"))
+                    deque(), saved.get(graph.sender_id(sender),
+                                       float("-inf")))
+            self._aligned[key] = aligned_wm.get(name, float("-inf"))
         self._on_hold = [h for h in self._on_hold if h[1][0] not in region]

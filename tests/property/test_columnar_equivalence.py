@@ -17,7 +17,6 @@ window that reads it must reproduce the per-item interleaving exactly,
 at every parallelism and across barrier cuts and crashes.
 """
 
-import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -277,14 +276,9 @@ def _punctuated_job(elements, emit_every, splits=None):
 
 
 def _assert_checkpoints_match(ckpt, ref, context):
-    """Whole-dataclass equality against the per-item run's checkpoint
-    where the plan has the per-item plan's channels; fused chains name
-    their channels after the chain, so there everything but the routing
-    table is compared."""
-    if (ckpt.routing_state["channel_wm"].keys()
-            != ref.routing_state["channel_wm"].keys()):
-        ckpt, ref = (dataclasses.replace(c, routing_state={})
-                     for c in (ckpt, ref))
+    """Whole-dataclass equality against the per-item run's checkpoint,
+    routing table included: a checkpoint names channels by logical
+    operator, so a fused plan's table is the per-item plan's."""
     assert ckpt == ref, context
 
 

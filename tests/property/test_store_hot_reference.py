@@ -13,16 +13,20 @@ against the store:
 
 - ``contents()`` and ``latest(k)`` for every key;
 - every memtable list runs oldest to newest within one key;
-- every run's rows are strictly ascending;
-- each shard's ``_run_newest`` names exactly each key's newest row
+- every run's columns are well formed (float64 timestamps, int64
+  sequences, one non-empty row range per key), and the rows rebuilt
+  from them, ``(key_repr, -order_ts, -seq, timestamp, value)``, are
+  strictly ascending;
+- each shard's ``_run_newest`` holds exactly each key's newest row
   across all of its runs (compaction in between or not);
-- memtable plus runs hold each applied row exactly once, in its run-row
-  shape ``(key_repr, -order_ts, -seq, timestamp, value)``.
+- memtable plus runs hold each applied row exactly once, in that row
+  shape.
 """
 
 import math
 from unittest.mock import patch
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +85,20 @@ class Model:
                 for kr in sorted(by_key)}
 
 
+def _run_rows(run):
+    """A run's columns rebuilt as rows, checking their shape."""
+    assert run.ts.dtype == np.float64 and run.seq.dtype == np.int64
+    assert len(run.ts) == len(run.seq) == len(run.values)
+    bounds = run.starts.tolist()
+    assert len(bounds) == len(run.keys) + 1
+    assert bounds[0] == 0 and bounds[-1] == len(run.values)
+    assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+    stamps, seqs = run.ts.tolist(), run.seq.tolist()
+    return [(kr, -_order(stamps[i]), -seqs[i], stamps[i], run.values[i])
+            for kr, lo, hi in zip(run.keys, bounds, bounds[1:])
+            for i in range(lo, hi)]
+
+
 def _canon_versions(versions):
     return [(repr(ts), value) for ts, value in versions]
 
@@ -101,7 +119,7 @@ def _check(store, model):
             held.extend(versions)
         newest = {}
         for run in shard._runs:
-            rows = run.rows
+            rows = _run_rows(run)
             assert all(a < b for a, b in zip(rows, rows[1:]))
             first = {}
             for i, row in enumerate(rows):
@@ -111,7 +129,7 @@ def _check(store, model):
                     newest[kr] = rows[i]
             held.extend(rows)
         assert shard._run_newest.keys() == newest.keys()
-        assert all(shard._run_newest[kr] is row
+        assert all(_canon(shard._run_newest[kr]) == _canon(row)
                    for kr, row in newest.items())
         held = [_canon(row) for row in held]
         assert len(set(held)) == len(held)

@@ -7,7 +7,9 @@ disagrees with the model the store lost or reordered a version.
 """
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.store import HotShard, HotStore, TieredStore, key_repr
@@ -200,6 +202,68 @@ class TestHotShard:
         shard.maintain()
         assert calls  # a new run is tiered again
         assert shard.latest("a") == [(8.0, 8)]
+
+    @pytest.mark.parametrize("ts", ["noon", 10**400],
+                             ids=["str", "past-float-range"])
+    def test_a_timestamp_float_refuses_is_a_store_error(self, ts):
+        """A timestamp ``float()`` refuses (a ``str``) or cannot hold
+        (an int past float range) is refused while staging, before the
+        memtable changes, so a later flush never meets it."""
+        a, b = key_repr("a"), key_repr("b")
+        shard = HotShard(0)
+        shard.apply_epoch(1, [(a, 1.0, "x")])
+        resident = shard._mem[a]
+        with pytest.raises(StoreError, match="not a float"):
+            shard.apply_epoch(2, [(a, 2.0, "y"), (b, ts, "z")])
+        assert shard._mem == {a: [hot_module.run_row(a, 1.0, 0, "x")]}
+        assert shard._mem[a] is resident
+        assert (shard._mem_rows, shard.last_applied_epoch) == (1, 1)
+        shard.flush()
+        assert shard.contents() == {a: [(1.0, "x")]}
+
+    def test_int_and_numpy_timestamps_are_stored_as_floats(self):
+        keys = [key_repr(k) for k in "abc"]
+        stamps = [3, np.int64(7), np.float32(2.5)]
+        shard = HotShard(0)
+        shard.apply_epoch(1, [(kr, ts, kr) for kr, ts in zip(keys, stamps)])
+        expected = {kr: [(float(ts), kr)] for kr, ts in zip(keys, stamps)}
+        for flushed in (False, True):
+            if flushed:
+                shard.flush()
+            contents = shard.contents()
+            assert contents == expected
+            assert all(type(ts) is float
+                       for versions in contents.values()
+                       for ts, _ in versions)
+            for kr in keys:
+                assert [type(ts) for ts, _ in shard.latest_rows(kr)] \
+                    == [float]
+
+    def test_a_stored_row_costs_few_traced_bytes(self):
+        """A count, not a clock: 50 000 versions of 200 keys, flushed
+        and compacted, all holding one value object, cost at most 40
+        bytes a row of what tracemalloc traces (a float64 timestamp,
+        an int64 sequence and a value slot; a row tuple with its
+        ordering floats and int cost ~145)."""
+        keys = [key_repr(f"k-{i}") for i in range(200)]
+        value = object()
+        epochs = [[(keys[i % 200], float(i), value)
+                   for i in range(base, base + 500)]
+                  for base in range(0, 50_000, 500)]
+        tracemalloc.start()
+        try:
+            shard = HotShard(0)
+            for epoch, rows in enumerate(epochs, 1):
+                shard.apply_epoch(epoch, rows)
+                shard.maintain()
+            shard.flush()
+            shard.compact()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (shard.rows, shard._mem_rows) == (50_000, 0)
+        assert shard.compactions > 0
+        assert held / 50_000 <= 40
 
 
 class TestHotStore:

@@ -11,9 +11,11 @@ tiered serving store (:mod:`repro.store`):
 2. **lookup tail under ingest** — the ``benchmarks/bench_p8_store.py``
    experiment (>= 1M distinct keys, point lookups interleaved with
    sustained columnar ingest) holds p99 point-lookup latency under the
-   committed floor; its Zipf row (lookups on keys with hundreds of
-   memtable versions) holds a p50 within a fixed ratio of the
-   uniform-key p50 measured in the same run; its read-amplification row
+   committed floor; the bytes its hot tier holds per stored row
+   (one shard, rebuilt under tracemalloc) are printed, with no bound;
+   its Zipf row (lookups on keys with hundreds of memtable versions)
+   holds a p50 within a fixed ratio of the uniform-key p50 measured in
+   the same run; its read-amplification row
    (keys in the memtable and six runs) and its dashboard row (the
    ward-backfill panel's tumbling mean, a ~20 000-row group_by) are
    printed, with no bound; its
@@ -120,6 +122,8 @@ def check_latency_floor() -> bool:
           f"{stats['ingest_rows']:,} rows ingested concurrently: "
           f"p50={stats['lookup_p50_us']} us p99={p99} us "
           f"(floor {P99_FLOOR_US:.0f} us)")
+    print(f"  hot tier: {stats['hot_bytes_per_row']} traced bytes per "
+          "stored row, one shard (reported, no bound)")
     print(f"  keys in the memtable and {stats['amp_runs']} runs: "
           f"p50={stats['amp_lookup_p50_us']} us "
           f"p99={stats['amp_lookup_p99_us']} us (reported, no bound)")
