@@ -2,26 +2,18 @@
 
 The paper's serving split (Sec 4.1): AR overlays need millisecond
 "latest state for this key" reads while dashboards keep appending
-committed history.  This bench builds the log-structured hot tier to
-**>= 1M distinct keys** (memtable + size-tiered sorted runs, exactly the
-state a long-running deployment accumulates), then measures point
-lookups *interleaved with sustained columnar ingest* into the
-analytical tier — every lookup timed individually so the tail is real,
-not an average hiding compaction stalls.
+committed history.  This bench builds the hot tier to **>= 1M distinct
+keys** (each key's newest version in its shard's index, every version
+in the commit-order log), then measures point lookups *interleaved
+with sustained columnar ingest* into the analytical tier — every lookup
+timed individually so the tail is real, not an average hiding stalls.
 
-That store is compacted and its keys are uniform: one version per
-key, nothing in the memtable.  A second, small store takes the other
-shape a deployment has — **Zipf keys, lookups landing on keys whose
-memtable list holds hundreds of versions** — because a lookup whose
-cost grows with a key's version count is invisible on the first.
+That store's keys are uniform: one version per key.  A second, small
+store takes the other shape a deployment has — **Zipf keys, lookups
+landing on keys that hold hundreds of versions** — because a lookup
+whose cost grows with a key's version count is invisible on the first.
 
-A third store holds every key's versions spread over the memtable
-and six sorted runs — **read amplification**: the lookups land on keys
-whose newest version may sit in any of them, the shape a key written
-steadily between flushes has.  Reported only, beside the uniform-key
-row; no gate reads it.
-
-A fourth store is a dashboard's: **the ward-backfill panel shape**, a
+A third store is a dashboard's: **the ward-backfill panel shape**, a
 tumbling mean over one ward's 200 keys of a 50 000-row, ~1 000-key
 analytical tier, and a ``group_by`` mean over a ~20 000-row time range
 of it, each query timed individually.  Reported only; no gate reads it.
@@ -34,21 +26,19 @@ Element list (``StoreSink.stage`` / ``apply``; the store encodes it at
 its boundary).  The columnar hand-off exists to make the first cheaper
 than the second.
 
-Reported: per-phase build throughput, hot-tier structure (runs,
-compactions), what the hot tier holds per stored row (see
-:func:`_hot_bytes_per_row`), lookup p50/p99/max, concurrent analytical
-ingest rate, the read-amplification lookup p50/p99 with the run count
-behind them, the hot-key lookup p50/p99 with the version count behind
-them, the dashboard query p50s with the rows and cells behind them, and
-the epoch-apply cost per row for both hand-offs at both epoch sizes.
-The committed gate (``tools/check_store.py``) holds the uniform-key p99
-under ``P99_FLOOR_US`` — ~10x the measured value on the reference
-container, so a structural regression (e.g. lookups degrading to
-full-run scans) trips it and box noise does not — and the hot-key p50
-under ``HOT_KEY_RATIO_CEILING`` times the uniform-key p50 of the same
-run, and the batch hand-off of an epoch at or under the list hand-off
-of the same epoch, at both sizes (a ratio within one run, no absolute
-floor).
+Reported: build throughput, what the hot tier holds per stored row
+(see :func:`_hot_bytes_per_row`), lookup p50/p99/max, concurrent
+analytical ingest rate, the hot-key lookup p50/p99 with the version
+count behind them, the dashboard query p50s with the rows and cells
+behind them, and the epoch-apply cost per row for both hand-offs at
+both epoch sizes.  The committed gate (``tools/check_store.py``) holds
+the uniform-key p99 under ``P99_FLOOR_US`` — ~10x the measured value
+on the reference container, so a structural regression (e.g. lookups
+degrading to scans of a key's versions) trips it and box noise does
+not — and the hot-key p50 under ``HOT_KEY_RATIO_CEILING`` times the
+uniform-key p50 of the same run, and the batch hand-off of an epoch at
+or under the list hand-off of the same epoch, at both sizes (a ratio
+within one run, no absolute floor).
 
 Results merge into ``BENCH_streaming.json`` under the ``"store"`` key.
 """
@@ -63,10 +53,12 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from repro.store import HotShard, HotStore, StoreSink, TieredStore, key_repr
+from repro.store import HotStore, StoreSink, TieredStore, key_repr
+from repro.streaming import shuffle
 from repro.streaming.batch import RecordBatch
 from repro.streaming.element import Element
 from repro.streaming.txn_sink import TransactionalSink
+from repro.util import ids
 
 import benchlib
 from tableprint import print_table
@@ -78,28 +70,19 @@ INGEST_BATCHES = 25
 INGEST_ROWS = 8_000
 LOOKUPS_PER_BATCH = 400
 NUM_SHARDS = 16
-MEMTABLE_LIMIT = 10_000
 
 #: gate floor for the lookup tail, microseconds (see module docstring)
 P99_FLOOR_US = 400.0
 
 HOT_KEYS = 2_000
 HOT_ZIPF_A = 1.3
-HOT_MEMTABLE_LIMIT = 16_384
-#: 17 epochs fill a memtable: three flushed runs, then 15 000 resident rows
 HOT_EPOCHS = 66
 HOT_EPOCH_ROWS = 1_000
 HOT_LOOKUPS = 10_000
 #: gate ceiling: hot-key lookup p50 over uniform-key lookup p50, same
-#: run.  A tail read sits under 1x; sorting every memtable version of
-#: the key per lookup sat near 10x.
+#: run.  An index read sits under 1x; sorting every version of the key
+#: per lookup sat near 10x.
 HOT_KEY_RATIO_CEILING = 3.0
-
-AMP_KEYS = 2_000
-#: epochs writing every key once, each flushed: 15 leave three merged
-#: runs of four epochs and three runs of one
-AMP_EPOCHS = 15
-AMP_LOOKUPS = 10_000
 
 DASH_ROWS = 50_000
 DASH_KEYS = 1_000
@@ -117,24 +100,25 @@ APPLY_SHAPES = (("big", 1, 20_000), ("small", 1_000, 20))
 APPLY_REPEATS = 3
 
 
+def _apply_rows(hot: HotStore, epoch: int, keys: list, stamps: list,
+                values: list) -> None:
+    """One committed epoch of distinct keys, as the columns a sealed
+    batch hands the hot tier."""
+    hot.install_epoch(hot.stage_epoch(epoch, keys, range(len(keys)),
+                                      stamps, values))
+
+
 def _build_hot(store: TieredStore, rng) -> dict:
     """Populate the hot tier to N_KEYS distinct keys through committed
-    epochs, flushing and compacting as a live deployment would."""
+    epochs."""
     started = time.perf_counter()
     epoch = 0
-    hot = store.hot
     for base in range(0, N_KEYS, BUILD_EPOCH_ROWS):
         epoch += 1
-        per_shard = {}
-        for i in range(base, base + BUILD_EPOCH_ROWS):
-            key = f"k-{i:07d}"
-            row = (key_repr(key), float(i % 10_000),
-                   float(rng.uniform(0, 1)))
-            sid = hot.shard_for(key).shard_id
-            per_shard.setdefault(sid, []).append(row)
-        for sid, rows in per_shard.items():
-            hot.shards[sid].apply_epoch(epoch, rows)
-        hot.maintain()
+        span = range(base, base + BUILD_EPOCH_ROWS)
+        _apply_rows(store.hot, epoch, [f"k-{i:07d}" for i in span],
+                    [float(i % 10_000) for i in span],
+                    rng.uniform(0, 1, BUILD_EPOCH_ROWS).tolist())
     elapsed = time.perf_counter() - started
     return {"build_s": round(elapsed, 2),
             "build_rows_per_s": round(N_KEYS / elapsed),
@@ -142,31 +126,37 @@ def _build_hot(store: TieredStore, rng) -> dict:
 
 
 def _hot_bytes_per_row() -> float:
-    """Bytes ``tracemalloc`` traces per stored row of one shard of the
-    1M-key store: keys, values, memtable, runs and indexes.
+    """Bytes ``tracemalloc`` traces per stored row of one shard's share
+    of the 1M-key store: keys, values, the newest-version index and the
+    log, but not the routing's bounded memos.
 
-    The shard is built alone, from its share of the same keys in its
-    share of each build epoch (tracing the whole build took ten times
-    its untraced time on a 2-core box), flushed and compacted as the
-    build does it.  It draws its values from its own generator, so the other rows'
-    draws hold.
+    The share is built alone, into a one-shard store, from a shard's
+    share of the keys in its share of each build epoch (tracing the
+    whole build took ten times its untraced time on a 2-core box).  It
+    draws its values from its own generator, so the other rows' draws
+    hold.
     """
     rng = np.random.default_rng(SEED)
     keys = N_KEYS // NUM_SHARDS
     epoch_rows = BUILD_EPOCH_ROWS // NUM_SHARDS
     tracemalloc.start()
     try:
-        shard = HotShard(0, memtable_limit=MEMTABLE_LIMIT)
+        hot = HotStore(num_shards=1)
         for epoch, base in enumerate(range(0, keys, epoch_rows), 1):
-            shard.apply_epoch(epoch, [
-                (key_repr(f"k-{i:07d}"), float(i % 10_000),
-                 float(rng.uniform(0, 1)))
-                for i in range(base, min(base + epoch_rows, keys))])
-            shard.maintain()
-        held = tracemalloc.get_traced_memory()[0]
+            span = range(base, min(base + epoch_rows, keys))
+            _apply_rows(hot, epoch, [f"k-{i:07d}" for i in span],
+                        [float(i % 10_000) for i in span],
+                        rng.uniform(0, 1, len(span)).tolist())
+        # the route memo and the key-group hash memo under it are
+        # bounded caches of the routing, not rows of the tier
+        hot._routes.clear()
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(False, module.__file__)
+             for module in (shuffle, ids)])
     finally:
         tracemalloc.stop()
-    return round(held / shard.rows, 1)
+    held = sum(stat.size for stat in snapshot.statistics("filename"))
+    return round(held / hot.rows, 1)
 
 
 def _measure(store: TieredStore, rng) -> dict:
@@ -216,23 +206,21 @@ def _zipf_keys(rng, n: int) -> list[str]:
 
 def _measure_hot_keys(rng) -> dict:
     """Zipf writes into one hot shard, then individually timed Zipf
-    lookups: most land on a key with hundreds of memtable versions
-    above a few flushed runs."""
-    hot = HotStore(num_shards=1, memtable_limit=HOT_MEMTABLE_LIMIT)
-    shard = hot.shards[0]
-    #: key -> versions applied since the shard last flushed
-    resident = Counter()
+    lookups: most land on a key with hundreds of versions."""
+    hot = HotStore(num_shards=1)
+    #: key_repr -> versions applied
+    held = Counter()
     ts = 0.0
     for epoch in range(1, HOT_EPOCHS + 1):
-        rows = []
-        for key in _zipf_keys(rng, HOT_EPOCH_ROWS):
-            ts += 1.0
-            rows.append((key_repr(key), ts, float(rng.uniform(0, 1))))
-        shard.apply_epoch(epoch, rows)
-        resident.update(kr for kr, _ts, _value in rows)
-        hot.maintain()
-        if not shard.stats()["memtable_rows"]:
-            resident.clear()
+        keys = _zipf_keys(rng, HOT_EPOCH_ROWS)
+        stamps = [ts + i for i in range(1, HOT_EPOCH_ROWS + 1)]
+        ts = stamps[-1]
+        dictionary = sorted(set(keys))
+        code = {key: c for c, key in enumerate(dictionary)}
+        hot.install_epoch(hot.stage_epoch(
+            epoch, dictionary, [code[key] for key in keys], stamps,
+            rng.uniform(0, 1, HOT_EPOCH_ROWS).tolist()))
+        held.update(map(key_repr, keys))
     written = set(hot.contents())
     latencies, versions = [], []
     for key in _zipf_keys(rng, HOT_LOOKUPS):
@@ -242,52 +230,14 @@ def _measure_hot_keys(rng) -> dict:
         value = hot.point(key)
         latencies.append(time.perf_counter_ns() - t0)
         assert value is not None
-        versions.append(resident[key_repr(key)])
+        versions.append(held[key_repr(key)])
     lat_us = np.asarray(latencies, dtype=np.float64) / 1_000.0
-    stats = shard.stats()
     return {
         "hot_key_lookups": len(latencies),
         "hot_key_lookup_p50_us": round(float(np.percentile(lat_us, 50)), 1),
         "hot_key_lookup_p99_us": round(float(np.percentile(lat_us, 99)), 1),
-        "hot_key_memtable_versions_p50": int(np.percentile(versions, 50)),
-        "hot_key_memtable_rows": stats["memtable_rows"],
-        "hot_key_runs": stats["runs"],
-    }
-
-
-def _measure_read_amp(rng) -> dict:
-    """Every key written once per epoch, each epoch flushed into a run
-    (compaction merging them as it would), then one more epoch over
-    half the keys left in the memtable; individually timed lookups of
-    those keys, whose versions span the memtable and every run."""
-    hot = HotStore(num_shards=1, memtable_limit=AMP_KEYS)
-    shard = hot.shards[0]
-    keys = [f"amp-{i:04d}" for i in range(AMP_KEYS)]
-    ts = 0.0
-    for epoch in range(1, AMP_EPOCHS + 2):
-        written = keys if epoch <= AMP_EPOCHS else keys[::2]
-        rows = []
-        for i in rng.permutation(len(written)).tolist():
-            ts += 1.0
-            rows.append((key_repr(written[i]), ts,
-                         float(rng.uniform(0, 1))))
-        shard.apply_epoch(epoch, rows)
-        hot.maintain()
-    stats = shard.stats()
-    assert stats["memtable_rows"] == len(keys[::2])
-    latencies = []
-    for i in rng.integers(0, len(keys) // 2, size=AMP_LOOKUPS).tolist():
-        key = keys[2 * i]
-        t0 = time.perf_counter_ns()
-        value = hot.point(key)
-        latencies.append(time.perf_counter_ns() - t0)
-        assert value is not None
-    lat_us = np.asarray(latencies, dtype=np.float64) / 1_000.0
-    return {
-        "amp_lookups": len(latencies),
-        "amp_lookup_p50_us": round(float(np.percentile(lat_us, 50)), 1),
-        "amp_lookup_p99_us": round(float(np.percentile(lat_us, 99)), 1),
-        "amp_runs": stats["runs"],
+        "hot_key_versions_p50": int(np.percentile(versions, 50)),
+        "hot_key_rows": hot.rows,
     }
 
 
@@ -381,9 +331,7 @@ def _measure_epoch_apply(rng) -> dict:
 
 def run_experiment() -> dict:
     rng = np.random.default_rng(SEED)
-    store = TieredStore(num_shards=NUM_SHARDS,
-                        memtable_limit=MEMTABLE_LIMIT,
-                        metric_fn=lambda v: float(v))
+    store = TieredStore(num_shards=NUM_SHARDS, metric_fn=lambda v: float(v))
     build = _build_hot(store, rng)
     build["hot_bytes_per_row"] = _hot_bytes_per_row()
     assert store.hot.rows >= N_KEYS
@@ -392,18 +340,13 @@ def run_experiment() -> dict:
     hot_keys["hot_key_p50_ratio"] = round(
         hot_keys["hot_key_lookup_p50_us"] / measure["lookup_p50_us"], 2)
     epoch_apply = _measure_epoch_apply(rng)
-    read_amp = _measure_read_amp(rng)
     dashboard = _measure_dashboard(rng)  # last: the other rows' draws hold
-    hot_stats = store.hot.stats()
     results = {
         "config": {"keys": N_KEYS, "num_shards": NUM_SHARDS,
-                   "memtable_limit": MEMTABLE_LIMIT,
                    "ingest_batches": INGEST_BATCHES,
                    "ingest_rows_per_batch": INGEST_ROWS,
                    "p99_floor_us": P99_FLOOR_US,
                    "hot_keys": HOT_KEYS, "hot_zipf_a": HOT_ZIPF_A,
-                   "hot_memtable_limit": HOT_MEMTABLE_LIMIT,
-                   "amp_keys": AMP_KEYS, "amp_epochs": AMP_EPOCHS,
                    "hot_key_ratio_ceiling": HOT_KEY_RATIO_CEILING,
                    "apply_keys": APPLY_KEYS,
                    "apply_shapes": [list(shape) for shape in APPLY_SHAPES],
@@ -411,13 +354,8 @@ def run_experiment() -> dict:
                    "dash_window_s": DASH_WINDOW_S,
                    "dash_panel_keys": DASH_PANEL_KEYS,
                    "dash_queries": DASH_QUERIES},
-        "store": {**build, **measure, **read_amp, **hot_keys,
-                  **epoch_apply, **dashboard,
-                  "hot_rows": store.hot.rows,
-                  "runs": int(sum(s["runs"]
-                                  for s in hot_stats["shards"])),
-                  "compactions": int(sum(s["compactions"]
-                                         for s in hot_stats["shards"])),
+        "store": {**build, **measure, **hot_keys, **epoch_apply,
+                  **dashboard, "hot_rows": store.hot.rows,
                   "analytical_rows": store.analytical.rows},
     }
     return results
@@ -430,19 +368,14 @@ def report(results: dict) -> None:
         f"{s['ingest_rows']:,} rows concurrent columnar ingest)",
         ["metric", "value"],
         [["hot build rows/s", f"{s['build_rows_per_s']:,}"],
-         ["sorted runs (all shards)", str(s["runs"])],
-         ["compactions", str(s["compactions"])],
          ["hot tier traced bytes per stored row",
           f"{s['hot_bytes_per_row']} B"],
          ["point lookup p50", f"{s['lookup_p50_us']} us"],
          ["point lookup p99", f"{s['lookup_p99_us']} us"],
          ["point lookup max", f"{s['lookup_max_us']} us"],
-         ["point lookup p50 / p99, key in the memtable and "
-          f"{s['amp_runs']} runs",
-          f"{s['amp_lookup_p50_us']} / {s['amp_lookup_p99_us']} us"],
          ["hot-key lookup p50 (Zipf, "
-          f"{s['hot_key_memtable_versions_p50']} memtable versions "
-          "behind the median lookup)", f"{s['hot_key_lookup_p50_us']} us"],
+          f"{s['hot_key_versions_p50']} versions behind the median "
+          "lookup)", f"{s['hot_key_lookup_p50_us']} us"],
          ["hot-key lookup p99", f"{s['hot_key_lookup_p99_us']} us"],
          ["hot-key p50 / uniform-key p50", f"{s['hot_key_p50_ratio']}x"],
          *([f"epoch apply, {epochs:,} x {rows:,} rows: sealed batch / "

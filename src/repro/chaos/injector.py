@@ -397,7 +397,7 @@ class FaultInjector:
         """Hook at each phase of a serving-store epoch apply (see
         :data:`~repro.chaos.plan.STORE_PHASES`).  Counters run per phase
         plus a global one, so a plan can
-        kill the store "on the second apply" or "during any compaction".
+        kill the store "on the second apply" or "after any install".
         A ``store_crash`` raises :class:`OperatorCrash` with
         ``op_name=None`` — the harness restores the whole job from the
         last finalized checkpoint, and because the store only installs

@@ -54,8 +54,8 @@ RESCALE_PHASES = ("decide", "savepoint", "recompile", "restore")
 
 #: the store apply protocol's phases; ``store_crash`` targets one of
 #: these (or None for the global counter): ``stage`` builds the epoch's
-#: rows off to the side, ``apply`` installs them, ``compact`` merges
-#: sorted runs afterwards
+#: rows off to the side, ``apply`` installs them, ``compact`` is a
+#: crash after the install (the hot tier keeps no runs to merge)
 STORE_PHASES = ("stage", "apply", "compact")
 
 #: kind -> sites where it may be scheduled

@@ -1,8 +1,9 @@
 """Tiered serving store: millisecond point lookups + columnar scans.
 
 The serving layer the paper's Section 4.1 split demands (ROADMAP item
-3): a log-structured **hot store** (:mod:`repro.store.hot`) answering
-"latest N per key" from memtable + sorted runs, and a columnar
+3): a **hot store** (:mod:`repro.store.hot`) answering "latest state
+for this key" from each key's newest version, over an append-only log
+of every version, and a columnar
 **analytical store** (:mod:`repro.store.analytical`) appending
 committed history and serving filter/group-by/window aggregates over
 numpy columns.  Both tiers mutate only through committed checkpoint
@@ -11,15 +12,13 @@ exactly-once bridge off the transactional-sink commit stream.
 """
 
 from .analytical import AnalyticalStore
-from .hot import HotShard, HotStore, SortedRun, key_repr
+from .hot import HotStore, key_repr
 from .sink import StoreSink
 from .tiered import TieredStore, canonical_contents, serve_topic
 
 __all__ = [
     "AnalyticalStore",
-    "HotShard",
     "HotStore",
-    "SortedRun",
     "key_repr",
     "StoreSink",
     "TieredStore",

@@ -7,8 +7,8 @@ finalized checkpoint it receives the sink's *committed* output, takes
 the delta past what it already applied — as the batch the sink sealed,
 not as decoded Elements — **stages** it (shard routing, key encoding,
 column building — all the failure-prone work) and then
-**applies** it: every affected hot shard and the analytical store
-install the epoch atomically and record ``last_applied_epoch``.
+**applies** it: the hot and the analytical store each install the
+epoch atomically and record ``last_applied_epoch``.
 
 Why the delta logic is crash-proof: committed output only ever grows as
 a list prefix — checkpoint N's projection is a prefix of checkpoint
@@ -17,7 +17,7 @@ is exactly the rows the store has not seen.  A crash *inside* the
 listener (injected at the ``stage``/``apply``/``compact`` fault sites)
 restores the job to the just-finalized checkpoint; the next commit's
 delta then contains everything the interrupted apply missed, and the
-per-shard epoch guard drops anything it did not.
+per-tier epoch guard drops anything it did not.
 
 The sink also registers as a *consumer* on the
 :class:`~repro.streaming.coordinator.CheckpointStore` and advances its
@@ -106,9 +106,9 @@ class StoreSink:
         return self.store.stage_epoch(epoch, rows) | {"rows": len(rows)}
 
     def apply(self, epoch: int, staged: dict[str, Any]) -> int:
-        """Phase 2: install the staged epoch (atomic per shard, guarded
-        by ``last_applied_epoch``), advance the retain-watermark, then
-        let the hot store flush/compact."""
+        """Phase 2: install the staged epoch (atomic per tier, guarded
+        by ``last_applied_epoch``) and advance the retain-watermark.  The
+        ``compact`` fault site, last, is a crash after the install."""
         if self.injector is not None:
             self.injector.before_store_phase("apply")
         self.store.install_epoch(staged)
@@ -120,5 +120,4 @@ class StoreSink:
                                                     epoch)
         if self.injector is not None:
             self.injector.before_store_phase("compact")
-        self.store.maintain()
         return staged["rows"]

@@ -27,10 +27,9 @@ __all__ = ["TieredStore", "serve_topic", "canonical_contents"]
 class TieredStore:
     """Hot point-lookup tier + columnar analytical tier, fed together."""
 
-    def __init__(self, *, num_shards: int = 8, memtable_limit: int = 4096,
+    def __init__(self, *, num_shards: int = 8,
                  metric_fn: Callable[[Any], float] | None = None) -> None:
-        self.hot = HotStore(num_shards=num_shards,
-                            memtable_limit=memtable_limit)
+        self.hot = HotStore(num_shards=num_shards)
         self.analytical = AnalyticalStore(metric_fn=metric_fn)
 
     # -- epoch protocol (driven by StoreSink) --------------------------------
@@ -38,52 +37,42 @@ class TieredStore:
     def stage_epoch(self, epoch: int,
                     rows: RecordBatch | list[Element]) -> dict[str, Any]:
         """Route one committed epoch — the batch the sink sealed, or
-        Elements, encoded here once: per-shard hot rows + one analytical
-        segment, staged but not installed."""
+        Elements, encoded here once: the hot tier's newest versions and
+        log segment + one analytical segment, staged but not
+        installed."""
         batch = as_batch(rows)
-        # decoded once: the hot rows and the analytical raw column hold
-        # the same value objects
+        # decoded once: the hot tier's log and the analytical raw column
+        # hold the same value objects
         values = batch.values_list()
         codes, keys = batch.key_column()
         return {
             "epoch": epoch,
-            "shards": self.hot.stage_epoch(epoch, keys, codes.tolist(),
-                                           batch.timestamps.tolist(),
-                                           values),
+            "hot": self.hot.stage_epoch(epoch, keys, codes,
+                                        batch.timestamps, values),
             "analytical": self.analytical.stage_epoch(epoch, batch,
                                                       raw=values),
         }
 
     def install_epoch(self, staged: dict[str, Any]) -> int:
-        """Install a staged epoch into every affected shard and the
-        analytical tier (each guarded by its own epoch)."""
-        installed = 0
-        for sid, st in staged["shards"].items():
-            installed += self.hot.shards[sid].install_epoch(st)
+        """Install a staged epoch into the hot and the analytical tier
+        (each guarded by its own epoch)."""
+        installed = self.hot.install_epoch(staged["hot"])
         self.analytical.install_epoch(staged["analytical"])
         return installed
-
-    def apply_epoch(self, epoch: int,
-                    rows: RecordBatch | list[Element]) -> int:
-        return self.install_epoch(self.stage_epoch(epoch, rows))
-
-    # -- maintenance ---------------------------------------------------------
-
-    def maintain(self) -> None:
-        self.hot.maintain()
 
     # -- serving surface -----------------------------------------------------
 
     def latest(self, key: Any) -> list[tuple[float, Any]]:
-        """:meth:`HotStore.latest`, with the hot tier's route memo read
-        here: a memoised key reaches its shard's row in two calls, this
-        one and :meth:`HotShard.latest_rows` (an overlay frame makes one
-        lookup per label)."""
+        """:meth:`HotStore.latest`, with the hot tier's route memo and
+        shard index read here: a memoised key reaches its newest version
+        in this one call (an overlay frame makes one lookup per
+        label)."""
         hot = self.hot
         hit = hot._routes.get(key) if type(key) is str else None
         if hit is None:
             hit = hot.route(key)
-        return hot.shards[hit[0]].latest_rows(hit[1])
+        best = hot.shards[hit[0]].get(hit[1])
+        return [] if best is None else [(best[2], best[3])]
 
     def point(self, key: Any) -> Any | None:
         return self.hot.point(key)

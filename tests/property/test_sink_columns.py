@@ -122,8 +122,7 @@ class TestSinkAsColumns:
         for p in PARALLELISMS:
             runs = {}
             for mode, flags in MODES.items():
-                store = TieredStore(num_shards=4, memtable_limit=16,
-                                    metric_fn=_metric)
+                store = TieredStore(num_shards=4, metric_fn=_metric)
                 runs[mode] = (*_coordinated(_job(elements, kind), p, flags,
                                             source_batch, store), store)
             base, base_ckpts, base_sink, base_store = runs["per_item"]

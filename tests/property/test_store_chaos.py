@@ -3,7 +3,8 @@
 The property (satellite #4, proving the tentpole's epoch protocol): a
 job streaming a topic into the tiered store through a
 :class:`~repro.store.StoreSink` is killed mid-**stage**, mid-**apply**
-(the commit listener's install step), during **compaction**, inside an
+(the commit listener's install step), right **after the install** (the
+``compact`` site), inside an
 operator, and inside the coordinator's commit — at parallelism 1, 2 and
 4 — and after recovery the hot-store contents (every key, every
 version, every timestamp) and the analytical tier's row count are

@@ -46,10 +46,10 @@ for bed in range(4):
                                       ((bed - 1.5) * 1.5, 0.0, 5.0), name=pid))
     for tag, (mean, spread) in VITALS.items():
         lookups.append((f"{pid}:{tag}", pid, tag, mean, spread))
-store.apply_epoch(1, [
+store.install_epoch(store.stage_epoch(1, [
     Element(value=mean + spread * ((i * 7) % 5 - 2) / 3, timestamp=float(i),
             key=key)
-    for i, (key, _pid, _tag, mean, spread) in enumerate(lookups)])
+    for i, (key, _pid, _tag, mean, spread) in enumerate(lookups)]))
 engine = InterpretationEngine(context)
 for tag in VITALS:
     engine.register_default(tag)

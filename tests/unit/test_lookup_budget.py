@@ -1,14 +1,14 @@
-"""A frame's point lookup costs the same behind one sorted run or eight.
+"""A frame's point lookup costs the same behind one epoch or eight.
 
 An overlay frame reads ``latest(key)`` for each anchor it draws, while
-ingest keeps flushing memtables into sorted runs.  This counts the
+ingest keeps appending epochs to the hot tier's log.  This counts the
 Python function calls (``sys.setprofile`` ``call`` events; C functions
 are not counted) of one ``TieredStore.latest(key)`` for a key that has
-versions in the memtable and in every run of its shard.  A lookup that
-scans each run shows up here as one more call per run; the newest-row
-index answers without visiting a run, so the count must read the same
-with 1 run and with 8.  It is deterministic, so it must also read the
-same under two hash seeds.
+a version in every epoch applied.  A lookup that visits each epoch, or
+each version, shows up here as one more call per epoch; the newest-
+version index answers without reading the log, so the count must read
+the same after 1 epoch and after 8.  It is deterministic, so it must
+also read the same under two hash seeds.
 """
 
 import os
@@ -23,9 +23,8 @@ import sys
 from repro.store import TieredStore
 from repro.streaming.element import Element
 
-runs = int(sys.argv[1])
+epochs = int(sys.argv[1])
 store = TieredStore(num_shards=1)
-shard = store.hot.shards[0]
 ts = 0.0
 
 
@@ -35,14 +34,12 @@ def epoch(i):
     for key in ("k", "other", ("t", i % 3)):
         ts += 1.0
         rows.append(Element(value=f"{key}@{ts}", timestamp=ts, key=key))
-    store.apply_epoch(i, rows)
+    store.install_epoch(store.stage_epoch(i, rows))
 
 
-for i in range(1, runs + 1):
+for i in range(1, epochs + 1):
     epoch(i)
-    shard.flush()  # a run per epoch, none merged
-epoch(runs + 1)  # and a memtable
-assert shard.stats()["runs"] == runs
+assert store.hot.rows == 3 * epochs
 assert store.latest("k") == [(ts - 2.0, f"k@{ts - 2.0}")]
 calls = 0
 
@@ -60,14 +57,14 @@ print(calls)
 """
 
 
-def _calls(hash_seed, runs):
+def _calls(hash_seed, epochs):
     env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(SRC)}
-    out = subprocess.run([sys.executable, "-c", PROBE, str(runs)], env=env,
+    out = subprocess.run([sys.executable, "-c", PROBE, str(epochs)], env=env,
                          capture_output=True, text=True, check=True)
     return int(out.stdout.split()[-1])
 
 
-def test_a_point_lookup_costs_the_same_behind_one_run_or_eight():
-    counts = {(seed, runs): _calls(seed, runs)
-              for seed in ("0", "1") for runs in (1, 8)}
+def test_a_point_lookup_costs_the_same_behind_one_epoch_or_eight():
+    counts = {(seed, epochs): _calls(seed, epochs)
+              for seed in ("0", "1") for epochs in (1, 8)}
     assert len(set(counts.values())) == 1, counts

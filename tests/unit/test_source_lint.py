@@ -77,10 +77,11 @@ text, imports only to inspect one signature).
     channel never drops and a failover region is a connected component,
     so ``unaligned_after``, ``drop_on_overflow``, ``replayable`` and
     what only they reached are named nowhere under ``src/``, ``tools/``,
-    ``benchmarks/`` or ``examples/``.  Key groups, channel capacity and
-    compaction fan-out are module constants (``shuffle.KEY_GROUPS``,
-    ``transport.CHANNEL_CAPACITY``, ``hot.TIER_FANOUT``) and the hot
-    tier keeps no TTL, so ``ttl_s``, ``tier_fanout``,
+    ``benchmarks/`` or ``examples/``.  Key groups and channel capacity
+    are module constants (``shuffle.KEY_GROUPS``,
+    ``transport.CHANNEL_CAPACITY``) and the hot tier keeps no TTL, no
+    memtable and no sorted runs, so ``ttl_s``, ``tier_fanout``,
+    ``TIER_FANOUT``, ``memtable_limit``, ``SortedRun``,
     ``channel_capacity``, ``DEFAULT_KEY_GROUPS`` and the at-least-once
     ``log_sink`` are named nowhere there either, nor are the log's
     retention and compaction (``retention_bytes``,
@@ -727,16 +728,16 @@ UNSET_MODES = re.compile(
     r"|ttl_s|tier_fanout|channel_capacity|DEFAULT_KEY_GROUPS|log_sink"
     r"|retention_bytes|retention_seconds|run_retention|run_compaction"
     r"|SessionWindows|_merge_sessions|exclude_seen|partition_out"
-    r"|partition_in|retryable|escalate|xray_surcharge_ms)\b"
+    r"|partition_in|retryable|escalate|xray_surcharge_ms"
+    r"|memtable_limit|TIER_FANOUT|SortedRun)\b"
     r"|\bcompacted\s*=")
 #: (module, class) -> parameters of its ``__init__``, ``self`` excluded
 INIT_PARAMETERS = {
     ("streaming/execution.py", "ParallelExecutor"): 8,
     ("streaming/supervisor.py", "Supervisor"): 12,
     ("streaming/transport.py", "Channels"): 4,
-    ("store/hot.py", "HotShard"): 2,
-    ("store/hot.py", "HotStore"): 2,
-    ("store/tiered.py", "TieredStore"): 3,
+    ("store/hot.py", "HotStore"): 1,
+    ("store/tiered.py", "TieredStore"): 2,
 }
 #: (module, function) -> its parameters
 FUNCTION_PARAMETERS = {

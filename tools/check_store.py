@@ -5,20 +5,18 @@ Runs the store-marked chaos suite, then three direct checks over the
 tiered serving store (:mod:`repro.store`):
 
 1. **exactly-once under chaos** — a serving job crashed mid-stage,
-   mid-apply and during compaction (plus a coordinator crash) converges
-   to hot-store contents and analytical row counts bit-identical to the
-   fault-free run, at parallelism 1 and 2;
+   mid-apply and right after an install (plus a coordinator crash)
+   converges to hot-store contents and analytical row counts
+   bit-identical to the fault-free run, at parallelism 1 and 2;
 2. **lookup tail under ingest** — the ``benchmarks/bench_p8_store.py``
    experiment (>= 1M distinct keys, point lookups interleaved with
    sustained columnar ingest) holds p99 point-lookup latency under the
    committed floor; the bytes its hot tier holds per stored row
    (one shard, rebuilt under tracemalloc) are printed, with no bound;
-   its Zipf row (lookups on keys with hundreds of memtable versions)
-   holds a p50 within a fixed ratio of the uniform-key p50 measured in
-   the same run; its read-amplification row
-   (keys in the memtable and six runs) and its dashboard row (the
-   ward-backfill panel's tumbling mean, a ~20 000-row group_by) are
-   printed, with no bound; its
+   its Zipf row (lookups on keys with hundreds of versions) holds a p50
+   within a fixed ratio of the uniform-key p50 measured in the same
+   run; its dashboard row (the ward-backfill panel's tumbling mean, a
+   ~20 000-row group_by) is printed, with no bound; its
    epoch-apply row (one 20 000-row epoch, 1 000 epochs of 20 rows)
    costs no more handed over as the sink's sealed batch than as an
    Element list in the same run;
@@ -59,7 +57,7 @@ CHAOS_PLANS = {
         FaultSpec("store_crash", SITE_STORE, at=1, target="stage"),)),
     "mid-apply": FaultPlan(specs=(
         FaultSpec("store_crash", SITE_STORE, at=1, target="apply"),)),
-    "during-compaction": FaultPlan(specs=(
+    "after-install": FaultPlan(specs=(
         FaultSpec("store_crash", SITE_STORE, at=0, target="compact"),)),
     "mid-commit": FaultPlan(specs=(
         FaultSpec("coordinator_crash", SITE_COORDINATOR, at=1),)),
@@ -124,15 +122,12 @@ def check_latency_floor() -> bool:
           f"(floor {P99_FLOOR_US:.0f} us)")
     print(f"  hot tier: {stats['hot_bytes_per_row']} traced bytes per "
           "stored row, one shard (reported, no bound)")
-    print(f"  keys in the memtable and {stats['amp_runs']} runs: "
-          f"p50={stats['amp_lookup_p50_us']} us "
-          f"p99={stats['amp_lookup_p99_us']} us (reported, no bound)")
     for name in ("tumbling", "group_by"):
         print(f"  dashboard {name}: {stats[f'dash_{name}_rows']:,} rows -> "
               f"{stats[f'dash_{name}_cells']:,} cells, "
               f"p50={stats[f'dash_{name}_us_p50']} us (reported, no bound)")
-    print(f"  Zipf keys, {stats['hot_key_memtable_versions_p50']} memtable "
-          f"versions behind the median lookup: "
+    print(f"  Zipf keys, {stats['hot_key_versions_p50']} versions behind "
+          "the median lookup: "
           f"p50={stats['hot_key_lookup_p50_us']} us = {ratio}x the "
           f"uniform-key p50 (ceiling {HOT_KEY_RATIO_CEILING}x)")
     apply_ok = True
