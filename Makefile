@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint chaos chaos-parallel determinism perf robustness datafault obs elasticity store geo e2e-smoke verify
+.PHONY: test lint reach chaos chaos-parallel determinism perf robustness datafault obs elasticity store geo e2e-smoke verify
 
 test:  ## tier-1: fast unit/integration/property tests
 	$(PYTHON) -m pytest -x -q
@@ -14,6 +14,9 @@ test:  ## tier-1: fast unit/integration/property tests
 # import-budget or API-reference failure in seconds.
 lint:  ## structural checks only: source lints and census, import budget, API reference
 	$(PYTHON) -m pytest -q tests/unit/test_source_lint.py tests/unit/test_import_budget.py tests/unit/test_api_docs.py
+
+reach:  ## runtime census: every entry point under sys.setprofile; fails when tools/reach.txt was stale
+	$(PYTHON) tools/reach.py
 
 obs:  ## observability gate: span-tree completeness + overhead budget
 	$(PYTHON) tools/check_obs.py
@@ -54,7 +57,7 @@ e2e-smoke:  ## whole path (log -> engine -> store -> overlay) vs the brute-force
 	$(PYTHON) benchmarks/e2e/run.py --smoke
 	$(PYTHON) -m pytest benchmarks/e2e/tests -q
 
-GATES := test perf obs chaos chaos-parallel determinism robustness datafault elasticity store geo e2e-smoke
+GATES := test reach perf obs chaos chaos-parallel determinism robustness datafault elasticity store geo e2e-smoke
 
 verify:  ## every gate in turn, stopping at the first failure; prints each gate's wall time
 	@times=""; status="all gates passed"; \

@@ -43,8 +43,7 @@ def run_experiment():
     # Adaptive session.
     adaptive_pipeline = ARBigDataPipeline(PipelineConfig(
         seed=97, deadline_s=DEADLINE_S))
-    controller = AdaptiveQualityController(
-        adaptive_pipeline.timeliness, window=10, start_level=0)
+    controller = AdaptiveQualityController(adaptive_pipeline.timeliness)
     # Fixed-quality session.
     fixed_pipeline = ARBigDataPipeline(PipelineConfig(
         seed=97, deadline_s=DEADLINE_S))

@@ -10,9 +10,8 @@ deployments of the same keyed-window job:
   and blows the latency SLO;
 - **autoscaled** — utilization-target policy, rescaling live through
   stop-with-savepoint: meets the SLO, then scales back down;
-- **autoscaled-capped + shed** — max parallelism held below flash
-  needs, latency-SLO shed tier active: keeps admitted-record latency
-  bounded by deterministically shedding at the source.
+- **capped** — the same policy with its width capped at 2, below what
+  the flash crowd asks for.
 
 Everything runs on SimClock, so every number here is deterministic:
 latency is sim-time commit lag versus event time, intake capacity is
@@ -44,7 +43,6 @@ from repro.datagen import LoadProfile, diurnal_flash_events
 from repro.streaming import (
     Autoscaler,
     SchedulePolicy,
-    ShedPolicy,
     Supervisor,
     UtilizationTargetPolicy,
 )
@@ -67,12 +65,9 @@ def _build(events):
     return reference_job(list(events), splits=SPLITS)
 
 
-def _supervise(events, policy, *, shed_policy=None, injector=None,
-               max_p=SPLITS):
+def _supervise(events, policy, *, injector=None):
     supervisor = Supervisor(
-        _build(events),
-        controllers=[Autoscaler(policy, slo_s=SLO_S,
-                                shed_policy=shed_policy)],
+        _build(events), controllers=[Autoscaler(policy, slo_s=SLO_S)],
         injector=injector, parallelism=1, source_batch=SOURCE_BATCH)
     return supervisor.run(), supervisor
 
@@ -87,7 +82,6 @@ def _summarize(label, report, supervisor):
         "max_width": max(report.max_width, 1),
         "final_width": max(supervisor.parallelism.values()),
         "replayed": report.replayed_total,
-        "shed": report.shed_total,
         "checkpoints": report.checkpoints,
     }
 
@@ -100,8 +94,7 @@ def run_experiment() -> dict:
     auto_report, auto_sup = _supervise(
         events, UtilizationTargetPolicy(max_parallelism=SPLITS))
     capped_report, capped_sup = _supervise(
-        events, UtilizationTargetPolicy(max_parallelism=2),
-        shed_policy=ShedPolicy(trigger_wait_s=8.0, release_wait_s=2.0))
+        events, UtilizationTargetPolicy(max_parallelism=2))
 
     # the autoscaled run must dominate the fixed baseline on the SLO
     assert auto_report.slo_compliance > fixed_report.slo_compliance
@@ -130,7 +123,7 @@ def run_experiment() -> dict:
     rows = [
         _summarize("fixed-p1", fixed_report, fixed_sup),
         _summarize("autoscaled", auto_report, auto_sup),
-        _summarize("capped+shed", capped_report, capped_sup),
+        _summarize("capped", capped_report, capped_sup),
     ]
     return {
         "config": {"events": total, "splits": SPLITS,
@@ -141,11 +134,10 @@ def run_experiment() -> dict:
             "deployments": rows,
             "slo_fixed": rows[0]["slo_compliance"],
             "slo_autoscaled": rows[1]["slo_compliance"],
-            "slo_capped_shed": rows[2]["slo_compliance"],
+            "slo_capped": rows[2]["slo_compliance"],
             "p99_fixed_s": rows[0]["latency_p99_s"],
             "p99_autoscaled_s": rows[1]["latency_p99_s"],
             "replay_autoscaled": rows[1]["replayed"],
-            "shed_capped": rows[2]["shed"],
             "chaos_phases": len(RESCALE_PHASES),
             "chaos_rescales_completed": chaos_rescales,
             "chaos_rescale_crashes": chaos_crashes,
@@ -160,10 +152,10 @@ def report(results: dict) -> None:
         f"{results['config']['events']} events, "
         f"SLO {results['config']['slo_s']}s)",
         ["deployment", "SLO compliance", "p99 latency s", "rescales",
-         "max width", "replayed", "shed"],
+         "max width", "replayed"],
         [[r["label"], r["slo_compliance"], r["latency_p99_s"],
-          str(r["rescales"]), str(r["max_width"]), str(r["replayed"]),
-          str(r["shed"])] for r in rows],
+          str(r["rescales"]), str(r["max_width"]), str(r["replayed"])]
+         for r in rows],
         note="chaos column: crash at each of the "
              f"{results['autoscale']['chaos_phases']} rescale phases "
              "left committed output bit-equal (asserted); gate: "

@@ -1,4 +1,4 @@
-"""Elastic autoscaling control plane: policies, autoscaler, shed tier.
+"""Elastic autoscaling control plane: policies and the autoscaler.
 
 The paper's timeliness claim (Sec 4.1) is that an AR backend must keep
 overlay updates fresh under bursty, city-scale load — flash crowds and
@@ -16,14 +16,11 @@ diurnal mobility.  Two layers, separately tested:
    any phase recovers the *old* executor and the targets stay pending,
    so a rescale never loses or duplicates committed output.
 
-When even the maximum parallelism cannot keep up, the autoscaler falls
-back to the **load-shedding tier**: a deterministic content-hash filter
-at the source admission boundary (see ``SourceReader.set_shedding``),
-whose counts flow through the drop accounting and rewind with
-checkpoints, so exactly-once for committed records holds under shedding
-too.  Every signal is a deterministic count on the coordinator's
-SimClock (one second per macro cycle), so an autoscaled run — rescales
-included — is bit-reproducible.
+Nothing is shed: past the maximum parallelism a job runs late, and the
+SLO compliance in the report says how late.  Every signal is a
+deterministic count on the coordinator's SimClock (one second per macro
+cycle), so an autoscaled run — rescales included — is
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ __all__ = [
     "ScalingPolicy",
     "UtilizationTargetPolicy",
     "SchedulePolicy",
-    "ShedPolicy",
     "Autoscaler",
     "RescaleEvent",
 ]
@@ -208,35 +204,6 @@ class SchedulePolicy(ScalingPolicy):
                                f"scheduled at eval {signals.eval_index}")
 
 
-@dataclass(frozen=True)
-class ShedPolicy:
-    """Latency-SLO load-shedding tier configuration.
-
-    When the projected drain time of a source's backlog (backlog over
-    current intake capacity, in sim-seconds) exceeds ``trigger_wait_s``,
-    the supervisor activates deterministic shedding on that source,
-    admitting ``keep`` of every ``mod`` elements; it deactivates below
-    ``release_wait_s``
-    (hysteresis, so the tier does not flap at the boundary).  The tier
-    is the last resort for when rescaling cannot keep up — policies
-    should set ``trigger_wait_s`` well above the latency SLO so scaling
-    gets the first shot.
-    """
-
-    keep = 1
-    mod = 2
-
-    trigger_wait_s: float
-    release_wait_s: float
-
-    def __post_init__(self) -> None:
-        # ``not a >= b`` also refuses NaN, which would never shed
-        if not self.trigger_wait_s >= self.release_wait_s:
-            raise ConfigError("trigger_wait_s must be >= release_wait_s, "
-                              f"got {self.trigger_wait_s!r} / "
-                              f"{self.release_wait_s!r}")
-
-
 # -- the autoscaler ----------------------------------------------------------
 
 
@@ -257,7 +224,7 @@ class RescaleEvent:
 
 class Autoscaler(Controller):
     """Turns registry gauges into per-operator targets and, as a
-    controller, rescales and sheds.
+    controller, rescales.
 
     Utilization is the per-subtask ``op.processed`` delta per cycle over
     ``rated_capacity`` (the supervisor's source batch); backlog
@@ -268,13 +235,11 @@ class Autoscaler(Controller):
     under chaos" is a liveness property.
     """
 
-    def __init__(self, policy: Any, *, slo_s: float | None = None,
-                 shed_policy: ShedPolicy | None = None) -> None:
+    def __init__(self, policy: Any, *, slo_s: float | None = None) -> None:
         self.policy = policy
         #: set from the supervisor's source batch at the first ``bind``
         self.rated_capacity: float | None = None
         self.slo_s = slo_s
-        self.shed_policy = shed_policy
         self.decisions: list[ScalingDecision] = []
         self._prev_processed: dict[str, float] = {}
         self._evals_since_change: dict[str, int] = {}
@@ -283,7 +248,7 @@ class Autoscaler(Controller):
         self._attempts = 0
         self._committed_seen: dict[str, int] = {}
         #: per-source sorted arrival timestamps (built lazily; the
-        #: deterministic arrival model behind backlog and shed control)
+        #: deterministic arrival model behind the backlog signal)
         self._arrivals: dict[str, np.ndarray] = {}
 
     @staticmethod
@@ -350,17 +315,6 @@ class Autoscaler(Controller):
         supervisor.report.slo_s = self.slo_s
         supervisor.parallelism = self._normalize(supervisor.parallelism)
 
-    def start(self) -> None:
-        """A zero trigger threshold sheds from element zero, so a golden
-        and a chaos run shed the same set; this runs before checkpoint
-        zero, so any restore re-activates the plans."""
-        policy = self.shed_policy
-        if policy is None or policy.trigger_wait_s > 0:
-            return
-        for name in self.supervisor.job.sources:
-            self.supervisor.executor.sources.set_shedding(
-                name, policy.keep, policy.mod)
-
     def after_slice(self, done: bool | None) -> None:
         if done is None:
             return  # recovered: re-run before observing anything
@@ -376,7 +330,6 @@ class Autoscaler(Controller):
                 sup.metrics, sup.parallelism, list(sup.job.operators),
                 cycles=float(sup.step_cycles), backlog=backlog,
                 watermark_lag_s=self._watermark_lag()))
-        self._shed_control()
         if targets:
             self._try_rescale(targets)
 
@@ -477,32 +430,6 @@ class Autoscaler(Controller):
                     for ts in sink.rows_from(seen).timestamps.tolist())
             # (a restore may also have truncated visibility below seen)
             self._committed_seen[name] = committed
-
-    def _shed_control(self) -> None:
-        """The latency-SLO shed tier: activate deterministic shedding
-        when the projected backlog drain time exceeds the trigger,
-        release below the hysteresis floor."""
-        policy = self.shed_policy
-        if policy is None:
-            return
-        sup = self.supervisor
-        sources = sup.executor.sources
-        # the executor's plans are the activation state: they rewind
-        # with every restore and carry over into a reshaped executor
-        active = sources.shed_state()["plans"]
-        for name in sup.job.sources:
-            backlog = sup.metrics.gauge("source.backlog", source=name).value
-            if math.isnan(backlog):
-                continue
-            capacity = max(1.0, sup.parallelism.get(name, 1)
-                           * float(sup.source_batch))
-            projected_wait = backlog / capacity
-            if name not in active \
-                    and projected_wait > policy.trigger_wait_s:
-                sources.set_shedding(name, policy.keep, policy.mod)
-            elif name in active \
-                    and projected_wait < policy.release_wait_s:
-                sources.clear_shedding(name)
 
     # -- the rescale ---------------------------------------------------------
 

@@ -150,11 +150,6 @@ class ParallelCheckpoint:
     #: per-item plans share it; applied on restore only when the plan
     #: shape matches (same parallelism everywhere), dropped on a rescale.
     routing_state: dict[str, Any] = field(default_factory=dict)
-    #: load-shedding tier state: active per-source shed plans plus the
-    #: per-source shed counts *as of this checkpoint's cut*, so a
-    #: restore rewinds shed accounting together with source positions
-    #: (replayed input re-sheds the same elements, counted once).
-    shed_state: dict[str, Any] = field(default_factory=dict)
     #: chaos data-fault counters at the cut (per physical operator
     #: clone; see FaultInjector.data_counts): data-fault windows name
     #: records, so a restore rewinds them and replay re-poisons the
@@ -180,10 +175,8 @@ class Cut:
                  sources: Any, sinks: Iterable[str]) -> None:
         self.checkpoint_id = checkpoint_id
         self.graph = graph
-        #: the cut point: where the source reader stands, and its shed
-        #: tier (rewound with the positions)
+        #: the cut point: where the source reader stands
         self.source_positions = sources.positions()
-        self.shed_state = sources.shed_state()
         self.expected_subtasks = {(name, idx) for name in graph.topo
                                   for idx in range(graph.width(name))}
         self.acked: set[tuple[str, int]] = set()
@@ -226,6 +219,5 @@ class Cut:
             sink_elements=sink_elements,
             routing_state=graph.routing_state(
                 self.channel_wm, self.aligned_wm, self.rr),
-            shed_state=dict(self.shed_state),
             data_counts=dict(self.data_counts),
         )

@@ -2,7 +2,7 @@
 
 Every execution subtask is a :class:`ChainedOperator`.  In batched mode
 a maximal linear run of chainable operators (single input, single
-output, no keyed state, no side-tagged edges) is fused into one chain at
+output, no keyed state) is fused into one chain at
 compile time; every other operator — and every operator in per-item
 mode — runs as a chain of one, which is named after its operator, so
 crash sites, fault traces and failover regions see the operator's own
@@ -16,13 +16,11 @@ enforced per member, through
 :func:`~repro.streaming.errors.guard_item`, in :meth:`~ChainedOperator.
 process_batch`, :meth:`~ChainedOperator.handle` and the
 :meth:`~ChainedOperator.flush` cascade alike — so a record a member
-emits at end of stream meets the same policy as any other.  A join
-(always a chain of one) is entered by ``side``.
+emits at end of stream meets the same policy as any other.
 
 A chain is broken by (see docs/ARCHITECTURE.md):
 
-- **keyed state** — reduce, window, CEP operators are shuffle points;
-- **joins** — two side-tagged inputs need their own channels;
+- **keyed state** — window and CEP operators are shuffle points;
 - **fan-out / fan-in** — a node with multiple downstreams (or an
   operator fed by several upstreams) must stay a routing point.
 
@@ -45,11 +43,9 @@ there.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Callable, Sequence
 
 from ..util.errors import StreamError
-from .batch import decode_items
 from .element import Element, StreamItem
 from .errors import FAIL, ErrorPolicy, guard_batch, guard_item
 from .operators import Operator
@@ -86,33 +82,21 @@ class ChainedOperator(Operator):
         self.dead_letters = [] if dead_letters is None else dead_letters
         self.data_directives = data_directives
 
-    @staticmethod
-    def _kernels(op: Operator, side: str | None) -> tuple[Callable, Callable]:
-        """``op``'s batch kernel and its per-item twin; a join's take
-        the side its input arrived on."""
-        if side is None:
-            return op.process_batch, op.handle
-        process = partial(op.process_side_batch, side)
-        return process, lambda item: process((item,))
-
-    def handle(self, item: StreamItem,
-               side: str | None = None) -> list[StreamItem]:
+    def handle(self, item: StreamItem) -> list[StreamItem]:
         pending: list[StreamItem] = [item]
         directives = self.data_directives
         for op, policy in zip(self.operators, self.policies):
             if not pending:
                 break
-            handler = self._kernels(op, side)[1]
             out: list[StreamItem] = []
             for it in pending:
                 if policy is None and directives is None:
-                    out.extend(handler(it))
+                    out.extend(op.handle(it))
                     continue
                 faults = directives(op, (it,)) if directives else None
                 out.extend(guard_item(op, it, policy or FAIL,
                                       self.dead_letters,
-                                      faults.get(0) if faults else None,
-                                      handler))
+                                      faults.get(0) if faults else None))
             pending = out
         return pending
 
@@ -121,14 +105,10 @@ class ChainedOperator(Operator):
             f"chain {self.name!r} dispatches via handle()/process_batch()"
         )
 
-    def process_batch(self, items: list[StreamItem],
-                      side: str | None = None) -> list[StreamItem]:
-        if side is not None:
-            items = decode_items(items)  # a join takes its sides per item
-        return self._run(0, items, side)
+    def process_batch(self, items: list[StreamItem]) -> list[StreamItem]:
+        return self._run(0, items)
 
-    def _run(self, start: int, items: list[StreamItem],
-             side: str | None = None) -> list[StreamItem]:
+    def _run(self, start: int, items: list[StreamItem]) -> list[StreamItem]:
         """``items`` through the members from ``start`` on, each under
         its policy and the data faults injected into its input."""
         pending = items
@@ -137,13 +117,13 @@ class ChainedOperator(Operator):
             if not pending:
                 return []
             op, policy = self.operators[i], self.policies[i]
-            process, handler = self._kernels(op, side)
             if policy is None and directives is None:
-                pending = process(pending)
+                pending = op.process_batch(pending)
             else:
                 pending = guard_batch(
-                    op, pending, policy or FAIL, process, self.dead_letters,
-                    directives(op, pending) if directives else None, handler)
+                    op, pending, policy or FAIL, op.process_batch,
+                    self.dead_letters,
+                    directives(op, pending) if directives else None)
         return pending
 
     def flush(self) -> list[StreamItem]:

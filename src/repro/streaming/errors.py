@@ -223,41 +223,33 @@ def _rollback(op: Any, state: tuple[Any, int, int]) -> None:
     op.emitted = emitted
 
 
-def _attempt(op: Any, element: Element,
-             handler: Callable[[StreamItem], list[StreamItem]] | None,
-             ) -> list[StreamItem]:
-    return op.handle(element) if handler is None else handler(element)
-
-
 def guard_item(op: Any, item: StreamItem, policy: ErrorPolicy,
                dead_letters: list[Element],
                fault: tuple[str, str | None, str] | None = None,
-               handler: Callable[[StreamItem], list[StreamItem]] | None
-               = None) -> list[StreamItem]:
+               ) -> list[StreamItem]:
     """Process one item under ``policy``; the per-item isolation unit.
 
     ``fault`` is an injected data fault ``(kind, param, detail)`` for
-    this record.  ``handler`` overrides ``op.handle`` (joins pass a
-    side-aware callable).  Failed attempts roll the operator back to a
+    this record.  Failed attempts roll the operator back to a
     pre-attempt snapshot so a partially-applied ``process`` cannot
     leak state.
     """
     if not isinstance(item, Element):
         # Watermarks/markers carry no data to poison; progress handling
         # failing is an engine bug, not a data fault.
-        return _attempt(op, item, handler)
+        return op.handle(item)
     element = item
     injected = fault is not None
     if injected:
         kind, param, _detail = fault
         element = apply_corruption(element, kind, param)
     if policy.kind == "fail" and not injected:
-        return _attempt(op, element, handler)
+        return op.handle(element)
     state = _capture(op)
     try:
         if injected and kind == "udf_exception":
             raise DataFaultError(fault[2])
-        return _attempt(op, element, handler)
+        return op.handle(element)
     except _PASSTHROUGH:
         raise
     except Exception as exc:
@@ -268,7 +260,7 @@ def guard_item(op: Any, item: StreamItem, policy: ErrorPolicy,
             for _ in range(policy.attempts):
                 state = _capture(op)
                 try:
-                    return _attempt(op, element, handler)
+                    return op.handle(element)
                 except _PASSTHROUGH:
                     raise
                 except Exception:
@@ -344,8 +336,6 @@ def guard_batch(op: Any, items: list[StreamItem], policy: ErrorPolicy,
                 process: Callable[[list[StreamItem]], list[StreamItem]],
                 dead_letters: list[Element],
                 faults: dict[int, tuple[str, str | None, str]] | None
-                = None,
-                handler: Callable[[StreamItem], list[StreamItem]] | None
                 = None) -> list[StreamItem]:
     """Run one operator's batch under its error policy.
 
@@ -361,10 +351,10 @@ def guard_batch(op: Any, items: list[StreamItem], policy: ErrorPolicy,
         for segment in _poison_segments(items, faults):
             if segment[0] == "run":
                 out.extend(guard_batch(op, segment[1], policy, process,
-                                       dead_letters, None, handler))
+                                       dead_letters))
             else:
                 out.extend(guard_item(op, segment[1], policy,
-                                      dead_letters, segment[2], handler))
+                                      dead_letters, segment[2]))
         return out
     if policy.kind == "fail":
         return process(items)
@@ -377,8 +367,7 @@ def guard_batch(op: Any, items: list[StreamItem], policy: ErrorPolicy,
         _rollback(op, state)
         out = []
         for item in decode_items(items):
-            out.extend(guard_item(op, item, policy, dead_letters,
-                                  None, handler))
+            out.extend(guard_item(op, item, policy, dead_letters))
         return out
 
 

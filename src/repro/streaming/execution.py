@@ -56,7 +56,6 @@ interleaving*; per-key subsequences are bit-identical.
 from __future__ import annotations
 
 import copy
-from functools import partial
 from typing import Any
 
 import numpy as np
@@ -74,7 +73,6 @@ from .chain import ChainedOperator
 from .element import CheckpointBarrier, Element, StreamItem, Watermark
 from .errors import DLQ_SINK
 from .graph import JobGraph
-from .join import IntervalJoinOperator
 from .operators import Operator, subtask_name
 from .plan import (
     FORWARD,
@@ -128,8 +126,7 @@ class ParallelExecutor:
         self.injector = injector
         self.tracer = tracer
         self.metrics = metrics
-        self.sources = SourceReader(job, self.graph, batch_mode=batch_mode,
-                                    metrics=metrics)
+        self.sources = SourceReader(job, self.graph, batch_mode=batch_mode)
         self.channels = Channels(self.graph, batch_mode=batch_mode,
                                  injector=injector, metrics=metrics)
         #: cross-region traffic accounting: packets that traversed an
@@ -150,13 +147,11 @@ class ParallelExecutor:
         self.cut: Cut | None = None
         self._stalled_now: set[tuple[str, int]] = set()
         self._build_physical_ops()
-        #: one barrier aligner per subtask over its input channels
+        #: one barrier aligner per subtask over its input channels,
+        #: each named by its sender
         self._aligners = {
-            (name, idx): BarrierAligner(
-                tuple((side, up, up_idx)
-                      for side in self._sides(name)
-                      for (up, up_idx) in self.channels.inputs.get(
-                          (name, idx, side), ())))
+            (name, idx): BarrierAligner(tuple(self.channels.inputs[
+                (name, idx)]))
             for name in self.graph.topo
             for idx in range(self.graph.nodes[name].parallelism)}
         #: out-edges by upstream node, and the round-robin cursors of
@@ -185,15 +180,9 @@ class ParallelExecutor:
                 (n, i) for n in dlq_nodes
                 for i in range(self.graph.nodes[n].parallelism)))
 
-    # -- the two public counters ---------------------------------------------
-
     @property
     def backpressure_events(self) -> int:
         return self.channels.backpressure_events
-
-    @property
-    def shed_elements(self) -> int:
-        return self.sources.shed_elements
 
     # -- plan materialization ------------------------------------------------
 
@@ -257,8 +246,8 @@ class ParallelExecutor:
         self._coordinator = coordinator
 
     def open_cut(self, checkpoint_id: int) -> Cut:
-        """Open checkpoint N's cut at the current source positions and
-        shed state, then emit barrier N from every source subtask —
+        """Open checkpoint N's cut at the current source positions, then
+        emit barrier N from every source subtask —
         including subtasks whose splits are empty or exhausted, so every
         downstream channel carries the marker and alignment can
         complete."""
@@ -356,8 +345,7 @@ class ParallelExecutor:
             if edge.mode == FORWARD:
                 if edge.cross_region:
                     self._charge_cross_region(edge, 1)
-                self.channels.offer((edge.down, up_idx, edge.side),
-                                    (up, up_idx), items)
+                self.channels.offer((edge.down, up_idx), (up, up_idx), items)
                 continue
             p_down = self.graph.nodes[edge.down].parallelism
             buckets: list[list[StreamItem]] = [[] for _ in range(p_down)]
@@ -391,8 +379,7 @@ class ParallelExecutor:
                 self._charge_cross_region(edge, sum(map(bool, buckets)))
             for j, bucket in enumerate(buckets):
                 if bucket:
-                    self.channels.offer((edge.down, j, edge.side),
-                                        (up, up_idx), bucket)
+                    self.channels.offer((edge.down, j), (up, up_idx), bucket)
 
     def _partition_batch(self, rb: RecordBatch, g: int, p: int,
                          buckets: list[list[StreamItem]]) -> None:
@@ -494,7 +481,7 @@ class ParallelExecutor:
 
     # -- drain cycles --------------------------------------------------------
 
-    def _process(self, name: str, idx: int, side: str | None,
+    def _process(self, name: str, idx: int,
                  items: list[StreamItem]) -> None:
         """Run subtask (name, idx)'s chain over ``items`` — through the
         injector's crash site — emit its output and route its dead
@@ -505,12 +492,12 @@ class ParallelExecutor:
             for item in items:
                 if injector is not None:
                     injector.before_item(chain)
-                self._emit(name, idx, chain.handle(item, side))
+                self._emit(name, idx, chain.handle(item))
         elif injector is None:
-            self._emit(name, idx, chain.process_batch(items, side))
+            self._emit(name, idx, chain.process_batch(items))
         else:
             self._emit(name, idx, injector.intercept_batch(
-                chain, items, partial(chain.process_batch, side=side)))
+                chain, items, chain.process_batch))
         if self._dead_letters:
             self._emit_dead_letters(name, idx)
 
@@ -528,16 +515,14 @@ class ParallelExecutor:
         moved = 0
         metrics = self.metrics
         for name in self.graph.topo:
-            sides = self._sides(name)
             for idx in range(self.graph.nodes[name].parallelism):
                 if self._stalled_now and (name, idx) in self._stalled_now:
                     continue
                 drained = 0
-                for side in sides:
-                    chans = self.channels.inputs.get((name, idx, side), {})
-                    for sender in sorted(chans):
-                        drained += self._drain_channel(
-                            name, idx, side, sender, chans[sender])
+                chans = self.channels.inputs[(name, idx)]
+                for sender in sorted(chans):
+                    drained += self._drain_channel(name, idx, sender,
+                                                   chans[sender])
                 moved += drained
                 if drained and metrics is not None:
                     metrics.summary(
@@ -547,17 +532,17 @@ class ParallelExecutor:
 
     # -- barriers and the cut -------------------------------------------------
 
-    def _drain_channel(self, name: str, idx: int, side: str | None,
-                       sender: tuple[str, int], channel: Channel) -> int:
+    def _drain_channel(self, name: str, idx: int, sender: tuple[str, int],
+                       channel: Channel) -> int:
         """Drain one channel under barrier rules: the items before each
         barrier are one segment, then the barrier runs its alignment /
         snapshot transition, and a barrier that blocks the channel ends
         the drain.  With no barrier queued the whole queue is one
         segment."""
-        key = (name, idx, side)
-        aligner = self._aligners[(name, idx)]
+        key = (name, idx)
+        aligner = self._aligners[key]
         pending = channel.queue
-        if not pending or aligner.is_blocked((side, sender[0], sender[1])):
+        if not pending or aligner.is_blocked(sender):
             return 0
         moved = 0
         while pending:
@@ -574,29 +559,27 @@ class ParallelExecutor:
                           else len(segment))
                 items = self.channels.align(key, sender, segment)
                 if items:
-                    self._process(name, idx, side, items)
+                    self._process(name, idx, items)
             if barrier is None:
                 break
             moved += 1
-            if self._on_channel_barrier(name, idx, side, sender, channel,
-                                        barrier):
+            if self._on_channel_barrier(name, idx, sender, channel, barrier):
                 break  # channel blocked until alignment ends
         return moved
 
-    def _on_channel_barrier(self, name: str, idx: int, side: str | None,
+    def _on_channel_barrier(self, name: str, idx: int,
                             sender: tuple[str, int], channel: Channel,
                             barrier: CheckpointBarrier) -> bool:
         """Consume one barrier marker; returns True when the channel is
         now blocked (stop draining it this pass)."""
         aligner = self._aligners[(name, idx)]
-        result = aligner.on_barrier((side, sender[0], sender[1]),
-                                    barrier.checkpoint_id)
+        result = aligner.on_barrier(sender, barrier.checkpoint_id)
         if result.action == IGNORED:
             return False
         cut = self._cut_for(result.checkpoint_id)
         # BLOCKED and COMPLETE both mark this channel's cut point.
         if cut is not None:
-            cut.channel_wm.setdefault((name, idx, side), {})[sender] = \
+            cut.channel_wm.setdefault((name, idx), {})[sender] = \
                 channel.watermark
         if result.action == BLOCKED:
             return True
@@ -621,10 +604,7 @@ class ParallelExecutor:
         cut = self._cut_for(checkpoint_id)
         if cut is not None:
             self._read_state(name, idx, cut)
-            for side in self._sides(name):
-                if (name, idx, side) in self.channels.inputs:
-                    cut.aligned_wm[(name, idx, side)] = \
-                        self.channels.aligned((name, idx, side))
+            cut.aligned_wm[(name, idx)] = self.channels.aligned((name, idx))
         self._emit(name, idx, [CheckpointBarrier(checkpoint_id)])
         if name in self._dlq_nodes and DLQ_SINK in self.sinks:
             # Dead-letter feeders also gate the DLQ's 2PC pre-commit:
@@ -633,12 +613,6 @@ class ParallelExecutor:
                 DLQ_SINK,
                 self.sinks[DLQ_SINK].on_barrier((name, idx), checkpoint_id))
         self._cut_rr(name, idx, checkpoint_id)
-
-    def _sides(self, name: str) -> tuple[str | None, ...]:
-        """The input sides of an execution node: a join has two."""
-        join = isinstance(self._ops[name][0].operators[0],
-                          IntervalJoinOperator)
-        return ("left", "right") if join else (None,)
 
     def _read_state(self, name: str, idx: int, cut: Cut) -> None:
         """Write one subtask's state into ``cut`` and ack it there: the
@@ -889,7 +863,6 @@ class ParallelExecutor:
             routing = {}
         sources = [n for n in self.job.sources if n in region]
         replayed = self.sources.rewind(sources, checkpoint.source_positions)
-        self.sources.apply_shed_state(checkpoint.shed_state, sources)
         for m in operators:
             clones = self._clones[m]
             exact = checkpoint.parallelism[m] == len(clones)
@@ -1021,7 +994,6 @@ class ParallelExecutor:
             m = self.metrics
             cache = self._gauge_cache = {
                 "backpressure": m.gauge("executor.backpressure_events"),
-                "shed": m.gauge("executor.shed_elements"),
                 "ops": [
                     (m.gauge("op.processed", op=name),
                      m.gauge("op.emitted", op=name),
@@ -1036,7 +1008,6 @@ class ParallelExecutor:
                 ],
             }
         cache["backpressure"].set(self.backpressure_events)
-        cache["shed"].set(self.shed_elements)
         for g_processed, g_emitted, clones in cache["ops"]:
             processed = emitted = 0
             for clone, g_sub in clones:

@@ -1,9 +1,9 @@
 """Dataflow job graph and its fluent builder.
 
 A :class:`JobGraph` is a DAG: named sources feed chains of operators
-into named sinks.  Edges carry an optional *side* tag ("left"/"right")
-for two-input joins.  Validation catches cycles, dangling operators and
-mis-wired joins at build time rather than mid-run.
+into named sinks.  An operator fed by several upstreams reads their
+union.  Validation catches cycles, dangling operators and collisions at
+build time rather than mid-run.
 
 The fluent :class:`JobBuilder` mirrors the Flink DataStream API::
 
@@ -23,13 +23,11 @@ from typing import Any, Callable, Iterable
 from ..util.errors import JobGraphError
 from .element import Element
 from .errors import DLQ_SINK, ErrorPolicy
-from .join import IntervalJoinOperator
 from .operators import (
     FilterOperator,
     KeyByOperator,
     MapOperator,
     Operator,
-    ReduceOperator,
     WatermarkGenerator,
 )
 from .window_operator import WindowAggregateOperator
@@ -88,8 +86,8 @@ class JobGraph:
     name: str
     sources: dict[str, SourceSpec]
     operators: dict[str, Operator]
-    #: edges as (upstream, downstream, side); side is None or left/right
-    edges: list[tuple[str, str, str | None]]
+    #: edges as (upstream, downstream) pairs
+    edges: list[tuple[str, str]]
     #: in declaration order, like sources and operators: plan,
     #: topological and checkpoint order never depend on the hash seed
     sinks: list[str] = field(default_factory=list)
@@ -122,8 +120,7 @@ class JobGraph:
         indegree = dict.fromkeys(
             [*self.sources, *self.operators, *self.sinks], 0)
         children: dict[str, dict[str, None]] = {n: {} for n in indegree}
-        inputs: dict[str, list[str | None]] = {n: [] for n in indegree}
-        for up, down, side in self.edges:
+        for up, down in self.edges:
             for node in (up, down):
                 if node not in indegree:
                     raise JobGraphError(f"edge references unknown node {node!r}")
@@ -131,7 +128,7 @@ class JobGraph:
             if down not in succ:
                 succ[down] = None
                 indegree[down] += 1
-            inputs[down].append(side)
+        fed = {down for _up, down in self.edges}
         order = [n for n, d in indegree.items() if d == 0]
         for node in order:  # grows as it goes: generation after generation
             for child in children[node]:
@@ -143,7 +140,7 @@ class JobGraph:
         if not self.sources:
             raise JobGraphError(f"job {self.name!r} has no sources")
         sinks = set(self.sinks)
-        for up, down, _side in self.edges:
+        for up, down in self.edges:
             if up in sinks:
                 raise JobGraphError(
                     f"sink {up!r} has an outgoing edge to {down!r}; sinks "
@@ -159,24 +156,11 @@ class JobGraph:
             if name in self.sources:
                 raise JobGraphError(
                     f"operator {name!r} collides with an existing source")
-        for name, op in self.operators.items():
-            sides = inputs[name]
-            if not sides:
+        for name in self.operators:
+            if name not in fed:
                 raise JobGraphError(f"operator {name!r} has no input")
-            if isinstance(op, IntervalJoinOperator):
-                # by repr: an untagged (None) edge sorts beside the tags
-                sides = sorted(sides, key=repr)
-                if sides != ["left", "right"]:
-                    raise JobGraphError(
-                        f"join {name!r} needs exactly one 'left' and one "
-                        f"'right' input, got {sides}"
-                    )
-            elif any(s is not None for s in sides):
-                raise JobGraphError(
-                    f"operator {name!r} is single-input but has a tagged edge"
-                )
         for sink in self.sinks:
-            if not inputs[sink]:
+            if sink not in fed:
                 raise JobGraphError(f"sink {sink!r} has no input")
         for node in self.regions:
             if node not in indegree:
@@ -232,10 +216,6 @@ class _StreamHandle:
             self._builder._auto(name, "key_by"), key_fn,
             vectorized=vectorized))
 
-    def reduce(self, reduce_fn: Callable[[Any, Any], Any]):
-        return self._attach(ReduceOperator(
-            self._builder._auto(None, "reduce"), reduce_fn))
-
     def with_watermarks(self, max_lateness: float, emit_every: int = 1,
                         name: str | None = None):
         return self._attach(WatermarkGenerator(
@@ -249,28 +229,20 @@ class _StreamHandle:
             self._builder._auto(name, "window"), assigner, aggregate,
             value_fn))
 
-    def join(self, other: "_StreamHandle", lower: float, upper: float):
-        op = IntervalJoinOperator(self._builder._auto(None, "join"),
-                                  lower, upper)
-        self._builder._add_operator(op)
-        self._builder._add_edge(self._node, op.name, "left")
-        self._builder._add_edge(other._node, op.name, "right")
-        return _StreamHandle(self._builder, op.name)
-
     def apply(self, operator: Operator):
         """Attach a custom operator instance."""
         return self._attach(operator)
 
     def sink(self, name: str) -> "JobBuilder":
         self._builder._add_sink(name)
-        self._builder._add_edge(self._node, name, None)
+        self._builder._add_edge(self._node, name)
         return self._builder
 
     # -- plumbing --------------------------------------------------------
 
     def _attach(self, operator: Operator) -> "_StreamHandle":
         self._builder._add_operator(operator)
-        self._builder._add_edge(self._node, operator.name, None)
+        self._builder._add_edge(self._node, operator.name)
         return _StreamHandle(self._builder, operator.name)
 
     def on_error(self, policy: ErrorPolicy) -> "_StreamHandle":
@@ -290,7 +262,7 @@ class JobBuilder:
         self.name = name
         self._sources: dict[str, SourceSpec] = {}
         self._operators: dict[str, Operator] = {}
-        self._edges: list[tuple[str, str, str | None]] = []
+        self._edges: list[tuple[str, str]] = []
         self._sinks: list[str] = []
         self._counters: dict[str, int] = {}
         self._regions: dict[str, str] = {}
@@ -324,15 +296,12 @@ class JobBuilder:
             raise JobGraphError(f"duplicate node name {operator.name!r}")
         self._operators[operator.name] = operator
 
-    def _add_edge(self, up: str, down: str, side: str | None) -> None:
-        if (up, down, side) in self._edges:
+    def _add_edge(self, up: str, down: str) -> None:
+        if (up, down) in self._edges:
             # A duplicate identical edge would double-deliver every
             # element on it — always a wiring bug, never intentional.
-            raise JobGraphError(
-                f"duplicate edge {up!r} -> {down!r}"
-                + (f" (side {side!r})" if side else "")
-            )
-        self._edges.append((up, down, side))
+            raise JobGraphError(f"duplicate edge {up!r} -> {down!r}")
+        self._edges.append((up, down))
 
     def _add_sink(self, name: str) -> None:
         if name == DLQ_SINK:

@@ -4,7 +4,7 @@ Every operator transforms a stream item into zero or more output items
 via :meth:`Operator.process` (for elements) and
 :meth:`Operator.on_watermark` (for watermarks).  Watermarks flow through
 stateless operators untouched; stateful event-time operators (windows,
-joins) react to them.
+patterns) react to them.
 
 Batched execution: :meth:`Operator.process_batch` moves a whole channel
 batch through an operator in one call.  An operator has at most two
@@ -33,14 +33,11 @@ from .batch import RecordBatch
 from .element import Element, StreamItem, Watermark
 from .state import KeyedState
 
-_MISSING = object()  # sentinel: "no accumulator yet" (None is a value)
-
 __all__ = [
     "Operator",
     "MapOperator",
     "FilterOperator",
     "KeyByOperator",
-    "ReduceOperator",
     "WatermarkGenerator",
     "logical_name",
     "subtask_name",
@@ -80,7 +77,7 @@ class Operator:
 
     #: Whether the executor may fuse this operator into a chain with its
     #: neighbours.  True only for single-input record-at-a-time operators
-    #: without keyed state; keyed operators, joins and custom subclasses
+    #: without keyed state; keyed operators and custom subclasses
     #: stay unfused (see docs/ARCHITECTURE.md, "Batched execution").
     chainable = False
 
@@ -94,7 +91,7 @@ class Operator:
     def requires_shuffle(self) -> bool:
         """Whether this operator's input edges must be hash-partitioned
         by key in a parallel plan: exactly when it keeps keyed state in
-        ``state`` (reduce, window, join, CEP).  Each subtask then holds
+        ``state`` (window, CEP).  Each subtask then holds
         every key its key groups own, which is what the executor's
         by-key-group checkpoint assumes (see docs/ARCHITECTURE.md,
         "Parallel execution", and CONTRIBUTING.md)."""
@@ -372,63 +369,6 @@ class KeyByOperator(Operator):
         if self.vectorized:
             return [element.with_key(self.key_fn(np.asarray([element.value]))[0])]
         return [element.with_key(self.key_fn(element.value))]
-
-
-class ReduceOperator(Operator):
-    """Keyed running reduce: emits the accumulated value per element.
-
-    Requires keyed input (a ``KeyByOperator`` upstream); raises otherwise
-    — silently reducing a keyless stream is a classic correctness trap.
-    """
-
-    has_columnar_kernel = True
-
-    def __init__(self, name: str,
-                 reduce_fn: Callable[[Any, Any], Any]) -> None:
-        super().__init__(name)
-        self.reduce_fn = reduce_fn
-        self.state = KeyedState()
-
-    def process(self, element: Element) -> list[StreamItem]:
-        if element.key is None:
-            raise StreamError(
-                f"reduce {self.name!r} requires keyed input; add key_by()"
-            )
-        if element.key in self.state:
-            acc = self.reduce_fn(self.state.get(element.key), element.value)
-        else:
-            acc = element.value
-        self.state.put(element.key, acc)
-        return [element.with_value(acc)]
-
-    def _run_columnar(self, batch: RecordBatch,
-                      out: list[StreamItem]) -> None:
-        codes = batch.key_codes
-        if codes is None or any(k is None for k in batch.key_dict):
-            # Unkeyed (or partially unkeyed) input must fail with the
-            # same error, at the same point, as per-item execution.
-            for element in batch.to_elements():
-                out.extend(self.handle(element))
-            return
-        n = len(batch)
-        reduce_fn = self.reduce_fn
-        kd = batch.key_dict
-        get_existing = self.state.get_existing
-        put = self.state.put
-        results: list[Any] = []
-        append = results.append
-        values = batch.values_list()
-        for i, c in enumerate(codes.tolist()):
-            key = kd[c]
-            v = values[i]
-            prev = get_existing(key, _MISSING)
-            if prev is not _MISSING:
-                v = reduce_fn(prev, v)
-            put(key, v)
-            append(v)
-        out.append(batch.with_values(results))
-        self.processed += n
-        self.emitted += n
 
 
 class WatermarkGenerator(Operator):

@@ -57,7 +57,6 @@ class PhysicalEdge:
 
     up: str
     down: str
-    side: str | None
     mode: str  # forward | hash | rebalance | merge
     #: endpoints placed in different regions; must have been declared on
     #: the job graph (cross-region edges are never inferred)
@@ -117,9 +116,9 @@ class ExecutionGraph:
         chain's head); None for an input a chaining compile fuses away,
         which a checkpoint leaves out: every watermark it will carry
         exceeds the one it held, so unset restores it exactly."""
-        name, idx, side = key
+        name, idx = key
         head = self.nodes[name].members[0]
-        return None if head in self.fused else (head, idx, side)
+        return None if head in self.fused else (head, idx)
 
     def sender_id(self, sender: tuple[str, int]) -> tuple[str, int]:
         """A sending subtask named by its logical operator (a chain's
@@ -132,7 +131,7 @@ class ExecutionGraph:
         """A physical edge named by its logical endpoints."""
         up, down = self.nodes.get(edge.up), self.nodes.get(edge.down)
         return (edge.up if up is None else up.members[-1],
-                edge.down if down is None else down.members[0], edge.side)
+                edge.down if down is None else down.members[0])
 
     def routing_state(self, channel_wm: dict, aligned_wm: dict,
                       rr: dict) -> dict[str, Any]:
@@ -176,10 +175,9 @@ class ExecutionGraph:
             where = f" @{node.region}" if node.region is not None else ""
             lines.append(f"  op {name} x{node.parallelism} ({kind}){where}")
         for e in self.edges:
-            tag = f" [{e.side}]" if e.side else ""
             cross = (f" x-region +{e.link_cost_s * 1e3:.0f}ms"
                      if e.cross_region else "")
-            lines.append(f"  edge {e.up} -> {e.down}{tag}: {e.mode}{cross}")
+            lines.append(f"  edge {e.up} -> {e.down}: {e.mode}{cross}")
         return "\n".join(lines)
 
 
@@ -192,19 +190,17 @@ def _parallelism_of(parallelism: int | dict[str, int], node: str) -> int:
 def _fusible_runs(job: JobGraph, p_of: Any,
                   reg: Any) -> dict[str, list[str]]:
     """Find maximal fusible runs: consecutive chainable operators linked
-    by an untagged edge where the upstream has exactly one downstream,
+    by an edge where the upstream has exactly one downstream,
     the downstream exactly one upstream, and both run at the same
     parallelism in the same region (a width or region change is always
     a channel).  Returns head -> member names."""
     out_degree: dict[str, int] = {}
     in_degree: dict[str, int] = {}
-    for up, down, _side in job.edges:
+    for up, down in job.edges:
         out_degree[up] = out_degree.get(up, 0) + 1
         in_degree[down] = in_degree.get(down, 0) + 1
     links: dict[str, str] = {}
-    for up, down, side in job.edges:
-        if side is not None:
-            continue
+    for up, down in job.edges:
         if up not in job.operators or down not in job.operators:
             continue
         if not (job.operators[up].chainable and job.operators[down].chainable):
@@ -318,8 +314,8 @@ def compile_execution_graph(job: JobGraph,
         return nodes[rename[up]].parallelism
 
     edges: list[PhysicalEdge] = []
-    seen_edges: set[tuple[str, str, str | None]] = set()
-    for up, down, side in job.edges:
+    seen_edges: set[tuple[str, str]] = set()
+    for up, down in job.edges:
         new_up = rename.get(up, up)
         new_down = rename.get(down, down)
         if new_up == new_down:  # edge internal to a chain
@@ -332,9 +328,9 @@ def compile_execution_graph(job: JobGraph,
                 f"{node_regions[up]!r} -> {node_regions[down]!r} but was "
                 "never declared cross-region; declare it with "
                 "declare_cross_region() or co-locate the nodes")
-        if (new_up, new_down, side) in seen_edges:
+        if (new_up, new_down) in seen_edges:
             continue
-        seen_edges.add((new_up, new_down, side))
+        seen_edges.add((new_up, new_down))
         if down in job.sinks:
             mode = MERGE
         elif nodes[new_down].keyed:
@@ -345,9 +341,8 @@ def compile_execution_graph(job: JobGraph,
             mode = REBALANCE
         cost = (placement.link_cost_s(node_regions[up], node_regions[down])
                 if cross else 0.0)
-        edges.append(PhysicalEdge(up=new_up, down=new_down, side=side,
-                                  mode=mode, cross_region=cross,
-                                  link_cost_s=cost))
+        edges.append(PhysicalEdge(up=new_up, down=new_down, mode=mode,
+                                  cross_region=cross, link_cost_s=cost))
 
     seen: set[str] = set()
     topo: list[str] = []

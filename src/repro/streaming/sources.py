@@ -1,4 +1,4 @@
-"""Source reading: splits, the merged pull, rewind and the shed tier.
+"""Source reading: splits, the merged pull and rewind.
 
 Sources are read as **splits** (the rescaling unit, analogous to topic
 partitions) range-assigned to source subtasks — eventlog-backed sources
@@ -21,9 +21,6 @@ is read in arrival order, whatever its timestamps and values look like
 with nondecreasing timestamps and numeric values are merged once by
 ``lexsort`` and pulled as zero-copy slices; anything else takes the
 heap, which is also the per-item reference.
-
-The **shed tier** acts here, at the pull boundary: what it drops never
-enters a channel, and its counts rewind together with the positions.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from ..util.errors import JobGraphError
 from ..util.ids import split_ranges
 from .batch import RecordBatch, decode_items, items_weight
 from .element import Element, StreamItem, Watermark
@@ -43,9 +39,6 @@ from .plan import ExecutionGraph
 from .shuffle import key_group_for
 
 __all__ = ["Split", "SourceReader"]
-
-#: Fibonacci-hash multiplier for the shed decision (SplitMix64 mix)
-_SHED_MIX = 0x9E3779B97F4A7C15
 
 
 @dataclass(slots=True)
@@ -85,18 +78,6 @@ class Split:
         return self._decoded
 
 
-def _shed_mask(ts: np.ndarray, keep: int, mod: int) -> np.ndarray:
-    """Keep-mask over element timestamps.  The decision hashes the raw
-    float64 timestamp bits, so it depends only on element *content* —
-    never on read positions or batch boundaries.  That makes shedding
-    crash-consistent: a replay after restore sheds exactly the same
-    elements, in every execution mode."""
-    bits = np.ascontiguousarray(ts, dtype=np.float64).view(np.uint64)
-    h = bits * np.uint64(_SHED_MIX)
-    h ^= h >> np.uint64(31)
-    return (h % np.uint64(mod)) < np.uint64(keep)
-
-
 class SourceReader:
     """Every source of one job, read split by split.
 
@@ -107,15 +88,12 @@ class SourceReader:
     """
 
     def __init__(self, job: JobGraph, graph: ExecutionGraph, *,
-                 batch_mode: bool = True, metrics: Any = None) -> None:
+                 batch_mode: bool = True) -> None:
         self.job = job
         self.graph = graph
         self.batch_mode = batch_mode
-        self.metrics = metrics
-        #: elements dropped by the shed tier, over all sources
-        self.shed_elements = 0
-        #: newest event timestamp pulled from any source (before
-        #: shedding) — the live watermark-lag gauge's reference
+        #: newest event timestamp pulled from any source — the live
+        #: watermark-lag gauge's reference
         self.frontier = float("-inf")
         self._splits: dict[str, list[Split]] = {}
         #: source -> the split range each subtask owns
@@ -123,9 +101,6 @@ class SourceReader:
         #: (source, subtask) -> pre-merged pull plan (built lazily,
         #: dropped on rewind — positions define the remaining suffix)
         self._plans: dict[tuple[str, int], dict[str, Any]] = {}
-        #: source -> (keep, mod) while shedding is active
-        self._shed_plans: dict[str, tuple[int, int]] = {}
-        self._shed_counts: dict[str, int] = {}
 
     # -- reading a source into splits ----------------------------------------
 
@@ -215,8 +190,8 @@ class SourceReader:
     def pull(self, name: str, idx: int, n: int) -> tuple[int, list]:
         """Up to ``n`` items for subtask ``idx`` of one source, merged
         by event time over the splits it owns.  Returns how many were
-        read (what positions advanced by) and the items the shed tier
-        admitted, as columns wherever the splits allow."""
+        read (what positions advanced by) and the items, as columns
+        wherever the splits allow."""
         splits = self.open(name)
         owned = self._owned[name][idx]
         taken = (self._pull_columnar(name, idx, splits, owned, n)
@@ -234,9 +209,6 @@ class SourceReader:
                   else last.timestamp)
             if ts > self.frontier:
                 self.frontier = ts
-            plan = self._shed_plans.get(name)
-            if plan is not None:
-                taken = self._shed_filter(name, taken, plan)
         return pulled, taken
 
     @staticmethod
@@ -385,86 +357,3 @@ class SourceReader:
         """Items one source holds, read or not (0 until it is opened)."""
         return sum(len(split.buffer)
                    for split in self._splits.get(name, ()))
-
-    # -- load shedding -------------------------------------------------------
-
-    def set_shedding(self, source: str, keep: int, mod: int) -> None:
-        """Activate the load-shedding tier on one source: admit a
-        deterministic ``keep/mod`` fraction of its elements and drop the
-        rest at the pull boundary (before they enter any channel or
-        operator).  Shed elements are counted in ``shed_elements`` (the
-        executor's ``shed_elements``, a supervised run's ``shed_total``)
-        and never reach operators or sinks, so exactly-once for *committed*
-        records is preserved by construction."""
-        if source not in self.job.sources:
-            raise JobGraphError(f"unknown source {source!r}")
-        if mod < 1 or not 0 <= keep <= mod:
-            raise JobGraphError(
-                f"shed ratio needs 0 <= keep <= mod, got {keep}/{mod}")
-        if keep == mod:
-            self._shed_plans.pop(source, None)
-        else:
-            self._shed_plans[source] = (int(keep), int(mod))
-
-    def clear_shedding(self, source: str) -> None:
-        """Deactivate shedding on one source (already-shed counts stay)."""
-        self._shed_plans.pop(source, None)
-
-    def _shed_filter(self, name: str, taken: list[StreamItem],
-                     plan: tuple[int, int]) -> list[StreamItem]:
-        keep, mod = plan
-        shed = 0
-        out: list[StreamItem] = []
-        if type(taken[0]) is RecordBatch:
-            for rb in taken:
-                mask = _shed_mask(rb.timestamps, keep, mod)
-                kept = int(mask.sum())
-                if kept == len(rb):
-                    out.append(rb)
-                    continue
-                shed += len(rb) - kept
-                if kept:
-                    out.append(rb.compress(mask))
-        else:
-            # Progress markers (watermarks) always pass; elements run
-            # through the same vectorized mask as the columnar path so
-            # the shed *set* is bit-identical across modes.
-            is_element = [type(it) is Element for it in taken]
-            ts = np.fromiter(
-                (it.timestamp for it, e in zip(taken, is_element) if e),
-                dtype=np.float64, count=sum(is_element))
-            admit = iter(_shed_mask(ts, keep, mod).tolist())
-            out = [it for it, e in zip(taken, is_element)
-                   if not e or next(admit)]
-            shed = len(taken) - len(out)
-        if shed:
-            self.shed_elements += shed
-            self._shed_counts[name] = self._shed_counts.get(name, 0) + shed
-            if self.metrics is not None:
-                self.metrics.counter("source.shed", source=name).inc(shed)
-        return out
-
-    def shed_state(self) -> dict[str, Any]:
-        """Shed-tier state for a checkpoint: active plans + per-source
-        shed counts at the cut (see ``ParallelCheckpoint.shed_state``)."""
-        return {"plans": {k: list(v) for k, v in self._shed_plans.items()},
-                "shed": dict(self._shed_counts)}
-
-    def apply_shed_state(self, state: dict[str, Any],
-                         sources: Iterable[str]) -> None:
-        """Restore shed plans and rewind shed counters of ``sources``
-        (all of them, or a recovering region's) to a checkpoint's cut."""
-        if not state:
-            return  # pre-shed-tier checkpoint: nothing to rewind
-        plans = {k: tuple(v) for k, v in state.get("plans", {}).items()}
-        counts = state.get("shed", {})
-        for name in sources:
-            if name in plans:
-                self._shed_plans[name] = plans[name]  # type: ignore[assignment]
-            else:
-                self._shed_plans.pop(name, None)
-            snap = int(counts.get(name, 0))
-            cur = self._shed_counts.get(name, 0)
-            if snap != cur:
-                self.shed_elements += snap - cur
-                self._shed_counts[name] = snap

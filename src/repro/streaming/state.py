@@ -1,6 +1,6 @@
 """Keyed state: the one table every keyed operator keeps per-key values in.
 
-Reduce, window, interval join and CEP each hold their per-key values in
+The window and CEP operators each hold their per-key values in
 one :class:`KeyedState`, exposed as ``op.state``.  The executor
 snapshots and restores that table *by key group*
 (:meth:`KeyedState.snapshot_by_group` / :meth:`KeyedState.restore_groups`)
@@ -64,11 +64,11 @@ class KeyedState:
 
     # -- bulk access (columnar kernels) --------------------------------------
 
-    def get_existing(self, key: Any, default: Any = None) -> Any:
-        """Raw lookup without the default factory — what a grouped
-        reduction wants: distinguish "no accumulator yet" from a
-        factory-made empty one without materializing anything."""
-        return self._data.get(key, default)
+    def get_existing(self, key: Any) -> Any:
+        """Raw lookup without the default factory (None when absent) —
+        what a grouped reduction wants: distinguish "no accumulator yet"
+        from a factory-made empty one without materializing anything."""
+        return self._data.get(key)
 
     def remove(self, key: Any) -> None:
         self._data.pop(key, None)

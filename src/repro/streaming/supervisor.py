@@ -89,7 +89,6 @@ class SupervisionReport:
     trace: list = field(default_factory=list)
     #: slices :meth:`Supervisor.run` drove
     steps: int = 0
-    shed_total: int = 0
     # -- the autoscaler's (repro.streaming.autoscale) --
     #: completed rescales (``RescaleEvent``)
     rescales: list = field(default_factory=list)
@@ -155,9 +154,6 @@ class Controller:
         the supervisor's widths, placement or clock here."""
         self.supervisor = supervisor
 
-    def start(self) -> None:
-        """Once the first executor exists, before checkpoint zero."""
-
     def before_slice(self) -> None:
         """Before every slice."""
 
@@ -215,8 +211,6 @@ class Supervisor:
         self.executor = self._build_executor(self.job, self.parallelism,
                                              self.placement)
         self.coordinator = self._build_coordinator()
-        for controller in self.controllers:
-            controller.start()
         # Checkpoint zero: the initial state is always a valid restore
         # point, so a crash before the first finalize restarts from
         # scratch.
@@ -495,13 +489,12 @@ class Supervisor:
 
     def finish(self) -> SupervisionReport:
         """Fold the live coordinator's counts, the store's quarantine
-        count, the shed counter, the fault trace and the committed
-        sink output into the report (call once, at end of run)."""
+        count, the fault trace and the committed sink output into the
+        report (call once, at end of run)."""
         report, executor = self.report, self.executor
         report.checkpoints += self.coordinator.finalized
         report.aborted += self.coordinator.aborted
         report.integrity_failures = self.store.integrity_failures
-        report.shed_total = executor.shed_elements
         if self.injector is not None:
             report.trace = list(self.injector.trace)
         report.sink_values = {name: list(sink.values)

@@ -1,7 +1,7 @@
 """Transport: the bounded channels between subtasks.
 
 Every non-sink edge of the physical plan becomes one :class:`Channel`
-per (receiver subtask, side, sender subtask): a FIFO with the sender's
+per (receiver subtask, sender subtask): a FIFO with the sender's
 last watermark and the sequence numbers of the reliable-transport
 protocol.  :class:`Channels` builds them from the plan and is the only
 code that queues, counts, sequences, aligns and resets what is in
@@ -13,12 +13,14 @@ watermarks it carries), what arrived over :data:`CHANNEL_CAPACITY`;
 past ten times that the offer raises :class:`~repro.util.errors.BackpressureOverflow`
 — the memory bound.  Chaining removes the channels between fused
 operators, so a chained run observes backpressure only at chain
-boundaries.  Load is shed in one place, the autoscaler's source-side
-tier, which rewinds with checkpoints.
+boundaries.  Nothing is shed: a job that cannot keep up is rescaled by
+the autoscaler, or fails at the memory bound.
 
-Multi-input subtasks align watermarks per input channel (the minimum
-across channels is forwarded — Flink's watermark valve), so a keyed
-subtask never advances event time past its slowest upstream.
+A subtask's input is the union of every channel into it, whichever
+upstream node sends on it.  Multi-channel inputs align watermarks per
+channel (the minimum across channels is forwarded — Flink's watermark
+valve), so a keyed subtask never advances event time past its slowest
+upstream.
 
 Channels are *reliable transport over an unreliable network*: with a
 fault injector that carries channel faults every offer becomes a
@@ -54,8 +56,8 @@ __all__ = ["CHANNEL_CAPACITY", "Channel", "Channels"]
 #: times this raises); read at call time, so a test can rebind it
 CHANNEL_CAPACITY = 10_000
 
-#: (receiver node, receiver subtask, side) — one subtask input
-InputKey = tuple[str, int, "str | None"]
+#: (receiver node, receiver subtask) — one subtask input
+InputKey = tuple[str, int]
 #: (sender node, sender subtask)
 Sender = tuple[str, int]
 
@@ -103,7 +105,7 @@ class Channels:
                 continue
             p_up = graph.width(edge.up)
             for j in range(graph.width(edge.down)):
-                key = (edge.down, j, edge.side)
+                key = (edge.down, j)
                 senders = self._inputs.setdefault(key, {})
                 self._aligned.setdefault(key, float("-inf"))
                 # forward: one sender; hash / rebalance: every upstream

@@ -9,9 +9,6 @@ from repro.core import ARBigDataPipeline, PipelineConfig, PrivacyConfig
 from repro.datagen import WindField, Building
 from repro.eventlog import ConsumerGroup
 from repro.render.occlusion import BoxOccluder, OcclusionWorld
-from repro.streaming.connectors import log_source
-from repro.streaming.graph import JobBuilder
-from repro.streaming.execution import ParallelExecutor
 from repro.streaming.windows import TumblingWindows
 from repro.util.rng import make_rng
 from repro.vision import (
@@ -130,37 +127,6 @@ class TestPrivacyBoundaryFlow:
         for row in rows:
             assert row.value["user"].startswith("anon-")
         assert pipeline.guard.locations_processed == 50
-
-
-class TestLogStreamWindowJoin:
-    """two topics joined by key within a time interval."""
-
-    def test_gaze_purchase_join(self):
-        pipeline = ARBigDataPipeline(PipelineConfig(seed=14))
-        pipeline.create_topic("gaze")
-        pipeline.create_topic("purchase")
-        for i in range(20):
-            pipeline.ingest("gaze", {"user": f"u{i % 4}", "item": f"p{i}"},
-                            key=f"u{i % 4}", timestamp=float(i))
-        for i in range(0, 20, 2):
-            pipeline.ingest("purchase",
-                            {"user": f"u{i % 4}", "item": f"p{i}"},
-                            key=f"u{i % 4}", timestamp=float(i) + 0.5)
-        builder = JobBuilder("join-job")
-        gaze = (builder.source("gaze", log_source(pipeline.log, "gaze"))
-                       .key_by(lambda v: v["user"]))
-        purchase = (builder.source("purchase",
-                                   log_source(pipeline.log, "purchase"))
-                           .key_by(lambda v: v["user"]))
-        (gaze.join(purchase, lower=0.0, upper=1.0)
-             .map(lambda j: (j.left["item"], j.right["item"]))
-             .sink("out"))
-        sinks = ParallelExecutor(builder.build()).run()
-        # Every purchase at t+0.5 matches gazes in [t-0.5, t+0.5] for the
-        # same user: the gaze at t always; t+1 gaze has different parity
-        # user except when (i+1)%4 == i%4 (never). So exactly 10 matches.
-        assert len(sinks["out"]) == 10
-        assert all(g == p for g, p in sinks["out"].values)
 
 
 class TestMultiUserConsistency:

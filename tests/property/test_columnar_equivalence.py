@@ -145,14 +145,15 @@ class TestColumnarKernels:
 
     @given(numeric_rows, st.integers(min_value=1, max_value=32))
     @settings(max_examples=20, deadline=None)
-    def test_keyed_reduce_kernel(self, rows, source_batch):
+    def test_keyed_source_window_kernel(self, rows, source_batch):
+        # keys set at the source, straight into the window's kernel
         elements = [Element(value=float(v), timestamp=i * 0.7, key=k)
                     for i, (k, v) in enumerate(rows)]
 
         def make_job():
-            builder = JobBuilder("columnar-reduce")
+            builder = JobBuilder("columnar-keyed-source")
             (builder.source("s", elements)
-                    .reduce(lambda a, b: a + b)
+                    .window(TumblingWindows(10.0), "mean")
                     .sink("out"))
             return builder.build()
         _assert_identical(_run_all_modes(make_job, source_batch))

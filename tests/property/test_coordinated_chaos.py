@@ -44,13 +44,6 @@ from repro.chaos import (
 )
 from repro.eventlog.broker import LogCluster, TopicConfig
 from repro.eventlog.producer import Producer
-from repro.streaming import (
-    Autoscaler,
-    JobBuilder,
-    SchedulePolicy,
-    ShedPolicy,
-    Supervisor,
-)
 from repro.streaming.connectors import log_source
 from repro.streaming.txn_sink import TransactionalLogSink
 from repro.util.clock import SimClock
@@ -353,86 +346,6 @@ class TestRegionalRecoverySweeps:
         report = _run(build, plan, exact=False, interval_cycles=2)
         assert report.regional_restores >= 1
         assert report.replayed_total < report.replayed_full_equiv
-
-
-class _TwoOfThree(ShedPolicy):
-    """The shed tier admitting 2 of every 3 elements (the library's
-    policy admits 1 of 2), so a ratio other than a half is covered."""
-
-    keep, mod = 2, 3
-
-
-SHED = _TwoOfThree(trigger_wait_s=0.0, release_wait_s=0.0)
-
-
-def _shed_run(plan, *, seed=7, n=400, schedule=None, **kwargs):
-    """A coordinated run with always-on deterministic shedding (the
-    trigger threshold of zero activates the tier from element zero, so
-    the golden and the chaos run shed the identical subset)."""
-    events = reference_events(seed=seed, n=n)
-    injector = FaultInjector(plan) if plan is not None else None
-    supervisor = Supervisor(
-        reference_job(events, splits=4),
-        controllers=[Autoscaler(SchedulePolicy(schedule or {}),
-                                shed_policy=SHED)],
-        injector=injector, parallelism=1, source_batch=32, **kwargs)
-    return supervisor.run()
-
-
-class TestShedExactlyOnceSmoke:
-    """Unmarked: the shed tier's accounting stays inside tier 1."""
-
-    def test_shed_plus_committed_accounts_for_every_element(self):
-        # passthrough job: every admitted element reaches the sink, so
-        # committed + shed must partition the input exactly, and the
-        # shed set never leaks into the transactional sink
-        events = reference_events(seed=5, n=300)
-        total = len(events)
-        builder = JobBuilder("shed-passthrough")
-        (builder.source("events", events, splits=4)
-                .map(lambda v: v, name="ident")
-                .sink("out"))
-        supervisor = Supervisor(
-            builder.build(),
-            controllers=[Autoscaler(SchedulePolicy({}), shed_policy=SHED)],
-            parallelism=1, source_batch=32)
-        report = supervisor.run()
-        committed = len(report.sink_values["out"])
-        assert report.shed_total > 0
-        assert committed + report.shed_total == total
-
-
-@pytest.mark.chaos
-class TestShedExactlyOnceUnderChaos:
-    """Shedding must preserve exactly-once for *committed* records:
-    shed elements appear only in drop accounting, never partially in a
-    transactional sink — across crashes, coordinator loss and rescales
-    (checkpoints carry the shed plans and counts; restores rewind
-    them)."""
-
-    def _golden(self, seed=7, n=400):
-        report = _shed_run(None, seed=seed, n=n)
-        return canonical_sinks(report.sink_values), report.shed_total
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_crash_schedules_shed_identically(self, seed):
-        golden, golden_shed = self._golden(seed=seed % 3)
-        plan = _random_crashes(seed + 2100, 60, 2, coordinator_crashes=1,
-                               name=f"shed-{seed}")
-        report = _shed_run(plan, seed=seed % 3)
-        assert canonical_sinks(report.sink_values) == golden
-        assert report.shed_total == golden_shed
-
-    def test_shedding_survives_a_live_rescale(self):
-        golden, golden_shed = self._golden()
-        plan = FaultPlan(specs=(
-            FaultSpec("rescale_crash", "streaming.rescale", at=0,
-                      target="restore"),
-        ), name="shed-rescale")
-        report = _shed_run(plan, schedule={1: {"window_sum": 2}})
-        assert len(report.rescales) == 1
-        assert canonical_sinks(report.sink_values) == golden
-        assert report.shed_total == golden_shed
 
 
 @pytest.mark.chaos

@@ -290,7 +290,7 @@ class TestOneRewind:
         # positions, keyed/scalar state, sink rows and routing state
         cut = executor.checkpoint()
         return (cut.source_positions, cut.keyed_state, cut.scalar_state,
-                cut.sink_elements, cut.routing_state, cut.shed_state)
+                cut.sink_elements, cut.routing_state)
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_region_by_region_equals_whole(self, parallelism):

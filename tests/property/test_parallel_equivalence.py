@@ -83,31 +83,36 @@ class TestKeyAlignedEquivalence:
 
     @given(keyed_rows, st.integers(min_value=1, max_value=32))
     @settings(max_examples=15, deadline=None)
-    def test_keyed_reduce(self, rows, source_batch):
+    def test_keyed_window_fired_by_end_of_input(self, rows, source_batch):
         elements = _keyed_elements(rows)
 
         def make_job():
-            builder = JobBuilder("eq-reduce")
+            builder = JobBuilder("eq-flush")
             (builder.source("s", elements, splits=N_SPLITS)
                     .filter(lambda v: v > -40.0, name="keep")
-                    .reduce(lambda a, b: a + b)
+                    .window(TumblingWindows(10.0), "max", name="win")
                     .sink("out"))
             return builder.build()
         _assert_parallel_matches(make_job, source_batch)
 
     @given(keyed_rows, keyed_rows)
     @settings(max_examples=10, deadline=None)
-    def test_interval_join(self, left_rows, right_rows):
+    def test_two_source_union(self, left_rows, right_rows):
         left = _keyed_elements(left_rows)
         right = _keyed_elements(right_rows)
 
         def make_job():
-            builder = JobBuilder("eq-join")
-            l = (builder.source("l", left, splits=N_SPLITS)
-                        .with_watermarks(5.0, emit_every=4))
-            r = (builder.source("r", right, splits=N_SPLITS)
-                        .with_watermarks(5.0, emit_every=4))
-            l.join(r, -5.0, 5.0).sink("out")
+            builder = JobBuilder("eq-union")
+            (builder.source("r", right, splits=N_SPLITS)
+                    .with_watermarks(5.0, emit_every=4, name="wm_r"))
+            (builder.source("l", left, splits=N_SPLITS)
+                    .with_watermarks(5.0, emit_every=4, name="wm_l")
+                    .window(TumblingWindows(10.0), "sum", name="win")
+                    .sink("out"))
+            # two sender nodes into one input: its watermark is the
+            # minimum over both sources' channels, which an edge from a
+            # single upstream, however wide, never checks
+            builder._add_edge("wm_r", "win")
             return builder.build()
         _assert_parallel_matches(make_job)
 
@@ -157,20 +162,11 @@ class TestRescaling:
 
 
 def _counter_job(kind):
-    """A p-agnostic job around one keyed operator named ``op`` (the
-    join is ``join_0``, the name the builder gives it) whose job-wide
-    counter (window ``fired``, join and CEP ``matches``) is
-    already non-zero a few cycles in."""
+    """A p-agnostic job around one keyed operator named ``op`` whose
+    job-wide counter (window ``fired``, CEP ``matches``) is already
+    non-zero a few cycles in."""
     rows = [(i % 3, float(i % 7)) for i in range(120)]
     builder = JobBuilder(f"counters-{kind}")
-    if kind == "join":
-        left = (builder.source("l", _keyed_elements(rows), splits=N_SPLITS)
-                       .with_watermarks(5.0, emit_every=4))
-        right = (builder.source("r", _keyed_elements(rows[::-1]),
-                                splits=N_SPLITS)
-                        .with_watermarks(5.0, emit_every=4))
-        left.join(right, -2.0, 2.0).sink("out")
-        return builder.build()
     stream = (builder.source("s", _keyed_elements(rows), splits=N_SPLITS)
                      .with_watermarks(5.0, emit_every=4))
     if kind == "window":
@@ -184,9 +180,8 @@ def _counter_job(kind):
 
 def _counter_total(executor, kind):
     attr = "fired" if kind == "window" else "matches"
-    name = "join_0" if kind == "join" else "op"
     return sum(getattr(clone, attr)
-               for clone in executor.subtask_operators(name))
+               for clone in executor.subtask_operators("op"))
 
 
 class TestRescaleCounters:
@@ -195,7 +190,7 @@ class TestRescaleCounters:
     carries the single old subtask's totals."""
 
     @pytest.mark.parametrize("new_p", [2, 4])
-    @pytest.mark.parametrize("kind", ["window", "join", "cep"])
+    @pytest.mark.parametrize("kind", ["window", "cep"])
     def test_rescale_out_of_one_keeps_counter_totals(self, kind, new_p):
         reference = ParallelExecutor(_counter_job(kind), 1)
         reference.run(source_batch=8)

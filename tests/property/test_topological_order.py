@@ -7,13 +7,11 @@ in declaration order, a node's children in edge order, parallel edges
 as one edge, and a name that two kinds share as one node.  networkx
 stays the oracle here (``simnet/`` still depends on it).
 
-Random DAGs are drawn with joins (a left and a right input, possibly
-from one upstream; in a quarter of the joins two inputs whose sides are
-drawn from left, right and untagged), parallel edges, several sinks,
-edges into sources, and — in half the draws — an operator renamed after
-a source or a sink renamed after another node.  The errors a graph can
-raise first keep their messages, and a renamed operator or a join's bad
-sides raise their own.
+Random DAGs are drawn with unions (an operator fed by two sources,
+possibly one source twice), parallel edges, several sinks, edges into
+sources, and — in half the draws — an operator renamed after a source
+or a sink renamed after another node.  The errors a graph can raise
+first keep their messages, and a renamed operator raises its own.
 """
 
 import networkx as nx
@@ -21,7 +19,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.streaming.graph import JobGraph
-from repro.streaming.join import IntervalJoinOperator
 from repro.streaming.operators import MapOperator
 from repro.util.errors import JobGraphError
 
@@ -32,14 +29,11 @@ def _oracle(job):
     graph = nx.DiGraph()
     for node in [*job.sources, *job.operators, *job.sinks]:
         graph.add_node(node)
-    for up, down, _side in job.edges:
+    for up, down in job.edges:
         graph.add_edge(up, down)
     if not nx.is_directed_acyclic_graph(graph):
         return None
     return list(nx.topological_sort(graph))
-
-
-SIDES = st.sampled_from(["left", "right", None])
 
 
 @st.composite
@@ -50,27 +44,25 @@ def job_graphs(draw):
     sources = [f"src{i}" for i in range(n_sources)]
     ops = [f"op{i}" for i in range(n_ops)]
     sinks = [f"out{i}" for i in range(n_sinks)]
-    joins = {op for op in ops if draw(st.booleans())}
+    unions = {op for op in ops if draw(st.booleans())}
     # Edges only run from lower to higher rank (a DAG before renaming);
     # a source holds rank 0 so every operator and sink has an input.
     ranked = [sources[0], *draw(st.permutations([*sources[1:], *ops]))]
     edges = []
     for pos, node in enumerate(ranked):
         ups = ranked[:pos]
-        if node in joins:
-            sides = ("left", "right")
-            if not draw(st.integers(0, 3)):
-                sides = draw(st.tuples(SIDES, SIDES))
-            for side in sides:
-                edges.append((draw(st.sampled_from(ups)), node, side))
+        if node in unions:
+            feeds = [up for up in ups if up in sources]
+            for _ in range(2):
+                edges.append((draw(st.sampled_from(feeds)), node))
         elif node in ops:
             for up in draw(st.lists(st.sampled_from(ups), min_size=1,
                                     max_size=3)):
-                edges.append((up, node, None))  # repeats: parallel edges
+                edges.append((up, node))  # repeats: parallel edges
     for sink in sinks:
         for up in draw(st.lists(st.sampled_from(ranked), min_size=1,
                                 max_size=2)):
-            edges.append((up, sink, None))
+            edges.append((up, sink))
     rename = {}
     alias = draw(st.sampled_from(["none", "op-as-source", "sink-as-node"]))
     if alias == "op-as-source" and ops:
@@ -79,22 +71,19 @@ def job_graphs(draw):
         rename[draw(st.sampled_from(sinks))] = draw(
             st.sampled_from([*sources, *ops]))
     name = rename.get
-    join_names = {name(op, op) for op in joins}
     for _ in range(draw(st.integers(0, 3)) if len(ranked) > 1 else 0):
-        # extra edges, into sources too (never a join's third input)
+        # extra edges, into sources too
         i, j = sorted(draw(st.lists(st.integers(0, len(ranked) - 1),
                                     min_size=2, max_size=2, unique=True)))
-        if name(ranked[j], ranked[j]) not in join_names:
-            edges.append((ranked[i], ranked[j], None))
+        edges.append((ranked[i], ranked[j]))
     edges = draw(st.permutations(edges))
     operators = {}
     for op in draw(st.permutations(ops)):  # declaration order != rank
-        operators[name(op, op)] = (IntervalJoinOperator(op, 0.0, 1.0)
-                                   if op in joins else MapOperator(op, abs))
+        operators[name(op, op)] = MapOperator(op, abs)
     return JobGraph(
         name="g", sources={s: None for s in draw(st.permutations(sources))},
         operators=operators,
-        edges=[(name(u, u), name(d, d), side) for u, d, side in edges],
+        edges=[(name(u, u), name(d, d)) for u, d in edges],
         sinks=[name(s, s) for s in draw(st.permutations(sinks))])
 
 
@@ -107,16 +96,10 @@ def test_validate_orders_nodes_as_networkx_does(job):
                            match=r"^job 'g' contains a cycle$"):
             job.validate()
         return
-    terminal_edges = [(u, d) for u, d, _s in job.edges if u in job.sinks]
+    terminal_edges = [(u, d) for u, d in job.edges if u in job.sinks]
     colliding = [s for s in job.sinks
                  if s in job.sources or s in job.operators]
     renamed = [op for op in job.operators if op in job.sources]
-    bad_joins = [(op, sorted((s for _u, d, s in job.edges if d == op),
-                             key=repr))
-                 for op, kind in job.operators.items()
-                 if isinstance(kind, IntervalJoinOperator)]
-    bad_joins = [(op, sides) for op, sides in bad_joins
-                 if sides != ["left", "right"]]
     if terminal_edges:
         up, down = terminal_edges[0]
         with pytest.raises(JobGraphError) as err:
@@ -135,12 +118,6 @@ def test_validate_orders_nodes_as_networkx_does(job):
             job.validate()
         assert str(err.value) == (f"operator {renamed[0]!r} collides with "
                                   "an existing source")
-    elif bad_joins:
-        op, sides = bad_joins[0]
-        with pytest.raises(JobGraphError) as err:
-            job.validate()
-        assert str(err.value) == (f"join {op!r} needs exactly one 'left' "
-                                  f"and one 'right' input, got {sides}")
     else:
         job.validate()
         assert job._topo_order == expected
@@ -155,10 +132,10 @@ def _chain(edges, sinks=("out",)):
 
 
 @pytest.mark.parametrize("edges, message", [
-    ([("s", "m", None), ("m", "nowhere", None)],
+    ([("s", "m"), ("m", "nowhere")],
      "edge references unknown node 'nowhere'"),
-    ([("ghost", "m", None)], "edge references unknown node 'ghost'"),
-    ([("s", "m", None), ("m", "m", None), ("m", "out", None)],
+    ([("ghost", "m")], "edge references unknown node 'ghost'"),
+    ([("s", "m"), ("m", "m"), ("m", "out")],
      "job 'g' contains a cycle"),
 ])
 def test_unknown_node_and_cycle_errors_keep_their_messages(edges, message):
@@ -168,7 +145,7 @@ def test_unknown_node_and_cycle_errors_keep_their_messages(edges, message):
 
 
 def test_a_sink_named_like_an_operator_is_one_node_and_collides():
-    job = _chain([("s", "m", None)], sinks=("m",))
+    job = _chain([("s", "m")], sinks=("m",))
     assert _oracle(job) == ["s", "m"]
     with pytest.raises(JobGraphError) as err:
         job.validate()

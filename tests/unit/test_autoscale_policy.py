@@ -19,7 +19,6 @@ from repro.streaming import (
     Autoscaler,
     OperatorSignals,
     SchedulePolicy,
-    ShedPolicy,
     Supervisor,
     UtilizationTargetPolicy,
 )
@@ -99,20 +98,6 @@ class TestSchedulePolicy:
     def test_validation(self):
         with pytest.raises(ConfigError):
             SchedulePolicy({0: {"win": 0}})
-
-
-class TestShedPolicyValidation:
-    def test_hysteresis_and_ratio(self):
-        with pytest.raises(ConfigError):
-            ShedPolicy(trigger_wait_s=1.0, release_wait_s=2.0)
-        policy = ShedPolicy(trigger_wait_s=2.0, release_wait_s=1.0)
-        assert (policy.keep, policy.mod) == (1, 2)
-
-    @pytest.mark.parametrize("trigger,release", [(float("nan"), 2.0),
-                                                 (2.0, float("nan"))])
-    def test_nan_wait_is_refused(self, trigger, release):
-        with pytest.raises(ConfigError):
-            ShedPolicy(trigger_wait_s=trigger, release_wait_s=release)
 
 
 class TestAutoscalerBookkeeping:

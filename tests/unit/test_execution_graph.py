@@ -12,7 +12,6 @@ from repro.streaming import (
 from repro.streaming import shuffle
 from repro.streaming.plan import FORWARD, HASH, MERGE, REBALANCE
 from repro.streaming.graph import JobGraph
-from repro.streaming.join import IntervalJoinOperator
 from repro.streaming.operators import MapOperator
 from repro.util.errors import CheckpointError, JobGraphError
 
@@ -107,7 +106,7 @@ class TestGraphValidation:
         # check is what fires.
         bad = JobGraph(name="j", sources=job.sources,
                        operators=job.operators,
-                       edges=job.edges + [("out", "m2", None)],
+                       edges=job.edges + [("out", "m2")],
                        sinks=job.sinks)
         with pytest.raises(JobGraphError, match="terminal"):
             bad.validate()
@@ -120,7 +119,7 @@ class TestGraphValidation:
         # outgoing edges, so only the collision check can reject it.
         bad = JobGraph(name="j", sources=job.sources,
                        operators=job.operators,
-                       edges=[("s", "m", None)], sinks={"m"})
+                       edges=[("s", "m")], sinks={"m"})
         with pytest.raises(JobGraphError, match="collides"):
             bad.validate()
 
@@ -128,29 +127,12 @@ class TestGraphValidation:
         # "s" fed by "t" would run merged with the source "s" as one node
         bad = JobGraph(name="j", sources={"s": None, "t": None},
                        operators={"s": MapOperator("s", abs)},
-                       edges=[("t", "s", None), ("s", "out", None)],
+                       edges=[("t", "s"), ("s", "out")],
                        sinks=["out"])
         with pytest.raises(JobGraphError) as err:
             bad.validate()
         assert str(err.value) == ("operator 's' collides with an "
                                   "existing source")
-
-    @pytest.mark.parametrize("sides, got", [
-        (("left", None), "['left', None]"),
-        ((None, "right"), "['right', None]"),
-        ((None, None), "[None, None]"),
-        (("left", "left"), "['left', 'left']"),
-    ])
-    def test_join_sides_are_checked_tagged_or_not(self, sides, got):
-        bad = JobGraph(name="j", sources={"a": None, "b": None},
-                       operators={"j": IntervalJoinOperator("j", 0.0, 1.0)},
-                       edges=[("a", "j", sides[0]), ("b", "j", sides[1]),
-                              ("j", "out", None)],
-                       sinks=["out"])
-        with pytest.raises(JobGraphError) as err:
-            bad.validate()
-        assert str(err.value) == ("join 'j' needs exactly one 'left' and "
-                                  f"one 'right' input, got {got}")
 
     def test_sink_name_collision_in_builder(self):
         builder = JobBuilder("j")
@@ -162,7 +144,7 @@ class TestGraphValidation:
         builder = JobBuilder("j")
         builder.source("s", _els(2)).map(lambda v: v, name="m").sink("out")
         with pytest.raises(JobGraphError, match="duplicate"):
-            builder._add_edge("s", "m", None)
+            builder._add_edge("s", "m")
 
 
 class TestParallelExecutor:

@@ -96,6 +96,10 @@ text, imports only to inspect one signature).
     partition (``partition_out``, ``partition_in``), a retry filter
     (``retryable``), a retry that escalates to another policy
     (``escalate``) and a per-budget x-ray cost (``xray_surcharge_ms``).
+    Nor are the features no product run executed: the interval join
+    (``IntervalJoinOperator``), the keyed reduce (``ReduceOperator``)
+    and the shed tier (``ShedPolicy``, ``set_shedding``,
+    ``shed_state``).
 (q) A job launch pays for no graph library: nothing under
     ``streaming/`` imports ``networkx`` — ``JobGraph.validate`` orders
     the graph with its own Kahn pass (networkx stays for ``simnet/``).
@@ -128,6 +132,18 @@ text, imports only to inspect one signature).
     parameters of lint (r)'s allow-listed defs, and a keyword the
     end-to-end benchmark passes and the library refuses to vary
     (``parallel_log_source(columnar)``).
+(t) Every def runs: each method and module-level function that lint (r)
+    counts as reached (its allow-listed defs aside) was entered by a
+    product run — an example, the CLI, a bench or a gate tool's demo —
+    as ``tools/reach.txt`` records it (``make reach`` regenerates the
+    file under ``sys.setprofile`` and fails when it is stale), or sits
+    on an allow-list with its reason: a fault path, a seam, the
+    per-item reference, a CLI-only path, a dunder, an open item's
+    building block, or library API only tests run.  The list only
+    shrinks: a listed def that a run enters, or that is deleted,
+    leaves it.  A name no longer keeps a def alive: a method named
+    ``join`` that only tests call fails here although ``str.join``
+    satisfies lint (r).
 """
 
 import ast
@@ -289,8 +305,8 @@ STREAMING = "streaming/"
 #: what ``Split`` and ``Channel`` replaced, as attribute names
 CONTAINERS = re.compile(
     r"\b(_split_buffers|_split_positions|_split_batches|_split_sorted"
-    r"|_finished_splits|_merge_cache|_source_assignment|_shed"
-    r"|_shed_by_source|_channels|_channel_wm|_aligned_wm|_send_seq"
+    r"|_finished_splits|_merge_cache|_source_assignment"
+    r"|_channels|_channel_wm|_aligned_wm|_send_seq"
     r"|_recv_seq|_ooo|_held)\b")
 #: the line budget of one ``streaming/`` module; a PR that grows a file
 #: past it raises the number here and says why
@@ -542,12 +558,10 @@ def test_keyed_means_having_a_table():
     assert _offenders(re.compile(r"\brequires_shuffle\s*=[^=]"),
                       set()) == []
     from repro.streaming import (
-        IntervalJoinOperator, MapOperator, PatternOperator, PatternStep,
-        ReduceOperator, TumblingWindows, WindowAggregateOperator)
+        MapOperator, PatternOperator, PatternStep, TumblingWindows,
+        WindowAggregateOperator)
     step = PatternStep("any", lambda v: True)
-    keyed = [ReduceOperator("r", lambda a, b: a + b),
-             WindowAggregateOperator("w", TumblingWindows(10.0), "sum"),
-             IntervalJoinOperator("j", 0.0, 1.0),
+    keyed = [WindowAggregateOperator("w", TumblingWindows(10.0), "sum"),
              PatternOperator("p", [step, PatternStep("b", lambda v: True)],
                              within_s=1.0)]
     assert all(op.requires_shuffle and op.state is not None for op in keyed)
@@ -729,7 +743,8 @@ UNSET_MODES = re.compile(
     r"|retention_bytes|retention_seconds|run_retention|run_compaction"
     r"|SessionWindows|_merge_sessions|exclude_seen|partition_out"
     r"|partition_in|retryable|escalate|xray_surcharge_ms"
-    r"|memtable_limit|TIER_FANOUT|SortedRun)\b"
+    r"|memtable_limit|TIER_FANOUT|SortedRun|IntervalJoinOperator"
+    r"|ReduceOperator|ShedPolicy|set_shedding|shed_state)\b"
     r"|\bcompacted\s*=")
 #: (module, class) -> parameters of its ``__init__``, ``self`` excluded
 INIT_PARAMETERS = {
@@ -1098,6 +1113,278 @@ def test_an_override_is_reached_through_a_call_of_the_base_name():
 def test_the_methods_of_an_unreached_class_go_with_it():
     files = {"src/repro/m.py": BOX, "tools/t.py": "print('no box')\n"}
     assert unreached_defs(files) == ["src/repro/m.py:Box"]
+
+
+# -- (t) every def runs in a product run ---------------------------------------
+
+#: the runtime census (``make reach``): every def under ``src/`` that a
+#: product run entered
+REACH = ROOT / "tools" / "reach.txt"
+FAULT = ("a fault path: runs when a fault is injected, a record is "
+         "refused or a failed step is retried or recovered; the chaos, "
+         "datafault and robustness suites run it")
+SEAM = ("a seam: a base-class hook every subclass overrides, or a "
+        "refusal")
+ORACLE = ("the per-item reference (batch_mode=False) that the "
+          "equivalence suites compare batched runs against")
+CLI = "CLI-only: tools/trace_report.py's render, export and re-import"
+DUNDER = ("a dunder or the pickled form: what a printout, a debugger "
+          "or a test reads")
+BUILDING = ("called only by an allow-listed open item's building block "
+            "(TransactionalLogSink for item 3, GridCloak for item 16)")
+#: defs lint (r) counts as reached that no product run enters, by why
+#: each stays; an entry leaves when a run enters its def or the def is
+#: deleted (the census then fails), so the list only shrinks
+NOT_RUN_ALLOWED = {
+    FAULT: (
+        "chaos/injector.py:FaultInjector.count",
+        "chaos/injector.py:FaultInjector.on_channel_offer",
+        "chaos/injector.py:FaultInjector.stall_check",
+        "chaos/injector.py:FaultInjector.before_append",
+        "chaos/injector.py:FaultInjector._run_broker_events",
+        "chaos/injector.py:FaultInjector.finish_broker_events",
+        "chaos/injector.py:ChaosLogCluster.cluster",
+        "chaos/injector.py:ChaosLogCluster.injector",
+        "chaos/injector.py:ChaosLogCluster._after_append",
+        "chaos/injector.py:ChaosLogCluster.append_row",
+        "chaos/injector.py:ChaosLogCluster.appenders",
+        "chaos/injector.py:ChaosLogCluster.append",
+        "chaos/injector.py:ChaosLogCluster.append_idempotent",
+        "chaos/injector.py:ChaosLogCluster.read",
+        "chaos/injector.py:ChaosLogCluster.settle",
+        "eventlog/broker.py:LogCluster.recover_broker",
+        "eventlog/producer.py:Producer.resend_last",
+        "eventlog/producer.py:Producer.send_with_retry",
+        "simnet/failures.py:FailureEvent.__post_init__",
+        "simnet/failures.py:FailureInjector.schedule",
+        "simnet/topology.py:Topology.recover_node",
+        "simnet/topology.py:Topology.recover_region",
+        "streaming/cep.py:PatternOperator.restore",
+        "streaming/errors.py:corrupt_timestamp",
+        "streaming/state.py:KeyedState.restore",
+        "streaming/transport.py:Channels._apply_faults",
+        "streaming/transport.py:Channels._receive",
+        "util/errors.py:RetryExhausted.__init__",
+        "util/retry.py:Retrier.__init__",
+        "util/retry.py:Retrier.call",
+        "util/retry.py:CircuitBreaker._trip",
+        "util/retry.py:CircuitBreaker.call",
+    ),
+    SEAM: (
+        "offload/policies.py:OffloadPolicy.decide",
+        "streaming/autoscale.py:ScalingPolicy.decide",
+        "streaming/chain.py:ChainedOperator.process",
+        "streaming/operators.py:Operator.process",
+        "streaming/operators.py:Operator._run_columnar",
+        "streaming/supervisor.py:Controller.after_slice",
+        "streaming/windows.py:WindowAssigner.assign",
+    ),
+    ORACLE: (
+        "streaming/batch.py:RecordBatch.extend_elements",
+        "streaming/cep.py:PatternOperator.on_watermark",
+        "streaming/operators.py:WatermarkGenerator.on_watermark",
+        "streaming/sources.py:Split.decoded",
+        "streaming/window_operator.py:_exact_add",
+        "streaming/window_operator.py:_mean_add",
+    ),
+    CLI: (
+        "obs/exporters.py:json_safe",
+        "obs/exporters.py:JsonLinesExporter.__init__",
+        "obs/exporters.py:JsonLinesExporter._write",
+        "obs/exporters.py:JsonLinesExporter.export_spans",
+        "obs/exporters.py:JsonLinesExporter.export_metrics",
+        "obs/exporters.py:read_jsonl",
+        "obs/exporters.py:ConsoleExporter.__init__",
+        "obs/exporters.py:ConsoleExporter.export_spans",
+        "obs/exporters.py:ConsoleExporter.export_metrics",
+        "obs/exporters.py:ConsoleExporter._table",
+        "obs/report.py:SpanNode.duration",
+        "obs/report.py:critical_path",
+        "obs/report.py:_format_duration",
+        "obs/report.py:render_tree",
+    ),
+    DUNDER: (
+        "chaos/plan.py:FaultPlan.__len__",
+        "context/entities.py:ContextStore.__len__",
+        "core/session.py:SharedDataset.__len__",
+        "eventlog/partition.py:Partition.__len__",
+        "obs/trace.py:SpanEvent.__repr__",
+        "obs/trace.py:Span.__repr__",
+        "privacy/reidentify.py:TraceDatabase.__len__",
+        "sensors/spatial.py:QuadTree.__len__",
+        "simnet/topology.py:Topology.__len__",
+        "streaming/batch.py:RecordBatch.__repr__",
+        "streaming/batch.py:RecordBatch.__eq__",
+        "streaming/batch.py:_unpack",
+        "streaming/batch.py:_unpack_batch",
+        "streaming/element.py:Element.__reduce__",
+        "streaming/state.py:KeyedState.__contains__",
+        "streaming/state.py:KeyedState.__len__",
+        "util/clock.py:SimClock.__repr__",
+    ),
+    BUILDING: (
+        "eventlog/producer.py:Producer.bump_epoch",
+        "eventlog/producer.py:Producer.begin_transaction",
+        "eventlog/producer.py:Producer.send_transactional",
+        "eventlog/producer.py:Producer.commit_transaction",
+        "privacy/location.py:CloakedRegion.__init__",
+        "privacy/location.py:CloakedRegion.radius_m",
+    ),
+}
+#: not a reason to stay: library API that only tests run or read,
+#: which ROADMAP item 21 deletes with its tests or gives a product
+#: caller; it is held to the same rule and only shrinks
+NOT_RUN_PENDING_DELETION = (
+    "analytics/anomaly.py:EwmaDetector.mean",
+    "analytics/anomaly.py:EwmaDetector.std",
+    "analytics/heavyhitters.py:HeavyHitters.estimate",
+    "analytics/incremental.py:RunningStats.variance",
+    "analytics/incremental.py:RunningStats.std",
+    "analytics/incremental.py:RunningStats.merge",
+    "analytics/recommend.py:Recommender.add",
+    "analytics/recommend.py:Recommender.recommend",
+    "analytics/sketches.py:CountMinSketch.merge",
+    "analytics/sketches.py:HyperLogLog.estimate",
+    "analytics/sketches.py:HyperLogLog.merge",
+    "context/arml.py:ArmlDocument.get",
+    "context/entities.py:ContextStore.entity",
+    "context/entities.py:ContextStore.entities",
+    "context/entities.py:ContextStore.user",
+    "context/entities.py:ContextStore.nearby",
+    "context/entities.py:ContextStore.distance",
+    "core/pipeline.py:ARBigDataPipeline.sessions",
+    "eventlog/consumer.py:Consumer.lag",
+    "eventlog/consumer.py:ConsumerGroup.members",
+    "eventlog/consumer.py:ConsumerGroup.commit",
+    "eventlog/consumer.py:ConsumerGroup.committed",
+    "eventlog/partition.py:Partition.append",
+    "eventlog/partition.py:Partition.get",
+    "eventlog/partition.py:Partition.clone",
+    "eventlog/record.py:ConsumedRecord.record",
+    "geo/controller.py:RegionController.regions",
+    "geo/controller.py:RegionController.reset",
+    "obs/trace.py:SpanEvent.__init__",
+    "obs/trace.py:Span.context",
+    "obs/trace.py:Span.add_event",
+    "obs/trace.py:Span.duration",
+    "obs/trace.py:Span.__enter__",
+    "obs/trace.py:Span.__exit__",
+    "obs/trace.py:_NoopSpan.add_event",
+    "obs/trace.py:_NoopSpan.__enter__",
+    "obs/trace.py:_NoopSpan.__exit__",
+    "obs/trace.py:Tracer.active",
+    "obs/trace.py:Tracer.finished",
+    "offload/battery.py:Battery.fraction",
+    "offload/battery.py:Battery.empty",
+    "offload/battery.py:Battery.drain",
+    "render/scene.py:SceneGraph.add_node",
+    "render/scene.py:SceneGraph.get",
+    "render/scene.py:SceneGraph.remove",
+    "render/scene.py:SceneGraph._remove_from",
+    "sensors/crowdmodel.py:CrowdModel.buildings",
+    "sensors/poi.py:PoiDatabase.categories",
+    "sensors/spatial.py:QuadTree.bounds",
+    "simnet/kernel.py:ScheduledEvent.cancel",
+    "simnet/kernel.py:Simulator.pending",
+    "simnet/kernel.py:Simulator.processed",
+    "simnet/queueing.py:ProcessingQueue.depth",
+    "simnet/topology.py:Topology.regions",
+    "store/analytical.py:_default_metric",
+    "store/analytical.py:AnalyticalStore.filter",
+    "store/analytical.py:AnalyticalStore.stats",
+    "store/hot.py:HotStore.stats",
+    "store/tiered.py:TieredStore.filter",
+    "store/tiered.py:TieredStore.count",
+    "store/tiered.py:TieredStore.stats",
+    "streaming/execution.py:ParallelExecutor._charge_cross_region",
+    "streaming/graph.py:_StreamHandle.node",
+    "streaming/placement.py:RegionPlacement.region_of",
+    "streaming/placement.py:RegionPlacement.link_cost_s",
+    "streaming/placement.py:RegionPlacement.moved",
+    "streaming/plan.py:ExecutionGraph.edge_id",
+    "streaming/plan.py:ExecutionGraph.cross_region_edges",
+    "streaming/state.py:KeyedState.get",
+    "streaming/state.py:KeyedState.keys",
+    "streaming/state.py:KeyedState.clear",
+    "streaming/txn_sink.py:TransactionalSink.elements",
+    "streaming/windows.py:Window.contains",
+    "util/geometry.py:clamp",
+    "util/geometry.py:Rect.translated",
+    "util/metrics.py:Gauge.inc",
+    "util/metrics.py:Summary.minimum",
+    "util/metrics.py:Summary.maximum",
+    "util/metrics.py:Summary.total",
+    "util/rng.py:RngRegistry.seed",
+    "vision/camera.py:Pose.identity",
+    "vision/camera.py:Pose.inverse",
+    "vision/camera.py:Pose.compose",
+)
+
+
+def not_run_defs(files, reached):
+    """``path:label`` of every method and module-level function under
+    ``src/`` in ``files`` whose label is not in ``reached`` (the
+    census's ``path:qualname`` lines), leaving out lint (r)'s
+    allow-listed defs and the methods of its allow-listed classes: the
+    census sees what a class runs, not the class."""
+    out = []
+    for rel, text in files.items():
+        if not rel.startswith("src/"):
+            continue
+        tree = ast.parse(text)
+        classes = {stmt.name for stmt in tree.body
+                   if isinstance(stmt, ast.ClassDef)}
+        for _rel, cls, name, _used in _library_defs(tree, rel,
+                                                    _docstrings(tree)):
+            label = _label(cls, name)
+            if (cls is None and name in classes) \
+                    or {label, cls} & set(UNREACHED_ALLOWED):
+                continue
+            if f"{rel}:{label}" not in reached:
+                out.append(f"{rel}:{label}")
+    return sorted(out)
+
+
+def _not_run_allowed():
+    sites = [site for group in NOT_RUN_ALLOWED.values() for site in group]
+    return [f"src/repro/{site}"
+            for site in sites + list(NOT_RUN_PENDING_DELETION)]
+
+
+def test_every_def_runs_in_a_product_run():
+    reached = set(REACH.read_text().split())
+    not_run = not_run_defs(_caller_files(), reached)
+    allowed = _not_run_allowed()
+    assert len(allowed) == len(set(allowed))
+    assert [site for site in not_run if site not in allowed] == []
+    # the list only shrinks: a listed def that a run entered, or that
+    # is gone, leaves it
+    assert sorted(set(allowed) - set(not_run)) == []
+
+
+def test_the_census_names_only_defs_that_exist():
+    """A def deleted since ``make reach`` last ran leaves a stale line."""
+    defs = {f"{rel}:{_label(cls, name)}"
+            for rel, text in _caller_files().items()
+            if rel.startswith("src/")
+            for _rel, cls, name, _used in _library_defs(
+                ast.parse(text), rel, set())}
+    stale = [site for site in REACH.read_text().split()
+             if "<locals>" not in site and site not in defs]
+    assert stale == []
+
+
+def test_the_runtime_census_sees_through_a_common_name():
+    """A method only tests call, named like ``str.join``: lint (r)
+    counts it as reached, the runtime census does not."""
+    module = ("class Box:\n    def used(self):\n        return 1\n\n"
+              "    def join(self, other):\n        return other\n")
+    files = {"src/repro/m.py": module,
+             "tools/t.py": "from repro.m import Box\nBox().used()\n"
+                           "print(', '.join(['a', 'b']))\n"}
+    assert unreached_defs(files) == []
+    assert not_run_defs(files, {"src/repro/m.py:Box.used"}) \
+        == ["src/repro/m.py:Box.join"]
 
 
 # -- (s) every parameter is set by a caller ----------------------------------

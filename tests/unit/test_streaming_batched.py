@@ -78,14 +78,14 @@ class TestChainPlan:
         (builder.source("s", _els(10))
                 .map(lambda v: v)
                 .key_by(lambda v: v["k"])
-                .reduce(lambda a, b: {"k": a["k"], "v": a["v"] + b["v"]})
-                .map(lambda v: v["v"])
+                .window(TumblingWindows(5.0), "sum", value_fn=lambda v: v["v"])
+                .map(lambda r: r.value)
                 .sink("out"))
         executor = ParallelExecutor(builder.build())
-        # map+key_by fuse; reduce stays alone; the tail map has no
+        # map+key_by fuse; the window stays alone; the tail map has no
         # chainable neighbour.
         assert _chains(executor) == [["map_0", "key_by_0"]]
-        assert "reduce_0" in executor.graph.nodes
+        assert "window_0" in executor.graph.nodes
         assert "map_1" in executor.graph.nodes
 
     def test_fanout_breaks_chain(self):
@@ -99,19 +99,6 @@ class TestChainPlan:
         sinks = executor.run()
         assert len(sinks["out_a"]) == 10
         assert len(sinks["out_b"]) == 10
-
-    def test_join_never_chains(self):
-        builder = JobBuilder("j")
-        left = builder.source("l", _els(5)).key_by(lambda v: v["k"])
-        right = builder.source("r", _els(5)).key_by(lambda v: v["k"])
-        left.join(right, -1.0, 1.0).sink("out")
-        executor = ParallelExecutor(builder.build())
-        # The side-tagged join edges are unfusible, and each key_by has
-        # no chainable neighbour left — nothing fuses at all.
-        assert _chains(executor) == []
-        assert ("join_0", 0, "left") in executor.channels.inputs
-        assert ("join_0", 0, "right") in executor.channels.inputs
-
 
 class TestChainedOperator:
     def test_chain_of_one_is_named_after_its_member(self):
@@ -214,14 +201,16 @@ class TestModeEquivalence:
                         .map(lambda v: v * 3.0 + 1.0, vectorized=True)
                         .filter(lambda v: v > 10.0, vectorized=True)
                         .key_by(lambda v: v % 5.0, vectorized=True)
-                        .reduce(lambda a, b: a + b)
+                        .window(TumblingWindows(10.0), "sum")
+                        .map(lambda r: r.value)
                         .sink("out"))
             else:
                 (builder.source("s", source)
                         .map(lambda v: v * 3.0 + 1.0)
                         .filter(lambda v: v > 10.0)
                         .key_by(lambda v: v % 5.0)
-                        .reduce(lambda a, b: a + b)
+                        .window(TumblingWindows(10.0), "sum")
+                        .map(lambda r: r.value)
                         .sink("out"))
             return builder
 

@@ -11,7 +11,6 @@ from repro.streaming import (
     JobBuilder,
     KeyByOperator,
     MapOperator,
-    ReduceOperator,
     TumblingWindows,
     Watermark,
     WatermarkGenerator,
@@ -76,25 +75,6 @@ class TestBasicOperators:
         op = KeyByOperator("k", lambda v: v["user"])
         out = op.handle(_el({"user": "u1"}))
         assert out[0].key == "u1"
-
-    def test_reduce_requires_key(self):
-        op = ReduceOperator("r", lambda a, b: a + b)
-        with pytest.raises(StreamError):
-            op.handle(_el(1))
-
-    def test_reduce_accumulates_per_key(self):
-        op = ReduceOperator("r", lambda a, b: a + b)
-        assert op.handle(_el(1, key="a"))[0].value == 1
-        assert op.handle(_el(2, key="a"))[0].value == 3
-        assert op.handle(_el(10, key="b"))[0].value == 10
-
-    def test_reduce_snapshot_restore(self):
-        op = ReduceOperator("r", lambda a, b: a + b)
-        op.handle(_el(5, key="a"))
-        captured = op.capture()
-        op.handle(_el(5, key="a"))
-        op.rollback(captured)
-        assert op.handle(_el(1, key="a"))[0].value == 6
 
     def test_watermark_passthrough_on_stateless(self):
         op = MapOperator("m", lambda v: v)

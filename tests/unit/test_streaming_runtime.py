@@ -44,14 +44,6 @@ class TestJobGraph:
         with pytest.raises(JobGraphError):
             builder.source("s2", _els(1)).map(lambda v: v, name="m")
 
-    def test_join_requires_both_sides(self):
-        builder = JobBuilder("j")
-        left = builder.source("l", _els(1)).key_by(lambda v: v["k"])
-        right = builder.source("r", _els(1)).key_by(lambda v: v["k"])
-        left.join(right, -1.0, 1.0).sink("out")
-        job = builder.build()  # valid wiring builds fine
-        assert "join_0" in job.operators
-
     def test_auto_names_increment(self):
         builder = JobBuilder("j")
         handle = builder.source("s", _els(1))
@@ -96,21 +88,6 @@ class TestExecutor:
         sinks = ParallelExecutor(builder.build()).run()
         assert sum(r.value for r in sinks["out"].values) == 15
 
-    def test_two_source_join(self):
-        left_els = [Element(value={"k": "a", "side": "l", "i": i},
-                            timestamp=float(i)) for i in range(5)]
-        right_els = [Element(value={"k": "a", "side": "r", "i": i},
-                             timestamp=float(i) + 0.5) for i in range(5)]
-        builder = JobBuilder("j")
-        left = builder.source("l", left_els).key_by(lambda v: v["k"])
-        right = builder.source("r", right_els).key_by(lambda v: v["k"])
-        (left.join(right, lower=0.0, upper=1.0)
-             .map(lambda j: (j.left["i"], j.right["i"]))
-             .sink("out"))
-        sinks = ParallelExecutor(builder.build()).run()
-        # left i matches right i (+0.5) and right i-1 (-0.5 -> outside).
-        assert sorted(sinks["out"].values) == [(i, i) for i in range(5)]
-
     def test_callable_source_reusable(self):
         builder = JobBuilder("j")
         builder.source("s", lambda: iter(_els(3))).sink("out")
@@ -131,30 +108,25 @@ class TestExecutor:
 
 
 class TestCheckpoint:
-    def _job(self):
-        builder = JobBuilder("j")
+    def _job(self, name="j"):
+        builder = JobBuilder(name)
         (builder.source("s", _els(20))
+                .with_watermarks(0.0)
                 .key_by(lambda v: v["k"])
-                .reduce(lambda a, b: {"k": a["k"], "v": a["v"] + b["v"]})
+                .window(TumblingWindows(5.0), "sum", value_fn=lambda v: v["v"])
                 .sink("out"))
         return builder.build()
 
     def test_checkpoint_restore_replays_exactly(self):
-        job = self._job()
-        executor = ParallelExecutor(job)
-        full = [v["v"] for v in executor.run()["out"].values]
+        executor = ParallelExecutor(self._job())
+        full = [repr(r) for r in executor.run()["out"].values]
         # Fresh executor: run half, checkpoint, run rest, restore, re-run.
-        job2_builder = JobBuilder("j2")
-        (job2_builder.source("s", _els(20))
-                     .key_by(lambda v: v["k"])
-                     .reduce(lambda a, b: {"k": a["k"], "v": a["v"] + b["v"]})
-                     .sink("out"))
-        executor2 = ParallelExecutor(job2_builder.build())
+        executor2 = ParallelExecutor(self._job("j2"))
         executor2.run(source_batch=5, max_cycles=2)
         checkpoint = executor2.checkpoint()
         executor2.run()
         executor2.restore(checkpoint)
-        replayed = [v["v"] for v in executor2.run()["out"].values]
+        replayed = [repr(r) for r in executor2.run()["out"].values]
         assert replayed == full
 
     def test_checkpoint_with_inflight_rejected(self):

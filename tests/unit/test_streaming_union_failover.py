@@ -15,7 +15,7 @@ class TestSourceUnion:
         b = [Element(value=("b", i), timestamp=float(i)) for i in range(4)]
         builder = JobBuilder("union")
         op = builder.source("a", a).map(lambda v: v, name="merge")
-        builder._add_edge("b", "merge", None)
+        builder._add_edge("b", "merge")
         builder.source("b", b)
         op.sink("out")
         sinks = ParallelExecutor(builder.build()).run()
@@ -33,7 +33,7 @@ class TestSourceUnion:
             if first is None:
                 first = handle.map(lambda v: v, name="merge")
             else:
-                builder._add_edge(name, "merge", None)
+                builder._add_edge(name, "merge")
         first.sink("out")
         sinks = ParallelExecutor(builder.build()).run()
         assert sorted(sinks["out"].values) == sorted(

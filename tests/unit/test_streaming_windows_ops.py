@@ -1,4 +1,4 @@
-"""Unit tests: window aggregation operator and interval join."""
+"""Unit tests: window aggregation operator."""
 
 import copy
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.streaming import (
     Element,
-    IntervalJoinOperator,
     TumblingWindows,
     Watermark,
     WindowAggregateOperator,
@@ -127,66 +126,3 @@ class TestWindowAggregate:
         twin.handle(_el(1.0, 1.0, key=("k", 0)))
         assert {k: v for blob in groups.values()
                 for k, v in blob.items()} == reference
-
-
-class TestIntervalJoin:
-    def _join(self, lower=-5.0, upper=5.0):
-        return IntervalJoinOperator("j", lower, upper)
-
-    def test_matches_within_interval(self):
-        op = self._join()
-        op.process_side("left", _el("L", 10.0))
-        out = op.process_side("right", _el("R", 12.0))
-        assert len(out) == 1
-        joined = out[0].value
-        assert (joined.left, joined.right) == ("L", "R")
-
-    def test_no_match_outside_interval(self):
-        op = self._join()
-        op.process_side("left", _el("L", 10.0))
-        assert op.process_side("right", _el("R", 20.0)) == []
-
-    def test_key_isolation(self):
-        op = self._join()
-        op.process_side("left", _el("L", 10.0, key="a"))
-        assert op.process_side("right", _el("R", 10.0, key="b")) == []
-
-    def test_asymmetric_interval(self):
-        op = self._join(lower=0.0, upper=2.0)  # right must follow left
-        op.process_side("left", _el("L", 10.0))
-        assert op.process_side("right", _el("R", 9.0)) == []
-        assert len(op.process_side("right", _el("R", 11.0))) == 1
-
-    def test_watermark_forwards_minimum(self):
-        op = self._join()
-        assert op.on_watermark_side("left", Watermark(10.0)) == []
-        out = op.on_watermark_side("right", Watermark(7.0))
-        assert out == [Watermark(7.0)]
-
-    def test_watermark_prunes_buffers(self):
-        op = self._join(lower=-1.0, upper=1.0)
-        op.process_side("left", _el("L", 10.0))
-        assert op.buffered() == 1
-        op.on_watermark_side("left", Watermark(50.0))
-        op.on_watermark_side("right", Watermark(50.0))
-        assert op.buffered() == 0
-
-    def test_untagged_input_rejected(self):
-        op = self._join()
-        with pytest.raises(StreamError):
-            op.process(_el("x", 0.0))
-        with pytest.raises(StreamError):
-            op.on_watermark(Watermark(0.0))
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(StreamError):
-            IntervalJoinOperator("j", 5.0, -5.0)
-
-    def test_snapshot_restore(self):
-        op = self._join()
-        op.process_side("left", _el("L", 10.0))
-        captured = op.capture()
-        op.process_side("right", _el("R", 10.0))
-        op.rollback(captured)
-        assert op.buffered() == 1
-        assert op.matches == 0

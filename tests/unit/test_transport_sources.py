@@ -50,8 +50,8 @@ def _channels(*directives, batch_mode=False):
                     injector=_Network(*directives))
 
 
-KEY_A, FROM_A = ("ma", 0, None), ("a", 0)
-KEY_B, FROM_B = ("mb", 0, None), ("b", 0)
+KEY_A, FROM_A = ("ma", 0), ("a", 0)
+KEY_B, FROM_B = ("mb", 0), ("b", 0)
 
 
 def _packet(i):
@@ -187,17 +187,3 @@ class TestRewind:
                     reader.pull("s", idx, 3)
                 trace.append(reader.positions())
         assert traces["chained"] == traces["per_item"]
-
-    def test_shed_counts_rewind_with_the_positions(self):
-        reader = _reader("chained", parallelism=1)
-        reader.set_shedding("s", 1, 2)
-        reader.pull("s", 0, 10)
-        cut, shed_at_cut = reader.positions(), reader.shed_state()
-        reader.pull("s", 0, 30)
-        shed_in_full = reader.shed_elements
-        assert shed_in_full > shed_at_cut["shed"]["s"] > 0
-        reader.rewind(["s"], cut)
-        reader.apply_shed_state(shed_at_cut, ["s"])
-        assert reader.shed_elements == shed_at_cut["shed"]["s"]
-        reader.pull("s", 0, 30)
-        assert reader.shed_elements == shed_in_full

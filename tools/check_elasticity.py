@@ -68,7 +68,7 @@ def check_demo() -> bool:
     auto = results["autoscale"]
     print(f"  SLO compliance: fixed={auto['slo_fixed']:.3f} "
           f"autoscaled={auto['slo_autoscaled']:.3f} "
-          f"capped+shed={auto['slo_capped_shed']:.3f}")
+          f"capped={auto['slo_capped']:.3f}")
     print(f"  chaos: {auto['chaos_rescale_crashes']} rescale crashes "
           f"across {auto['chaos_phases']} phases, "
           f"{auto['chaos_rescales_completed']} rescales still completed, "
