@@ -2,11 +2,11 @@
 
 The paper's serving split (Sec 4.1): AR overlays need millisecond
 "latest state for this key" reads while dashboards keep appending
-committed history.  This bench builds the hot tier to **>= 1M distinct
-keys** (each key's newest version in its shard's index, every version
-in the commit-order log), then measures point lookups *interleaved
-with sustained columnar ingest* into the analytical tier — every lookup
-timed individually so the tail is real, not an average hiding stalls.
+committed history.  This bench builds the store to **>= 1M distinct
+keys** (every row in the analytical columns, each key's newest row in
+the hot tier's index), then measures point lookups *interleaved with
+sustained columnar ingest* into both tiers — every lookup timed
+individually so the tail is real, not an average hiding stalls.
 
 That store's keys are uniform: one version per key.  A second, small
 store takes the other shape a deployment has — **Zipf keys, lookups
@@ -28,7 +28,7 @@ than the second.
 
 Reported: build throughput, what the hot tier holds per stored row
 (see :func:`_hot_bytes_per_row`), lookup p50/p99/max, concurrent
-analytical ingest rate, the hot-key lookup p50/p99 with the version
+ingest rate, the hot-key lookup p50/p99 with the version
 count behind them, the dashboard query p50s with the rows and cells
 behind them, and the epoch-apply cost per row for both hand-offs at
 both epoch sizes.  The committed gate (``tools/check_store.py``) holds
@@ -53,12 +53,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from repro.store import HotStore, StoreSink, TieredStore, key_repr
-from repro.streaming import shuffle
+from repro.store import AnalyticalStore, StoreSink, TieredStore, key_repr
+from repro.store import hot
 from repro.streaming.batch import RecordBatch
 from repro.streaming.element import Element
 from repro.streaming.txn_sink import TransactionalSink
-from repro.util import ids
 
 import benchlib
 from tableprint import print_table
@@ -69,7 +68,8 @@ BUILD_EPOCH_ROWS = 100_000
 INGEST_BATCHES = 25
 INGEST_ROWS = 8_000
 LOOKUPS_PER_BATCH = 400
-NUM_SHARDS = 16
+#: the part of the 1M-key build that ``hot_bytes_per_row`` traces
+BYTES_SHARE = 16
 
 #: gate floor for the lookup tail, microseconds (see module docstring)
 P99_FLOOR_US = 400.0
@@ -100,23 +100,24 @@ APPLY_SHAPES = (("big", 1, 20_000), ("small", 1_000, 20))
 APPLY_REPEATS = 3
 
 
-def _apply_rows(hot: HotStore, epoch: int, keys: list, stamps: list,
+def _apply_rows(store: TieredStore, epoch: int, keys: list, stamps: list,
                 values: list) -> None:
-    """One committed epoch of distinct keys, as the columns a sealed
-    batch hands the hot tier."""
-    hot.install_epoch(hot.stage_epoch(epoch, keys, range(len(keys)),
-                                      stamps, values))
+    """One committed epoch of distinct keys, as the columns of the batch
+    a transactional sink seals."""
+    store.install_epoch(store.stage_epoch(epoch, RecordBatch(
+        np.asarray(stamps, dtype=np.float64), values,
+        key_codes=np.arange(len(keys)), key_dict=keys)))
 
 
 def _build_hot(store: TieredStore, rng) -> dict:
-    """Populate the hot tier to N_KEYS distinct keys through committed
+    """Populate the store to N_KEYS distinct keys through committed
     epochs."""
     started = time.perf_counter()
     epoch = 0
     for base in range(0, N_KEYS, BUILD_EPOCH_ROWS):
         epoch += 1
         span = range(base, base + BUILD_EPOCH_ROWS)
-        _apply_rows(store.hot, epoch, [f"k-{i:07d}" for i in span],
+        _apply_rows(store, epoch, [f"k-{i:07d}" for i in span],
                     [float(i % 10_000) for i in span],
                     rng.uniform(0, 1, BUILD_EPOCH_ROWS).tolist())
     elapsed = time.perf_counter() - started
@@ -126,42 +127,39 @@ def _build_hot(store: TieredStore, rng) -> dict:
 
 
 def _hot_bytes_per_row() -> float:
-    """Bytes ``tracemalloc`` traces per stored row of one shard's share
-    of the 1M-key store: keys, values, the newest-version index and the
-    log, but not the routing's bounded memos.
+    """Bytes ``tracemalloc`` traces to ``store/hot.py`` per stored row of
+    a ``1 / BYTES_SHARE`` share of the 1M-key store: everything the hot
+    tier holds — its key table with the ``key_repr`` strings, the
+    ``str`` memo, each key's newest row and rank, each row's code — but
+    not the rows, keys and values, which the analytical tier holds.
 
-    The share is built alone, into a one-shard store, from a shard's
-    share of the keys in its share of each build epoch (tracing the
-    whole build took ten times its untraced time on a 2-core box).  It
-    draws its values from its own generator, so the other rows' draws
-    hold.
+    The share is built alone, into its own store, from that share of
+    the keys in that share of each build epoch (tracing the whole build
+    took ten times its untraced time on a 2-core box).  It draws its
+    values from its own generator, so the other rows' draws hold.
     """
     rng = np.random.default_rng(SEED)
-    keys = N_KEYS // NUM_SHARDS
-    epoch_rows = BUILD_EPOCH_ROWS // NUM_SHARDS
+    keys = N_KEYS // BYTES_SHARE
+    epoch_rows = BUILD_EPOCH_ROWS // BYTES_SHARE
     tracemalloc.start()
     try:
-        hot = HotStore(num_shards=1)
+        store = TieredStore()
         for epoch, base in enumerate(range(0, keys, epoch_rows), 1):
             span = range(base, min(base + epoch_rows, keys))
-            _apply_rows(hot, epoch, [f"k-{i:07d}" for i in span],
+            _apply_rows(store, epoch, [f"k-{i:07d}" for i in span],
                         [float(i % 10_000) for i in span],
                         rng.uniform(0, 1, len(span)).tolist())
-        # the route memo and the key-group hash memo under it are
-        # bounded caches of the routing, not rows of the tier
-        hot._routes.clear()
         snapshot = tracemalloc.take_snapshot().filter_traces(
-            [tracemalloc.Filter(False, module.__file__)
-             for module in (shuffle, ids)])
+            [tracemalloc.Filter(True, hot.__file__)])
     finally:
         tracemalloc.stop()
     held = sum(stat.size for stat in snapshot.statistics("filename"))
-    return round(held / hot.rows, 1)
+    return round(held / store.hot.rows, 1)
 
 
 def _measure(store: TieredStore, rng) -> dict:
-    """Interleave columnar epoch appends with individually timed point
-    lookups against the >= 1M-key hot tier."""
+    """Interleave columnar epochs into both tiers with individually
+    timed point lookups against the >= 1M-key store."""
     latencies = []
     epoch = 1_000
     ingest_rows = 0
@@ -176,7 +174,7 @@ def _measure(store: TieredStore, rng) -> dict:
                      key=f"k-{int(rng.integers(N_KEYS)):07d}")
              for i in range(INGEST_ROWS)])
         started = time.perf_counter()
-        store.analytical.append_epoch(epoch, batch)
+        store.install_epoch(store.stage_epoch(epoch, batch))
         # keep the consolidation cost honest: dashboards read back
         store.analytical.count(start=0.0)
         ingest_s += time.perf_counter() - started
@@ -205,9 +203,9 @@ def _zipf_keys(rng, n: int) -> list[str]:
 
 
 def _measure_hot_keys(rng) -> dict:
-    """Zipf writes into one hot shard, then individually timed Zipf
-    lookups: most land on a key with hundreds of versions."""
-    hot = HotStore(num_shards=1)
+    """Zipf writes into a store, then individually timed Zipf lookups:
+    most land on a key with hundreds of versions."""
+    store = TieredStore()
     #: key_repr -> versions applied
     held = Counter()
     ts = 0.0
@@ -217,17 +215,19 @@ def _measure_hot_keys(rng) -> dict:
         ts = stamps[-1]
         dictionary = sorted(set(keys))
         code = {key: c for c, key in enumerate(dictionary)}
-        hot.install_epoch(hot.stage_epoch(
-            epoch, dictionary, [code[key] for key in keys], stamps,
-            rng.uniform(0, 1, HOT_EPOCH_ROWS).tolist()))
+        store.install_epoch(store.stage_epoch(epoch, RecordBatch(
+            np.asarray(stamps, dtype=np.float64),
+            rng.uniform(0, 1, HOT_EPOCH_ROWS).tolist(),
+            key_codes=np.asarray([code[key] for key in keys]),
+            key_dict=dictionary)))
         held.update(map(key_repr, keys))
-    written = set(hot.contents())
+    written = set(store.contents())
     latencies, versions = [], []
     for key in _zipf_keys(rng, HOT_LOOKUPS):
         if key_repr(key) not in written:
             continue  # a tail rank the writes never drew
         t0 = time.perf_counter_ns()
-        value = hot.point(key)
+        value = store.point(key)
         latencies.append(time.perf_counter_ns() - t0)
         assert value is not None
         versions.append(held[key_repr(key)])
@@ -237,7 +237,7 @@ def _measure_hot_keys(rng) -> dict:
         "hot_key_lookup_p50_us": round(float(np.percentile(lat_us, 50)), 1),
         "hot_key_lookup_p99_us": round(float(np.percentile(lat_us, 99)), 1),
         "hot_key_versions_p50": int(np.percentile(versions, 50)),
-        "hot_key_rows": hot.rows,
+        "hot_key_rows": store.hot.rows,
     }
 
 
@@ -246,22 +246,22 @@ def _measure_dashboard(rng) -> dict:
     in ts order, one epoch per 10 s), then individually timed dashboard
     queries: a tumbling mean over one ward's keys across the whole
     history, and a group_by mean over a time range of ~20 000 rows."""
-    store = TieredStore()
+    store = AnalyticalStore()
     keys = [f"w-{i:04d}" for i in range(DASH_KEYS)]
     ts = np.sort(rng.integers(1, DASH_SECONDS // 10 + 1, DASH_ROWS)) * 10.0
     codes = rng.integers(0, DASH_KEYS, DASH_ROWS).tolist()
     values = rng.normal(75.0, 12.0, DASH_ROWS).tolist()
     epochs = np.flatnonzero(np.diff(ts, prepend=-1.0)).tolist() + [DASH_ROWS]
     for epoch, (lo, hi) in enumerate(zip(epochs, epochs[1:]), start=1):
-        store.analytical.append_epoch(epoch, [
+        store.append_epoch(epoch, [
             Element(values[i], float(ts[i]), keys[codes[i]])
             for i in range(lo, hi)])
     panel = keys[:DASH_PANEL_KEYS]
     start = float(ts[DASH_ROWS - DASH_GROUP_ROWS])
     queries = {
-        "tumbling": lambda: store.analytical.tumbling(
-            DASH_WINDOW_S, "mean", keys=panel),
-        "group_by": lambda: store.analytical.group_by("mean", start=start)}
+        "tumbling": lambda: store.tumbling(DASH_WINDOW_S, "mean",
+                                           keys=panel),
+        "group_by": lambda: store.group_by("mean", start=start)}
     out = {"dash_rows": DASH_ROWS, "dash_keys": DASH_KEYS}
     for name, query in queries.items():
         latencies = []
@@ -272,8 +272,8 @@ def _measure_dashboard(rng) -> dict:
         out[f"dash_{name}_cells"] = len(cells)
         out[f"dash_{name}_us_p50"] = round(
             float(np.percentile(latencies, 50)) / 1_000.0, 1)
-    out["dash_tumbling_rows"] = store.analytical.count(keys=panel)
-    out["dash_group_by_rows"] = store.analytical.count(start=start)
+    out["dash_tumbling_rows"] = store.count(keys=panel)
+    out["dash_group_by_rows"] = store.count(start=start)
     return out
 
 
@@ -331,7 +331,7 @@ def _measure_epoch_apply(rng) -> dict:
 
 def run_experiment() -> dict:
     rng = np.random.default_rng(SEED)
-    store = TieredStore(num_shards=NUM_SHARDS, metric_fn=lambda v: float(v))
+    store = TieredStore(metric_fn=lambda v: float(v))
     build = _build_hot(store, rng)
     build["hot_bytes_per_row"] = _hot_bytes_per_row()
     assert store.hot.rows >= N_KEYS
@@ -342,7 +342,7 @@ def run_experiment() -> dict:
     epoch_apply = _measure_epoch_apply(rng)
     dashboard = _measure_dashboard(rng)  # last: the other rows' draws hold
     results = {
-        "config": {"keys": N_KEYS, "num_shards": NUM_SHARDS,
+        "config": {"keys": N_KEYS, "bytes_share": BYTES_SHARE,
                    "ingest_batches": INGEST_BATCHES,
                    "ingest_rows_per_batch": INGEST_ROWS,
                    "p99_floor_us": P99_FLOOR_US,
@@ -367,7 +367,7 @@ def report(results: dict) -> None:
         f"P8  tiered serving store ({results['config']['keys']:,} keys, "
         f"{s['ingest_rows']:,} rows concurrent columnar ingest)",
         ["metric", "value"],
-        [["hot build rows/s", f"{s['build_rows_per_s']:,}"],
+        [["store build rows/s", f"{s['build_rows_per_s']:,}"],
          ["hot tier traced bytes per stored row",
           f"{s['hot_bytes_per_row']} B"],
          ["point lookup p50", f"{s['lookup_p50_us']} us"],

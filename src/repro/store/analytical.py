@@ -8,7 +8,7 @@ epochs that can match.  A ``metric_fn`` extracts the numeric column at
 append time; the raw values stay for callable-keyed regrouping (``by=``).
 
 Appends go **only** through a staged epoch, guarded by
-``last_applied_epoch`` like the hot shards: staging resolves new keys
+``last_applied_epoch`` like the hot tier: staging resolves new keys
 against a *staged extension* of the key table; the install copies the
 columns onto the buffer tails and publishes the row count last, so a
 discarded stage leaves no trace and a replay never double-appends.
@@ -105,24 +105,24 @@ class AnalyticalStore:
 
     # -- epoch append (the only mutation path) -------------------------------
 
-    def stage_epoch(self, epoch: int,
-                    rows: RecordBatch | Iterable[Element],
-                    raw: list | None = None) -> dict[str, Any] | None:
+    def stage_epoch(self, epoch: int, rows: RecordBatch | Iterable[Element]
+                    ) -> dict[str, Any] | None:
         """Take one epoch's rows (a batch, or Elements encoded here) as
-        columns, off to the side: nothing of the store changes, whether
-        the token is installed, dropped, or ``metric_fn`` raises.  ``raw``
-        is the decoded values, if known; None if the epoch is applied."""
+        columns, off to the side: nothing changes, whether the token is
+        installed, dropped, or ``metric_fn`` or a timestamp that is not
+        a float raises.  None if the epoch is applied."""
         if epoch <= self.last_applied_epoch:
             return None
         batch = as_batch(rows)
-        if raw is None:
-            raw = batch.values_list()
-        values = batch.values
-        if self.metric_fn is _default_metric \
-                and isinstance(values, np.ndarray) \
-                and values.dtype == np.float64:
-            metric = values
-        else:
+        try:
+            ts = np.asarray(batch.timestamps, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise StoreError(f"epoch {epoch}: a timestamp is not a float "
+                             f"({exc})") from None
+        raw = batch.values_list()
+        metric = batch.values
+        if self.metric_fn is not _default_metric \
+                or getattr(metric, "dtype", None) != np.float64:
             metric = np.asarray(list(map(self.metric_fn, raw)),
                                 dtype=np.float64)
         # Codes of the batch's own dictionary -> store-wide codes; keys
@@ -137,7 +137,7 @@ class AnalyticalStore:
                     remap[i] = new_keys.setdefault(keys[i],
                                                    base + len(new_keys))
         remap = np.asarray(remap, dtype=np.int64)
-        return {"epoch": epoch, "ts": batch.timestamps, "metric": metric,
+        return {"epoch": epoch, "ts": ts, "metric": metric,
                 "codes": remap[codes], "raw": raw,
                 "key_base": base, "new_keys": list(new_keys)}
 

@@ -5,8 +5,8 @@ registers as a checkpoint-coordinator commit listener (the same seam
 :class:`~repro.streaming.txn_sink.TransactionalLogSink` uses): on every
 finalized checkpoint it receives the sink's *committed* output, takes
 the delta past what it already applied — as the batch the sink sealed,
-not as decoded Elements — **stages** it (shard routing, key encoding,
-column building — all the failure-prone work) and then
+not as decoded Elements — **stages** it (key encoding, finding each
+key's newest row, column building — all the failure-prone work) and then
 **applies** it: the hot and the analytical store each install the
 epoch atomically and record ``last_applied_epoch``.
 
@@ -99,8 +99,8 @@ class StoreSink:
 
     def stage(self, epoch: int,
               rows: RecordBatch | list[Element]) -> dict[str, Any]:
-        """Phase 1: build per-shard rows and analytical columns off to
-        the side.  Crash here and nothing happened."""
+        """Phase 1: build the hot index's updates and the analytical
+        columns off to the side.  Crash here and nothing happened."""
         if self.injector is not None:
             self.injector.before_store_phase("stage")
         return self.store.stage_epoch(epoch, rows) | {"rows": len(rows)}

@@ -1,10 +1,17 @@
 """TieredStore: one facade over the hot and analytical tiers.
 
 The serving layer the apps talk to.  One committed epoch feeds both
-tiers in a single stage/install cycle — point-lookup state and scan
-history can never disagree about which epochs they contain — and the
-facade carries the query surface of both: ``latest``/``point`` for
-overlay binding, ``group_by``/``tumbling``/``filter`` for dashboards.
+tiers in a single stage/install cycle, so they hold the same rows in
+the same order: the analytical tier keeps each row once (its
+timestamp, metric, key code and value), and the hot tier indexes them
+(:mod:`repro.store.hot`: a key table, each key's newest row, each
+row's key code).  The facade carries the query surface of both:
+``latest``/``point`` for overlay binding read a key's newest row out
+of the analytical columns, ``contents`` orders every row by key and
+recency, and ``group_by``/``tumbling``/``filter`` serve dashboards.
+The analytical tier of a ``TieredStore`` takes its epochs through the
+facade only: a row appended to it alone would shift every row the hot
+tier indexes after it.
 
 :func:`serve_topic` is the standard wiring: build a coordinated job
 over an event-log topic, run it under the streaming supervisor
@@ -14,44 +21,42 @@ store fed exactly-once through a :class:`~repro.store.sink.StoreSink`.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Callable
+
+import numpy as np
 
 from ..streaming.batch import RecordBatch, as_batch
 from ..streaming.element import Element
 from .analytical import AnalyticalStore
-from .hot import HotStore
+from .hot import _NAN_RANK, HotStore
 
 __all__ = ["TieredStore", "serve_topic", "canonical_contents"]
 
 
 class TieredStore:
-    """Hot point-lookup tier + columnar analytical tier, fed together."""
+    """Hot point-lookup index + columnar analytical tier, fed together."""
 
-    def __init__(self, *, num_shards: int = 8,
+    def __init__(self, *,
                  metric_fn: Callable[[Any], float] | None = None) -> None:
-        self.hot = HotStore(num_shards=num_shards)
+        self.hot = HotStore()
         self.analytical = AnalyticalStore(metric_fn=metric_fn)
 
     # -- epoch protocol (driven by StoreSink) --------------------------------
 
     def stage_epoch(self, epoch: int,
                     rows: RecordBatch | list[Element]) -> dict[str, Any]:
-        """Route one committed epoch — the batch the sink sealed, or
-        Elements, encoded here once: the hot tier's newest versions and
-        log segment + one analytical segment, staged but not
-        installed."""
+        """Stage one committed epoch — the batch the sink sealed, or
+        Elements, encoded here once — into both tiers, installing
+        nothing: the analytical tier's columns (a timestamp that is not
+        a float raises :class:`~repro.util.errors.StoreError` there), and
+        the hot tier's newest rows over the same float64 timestamps."""
         batch = as_batch(rows)
-        # decoded once: the hot tier's log and the analytical raw column
-        # hold the same value objects
-        values = batch.values_list()
+        analytical = self.analytical.stage_epoch(epoch, batch)
         codes, keys = batch.key_column()
-        return {
-            "epoch": epoch,
-            "hot": self.hot.stage_epoch(epoch, keys, codes,
-                                        batch.timestamps, values),
-            "analytical": self.analytical.stage_epoch(epoch, batch,
-                                                      raw=values),
-        }
+        return {"epoch": epoch, "analytical": analytical,
+                "hot": None if analytical is None else self.hot.stage_epoch(
+                    epoch, keys, codes, analytical["ts"])}
 
     def install_epoch(self, staged: dict[str, Any]) -> int:
         """Install a staged epoch into the hot and the analytical tier
@@ -63,19 +68,27 @@ class TieredStore:
     # -- serving surface -----------------------------------------------------
 
     def latest(self, key: Any) -> list[tuple[float, Any]]:
-        """:meth:`HotStore.latest`, with the hot tier's route memo and
-        shard index read here: a memoised key reaches its newest version
+        """The newest version, ``[(timestamp, value)]`` (``[]`` for an
+        unknown key), ordered by ``(order_ts, seq)`` so same-timestamp
+        writes resolve to the latest applied.  The hot tier's memo and
+        key table are read here, ``repr`` standing in for
+        :func:`~repro.store.hot.key_repr`: a key reaches its newest row
         in this one call (an overlay frame makes one lookup per
         label)."""
         hot = self.hot
-        hit = hot._routes.get(key) if type(key) is str else None
-        if hit is None:
-            hit = hot.route(key)
-        best = hot.shards[hit[0]].get(hit[1])
-        return [] if best is None else [(best[2], best[3])]
+        code = hot._memo.get(key) if type(key) is str else None
+        if code is None:
+            code = hot.table.get(repr(key))
+            if code is None:
+                return []
+        row = hot.newest.item(code)
+        analytical = self.analytical
+        return [(analytical._ts.item(row), analytical._raw[row])]
 
     def point(self, key: Any) -> Any | None:
-        return self.hot.point(key)
+        """Newest value for ``key`` (overlay binding), or None."""
+        versions = self.latest(key)
+        return versions[0][1] if versions else None
 
     def group_by(self, *args: Any, **kwargs: Any) -> dict[Any, float]:
         return self.analytical.group_by(*args, **kwargs)
@@ -92,7 +105,29 @@ class TieredStore:
     # -- introspection -------------------------------------------------------
 
     def contents(self) -> dict[str, list[tuple[float, Any]]]:
-        return self.hot.contents()
+        """Canonical dump: key_repr -> all versions newest first, keys
+        sorted — every row ordered on demand by ``(key, rank, -seq)``,
+        one ``np.lexsort`` over the hot tier's code column and the
+        analytical timestamps.  The chaos suite compares it across
+        crashed and fault-free runs; no apply or serve path reads it."""
+        hot, n = self.hot, self.hot.rows
+        if not n:
+            return {}
+        keys = sorted(hot.table)
+        position = np.empty(len(keys), np.int64)
+        position[list(map(hot.table.__getitem__, keys))] = np.arange(len(keys))
+        codes = position[hot.row_codes[:n]]
+        counts = np.bincount(codes, minlength=len(keys)).tolist()
+        ts = self.analytical._ts[:n]
+        rank = np.negative(ts)
+        rank[np.isnan(rank)] = _NAN_RANK
+        order = np.lexsort((-np.arange(n), rank, codes))
+        # the values as an object array: no Python object per row but
+        # the versions themselves
+        values = np.fromiter(self.analytical._raw, object, n)[order]
+        versions = zip(ts[order].tolist(), values)
+        return {kr: list(islice(versions, count))
+                for kr, count in zip(keys, counts)}
 
     def stats(self) -> dict[str, Any]:
         return {"hot": self.hot.stats(),

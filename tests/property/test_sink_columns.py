@@ -122,7 +122,7 @@ class TestSinkAsColumns:
         for p in PARALLELISMS:
             runs = {}
             for mode, flags in MODES.items():
-                store = TieredStore(num_shards=4, metric_fn=_metric)
+                store = TieredStore(metric_fn=_metric)
                 runs[mode] = (*_coordinated(_job(elements, kind), p, flags,
                                             source_batch, store), store)
             base, base_ckpts, base_sink, base_store = runs["per_item"]
@@ -321,7 +321,7 @@ class TestProtocolOverBatches:
         assert sink.projected_committed(1) == []
         sink.commit(1)
         assert sink.batches == [] and sink.last_committed_id == 1
-        store_sink = StoreSink(TieredStore(num_shards=2))
+        store_sink = StoreSink(TieredStore())
         assert store_sink.on_checkpoint_committed(1, sink) == 0
         assert store_sink.last_applied_epoch == 1
         assert store_sink.store.analytical.last_applied_epoch == 1

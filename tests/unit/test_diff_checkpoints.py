@@ -50,3 +50,34 @@ def test_the_diff_names_what_changed():
     assert not tool.agree(result)
     assert not tool.agree(tool.diff({"t": [{}]}, {"t": [{}, {}]}))
     assert "2 part(s) differ" in tool.summary(result, "here", "there")
+
+
+def test_the_summary_names_the_tests_only_one_side_recorded():
+    """Checkpoints only one recording holds are named by the test that
+    finalized them, with how many, on the side that has them."""
+    tool = _tool()
+    same = {"keyed/win": "a", "sinks/out": "s"}
+    here = {"t::kept": [same, same], "t::grew": [same, same, same],
+            "t::new": [same]}
+    there = {"t::kept": [same, same], "t::grew": [same],
+             "t::gone": [same, same]}
+    result = tool.diff(here, there)
+    assert result["checkpoints"] == {"paired": 3, "only_here": 3,
+                                     "only_there": 2}
+    assert result["unpaired"] == {
+        "only_here": {"t::grew": 2, "t::new": 1},
+        "only_there": {"t::gone": 2}}
+    assert tool.differences(result) == []
+    assert not tool.agree(result)
+    text = tool.summary(result, "this tree", "abc1234")
+    assert "identical in every part" in text
+    lines = text.splitlines()
+    here_at = lines.index("checkpoints only in this tree, by test:")
+    there_at = lines.index("checkpoints only in abc1234, by test:")
+    assert [line.split() for line in lines[here_at + 1:there_at]] \
+        == [["2", "t::grew"], ["1", "t::new"]]
+    assert [line.split() for line in lines[there_at + 1:]] \
+        == [["2", "t::gone"]]
+    # two recordings that pair every checkpoint name no test
+    assert tool.diff(here, here)["unpaired"] == {"only_here": {},
+                                                 "only_there": {}}

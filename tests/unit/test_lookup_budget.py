@@ -24,7 +24,7 @@ from repro.store import TieredStore
 from repro.streaming.element import Element
 
 epochs = int(sys.argv[1])
-store = TieredStore(num_shards=1)
+store = TieredStore()
 ts = 0.0
 
 

@@ -744,15 +744,16 @@ UNSET_MODES = re.compile(
     r"|SessionWindows|_merge_sessions|exclude_seen|partition_out"
     r"|partition_in|retryable|escalate|xray_surcharge_ms"
     r"|memtable_limit|TIER_FANOUT|SortedRun|IntervalJoinOperator"
-    r"|ReduceOperator|ShedPolicy|set_shedding|shed_state)\b"
+    r"|ReduceOperator|ShedPolicy|set_shedding|shed_state|num_shards"
+    r"|_ROUTE_MEMO_MAX)\b"
     r"|\bcompacted\s*=")
 #: (module, class) -> parameters of its ``__init__``, ``self`` excluded
 INIT_PARAMETERS = {
     ("streaming/execution.py", "ParallelExecutor"): 8,
     ("streaming/supervisor.py", "Supervisor"): 12,
     ("streaming/transport.py", "Channels"): 4,
-    ("store/hot.py", "HotStore"): 1,
-    ("store/tiered.py", "TieredStore"): 2,
+    ("store/hot.py", "HotStore"): 0,
+    ("store/tiered.py", "TieredStore"): 1,
 }
 #: (module, function) -> its parameters
 FUNCTION_PARAMETERS = {
@@ -1289,7 +1290,6 @@ NOT_RUN_PENDING_DELETION = (
     "simnet/kernel.py:Simulator.processed",
     "simnet/queueing.py:ProcessingQueue.depth",
     "simnet/topology.py:Topology.regions",
-    "store/analytical.py:_default_metric",
     "store/analytical.py:AnalyticalStore.filter",
     "store/analytical.py:AnalyticalStore.stats",
     "store/hot.py:HotStore.stats",
@@ -1402,6 +1402,24 @@ UNSET_ALLOWED = {
 }
 
 
+#: the command line's module: ``x.main(...)`` binds to its ``main`` only
+#: where ``x`` names that module
+CLI_MODULE = "src/repro/__main__.py"
+
+
+def _cli_names(tree):
+    """The names under which a module binds ``repro.__main__``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.asname or a.name for a in node.names
+                      if a.name == "repro.__main__"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "repro":
+            names |= {a.asname or a.name for a in node.names
+                      if a.name == "__main__"}
+    return names
+
+
 class _Scope:
     """The parameters of one def as a call inside it sees them."""
 
@@ -1496,7 +1514,9 @@ def unset_parameters(files, allowed_defs=(), allowed=()):
 
     Calls match by name, as lint (r) does: ``f(...)`` and ``x.f(...)``
     reach every def named ``f``, ``Class(...)``, ``cls(...)`` and
-    ``super().__init__(...)`` reach the (inherited) ``__init__``, and
+    ``super().__init__(...)`` reach the (inherited) ``__init__`` — but
+    ``x.main(...)`` reaches ``repro.__main__.main`` only where ``x`` names
+    that module, so ``pytest.main(args)`` sets none of its ``argv`` —, and
     ``partial(f, ...)`` binds what it names and leaves the rest of
     ``f``'s positional parameters to a caller the census cannot see, so
     they count as set.  A keyword, a positional argument, a ``*args``
@@ -1550,6 +1570,8 @@ def unset_parameters(files, allowed_defs=(), allowed=()):
 
     live, forwarded_from = set(), {}
     pending, kwargs_to = [], {}
+    #: what names ``repro.__main__`` in the module being visited
+    cli_names = set()
 
     def setter(value, default, outer):
         """What passing ``value`` does: ``None`` (nothing), ``"set"``,
@@ -1596,7 +1618,10 @@ def unset_parameters(files, allowed_defs=(), allowed=()):
             names = [cls]
         else:
             return
-        for key in (key for name in names for key in by_name.get(name, ())):
+        other_main = (isinstance(func, ast.Attribute) and func.attr == "main"
+                      and ast.unparse(func.value) not in cli_names)
+        for key in (key for name in names for key in by_name.get(name, ())
+                    if not (other_main and key[0] == CLI_MODULE)):
             params = scopes[key].params
             for j, arg in enumerate(args):
                 if isinstance(arg, ast.Starred):
@@ -1640,6 +1665,8 @@ def unset_parameters(files, allowed_defs=(), allowed=()):
             visit(child, outer, cls)
 
     for rel, tree in trees.items():
+        cli_names.clear()
+        cli_names.update(_cli_names(tree))
         if not rel.startswith("src/"):
             visit(tree, [], None)
             continue
@@ -1681,6 +1708,20 @@ def unset_parameters(files, allowed_defs=(), allowed=()):
              if (key, p) not in live)
     return len(census), sorted(site for site in unset
                                if site.rpartition(":")[2] not in allowed)
+
+
+def test_a_main_of_another_module_sets_no_argv_of_the_cli():
+    """``pytest.main(args)`` in a tool names another module's ``main``;
+    only a call through a name bound to ``repro.__main__`` sets the
+    command line's ``argv``."""
+    files = {CLI_MODULE: "def main(argv=None):\n    return argv\n",
+             "tools/t.py": "import pytest\npytest.main(['-q'])\n"}
+    assert unset_parameters(files)[1] == [f"{CLI_MODULE}:main(argv)"]
+    for caller in ("from repro import __main__ as cli\ncli.main(['-q'])\n",
+                   "import repro.__main__\nrepro.__main__.main(['-q'])\n",
+                   "from repro.__main__ import main\nmain(['-q'])\n"):
+        files["tools/t.py"] = caller
+        assert unset_parameters(files)[1] == [], caller
 
 
 def test_every_parameter_is_set_by_a_caller_outside_the_tests():

@@ -61,7 +61,7 @@ class _FakeCoordinator:
 
 class TestStoreSinkDelta:
     def test_applies_only_the_unapplied_suffix(self):
-        sink = StoreSink(TieredStore(num_shards=2))
+        sink = StoreSink(TieredStore())
         committed = _committed(_els(5))
         assert sink.on_checkpoint_committed(1, committed) == 5
         _commit(committed, _els(3, offset=5))
@@ -71,7 +71,7 @@ class TestStoreSinkDelta:
         assert sink.last_applied_epoch == 2
 
     def test_replayed_commit_is_a_noop(self):
-        sink = StoreSink(TieredStore(num_shards=2))
+        sink = StoreSink(TieredStore())
         committed = _committed(_els(5))
         sink.on_checkpoint_committed(1, committed)
         assert sink.on_checkpoint_committed(1, committed) == 0
@@ -79,7 +79,7 @@ class TestStoreSinkDelta:
         assert sink.applied_epochs == 2  # second apply installed nothing
 
     def test_rewound_stream_raises(self):
-        sink = StoreSink(TieredStore(num_shards=2))
+        sink = StoreSink(TieredStore())
         committed = _committed(_els(5))
         sink.on_checkpoint_committed(1, committed)
         committed.restore_elements(_els(3))  # rewound below what applied
@@ -87,7 +87,7 @@ class TestStoreSinkDelta:
             sink.on_checkpoint_committed(2, committed)
 
     def test_sink_name_filter(self):
-        sink = StoreSink(TieredStore(num_shards=2), sink_name="store")
+        sink = StoreSink(TieredStore(), sink_name="store")
         coord = _FakeCoordinator()
         sink.attach(coord)
         (listener,) = coord.listeners
@@ -97,7 +97,7 @@ class TestStoreSinkDelta:
         assert sink.store.analytical.rows == 4
 
     def test_attach_is_idempotent_and_advances_watermark(self):
-        sink = StoreSink(TieredStore(num_shards=2), sink_name="store")
+        sink = StoreSink(TieredStore(), sink_name="store")
         coord = _FakeCoordinator()
         sink.attach(coord)
         sink.attach(coord)  # re-attach after a coordinator rebuild

@@ -11,8 +11,9 @@ tiered serving store (:mod:`repro.store`):
 2. **lookup tail under ingest** — the ``benchmarks/bench_p8_store.py``
    experiment (>= 1M distinct keys, point lookups interleaved with
    sustained columnar ingest) holds p99 point-lookup latency under the
-   committed floor; the bytes its hot tier holds per stored row
-   (one shard, rebuilt under tracemalloc) are printed, with no bound;
+   committed floor; the bytes its hot tier holds per stored row (key
+   table, ``str`` memo, per-key and per-row columns, over a 1/16 share
+   of the build rebuilt under tracemalloc) are printed, with no bound;
    its Zipf row (lookups on keys with hundreds of versions) holds a p50
    within a fixed ratio of the uniform-key p50 measured in the same
    run; its dashboard row (the ward-backfill panel's tumbling mean, a
@@ -121,7 +122,7 @@ def check_latency_floor() -> bool:
           f"p50={stats['lookup_p50_us']} us p99={p99} us "
           f"(floor {P99_FLOOR_US:.0f} us)")
     print(f"  hot tier: {stats['hot_bytes_per_row']} traced bytes per "
-          "stored row, one shard (reported, no bound)")
+          "stored row, key table and memo included (reported, no bound)")
     for name in ("tumbling", "group_by"):
         print(f"  dashboard {name}: {stats[f'dash_{name}_rows']:,} rows -> "
               f"{stats[f'dash_{name}_cells']:,} cells, "

@@ -169,17 +169,24 @@ def diff(here: dict, there: dict) -> dict:
     part — keyed by kind and name with the subtask index dropped, so
     ``scalar/win/fired`` counts every subtask — how many paired
     checkpoints agree (``same``) or not (``differ``), and how many hold
-    it on one side only (``only_here`` / ``only_there``), and under
-    ``tests`` the tests where a part is not identical.
+    it on one side only (``only_here`` / ``only_there``), under
+    ``tests`` the tests where a part is not identical, and under
+    ``unpaired`` the tests that finalized checkpoints only one side
+    recorded, with how many (``only_here`` / ``only_there``).
     """
     checkpoints = Counter()
     table: dict[str, Counter] = {}
     tests: dict[str, set] = {}
+    unpaired: dict[str, dict[str, int]] = {"only_here": {},
+                                           "only_there": {}}
     for test in sorted(set(here) | set(there)):
         mine, theirs = here.get(test, []), there.get(test, [])
         checkpoints["paired"] += min(len(mine), len(theirs))
-        checkpoints["only_here"] += max(0, len(mine) - len(theirs))
-        checkpoints["only_there"] += max(0, len(theirs) - len(mine))
+        for side, extra in (("only_here", len(mine) - len(theirs)),
+                            ("only_there", len(theirs) - len(mine))):
+            checkpoints[side] += max(0, extra)
+            if extra > 0:
+                unpaired[side][test] = extra
         for a, b in zip(mine, theirs):
             for part in sorted(set(a) | set(b)):
                 kind, _, rest = part.partition("/")
@@ -199,7 +206,8 @@ def diff(here: dict, there: dict) -> dict:
                     tests.setdefault(name, set()).add(test)
     return {"checkpoints": dict(checkpoints),
             "parts": {p: dict(c) for p, c in sorted(table.items())},
-            "tests": {p: sorted(t) for p, t in sorted(tests.items())}}
+            "tests": {p: sorted(t) for p, t in sorted(tests.items())},
+            "unpaired": unpaired}
 
 
 def differences(result: dict) -> list[str]:
@@ -236,6 +244,11 @@ def summary(result: dict, here: str, there: str) -> str:
     for part in gone:
         lines.append(f"  {part} differs in:")
         lines.extend(f"    {test}" for test in result["tests"][part])
+    for side, name in (("only_here", here), ("only_there", there)):
+        extra = result["unpaired"][side]
+        if extra:
+            lines.append(f"checkpoints only in {name}, by test:")
+            lines.extend(f"  {n:>4}  {test}" for test, n in extra.items())
     return "\n".join(lines)
 
 
