@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint reach chaos chaos-parallel determinism perf robustness datafault obs elasticity store geo e2e-smoke verify
+.PHONY: test lint reach claims chaos chaos-parallel determinism perf robustness datafault obs elasticity store geo e2e-smoke verify
 
 test:  ## tier-1: fast unit/integration/property tests
 	$(PYTHON) -m pytest -x -q
@@ -17,6 +17,9 @@ lint:  ## structural checks only: source lints and census, import budget, API re
 
 reach:  ## runtime census: every entry point under sys.setprofile; fails when tools/reach.txt was stale
 	$(PYTHON) tools/reach.py
+
+claims:  ## the paper's claims: every experiment bench's shape assertions, and its tables vs benchmarks/experiment_tables.txt
+	$(PYTHON) tools/check_claims.py
 
 obs:  ## observability gate: span-tree completeness + overhead budget
 	$(PYTHON) tools/check_obs.py
@@ -57,7 +60,7 @@ e2e-smoke:  ## whole path (log -> engine -> store -> overlay) vs the brute-force
 	$(PYTHON) benchmarks/e2e/run.py --smoke
 	$(PYTHON) -m pytest benchmarks/e2e/tests -q
 
-GATES := test reach perf obs chaos chaos-parallel determinism robustness datafault elasticity store geo e2e-smoke
+GATES := test reach claims perf obs chaos chaos-parallel determinism robustness datafault elasticity store geo e2e-smoke
 
 verify:  ## every gate in turn, stopping at the first failure; prints each gate's wall time
 	@times=""; status="all gates passed"; \

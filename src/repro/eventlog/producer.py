@@ -3,6 +3,16 @@
 Keyed records hash to a stable partition (so per-key order holds, the
 property the streaming engine's key-by relies on); keyless records go
 round-robin.  ``send`` returns the (partition, offset) coordinates.
+
+A plain send (no tracer, not idempotent) goes through the topic's
+*route*: per partition the writers :meth:`LogCluster.appenders`
+returns, resolved once per cluster ``generation``, and a memo from
+each key seen to its partition and to what :func:`record_size` prices
+a float row with that key and no headers at.  A topic's partition count
+is fixed when it is created, so the memo outlives a failover, and the
+topics with as many partitions share one.  A repeated key costs one
+``dict.get``: no hash, no modulo, and for a float value without
+headers no pricing call.
 """
 
 from __future__ import annotations
@@ -21,6 +31,16 @@ from .record import Record, record_size
 # streaming layer's key groups hash identically without a cross-layer
 # import.
 __all__ = ["Producer", "stable_hash"]
+
+
+class _Route:
+    """One topic's plain write path: per partition the leader's writer
+    (None while the partition has no live leader) and its followers'
+    writers, valid for cluster ``generation``, and ``slots``, each key
+    seen -> ``(partition, record_size(0.0, key))``, valid for good and
+    shared by the routes of every topic with as many partitions."""
+
+    __slots__ = ("generation", "leaders", "followers", "slots")
 
 
 class Producer:
@@ -68,9 +88,14 @@ class Producer:
         self.epoch = 0
         self._sequences: dict[tuple[str, int], int] = {}
         self._round_robin: dict[str, int] = {}
-        #: topic -> (cluster generation, its appenders), for the plain
-        #: path of :meth:`send`
-        self._writers: dict[str, tuple[int, tuple]] = {}
+        #: topic -> its route, for the plain path of :meth:`send`
+        self._routes: dict[str, _Route] = {}
+        #: partition count -> the key memo of every route with that many
+        #: partitions (a key's slot depends on nothing else)
+        self._slots: dict[int, dict[str, tuple[int, int]]] = {}
+        #: each distinct slot once, so that a key costs a dict entry and
+        #: not a tuple (a few hundred pairs against thousands of keys)
+        self._distinct_slots: dict[tuple[int, int], tuple[int, int]] = {}
         #: the last idempotent attempt, for :meth:`resend_last`
         self._last_record: tuple[str, int, Record, int, int] | None = None
         self._txn: list[tuple[str, Any, str | None, float | None,
@@ -99,38 +124,66 @@ class Producer:
         self._round_robin[topic] = cursor + 1
         return cursor % n
 
+    def _route(self, topic: str) -> _Route:
+        """The topic's route with its writers resolved for the cluster's
+        current generation; the key memo is kept."""
+        generation = self.cluster.generation
+        writers = self.cluster.appenders(topic)
+        route = self._routes.get(topic)
+        if route is None:
+            route = self._routes[topic] = _Route()
+            route.slots = self._slots.setdefault(len(writers), {})
+        route.generation = generation
+        route.leaders = tuple(w[0] if w else None for w in writers)
+        route.followers = tuple(w[1:] if w else () for w in writers)
+        return route
+
+    def _slot(self, route: _Route, topic: str,
+              key: str | None) -> tuple[int, int]:
+        """``(partition, size of a float row with this key and no
+        headers)``, memoised for a key; a keyless row takes the next
+        round-robin partition."""
+        partitions = len(route.leaders)
+        if key is None:
+            return (self._choose_partition(topic, None, partitions),
+                    record_size(0.0))
+        slot = (stable_hash(key) % partitions, record_size(0.0, key))
+        slot = route.slots[key] = self._distinct_slots.setdefault(slot, slot)
+        return slot
+
     def send(self, topic: str, value: Any, key: str | None = None,
              timestamp: float | None = None,
              headers: Mapping[str, str] | None = None) -> tuple[int, int]:
         """Append one record to the partition its key hashes to (round
-        robin for no key); returns (partition, offset)."""
+        robin for no key); returns (partition, offset).
+
+        A plain send (no tracer, not idempotent) stamps nothing: the
+        row's fields go to the replica logs as they are, through the
+        topic's route, without a Record in between.  A key seen before
+        is one memo read for its partition, and a float row without
+        headers is priced from the same memo entry."""
         if timestamp is None:
             timestamp = self.clock.now if self.clock is not None else 0.0
         if self.tracer is None and not self.idempotent:
-            # Nothing to stamp: the row's fields go to the replica logs
-            # as they are, through the topic's writers resolved once
-            # per cluster generation, without a Record in between.
-            cached = self._writers.get(topic)
-            generation = self.cluster.generation
-            if cached is None or cached[0] != generation:
-                cached = self._writers[topic] = (
-                    generation, self.cluster.appenders(topic))
-            writers = cached[1]
-            # _choose_partition, with the keyed case inlined
-            if key is not None:
-                partition = stable_hash(key) % len(writers)
-            else:
-                partition = self._choose_partition(topic, None, len(writers))
-            replicas = writers[partition]
-            if replicas is None:
+            route = self._routes.get(topic)
+            if route is None or route.generation != self.cluster.generation:
+                route = self._route(topic)
+            slot = route.slots.get(key)
+            if slot is None:
+                slot = self._slot(route, topic, key)
+            partition, float_size = slot
+            leader = route.leaders[partition]
+            if leader is None:
                 raise BrokerDown(f"{topic}[{partition}] has no live leader")
             if headers:
                 headers = dict(headers)
-            offset = replicas[0](value, key, timestamp, headers)
-            for follower in replicas[1:]:
+            offset = leader(value, key, timestamp, headers)
+            for follower in route.followers[partition]:
                 follower(value, key, timestamp, headers)
             self.sent += 1
-            self.bytes_sent += record_size(value, key, headers)
+            self.bytes_sent += (
+                float_size if type(value) is float and not headers
+                else record_size(value, key, headers))
             return partition, offset
         partition = self._choose_partition(
             topic, key, self.cluster.partition_count(topic))

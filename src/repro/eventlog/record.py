@@ -54,7 +54,9 @@ def record_size(value: Any, key: str | None = None,
     """Serialized-size estimate of one log row: value + timestamp, key,
     headers.  The common row (a float, an ASCII key, no headers) is
     priced without the generic calls; the sizes are the same bytes
-    either way."""
+    either way.  A float is priced whatever its value, so
+    ``record_size(0.0, key)`` prices every float row with that key and
+    no headers: what the producer's key memo keeps."""
     size = 16 if type(value) is float else estimate_size(value) + 8
     if key is not None:
         size += len(key) if key.isascii() else len(key.encode("utf-8"))

@@ -34,12 +34,8 @@ _SCALAR = {"count": len, "sum": sum, "min": min, "max": max,
 #: dense tumbling cells per selected row past which an ``np.unique``
 #: compaction beats the dense bincount (measured crossover: 1-4)
 _DENSE_PER_ROW = 4
-
-
-def _default_metric(value: Any) -> float:
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        return float(value)
-    return math.nan
+#: the values the default metric takes as their float (NaN for the rest)
+_NUMBERS = (int, float, np.integer, np.floating)
 
 
 def _put(buf: np.ndarray, at: int, values: Any) -> np.ndarray:
@@ -88,7 +84,7 @@ class AnalyticalStore:
 
     def __init__(self, metric_fn: Callable[[Any], float] | None = None
                  ) -> None:
-        self.metric_fn = metric_fn or _default_metric
+        self.metric_fn = metric_fn
         self._ts = np.empty(0, dtype=np.float64)
         self._metric = np.empty(0, dtype=np.float64)
         self._codes = np.empty(0, dtype=np.int64)
@@ -121,10 +117,14 @@ class AnalyticalStore:
                              f"({exc})") from None
         raw = batch.values_list()
         metric = batch.values
-        if self.metric_fn is not _default_metric \
-                or getattr(metric, "dtype", None) != np.float64:
-            metric = np.asarray(list(map(self.metric_fn, raw)),
-                                dtype=np.float64)
+        if self.metric_fn is not None:
+            metric = list(map(self.metric_fn, raw))
+        elif getattr(metric, "dtype", None) != np.float64 \
+                and not set(map(type, raw)) <= {int, float, bool}:
+            metric = [float(v) if isinstance(v, _NUMBERS) else math.nan
+                      for v in raw]
+        # float64 stays as it is; Python numbers convert as float() does
+        metric = np.asarray(metric, dtype=np.float64)
         # Codes of the batch's own dictionary -> store-wide codes; keys
         # the table lacks get the codes an install will give them.
         codes, keys = batch.key_column()

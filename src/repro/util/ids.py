@@ -27,9 +27,10 @@ _MASK64 = (1 << 64) - 1
 def stable_hash(key: str) -> int:
     """FNV-1a 64-bit — stable across processes, unlike built-in hash().
 
-    Memoised: the loop below runs per key *byte*, and both callers (a
-    producer partitioning every send, a shuffle routing every row) see
-    the same keys over and over.
+    Memoised: the loop below runs per key *byte*, and a shuffle routing
+    every row sees the same keys over and over.  A producer's plain
+    send hashes a key once, into its own key -> partition memo; only
+    its traced and idempotent sends call this per send.
     """
     h = _FNV_OFFSET
     for byte in key.encode("utf-8"):

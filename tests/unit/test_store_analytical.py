@@ -7,6 +7,7 @@ semantic.
 """
 
 import math
+import struct
 import tracemalloc
 import warnings
 
@@ -253,6 +254,59 @@ class TestEpochProtocol:
         cols = _columns(store)
         assert math.isnan(cols["metric"][0])
         assert cols["metric"][1] == 4.5
+
+
+class TestDefaultMetricColumn:
+    """Without a ``metric_fn``, a column of Python numbers converts in
+    one ``np.asarray`` instead of one Python call a row; the column must
+    be what the default metric, a number's float and NaN for anything
+    else, gives row by row, byte for byte."""
+
+    EDGES = [True, False, -0.0, 0.0, 2**53 + 1, -(2**53 + 1), 2**63,
+             -(2**63) - 1, 2**64 + 1, 2**1023, math.nan, math.inf,
+             -math.inf, 3, 1.5]
+
+    @staticmethod
+    def _metric(value):
+        numbers = (int, float, np.integer, np.floating)
+        return float(value) if isinstance(value, numbers) else math.nan
+
+    def _assert_same_columns(self, values):
+        from repro.streaming.batch import RecordBatch
+        els = [Element(v, float(i), f"k{i % 3}")
+               for i, v in enumerate(values)]
+        fast, slow = AnalyticalStore(), AnalyticalStore(self._metric)
+        fast.append_epoch(1, RecordBatch.from_elements(els))
+        slow.append_epoch(1, els)
+        assert _snapshot(fast) == _snapshot(slow)
+        want = struct.pack(f"{len(values)}d", *map(self._metric, values))
+        assert _columns(fast)["metric"].tobytes() == want
+
+    def test_edge_numbers_match_the_per_row_column(self):
+        self._assert_same_columns(self.EDGES)
+
+    def test_ints_of_every_width_match_the_per_row_column(self):
+        rng = make_rng(76)
+        values = [int(rng.integers(1 << 62)) << int(rng.integers(960))
+                  for _ in range(400)]
+        self._assert_same_columns(values + [-v for v in values])
+
+    @pytest.mark.parametrize("values", [
+        [1, "x", 2.5], [None, 3], [np.float32(0.1), 2], [{"m": 1.0}, 0.5],
+        [1, "x", np.float32(0.1), None, 2.5]])
+    def test_a_mixed_column_keeps_the_per_row_rule(self, values):
+        # a str, None or dict is NaN and a numpy scalar its float
+        self._assert_same_columns(values)
+
+    def test_an_int_past_the_float_range_raises_as_per_row(self):
+        els = [Element(1, 1.0, "a"), Element(10**400, 2.0, "b")]
+        for store in (AnalyticalStore(), AnalyticalStore(self._metric)):
+            store.append_epoch(1, [Element(2.0, 0.5, "a")])
+            before = _snapshot(store)
+            with pytest.raises(OverflowError):
+                store.stage_epoch(2, els)
+            assert _snapshot(store) == before
+            assert store.append_epoch(2, els[:1]) == 1
 
 
 class TestTumblingMemory:
