@@ -9,8 +9,8 @@ Run as a script it times the log's per-row path on its own — one
 ``Producer.send`` against the same loop calling a no-op, and a
 ``Consumer.poll`` / ``poll_columns`` drain of what was sent — and merges
 the row into ``BENCH_streaming.json`` under ``"log"``.
-``tools/check_perf.py`` gates the two same-run ratios (``send`` over the
-no-op, ``poll`` over ``send``); the microseconds themselves are this
+``tools/check_perf.py`` gates the two same-run ratios (``send`` and
+``poll``, each over the no-op); the microseconds themselves are this
 box's and are not gated.
 """
 
@@ -140,7 +140,7 @@ def run_log_path(rows=LOG_PATH_ROWS, repeats=LOG_PATH_REPEATS):
     log = {f"{name}_us_per_row": statistics.median(values)
            for name, values in samples.items()}
     log["send_over_noop"] = log["send_us_per_row"] / log["noop_us_per_row"]
-    log["poll_over_send"] = log["poll_us_per_row"] / log["send_us_per_row"]
+    log["poll_over_noop"] = log["poll_us_per_row"] / log["noop_us_per_row"]
     return {"config": {"rows": rows, "repeats": repeats,
                        "partitions": PARTITIONS},
             "log": log}
@@ -156,10 +156,10 @@ def report_log_path(results):
          ["Producer.send", log["send_us_per_row"],
           f"{log['send_over_noop']:.1f}x no-op"],
          ["Consumer.poll", log["poll_us_per_row"],
-          f"{log['poll_over_send']:.2f}x send"],
+          f"{log['poll_over_noop']:.1f}x no-op"],
          ["Consumer.poll_columns", log["poll_columns_us_per_row"], ""]],
         note="gates (tools/check_perf.py): send <= 10x no-op, "
-             "poll <= 0.75x send")
+             "poll <= 3x no-op")
 
 
 def bench_a2_log_path(benchmark):

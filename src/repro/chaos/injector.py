@@ -23,6 +23,7 @@ outages with leader failover, and duplicate delivery on fetch.
 from __future__ import annotations
 
 from functools import partial
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping
 
 from ..eventlog.broker import LogCluster
@@ -550,6 +551,10 @@ class ChaosLogCluster:
     @property
     def injector(self) -> FaultInjector:
         return self._injector
+
+    #: the cluster's, read in C (not through ``__getattr__``): a
+    #: producer compares it on every send
+    generation = property(attrgetter("_cluster.generation"))
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._cluster, name)

@@ -68,7 +68,7 @@ from .barrier import (
     Cut,
     ParallelCheckpoint,
 )
-from .batch import RecordBatch, items_weight
+from .batch import RecordBatch, decode_items, items_weight
 from .chain import ChainedOperator
 from .element import CheckpointBarrier, Element, StreamItem, Watermark
 from .errors import DLQ_SINK
@@ -741,6 +741,10 @@ class ParallelExecutor:
             node = self.graph.nodes[name]
             for idx in range(node.parallelism):
                 out = self._ops[name][idx].flush()
+                if not self.batch_mode:
+                    # a window flushes a batch; per-item channels never
+                    # carry one
+                    out = decode_items(out)
                 self._emit(name, idx, out)
                 if self._dead_letters:
                     self._emit_dead_letters(name, idx)

@@ -4,6 +4,14 @@ Keyed elements are assigned to windows; when the watermark passes a
 window's end, the window fires and an aggregate is emitted as
 ``WindowResult``.  Elements at or behind the watermark are counted as
 *dropped late* — the quantity the A3 watermark experiment sweeps.
+
+One scan fires (``_fire``): it pops the ripe windows' accumulators into
+three columns — keys in ``repr`` order, window ends, results.  The
+per-item reference (``on_watermark``) emits them as Elements; the
+batched path (``process_batch``'s watermarks, the end-of-stream
+``flush``) emits them as one :class:`RecordBatch` ahead of the
+watermark, so the operators and the sink behind the window consume
+columns.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from __future__ import annotations
 import math
 from copy import deepcopy
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import Any, Callable
 
 import numpy as np
@@ -133,29 +141,21 @@ def _sum_add(acc: list, v) -> list:
     return acc
 
 
-def _sum_extend(acc: list, values: list, pure: bool = False) -> list:
-    """Bulk-append floats into a sum accumulator, compacting at exactly
-    the boundaries the per-item :func:`_sum_add` loop would hit — the
-    accumulator list stays bit-identical across execution modes.
-
-    ``pure`` declares every value is already a Python ``float`` (e.g.
-    from ``ndarray.tolist()``), where ``float(v)`` is an identity and
-    the slice can extend directly.
-    """
+def _sum_extend(acc: list, values: list) -> list:
+    """Bulk-append Python floats into a sum accumulator, compacting at
+    exactly the boundaries the per-item :func:`_sum_add` loop would hit
+    — the accumulator list stays bit-identical across execution modes."""
     i = 0
     n = len(values)
     while i < n:
         room = _COMPACT_AT - len(acc)
         if room <= 0:
-            acc.append(float(values[i]))
+            acc.append(values[i])
             i += 1
             acc[:] = _exact_partials(acc)
             continue
         take = min(room, n - i)
-        if pure:
-            acc.extend(values[i:i + take])
-        else:
-            acc.extend(float(v) for v in values[i:i + take])
+        acc.extend(values[i:i + take])
         i += take
         if len(acc) >= _COMPACT_AT:
             acc[:] = _exact_partials(acc)
@@ -225,7 +225,7 @@ class WindowAggregateOperator(Operator):
         #: snapshotted.
         self._win_index: dict[Window, dict[Any, None]] | None = {}
         self._current_wm = float("-inf")
-        # Lower bound on min(window.end) over all open windows: lets on_watermark skip the full ripeness scan when no
+        # Lower bound on min(window.end) over all open windows: lets _fire skip the full ripeness scan when no
         # window can possibly fire (the overwhelmingly common case with
         # per-element watermarks).
         self._min_deadline = float("inf")
@@ -273,16 +273,14 @@ class WindowAggregateOperator(Operator):
 
     def _bulk_eligible(self, items: list) -> bool:
         """The grouped-reduction kernel covers the common shape: keyed
-        columnar batches into tumbling windows.  Everything else (loose
-        elements, unkeyed batches, other assigners) takes the per-item
-        fallback of the base ``process_batch``."""
+        columnar batches and watermarks into tumbling windows.  Anything
+        else (loose elements, unkeyed batches, other assigners) takes
+        the per-item fallback of the base ``process_batch``."""
         if type(self.assigner) is not TumblingWindows:
             return False
-        saw_batch = False
         clean = self._kd_clean  # last key dictionary known None-free
         for item in items:
             if type(item) is RecordBatch:
-                saw_batch = True
                 if not len(item):
                     continue  # pure punctuation: no key to vet
                 if item.key_codes is None:
@@ -295,7 +293,7 @@ class WindowAggregateOperator(Operator):
             elif not isinstance(item, Watermark):
                 return False
         self._kd_clean = clean
-        return saw_batch
+        return True
 
     def _process_bulk(self, items: list) -> list[StreamItem]:
         """Accumulate every accepted element of the batch, then replay
@@ -355,17 +353,18 @@ class WindowAggregateOperator(Operator):
     def _replay_watermarks(self, wms: np.ndarray) -> list[StreamItem]:
         """Apply the call's watermarks in order.  A watermark below
         ``_min_deadline`` can fire nothing and is forwarded as it came
-        (``on_watermark``'s fast path, its exact state transition), so
+        (``_fire``'s fast path, its exact state transition), so
         the loop jumps from one watermark that reaches the deadline to
         the next; the runs in between leave as one punctuation-only
-        batch each instead of an object per watermark."""
+        batch each instead of an object per watermark, and what a
+        watermark that reaches it fires leaves as one batch ahead of
+        it."""
         out: list[StreamItem] = []
         if not len(wms):
             return out
         running = np.maximum.accumulate(wms)
         if self._current_wm > running[0]:
             running = np.maximum(running, self._current_wm)
-        emitted = 0
         start = 0
         end = len(wms)
         while start < end:
@@ -378,11 +377,13 @@ class WindowAggregateOperator(Operator):
                 self._current_wm = float(running[ripe - 1])
             if ripe == end:
                 break
-            wm_out = self.on_watermark(Watermark(float(wms[ripe])))
-            emitted += len(wm_out) - 1  # all Elements plus the watermark
-            out.extend(wm_out)
+            wm = float(wms[ripe])
+            fired = self._fired_batch(wm)
+            if fired is not None:
+                self.emitted += len(fired)
+                out.append(fired)
+            out.append(Watermark(wm))
             start = ripe + 1
-        self.emitted += emitted
         return out
 
     def _bulk_accumulate(self, batches: list[RecordBatch],
@@ -465,42 +466,17 @@ class WindowAggregateOperator(Operator):
         """Concatenate ``(key_dict, key_codes, starts, values)`` chunks
         under one key dictionary: ``(keys, codes, starts, values)``.
         Consecutive chunks usually share a dictionary (zero-copy slices
-        of one macro batch), so each distinct one is remapped once.
+        of one macro batch), so each distinct one is remapped once, in C:
+        keys enter in order of first appearance, equal keys share a code.
         Values concatenate to an array or a list, or stay None."""
-        gindex: dict[Any, int] = {}
-        gkeys: list[Any] = []
-        remap_cache: dict[int, np.ndarray] = {}
-        code_parts: list[np.ndarray] = []
-        run_codes: list[np.ndarray] = []
-        run_remap: np.ndarray | None = None
-
-        def _flush_codes() -> None:
-            if not run_codes:
-                return
-            raw = (run_codes[0] if len(run_codes) == 1
-                   else np.concatenate(run_codes))
-            code_parts.append(run_remap[raw])
-            run_codes.clear()
-
-        for kd, key_codes, _starts, _values in chunks:
-            remap = remap_cache.get(id(kd))
-            if remap is None:
-                remap = np.empty(len(kd), dtype=np.int64)
-                for i, k in enumerate(kd):
-                    g = gindex.get(k)
-                    if g is None:
-                        g = len(gkeys)
-                        gindex[k] = g
-                        gkeys.append(k)
-                    remap[i] = g
-                remap_cache[id(kd)] = remap
-            if remap is not run_remap:
-                _flush_codes()
-                run_remap = remap
-            run_codes.append(key_codes)
-        _flush_codes()
-        codes = (code_parts[0] if len(code_parts) == 1
-                 else np.concatenate(code_parts))
+        dicts = list({id(c[0]): c[0] for c in chunks}.values())
+        gkeys = list(dict.fromkeys(chain.from_iterable(dicts)))
+        gindex = dict(zip(gkeys, range(len(gkeys))))
+        remaps = {id(kd): np.fromiter(map(gindex.__getitem__, kd),
+                                      dtype=np.int64, count=len(kd))
+                  for kd in dicts}
+        codes = np.concatenate([remaps[id(kd)][key_codes]
+                                for kd, key_codes, _, _ in chunks])
         if len(chunks) == 1:
             return gkeys, codes, chunks[0][2], chunks[0][3]
         starts = np.concatenate([c[2] for c in chunks])
@@ -556,9 +532,10 @@ class WindowAggregateOperator(Operator):
     def _fold_rows(self, keys: list, codes: np.ndarray, starts: np.ndarray,
                    values: Any) -> None:
         """The one grouped pass: every (key, window) group's accumulator
-        takes the group's rows in arrival order — count adds the group
-        size, sum and mean extend their exact partials (compacting where
-        per-item adds would), other aggregates fold ``add`` over it."""
+        takes the group's rows in arrival order, in one step — count
+        adds the group size, sum and mean extend their exact partials
+        (through :func:`_sum_extend` when the group reaches the
+        compaction point), other aggregates fold ``add`` over it."""
         agg = self.agg
         is_sum = agg is aggregators["sum"]
         is_mean = agg is aggregators["mean"]
@@ -571,48 +548,47 @@ class WindowAggregateOperator(Operator):
             sorted_vals = [values[i] for i in order.tolist()]
         else:
             sorted_vals = None
-        # tolist() of a float64 column gives the Python floats float(v)
-        # would; any other column (int64 gives ints) is converted
-        pure = isinstance(values, np.ndarray) and values.dtype == np.float64
-        get_windows = self.state.get_existing
-        put_windows = self.state.put
-        min_deadline = self._min_deadline
-        win_index = self._win_index
+        if (is_sum or is_mean) and not (isinstance(values, np.ndarray)
+                                        and values.dtype == np.float64):
+            # tolist() of a float64 column gives the Python floats
+            # float(v) would; any other column (int64 gives ints) is
+            # converted
+            sorted_vals = list(map(float, sorted_vals))
+        table = self.state._data  # the fold is the table's hot loop
         size = self.assigner.size
         # One Window, one deadline test and one index lookup per distinct
         # window: an open window's deadline is already at or above the
         # bound, and every window here gets a slot if it has none.
-        window_cache: list[Window | None] = [None] * len(start_list)
-        index_cache: list[dict | None] = [None] * len(start_list)
+        windows = [Window(start, start + size) for start in start_list]
+        for window in windows:
+            if window.end < self._min_deadline:
+                self._min_deadline = window.end
+        win_index = self._win_index
+        indexed = (None if win_index is None else
+                   [win_index.setdefault(window, {}) for window in windows])
         a = 0
-        for gi, b_ in enumerate(edges):
-            key = keys[group_codes[gi]]
-            sidx = group_sidx[gi]
-            window = window_cache[sidx]
-            if window is None:
-                start = start_list[sidx]
-                window = window_cache[sidx] = Window(start, start + size)
-                if window.end < min_deadline:
-                    min_deadline = window.end
-                if win_index is not None:
-                    index_cache[sidx] = win_index.setdefault(window, {})
-            per_key = get_windows(key)
+        for b_, code, sidx in zip(edges, group_codes, group_sidx):
+            key = keys[code]
+            window = windows[sidx]
+            per_key = table.get(key)
             if per_key is None:
                 slot = None
-                per_key = {}
-                put_windows(key, per_key)
+                per_key = table[key] = {}
             else:
                 slot = per_key.get(window)
             if slot is None:
                 slot = per_key[window] = [agg.init(), 0]
-                if win_index is not None:
-                    index_cache[sidx][key] = None
+                if indexed is not None:
+                    indexed[sidx][key] = None
             m = b_ - a
             if is_count:
                 slot[0] += m
             elif is_sum or is_mean:
                 acc = slot[0][0] if is_mean else slot[0]
-                _sum_extend(acc, sorted_vals[a:b_], pure)
+                if len(acc) + m < _COMPACT_AT:
+                    acc.extend(sorted_vals[a:b_])
+                else:
+                    _sum_extend(acc, sorted_vals[a:b_])
                 if is_mean:
                     slot[0][1] += m
             else:
@@ -623,20 +599,23 @@ class WindowAggregateOperator(Operator):
                 slot[0] = acc
             slot[1] += m
             a = b_
-        self._min_deadline = min_deadline
 
     # -- watermark path ---------------------------------------------------------
 
-    def on_watermark(self, watermark: Watermark) -> list[StreamItem]:
-        self._current_wm = max(self._current_wm, watermark.timestamp)
-        if self._min_deadline > self._current_wm:
+    def _fire(self, timestamp: float) -> tuple[list, list, list] | None:
+        """Advance the watermark to ``timestamp`` and pop every window
+        it ripens: the one firing scan.  Returns the fired rows as three
+        columns — keys (in ``repr`` order, each key's windows by
+        start), window ends and ``WindowResult``\\ s — or None when
+        nothing fires."""
+        self._current_wm = wm = max(self._current_wm, timestamp)
+        if self._min_deadline > wm:
             # No open window can be ripe yet; skip the full scan.  The
             # bound is conservative (a lower bound), so this fast path
             # never suppresses a firing.
-            return [watermark]
-        wm = self._current_wm
+            return None
         self._fold()
-        table = self.state
+        table = self.state._data
         index = self._win_index
         if index is None:
             index = self._win_index = {}
@@ -653,44 +632,57 @@ class WindowAggregateOperator(Operator):
                 ripe.append(w)
             elif w.end < min_deadline:
                 min_deadline = w.end
+        self._min_deadline = min_deadline
         if not ripe:
-            self._min_deadline = min_deadline
-            return [watermark]
+            return None
         ripe.sort()
         keys: dict[Any, None] = {}
         for w in ripe:
-            keys.update(index[w])
-        out: list[StreamItem] = []
+            keys.update(index.pop(w))
+        out_keys: list = []
+        ends: list[float] = []
+        results: list[WindowResult] = []
         agg_result = self.agg.result
         for key in sorted(keys, key=repr):
-            per_key = table.get_existing(key)
+            per_key = table.get(key)
             if per_key is None:
                 continue
-            fired_here = 0
             for window in ripe:
                 slot = per_key.pop(window, None)
-                if slot is None:
-                    continue
-                fired_here += 1
-                result = WindowResult(key=key, window=window,
-                                      value=agg_result(slot[0]),
-                                      count=slot[1])
-                out.append(Element(value=result, timestamp=window.end,
-                                   key=key))
-            if fired_here:
-                self.fired += fired_here
-                if not per_key:
-                    table.remove(key)
-        for w in ripe:
-            index.pop(w, None)
-        self._min_deadline = min_deadline
+                if slot is not None:
+                    out_keys.append(key)
+                    ends.append(window.end)
+                    results.append(WindowResult(key, window,
+                                                agg_result(slot[0]), slot[1]))
+            if not per_key:
+                del table[key]
+        self.fired += len(results)
+        return out_keys, ends, results
+
+    def on_watermark(self, watermark: Watermark) -> list[StreamItem]:
+        """The per-item reference: the fired rows as Elements, then the
+        watermark."""
+        fired = self._fire(watermark.timestamp)
+        if fired is None:
+            return [watermark]
+        keys, ends, results = fired
+        out: list[StreamItem] = list(map(Element, results, ends, keys))
         out.append(watermark)
         return out
 
+    def _fired_batch(self, timestamp: float) -> RecordBatch | None:
+        """The batched path's firing: the same columns as one batch."""
+        fired = self._fire(timestamp)
+        if fired is None or not fired[0]:
+            return None
+        keys, ends, results = fired
+        return RecordBatch.from_columns(ends, results, keys)
+
     def flush(self) -> list[StreamItem]:
-        """Fire every remaining window at end-of-stream."""
-        return [item for item in self.on_watermark(Watermark(float("inf")))
-                if isinstance(item, Element)]
+        """Fire every remaining window at end-of-stream, as one batch
+        (the executor decodes it for a per-item run)."""
+        batch = self._fired_batch(float("inf"))
+        return [] if batch is None else [batch]
 
     # -- checkpointing -------------------------------------------------------------
 

@@ -1,13 +1,15 @@
 """Window assigners: tumbling.
 
-A :class:`Window` is a half-open event-time interval [start, end).
+A :class:`Window` is a half-open event-time interval [start, end), a
+tuple record: the window kernel keys its tables and its firing index by
+windows, so their hash, equality and order run as the tuple's, in C.
 Assigners map an element timestamp to the window(s) it belongs to.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import itemgetter
 
 from ..util.errors import ConfigError
 
@@ -18,19 +20,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Window:
-    """Half-open event-time interval [start, end)."""
+class Window(tuple):
+    """Half-open event-time interval [start, end): a ``(start, end)``
+    tuple, so hashing, equality and ordering are the tuple's, in C."""
 
-    start: float
-    end: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.end <= self.start:
-            raise ConfigError(f"empty window [{self.start}, {self.end})")
+    def __new__(cls, start: float, end: float) -> "Window":
+        if end <= start:
+            raise ConfigError(f"empty window [{start}, {end})")
+        return tuple.__new__(cls, (start, end))
+
+    start = property(itemgetter(0))
+    end = property(itemgetter(1))
+
+    def __reduce__(self) -> tuple:
+        return Window, tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Window(start={self[0]!r}, end={self[1]!r})"
 
     def contains(self, timestamp: float) -> bool:
-        return self.start <= timestamp < self.end
+        return self[0] <= timestamp < self[1]
 
 
 class WindowAssigner:

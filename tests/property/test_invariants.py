@@ -65,7 +65,7 @@ class TestWindowProperties:
         op = WindowAggregateOperator("w", TumblingWindows(10.0), "count")
         for key, ts in rows:
             op.process(Element(value=1, timestamp=ts, key=key))
-        fired = op.flush()
+        fired = [e for batch in op.flush() for e in batch.to_elements()]
         total = sum(item.value.value for item in fired)
         assert total == len(rows)
 

@@ -27,14 +27,22 @@ ROWS = 1_000
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
+#: Python calls a row through an empty fault plan, one replica: ``send``,
+#: three ``append_row`` (the proxy's, the cluster's, the replica's) and
+#: six of the injector's append hooks
+CHAOS_CALLS_PER_ROW = 10
+
 PROBE = """
 import sys
+from repro.chaos import ChaosLogCluster, FaultInjector, FaultPlan
 from repro.eventlog import LogCluster, Producer, TopicConfig
 
 ROWS = int(sys.argv[2])
 cluster = LogCluster(num_brokers=3)
 cluster.create_topic(TopicConfig("t", partitions=8,
                                  replication=int(sys.argv[1])))
+if sys.argv[3] == "chaos":
+    cluster = ChaosLogCluster(cluster, FaultInjector(FaultPlan(specs=())))
 producer = Producer(cluster)
 send = producer.send
 keys = [f"bed-{i % 97}:hr" for i in range(ROWS)]
@@ -58,10 +66,10 @@ print(calls)
 """
 
 
-def _calls(hash_seed, replication):
+def _calls(hash_seed, replication, cluster="plain"):
     env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
-        [sys.executable, "-c", PROBE, str(replication), str(ROWS)],
+        [sys.executable, "-c", PROBE, str(replication), str(ROWS), cluster],
         env=env, capture_output=True, text=True, check=True)
     return int(out.stdout.split()[-1])
 
@@ -71,3 +79,8 @@ def test_a_row_of_a_key_seen_before_costs_send_and_its_appends(replication):
     counts = {seed: _calls(seed, replication) for seed in ("0", "1")}
     assert set(counts.values()) == {CALLS_PER_ROW[replication] * ROWS}, \
         counts
+
+
+def test_a_send_under_a_fault_plan_reads_the_generation_in_c():
+    counts = {seed: _calls(seed, 1, "chaos") for seed in ("0", "1")}
+    assert set(counts.values()) == {CHAOS_CALLS_PER_ROW * ROWS}, counts

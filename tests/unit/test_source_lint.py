@@ -42,7 +42,8 @@ text, imports only to inspect one signature).
     ``__init__``, or calls the fold before its first read, and the
     table's snapshots call the fold first (its ``settle`` hook) — parked
     rows never go unseen — and one function groups rows by (key,
-    window) and one loop extends accumulators from the groups.
+    window), one loop extends accumulators from the groups, and one
+    scan (``_fire``) pops ripe windows into their results.
 (k) One checkpoint protocol: keyed state lives in ``op.state`` (a
     ``KeyedState``), which the executor snapshots by key group itself;
     no operator defines a key-grouped snapshot or restore of its own,
@@ -498,7 +499,7 @@ def test_every_reader_of_the_windows_folds_first():
     readers = {fn.name for fn in ast.walk(ast.parse(source))
                if isinstance(fn, ast.FunctionDef)
                for node in ast.walk(fn) if _reads_self(node, WINDOW_TABLE)}
-    assert {"process", "on_watermark", "_fold_rows"} <= readers
+    assert {"process", "_fire", "_fold_rows"} <= readers
     assert re.search(r"self\.state = KeyedState\([^)]*settle=self\._fold\b",
                      source)
 
@@ -508,10 +509,10 @@ def test_the_fold_lint_catches_an_unfolded_reader():
     # the firing scan with its fold taken out, and a new method reading
     # the table before it folds
     unfolded = source.replace(
-        "        self._fold()\n        table = self.state\n",
-        "        table = self.state\n", 1)
+        "        self._fold()\n        table = self.state._data\n",
+        "        table = self.state._data\n", 1)
     assert unfolded != source
-    assert _unfolded_readers(unfolded) == ["on_watermark"]
+    assert _unfolded_readers(unfolded) == ["_fire"]
     late = source.replace(
         "    def snapshot(self) -> Any:\n",
         "    def peek(self) -> int:\n"
@@ -534,6 +535,9 @@ def test_one_grouping_and_one_accumulating_loop():
                        and _called(node) == target})
     assert callers("argsort") == ["_groups"]
     assert callers("_sum_extend") == ["_fold_rows"]
+    # and one firing scan: whatever leaves the window (Elements for the
+    # per-item reference, a batch for the batched path) is its columns
+    assert callers("WindowResult") == ["_fire"]
 
 
 # -- (k) one checkpoint protocol ----------------------------------------------

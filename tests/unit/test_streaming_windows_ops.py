@@ -10,6 +10,7 @@ from repro.streaming import (
     Watermark,
     WindowAggregateOperator,
 )
+from repro.streaming.batch import RecordBatch
 from repro.streaming.window_operator import _Agg
 from repro.util.errors import StreamError
 
@@ -85,8 +86,16 @@ class TestWindowAggregate:
     def test_flush_fires_remaining(self):
         op = WindowAggregateOperator("w", TumblingWindows(10.0), "count")
         op.handle(_el(1, 5.0))
-        fired = _results(op.flush())
-        assert len(fired) == 1
+        op.handle(_el(1, 25.0, key="j"))
+        # the fired rows leave as one batch of columns, what
+        # on_watermark's Elements encode to
+        (batch,) = op.flush()
+        assert type(batch) is RecordBatch
+        fired = _results(batch.to_elements())
+        assert [(r.key, r.window.start, r.value) for r in fired] == [
+            ("j", 20.0, 1), ("k", 0.0, 1)]
+        assert batch.timestamps.tolist() == [30.0, 10.0]
+        assert op.flush() == []
 
     def test_snapshot_restore_roundtrip(self):
         op = WindowAggregateOperator("w", TumblingWindows(10.0), "sum")

@@ -31,9 +31,11 @@ The event log's per-row path is gated the same way, on two same-run
 ratios from ``benchmarks/bench_a2_log_scaling.py`` (200 000 keyed float
 rows): ``Producer.send`` may cost at most ``CEIL_SEND_OVER_NOOP`` (10)
 times the same loop calling a no-op with the same arguments, and
-``Consumer.poll`` at most ``CEIL_POLL_OVER_SEND`` (0.75) of ``send`` per
-row — a producer that builds a record object per row reads ~14x, a
-consumer that builds a frozen record per polled row ~2.8x.  No absolute
+``Consumer.poll`` at most ``CEIL_POLL_OVER_NOOP`` (3) times that no-op
+per row — a producer that builds a record object per row reads ~14x, a
+consumer that builds a frozen record per polled row ~2.8x ``send``
+(~14x the no-op).  Both are gated against the no-op, never against each
+other, so a faster ``send`` cannot move ``poll``'s gate.  No absolute
 microseconds are gated.
 
 The committed baseline itself is also gated.  When it was produced on
@@ -79,10 +81,11 @@ FLOOR_LANE_OVERLAP_P4 = 3.2
 FLOOR_SPEEDUP_P4 = 1.5
 #: default-cadence eps over emit_every=32 eps, same job, same run
 FLOOR_DEFAULT_WATERMARKS = 0.5
-#: the log's per-row path, same-run ratios: send over a no-op called in
-#: the same loop with the same arguments, poll over send
+#: the log's per-row path, same-run ratios: send and poll, each over a
+#: no-op called in the same loop with the same arguments (poll read
+#: 1.54-2.09x in six A2c runs of one commit)
 CEIL_SEND_OVER_NOOP = 10.0
-CEIL_POLL_OVER_SEND = 0.75
+CEIL_POLL_OVER_NOOP = 3.0
 
 
 def run_bench_smoke(events: int) -> dict | None:
@@ -152,15 +155,16 @@ def check_default_watermarks(results: dict, label: str) -> bool:
 
 
 def check_log_path(results: dict, label: str) -> bool:
-    """The two ratios of the log's per-row path against their ceilings."""
+    """The two ratios of the log's per-row path against their ceilings,
+    each derived from the same run's microseconds per row."""
     log = results["log"]
     ok = True
-    for key, ceiling, over in (
-            ("send_over_noop", CEIL_SEND_OVER_NOOP, "no-op"),
-            ("poll_over_send", CEIL_POLL_OVER_SEND, "send")):
-        good = log[key] <= ceiling
+    for call, ceiling in (("send", CEIL_SEND_OVER_NOOP),
+                          ("poll", CEIL_POLL_OVER_NOOP)):
+        ratio = log[f"{call}_us_per_row"] / log["noop_us_per_row"]
+        good = ratio <= ceiling
         ok = ok and good
-        print(f"  {key} ({label}): {log[key]:6.2f}x {over}  "
+        print(f"  {call}_over_noop ({label}): {ratio:6.2f}x no-op  "
               f"(ceiling {ceiling}x)  {'ok' if good else 'PER-ROW CLIFF'}")
     return ok
 
